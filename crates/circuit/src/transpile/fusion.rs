@@ -9,6 +9,8 @@
 //! engine and the cost model both consume these run descriptors.
 
 use crate::circuit::Circuit;
+use crate::gate::Gate;
+use std::borrow::Borrow;
 
 /// A maximal run `[start, end)` of consecutive diagonal gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,11 +35,18 @@ impl DiagonalRun {
 
 /// Finds every maximal run of ≥ `min_len` consecutive diagonal gates.
 pub fn diagonal_runs(circuit: &Circuit, min_len: usize) -> Vec<DiagonalRun> {
+    diagonal_runs_in(circuit.gates(), min_len)
+}
+
+/// [`diagonal_runs`] over any gate sequence — owned gates or references
+/// into a plan, so a plan segment is scheduled without cloning it into a
+/// circuit first.
+pub fn diagonal_runs_in<G: Borrow<Gate>>(gates: &[G], min_len: usize) -> Vec<DiagonalRun> {
     let min_len = min_len.max(1);
     let mut runs = Vec::new();
     let mut start = None;
-    for (i, g) in circuit.gates().iter().enumerate() {
-        match (g.is_diagonal(), start) {
+    for (i, g) in gates.iter().enumerate() {
+        match (g.borrow().is_diagonal(), start) {
             (true, None) => start = Some(i),
             (false, Some(s)) => {
                 if i - s >= min_len {
@@ -49,7 +58,7 @@ pub fn diagonal_runs(circuit: &Circuit, min_len: usize) -> Vec<DiagonalRun> {
         }
     }
     if let Some(s) = start {
-        let end = circuit.len();
+        let end = gates.len();
         if end - s >= min_len {
             runs.push(DiagonalRun { start: s, end });
         }
@@ -68,11 +77,16 @@ pub enum ScheduleStep {
 
 /// Builds a full execution schedule with runs of ≥ `min_len` fused.
 pub fn fused_schedule(circuit: &Circuit, min_len: usize) -> Vec<ScheduleStep> {
-    let runs = diagonal_runs(circuit, min_len);
+    fused_schedule_in(circuit.gates(), min_len)
+}
+
+/// [`fused_schedule`] over any gate sequence (see [`diagonal_runs_in`]).
+pub fn fused_schedule_in<G: Borrow<Gate>>(gates: &[G], min_len: usize) -> Vec<ScheduleStep> {
+    let runs = diagonal_runs_in(gates, min_len);
     let mut steps = Vec::new();
     let mut next_run = 0;
     let mut i = 0;
-    while i < circuit.len() {
+    while i < gates.len() {
         if next_run < runs.len() && runs[next_run].start == i {
             steps.push(ScheduleStep::Fused(runs[next_run]));
             i = runs[next_run].end;

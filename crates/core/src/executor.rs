@@ -2,8 +2,8 @@
 
 use crate::config::SimConfig;
 use crate::profile::{ClassProfile, ProfiledRun};
-use qse_circuit::classify::{classify, EngineChoice, GateClass, Layout};
-use qse_circuit::transpile::{comm_avoid, Plan, PlanStep};
+use qse_circuit::classify::{EngineChoice, Layout};
+use qse_circuit::transpile::{comm_avoid, Plan};
 use qse_circuit::Circuit;
 use qse_comm::{CommError, Universe};
 use qse_machine::archer2::Machine;
@@ -11,7 +11,7 @@ use qse_machine::perf::RunEstimate;
 use qse_machine::{archer2, ModelOracle};
 use qse_math::Complex64;
 use qse_statevec::storage::SoaStorage;
-use qse_statevec::{DistributedState, SingleState, SparseState};
+use qse_statevec::{DistributedState, Schedule, SingleState, SparseState};
 use qse_util::rng::Rng;
 use std::time::Instant;
 
@@ -62,9 +62,11 @@ pub struct ClusterRun {
 impl ThreadClusterExecutor {
     /// Runs `circuit` from |basis⟩ over `config.n_ranks` thread ranks.
     ///
-    /// Each gate is timed on rank 0 (all ranks advance in lockstep for
-    /// distributed gates, so rank 0's clock is representative) and
-    /// attributed to its locality class.
+    /// Each schedule step is timed on rank 0 (all ranks advance in
+    /// lockstep for distributed gates, so rank 0's clock is
+    /// representative) and attributed to its locality class; with
+    /// `config.fuse_diagonals` set, a fused diagonal run is one step,
+    /// recorded as fully local.
     ///
     /// # Panics
     /// Panics on a communication error; use [`Self::try_run`] when running
@@ -134,13 +136,12 @@ impl ThreadClusterExecutor {
     ) -> Result<ClusterRun, CommError> {
         let n_ranks = config.n_ranks as usize;
         let dist_config = config.to_dist_config();
-        let layout = Layout::new(circuit.n_qubits(), config.n_ranks);
-        let classes: Vec<_> = circuit
-            .gates()
-            .iter()
-            .map(|g| classify(g, &layout))
-            .collect();
-
+        // Lowered once, shared by every rank: the same fused schedule the
+        // pre-flight verifier walks under `dist_config.min_fuse`.
+        let schedule = match plan {
+            Some(p) => Schedule::for_plan(p, dist_config.min_fuse),
+            None => Schedule::for_circuit(circuit, dist_config.min_fuse),
+        };
         let step_count = plan.map_or(circuit.len(), |p| p.steps.len());
 
         let universe = match config.faults {
@@ -153,34 +154,7 @@ impl ThreadClusterExecutor {
             st.barrier();
             let t0 = Instant::now();
             let mut profile = ClassProfile::default();
-            match plan {
-                None => {
-                    for (gate, &class) in circuit.gates().iter().zip(&classes) {
-                        let g0 = Instant::now();
-                        st.apply(gate)?;
-                        profile.record(class, g0.elapsed());
-                    }
-                }
-                Some(plan) => {
-                    // Transpiled path: gates are all local by construction;
-                    // batched permutes carry the communication and land in
-                    // the distributed bucket.
-                    for step in &plan.steps {
-                        let g0 = Instant::now();
-                        let class = match step {
-                            PlanStep::Gate(g) => {
-                                st.apply(g)?;
-                                classify(g, &layout)
-                            }
-                            PlanStep::Permute(p) => {
-                                st.apply_global_permutation(p)?;
-                                GateClass::Distributed
-                            }
-                        };
-                        profile.record(class, g0.elapsed());
-                    }
-                }
-            }
+            st.run_schedule(&schedule, |class, elapsed| profile.record(class, elapsed))?;
             st.barrier();
             let wall = t0.elapsed().as_secs_f64();
             let stats = st.stats();

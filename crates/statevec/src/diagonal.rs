@@ -1,11 +1,14 @@
-//! Phase functions for diagonal gates.
+//! Diagonal gates: the scalar phase functions and the tiled phase kernel.
 //!
 //! A diagonal gate multiplies amplitude `|i⟩` by a phase that depends only
-//! on `i`'s bits — the paper's *fully local* class. This module evaluates
-//! that phase for one gate or for a fused run of gates (a single sweep
-//! applying the product of all phases, the optimisation behind QuEST's
-//! efficient controlled-phase application).
+//! on `i`'s bits — the paper's *fully local* class. [`diagonal_phase`] and
+//! [`fused_phase`] evaluate that phase per index (the reference and sparse
+//! engines, and the test oracle); [`CompiledDiagonal`] is what the dense
+//! engines execute: a run of gates lowered to mask selections and applied
+//! tile by tile, touching only the amplitudes each gate selects — QuEST's
+//! "more efficient" controlled-phase application (§3.2).
 
+use crate::storage::kernel;
 use qse_circuit::Gate;
 use qse_math::bits;
 use qse_math::Complex64;
@@ -107,87 +110,74 @@ pub fn fused_phase(gates: &[Gate], index: u64) -> Complex64 {
         .fold(Complex64::ONE, |acc, g| acc * diagonal_phase(g, index))
 }
 
-/// One diagonal gate lowered to a branch-light evaluator for the fused
-/// execution sweep.
+/// One selection of a lowered diagonal gate: multiply by `p` every
+/// amplitude whose global index satisfies `index & mask == want`.
 ///
-/// Every constant (`cis(θ)`, matrix entries, …) is computed once at
-/// compile time with the same expressions [`diagonal_phase`] evaluates
-/// per call, and [`CompiledDiagonal::apply`] multiplies the amplitude by
-/// each gate's phase *in gate order* — including the identity phase of
-/// non-matching indices — so fused execution is bit-for-bit identical to
-/// applying the same gates one sweep at a time.
+/// A gate lowers to one, two or four of these with pairwise disjoint
+/// selections (see [`CompiledDiagonal::compile`]), so an amplitude is
+/// multiplied at most once per gate. Every constant (`cis(θ)`, matrix
+/// entries, …) is computed once at compile time with the same
+/// expressions [`diagonal_phase`] evaluates per call.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum PhaseOp {
-    /// `p` when every bit of `mask` is set, else 1 — Z, S, S†, T, T†,
-    /// Phase, CZ, CPhase, MCPhase.
-    MaskAll {
-        /// Required-ones mask.
-        mask: u64,
-        /// Phase applied on a full match.
-        p: Complex64,
-    },
-    /// `p1`/`p0` selected by the bit at `shift` — Rz and diagonal
-    /// single-qubit unitaries.
-    Select {
-        /// Target qubit.
-        shift: u32,
-        /// Phase when the bit is 0.
-        p0: Complex64,
-        /// Phase when the bit is 1.
-        p1: Complex64,
-    },
-    /// [`PhaseOp::Select`] gated by a control bit (diagonal CUnitary):
-    /// identity unless the control bit is set.
-    CtrlSelect {
-        /// Control qubit.
-        ctrl: u32,
-        /// Target qubit.
-        shift: u32,
-        /// Phase when control = 1 and target bit = 0.
-        p0: Complex64,
-        /// Phase when control = 1 and target bit = 1.
-        p1: Complex64,
-    },
-    /// Two-bit diagonal lookup (diagonal Unitary2), table index
-    /// `(bit_b << 1) | bit_a`.
-    Table4 {
-        /// Low-order orbit qubit.
-        a: u32,
-        /// High-order orbit qubit.
-        b: u32,
-        /// The four diagonal entries.
-        d: [Complex64; 4],
-    },
+struct PhaseOp {
+    /// The index bits this selection tests.
+    mask: u64,
+    /// The value those bits must have (`want & !mask == 0`).
+    want: u64,
+    /// Phase applied to every selected amplitude.
+    p: Complex64,
 }
 
 impl PhaseOp {
-    fn compile(gate: &Gate) -> PhaseOp {
-        let all = |mask: u64, p: Complex64| PhaseOp::MaskAll { mask, p };
+    /// Appends `gate`'s selections to `ops`.
+    fn lower(gate: &Gate, ops: &mut Vec<PhaseOp>) {
+        // Every bit of `mask` set — Z, S, S†, T, T†, Phase, CZ, CPhase,
+        // MCPhase.
+        let all = |mask: u64, p: Complex64| PhaseOp {
+            mask,
+            want: mask,
+            p,
+        };
+        // `p0`/`p1` by the bit at `target`, under `ctrl` (0 for none).
+        let select = |ctrl: u64, target: u32, p0: Complex64, p1: Complex64| {
+            let mask = ctrl | (1 << target);
+            [
+                PhaseOp {
+                    mask,
+                    want: ctrl,
+                    p: p0,
+                },
+                PhaseOp {
+                    mask,
+                    want: mask,
+                    p: p1,
+                },
+            ]
+        };
         match *gate {
-            Gate::Z(q) => all(1 << q, Complex64::real(-1.0)),
-            Gate::S(q) => all(1 << q, Complex64::I),
-            Gate::Sdg(q) => all(1 << q, -Complex64::I),
-            Gate::T(q) => all(1 << q, Complex64::cis(FRAC_PI_4)),
-            Gate::Tdg(q) => all(1 << q, Complex64::cis(-FRAC_PI_4)),
-            Gate::Phase { target, theta } => all(1 << target, Complex64::cis(theta)),
-            Gate::Rz { target, theta } => PhaseOp::Select {
-                shift: target,
-                p0: Complex64::cis(-theta / 2.0),
-                p1: Complex64::cis(theta / 2.0),
-            },
-            Gate::CZ(a, b) => all((1 << a) | (1 << b), Complex64::real(-1.0)),
-            Gate::CPhase { a, b, theta } => all((1 << a) | (1 << b), Complex64::cis(theta)),
-            Gate::MCPhase { ref qubits, theta } => all(
+            Gate::Z(q) => ops.push(all(1 << q, Complex64::real(-1.0))),
+            Gate::S(q) => ops.push(all(1 << q, Complex64::I)),
+            Gate::Sdg(q) => ops.push(all(1 << q, -Complex64::I)),
+            Gate::T(q) => ops.push(all(1 << q, Complex64::cis(FRAC_PI_4))),
+            Gate::Tdg(q) => ops.push(all(1 << q, Complex64::cis(-FRAC_PI_4))),
+            Gate::Phase { target, theta } => ops.push(all(1 << target, Complex64::cis(theta))),
+            Gate::Rz { target, theta } => ops.extend(select(
+                0,
+                target,
+                Complex64::cis(-theta / 2.0),
+                Complex64::cis(theta / 2.0),
+            )),
+            Gate::CZ(a, b) => ops.push(all((1 << a) | (1 << b), Complex64::real(-1.0))),
+            Gate::CPhase { a, b, theta } => {
+                ops.push(all((1 << a) | (1 << b), Complex64::cis(theta)))
+            }
+            Gate::MCPhase { ref qubits, theta } => ops.push(all(
                 qubits.iter().fold(0u64, |m, &q| m | (1 << q)),
                 Complex64::cis(theta),
-            ),
+            )),
             Gate::Unitary1 { target, matrix } => {
                 debug_assert!(matrix.is_diagonal(1e-14), "non-diagonal unitary");
-                PhaseOp::Select {
-                    shift: target,
-                    p0: matrix.at(0, 0),
-                    p1: matrix.at(1, 1),
-                }
+                ops.extend(select(0, target, matrix.at(0, 0), matrix.at(1, 1)));
             }
             Gate::CUnitary {
                 control,
@@ -195,86 +185,65 @@ impl PhaseOp {
                 matrix,
             } => {
                 debug_assert!(matrix.is_diagonal(1e-14), "non-diagonal unitary");
-                PhaseOp::CtrlSelect {
-                    ctrl: control,
-                    shift: target,
-                    p0: matrix.at(0, 0),
-                    p1: matrix.at(1, 1),
-                }
+                ops.extend(select(
+                    1 << control,
+                    target,
+                    matrix.at(0, 0),
+                    matrix.at(1, 1),
+                ));
             }
             Gate::Unitary2 { a, b, matrix } => {
                 debug_assert!(matrix.is_diagonal(1e-14), "non-diagonal unitary");
-                PhaseOp::Table4 {
-                    a,
-                    b,
-                    d: [
-                        matrix.at(0, 0),
-                        matrix.at(1, 1),
-                        matrix.at(2, 2),
-                        matrix.at(3, 3),
-                    ],
-                }
+                // Table index `(bit_b << 1) | bit_a`.
+                let mask = (1u64 << a) | (1 << b);
+                ops.extend((0..4u64).map(|k| PhaseOp {
+                    mask,
+                    want: ((k & 1) << a) | ((k >> 1) << b),
+                    p: matrix.at(crate::ix(k), crate::ix(k)),
+                }));
             }
-            ref g => unreachable!("PhaseOp::compile called on non-diagonal gate {g}"),
-        }
-    }
-
-    /// The phase this gate applies to basis state `index` (1 when the
-    /// gate does not touch it) — identical to [`diagonal_phase`] of the
-    /// source gate, bit for bit.
-    #[inline(always)]
-    fn phase(&self, index: u64) -> Complex64 {
-        match *self {
-            PhaseOp::MaskAll { mask, p } => {
-                if index & mask == mask {
-                    p
-                } else {
-                    Complex64::ONE
-                }
-            }
-            PhaseOp::Select { shift, p0, p1 } => {
-                if (index >> shift) & 1 == 1 {
-                    p1
-                } else {
-                    p0
-                }
-            }
-            PhaseOp::CtrlSelect {
-                ctrl,
-                shift,
-                p0,
-                p1,
-            } => {
-                if (index >> ctrl) & 1 == 1 {
-                    if (index >> shift) & 1 == 1 {
-                        p1
-                    } else {
-                        p0
-                    }
-                } else {
-                    Complex64::ONE
-                }
-            }
-            PhaseOp::Table4 { a, b, d } => {
-                let idx = (((index >> b) & 1) << 1) | ((index >> a) & 1);
-                d[crate::ix(idx)]
-            }
+            ref g => unreachable!("PhaseOp::lower called on non-diagonal gate {g}"),
         }
     }
 }
 
-/// A run of diagonal gates precompiled for single-sweep execution — the
-/// execution-layer counterpart of the analytic model's fused runs.
+/// Amplitudes per kernel tile: 8 KiB of `re` plus 8 KiB of `im`, half
+/// of a 32 KiB L1d, so every op of a run after the first finds the tile
+/// in L1 and a fused run costs one trip to memory however long it is.
+pub const TILE: usize = 1024;
+
+/// Amplitudes per lane group. Selections on qubits 0–2 repeat with a
+/// period of at most eight amplitudes — shorter than or equal to a
+/// vector — so they are applied as a fixed per-lane pattern over whole
+/// groups instead of as runs.
+const LANES: usize = 8;
+
+/// A run of diagonal gates precompiled for single-sweep execution, and
+/// the **only** way a diagonal gate is applied to dense storage (a
+/// single gate is a run of length one).
 ///
-/// Where [`fused_phase`] re-matches on the gate enum per amplitude and
-/// recomputes `cis(θ)` per call, the compiled form folds each gate to a
-/// mask test plus a prebuilt constant. The storage backends drive it
-/// through [`crate::storage::AmpStorage::apply_fused_diagonal`]: one read
-/// and one write per amplitude for the whole run, instead of one sweep
-/// per gate.
+/// # The diagonal semantic
+///
+/// A diagonal gate *selects* basis indices by their bits and multiplies
+/// each selected amplitude by a constant phase. **Unselected amplitudes
+/// are not written**: they keep their exact bits, where a multiply by
+/// `1 + 0i` would flip the sign of a `-0.0` component. Phase, CZ,
+/// CPhase, MCPhase and friends select the indices with every mask bit
+/// set; Rz and diagonal Unitary1/Unitary2 select every index; a diagonal
+/// CUnitary selects the indices with the control bit set.
+///
+/// Ops are applied **in gate order**, so each amplitude sees exactly the
+/// multiply sequence of the gates that select it, whether they arrive
+/// fused or one sweep at a time: fused ≡ unfused bit for bit. (Complex
+/// multiplication is not associative in floating point, so the product
+/// of the run's phases is never precomputed.)
+///
+/// The storage backends drive [`Self::apply_block`] through
+/// [`crate::storage::AmpStorage::apply_fused_diagonal`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompiledDiagonal {
     ops: Vec<PhaseOp>,
+    gates: usize,
 }
 
 impl CompiledDiagonal {
@@ -283,41 +252,193 @@ impl CompiledDiagonal {
     /// # Panics
     /// Panics on non-diagonal gates — callers segment with
     /// `fused_schedule` first.
-    pub fn compile(gates: &[Gate]) -> Self {
-        CompiledDiagonal {
-            ops: gates.iter().map(PhaseOp::compile).collect(),
+    pub fn compile<'g>(gates: impl IntoIterator<Item = &'g Gate>) -> Self {
+        let mut run = CompiledDiagonal::default();
+        for g in gates {
+            PhaseOp::lower(g, &mut run.ops);
+            run.gates += 1;
         }
+        run
     }
 
     /// Number of gates in the run.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.gates
     }
 
     /// True for an empty run (applies the identity).
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.gates == 0
     }
 
-    /// Multiplies `amp` by every gate's phase at `index`, in gate order —
-    /// the exact float-op sequence gate-at-a-time execution performs.
+    /// The run applied to one amplitude: the scalar form of
+    /// [`Self::apply_block`], and its definition.
     #[inline]
     pub fn apply(&self, index: u64, amp: Complex64) -> Complex64 {
         let mut a = amp;
         for op in &self.ops {
-            a = a * op.phase(index);
+            if index & op.mask == op.want {
+                a *= op.p;
+            }
         }
         a
     }
 
-    /// The combined phase at `index` (product over the run). Matches
-    /// [`fused_phase`] up to floating-point association.
-    #[inline]
-    pub fn phase(&self, index: u64) -> Complex64 {
-        self.ops
-            .iter()
-            .fold(Complex64::ONE, |acc, op| acc * op.phase(index))
+    /// Applies the run to a block of split `re`/`im` amplitudes whose
+    /// first element has global index `base` (rank offset included).
+    ///
+    /// The block is swept in [`TILE`]-sized tiles. Per tile and per op,
+    /// the mask bits above the tile (rank bits among them) are resolved
+    /// once — take the tile or skip it — and the bits inside it become
+    /// contiguous runs, or a lane pattern for qubits 0–2, multiplied in
+    /// straight loops with no per-element test.
+    ///
+    /// # Panics
+    /// Panics unless the block length is a power of two, equal for both
+    /// slices, and `base` is a multiple of it.
+    pub fn apply_block(&self, re: &mut [f64], im: &mut [f64], base: u64) {
+        let len = re.len();
+        assert_eq!(len, im.len(), "re/im length mismatch");
+        assert!(len.is_power_of_two(), "block length must be a power of two");
+        assert_eq!(base & (len as u64 - 1), 0, "block base must be aligned");
+        if len < LANES {
+            // Shorter than a lane group: the scalar form, per amplitude.
+            for (i, (r, m)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
+                let v = self.apply(base | i as u64, Complex64::new(*r, *m));
+                (*r, *m) = (v.re, v.im);
+            }
+            return;
+        }
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if kernel::use_fma() {
+            // SAFETY: `use_fma` verified avx2+fma support on this CPU.
+            unsafe { block_avx2(&self.ops, re, im, base) };
+            return;
+        }
+        block_body(&self.ops, re, im, base)
     }
+}
+
+/// [`block_body`] compiled with AVX2 codegen. The arithmetic is spelled
+/// as separate multiplies and adds, which rustc never contracts, so this
+/// flavour and the baseline one produce identical bits; only the vector
+/// width differs.
+///
+/// SAFETY: callers must have verified `avx2` and `fma` CPU support.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn block_avx2(ops: &[PhaseOp], re: &mut [f64], im: &mut [f64], base: u64) {
+    block_body(ops, re, im, base)
+}
+
+#[inline(always)]
+fn block_body(ops: &[PhaseOp], re: &mut [f64], im: &mut [f64], base: u64) {
+    for (ti, (rt, it)) in re.chunks_mut(TILE).zip(im.chunks_mut(TILE)).enumerate() {
+        tile_body(ops, rt, it, base | (ti * TILE) as u64);
+    }
+}
+
+/// Every op, in order, over one tile (a power-of-two slice of at least
+/// [`LANES`] amplitudes, aligned at `base`).
+#[inline(always)]
+fn tile_body(ops: &[PhaseOp], re: &mut [f64], im: &mut [f64], base: u64) {
+    let len = re.len();
+    let im = &mut im[..len];
+    let inside = len as u64 - 1;
+    for op in ops {
+        if (base ^ op.want) & op.mask & !inside != 0 {
+            continue; // a bit above the tile disagrees: nothing selected
+        }
+        let mask = crate::ix(op.mask & inside);
+        let want = crate::ix(op.want & inside);
+        let lane_mask = mask & (LANES - 1);
+        if lane_mask == 0 {
+            for_each_selected_run(len, mask, want, |a, b| {
+                mul_run(&mut re[a..b], &mut im[a..b], op.p);
+            });
+        } else {
+            let select = lane_pattern(lane_mask, want & (LANES - 1));
+            for_each_selected_run(len, mask & !(LANES - 1), want & !(LANES - 1), |a, b| {
+                mul_lanes(&mut re[a..b], &mut im[a..b], op.p, &select);
+            });
+        }
+    }
+}
+
+/// Calls `f(lo, hi)` for every maximal run of indices in `[0, len)` with
+/// `index & mask == want`, ascending. Runs have length `2^tz(mask)` (the
+/// whole range for an empty mask); stepping sets every fixed bit before
+/// the increment so the carry skips over them.
+#[inline(always)]
+fn for_each_selected_run(len: usize, mask: usize, want: usize, mut f: impl FnMut(usize, usize)) {
+    debug_assert!(mask < len && want & !mask == 0);
+    if mask == 0 {
+        return f(0, len);
+    }
+    let run = 1usize << mask.trailing_zeros();
+    let fixed = mask | (run - 1);
+    let mut lo = want;
+    while lo < len {
+        f(lo, lo + run);
+        lo = (((lo | fixed) + 1) & !mask) | want;
+    }
+}
+
+/// `amp ← amp · p` over a contiguous run — the `Complex64` operator
+/// formula on split parts, so it agrees bit for bit with the scalar form.
+#[inline(always)]
+fn mul_run(re: &mut [f64], im: &mut [f64], p: Complex64) {
+    let n = re.len();
+    let im = &mut im[..n];
+    for k in 0..n {
+        let (r, i) = (re[k], im[k]);
+        re[k] = r * p.re - i * p.im;
+        im[k] = r * p.im + i * p.re;
+    }
+}
+
+/// Which lanes of a group satisfy `lane & mask == want`.
+fn lane_pattern(mask: usize, want: usize) -> [bool; LANES] {
+    std::array::from_fn(|lane| lane & mask == want)
+}
+
+/// [`mul_run`] on the lanes `select` marks, over whole lane groups. The
+/// product is computed for every lane of a group in one straight loop
+/// and stored only to the selected ones, so the arithmetic vectorizes
+/// and an unselected lane is never written.
+#[inline(always)]
+fn mul_lanes(re: &mut [f64], im: &mut [f64], p: Complex64, select: &[bool; LANES]) {
+    for (rg, ig) in re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES)) {
+        let (mut nr, mut ni) = ([0.0f64; LANES], [0.0f64; LANES]);
+        for k in 0..LANES {
+            nr[k] = rg[k] * p.re - ig[k] * p.im;
+            ni[k] = rg[k] * p.im + ig[k] * p.re;
+        }
+        for k in 0..LANES {
+            if select[k] {
+                (rg[k], ig[k]) = (nr[k], ni[k]);
+            }
+        }
+    }
+}
+
+/// The scalar oracle the kernel suites compare against: [`diagonal_phase`]
+/// applied gate by gate under the semantic stated on
+/// [`CompiledDiagonal`], sharing no code with the lowering.
+#[cfg(test)]
+pub(crate) fn oracle_apply(gates: &[Gate], index: u64, amp: Complex64) -> Complex64 {
+    let selects = |g: &Gate| match g {
+        Gate::Rz { .. } | Gate::Unitary1 { .. } | Gate::Unitary2 { .. } => true,
+        Gate::CUnitary { control, .. } => bits::bit(index, *control) == 1,
+        g => g.qubits().iter().all(|&q| bits::bit(index, q) == 1),
+    };
+    gates.iter().fold(amp, |a, g| {
+        if selects(g) {
+            a * diagonal_phase(g, index)
+        } else {
+            a
+        }
+    })
 }
 
 #[cfg(test)]
@@ -440,23 +561,25 @@ mod tests {
         ]
     }
 
+    fn assert_same_bits(got: Complex64, want: Complex64, ctx: &str) {
+        assert_eq!(got.re.to_bits(), want.re.to_bits(), "re: {ctx}");
+        assert_eq!(got.im.to_bits(), want.im.to_bits(), "im: {ctx}");
+    }
+
     #[test]
-    fn compiled_phase_is_bit_identical_to_diagonal_phase() {
-        // The compiled evaluator must reproduce `diagonal_phase` exactly —
-        // not approximately — for every gate kind and every index, since
-        // the fused/unfused equivalence contract is bitwise.
+    fn compiled_constants_are_bit_identical_to_diagonal_phase() {
+        // The lowering must reproduce `diagonal_phase` exactly — not
+        // approximately — for every gate kind and every index, since the
+        // fused/unfused equivalence contract is bitwise.
         for g in one_of_each_diagonal() {
-            let compiled = CompiledDiagonal::compile(std::slice::from_ref(&g));
+            let compiled = CompiledDiagonal::compile([&g]);
             for idx in 0..8u64 {
-                let want = diagonal_phase(&g, idx);
-                let got = compiled.apply(idx, Complex64::ONE);
-                assert_eq!(
-                    (got.re.to_bits(), got.im.to_bits()),
-                    (
-                        (Complex64::ONE * want).re.to_bits(),
-                        (Complex64::ONE * want).im.to_bits()
-                    ),
-                    "gate {g} index {idx}"
+                let amp = Complex64::new(0.3 - idx as f64, 0.8);
+                let want = oracle_apply(std::slice::from_ref(&g), idx, amp);
+                assert_same_bits(
+                    compiled.apply(idx, amp),
+                    want,
+                    &format!("gate {g} index {idx}"),
                 );
             }
         }
@@ -464,28 +587,99 @@ mod tests {
 
     #[test]
     fn compiled_apply_matches_sequential_multiplication() {
-        // apply() must perform the same multiply sequence as k successive
-        // gate-at-a-time sweeps: a·p1·p2·…·pk in gate order.
+        // apply() must perform the multiply sequence of k successive
+        // gate-at-a-time sweeps: the selecting gates' phases in gate
+        // order, and nothing for the gates that do not select the index.
         let gates = one_of_each_diagonal();
         let compiled = CompiledDiagonal::compile(&gates);
         assert_eq!(compiled.len(), gates.len());
         for idx in 0..8u64 {
             let amp = Complex64::new(0.3 - idx as f64, 0.8);
-            let want = gates
-                .iter()
-                .fold(amp, |a, g| a * diagonal_phase(g, idx));
-            let got = compiled.apply(idx, amp);
-            assert_eq!(got.re.to_bits(), want.re.to_bits(), "re at {idx}");
-            assert_eq!(got.im.to_bits(), want.im.to_bits(), "im at {idx}");
+            let want = oracle_apply(&gates, idx, amp);
+            assert_same_bits(compiled.apply(idx, amp), want, &format!("index {idx}"));
         }
     }
 
     #[test]
-    fn compiled_product_phase_matches_fused_phase() {
-        let gates = one_of_each_diagonal();
-        let compiled = CompiledDiagonal::compile(&gates);
-        for idx in 0..8u64 {
-            assert_complex_close(compiled.phase(idx), fused_phase(&gates, idx), 1e-12);
+    fn unselected_amplitudes_keep_their_sign_of_zero() {
+        // (-0.0 - 5i)·(1 + 0i) has real part +0.0: a multiply by one is
+        // not the identity, which is why unselected means untouched.
+        let amp = Complex64::new(-0.0, -5.0);
+        assert_eq!((amp * Complex64::ONE).re.to_bits(), 0.0f64.to_bits());
+        let run = CompiledDiagonal::compile(&[
+            Gate::CPhase {
+                a: 0,
+                b: 1,
+                theta: 0.4,
+            },
+            Gate::CUnitary {
+                control: 2,
+                target: 0,
+                matrix: qse_math::Matrix2::diagonal(Complex64::cis(0.1), Complex64::cis(0.2)),
+            },
+        ]);
+        assert_same_bits(run.apply(0b001, amp), amp, "neither gate selects 0b001");
+    }
+
+    #[test]
+    fn selected_runs_match_the_per_index_test() {
+        for len in [8usize, 64, 1024] {
+            for mask in [0usize, 8, 16, 8 | 32, 16 | 512, (len >> 1) | 8, len - 8] {
+                let mask = mask & (len - 1);
+                // every sub-pattern of the mask, the all-ones one included
+                let mut want = mask;
+                loop {
+                    let mut got = Vec::new();
+                    let mut last = 0;
+                    for_each_selected_run(len, mask, want, |a, b| {
+                        assert!(a >= last, "runs ascend");
+                        last = b;
+                        got.extend(a..b);
+                    });
+                    let expect: Vec<usize> = (0..len).filter(|i| i & mask == want).collect();
+                    assert_eq!(got, expect, "len {len} mask {mask:#x} want {want:#x}");
+                    if want == 0 {
+                        break;
+                    }
+                    want = (want - 1) & mask;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_kernel_matches_scalar_form_across_tiles() {
+        // Three tiles' worth at a rank offset: bits below the lane
+        // width, inside the tile, above the tile and in the offset.
+        let len = 4 * TILE;
+        let offset = (len as u64) << 1;
+        let top = len.trailing_zeros();
+        let gates = vec![
+            Gate::CPhase {
+                a: 1,
+                b: top - 1,
+                theta: 0.37,
+            },
+            Gate::Rz {
+                target: 2,
+                theta: -1.1,
+            },
+            Gate::CZ(5, top + 1),
+            Gate::CZ(4, top + 2), // offset bit clear: selects nothing here
+            Gate::T(7),
+            Gate::MCPhase {
+                qubits: vec![0, 3, top - 2],
+                theta: 2.2,
+            },
+        ];
+        let run = CompiledDiagonal::compile(&gates);
+        let amp = |i: usize| Complex64::new((i % 17) as f64 * 0.25 - 1.0, -((i % 5) as f64));
+        let (mut re, mut im): (Vec<f64>, Vec<f64>) =
+            (0..len).map(|i| (amp(i).re, amp(i).im)).unzip();
+        run.apply_block(&mut re, &mut im, offset);
+        for i in 0..len {
+            let want = oracle_apply(&gates, offset | i as u64, amp(i));
+            assert_same_bits(Complex64::new(re[i], im[i]), want, &format!("index {i}"));
         }
     }
 
@@ -495,7 +689,12 @@ mod tests {
         assert!(compiled.is_empty());
         let a = Complex64::new(0.5, -0.25);
         assert_eq!(compiled.apply(3, a), a);
-        assert_eq!(compiled.phase(3), Complex64::ONE);
+    }
+
+    #[test]
+    #[should_panic(expected = "aligned")]
+    fn misaligned_block_rejected() {
+        CompiledDiagonal::compile(&[Gate::Z(0)]).apply_block(&mut [0.0; 8], &mut [0.0; 8], 4);
     }
 
     #[test]

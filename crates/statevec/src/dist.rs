@@ -16,12 +16,12 @@
 //! exchange* (§4): only the amplitudes whose swap bits differ move, which
 //! halves both traffic and buffer requirements.
 
-use crate::diagonal::{diagonal_phase, CompiledDiagonal};
+use crate::diagonal::CompiledDiagonal;
+use crate::schedule::{Schedule, Step};
 use crate::single::DEFAULT_MIN_FUSE;
 use crate::storage::{init_basis, AmpStorage, SoaStorage};
 use qse_circuit::classify::{classify, GateClass, Layout};
-use qse_circuit::transpile::fusion::{fused_schedule, ScheduleStep};
-use qse_circuit::transpile::{Plan, PlanStep};
+use qse_circuit::transpile::Plan;
 use qse_circuit::{Circuit, Gate, Permutation};
 use qse_comm::chunking::{chunk_tag, exchange, ChunkPolicy, ExchangeMode, StreamedExchange};
 use qse_comm::collective;
@@ -30,6 +30,7 @@ use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
 use qse_math::bits;
 use qse_math::Complex64;
+use std::time::{Duration, Instant};
 
 /// Exchange and execution options for a distributed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,9 +45,10 @@ pub struct DistConfig {
     /// Use the half exchange for distributed SWAPs (§4 future work).
     pub half_exchange_swaps: bool,
     /// Fuse runs of ≥ this many diagonal gates into one sweep in
-    /// [`DistributedState::run`]; `None` disables fusion. Defaults to
-    /// [`DEFAULT_MIN_FUSE`]: the real engine executes the same fused
-    /// schedule the analytic model prices.
+    /// [`DistributedState::run`] / [`DistributedState::run_plan`];
+    /// `None` disables fusion. Defaults to [`DEFAULT_MIN_FUSE`]: the
+    /// real engine executes the same fused schedule the analytic model
+    /// prices and the static verifier walks.
     pub min_fuse: Option<usize>,
 }
 
@@ -270,16 +272,21 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
     /// Fails only when the underlying exchange fails (peer disconnected,
     /// deadlock diagnosed) — pure-local gates always succeed.
     pub fn apply(&mut self, gate: &Gate) -> CommResult<()> {
+        self.apply_classified(gate).map(|_| ())
+    }
+
+    /// [`Self::apply`], reporting the locality class it dispatched on.
+    fn apply_classified(&mut self, gate: &Gate) -> CommResult<GateClass> {
         assert!(
             gate.max_qubit() < self.layout.n_qubits(),
             "gate out of range"
         );
-        match classify(gate, &self.layout) {
+        let class = classify(gate, &self.layout);
+        match class {
             GateClass::FullyLocal => {
                 let offset = self.rank_offset();
                 self.amps
-                    .apply_phase_fn(offset, &|i| diagonal_phase(gate, i));
-                Ok(())
+                    .apply_fused_diagonal(offset, &CompiledDiagonal::compile([gate]));
             }
             GateClass::LocalMemory => {
                 match *gate {
@@ -301,24 +308,24 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
                         }
                     }
                 }
-                Ok(())
             }
             GateClass::Distributed => {
                 let tag = self.next_tag();
                 match *gate {
-                    Gate::Swap(a, b) => self.distributed_swap(a, b, tag),
+                    Gate::Swap(a, b) => self.distributed_swap(a, b, tag)?,
                     Gate::Unitary2 { a, b, ref matrix } => {
-                        self.distributed_unitary2(a, b, matrix, tag)
+                        self.distributed_unitary2(a, b, matrix, tag)?
                     }
                     ref g => {
                         let Some(m) = g.matrix1() else {
                             unreachable!("classify only routes single-target gates here")
                         };
-                        self.distributed_1q(&m, g.target(), g.control(), tag)
+                        self.distributed_1q(&m, g.target(), g.control(), tag)?
                     }
                 }
             }
         }
+        Ok(class)
     }
 
     /// The value of this rank's address bit for global qubit `q`.
@@ -498,30 +505,43 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
 
     /// Runs a circuit, honouring the fusion setting.
     pub fn run(&mut self, circuit: &Circuit) -> CommResult<()> {
+        self.run_schedule(
+            &Schedule::for_circuit(circuit, self.config.min_fuse),
+            |_, _| {},
+        )
+    }
+
+    /// Walks a lowered [`Schedule`] — the engine's one step loop, behind
+    /// [`Self::run`], [`Self::run_plan`] and the thread-cluster executor
+    /// (which lowers once and shares the schedule between its ranks).
+    /// After each step `observe` receives the locality class it ran as
+    /// and its wall-clock: a fused run is fully local, a `Permute` is
+    /// distributed.
+    pub fn run_schedule(
+        &mut self,
+        schedule: &Schedule<'_>,
+        mut observe: impl FnMut(GateClass, Duration),
+    ) -> CommResult<()> {
         assert_eq!(
-            circuit.n_qubits(),
+            schedule.n_qubits(),
             self.layout.n_qubits(),
             "width mismatch"
         );
-        match self.config.min_fuse {
-            None => {
-                for g in circuit.gates() {
-                    self.apply(g)?;
+        let offset = self.rank_offset();
+        for step in schedule.steps() {
+            let t = Instant::now();
+            let class = match step {
+                Step::Gate(g) => self.apply_classified(g)?,
+                Step::Fused(run) => {
+                    self.amps.apply_fused_diagonal(offset, run);
+                    GateClass::FullyLocal
                 }
-            }
-            Some(min_fuse) => {
-                let offset = self.rank_offset();
-                for step in fused_schedule(circuit, min_fuse) {
-                    match step {
-                        ScheduleStep::Single(i) => self.apply(&circuit.gates()[i])?,
-                        ScheduleStep::Fused(run) => {
-                            let compiled =
-                                CompiledDiagonal::compile(&circuit.gates()[run.start..run.end]);
-                            self.amps.apply_fused_diagonal(offset, &compiled);
-                        }
-                    }
+                Step::Permute(p) => {
+                    self.apply_global_permutation(p)?;
+                    GateClass::Distributed
                 }
-            }
+            };
+            observe(class, t.elapsed());
         }
         Ok(())
     }
@@ -656,35 +676,11 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         Ok(())
     }
 
-    /// Runs a comm-avoiding [`Plan`]: gate runs execute through
-    /// [`Self::run`] (so diagonal fusion still applies within each
-    /// segment) and `Permute` steps lower to
+    /// Runs a comm-avoiding [`Plan`]: the gate segments between `Permute`
+    /// steps fuse like circuits, and `Permute` steps lower to
     /// [`Self::apply_global_permutation`].
     pub fn run_plan(&mut self, plan: &Plan) -> CommResult<()> {
-        assert_eq!(
-            plan.n_qubits(),
-            self.layout.n_qubits(),
-            "width mismatch"
-        );
-        let mut pending = Circuit::new(plan.n_qubits());
-        for step in &plan.steps {
-            match step {
-                PlanStep::Gate(g) => {
-                    pending.push(g.clone());
-                }
-                PlanStep::Permute(p) => {
-                    if !pending.is_empty() {
-                        self.run(&pending)?;
-                        pending = Circuit::new(plan.n_qubits());
-                    }
-                    self.apply_global_permutation(p)?;
-                }
-            }
-        }
-        if !pending.is_empty() {
-            self.run(&pending)?;
-        }
-        Ok(())
+        self.run_schedule(&Schedule::for_plan(plan, self.config.min_fuse), |_, _| {})
     }
 
     /// Global Σ|amp|² via all-reduce.

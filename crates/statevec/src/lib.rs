@@ -46,11 +46,13 @@ pub mod dist;
 pub mod expectation;
 pub mod measure;
 pub mod reference;
+pub mod schedule;
 pub mod single;
 pub mod sparse;
 pub mod storage;
 
 pub use dist::{DistConfig, DistributedState};
+pub use schedule::{Schedule, Step};
 pub use single::{SingleState, DEFAULT_MIN_FUSE};
 pub use sparse::{SparseState, DEFAULT_PRUNE_EPSILON, MAX_SPARSE_QUBITS};
 pub use storage::{AmpStorage, AosStorage, SoaStorage};

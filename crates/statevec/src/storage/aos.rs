@@ -14,7 +14,7 @@
 
 use super::kernel::{self, Ctrl};
 use super::{AmpStorage, HALF_CHUNK, PAR_THRESHOLD};
-use crate::diagonal::CompiledDiagonal;
+use crate::diagonal::{CompiledDiagonal, TILE};
 use qse_math::bits;
 use qse_math::{Complex64, Matrix2};
 use qse_util::parallel::{parallel_for_each_affine, parallel_map_sum};
@@ -225,6 +225,24 @@ fn sweep_combine(
     combine_body::<false>(amps, pairs, start, c_mine, c_theirs, ctrl_run)
 }
 
+/// The diagonal kernel is defined once, over split `re`/`im` slices
+/// ([`CompiledDiagonal::apply_block`]); this layout feeds it one tile at
+/// a time through stack buffers, so both layouts run the same arithmetic.
+fn diagonal_block(amps: &mut [Complex64], base: u64, run: &CompiledDiagonal) {
+    let mut re = [0.0f64; TILE];
+    let mut im = [0.0f64; TILE];
+    for (ti, tile) in amps.chunks_mut(TILE).enumerate() {
+        let (re, im) = (&mut re[..tile.len()], &mut im[..tile.len()]);
+        for (k, a) in tile.iter().enumerate() {
+            (re[k], im[k]) = (a.re, a.im);
+        }
+        run.apply_block(re, im, base | (ti * TILE) as u64);
+        for (k, a) in tile.iter_mut().enumerate() {
+            *a = Complex64::new(re[k], im[k]);
+        }
+    }
+}
+
 /// Contiguous orbit swaps for qubits `a < b` (see the SoA twin).
 #[inline(always)]
 fn swap_runs(lo: &mut [Complex64], hi: &mut [Complex64], run: usize) {
@@ -325,32 +343,10 @@ impl AmpStorage for AosStorage {
             let chunks: Vec<(usize, &mut [Complex64])> =
                 self.amps.chunks_mut(HALF_CHUNK).enumerate().collect();
             parallel_for_each_affine(chunks, |(ci, chunk)| {
-                let base = ci * HALF_CHUNK;
-                for (k, a) in chunk.iter_mut().enumerate() {
-                    *a = run.apply(offset | (base + k) as u64, *a);
-                }
+                diagonal_block(chunk, offset | (ci * HALF_CHUNK) as u64, run);
             });
         } else {
-            for (i, a) in self.amps.iter_mut().enumerate() {
-                *a = run.apply(offset | i as u64, *a);
-            }
-        }
-    }
-
-    fn apply_phase_fn(&mut self, offset: u64, phase: &(dyn Fn(u64) -> Complex64 + Sync)) {
-        if self.len() >= PAR_THRESHOLD {
-            let chunks: Vec<(usize, &mut [Complex64])> =
-                self.amps.chunks_mut(HALF_CHUNK).enumerate().collect();
-            parallel_for_each_affine(chunks, |(ci, chunk)| {
-                let base = ci * HALF_CHUNK;
-                for (k, a) in chunk.iter_mut().enumerate() {
-                    *a *= phase(offset | (base + k) as u64);
-                }
-            });
-        } else {
-            for (i, a) in self.amps.iter_mut().enumerate() {
-                *a *= phase(offset | i as u64);
-            }
+            diagonal_block(&mut self.amps, offset, run);
         }
     }
 
@@ -484,6 +480,7 @@ mod tests {
     fn layouts_agree_on_random_sweeps() {
         // Same gate sequence on both layouts yields identical amplitudes.
         use crate::storage::SoaStorage;
+        use qse_circuit::Gate;
         let n = 512;
         let mut soa = SoaStorage::zeros(n);
         let mut aos = AosStorage::zeros(n);
@@ -499,8 +496,19 @@ mod tests {
         }
         soa.swap_local(0, 8);
         aos.swap_local(0, 8);
-        soa.apply_phase_fn(0, &|i| Complex64::cis(i as f64 * 0.01));
-        aos.apply_phase_fn(0, &|i| Complex64::cis(i as f64 * 0.01));
+        let run = CompiledDiagonal::compile(&[
+            Gate::CPhase {
+                a: 1,
+                b: 6,
+                theta: 0.7,
+            },
+            Gate::Rz {
+                target: 8,
+                theta: -0.3,
+            },
+        ]);
+        soa.apply_fused_diagonal(0, &run);
+        aos.apply_fused_diagonal(0, &run);
         for i in 0..n {
             assert_complex_close(soa.get(i), aos.get(i), 1e-12);
         }

@@ -11,7 +11,7 @@
 //!
 //! All kernels treat the storage as the *local* slice of a (possibly
 //! distributed) register: indices are local amplitude indices, and the
-//! diagonal sweep takes a global-index offset so phase functions can see
+//! diagonal sweep takes a global-index offset so its selections can see
 //! rank bits.
 
 mod aos;
@@ -69,26 +69,14 @@ pub trait AmpStorage: Send + Sync + Sized + Clone {
     /// (stride `2^q`), optionally only where local control qubit bit is 1.
     fn apply_pairs(&mut self, q: u32, m: &Matrix2, control: Option<u32>);
 
-    /// Multiplies every amplitude by `phase(global_index)`, where
-    /// `global_index = offset | local_index`. This is the fully-local
-    /// (diagonal) sweep; `offset` carries the rank bits.
-    fn apply_phase_fn(&mut self, offset: u64, phase: &(dyn Fn(u64) -> Complex64 + Sync));
-
-    /// Applies a precompiled *run* of diagonal gates in one pass: each
-    /// amplitude is read once, multiplied by every gate's phase in gate
-    /// order, and written once — `k` gate sweeps collapse into one.
-    ///
-    /// The per-amplitude multiply sequence is exactly the one `k`
-    /// successive [`Self::apply_phase_fn`] sweeps would perform, so the
-    /// fused path is bit-for-bit identical to gate-at-a-time execution.
-    /// Layouts override this default (sequential) loop with their
-    /// parallel chunked sweeps.
-    fn apply_fused_diagonal(&mut self, offset: u64, run: &crate::diagonal::CompiledDiagonal) {
-        for i in 0..self.len() {
-            let v = run.apply(offset | i as u64, self.get(i));
-            self.set(i, v);
-        }
-    }
+    /// Applies a precompiled run of diagonal gates — the fully-local
+    /// sweep, and the only way a diagonal gate reaches the storage (a
+    /// single gate is a run of length one). `offset` is the global index
+    /// of local amplitude 0, so rank bits take part in the selections.
+    /// See [`CompiledDiagonal`](crate::diagonal::CompiledDiagonal) for
+    /// the semantic; layouts drive its block kernel over their
+    /// [`HALF_CHUNK`] work items.
+    fn apply_fused_diagonal(&mut self, offset: u64, run: &crate::diagonal::CompiledDiagonal);
 
     /// Swaps local qubits `a` and `b` (pure in-memory permutation).
     fn swap_local(&mut self, a: u32, b: u32);
@@ -336,9 +324,9 @@ pub(crate) mod conformance {
         pairs_hadamard::<S>();
         pairs_every_qubit_roundtrip::<S>();
         pairs_controlled::<S>();
-        phase_sweep_with_offset::<S>();
-        fused_diagonal_bitwise_matches_gate_at_a_time::<S>();
-        large_fused_diagonal_matches_default::<S>();
+        large_fused_diagonal_matches_oracle::<S>();
+        diagonal_kernel_matches_oracle_and_gate_at_a_time::<S>();
+        unselected_amplitudes_are_untouched::<S>();
         swap_local_permutes::<S>();
         combine_rows_linear::<S>();
         f64_roundtrip::<S>();
@@ -601,61 +589,46 @@ pub(crate) mod conformance {
         assert_complex_close(s.get(6), before[7], 1e-12);
     }
 
-    fn phase_sweep_with_offset<S: AmpStorage>() {
-        // phase(index) = -1 iff global bit 3 set; offset 8 sets bit 3 for
-        // every local index.
-        let mut s: S = ramp(8);
-        let before = s.to_complex_vec();
-        s.apply_phase_fn(8, &|idx| {
-            if (idx >> 3) & 1 == 1 {
-                Complex64::real(-1.0)
+    /// Diagonal fixture: zeros of both signs, exact and inexact values.
+    fn diagonal_fixture<S: AmpStorage>(len: usize) -> S {
+        let mut s = S::zeros(len);
+        for i in 0..len {
+            let re = if i % 11 == 3 {
+                -0.0
             } else {
-                Complex64::ONE
-            }
-        });
-        for i in 0..8 {
-            assert_complex_close(s.get(i), -before[i], 1e-12);
+                ((i * 7) % 23) as f64 * 0.125 - 1.0
+            };
+            s.set(i, Complex64::new(re, 0.3 - (i % 5) as f64));
+        }
+        s
+    }
+
+    /// Applies `gates` to the fixture fused and gate at a time, and
+    /// asserts both equal the scalar oracle bit for bit.
+    fn assert_diagonal_run<S: AmpStorage>(len: usize, offset: u64, gates: &[qse_circuit::Gate]) {
+        use crate::diagonal::{oracle_apply, CompiledDiagonal};
+        let before: S = diagonal_fixture(len);
+        let mut fused = before.clone();
+        fused.apply_fused_diagonal(offset, &CompiledDiagonal::compile(gates));
+        let mut unfused = before.clone();
+        for g in gates {
+            unfused.apply_fused_diagonal(offset, &CompiledDiagonal::compile([g]));
+        }
+        let ctx = format!("len {len}, gates {gates:?}");
+        assert_bits_equal(&fused, &unfused, &ctx);
+        for i in 0..len {
+            let want = oracle_apply(gates, offset | i as u64, before.get(i));
+            let got = fused.get(i);
+            assert_eq!(got.re.to_bits(), want.re.to_bits(), "{ctx}: re at {i}");
+            assert_eq!(got.im.to_bits(), want.im.to_bits(), "{ctx}: im at {i}");
         }
     }
 
-    fn fused_diagonal_bitwise_matches_gate_at_a_time<S: AmpStorage>() {
-        use crate::diagonal::{diagonal_phase, CompiledDiagonal};
+    fn large_fused_diagonal_matches_oracle<S: AmpStorage>() {
+        // Above PAR_THRESHOLD the sweep takes the pool path; it must
+        // agree bitwise with per-gate sweeps and with the scalar oracle.
         use qse_circuit::Gate;
-        let gates = vec![
-            Gate::S(0),
-            Gate::T(1),
-            Gate::CPhase {
-                a: 0,
-                b: 2,
-                theta: 0.3,
-            },
-            Gate::Rz {
-                target: 2,
-                theta: -0.9,
-            },
-            Gate::Z(1),
-        ];
-        let offset = 16u64; // a rank bit above the local width
-        let mut unfused: S = ramp(8);
-        for g in &gates {
-            unfused.apply_phase_fn(offset, &|i| diagonal_phase(g, i));
-        }
-        let mut fused: S = ramp(8);
-        fused.apply_fused_diagonal(offset, &CompiledDiagonal::compile(&gates));
-        for i in 0..8 {
-            let (u, f) = (unfused.get(i), fused.get(i));
-            assert_eq!(u.re.to_bits(), f.re.to_bits(), "re at {i}");
-            assert_eq!(u.im.to_bits(), f.im.to_bits(), "im at {i}");
-        }
-    }
-
-    fn large_fused_diagonal_matches_default<S: AmpStorage>() {
-        // Above PAR_THRESHOLD the fused sweep takes the pool path; verify
-        // it agrees bitwise with per-gate sweeps on the same data.
-        use crate::diagonal::{diagonal_phase, CompiledDiagonal};
-        use qse_circuit::Gate;
-        let len = PAR_THRESHOLD * 2;
-        let gates = vec![
+        let gates = [
             Gate::T(3),
             Gate::CZ(5, 12),
             Gate::Phase {
@@ -663,21 +636,149 @@ pub(crate) mod conformance {
                 theta: 1.7,
             },
         ];
-        let mut unfused = S::zeros(len);
-        let mut fused = S::zeros(len);
-        for i in 0..len {
-            let v = Complex64::new((i % 17) as f64 * 0.25, -((i % 5) as f64));
-            unfused.set(i, v);
-            fused.set(i, v);
+        assert_diagonal_run::<S>(PAR_THRESHOLD * 2, 0, &gates);
+    }
+
+    /// Every diagonal gate kind on every placement class of a `w`-qubit
+    /// local slice under a two-bit rank offset: qubits below the vector
+    /// width (0–2), inside a kernel tile, between tile and `HALF_CHUNK`,
+    /// above `HALF_CHUNK`, and in the offset (`w`: set, `w + 1`: clear).
+    fn diagonal_gate_zoo(w: u32) -> Vec<qse_circuit::Gate> {
+        use qse_circuit::Gate;
+        use qse_math::Matrix4;
+        let tile_top = crate::diagonal::TILE.trailing_zeros();
+        let chunk_top = HALF_CHUNK.trailing_zeros();
+        assert!(tile_top < chunk_top && chunk_top < w - 1);
+        let singles = [0, 1, 2, 5, tile_top - 1, tile_top, chunk_top - 1, chunk_top, w - 1, w, w + 1];
+        let pairs = [
+            (0, 1),
+            (2, 0),
+            (1, 5),
+            (5, tile_top - 1),
+            (2, chunk_top - 1),
+            (tile_top - 1, chunk_top),
+            (chunk_top, tile_top),
+            (chunk_top - 1, w - 1),
+            (3, w),
+            (w - 1, w + 1),
+            (w, w + 1),
+        ];
+        let d2 = |t: f64| Matrix2::diagonal(Complex64::cis(t), Complex64::cis(-1.3 * t));
+        let mut zoo = Vec::new();
+        for (k, &q) in singles.iter().enumerate() {
+            let theta = 0.21 + k as f64;
+            zoo.extend([
+                Gate::Z(q),
+                Gate::S(q),
+                Gate::Sdg(q),
+                Gate::T(q),
+                Gate::Tdg(q),
+                Gate::Phase { target: q, theta },
+                Gate::Rz { target: q, theta },
+                Gate::Unitary1 {
+                    target: q,
+                    matrix: d2(theta),
+                },
+            ]);
         }
-        for g in &gates {
-            unfused.apply_phase_fn(0, &|i| diagonal_phase(g, i));
+        for (k, &(a, b)) in pairs.iter().enumerate() {
+            let theta = 0.37 + k as f64;
+            let mut m4 = Matrix4::identity();
+            for d in 0..4 {
+                m4.m[5 * d] = Complex64::cis(theta * (d + 1) as f64);
+            }
+            zoo.extend([
+                Gate::CZ(a, b),
+                Gate::CPhase { a, b, theta },
+                Gate::CUnitary {
+                    control: a,
+                    target: b,
+                    matrix: d2(theta),
+                },
+                Gate::CUnitary {
+                    control: b,
+                    target: a,
+                    matrix: d2(-theta),
+                },
+                Gate::Unitary2 { a, b, matrix: m4 },
+            ]);
         }
-        fused.apply_fused_diagonal(0, &CompiledDiagonal::compile(&gates));
-        for i in 0..len {
-            let (u, f) = (unfused.get(i), fused.get(i));
-            assert_eq!(u.re.to_bits(), f.re.to_bits(), "re at {i}");
-            assert_eq!(u.im.to_bits(), f.im.to_bits(), "im at {i}");
+        for (k, qubits) in [
+            vec![0, 1, 2],
+            vec![1, 6, chunk_top - 1],
+            vec![2, chunk_top, w],
+            vec![5, w - 1, w + 1],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            zoo.push(Gate::MCPhase {
+                qubits,
+                theta: 0.9 + k as f64,
+            });
+        }
+        zoo
+    }
+
+    fn diagonal_kernel_matches_oracle_and_gate_at_a_time<S: AmpStorage>() {
+        for len in [PAR_THRESHOLD / 2, PAR_THRESHOLD, PAR_THRESHOLD * 2] {
+            let w = len.trailing_zeros();
+            let offset = len as u64; // rank bits 0b01: qubit `w` set, `w + 1` clear
+            let zoo = diagonal_gate_zoo(w);
+            // Runs of one: every kind on every placement.
+            for g in &zoo {
+                assert_diagonal_run::<S>(len, offset, std::slice::from_ref(g));
+            }
+            // Runs of 2 and 19: strided picks, so kinds and placements mix.
+            for k in [2usize, 19] {
+                for start in (0..zoo.len()).step_by(29) {
+                    let run: Vec<_> = (0..k)
+                        .map(|j| zoo[(start + 31 * j) % zoo.len()].clone())
+                        .collect();
+                    assert_diagonal_run::<S>(len, offset, &run);
+                }
+            }
+        }
+        // Slices shorter than a lane group take the scalar path.
+        for len in [1usize, 2, 4] {
+            assert_diagonal_run::<S>(
+                len,
+                8,
+                &[qse_circuit::Gate::CZ(0, 3), qse_circuit::Gate::T(3)],
+            );
+        }
+    }
+
+    fn unselected_amplitudes_are_untouched<S: AmpStorage>() {
+        // (-0.0 - 5i)·(1 + 0i) = +0.0 - 5i: had the sweep multiplied the
+        // amplitudes a gate does not select by one, their real parts
+        // would read +0.0 afterwards.
+        use crate::diagonal::CompiledDiagonal;
+        use qse_circuit::Gate;
+        let amp = Complex64::new(-0.0, -5.0);
+        assert_eq!((amp * Complex64::ONE).re.to_bits(), 0.0f64.to_bits());
+        for len in [16usize, PAR_THRESHOLD * 2] {
+            let top = len.trailing_zeros() - 1;
+            let gate = Gate::CPhase {
+                a: 1,
+                b: top,
+                theta: 0.4,
+            };
+            let mut s = S::zeros(len);
+            for i in 0..len {
+                s.set(i, amp);
+            }
+            s.apply_fused_diagonal(0, &CompiledDiagonal::compile([&gate]));
+            let mask = (1usize << 1) | (1 << top);
+            for i in 0..len {
+                let got = s.get(i);
+                if i & mask == mask {
+                    assert_ne!(got, amp, "selected amplitude {i} must change");
+                } else {
+                    assert_eq!(got.re.to_bits(), (-0.0f64).to_bits(), "re at {i}");
+                    assert_eq!(got.im.to_bits(), amp.im.to_bits(), "im at {i}");
+                }
+            }
         }
     }
 

@@ -434,8 +434,7 @@ impl AmpStorage for SoaStorage {
     }
 
     fn apply_fused_diagonal(&mut self, offset: u64, run: &CompiledDiagonal) {
-        let len = self.len();
-        if len >= PAR_THRESHOLD {
+        if self.len() >= PAR_THRESHOLD {
             let chunks: Vec<(usize, &mut [f64], &mut [f64])> = self
                 .re
                 .chunks_mut(HALF_CHUNK)
@@ -444,48 +443,10 @@ impl AmpStorage for SoaStorage {
                 .map(|(ci, (rc, ic))| (ci, rc, ic))
                 .collect();
             parallel_for_each_affine(chunks, |(ci, rc, ic)| {
-                let base = ci * HALF_CHUNK;
-                for k in 0..rc.len() {
-                    let v = run.apply(offset | (base + k) as u64, Complex64::new(rc[k], ic[k]));
-                    rc[k] = v.re;
-                    ic[k] = v.im;
-                }
+                run.apply_block(rc, ic, offset | (ci * HALF_CHUNK) as u64);
             });
         } else {
-            for i in 0..len {
-                let v = run.apply(offset | i as u64, Complex64::new(self.re[i], self.im[i]));
-                self.re[i] = v.re;
-                self.im[i] = v.im;
-            }
-        }
-    }
-
-    fn apply_phase_fn(&mut self, offset: u64, phase: &(dyn Fn(u64) -> Complex64 + Sync)) {
-        let len = self.len();
-        if len >= PAR_THRESHOLD {
-            let chunks: Vec<(usize, &mut [f64], &mut [f64])> = self
-                .re
-                .chunks_mut(HALF_CHUNK)
-                .zip(self.im.chunks_mut(HALF_CHUNK))
-                .enumerate()
-                .map(|(ci, (rc, ic))| (ci, rc, ic))
-                .collect();
-            parallel_for_each_affine(chunks, |(ci, rc, ic)| {
-                let base = ci * HALF_CHUNK;
-                for k in 0..rc.len() {
-                    let p = phase(offset | (base + k) as u64);
-                    let v = Complex64::new(rc[k], ic[k]) * p;
-                    rc[k] = v.re;
-                    ic[k] = v.im;
-                }
-            });
-        } else {
-            for i in 0..len {
-                let p = phase(offset | i as u64);
-                let v = Complex64::new(self.re[i], self.im[i]) * p;
-                self.re[i] = v.re;
-                self.im[i] = v.im;
-            }
+            run.apply_block(&mut self.re, &mut self.im, offset);
         }
     }
 
