@@ -1,7 +1,7 @@
 //! A source lint pass for the repo's own conventions.
 //!
 //! A deliberately small line/token scanner — no parser dependency —
-//! enforcing seven rules that the type system cannot:
+//! enforcing eight rules that the type system cannot:
 //!
 //! * **R1 `PanicInLib`** — no `.unwrap()`, `.expect(`, or `panic!` in
 //!   non-test library code of `qse-comm`, `qse-statevec`, and
@@ -41,6 +41,13 @@
 //!   through the audited `BoundedLineReader` (hard per-line byte cap,
 //!   socket read timeouts), or a hostile client holds a connection
 //!   thread's memory hostage with one endless line.
+//! * **R8 `SliceStaging`** — no whole-slice serialisation
+//!   (`.to_f64_vec()`, `f64s_to_bytes(`) in the distributed engine
+//!   (`qse-statevec/src/dist.rs`): a distributed gate packs each wire
+//!   chunk straight from storage and consumes each payload where it
+//!   arrived, so an exchanged byte is copied once. Either call stages
+//!   the slice through a second buffer — the copies DESIGN §9 counts
+//!   and the benchmark's `hadamard22_global` pays for.
 //!
 //! The scanner strips `//` comments, `/* */` blocks, and string/char
 //! literals before matching, and skips `#[cfg(test)]` regions by brace
@@ -67,6 +74,8 @@ pub enum Rule {
     TruncatingCast,
     /// Unbounded read API on client input in `qse-serve` library code.
     UnboundedNetRead,
+    /// Whole-slice serialisation on the distributed exchange path.
+    SliceStaging,
 }
 
 impl Rule {
@@ -80,6 +89,7 @@ impl Rule {
             Rule::UnsafeWithoutSafety => "unsafe-without-safety",
             Rule::TruncatingCast => "truncating-cast",
             Rule::UnboundedNetRead => "unbounded-net-read",
+            Rule::SliceStaging => "slice-staging",
         }
     }
 }
@@ -285,6 +295,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
     let check_unsafe = UNSAFE_FILES.contains(&relpath);
     let check_casts = matches!(crate_name, "comm" | "statevec" | "stabilizer");
     let check_net_reads = crate_name == "serve";
+    let check_staging = relpath == "crates/statevec/src/dist.rs";
     if !(check_panics
         || check_instant
         || check_docs
@@ -419,6 +430,20 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                                 "`{needle}…)` reads without a length bound; route client \
                                  input through `BoundedLineReader` (or `// qse-lint: allow` \
                                  with justification)"
+                            ),
+                        });
+                    }
+                }
+            }
+            if check_staging {
+                for needle in [".to_f64_vec()", "f64s_to_bytes("] {
+                    if stripped.contains(needle) {
+                        violations.push(Violation {
+                            file: relpath.to_string(),
+                            line: line_no,
+                            rule: Rule::SliceStaging,
+                            message: format!(
+                                "`{needle}` stages the whole slice through a second buffer;                                  pack wire chunks straight from storage (`pack_range`)                                  (or `// qse-lint: allow` with justification)"
                             ),
                         });
                     }
@@ -780,6 +805,26 @@ mod tests {
         let src = "fn f(r: &mut impl BufRead) {\n    \
                    r.read_line(&mut s) // qse-lint: allow — trusted local pipe\n}\n";
         assert!(lint_file("crates/serve/src/fake.rs", src).is_empty());
+    }
+
+    #[test]
+    fn slice_staging_flagged_in_dist_only() {
+        let src = "fn f(s: &S) {\n    let all = s.to_f64_vec();\n    \
+                   let wire = f64s_to_bytes(&all);\n}\n";
+        let v = lint_file("crates/statevec/src/dist.rs", src);
+        let lines: Vec<usize> = v
+            .iter()
+            .filter(|x| x.rule == Rule::SliceStaging)
+            .map(|x| x.line)
+            .collect();
+        assert_eq!(lines, vec![2, 3]);
+        // The storage layer defines `to_f64_vec`; collectives frame f64s.
+        assert!(lint_file("crates/statevec/src/storage/mod.rs", src).is_empty());
+        assert!(lint_file("crates/comm/src/collective.rs", src).is_empty());
+        // Tests in dist.rs may serialise whatever they like.
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t(s: &S) {\n        \
+                   s.to_f64_vec();\n    }\n}\n";
+        assert!(lint_file("crates/statevec/src/dist.rs", src).is_empty());
     }
 
     #[test]

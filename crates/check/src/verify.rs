@@ -40,7 +40,7 @@ use qse_circuit::classify::{classify, GateClass, Layout, BYTES_PER_AMP};
 use qse_circuit::transpile::fusion::{fused_schedule, ScheduleStep};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, StreamedExchange};
+use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, DEFAULT_RING_DEPTH};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -69,7 +69,7 @@ pub struct VerifyOptions {
     /// engine executes.
     pub min_fuse: Option<usize>,
     /// Streamed receive-ring depth (the engine uses
-    /// [`StreamedExchange::DEFAULT_RING_DEPTH`]).
+    /// [`DEFAULT_RING_DEPTH`]).
     pub ring_depth: usize,
 }
 
@@ -82,7 +82,7 @@ impl Default for VerifyOptions {
             },
             half_exchange_swaps: false,
             min_fuse: None,
-            ring_depth: StreamedExchange::DEFAULT_RING_DEPTH,
+            ring_depth: DEFAULT_RING_DEPTH,
         }
     }
 }
@@ -407,8 +407,7 @@ impl<'a> RankDeriver<'a> {
 
     /// Lowers one symmetric pairwise exchange (both sides send and
     /// expect `bytes`) under the configured exchange mode, mirroring
-    /// `comm::chunking::{exchange_blocking, exchange_nonblocking,
-    /// StreamedExchange}` chunk for chunk.
+    /// the three orderings of `comm::chunking::drive` chunk for chunk.
     fn pair_exchange(&mut self, peer: usize, tag: u64, bytes: usize, align_amps: usize) {
         match self.opts.exchange_mode {
             ExchangeMode::Blocking => {
@@ -445,9 +444,9 @@ impl<'a> RankDeriver<'a> {
                 }
             }
             ExchangeMode::Streamed => {
-                // `StreamedExchange::begin` aligns chunks to whole kernel
+                // The streamed ordering aligns chunks to whole kernel
                 // orbits, posts every irecv, primes `ring_depth` sends;
-                // each `next()` sends one more chunk then waits for *any*
+                // each round sends one more chunk then waits for *any*
                 // outstanding receive.
                 let policy = self.opts.chunk_policy.aligned(align_amps * 16);
                 let chunks: Vec<(u64, usize)> = policy

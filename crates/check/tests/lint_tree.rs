@@ -112,6 +112,28 @@ fn the_linter_bites_on_a_seeded_unbounded_net_read() {
 }
 
 #[test]
+fn the_linter_bites_on_seeded_slice_staging() {
+    // R8 guard: the distributed engine packs wire chunks straight from
+    // storage. The real dist.rs must be clean, and the whole-slice
+    // serialisation its exchange path used to stage through must be
+    // caught if it comes back.
+    let root = workspace_root();
+    let rel = "crates/statevec/src/dist.rs";
+    let content = std::fs::read_to_string(root.join(rel)).expect("readable");
+    assert!(
+        qse_check::lint_file(rel, &content).is_empty(),
+        "baseline {rel} must be clean"
+    );
+    let seeded = format!(
+        "{content}\nfn seeded<S: AmpStorage>(amps: &S) -> Bytes {{\n    \
+         let staged = amps.to_f64_vec();\n    f64s_to_bytes(&staged)\n}}\n"
+    );
+    let v = qse_check::lint_file(rel, &seeded);
+    assert_eq!(v.len(), 2, "{v:?}");
+    assert!(v.iter().all(|x| x.rule == qse_check::Rule::SliceStaging), "{v:?}");
+}
+
+#[test]
 fn the_linter_bites_on_a_seeded_measure_assert() {
     // Same guard for R4: the real measure.rs must be clean, and an
     // `assert!`-as-error-handling seeded into it must be caught. This is

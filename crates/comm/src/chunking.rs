@@ -7,26 +7,31 @@
 //! message. Instead, 32 messages are exchanged per distributed gate"
 //! (§2.1). This module reproduces that structure with a configurable cap:
 //!
-//! * [`exchange_blocking`] — QuEST's original scheme: one blocking
+//! * [`ExchangeMode::Blocking`] — QuEST's original scheme: one blocking
 //!   `sendrecv` per chunk, strictly serialised;
-//! * [`exchange_nonblocking`] — the paper's improvement: post every
+//! * [`ExchangeMode::NonBlocking`] — the paper's improvement: post every
 //!   `isend`/`irecv` up front, then complete them all, letting chunks fly
 //!   concurrently;
-//! * [`StreamedExchange`] — one step further than the paper: chunks are
-//!   *consumed in completion order* via [`crate::Communicator::wait_any`],
-//!   so the caller can apply the gate kernel to each chunk's amplitude
-//!   range while later chunks are still in flight, holding only a small
-//!   ring of chunk-sized scratch buffers instead of the peer's full half.
+//! * [`ExchangeMode::Streamed`] — one step further than the paper: chunks
+//!   are *consumed in completion order* via
+//!   [`crate::Communicator::wait_any`] while later chunks are still in
+//!   flight.
 //!
-//! All strategies deliver identical bytes; the thread-cluster benchmarks
-//! measure the wall-clock difference, and the analytic model assigns them
-//! different effective bandwidths calibrated from the paper's Table 1.
+//! All three are orderings of one chunk driver, [`drive`]: the sender
+//! packs each chunk straight from its state into an owned buffer that
+//! becomes the message, and the receiver consumes each payload where it
+//! arrived — one write and one read per exchanged byte, nothing staged
+//! but the chunks in flight. All strategies deliver identical bytes; the
+//! thread-cluster benchmarks measure the wall-clock difference, and the
+//! analytic model assigns them different effective bandwidths calibrated
+//! from the paper's Table 1.
 
 use crate::error::CommError;
 use crate::nonblocking::Request;
 use crate::Communicator;
 use crate::Result;
 use qse_util::Bytes;
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Message-size policy for chunked transfers.
@@ -57,22 +62,17 @@ impl ChunkPolicy {
     }
 
     /// Byte ranges of each chunk, in order.
-    ///
-    /// Chunk starts use saturating arithmetic: for any `total <=
-    /// usize::MAX` every start offset `i * cap` is `< total` and therefore
-    /// cannot overflow; the saturation plus debug assertion keep a future
-    /// refactor from silently wrapping on pathological `(total, cap)`
-    /// combinations without putting a panic on the library path.
     pub fn ranges(&self, total: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-        let cap = self.max_message_bytes;
-        (0..self.num_chunks(total)).map(move |i| {
-            let start = i.saturating_mul(cap);
-            debug_assert!(start < total, "chunk start {start} beyond total {total}");
-            start..usize::min(start.saturating_add(cap), total)
-        })
+        (0..self.num_chunks(total)).filter_map(move |i| self.chunk_range(i, total))
     }
 
     /// Byte range of chunk `i` out of `total` bytes, or `None` past the end.
+    ///
+    /// Saturating arithmetic: for any `total <= usize::MAX` every start
+    /// offset `i * cap` is `< total` and cannot overflow; the saturation
+    /// keeps a future refactor from silently wrapping on pathological
+    /// `(total, cap)` combinations without putting a panic on the
+    /// library path.
     pub fn chunk_range(&self, i: usize, total: usize) -> Option<Range<usize>> {
         if i >= self.num_chunks(total) {
             return None;
@@ -85,9 +85,9 @@ impl ChunkPolicy {
     /// `align_bytes` (a gate kernel's orbit size), by rounding the cap
     /// *down* to the nearest multiple — or up to exactly `align_bytes`
     /// when the cap is smaller. Streamed exchanges need this so every
-    /// chunk maps to a whole number of kernel orbits; both partners derive
-    /// the same policy from the same config, keeping tags and counts
-    /// matched.
+    /// chunk, consumed in arrival order, maps to a whole number of kernel
+    /// orbits; both partners derive the same policy from the same config,
+    /// keeping tags and counts matched.
     pub fn aligned(&self, align_bytes: usize) -> ChunkPolicy {
         assert!(align_bytes > 0, "alignment must be positive");
         let cap = (self.max_message_bytes / align_bytes).max(1) * align_bytes;
@@ -112,265 +112,241 @@ pub fn chunk_tag(base: u64, idx: usize) -> u64 {
     (base << CHUNK_TAG_SHIFT) | idx as u64
 }
 
-/// Symmetric full exchange using blocking sendrecv, chunk by chunk.
-///
-/// `send_buf` and `recv_buf` may differ in length (the half-exchange SWAP
-/// optimisation sends half the vector); chunking applies to each direction
-/// independently, in lockstep over the longer of the two chunk counts.
-pub fn exchange_blocking(
-    comm: &mut Communicator,
-    peer: usize,
-    base_tag: u64,
-    send_buf: &[u8],
-    recv_buf: &mut Vec<u8>,
-    expected_recv: usize,
-    policy: ChunkPolicy,
-) -> Result<()> {
-    recv_buf.clear();
-    recv_buf.reserve(expected_recv);
-    let send_chunks = policy.num_chunks(send_buf.len());
-    let recv_chunks = policy.num_chunks(expected_recv);
-    let steps = usize::max(send_chunks, recv_chunks);
-    for i in 0..steps {
-        if let Some(r) = policy.chunk_range(i, send_buf.len()) {
-            comm.send(peer, chunk_tag(base_tag, i), &send_buf[r])?;
-        }
-        if i < recv_chunks {
-            let payload = comm.recv(peer, chunk_tag(base_tag, i))?;
-            recv_buf.extend_from_slice(&payload);
-        }
-    }
-    if !send_buf.is_empty() {
-        comm.record_exchange_bytes(send_buf.len() as u64);
-    }
-    debug_assert_eq!(recv_buf.len(), expected_recv, "peer sent unexpected size");
-    Ok(())
-}
-
-/// Symmetric full exchange with all sends and receives posted up front.
-pub fn exchange_nonblocking(
-    comm: &mut Communicator,
-    peer: usize,
-    base_tag: u64,
-    send_buf: &[u8],
-    recv_buf: &mut Vec<u8>,
-    expected_recv: usize,
-    policy: ChunkPolicy,
-) -> Result<()> {
-    recv_buf.clear();
-    recv_buf.reserve(expected_recv);
-    // Post all receives first (mirrors MPI best practice), then all sends.
-    let recv_reqs: Vec<_> = (0..policy.num_chunks(expected_recv))
-        .map(|i| comm.irecv(peer, chunk_tag(base_tag, i)))
-        .collect::<Result<_>>()?;
-    for (i, r) in policy.ranges(send_buf.len()).enumerate() {
-        comm.isend(peer, chunk_tag(base_tag, i), &send_buf[r])?;
-    }
-    if !send_buf.is_empty() {
-        comm.record_exchange_bytes(send_buf.len() as u64);
-    }
-    for payload in comm.wait_all(recv_reqs)? {
-        recv_buf.extend_from_slice(&payload);
-    }
-    debug_assert_eq!(recv_buf.len(), expected_recv, "peer sent unexpected size");
-    Ok(())
-}
-
-/// A chunk-pipelined exchange in progress: receives are posted up front,
-/// sends are interleaved with completions, and chunks are handed back in
-/// *completion order* so the caller can overlap the gate kernel with the
-/// remaining communication.
-///
-/// Deadlock freedom with a symmetric peer follows by induction: `begin`
-/// primes `ring_depth >= 1` sends before any blocking wait, and every
-/// [`Self::next`] sends one further chunk *before* blocking, so whenever
-/// both partners have completed `k` receives each has already sent at
-/// least `min(ring_depth + k, n)` chunks — always strictly ahead of what
-/// the peer is waiting on. When this side's receives run out, the
-/// remaining sends are flushed so an asymmetric partner (half-exchange)
-/// still completes.
-pub struct StreamedExchange {
-    peer: usize,
-    base_tag: u64,
-    policy: ChunkPolicy,
-    /// Total send bytes fixed at `begin`; `next` asserts the same buffer.
-    send_total: usize,
-    /// Total receive bytes, for mapping chunk indices to byte ranges.
-    recv_total: usize,
-    n_send: usize,
-    next_send: usize,
-    /// Outstanding receive requests, with their chunk indices alongside
-    /// (kept aligned through `swap_remove`).
-    reqs: Vec<Request>,
-    chunk_idx: Vec<usize>,
-    /// Receives completed so far, for the final stats record.
-    completed: usize,
-}
-
-impl StreamedExchange {
-    /// Scratch-ring depth used by the statevector engine: enough to keep
-    /// one chunk in flight while the previous one is being consumed.
-    pub const DEFAULT_RING_DEPTH: usize = 2;
-
-    /// Posts every receive and primes the pipeline with the first
-    /// `ring_depth` sends (at least one). Chunk tags follow
-    /// [`chunk_tag`]`(base_tag, i)` in both directions, so the peer may
-    /// run any exchange strategy with the same policy.
-    pub fn begin(
-        comm: &mut Communicator,
-        peer: usize,
-        base_tag: u64,
-        send_buf: &[u8],
-        expected_recv: usize,
-        policy: ChunkPolicy,
-        ring_depth: usize,
-    ) -> Result<Self> {
-        let ring_depth = ring_depth.max(1);
-        let n_recv = policy.num_chunks(expected_recv);
-        let n_send = policy.num_chunks(send_buf.len());
-        let mut reqs = Vec::with_capacity(n_recv);
-        let mut chunk_idx = Vec::with_capacity(n_recv);
-        for i in 0..n_recv {
-            reqs.push(comm.irecv(peer, chunk_tag(base_tag, i))?);
-            chunk_idx.push(i);
-        }
-        let mut ex = StreamedExchange {
-            peer,
-            base_tag,
-            policy,
-            send_total: send_buf.len(),
-            recv_total: expected_recv,
-            n_send,
-            next_send: 0,
-            reqs,
-            chunk_idx,
-            completed: 0,
-        };
-        for _ in 0..ring_depth.min(n_send) {
-            ex.send_next(comm, send_buf)?;
-        }
-        if ex.reqs.is_empty() {
-            // Nothing to receive: flush and record immediately so `next`
-            // is a pure terminator.
-            ex.finish(comm, send_buf)?;
-        }
-        Ok(ex)
-    }
-
-    /// Sends the next unsent chunk, if any.
-    fn send_next(&mut self, comm: &mut Communicator, send_buf: &[u8]) -> Result<()> {
-        if let Some(r) = self.policy.chunk_range(self.next_send, self.send_total) {
-            comm.send(self.peer, chunk_tag(self.base_tag, self.next_send), &send_buf[r])?;
-            self.next_send += 1;
-        }
-        Ok(())
-    }
-
-    /// Flushes all remaining sends and records the exchange's chunk count
-    /// (the larger direction, so half-exchanges still report their full
-    /// pipeline depth) in the rank's traffic counters.
-    fn finish(&mut self, comm: &mut Communicator, send_buf: &[u8]) -> Result<()> {
-        while self.next_send < self.n_send {
-            self.send_next(comm, send_buf)?;
-        }
-        let chunks = usize::max(self.completed, self.n_send) as u64;
-        if chunks > 0 {
-            comm.record_exchange_chunks(chunks);
-        }
-        if self.send_total > 0 {
-            comm.record_exchange_bytes(self.send_total as u64);
-        }
-        Ok(())
-    }
-
-    /// Advances the pipeline: sends one further chunk, then blocks until
-    /// *some* outstanding receive completes, returning its chunk index,
-    /// its byte range within the expected receive buffer, and its payload.
-    /// Returns `Ok(None)` once every receive has been delivered (after
-    /// flushing any remaining sends).
-    ///
-    /// `send_buf` must be the same buffer passed to [`Self::begin`]; it is
-    /// re-borrowed per call so the caller can hold mutable state (the
-    /// statevector) between calls.
-    pub fn next(
-        &mut self,
-        comm: &mut Communicator,
-        send_buf: &[u8],
-    ) -> Result<Option<(usize, Range<usize>, Bytes)>> {
-        assert_eq!(send_buf.len(), self.send_total, "send buffer changed size");
-        if self.reqs.is_empty() {
-            return Ok(None);
-        }
-        self.send_next(comm, send_buf)?;
-        let (i, payload) = comm.wait_any(&self.reqs)?;
-        let idx = self.chunk_idx[i];
-        self.reqs.swap_remove(i);
-        self.chunk_idx.swap_remove(i);
-        self.completed += 1;
-        let range = self
-            .policy
-            .chunk_range(idx, self.recv_total)
-            .unwrap_or(0..0); // unreachable: idx was derived from the policy
-        debug_assert_eq!(range.len(), payload.len(), "peer sent unexpected chunk size");
-        if self.reqs.is_empty() {
-            // Last receive: complete our side so a caller that stops
-            // polling after the final chunk cannot starve the peer.
-            self.finish(comm, send_buf)?;
-        }
-        Ok(Some((idx, range, payload)))
-    }
-
-    /// Receives still outstanding (for diagnostics and tests).
-    pub fn outstanding(&self) -> usize {
-        self.reqs.len()
-    }
-}
-
-/// Streamed exchange with the assemble-into-a-buffer interface of the
-/// other strategies: drives [`StreamedExchange`] and scatters each chunk
-/// into place as it completes. The statevector engine bypasses this and
-/// applies kernels per chunk instead.
-#[allow(clippy::too_many_arguments)]
-pub fn exchange_streamed(
-    comm: &mut Communicator,
-    peer: usize,
-    base_tag: u64,
-    send_buf: &[u8],
-    recv_buf: &mut Vec<u8>,
-    expected_recv: usize,
-    policy: ChunkPolicy,
-) -> Result<()> {
-    recv_buf.clear();
-    recv_buf.resize(expected_recv, 0);
-    let mut ex = StreamedExchange::begin(
-        comm,
-        peer,
-        base_tag,
-        send_buf,
-        expected_recv,
-        policy,
-        StreamedExchange::DEFAULT_RING_DEPTH,
-    )?;
-    while let Some((_, range, payload)) = ex.next(comm, send_buf)? {
-        recv_buf[range].copy_from_slice(&payload);
-    }
-    Ok(())
-}
-
-/// Strategy selector shared by the statevector engine and benchmarks.
+/// Strategy selector shared by the statevector engine and benchmarks:
+/// three orderings of the same `pack → send` and `recv → consume` steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExchangeMode {
-    /// QuEST's original blocking `MPI_Sendrecv` sequence.
+    /// QuEST's original blocking `MPI_Sendrecv` sequence: send chunk
+    /// `i`, receive chunk `i`, in lockstep.
     #[default]
     Blocking,
-    /// The paper's non-blocking rewrite (`Isend`/`Irecv` + `Waitall`).
+    /// The paper's non-blocking rewrite (`Isend`/`Irecv` + `Waitall`):
+    /// post everything, then complete the receives in posted order.
     NonBlocking,
-    /// Chunk-pipelined streaming: receives complete in arrival order and
-    /// each chunk is consumed while later chunks are still in flight.
+    /// Chunk-pipelined streaming: a ring of sends stays ahead of the
+    /// receives, which complete in arrival order (`wait_any`).
     Streamed,
 }
 
-/// Dispatches to the selected exchange strategy.
+/// Sends the streamed mode keeps ahead of its receives: one chunk in
+/// flight while the previous one is being consumed.
+pub const DEFAULT_RING_DEPTH: usize = 2;
+
+/// One rank's side of a chunked pairwise exchange: `send_total` bytes go
+/// to `peer` and `recv_total` come back, each cut by `policy` into
+/// chunks tagged [`chunk_tag`]`(base_tag, i)`. The two totals may differ
+/// (one of them may be zero); each direction is chunked independently.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkedExchange {
+    /// The rank on the other side.
+    pub peer: usize,
+    /// Exchange tag; chunk `i` travels under `chunk_tag(base_tag, i)`.
+    pub base_tag: u64,
+    /// Message-size cap. Both sides must use the same one.
+    pub policy: ChunkPolicy,
+    /// Bytes this rank sends.
+    pub send_total: usize,
+    /// Bytes this rank expects.
+    pub recv_total: usize,
+}
+
+/// When outgoing chunks leave the state relative to incoming chunks
+/// landing on it — the *pack-before-overwrite* rule. Consuming may
+/// overwrite the very bytes a later outgoing chunk is packed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PackOrder {
+    /// Chunk `i` is packed when it is sent or just before incoming
+    /// chunk `i` is consumed, whichever comes first. Sound only when
+    /// consuming incoming bytes `[a, b)` writes nothing that outgoing
+    /// bytes at or beyond `b` are packed from.
+    Lazy,
+    /// Every outgoing chunk is packed before the first incoming one is
+    /// consumed: for consumers that write outside their own chunk's
+    /// range. Holds the whole outgoing payload in chunk buffers.
+    Eager,
+}
+
+/// The chunk driver — the one implementation behind every
+/// [`ExchangeMode`] and every distributed gate.
+///
+/// `pack(state, range, out)` appends bytes `range` of the outgoing
+/// payload to the empty `out`, which then *is* the message
+/// ([`Communicator::send_bytes`]: no further copy).
+/// `consume(state, range, payload)` gets bytes `range` of the incoming
+/// payload where they arrived. Every exchanged byte is written once and
+/// read once; the only staging is the chunks in flight. A chunk whose
+/// length differs from what `policy` assigns it is refused with
+/// [`CommError::ChunkLength`] before `consume` sees it.
+///
+/// The streamed ordering cannot deadlock against a symmetric peer:
+/// [`DEFAULT_RING_DEPTH`] sends are primed before any blocking wait and
+/// one more goes out before each wait, so once both partners have
+/// completed `k` receives each has sent `min(ring + k, n)` chunks —
+/// ahead of what the peer waits on. Remaining sends are flushed when the
+/// receives run out, so a partner expecting more than it sends completes.
+pub fn drive<T: ?Sized>(
+    comm: &mut Communicator,
+    mode: ExchangeMode,
+    ex: ChunkedExchange,
+    order: PackOrder,
+    state: &mut T,
+    pack: impl FnMut(&T, Range<usize>, &mut Vec<u8>),
+    consume: impl FnMut(&mut T, Range<usize>, &[u8]),
+) -> Result<()> {
+    let n_send = ex.policy.num_chunks(ex.send_total);
+    let n_recv = ex.policy.num_chunks(ex.recv_total);
+    let mut d = Driver {
+        comm,
+        ex,
+        state,
+        pack,
+        consume,
+        packed: VecDeque::new(),
+        next_pack: 0,
+        next_send: 0,
+        n_send,
+    };
+    if order == PackOrder::Eager {
+        d.pack_through(n_send);
+    }
+    match mode {
+        ExchangeMode::Blocking => {
+            for i in 0..usize::max(n_send, n_recv) {
+                d.send_next()?;
+                if i < n_recv {
+                    let payload = d.comm.recv(ex.peer, chunk_tag(ex.base_tag, i))?;
+                    d.consume(i, &payload)?;
+                }
+            }
+        }
+        ExchangeMode::NonBlocking => {
+            // Post all receives first (mirrors MPI best practice), then
+            // all sends; completion order is posting order.
+            let reqs = d.post_receives(n_recv)?;
+            while d.next_send < n_send {
+                d.send_next()?;
+            }
+            for (i, req) in reqs.into_iter().enumerate() {
+                let payload = d.comm.wait(req)?;
+                d.consume(i, &payload)?;
+            }
+        }
+        ExchangeMode::Streamed => {
+            let mut reqs = d.post_receives(n_recv)?;
+            let mut chunk_idx: Vec<usize> = (0..n_recv).collect();
+            for _ in 0..DEFAULT_RING_DEPTH {
+                d.send_next()?;
+            }
+            while !reqs.is_empty() {
+                d.send_next()?;
+                let (i, payload) = d.comm.wait_any(&reqs)?;
+                reqs.swap_remove(i);
+                let idx = chunk_idx.swap_remove(i);
+                // The in-flight gauge counts the live payload.
+                d.comm.scratch_acquire(payload.len() as u64);
+                let consumed = d.consume(idx, &payload);
+                d.comm.scratch_release(payload.len() as u64);
+                consumed?;
+            }
+            while d.next_send < n_send {
+                d.send_next()?;
+            }
+            // The larger direction, so a half-exchange still reports
+            // its full pipeline depth.
+            let chunks = usize::max(n_send, n_recv) as u64;
+            if chunks > 0 {
+                d.comm.record_exchange_chunks(chunks);
+            }
+        }
+    }
+    if ex.send_total > 0 {
+        d.comm.record_exchange_bytes(ex.send_total as u64);
+    }
+    Ok(())
+}
+
+/// [`drive`]'s working set: the outbox of packed-but-unsent chunks and
+/// the cursors over it.
+struct Driver<'a, T: ?Sized, P, C> {
+    comm: &'a mut Communicator,
+    ex: ChunkedExchange,
+    state: &'a mut T,
+    pack: P,
+    consume: C,
+    /// Chunks `next_send..next_pack`, packed and waiting for their turn
+    /// on the wire.
+    packed: VecDeque<Vec<u8>>,
+    next_pack: usize,
+    next_send: usize,
+    n_send: usize,
+}
+
+impl<T, P, C> Driver<'_, T, P, C>
+where
+    T: ?Sized,
+    P: FnMut(&T, Range<usize>, &mut Vec<u8>),
+    C: FnMut(&mut T, Range<usize>, &[u8]),
+{
+    /// Packs outgoing chunks up to (not including) `end`.
+    fn pack_through(&mut self, end: usize) {
+        while self.next_pack < end.min(self.n_send) {
+            let range = self
+                .ex
+                .policy
+                .chunk_range(self.next_pack, self.ex.send_total)
+                .unwrap_or(0..0); // unreachable: next_pack < n_send
+            let mut buf = Vec::with_capacity(range.len());
+            (self.pack)(self.state, range.clone(), &mut buf);
+            assert_eq!(buf.len(), range.len(), "packer filled the wrong length");
+            self.packed.push_back(buf);
+            self.next_pack += 1;
+        }
+    }
+
+    /// Sends the next unsent chunk, if any, handing its buffer over.
+    fn send_next(&mut self) -> Result<()> {
+        if self.next_send == self.n_send {
+            return Ok(());
+        }
+        self.pack_through(self.next_send + 1);
+        let buf = self.packed.pop_front().unwrap_or_default(); // packed just above
+        let tag = chunk_tag(self.ex.base_tag, self.next_send);
+        self.next_send += 1;
+        self.comm.send_bytes(self.ex.peer, tag, Bytes::from(buf))
+    }
+
+    fn post_receives(&mut self, n_recv: usize) -> Result<Vec<Request>> {
+        (0..n_recv)
+            .map(|i| self.comm.irecv(self.ex.peer, chunk_tag(self.ex.base_tag, i)))
+            .collect()
+    }
+
+    /// Hands incoming chunk `idx` to the consumer — after checking its
+    /// length, and after outgoing chunk `idx` has left the state.
+    fn consume(&mut self, idx: usize, payload: &[u8]) -> Result<()> {
+        let range = self
+            .ex
+            .policy
+            .chunk_range(idx, self.ex.recv_total)
+            .unwrap_or(0..0); // unreachable: idx < n_recv
+        if payload.len() != range.len() {
+            return Err(CommError::ChunkLength {
+                src: self.ex.peer,
+                tag: chunk_tag(self.ex.base_tag, idx),
+                expected: range.len(),
+                got: payload.len(),
+            });
+        }
+        self.pack_through(idx + 1);
+        (self.consume)(self.state, range, payload);
+        Ok(())
+    }
+}
+
+/// Pairwise exchange of byte buffers under `mode`: ships `send_buf`,
+/// assembles the peer's `expected_recv` bytes into `recv_buf`. A thin
+/// caller of [`drive`] for transport benchmarks and tests; the
+/// statevector engine packs from and consumes into its storage instead.
 #[allow(clippy::too_many_arguments)]
 pub fn exchange(
     mode: ExchangeMode,
@@ -382,23 +358,79 @@ pub fn exchange(
     expected_recv: usize,
     policy: ChunkPolicy,
 ) -> Result<()> {
-    match mode {
-        ExchangeMode::Blocking => {
-            exchange_blocking(comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
-        }
-        ExchangeMode::NonBlocking => {
-            exchange_nonblocking(comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
-        }
-        ExchangeMode::Streamed => {
-            exchange_streamed(comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
-        }
+    recv_buf.clear();
+    if mode == ExchangeMode::Streamed {
+        recv_buf.resize(expected_recv, 0); // chunks land out of order
+    } else {
+        recv_buf.reserve(expected_recv);
     }
+    let ex = ChunkedExchange {
+        peer,
+        base_tag,
+        policy,
+        send_total: send_buf.len(),
+        recv_total: expected_recv,
+    };
+    drive(
+        comm,
+        mode,
+        ex,
+        PackOrder::Lazy,
+        recv_buf,
+        |_, range, out| out.extend_from_slice(&send_buf[range]),
+        |buf, range, payload| {
+            if mode == ExchangeMode::Streamed {
+                buf[range].copy_from_slice(payload);
+            } else {
+                buf.extend_from_slice(payload);
+            }
+        },
+    )
+}
+
+/// [`exchange`] in [`ExchangeMode::Blocking`]: one `sendrecv` per chunk,
+/// strictly serialised.
+pub fn exchange_blocking(
+    comm: &mut Communicator,
+    peer: usize,
+    base_tag: u64,
+    send_buf: &[u8],
+    recv_buf: &mut Vec<u8>,
+    expected_recv: usize,
+    policy: ChunkPolicy,
+) -> Result<()> {
+    let mode = ExchangeMode::Blocking;
+    exchange(mode, comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
+}
+
+/// [`exchange`] in [`ExchangeMode::NonBlocking`]: all sends and receives
+/// posted up front.
+pub fn exchange_nonblocking(
+    comm: &mut Communicator,
+    peer: usize,
+    base_tag: u64,
+    send_buf: &[u8],
+    recv_buf: &mut Vec<u8>,
+    expected_recv: usize,
+    policy: ChunkPolicy,
+) -> Result<()> {
+    let mode = ExchangeMode::NonBlocking;
+    exchange(mode, comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Universe;
+
+    /// Delay-only fault plan: heavy jitter, nothing else, so chunk
+    /// delivery order is scrambled without any retry machinery engaging.
+    fn delay_jitter(seed: u64) -> crate::FaultConfig {
+        let mut cfg = crate::FaultConfig::disabled(seed);
+        cfg.p_delay = 0.6;
+        cfg.max_delay_slices = 3;
+        cfg
+    }
 
     #[test]
     fn policy_rejects_zero() {
@@ -499,98 +531,173 @@ mod tests {
         chunk_tag(0, 1usize << 32);
     }
 
-    fn roundtrip(mode: ExchangeMode, len: usize, cap: usize) {
-        let policy = ChunkPolicy::new(cap).unwrap();
-        Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            let send: Vec<u8> = (0..len).map(|i| (i + c.rank() * 7) as u8).collect();
-            let mut recv = Vec::new();
-            exchange(mode, c, peer, 3, &send, &mut recv, len, policy).unwrap();
-            let expected: Vec<u8> = (0..len).map(|i| (i + peer * 7) as u8).collect();
-            assert_eq!(recv, expected);
-        });
-    }
-
     #[test]
-    fn blocking_exchange_roundtrips() {
-        roundtrip(ExchangeMode::Blocking, 1000, 64);
-        roundtrip(ExchangeMode::Blocking, 64, 64); // exactly one chunk
-        roundtrip(ExchangeMode::Blocking, 65, 64); // one byte spillover
-    }
-
-    #[test]
-    fn nonblocking_exchange_roundtrips() {
-        roundtrip(ExchangeMode::NonBlocking, 1000, 64);
-        roundtrip(ExchangeMode::NonBlocking, 1, 1024);
-        roundtrip(ExchangeMode::NonBlocking, 0, 16); // empty exchange is legal
-    }
-
-    #[test]
-    fn streamed_exchange_roundtrips() {
-        roundtrip(ExchangeMode::Streamed, 1000, 64);
-        roundtrip(ExchangeMode::Streamed, 64, 64); // exactly one chunk
-        roundtrip(ExchangeMode::Streamed, 65, 64); // one byte spillover
-        roundtrip(ExchangeMode::Streamed, 1, 1024);
-        roundtrip(ExchangeMode::Streamed, 0, 16); // empty exchange is legal
-    }
-
-    #[test]
-    fn chunk_range_matches_ranges_iterator() {
-        let p = ChunkPolicy::new(10).unwrap();
-        let from_iter: Vec<_> = p.ranges(25).collect();
-        let from_index: Vec<_> = (0..3).map(|i| p.chunk_range(i, 25).unwrap()).collect();
-        assert_eq!(from_iter, from_index);
-        assert_eq!(p.chunk_range(3, 25), None);
-        assert_eq!(p.chunk_range(0, 0), None);
-    }
-
-    #[test]
-    fn aligned_policy_rounds_down_with_floor() {
-        let p = ChunkPolicy::new(100).unwrap();
-        assert_eq!(p.aligned(16).max_message_bytes, 96);
-        assert_eq!(p.aligned(100).max_message_bytes, 100);
-        // A cap smaller than the alignment is rounded *up* to one orbit.
-        assert_eq!(p.aligned(128).max_message_bytes, 128);
-        // Already aligned caps are untouched.
-        assert_eq!(ChunkPolicy::new(256).unwrap().aligned(64).max_message_bytes, 256);
-    }
-
-    #[test]
-    fn streamed_driver_yields_every_chunk_exactly_once() {
-        let policy = ChunkPolicy::new(32).unwrap();
-        Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            let send: Vec<u8> = (0..300).map(|i| (i + c.rank() * 11) as u8).collect();
-            let mut ex =
-                StreamedExchange::begin(c, peer, 4, &send, 300, policy, 2).unwrap();
-            let mut seen = vec![false; policy.num_chunks(300)];
-            let mut assembled = vec![0u8; 300];
-            while let Some((idx, range, payload)) = ex.next(c, &send).unwrap() {
-                assert!(!seen[idx], "chunk {idx} delivered twice");
-                seen[idx] = true;
-                assert_eq!(range.len(), payload.len());
-                assembled[range].copy_from_slice(&payload);
+    fn every_mode_roundtrips_every_payload_shape() {
+        // Many chunks, exactly one chunk, one byte of spillover, a payload
+        // far below the cap, and the empty exchange (legal).
+        for (len, cap) in [(1000usize, 64usize), (64, 64), (65, 64), (1, 1024), (0, 16)] {
+            let policy = ChunkPolicy::new(cap).unwrap();
+            for mode in [
+                ExchangeMode::Blocking,
+                ExchangeMode::NonBlocking,
+                ExchangeMode::Streamed,
+            ] {
+                Universe::new(2).run(|c| {
+                    let peer = 1 - c.rank();
+                    let send: Vec<u8> = (0..len).map(|i| (i + c.rank() * 7) as u8).collect();
+                    let mut recv = Vec::new();
+                    exchange(mode, c, peer, 3, &send, &mut recv, len, policy).unwrap();
+                    let expected: Vec<u8> = (0..len).map(|i| (i + peer * 7) as u8).collect();
+                    assert_eq!(recv, expected, "{mode:?} len {len} cap {cap}");
+                });
             }
-            assert_eq!(ex.outstanding(), 0);
-            assert!(seen.iter().all(|&s| s));
-            let expected: Vec<u8> = (0..300).map(|i| (i + peer * 11) as u8).collect();
-            assert_eq!(assembled, expected);
-        });
+        }
+    }
+
+    /// Drives a symmetric `total`-byte exchange, returning the order
+    /// chunks were consumed in and the reassembled peer payload.
+    fn drive_recording(
+        c: &mut Communicator,
+        mode: ExchangeMode,
+        order: PackOrder,
+        send: &[u8],
+        policy: ChunkPolicy,
+    ) -> (Vec<usize>, Vec<u8>) {
+        let total = send.len();
+        let ex = ChunkedExchange {
+            peer: 1 - c.rank(),
+            base_tag: 4,
+            policy,
+            send_total: total,
+            recv_total: total,
+        };
+        let mut got = (Vec::new(), vec![0u8; total]);
+        drive(
+            c,
+            mode,
+            ex,
+            order,
+            &mut got,
+            |_, range, out| out.extend_from_slice(&send[range]),
+            |(seen, assembled), range, payload| {
+                seen.push(range.start / policy.max_message_bytes);
+                assembled[range].copy_from_slice(payload);
+            },
+        )
+        .unwrap();
+        got
     }
 
     #[test]
-    fn streamed_asymmetric_sizes_do_not_deadlock() {
-        // Half-exchange shape: one side sends twice as much as the other.
-        Universe::new(2).run(|c| {
+    fn every_mode_and_pack_order_yields_every_chunk_exactly_once() {
+        let policy = ChunkPolicy::new(32).unwrap();
+        for mode in [
+            ExchangeMode::Blocking,
+            ExchangeMode::NonBlocking,
+            ExchangeMode::Streamed,
+        ] {
+            for order in [PackOrder::Lazy, PackOrder::Eager] {
+                Universe::new(2).run(|c| {
+                    let peer = 1 - c.rank();
+                    let send: Vec<u8> = (0..300).map(|i| (i + c.rank() * 11) as u8).collect();
+                    let (mut seen, assembled) = drive_recording(c, mode, order, &send, policy);
+                    seen.sort_unstable();
+                    assert_eq!(seen, (0..policy.num_chunks(300)).collect::<Vec<_>>());
+                    let expected: Vec<u8> = (0..300).map(|i| (i + peer * 11) as u8).collect();
+                    assert_eq!(assembled, expected, "{mode:?} {order:?}");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_packing_reads_the_state_no_later_than_its_chunk_is_overwritten() {
+        // The state is one buffer that is both packed from and consumed
+        // into, chunk for chunk (the shape of a distributed 1q combine).
+        // Under delay jitter the streamed mode completes chunks the rank
+        // has not sent yet; the driver must pack them first.
+        let total = 480usize;
+        let policy = ChunkPolicy::new(16).unwrap();
+        let trade = |c: &mut Communicator, mode: ExchangeMode| {
+            let mut state: Vec<u8> = (0..total).map(|i| (i * 3 + c.rank() * 17) as u8).collect();
+            let ex = ChunkedExchange {
+                peer: 1 - c.rank(),
+                base_tag: 8,
+                policy,
+                send_total: total,
+                recv_total: total,
+            };
+            drive(
+                c,
+                mode,
+                ex,
+                PackOrder::Lazy,
+                &mut state,
+                |st, range, out| out.extend_from_slice(&st[range]),
+                |st, range, payload| st[range].copy_from_slice(payload),
+            )
+            .unwrap();
             let peer = 1 - c.rank();
-            let my_len = if c.rank() == 0 { 100 } else { 50 };
-            let peer_len = if c.rank() == 0 { 50 } else { 100 };
-            let send = vec![c.rank() as u8; my_len];
-            let mut recv = Vec::new();
-            let policy = ChunkPolicy::new(16).unwrap();
-            exchange_streamed(c, peer, 9, &send, &mut recv, peer_len, policy).unwrap();
-            assert_eq!(recv, vec![peer as u8; peer_len]);
-        });
+            let expected: Vec<u8> = (0..total).map(|i| (i * 3 + peer * 17) as u8).collect();
+            assert_eq!(state, expected, "{mode:?} rank {}", c.rank());
+        };
+        for mode in [ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
+            Universe::new(2).run(|c| trade(c, mode));
+        }
+        for seed in [11u64, 23, 47, 101] {
+            let universe = Universe::with_faults(2, delay_jitter(seed)).unwrap();
+            universe.run(|c| trade(c, ExchangeMode::Streamed));
+        }
+    }
+
+    #[test]
+    fn a_short_chunk_is_a_typed_error_before_the_consumer_runs() {
+        // Rank 1 cuts its payload under a different cap, so rank 0's
+        // second chunk arrives 8 bytes long where 16 are expected.
+        for mode in [
+            ExchangeMode::Blocking,
+            ExchangeMode::NonBlocking,
+            ExchangeMode::Streamed,
+        ] {
+            let out = Universe::new(2).run(|c| {
+                if c.rank() == 1 {
+                    c.send(0, chunk_tag(5, 0), &[1u8; 16]).unwrap();
+                    c.send(0, chunk_tag(5, 1), &[2u8; 8]).unwrap();
+                    return None;
+                }
+                let ex = ChunkedExchange {
+                    peer: 1,
+                    base_tag: 5,
+                    policy: ChunkPolicy::new(16).unwrap(),
+                    send_total: 0,
+                    recv_total: 32,
+                };
+                let mut consumed = Vec::new();
+                let err = drive(
+                    c,
+                    mode,
+                    ex,
+                    PackOrder::Lazy,
+                    &mut consumed,
+                    |_, _, _| {},
+                    |seen, range, _| seen.push(range),
+                )
+                .unwrap_err();
+                Some((err, consumed))
+            });
+            let (err, consumed) = out[0].clone().unwrap();
+            assert_eq!(
+                err,
+                CommError::ChunkLength {
+                    src: 1,
+                    tag: chunk_tag(5, 1),
+                    expected: 16,
+                    got: 8,
+                },
+                "{mode:?}"
+            );
+            assert!(!consumed.contains(&(16..32)), "{mode:?}: short chunk consumed");
+        }
     }
 
     #[test]
@@ -600,7 +707,7 @@ mod tests {
             let send = vec![0u8; 256];
             let mut recv = Vec::new();
             let policy = ChunkPolicy::new(64).unwrap();
-            exchange_streamed(c, peer, 0, &send, &mut recv, 256, policy).unwrap();
+            exchange(ExchangeMode::Streamed, c, peer, 0, &send, &mut recv, 256, policy).unwrap();
             c.barrier();
             c.stats()
         });
@@ -615,17 +722,24 @@ mod tests {
 
     #[test]
     fn asymmetric_exchange_sizes() {
-        // One side sends 100 bytes, the other 50 (half-exchange pattern).
-        Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            let my_len = if c.rank() == 0 { 100 } else { 50 };
-            let peer_len = if c.rank() == 0 { 50 } else { 100 };
-            let send = vec![c.rank() as u8; my_len];
-            let mut recv = Vec::new();
-            let policy = ChunkPolicy::new(16).unwrap();
-            exchange_blocking(c, peer, 9, &send, &mut recv, peer_len, policy).unwrap();
-            assert_eq!(recv, vec![peer as u8; peer_len]);
-        });
+        // One side sends 100 bytes, the other 50 (half-exchange pattern):
+        // no mode may deadlock once the shorter direction runs out.
+        for mode in [
+            ExchangeMode::Blocking,
+            ExchangeMode::NonBlocking,
+            ExchangeMode::Streamed,
+        ] {
+            Universe::new(2).run(|c| {
+                let peer = 1 - c.rank();
+                let my_len = if c.rank() == 0 { 100 } else { 50 };
+                let peer_len = if c.rank() == 0 { 50 } else { 100 };
+                let send = vec![c.rank() as u8; my_len];
+                let mut recv = Vec::new();
+                let policy = ChunkPolicy::new(16).unwrap();
+                exchange(mode, c, peer, 9, &send, &mut recv, peer_len, policy).unwrap();
+                assert_eq!(recv, vec![peer as u8; peer_len], "{mode:?}");
+            });
+        }
     }
 
     #[test]
@@ -647,15 +761,6 @@ mod tests {
         }
     }
 
-    /// Delay-only fault plan: heavy jitter, nothing else, so chunk
-    /// delivery order is scrambled without any retry machinery engaging.
-    fn delay_jitter(seed: u64) -> crate::FaultConfig {
-        let mut cfg = crate::FaultConfig::disabled(seed);
-        cfg.p_delay = 0.6;
-        cfg.max_delay_slices = 3;
-        cfg
-    }
-
     #[test]
     fn streamed_completion_order_shuffles_under_delay_jitter() {
         // Held-back chunks let later chunks overtake them, so wait_any
@@ -670,15 +775,8 @@ mod tests {
                 let peer = 1 - c.rank();
                 let send: Vec<u8> =
                     (0..total).map(|i| (i * 3 + c.rank() * 17) as u8).collect();
-                let mut ex =
-                    StreamedExchange::begin(c, peer, 6, &send, total, policy, 2).unwrap();
-                let mut order = Vec::new();
-                let mut assembled = vec![0u8; total];
-                while let Some((idx, range, payload)) = ex.next(c, &send).unwrap() {
-                    order.push(idx);
-                    assert_eq!(range.len(), payload.len());
-                    assembled[range].copy_from_slice(&payload);
-                }
+                let (order, assembled) =
+                    drive_recording(c, ExchangeMode::Streamed, PackOrder::Lazy, &send, policy);
                 let expected: Vec<u8> =
                     (0..total).map(|i| (i * 3 + peer * 17) as u8).collect();
                 assert_eq!(assembled, expected, "seed {seed} reassembly broke");
@@ -729,28 +827,6 @@ mod tests {
                 }
                 assert!(injected_total > 0, "plan {seed} never fired a fault");
             }
-        }
-    }
-
-    #[test]
-    fn both_modes_deliver_identical_bytes() {
-        for &mode in &[
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ] {
-            let out = Universe::new(2).run(|c| {
-                let peer = 1 - c.rank();
-                let send: Vec<u8> = (0..777).map(|i| (i * (c.rank() + 2)) as u8).collect();
-                let mut recv = Vec::new();
-                let policy = ChunkPolicy::new(100).unwrap();
-                exchange(mode, c, peer, 1, &send, &mut recv, 777, policy).unwrap();
-                recv
-            });
-            let expect0: Vec<u8> = (0..777).map(|i| (i * 3) as u8).collect();
-            let expect1: Vec<u8> = (0..777).map(|i| (i * 2) as u8).collect();
-            assert_eq!(out[0], expect0);
-            assert_eq!(out[1], expect1);
         }
     }
 }

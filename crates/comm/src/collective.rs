@@ -18,7 +18,8 @@ use qse_util::Bytes;
 /// can never collide with an exchange tag.
 const COLLECTIVE_BASE: u64 = 1 << 62;
 const TAG_BCAST: u64 = COLLECTIVE_BASE;
-const TAG_GATHER: u64 = COLLECTIVE_BASE + 1;
+/// The tag [`gather`] payloads travel under (for error reports).
+pub const TAG_GATHER: u64 = COLLECTIVE_BASE + 1;
 const TAG_REDUCE: u64 = COLLECTIVE_BASE + 2;
 
 /// Decodes a little-endian `u64` from the first 8 bytes of `bytes`
@@ -46,20 +47,21 @@ pub fn broadcast(comm: &mut Communicator, root: usize, payload: &[u8]) -> Result
 }
 
 /// Gathers every rank's payload at `root`, in rank order. Non-root ranks
-/// receive `None`.
-pub fn gather(comm: &mut Communicator, root: usize, payload: &[u8]) -> Result<Option<Vec<Bytes>>> {
+/// receive `None`. The payload is owned, so no part is copied: senders
+/// hand theirs to the transport and the root keeps its own.
+pub fn gather(comm: &mut Communicator, root: usize, payload: Bytes) -> Result<Option<Vec<Bytes>>> {
     if comm.rank() == root {
         let mut out = Vec::with_capacity(comm.size());
-        for src in 0..comm.size() {
-            if src == root {
-                out.push(Bytes::copy_from_slice(payload));
-            } else {
-                out.push(comm.recv(src, TAG_GATHER)?);
-            }
+        for src in 0..root {
+            out.push(comm.recv(src, TAG_GATHER)?);
+        }
+        out.push(payload);
+        for src in root + 1..comm.size() {
+            out.push(comm.recv(src, TAG_GATHER)?);
         }
         Ok(Some(out))
     } else {
-        comm.send(root, TAG_GATHER, payload)?;
+        comm.send_bytes(root, TAG_GATHER, payload)?;
         Ok(None)
     }
 }
@@ -67,7 +69,7 @@ pub fn gather(comm: &mut Communicator, root: usize, payload: &[u8]) -> Result<Op
 /// All-reduce: element-wise sum of `values` across all ranks, delivered to
 /// every rank. Used for probability normalisation and global norms.
 pub fn allreduce_sum_f64(comm: &mut Communicator, values: &[f64]) -> Result<Vec<f64>> {
-    let gathered = gather(comm, 0, &f64s_to_bytes(values))?;
+    let gathered = gather(comm, 0, f64s_to_bytes(values))?;
     let summed: Vec<f64> = if let Some(parts) = gathered {
         let mut acc = vec![0.0f64; values.len()];
         for part in parts {
@@ -87,7 +89,7 @@ pub fn allreduce_sum_f64(comm: &mut Communicator, values: &[f64]) -> Result<Vec<
 
 /// All-reduce max of a single `f64` across ranks.
 pub fn allreduce_max_f64(comm: &mut Communicator, value: f64) -> Result<f64> {
-    let gathered = gather(comm, 0, &f64s_to_bytes(&[value]))?;
+    let gathered = gather(comm, 0, f64s_to_bytes(&[value]))?;
     let max = if let Some(parts) = gathered {
         parts
             .iter()
@@ -102,7 +104,7 @@ pub fn allreduce_max_f64(comm: &mut Communicator, value: f64) -> Result<f64> {
 
 /// All-gather: every rank receives every rank's payload, in rank order.
 pub fn allgather(comm: &mut Communicator, payload: &[u8]) -> Result<Vec<Bytes>> {
-    let at_root = gather(comm, 0, payload)?;
+    let at_root = gather(comm, 0, Bytes::copy_from_slice(payload))?;
     // Root re-broadcasts the concatenation with a simple length-prefixed frame.
     let frame = if let Some(parts) = at_root {
         let mut buf = Vec::new();
@@ -171,8 +173,8 @@ mod tests {
     #[test]
     fn gather_collects_in_rank_order() {
         let out = Universe::new(4).run(|c| {
-            let payload = [c.rank() as u8 * 3];
-            gather(c, 0, &payload).unwrap()
+            let payload = vec![c.rank() as u8 * 3];
+            gather(c, 0, Bytes::from(payload)).unwrap()
         });
         let parts = out[0].as_ref().expect("root gets parts");
         let values: Vec<u8> = parts.iter().map(|p| p[0]).collect();

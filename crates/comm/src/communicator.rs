@@ -554,13 +554,13 @@ impl Communicator {
         self.counters.record_exchange_bytes(bytes);
     }
 
-    /// Accounts `bytes` of exchange scratch acquired (a ring slot holding
-    /// an in-flight chunk), updating the peak-occupancy high-water mark.
+    /// Accounts `bytes` of exchange memory held (the streamed mode's live
+    /// payload while its kernel runs), updating the high-water mark.
     pub fn scratch_acquire(&self, bytes: u64) {
         self.counters.scratch_acquire(bytes);
     }
 
-    /// Releases `bytes` of exchange scratch previously accounted via
+    /// Releases `bytes` of exchange memory previously accounted via
     /// [`Self::scratch_acquire`].
     pub fn scratch_release(&self, bytes: u64) {
         self.counters.scratch_release(bytes);

@@ -102,6 +102,20 @@ pub enum CommError {
         /// Rendered verification failure.
         detail: String,
     },
+    /// A chunk of a pairwise exchange arrived with a length other than
+    /// the one the chunk policy assigns it — the peer cut its payload
+    /// differently. Raised by the chunk driver before the payload
+    /// reaches the consumer, which indexes it in place.
+    ChunkLength {
+        /// Rank that sent the chunk.
+        src: usize,
+        /// Wire tag of the chunk.
+        tag: u64,
+        /// Bytes the policy assigns this chunk.
+        expected: usize,
+        /// Bytes that arrived.
+        got: usize,
+    },
     /// Checksummed payloads from `(src, tag)` kept failing validation and
     /// the retransmit budget ran out with no pristine copy arriving —
     /// permanent corruption on this link.
@@ -148,6 +162,15 @@ impl fmt::Display for CommError {
             CommError::PlanRejected { detail } => write!(
                 f,
                 "execution plan rejected by static verification: {detail}"
+            ),
+            CommError::ChunkLength {
+                src,
+                tag,
+                expected,
+                got,
+            } => write!(
+                f,
+                "chunk from rank {src} tag {tag} is {got} bytes, expected {expected} (peer chunked its payload differently)"
             ),
             CommError::Corrupt { src, tag, discarded } => write!(
                 f,
@@ -205,6 +228,15 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("rejected by static verification"));
         assert!(text.contains("plan step 3"));
+        let e = CommError::ChunkLength {
+            src: 1,
+            tag: 9,
+            expected: 64,
+            got: 48,
+        };
+        let text = e.to_string();
+        assert!(text.contains("rank 1 tag 9"));
+        assert!(text.contains("48 bytes, expected 64"));
         let e = CommError::Corrupt {
             src: 2,
             tag: 11,

@@ -15,11 +15,13 @@
 //!   [`nonblocking::wait_all`] — the paper's modification that "allows
 //!   multiple messages to be sent and received in parallel" (§3.2) — and
 //!   [`Communicator::wait_any`], completing requests in arrival order so
-//!   [`chunking::StreamedExchange`] can overlap per-chunk computation with
-//!   the remaining communication;
+//!   [`chunking::ExchangeMode::Streamed`] can overlap per-chunk
+//!   computation with the remaining communication;
 //! * message chunking: MPI implementations cap individual messages (2 GB in
 //!   the paper, hence 32 messages per 64 GB exchange); [`chunking`]
-//!   reproduces the cap and both exchange strategies over it;
+//!   reproduces the cap and runs every exchange strategy over it through
+//!   one chunk driver ([`chunking::drive`]) that hands each packed chunk
+//!   to the transport without copying it;
 //! * collectives: barrier, broadcast, all-reduce, gather ([`collective`]);
 //! * traffic accounting: every communicator records bytes and message
 //!   counts ([`stats`]), which the performance model and tests consume.

@@ -4,9 +4,11 @@ use qse_util::Bytes;
 
 /// A message in flight: source rank, user tag, and an owned byte payload.
 ///
-/// `Bytes` gives cheap reference-counted hand-off between threads; the
-/// payload is copied exactly once, at send time, mirroring an eager-protocol
-/// MPI implementation.
+/// `Bytes` gives cheap reference-counted hand-off between threads. A
+/// borrowed payload ([`crate::Communicator::send`]) is copied exactly
+/// once, at send time, mirroring an eager-protocol MPI implementation; an
+/// owned one ([`crate::Communicator::send_bytes`]) is not copied at all —
+/// the buffer the sender filled is the buffer the receiver reads.
 #[derive(Debug, Clone)]
 pub struct Envelope {
     /// Rank that sent the message.
@@ -91,18 +93,6 @@ pub fn f64s_to_bytes(values: &[f64]) -> Bytes {
     Bytes::from(buf)
 }
 
-/// Encodes `values` into a caller-provided byte buffer (cleared first),
-/// reusing its capacity — the allocation-free staging half of the
-/// exchange hot path (the copy into owned [`Bytes`] happens once, at
-/// send time, as with any eager-protocol MPI send).
-pub fn f64s_to_bytes_into(values: &[f64], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
 /// Decodes one little-endian `f64` from an 8-byte chunk handed out by
 /// `chunks_exact(8)`, whose contract guarantees the length.
 #[inline]
@@ -124,24 +114,6 @@ pub fn bytes_to_f64s(payload: &[u8]) -> Vec<f64> {
         payload.len()
     );
     payload.chunks_exact(8).map(f64_le).collect()
-}
-
-/// Decodes a byte payload into a caller-provided `f64` buffer, avoiding an
-/// allocation on the hot exchange path.
-///
-/// # Panics
-/// Panics if `out.len() * 8 != payload.len()`.
-pub fn bytes_to_f64s_into(payload: &[u8], out: &mut [f64]) {
-    assert_eq!(
-        payload.len(),
-        out.len() * 8,
-        "payload length {} does not match output buffer {} f64s",
-        payload.len(),
-        out.len()
-    );
-    for (slot, c) in out.iter_mut().zip(payload.chunks_exact(8)) {
-        *slot = f64_le(c);
-    }
 }
 
 #[cfg(test)]
@@ -205,38 +177,8 @@ mod tests {
     }
 
     #[test]
-    fn f64_roundtrip_into_buffer() {
-        let values = vec![1.0, 2.0, 3.0];
-        let bytes = f64s_to_bytes(&values);
-        let mut out = vec![0.0; 3];
-        bytes_to_f64s_into(&bytes, &mut out);
-        assert_eq!(out, values);
-    }
-
-    #[test]
-    fn encode_into_buffer_reuses_capacity() {
-        let values = vec![-0.5, 7.25, f64::MAX];
-        let mut buf = vec![0xAAu8; 64];
-        let cap = buf.capacity();
-        f64s_to_bytes_into(&values, &mut buf);
-        assert_eq!(&buf[..], &f64s_to_bytes(&values)[..]);
-        assert_eq!(buf.capacity(), cap);
-        // and shrinking inputs still produce exact-length output
-        f64s_to_bytes_into(&[], &mut buf);
-        assert!(buf.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "not a multiple of 8")]
     fn misframed_payload_panics() {
         bytes_to_f64s(&[1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match output buffer")]
-    fn wrong_buffer_size_panics() {
-        let bytes = f64s_to_bytes(&[1.0, 2.0]);
-        let mut out = vec![0.0; 3];
-        bytes_to_f64s_into(&bytes, &mut out);
     }
 }

@@ -181,10 +181,9 @@ impl ThreadClusterExecutor {
             .iter()
             .map(|(_, _, s, _)| s.corruptions_detected)
             .sum();
+        // Moved out, not cloned: the gathered state is all 2ⁿ amplitudes.
+        let state = results.iter_mut().find_map(|(_, _, _, st)| st.take());
         let (wall, profile, _, _) = &results[0];
-        let state = results
-            .iter()
-            .find_map(|(_, _, _, st)| st.clone());
         Ok(ClusterRun {
             profiled: ProfiledRun {
                 n_qubits: circuit.n_qubits(),

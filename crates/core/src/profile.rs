@@ -79,8 +79,8 @@ pub struct ProfiledRun {
     /// Exchange chunks completed across all ranks (streamed exchanges
     /// record one per received chunk).
     pub exchange_chunks: u64,
-    /// Largest exchange-scratch footprint observed on any rank, bytes —
-    /// the streamed path bounds this by ring-depth × chunk size.
+    /// Largest live-payload footprint a streamed exchange reached on any
+    /// rank, bytes — bounded by ring-depth × chunk size.
     pub peak_inflight_bytes: u64,
     /// Circuit gate count.
     pub gate_count: usize,

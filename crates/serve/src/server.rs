@@ -71,9 +71,11 @@ pub type Reply = Box<dyn FnOnce(JobResponse) + Send + 'static>;
 
 /// The amplitude bytes one job pins while queued or executing: the
 /// distributed statevector (2ⁿ × 16 B across ranks) plus the gathered
-/// copy sampling reads. Batched jobs share one execution but are
-/// charged individually — admission is a worst-case bound, not a
-/// best-case one.
+/// copy sampling reads — which is what a run now holds, the exchange
+/// path staging nothing slice-sized (a few wire chunks per rank in
+/// flight; the gather's per-rank payloads are transient). Batched jobs
+/// share one execution but are charged individually — admission is a
+/// worst-case bound, not a best-case one.
 pub fn job_footprint_bytes(n_qubits: u32) -> u64 {
     2 * 16 * (1u64 << n_qubits)
 }

@@ -19,17 +19,18 @@
 use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{Schedule, Step};
 use crate::single::DEFAULT_MIN_FUSE;
-use crate::storage::{init_basis, AmpStorage, SoaStorage};
+use crate::storage::kernel::{amp_to_wire, wire_amp};
+use crate::storage::{init_basis, AmpStorage, SoaStorage, AMP_BYTES};
 use qse_circuit::classify::{classify, GateClass, Layout};
 use qse_circuit::transpile::Plan;
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{chunk_tag, exchange, ChunkPolicy, ExchangeMode, StreamedExchange};
+use qse_comm::chunking::{drive, ChunkPolicy, ChunkedExchange, ExchangeMode, PackOrder};
 use qse_comm::collective;
-use qse_comm::message::{bytes_to_f64s, bytes_to_f64s_into, f64s_to_bytes, f64s_to_bytes_into};
 use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
-use qse_math::bits;
 use qse_math::Complex64;
+use qse_util::Bytes;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Exchange and execution options for a distributed run.
@@ -72,20 +73,11 @@ pub struct DistributedState<'c, S: AmpStorage = SoaStorage> {
     layout: Layout,
     amps: S,
     config: DistConfig,
+    // No exchange scratch lives here: a distributed gate packs each wire
+    // chunk straight from `amps` and runs its kernel straight on the
+    // peer's payload (§2.1's "entire local statevector" is gigabytes per
+    // process at scale, so every staged copy of it is real money).
     exchange_seq: u64,
-    // Scratch buffers for the exchange hot path: every distributed gate
-    // reuses these instead of allocating fresh vectors (§2.1's "entire
-    // local statevector" amounts to gigabytes per process at scale, so
-    // per-gate allocation and copy churn is real money). `recv_f64` is
-    // lent to callers via `mem::take` and handed back after the combine.
-    send_f64: Vec<f64>,
-    send_bytes: Vec<u8>,
-    recv_bytes: Vec<u8>,
-    recv_f64: Vec<f64>,
-    // Ring of chunk-sized decode buffers for the streamed exchange: the
-    // peak scratch footprint is ring-depth × chunk size instead of the
-    // full half-vector the other modes stage through `recv_f64`.
-    recv_ring: Vec<Vec<f64>>,
 }
 
 /// User exchange tags must stay below `2^31` (see `qse_comm::chunking`).
@@ -114,11 +106,6 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             amps,
             config,
             exchange_seq: 0,
-            send_f64: Vec::new(),
-            send_bytes: Vec::new(),
-            recv_bytes: Vec::new(),
-            recv_f64: Vec::new(),
-            recv_ring: vec![Vec::new(); StreamedExchange::DEFAULT_RING_DEPTH],
         }
     }
 
@@ -161,111 +148,57 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         self.exchange_seq % TAG_MOD
     }
 
-    /// Full pairwise exchange: ship the entire local vector to `peer`,
-    /// receive theirs — "the entire local statevector needs to be
-    /// exchanged – 64 GB per process on ARCHER2" (§2.1).
+    /// One symmetric pairwise exchange with `peer` — "the entire local
+    /// statevector needs to be exchanged – 64 GB per process on ARCHER2"
+    /// (§2.1) — `n_amps` payload amplitudes each way, through the chunk
+    /// driver under the configured mode. `pack(amps, start, n, out)`
+    /// serialises payload amplitudes `[start, start + n)` straight from
+    /// storage into the outgoing chunk; `apply(amps, start, payload)` runs
+    /// the gate's range kernel straight on the peer's bytes from payload
+    /// amplitude `start`: one write and one read per exchanged byte.
     ///
-    /// Allocation-free after warm-up: stages through the per-state
-    /// scratch buffers. The returned vector is the `recv_f64` scratch,
-    /// taken with `mem::take` — callers hand it back via
-    /// [`Self::release_recv`] once the combine is done.
-    fn exchange_full(&mut self, peer: usize, tag: u64) -> CommResult<Vec<f64>> {
-        self.amps.write_f64_into(&mut self.send_f64);
-        self.staged_exchange(peer, tag)
-    }
-
-    /// Half exchange for SWAPs: ship only the amplitudes whose `local_q`
-    /// bit equals `send_v`; receive the peer's complementary half. Same
-    /// scratch-buffer protocol as [`Self::exchange_full`].
-    fn exchange_half(
+    /// `payload` holds whole kernel `unit`s (in amplitudes). Chunk
+    /// boundaries stay exactly `ChunkPolicy`'s: the streamed mode, whose
+    /// chunks complete out of order, aligns its cap to the unit; the
+    /// in-order modes cut wherever the cap falls — mid-amplitude when it
+    /// is not a multiple of 16 — and a [`UnitCursor`] carries the cut
+    /// unit over. `order` is `Lazy` when `apply` over payload amplitudes
+    /// `[a, b)` writes only storage that payload amplitudes below `b`
+    /// are packed from ([`PackOrder`]).
+    #[allow(clippy::too_many_arguments)]
+    fn pair_exchange(
         &mut self,
         peer: usize,
         tag: u64,
-        local_q: u32,
-        send_v: u64,
-    ) -> CommResult<Vec<f64>> {
-        self.amps
-            .extract_half_bit_into(local_q, send_v, &mut self.send_f64);
-        self.staged_exchange(peer, tag)
-    }
-
-    /// Ships whatever `exchange_full`/`exchange_half` staged in
-    /// `send_f64` and decodes the peer's reply into the `recv_f64`
-    /// scratch (lent out; return it with [`Self::release_recv`]).
-    fn staged_exchange(&mut self, peer: usize, tag: u64) -> CommResult<Vec<f64>> {
-        f64s_to_bytes_into(&self.send_f64, &mut self.send_bytes);
-        exchange(
-            self.config.exchange_mode,
+        n_amps: usize,
+        unit: usize,
+        order: PackOrder,
+        pack: impl Fn(&S, usize, usize, &mut Vec<u8>),
+        mut apply: impl FnMut(&mut S, usize, &[u8]),
+    ) -> CommResult<()> {
+        let mode = self.config.exchange_mode;
+        let policy = match mode {
+            ExchangeMode::Streamed => self.config.chunk_policy.aligned(unit * AMP_BYTES),
+            _ => self.config.chunk_policy,
+        };
+        let mut cursor = UnitCursor::new(unit);
+        drive(
             self.comm,
-            peer,
-            tag,
-            &self.send_bytes,
-            &mut self.recv_bytes,
-            self.send_bytes.len(),
-            self.config.chunk_policy,
-        )?;
-        let mut out = std::mem::take(&mut self.recv_f64);
-        out.resize(self.recv_bytes.len() / 8, 0.0);
-        bytes_to_f64s_into(&self.recv_bytes, &mut out);
-        Ok(out)
-    }
-
-    /// Returns the receive scratch lent out by an exchange so the next
-    /// distributed gate reuses its capacity.
-    fn release_recv(&mut self, buf: Vec<f64>) {
-        self.recv_f64 = buf;
-    }
-
-    /// Streamed chunk-pipelined exchange (the tentpole of
-    /// `ExchangeMode::Streamed`): ships whatever the caller staged in
-    /// `send_f64` and, as each receive chunk lands, immediately runs
-    /// `apply(amps, start_amp, chunk_f64)` on exactly that amplitude
-    /// range while later chunks are still in flight.
-    ///
-    /// `align_amps` is the kernel's orbit size in amplitudes: chunk
-    /// boundaries are rounded so every chunk covers whole orbits (an
-    /// amplitude is 16 wire bytes). Decoding cycles through the small
-    /// `recv_ring`, so peak exchange scratch is ring-depth × chunk size —
-    /// never the full half vector. The in-flight gauge on the
-    /// communicator tracks exactly that footprint.
-    fn streamed_exchange_apply<F>(
-        &mut self,
-        peer: usize,
-        tag: u64,
-        align_amps: usize,
-        mut apply: F,
-    ) -> CommResult<()>
-    where
-        F: FnMut(&mut S, usize, &[f64]),
-    {
-        f64s_to_bytes_into(&self.send_f64, &mut self.send_bytes);
-        let policy = self.config.chunk_policy.aligned(align_amps * 16);
-        let mut ex = StreamedExchange::begin(
-            self.comm,
-            peer,
-            tag,
-            &self.send_bytes,
-            self.send_bytes.len(),
-            policy,
-            self.recv_ring.len(),
-        )?;
-        let mut held = vec![0u64; self.recv_ring.len()];
-        let mut turn = 0usize;
-        while let Some((_, range, payload)) = ex.next(self.comm, &self.send_bytes)? {
-            let slot = turn % self.recv_ring.len();
-            turn += 1;
-            self.comm.scratch_release(held[slot]);
-            held[slot] = payload.len() as u64;
-            self.comm.scratch_acquire(held[slot]);
-            let buf = &mut self.recv_ring[slot];
-            buf.resize(payload.len() / 8, 0.0);
-            bytes_to_f64s_into(&payload, buf);
-            apply(&mut self.amps, range.start / 16, buf);
-        }
-        for h in held {
-            self.comm.scratch_release(h);
-        }
-        Ok(())
+            mode,
+            ChunkedExchange {
+                peer,
+                base_tag: tag,
+                policy,
+                send_total: n_amps * AMP_BYTES,
+                recv_total: n_amps * AMP_BYTES,
+            },
+            order,
+            &mut self.amps,
+            |amps, range, out| pack_wire_bytes(range, out, |start, n, out| pack(amps, start, n, out)),
+            |amps, range, payload| {
+                cursor.feed(range.start, payload, |start, units| apply(amps, start, units))
+            },
+        )
     }
 
     /// Applies one gate, communicating as its locality class requires.
@@ -357,19 +290,19 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         };
         let pair = crate::ix(self.layout.pair_rank(self.rank() as u64, target));
         let b = crate::ix(self.rank_bit_value(target));
-        if self.config.exchange_mode == ExchangeMode::Streamed {
-            let (c_mine, c_theirs) = (m.at(b, b), m.at(b, 1 - b));
-            self.amps.write_f64_into(&mut self.send_f64);
-            self.streamed_exchange_apply(pair, tag, 1, move |amps, start, chunk| {
-                amps.apply_distributed_1q_range(c_mine, c_theirs, chunk, start, control_local);
-            })?;
-            return Ok(());
-        }
-        let theirs = self.exchange_full(pair, tag)?;
-        self.amps
-            .combine_rows(m.at(b, b), m.at(b, 1 - b), &theirs, control_local);
-        self.release_recv(theirs);
-        Ok(())
+        let (c_mine, c_theirs) = (m.at(b, b), m.at(b, 1 - b));
+        // The combine of amplitude i reads and writes amplitude i only.
+        self.pair_exchange(
+            pair,
+            tag,
+            self.amps.len(),
+            1,
+            PackOrder::Lazy,
+            S::pack_range,
+            |amps, start, payload| {
+                amps.apply_distributed_1q_range(c_mine, c_theirs, payload, start, control_local)
+            },
+        )
     }
 
     /// Distributed general two-qubit unitary.
@@ -399,19 +332,19 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             };
             let g = self.rank_bit_value(hi);
             let pair = crate::ix(self.layout.pair_rank(self.rank() as u64, hi));
-            if self.config.exchange_mode == ExchangeMode::Streamed {
-                // Chunks must cover whole |hi lo⟩ orbits of 2^{lo+1}
-                // amplitudes so the 4×4 combine never straddles a chunk.
-                let orbit = 1usize << (lo + 1);
-                self.amps.write_f64_into(&mut self.send_f64);
-                self.streamed_exchange_apply(pair, tag, orbit, move |amps, start, chunk| {
-                    amps.apply_distributed_2q_range(lo, g, &m_ord, chunk, start);
-                })?;
-                return Ok(());
-            }
-            let theirs = self.exchange_full(pair, tag)?;
-            self.amps.combine_orbit4(lo, g, &m_ord, &theirs);
-            self.release_recv(theirs);
+            // The 4×4 combine works on whole |hi lo⟩ orbits of 2^{lo+1}
+            // amplitudes and writes only the orbits it is handed.
+            self.pair_exchange(
+                pair,
+                tag,
+                self.amps.len(),
+                1usize << (lo + 1),
+                PackOrder::Lazy,
+                S::pack_range,
+                |amps, start, payload| {
+                    amps.apply_distributed_2q_range(lo, g, &m_ord, payload, start)
+                },
+            )?;
         } else {
             // Both global: bring `lo` into the local window via a free
             // local qubit (qubit 0 is never one of a/b here), using the
@@ -442,41 +375,33 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             let pair = crate::ix(self.layout.pair_rank(self.rank() as u64, hi));
             if self.config.half_exchange_swaps {
                 // Send the half the peer needs (bit_lo == 1−g), receive the
-                // half we need (bit_lo == g on their side), and write it
-                // into our bit_lo == 1−g slots.
-                if self.config.exchange_mode == ExchangeMode::Streamed {
-                    // Half-exchange payload indexes *pairs*, so the chunk
-                    // start maps through `write_half_bit_range`.
-                    self.amps
-                        .extract_half_bit_into(lo, 1 - g, &mut self.send_f64);
-                    self.streamed_exchange_apply(pair, tag, 1, move |amps, start, chunk| {
-                        amps.write_half_bit_range(lo, 1 - g, chunk, start);
-                    })?;
-                    return Ok(());
-                }
-                let recv = self.exchange_half(pair, tag, lo, 1 - g)?;
-                self.amps.write_half_bit(lo, 1 - g, &recv);
-                self.release_recv(recv);
+                // half we need (bit_lo == g on their side) into the very
+                // slots just sent: the payload numbers those slots, so
+                // payload amplitude k lands where payload amplitude k left.
+                self.pair_exchange(
+                    pair,
+                    tag,
+                    self.amps.len() / 2,
+                    1,
+                    PackOrder::Lazy,
+                    |amps, start, n, out| amps.pack_half_bit_range(lo, 1 - g, start, n, out),
+                    |amps, start, payload| amps.write_half_bit_range(lo, 1 - g, payload, start),
+                )?;
             } else {
-                // QuEST-style: exchange everything, use half of it.
-                if self.config.exchange_mode == ExchangeMode::Streamed {
-                    self.amps.write_f64_into(&mut self.send_f64);
-                    self.streamed_exchange_apply(pair, tag, 1, move |amps, start, chunk| {
-                        amps.apply_distributed_swap_range(lo, g, chunk, start);
-                    })?;
-                    return Ok(());
-                }
-                let theirs = self.exchange_full(pair, tag)?;
-                let half = self.amps.len() as u64 / 2;
-                for k in 0..half {
-                    let l = bits::insert_zero_bit(k, lo) | ((1 - g) << lo);
-                    let src = crate::ix(bits::flip_bit(l, lo));
-                    self.amps.set(
-                        crate::ix(l),
-                        Complex64::new(theirs[2 * src], theirs[2 * src + 1]),
-                    );
-                }
-                self.release_recv(theirs);
+                // QuEST-style: exchange everything, use half of it. The
+                // scatter writes peer amplitude i to i ^ 2^lo — a slot a
+                // *later* outgoing chunk still has to carry (the peer needs
+                // exactly the slots this rank overwrites) — so everything
+                // is packed before anything lands.
+                self.pair_exchange(
+                    pair,
+                    tag,
+                    self.amps.len(),
+                    1,
+                    PackOrder::Eager,
+                    S::pack_range,
+                    |amps, start, payload| amps.apply_distributed_swap_range(lo, g, payload, start),
+                )?;
             }
         } else {
             // Both qubits global: ranks whose two address bits differ
@@ -489,16 +414,15 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             let mask =
                 (1u64 << self.layout.rank_bit(lo)) | (1u64 << self.layout.rank_bit(hi));
             let pair = crate::ix(self.rank() as u64 ^ mask);
-            if self.config.exchange_mode == ExchangeMode::Streamed {
-                self.amps.write_f64_into(&mut self.send_f64);
-                self.streamed_exchange_apply(pair, tag, 1, |amps, start, chunk| {
-                    amps.copy_from_f64_range(chunk, start);
-                })?;
-                return Ok(());
-            }
-            let theirs = self.exchange_full(pair, tag)?;
-            self.amps.copy_from_f64(&theirs);
-            self.release_recv(theirs);
+            self.pair_exchange(
+                pair,
+                tag,
+                self.amps.len(),
+                1,
+                PackOrder::Lazy,
+                S::pack_range,
+                |amps, start, payload| amps.copy_from_f64_range(payload, start),
+            )?;
         }
         Ok(())
     }
@@ -590,89 +514,91 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         }
 
         let tag = self.next_tag();
-        let ranks = crate::ix(self.layout.n_ranks());
+        let ranks = self.layout.n_ranks();
         let local_amps = self.layout.local_amps();
         let mask = local_amps - 1;
         let me = self.rank() as u64;
 
-        // Pack per-destination blocks in ascending source order; stay-put
-        // amplitudes scatter straight into the staging vector.
-        let mut staging = std::mem::take(&mut self.recv_f64);
-        staging.resize(2 * crate::ix(local_amps), 0.0);
-        let mut blocks: Vec<Vec<f64>> = vec![Vec::new(); ranks];
+        // One scan decides where every local amplitude goes: stay-put ones
+        // move straight into the permuted slice (built beside the old one —
+        // a scatter has no chunk-local write set, and this way no incoming
+        // amplitude can land on one not yet packed), the rest are listed
+        // per destination in ascending source order.
+        let mut next = S::zeros(crate::ix(local_amps));
+        let mut outgoing: Vec<Vec<usize>> = vec![Vec::new(); crate::ix(ranks)];
         for sl in 0..local_amps {
             let d = perm.permute_index((me << l) | sl);
-            let amp = self.amps.get(crate::ix(sl));
-            let v = crate::ix(d >> l);
-            if v as u64 == me {
-                let dl = crate::ix(d & mask);
-                staging[2 * dl] = amp.re;
-                staging[2 * dl + 1] = amp.im;
+            if d >> l == me {
+                next.set(crate::ix(d & mask), self.amps.get(crate::ix(sl)));
             } else {
-                blocks[v].push(amp.re);
-                blocks[v].push(amp.im);
+                outgoing[crate::ix(d >> l)].push(crate::ix(sl));
             }
         }
 
-        // Eager sends to every peer first (ascending, chunked): the
-        // mailbox transport buffers them, so no receive can deadlock.
-        let mut sent_bytes = 0u64;
-        for v in 0..ranks {
-            if v as u64 == me || blocks[v].is_empty() {
+        // Both halves run the driver's lockstep ordering with one side
+        // empty, whatever the configured mode: eager sends to every peer
+        // first (ascending, chunked) — the mailbox transport buffers them,
+        // so no receive can deadlock — then ascending receives.
+        let policy = self.config.chunk_policy;
+        let half = |peer: u64, send_amps: usize, recv_amps: usize| ChunkedExchange {
+            peer: crate::ix(peer),
+            base_tag: tag,
+            policy,
+            send_total: send_amps * AMP_BYTES,
+            recv_total: recv_amps * AMP_BYTES,
+        };
+        for (v, sources) in outgoing.iter().enumerate() {
+            if sources.is_empty() {
                 continue;
             }
-            f64s_to_bytes_into(&blocks[v], &mut self.send_bytes);
-            sent_bytes += self.send_bytes.len() as u64;
-            for (idx, range) in self
-                .config
-                .chunk_policy
-                .ranges(self.send_bytes.len())
-                .enumerate()
-            {
-                self.comm.send(v, chunk_tag(tag, idx), &self.send_bytes[range])?;
-            }
-        }
-        if sent_bytes > 0 {
-            self.comm.record_exchange_bytes(sent_bytes);
+            drive(
+                self.comm,
+                ExchangeMode::Blocking,
+                half(v as u64, sources.len(), 0),
+                PackOrder::Lazy,
+                &mut self.amps,
+                |amps, range, out| {
+                    pack_wire_bytes(range, out, |start, n, out| {
+                        for &sl in &sources[start..start + n] {
+                            out.extend_from_slice(&amp_to_wire(amps.get(sl)));
+                        }
+                    })
+                },
+                |_, _, _| {},
+            )?;
         }
 
         // Receive each source block and scatter it. The sender listed its
         // amplitudes by ascending source index, so replaying the sender's
         // scan yields each payload's destination sequence.
-        for w in 0..ranks as u64 {
-            if w == me {
-                continue;
-            }
-            let mut dests: Vec<usize> = Vec::new();
-            for sl in 0..local_amps {
-                let d = perm.permute_index((w << l) | sl);
-                if d >> l == me {
-                    dests.push(crate::ix(d & mask));
-                }
-            }
+        for w in (0..ranks).filter(|&w| w != me) {
+            let dests: Vec<usize> = (0..local_amps)
+                .map(|sl| perm.permute_index((w << l) | sl))
+                .filter(|d| d >> l == me)
+                .map(|d| crate::ix(d & mask))
+                .collect();
             if dests.is_empty() {
                 continue;
             }
-            let total = dests.len() * 16;
-            let mut filled = 0usize;
-            for (idx, range) in self.config.chunk_policy.ranges(total).enumerate() {
-                let payload = self.comm.recv(crate::ix(w), chunk_tag(tag, idx))?;
-                debug_assert_eq!(payload.len(), range.len(), "chunk length");
-                let buf = &mut self.recv_ring[0];
-                buf.resize(payload.len() / 8, 0.0);
-                bytes_to_f64s_into(&payload, buf);
-                for (k, pair) in buf.chunks_exact(2).enumerate() {
-                    let dl = dests[filled + k];
-                    staging[2 * dl] = pair[0];
-                    staging[2 * dl + 1] = pair[1];
-                }
-                filled += payload.len() / 16;
-            }
-            debug_assert_eq!(filled, dests.len(), "whole block consumed");
+            let mut cursor = UnitCursor::new(1);
+            drive(
+                self.comm,
+                ExchangeMode::Blocking,
+                half(w, 0, dests.len()),
+                PackOrder::Lazy,
+                &mut next,
+                |_, _, _| {},
+                |next, range, payload| {
+                    cursor.feed(range.start, payload, |start, amps| {
+                        for (&dl, amp) in dests[start..].iter().zip(amps.chunks_exact(AMP_BYTES)) {
+                            next.set(dl, wire_amp(amp));
+                        }
+                    })
+                },
+            )?;
         }
 
-        self.amps.copy_from_f64(&staging);
-        self.release_recv(staging);
+        self.amps = next;
         Ok(())
     }
 
@@ -801,20 +727,106 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
     }
 
     /// Gathers the full statevector on rank 0 (`None` elsewhere).
-    /// Test-scale only: allocates the entire `2^n` vector.
+    /// Test-scale only: allocates the entire `2^n` vector. Every other
+    /// rank packs its slice straight into the one payload it sends; rank
+    /// 0 builds the result straight from its own storage and from the
+    /// payloads.
     pub fn gather(&mut self) -> CommResult<Option<Vec<Complex64>>> {
-        let local = f64s_to_bytes(&self.amps.to_f64_vec());
-        let Some(parts) = collective::gather(self.comm, 0, &local)? else {
+        let local = self.amps.len();
+        let mine = if self.rank() == 0 {
+            Bytes::new()
+        } else {
+            let mut payload = Vec::with_capacity(local * AMP_BYTES);
+            self.amps.pack_range(0, local, &mut payload);
+            Bytes::from(payload)
+        };
+        let Some(parts) = collective::gather(self.comm, 0, mine)? else {
             return Ok(None);
         };
-        let mut full = Vec::with_capacity(crate::ix(self.layout.local_amps()) * parts.len());
-        for part in parts {
-            let values = bytes_to_f64s(&part);
-            for pair in values.chunks_exact(2) {
-                full.push(Complex64::new(pair[0], pair[1]));
+        let mut full = Vec::with_capacity(local * parts.len());
+        full.extend((0..local).map(|i| self.amps.get(i)));
+        for (src, part) in parts.iter().enumerate().skip(1) {
+            if part.len() != local * AMP_BYTES {
+                return Err(CommError::ChunkLength {
+                    src,
+                    tag: collective::TAG_GATHER,
+                    expected: local * AMP_BYTES,
+                    got: part.len(),
+                });
             }
+            full.extend(part.chunks_exact(AMP_BYTES).map(wire_amp));
         }
         Ok(Some(full))
+    }
+}
+
+/// Re-frames an incoming payload, cut into chunks wherever the message
+/// cap fell, into whole kernel units. A chunk that ends inside a unit
+/// leaves the cut unit's head in `carry` (for the amplitude kernels: at
+/// most one partial amplitude); the next chunk completes it. Everything
+/// else is handed on in place, as the slice of the payload it arrived in.
+pub(crate) struct UnitCursor {
+    unit_bytes: usize,
+    carry: Vec<u8>,
+}
+
+impl UnitCursor {
+    pub(crate) fn new(unit_amps: usize) -> Self {
+        UnitCursor {
+            unit_bytes: unit_amps * AMP_BYTES,
+            carry: Vec::new(),
+        }
+    }
+
+    /// Takes payload bytes `[at, at + chunk.len())` and calls
+    /// `f(first_amp, units)` for each run of whole units they complete.
+    pub(crate) fn feed(&mut self, mut at: usize, mut chunk: &[u8], mut f: impl FnMut(usize, &[u8])) {
+        let unit = self.unit_bytes;
+        if !self.carry.is_empty() {
+            let take = (unit - self.carry.len()).min(chunk.len());
+            self.carry.extend_from_slice(&chunk[..take]);
+            (chunk, at) = (&chunk[take..], at + take);
+            if self.carry.len() < unit {
+                return;
+            }
+            f((at - unit) / AMP_BYTES, &self.carry);
+            self.carry.clear();
+        }
+        // Holds because chunks that cut a unit arrive in order (blocking,
+        // non-blocking) and chunks that may not (streamed) are unit-aligned.
+        assert_eq!(at % unit, 0, "a chunk cutting a kernel unit arrived out of order");
+        let whole = chunk.len() / unit * unit;
+        if whole > 0 {
+            f(at / AMP_BYTES, &chunk[..whole]);
+        }
+        self.carry.extend_from_slice(&chunk[whole..]);
+    }
+}
+
+/// Appends wire bytes `range` of an outgoing payload whose amplitudes
+/// `pack(first_amp, n, out)` serialises. A chunk cap that is not a
+/// multiple of [`AMP_BYTES`] cuts amplitudes; a cut amplitude is
+/// serialised whole and the chunk takes its share of the bytes.
+pub(crate) fn pack_wire_bytes(
+    range: Range<usize>,
+    out: &mut Vec<u8>,
+    pack: impl Fn(usize, usize, &mut Vec<u8>),
+) {
+    let mut at = range.start;
+    while at < range.end {
+        let amp = at / AMP_BYTES;
+        let amp_end = (amp + 1) * AMP_BYTES;
+        if at.is_multiple_of(AMP_BYTES) && amp_end <= range.end {
+            let whole = range.end / AMP_BYTES - amp;
+            pack(amp, whole, out);
+            at += whole * AMP_BYTES;
+        } else {
+            let mut one = Vec::with_capacity(AMP_BYTES);
+            pack(amp, 1, &mut one);
+            let end = amp_end.min(range.end);
+            out.extend_from_slice(&one[at - amp * AMP_BYTES..end - amp * AMP_BYTES]);
+            at = end;
+        }
     }
 }
 
@@ -822,7 +834,6 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
 mod tests {
     use super::*;
     use crate::reference::ReferenceState;
-    use crate::storage::AosStorage;
     use qse_circuit::qft::{cache_blocked_qft, qft};
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_circuit::transpile::cache_blocking::cache_block;
@@ -890,95 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_identical_to_blocking() {
-        let c = random_circuit(7, 50, GatePool::Full, 9);
-        let blocking = simulate_dist(&c, 4, DistConfig::default(), 0);
-        let nonblocking = simulate_dist(
-            &c,
-            4,
-            DistConfig {
-                exchange_mode: ExchangeMode::NonBlocking,
-                ..DistConfig::default()
-            },
-            0,
-        );
-        assert_slices_close(&blocking, &nonblocking, 0.0);
-    }
-
-    #[test]
-    fn streamed_identical_to_blocking() {
-        // Tiny chunks force many in-flight pieces per exchange; the
-        // streamed pipeline must still be bit-for-bit deterministic.
-        let c = random_circuit(7, 50, GatePool::Full, 9);
-        let blocking = simulate_dist(&c, 4, DistConfig::default(), 0);
-        let streamed = simulate_dist(
-            &c,
-            4,
-            DistConfig {
-                exchange_mode: ExchangeMode::Streamed,
-                chunk_policy: ChunkPolicy::new(128).unwrap(),
-                ..DistConfig::default()
-            },
-            0,
-        );
-        assert_slices_close(&blocking, &streamed, 0.0);
-    }
-
-    #[test]
-    fn streamed_half_exchange_matches_full() {
-        let mut c = Circuit::new(7);
-        c.h(0).swap(0, 6).h(1).swap(5, 6).swap(2, 5).h(6).swap(1, 4);
-        let full = simulate_dist(&c, 8, DistConfig::default(), 3);
-        let streamed_half = simulate_dist(
-            &c,
-            8,
-            DistConfig {
-                exchange_mode: ExchangeMode::Streamed,
-                half_exchange_swaps: true,
-                chunk_policy: ChunkPolicy::new(64).unwrap(),
-                ..DistConfig::default()
-            },
-            3,
-        );
-        assert_slices_close(&full, &streamed_half, 0.0);
-    }
-
-    #[test]
-    fn small_chunks_identical_to_large() {
-        let c = random_circuit(6, 40, GatePool::Full, 4);
-        let large = simulate_dist(&c, 4, DistConfig::default(), 0);
-        let small = simulate_dist(
-            &c,
-            4,
-            DistConfig {
-                chunk_policy: ChunkPolicy::new(64).unwrap(),
-                exchange_mode: ExchangeMode::NonBlocking,
-                ..DistConfig::default()
-            },
-            0,
-        );
-        assert_slices_close(&large, &small, 0.0);
-    }
-
-    #[test]
-    fn half_exchange_swaps_identical_to_full() {
-        let mut c = Circuit::new(7);
-        // exercise both one-global and both-global distributed swaps
-        c.h(0).swap(0, 6).h(1).swap(5, 6).swap(2, 5).h(6).swap(1, 4);
-        let full = simulate_dist(&c, 8, DistConfig::default(), 3);
-        let half = simulate_dist(
-            &c,
-            8,
-            DistConfig {
-                half_exchange_swaps: true,
-                ..DistConfig::default()
-            },
-            3,
-        );
-        assert_slices_close(&full, &half, 0.0);
-    }
-
-    #[test]
     fn half_exchange_halves_swap_traffic() {
         let mut c = Circuit::new(6);
         c.swap(0, 5); // one-global swap: the half-exchangeable case
@@ -1022,20 +944,6 @@ mod tests {
             assert_eq!(p.re.to_bits(), f.re.to_bits(), "re at {i}");
             assert_eq!(p.im.to_bits(), f.im.to_bits(), "im at {i}");
         }
-    }
-
-    #[test]
-    fn aos_storage_matches_soa_distributed() {
-        let c = random_circuit(6, 50, GatePool::Full, 33);
-        let soa = simulate_dist(&c, 4, DistConfig::default(), 0);
-        let aos_out = Universe::new(4).run(|comm| {
-            let mut st: DistributedState<AosStorage> =
-                DistributedState::zero_state(comm, 6, DistConfig::default());
-            st.run(&c).unwrap();
-            st.gather().unwrap()
-        });
-        let aos = aos_out.into_iter().flatten().next().unwrap();
-        assert_slices_close(&soa, &aos, 1e-12);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! dispatch through [`parallel_for_each_affine`].
 
 use super::kernel::{self, Ctrl};
-use super::{AmpStorage, HALF_CHUNK, PAR_THRESHOLD};
+use super::{AmpStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD};
 use crate::diagonal::{CompiledDiagonal, TILE};
 use qse_math::bits;
 use qse_math::{Complex64, Matrix2};
@@ -166,27 +166,29 @@ fn sweep_halves(
 #[inline(always)]
 fn combine_body<const FMA: bool>(
     amps: &mut [Complex64],
-    pairs: &[f64],
+    payload: &[u8],
     start: usize,
     c_mine: Complex64,
     c_theirs: Complex64,
     ctrl_run: Option<usize>,
 ) {
-    let n = amps.len();
-    let pairs = &pairs[..2 * n];
-    match ctrl_run {
-        None => {
-            for k in 0..n {
-                let other = Complex64::new(pairs[2 * k], pairs[2 * k + 1]);
-                amps[k] = kernel::combine_term::<FMA>(c_mine, amps[k], c_theirs, other);
-            }
+    #[inline(always)]
+    fn run<const FMA: bool>(
+        amps: &mut [Complex64],
+        payload: &[u8],
+        c_mine: Complex64,
+        c_theirs: Complex64,
+    ) {
+        for (mine, theirs) in amps.iter_mut().zip(payload.chunks_exact(AMP_BYTES)) {
+            *mine = kernel::combine_term::<FMA>(c_mine, *mine, c_theirs, kernel::wire_amp(theirs));
         }
-        Some(run) => kernel::for_each_ctrl_run(start, n, run, |a, b| {
-            for i in a..b {
-                let k = i - start;
-                let other = Complex64::new(pairs[2 * k], pairs[2 * k + 1]);
-                amps[k] = kernel::combine_term::<FMA>(c_mine, amps[k], c_theirs, other);
-            }
+    }
+    match ctrl_run {
+        None => run::<FMA>(amps, payload, c_mine, c_theirs),
+        Some(len) => kernel::for_each_ctrl_run(start, amps.len(), len, |a, b| {
+            let (a, b) = (a - start, b - start);
+            let bytes = &payload[a * AMP_BYTES..b * AMP_BYTES];
+            run::<FMA>(&mut amps[a..b], bytes, c_mine, c_theirs);
         }),
     }
 }
@@ -198,19 +200,19 @@ fn combine_body<const FMA: bool>(
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn combine_fma(
     amps: &mut [Complex64],
-    pairs: &[f64],
+    payload: &[u8],
     start: usize,
     c_mine: Complex64,
     c_theirs: Complex64,
     ctrl_run: Option<usize>,
 ) {
-    combine_body::<true>(amps, pairs, start, c_mine, c_theirs, ctrl_run)
+    combine_body::<true>(amps, payload, start, c_mine, c_theirs, ctrl_run)
 }
 
 /// Runtime-dispatched combine sweep.
 fn sweep_combine(
     amps: &mut [Complex64],
-    pairs: &[f64],
+    payload: &[u8],
     start: usize,
     c_mine: Complex64,
     c_theirs: Complex64,
@@ -219,10 +221,10 @@ fn sweep_combine(
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if kernel::use_fma() {
         // SAFETY: `use_fma` verified avx2+fma support on this CPU.
-        unsafe { combine_fma(amps, pairs, start, c_mine, c_theirs, ctrl_run) };
+        unsafe { combine_fma(amps, payload, start, c_mine, c_theirs, ctrl_run) };
         return;
     }
-    combine_body::<false>(amps, pairs, start, c_mine, c_theirs, ctrl_run)
+    combine_body::<false>(amps, payload, start, c_mine, c_theirs, ctrl_run)
 }
 
 /// The diagonal kernel is defined once, over split `re`/`im` slices
@@ -384,34 +386,22 @@ impl AmpStorage for AosStorage {
         }
     }
 
-    fn combine_rows(
-        &mut self,
-        c_mine: Complex64,
-        c_theirs: Complex64,
-        theirs: &[f64],
-        control: Option<u32>,
-    ) {
-        assert_eq!(theirs.len(), self.len() * 2, "pair buffer size mismatch");
-        self.apply_distributed_1q_range(c_mine, c_theirs, theirs, 0, control);
-    }
-
     fn apply_distributed_1q_range(
         &mut self,
         c_mine: Complex64,
         c_theirs: Complex64,
-        chunk: &[f64],
+        payload: &[u8],
         start: usize,
         control: Option<u32>,
     ) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
+        let n = super::wire_amps(payload);
+        assert!(start + n <= self.len(), "payload beyond local slice");
         let ctrl_run = control.map(|c| 1usize << c);
         let amps = &mut self.amps[start..start + n];
         if n >= PAR_THRESHOLD {
-            let chunks: Vec<(usize, &mut [Complex64], &[f64])> = amps
+            let chunks: Vec<(usize, &mut [Complex64], &[u8])> = amps
                 .chunks_mut(HALF_CHUNK)
-                .zip(chunk.chunks(HALF_CHUNK * 2))
+                .zip(payload.chunks(HALF_CHUNK * AMP_BYTES))
                 .enumerate()
                 .map(|(ci, (ac, tc))| (ci, ac, tc))
                 .collect();
@@ -419,43 +409,26 @@ impl AmpStorage for AosStorage {
                 sweep_combine(ac, tc, start + ci * HALF_CHUNK, c_mine, c_theirs, ctrl_run);
             });
         } else {
-            sweep_combine(amps, chunk, start, c_mine, c_theirs, ctrl_run);
+            sweep_combine(amps, payload, start, c_mine, c_theirs, ctrl_run);
         }
     }
 
-    fn write_f64_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.len() * 2);
-        for a in &self.amps {
-            out.push(a.re);
-            out.push(a.im);
-        }
+    fn pack_range(&self, start: usize, n: usize, out: &mut Vec<u8>) {
+        out.extend(
+            self.amps[start..start + n]
+                .iter()
+                .flat_map(|&a| kernel::amp_to_wire(a)),
+        );
     }
 
-    fn copy_from_f64(&mut self, data: &[f64]) {
-        assert_eq!(data.len(), self.len() * 2, "buffer size mismatch");
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            *a = Complex64::new(data[2 * i], data[2 * i + 1]);
-        }
-    }
-
-    fn extract_half_bit_into(&self, q: u32, v: u64, out: &mut Vec<f64>) {
-        let half = self.len() / 2;
-        out.clear();
-        out.reserve(half * 2);
-        for k in 0..half as u64 {
-            let i = crate::ix(bits::insert_zero_bit(k, q) | (v << q));
-            out.push(self.amps[i].re);
-            out.push(self.amps[i].im);
-        }
-    }
-
-    fn write_half_bit(&mut self, q: u32, v: u64, data: &[f64]) {
-        let half = self.len() / 2;
-        assert_eq!(data.len(), half * 2, "half buffer size mismatch");
-        for k in 0..half as u64 {
-            let i = crate::ix(bits::insert_zero_bit(k, q) | (v << q));
-            self.amps[i] = Complex64::new(data[2 * crate::ix(k)], data[2 * crate::ix(k) + 1]);
+    fn copy_from_f64_range(&mut self, payload: &[u8], start: usize) {
+        let n = super::wire_amps(payload);
+        assert!(start + n <= self.len(), "payload beyond local slice");
+        for (slot, amp) in self.amps[start..start + n]
+            .iter_mut()
+            .zip(payload.chunks_exact(AMP_BYTES))
+        {
+            *slot = kernel::wire_amp(amp);
         }
     }
 }

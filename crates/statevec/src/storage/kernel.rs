@@ -135,12 +135,20 @@ impl Ctrl {
 /// range, so any chunk decomposition enumerates exactly the indices the
 /// per-element `& ctrl_mask` test would select.
 #[inline(always)]
-pub fn for_each_ctrl_run(start: usize, n: usize, run: usize, mut f: impl FnMut(usize, usize)) {
+pub fn for_each_ctrl_run(start: usize, n: usize, run: usize, f: impl FnMut(usize, usize)) {
+    for_each_bit_run(start, n, run, 1, f)
+}
+
+/// [`for_each_ctrl_run`] for either value `v` of the bit: the maximal
+/// subranges of `[start, start + n)` whose indices have bit
+/// `log2(run)` equal to `v`.
+#[inline(always)]
+pub fn for_each_bit_run(start: usize, n: usize, run: usize, v: u64, mut f: impl FnMut(usize, usize)) {
     debug_assert!(run.is_power_of_two());
     let period = run << 1;
     let end = start + n;
     // First run at or before `start`.
-    let mut lo = (start & !(period - 1)) + run;
+    let mut lo = (start & !(period - 1)) + if v == 0 { 0 } else { run };
     while lo < end {
         let a = lo.max(start);
         let b = (lo + run).min(end);
@@ -151,31 +159,108 @@ pub fn for_each_ctrl_run(start: usize, n: usize, run: usize, mut f: impl FnMut(u
     }
 }
 
+/// Enumerates the half-slice numbering of a half exchange: of the
+/// amplitudes whose index bit `q` equals `v`, in ascending order, those
+/// numbered `[start_pair, start_pair + n)`. Calls `f(k, i, len)` for
+/// each maximal run of `len` consecutive numbers from `k` that are also
+/// consecutive indices from `i` (runs end where bit `q` would flip).
+#[inline(always)]
+pub fn for_each_half_bit_run(
+    q: u32,
+    v: u64,
+    start_pair: usize,
+    n: usize,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let run = 1usize << q;
+    let end = start_pair + n;
+    let mut k = start_pair;
+    while k < end {
+        let len = (run - (k & (run - 1))).min(end - k);
+        let i = crate::ix(qse_math::bits::insert_zero_bit(k as u64, q) | (v << q));
+        f(k, i, len);
+        k += len;
+    }
+}
+
+/// Decodes the amplitude at the head of a wire payload.
+#[inline(always)]
+pub fn wire_amp(payload: &[u8]) -> Complex64 {
+    let f = |at: usize| {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&payload[at..at + 8]);
+        f64::from_le_bytes(b)
+    };
+    Complex64::new(f(0), f(8))
+}
+
+/// Encodes one amplitude for the wire.
+#[inline(always)]
+pub fn amp_to_wire(a: Complex64) -> [u8; super::AMP_BYTES] {
+    let mut out = [0u8; super::AMP_BYTES];
+    out[..8].copy_from_slice(&a.re.to_le_bytes());
+    out[8..].copy_from_slice(&a.im.to_le_bytes());
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Reference: the per-element mask test the hoisted runs replace.
-    fn selected_by_mask(start: usize, n: usize, c: u32) -> Vec<usize> {
+    /// Reference: the per-element bit test the hoisted runs replace.
+    fn selected_by_bit(start: usize, n: usize, c: u32, v: u64) -> Vec<usize> {
         (start..start + n)
-            .filter(|&i| (i >> c) & 1 == 1)
+            .filter(|&i| ((i >> c) & 1) as u64 == v)
             .collect()
     }
 
     #[test]
-    fn ctrl_runs_match_per_element_mask() {
+    fn bit_runs_match_per_element_test() {
         for c in 0..6u32 {
             for start in [0usize, 1, 5, 8, 20, 63] {
                 for n in [0usize, 1, 3, 16, 64, 100] {
-                    let mut got = Vec::new();
-                    for_each_ctrl_run(start, n, 1 << c, |a, b| got.extend(a..b));
-                    assert_eq!(
-                        got,
-                        selected_by_mask(start, n, c),
-                        "c={c} start={start} n={n}"
-                    );
+                    for v in [0u64, 1] {
+                        let mut got = Vec::new();
+                        for_each_bit_run(start, n, 1 << c, v, |a, b| got.extend(a..b));
+                        let want = selected_by_bit(start, n, c, v);
+                        assert_eq!(got, want, "c={c} v={v} start={start} n={n}");
+                    }
+                    let mut ctrl = Vec::new();
+                    for_each_ctrl_run(start, n, 1 << c, |a, b| ctrl.extend(a..b));
+                    assert_eq!(ctrl, selected_by_bit(start, n, c, 1));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn half_bit_runs_match_the_per_pair_index_map() {
+        for q in 0..5u32 {
+            for v in [0u64, 1] {
+                for (start, n) in [(0usize, 32usize), (5, 20), (7, 1), (16, 16)] {
+                    let mut got = Vec::new();
+                    for_each_half_bit_run(q, v, start, n, |k, i, len| {
+                        got.extend((0..len).map(|j| (k + j, i + j)));
+                    });
+                    let want: Vec<(usize, usize)> = (start..start + n)
+                        .map(|k| (k, (qse_math::bits::insert_zero_bit(k as u64, q) | (v << q)) as usize))
+                        .collect();
+                    assert_eq!(got, want, "q={q} v={v} start={start} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wire_codec_round_trips_bit_patterns() {
+        for a in [
+            Complex64::new(-0.0, f64::MIN_POSITIVE),
+            Complex64::new(f64::MAX, -1.5),
+            Complex64::new(f64::NAN, f64::INFINITY),
+        ] {
+            let got = wire_amp(&amp_to_wire(a));
+            assert_eq!(got.re.to_bits(), a.re.to_bits());
+            assert_eq!(got.im.to_bits(), a.im.to_bits());
         }
     }
 

@@ -28,6 +28,19 @@ pub use qse_math::Matrix4;
 /// fork-join overhead dwarfs the sweep.
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
+/// Bytes per amplitude on the wire: little-endian `re`, then `im`.
+pub const AMP_BYTES: usize = 16;
+
+/// Number of whole amplitudes in a wire payload.
+///
+/// # Panics
+/// Panics on a payload that cuts an amplitude: the exchange layer hands
+/// the kernels whole amplitudes only.
+fn wire_amps(payload: &[u8]) -> usize {
+    assert_eq!(payload.len() % AMP_BYTES, 0, "payload must hold whole amplitudes");
+    payload.len() / AMP_BYTES
+}
+
 /// Amplitudes per parallel work item (and per half-block sub-chunk of a
 /// single top-qubit sweep). One definition for both layouts so the
 /// chunk policies — and the affinity partition built on them — can
@@ -37,9 +50,10 @@ pub const HALF_CHUNK: usize = 4096;
 /// The amplitude-array interface every layout implements.
 ///
 /// `len` is always a power of two. Kernels mutate in place — the paper's
-/// simulations are memory-capacity-bound, so out-of-place updates (which
-/// would double footprint) are reserved for the explicitly-buffered
-/// distributed combines.
+/// simulations are memory-capacity-bound. The distributed kernels come in
+/// one form each: they take the peer's *wire payload* (`&[u8]`, whole
+/// amplitudes of [`AMP_BYTES`]) for an amplitude range and read it where
+/// it arrived, so an exchange needs no decoded copy of the peer's slice.
 pub trait AmpStorage: Send + Sync + Sized + Clone {
     /// All-zero register of `len` amplitudes (an invalid quantum state
     /// until initialised; used for receive staging).
@@ -81,128 +95,126 @@ pub trait AmpStorage: Send + Sync + Sized + Clone {
     /// Swaps local qubits `a` and `b` (pure in-memory permutation).
     fn swap_local(&mut self, a: u32, b: u32);
 
-    /// Distributed combine: `new[i] = c_mine·mine[i] + c_theirs·theirs[i]`,
-    /// with `theirs` as interleaved `[re, im]` pairs, optionally only where
-    /// local control bit is 1. This is the second half of a distributed
-    /// single-qubit gate (§2.1): the pair rank's buffer arrives and each
-    /// amplitude becomes a linear combination.
-    fn combine_rows(
-        &mut self,
-        c_mine: Complex64,
-        c_theirs: Complex64,
-        theirs: &[f64],
-        control: Option<u32>,
-    );
+    /// Appends amplitudes `[start, start + n)` to `out` in wire format
+    /// ([`AMP_BYTES`] each: little-endian `re`, then `im`) — the packing
+    /// half of every exchange, straight from storage into the chunk
+    /// buffer that becomes the message.
+    fn pack_range(&self, start: usize, n: usize, out: &mut Vec<u8>);
 
-    /// [`Self::combine_rows`] restricted to the amplitude sub-range
-    /// `[start, start + chunk.len()/2)`, with `chunk` holding the peer's
-    /// interleaved pairs for exactly that range — the streamed-exchange
-    /// kernel, applied per chunk as it arrives.
+    /// Overwrites amplitudes `[start, start + payload.len()/16)` from a
+    /// wire payload — the block trade of a both-global SWAP, and the
+    /// copy primitive the scatter kernels below are built on.
+    fn copy_from_f64_range(&mut self, payload: &[u8], start: usize);
+
+    /// Distributed combine, the second half of a distributed
+    /// single-qubit gate (§2.1): `new[i] = c_mine·mine[i] + c_theirs·theirs[i]`
+    /// over the amplitude range `[start, start + payload.len()/16)`, with
+    /// `payload` the peer's wire bytes for exactly that range, optionally
+    /// only where local control bit is 1.
     ///
-    /// The per-amplitude arithmetic is identical to the full combine, and
-    /// amplitudes are elementwise independent, so splitting a combine into
-    /// sub-range calls (in any order) is bit-for-bit identical to one full
-    /// sweep. Layouts override the default `get`/`set` loop with their
-    /// slice kernels.
+    /// Amplitudes are elementwise independent and every call runs the
+    /// same `kernel::combine_term` flavour, so splitting a combine into
+    /// sub-range calls (in any order) is bit-for-bit identical to one
+    /// call over the whole slice.
     fn apply_distributed_1q_range(
         &mut self,
         c_mine: Complex64,
         c_theirs: Complex64,
-        chunk: &[f64],
+        payload: &[u8],
         start: usize,
         control: Option<u32>,
+    );
+
+    /// Distributed two-qubit combine over the amplitude range
+    /// `[start, start + payload.len()/16)`: qubit `a` is local, the second
+    /// orbit qubit is a rank bit with this rank holding value `g`, and
+    /// `payload` is the pair rank's wire bytes for the same range. Each
+    /// local pair `(bit_a = 0, 1)` combines with the peer's matching pair
+    /// through the rows of `m` selected by `g` — basis order `|b a⟩`.
+    ///
+    /// Both the start and the length must be multiples of the orbit span
+    /// `2^(a+1)` so every `(i0, i1)` pair of an orbit lands inside one
+    /// call. Orbits are independent, so per-range application is
+    /// bit-for-bit identical to one call over the whole slice.
+    fn apply_distributed_2q_range(
+        &mut self,
+        a: u32,
+        g: u64,
+        m: &crate::storage::Matrix4,
+        payload: &[u8],
+        start: usize,
     ) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
-        let ctrl_mask = control.map_or(0u64, |c| 1u64 << c);
-        for k in 0..n {
-            let i = start + k;
-            if ctrl_mask != 0 && i as u64 & ctrl_mask == 0 {
-                continue;
-            }
-            let other = Complex64::new(chunk[2 * k], chunk[2 * k + 1]);
-            let v = c_mine * self.get(i) + c_theirs * other;
-            self.set(i, v);
+        let n = wire_amps(payload);
+        assert!(start + n <= self.len(), "payload beyond local slice");
+        let orbit = 1usize << (a + 1);
+        assert_eq!(start % orbit, 0, "range start must align to the 2q orbit");
+        assert_eq!(n % orbit, 0, "range length must align to the 2q orbit");
+        let theirs = |i: usize| kernel::wire_amp(&payload[(i - start) * AMP_BYTES..]);
+        // insert_zero_bit(k, a) is monotone, so the orbit bases inside an
+        // aligned range [start, start+n) are exactly k in [start/2, (start+n)/2).
+        for k in (start as u64 / 2)..((start + n) as u64 / 2) {
+            let i0 = crate::ix(qse_math::bits::insert_zero_bit(k, a));
+            let i1 = i0 | (1usize << a);
+            // Orbit amplitudes v[(b<<1)|a]: b == g comes from this rank.
+            let mut v = [Complex64::ZERO; 4];
+            v[crate::ix(g << 1)] = self.get(i0);
+            v[crate::ix((g << 1) | 1)] = self.get(i1);
+            v[crate::ix((1 - g) << 1)] = theirs(i0);
+            v[crate::ix(((1 - g) << 1) | 1)] = theirs(i1);
+            let out = m.apply(v);
+            self.set(i0, out[crate::ix(g << 1)]);
+            self.set(i1, out[crate::ix((g << 1) | 1)]);
         }
     }
 
-    /// Distributed SWAP scatter restricted to a sub-range of the *peer's*
-    /// slice: for every absolute index `i` in `[start, start + chunk.len()/2)`
-    /// whose bit `lo` equals `g` (this rank's value of the global swap
-    /// qubit), the peer amplitude `chunk[i - start]` lands at `i ^ (1<<lo)`.
-    /// Pure copies with disjoint destinations per chunk, so chunk order
-    /// never matters. Covering the whole slice in one call reproduces the
-    /// full-exchange scatter.
-    fn apply_distributed_swap_range(&mut self, lo: u32, g: u64, chunk: &[f64], start: usize) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
-        for j in 0..n {
-            let i = start + j;
-            if ((i >> lo) & 1) as u64 == g {
-                let l = i ^ (1usize << lo);
-                self.set(l, Complex64::new(chunk[2 * j], chunk[2 * j + 1]));
-            }
-        }
+    /// Distributed SWAP scatter over a sub-range of the *peer's* slice:
+    /// for every index `i` in `[start, start + payload.len()/16)` whose bit
+    /// `lo` equals `g` (this rank's value of the global swap qubit), the
+    /// peer amplitude `payload[i - start]` lands at `i ^ (1<<lo)` —
+    /// *outside* the range when it is narrower than `2^(lo+1)`. Pure
+    /// copies with disjoint destinations, so range order never matters.
+    fn apply_distributed_swap_range(&mut self, lo: u32, g: u64, payload: &[u8], start: usize) {
+        let n = wire_amps(payload);
+        assert!(start + n <= self.len(), "payload beyond local slice");
+        kernel::for_each_bit_run(start, n, 1 << lo, g, |a, b| {
+            let bytes = &payload[(a - start) * AMP_BYTES..(b - start) * AMP_BYTES];
+            self.copy_from_f64_range(bytes, a ^ (1usize << lo));
+        });
     }
 
-    /// Overwrites amplitudes `[start, start + chunk.len()/2)` from
-    /// interleaved pairs — the per-chunk form of [`Self::copy_from_f64`]
-    /// used by the streamed both-global SWAP.
-    fn copy_from_f64_range(&mut self, chunk: &[f64], start: usize) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
-        for j in 0..n {
-            self.set(start + j, Complex64::new(chunk[2 * j], chunk[2 * j + 1]));
-        }
+    /// Appends the half-exchange SWAP payload (§4): of the amplitudes
+    /// whose local-index bit `q` equals `v`, taken in ascending index
+    /// order, those numbered `[start_pair, start_pair + n)`.
+    fn pack_half_bit_range(&self, q: u32, v: u64, start_pair: usize, n: usize, out: &mut Vec<u8>) {
+        assert!(start_pair + n <= self.len() / 2, "range beyond half slice");
+        kernel::for_each_half_bit_run(q, v, start_pair, n, |_, i, len| {
+            self.pack_range(i, len, out);
+        });
     }
 
-    /// Serialises the whole slice as interleaved `[re, im]` pairs.
+    /// The receiving side of [`Self::pack_half_bit_range`]: writes the
+    /// payload into the amplitudes whose local-index bit `q` equals `v`,
+    /// numbered from `start_pair`. Pure copies to disjoint destinations,
+    /// so range order never matters.
+    fn write_half_bit_range(&mut self, q: u32, v: u64, payload: &[u8], start_pair: usize) {
+        let n = wire_amps(payload);
+        assert!(start_pair + n <= self.len() / 2, "payload beyond half slice");
+        kernel::for_each_half_bit_run(q, v, start_pair, n, |k, i, len| {
+            let at = (k - start_pair) * AMP_BYTES;
+            self.copy_from_f64_range(&payload[at..at + len * AMP_BYTES], i);
+        });
+    }
+
+    /// Serialises the whole slice as interleaved `[re, im]` pairs — the
+    /// definition [`Self::pack_range`] is tested against, not a step of
+    /// any exchange.
     fn to_f64_vec(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.write_f64_into(&mut out);
-        out
-    }
-
-    /// Serialises the whole slice into `out` as interleaved pairs,
-    /// reusing `out`'s capacity — the allocation-free exchange staging
-    /// path (the distributed engine keeps `out` as per-state scratch).
-    fn write_f64_into(&self, out: &mut Vec<f64>);
-
-    /// Overwrites the whole slice from interleaved `[re, im]` pairs.
-    fn copy_from_f64(&mut self, data: &[f64]);
-
-    /// Extracts amplitudes whose local-index bit `q` equals `v`, in
-    /// ascending index order, as interleaved pairs — the half-exchange
-    /// SWAP payload (§4).
-    fn extract_half_bit(&self, q: u32, v: u64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.extract_half_bit_into(q, v, &mut out);
-        out
-    }
-
-    /// [`Self::extract_half_bit`] into a reusable buffer (cleared first).
-    fn extract_half_bit_into(&self, q: u32, v: u64, out: &mut Vec<f64>);
-
-    /// Writes `data` (interleaved pairs) into the amplitudes whose
-    /// local-index bit `q` equals `v`, in ascending index order.
-    fn write_half_bit(&mut self, q: u32, v: u64, data: &[f64]);
-
-    /// [`Self::write_half_bit`] restricted to half-slice pairs
-    /// `[start_pair, start_pair + chunk.len()/2)` — the streamed form of
-    /// the half-exchange SWAP write-back, applied per chunk. Pure copies
-    /// to disjoint destinations, so chunk order never matters.
-    fn write_half_bit_range(&mut self, q: u32, v: u64, chunk: &[f64], start_pair: usize) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start_pair + n <= self.len() / 2, "chunk beyond half slice");
-        for j in 0..n {
-            let k = (start_pair + j) as u64;
-            let i = crate::ix(qse_math::bits::insert_zero_bit(k, q) | (v << q));
-            self.set(i, Complex64::new(chunk[2 * j], chunk[2 * j + 1]));
-        }
+        (0..self.len())
+            .flat_map(|i| {
+                let a = self.get(i);
+                [a.re, a.im]
+            })
+            .collect()
     }
 
     /// Materialises the local slice as complex values (tests/gather).
@@ -231,58 +243,6 @@ pub trait AmpStorage: Send + Sync + Sized + Clone {
             self.set(idx(0, 1), out[1]);
             self.set(idx(1, 0), out[2]);
             self.set(idx(1, 1), out[3]);
-        }
-    }
-
-    /// Distributed two-qubit combine: qubit `a` is local, the second
-    /// orbit qubit is a rank bit with this rank holding value `g`.
-    /// `theirs` is the pair rank's full slice (interleaved pairs); each
-    /// local pair `(bit_a = 0, 1)` combines with the peer's matching pair
-    /// through the rows of `m` selected by `g` — basis order `|b a⟩`.
-    fn combine_orbit4(&mut self, a: u32, g: u64, m: &crate::storage::Matrix4, theirs: &[f64]) {
-        assert_eq!(theirs.len(), self.len() * 2, "pair buffer size mismatch");
-        self.apply_distributed_2q_range(a, g, m, theirs, 0);
-    }
-
-    /// [`Self::combine_orbit4`] restricted to the amplitude sub-range
-    /// `[start, start + chunk.len()/2)`. Both the start and the length
-    /// must be multiples of the orbit span `2^(a+1)` so every `(i0, i1)`
-    /// pair of an orbit lands inside one chunk — the streamed exchange
-    /// derives its chunk policy with exactly this alignment. Orbits are
-    /// elementwise independent across chunks, so per-chunk application is
-    /// bit-for-bit identical to the full combine.
-    fn apply_distributed_2q_range(
-        &mut self,
-        a: u32,
-        g: u64,
-        m: &crate::storage::Matrix4,
-        chunk: &[f64],
-        start: usize,
-    ) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
-        let orbit = 1usize << (a + 1);
-        assert_eq!(start % orbit, 0, "chunk start must align to the 2q orbit");
-        assert_eq!(n % orbit, 0, "chunk length must align to the 2q orbit");
-        let read_chunk = |i: usize| {
-            let j = i - start;
-            Complex64::new(chunk[2 * j], chunk[2 * j + 1])
-        };
-        // insert_zero_bit(k, a) is monotone, so the orbit bases inside an
-        // aligned range [start, start+n) are exactly k in [start/2, (start+n)/2).
-        for k in (start as u64 / 2)..((start + n) as u64 / 2) {
-            let i0 = crate::ix(qse_math::bits::insert_zero_bit(k, a));
-            let i1 = i0 | (1usize << a);
-            // Orbit amplitudes v[(b<<1)|a]: b == g comes from this rank.
-            let mut v = [Complex64::ZERO; 4];
-            v[crate::ix(g << 1)] = self.get(i0);
-            v[crate::ix((g << 1) | 1)] = self.get(i1);
-            v[crate::ix((1 - g) << 1)] = read_chunk(i0);
-            v[crate::ix(((1 - g) << 1) | 1)] = read_chunk(i1);
-            let out = m.apply(v);
-            self.set(i0, out[crate::ix(g << 1)]);
-            self.set(i1, out[crate::ix((g << 1) | 1)]);
         }
     }
 }
@@ -328,25 +288,42 @@ pub(crate) mod conformance {
         diagonal_kernel_matches_oracle_and_gate_at_a_time::<S>();
         unselected_amplitudes_are_untouched::<S>();
         swap_local_permutes::<S>();
-        combine_rows_linear::<S>();
-        f64_roundtrip::<S>();
-        into_buffers_reuse_capacity::<S>();
-        half_bit_extract_write::<S>();
+        combine_is_linear::<S>();
+        pack_copy_roundtrip::<S>();
+        half_bit_pack_write::<S>();
         init_basis_places_one::<S>();
         large_parallel_sweep_matches_small::<S>();
         controlled_pairs_multi_chunk::<S>();
         large_swap_matches_permutation::<S>();
-        distributed_1q_range_chunks_match_full::<S>();
-        distributed_2q_range_chunks_match_full::<S>();
-        swap_range_chunks_match_full::<S>();
-        half_bit_range_chunks_match_full::<S>();
-        copy_range_chunks_match_full::<S>();
+        payload_kernels_chunked_match_whole::<S>();
+        pack_chunked_matches_to_f64_vec::<S>();
     }
 
-    /// Peer-buffer fixture: deterministic non-trivial interleaved pairs.
-    fn peer_pairs(len: usize) -> Vec<f64> {
-        (0..len)
-            .flat_map(|i| [(i as f64) * 0.75 - 3.0, 1.0 / (i as f64 + 2.0)])
+    /// Peer-payload fixture: deterministic non-trivial amplitudes in
+    /// wire format.
+    fn peer_payload(n_amps: usize) -> Vec<u8> {
+        (0..n_amps)
+            .flat_map(|i| {
+                kernel::amp_to_wire(Complex64::new(
+                    (i as f64) * 0.75 - 3.0,
+                    1.0 / (i as f64 + 2.0),
+                ))
+            })
+            .collect()
+    }
+
+    /// The message caps the chunked tests cut payloads at: one amplitude,
+    /// two that are not multiples of 16 bytes (they cut amplitudes), a
+    /// typical small cap, and the whole payload in one piece.
+    fn caps(total: usize) -> [usize; 5] {
+        [16, 40, 100, 1024, total]
+    }
+
+    /// `total` bytes cut at `cap`, as `ChunkPolicy::ranges` cuts them.
+    fn cut(total: usize, cap: usize) -> Vec<std::ops::Range<usize>> {
+        (0..total)
+            .step_by(cap)
+            .map(|at| at..usize::min(at + cap, total))
             .collect()
     }
 
@@ -425,115 +402,129 @@ pub(crate) mod conformance {
         }
     }
 
-    fn distributed_1q_range_chunks_match_full<S: AmpStorage>() {
+    /// Applies `kernel(state, first_amp, payload_units)` to `payload`
+    /// once whole and once chunk by chunk at every cap, and demands
+    /// bitwise equal states. Chunks holding whole kernel units are
+    /// applied in shuffled order (the streamed mode's completion order);
+    /// chunks that cut a unit go in order through the exchange path's
+    /// [`UnitCursor`](crate::dist::UnitCursor), as the in-order modes
+    /// feed them.
+    fn assert_chunked_matches_whole<S: AmpStorage>(
+        len: usize,
+        payload: &[u8],
+        unit_amps: usize,
+        what: &str,
+        kernel: impl Fn(&mut S, usize, &[u8]),
+    ) {
+        let mut whole: S = ramp(len);
+        kernel(&mut whole, 0, payload);
+        for cap in caps(payload.len()) {
+            let mut ranges = cut(payload.len(), cap);
+            let mut chunked: S = ramp(len);
+            if cap % (unit_amps * AMP_BYTES) == 0 {
+                ranges.sort_by_key(|r| (r.start / cap).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                for r in ranges {
+                    kernel(&mut chunked, r.start / AMP_BYTES, &payload[r]);
+                }
+            } else {
+                let mut cursor = crate::dist::UnitCursor::new(unit_amps);
+                for r in ranges {
+                    cursor.feed(r.start, &payload[r.clone()], |start, units| {
+                        kernel(&mut chunked, start, units)
+                    });
+                }
+            }
+            assert_bits_equal(&whole, &chunked, &format!("{what}, len {len}, cap {cap}"));
+        }
+    }
+
+    fn payload_kernels_chunked_match_whole<S: AmpStorage>() {
+        // Any dense 4×4 will do: the checks are bitwise, not unitary.
+        let m4 = Matrix4::new(std::array::from_fn(|k| {
+            Complex64::new(0.1 * k as f64 - 0.4, 0.05 * (k * k % 7) as f64)
+        }));
         let c_mine = Complex64::new(0.6, -0.2);
         let c_theirs = Complex64::new(0.1, 0.8);
-        let theirs = peer_pairs(32);
-        for control in [None, Some(2u32)] {
-            let mut full: S = ramp(32);
-            full.combine_rows(c_mine, c_theirs, &theirs, control);
-            // Uneven sub-ranges applied out of order must match exactly.
-            let mut chunked: S = ramp(32);
-            for &(start, n) in &[(20usize, 12usize), (0, 6), (6, 14)] {
-                chunked.apply_distributed_1q_range(
-                    c_mine,
-                    c_theirs,
-                    &theirs[2 * start..2 * (start + n)],
-                    start,
-                    control,
+        // Slices straddling PAR_THRESHOLD: the one-piece cap takes the
+        // pool path there, every smaller cap the sequential one.
+        for len in [64, PAR_THRESHOLD / 2, PAR_THRESHOLD, PAR_THRESHOLD * 2] {
+            let top = len.trailing_zeros() - 1;
+            let theirs = peer_payload(len);
+            for control in [None, Some(2u32), Some(top)] {
+                assert_chunked_matches_whole::<S>(
+                    len,
+                    &theirs,
+                    1,
+                    &format!("1q combine, control {control:?}"),
+                    |s, start, p| s.apply_distributed_1q_range(c_mine, c_theirs, p, start, control),
                 );
             }
-            assert_bits_equal(&full, &chunked, "1q range");
-        }
-    }
-
-    fn distributed_2q_range_chunks_match_full<S: AmpStorage>() {
-        let m = Matrix4::new([
-            Complex64::new(0.5, 0.1),
-            Complex64::new(0.2, 0.0),
-            Complex64::new(0.0, -0.3),
-            Complex64::new(0.4, 0.4),
-            Complex64::new(0.1, 0.0),
-            Complex64::new(0.0, 0.9),
-            Complex64::new(0.3, 0.0),
-            Complex64::new(0.0, 0.0),
-            Complex64::new(0.0, 0.2),
-            Complex64::new(0.7, 0.0),
-            Complex64::new(0.1, 0.1),
-            Complex64::new(0.0, -0.5),
-            Complex64::new(0.6, 0.0),
-            Complex64::new(0.0, 0.0),
-            Complex64::new(0.2, -0.2),
-            Complex64::new(0.8, 0.0),
-        ]);
-        let theirs = peer_pairs(32);
-        for a in [0u32, 1, 2] {
-            for g in [0u64, 1] {
-                let mut full: S = ramp(32);
-                full.combine_orbit4(a, g, &m, &theirs);
-                let mut chunked: S = ramp(32);
-                // Orbit-aligned sub-ranges (2^(a+1) | start, len), out of order.
-                let orbit = 1usize << (a + 1);
-                let step = 2 * orbit;
-                let starts: Vec<usize> = (0..32 / step).map(|b| b * step).rev().collect();
-                for start in starts {
-                    chunked.apply_distributed_2q_range(
-                        a,
-                        g,
-                        &m,
-                        &theirs[2 * start..2 * (start + step)],
-                        start,
+            for q in [0u32, 2, top] {
+                for bit in [0u64, 1] {
+                    assert_chunked_matches_whole::<S>(
+                        len,
+                        &theirs,
+                        1usize << (q + 1),
+                        &format!("2q combine, a {q} g {bit}"),
+                        |s, start, p| s.apply_distributed_2q_range(q, bit, &m4, p, start),
+                    );
+                    assert_chunked_matches_whole::<S>(
+                        len,
+                        &theirs,
+                        1,
+                        &format!("swap scatter, lo {q} g {bit}"),
+                        |s, start, p| s.apply_distributed_swap_range(q, bit, p, start),
+                    );
+                    assert_chunked_matches_whole::<S>(
+                        len,
+                        &theirs[..theirs.len() / 2],
+                        1,
+                        &format!("half-bit write-back, q {q} v {bit}"),
+                        |s, start, p| s.write_half_bit_range(q, bit, p, start),
                     );
                 }
-                assert_bits_equal(&full, &chunked, "2q range");
             }
+            assert_chunked_matches_whole::<S>(len, &theirs, 1, "block copy", |s, start, p| {
+                s.copy_from_f64_range(p, start)
+            });
         }
     }
 
-    fn swap_range_chunks_match_full<S: AmpStorage>() {
-        let theirs = peer_pairs(32);
-        for lo in [0u32, 2, 4] {
-            for g in [0u64, 1] {
-                let mut full: S = ramp(32);
-                full.apply_distributed_swap_range(lo, g, &theirs, 0);
-                let mut chunked: S = ramp(32);
-                for &(start, n) in &[(24usize, 8usize), (0, 10), (10, 14)] {
-                    chunked.apply_distributed_swap_range(
-                        lo,
-                        g,
-                        &theirs[2 * start..2 * (start + n)],
-                        start,
-                    );
+    fn pack_chunked_matches_to_f64_vec<S: AmpStorage>() {
+        use crate::dist::pack_wire_bytes;
+        for len in [64, PAR_THRESHOLD / 2, PAR_THRESHOLD * 2] {
+            let s: S = ramp(len);
+            let want: Vec<u8> = s.to_f64_vec().iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(want.len(), len * AMP_BYTES);
+            for cap in caps(want.len()) {
+                let mut got = Vec::new();
+                for r in cut(want.len(), cap) {
+                    let before = got.len();
+                    pack_wire_bytes(r.clone(), &mut got, |start, n, out| s.pack_range(start, n, out));
+                    assert_eq!(got.len() - before, r.len(), "chunk length at cap {cap}");
                 }
-                assert_bits_equal(&full, &chunked, "swap range");
+                assert_eq!(got, want, "pack, len {len}, cap {cap}");
             }
-        }
-    }
-
-    fn half_bit_range_chunks_match_full<S: AmpStorage>() {
-        let half = peer_pairs(16); // 16 pairs for a 32-amp slice
-        for q in [0u32, 3] {
-            for v in [0u64, 1] {
-                let mut full: S = ramp(32);
-                full.write_half_bit(q, v, &half);
-                let mut chunked: S = ramp(32);
-                for &(start, n) in &[(10usize, 6usize), (0, 4), (4, 6)] {
-                    chunked.write_half_bit_range(q, v, &half[2 * start..2 * (start + n)], start);
+            // The half-exchange payload, cut the same way, is the bit-q = v
+            // amplitudes in ascending order.
+            for q in [0u32, 3, len.trailing_zeros() - 1] {
+                for v in [0u64, 1] {
+                    let want: Vec<u8> = (0..len)
+                        .filter(|i| ((i >> q) & 1) as u64 == v)
+                        .flat_map(|i| kernel::amp_to_wire(s.get(i)))
+                        .collect();
+                    for cap in caps(want.len()) {
+                        let mut got = Vec::new();
+                        for r in cut(want.len(), cap) {
+                            pack_wire_bytes(r, &mut got, |start, n, out| {
+                                s.pack_half_bit_range(q, v, start, n, out)
+                            });
+                        }
+                        assert_eq!(got, want, "half pack, len {len}, q {q} v {v}, cap {cap}");
+                    }
                 }
-                assert_bits_equal(&full, &chunked, "half-bit range");
             }
         }
-    }
-
-    fn copy_range_chunks_match_full<S: AmpStorage>() {
-        let data = peer_pairs(32);
-        let mut full: S = ramp(32);
-        full.copy_from_f64(&data);
-        let mut chunked: S = ramp(32);
-        for &(start, n) in &[(17usize, 15usize), (0, 9), (9, 8)] {
-            chunked.copy_from_f64_range(&data[2 * start..2 * (start + n)], start);
-        }
-        assert_bits_equal(&full, &chunked, "copy range");
     }
 
     fn basic_accessors<S: AmpStorage>() {
@@ -797,76 +788,58 @@ pub(crate) mod conformance {
         }
     }
 
-    fn combine_rows_linear<S: AmpStorage>() {
+    fn combine_is_linear<S: AmpStorage>() {
         let mut s: S = ramp(4);
         let before = s.to_complex_vec();
-        let theirs: Vec<f64> = (0..4).flat_map(|i| [10.0 + i as f64, 0.5]).collect();
+        let theirs: Vec<u8> = (0..4)
+            .flat_map(|i| kernel::amp_to_wire(Complex64::new(10.0 + i as f64, 0.5)))
+            .collect();
         let a = Complex64::new(0.25, 0.0);
         let b = Complex64::new(0.0, 1.0);
-        s.combine_rows(a, b, &theirs, None);
+        s.apply_distributed_1q_range(a, b, &theirs, 0, None);
         for i in 0..4 {
             let t = Complex64::new(10.0 + i as f64, 0.5);
             assert_complex_close(s.get(i), a * before[i] + b * t, 1e-12);
         }
         // controlled variant: only bit-0 = 1 slots change
         let mut s: S = ramp(4);
-        s.combine_rows(a, b, &theirs, Some(0));
+        s.apply_distributed_1q_range(a, b, &theirs, 0, Some(0));
         assert_complex_close(s.get(0), before[0], 1e-12);
         assert_complex_close(s.get(2), before[2], 1e-12);
         let t1 = Complex64::new(11.0, 0.5);
         assert_complex_close(s.get(1), a * before[1] + b * t1, 1e-12);
     }
 
-    fn f64_roundtrip<S: AmpStorage>() {
+    fn pack_copy_roundtrip<S: AmpStorage>() {
         let s: S = ramp(16);
-        let data = s.to_f64_vec();
-        assert_eq!(data.len(), 32);
+        let mut wire = vec![0xAAu8; 3]; // pack appends
+        s.pack_range(4, 8, &mut wire);
+        assert_eq!(wire.len(), 3 + 8 * AMP_BYTES);
         let mut t = S::zeros(16);
-        t.copy_from_f64(&data);
+        t.copy_from_f64_range(&wire[3..], 4);
         for i in 0..16 {
-            assert_complex_close(t.get(i), s.get(i), 1e-15);
+            let want = if (4..12).contains(&i) { s.get(i) } else { Complex64::ZERO };
+            assert_eq!(t.get(i), want, "amplitude {i}");
         }
     }
 
-    fn into_buffers_reuse_capacity<S: AmpStorage>() {
-        let s: S = ramp(16);
-        // Pre-dirtied buffers with excess capacity: _into must clear and
-        // refill without reallocating.
-        let mut buf = vec![99.0; 64];
-        let cap = buf.capacity();
-        s.write_f64_into(&mut buf);
-        assert_eq!(buf, s.to_f64_vec());
-        assert_eq!(buf.capacity(), cap);
-        let mut half = vec![-1.0; 64];
-        let half_cap = half.capacity();
-        s.extract_half_bit_into(2, 1, &mut half);
-        assert_eq!(half, s.extract_half_bit(2, 1));
-        assert_eq!(half.capacity(), half_cap);
-    }
-
-    fn half_bit_extract_write<S: AmpStorage>() {
+    fn half_bit_pack_write<S: AmpStorage>() {
         let s: S = ramp(16);
         for q in 0..4u32 {
             for v in 0..2u64 {
-                let half = s.extract_half_bit(q, v);
-                assert_eq!(half.len(), 16); // 8 amps × 2 f64
-                // Writing the extracted half back is a no-op.
+                let mut half = Vec::new();
+                s.pack_half_bit_range(q, v, 0, 8, &mut half);
+                assert_eq!(half.len(), 8 * AMP_BYTES);
+                // Writing the packed half back is a no-op.
                 let mut t = s.clone();
-                t.write_half_bit(q, v, &half);
-                for i in 0..16 {
-                    assert_complex_close(t.get(i), s.get(i), 1e-15);
-                }
-                // The extracted values are the amps with bit q == v, ascending.
-                let expected: Vec<Complex64> = (0..16u64)
-                    .filter(|i| (i >> q) & 1 == v)
-                    .map(|i| s.get(i as usize))
-                    .collect();
-                for (k, e) in expected.iter().enumerate() {
-                    assert_complex_close(
-                        Complex64::new(half[2 * k], half[2 * k + 1]),
-                        *e,
-                        1e-15,
-                    );
+                t.write_half_bit_range(q, v, &half, 0);
+                assert_bits_equal(&t, &s, "half-bit write-back of own half");
+                // Into a zeroed slice it fills exactly the bit-q = v slots.
+                let mut z = S::zeros(16);
+                z.write_half_bit_range(q, v, &half, 0);
+                for i in 0..16usize {
+                    let want = if ((i >> q) & 1) as u64 == v { s.get(i) } else { Complex64::ZERO };
+                    assert_eq!(z.get(i), want, "q {q} v {v} amplitude {i}");
                 }
             }
         }

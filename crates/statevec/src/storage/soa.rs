@@ -16,7 +16,7 @@
 //! [`AmpStorage::zeros`].
 
 use super::kernel::{self, Ctrl};
-use super::{AmpStorage, HALF_CHUNK, PAR_THRESHOLD};
+use super::{AmpStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD};
 use crate::diagonal::CompiledDiagonal;
 use qse_math::bits;
 use qse_math::{Complex64, Matrix2};
@@ -220,44 +220,46 @@ fn sweep_halves(
 }
 
 /// Distributed combine over amplitudes `[start, start + rs.len())`, with
-/// `pairs` holding the peer's interleaved values for the same range.
+/// `payload` holding the peer's wire bytes for the same range.
 #[inline(always)]
 fn combine_body<const FMA: bool>(
     rs: &mut [f64],
     is: &mut [f64],
-    pairs: &[f64],
+    payload: &[u8],
     start: usize,
     c_mine: Complex64,
     c_theirs: Complex64,
     ctrl_run: Option<usize>,
 ) {
-    let n = rs.len();
-    let (is, pairs) = (&mut is[..n], &pairs[..2 * n]);
-    match ctrl_run {
-        None => {
-            for k in 0..n {
-                let v = kernel::combine_term::<FMA>(
-                    c_mine,
-                    Complex64::new(rs[k], is[k]),
-                    c_theirs,
-                    Complex64::new(pairs[2 * k], pairs[2 * k + 1]),
-                );
-                rs[k] = v.re;
-                is[k] = v.im;
-            }
+    #[inline(always)]
+    fn run<const FMA: bool>(
+        rs: &mut [f64],
+        is: &mut [f64],
+        payload: &[u8],
+        c_mine: Complex64,
+        c_theirs: Complex64,
+    ) {
+        for ((r, i), theirs) in rs
+            .iter_mut()
+            .zip(is.iter_mut())
+            .zip(payload.chunks_exact(AMP_BYTES))
+        {
+            let v = kernel::combine_term::<FMA>(
+                c_mine,
+                Complex64::new(*r, *i),
+                c_theirs,
+                kernel::wire_amp(theirs),
+            );
+            *r = v.re;
+            *i = v.im;
         }
-        Some(run) => kernel::for_each_ctrl_run(start, n, run, |a, b| {
-            for i in a..b {
-                let k = i - start;
-                let v = kernel::combine_term::<FMA>(
-                    c_mine,
-                    Complex64::new(rs[k], is[k]),
-                    c_theirs,
-                    Complex64::new(pairs[2 * k], pairs[2 * k + 1]),
-                );
-                rs[k] = v.re;
-                is[k] = v.im;
-            }
+    }
+    match ctrl_run {
+        None => run::<FMA>(rs, is, payload, c_mine, c_theirs),
+        Some(len) => kernel::for_each_ctrl_run(start, rs.len(), len, |a, b| {
+            let (a, b) = (a - start, b - start);
+            let bytes = &payload[a * AMP_BYTES..b * AMP_BYTES];
+            run::<FMA>(&mut rs[a..b], &mut is[a..b], bytes, c_mine, c_theirs);
         }),
     }
 }
@@ -271,13 +273,13 @@ fn combine_body<const FMA: bool>(
 unsafe fn combine_fma(
     rs: &mut [f64],
     is: &mut [f64],
-    pairs: &[f64],
+    payload: &[u8],
     start: usize,
     c_mine: Complex64,
     c_theirs: Complex64,
     ctrl_run: Option<usize>,
 ) {
-    combine_body::<true>(rs, is, pairs, start, c_mine, c_theirs, ctrl_run)
+    combine_body::<true>(rs, is, payload, start, c_mine, c_theirs, ctrl_run)
 }
 
 /// Runtime-dispatched combine sweep.
@@ -285,7 +287,7 @@ unsafe fn combine_fma(
 fn sweep_combine(
     rs: &mut [f64],
     is: &mut [f64],
-    pairs: &[f64],
+    payload: &[u8],
     start: usize,
     c_mine: Complex64,
     c_theirs: Complex64,
@@ -294,10 +296,10 @@ fn sweep_combine(
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if kernel::use_fma() {
         // SAFETY: `use_fma` verified avx2+fma support on this CPU.
-        unsafe { combine_fma(rs, is, pairs, start, c_mine, c_theirs, ctrl_run) };
+        unsafe { combine_fma(rs, is, payload, start, c_mine, c_theirs, ctrl_run) };
         return;
     }
-    combine_body::<false>(rs, is, pairs, start, c_mine, c_theirs, ctrl_run)
+    combine_body::<false>(rs, is, payload, start, c_mine, c_theirs, ctrl_run)
 }
 
 /// Swaps `lo[o..o+run]` with `hi[o-run..o]` for every in-slice run start
@@ -508,36 +510,24 @@ impl AmpStorage for SoaStorage {
         }
     }
 
-    fn combine_rows(
-        &mut self,
-        c_mine: Complex64,
-        c_theirs: Complex64,
-        theirs: &[f64],
-        control: Option<u32>,
-    ) {
-        assert_eq!(theirs.len(), self.len() * 2, "pair buffer size mismatch");
-        self.apply_distributed_1q_range(c_mine, c_theirs, theirs, 0, control);
-    }
-
     fn apply_distributed_1q_range(
         &mut self,
         c_mine: Complex64,
         c_theirs: Complex64,
-        chunk: &[f64],
+        payload: &[u8],
         start: usize,
         control: Option<u32>,
     ) {
-        assert_eq!(chunk.len() % 2, 0, "chunk must hold interleaved pairs");
-        let n = chunk.len() / 2;
-        assert!(start + n <= self.len(), "chunk beyond local slice");
+        let n = super::wire_amps(payload);
+        assert!(start + n <= self.len(), "payload beyond local slice");
         let ctrl_run = control.map(|c| 1usize << c);
         let rs = &mut self.re[start..start + n];
         let is = &mut self.im[start..start + n];
         if n >= PAR_THRESHOLD {
-            let chunks: Vec<(usize, &mut [f64], &mut [f64], &[f64])> = rs
+            let chunks: Vec<(usize, &mut [f64], &mut [f64], &[u8])> = rs
                 .chunks_mut(HALF_CHUNK)
                 .zip(is.chunks_mut(HALF_CHUNK))
-                .zip(chunk.chunks(HALF_CHUNK * 2))
+                .zip(payload.chunks(HALF_CHUNK * AMP_BYTES))
                 .enumerate()
                 .map(|(ci, ((rc, ic), tc))| (ci, rc, ic, tc))
                 .collect();
@@ -545,45 +535,30 @@ impl AmpStorage for SoaStorage {
                 sweep_combine(rc, ic, tc, start + ci * HALF_CHUNK, c_mine, c_theirs, ctrl_run);
             });
         } else {
-            sweep_combine(rs, is, chunk, start, c_mine, c_theirs, ctrl_run);
+            sweep_combine(rs, is, payload, start, c_mine, c_theirs, ctrl_run);
         }
     }
 
-    fn write_f64_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.len() * 2);
-        for i in 0..self.len() {
-            out.push(self.re[i]);
-            out.push(self.im[i]);
-        }
+    fn pack_range(&self, start: usize, n: usize, out: &mut Vec<u8>) {
+        let (re, im) = (&self.re[start..start + n], &self.im[start..start + n]);
+        out.extend(
+            re.iter()
+                .zip(im)
+                .flat_map(|(&r, &i)| kernel::amp_to_wire(Complex64::new(r, i))),
+        );
     }
 
-    fn copy_from_f64(&mut self, data: &[f64]) {
-        assert_eq!(data.len(), self.len() * 2, "buffer size mismatch");
-        for i in 0..self.len() {
-            self.re[i] = data[2 * i];
-            self.im[i] = data[2 * i + 1];
-        }
-    }
-
-    fn extract_half_bit_into(&self, q: u32, v: u64, out: &mut Vec<f64>) {
-        let half = self.len() / 2;
-        out.clear();
-        out.reserve(half * 2);
-        for k in 0..half as u64 {
-            let i = crate::ix(bits::insert_zero_bit(k, q) | (v << q));
-            out.push(self.re[i]);
-            out.push(self.im[i]);
-        }
-    }
-
-    fn write_half_bit(&mut self, q: u32, v: u64, data: &[f64]) {
-        let half = self.len() / 2;
-        assert_eq!(data.len(), half * 2, "half buffer size mismatch");
-        for k in 0..half as u64 {
-            let i = crate::ix(bits::insert_zero_bit(k, q) | (v << q));
-            self.re[i] = data[2 * crate::ix(k)];
-            self.im[i] = data[2 * crate::ix(k) + 1];
+    fn copy_from_f64_range(&mut self, payload: &[u8], start: usize) {
+        let n = super::wire_amps(payload);
+        assert!(start + n <= self.len(), "payload beyond local slice");
+        for ((r, i), amp) in self.re[start..start + n]
+            .iter_mut()
+            .zip(&mut self.im[start..start + n])
+            .zip(payload.chunks_exact(AMP_BYTES))
+        {
+            let a = kernel::wire_amp(amp);
+            *r = a.re;
+            *i = a.im;
         }
     }
 }
@@ -610,12 +585,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn combine_rows_size_checked() {
-        SoaStorage::zeros(8).combine_rows(
+    #[should_panic(expected = "whole amplitudes")]
+    fn payload_cutting_an_amplitude_rejected() {
+        SoaStorage::zeros(8).apply_distributed_1q_range(
             Complex64::ONE,
             Complex64::ZERO,
-            &[0.0; 4],
+            &[0u8; 24],
+            0,
             None,
         );
     }

@@ -2,9 +2,9 @@
 //! circuit family, storage layout, rank count and chunk size, the
 //! streamed mode must be **bit-for-bit** identical to the blocking and
 //! non-blocking modes — chunk completion order may vary run to run, but
-//! each chunk's combine touches a disjoint amplitude range with the
-//! exact arithmetic of the full-buffer kernels, so the result is
-//! deterministic down to the last ULP.
+//! each chunk's combine touches a disjoint amplitude range with the one
+//! range kernel every mode runs, so the result is deterministic down to
+//! the last ULP.
 
 use qse_circuit::qft::qft;
 use qse_circuit::random::{random_circuit, GatePool};
@@ -146,9 +146,8 @@ fn streamed_unitary2_bitwise_equal() {
 #[test]
 fn streamed_peak_scratch_is_bounded_by_ring() {
     // The acceptance criterion for the memory claim: on the streamed
-    // path the exchange scratch never holds more than ring-depth (2)
-    // chunks at once — far below the full-half receive buffer the other
-    // modes stage through.
+    // path the consumer never holds more than ring-depth (2) chunks of
+    // payload at once — far below the peer's whole slice.
     let mut c = Circuit::new(8);
     for _ in 0..3 {
         c.h(7).h(6); // distributed 1q gates only
@@ -176,7 +175,7 @@ fn streamed_peak_scratch_is_bounded_by_ring() {
             local_wire_bytes
         );
     }
-    // Blocking mode never touches the streamed scratch gauge.
+    // Blocking mode never touches the streamed in-flight gauge.
     let (_, blocking_stats) = simulate::<SoaStorage>(&c, 4, config(ExchangeMode::Blocking, false));
     for s in &blocking_stats {
         assert_eq!(s.peak_inflight_bytes, 0);

@@ -1,10 +1,12 @@
 //! A cheaply-cloneable, immutable shared byte buffer.
 //!
-//! Replaces the `bytes` crate for the message-passing substrate: a
-//! payload is copied once at send time into an `Arc<[u8]>`, after which
-//! every hand-off between threads — including `slice` views taken when
-//! unframing gathered messages — is a reference-count bump, the same
-//! property `bytes::Bytes` provided.
+//! Replaces the `bytes` crate for the message-passing substrate: an
+//! owned `Vec<u8>` moves in behind an `Arc` without being copied
+//! ([`Bytes::from`]), a borrowed slice is copied once
+//! ([`Bytes::copy_from_slice`]), and after that every hand-off between
+//! threads — including `slice` views taken when unframing gathered
+//! messages — is a reference-count bump, the same property
+//! `bytes::Bytes` provided.
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -13,22 +15,22 @@ use std::sync::Arc;
 /// shared parent allocation).
 #[derive(Debug, Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    // The `Vec` itself sits behind the `Arc`: `Arc<[u8]>::from(Vec)`
+    // would reallocate and memcpy the payload.
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation).
+    /// An empty buffer.
     pub fn new() -> Self {
         Bytes::default()
     }
 
     /// Copies `src` into a new shared buffer.
     pub fn copy_from_slice(src: &[u8]) -> Self {
-        let data: Arc<[u8]> = src.into();
-        let end = data.len();
-        Bytes { data, start: 0, end }
+        Bytes::from(src.to_vec())
     }
 
     /// Buffer length in bytes.
@@ -89,10 +91,14 @@ impl std::hash::Hash for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `v`'s allocation; no byte is copied.
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = v.into();
-        let end = data.len();
-        Bytes { data, start: 0, end }
+        let end = v.len();
+        Bytes {
+            data: Arc::new(v),
+            start: 0,
+            end,
+        }
     }
 }
 
@@ -153,10 +159,12 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_does_not_copy_twice() {
+    fn from_vec_does_not_copy() {
         let v = vec![5u8; 16];
+        let allocation = v.as_ptr();
         let b = Bytes::from(v);
         assert_eq!(b.len(), 16);
         assert!(b.iter().all(|&x| x == 5));
+        assert!(std::ptr::eq(b.as_ptr(), allocation), "payload was reallocated");
     }
 }

@@ -162,11 +162,12 @@ fn half_bit_round_trip() {
             let im = rng.random_range(-1.0..1.0);
             s.set(i, Complex64::new(re, im));
         }
-        let h0 = s.extract_half_bit(q, 0);
-        let h1 = s.extract_half_bit(q, 1);
+        let (mut h0, mut h1) = (Vec::new(), Vec::new());
+        s.pack_half_bit_range(q, 0, 0, 8, &mut h0);
+        s.pack_half_bit_range(q, 1, 0, 8, &mut h1);
         let mut t = SoaStorage::zeros(16);
-        t.write_half_bit(q, 0, &h0);
-        t.write_half_bit(q, 1, &h1);
+        t.write_half_bit_range(q, 0, &h0, 0);
+        t.write_half_bit_range(q, 1, &h1, 0);
         for i in 0..16 {
             assert_eq!(t.get(i), s.get(i));
         }
