@@ -443,7 +443,9 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                             line: line_no,
                             rule: Rule::SliceStaging,
                             message: format!(
-                                "`{needle}` stages the whole slice through a second buffer;                                  pack wire chunks straight from storage (`pack_range`)                                  (or `// qse-lint: allow` with justification)"
+                                "`{needle}` stages the whole slice through a second buffer; \
+                                 pack wire chunks straight from storage (`pack_range`) \
+                                 (or `// qse-lint: allow` with justification)"
                             ),
                         });
                     }

@@ -155,10 +155,10 @@ pub struct ChunkedExchange {
 /// overwrite the very bytes a later outgoing chunk is packed from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackOrder {
-    /// Chunk `i` is packed when it is sent or just before incoming
-    /// chunk `i` is consumed, whichever comes first. Sound only when
-    /// consuming incoming bytes `[a, b)` writes nothing that outgoing
-    /// bytes at or beyond `b` are packed from.
+    /// Chunk `i` is packed when it is sent — no later than incoming
+    /// chunk `i` is consumed. Sound only when consuming incoming bytes
+    /// `[a, b)` writes nothing that outgoing bytes at or beyond `b` are
+    /// packed from.
     Lazy,
     /// Every outgoing chunk is packed before the first incoming one is
     /// consumed: for consumers that write outside their own chunk's
@@ -173,17 +173,27 @@ pub enum PackOrder {
 /// payload to the empty `out`, which then *is* the message
 /// ([`Communicator::send_bytes`]: no further copy).
 /// `consume(state, range, payload)` gets bytes `range` of the incoming
-/// payload where they arrived. Every exchanged byte is written once and
-/// read once; the only staging is the chunks in flight. A chunk whose
-/// length differs from what `policy` assigns it is refused with
-/// [`CommError::ChunkLength`] before `consume` sees it.
+/// payload where they arrived (a consumer that needs them past the call
+/// keeps a [`Bytes::slice`], not a copy). Every exchanged byte is
+/// written once and read once; the only staging is the chunks in flight.
+/// A chunk whose length differs from what `policy` assigns it is refused
+/// with [`CommError::ChunkLength`] before `consume` sees it.
 ///
-/// The streamed ordering cannot deadlock against a symmetric peer:
-/// [`DEFAULT_RING_DEPTH`] sends are primed before any blocking wait and
-/// one more goes out before each wait, so once both partners have
-/// completed `k` receives each has sent `min(ring + k, n)` chunks —
-/// ahead of what the peer waits on. Remaining sends are flushed when the
-/// receives run out, so a partner expecting more than it sends completes.
+/// In every ordering outgoing chunk `i` is sent before incoming chunk
+/// `i` is consumed. The streamed ordering cannot deadlock against a
+/// symmetric peer: [`DEFAULT_RING_DEPTH`] sends are primed before any
+/// blocking wait and at least one more goes out before each wait, so
+/// once both partners have completed `k` receives each has sent
+/// `min(ring + k, n)` chunks or more — ahead of what the peer waits on.
+/// Remaining sends are flushed when the receives run out, so a partner
+/// expecting more than it sends completes.
+///
+/// In streamed mode the in-flight gauge
+/// ([`crate::TrafficStats::peak_inflight_bytes`]) counts what the driver
+/// holds: packed-but-unsent chunks plus the payload being consumed — two
+/// chunks at most under [`PackOrder::Lazy`], the whole outgoing payload
+/// under [`PackOrder::Eager`]. Payloads the peer has sent ahead wait in
+/// the transport's mailbox, which the ring keeps to a few chunks.
 pub fn drive<T: ?Sized>(
     comm: &mut Communicator,
     mode: ExchangeMode,
@@ -191,7 +201,7 @@ pub fn drive<T: ?Sized>(
     order: PackOrder,
     state: &mut T,
     pack: impl FnMut(&T, Range<usize>, &mut Vec<u8>),
-    consume: impl FnMut(&mut T, Range<usize>, &[u8]),
+    consume: impl FnMut(&mut T, Range<usize>, &Bytes),
 ) -> Result<()> {
     let n_send = ex.policy.num_chunks(ex.send_total);
     let n_recv = ex.policy.num_chunks(ex.recv_total);
@@ -205,6 +215,7 @@ pub fn drive<T: ?Sized>(
         next_pack: 0,
         next_send: 0,
         n_send,
+        gauged: mode == ExchangeMode::Streamed,
     };
     if order == PackOrder::Eager {
         d.pack_through(n_send);
@@ -241,12 +252,7 @@ pub fn drive<T: ?Sized>(
                 d.send_next()?;
                 let (i, payload) = d.comm.wait_any(&reqs)?;
                 reqs.swap_remove(i);
-                let idx = chunk_idx.swap_remove(i);
-                // The in-flight gauge counts the live payload.
-                d.comm.scratch_acquire(payload.len() as u64);
-                let consumed = d.consume(idx, &payload);
-                d.comm.scratch_release(payload.len() as u64);
-                consumed?;
+                d.consume(chunk_idx.swap_remove(i), &payload)?;
             }
             while d.next_send < n_send {
                 d.send_next()?;
@@ -279,14 +285,26 @@ struct Driver<'a, T: ?Sized, P, C> {
     next_pack: usize,
     next_send: usize,
     n_send: usize,
+    /// Whether held chunks count towards the in-flight gauge.
+    gauged: bool,
 }
 
 impl<T, P, C> Driver<'_, T, P, C>
 where
     T: ?Sized,
     P: FnMut(&T, Range<usize>, &mut Vec<u8>),
-    C: FnMut(&mut T, Range<usize>, &[u8]),
+    C: FnMut(&mut T, Range<usize>, &Bytes),
 {
+    /// Moves the in-flight gauge as the driver starts (`held`) or stops
+    /// holding a chunk of `len` bytes.
+    fn gauge(&self, len: usize, held: bool) {
+        if self.gauged && held {
+            self.comm.scratch_acquire(len as u64);
+        } else if self.gauged {
+            self.comm.scratch_release(len as u64);
+        }
+    }
+
     /// Packs outgoing chunks up to (not including) `end`.
     fn pack_through(&mut self, end: usize) {
         while self.next_pack < end.min(self.n_send) {
@@ -298,6 +316,7 @@ where
             let mut buf = Vec::with_capacity(range.len());
             (self.pack)(self.state, range.clone(), &mut buf);
             assert_eq!(buf.len(), range.len(), "packer filled the wrong length");
+            self.gauge(buf.len(), true);
             self.packed.push_back(buf);
             self.next_pack += 1;
         }
@@ -310,6 +329,7 @@ where
         }
         self.pack_through(self.next_send + 1);
         let buf = self.packed.pop_front().unwrap_or_default(); // packed just above
+        self.gauge(buf.len(), false);
         let tag = chunk_tag(self.ex.base_tag, self.next_send);
         self.next_send += 1;
         self.comm.send_bytes(self.ex.peer, tag, Bytes::from(buf))
@@ -322,8 +342,9 @@ where
     }
 
     /// Hands incoming chunk `idx` to the consumer — after checking its
-    /// length, and after outgoing chunk `idx` has left the state.
-    fn consume(&mut self, idx: usize, payload: &[u8]) -> Result<()> {
+    /// length, and after outgoing chunk `idx` has left the state (a
+    /// streamed chunk can complete before this rank sent its own).
+    fn consume(&mut self, idx: usize, payload: &Bytes) -> Result<()> {
         let range = self
             .ex
             .policy
@@ -337,8 +358,12 @@ where
                 got: payload.len(),
             });
         }
-        self.pack_through(idx + 1);
+        self.gauge(payload.len(), true);
+        while self.next_send < usize::min(idx + 1, self.n_send) {
+            self.send_next()?;
+        }
         (self.consume)(self.state, range, payload);
+        self.gauge(payload.len(), false);
         Ok(())
     }
 }
@@ -358,12 +383,8 @@ pub fn exchange(
     expected_recv: usize,
     policy: ChunkPolicy,
 ) -> Result<()> {
-    recv_buf.clear();
-    if mode == ExchangeMode::Streamed {
-        recv_buf.resize(expected_recv, 0); // chunks land out of order
-    } else {
-        recv_buf.reserve(expected_recv);
-    }
+    // Every byte is overwritten below, so a reused buffer is not re-zeroed.
+    recv_buf.resize(expected_recv, 0);
     let ex = ChunkedExchange {
         peer,
         base_tag,
@@ -378,13 +399,7 @@ pub fn exchange(
         PackOrder::Lazy,
         recv_buf,
         |_, range, out| out.extend_from_slice(&send_buf[range]),
-        |buf, range, payload| {
-            if mode == ExchangeMode::Streamed {
-                buf[range].copy_from_slice(payload);
-            } else {
-                buf.extend_from_slice(payload);
-            }
-        },
+        |buf, range, payload| buf[range].copy_from_slice(payload),
     )
 }
 
@@ -447,6 +462,27 @@ mod tests {
         assert_eq!(p.num_chunks(95), 10);
         let ranges: Vec<_> = p.ranges(25).collect();
         assert_eq!(ranges, vec![0..10, 10..20, 20..25]);
+    }
+
+    #[test]
+    fn chunk_range_matches_ranges_iterator() {
+        let p = ChunkPolicy::new(10).unwrap();
+        let from_iter: Vec<_> = p.ranges(25).collect();
+        let from_index: Vec<_> = (0..3).map(|i| p.chunk_range(i, 25).unwrap()).collect();
+        assert_eq!(from_iter, from_index);
+        assert_eq!(p.chunk_range(3, 25), None);
+        assert_eq!(p.chunk_range(0, 0), None);
+    }
+
+    #[test]
+    fn aligned_policy_rounds_down_with_floor() {
+        let p = ChunkPolicy::new(100).unwrap();
+        assert_eq!(p.aligned(16).max_message_bytes, 96);
+        assert_eq!(p.aligned(100).max_message_bytes, 100);
+        // A cap smaller than the alignment is rounded *up* to one orbit.
+        assert_eq!(p.aligned(128).max_message_bytes, 128);
+        // Already aligned caps are untouched.
+        assert_eq!(ChunkPolicy::new(256).unwrap().aligned(64).max_message_bytes, 256);
     }
 
     #[test]
@@ -701,26 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_exchange_records_chunk_stats() {
-        let stats = Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            let send = vec![0u8; 256];
-            let mut recv = Vec::new();
-            let policy = ChunkPolicy::new(64).unwrap();
-            exchange(ExchangeMode::Streamed, c, peer, 0, &send, &mut recv, 256, policy).unwrap();
-            c.barrier();
-            c.stats()
-        });
-        for s in stats {
-            assert_eq!(s.messages_sent, 4);
-            assert_eq!(s.bytes_sent, 256);
-            assert_eq!(s.bytes_received, 256);
-            assert_eq!(s.exchange_chunks, 4);
-            assert_eq!(s.bytes_exchanged, 256);
-        }
-    }
-
-    #[test]
     fn asymmetric_exchange_sizes() {
         // One side sends 100 bytes, the other 50 (half-exchange pattern):
         // no mode may deadlock once the shorter direction runs out.
@@ -743,21 +759,32 @@ mod tests {
     }
 
     #[test]
-    fn exchange_message_counts_match_policy() {
-        let stats = Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            let send = vec![0u8; 256];
-            let mut recv = Vec::new();
-            let policy = ChunkPolicy::new(64).unwrap();
-            exchange_nonblocking(c, peer, 0, &send, &mut recv, 256, policy).unwrap();
-            c.barrier();
-            c.stats()
-        });
-        for s in stats {
-            assert_eq!(s.messages_sent, 4); // 256 / 64
-            assert_eq!(s.bytes_sent, 256);
-            assert_eq!(s.bytes_received, 256);
-            assert_eq!(s.bytes_exchanged, 256, "exchange payload tracked");
+    fn exchange_counters_match_policy_in_every_mode() {
+        for mode in [
+            ExchangeMode::Blocking,
+            ExchangeMode::NonBlocking,
+            ExchangeMode::Streamed,
+        ] {
+            let stats = Universe::new(2).run(|c| {
+                let peer = 1 - c.rank();
+                let send = vec![0u8; 256];
+                let mut recv = Vec::new();
+                let policy = ChunkPolicy::new(64).unwrap();
+                exchange(mode, c, peer, 0, &send, &mut recv, 256, policy).unwrap();
+                c.barrier();
+                c.stats()
+            });
+            for s in stats {
+                assert_eq!(s.messages_sent, 4, "{mode:?}"); // 256 / 64
+                assert_eq!(s.bytes_sent, 256);
+                assert_eq!(s.bytes_received, 256);
+                assert_eq!(s.bytes_exchanged, 256, "exchange payload tracked");
+                // Only the streamed ordering reports its pipeline.
+                let streamed = mode == ExchangeMode::Streamed;
+                assert_eq!(s.exchange_chunks, if streamed { 4 } else { 0 });
+                assert_eq!(s.peak_inflight_bytes > 0, streamed);
+                assert!(s.peak_inflight_bytes <= 2 * 64, "{mode:?}");
+            }
         }
     }
 

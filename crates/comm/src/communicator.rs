@@ -554,8 +554,9 @@ impl Communicator {
         self.counters.record_exchange_bytes(bytes);
     }
 
-    /// Accounts `bytes` of exchange memory held (the streamed mode's live
-    /// payload while its kernel runs), updating the high-water mark.
+    /// Accounts `bytes` of exchange memory held (by the streamed chunk
+    /// driver: a packed-but-unsent chunk, or the payload under its
+    /// kernel), updating the high-water mark.
     pub fn scratch_acquire(&self, bytes: u64) {
         self.counters.scratch_acquire(bytes);
     }

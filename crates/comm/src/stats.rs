@@ -23,7 +23,8 @@ pub struct TrafficCounters {
     /// A subset of `bytes_sent`: collectives and control traffic are
     /// excluded, so transpiler ablations compare like with like.
     bytes_exchanged: AtomicU64,
-    /// Exchange payload bytes currently held by a streamed consumer.
+    /// Exchange bytes the streamed chunk driver currently holds: chunks
+    /// packed but not yet sent, plus the payload being consumed.
     inflight_bytes: AtomicU64,
     /// High-water mark of `inflight_bytes`.
     peak_inflight_bytes: AtomicU64,
@@ -61,14 +62,15 @@ impl TrafficCounters {
         self.bytes_exchanged.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Accounts `bytes` of exchange memory held (a streamed chunk's live
-    /// payload), updating the high-water mark.
+    /// Accounts `bytes` of exchange memory held (a streamed chunk, packed
+    /// or being consumed), updating the high-water mark.
     pub fn scratch_acquire(&self, bytes: u64) {
         let now = self.inflight_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.peak_inflight_bytes.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Releases `bytes` of exchange memory (the chunk was consumed).
+    /// Releases `bytes` of exchange memory (the chunk was sent or
+    /// consumed).
     pub fn scratch_release(&self, bytes: u64) {
         self.inflight_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
@@ -137,8 +139,10 @@ pub struct TrafficStats {
     /// Amplitude payload bytes this rank sent through statevector
     /// exchanges (a subset of `bytes_sent` that excludes collectives).
     pub bytes_exchanged: u64,
-    /// High-water mark of payload bytes a streamed exchange held at once
-    /// (the live chunk; bounded by ring depth × chunk size).
+    /// High-water mark of bytes the streamed chunk driver held at once:
+    /// packed-but-unsent chunks plus the payload being consumed (at most
+    /// two chunks for a lazily packed exchange; an eagerly packed one
+    /// holds its whole outgoing payload).
     pub peak_inflight_bytes: u64,
     /// Fault events injected on this rank (zero when faults are off).
     pub faults_injected: u64,

@@ -79,8 +79,9 @@ pub struct ProfiledRun {
     /// Exchange chunks completed across all ranks (streamed exchanges
     /// record one per received chunk).
     pub exchange_chunks: u64,
-    /// Largest live-payload footprint a streamed exchange reached on any
-    /// rank, bytes — bounded by ring-depth × chunk size.
+    /// Most bytes the streamed chunk driver held at once on any rank
+    /// (packed-but-unsent chunks plus the payload being consumed) — at
+    /// most ring-depth × chunk size unless a full SWAP packed eagerly.
     pub peak_inflight_bytes: u64,
     /// Circuit gate count.
     pub gate_count: usize,

@@ -30,6 +30,7 @@ use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
 use qse_math::Complex64;
 use qse_util::Bytes;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -157,14 +158,15 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
     /// the gate's range kernel straight on the peer's bytes from payload
     /// amplitude `start`: one write and one read per exchanged byte.
     ///
-    /// `payload` holds whole kernel `unit`s (in amplitudes). Chunk
-    /// boundaries stay exactly `ChunkPolicy`'s: the streamed mode, whose
-    /// chunks complete out of order, aligns its cap to the unit; the
-    /// in-order modes cut wherever the cap falls — mid-amplitude when it
-    /// is not a multiple of 16 — and a [`UnitCursor`] carries the cut
-    /// unit over. `order` is `Lazy` when `apply` over payload amplitudes
-    /// `[a, b)` writes only storage that payload amplitudes below `b`
-    /// are packed from ([`PackOrder`]).
+    /// Chunk boundaries stay exactly `ChunkPolicy`'s: the streamed mode,
+    /// whose chunks complete out of order, aligns its cap to the kernel
+    /// `unit` (in amplitudes); the in-order modes cut wherever the cap
+    /// falls — mid-amplitude when it is not a multiple of 16 — and an
+    /// [`AmpCursor`] carries the cut amplitude over, so `apply` gets whole
+    /// amplitudes as views of the chunks they arrived in. `order` is
+    /// `Lazy` when `apply` over payload amplitudes `[a, b)` writes only
+    /// storage that payload amplitudes below `b` are packed from
+    /// ([`PackOrder`]).
     #[allow(clippy::too_many_arguments)]
     fn pair_exchange(
         &mut self,
@@ -174,14 +176,14 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         unit: usize,
         order: PackOrder,
         pack: impl Fn(&S, usize, usize, &mut Vec<u8>),
-        mut apply: impl FnMut(&mut S, usize, &[u8]),
+        mut apply: impl FnMut(&mut S, usize, Bytes),
     ) -> CommResult<()> {
         let mode = self.config.exchange_mode;
         let policy = match mode {
             ExchangeMode::Streamed => self.config.chunk_policy.aligned(unit * AMP_BYTES),
             _ => self.config.chunk_policy,
         };
-        let mut cursor = UnitCursor::new(unit);
+        let mut cursor = AmpCursor::default();
         drive(
             self.comm,
             mode,
@@ -196,7 +198,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             &mut self.amps,
             |amps, range, out| pack_wire_bytes(range, out, |start, n, out| pack(amps, start, n, out)),
             |amps, range, payload| {
-                cursor.feed(range.start, payload, |start, units| apply(amps, start, units))
+                cursor.feed(range.start, payload, |start, piece| apply(amps, start, piece))
             },
         )
     }
@@ -300,7 +302,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             PackOrder::Lazy,
             S::pack_range,
             |amps, start, payload| {
-                amps.apply_distributed_1q_range(c_mine, c_theirs, payload, start, control_local)
+                amps.apply_distributed_1q_range(c_mine, c_theirs, &payload, start, control_local)
             },
         )
     }
@@ -334,6 +336,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             let pair = crate::ix(self.layout.pair_rank(self.rank() as u64, hi));
             // The 4×4 combine works on whole |hi lo⟩ orbits of 2^{lo+1}
             // amplitudes and writes only the orbits it is handed.
+            let mut pairs = OrbitPairs::new(lo);
             self.pair_exchange(
                 pair,
                 tag,
@@ -342,7 +345,9 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
                 PackOrder::Lazy,
                 S::pack_range,
                 |amps, start, payload| {
-                    amps.apply_distributed_2q_range(lo, g, &m_ord, payload, start)
+                    pairs.feed(start, payload, |at, t_lo, t_hi| {
+                        amps.apply_distributed_2q_range(lo, g, &m_ord, t_lo, t_hi, at)
+                    })
                 },
             )?;
         } else {
@@ -385,7 +390,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
                     1,
                     PackOrder::Lazy,
                     |amps, start, n, out| amps.pack_half_bit_range(lo, 1 - g, start, n, out),
-                    |amps, start, payload| amps.write_half_bit_range(lo, 1 - g, payload, start),
+                    |amps, start, payload| amps.write_half_bit_range(lo, 1 - g, &payload, start),
                 )?;
             } else {
                 // QuEST-style: exchange everything, use half of it. The
@@ -400,7 +405,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
                     1,
                     PackOrder::Eager,
                     S::pack_range,
-                    |amps, start, payload| amps.apply_distributed_swap_range(lo, g, payload, start),
+                    |amps, start, payload| amps.apply_distributed_swap_range(lo, g, &payload, start),
                 )?;
             }
         } else {
@@ -421,7 +426,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
                 1,
                 PackOrder::Lazy,
                 S::pack_range,
-                |amps, start, payload| amps.copy_from_f64_range(payload, start),
+                |amps, start, payload| amps.copy_from_f64_range(&payload, start),
             )?;
         }
         Ok(())
@@ -580,7 +585,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             if dests.is_empty() {
                 continue;
             }
-            let mut cursor = UnitCursor::new(1);
+            let mut cursor = AmpCursor::default();
             drive(
                 self.comm,
                 ExchangeMode::Blocking,
@@ -761,45 +766,96 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
 }
 
 /// Re-frames an incoming payload, cut into chunks wherever the message
-/// cap fell, into whole kernel units. A chunk that ends inside a unit
-/// leaves the cut unit's head in `carry` (for the amplitude kernels: at
-/// most one partial amplitude); the next chunk completes it. Everything
-/// else is handed on in place, as the slice of the payload it arrived in.
-pub(crate) struct UnitCursor {
-    unit_bytes: usize,
+/// cap fell, into whole amplitudes. A chunk that ends inside an
+/// amplitude leaves its head in `carry` — under [`AMP_BYTES`] bytes —
+/// and the next chunk completes it. Everything else is handed on in
+/// place, as a view of the chunk it arrived in.
+#[derive(Default)]
+pub(crate) struct AmpCursor {
     carry: Vec<u8>,
 }
 
-impl UnitCursor {
-    pub(crate) fn new(unit_amps: usize) -> Self {
-        UnitCursor {
-            unit_bytes: unit_amps * AMP_BYTES,
-            carry: Vec::new(),
+impl AmpCursor {
+    /// Takes payload bytes `[at, at + chunk.len())` and calls
+    /// `f(first_amp, amps)` for the whole amplitudes they complete.
+    pub(crate) fn feed(&mut self, mut at: usize, chunk: &Bytes, mut f: impl FnMut(usize, Bytes)) {
+        let mut from = 0;
+        if !self.carry.is_empty() {
+            from = (AMP_BYTES - self.carry.len()).min(chunk.len());
+            self.carry.extend_from_slice(&chunk[..from]);
+            at += from;
+            if self.carry.len() < AMP_BYTES {
+                return;
+            }
+            f(at / AMP_BYTES - 1, Bytes::from(std::mem::take(&mut self.carry)));
+        }
+        // Holds because chunks that cut an amplitude arrive in order
+        // (blocking, non-blocking) and chunks that may not (streamed) are
+        // unit-aligned.
+        assert_eq!(at % AMP_BYTES, 0, "a chunk cutting an amplitude arrived out of order");
+        let whole = from + (chunk.len() - from) / AMP_BYTES * AMP_BYTES;
+        if whole > from {
+            f(at / AMP_BYTES, chunk.slice(from..whole));
+        }
+        self.carry.extend_from_slice(&chunk[whole..]);
+    }
+}
+
+/// Pairs up the peer's halves of the two-qubit combine's orbits: an orbit
+/// spans `2·half` amplitudes and the kernel needs the peer's low and
+/// high half together, but the in-order modes cut chunks wherever the cap
+/// falls. Whole orbits inside one piece go straight to the kernel; a
+/// low-half piece of a cut orbit is *kept* — a view of the chunk it
+/// arrived in, not a copy — until its high-half partner arrives (what no
+/// in-order consumer can avoid: both are inputs of every output).
+pub(crate) struct OrbitPairs {
+    half: usize,
+    lows: VecDeque<(usize, Bytes)>,
+}
+
+impl OrbitPairs {
+    pub(crate) fn new(local_qubit: u32) -> Self {
+        OrbitPairs {
+            half: 1 << local_qubit,
+            lows: VecDeque::new(),
         }
     }
 
-    /// Takes payload bytes `[at, at + chunk.len())` and calls
-    /// `f(first_amp, units)` for each run of whole units they complete.
-    pub(crate) fn feed(&mut self, mut at: usize, mut chunk: &[u8], mut f: impl FnMut(usize, &[u8])) {
-        let unit = self.unit_bytes;
-        if !self.carry.is_empty() {
-            let take = (unit - self.carry.len()).min(chunk.len());
-            self.carry.extend_from_slice(&chunk[..take]);
-            (chunk, at) = (&chunk[take..], at + take);
-            if self.carry.len() < unit {
-                return;
-            }
-            f((at - unit) / AMP_BYTES, &self.carry);
-            self.carry.clear();
+    /// Takes the peer's amplitudes from `at` on and calls
+    /// `f(start, lo, hi)` with equally long views of its amplitudes from
+    /// `start` (a low half) and from `start + half`.
+    pub(crate) fn feed(&mut self, mut at: usize, mut piece: Bytes, mut f: impl FnMut(usize, &[u8], &[u8])) {
+        let (h, orbit) = (self.half, 2 * self.half);
+        while !piece.is_empty() {
+            let n = piece.len() / AMP_BYTES;
+            let take = if self.lows.is_empty() && at.is_multiple_of(orbit) && n >= orbit {
+                let whole = n / orbit * orbit;
+                f(at, &piece[..(whole - h) * AMP_BYTES], &piece[h * AMP_BYTES..whole * AMP_BYTES]);
+                whole
+            } else {
+                // Up to the next half-orbit boundary.
+                let take = n.min(h - at % h);
+                let mut hi = piece.slice(0..take * AMP_BYTES);
+                if at & h == 0 {
+                    self.lows.push_back((at, hi));
+                } else {
+                    while !hi.is_empty() {
+                        let Some((lo_at, lo)) = self.lows.pop_front() else {
+                            unreachable!("chunks that cut an orbit arrive low half first")
+                        };
+                        let m = lo.len().min(hi.len());
+                        f(lo_at, &lo[..m], &hi[..m]);
+                        if m < lo.len() {
+                            self.lows.push_front((lo_at + m / AMP_BYTES, lo.slice(m..lo.len())));
+                        }
+                        hi = hi.slice(m..hi.len());
+                    }
+                }
+                take
+            };
+            at += take;
+            piece = piece.slice(take * AMP_BYTES..piece.len());
         }
-        // Holds because chunks that cut a unit arrive in order (blocking,
-        // non-blocking) and chunks that may not (streamed) are unit-aligned.
-        assert_eq!(at % unit, 0, "a chunk cutting a kernel unit arrived out of order");
-        let whole = chunk.len() / unit * unit;
-        if whole > 0 {
-            f(at / AMP_BYTES, &chunk[..whole]);
-        }
-        self.carry.extend_from_slice(&chunk[whole..]);
     }
 }
 

@@ -125,46 +125,48 @@ pub trait AmpStorage: Send + Sync + Sized + Clone {
         control: Option<u32>,
     );
 
-    /// Distributed two-qubit combine over the amplitude range
-    /// `[start, start + payload.len()/16)`: qubit `a` is local, the second
-    /// orbit qubit is a rank bit with this rank holding value `g`, and
-    /// `payload` is the pair rank's wire bytes for the same range. Each
-    /// local pair `(bit_a = 0, 1)` combines with the peer's matching pair
-    /// through the rows of `m` selected by `g` — basis order `|b a⟩`.
+    /// Distributed two-qubit combine of the orbits whose low half lies in
+    /// `[start, start + lo.len()/16)`: qubit `a` is local, the second
+    /// orbit qubit is a rank bit with this rank holding value `g`. `lo`
+    /// is the pair rank's wire bytes from amplitude `start`, `hi`
+    /// (equally long) its bytes from amplitude `start + 2^a`, so the
+    /// partner `i | 2^a` of amplitude `i` sits in `hi` where `i` sits in
+    /// `lo`. Each local pair `(bit_a = 0, 1)` combines with the peer's
+    /// matching pair through the rows of `m` selected by `g` — basis
+    /// order `|b a⟩`; indices in the range with bit `a` set are skipped.
     ///
-    /// Both the start and the length must be multiples of the orbit span
-    /// `2^(a+1)` so every `(i0, i1)` pair of an orbit lands inside one
-    /// call. Orbits are independent, so per-range application is
-    /// bit-for-bit identical to one call over the whole slice.
+    /// The two views may be `2^a` amplitudes apart in one payload (any
+    /// number of whole orbits: `p[..len − 2^a]`, `p[2^a..]`) or pieces of
+    /// two payloads when a chunk is smaller than an orbit. Orbits are
+    /// independent, so per-piece application is bit-for-bit identical
+    /// to one call over the whole slice.
     fn apply_distributed_2q_range(
         &mut self,
         a: u32,
         g: u64,
         m: &crate::storage::Matrix4,
-        payload: &[u8],
+        lo: &[u8],
+        hi: &[u8],
         start: usize,
     ) {
-        let n = wire_amps(payload);
-        assert!(start + n <= self.len(), "payload beyond local slice");
-        let orbit = 1usize << (a + 1);
-        assert_eq!(start % orbit, 0, "range start must align to the 2q orbit");
-        assert_eq!(n % orbit, 0, "range length must align to the 2q orbit");
-        let theirs = |i: usize| kernel::wire_amp(&payload[(i - start) * AMP_BYTES..]);
-        // insert_zero_bit(k, a) is monotone, so the orbit bases inside an
-        // aligned range [start, start+n) are exactly k in [start/2, (start+n)/2).
-        for k in (start as u64 / 2)..((start + n) as u64 / 2) {
-            let i0 = crate::ix(qse_math::bits::insert_zero_bit(k, a));
-            let i1 = i0 | (1usize << a);
-            // Orbit amplitudes v[(b<<1)|a]: b == g comes from this rank.
-            let mut v = [Complex64::ZERO; 4];
-            v[crate::ix(g << 1)] = self.get(i0);
-            v[crate::ix((g << 1) | 1)] = self.get(i1);
-            v[crate::ix((1 - g) << 1)] = theirs(i0);
-            v[crate::ix(((1 - g) << 1) | 1)] = theirs(i1);
-            let out = m.apply(v);
-            self.set(i0, out[crate::ix(g << 1)]);
-            self.set(i1, out[crate::ix((g << 1) | 1)]);
-        }
+        let n = wire_amps(lo);
+        assert_eq!(lo.len(), hi.len(), "the two half-orbit views must match");
+        assert!(start + n + (1 << a) <= self.len(), "payload beyond local slice");
+        kernel::for_each_bit_run(start, n, 1 << a, 0, |from, to| {
+            for i0 in from..to {
+                let i1 = i0 | (1usize << a);
+                let at = (i0 - start) * AMP_BYTES;
+                // Orbit amplitudes v[(b<<1)|a]: b == g comes from this rank.
+                let mut v = [Complex64::ZERO; 4];
+                v[crate::ix(g << 1)] = self.get(i0);
+                v[crate::ix((g << 1) | 1)] = self.get(i1);
+                v[crate::ix((1 - g) << 1)] = kernel::wire_amp(&lo[at..]);
+                v[crate::ix(((1 - g) << 1) | 1)] = kernel::wire_amp(&hi[at..]);
+                let out = m.apply(v);
+                self.set(i0, out[crate::ix(g << 1)]);
+                self.set(i1, out[crate::ix((g << 1) | 1)]);
+            }
+        });
     }
 
     /// Distributed SWAP scatter over a sub-range of the *peer's* slice:
@@ -264,6 +266,7 @@ pub(crate) mod conformance {
 
     use super::*;
     use qse_math::approx::{assert_close, assert_complex_close};
+    use qse_util::Bytes;
     use std::f64::consts::FRAC_1_SQRT_2;
 
     fn hadamard() -> Matrix2 {
@@ -402,37 +405,31 @@ pub(crate) mod conformance {
         }
     }
 
-    /// Applies `kernel(state, first_amp, payload_units)` to `payload`
-    /// once whole and once chunk by chunk at every cap, and demands
-    /// bitwise equal states. Chunks holding whole kernel units are
-    /// applied in shuffled order (the streamed mode's completion order);
-    /// chunks that cut a unit go in order through the exchange path's
-    /// [`UnitCursor`](crate::dist::UnitCursor), as the in-order modes
-    /// feed them.
+    /// Applies `kernel(state, first_amp, amps)` to `payload` once whole
+    /// and once chunk by chunk at every cap — through the exchange path's
+    /// [`AmpCursor`](crate::dist::AmpCursor), which re-frames cut
+    /// amplitudes — and demands bitwise equal states. Chunks holding
+    /// whole kernel units go in shuffled order (the streamed mode's
+    /// completion order), chunks that cut a unit in order, as the
+    /// in-order modes feed them.
     fn assert_chunked_matches_whole<S: AmpStorage>(
         len: usize,
-        payload: &[u8],
+        payload: &Bytes,
         unit_amps: usize,
         what: &str,
-        kernel: impl Fn(&mut S, usize, &[u8]),
+        mut kernel: impl FnMut(&mut S, usize, Bytes),
     ) {
         let mut whole: S = ramp(len);
-        kernel(&mut whole, 0, payload);
+        kernel(&mut whole, 0, payload.clone());
         for cap in caps(payload.len()) {
             let mut ranges = cut(payload.len(), cap);
-            let mut chunked: S = ramp(len);
             if cap % (unit_amps * AMP_BYTES) == 0 {
                 ranges.sort_by_key(|r| (r.start / cap).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                for r in ranges {
-                    kernel(&mut chunked, r.start / AMP_BYTES, &payload[r]);
-                }
-            } else {
-                let mut cursor = crate::dist::UnitCursor::new(unit_amps);
-                for r in ranges {
-                    cursor.feed(r.start, &payload[r.clone()], |start, units| {
-                        kernel(&mut chunked, start, units)
-                    });
-                }
+            }
+            let mut chunked: S = ramp(len);
+            let mut cursor = crate::dist::AmpCursor::default();
+            for r in ranges {
+                cursor.feed(r.start, &payload.slice(r), |start, amps| kernel(&mut chunked, start, amps));
             }
             assert_bits_equal(&whole, &chunked, &format!("{what}, len {len}, cap {cap}"));
         }
@@ -449,43 +446,49 @@ pub(crate) mod conformance {
         // pool path there, every smaller cap the sequential one.
         for len in [64, PAR_THRESHOLD / 2, PAR_THRESHOLD, PAR_THRESHOLD * 2] {
             let top = len.trailing_zeros() - 1;
-            let theirs = peer_payload(len);
+            let theirs = Bytes::from(peer_payload(len));
             for control in [None, Some(2u32), Some(top)] {
                 assert_chunked_matches_whole::<S>(
                     len,
                     &theirs,
                     1,
                     &format!("1q combine, control {control:?}"),
-                    |s, start, p| s.apply_distributed_1q_range(c_mine, c_theirs, p, start, control),
+                    |s, start, p| s.apply_distributed_1q_range(c_mine, c_theirs, &p, start, control),
                 );
             }
             for q in [0u32, 2, top] {
                 for bit in [0u64, 1] {
+                    // Caps below the orbit pair the halves of cut orbits.
+                    let mut pairs = crate::dist::OrbitPairs::new(q);
                     assert_chunked_matches_whole::<S>(
                         len,
                         &theirs,
                         1usize << (q + 1),
                         &format!("2q combine, a {q} g {bit}"),
-                        |s, start, p| s.apply_distributed_2q_range(q, bit, &m4, p, start),
+                        |s, start, p| {
+                            pairs.feed(start, p, |at, lo, hi| {
+                                s.apply_distributed_2q_range(q, bit, &m4, lo, hi, at)
+                            })
+                        },
                     );
                     assert_chunked_matches_whole::<S>(
                         len,
                         &theirs,
                         1,
                         &format!("swap scatter, lo {q} g {bit}"),
-                        |s, start, p| s.apply_distributed_swap_range(q, bit, p, start),
+                        |s, start, p| s.apply_distributed_swap_range(q, bit, &p, start),
                     );
                     assert_chunked_matches_whole::<S>(
                         len,
-                        &theirs[..theirs.len() / 2],
+                        &theirs.slice(0..theirs.len() / 2),
                         1,
                         &format!("half-bit write-back, q {q} v {bit}"),
-                        |s, start, p| s.write_half_bit_range(q, bit, p, start),
+                        |s, start, p| s.write_half_bit_range(q, bit, &p, start),
                     );
                 }
             }
             assert_chunked_matches_whole::<S>(len, &theirs, 1, "block copy", |s, start, p| {
-                s.copy_from_f64_range(p, start)
+                s.copy_from_f64_range(&p, start)
             });
         }
     }

@@ -3,15 +3,19 @@
 //! blocking distributed H, the bytes allocated per gate per rank (one
 //! write per exchanged byte means one slice's worth of chunk buffers —
 //! a staged copy of the slice would double it) and the peak of live
-//! exchange memory (the chunks in flight, not a slice-sized scratch).
+//! exchange memory (the chunks in flight, not a slice-sized scratch);
+//! and the same allocation bound for a two-qubit unitary whose orbit is
+//! the whole slice, where every chunk is a fraction of an orbit.
 //!
 //! One test only: the allocator counts the whole process, and a second
 //! test running beside this one would be counted too.
 
+use qse_circuit::random::random_unitary2;
 use qse_circuit::Gate;
 use qse_comm::chunking::{ChunkPolicy, ExchangeMode, DEFAULT_RING_DEPTH};
 use qse_comm::Universe;
 use qse_statevec::{DistConfig, DistributedState};
+use qse_util::rng::StdRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -48,20 +52,19 @@ const SLICE_BYTES: usize = (1 << N) / RANKS * 16;
 const CHUNK: usize = 64 << 10;
 const GATES: usize = 8;
 
-/// Applies `GATES` distributed H gates on every rank after a warm-up and
+/// Applies `GATES` distributed `gate`s on every rank after a warm-up and
 /// returns (bytes allocated, peak live bytes above the starting level)
 /// over the process, plus each rank's streamed in-flight gauge.
-fn measure(mode: ExchangeMode) -> (usize, usize, Vec<u64>) {
+fn measure(mode: ExchangeMode, gate: &Gate) -> (usize, usize, Vec<u64>) {
     let config = DistConfig {
         exchange_mode: mode,
         chunk_policy: ChunkPolicy::new(CHUNK).unwrap(),
         ..DistConfig::default()
     };
-    let h = Gate::H(N - 1);
     let out = Universe::new(RANKS).run(|comm| {
         let mut st: DistributedState = DistributedState::zero_state(comm, N, config);
         for _ in 0..2 {
-            st.apply(&h).unwrap();
+            st.apply(gate).unwrap();
         }
         // Rank 0 reads the counters while every rank is parked between
         // two barriers, so nothing else allocates during a reading.
@@ -73,7 +76,7 @@ fn measure(mode: ExchangeMode) -> (usize, usize, Vec<u64>) {
         });
         st.barrier();
         for _ in 0..GATES {
-            st.apply(&h).unwrap();
+            st.apply(gate).unwrap();
         }
         st.barrier();
         let measured = before.map(|(allocated, live)| {
@@ -91,7 +94,8 @@ fn measure(mode: ExchangeMode) -> (usize, usize, Vec<u64>) {
 
 #[test]
 fn a_distributed_gate_allocates_one_slice_of_chunks_and_holds_a_few() {
-    let (allocated, peak, _) = measure(ExchangeMode::Blocking);
+    let h = Gate::H(N - 1);
+    let (allocated, peak, _) = measure(ExchangeMode::Blocking, &h);
     let per_gate_per_rank = allocated / (GATES * RANKS);
     assert!(
         per_gate_per_rank >= SLICE_BYTES,
@@ -106,9 +110,22 @@ fn a_distributed_gate_allocates_one_slice_of_chunks_and_holds_a_few() {
         "peak live exchange memory {peak} B exceeds 4 chunks of {CHUNK} B"
     );
 
-    // Streamed: the in-flight gauge counts the live payload, one chunk
-    // at a time — within the ring bound the verifier proves.
-    let (_, _, inflight) = measure(ExchangeMode::Streamed);
+    // A 2q unitary on the top local qubit: its orbit is the whole slice,
+    // so each chunk is an eighth of one. The halves of a cut orbit are
+    // paired up as views of the payloads, never copied into a carry.
+    let matrix = random_unitary2(&mut StdRng::seed_from_u64(3));
+    let u2 = Gate::Unitary2 { a: N - 2, b: N - 1, matrix };
+    let (allocated, _, _) = measure(ExchangeMode::Blocking, &u2);
+    let per_gate_per_rank = allocated / (GATES * RANKS);
+    assert!(
+        per_gate_per_rank * 10 <= SLICE_BYTES * 11,
+        "2q: {per_gate_per_rank} B allocated per gate per rank exceeds 1.1 × the {SLICE_BYTES} B slice"
+    );
+
+    // Streamed: the in-flight gauge counts what the driver holds — the
+    // payload under its kernel plus the chunk being packed — within the
+    // ring bound the verifier proves.
+    let (_, _, inflight) = measure(ExchangeMode::Streamed, &h);
     for (rank, peak) in inflight.into_iter().enumerate() {
         assert!(peak > 0, "rank {rank}: gauge never rose");
         assert!(

@@ -146,8 +146,9 @@ fn streamed_unitary2_bitwise_equal() {
 #[test]
 fn streamed_peak_scratch_is_bounded_by_ring() {
     // The acceptance criterion for the memory claim: on the streamed
-    // path the consumer never holds more than ring-depth (2) chunks of
-    // payload at once — far below the peer's whole slice.
+    // path a lazily packed exchange never holds more than ring-depth (2)
+    // chunks at once — the payload under its kernel and the one chunk
+    // being packed — far below the peer's whole slice.
     let mut c = Circuit::new(8);
     for _ in 0..3 {
         c.h(7).h(6); // distributed 1q gates only
