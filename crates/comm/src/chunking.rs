@@ -176,6 +176,10 @@ pub enum PackOrder {
 /// payload where they arrived (a consumer that needs them past the call
 /// keeps a [`Bytes::slice`], not a copy). Every exchanged byte is
 /// written once and read once; the only staging is the chunks in flight.
+/// The buffers themselves go round: a payload no consumer kept a view of
+/// gives its allocation to the next outgoing chunk, so once both sides of
+/// a symmetric exchange have a chunk in hand neither allocates again —
+/// an exchange costs the same whatever state the allocator is in.
 /// A chunk whose length differs from what `policy` assigns it is refused
 /// with [`CommError::ChunkLength`] before `consume` sees it.
 ///
@@ -212,6 +216,7 @@ pub fn drive<T: ?Sized>(
         pack,
         consume,
         packed: VecDeque::new(),
+        spare: None,
         next_pack: 0,
         next_send: 0,
         n_send,
@@ -226,7 +231,7 @@ pub fn drive<T: ?Sized>(
                 d.send_next()?;
                 if i < n_recv {
                     let payload = d.comm.recv(ex.peer, chunk_tag(ex.base_tag, i))?;
-                    d.consume(i, &payload)?;
+                    d.consume(i, payload)?;
                 }
             }
         }
@@ -239,7 +244,7 @@ pub fn drive<T: ?Sized>(
             }
             for (i, req) in reqs.into_iter().enumerate() {
                 let payload = d.comm.wait(req)?;
-                d.consume(i, &payload)?;
+                d.consume(i, payload)?;
             }
         }
         ExchangeMode::Streamed => {
@@ -252,7 +257,7 @@ pub fn drive<T: ?Sized>(
                 d.send_next()?;
                 let (i, payload) = d.comm.wait_any(&reqs)?;
                 reqs.swap_remove(i);
-                d.consume(chunk_idx.swap_remove(i), &payload)?;
+                d.consume(chunk_idx.swap_remove(i), payload)?;
             }
             while d.next_send < n_send {
                 d.send_next()?;
@@ -282,6 +287,10 @@ struct Driver<'a, T: ?Sized, P, C> {
     /// Chunks `next_send..next_pack`, packed and waiting for their turn
     /// on the wire.
     packed: VecDeque<Vec<u8>>,
+    /// The buffer of the last consumed payload, when the consumer kept
+    /// no view of it: it carries the next outgoing chunk. Empty capacity,
+    /// not data in flight, so the gauge does not count it.
+    spare: Option<Vec<u8>>,
     next_pack: usize,
     next_send: usize,
     n_send: usize,
@@ -313,7 +322,9 @@ where
                 .policy
                 .chunk_range(self.next_pack, self.ex.send_total)
                 .unwrap_or(0..0); // unreachable: next_pack < n_send
-            let mut buf = Vec::with_capacity(range.len());
+            let mut buf = self.spare.take().unwrap_or_default();
+            buf.clear();
+            buf.reserve_exact(range.len());
             (self.pack)(self.state, range.clone(), &mut buf);
             assert_eq!(buf.len(), range.len(), "packer filled the wrong length");
             self.gauge(buf.len(), true);
@@ -344,7 +355,7 @@ where
     /// Hands incoming chunk `idx` to the consumer — after checking its
     /// length, and after outgoing chunk `idx` has left the state (a
     /// streamed chunk can complete before this rank sent its own).
-    fn consume(&mut self, idx: usize, payload: &Bytes) -> Result<()> {
+    fn consume(&mut self, idx: usize, payload: Bytes) -> Result<()> {
         let range = self
             .ex
             .policy
@@ -362,8 +373,9 @@ where
         while self.next_send < usize::min(idx + 1, self.n_send) {
             self.send_next()?;
         }
-        (self.consume)(self.state, range, payload);
+        (self.consume)(self.state, range, &payload);
         self.gauge(payload.len(), false);
+        self.spare = payload.into_unique_vec().or(self.spare.take());
         Ok(())
     }
 }

@@ -13,7 +13,7 @@
 //! dispatch through [`parallel_for_each_affine`].
 
 use super::kernel::{self, Ctrl};
-use super::{AmpStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD};
+use super::{AmpStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD, RANGE_PAR_THRESHOLD};
 use crate::diagonal::{CompiledDiagonal, TILE};
 use qse_math::bits;
 use qse_math::{Complex64, Matrix2};
@@ -398,7 +398,7 @@ impl AmpStorage for AosStorage {
         assert!(start + n <= self.len(), "payload beyond local slice");
         let ctrl_run = control.map(|c| 1usize << c);
         let amps = &mut self.amps[start..start + n];
-        if n >= PAR_THRESHOLD {
+        if n >= RANGE_PAR_THRESHOLD {
             let chunks: Vec<(usize, &mut [Complex64], &[u8])> = amps
                 .chunks_mut(HALF_CHUNK)
                 .zip(payload.chunks(HALF_CHUNK * AMP_BYTES))

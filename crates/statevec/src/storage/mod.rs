@@ -28,6 +28,13 @@ pub use qse_math::Matrix4;
 /// fork-join overhead dwarfs the sweep.
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
+/// Minimum payload amplitudes before a range kernel fans out. A range
+/// kernel runs once per wire chunk, on a rank thread that already has a
+/// core to itself whenever ranks fill the machine: a pool dispatch then
+/// buys a wake-up, a join and a third thread to be preempted by, chunk
+/// after chunk. Only a chunk of several MiB is worth that.
+pub const RANGE_PAR_THRESHOLD: usize = 1 << 18;
+
 /// Bytes per amplitude on the wire: little-endian `re`, then `im`.
 pub const AMP_BYTES: usize = 16;
 
@@ -442,9 +449,9 @@ pub(crate) mod conformance {
         }));
         let c_mine = Complex64::new(0.6, -0.2);
         let c_theirs = Complex64::new(0.1, 0.8);
-        // Slices straddling PAR_THRESHOLD: the one-piece cap takes the
-        // pool path there, every smaller cap the sequential one.
-        for len in [64, PAR_THRESHOLD / 2, PAR_THRESHOLD, PAR_THRESHOLD * 2] {
+        // Slices straddling RANGE_PAR_THRESHOLD: the one-piece cap takes
+        // the pool path there, every smaller cap the sequential one.
+        for len in [64, RANGE_PAR_THRESHOLD / 2, RANGE_PAR_THRESHOLD, RANGE_PAR_THRESHOLD * 2] {
             let top = len.trailing_zeros() - 1;
             let theirs = Bytes::from(peer_payload(len));
             for control in [None, Some(2u32), Some(top)] {
@@ -456,6 +463,10 @@ pub(crate) mod conformance {
                     |s, start, p| s.apply_distributed_1q_range(c_mine, c_theirs, &p, start, control),
                 );
             }
+        }
+        for len in [64, PAR_THRESHOLD / 2, PAR_THRESHOLD, PAR_THRESHOLD * 2] {
+            let top = len.trailing_zeros() - 1;
+            let theirs = Bytes::from(peer_payload(len));
             for q in [0u32, 2, top] {
                 for bit in [0u64, 1] {
                     // Caps below the orbit pair the halves of cut orbits.

@@ -16,7 +16,7 @@
 //! [`AmpStorage::zeros`].
 
 use super::kernel::{self, Ctrl};
-use super::{AmpStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD};
+use super::{AmpStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD, RANGE_PAR_THRESHOLD};
 use crate::diagonal::CompiledDiagonal;
 use qse_math::bits;
 use qse_math::{Complex64, Matrix2};
@@ -523,7 +523,7 @@ impl AmpStorage for SoaStorage {
         let ctrl_run = control.map(|c| 1usize << c);
         let rs = &mut self.re[start..start + n];
         let is = &mut self.im[start..start + n];
-        if n >= PAR_THRESHOLD {
+        if n >= RANGE_PAR_THRESHOLD {
             let chunks: Vec<(usize, &mut [f64], &mut [f64], &[u8])> = rs
                 .chunks_mut(HALF_CHUNK)
                 .zip(is.chunks_mut(HALF_CHUNK))

@@ -59,6 +59,13 @@ impl Bytes {
             end: self.start + range.end,
         }
     }
+
+    /// Takes the underlying allocation back — the whole parent buffer,
+    /// whatever this view covered — when no other handle shares it, so
+    /// a consumed message can carry the next one instead of being freed.
+    pub fn into_unique_vec(self) -> Option<Vec<u8>> {
+        Arc::try_unwrap(self.data).ok()
+    }
 }
 
 impl Deref for Bytes {
@@ -166,5 +173,17 @@ mod tests {
         assert_eq!(b.len(), 16);
         assert!(b.iter().all(|&x| x == 5));
         assert!(std::ptr::eq(b.as_ptr(), allocation), "payload was reallocated");
+    }
+
+    #[test]
+    fn the_last_handle_gets_the_allocation_back() {
+        let b = Bytes::from(vec![5u8; 16]);
+        let allocation = b.as_ptr();
+        let view = b.slice(4..8);
+        assert!(b.into_unique_vec().is_none(), "a view still shares it");
+        // The whole parent buffer comes back, not the four-byte view.
+        let v = view.into_unique_vec().expect("last handle");
+        assert_eq!(v.len(), 16);
+        assert!(std::ptr::eq(v.as_ptr(), allocation));
     }
 }
