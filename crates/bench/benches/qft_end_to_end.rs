@@ -2,8 +2,7 @@
 //! laptop-scale Table 2.
 //!
 //! The cache-blocked variant halves the number of distributed gates, so
-//! its advantage grows with the cost of an exchange. Fusion of the
-//! controlled-phase blocks is benchmarked as the third variant.
+//! its advantage grows with the cost of an exchange.
 
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_core::{SimConfig, ThreadClusterExecutor};
@@ -29,11 +28,6 @@ fn bench_qft_variants() {
         black_box(ThreadClusterExecutor::run(&built_in, &cfg, 0, false));
     });
     group.bench("cache_blocked_fast", || {
-        black_box(ThreadClusterExecutor::run(&blocked, &cfg, 0, false));
-    });
-    let mut cfg = SimConfig::fast_for(RANKS);
-    cfg.fuse_diagonals = Some(4);
-    group.bench("cache_blocked_fast_fused", || {
         black_box(ThreadClusterExecutor::run(&blocked, &cfg, 0, false));
     });
     group.finish();

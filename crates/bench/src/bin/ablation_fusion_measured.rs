@@ -6,13 +6,13 @@
 //!
 //! * unfused — [`SingleState::run_unfused`], one sweep per gate
 //!   (QuEST's gate-at-a-time execution);
-//! * fused — [`SingleState::run`], the default fused schedule, where
-//!   every run of ≥ 2 consecutive diagonal gates becomes one sweep.
+//! * fused — [`SingleState::run`], where every run of consecutive local
+//!   gates (diagonal or not) is one cache-blocked pass.
 //!
-//! A QFT on n qubits carries n(n−1)/2 controlled phases in runs that
-//! shrink from n−1 gates to 1, so fusion removes most of its sweeps;
-//! the measured speedup is the memory-bandwidth win the model's fusion
-//! ablation claims. Writes `results/bench_fusion_measured.json` with
+//! A QFT on n qubits carries n(n−1)/2 controlled phases between its
+//! Hadamards; every run of them, with the Hadamards whose targets lie
+//! below the block bit, becomes one pass instead of one sweep per gate —
+//! the memory-bandwidth win the model's fusion ablation prices. Writes `results/bench_fusion_measured.json` with
 //! per-width medians and the fused-over-unfused speedup.
 
 use qse_circuit::qft::qft;

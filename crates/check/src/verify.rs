@@ -5,7 +5,7 @@
 //! schedules that actually executed; a mismatched tag or an over-budget
 //! streamed ring still costs a timeout on the machine that hits it. This
 //! module closes that gap by abstractly interpreting a compiled execution
-//! plan — fused [`ScheduleStep`] sequences, transpiled [`Plan`] /
+//! plan — circuits, transpiled [`Plan`] /
 //! [`PlanStep`] permutations, and all three [`ExchangeMode`]s — and
 //! symbolically deriving every rank's communication trace (ordered
 //! sends / receives with peer, tag, and byte size) for a given rank
@@ -37,7 +37,6 @@
 //! bit-for-bit, and the statevector property suites pin that equality.
 
 use qse_circuit::classify::{classify, GateClass, Layout, BYTES_PER_AMP};
-use qse_circuit::transpile::fusion::{fused_schedule, ScheduleStep};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
 use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, DEFAULT_RING_DEPTH};
@@ -63,11 +62,6 @@ pub struct VerifyOptions {
     pub chunk_policy: ChunkPolicy,
     /// Model the half exchange for one-global distributed SWAPs.
     pub half_exchange_swaps: bool,
-    /// Diagonal-fusion threshold. Fused runs are diagonal and therefore
-    /// communication-free, so this never changes the trace — the walk
-    /// still honours it so the verifier interprets the same schedule the
-    /// engine executes.
-    pub min_fuse: Option<usize>,
     /// Streamed receive-ring depth (the engine uses
     /// [`DEFAULT_RING_DEPTH`]).
     pub ring_depth: usize,
@@ -81,7 +75,6 @@ impl Default for VerifyOptions {
                 max_message_bytes: 1 << 20,
             },
             half_exchange_swaps: false,
-            min_fuse: None,
             ring_depth: DEFAULT_RING_DEPTH,
         }
     }
@@ -710,35 +703,6 @@ impl<'a> RankDeriver<'a> {
         }
         Ok(())
     }
-
-    /// Walks one gate segment through the same fused schedule the engine
-    /// executes: fused runs are diagonal (communication-free), singles
-    /// dispatch through [`Self::gate`]. `steps` maps each gate index in
-    /// `segment` back to its plan step index.
-    fn run_segment(&mut self, segment: &Circuit, steps: &[usize]) -> Result<(), VerifyError> {
-        match self.opts.min_fuse {
-            None => {
-                for (i, g) in segment.gates().iter().enumerate() {
-                    self.step = steps[i];
-                    self.gate(g)?;
-                }
-            }
-            Some(min_fuse) => {
-                for sched in fused_schedule(segment, min_fuse) {
-                    match sched {
-                        ScheduleStep::Single(i) => {
-                            self.step = steps[i];
-                            self.gate(&segment.gates()[i])?;
-                        }
-                        ScheduleStep::Fused(_) => {
-                            // Diagonal sweep: provably no communication.
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Derives every rank's symbolic trace for `plan` at `n_ranks` ranks.
@@ -777,29 +741,15 @@ pub fn derive_traces(
     };
     for rank in 0..n_ranks {
         let mut d = RankDeriver::new(rank, layout, opts);
-        // Mirror `run_plan`: batch gate steps into pending segments,
-        // flush through the fused schedule before each permute.
-        let mut pending = Circuit::new(plan.n_qubits());
-        let mut pending_steps: Vec<usize> = Vec::new();
+        // Step by step, as `run_plan` executes the plan: a run of local
+        // gates the engine applies in one pass communicates no more than
+        // its gates one at a time — nothing.
         for (i, step) in plan.steps.iter().enumerate() {
+            d.step = i;
             match step {
-                PlanStep::Gate(g) => {
-                    pending.push(g.clone());
-                    pending_steps.push(i);
-                }
-                PlanStep::Permute(p) => {
-                    if !pending.is_empty() {
-                        d.run_segment(&pending, &pending_steps)?;
-                        pending = Circuit::new(plan.n_qubits());
-                        pending_steps.clear();
-                    }
-                    d.step = i;
-                    d.permute(p)?;
-                }
+                PlanStep::Gate(g) => d.gate(g)?,
+                PlanStep::Permute(p) => d.permute(p)?,
             }
-        }
-        if !pending.is_empty() {
-            d.run_segment(&pending, &pending_steps)?;
         }
         ts.windows.extend(d.windows);
         ts.ranks.push(d.trace);

@@ -5,12 +5,12 @@
 //! diagonal gates can therefore be applied in a *single* sweep over the
 //! statevector — one read and one write per amplitude instead of `k`.
 //! QuEST exploits this for the QFT's controlled phases ("the controlled
-//! phase gates are applied more efficiently", §3.2); the statevector
-//! engine and the cost model both consume these run descriptors.
+//! phase gates are applied more efficiently", §3.2); the cost model
+//! prices these run descriptors. (The statevector engine goes further:
+//! it applies every run of local gates, diagonal or not, in one pass —
+//! `qse_statevec::schedule`.)
 
 use crate::circuit::Circuit;
-use crate::gate::Gate;
-use std::borrow::Borrow;
 
 /// A maximal run `[start, end)` of consecutive diagonal gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,18 +35,12 @@ impl DiagonalRun {
 
 /// Finds every maximal run of ≥ `min_len` consecutive diagonal gates.
 pub fn diagonal_runs(circuit: &Circuit, min_len: usize) -> Vec<DiagonalRun> {
-    diagonal_runs_in(circuit.gates(), min_len)
-}
-
-/// [`diagonal_runs`] over any gate sequence — owned gates or references
-/// into a plan, so a plan segment is scheduled without cloning it into a
-/// circuit first.
-pub fn diagonal_runs_in<G: Borrow<Gate>>(gates: &[G], min_len: usize) -> Vec<DiagonalRun> {
+    let gates = circuit.gates();
     let min_len = min_len.max(1);
     let mut runs = Vec::new();
     let mut start = None;
     for (i, g) in gates.iter().enumerate() {
-        match (g.borrow().is_diagonal(), start) {
+        match (g.is_diagonal(), start) {
             (true, None) => start = Some(i),
             (false, Some(s)) => {
                 if i - s >= min_len {
@@ -77,16 +71,11 @@ pub enum ScheduleStep {
 
 /// Builds a full execution schedule with runs of ≥ `min_len` fused.
 pub fn fused_schedule(circuit: &Circuit, min_len: usize) -> Vec<ScheduleStep> {
-    fused_schedule_in(circuit.gates(), min_len)
-}
-
-/// [`fused_schedule`] over any gate sequence (see [`diagonal_runs_in`]).
-pub fn fused_schedule_in<G: Borrow<Gate>>(gates: &[G], min_len: usize) -> Vec<ScheduleStep> {
-    let runs = diagonal_runs_in(gates, min_len);
+    let runs = diagonal_runs(circuit, min_len);
     let mut steps = Vec::new();
     let mut next_run = 0;
     let mut i = 0;
-    while i < gates.len() {
+    while i < circuit.len() {
         if next_run < runs.len() && runs[next_run].start == i {
             steps.push(ScheduleStep::Fused(runs[next_run]));
             i = runs[next_run].end;

@@ -47,7 +47,7 @@ pub fn help_text() -> String {
        info  [--gpu]                machine description\n\
        run   --qubits N [--ranks R] [--circuit qft|ghz|grover|bv]\n\
              [--engine auto|dense|sparse|stabilizer]\n\
-             [--non-blocking] [--streamed] [--half-swaps] [--fuse K] [--basis B]\n\
+             [--non-blocking] [--streamed] [--half-swaps] [--basis B]\n\
              [--transpile off|greedy|beam]\n\
              [--faults seed=N[,delay=P][,corrupt=P][,fail=P][,budget=K]...]\n\
                                     execute on the thread cluster (measured);\n\
@@ -64,7 +64,11 @@ pub fn help_text() -> String {
                                     failure by seed)\n\
        model --qubits N [--nodes M] [--node-kind standard|highmem]\n\
              [--freq low|medium|high] [--circuit ...] [--fast] [--streamed] [--gpu]\n\
-                                    ARCHER2 model estimate (runtime/energy/CU)\n\
+             [--half-swaps] [--fuse K]\n\
+                                    ARCHER2 model estimate (runtime/energy/CU);\n\
+                                    --fuse K prices runs of >= K diagonal\n\
+                                    gates as one sweep (the engine always\n\
+                                    runs local gates one pass per run)\n\
                                     plus modeled exchange payload, with a\n\
                                     measured comparison when the setup fits\n\
                                     in one process (N ≤ 20, nodes ≤ 8)\n\
@@ -207,7 +211,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
         "non-blocking",
         "streamed",
         "half-swaps",
-        "fuse",
         "basis",
         "faults",
         "transpile",
@@ -244,7 +247,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
     cfg.non_blocking = args.switch("non-blocking");
     cfg.streamed = args.switch("streamed");
     cfg.half_exchange_swaps = args.switch("half-swaps");
-    cfg.fuse_diagonals = args.optional::<usize>("fuse")?;
     cfg.transpile = parse_transpile(&args.string("transpile", "off"))?;
     cfg.engine = engine_mode;
     if let Some(spec) = args.optional::<String>("faults")? {

@@ -110,7 +110,9 @@ pub struct SimConfig {
     pub streamed: bool,
     /// Half-exchange distributed SWAPs (§4 future work).
     pub half_exchange_swaps: bool,
-    /// Fuse diagonal runs of at least this many gates.
+    /// The analytic model's diagonal fusion: price maximal runs of at
+    /// least this many diagonal gates as one sweep (model runs only; the
+    /// engine always applies each run of local gates in one pass).
     pub fuse_diagonals: Option<usize>,
     /// Maximum message size in bytes for chunked exchanges.
     pub max_message_bytes: usize,
@@ -170,7 +172,6 @@ impl SimConfig {
             chunk_policy: ChunkPolicy::new(self.max_message_bytes)
                 .expect("max_message_bytes must be positive"),
             half_exchange_swaps: self.half_exchange_swaps,
-            min_fuse: self.fuse_diagonals,
         }
     }
 
@@ -232,7 +233,6 @@ mod tests {
         c.max_message_bytes = 256;
         assert!(c.to_dist_config().half_exchange_swaps);
         assert!(c.to_model_config().half_exchange_swaps);
-        assert_eq!(c.to_dist_config().min_fuse, Some(3));
         assert_eq!(c.to_model_config().fuse_diagonals, Some(3));
         assert_eq!(c.to_dist_config().chunk_policy.max_message_bytes, 256);
     }

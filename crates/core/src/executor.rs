@@ -36,13 +36,6 @@ impl LocalExecutor {
     pub fn run(circuit: &Circuit) -> SingleState<SoaStorage> {
         SingleState::simulate(circuit)
     }
-
-    /// Simulates from |basis⟩ with diagonal fusion.
-    pub fn run_fused(circuit: &Circuit, basis: u64, min_fuse: usize) -> SingleState<SoaStorage> {
-        let mut s = SingleState::basis_state(circuit.n_qubits(), basis);
-        s.run_fused(circuit, min_fuse);
-        s
-    }
 }
 
 /// Runs circuits genuinely distributed over thread ranks, measuring
@@ -64,9 +57,8 @@ impl ThreadClusterExecutor {
     ///
     /// Each schedule step is timed on rank 0 (all ranks advance in
     /// lockstep for distributed gates, so rank 0's clock is
-    /// representative) and attributed to its locality class; with
-    /// `config.fuse_diagonals` set, a fused diagonal run is one step,
-    /// recorded as fully local.
+    /// representative) and attributed to its locality class; a run of
+    /// local gates is one step ([`qse_statevec::Schedule`]).
     ///
     /// # Panics
     /// Panics on a communication error; use [`Self::try_run`] when running
@@ -136,11 +128,10 @@ impl ThreadClusterExecutor {
     ) -> Result<ClusterRun, CommError> {
         let n_ranks = config.n_ranks as usize;
         let dist_config = config.to_dist_config();
-        // Lowered once, shared by every rank: the same fused schedule the
-        // pre-flight verifier walks under `dist_config.min_fuse`.
+        // Lowered once, shared by every rank.
         let schedule = match plan {
-            Some(p) => Schedule::for_plan(p, dist_config.min_fuse),
-            None => Schedule::for_circuit(circuit, dist_config.min_fuse),
+            Some(p) => Schedule::for_plan(p, config.n_ranks),
+            None => Schedule::for_circuit(circuit, config.n_ranks),
         };
         let step_count = plan.map_or(circuit.len(), |p| p.steps.len());
 
@@ -231,7 +222,6 @@ impl ThreadClusterExecutor {
             exchange_mode: dc.exchange_mode,
             chunk_policy: dc.chunk_policy,
             half_exchange_swaps: dc.half_exchange_swaps,
-            min_fuse: dc.min_fuse,
             ..qse_check::verify::VerifyOptions::default()
         };
         match plan {
@@ -647,14 +637,6 @@ mod tests {
         )
         .expect_err("broken plan must be rejected");
         assert!(matches!(err, CommError::PlanRejected { .. }));
-    }
-
-    #[test]
-    fn fused_local_matches_plain() {
-        let c = random_circuit(6, 120, GatePool::Full, 3);
-        let plain = LocalExecutor::run(&c);
-        let fused = LocalExecutor::run_fused(&c, 0, 2);
-        assert_slices_close(&fused.to_vec(), &plain.to_vec(), 1e-9);
     }
 
     fn ghz(n: u32) -> Circuit {

@@ -1,13 +1,13 @@
 //! The thread-cluster executor against a hand-rolled gate-at-a-time loop.
 //!
-//! The executor walks the engine's (optionally fused) schedule; the loop
-//! here calls `DistributedState::apply` / `apply_global_permutation` once
-//! per circuit gate or plan step, which is also what `qse-bench`'s traced
-//! pass does. The two must leave the same state **bit for bit** under
-//! every configuration that shapes the schedule, and the executor's
-//! counters must not notice whether it fused.
+//! The executor walks the engine's schedule, one blocked pass per run of
+//! local gates; the loop here calls `DistributedState::apply` /
+//! `apply_global_permutation` once per circuit gate or plan step, which
+//! is also what `qse-bench`'s traced pass does. The two must leave the
+//! same state **bit for bit** under every configuration that shapes the
+//! schedule, and the executor's counters must not notice the runs.
 
-use qse_circuit::qft::qft;
+use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::transpile::PlanStep;
 use qse_circuit::Circuit;
@@ -81,39 +81,66 @@ fn assert_bits_equal(got: &[Complex64], want: &[Complex64], ctx: &str) {
     }
 }
 
+/// The executor and the hand-rolled loop on `cfg`: bitwise equal states,
+/// the same step count and the same exchanged bytes.
+fn assert_executor_matches_loop(circuit: &Circuit, cfg: &SimConfig, ctx: &str) {
+    let steps = steps(circuit, cfg);
+    let (want, want_bytes) = hand_rolled(circuit, cfg, &steps);
+    let run = ThreadClusterExecutor::try_run(circuit, cfg, BASIS, true)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    assert_bits_equal(&run.state.expect("gathered"), &want, ctx);
+    assert_eq!(run.profiled.gate_count, steps.len(), "{ctx}");
+    assert_eq!(run.profiled.bytes_exchanged, want_bytes, "{ctx}");
+}
+
 #[test]
 fn executor_matches_gate_at_a_time_loop_bit_for_bit() {
     for (name, circuit) in circuits() {
         for ranks in RANKS {
             for transpile in TRANSPILE {
-                for fuse in [None, Some(2)] {
-                    for (non_blocking, streamed) in [(false, false), (true, false), (false, true)] {
-                        let mut cfg = SimConfig::default_for(ranks);
-                        cfg.transpile = transpile;
-                        cfg.fuse_diagonals = fuse;
-                        cfg.non_blocking = non_blocking;
-                        cfg.streamed = streamed;
-                        let ctx = format!(
-                            "{name} R={ranks} {transpile:?} fuse={fuse:?} nb={non_blocking} streamed={streamed}"
-                        );
-                        let steps = steps(&circuit, &cfg);
-                        let (want, want_bytes) = hand_rolled(&circuit, &cfg, &steps);
-                        let run = ThreadClusterExecutor::try_run(&circuit, &cfg, BASIS, true)
-                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                        assert_bits_equal(&run.state.expect("gathered"), &want, &ctx);
-                        assert_eq!(run.profiled.gate_count, steps.len(), "{ctx}");
-                        assert_eq!(run.profiled.bytes_exchanged, want_bytes, "{ctx}");
-                    }
+                for (non_blocking, streamed) in [(false, false), (true, false), (false, true)] {
+                    let mut cfg = SimConfig::default_for(ranks);
+                    cfg.transpile = transpile;
+                    cfg.non_blocking = non_blocking;
+                    cfg.streamed = streamed;
+                    let ctx = format!(
+                        "{name} R={ranks} {transpile:?} nb={non_blocking} streamed={streamed}"
+                    );
+                    assert_executor_matches_loop(&circuit, &cfg, &ctx);
                 }
             }
         }
     }
 }
 
-/// `(gate_count, bytes_exchanged)` of the executor before it ran the
-/// fused schedule, per circuit × ranks × transpile mode in the order of
-/// [`circuits`], [`RANKS`] and [`TRANSPILE`] — recorded from the parent
-/// commit. Neither depends on the exchange mode or on fusion.
+/// Slices of 2^17 and 2^18 amplitudes span several cache blocks, so the
+/// runs go block by block through the pool, and gates reaching the block
+/// bit (the top Hadamards, the SWAPs) end runs.
+#[test]
+fn executor_matches_gate_at_a_time_loop_across_blocks() {
+    const WIDE: u32 = 18;
+    let circuits = [
+        ("qft", qft(WIDE)),
+        (
+            "qft_blocked",
+            cache_blocked_qft(WIDE, default_split(WIDE, WIDE - 1)),
+        ),
+        ("qft_like", random_circuit(WIDE, 90, GatePool::QftLike, 41)),
+        ("full", random_circuit(WIDE, 90, GatePool::Full, 43)),
+    ];
+    for (name, circuit) in &circuits {
+        for ranks in [1u64, 2] {
+            let ctx = format!("{name} n={WIDE} R={ranks}");
+            assert_executor_matches_loop(circuit, &SimConfig::default_for(ranks), &ctx);
+        }
+    }
+}
+
+/// `(gate_count, bytes_exchanged)` of the executor before it ran local
+/// runs, per circuit × ranks × transpile mode in the order of
+/// [`circuits`], [`RANKS`] and [`TRANSPILE`] — recorded from the
+/// gate-at-a-time executor. Neither depends on the exchange mode or on
+/// how local gates are grouped.
 const PARENT_COUNTERS: [[[(usize, u64); 3]; 3]; 3] = [
     [
         [(49, 0), (46, 0), (46, 0)],
@@ -133,21 +160,18 @@ const PARENT_COUNTERS: [[[(usize, u64); 3]; 3]; 3] = [
 ];
 
 #[test]
-fn counters_match_the_unfused_executor() {
+fn counters_match_the_gate_at_a_time_executor() {
     for (ci, (name, circuit)) in circuits().into_iter().enumerate() {
         for (ri, ranks) in RANKS.into_iter().enumerate() {
             for (ti, transpile) in TRANSPILE.into_iter().enumerate() {
-                for fuse in [None, Some(2)] {
-                    let mut cfg = SimConfig::default_for(ranks);
-                    cfg.transpile = transpile;
-                    cfg.fuse_diagonals = fuse;
-                    let run = ThreadClusterExecutor::try_run(&circuit, &cfg, BASIS, false).unwrap();
-                    assert_eq!(
-                        (run.profiled.gate_count, run.profiled.bytes_exchanged),
-                        PARENT_COUNTERS[ci][ri][ti],
-                        "{name} R={ranks} {transpile:?} fuse={fuse:?}"
-                    );
-                }
+                let mut cfg = SimConfig::default_for(ranks);
+                cfg.transpile = transpile;
+                let run = ThreadClusterExecutor::try_run(&circuit, &cfg, BASIS, false).unwrap();
+                assert_eq!(
+                    (run.profiled.gate_count, run.profiled.bytes_exchanged),
+                    PARENT_COUNTERS[ci][ri][ti],
+                    "{name} R={ranks} {transpile:?}"
+                );
             }
         }
     }

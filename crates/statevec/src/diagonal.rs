@@ -239,7 +239,9 @@ const LANES: usize = 8;
 /// of the run's phases is never precomputed.)
 ///
 /// The storage backends drive [`Self::apply_block`] through
-/// [`crate::storage::AmpStorage::apply_fused_diagonal`].
+/// [`crate::storage::AmpStorage::apply_fused_diagonal`], and through
+/// [`crate::storage::AmpStorage::apply_local_run`] when the run is one
+/// op of a [`LocalRun`](crate::schedule::LocalRun).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompiledDiagonal {
     ops: Vec<PhaseOp>,
@@ -250,15 +252,22 @@ impl CompiledDiagonal {
     /// Compiles a run of diagonal gates, preserving gate order.
     ///
     /// # Panics
-    /// Panics on non-diagonal gates — callers segment with
-    /// `fused_schedule` first.
+    /// Panics on non-diagonal gates.
     pub fn compile<'g>(gates: impl IntoIterator<Item = &'g Gate>) -> Self {
         let mut run = CompiledDiagonal::default();
         for g in gates {
-            PhaseOp::lower(g, &mut run.ops);
-            run.gates += 1;
+            run.push(g);
         }
         run
+    }
+
+    /// Appends one diagonal gate to the end of the run.
+    ///
+    /// # Panics
+    /// Panics on a non-diagonal gate.
+    pub fn push(&mut self, gate: &Gate) {
+        PhaseOp::lower(gate, &mut self.ops);
+        self.gates += 1;
     }
 
     /// Number of gates in the run.

@@ -18,7 +18,6 @@
 
 use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{Schedule, Step};
-use crate::single::DEFAULT_MIN_FUSE;
 use crate::storage::kernel::{amp_to_wire, wire_amp};
 use crate::storage::{init_basis, AmpStorage, SoaStorage, AMP_BYTES};
 use qse_circuit::classify::{classify, GateClass, Layout};
@@ -34,7 +33,11 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-/// Exchange and execution options for a distributed run.
+/// Exchange options for a distributed run. Nothing here shapes local
+/// work: [`DistributedState::run`], [`DistributedState::run_plan`] and
+/// the executor always apply each run of local gates in one blocked pass
+/// ([`Schedule`]), which is bit-for-bit identical to
+/// [`DistributedState::apply`] gate at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistConfig {
     /// Blocking sendrecv (QuEST default), the paper's non-blocking
@@ -46,12 +49,6 @@ pub struct DistConfig {
     pub chunk_policy: ChunkPolicy,
     /// Use the half exchange for distributed SWAPs (§4 future work).
     pub half_exchange_swaps: bool,
-    /// Fuse runs of ≥ this many diagonal gates into one sweep in
-    /// [`DistributedState::run`] / [`DistributedState::run_plan`];
-    /// `None` disables fusion. Defaults to [`DEFAULT_MIN_FUSE`]: the
-    /// real engine executes the same fused schedule the analytic model
-    /// prices and the static verifier walks.
-    pub min_fuse: Option<usize>,
 }
 
 impl Default for DistConfig {
@@ -62,7 +59,6 @@ impl Default for DistConfig {
                 max_message_bytes: 1 << 20,
             },
             half_exchange_swaps: false,
-            min_fuse: Some(DEFAULT_MIN_FUSE),
         }
     }
 }
@@ -432,10 +428,10 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         Ok(())
     }
 
-    /// Runs a circuit, honouring the fusion setting.
+    /// Runs a circuit: each run of local gates in one blocked pass.
     pub fn run(&mut self, circuit: &Circuit) -> CommResult<()> {
         self.run_schedule(
-            &Schedule::for_circuit(circuit, self.config.min_fuse),
+            &Schedule::for_circuit(circuit, self.layout.n_ranks()),
             |_, _| {},
         )
     }
@@ -444,26 +440,28 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
     /// [`Self::run`], [`Self::run_plan`] and the thread-cluster executor
     /// (which lowers once and shares the schedule between its ranks).
     /// After each step `observe` receives the locality class it ran as
-    /// and its wall-clock: a fused run is fully local, a `Permute` is
-    /// distributed.
+    /// and its wall-clock: a local run is [`LocalRun::class`], a
+    /// `Permute` is distributed.
+    ///
+    /// [`LocalRun::class`]: crate::schedule::LocalRun::class
     pub fn run_schedule(
         &mut self,
         schedule: &Schedule<'_>,
         mut observe: impl FnMut(GateClass, Duration),
     ) -> CommResult<()> {
         assert_eq!(
-            schedule.n_qubits(),
-            self.layout.n_qubits(),
-            "width mismatch"
+            *schedule.layout(),
+            self.layout,
+            "schedule lowered for another layout"
         );
         let offset = self.rank_offset();
         for step in schedule.steps() {
             let t = Instant::now();
             let class = match step {
                 Step::Gate(g) => self.apply_classified(g)?,
-                Step::Fused(run) => {
-                    self.amps.apply_fused_diagonal(offset, run);
-                    GateClass::FullyLocal
+                Step::Local(run) => {
+                    self.amps.apply_local_run(offset, run);
+                    run.class()
                 }
                 Step::Permute(p) => {
                     self.apply_global_permutation(p)?;
@@ -608,10 +606,10 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
     }
 
     /// Runs a comm-avoiding [`Plan`]: the gate segments between `Permute`
-    /// steps fuse like circuits, and `Permute` steps lower to
+    /// steps lower like circuits, and `Permute` steps lower to
     /// [`Self::apply_global_permutation`].
     pub fn run_plan(&mut self, plan: &Plan) -> CommResult<()> {
-        self.run_schedule(&Schedule::for_plan(plan, self.config.min_fuse), |_, _| {})
+        self.run_schedule(&Schedule::for_plan(plan, self.layout.n_ranks()), |_, _| {})
     }
 
     /// Global Σ|amp|² via all-reduce.
@@ -981,22 +979,22 @@ mod tests {
     }
 
     #[test]
-    fn fusion_matches_unfused_distributed() {
-        // The default config fuses; against an explicitly unfused run the
-        // contract is bit-for-bit equality, not closeness.
+    fn local_runs_match_gate_at_a_time_distributed() {
+        // `run` applies each local run in one blocked pass; against a
+        // per-gate `apply` loop the contract is bit-for-bit equality.
         let c = random_circuit(7, 80, GatePool::Full, 21);
-        let plain = simulate_dist(
-            &c,
-            4,
-            DistConfig {
-                min_fuse: None,
-                ..DistConfig::default()
-            },
-            0,
-        );
-        let fused = simulate_dist(&c, 4, DistConfig::default(), 0);
-        assert_eq!(plain.len(), fused.len());
-        for (i, (p, f)) in plain.iter().zip(&fused).enumerate() {
+        let run = simulate_dist(&c, 4, DistConfig::default(), 0);
+        let out = Universe::new(4).run(|comm| {
+            let mut st: DistributedState<SoaStorage> =
+                DistributedState::zero_state(comm, 7, DistConfig::default());
+            for g in c.gates() {
+                st.apply(g).unwrap();
+            }
+            st.gather().unwrap()
+        });
+        let plain = out.into_iter().flatten().next().expect("rank 0 gathered");
+        assert_eq!(plain.len(), run.len());
+        for (i, (p, f)) in plain.iter().zip(&run).enumerate() {
             assert_eq!(p.re.to_bits(), f.re.to_bits(), "re at {i}");
             assert_eq!(p.im.to_bits(), f.im.to_bits(), "im at {i}");
         }

@@ -52,7 +52,7 @@ pub mod sparse;
 pub mod storage;
 
 pub use dist::{DistConfig, DistributedState};
-pub use schedule::{Schedule, Step};
-pub use single::{SingleState, DEFAULT_MIN_FUSE};
+pub use schedule::{LocalOp, LocalRun, Schedule, Step};
+pub use single::SingleState;
 pub use sparse::{SparseState, DEFAULT_PRUNE_EPSILON, MAX_SPARSE_QUBITS};
 pub use storage::{AmpStorage, AosStorage, SoaStorage};

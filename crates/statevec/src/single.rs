@@ -5,21 +5,10 @@
 //! Generic over the amplitude [`storage`](crate::storage) layout.
 
 use crate::diagonal::CompiledDiagonal;
+use crate::schedule::{Schedule, Step};
 use crate::storage::{init_basis, AmpStorage, SoaStorage};
-use qse_circuit::transpile::fusion::{fused_schedule, ScheduleStep};
 use qse_circuit::{Circuit, Gate};
 use qse_math::Complex64;
-
-/// Default fusion threshold for the real engines. A diagonal gate on its
-/// own now touches only the amplitudes it selects (a quarter of them for
-/// a controlled phase, as in QuEST), but it still streams its share of
-/// the state through the cache once per gate, while a fused run streams
-/// it once per run and finds every later op's tile in L1. Measured on
-/// QFT-20 in one address space (DESIGN §11, "The tiled phase kernel"):
-/// fused 0.032 s against 0.058 s gate at a time, so fusing from a run
-/// length of 2 still wins — by less than it did when every diagonal gate
-/// cost a full read-multiply-write sweep.
-pub const DEFAULT_MIN_FUSE: usize = 2;
 
 /// A full statevector in one address space over storage layout `S`.
 #[derive(Debug, Clone)]
@@ -95,39 +84,28 @@ impl<S: AmpStorage> SingleState<S> {
         }
     }
 
-    /// Runs a circuit through the fused schedule ([`fused_schedule`] at
-    /// [`DEFAULT_MIN_FUSE`]): runs of consecutive diagonal gates execute
-    /// as single sweeps — the same schedule the analytic model prices.
-    /// Bit-for-bit identical to [`Self::run_unfused`].
+    /// Runs a circuit through the engine's one lowering (the
+    /// distributed engine's at one rank, [`Schedule`]): each run of local
+    /// gates is one blocked pass over the register. Bit-for-bit identical
+    /// to [`Self::run_unfused`].
     pub fn run(&mut self, circuit: &Circuit) {
-        self.run_fused(circuit, DEFAULT_MIN_FUSE);
+        assert_eq!(circuit.n_qubits(), self.n_qubits, "width mismatch");
+        for step in Schedule::for_circuit(circuit, 1).steps() {
+            match step {
+                Step::Gate(g) => self.apply(g),
+                Step::Local(run) => self.amps.apply_local_run(0, run),
+                Step::Permute(_) => unreachable!("a circuit lowers without permutations"),
+            }
+        }
     }
 
-    /// Runs a circuit gate by gate (no fusion) — one sweep per gate. The
-    /// baseline the measured-fusion ablation and the equivalence property
-    /// tests compare against.
+    /// Runs a circuit gate by gate — one sweep per gate. The oracle
+    /// [`Self::run`] is held to, and the baseline of the measured-fusion
+    /// ablation.
     pub fn run_unfused(&mut self, circuit: &Circuit) {
         assert_eq!(circuit.n_qubits(), self.n_qubits, "width mismatch");
         for g in circuit.gates() {
             self.apply(g);
-        }
-    }
-
-    /// Runs a circuit with maximal diagonal runs (≥ `min_fuse` gates)
-    /// applied as single fused sweeps — QuEST's efficient controlled-phase
-    /// path, executed rather than modeled. Semantically identical to
-    /// [`Self::run_unfused`].
-    pub fn run_fused(&mut self, circuit: &Circuit, min_fuse: usize) {
-        assert_eq!(circuit.n_qubits(), self.n_qubits, "width mismatch");
-        for step in fused_schedule(circuit, min_fuse) {
-            match step {
-                ScheduleStep::Single(i) => self.apply(&circuit.gates()[i]),
-                ScheduleStep::Fused(run) => {
-                    let compiled =
-                        CompiledDiagonal::compile(&circuit.gates()[run.start..run.end]);
-                    self.amps.apply_fused_diagonal(0, &compiled);
-                }
-            }
         }
     }
 
@@ -203,25 +181,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_run_matches_plain_run() {
-        for seed in 0..4 {
-            let c = random_circuit(6, 150, GatePool::Full, seed + 100);
-            let mut plain: SingleState = SingleState::zero_state(6);
-            plain.run_unfused(&c);
-            for min_fuse in [1, 2, 4] {
-                let mut fused: SingleState = SingleState::zero_state(6);
-                fused.run_fused(&c, min_fuse);
-                assert_slices_close(&fused.to_vec(), &plain.to_vec(), 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn default_run_is_bitwise_identical_to_unfused() {
-        // `run` now executes the fused schedule; the contract is bit-for-
-        // bit equality with gate-at-a-time execution, not mere closeness.
-        for seed in 0..4 {
-            let c = random_circuit(7, 200, GatePool::QftLike, seed + 300);
+    fn run_is_bitwise_identical_to_unfused() {
+        // `run` executes local runs in blocked passes; the contract is
+        // bit-for-bit equality with gate-at-a-time execution, not mere
+        // closeness.
+        for seed in 0..8 {
+            let pool = if seed % 2 == 0 { GatePool::QftLike } else { GatePool::Full };
+            let c = random_circuit(7, 200, pool, seed + 300);
             let mut fused: SingleState = SingleState::basis_state(7, 45);
             fused.run(&c);
             let mut plain: SingleState = SingleState::basis_state(7, 45);

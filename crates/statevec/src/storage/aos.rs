@@ -444,6 +444,21 @@ mod tests {
     }
 
     #[test]
+    fn local_run_conformance() {
+        // AoS runs the trait's op-by-op definition; the runs are the
+        // ones the SoA suite blocks at 2^3, 2^5 and 2^7.
+        for len in [1usize << 9, PAR_THRESHOLD] {
+            for bits in [3u32, 5, 7] {
+                crate::storage::conformance::local_run_matches_gate_at_a_time::<AosStorage>(
+                    len,
+                    bits,
+                    AosStorage::apply_local_run,
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "power of two")]
     fn non_pow2_length_rejected() {
         AosStorage::zeros(12);

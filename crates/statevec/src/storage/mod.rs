@@ -21,6 +21,7 @@ mod soa;
 pub use aos::AosStorage;
 pub use soa::SoaStorage;
 
+use crate::schedule::{LocalOp, LocalRun};
 use qse_math::{Complex64, Matrix2};
 pub use qse_math::Matrix4;
 
@@ -53,6 +54,28 @@ fn wire_amps(payload: &[u8]) -> usize {
 /// chunk policies — and the affinity partition built on them — can
 /// never drift apart.
 pub const HALF_CHUNK: usize = 4096;
+
+/// Amplitudes per block of a local run ([`AmpStorage::apply_local_run`]):
+/// 1 MiB of `re` plus `im`, half of a 2 MiB L2, so every op of a run
+/// after the first finds its block in L2. One rank's local work of
+/// QFT-20 at R = 2 on one core (DESIGN §7): 2^14 to 2^16 22.8–23.2 ms,
+/// 2^17 24.7, 2^18 28.3, against 27.3 ms one pass per op.
+pub const LOCAL_BLOCK: usize = 1 << 16;
+
+/// The block a local run is applied in on a slice of `2^slice_bits`
+/// amplitudes, as a bit count: [`LOCAL_BLOCK`], except that a slice the
+/// pool sweeps (at least [`PAR_THRESHOLD`] amplitudes) is always cut in
+/// two or more, so that its runs keep two work items, and a smaller
+/// slice is one block. Gates that reach this bit end a run
+/// ([`crate::schedule::LocalRun::admits`]).
+pub fn local_block_bits(slice_bits: u32) -> u32 {
+    let block_bits = LOCAL_BLOCK.trailing_zeros();
+    if slice_bits >= PAR_THRESHOLD.trailing_zeros() {
+        block_bits.min(slice_bits - 1)
+    } else {
+        block_bits.min(slice_bits)
+    }
+}
 
 /// The amplitude-array interface every layout implements.
 ///
@@ -101,6 +124,35 @@ pub trait AmpStorage: Send + Sync + Sized + Clone {
 
     /// Swaps local qubits `a` and `b` (pure in-memory permutation).
     fn swap_local(&mut self, a: u32, b: u32);
+
+    /// Applies a run of local gates; `offset` is the global index of
+    /// local amplitude 0, which resolves the diagonal selections and the
+    /// rank-bit controls ([`LocalOp::pair_control`]).
+    ///
+    /// This default is the definition: op by op over the whole slice, in
+    /// program order. A layout may instead take each aligned block of at
+    /// least `2^`[`span_bits`](LocalRun::span_bits) amplitudes through
+    /// every op before the next, which gives the same bits because every
+    /// amplitude sees the same pair updates and phase multiplies in the
+    /// same order.
+    fn apply_local_run(&mut self, offset: u64, run: &LocalRun) {
+        let slice_bits = self.len().trailing_zeros();
+        for op in run.ops() {
+            match op {
+                LocalOp::Diagonal(d) => self.apply_fused_diagonal(offset, d),
+                LocalOp::Pairs {
+                    target,
+                    matrix,
+                    control,
+                } => {
+                    if let Some(control) = LocalOp::pair_control(*control, slice_bits, offset) {
+                        self.apply_pairs(*target, matrix, control);
+                    }
+                }
+                LocalOp::Swap(a, b) => self.swap_local(*a, *b),
+            }
+        }
+    }
 
     /// Appends amplitudes `[start, start + n)` to `out` in wire format
     /// ([`AMP_BYTES`] each: little-endian `re`, then `im`) — the packing
@@ -626,6 +678,149 @@ pub(crate) mod conformance {
             let got = fused.get(i);
             assert_eq!(got.re.to_bits(), want.re.to_bits(), "{ctx}: re at {i}");
             assert_eq!(got.im.to_bits(), want.im.to_bits(), "{ctx}: im at {i}");
+        }
+    }
+
+    /// One gate on a slice at `offset`, as the distributed engine's
+    /// per-gate dispatch applies a local gate: the definition a local run
+    /// is held to.
+    fn apply_gate<S: AmpStorage>(s: &mut S, offset: u64, gate: &qse_circuit::Gate) {
+        use crate::diagonal::CompiledDiagonal;
+        use qse_circuit::Gate;
+        if gate.is_diagonal() {
+            return s.apply_fused_diagonal(offset, &CompiledDiagonal::compile([gate]));
+        }
+        if let Gate::Swap(a, b) = *gate {
+            return s.swap_local(a, b);
+        }
+        let m = gate.matrix1().expect("single-target gate");
+        match gate.control() {
+            Some(c) if c >= s.len().trailing_zeros() => {
+                if (offset >> c) & 1 == 1 {
+                    s.apply_pairs(gate.target(), &m, None);
+                }
+            }
+            control => s.apply_pairs(gate.target(), &m, control),
+        }
+    }
+
+    /// A local run for a slice of `2^w` amplitudes in blocks of
+    /// `2^bits`: every op kind, with pair controls below the target,
+    /// between the target and the block bit, above the block bit, and on
+    /// rank bits `w` and `w + 1`.
+    fn local_run_zoo(w: u32, bits: u32) -> Vec<qse_circuit::Gate> {
+        use qse_circuit::Gate;
+        assert!(3 <= bits && bits < w);
+        let top = bits - 1;
+        let m = Matrix2::new(
+            Complex64::new(0.6, 0.1),
+            Complex64::new(-0.3, 0.8),
+            Complex64::new(0.2, -0.4),
+            Complex64::new(0.9, 0.05),
+        );
+        let mut m4 = Matrix4::identity();
+        for d in 0..4 {
+            m4.m[5 * d] = Complex64::cis(0.4 * (d + 1) as f64);
+        }
+        vec![
+            Gate::H(0),
+            Gate::T(top),
+            Gate::H(top),
+            Gate::CPhase {
+                a: 0,
+                b: w,
+                theta: 0.7,
+            },
+            Gate::Rx {
+                target: 1,
+                theta: 0.4,
+            },
+            Gate::CNot {
+                control: 0,
+                target: top,
+            },
+            Gate::CUnitary {
+                control: top,
+                target: 0,
+                matrix: m,
+            },
+            Gate::CNot {
+                control: bits,
+                target: 1,
+            },
+            Gate::CUnitary {
+                control: w - 1,
+                target: top,
+                matrix: m,
+            },
+            Gate::Swap(0, top),
+            Gate::CUnitary {
+                control: w,
+                target: 2,
+                matrix: m,
+            },
+            Gate::CNot {
+                control: w + 1,
+                target: 0,
+            },
+            Gate::Ry {
+                target: top,
+                theta: -1.1,
+            },
+            Gate::Swap(top, 1),
+            Gate::Y(2),
+            Gate::MCPhase {
+                qubits: vec![1, bits, w + 1],
+                theta: 0.3,
+            },
+            Gate::Rz {
+                target: bits,
+                theta: 0.9,
+            },
+            Gate::CZ(top, w - 1),
+            Gate::Unitary2 {
+                a: 0,
+                b: w,
+                matrix: m4,
+            },
+            Gate::Sdg(0),
+            Gate::H(1),
+        ]
+    }
+
+    /// Applies [`local_run_zoo`] to a `len`-amplitude slice as one local
+    /// run through `apply`, and gate at a time, at two nonzero rank
+    /// offsets (rank bits `w`, `w + 1` = `01`, then `11`), and demands
+    /// bitwise equal slices.
+    pub fn local_run_matches_gate_at_a_time<S: AmpStorage>(
+        len: usize,
+        bits: u32,
+        apply: impl Fn(&mut S, u64, &LocalRun),
+    ) {
+        let gates = local_run_zoo(len.trailing_zeros(), bits);
+        let mut run = LocalRun::default();
+        for g in &gates {
+            run.push(g);
+        }
+        assert!(run.span_bits() <= bits);
+        for offset in [len as u64, 3 * len as u64] {
+            let before: S = diagonal_fixture(len);
+            let mut want = before.clone();
+            for g in &gates {
+                apply_gate(&mut want, offset, g);
+            }
+            assert_ne!(
+                want.to_complex_vec(),
+                before.to_complex_vec(),
+                "the run must act"
+            );
+            let mut got = before.clone();
+            apply(&mut got, offset, &run);
+            assert_bits_equal(
+                &got,
+                &want,
+                &format!("len {len}, block bits {bits}, offset {offset}"),
+            );
         }
     }
 

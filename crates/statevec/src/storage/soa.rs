@@ -16,8 +16,11 @@
 //! [`AmpStorage::zeros`].
 
 use super::kernel::{self, Ctrl};
-use super::{AmpStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD, RANGE_PAR_THRESHOLD};
+use super::{
+    local_block_bits, AmpStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD, RANGE_PAR_THRESHOLD,
+};
 use crate::diagonal::CompiledDiagonal;
+use crate::schedule::{LocalOp, LocalRun};
 use qse_math::bits;
 use qse_math::{Complex64, Matrix2};
 use qse_util::parallel::{parallel_for_each_affine, parallel_map_sum};
@@ -318,6 +321,87 @@ fn swap_runs(lo: &mut [f64], hi: &mut [f64], run: usize) {
     }
 }
 
+/// Swaps qubits `a < b` within a region of whole `2^(b+1)` groups: each
+/// group holds complete orbits, the bit-`b` = 0 element with bit `a` set
+/// at group offset `o` trading places with the bit-`b` = 1 element at
+/// offset `o − 2^a` of the upper segment.
+fn swap_groups(rc: &mut [f64], ic: &mut [f64], a: u32, b: u32) {
+    let seg = 1usize << b;
+    for (rg, ig) in rc
+        .chunks_exact_mut(seg << 1)
+        .zip(ic.chunks_exact_mut(seg << 1))
+    {
+        let (rl, rh) = rg.split_at_mut(seg);
+        let (il, ih) = ig.split_at_mut(seg);
+        swap_runs(rl, rh, 1 << a);
+        swap_runs(il, ih, 1 << a);
+    }
+}
+
+/// Takes one block of a local run through every op, in program order.
+/// `base` is the block's first local index, `offset` the slice's first
+/// global index, `slice_bits` the slice width.
+fn local_block(
+    rc: &mut [f64],
+    ic: &mut [f64],
+    base: usize,
+    offset: u64,
+    slice_bits: u32,
+    run: &LocalRun,
+) {
+    for op in run.ops() {
+        match op {
+            LocalOp::Diagonal(d) => d.apply_block(rc, ic, offset | base as u64),
+            LocalOp::Pairs {
+                target,
+                matrix,
+                control,
+            } => {
+                if let Some(control) = LocalOp::pair_control(*control, slice_bits, offset) {
+                    let ctrl = Ctrl::new(*target, control);
+                    sweep_region(rc, ic, 1 << target, base, matrix, ctrl);
+                }
+            }
+            &LocalOp::Swap(a, b) => swap_groups(rc, ic, a.min(b), a.max(b)),
+        }
+    }
+}
+
+impl SoaStorage {
+    /// [`AmpStorage::apply_local_run`] in blocks of `2^block_bits`
+    /// amplitudes, or one block when the slice is shorter. The product
+    /// always blocks at [`local_block_bits`]; the storage suite passes
+    /// smaller sizes so that small slices span many blocks.
+    pub(crate) fn apply_local_run_in_blocks(
+        &mut self,
+        offset: u64,
+        run: &LocalRun,
+        block_bits: u32,
+    ) {
+        let len = self.len();
+        let block = (1usize << block_bits).min(len);
+        assert!(
+            1usize << run.span_bits() <= block,
+            "a run spanning {} bits does not fit {block}-amplitude blocks",
+            run.span_bits()
+        );
+        let slice_bits = len.trailing_zeros();
+        let blocks = self
+            .re
+            .chunks_mut(block)
+            .zip(self.im.chunks_mut(block))
+            .enumerate()
+            .map(|(bi, (rc, ic))| (bi * block, rc, ic));
+        let apply = |(base, rc, ic)| local_block(rc, ic, base, offset, slice_bits, run);
+        if len >= PAR_THRESHOLD && block < len {
+            let items: Vec<(usize, &mut [f64], &mut [f64])> = blocks.collect();
+            parallel_for_each_affine(items, apply);
+        } else {
+            blocks.for_each(apply);
+        }
+    }
+}
+
 impl AmpStorage for SoaStorage {
     fn zeros(len: usize) -> Self {
         assert!(bits::is_pow2(len as u64), "length must be a power of two");
@@ -452,6 +536,11 @@ impl AmpStorage for SoaStorage {
         }
     }
 
+    fn apply_local_run(&mut self, offset: u64, run: &LocalRun) {
+        let block_bits = local_block_bits(self.len().trailing_zeros());
+        self.apply_local_run_in_blocks(offset, run, block_bits);
+    }
+
     fn swap_local(&mut self, a: u32, b: u32) {
         assert_ne!(a, b, "swap qubits must differ");
         let len = self.len();
@@ -460,9 +549,6 @@ impl AmpStorage for SoaStorage {
         let seg = 1usize << b;
         let group = seg << 1;
         assert!(group <= len, "qubit {b} out of range for {len} amplitudes");
-        // Each aligned 2^(b+1) group holds complete orbits: the bit-b = 0
-        // element with bit a set at group offset o swaps with the bit-b = 1
-        // element at offset o − 2^a of the upper segment.
         if len >= PAR_THRESHOLD && group < len {
             let per = (HALF_CHUNK / group).max(1);
             let task = group * per;
@@ -471,14 +557,7 @@ impl AmpStorage for SoaStorage {
                 .chunks_mut(task)
                 .zip(self.im.chunks_mut(task))
                 .collect();
-            parallel_for_each_affine(chunks, |(rc, ic)| {
-                for (rg, ig) in rc.chunks_exact_mut(group).zip(ic.chunks_exact_mut(group)) {
-                    let (rl, rh) = rg.split_at_mut(seg);
-                    let (il, ih) = ig.split_at_mut(seg);
-                    swap_runs(rl, rh, run);
-                    swap_runs(il, ih, run);
-                }
-            });
+            parallel_for_each_affine(chunks, |(rc, ic)| swap_groups(rc, ic, a, b));
         } else if len >= PAR_THRESHOLD {
             // b is the top local qubit: zip-chunk the halves, keeping
             // chunks aligned to the 2^(a+1) run period.
@@ -497,16 +576,7 @@ impl AmpStorage for SoaStorage {
                 swap_runs(il, ih, run);
             });
         } else {
-            for (rg, ig) in self
-                .re
-                .chunks_exact_mut(group)
-                .zip(self.im.chunks_exact_mut(group))
-            {
-                let (rl, rh) = rg.split_at_mut(seg);
-                let (il, ih) = ig.split_at_mut(seg);
-                swap_runs(rl, rh, run);
-                swap_runs(il, ih, run);
-            }
+            swap_groups(&mut self.re, &mut self.im, a, b);
         }
     }
 
@@ -570,6 +640,35 @@ mod tests {
     #[test]
     fn conformance_suite() {
         crate::storage::conformance::run_all::<SoaStorage>();
+    }
+
+    #[test]
+    fn local_run_conformance() {
+        use crate::storage::conformance::local_run_matches_gate_at_a_time;
+        // Small blocks through the test seam, on a sequential and a
+        // pool-sized slice.
+        for len in [1usize << 9, PAR_THRESHOLD] {
+            for bits in [3u32, 5, 7] {
+                local_run_matches_gate_at_a_time::<SoaStorage>(len, bits, |s, offset, run| {
+                    s.apply_local_run_in_blocks(offset, run, bits)
+                });
+            }
+        }
+        // The product blocks: a pool-sized slice cut in two, and a slice
+        // of two `LOCAL_BLOCK`s.
+        for len in [PAR_THRESHOLD, 2 * crate::storage::LOCAL_BLOCK] {
+            let bits = local_block_bits(len.trailing_zeros());
+            assert_eq!(len >> bits, 2);
+            local_run_matches_gate_at_a_time::<SoaStorage>(len, bits, SoaStorage::apply_local_run);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn local_run_wider_than_a_block_rejected() {
+        let mut run = LocalRun::default();
+        run.push(&qse_circuit::Gate::H(4));
+        SoaStorage::zeros(64).apply_local_run_in_blocks(0, &run, 4);
     }
 
     #[test]

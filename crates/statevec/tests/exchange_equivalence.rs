@@ -241,7 +241,6 @@ fn every_configuration_yields_the_same_bits_and_the_pinned_traffic() {
                             exchange_mode: mode,
                             chunk_policy: ChunkPolicy::new(cap).unwrap(),
                             half_exchange_swaps: half,
-                            ..DistConfig::default()
                         };
                         let what = format!("{name} R={ranks} half={half} cap={cap} {mode:?}");
                         let (soa, traffic) = run::<SoaStorage>(circuit, plan.as_ref(), ranks, config);
@@ -293,7 +292,6 @@ fn swaps_survive_a_cap_far_below_the_slice() {
                         exchange_mode: mode,
                         chunk_policy: ChunkPolicy::new(cap).unwrap(),
                         half_exchange_swaps: half,
-                        ..DistConfig::default()
                     };
                     let what = format!("R={ranks} cap={cap} {mode:?} half={half}");
                     let (soa, _) = run::<SoaStorage>(&c, None, ranks, config);

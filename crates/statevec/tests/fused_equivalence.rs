@@ -1,13 +1,13 @@
-//! Property tests: fused diagonal execution is *bit-for-bit* identical
-//! to gate-at-a-time execution.
+//! Property tests: running each run of local gates in one blocked pass
+//! is *bit-for-bit* identical to gate-at-a-time execution.
 //!
-//! The fused sweep multiplies each amplitude by every gate's phase
-//! sequentially in gate order — the exact floating-point operation
-//! sequence of the per-gate sweeps it replaces — so the contract is
-//! `to_bits` equality, not closeness. Checked with seeded property
-//! loops over random circuits (diagonal-heavy and full gate pools), on
-//! both storage layouts, for the single-address-space engine and the
-//! distributed engine over 1 and 4 ranks.
+//! A local run takes each block through every gate in program order, so
+//! each amplitude sees the exact floating-point operation sequence of
+//! the per-gate sweeps it replaces — the contract is `to_bits` equality,
+//! not closeness. Checked with seeded property loops over random
+//! circuits (diagonal-heavy and full gate pools), on both storage
+//! layouts, for the single-address-space engine and the distributed
+//! engine over 1 and 4 ranks.
 
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::Circuit;
@@ -67,17 +67,24 @@ fn fused_single_aos_matches_gate_at_a_time() {
     });
 }
 
-/// Runs `circuit` over `ranks` ranks and returns rank 0's gathered state.
+/// Runs `circuit` over `ranks` ranks — through `run`, or one `apply`
+/// per gate — and returns rank 0's gathered state.
 fn dist_gather<S: AmpStorage>(
     circuit: &Circuit,
     ranks: usize,
-    config: DistConfig,
+    per_gate: bool,
     basis: u64,
 ) -> Vec<Complex64> {
     let out = Universe::new(ranks).run(|comm| {
         let mut st: DistributedState<S> =
-            DistributedState::basis_state(comm, circuit.n_qubits(), basis, config);
-        st.run(circuit).unwrap();
+            DistributedState::basis_state(comm, circuit.n_qubits(), basis, DistConfig::default());
+        if per_gate {
+            for g in circuit.gates() {
+                st.apply(g).unwrap();
+            }
+        } else {
+            st.run(circuit).unwrap();
+        }
         st.gather().unwrap()
     });
     out.into_iter().flatten().next().expect("rank 0 gathered")
@@ -86,16 +93,8 @@ fn dist_gather<S: AmpStorage>(
 fn dist_case<S: AmpStorage>(seed: u64, gates: usize, ranks: usize) {
     let c = random_circuit(N, gates, pool_for(seed), seed);
     let basis = seed % (1 << N);
-    let fused = dist_gather::<S>(&c, ranks, DistConfig::default(), basis);
-    let plain = dist_gather::<S>(
-        &c,
-        ranks,
-        DistConfig {
-            min_fuse: None,
-            ..DistConfig::default()
-        },
-        basis,
-    );
+    let fused = dist_gather::<S>(&c, ranks, false, basis);
+    let plain = dist_gather::<S>(&c, ranks, true, basis);
     assert_bitwise(
         &fused,
         &plain,
@@ -131,10 +130,10 @@ fn fused_distributed_aos_matches_gate_at_a_time_4_ranks() {
     });
 }
 
-/// The fused distributed engine agrees with the fused single-process
-/// engine (up to FP tolerance — the distributed combine uses a
-/// different operation order for non-diagonal gates, so bitwise
-/// equality is not the contract here).
+/// The distributed engine agrees with the single-process engine (up to
+/// FP tolerance — the distributed combine uses a different operation
+/// order for non-diagonal gates, so bitwise equality is not the
+/// contract here).
 #[test]
 fn fused_distributed_matches_single_process() {
     check_with_size(6, 60, |rng, size| {
@@ -142,7 +141,7 @@ fn fused_distributed_matches_single_process() {
         let c = random_circuit(N, size, pool_for(seed), seed);
         let mut single: SingleState<SoaStorage> = SingleState::zero_state(N);
         single.run(&c);
-        let dist = dist_gather::<SoaStorage>(&c, 4, DistConfig::default(), 0);
+        let dist = dist_gather::<SoaStorage>(&c, 4, false, 0);
         let want = single.to_vec();
         for (i, (d, w)) in dist.iter().zip(&want).enumerate() {
             assert!(

@@ -59,7 +59,6 @@ fn config(mode: ExchangeMode, half_swaps: bool) -> DistConfig {
         exchange_mode: mode,
         chunk_policy: ChunkPolicy::new(TINY_CHUNK).unwrap(),
         half_exchange_swaps: half_swaps,
-        ..DistConfig::default()
     }
 }
 

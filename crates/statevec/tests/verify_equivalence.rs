@@ -27,7 +27,6 @@ fn dist_config(mode: ExchangeMode, chunk: usize, half: bool) -> DistConfig {
         exchange_mode: mode,
         chunk_policy: ChunkPolicy::new(chunk).unwrap(),
         half_exchange_swaps: half,
-        ..DistConfig::default()
     }
 }
 
@@ -36,7 +35,6 @@ fn verify_opts(config: DistConfig) -> VerifyOptions {
         exchange_mode: config.exchange_mode,
         chunk_policy: config.chunk_policy,
         half_exchange_swaps: config.half_exchange_swaps,
-        min_fuse: config.min_fuse,
         ..VerifyOptions::default()
     }
 }
@@ -138,19 +136,6 @@ fn symbolic_bytes_match_measured_small_chunks_and_half_exchange() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn symbolic_bytes_match_measured_unfused() {
-    // Fusion off: the verifier walks the per-gate schedule instead.
-    let c = random_circuit(7, 30, GatePool::QftLike, 11);
-    for mode in MODES {
-        let config = DistConfig {
-            min_fuse: None,
-            ..dist_config(mode, 1 << 20, false)
-        };
-        check_bytes_match::<SoaStorage>(&c, 4, Some(Strategy::Greedy), config, "unfused R=4");
     }
 }
 

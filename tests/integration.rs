@@ -26,7 +26,6 @@ fn end_to_end_qft_pipeline() {
                 {
                     let mut c = SimConfig::fast_for(ranks);
                     c.half_exchange_swaps = true;
-                    c.fuse_diagonals = Some(2);
                     c
                 },
             ] {

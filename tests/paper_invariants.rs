@@ -178,3 +178,22 @@ fn qft_semantics_exact() {
         }
     }
 }
+
+/// The calibrated model's QFT-38 answer on 64 standard nodes, to the bit.
+/// `SimConfig::fuse_diagonals` is the model's option only and stays off
+/// by default, whatever schedule the engine executes, so a change that
+/// only makes the simulator faster leaves these numbers exactly here.
+#[test]
+fn model_qft38_golden_is_exact() {
+    for ranks in [1u64, 2, 64] {
+        assert_eq!(
+            SimConfig::default_for(ranks)
+                .to_model_config()
+                .fuse_diagonals,
+            None
+        );
+    }
+    let est = model(&qft(38), &SimConfig::default_for(64));
+    assert_eq!(est.runtime_s, 220.20518002817954);
+    assert_eq!(est.total_energy_j(), 5703514.797237339);
+}
