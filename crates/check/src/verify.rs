@@ -665,15 +665,17 @@ impl<'a> RankDeriver<'a> {
             }
         }
 
-        // Scratch-alias obligation: incoming blocks plus the stay-put
-        // block must tile this rank's staging buffer exactly once.
+        // Scratch-alias obligation: the exchange runs in place — every
+        // incoming block lands in this rank's slice once all of its own
+        // peer blocks have left — so incoming blocks plus the stay-put
+        // block must tile the slice exactly once.
         let covered: u64 = (0..ranks).map(|u| block_amps(u, me)).sum();
         if covered != local_amps {
             return Err(VerifyError::ScratchAlias {
                 rank: me as usize,
                 step: self.step,
                 detail: format!(
-                    "incoming blocks cover {covered} of {local_amps} staging slots"
+                    "incoming blocks cover {covered} of {local_amps} slice slots"
                 ),
                 label: String::new(),
             });
@@ -692,7 +694,7 @@ impl<'a> RankDeriver<'a> {
                             return Err(VerifyError::ScratchAlias {
                                 rank: me as usize,
                                 step: self.step,
-                                detail: format!("staging slot {slot} written twice"),
+                                detail: format!("slice slot {slot} written twice"),
                                 label: String::new(),
                             });
                         }

@@ -581,6 +581,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)] // the pre-flight gate exists in debug builds only
     fn pre_flight_rejects_a_broken_plan() {
         // A plan whose final permute is never undone must be refused by
         // the debug-mode gate before any rank posts a byte.

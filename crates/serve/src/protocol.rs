@@ -32,6 +32,7 @@ use qse_circuit::Circuit;
 use qse_comm::FaultConfig;
 use qse_core::config::{EngineMode, TranspileMode};
 use qse_math::Complex64;
+use qse_statevec::SparseState;
 use qse_util::json::{Json, JsonError};
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -429,10 +430,32 @@ pub struct JobResult {
 pub fn state_fingerprint(amps: &[Complex64]) -> u64 {
     let mut h = Fnv1a::new();
     for a in amps {
-        h.update(&a.re.to_bits().to_le_bytes());
-        h.update(&a.im.to_bits().to_le_bytes());
+        fold_amplitude(&mut h, a);
     }
     h.digest()
+}
+
+/// [`state_fingerprint`] of a sparse state's `2ⁿ` amplitudes without
+/// materialising them: the stored amplitudes in index order, each run of
+/// unstored (zero) ones between them folded as one run of zero bytes.
+/// Equal to `state_fingerprint(&s.to_vec())` by construction, at every
+/// width the sparse engine takes.
+pub fn sparse_state_fingerprint(s: &SparseState) -> u64 {
+    const AMP_BYTES: u64 = 16;
+    let mut h = Fnv1a::new();
+    let mut next = 0u64;
+    for k in s.sorted_keys() {
+        h.update_zeros((k - next) * AMP_BYTES);
+        fold_amplitude(&mut h, &s.amplitude(k));
+        next = k + 1;
+    }
+    h.update_zeros(((1u64 << s.n_qubits()) - next) * AMP_BYTES);
+    h.digest()
+}
+
+fn fold_amplitude(h: &mut Fnv1a, a: &Complex64) {
+    h.update(&a.re.to_bits().to_le_bytes());
+    h.update(&a.im.to_bits().to_le_bytes());
 }
 
 /// Renders a success response line (no trailing newline).
@@ -721,5 +744,68 @@ mod tests {
         let b = [Complex64::new(0.5, 0.0), Complex64::new(0.5, -0.0)];
         assert_eq!(state_fingerprint(&a), state_fingerprint(&a));
         assert_ne!(state_fingerprint(&a), state_fingerprint(&b));
+    }
+
+    /// Sparse states of width `n` whose stored amplitudes include index
+    /// 0, the last index, `+0.0` and `−0.0` (the pruning epsilon is 0, so
+    /// an exact cancellation stays stored).
+    fn sparse_fixtures(n: u32) -> Vec<SparseState> {
+        let run = |basis: u64, c: &Circuit| {
+            let mut s = SparseState::basis_state_with_epsilon(n, basis, 0.0);
+            s.run(c);
+            s
+        };
+        let last = (1u64 << n) - 1;
+        // H·H on |…1⟩ cancels its |…0⟩ partner to a stored +0.0; X then Z
+        // carry that zero to |…1⟩ and flip its sign.
+        let mut cancel = Circuit::new(n);
+        cancel.h(0).h(0);
+        let mut negate = cancel.clone();
+        negate.x(0).z(0);
+        vec![run(last, &cancel), run(last, &negate), run(0, &ghz(n))]
+    }
+
+    #[test]
+    fn sparse_fingerprint_equals_the_dense_one() {
+        let (mut first, mut last, mut pos_zero, mut neg_zero) = (false, false, false, false);
+        for n in [1u32, 5, 12, 20] {
+            for s in sparse_fixtures(n) {
+                for k in s.sorted_keys() {
+                    let a = s.amplitude(k);
+                    first |= k == 0;
+                    last |= k == (1u64 << n) - 1;
+                    pos_zero |= a.re.to_bits() == 0;
+                    neg_zero |= a.re.to_bits() == (-0.0f64).to_bits();
+                }
+                assert_eq!(sparse_state_fingerprint(&s), state_fingerprint(&s.to_vec()), "n={n}");
+            }
+        }
+        assert!(first && last && pos_zero && neg_zero, "the fixtures miss a case");
+    }
+
+    #[test]
+    fn sparse_fingerprint_needs_no_dense_vector() {
+        // 2^35 amplitudes are 512 GiB dense (`to_vec` refuses n > 30); the
+        // fingerprint of a 35-qubit GHZ state is its two stored
+        // amplitudes around one run of zeros.
+        let n = 35;
+        let mut c = Circuit::new(n);
+        c.h(0);
+        for q in 1..n {
+            c.cnot(0, q);
+        }
+        let s = SparseState::simulate(&c);
+        assert_eq!(s.n_nonzero(), 2);
+        let mut want = Fnv1a::new();
+        fold_amplitude(&mut want, &s.amplitude(0));
+        want.update_zeros(((1u64 << n) - 2) * 16);
+        fold_amplitude(&mut want, &s.amplitude((1u64 << n) - 1));
+        assert_eq!(sparse_state_fingerprint(&s), want.digest());
+        let mut flipped = c.clone();
+        flipped.z(0);
+        assert_ne!(
+            sparse_state_fingerprint(&SparseState::simulate(&flipped)),
+            want.digest()
+        );
     }
 }

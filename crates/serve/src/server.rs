@@ -12,7 +12,7 @@
 
 use crate::cache::{plan_cost_bytes, CacheStats, CachedPlan, PlanCache};
 use crate::error::ServeError;
-use crate::protocol::{state_fingerprint, JobResult, JobSpec};
+use crate::protocol::{sparse_state_fingerprint, state_fingerprint, JobResult, JobSpec};
 use qse_circuit::classify::EngineChoice;
 use qse_circuit::hash::{canonical_hash, canonicalize};
 use qse_comm::FaultConfig;
@@ -560,7 +560,7 @@ fn execute_batch_engine(inner: &Inner, batch: Vec<Job>, cfg: &SimConfig) {
     let state_fnv = outcome.as_ref().ok().map(|run| match &run.state {
         EngineState::Dense(Some(amps)) => state_fingerprint(amps),
         EngineState::Dense(None) => 0,
-        EngineState::Sparse(s) => state_fingerprint(&s.to_vec()),
+        EngineState::Sparse(s) => sparse_state_fingerprint(s),
         EngineState::Tableau(t) => t.fingerprint(),
     });
 

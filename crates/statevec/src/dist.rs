@@ -18,7 +18,7 @@
 
 use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{Schedule, Step};
-use crate::storage::kernel::{amp_to_wire, wire_amp};
+use crate::storage::kernel::wire_amp;
 use crate::storage::{init_basis, AmpStorage, SoaStorage, AMP_BYTES};
 use qse_circuit::classify::{classify, GateClass, Layout};
 use qse_circuit::transpile::Plan;
@@ -473,71 +473,66 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         Ok(())
     }
 
-    /// Applies an index-bit permutation to the whole distributed state as
-    /// *one* batched global exchange: afterwards the amplitude that lived
-    /// at global index `i` lives at `perm.permute_index(i)`.
+    /// Applies an index-bit permutation to the whole distributed state:
+    /// afterwards the amplitude that lived at global index `i` lives at
+    /// `perm.permute_index(i)`.
     ///
     /// This is the lowering target of the comm-avoiding transpiler's
     /// `Permute` steps. Where the gate engine realises a k-transposition
     /// layout change as k pairwise exchanges (each shipping the full
-    /// local slice), this routine moves every amplitude exactly once:
+    /// local slice), this routine moves every amplitude across the wire
+    /// at most once. It runs the factoring `P = L2 ∘ G ∘ L1`
+    /// ([`PermuteLowering`]), `m` being the number of local bits P sends
+    /// to rank positions:
     ///
-    /// * a permutation fixing all global positions is a pure in-memory
-    ///   reorder — zero bytes on the wire;
-    /// * otherwise each rank packs, per destination rank, exactly the
-    ///   amplitudes that end up there, eagerly sends all peer blocks
-    ///   (chunked under the message-size cap), keeps its stay-put block
-    ///   locally, then receives and scatters each source block. A rank's
-    ///   payload is `(1 − 2⁻ᵐ)` of its slice for a permutation pulling
-    ///   `m` local bits into the rank address — batching k swap-ins costs
-    ///   `1 − 2⁻ᵏ` of the slice instead of k full-slice exchanges.
+    /// * L1 — at most `m` [`AmpStorage::swap_local`] sweeps — gathers
+    ///   those bits into the top `m` local positions;
+    /// * G trades the top `m` local bits for rank bits (renumbering ranks
+    ///   where P also moves rank bits among themselves). Every block
+    ///   `u → v` is then one contiguous run of `2^(l−m)` amplitudes on
+    ///   both sides: each rank packs its peer blocks straight from
+    ///   storage and eagerly sends them all (ascending, chunked under the
+    ///   message-size cap), then receives each source block in place into
+    ///   a slot whose contents have already left. The stay-put block does
+    ///   not move. A rank's payload is `(1 − 2⁻ᵐ)` of its slice — batching
+    ///   k swap-ins costs `1 − 2⁻ᵏ` of the slice instead of k full-slice
+    ///   exchanges;
+    /// * L2, the purely local permutation that remains, runs as swap
+    ///   sweeps.
     ///
-    /// Wire order is sender-driven and deterministic: block `u → v` lists
-    /// amplitudes by ascending *source* index, which the receiver
-    /// reconstructs by scanning the sender's index space with the same
-    /// permutation. Eager sends keep the all-to-all deadlock-free.
+    /// A permutation fixing every rank position is the case where G is
+    /// the identity: sweeps only, zero bytes on the wire, no tag. Both
+    /// sides derive the payload order (ascending within the block) from
+    /// the permutation alone, so no index metadata travels. Eager sends
+    /// keep the all-to-all deadlock-free.
     pub fn apply_global_permutation(&mut self, perm: &Permutation) -> CommResult<()> {
         assert_eq!(
             perm.len(),
             self.layout.n_qubits(),
             "permutation width mismatch"
         );
-        if perm.is_identity() {
-            return Ok(());
+        let lowering = PermuteLowering::new(perm, self.layout.local_qubits());
+        for &(a, b) in &lowering.l1 {
+            self.amps.swap_local(a, b);
         }
-        let l = self.layout.local_qubits();
-        let n = self.layout.n_qubits();
-        if (l..n).all(|p| perm.apply(p) == p) {
-            // Purely local: `as_transpositions` factors p = T1∘…∘Tk with
-            // the state map of "apply Tk first, T1 last" equal to Π(p).
-            for &(a, b) in perm.as_transpositions().iter().rev() {
-                self.amps.swap_local(a, b);
-            }
-            return Ok(());
+        if lowering.moves_rank_bits() {
+            self.exchange_blocks(&lowering)?;
         }
+        // `as_transpositions` factors L2 = T1∘…∘Tk with the state map of
+        // "apply Tk first, T1 last" equal to Π(L2).
+        for &(a, b) in lowering.l2.as_transpositions().iter().rev() {
+            self.amps.swap_local(a, b);
+        }
+        Ok(())
+    }
 
+    /// G of [`Self::apply_global_permutation`]: block `t` of this slice
+    /// goes to rank `g.dest(me, t)`, and the block from rank `w` lands in
+    /// block `g.source_block(w, me)`.
+    fn exchange_blocks(&mut self, g: &PermuteLowering) -> CommResult<()> {
         let tag = self.next_tag();
-        let ranks = self.layout.n_ranks();
-        let local_amps = self.layout.local_amps();
-        let mask = local_amps - 1;
         let me = self.rank() as u64;
-
-        // One scan decides where every local amplitude goes: stay-put ones
-        // move straight into the permuted slice (built beside the old one —
-        // a scatter has no chunk-local write set, and this way no incoming
-        // amplitude can land on one not yet packed), the rest are listed
-        // per destination in ascending source order.
-        let mut next = S::zeros(crate::ix(local_amps));
-        let mut outgoing: Vec<Vec<usize>> = vec![Vec::new(); crate::ix(ranks)];
-        for sl in 0..local_amps {
-            let d = perm.permute_index((me << l) | sl);
-            if d >> l == me {
-                next.set(crate::ix(d & mask), self.amps.get(crate::ix(sl)));
-            } else {
-                outgoing[crate::ix(d >> l)].push(crate::ix(sl));
-            }
-        }
-
+        let block = crate::ix(self.layout.local_amps() >> g.m);
         // Both halves run the driver's lockstep ordering with one side
         // empty, whatever the configured mode: eager sends to every peer
         // first (ascending, chunked) — the mailbox transport buffers them,
@@ -550,58 +545,47 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             send_total: send_amps * AMP_BYTES,
             recv_total: recv_amps * AMP_BYTES,
         };
-        for (v, sources) in outgoing.iter().enumerate() {
-            if sources.is_empty() {
-                continue;
-            }
+        let mut sends: Vec<(u64, usize)> = (0..1usize << g.m)
+            .map(|t| (g.dest(me, t as u64), t))
+            .filter(|&(v, _)| v != me)
+            .collect();
+        sends.sort_unstable();
+        for (v, t) in sends {
+            let start = t * block;
             drive(
                 self.comm,
                 ExchangeMode::Blocking,
-                half(v as u64, sources.len(), 0),
+                half(v, block, 0),
                 PackOrder::Lazy,
                 &mut self.amps,
                 |amps, range, out| {
-                    pack_wire_bytes(range, out, |start, n, out| {
-                        for &sl in &sources[start..start + n] {
-                            out.extend_from_slice(&amp_to_wire(amps.get(sl)));
-                        }
-                    })
+                    pack_wire_bytes(range, out, |at, n, out| amps.pack_range(start + at, n, out))
                 },
                 |_, _, _| {},
             )?;
         }
-
-        // Receive each source block and scatter it. The sender listed its
-        // amplitudes by ascending source index, so replaying the sender's
-        // scan yields each payload's destination sequence.
-        for w in (0..ranks).filter(|&w| w != me) {
-            let dests: Vec<usize> = (0..local_amps)
-                .map(|sl| perm.permute_index((w << l) | sl))
-                .filter(|d| d >> l == me)
-                .map(|d| crate::ix(d & mask))
-                .collect();
-            if dests.is_empty() {
+        // Every peer block has left, so each incoming one may land where
+        // it belongs; the stay-put block's slot is nobody else's.
+        for w in (0..self.layout.n_ranks()).filter(|&w| w != me) {
+            let Some(t) = g.source_block(w, me) else {
                 continue;
-            }
+            };
+            let start = crate::ix(t) * block;
             let mut cursor = AmpCursor::default();
             drive(
                 self.comm,
                 ExchangeMode::Blocking,
-                half(w, 0, dests.len()),
+                half(w, 0, block),
                 PackOrder::Lazy,
-                &mut next,
+                &mut self.amps,
                 |_, _, _| {},
-                |next, range, payload| {
-                    cursor.feed(range.start, payload, |start, amps| {
-                        for (&dl, amp) in dests[start..].iter().zip(amps.chunks_exact(AMP_BYTES)) {
-                            next.set(dl, wire_amp(amp));
-                        }
+                |amps, range, payload| {
+                    cursor.feed(range.start, payload, |at, piece| {
+                        amps.copy_from_f64_range(&piece, start + at)
                     })
                 },
             )?;
         }
-
-        self.amps = next;
         Ok(())
     }
 
@@ -760,6 +744,121 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             full.extend(part.chunks_exact(AMP_BYTES).map(wire_amp));
         }
         Ok(Some(full))
+    }
+}
+
+/// The factoring `P = L2 ∘ G ∘ L1` of an index-bit permutation over `l`
+/// local and `n − l` rank bits (state maps: L1 first). Of the `m` local
+/// bits P sends to rank positions:
+///
+/// * L1 swaps each one below the top `m` local positions with a top
+///   position P keeps local — disjoint transpositions, at most `m`;
+/// * G sends top local bit `l − m + j` to a rank bit, brings a rank bit
+///   down to it (`trades`), and moves the rank bits that stay rank bits
+///   as P does (`stay`). The low `l − m` bits do not move, so a block of
+///   `2^(l−m)` amplitudes stays contiguous and in order;
+/// * L2 is what is left, a permutation of the local bits.
+///
+/// Which rank bit comes down to slot `j` is what keeps G in place: it is
+/// the end of the chain `P(s), P(P(s)), …` through staying rank bits from
+/// the bit `s` that went up from slot `j`. A rank that keeps a block has
+/// equal bits along every such chain, so its stay-put block's slot is the
+/// one it came from.
+struct PermuteLowering {
+    l1: Vec<(u32, u32)>,
+    /// Per top local bit `l − m + j`: (`j`, the rank bit it goes to, the
+    /// rank bit that comes down to it), rank bits by index.
+    trades: Vec<(u32, u32, u32)>,
+    /// Rank bits that stay rank bits: (from, to).
+    stay: Vec<(u32, u32)>,
+    /// Number of local bits G trades for rank bits.
+    m: u32,
+    l2: Permutation,
+}
+
+impl PermuteLowering {
+    fn new(perm: &Permutation, l: u32) -> Self {
+        let n = perm.len();
+        let goes_up = |q: u32| q < l && perm.apply(q) >= l;
+        let m: u32 = (0..l).map(|q| u32::from(goes_up(q))).sum();
+        let window = l - m;
+        let mut free = (window..l).filter(|&w| !goes_up(w));
+        let l1: Vec<(u32, u32)> = (0..window)
+            .filter(|&q| goes_up(q))
+            .map(|s| {
+                let Some(w) = free.next() else {
+                    unreachable!("the window has a free slot per bit below it")
+                };
+                (s, w)
+            })
+            .collect();
+        let after_l1 = |q: u32| {
+            let swapped = |&(s, w): &(u32, u32)| (q == s).then_some(w).or((q == w).then_some(s));
+            l1.iter().find_map(swapped).unwrap_or(q)
+        };
+        let chain_end = |mut p: u32| {
+            while perm.apply(p) >= l {
+                p = perm.apply(p);
+            }
+            p
+        };
+        let trades: Vec<(u32, u32, u32)> = (0..l)
+            .filter(|&q| goes_up(q))
+            .map(|s| {
+                let to = perm.apply(s);
+                (after_l1(s) - window, to - l, chain_end(to) - l)
+            })
+            .collect();
+        let stay: Vec<(u32, u32)> = (l..n)
+            .filter(|&g| perm.apply(g) >= l)
+            .map(|g| (g - l, perm.apply(g) - l))
+            .collect();
+        // G as a bit map, then L2 = P ∘ (G ∘ L1)⁻¹.
+        let g = |p: u32| {
+            let traded = trades.iter().find(|&&(j, _, from)| {
+                if p < l {
+                    p == window + j
+                } else {
+                    p - l == from
+                }
+            });
+            match traded {
+                Some(&(_, to, _)) if p < l => l + to,
+                Some(&(j, _, _)) => window + j,
+                None if p >= l => perm.apply(p),
+                None => p,
+            }
+        };
+        let g_l1 = Permutation::from_map((0..n).map(|q| g(after_l1(q))).collect());
+        let l2 = perm.compose(&g_l1.inverse());
+        debug_assert!((l..n).all(|p| l2.apply(p) == p), "L2 must be local");
+        PermuteLowering {
+            l1,
+            trades,
+            stay,
+            m,
+            l2,
+        }
+    }
+
+    /// Whether G moves anything between ranks.
+    fn moves_rank_bits(&self) -> bool {
+        self.m > 0 || self.stay.iter().any(|&(from, to)| from != to)
+    }
+
+    /// The rank that block `t` of rank `u`'s slice goes to under G.
+    fn dest(&self, u: u64, t: u64) -> u64 {
+        let v = self.trades.iter().fold(0, |v, &(j, to, _)| v | ((t >> j) & 1) << to);
+        self.stay.iter().fold(v, |v, &(from, to)| v | ((u >> from) & 1) << to)
+    }
+
+    /// The block of rank `v`'s slice that rank `w`'s block lands in, or
+    /// `None` when `w` sends `v` nothing.
+    fn source_block(&self, w: u64, v: u64) -> Option<u64> {
+        if self.stay.iter().any(|&(from, to)| (w >> from) & 1 != (v >> to) & 1) {
+            return None;
+        }
+        Some(self.trades.iter().fold(0, |t, &(j, _, from)| t | ((w >> from) & 1) << j))
     }
 }
 
@@ -1216,50 +1315,93 @@ mod tests {
         }
     }
 
-    #[test]
-    fn global_permutation_matches_index_map() {
-        // Π(p) on the distributed state: gathered[p.permute_index(i)]
-        // equals the pre-permutation amplitude at i — for local-only,
-        // single swap-in, batched and rank-rotating permutations, across
-        // rank counts and chunk sizes.
-        let n = 6u32;
-        let prep = random_circuit(n, 40, GatePool::Full, 12);
-        let maps: Vec<Vec<u32>> = vec![
-            vec![1, 0, 3, 2, 4, 5],  // purely local
-            vec![5, 1, 2, 3, 4, 0],  // one local<->global transposition
-            vec![4, 5, 2, 3, 0, 1],  // batched double swap-in
-            vec![0, 1, 2, 3, 5, 4],  // global<->global
-            vec![5, 4, 3, 2, 1, 0],  // full reversal
-            vec![1, 2, 3, 4, 5, 0],  // full-register cycle
+    /// Seeded random permutations of `n` bits plus the shapes the
+    /// transpiler emits.
+    fn permutation_zoo(n: u32) -> Vec<(&'static str, Permutation)> {
+        use qse_util::rng::{Rng, StdRng};
+        let swapped = |pairs: &[(u32, u32)]| {
+            let mut p = Permutation::identity(n);
+            for &(a, b) in pairs {
+                p.swap(a, b);
+            }
+            p
+        };
+        let mut zoo = vec![
+            // The restore step of a reversed layout: the top rank bit
+            // lands on local bit 0.
+            ("reversal", Permutation::reversal(n)),
+            ("single swap-in", swapped(&[(n / 2, n - 1)])),
+            ("double swap-in", swapped(&[(n / 2, n - 1), (0, n - 2)])),
+            ("global<->global", swapped(&[(n - 2, n - 1)])),
+            ("purely local", swapped(&[(0, 2), (1, 2)])),
+            ("full-register cycle", Permutation::from_map((0..n).map(|q| (q + 1) % n).collect())),
         ];
-        for ranks in [1usize, 2, 4, 8] {
-            for map in &maps {
-                let perm = Permutation::from_map(map.clone());
-                for max_bytes in [1usize << 20, 64] {
-                    let config = DistConfig {
-                        chunk_policy: ChunkPolicy::new(max_bytes).unwrap(),
-                        ..DistConfig::default()
-                    };
-                    let out = Universe::new(ranks).run(|comm| {
-                        let mut st: DistributedState<SoaStorage> =
-                            DistributedState::basis_state(comm, n, 0, config);
-                        st.run(&prep).unwrap();
-                        let before = st.gather().unwrap();
-                        st.apply_global_permutation(&perm).unwrap();
-                        (before, st.gather().unwrap())
-                    });
-                    let (before, after) = out.into_iter().next().unwrap();
-                    let (Some(before), Some(after)) = (before, after) else {
-                        continue; // only rank 0 gathers
-                    };
-                    for (i, &amp) in before.iter().enumerate() {
-                        let j = perm.permute_index(i as u64) as usize;
-                        assert_eq!(
-                            amp.re.to_bits(),
-                            after[j].re.to_bits(),
-                            "R={ranks} map={map:?} index {i}"
-                        );
-                        assert_eq!(amp.im.to_bits(), after[j].im.to_bits());
+        let mut rng = StdRng::seed_from_u64(u64::from(n));
+        for _ in 0..3 {
+            let mut map: Vec<u32> = (0..n).collect();
+            for i in (1..map.len()).rev() {
+                map.swap(i, rng.random_range(0..=i));
+            }
+            zoo.push(("random", Permutation::from_map(map)));
+        }
+        zoo
+    }
+
+    /// Π(p) on the distributed state, for every permutation of the zoo
+    /// at n ∈ {6, 9, 12}, R ∈ {1, 2, 4, 8} and caps {40 B, 64 B, 1 MiB}:
+    /// the gathered state holds amplitude `i` at `p.permute_index(i)` bit
+    /// for bit, and every rank sends exactly the bytes of the amplitudes
+    /// p moves off it — in total and at the busiest rank what
+    /// `permutation_traffic` predicts. Every amplitude is distinct, and
+    /// both signs of zero are stored, so a misplaced one cannot hide.
+    fn assert_global_permutation_conformance<S: AmpStorage>() {
+        use qse_circuit::transpile::permutation_traffic;
+        let amp = |i: u64| match i {
+            0 => Complex64::new(0.0, -0.0),
+            1 => Complex64::new(-0.0, 0.0),
+            _ => Complex64::new(i as f64, -0.5 * i as f64),
+        };
+        for n in [6u32, 9, 12] {
+            for (shape, perm) in permutation_zoo(n) {
+                for ranks in [1usize, 2, 4, 8] {
+                    let layout = Layout::new(n, ranks as u64);
+                    let l = layout.local_qubits();
+                    let moved: Vec<u64> = (0..ranks as u64)
+                        .map(|u| {
+                            let off = |&sl: &u64| perm.permute_index((u << l) | sl) >> l != u;
+                            (0..layout.local_amps()).filter(off).count() as u64 * 16
+                        })
+                        .collect();
+                    let model = permutation_traffic(&perm, &layout);
+                    assert_eq!(moved.iter().sum::<u64>(), model.total_bytes, "{shape} {perm:?}");
+                    assert_eq!(moved.iter().max().copied(), Some(model.max_rank_bytes));
+                    for cap in [40usize, 64, 1 << 20] {
+                        let ctx = format!("{shape} {perm:?} R={ranks} cap={cap}");
+                        let config = DistConfig {
+                            chunk_policy: ChunkPolicy::new(cap).unwrap(),
+                            ..DistConfig::default()
+                        };
+                        let out = Universe::new(ranks).run(|comm| {
+                            let mut st: DistributedState<S> =
+                                DistributedState::zero_state(comm, n, config);
+                            let offset = st.rank_offset();
+                            for i in 0..st.amps.len() {
+                                st.amps.set(i, amp(offset + i as u64));
+                            }
+                            st.apply_global_permutation(&perm).unwrap();
+                            st.barrier();
+                            let sent = st.stats().bytes_exchanged;
+                            (sent, st.gather().unwrap())
+                        });
+                        for (rank, (sent, _)) in out.iter().enumerate() {
+                            assert_eq!(*sent, moved[rank], "{ctx} rank {rank}");
+                        }
+                        let after = out.into_iter().find_map(|o| o.1).expect("rank 0 gathered");
+                        for i in 0..1u64 << n {
+                            let (want, got) = (amp(i), after[crate::ix(perm.permute_index(i))]);
+                            assert_eq!(want.re.to_bits(), got.re.to_bits(), "{ctx} index {i}");
+                            assert_eq!(want.im.to_bits(), got.im.to_bits(), "{ctx} index {i}");
+                        }
                     }
                 }
             }
@@ -1267,39 +1409,9 @@ mod tests {
     }
 
     #[test]
-    fn global_permutation_traffic_matches_model() {
-        // Measured bytes_exchanged equals the transpiler's static
-        // `permutation_traffic` prediction, per rank and in total.
-        use qse_circuit::transpile::permutation_traffic;
-        let n = 6u32;
-        let ranks = 8usize;
-        let layout = Layout::new(n, ranks as u64);
-        let maps: Vec<Vec<u32>> = vec![
-            vec![1, 0, 2, 3, 4, 5],  // local: zero traffic
-            vec![5, 1, 2, 3, 4, 0],  // single swap-in: half slices
-            vec![4, 5, 2, 3, 0, 1],  // double swap-in: 3/4 slices
-            vec![0, 1, 2, 3, 5, 4],  // global<->global: differing-bit ranks
-        ];
-        for map in maps {
-            let perm = Permutation::from_map(map);
-            let want = permutation_traffic(&perm, &layout);
-            let stats = Universe::new(ranks).run(|comm| {
-                let mut st: DistributedState<SoaStorage> =
-                    DistributedState::zero_state(comm, n, DistConfig::default());
-                st.run(&random_circuit(n, 10, GatePool::Full, 3)).unwrap();
-                st.barrier();
-                st.comm.reset_stats();
-                st.apply_global_permutation(&perm).unwrap();
-                st.barrier();
-                st.stats().bytes_exchanged
-            });
-            assert_eq!(stats.iter().sum::<u64>(), want.total_bytes, "{perm:?}");
-            assert_eq!(
-                stats.iter().copied().max().unwrap(),
-                want.max_rank_bytes,
-                "{perm:?}"
-            );
-        }
+    fn global_permutation_conformance() {
+        assert_global_permutation_conformance::<SoaStorage>();
+        assert_global_permutation_conformance::<crate::storage::AosStorage>();
     }
 
     #[test]

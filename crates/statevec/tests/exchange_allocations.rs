@@ -7,13 +7,17 @@
 //! the peak of live exchange memory (the chunks in flight, not a
 //! slice-sized scratch); and a one-slice bound for a two-qubit unitary
 //! whose orbit is the whole slice, where every chunk is a fraction of an
-//! orbit and the consumer keeps views of the payloads it has to pair.
+//! orbit and the consumer keeps views of the payloads it has to pair; and
+//! for a `Permute` step, the bytes it sends plus two chunks (no permuted
+//! slice beside the old one, no index lists).
 //!
 //! One test only: the allocator counts the whole process, and a second
 //! test running beside this one would be counted too.
 
+use qse_circuit::classify::Layout as QubitLayout;
 use qse_circuit::random::random_unitary2;
-use qse_circuit::Gate;
+use qse_circuit::transpile::permutation_traffic;
+use qse_circuit::{Gate, Permutation};
 use qse_comm::chunking::{ChunkPolicy, ExchangeMode, DEFAULT_RING_DEPTH};
 use qse_comm::Universe;
 use qse_statevec::{DistConfig, DistributedState};
@@ -54,10 +58,13 @@ const SLICE_BYTES: usize = (1 << N) / RANKS * 16;
 const CHUNK: usize = 64 << 10;
 const GATES: usize = 8;
 
-/// Applies `GATES` distributed `gate`s on every rank after a warm-up and
-/// returns (bytes allocated, peak live bytes above the starting level)
-/// over the process, plus each rank's streamed in-flight gauge.
-fn measure(mode: ExchangeMode, gate: &Gate) -> (usize, usize, Vec<u64>) {
+/// Runs `step` `GATES` times on every rank after a warm-up and returns
+/// (bytes allocated, peak live bytes above the starting level) over the
+/// process, plus each rank's streamed in-flight gauge.
+fn measure(
+    mode: ExchangeMode,
+    step: impl Fn(&mut DistributedState) + Sync,
+) -> (usize, usize, Vec<u64>) {
     let config = DistConfig {
         exchange_mode: mode,
         chunk_policy: ChunkPolicy::new(CHUNK).unwrap(),
@@ -66,7 +73,7 @@ fn measure(mode: ExchangeMode, gate: &Gate) -> (usize, usize, Vec<u64>) {
     let out = Universe::new(RANKS).run(|comm| {
         let mut st: DistributedState = DistributedState::zero_state(comm, N, config);
         for _ in 0..2 {
-            st.apply(gate).unwrap();
+            step(&mut st);
         }
         // Rank 0 reads the counters while every rank is parked between
         // two barriers, so nothing else allocates during a reading.
@@ -78,7 +85,7 @@ fn measure(mode: ExchangeMode, gate: &Gate) -> (usize, usize, Vec<u64>) {
         });
         st.barrier();
         for _ in 0..GATES {
-            st.apply(gate).unwrap();
+            step(&mut st);
         }
         st.barrier();
         let measured = before.map(|(allocated, live)| {
@@ -97,7 +104,7 @@ fn measure(mode: ExchangeMode, gate: &Gate) -> (usize, usize, Vec<u64>) {
 #[test]
 fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
     let h = Gate::H(N - 1);
-    let (allocated, peak, _) = measure(ExchangeMode::Blocking, &h);
+    let (allocated, peak, _) = measure(ExchangeMode::Blocking, |st| st.apply(&h).unwrap());
     let per_gate_per_rank = allocated / (GATES * RANKS);
     assert!(
         per_gate_per_rank >= CHUNK,
@@ -118,7 +125,7 @@ fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
     // paired up as views of the payloads, never copied into a carry.
     let matrix = random_unitary2(&mut StdRng::seed_from_u64(3));
     let u2 = Gate::Unitary2 { a: N - 2, b: N - 1, matrix };
-    let (allocated, _, _) = measure(ExchangeMode::Blocking, &u2);
+    let (allocated, _, _) = measure(ExchangeMode::Blocking, |st| st.apply(&u2).unwrap());
     let per_gate_per_rank = allocated / (GATES * RANKS);
     assert!(
         per_gate_per_rank * 10 <= SLICE_BYTES * 11,
@@ -128,7 +135,7 @@ fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
     // Streamed: the in-flight gauge counts what the driver holds — the
     // payload under its kernel plus the chunk being packed — within the
     // ring bound the verifier proves.
-    let (_, _, inflight) = measure(ExchangeMode::Streamed, &h);
+    let (_, _, inflight) = measure(ExchangeMode::Streamed, |st| st.apply(&h).unwrap());
     for (rank, peak) in inflight.into_iter().enumerate() {
         assert!(peak > 0, "rank {rank}: gauge never rose");
         assert!(
@@ -136,4 +143,29 @@ fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
             "rank {rank}: {peak} B in flight exceeds ring depth × chunk"
         );
     }
+
+    // A `Permute` step — QFT-16's layout restore at R = 2, which trades
+    // local bit 0 for the rank bit — runs in place: it allocates the wire
+    // chunks it sends and nothing of any size besides, neither a permuted
+    // slice built beside the old one nor index lists beside the payload.
+    let restore = Permutation::from_map(
+        (0..N)
+            .map(|q| match q {
+                7 => 0,
+                15 => 8,
+                q => 15 - q,
+            })
+            .collect(),
+    );
+    let sent = permutation_traffic(&restore, &QubitLayout::new(N, RANKS as u64)).max_rank_bytes;
+    assert_eq!(sent as usize, SLICE_BYTES / 2);
+    let (allocated, _, _) = measure(ExchangeMode::Blocking, |st| {
+        st.apply_global_permutation(&restore).unwrap()
+    });
+    let per_step_per_rank = allocated / (GATES * RANKS);
+    assert!(
+        per_step_per_rank <= sent as usize + 2 * CHUNK,
+        "Permute: {per_step_per_rank} B allocated per step per rank exceeds the {sent} B it \
+         sends + 2 chunks of {CHUNK} B"
+    );
 }
