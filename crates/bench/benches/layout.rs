@@ -1,48 +1,49 @@
-//! SoA (QuEST's separate real/imaginary arrays) vs AoS (interleaved
-//! complex) storage — the paper's §4 future-work question about data
-//! locality, answered empirically.
+//! The paper's §4 layout question at kernel level: the same scalar
+//! Hadamard butterfly (target 10, n = 20, one thread) over split `re` /
+//! `im` arrays — QuEST's layout and the engine's — and over interleaved
+//! complex values. Independent of the engine; the engine-level record of
+//! both layouts is `results/bench_kernels.json`.
 
-use qse_circuit::qft::qft;
-use qse_circuit::Gate;
-use qse_statevec::storage::{AosStorage, SoaStorage};
-use qse_statevec::SingleState;
+use qse_math::Complex64;
 use qse_util::bench::BenchGroup;
+use std::f64::consts::FRAC_1_SQRT_2;
 use std::hint::black_box;
 
 const N_QUBITS: u32 = 20;
-
-fn bench_sweep_by_layout() {
-    let mut group = BenchGroup::new("layout_hadamard_sweep");
-    group.throughput_bytes(32u64 << N_QUBITS);
-    let mut soa: SingleState<SoaStorage> = SingleState::zero_state(N_QUBITS);
-    group.bench("soa", || {
-        soa.apply(black_box(&Gate::H(10)));
-    });
-    let mut aos: SingleState<AosStorage> = SingleState::zero_state(N_QUBITS);
-    group.bench("aos", || {
-        aos.apply(black_box(&Gate::H(10)));
-    });
-    group.finish();
-}
-
-fn bench_qft_by_layout() {
-    let mut group = BenchGroup::new("layout_qft_16q");
-    group.sample_size(10);
-    let circuit = qft(16);
-    group.bench("soa", || {
-        let mut s: SingleState<SoaStorage> = SingleState::zero_state(16);
-        s.run(black_box(&circuit));
-        black_box(s.norm_sqr());
-    });
-    group.bench("aos", || {
-        let mut s: SingleState<AosStorage> = SingleState::zero_state(16);
-        s.run(black_box(&circuit));
-        black_box(s.norm_sqr());
-    });
-    group.finish();
-}
+const STRIDE: usize = 1 << 10;
 
 fn main() {
-    bench_sweep_by_layout();
-    bench_qft_by_layout();
+    let len = 1usize << N_QUBITS;
+    let mut group = BenchGroup::new("layout_hadamard_sweep");
+    group.throughput_bytes(32u64 << N_QUBITS);
+    let (mut re, mut im) = (vec![0.5f64; len], vec![-0.25f64; len]);
+    group.bench("split", || {
+        for (rb, ib) in re
+            .chunks_exact_mut(2 * STRIDE)
+            .zip(im.chunks_exact_mut(2 * STRIDE))
+        {
+            let ((rl, rh), (il, ih)) = (rb.split_at_mut(STRIDE), ib.split_at_mut(STRIDE));
+            for k in 0..STRIDE {
+                let (r0, i0, r1, i1) = (rl[k], il[k], rh[k], ih[k]);
+                rl[k] = (r0 + r1) * FRAC_1_SQRT_2;
+                il[k] = (i0 + i1) * FRAC_1_SQRT_2;
+                rh[k] = (r0 - r1) * FRAC_1_SQRT_2;
+                ih[k] = (i0 - i1) * FRAC_1_SQRT_2;
+            }
+        }
+        black_box((&re, &im));
+    });
+    let mut amps = vec![Complex64::new(0.5, -0.25); len];
+    group.bench("interleaved", || {
+        for block in amps.chunks_exact_mut(2 * STRIDE) {
+            let (lo, hi) = block.split_at_mut(STRIDE);
+            for k in 0..STRIDE {
+                let (a, b) = (lo[k], hi[k]);
+                lo[k] = (a + b).scale(FRAC_1_SQRT_2);
+                hi[k] = (a - b).scale(FRAC_1_SQRT_2);
+            }
+        }
+        black_box(&amps);
+    });
+    group.finish();
 }

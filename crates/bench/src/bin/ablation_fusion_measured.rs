@@ -17,12 +17,12 @@
 
 use qse_circuit::qft::qft;
 use qse_math::Complex64;
-use qse_statevec::{AmpStorage, SingleState, SoaStorage};
+use qse_statevec::SingleState;
 use qse_util::bench::BenchGroup;
 use qse_util::json::{Json, ToJson};
 
 /// Resets `st` to |0…0⟩ in place (no reallocation between iterations).
-fn reset(st: &mut SingleState<SoaStorage>) {
+fn reset(st: &mut SingleState) {
     st.storage_mut().fill_zero();
     st.storage_mut().set(0, Complex64::ONE);
 }
@@ -44,7 +44,7 @@ fn main() {
 
     for &n in &widths {
         let circuit = qft(n);
-        let mut st: SingleState<SoaStorage> = SingleState::zero_state(n);
+        let mut st: SingleState = SingleState::zero_state(n);
         group.bench(format!("qft{n}_unfused"), || {
             reset(&mut st);
             st.run_unfused(std::hint::black_box(&circuit));

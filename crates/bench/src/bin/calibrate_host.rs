@@ -2,8 +2,8 @@
 //!
 //! The ARCHER2 constants in `qse-machine` came from the paper's published
 //! measurements. This binary performs the *same measurements* on the
-//! current host using the real engines — sweep bandwidth per layout,
-//! NUMA/cache penalty versus target qubit, and pairwise exchange
+//! current host using the real engines — sweep bandwidth, NUMA/cache
+//! penalty versus target qubit, and pairwise exchange
 //! throughput per mode — and prints them as a ready-to-edit machine
 //! description, so the model can be re-anchored to any machine the
 //! repository runs on.
@@ -12,15 +12,14 @@ use qse_circuit::benchmarks::{hadamard_benchmark, swap_benchmark};
 use qse_circuit::Gate;
 use qse_core::experiment::TextTable;
 use qse_core::{SimConfig, ThreadClusterExecutor};
-use qse_statevec::storage::{AmpStorage, AosStorage, SoaStorage};
 use qse_statevec::SingleState;
 use std::time::Instant;
 
 const SWEEP_QUBITS: u32 = 22; // 4M amplitudes, 64 MB — past LLC
 const REPS: usize = 5;
 
-fn sweep_bandwidth<S: AmpStorage>(q: u32) -> f64 {
-    let mut s: SingleState<S> = SingleState::zero_state(SWEEP_QUBITS);
+fn sweep_bandwidth(q: u32) -> f64 {
+    let mut s = SingleState::zero_state(SWEEP_QUBITS);
     // warm-up
     s.apply(&Gate::H(q));
     let t0 = Instant::now();
@@ -35,23 +34,17 @@ fn sweep_bandwidth<S: AmpStorage>(q: u32) -> f64 {
 fn main() {
     println!("qse host calibration (sweeps: {SWEEP_QUBITS} qubits, {REPS} reps)\n");
 
-    // 1. Sweep bandwidth by storage layout (the paper's §4 locality
-    //    question, measured).
-    let soa = sweep_bandwidth::<SoaStorage>(4);
-    let aos = sweep_bandwidth::<AosStorage>(4);
-    println!("sweep bandwidth, low-stride Hadamard:");
-    println!("  SoA (QuEST layout):   {:7.2} GB/s", soa / 1e9);
+    // 1. Sweep bandwidth of a low-stride Hadamard.
     println!(
-        "  AoS (complex layout): {:7.2} GB/s ({:+.0} %)\n",
-        aos / 1e9,
-        (aos / soa - 1.0) * 100.0
+        "sweep bandwidth, low-stride Hadamard: {:7.2} GB/s\n",
+        sweep_bandwidth(4) / 1e9
     );
 
     // 2. Penalty versus target qubit (the Table 1 shape on this host).
     let mut table = TextTable::new(vec!["Target qubit", "GB/s", "vs q0"]);
-    let base = sweep_bandwidth::<SoaStorage>(0);
+    let base = sweep_bandwidth(0);
     for q in [0u32, 4, 8, 12, 16, 20, SWEEP_QUBITS - 1] {
-        let bw = sweep_bandwidth::<SoaStorage>(q);
+        let bw = sweep_bandwidth(q);
         table.row(vec![
             q.to_string(),
             format!("{:.2}", bw / 1e9),

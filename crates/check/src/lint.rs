@@ -23,7 +23,7 @@
 //!   error handling in disguise. (`debug_assert!` remains allowed:
 //!   true internal invariants may still self-check in debug builds.)
 //! * **R5 `UnsafeWithoutSafety`** — every `unsafe` keyword in the SIMD
-//!   storage kernels (`qse-statevec/src/storage/{soa,aos}.rs`) and the
+//!   storage kernels (`qse-statevec/src/storage/soa.rs`) and the
 //!   thread-pool (`qse-util/src/parallel.rs`) must be justified by a
 //!   `SAFETY:` comment on the same line or in the contiguous
 //!   comment/attribute block directly above it. These are the only
@@ -257,9 +257,8 @@ fn invokes_hard_assert(stripped: &str) -> bool {
 
 /// The only files in the tree permitted to contain `unsafe` at all;
 /// R5 requires every use in them to carry a `SAFETY:` justification.
-const UNSAFE_FILES: [&str; 3] = [
+const UNSAFE_FILES: [&str; 2] = [
     "crates/statevec/src/storage/soa.rs",
-    "crates/statevec/src/storage/aos.rs",
     "crates/util/src/parallel.rs",
 ];
 
@@ -740,7 +739,7 @@ mod tests {
         // A doc block whose SAFETY line is not the last line still counts.
         let src = "/// SAFETY: callers pin the pointee.\n/// More docs.\n\
                    #[inline]\nunsafe fn g() {}\n";
-        assert!(lint_file("crates/statevec/src/storage/aos.rs", src).is_empty());
+        assert!(lint_file("crates/statevec/src/storage/soa.rs", src).is_empty());
         // Substantive code between the comment and the `unsafe` breaks
         // the adjacency: the second use needs its own justification.
         let src = "// SAFETY: only for the first impl.\nunsafe impl Send for X {}\n\

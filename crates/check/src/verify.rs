@@ -39,13 +39,9 @@
 use qse_circuit::classify::{classify, GateClass, Layout, BYTES_PER_AMP};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, DEFAULT_RING_DEPTH};
+use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, DEFAULT_RING_DEPTH, TAG_MOD};
 use std::collections::HashMap;
 use std::fmt;
-
-/// User exchange tags stay below `2^31`; mirrors the private constant in
-/// `statevec::dist` (the verifier must reproduce the exact tag stream).
-const TAG_MOD: u64 = 1 << 30;
 
 /// Exhaustive per-slot permutation alias checking is quadratic-ish in the
 /// slice; above this many local amplitudes the closed-form counting check

@@ -48,7 +48,6 @@ fn the_linter_bites_on_a_seeded_uncommented_unsafe() {
     let root = workspace_root();
     for rel in [
         "crates/statevec/src/storage/soa.rs",
-        "crates/statevec/src/storage/aos.rs",
         "crates/util/src/parallel.rs",
     ] {
         let content = std::fs::read_to_string(root.join(rel)).expect("readable");
@@ -125,7 +124,7 @@ fn the_linter_bites_on_seeded_slice_staging() {
         "baseline {rel} must be clean"
     );
     let seeded = format!(
-        "{content}\nfn seeded<S: AmpStorage>(amps: &S) -> Bytes {{\n    \
+        "{content}\nfn seeded(amps: &SoaStorage) -> Bytes {{\n    \
          let staged = amps.to_f64_vec();\n    f64s_to_bytes(&staged)\n}}\n"
     );
     let v = qse_check::lint_file(rel, &seeded);

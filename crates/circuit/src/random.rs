@@ -1,6 +1,6 @@
 //! Seeded random circuit generation for property-based testing.
 //!
-//! The distributed engine, the transpiler and the storage layouts are all
+//! The distributed engine, the transpiler and the storage kernels are all
 //! verified against a dense reference simulator on random circuits; this
 //! module is the workload generator for those checks.
 

@@ -100,6 +100,17 @@ impl ChunkPolicy {
 /// Base tags must leave the low 32 bits for chunk indices.
 const CHUNK_TAG_SHIFT: u64 = 32;
 
+/// Exclusive bound on a base tag [`chunk_tag`] accepts.
+const BASE_TAG_BOUND: u64 = 1 << 31;
+
+/// Modulus of the per-gate exchange tag sequence. The statevector engine
+/// reduces its sequence by it, and the static verifier reduces its model
+/// of that sequence by the same constant, so it reproduces the engine's
+/// tag stream exactly. Every reduced tag is a valid [`chunk_tag`] base.
+pub const TAG_MOD: u64 = 1 << 30;
+
+const _: () = assert!(TAG_MOD <= BASE_TAG_BOUND, "reduced tags must be valid base tags");
+
 /// Builds the wire tag for chunk `idx` of an exchange tagged `base`.
 ///
 /// # Panics
@@ -107,7 +118,7 @@ const CHUNK_TAG_SHIFT: u64 = 32;
 /// either bound, and colliding tags would corrupt message matching.
 #[inline]
 pub fn chunk_tag(base: u64, idx: usize) -> u64 {
-    assert!(base < (1 << 31), "exchange base tag too large: {base}");
+    assert!(base < BASE_TAG_BOUND, "exchange base tag too large: {base}");
     assert!((idx as u64) < (1 << 32), "chunk index too large: {idx}");
     (base << CHUNK_TAG_SHIFT) | idx as u64
 }

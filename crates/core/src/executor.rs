@@ -10,7 +10,6 @@ use qse_machine::archer2::Machine;
 use qse_machine::perf::RunEstimate;
 use qse_machine::{archer2, ModelOracle};
 use qse_math::Complex64;
-use qse_statevec::storage::SoaStorage;
 use qse_statevec::{DistributedState, Schedule, SingleState, SparseState};
 use qse_util::rng::Rng;
 use std::time::Instant;
@@ -33,7 +32,7 @@ pub struct LocalExecutor;
 
 impl LocalExecutor {
     /// Simulates from |0…0⟩ and returns the final state.
-    pub fn run(circuit: &Circuit) -> SingleState<SoaStorage> {
+    pub fn run(circuit: &Circuit) -> SingleState {
         SingleState::simulate(circuit)
     }
 }
@@ -140,7 +139,7 @@ impl ThreadClusterExecutor {
             None => Universe::new(n_ranks),
         };
         let per_rank = universe.run(|comm| -> Result<_, CommError> {
-            let mut st: DistributedState<SoaStorage> =
+            let mut st =
                 DistributedState::basis_state(comm, circuit.n_qubits(), basis, dist_config);
             st.barrier();
             let t0 = Instant::now();

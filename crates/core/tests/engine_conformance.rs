@@ -10,7 +10,7 @@
 //!    the same inclusive-prefix-sum CDF contract, so equal states mean
 //!    equal draws, not merely statistically close ones.
 //! 2. **Amplitude agreement** — the sparse engine matches every dense
-//!    configuration (SoA and AoS layouts, thread clusters at R ∈
+//!    configuration (one address space, thread clusters at R ∈
 //!    {1, 2, 4}) to ≤ 1e-9 on generic random circuits.
 //! 3. **Auto-invariance** — a property loop over circuits that auto
 //!    routes to each of the three engines, proving `--engine auto`
@@ -22,7 +22,7 @@ use qse_circuit::Circuit;
 use qse_core::{EngineExecutor, EngineMode, SimConfig, ThreadClusterExecutor};
 use qse_math::approx::assert_slices_close;
 use qse_statevec::measure::sample_counts_amps;
-use qse_statevec::{AosStorage, SingleState, SparseState};
+use qse_statevec::{SingleState, SparseState};
 use qse_util::rng::{Rng, StdRng};
 use std::collections::BTreeMap;
 
@@ -78,22 +78,18 @@ fn clifford_histograms_are_bitwise_identical_across_engines() {
 // 2. Sparse vs every dense configuration, ≤ 1e-9
 // ---------------------------------------------------------------------
 
-/// The sparse engine agrees with the dense engine to ≤ 1e-9 no matter
-/// how the dense state is laid out (SoA, AoS) or distributed
-/// (R ∈ {1, 2, 4}) — 8 seeded generic circuits × 5 dense configurations.
+/// The sparse engine agrees with the dense engine to ≤ 1e-9 in one
+/// address space and distributed over R ∈ {1, 2, 4} — 8 seeded generic
+/// circuits × 4 dense configurations.
 #[test]
-fn sparse_matches_dense_across_layouts_and_rank_counts() {
+fn sparse_matches_dense_across_rank_counts() {
     for seed in 0..8u64 {
         let n = 7;
         let c = random_circuit(n, 70, GatePool::Full, 500 + seed);
         let sparse = SparseState::simulate(&c).to_vec();
 
-        let soa = SingleState::simulate(&c).to_vec();
-        assert_slices_close(&sparse, &soa, 1e-9);
-
-        let mut aos = SingleState::<AosStorage>::basis_state(n, 0);
-        aos.run(&c);
-        assert_slices_close(&sparse, &aos.to_vec(), 1e-9);
+        let single = SingleState::simulate(&c).to_vec();
+        assert_slices_close(&sparse, &single, 1e-9);
 
         for ranks in [1u64, 2, 4] {
             let run =

@@ -52,8 +52,7 @@ fn steps(circuit: &Circuit, cfg: &SimConfig) -> Vec<PlanStep> {
 fn hand_rolled(circuit: &Circuit, cfg: &SimConfig, steps: &[PlanStep]) -> (Vec<Complex64>, u64) {
     let dist_config = cfg.to_dist_config();
     let per_rank = Universe::new(cfg.n_ranks as usize).run(|comm| {
-        let mut st: DistributedState =
-            DistributedState::basis_state(comm, circuit.n_qubits(), BASIS, dist_config);
+        let mut st = DistributedState::basis_state(comm, circuit.n_qubits(), BASIS, dist_config);
         for step in steps {
             match step {
                 PlanStep::Gate(g) => st.apply(g).expect("gate"),

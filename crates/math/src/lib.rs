@@ -5,9 +5,8 @@
 //!
 //! * [`Complex64`] — a from-scratch double-precision complex number. QuEST
 //!   stores amplitudes as *separate* real and imaginary arrays; the paper's
-//!   future-work section proposes switching to an interleaved complex type.
-//!   Owning the type (rather than pulling in an external crate) lets the
-//!   statevector engine implement both layouts over the same scalar.
+//!   future-work section proposes switching to an interleaved complex type
+//!   (the `layout` bench measures both over this one scalar).
 //! * [`Matrix2`] / [`Matrix4`] — dense complex matrices for one- and
 //!   two-qubit gates, with unitarity checks used by tests and the circuit IR.
 //! * [`bits`] — bit-index utilities: the entire distributed-simulation

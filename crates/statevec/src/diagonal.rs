@@ -238,9 +238,9 @@ const LANES: usize = 8;
 /// multiplication is not associative in floating point, so the product
 /// of the run's phases is never precomputed.)
 ///
-/// The storage backends drive [`Self::apply_block`] through
-/// [`crate::storage::AmpStorage::apply_fused_diagonal`], and through
-/// [`crate::storage::AmpStorage::apply_local_run`] when the run is one
+/// The storage drives [`Self::apply_block`] through
+/// [`crate::storage::SoaStorage::apply_fused_diagonal`], and through
+/// [`crate::storage::SoaStorage::apply_local_run`] when the run is one
 /// op of a [`LocalRun`](crate::schedule::LocalRun).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompiledDiagonal {

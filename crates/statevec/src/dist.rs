@@ -19,11 +19,11 @@
 use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{Schedule, Step};
 use crate::storage::kernel::wire_amp;
-use crate::storage::{init_basis, AmpStorage, SoaStorage, AMP_BYTES};
+use crate::storage::{SoaStorage, AMP_BYTES};
 use qse_circuit::classify::{classify, GateClass, Layout};
 use qse_circuit::transpile::Plan;
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{drive, ChunkPolicy, ChunkedExchange, ExchangeMode, PackOrder};
+use qse_comm::chunking::{drive, ChunkPolicy, ChunkedExchange, ExchangeMode, PackOrder, TAG_MOD};
 use qse_comm::collective;
 use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
@@ -65,10 +65,10 @@ impl Default for DistConfig {
 
 /// Per-rank view of a distributed statevector. Lives inside one rank's
 /// thread and borrows that rank's [`Communicator`].
-pub struct DistributedState<'c, S: AmpStorage = SoaStorage> {
+pub struct DistributedState<'c> {
     comm: &'c mut Communicator,
     layout: Layout,
-    amps: S,
+    amps: SoaStorage,
     config: DistConfig,
     // No exchange scratch lives here: a distributed gate packs each wire
     // chunk straight from `amps` and runs its kernel straight on the
@@ -77,10 +77,7 @@ pub struct DistributedState<'c, S: AmpStorage = SoaStorage> {
     exchange_seq: u64,
 }
 
-/// User exchange tags must stay below `2^31` (see `qse_comm::chunking`).
-const TAG_MOD: u64 = 1 << 30;
-
-impl<'c, S: AmpStorage> DistributedState<'c, S> {
+impl<'c> DistributedState<'c> {
     /// Creates |00…0⟩ distributed over every rank of `comm`'s universe.
     pub fn zero_state(comm: &'c mut Communicator, n_qubits: u32, config: DistConfig) -> Self {
         Self::basis_state(comm, n_qubits, 0, config)
@@ -94,9 +91,8 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         config: DistConfig,
     ) -> Self {
         let layout = Layout::new(n_qubits, comm.size() as u64);
-        let mut amps = S::zeros(crate::ix(layout.local_amps()));
-        let offset = comm.rank() as u64 * layout.local_amps();
-        init_basis(&mut amps, offset, index);
+        let mut amps = SoaStorage::zeros(crate::ix(layout.local_amps()));
+        amps.init_basis(comm.rank() as u64 * layout.local_amps(), index);
         DistributedState {
             comm,
             layout,
@@ -122,7 +118,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
     }
 
     /// Immutable access to the local amplitudes.
-    pub fn local(&self) -> &S {
+    pub fn local(&self) -> &SoaStorage {
         &self.amps
     }
 
@@ -171,8 +167,8 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
         n_amps: usize,
         unit: usize,
         order: PackOrder,
-        pack: impl Fn(&S, usize, usize, &mut Vec<u8>),
-        mut apply: impl FnMut(&mut S, usize, Bytes),
+        pack: impl Fn(&SoaStorage, usize, usize, &mut Vec<u8>),
+        mut apply: impl FnMut(&mut SoaStorage, usize, Bytes),
     ) -> CommResult<()> {
         let mode = self.config.exchange_mode;
         let policy = match mode {
@@ -296,7 +292,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
             self.amps.len(),
             1,
             PackOrder::Lazy,
-            S::pack_range,
+            SoaStorage::pack_range,
             |amps, start, payload| {
                 amps.apply_distributed_1q_range(c_mine, c_theirs, &payload, start, control_local)
             },
@@ -339,7 +335,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
                 self.amps.len(),
                 1usize << (lo + 1),
                 PackOrder::Lazy,
-                S::pack_range,
+                SoaStorage::pack_range,
                 |amps, start, payload| {
                     pairs.feed(start, payload, |at, t_lo, t_hi| {
                         amps.apply_distributed_2q_range(lo, g, &m_ord, t_lo, t_hi, at)
@@ -400,7 +396,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
                     self.amps.len(),
                     1,
                     PackOrder::Eager,
-                    S::pack_range,
+                    SoaStorage::pack_range,
                     |amps, start, payload| amps.apply_distributed_swap_range(lo, g, &payload, start),
                 )?;
             }
@@ -421,7 +417,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
                 self.amps.len(),
                 1,
                 PackOrder::Lazy,
-                S::pack_range,
+                SoaStorage::pack_range,
                 |amps, start, payload| amps.copy_from_f64_range(&payload, start),
             )?;
         }
@@ -485,7 +481,7 @@ impl<'c, S: AmpStorage> DistributedState<'c, S> {
     /// ([`PermuteLowering`]), `m` being the number of local bits P sends
     /// to rank positions:
     ///
-    /// * L1 — at most `m` [`AmpStorage::swap_local`] sweeps — gathers
+    /// * L1 — at most `m` [`SoaStorage::swap_local`] sweeps — gathers
     ///   those bits into the top `m` local positions;
     /// * G trades the top `m` local bits for rank bits (renumbering ranks
     ///   where P also moves rank bits among themselves). Every block
@@ -1003,8 +999,7 @@ mod tests {
         basis: u64,
     ) -> Vec<Complex64> {
         let out = Universe::new(ranks).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::basis_state(comm, circuit.n_qubits(), basis, config);
+            let mut st = DistributedState::basis_state(comm, circuit.n_qubits(), basis, config);
             st.run(circuit).unwrap();
             st.gather().unwrap()
         });
@@ -1063,8 +1058,7 @@ mod tests {
                 ..DistConfig::default()
             };
             let stats = Universe::new(4).run(|comm| {
-                let mut st: DistributedState<SoaStorage> =
-                    DistributedState::zero_state(comm, 6, config);
+                let mut st = DistributedState::zero_state(comm, 6, config);
                 st.run(&c).unwrap();
                 st.barrier();
                 st.stats().bytes_sent
@@ -1084,8 +1078,7 @@ mod tests {
         let c = random_circuit(7, 80, GatePool::Full, 21);
         let run = simulate_dist(&c, 4, DistConfig::default(), 0);
         let out = Universe::new(4).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::zero_state(comm, 7, DistConfig::default());
+            let mut st = DistributedState::zero_state(comm, 7, DistConfig::default());
             for g in c.gates() {
                 st.apply(g).unwrap();
             }
@@ -1120,8 +1113,7 @@ mod tests {
     #[test]
     fn norm_and_prob_are_global() {
         Universe::new(4).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::zero_state(comm, 6, DistConfig::default());
+            let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
             st.apply(&Gate::H(5)).unwrap(); // distributed H on the top qubit
             assert_close(st.norm_sqr().unwrap(), 1.0, 1e-12);
             assert_close(st.prob_one(5).unwrap(), 0.5, 1e-12);
@@ -1136,8 +1128,7 @@ mod tests {
         // One distributed H on 4 ranks of a 6-qubit register: each rank
         // exchanges its full 16-amplitude slice (256 bytes) once.
         let stats = Universe::new(4).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::zero_state(comm, 6, DistConfig::default());
+            let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
             st.apply(&Gate::H(5)).unwrap();
             st.barrier();
             st.stats()
@@ -1151,8 +1142,7 @@ mod tests {
     #[test]
     fn diagonal_gates_move_no_bytes() {
         let stats = Universe::new(4).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::zero_state(comm, 6, DistConfig::default());
+            let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
             st.apply(&Gate::Z(5)).unwrap();
             st.apply(&Gate::CPhase {
                 a: 4,
@@ -1180,8 +1170,7 @@ mod tests {
         assert_slices_close(&got, &reference(&c, 0b100000), 1e-12);
         // and it must not have communicated
         let stats = Universe::new(4).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::basis_state(comm, 6, 0b100000, DistConfig::default());
+            let mut st = DistributedState::basis_state(comm, 6, 0b100000, DistConfig::default());
             st.run(&c).unwrap();
             st.barrier();
             st.stats().bytes_sent
@@ -1204,7 +1193,7 @@ mod tests {
         use crate::expectation::{pauli_expectation, Pauli};
         use crate::single::SingleState;
         let c = random_circuit(6, 50, GatePool::Full, 71);
-        let mut single: SingleState<SoaStorage> = SingleState::zero_state(6);
+        let mut single: SingleState = SingleState::zero_state(6);
         single.run(&c);
         let strings: Vec<Vec<(u32, Pauli)>> = vec![
             vec![(0, Pauli::Z)],
@@ -1213,8 +1202,7 @@ mod tests {
             vec![(0, Pauli::X), (3, Pauli::Y), (5, Pauli::X)],
         ];
         let got = Universe::new(4).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::zero_state(comm, 6, DistConfig::default());
+            let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
             st.run(&c).unwrap();
             let values: Vec<f64> = strings
                 .iter()
@@ -1243,8 +1231,7 @@ mod tests {
             c.cnot(0, q);
         }
         let collapsed = Universe::new(4).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::zero_state(comm, 6, DistConfig::default());
+            let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
             st.run(&c).unwrap();
             st.collapse(5, 1).unwrap(); // global qubit
             assert_close(st.norm_sqr().unwrap(), 1.0, 1e-12);
@@ -1262,8 +1249,7 @@ mod tests {
         c.h(5);
         for u in [0.1f64, 0.9] {
             let bits = Universe::new(4).run(|comm| {
-                let mut st: DistributedState<SoaStorage> =
-                    DistributedState::zero_state(comm, 6, DistConfig::default());
+                let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
                 st.run(&c).unwrap();
                 let bit = st.measure_qubit(5, u).unwrap();
                 assert_close(st.norm_sqr().unwrap(), 1.0, 1e-12);
@@ -1289,8 +1275,7 @@ mod tests {
             single.run(&c);
             let out = measure_qubit_with(&mut single, 3, u).unwrap();
             let gathered = Universe::new(4).run(|comm| {
-                let mut st: DistributedState<SoaStorage> =
-                    DistributedState::zero_state(comm, 6, DistConfig::default());
+                let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
                 st.run(&c).unwrap();
                 let bit = st.measure_qubit(3, u).unwrap();
                 assert_eq!(bit, out.bit, "bit mismatch at u = {u}");
@@ -1306,8 +1291,7 @@ mod tests {
         // |0000⟩ has zero probability of observing bit 1; every rank
         // must agree on the error instead of asserting.
         let errs = Universe::new(2).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::zero_state(comm, 4, DistConfig::default());
+            let mut st = DistributedState::zero_state(comm, 4, DistConfig::default());
             st.collapse(3, 1).unwrap_err()
         });
         for e in errs {
@@ -1354,7 +1338,8 @@ mod tests {
     /// p moves off it — in total and at the busiest rank what
     /// `permutation_traffic` predicts. Every amplitude is distinct, and
     /// both signs of zero are stored, so a misplaced one cannot hide.
-    fn assert_global_permutation_conformance<S: AmpStorage>() {
+    #[test]
+    fn global_permutation_conformance() {
         use qse_circuit::transpile::permutation_traffic;
         let amp = |i: u64| match i {
             0 => Complex64::new(0.0, -0.0),
@@ -1382,7 +1367,7 @@ mod tests {
                             ..DistConfig::default()
                         };
                         let out = Universe::new(ranks).run(|comm| {
-                            let mut st: DistributedState<S> =
+                            let mut st =
                                 DistributedState::zero_state(comm, n, config);
                             let offset = st.rank_offset();
                             for i in 0..st.amps.len() {
@@ -1409,12 +1394,6 @@ mod tests {
     }
 
     #[test]
-    fn global_permutation_conformance() {
-        assert_global_permutation_conformance::<SoaStorage>();
-        assert_global_permutation_conformance::<crate::storage::AosStorage>();
-    }
-
-    #[test]
     fn run_plan_with_restored_layout_matches_reference() {
         use qse_circuit::transpile::{comm_avoid, ByteOracle, Strategy};
         let n = 7u32;
@@ -1427,7 +1406,7 @@ mod tests {
                     let plan = comm_avoid(&c, &layout, strategy, &ByteOracle)
                         .with_layout_restored();
                     let out = Universe::new(ranks).run(|comm| {
-                        let mut st: DistributedState<SoaStorage> =
+                        let mut st =
                             DistributedState::basis_state(comm, n, 1, DistConfig::default());
                         st.run_plan(&plan).unwrap();
                         st.gather().unwrap()
@@ -1452,8 +1431,7 @@ mod tests {
         assert_eq!(plan.permute_count(), 1);
         let want = reference(&c, 2);
         let out = Universe::new(ranks).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::basis_state(comm, n, 2, DistConfig::default());
+            let mut st = DistributedState::basis_state(comm, n, 2, DistConfig::default());
             st.run_plan(&plan).unwrap();
             st.barrier();
             (st.stats().bytes_exchanged, st.gather().unwrap())
@@ -1478,8 +1456,7 @@ mod tests {
         let n = 9;
         let traffic = |c: &Circuit| {
             let stats = Universe::new(8).run(|comm| {
-                let mut st: DistributedState<SoaStorage> =
-                    DistributedState::zero_state(comm, n, DistConfig::default());
+                let mut st = DistributedState::zero_state(comm, n, DistConfig::default());
                 st.run(c).unwrap();
                 st.barrier();
                 st.stats().bytes_sent

@@ -5,7 +5,6 @@
 //! re-execution. This module provides the standard ones.
 
 use crate::single::SingleState;
-use crate::storage::AmpStorage;
 use qse_circuit::Gate;
 use qse_math::Complex64;
 
@@ -21,7 +20,7 @@ pub enum Pauli {
 }
 
 /// ⟨a|b⟩ over full statevectors of equal width.
-pub fn inner_product<S: AmpStorage>(a: &SingleState<S>, b: &SingleState<S>) -> Complex64 {
+pub fn inner_product(a: &SingleState, b: &SingleState) -> Complex64 {
     assert_eq!(a.n_qubits(), b.n_qubits(), "width mismatch");
     let mut acc = Complex64::ZERO;
     for i in 0..a.storage().len() {
@@ -31,7 +30,7 @@ pub fn inner_product<S: AmpStorage>(a: &SingleState<S>, b: &SingleState<S>) -> C
 }
 
 /// Fidelity `|⟨a|b⟩|²` between two pure states.
-pub fn fidelity<S: AmpStorage>(a: &SingleState<S>, b: &SingleState<S>) -> f64 {
+pub fn fidelity(a: &SingleState, b: &SingleState) -> f64 {
     inner_product(a, b).norm_sqr()
 }
 
@@ -40,7 +39,7 @@ pub fn fidelity<S: AmpStorage>(a: &SingleState<S>, b: &SingleState<S>) -> f64 {
 /// Hermitian observable is real, so only the real part is returned (the
 /// imaginary part is ≤ rounding noise and asserted small in debug
 /// builds).
-pub fn pauli_expectation<S: AmpStorage>(state: &SingleState<S>, string: &[(u32, Pauli)]) -> f64 {
+pub fn pauli_expectation(state: &SingleState, string: &[(u32, Pauli)]) -> f64 {
     {
         let mut seen = std::collections::HashSet::new();
         for (q, _) in string {
@@ -63,7 +62,7 @@ pub fn pauli_expectation<S: AmpStorage>(state: &SingleState<S>, string: &[(u32, 
 }
 
 /// Convenience: ⟨Z_q⟩ = P(0) − P(1).
-pub fn z_expectation<S: AmpStorage>(state: &SingleState<S>, qubit: u32) -> f64 {
+pub fn z_expectation(state: &SingleState, qubit: u32) -> f64 {
     pauli_expectation(state, &[(qubit, Pauli::Z)])
 }
 

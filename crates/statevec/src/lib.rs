@@ -12,10 +12,11 @@
 //!   distributed gates exchange the whole local vector with a single pair
 //!   rank (§2.1).
 //!
-//! Storage is pluggable ([`storage`]): QuEST keeps separate real and
-//! imaginary arrays (structure-of-arrays) while the paper's future work
-//! proposes an interleaved complex type for better locality (§4) — both
-//! layouts are implemented and benchmarked.
+//! Amplitudes are stored as QuEST stores them ([`storage`]): separate
+//! real and imaginary arrays (structure-of-arrays). The paper's future
+//! work proposes an interleaved complex type for better locality (§4);
+//! measured against these kernels it was slower, so it survives only as
+//! the kernel-level `layout` bench.
 //!
 //! The communication layer supports the paper's three exchange regimes:
 //! blocking chunked sendrecv (QuEST's default), the non-blocking rewrite
@@ -55,4 +56,4 @@ pub use dist::{DistConfig, DistributedState};
 pub use schedule::{LocalOp, LocalRun, Schedule, Step};
 pub use single::SingleState;
 pub use sparse::{SparseState, DEFAULT_PRUNE_EPSILON, MAX_SPARSE_QUBITS};
-pub use storage::{AmpStorage, AosStorage, SoaStorage};
+pub use storage::SoaStorage;

@@ -13,7 +13,6 @@
 //! binaries (CLI, examples) convert these into panics.
 
 use crate::single::SingleState;
-use crate::storage::AmpStorage;
 use qse_math::Complex64;
 use qse_util::rng::Rng;
 
@@ -63,10 +62,7 @@ impl std::error::Error for MeasureError {}
 /// residual from rounding is assigned to the last nonzero amplitude.
 /// One-shot callers pay the same O(2ⁿ) as building a distribution table;
 /// for repeated draws use [`sample_counts`], which amortises the table.
-pub fn sample_index<S: AmpStorage, R: Rng>(
-    state: &SingleState<S>,
-    rng: &mut R,
-) -> Result<u64, MeasureError> {
+pub fn sample_index<R: Rng>(state: &SingleState, rng: &mut R) -> Result<u64, MeasureError> {
     let total = state.norm_sqr();
     if total <= 0.0 {
         return Err(MeasureError::ZeroNorm);
@@ -95,8 +91,8 @@ pub fn sample_index<S: AmpStorage, R: Rng>(
 /// walk: the smallest index whose inclusive prefix sum exceeds the
 /// uniform draw, with any rounding residual assigned to the last
 /// nonzero amplitude.
-pub fn sample_counts<S: AmpStorage, R: Rng>(
-    state: &SingleState<S>,
+pub fn sample_counts<R: Rng>(
+    state: &SingleState,
     rng: &mut R,
     shots: usize,
 ) -> Result<std::collections::BTreeMap<u64, usize>, MeasureError> {
@@ -190,8 +186,8 @@ pub struct MeasureOutcome {
 
 /// Measures `qubit`, collapses the state, renormalises, and returns the
 /// observed bit with its probability.
-pub fn measure_qubit<S: AmpStorage, R: Rng>(
-    state: &mut SingleState<S>,
+pub fn measure_qubit<R: Rng>(
+    state: &mut SingleState,
     qubit: u32,
     rng: &mut R,
 ) -> Result<MeasureOutcome, MeasureError> {
@@ -204,8 +200,8 @@ pub fn measure_qubit<S: AmpStorage, R: Rng>(
 /// This is the same contract as `DistributedState::measure_qubit(qubit, u)`,
 /// so single-process and distributed runs given the same draw observe the
 /// same bit — the cross-validation tests rely on this.
-pub fn measure_qubit_with<S: AmpStorage>(
-    state: &mut SingleState<S>,
+pub fn measure_qubit_with(
+    state: &mut SingleState,
     qubit: u32,
     u: f64,
 ) -> Result<MeasureOutcome, MeasureError> {
@@ -222,11 +218,7 @@ pub fn measure_qubit_with<S: AmpStorage>(
 ///
 /// Returns [`MeasureError::ImpossibleOutcome`] when the requested
 /// outcome has (numerically) zero probability; the state is untouched.
-pub fn collapse<S: AmpStorage>(
-    state: &mut SingleState<S>,
-    qubit: u32,
-    bit: u8,
-) -> Result<(), MeasureError> {
+pub fn collapse(state: &mut SingleState, qubit: u32, bit: u8) -> Result<(), MeasureError> {
     let p1 = state.prob_one(qubit);
     let p = if bit == 1 { p1 } else { 1.0 - p1 };
     if p <= MIN_OUTCOME_PROB {
@@ -252,7 +244,7 @@ pub fn collapse<S: AmpStorage>(
     Ok(())
 }
 
-impl<S: AmpStorage> SingleState<S> {
+impl SingleState {
     /// Writes one amplitude directly (measurement collapse and tests).
     pub fn set_amplitude(&mut self, index: u64, v: Complex64) {
         self.storage_mut().set(crate::ix(index), v);

@@ -5,14 +5,14 @@
 //! gates whose every amplitude update stays inside an aligned block of
 //! `2^`[`local_block_bits`] amplitudes — becomes one [`Step::Local`],
 //! which the storage applies block by block
-//! ([`AmpStorage::apply_local_run`]), so the run costs one pass over the
+//! ([`SoaStorage::apply_local_run`]), so the run costs one pass over the
 //! slice however long it is. Everything else is a step of its own.
 //!
 //! Lowering borrows the gates it schedules (nothing is cloned into
 //! per-segment circuits) and compiles each run exactly once; the ranks of
 //! an execution share the result by reference.
 //!
-//! [`AmpStorage::apply_local_run`]: crate::storage::AmpStorage::apply_local_run
+//! [`SoaStorage::apply_local_run`]: crate::storage::SoaStorage::apply_local_run
 
 use crate::diagonal::CompiledDiagonal;
 use crate::storage::local_block_bits;

@@ -1,23 +1,22 @@
 //! Single-address-space statevector engine.
 //!
 //! The production kernels without distribution: used by the examples, the
-//! layout/fusion benchmarks, and the reference experiments on one "node".
-//! Generic over the amplitude [`storage`](crate::storage) layout.
+//! kernel/fusion benchmarks, and the reference experiments on one "node".
 
 use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{Schedule, Step};
-use crate::storage::{init_basis, AmpStorage, SoaStorage};
+use crate::storage::SoaStorage;
 use qse_circuit::{Circuit, Gate};
 use qse_math::Complex64;
 
-/// A full statevector in one address space over storage layout `S`.
+/// A full statevector in one address space.
 #[derive(Debug, Clone)]
-pub struct SingleState<S: AmpStorage = SoaStorage> {
+pub struct SingleState {
     n_qubits: u32,
-    amps: S,
+    amps: SoaStorage,
 }
 
-impl<S: AmpStorage> SingleState<S> {
+impl SingleState {
     /// |00…0⟩ on `n_qubits`.
     pub fn zero_state(n_qubits: u32) -> Self {
         Self::basis_state(n_qubits, 0)
@@ -29,8 +28,8 @@ impl<S: AmpStorage> SingleState<S> {
             n_qubits <= 30,
             "single-process register capped at 30 qubits (16 GiB)"
         );
-        let mut amps = S::zeros(1usize << n_qubits);
-        init_basis(&mut amps, 0, index);
+        let mut amps = SoaStorage::zeros(1usize << n_qubits);
+        amps.init_basis(0, index);
         SingleState { n_qubits, amps }
     }
 
@@ -40,12 +39,12 @@ impl<S: AmpStorage> SingleState<S> {
     }
 
     /// Immutable access to the raw storage.
-    pub fn storage(&self) -> &S {
+    pub fn storage(&self) -> &SoaStorage {
         &self.amps
     }
 
     /// Mutable access to the raw storage (measurement collapse, tests).
-    pub fn storage_mut(&mut self) -> &mut S {
+    pub fn storage_mut(&mut self) -> &mut SoaStorage {
         &mut self.amps
     }
 
@@ -121,10 +120,8 @@ impl<S: AmpStorage> SingleState<S> {
         }
         p
     }
-}
 
-impl SingleState<SoaStorage> {
-    /// Convenience: simulate from |0…0⟩ with the default (QuEST) layout.
+    /// Convenience: simulate from |0…0⟩.
     pub fn simulate(circuit: &Circuit) -> Self {
         let mut s = SingleState::zero_state(circuit.n_qubits());
         s.run(circuit);
@@ -136,37 +133,29 @@ impl SingleState<SoaStorage> {
 mod tests {
     use super::*;
     use crate::reference::ReferenceState;
-    use crate::storage::AosStorage;
     use qse_circuit::qft::qft;
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_math::approx::{assert_close, assert_slices_close};
 
-    fn assert_matches_reference<S: AmpStorage>(n: u32, gates: usize, pool: GatePool, seed: u64) {
+    fn assert_matches_reference(n: u32, gates: usize, pool: GatePool, seed: u64) {
         let c = random_circuit(n, gates, pool, seed);
-        let mut got: SingleState<S> = SingleState::zero_state(n);
+        let mut got = SingleState::zero_state(n);
         got.run(&c);
         let want = ReferenceState::simulate(&c);
         assert_slices_close(&got.to_vec(), want.amplitudes(), 1e-9);
     }
 
     #[test]
-    fn soa_matches_reference_on_random_circuits() {
+    fn matches_reference_on_random_circuits() {
         for seed in 0..6 {
-            assert_matches_reference::<SoaStorage>(6, 100, GatePool::Full, seed);
-        }
-    }
-
-    #[test]
-    fn aos_matches_reference_on_random_circuits() {
-        for seed in 0..6 {
-            assert_matches_reference::<AosStorage>(6, 100, GatePool::Full, seed);
+            assert_matches_reference(6, 100, GatePool::Full, seed);
         }
     }
 
     #[test]
     fn qft_like_circuits_match_reference() {
         for seed in 0..4 {
-            assert_matches_reference::<SoaStorage>(7, 120, GatePool::QftLike, seed);
+            assert_matches_reference(7, 120, GatePool::QftLike, seed);
         }
     }
 

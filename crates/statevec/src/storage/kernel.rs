@@ -1,11 +1,11 @@
 //! Shared per-element arithmetic and control-hoisting for the sweep
-//! kernels, used by both storage layouts.
+//! kernels.
 //!
 //! The hot loops come in two codegen flavours selected once per process:
 //!
 //! * **FMA** (`pair_terms::<true>`): explicit [`f64::mul_add`] chains,
 //!   compiled inside `#[target_feature(enable = "avx2", enable = "fma")]`
-//!   wrappers in the layout modules. rustc never contracts `a*b + c`
+//!   wrappers in the storage module. rustc never contracts `a*b + c`
 //!   into an FMA on its own, so the fused form must be spelled out — and
 //!   it must only run where the `fma` feature is enabled, because the
 //!   soft-float `mul_add` fallback is an order of magnitude slower than

@@ -1,32 +1,29 @@
-//! Pluggable amplitude storage layouts.
+//! Amplitude storage: the hot kernels of the single-address-space and
+//! distributed engines.
 //!
 //! QuEST stores the statevector as two separate `qreal` arrays (real and
-//! imaginary parts) — the structure-of-arrays layout, [`SoaStorage`]. The
-//! paper's future work (§4) proposes "reimplement[ing] QuEST's core
-//! data-structures using a complex data type rather than separate real and
-//! imaginary arrays, in order to improve data locality" — the
-//! array-of-structures layout, [`AosStorage`]. Both implement
-//! [`AmpStorage`], the hot-kernel interface the engines are generic over,
-//! so the `layout` Criterion bench can compare them on identical sweeps.
+//! imaginary parts) — the structure-of-arrays layout, [`SoaStorage`], and
+//! the only one here. The paper's future work (§4) proposes
+//! "reimplement[ing] QuEST's core data-structures using a complex data
+//! type rather than separate real and imaginary arrays, in order to
+//! improve data locality". Measured on this engine's kernels the
+//! interleaved layout was slower on 10 of 14 (`results/bench_kernels.json`),
+//! so it is kept only as the kernel-level `layout` bench row.
 //!
 //! All kernels treat the storage as the *local* slice of a (possibly
 //! distributed) register: indices are local amplitude indices, and the
 //! diagonal sweep takes a global-index offset so its selections can see
 //! rank bits.
 
-mod aos;
 pub(crate) mod kernel;
 mod soa;
 
-pub use aos::AosStorage;
 pub use soa::SoaStorage;
 
-use crate::schedule::{LocalOp, LocalRun};
-use qse_math::{Complex64, Matrix2};
 pub use qse_math::Matrix4;
 
-/// Minimum length before kernels fan out to Rayon. Below this the
-/// fork-join overhead dwarfs the sweep.
+/// Minimum length before kernels fan out to the worker pool. Below this
+/// the fork-join overhead dwarfs the sweep.
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Minimum payload amplitudes before a range kernel fans out. A range
@@ -50,12 +47,12 @@ fn wire_amps(payload: &[u8]) -> usize {
 }
 
 /// Amplitudes per parallel work item (and per half-block sub-chunk of a
-/// single top-qubit sweep). One definition for both layouts so the
-/// chunk policies — and the affinity partition built on them — can
-/// never drift apart.
+/// single top-qubit sweep). One definition for every sweep so the chunk
+/// policies — and the affinity partition built on them — can never
+/// drift apart.
 pub const HALF_CHUNK: usize = 4096;
 
-/// Amplitudes per block of a local run ([`AmpStorage::apply_local_run`]):
+/// Amplitudes per block of a local run ([`SoaStorage::apply_local_run`]):
 /// 1 MiB of `re` plus `im`, half of a 2 MiB L2, so every op of a run
 /// after the first finds its block in L2. One rank's local work of
 /// QFT-20 at R = 2 on one core (DESIGN §7): 2^14 to 2^16 22.8–23.2 ms,
@@ -77,253 +74,14 @@ pub fn local_block_bits(slice_bits: u32) -> u32 {
     }
 }
 
-/// The amplitude-array interface every layout implements.
-///
-/// `len` is always a power of two. Kernels mutate in place — the paper's
-/// simulations are memory-capacity-bound. The distributed kernels come in
-/// one form each: they take the peer's *wire payload* (`&[u8]`, whole
-/// amplitudes of [`AMP_BYTES`]) for an amplitude range and read it where
-/// it arrived, so an exchange needs no decoded copy of the peer's slice.
-pub trait AmpStorage: Send + Sync + Sized + Clone {
-    /// All-zero register of `len` amplitudes (an invalid quantum state
-    /// until initialised; used for receive staging).
-    fn zeros(len: usize) -> Self;
-
-    /// Number of amplitudes.
-    fn len(&self) -> usize;
-
-    /// True when empty (never for a live register).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Reads amplitude `i`.
-    fn get(&self, i: usize) -> Complex64;
-
-    /// Writes amplitude `i`.
-    fn set(&mut self, i: usize, v: Complex64);
-
-    /// Sets every amplitude to zero.
-    fn fill_zero(&mut self);
-
-    /// Σ|amp|² over the local slice.
-    fn norm_sqr_sum(&self) -> f64;
-
-    /// Applies a 2×2 matrix to every amplitude pair of local qubit `q`
-    /// (stride `2^q`), optionally only where local control qubit bit is 1.
-    fn apply_pairs(&mut self, q: u32, m: &Matrix2, control: Option<u32>);
-
-    /// Applies a precompiled run of diagonal gates — the fully-local
-    /// sweep, and the only way a diagonal gate reaches the storage (a
-    /// single gate is a run of length one). `offset` is the global index
-    /// of local amplitude 0, so rank bits take part in the selections.
-    /// See [`CompiledDiagonal`](crate::diagonal::CompiledDiagonal) for
-    /// the semantic; layouts drive its block kernel over their
-    /// [`HALF_CHUNK`] work items.
-    fn apply_fused_diagonal(&mut self, offset: u64, run: &crate::diagonal::CompiledDiagonal);
-
-    /// Swaps local qubits `a` and `b` (pure in-memory permutation).
-    fn swap_local(&mut self, a: u32, b: u32);
-
-    /// Applies a run of local gates; `offset` is the global index of
-    /// local amplitude 0, which resolves the diagonal selections and the
-    /// rank-bit controls ([`LocalOp::pair_control`]).
-    ///
-    /// This default is the definition: op by op over the whole slice, in
-    /// program order. A layout may instead take each aligned block of at
-    /// least `2^`[`span_bits`](LocalRun::span_bits) amplitudes through
-    /// every op before the next, which gives the same bits because every
-    /// amplitude sees the same pair updates and phase multiplies in the
-    /// same order.
-    fn apply_local_run(&mut self, offset: u64, run: &LocalRun) {
-        let slice_bits = self.len().trailing_zeros();
-        for op in run.ops() {
-            match op {
-                LocalOp::Diagonal(d) => self.apply_fused_diagonal(offset, d),
-                LocalOp::Pairs {
-                    target,
-                    matrix,
-                    control,
-                } => {
-                    if let Some(control) = LocalOp::pair_control(*control, slice_bits, offset) {
-                        self.apply_pairs(*target, matrix, control);
-                    }
-                }
-                LocalOp::Swap(a, b) => self.swap_local(*a, *b),
-            }
-        }
-    }
-
-    /// Appends amplitudes `[start, start + n)` to `out` in wire format
-    /// ([`AMP_BYTES`] each: little-endian `re`, then `im`) — the packing
-    /// half of every exchange, straight from storage into the chunk
-    /// buffer that becomes the message.
-    fn pack_range(&self, start: usize, n: usize, out: &mut Vec<u8>);
-
-    /// Overwrites amplitudes `[start, start + payload.len()/16)` from a
-    /// wire payload — the block trade of a both-global SWAP, and the
-    /// copy primitive the scatter kernels below are built on.
-    fn copy_from_f64_range(&mut self, payload: &[u8], start: usize);
-
-    /// Distributed combine, the second half of a distributed
-    /// single-qubit gate (§2.1): `new[i] = c_mine·mine[i] + c_theirs·theirs[i]`
-    /// over the amplitude range `[start, start + payload.len()/16)`, with
-    /// `payload` the peer's wire bytes for exactly that range, optionally
-    /// only where local control bit is 1.
-    ///
-    /// Amplitudes are elementwise independent and every call runs the
-    /// same `kernel::combine_term` flavour, so splitting a combine into
-    /// sub-range calls (in any order) is bit-for-bit identical to one
-    /// call over the whole slice.
-    fn apply_distributed_1q_range(
-        &mut self,
-        c_mine: Complex64,
-        c_theirs: Complex64,
-        payload: &[u8],
-        start: usize,
-        control: Option<u32>,
-    );
-
-    /// Distributed two-qubit combine of the orbits whose low half lies in
-    /// `[start, start + lo.len()/16)`: qubit `a` is local, the second
-    /// orbit qubit is a rank bit with this rank holding value `g`. `lo`
-    /// is the pair rank's wire bytes from amplitude `start`, `hi`
-    /// (equally long) its bytes from amplitude `start + 2^a`, so the
-    /// partner `i | 2^a` of amplitude `i` sits in `hi` where `i` sits in
-    /// `lo`. Each local pair `(bit_a = 0, 1)` combines with the peer's
-    /// matching pair through the rows of `m` selected by `g` — basis
-    /// order `|b a⟩`; indices in the range with bit `a` set are skipped.
-    ///
-    /// The two views may be `2^a` amplitudes apart in one payload (any
-    /// number of whole orbits: `p[..len − 2^a]`, `p[2^a..]`) or pieces of
-    /// two payloads when a chunk is smaller than an orbit. Orbits are
-    /// independent, so per-piece application is bit-for-bit identical
-    /// to one call over the whole slice.
-    fn apply_distributed_2q_range(
-        &mut self,
-        a: u32,
-        g: u64,
-        m: &crate::storage::Matrix4,
-        lo: &[u8],
-        hi: &[u8],
-        start: usize,
-    ) {
-        let n = wire_amps(lo);
-        assert_eq!(lo.len(), hi.len(), "the two half-orbit views must match");
-        assert!(start + n + (1 << a) <= self.len(), "payload beyond local slice");
-        kernel::for_each_bit_run(start, n, 1 << a, 0, |from, to| {
-            for i0 in from..to {
-                let i1 = i0 | (1usize << a);
-                let at = (i0 - start) * AMP_BYTES;
-                // Orbit amplitudes v[(b<<1)|a]: b == g comes from this rank.
-                let mut v = [Complex64::ZERO; 4];
-                v[crate::ix(g << 1)] = self.get(i0);
-                v[crate::ix((g << 1) | 1)] = self.get(i1);
-                v[crate::ix((1 - g) << 1)] = kernel::wire_amp(&lo[at..]);
-                v[crate::ix(((1 - g) << 1) | 1)] = kernel::wire_amp(&hi[at..]);
-                let out = m.apply(v);
-                self.set(i0, out[crate::ix(g << 1)]);
-                self.set(i1, out[crate::ix((g << 1) | 1)]);
-            }
-        });
-    }
-
-    /// Distributed SWAP scatter over a sub-range of the *peer's* slice:
-    /// for every index `i` in `[start, start + payload.len()/16)` whose bit
-    /// `lo` equals `g` (this rank's value of the global swap qubit), the
-    /// peer amplitude `payload[i - start]` lands at `i ^ (1<<lo)` —
-    /// *outside* the range when it is narrower than `2^(lo+1)`. Pure
-    /// copies with disjoint destinations, so range order never matters.
-    fn apply_distributed_swap_range(&mut self, lo: u32, g: u64, payload: &[u8], start: usize) {
-        let n = wire_amps(payload);
-        assert!(start + n <= self.len(), "payload beyond local slice");
-        kernel::for_each_bit_run(start, n, 1 << lo, g, |a, b| {
-            let bytes = &payload[(a - start) * AMP_BYTES..(b - start) * AMP_BYTES];
-            self.copy_from_f64_range(bytes, a ^ (1usize << lo));
-        });
-    }
-
-    /// Appends the half-exchange SWAP payload (§4): of the amplitudes
-    /// whose local-index bit `q` equals `v`, taken in ascending index
-    /// order, those numbered `[start_pair, start_pair + n)`.
-    fn pack_half_bit_range(&self, q: u32, v: u64, start_pair: usize, n: usize, out: &mut Vec<u8>) {
-        assert!(start_pair + n <= self.len() / 2, "range beyond half slice");
-        kernel::for_each_half_bit_run(q, v, start_pair, n, |_, i, len| {
-            self.pack_range(i, len, out);
-        });
-    }
-
-    /// The receiving side of [`Self::pack_half_bit_range`]: writes the
-    /// payload into the amplitudes whose local-index bit `q` equals `v`,
-    /// numbered from `start_pair`. Pure copies to disjoint destinations,
-    /// so range order never matters.
-    fn write_half_bit_range(&mut self, q: u32, v: u64, payload: &[u8], start_pair: usize) {
-        let n = wire_amps(payload);
-        assert!(start_pair + n <= self.len() / 2, "payload beyond half slice");
-        kernel::for_each_half_bit_run(q, v, start_pair, n, |k, i, len| {
-            let at = (k - start_pair) * AMP_BYTES;
-            self.copy_from_f64_range(&payload[at..at + len * AMP_BYTES], i);
-        });
-    }
-
-    /// Serialises the whole slice as interleaved `[re, im]` pairs — the
-    /// definition [`Self::pack_range`] is tested against, not a step of
-    /// any exchange.
-    fn to_f64_vec(&self) -> Vec<f64> {
-        (0..self.len())
-            .flat_map(|i| {
-                let a = self.get(i);
-                [a.re, a.im]
-            })
-            .collect()
-    }
-
-    /// Materialises the local slice as complex values (tests/gather).
-    fn to_complex_vec(&self) -> Vec<Complex64> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
-    /// Applies a 4×4 matrix to every four-amplitude orbit of local
-    /// qubits `(a, b)` — basis order `|b a⟩`. Default implementation via
-    /// `get`/`set`; layouts may specialise for speed.
-    fn apply_orbit4(&mut self, a: u32, b: u32, m: &crate::storage::Matrix4) {
-        assert_ne!(a, b, "orbit qubits must differ");
-        let len = self.len() as u64;
-        assert!((1u64 << a) < len && (1u64 << b) < len, "qubit out of range");
-        for k in 0..len / 4 {
-            let base = qse_math::bits::insert_two_zero_bits(k, a, b);
-            let idx = |bb: u64, aa: u64| crate::ix(base | (aa << a) | (bb << b));
-            let orbit = [
-                self.get(idx(0, 0)),
-                self.get(idx(0, 1)),
-                self.get(idx(1, 0)),
-                self.get(idx(1, 1)),
-            ];
-            let out = m.apply(orbit);
-            self.set(idx(0, 0), out[0]);
-            self.set(idx(0, 1), out[1]);
-            self.set(idx(1, 0), out[2]);
-            self.set(idx(1, 1), out[3]);
-        }
-    }
-}
-
-/// Shared zero-state initialiser: amplitude `basis` = 1 within this local
-/// slice if it falls in `[offset, offset + len)`, everything else 0.
-pub fn init_basis<S: AmpStorage>(storage: &mut S, offset: u64, basis: u64) {
-    storage.fill_zero();
-    let len = storage.len() as u64;
-    if basis >= offset && basis < offset + len {
-        storage.set(crate::ix(basis - offset), Complex64::ONE);
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // index arithmetic is the subject under test
 pub(crate) mod conformance {
-    //! Layout-agnostic conformance suite run against each implementation.
+    //! Conformance suite of the storage kernels.
 
     use super::*;
+    use crate::schedule::LocalRun;
+    use qse_math::{Complex64, Matrix2};
     use qse_math::approx::{assert_close, assert_complex_close};
     use qse_util::Bytes;
     use std::f64::consts::FRAC_1_SQRT_2;
@@ -333,32 +91,32 @@ pub(crate) mod conformance {
         Matrix2::new(h, h, h, -h)
     }
 
-    fn ramp<S: AmpStorage>(len: usize) -> S {
-        let mut s = S::zeros(len);
+    fn ramp(len: usize) -> SoaStorage {
+        let mut s = SoaStorage::zeros(len);
         for i in 0..len {
             s.set(i, Complex64::new(i as f64, -(i as f64) / 2.0));
         }
         s
     }
 
-    pub fn run_all<S: AmpStorage>() {
-        basic_accessors::<S>();
-        pairs_hadamard::<S>();
-        pairs_every_qubit_roundtrip::<S>();
-        pairs_controlled::<S>();
-        large_fused_diagonal_matches_oracle::<S>();
-        diagonal_kernel_matches_oracle_and_gate_at_a_time::<S>();
-        unselected_amplitudes_are_untouched::<S>();
-        swap_local_permutes::<S>();
-        combine_is_linear::<S>();
-        pack_copy_roundtrip::<S>();
-        half_bit_pack_write::<S>();
-        init_basis_places_one::<S>();
-        large_parallel_sweep_matches_small::<S>();
-        controlled_pairs_multi_chunk::<S>();
-        large_swap_matches_permutation::<S>();
-        payload_kernels_chunked_match_whole::<S>();
-        pack_chunked_matches_to_f64_vec::<S>();
+    pub fn run_all() {
+        basic_accessors();
+        pairs_hadamard();
+        pairs_every_qubit_roundtrip();
+        pairs_controlled();
+        large_fused_diagonal_matches_oracle();
+        diagonal_kernel_matches_oracle_and_gate_at_a_time();
+        unselected_amplitudes_are_untouched();
+        swap_local_permutes();
+        combine_is_linear();
+        pack_copy_roundtrip();
+        half_bit_pack_write();
+        init_basis_places_one();
+        large_parallel_sweep_matches_small();
+        controlled_pairs_multi_chunk();
+        large_swap_matches_permutation();
+        payload_kernels_chunked_match_whole();
+        pack_chunked_matches_to_f64_vec();
     }
 
     /// Peer-payload fixture: deterministic non-trivial amplitudes in
@@ -390,7 +148,7 @@ pub(crate) mod conformance {
     }
 
     /// Asserts two storages are bit-for-bit identical.
-    fn assert_bits_equal<S: AmpStorage>(a: &S, b: &S, ctx: &str) {
+    fn assert_bits_equal(a: &SoaStorage, b: &SoaStorage, ctx: &str) {
         assert_eq!(a.len(), b.len());
         for i in 0..a.len() {
             let (x, y) = (a.get(i), b.get(i));
@@ -401,7 +159,7 @@ pub(crate) mod conformance {
 
     /// Layout-agnostic reference for a controlled pair sweep: per-element
     /// control test, `Complex64` operator arithmetic.
-    fn naive_controlled<S: AmpStorage>(s: &mut S, q: u32, m: &Matrix2, c: u32) {
+    fn naive_controlled(s: &mut SoaStorage, q: u32, m: &Matrix2, c: u32) {
         let stride = 1usize << q;
         for i in 0..s.len() {
             if (i >> q) & 1 == 1 || (i >> c) & 1 == 0 {
@@ -414,7 +172,7 @@ pub(crate) mod conformance {
         }
     }
 
-    fn controlled_pairs_multi_chunk<S: AmpStorage>() {
+    fn controlled_pairs_multi_chunk() {
         use qse_math::approx::assert_complex_close;
         // Controlled gates through the parallel branches at chunk bases
         // ≠ 0: state sizes straddling PAR_THRESHOLD, control above and
@@ -435,9 +193,9 @@ pub(crate) mod conformance {
                 (top, top - 1),       // single-block path, control just below
                 (2, top),             // top control selects half the blocks
             ] {
-                let mut got: S = ramp(len);
+                let mut got: SoaStorage = ramp(len);
                 got.apply_pairs(q, &m, Some(c));
-                let mut want: S = ramp(len);
+                let mut want: SoaStorage = ramp(len);
                 naive_controlled(&mut want, q, &m, c);
                 for i in 0..len {
                     assert_complex_close(got.get(i), want.get(i), 1e-9);
@@ -446,13 +204,13 @@ pub(crate) mod conformance {
         }
     }
 
-    fn large_swap_matches_permutation<S: AmpStorage>() {
+    fn large_swap_matches_permutation() {
         // The parallel chunked swap is a pure permutation, so it must
         // match the bit-swapped index map exactly (bitwise).
         let len = PAR_THRESHOLD * 2;
         let top = len.trailing_zeros() - 1;
         for &(a, b) in &[(0u32, 3u32), (0, top), (5, top), (top - 1, top), (2, 9)] {
-            let before: S = ramp(len);
+            let before: SoaStorage = ramp(len);
             let mut s = before.clone();
             s.swap_local(a, b);
             for i in 0..len as u64 {
@@ -471,21 +229,21 @@ pub(crate) mod conformance {
     /// whole kernel units go in shuffled order (the streamed mode's
     /// completion order), chunks that cut a unit in order, as the
     /// in-order modes feed them.
-    fn assert_chunked_matches_whole<S: AmpStorage>(
+    fn assert_chunked_matches_whole(
         len: usize,
         payload: &Bytes,
         unit_amps: usize,
         what: &str,
-        mut kernel: impl FnMut(&mut S, usize, Bytes),
+        mut kernel: impl FnMut(&mut SoaStorage, usize, Bytes),
     ) {
-        let mut whole: S = ramp(len);
+        let mut whole: SoaStorage = ramp(len);
         kernel(&mut whole, 0, payload.clone());
         for cap in caps(payload.len()) {
             let mut ranges = cut(payload.len(), cap);
             if cap % (unit_amps * AMP_BYTES) == 0 {
                 ranges.sort_by_key(|r| (r.start / cap).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             }
-            let mut chunked: S = ramp(len);
+            let mut chunked: SoaStorage = ramp(len);
             let mut cursor = crate::dist::AmpCursor::default();
             for r in ranges {
                 cursor.feed(r.start, &payload.slice(r), |start, amps| kernel(&mut chunked, start, amps));
@@ -494,7 +252,7 @@ pub(crate) mod conformance {
         }
     }
 
-    fn payload_kernels_chunked_match_whole<S: AmpStorage>() {
+    fn payload_kernels_chunked_match_whole() {
         // Any dense 4×4 will do: the checks are bitwise, not unitary.
         let m4 = Matrix4::new(std::array::from_fn(|k| {
             Complex64::new(0.1 * k as f64 - 0.4, 0.05 * (k * k % 7) as f64)
@@ -507,7 +265,7 @@ pub(crate) mod conformance {
             let top = len.trailing_zeros() - 1;
             let theirs = Bytes::from(peer_payload(len));
             for control in [None, Some(2u32), Some(top)] {
-                assert_chunked_matches_whole::<S>(
+                assert_chunked_matches_whole(
                     len,
                     &theirs,
                     1,
@@ -523,7 +281,7 @@ pub(crate) mod conformance {
                 for bit in [0u64, 1] {
                     // Caps below the orbit pair the halves of cut orbits.
                     let mut pairs = crate::dist::OrbitPairs::new(q);
-                    assert_chunked_matches_whole::<S>(
+                    assert_chunked_matches_whole(
                         len,
                         &theirs,
                         1usize << (q + 1),
@@ -534,14 +292,14 @@ pub(crate) mod conformance {
                             })
                         },
                     );
-                    assert_chunked_matches_whole::<S>(
+                    assert_chunked_matches_whole(
                         len,
                         &theirs,
                         1,
                         &format!("swap scatter, lo {q} g {bit}"),
                         |s, start, p| s.apply_distributed_swap_range(q, bit, &p, start),
                     );
-                    assert_chunked_matches_whole::<S>(
+                    assert_chunked_matches_whole(
                         len,
                         &theirs.slice(0..theirs.len() / 2),
                         1,
@@ -550,16 +308,16 @@ pub(crate) mod conformance {
                     );
                 }
             }
-            assert_chunked_matches_whole::<S>(len, &theirs, 1, "block copy", |s, start, p| {
+            assert_chunked_matches_whole(len, &theirs, 1, "block copy", |s, start, p| {
                 s.copy_from_f64_range(&p, start)
             });
         }
     }
 
-    fn pack_chunked_matches_to_f64_vec<S: AmpStorage>() {
+    fn pack_chunked_matches_to_f64_vec() {
         use crate::dist::pack_wire_bytes;
         for len in [64, PAR_THRESHOLD / 2, PAR_THRESHOLD * 2] {
-            let s: S = ramp(len);
+            let s: SoaStorage = ramp(len);
             let want: Vec<u8> = s.to_f64_vec().iter().flat_map(|v| v.to_le_bytes()).collect();
             assert_eq!(want.len(), len * AMP_BYTES);
             for cap in caps(want.len()) {
@@ -593,8 +351,8 @@ pub(crate) mod conformance {
         }
     }
 
-    fn basic_accessors<S: AmpStorage>() {
-        let mut s = S::zeros(8);
+    fn basic_accessors() {
+        let mut s = SoaStorage::zeros(8);
         assert_eq!(s.len(), 8);
         assert!(!s.is_empty());
         assert_eq!(s.get(3), Complex64::ZERO);
@@ -605,9 +363,9 @@ pub(crate) mod conformance {
         assert_close(s.norm_sqr_sum(), 0.0, 1e-12);
     }
 
-    fn pairs_hadamard<S: AmpStorage>() {
+    fn pairs_hadamard() {
         // |0> --H on qubit 0--> (|0>+|1>)/√2
-        let mut s = S::zeros(4);
+        let mut s = SoaStorage::zeros(4);
         s.set(0, Complex64::ONE);
         s.apply_pairs(0, &hadamard(), None);
         assert_complex_close(s.get(0), Complex64::real(FRAC_1_SQRT_2), 1e-12);
@@ -615,9 +373,9 @@ pub(crate) mod conformance {
         assert_complex_close(s.get(2), Complex64::ZERO, 1e-12);
     }
 
-    fn pairs_every_qubit_roundtrip<S: AmpStorage>() {
+    fn pairs_every_qubit_roundtrip() {
         // H twice on each qubit restores the state.
-        let s0: S = ramp(32);
+        let s0: SoaStorage = ramp(32);
         for q in 0..5 {
             let mut s = s0.clone();
             s.apply_pairs(q, &hadamard(), None);
@@ -628,7 +386,7 @@ pub(crate) mod conformance {
         }
     }
 
-    fn pairs_controlled<S: AmpStorage>() {
+    fn pairs_controlled() {
         // X on qubit 0 controlled by qubit 1: only indices with bit1 set flip.
         let x = Matrix2::new(
             Complex64::ZERO,
@@ -636,7 +394,7 @@ pub(crate) mod conformance {
             Complex64::ONE,
             Complex64::ZERO,
         );
-        let mut s: S = ramp(8);
+        let mut s: SoaStorage = ramp(8);
         let before = s.to_complex_vec();
         s.apply_pairs(0, &x, Some(1));
         assert_complex_close(s.get(0), before[0], 1e-12); // bit1=0 untouched
@@ -647,8 +405,8 @@ pub(crate) mod conformance {
     }
 
     /// Diagonal fixture: zeros of both signs, exact and inexact values.
-    fn diagonal_fixture<S: AmpStorage>(len: usize) -> S {
-        let mut s = S::zeros(len);
+    fn diagonal_fixture(len: usize) -> SoaStorage {
+        let mut s = SoaStorage::zeros(len);
         for i in 0..len {
             let re = if i % 11 == 3 {
                 -0.0
@@ -662,9 +420,9 @@ pub(crate) mod conformance {
 
     /// Applies `gates` to the fixture fused and gate at a time, and
     /// asserts both equal the scalar oracle bit for bit.
-    fn assert_diagonal_run<S: AmpStorage>(len: usize, offset: u64, gates: &[qse_circuit::Gate]) {
+    fn assert_diagonal_run(len: usize, offset: u64, gates: &[qse_circuit::Gate]) {
         use crate::diagonal::{oracle_apply, CompiledDiagonal};
-        let before: S = diagonal_fixture(len);
+        let before: SoaStorage = diagonal_fixture(len);
         let mut fused = before.clone();
         fused.apply_fused_diagonal(offset, &CompiledDiagonal::compile(gates));
         let mut unfused = before.clone();
@@ -684,7 +442,7 @@ pub(crate) mod conformance {
     /// One gate on a slice at `offset`, as the distributed engine's
     /// per-gate dispatch applies a local gate: the definition a local run
     /// is held to.
-    fn apply_gate<S: AmpStorage>(s: &mut S, offset: u64, gate: &qse_circuit::Gate) {
+    fn apply_gate(s: &mut SoaStorage, offset: u64, gate: &qse_circuit::Gate) {
         use crate::diagonal::CompiledDiagonal;
         use qse_circuit::Gate;
         if gate.is_diagonal() {
@@ -792,10 +550,10 @@ pub(crate) mod conformance {
     /// run through `apply`, and gate at a time, at two nonzero rank
     /// offsets (rank bits `w`, `w + 1` = `01`, then `11`), and demands
     /// bitwise equal slices.
-    pub fn local_run_matches_gate_at_a_time<S: AmpStorage>(
+    pub fn local_run_matches_gate_at_a_time(
         len: usize,
         bits: u32,
-        apply: impl Fn(&mut S, u64, &LocalRun),
+        apply: impl Fn(&mut SoaStorage, u64, &LocalRun),
     ) {
         let gates = local_run_zoo(len.trailing_zeros(), bits);
         let mut run = LocalRun::default();
@@ -804,7 +562,7 @@ pub(crate) mod conformance {
         }
         assert!(run.span_bits() <= bits);
         for offset in [len as u64, 3 * len as u64] {
-            let before: S = diagonal_fixture(len);
+            let before: SoaStorage = diagonal_fixture(len);
             let mut want = before.clone();
             for g in &gates {
                 apply_gate(&mut want, offset, g);
@@ -824,7 +582,7 @@ pub(crate) mod conformance {
         }
     }
 
-    fn large_fused_diagonal_matches_oracle<S: AmpStorage>() {
+    fn large_fused_diagonal_matches_oracle() {
         // Above PAR_THRESHOLD the sweep takes the pool path; it must
         // agree bitwise with per-gate sweeps and with the scalar oracle.
         use qse_circuit::Gate;
@@ -836,7 +594,7 @@ pub(crate) mod conformance {
                 theta: 1.7,
             },
         ];
-        assert_diagonal_run::<S>(PAR_THRESHOLD * 2, 0, &gates);
+        assert_diagonal_run(PAR_THRESHOLD * 2, 0, &gates);
     }
 
     /// Every diagonal gate kind on every placement class of a `w`-qubit
@@ -920,14 +678,14 @@ pub(crate) mod conformance {
         zoo
     }
 
-    fn diagonal_kernel_matches_oracle_and_gate_at_a_time<S: AmpStorage>() {
+    fn diagonal_kernel_matches_oracle_and_gate_at_a_time() {
         for len in [PAR_THRESHOLD / 2, PAR_THRESHOLD, PAR_THRESHOLD * 2] {
             let w = len.trailing_zeros();
             let offset = len as u64; // rank bits 0b01: qubit `w` set, `w + 1` clear
             let zoo = diagonal_gate_zoo(w);
             // Runs of one: every kind on every placement.
             for g in &zoo {
-                assert_diagonal_run::<S>(len, offset, std::slice::from_ref(g));
+                assert_diagonal_run(len, offset, std::slice::from_ref(g));
             }
             // Runs of 2 and 19: strided picks, so kinds and placements mix.
             for k in [2usize, 19] {
@@ -935,13 +693,13 @@ pub(crate) mod conformance {
                     let run: Vec<_> = (0..k)
                         .map(|j| zoo[(start + 31 * j) % zoo.len()].clone())
                         .collect();
-                    assert_diagonal_run::<S>(len, offset, &run);
+                    assert_diagonal_run(len, offset, &run);
                 }
             }
         }
         // Slices shorter than a lane group take the scalar path.
         for len in [1usize, 2, 4] {
-            assert_diagonal_run::<S>(
+            assert_diagonal_run(
                 len,
                 8,
                 &[qse_circuit::Gate::CZ(0, 3), qse_circuit::Gate::T(3)],
@@ -949,7 +707,7 @@ pub(crate) mod conformance {
         }
     }
 
-    fn unselected_amplitudes_are_untouched<S: AmpStorage>() {
+    fn unselected_amplitudes_are_untouched() {
         // (-0.0 - 5i)·(1 + 0i) = +0.0 - 5i: had the sweep multiplied the
         // amplitudes a gate does not select by one, their real parts
         // would read +0.0 afterwards.
@@ -964,7 +722,7 @@ pub(crate) mod conformance {
                 b: top,
                 theta: 0.4,
             };
-            let mut s = S::zeros(len);
+            let mut s = SoaStorage::zeros(len);
             for i in 0..len {
                 s.set(i, amp);
             }
@@ -982,8 +740,8 @@ pub(crate) mod conformance {
         }
     }
 
-    fn swap_local_permutes<S: AmpStorage>() {
-        let mut s: S = ramp(8);
+    fn swap_local_permutes() {
+        let mut s: SoaStorage = ramp(8);
         let before = s.to_complex_vec();
         s.swap_local(0, 2);
         for i in 0..8u64 {
@@ -997,8 +755,8 @@ pub(crate) mod conformance {
         }
     }
 
-    fn combine_is_linear<S: AmpStorage>() {
-        let mut s: S = ramp(4);
+    fn combine_is_linear() {
+        let mut s: SoaStorage = ramp(4);
         let before = s.to_complex_vec();
         let theirs: Vec<u8> = (0..4)
             .flat_map(|i| kernel::amp_to_wire(Complex64::new(10.0 + i as f64, 0.5)))
@@ -1011,7 +769,7 @@ pub(crate) mod conformance {
             assert_complex_close(s.get(i), a * before[i] + b * t, 1e-12);
         }
         // controlled variant: only bit-0 = 1 slots change
-        let mut s: S = ramp(4);
+        let mut s: SoaStorage = ramp(4);
         s.apply_distributed_1q_range(a, b, &theirs, 0, Some(0));
         assert_complex_close(s.get(0), before[0], 1e-12);
         assert_complex_close(s.get(2), before[2], 1e-12);
@@ -1019,12 +777,12 @@ pub(crate) mod conformance {
         assert_complex_close(s.get(1), a * before[1] + b * t1, 1e-12);
     }
 
-    fn pack_copy_roundtrip<S: AmpStorage>() {
-        let s: S = ramp(16);
+    fn pack_copy_roundtrip() {
+        let s: SoaStorage = ramp(16);
         let mut wire = vec![0xAAu8; 3]; // pack appends
         s.pack_range(4, 8, &mut wire);
         assert_eq!(wire.len(), 3 + 8 * AMP_BYTES);
-        let mut t = S::zeros(16);
+        let mut t = SoaStorage::zeros(16);
         t.copy_from_f64_range(&wire[3..], 4);
         for i in 0..16 {
             let want = if (4..12).contains(&i) { s.get(i) } else { Complex64::ZERO };
@@ -1032,8 +790,8 @@ pub(crate) mod conformance {
         }
     }
 
-    fn half_bit_pack_write<S: AmpStorage>() {
-        let s: S = ramp(16);
+    fn half_bit_pack_write() {
+        let s: SoaStorage = ramp(16);
         for q in 0..4u32 {
             for v in 0..2u64 {
                 let mut half = Vec::new();
@@ -1044,7 +802,7 @@ pub(crate) mod conformance {
                 t.write_half_bit_range(q, v, &half, 0);
                 assert_bits_equal(&t, &s, "half-bit write-back of own half");
                 // Into a zeroed slice it fills exactly the bit-q = v slots.
-                let mut z = S::zeros(16);
+                let mut z = SoaStorage::zeros(16);
                 z.write_half_bit_range(q, v, &half, 0);
                 for i in 0..16usize {
                     let want = if ((i >> q) & 1) as u64 == v { s.get(i) } else { Complex64::ZERO };
@@ -1054,21 +812,21 @@ pub(crate) mod conformance {
         }
     }
 
-    fn init_basis_places_one<S: AmpStorage>() {
-        let mut s = S::zeros(8);
-        super::init_basis(&mut s, 8, 11); // local index 3
+    fn init_basis_places_one() {
+        let mut s = SoaStorage::zeros(8);
+        s.init_basis(8, 11); // local index 3
         assert_complex_close(s.get(3), Complex64::ONE, 1e-15);
         assert_close(s.norm_sqr_sum(), 1.0, 1e-15);
-        super::init_basis(&mut s, 8, 3); // outside this slice
+        s.init_basis(8, 3); // outside this slice
         assert_close(s.norm_sqr_sum(), 0.0, 1e-15);
     }
 
-    fn large_parallel_sweep_matches_small<S: AmpStorage>() {
-        // Above PAR_THRESHOLD the kernels take the Rayon path; verify it
+    fn large_parallel_sweep_matches_small() {
+        // Above PAR_THRESHOLD the kernels take the pool path; verify it
         // agrees with the sequential one via the H-twice identity and a
         // norm check.
         let len = PAR_THRESHOLD * 2;
-        let mut s = S::zeros(len);
+        let mut s = SoaStorage::zeros(len);
         s.set(0, Complex64::ONE);
         for q in [0u32, 5, (len.trailing_zeros() - 1)] {
             s.apply_pairs(q, &hadamard(), None);

@@ -1,8 +1,7 @@
 //! Structure-of-arrays layout: separate real and imaginary arrays.
 //!
 //! This is QuEST's native layout (`qreal *stateVecReal, *stateVecImag`).
-//! Sweeps read two independent streams; the layout benchmark compares it
-//! against the interleaved [`super::AosStorage`].
+//! Sweeps read two independent streams.
 //!
 //! The sweep bodies are written for auto-vectorization: every inner loop
 //! runs over four equal-length re/im sub-slices re-sliced to a shared
@@ -13,11 +12,11 @@
 //! runtime by [`kernel::use_fma`]. Parallel sweeps dispatch through
 //! [`parallel_for_each_affine`], so a given worker slot always sweeps
 //! the same contiguous amplitude range that it first-touched in
-//! [`AmpStorage::zeros`].
+//! [`SoaStorage::zeros`].
 
 use super::kernel::{self, Ctrl};
 use super::{
-    local_block_bits, AmpStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD, RANGE_PAR_THRESHOLD,
+    local_block_bits, wire_amps, Matrix4, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD, RANGE_PAR_THRESHOLD,
 };
 use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{LocalOp, LocalRun};
@@ -367,43 +366,16 @@ fn local_block(
     }
 }
 
+/// The amplitude-array kernels. `len` is always a power of two. Kernels
+/// mutate in place — the paper's simulations are memory-capacity-bound.
+/// The distributed kernels come in one form each: they take the peer's
+/// *wire payload* (`&[u8]`, whole amplitudes of [`AMP_BYTES`]) for an
+/// amplitude range and read it where it arrived, so an exchange needs no
+/// decoded copy of the peer's slice.
 impl SoaStorage {
-    /// [`AmpStorage::apply_local_run`] in blocks of `2^block_bits`
-    /// amplitudes, or one block when the slice is shorter. The product
-    /// always blocks at [`local_block_bits`]; the storage suite passes
-    /// smaller sizes so that small slices span many blocks.
-    pub(crate) fn apply_local_run_in_blocks(
-        &mut self,
-        offset: u64,
-        run: &LocalRun,
-        block_bits: u32,
-    ) {
-        let len = self.len();
-        let block = (1usize << block_bits).min(len);
-        assert!(
-            1usize << run.span_bits() <= block,
-            "a run spanning {} bits does not fit {block}-amplitude blocks",
-            run.span_bits()
-        );
-        let slice_bits = len.trailing_zeros();
-        let blocks = self
-            .re
-            .chunks_mut(block)
-            .zip(self.im.chunks_mut(block))
-            .enumerate()
-            .map(|(bi, (rc, ic))| (bi * block, rc, ic));
-        let apply = |(base, rc, ic)| local_block(rc, ic, base, offset, slice_bits, run);
-        if len >= PAR_THRESHOLD && block < len {
-            let items: Vec<(usize, &mut [f64], &mut [f64])> = blocks.collect();
-            parallel_for_each_affine(items, apply);
-        } else {
-            blocks.for_each(apply);
-        }
-    }
-}
-
-impl AmpStorage for SoaStorage {
-    fn zeros(len: usize) -> Self {
+    /// All-zero register of `len` amplitudes (an invalid quantum state
+    /// until initialised; used for receive staging).
+    pub fn zeros(len: usize) -> Self {
         assert!(bits::is_pow2(len as u64), "length must be a power of two");
         let mut s = SoaStorage {
             re: vec![0.0; len],
@@ -415,23 +387,32 @@ impl AmpStorage for SoaStorage {
         s
     }
 
+    /// Number of amplitudes.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.re.len()
     }
 
+    /// True when empty (never for a live register).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Reads amplitude `i`.
     #[inline(always)]
-    fn get(&self, i: usize) -> Complex64 {
+    pub fn get(&self, i: usize) -> Complex64 {
         Complex64::new(self.re[i], self.im[i])
     }
 
+    /// Writes amplitude `i`.
     #[inline(always)]
-    fn set(&mut self, i: usize, v: Complex64) {
+    pub fn set(&mut self, i: usize, v: Complex64) {
         self.re[i] = v.re;
         self.im[i] = v.im;
     }
 
-    fn fill_zero(&mut self) {
+    /// Sets every amplitude to zero.
+    pub fn fill_zero(&mut self) {
         if self.len() >= PAR_THRESHOLD {
             let chunks: Vec<(&mut [f64], &mut [f64])> = self
                 .re
@@ -448,7 +429,19 @@ impl AmpStorage for SoaStorage {
         }
     }
 
-    fn norm_sqr_sum(&self) -> f64 {
+    /// Zero-state initialiser for the slice whose first amplitude has
+    /// global index `offset`: amplitude `basis` = 1 if it falls in
+    /// `[offset, offset + len)`, everything else 0.
+    pub fn init_basis(&mut self, offset: u64, basis: u64) {
+        self.fill_zero();
+        let len = self.len() as u64;
+        if basis >= offset && basis < offset + len {
+            self.set(crate::ix(basis - offset), Complex64::ONE);
+        }
+    }
+
+    /// Σ|amp|² over the local slice.
+    pub fn norm_sqr_sum(&self) -> f64 {
         if self.len() >= PAR_THRESHOLD {
             let chunks: Vec<(&[f64], &[f64])> = self
                 .re
@@ -467,7 +460,9 @@ impl AmpStorage for SoaStorage {
         }
     }
 
-    fn apply_pairs(&mut self, q: u32, m: &Matrix2, control: Option<u32>) {
+    /// Applies a 2×2 matrix to every amplitude pair of local qubit `q`
+    /// (stride `2^q`), optionally only where local control qubit bit is 1.
+    pub fn apply_pairs(&mut self, q: u32, m: &Matrix2, control: Option<u32>) {
         let len = self.len();
         let stride = 1usize << q;
         let block = stride << 1;
@@ -519,7 +514,13 @@ impl AmpStorage for SoaStorage {
         }
     }
 
-    fn apply_fused_diagonal(&mut self, offset: u64, run: &CompiledDiagonal) {
+    /// Applies a precompiled run of diagonal gates — the fully-local
+    /// sweep, and the only way a diagonal gate reaches the storage (a
+    /// single gate is a run of length one). `offset` is the global index
+    /// of local amplitude 0, so rank bits take part in the selections.
+    /// See [`CompiledDiagonal`] for the semantic; its block kernel runs
+    /// over [`HALF_CHUNK`] work items.
+    pub fn apply_fused_diagonal(&mut self, offset: u64, run: &CompiledDiagonal) {
         if self.len() >= PAR_THRESHOLD {
             let chunks: Vec<(usize, &mut [f64], &mut [f64])> = self
                 .re
@@ -536,12 +537,55 @@ impl AmpStorage for SoaStorage {
         }
     }
 
-    fn apply_local_run(&mut self, offset: u64, run: &LocalRun) {
+    /// Applies a run of local gates; `offset` is the global index of
+    /// local amplitude 0, which resolves the diagonal selections and the
+    /// rank-bit controls ([`LocalOp::pair_control`]).
+    ///
+    /// Each aligned block of `2^`[`local_block_bits`] amplitudes goes
+    /// through every op before the next block. That gives the same bits
+    /// as applying the ops one by one over the whole slice, because
+    /// every amplitude sees the same pair updates and phase multiplies
+    /// in the same order.
+    pub fn apply_local_run(&mut self, offset: u64, run: &LocalRun) {
         let block_bits = local_block_bits(self.len().trailing_zeros());
         self.apply_local_run_in_blocks(offset, run, block_bits);
     }
 
-    fn swap_local(&mut self, a: u32, b: u32) {
+    /// [`Self::apply_local_run`] in blocks of `2^block_bits` amplitudes,
+    /// or one block when the slice is shorter. The product always blocks
+    /// at [`local_block_bits`]; the storage suite passes smaller sizes so
+    /// that small slices span many blocks.
+    pub(crate) fn apply_local_run_in_blocks(
+        &mut self,
+        offset: u64,
+        run: &LocalRun,
+        block_bits: u32,
+    ) {
+        let len = self.len();
+        let block = (1usize << block_bits).min(len);
+        assert!(
+            1usize << run.span_bits() <= block,
+            "a run spanning {} bits does not fit {block}-amplitude blocks",
+            run.span_bits()
+        );
+        let slice_bits = len.trailing_zeros();
+        let blocks = self
+            .re
+            .chunks_mut(block)
+            .zip(self.im.chunks_mut(block))
+            .enumerate()
+            .map(|(bi, (rc, ic))| (bi * block, rc, ic));
+        let apply = |(base, rc, ic)| local_block(rc, ic, base, offset, slice_bits, run);
+        if len >= PAR_THRESHOLD && block < len {
+            let items: Vec<(usize, &mut [f64], &mut [f64])> = blocks.collect();
+            parallel_for_each_affine(items, apply);
+        } else {
+            blocks.for_each(apply);
+        }
+    }
+
+    /// Swaps local qubits `a` and `b` (pure in-memory permutation).
+    pub fn swap_local(&mut self, a: u32, b: u32) {
         assert_ne!(a, b, "swap qubits must differ");
         let len = self.len();
         let (a, b) = (a.min(b), a.max(b));
@@ -580,7 +624,70 @@ impl AmpStorage for SoaStorage {
         }
     }
 
-    fn apply_distributed_1q_range(
+    /// Applies a 4×4 matrix to every four-amplitude orbit of local
+    /// qubits `(a, b)` — basis order `|b a⟩`.
+    pub fn apply_orbit4(&mut self, a: u32, b: u32, m: &Matrix4) {
+        assert_ne!(a, b, "orbit qubits must differ");
+        let len = self.len() as u64;
+        assert!((1u64 << a) < len && (1u64 << b) < len, "qubit out of range");
+        for k in 0..len / 4 {
+            let base = bits::insert_two_zero_bits(k, a, b);
+            let idx = |bb: u64, aa: u64| crate::ix(base | (aa << a) | (bb << b));
+            let orbit = [
+                self.get(idx(0, 0)),
+                self.get(idx(0, 1)),
+                self.get(idx(1, 0)),
+                self.get(idx(1, 1)),
+            ];
+            let out = m.apply(orbit);
+            self.set(idx(0, 0), out[0]);
+            self.set(idx(0, 1), out[1]);
+            self.set(idx(1, 0), out[2]);
+            self.set(idx(1, 1), out[3]);
+        }
+    }
+
+    /// Appends amplitudes `[start, start + n)` to `out` in wire format
+    /// ([`AMP_BYTES`] each: little-endian `re`, then `im`) — the packing
+    /// half of every exchange, straight from storage into the chunk
+    /// buffer that becomes the message.
+    pub fn pack_range(&self, start: usize, n: usize, out: &mut Vec<u8>) {
+        let (re, im) = (&self.re[start..start + n], &self.im[start..start + n]);
+        out.extend(
+            re.iter()
+                .zip(im)
+                .flat_map(|(&r, &i)| kernel::amp_to_wire(Complex64::new(r, i))),
+        );
+    }
+
+    /// Overwrites amplitudes `[start, start + payload.len()/16)` from a
+    /// wire payload — the block trade of a both-global SWAP, and the
+    /// copy primitive the scatter kernels below are built on.
+    pub fn copy_from_f64_range(&mut self, payload: &[u8], start: usize) {
+        let n = wire_amps(payload);
+        assert!(start + n <= self.len(), "payload beyond local slice");
+        for ((r, i), amp) in self.re[start..start + n]
+            .iter_mut()
+            .zip(&mut self.im[start..start + n])
+            .zip(payload.chunks_exact(AMP_BYTES))
+        {
+            let a = kernel::wire_amp(amp);
+            *r = a.re;
+            *i = a.im;
+        }
+    }
+
+    /// Distributed combine, the second half of a distributed
+    /// single-qubit gate (§2.1): `new[i] = c_mine·mine[i] + c_theirs·theirs[i]`
+    /// over the amplitude range `[start, start + payload.len()/16)`, with
+    /// `payload` the peer's wire bytes for exactly that range, optionally
+    /// only where local control bit is 1.
+    ///
+    /// Amplitudes are elementwise independent and every call runs the
+    /// same `kernel::combine_term` flavour, so splitting a combine into
+    /// sub-range calls (in any order) is bit-for-bit identical to one
+    /// call over the whole slice.
+    pub fn apply_distributed_1q_range(
         &mut self,
         c_mine: Complex64,
         c_theirs: Complex64,
@@ -588,7 +695,7 @@ impl AmpStorage for SoaStorage {
         start: usize,
         control: Option<u32>,
     ) {
-        let n = super::wire_amps(payload);
+        let n = wire_amps(payload);
         assert!(start + n <= self.len(), "payload beyond local slice");
         let ctrl_run = control.map(|c| 1usize << c);
         let rs = &mut self.re[start..start + n];
@@ -609,27 +716,102 @@ impl AmpStorage for SoaStorage {
         }
     }
 
-    fn pack_range(&self, start: usize, n: usize, out: &mut Vec<u8>) {
-        let (re, im) = (&self.re[start..start + n], &self.im[start..start + n]);
-        out.extend(
-            re.iter()
-                .zip(im)
-                .flat_map(|(&r, &i)| kernel::amp_to_wire(Complex64::new(r, i))),
-        );
+    /// Distributed two-qubit combine of the orbits whose low half lies in
+    /// `[start, start + lo.len()/16)`: qubit `a` is local, the second
+    /// orbit qubit is a rank bit with this rank holding value `g`. `lo`
+    /// is the pair rank's wire bytes from amplitude `start`, `hi`
+    /// (equally long) its bytes from amplitude `start + 2^a`, so the
+    /// partner `i | 2^a` of amplitude `i` sits in `hi` where `i` sits in
+    /// `lo`. Each local pair `(bit_a = 0, 1)` combines with the peer's
+    /// matching pair through the rows of `m` selected by `g` — basis
+    /// order `|b a⟩`; indices in the range with bit `a` set are skipped.
+    ///
+    /// The two views may be `2^a` amplitudes apart in one payload (any
+    /// number of whole orbits: `p[..len − 2^a]`, `p[2^a..]`) or pieces of
+    /// two payloads when a chunk is smaller than an orbit. Orbits are
+    /// independent, so per-piece application is bit-for-bit identical
+    /// to one call over the whole slice.
+    pub fn apply_distributed_2q_range(
+        &mut self,
+        a: u32,
+        g: u64,
+        m: &Matrix4,
+        lo: &[u8],
+        hi: &[u8],
+        start: usize,
+    ) {
+        let n = wire_amps(lo);
+        assert_eq!(lo.len(), hi.len(), "the two half-orbit views must match");
+        assert!(start + n + (1 << a) <= self.len(), "payload beyond local slice");
+        kernel::for_each_bit_run(start, n, 1 << a, 0, |from, to| {
+            for i0 in from..to {
+                let i1 = i0 | (1usize << a);
+                let at = (i0 - start) * AMP_BYTES;
+                // Orbit amplitudes v[(b<<1)|a]: b == g comes from this rank.
+                let mut v = [Complex64::ZERO; 4];
+                v[crate::ix(g << 1)] = self.get(i0);
+                v[crate::ix((g << 1) | 1)] = self.get(i1);
+                v[crate::ix((1 - g) << 1)] = kernel::wire_amp(&lo[at..]);
+                v[crate::ix(((1 - g) << 1) | 1)] = kernel::wire_amp(&hi[at..]);
+                let out = m.apply(v);
+                self.set(i0, out[crate::ix(g << 1)]);
+                self.set(i1, out[crate::ix((g << 1) | 1)]);
+            }
+        });
     }
 
-    fn copy_from_f64_range(&mut self, payload: &[u8], start: usize) {
-        let n = super::wire_amps(payload);
+    /// Distributed SWAP scatter over a sub-range of the *peer's* slice:
+    /// for every index `i` in `[start, start + payload.len()/16)` whose bit
+    /// `lo` equals `g` (this rank's value of the global swap qubit), the
+    /// peer amplitude `payload[i - start]` lands at `i ^ (1<<lo)` —
+    /// *outside* the range when it is narrower than `2^(lo+1)`. Pure
+    /// copies with disjoint destinations, so range order never matters.
+    pub fn apply_distributed_swap_range(&mut self, lo: u32, g: u64, payload: &[u8], start: usize) {
+        let n = wire_amps(payload);
         assert!(start + n <= self.len(), "payload beyond local slice");
-        for ((r, i), amp) in self.re[start..start + n]
-            .iter_mut()
-            .zip(&mut self.im[start..start + n])
-            .zip(payload.chunks_exact(AMP_BYTES))
-        {
-            let a = kernel::wire_amp(amp);
-            *r = a.re;
-            *i = a.im;
-        }
+        kernel::for_each_bit_run(start, n, 1 << lo, g, |a, b| {
+            let bytes = &payload[(a - start) * AMP_BYTES..(b - start) * AMP_BYTES];
+            self.copy_from_f64_range(bytes, a ^ (1usize << lo));
+        });
+    }
+
+    /// Appends the half-exchange SWAP payload (§4): of the amplitudes
+    /// whose local-index bit `q` equals `v`, taken in ascending index
+    /// order, those numbered `[start_pair, start_pair + n)`.
+    pub fn pack_half_bit_range(&self, q: u32, v: u64, start_pair: usize, n: usize, out: &mut Vec<u8>) {
+        assert!(start_pair + n <= self.len() / 2, "range beyond half slice");
+        kernel::for_each_half_bit_run(q, v, start_pair, n, |_, i, len| {
+            self.pack_range(i, len, out);
+        });
+    }
+
+    /// The receiving side of [`Self::pack_half_bit_range`]: writes the
+    /// payload into the amplitudes whose local-index bit `q` equals `v`,
+    /// numbered from `start_pair`. Pure copies to disjoint destinations,
+    /// so range order never matters.
+    pub fn write_half_bit_range(&mut self, q: u32, v: u64, payload: &[u8], start_pair: usize) {
+        let n = wire_amps(payload);
+        assert!(start_pair + n <= self.len() / 2, "payload beyond half slice");
+        kernel::for_each_half_bit_run(q, v, start_pair, n, |k, i, len| {
+            let at = (k - start_pair) * AMP_BYTES;
+            self.copy_from_f64_range(&payload[at..at + len * AMP_BYTES], i);
+        });
+    }
+
+    /// Serialises the whole slice as interleaved `[re, im]` pairs — the
+    /// definition [`Self::pack_range`] is tested against, not a step of
+    /// any exchange.
+    pub fn to_f64_vec(&self) -> Vec<f64> {
+        self.re.iter().zip(&self.im).flat_map(|(&r, &i)| [r, i]).collect()
+    }
+
+    /// Materialises the local slice as complex values (tests/gather).
+    pub fn to_complex_vec(&self) -> Vec<Complex64> {
+        self.re
+            .iter()
+            .zip(&self.im)
+            .map(|(&r, &i)| Complex64::new(r, i))
+            .collect()
     }
 }
 
@@ -639,7 +821,7 @@ mod tests {
 
     #[test]
     fn conformance_suite() {
-        crate::storage::conformance::run_all::<SoaStorage>();
+        crate::storage::conformance::run_all();
     }
 
     #[test]
@@ -649,7 +831,7 @@ mod tests {
         // pool-sized slice.
         for len in [1usize << 9, PAR_THRESHOLD] {
             for bits in [3u32, 5, 7] {
-                local_run_matches_gate_at_a_time::<SoaStorage>(len, bits, |s, offset, run| {
+                local_run_matches_gate_at_a_time(len, bits, |s, offset, run| {
                     s.apply_local_run_in_blocks(offset, run, bits)
                 });
             }
@@ -659,7 +841,7 @@ mod tests {
         for len in [PAR_THRESHOLD, 2 * crate::storage::LOCAL_BLOCK] {
             let bits = local_block_bits(len.trailing_zeros());
             assert_eq!(len >> bits, 2);
-            local_run_matches_gate_at_a_time::<SoaStorage>(len, bits, SoaStorage::apply_local_run);
+            local_run_matches_gate_at_a_time(len, bits, SoaStorage::apply_local_run);
         }
     }
 

@@ -71,7 +71,7 @@ fn measure(
         ..DistConfig::default()
     };
     let out = Universe::new(RANKS).run(|comm| {
-        let mut st: DistributedState = DistributedState::zero_state(comm, N, config);
+        let mut st = DistributedState::zero_state(comm, N, config);
         for _ in 0..2 {
             step(&mut st);
         }

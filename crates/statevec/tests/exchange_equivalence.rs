@@ -5,7 +5,7 @@
 //! payload, so a kernel that writes outside its own chunk's range would
 //! corrupt amplitudes a later outgoing chunk still has to carry. Every
 //! circuit family × rank count × exchange mode × SWAP flavour × message
-//! cap × storage layout must therefore produce the *same bits*, and agree
+//! cap must therefore produce the *same bits*, and agree
 //! with the single-address-space reference simulator.
 //!
 //! *Wire compatibility*: chunk boundaries, message counts and byte totals
@@ -24,7 +24,6 @@ use qse_comm::Universe;
 use qse_math::approx::assert_slices_close;
 use qse_math::Complex64;
 use qse_statevec::reference::ReferenceState;
-use qse_statevec::storage::{AmpStorage, AosStorage, SoaStorage};
 use qse_statevec::{DistConfig, DistributedState};
 
 const N: u32 = 8;
@@ -63,14 +62,14 @@ struct Traffic {
     bytes_exchanged: u64,
 }
 
-fn run<S: AmpStorage>(
+fn run(
     circuit: &Circuit,
     plan: Option<&Plan>,
     ranks: usize,
     config: DistConfig,
 ) -> (Vec<Complex64>, Traffic) {
     let out = Universe::new(ranks).run(|comm| {
-        let mut st: DistributedState<S> = DistributedState::basis_state(comm, N, BASIS, config);
+        let mut st = DistributedState::basis_state(comm, N, BASIS, config);
         match plan {
             Some(p) => st.run_plan(p).unwrap(),
             None => st.run(circuit).unwrap(),
@@ -243,10 +242,7 @@ fn every_configuration_yields_the_same_bits_and_the_pinned_traffic() {
                             half_exchange_swaps: half,
                         };
                         let what = format!("{name} R={ranks} half={half} cap={cap} {mode:?}");
-                        let (soa, traffic) = run::<SoaStorage>(circuit, plan.as_ref(), ranks, config);
-                        let (aos, aos_traffic) =
-                            run::<AosStorage>(circuit, plan.as_ref(), ranks, config);
-                        assert_eq!(traffic, aos_traffic, "{what}: layouts disagree on traffic");
+                        let (state, traffic) = run(circuit, plan.as_ref(), ranks, config);
                         let messages = if mode == ExchangeMode::Streamed { want[3] } else { want[2] };
                         assert_eq!(
                             [traffic.bytes_sent, traffic.bytes_exchanged, traffic.messages_sent],
@@ -254,11 +250,10 @@ fn every_configuration_yields_the_same_bits_and_the_pinned_traffic() {
                             "{what}: [bytes_sent, bytes_exchanged, messages_sent]"
                         );
                         let baseline = baseline.get_or_insert_with(|| {
-                            assert_slices_close(&soa, reference.amplitudes(), 1e-9);
-                            soa.clone()
+                            assert_slices_close(&state, reference.amplitudes(), 1e-9);
+                            state.clone()
                         });
-                        assert_bits_equal(baseline, &soa, &format!("{what} SoA"));
-                        assert_bits_equal(baseline, &aos, &format!("{what} AoS"));
+                        assert_bits_equal(baseline, &state, &what);
                     }
                 }
             }
@@ -283,7 +278,7 @@ fn swaps_survive_a_cap_far_below_the_slice() {
         c.swap(top_local, N - 1).swap(0, N - 1).swap(N - 2, N - 1);
         let mut reference = ReferenceState::basis_state(N, BASIS);
         reference.run(&c);
-        let (want, _) = run::<SoaStorage>(&c, None, ranks, DistConfig::default());
+        let (want, _) = run(&c, None, ranks, DistConfig::default());
         assert_slices_close(&want, reference.amplitudes(), 1e-9);
         for cap in [16, 40, 64] {
             for mode in MODES {
@@ -294,10 +289,8 @@ fn swaps_survive_a_cap_far_below_the_slice() {
                         half_exchange_swaps: half,
                     };
                     let what = format!("R={ranks} cap={cap} {mode:?} half={half}");
-                    let (soa, _) = run::<SoaStorage>(&c, None, ranks, config);
-                    assert_bits_equal(&want, &soa, &format!("{what} SoA"));
-                    let (aos, _) = run::<AosStorage>(&c, None, ranks, config);
-                    assert_bits_equal(&want, &aos, &format!("{what} AoS"));
+                    let (got, _) = run(&c, None, ranks, config);
+                    assert_bits_equal(&want, &got, &what);
                 }
             }
         }

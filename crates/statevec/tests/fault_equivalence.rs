@@ -4,8 +4,7 @@
 //! Under **any recoverable fault plan** (every fault burst fits inside
 //! the retry budget) the simulation must produce a **bit-for-bit**
 //! identical statevector to the fault-free run, in all three exchange
-//! modes, on QFT and random circuits, in both storage layouts, at
-//! R ∈ {2, 4, 8}. Corruption is detected by checksum and healed by the
+//! modes, on QFT and random circuits, at R ∈ {2, 4, 8}. Corruption is detected by checksum and healed by the
 //! pristine retransmission; transient failures are retried with
 //! deterministic backoff; delay jitter only reorders chunk completions,
 //! which compose over disjoint amplitude ranges. None of it may change a
@@ -24,7 +23,6 @@ use qse_circuit::Circuit;
 use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
 use qse_comm::{CommError, FaultConfig, TrafficStats, Universe};
 use qse_math::Complex64;
-use qse_statevec::storage::{AmpStorage, AosStorage, SoaStorage};
 use qse_statevec::{DistConfig, DistributedState};
 use std::time::Duration;
 
@@ -44,7 +42,7 @@ fn dist_config(mode: ExchangeMode) -> DistConfig {
 /// Runs `circuit` over `ranks` ranks (optionally under a fault plan) and
 /// returns the gathered state plus per-rank traffic stats. Only for
 /// plans that must succeed — a rank error propagates out as `Err`.
-fn simulate<S: AmpStorage>(
+fn simulate(
     circuit: &Circuit,
     ranks: usize,
     config: DistConfig,
@@ -55,8 +53,7 @@ fn simulate<S: AmpStorage>(
         None => Universe::new(ranks),
     };
     let out = universe.run(|comm| -> Result<_, CommError> {
-        let mut st: DistributedState<S> =
-            DistributedState::basis_state(comm, circuit.n_qubits(), 1, config);
+        let mut st = DistributedState::basis_state(comm, circuit.n_qubits(), 1, config);
         st.run(circuit)?;
         st.barrier();
         let stats = st.stats();
@@ -78,7 +75,7 @@ fn simulate<S: AmpStorage>(
 /// error, just each rank's `DistributedState::run` verdict in rank
 /// order. A short receive deadline bounds the run even if a rank ends up
 /// waiting on a peer that already erred out.
-fn run_collect_errors<S: AmpStorage>(
+fn run_collect_errors(
     circuit: &Circuit,
     ranks: usize,
     config: DistConfig,
@@ -87,8 +84,7 @@ fn run_collect_errors<S: AmpStorage>(
     let universe = Universe::with_timeout_and_faults(ranks, Duration::from_secs(5), faults)
         .expect("plan must validate");
     universe.run(|comm| {
-        let mut st: DistributedState<S> =
-            DistributedState::basis_state(comm, circuit.n_qubits(), 1, config);
+        let mut st = DistributedState::basis_state(comm, circuit.n_qubits(), 1, config);
         st.run(circuit)
     })
 }
@@ -120,10 +116,10 @@ fn recoverable_plan(seed: u64) -> FaultConfig {
 
 /// One seed's full check: fault-free baseline, then all three exchange
 /// modes under the seeded plan, each bit-for-bit against the baseline.
-fn check_seed<S: AmpStorage>(seed: u64, circuit: &Circuit, ranks: usize, what: &str) {
+fn check_seed(seed: u64, circuit: &Circuit, ranks: usize, what: &str) {
     let plan = recoverable_plan(seed);
     let (baseline, base_stats) =
-        simulate::<S>(circuit, ranks, dist_config(ExchangeMode::Blocking), None)
+        simulate(circuit, ranks, dist_config(ExchangeMode::Blocking), None)
             .unwrap_or_else(|e| panic!("seed {seed} {what}: fault-free run failed: {e}"));
     for (rank, s) in base_stats.iter().enumerate() {
         assert_eq!(s.faults_injected, 0, "seed {seed} rank {rank}: clean run injected");
@@ -136,7 +132,7 @@ fn check_seed<S: AmpStorage>(seed: u64, circuit: &Circuit, ranks: usize, what: &
         ExchangeMode::NonBlocking,
         ExchangeMode::Streamed,
     ] {
-        let (state, stats) = simulate::<S>(circuit, ranks, dist_config(mode), Some(plan))
+        let (state, stats) = simulate(circuit, ranks, dist_config(mode), Some(plan))
             .unwrap_or_else(|e| {
                 panic!("seed {seed} {what} mode {mode:?}: recoverable plan errored: {e}")
             });
@@ -146,9 +142,9 @@ fn check_seed<S: AmpStorage>(seed: u64, circuit: &Circuit, ranks: usize, what: &
     assert!(injected_total > 0, "seed {seed} {what}: plan never injected a fault");
 }
 
-/// Runs one bucket of the 50-seed campaign. Seeds rotate rank count,
-/// storage layout, and circuit family, so every combination in the
-/// acceptance matrix is exercised across the full sweep.
+/// Runs one bucket of the 50-seed campaign. Seeds rotate rank count and
+/// circuit family, so every combination in the acceptance matrix is
+/// exercised across the full sweep.
 fn run_seed_bucket(seeds: std::ops::Range<u64>) {
     for seed in seeds {
         let ranks = [2usize, 4, 8][(seed % 3) as usize];
@@ -157,12 +153,7 @@ fn run_seed_bucket(seeds: std::ops::Range<u64>) {
         } else {
             random_circuit(7, 40, GatePool::Full, seed)
         };
-        let what = format!("R={ranks}");
-        if seed % 2 == 0 {
-            check_seed::<SoaStorage>(seed, &circuit, ranks, &format!("{what} soa"));
-        } else {
-            check_seed::<AosStorage>(seed, &circuit, ranks, &format!("{what} aos"));
-        }
+        check_seed(seed, &circuit, ranks, &format!("R={ranks}"));
     }
 }
 
@@ -205,9 +196,9 @@ fn streamed_chunks_reordered_by_jitter_compose_bitwise() {
     plan.max_delay_slices = 2;
     for ranks in [2usize, 4] {
         let (baseline, _) =
-            simulate::<SoaStorage>(&circuit, ranks, dist_config(ExchangeMode::Blocking), None)
+            simulate(&circuit, ranks, dist_config(ExchangeMode::Blocking), None)
                 .expect("clean run");
-        let (jittered, stats) = simulate::<SoaStorage>(
+        let (jittered, stats) = simulate(
             &circuit,
             ranks,
             dist_config(ExchangeMode::Streamed),
@@ -233,9 +224,9 @@ fn heavy_retries_recover_without_deadlock_reports() {
     plan.retry_budget = 3;
     assert!(plan.is_recoverable());
     let (baseline, _) =
-        simulate::<SoaStorage>(&circuit, 4, dist_config(ExchangeMode::NonBlocking), None)
+        simulate(&circuit, 4, dist_config(ExchangeMode::NonBlocking), None)
             .expect("clean run");
-    let (state, stats) = simulate::<SoaStorage>(
+    let (state, stats) = simulate(
         &circuit,
         4,
         dist_config(ExchangeMode::NonBlocking),
@@ -250,7 +241,7 @@ fn heavy_retries_recover_without_deadlock_reports() {
 fn unrecoverable_corruption_errors_on_every_rank() {
     let circuit = qft(6);
     for &mode in &[ExchangeMode::Blocking, ExchangeMode::Streamed] {
-        let out = run_collect_errors::<SoaStorage>(
+        let out = run_collect_errors(
             &circuit,
             4,
             dist_config(mode),
@@ -271,7 +262,7 @@ fn unrecoverable_corruption_errors_on_every_rank() {
 #[test]
 fn exhausted_retries_error_on_every_rank() {
     let circuit = qft(6);
-    let out = run_collect_errors::<SoaStorage>(
+    let out = run_collect_errors(
         &circuit,
         4,
         dist_config(ExchangeMode::NonBlocking),
@@ -300,10 +291,10 @@ fn soak_16_qubit_qft_over_seeded_plans() {
         exchange_mode: ExchangeMode::Streamed,
         ..DistConfig::default()
     };
-    let (baseline, _) = simulate::<SoaStorage>(&circuit, 4, config, None).expect("clean run");
+    let (baseline, _) = simulate(&circuit, 4, config, None).expect("clean run");
     for seed in [101u64, 202, 303] {
         let plan = FaultConfig::recoverable(seed);
-        let (state, stats) = simulate::<SoaStorage>(&circuit, 4, config, Some(plan))
+        let (state, stats) = simulate(&circuit, 4, config, Some(plan))
             .unwrap_or_else(|e| panic!("soak seed {seed}: recoverable plan errored: {e}"));
         assert_bits_equal(&state, &baseline, &format!("soak seed {seed}"));
         assert!(
@@ -324,7 +315,7 @@ fn fault_free_runs_take_the_zero_overhead_path() {
         ExchangeMode::Streamed,
     ] {
         let (_, stats) =
-            simulate::<SoaStorage>(&circuit, 4, dist_config(mode), None).expect("clean run");
+            simulate(&circuit, 4, dist_config(mode), None).expect("clean run");
         for (rank, s) in stats.iter().enumerate() {
             assert_eq!(s.faults_injected, 0, "rank {rank} mode {mode:?}");
             assert_eq!(s.retries, 0, "rank {rank} mode {mode:?}");

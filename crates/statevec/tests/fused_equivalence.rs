@@ -5,17 +5,15 @@
 //! each amplitude sees the exact floating-point operation sequence of
 //! the per-gate sweeps it replaces — the contract is `to_bits` equality,
 //! not closeness. Checked with seeded property loops over random
-//! circuits (diagonal-heavy and full gate pools), on both storage
-//! layouts, for the single-address-space engine and the distributed
-//! engine over 1 and 4 ranks.
+//! circuits (diagonal-heavy and full gate pools), for the
+//! single-address-space engine and the distributed engine over 1 and 4
+//! ranks.
 
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::Circuit;
 use qse_comm::Universe;
 use qse_math::Complex64;
-use qse_statevec::{
-    AmpStorage, AosStorage, DistConfig, DistributedState, SingleState, SoaStorage,
-};
+use qse_statevec::{DistConfig, DistributedState, SingleState};
 use qse_util::check::check_with_size;
 use qse_util::rng::Rng;
 
@@ -39,12 +37,12 @@ fn assert_bitwise(fused: &[Complex64], plain: &[Complex64], ctx: &str) {
     }
 }
 
-fn single_case<S: AmpStorage>(seed: u64, gates: usize) {
+fn single_case(seed: u64, gates: usize) {
     let c = random_circuit(N, gates, pool_for(seed), seed);
     let basis = seed % (1 << N);
-    let mut fused: SingleState<S> = SingleState::basis_state(N, basis);
+    let mut fused: SingleState = SingleState::basis_state(N, basis);
     fused.run(&c);
-    let mut plain: SingleState<S> = SingleState::basis_state(N, basis);
+    let mut plain: SingleState = SingleState::basis_state(N, basis);
     plain.run_unfused(&c);
     assert_bitwise(
         &fused.to_vec(),
@@ -54,29 +52,15 @@ fn single_case<S: AmpStorage>(seed: u64, gates: usize) {
 }
 
 #[test]
-fn fused_single_soa_matches_gate_at_a_time() {
-    check_with_size(16, 120, |rng, size| {
-        single_case::<SoaStorage>(rng.next_u64(), size)
-    });
-}
-
-#[test]
-fn fused_single_aos_matches_gate_at_a_time() {
-    check_with_size(16, 120, |rng, size| {
-        single_case::<AosStorage>(rng.next_u64(), size)
-    });
+fn fused_single_matches_gate_at_a_time() {
+    check_with_size(16, 120, |rng, size| single_case(rng.next_u64(), size));
 }
 
 /// Runs `circuit` over `ranks` ranks — through `run`, or one `apply`
 /// per gate — and returns rank 0's gathered state.
-fn dist_gather<S: AmpStorage>(
-    circuit: &Circuit,
-    ranks: usize,
-    per_gate: bool,
-    basis: u64,
-) -> Vec<Complex64> {
+fn dist_gather(circuit: &Circuit, ranks: usize, per_gate: bool, basis: u64) -> Vec<Complex64> {
     let out = Universe::new(ranks).run(|comm| {
-        let mut st: DistributedState<S> =
+        let mut st =
             DistributedState::basis_state(comm, circuit.n_qubits(), basis, DistConfig::default());
         if per_gate {
             for g in circuit.gates() {
@@ -90,11 +74,11 @@ fn dist_gather<S: AmpStorage>(
     out.into_iter().flatten().next().expect("rank 0 gathered")
 }
 
-fn dist_case<S: AmpStorage>(seed: u64, gates: usize, ranks: usize) {
+fn dist_case(seed: u64, gates: usize, ranks: usize) {
     let c = random_circuit(N, gates, pool_for(seed), seed);
     let basis = seed % (1 << N);
-    let fused = dist_gather::<S>(&c, ranks, false, basis);
-    let plain = dist_gather::<S>(&c, ranks, true, basis);
+    let fused = dist_gather(&c, ranks, false, basis);
+    let plain = dist_gather(&c, ranks, true, basis);
     assert_bitwise(
         &fused,
         &plain,
@@ -103,31 +87,13 @@ fn dist_case<S: AmpStorage>(seed: u64, gates: usize, ranks: usize) {
 }
 
 #[test]
-fn fused_distributed_soa_matches_gate_at_a_time_1_rank() {
-    check_with_size(8, 80, |rng, size| {
-        dist_case::<SoaStorage>(rng.next_u64(), size, 1)
-    });
+fn fused_distributed_matches_gate_at_a_time_1_rank() {
+    check_with_size(8, 80, |rng, size| dist_case(rng.next_u64(), size, 1));
 }
 
 #[test]
-fn fused_distributed_soa_matches_gate_at_a_time_4_ranks() {
-    check_with_size(8, 80, |rng, size| {
-        dist_case::<SoaStorage>(rng.next_u64(), size, 4)
-    });
-}
-
-#[test]
-fn fused_distributed_aos_matches_gate_at_a_time_1_rank() {
-    check_with_size(8, 80, |rng, size| {
-        dist_case::<AosStorage>(rng.next_u64(), size, 1)
-    });
-}
-
-#[test]
-fn fused_distributed_aos_matches_gate_at_a_time_4_ranks() {
-    check_with_size(8, 80, |rng, size| {
-        dist_case::<AosStorage>(rng.next_u64(), size, 4)
-    });
+fn fused_distributed_matches_gate_at_a_time_4_ranks() {
+    check_with_size(8, 80, |rng, size| dist_case(rng.next_u64(), size, 4));
 }
 
 /// The distributed engine agrees with the single-process engine (up to
@@ -139,9 +105,9 @@ fn fused_distributed_matches_single_process() {
     check_with_size(6, 60, |rng, size| {
         let seed = rng.next_u64();
         let c = random_circuit(N, size, pool_for(seed), seed);
-        let mut single: SingleState<SoaStorage> = SingleState::zero_state(N);
+        let mut single: SingleState = SingleState::zero_state(N);
         single.run(&c);
-        let dist = dist_gather::<SoaStorage>(&c, 4, false, 0);
+        let dist = dist_gather(&c, 4, false, 0);
         let want = single.to_vec();
         for (i, (d, w)) in dist.iter().zip(&want).enumerate() {
             assert!(

@@ -1,5 +1,5 @@
 //! Property tests for the streamed chunk-pipelined exchange: on every
-//! circuit family, storage layout, rank count and chunk size, the
+//! circuit family, rank count and chunk size, the
 //! streamed mode must be **bit-for-bit** identical to the blocking and
 //! non-blocking modes — chunk completion order may vary run to run, but
 //! each chunk's combine touches a disjoint amplitude range with the one
@@ -12,19 +12,17 @@ use qse_circuit::Circuit;
 use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
 use qse_comm::Universe;
 use qse_math::Complex64;
-use qse_statevec::storage::{AmpStorage, AosStorage, SoaStorage};
 use qse_statevec::{DistConfig, DistributedState};
 
 /// Runs `circuit` on `ranks` ranks with storage `S` and returns the
 /// gathered state plus the summed per-rank traffic stats.
-fn simulate<S: AmpStorage>(
+fn simulate(
     circuit: &Circuit,
     ranks: usize,
     config: DistConfig,
 ) -> (Vec<Complex64>, Vec<qse_comm::TrafficStats>) {
     let out = Universe::new(ranks).run(|comm| {
-        let mut st: DistributedState<S> =
-            DistributedState::basis_state(comm, circuit.n_qubits(), 1, config);
+        let mut st = DistributedState::basis_state(comm, circuit.n_qubits(), 1, config);
         st.run(circuit).unwrap();
         st.barrier();
         let stats = st.stats();
@@ -62,10 +60,10 @@ fn config(mode: ExchangeMode, half_swaps: bool) -> DistConfig {
     }
 }
 
-fn check_all_modes_agree<S: AmpStorage>(circuit: &Circuit, ranks: usize, what: &str) {
-    let (blocking, _) = simulate::<S>(circuit, ranks, config(ExchangeMode::Blocking, false));
-    let (nonblocking, _) = simulate::<S>(circuit, ranks, config(ExchangeMode::NonBlocking, false));
-    let (streamed, _) = simulate::<S>(circuit, ranks, config(ExchangeMode::Streamed, false));
+fn check_all_modes_agree(circuit: &Circuit, ranks: usize, what: &str) {
+    let (blocking, _) = simulate(circuit, ranks, config(ExchangeMode::Blocking, false));
+    let (nonblocking, _) = simulate(circuit, ranks, config(ExchangeMode::NonBlocking, false));
+    let (streamed, _) = simulate(circuit, ranks, config(ExchangeMode::Streamed, false));
     assert_bits_equal(&streamed, &blocking, &format!("{what}: streamed vs blocking"));
     assert_bits_equal(
         &streamed,
@@ -75,35 +73,18 @@ fn check_all_modes_agree<S: AmpStorage>(circuit: &Circuit, ranks: usize, what: &
 }
 
 #[test]
-fn qft_streamed_bitwise_equal_soa() {
+fn qft_streamed_bitwise_equal() {
     for ranks in [2usize, 4] {
-        check_all_modes_agree::<SoaStorage>(&qft(8), ranks, &format!("qft soa R={ranks}"));
+        check_all_modes_agree(&qft(8), ranks, &format!("qft R={ranks}"));
     }
 }
 
 #[test]
-fn qft_streamed_bitwise_equal_aos() {
+fn random_circuits_streamed_bitwise_equal() {
     for ranks in [2usize, 4] {
-        check_all_modes_agree::<AosStorage>(&qft(8), ranks, &format!("qft aos R={ranks}"));
-    }
-}
-
-#[test]
-fn random_circuits_streamed_bitwise_equal_soa() {
-    for ranks in [2usize, 4] {
-        for seed in 0..4 {
+        for seed in 0..7 {
             let c = random_circuit(8, 60, GatePool::Full, seed);
-            check_all_modes_agree::<SoaStorage>(&c, ranks, &format!("seed {seed} soa R={ranks}"));
-        }
-    }
-}
-
-#[test]
-fn random_circuits_streamed_bitwise_equal_aos() {
-    for ranks in [2usize, 4] {
-        for seed in 4..7 {
-            let c = random_circuit(8, 60, GatePool::Full, seed);
-            check_all_modes_agree::<AosStorage>(&c, ranks, &format!("seed {seed} aos R={ranks}"));
+            check_all_modes_agree(&c, ranks, &format!("seed {seed} R={ranks}"));
         }
     }
 }
@@ -114,9 +95,8 @@ fn streamed_half_exchange_swaps_bitwise_equal() {
     let mut c = Circuit::new(8);
     c.h(0).swap(0, 7).h(1).swap(6, 7).swap(2, 6).h(7).swap(1, 5).swap(5, 6);
     for ranks in [4usize, 8] {
-        let (plain, _) = simulate::<SoaStorage>(&c, ranks, config(ExchangeMode::Blocking, false));
-        let (streamed_half, _) =
-            simulate::<SoaStorage>(&c, ranks, config(ExchangeMode::Streamed, true));
+        let (plain, _) = simulate(&c, ranks, config(ExchangeMode::Blocking, false));
+        let (streamed_half, _) = simulate(&c, ranks, config(ExchangeMode::Streamed, true));
         assert_bits_equal(&plain, &streamed_half, &format!("half swaps R={ranks}"));
     }
 }
@@ -138,7 +118,7 @@ fn streamed_unitary2_bitwise_equal() {
         });
     }
     for ranks in [2usize, 4] {
-        check_all_modes_agree::<SoaStorage>(&c, ranks, &format!("unitary2 R={ranks}"));
+        check_all_modes_agree(&c, ranks, &format!("unitary2 R={ranks}"));
     }
 }
 
@@ -152,7 +132,7 @@ fn streamed_peak_scratch_is_bounded_by_ring() {
     for _ in 0..3 {
         c.h(7).h(6); // distributed 1q gates only
     }
-    let (_, stats) = simulate::<SoaStorage>(&c, 4, config(ExchangeMode::Streamed, false));
+    let (_, stats) = simulate(&c, 4, config(ExchangeMode::Streamed, false));
     let local_wire_bytes = (1u64 << 8) / 4 * 16; // 1 KiB per rank
     for (rank, s) in stats.iter().enumerate() {
         // 6 distributed gates × 8 chunks each.
@@ -176,7 +156,7 @@ fn streamed_peak_scratch_is_bounded_by_ring() {
         );
     }
     // Blocking mode never touches the streamed in-flight gauge.
-    let (_, blocking_stats) = simulate::<SoaStorage>(&c, 4, config(ExchangeMode::Blocking, false));
+    let (_, blocking_stats) = simulate(&c, 4, config(ExchangeMode::Blocking, false));
     for s in &blocking_stats {
         assert_eq!(s.peak_inflight_bytes, 0);
     }

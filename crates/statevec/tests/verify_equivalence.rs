@@ -1,7 +1,7 @@
 //! Cross-validation of the static plan verifier (`qse-check::verify`)
 //! against the running engine: the symbolic trace's per-rank byte totals
 //! must equal the measured `TrafficStats.bytes_exchanged` **bit-for-bit**
-//! on every run — across storage layouts, rank counts, exchange modes,
+//! on every run — across rank counts, exchange modes,
 //! half-exchange SWAPs and transpile strategies — and every plan the
 //! equivalence suites execute must verify statically before it runs.
 
@@ -13,7 +13,6 @@ use qse_circuit::transpile::{comm_avoid, ByteOracle, Plan, Strategy};
 use qse_circuit::{Circuit, Permutation};
 use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
 use qse_comm::Universe;
-use qse_statevec::storage::{AmpStorage, AosStorage, SoaStorage};
 use qse_statevec::{DistConfig, DistributedState};
 
 const MODES: [ExchangeMode; 3] = [
@@ -41,10 +40,9 @@ fn verify_opts(config: DistConfig) -> VerifyOptions {
 
 /// Runs `plan` on `ranks` ranks and returns each rank's measured
 /// `bytes_exchanged`, in rank order.
-fn measured_exchanged<S: AmpStorage>(plan: &Plan, ranks: usize, config: DistConfig) -> Vec<u64> {
+fn measured_exchanged(plan: &Plan, ranks: usize, config: DistConfig) -> Vec<u64> {
     Universe::new(ranks).run(|comm| {
-        let mut st: DistributedState<S> =
-            DistributedState::basis_state(comm, plan.n_qubits(), 1, config);
+        let mut st = DistributedState::basis_state(comm, plan.n_qubits(), 1, config);
         st.run_plan(plan).unwrap();
         st.barrier();
         st.stats().bytes_exchanged
@@ -63,7 +61,7 @@ fn plan_for(circuit: &Circuit, ranks: u64, strategy: Option<Strategy>) -> Plan {
 
 /// The property: symbolic per-rank byte totals equal the runtime's
 /// measured `bytes_exchanged` exactly.
-fn check_bytes_match<S: AmpStorage>(
+fn check_bytes_match(
     circuit: &Circuit,
     ranks: u64,
     strategy: Option<Strategy>,
@@ -76,7 +74,7 @@ fn check_bytes_match<S: AmpStorage>(
         .unwrap_or_else(|e| panic!("{what}: plan failed static verification: {e}"));
     let ts = derive_traces(&plan, ranks, &opts).unwrap();
     let predicted: Vec<u64> = ts.ranks.iter().map(|r| r.predicted_exchanged).collect();
-    let measured = measured_exchanged::<S>(&plan, ranks as usize, config);
+    let measured = measured_exchanged(&plan, ranks as usize, config);
     assert_eq!(
         predicted, measured,
         "{what}: symbolic trace bytes diverge from measured TrafficStats"
@@ -84,17 +82,17 @@ fn check_bytes_match<S: AmpStorage>(
 }
 
 #[test]
-fn symbolic_bytes_match_measured_qft_soa() {
+fn symbolic_bytes_match_measured_qft() {
     let c = qft(8);
     for ranks in [2u64, 4, 8] {
         for mode in MODES {
             for strategy in [None, Some(Strategy::Greedy), Some(Strategy::beam())] {
-                check_bytes_match::<SoaStorage>(
+                check_bytes_match(
                     &c,
                     ranks,
                     strategy,
                     dist_config(mode, 1 << 20, false),
-                    &format!("qft8 soa R={ranks} {mode:?} {strategy:?}"),
+                    &format!("qft8 R={ranks} {mode:?} {strategy:?}"),
                 );
             }
         }
@@ -102,17 +100,17 @@ fn symbolic_bytes_match_measured_qft_soa() {
 }
 
 #[test]
-fn symbolic_bytes_match_measured_random_aos() {
+fn symbolic_bytes_match_measured_random() {
     for (seed, ranks) in [(0u64, 2u64), (1, 4), (2, 8)] {
         let c = random_circuit(7, 40, GatePool::Full, seed);
         for mode in MODES {
             for strategy in [None, Some(Strategy::Greedy), Some(Strategy::beam())] {
-                check_bytes_match::<AosStorage>(
+                check_bytes_match(
                     &c,
                     ranks,
                     strategy,
                     dist_config(mode, 1 << 20, false),
-                    &format!("rand7s{seed} aos R={ranks} {mode:?} {strategy:?}"),
+                    &format!("rand7s{seed} R={ranks} {mode:?} {strategy:?}"),
                 );
             }
         }
@@ -127,7 +125,7 @@ fn symbolic_bytes_match_measured_small_chunks_and_half_exchange() {
     for ranks in [2u64, 4] {
         for mode in MODES {
             for half in [false, true] {
-                check_bytes_match::<SoaStorage>(
+                check_bytes_match(
                     &c,
                     ranks,
                     None,

@@ -7,7 +7,6 @@ use qse::circuit::algorithms::{
 use qse::math::approx::assert_close;
 use qse::prelude::*;
 use qse::statevec::expectation::{pauli_expectation, Pauli};
-use qse::statevec::storage::AmpStorage;
 
 /// Bernstein–Vazirani recovers the hidden string deterministically: the
 /// final state is exactly |secret⟩.
@@ -99,7 +98,6 @@ fn layered_ansatz_observables() {
 #[test]
 fn checkpoint_resume_matches_uninterrupted_run() {
     use qse::statevec::checkpoint::{load, save};
-    use qse::statevec::storage::SoaStorage;
     let n = 8u32;
     let first = qft(n);
     let second = inverse_qft(n);
@@ -111,7 +109,7 @@ fn checkpoint_resume_matches_uninterrupted_run() {
     // Interrupted at the midpoint.
     let mid = LocalExecutor::run(&first);
     let bytes = save(&mid);
-    let mut resumed: qse::statevec::SingleState<SoaStorage> = load(&bytes).unwrap();
+    let mut resumed = load(&bytes).unwrap();
     resumed.run(&second);
 
     qse::math::approx::assert_slices_close(&resumed.to_vec(), &want.to_vec(), 1e-12);

@@ -46,7 +46,6 @@ fn end_to_end_qft_pipeline() {
 #[test]
 fn transpiler_layout_restoration_round_trip() {
     use qse::circuit::random::{random_circuit, GatePool};
-    use qse::statevec::storage::SoaStorage;
     use qse::statevec::DistributedState;
     let n = 8u32;
     let ranks = 4u64;
@@ -63,8 +62,7 @@ fn transpiler_layout_restoration_round_trip() {
 
         let want = ReferenceState::simulate(&circuit);
         let gathered = Universe::new(ranks as usize).run(|comm| {
-            let mut st: DistributedState<SoaStorage> =
-                DistributedState::basis_state(comm, n, 0, cfg.to_dist_config());
+            let mut st = DistributedState::basis_state(comm, n, 0, cfg.to_dist_config());
             st.run_plan(&plan).expect("plan run");
             st.gather().expect("gather")
         });

@@ -11,7 +11,7 @@ use qse::math::bits;
 use qse::math::Complex64;
 use qse::prelude::*;
 use qse::statevec::reference::ReferenceState;
-use qse::statevec::storage::{AmpStorage, AosStorage, SoaStorage};
+use qse::statevec::storage::SoaStorage;
 use qse::util::check::{check, check_with_size};
 use qse::util::rng::Rng;
 
@@ -57,19 +57,6 @@ fn engine_matches_reference() {
             "max dev {}",
             max_deviation(&got.to_vec(), want.amplitudes())
         );
-    });
-}
-
-/// Both storage layouts produce identical amplitudes.
-#[test]
-fn layouts_agree() {
-    check_with_size(48, 40, |rng, size| {
-        let c = draw_circuit(rng, 6, size);
-        let mut soa: SingleState<SoaStorage> = SingleState::zero_state(6);
-        let mut aos: SingleState<AosStorage> = SingleState::zero_state(6);
-        soa.run(&c);
-        aos.run(&c);
-        assert!(slices_close(&soa.to_vec(), &aos.to_vec(), 1e-12));
     });
 }
 
