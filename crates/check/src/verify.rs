@@ -25,7 +25,9 @@
 //!    reported with a per-rank wait-for diagnosis naming the plan step.
 //! 3. **Buffer bounds** — streamed-mode peak in-flight receive bytes
 //!    never exceed `ring_depth × chunk_size`, and permutation staging
-//!    writes every destination slot exactly once (no scratch aliasing).
+//!    writes every destination slot exactly once (no scratch aliasing),
+//!    proved once per `Permute` step as injectivity of its n-bit map —
+//!    O(n), at every slice size.
 //! 4. **Layout soundness** — the qubit permutation tracked through
 //!    `comm_avoid` plan steps composes to exactly [`Plan::layout`] (the
 //!    identity after `with_layout_restored`), replayed independently of
@@ -40,13 +42,7 @@ use qse_circuit::classify::{classify, GateClass, Layout, BYTES_PER_AMP};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
 use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, DEFAULT_RING_DEPTH, TAG_MOD};
-use std::collections::HashMap;
 use std::fmt;
-
-/// Exhaustive per-slot permutation alias checking is quadratic-ish in the
-/// slice; above this many local amplitudes the closed-form counting check
-/// (still exact for block *sizes*) stands alone.
-const ALIAS_EXHAUSTIVE_MAX_AMPS: u64 = 1 << 16;
 
 /// Exchange options the abstraction must honour — the statically
 /// relevant subset of `statevec::dist::DistConfig`.
@@ -137,18 +133,11 @@ pub struct RankTrace {
 pub struct TraceSet {
     pub n_ranks: usize,
     /// Human-readable label per plan step, indexed by `TraceEvent::step`.
+    /// Empty in derived sets: [`verify_plan`] labels a diagnosis from the
+    /// plan only when it returns one.
     pub step_labels: Vec<String>,
     pub ranks: Vec<RankTrace>,
     pub windows: Vec<StreamedWindow>,
-}
-
-impl TraceSet {
-    fn label(&self, step: usize) -> String {
-        self.step_labels
-            .get(step)
-            .cloned()
-            .unwrap_or_else(|| format!("step {step}"))
-    }
 }
 
 /// A rank blocked at a specific trace position, for deadlock diagnoses.
@@ -356,6 +345,7 @@ pub struct VerifyReport {
 struct RankDeriver<'a> {
     rank: u64,
     layout: Layout,
+    plan: &'a Plan,
     opts: &'a VerifyOptions,
     seq: u64,
     step: usize,
@@ -364,10 +354,11 @@ struct RankDeriver<'a> {
 }
 
 impl<'a> RankDeriver<'a> {
-    fn new(rank: u64, layout: Layout, opts: &'a VerifyOptions) -> Self {
+    fn new(rank: u64, layout: Layout, plan: &'a Plan, opts: &'a VerifyOptions) -> Self {
         RankDeriver {
             rank,
             layout,
+            plan,
             opts,
             seq: 0,
             step: 0,
@@ -582,11 +573,16 @@ impl<'a> RankDeriver<'a> {
                 ),
             });
         }
+        let l = self.layout.local_qubits();
+        let n = self.layout.n_qubits();
+        if self.rank == 0 {
+            // Rank-independent, so proved once per step.
+            let images: Vec<u32> = (0..n).map(|q| perm.apply(q)).collect();
+            check_write_once(&images, l, self.step, || step_label(self.plan, self.step))?;
+        }
         if perm.is_identity() {
             return Ok(());
         }
-        let l = self.layout.local_qubits();
-        let n = self.layout.n_qubits();
         if (l..n).all(|p| perm.apply(p) == p) {
             return Ok(()); // purely local reorder, zero wire bytes
         }
@@ -661,45 +657,56 @@ impl<'a> RankDeriver<'a> {
             }
         }
 
-        // Scratch-alias obligation: the exchange runs in place — every
-        // incoming block lands in this rank's slice once all of its own
-        // peer blocks have left — so incoming blocks plus the stay-put
-        // block must tile the slice exactly once.
-        let covered: u64 = (0..ranks).map(|u| block_amps(u, me)).sum();
-        if covered != local_amps {
-            return Err(VerifyError::ScratchAlias {
-                rank: me as usize,
-                step: self.step,
-                detail: format!(
-                    "incoming blocks cover {covered} of {local_amps} slice slots"
-                ),
-                label: String::new(),
-            });
-        }
-        if local_amps <= ALIAS_EXHAUSTIVE_MAX_AMPS {
-            // Small slices: prove write-once per destination slot, not
-            // just the counting argument.
-            let mask = local_amps - 1;
-            let mut seen = vec![false; local_amps as usize];
-            for u in 0..ranks {
-                for sl in 0..local_amps {
-                    let d = perm.permute_index((u << l) | sl);
-                    if d >> l == me {
-                        let slot = (d & mask) as usize;
-                        if seen[slot] {
-                            return Err(VerifyError::ScratchAlias {
-                                rank: me as usize,
-                                step: self.step,
-                                detail: format!("slice slot {slot} written twice"),
-                                label: String::new(),
-                            });
-                        }
-                        seen[slot] = true;
-                    }
-                }
-            }
-        }
         Ok(())
+    }
+}
+
+/// The write-once proof for one `Permute` step, over its raw image list
+/// (bit `q` of an amplitude index moves to bit `images[q]`), so tests
+/// can pass maps [`Permutation::from_map`] refuses to build.
+///
+/// [`Permutation::permute_index`] maps [0, 2ⁿ) one-to-one onto itself —
+/// the in-place exchange writes every slot of every rank's slice exactly
+/// once — exactly when the bit map is injective on `0..n` with images
+/// below `n`. An n-bit occupancy mask proves that in O(n) at any slice
+/// size; a failure names the first offending bit (or pair of bits) and
+/// the rank owning index `1 << bit`, the first index it breaks.
+fn check_write_once(
+    images: &[u32],
+    local_qubits: u32,
+    step: usize,
+    label: impl FnOnce() -> String,
+) -> Result<(), VerifyError> {
+    let n = images.len() as u32;
+    let mut occupied = 0u64;
+    for (q, &image) in (0u32..).zip(images) {
+        let (bit, detail) = if image >= n {
+            (q, format!("bit {q} maps to bit {image}, outside the {n}-qubit register"))
+        } else if (occupied >> image) & 1 == 1 {
+            let first = images.iter().position(|&i| i == image).unwrap_or(0);
+            let slot = (1u64 << image) & ((1u64 << local_qubits) - 1);
+            let twice = format!("slice slot {slot} written twice");
+            (image, format!("bits {first} and {q} both map to bit {image}: {twice}"))
+        } else {
+            occupied |= 1 << image;
+            continue;
+        };
+        let rank = ((1u64 << bit) >> local_qubits) as usize;
+        return Err(VerifyError::ScratchAlias { rank, step, detail, label: label() });
+    }
+    Ok(())
+}
+
+/// The label a diagnosis gives plan step `step`, built on the error path
+/// only (formatting every gate up front, unitary matrices included, cost
+/// more than deriving the traces).
+fn step_label(plan: &Plan, step: usize) -> String {
+    match plan.steps.get(step) {
+        Some(PlanStep::Gate(g)) => format!("plan step {step}: gate {g:?}"),
+        Some(PlanStep::Permute(p)) => {
+            format!("plan step {step}: permute {:?}", p.as_transpositions())
+        }
+        None => format!("step {step}"),
     }
 }
 
@@ -722,23 +729,14 @@ pub fn derive_traces(
         });
     }
     let layout = Layout::new(plan.n_qubits(), n_ranks);
-    let step_labels: Vec<String> = plan
-        .steps
-        .iter()
-        .enumerate()
-        .map(|(i, s)| match s {
-            PlanStep::Gate(g) => format!("plan step {i}: gate {g:?}"),
-            PlanStep::Permute(p) => format!("plan step {i}: permute {:?}", p.as_transpositions()),
-        })
-        .collect();
     let mut ts = TraceSet {
         n_ranks: n_ranks as usize,
-        step_labels,
+        step_labels: Vec::new(),
         ranks: Vec::with_capacity(n_ranks as usize),
         windows: Vec::new(),
     };
     for rank in 0..n_ranks {
-        let mut d = RankDeriver::new(rank, layout, opts);
+        let mut d = RankDeriver::new(rank, layout, plan, opts);
         // Step by step, as `run_plan` executes the plan: a run of local
         // gates the engine applies in one pass communicates no more than
         // its gates one at a time — nothing.
@@ -752,8 +750,6 @@ pub fn derive_traces(
         ts.windows.extend(d.windows);
         ts.ranks.push(d.trace);
     }
-    // Fill in step labels on derivation-time errors' behalf: alias
-    // errors constructed inside the deriver carry an empty label.
     Ok(ts)
 }
 
@@ -761,167 +757,156 @@ pub fn derive_traces(
 // Property 1: protocol matching.
 // ---------------------------------------------------------------------
 
-fn check_protocol(ts: &TraceSet) -> Result<(), VerifyError> {
-    // (src, dst) → tag → (bytes, step)
-    let mut sends: HashMap<(usize, usize), HashMap<u64, (usize, usize)>> = HashMap::new();
-    let mut recvs: HashMap<(usize, usize), HashMap<u64, (usize, usize)>> = HashMap::new();
+/// A posted send, or a posted receive (a `Recv` or a streamed group's
+/// chunk), keyed `(src, dst, tag)`. Kept small: the lists are as long as
+/// the trace, and on long traces touching fresh pages costs more than
+/// sorting them.
+#[derive(Clone, Copy)]
+struct Post {
+    key: (usize, usize, u64),
+    bytes: usize,
+    /// Posting order over the set: the collision reported is the first.
+    seq: usize,
+    /// Index of the posting event in the posting rank's trace.
+    at: usize,
+}
+
+/// Property 1 as one merge: sends and receive posts sorted by `(src, dst,
+/// tag)` are walked side by side. Returns what the deadlock simulation
+/// needs: per rank and event, the index in the peer's trace of the send
+/// a receive waits for.
+fn check_protocol(
+    ts: &TraceSet,
+    label: &dyn Fn(usize) -> String,
+) -> Result<Vec<Vec<usize>>, VerifyError> {
+    let events = ts.ranks.iter().map(|tr| tr.events.len()).sum();
+    let (mut sends, mut recvs) = (Vec::with_capacity(events), Vec::with_capacity(events));
+    let mut seq = 0;
     for (rank, tr) in ts.ranks.iter().enumerate() {
-        for ev in &tr.events {
+        let mut posted = vec![false; tr.groups.len()];
+        for (at, ev) in tr.events.iter().enumerate() {
+            let mut post = |list: &mut Vec<Post>, key, bytes| {
+                list.push(Post { key, bytes, seq, at });
+                seq += 1;
+            };
             match ev.op {
-                TraceOp::Send { peer, tag, bytes } => {
-                    let edge = sends.entry((rank, peer)).or_default();
-                    if let Some(&(_, first)) = edge.get(&tag) {
-                        return Err(VerifyError::TagCollision {
-                            src: rank,
-                            dst: peer,
-                            tag,
-                            first_step: first,
-                            second_step: ev.step,
-                            label: ts.label(ev.step),
-                        });
-                    }
-                    edge.insert(tag, (bytes, ev.step));
-                }
-                TraceOp::Recv { peer, tag, bytes } => {
-                    let edge = recvs.entry((peer, rank)).or_default();
-                    if let Some(&(_, first)) = edge.get(&tag) {
-                        return Err(VerifyError::TagCollision {
-                            src: peer,
-                            dst: rank,
-                            tag,
-                            first_step: first,
-                            second_step: ev.step,
-                            label: ts.label(ev.step),
-                        });
-                    }
-                    edge.insert(tag, (bytes, ev.step));
-                }
+                TraceOp::Send { peer, tag, bytes } => post(&mut sends, (rank, peer, tag), bytes),
+                TraceOp::Recv { peer, tag, bytes } => post(&mut recvs, (peer, rank, tag), bytes),
                 TraceOp::RecvAny { peer, group } => {
-                    // A group's obligations are registered once, at its
-                    // first wait; later waits reference the same posts.
-                    let g = &ts.ranks[rank].groups[group];
-                    debug_assert_eq!(g.peer, peer);
-                    let edge = recvs.entry((peer, rank)).or_default();
-                    for &(tag, bytes) in &g.chunks {
-                        match edge.get(&tag) {
-                            Some(&(b, s)) if (b, s) == (bytes, ev.step) => {} // same group, later wait
-                            Some(&(_, first)) if first != ev.step => {
-                                return Err(VerifyError::TagCollision {
-                                    src: peer,
-                                    dst: rank,
-                                    tag,
-                                    first_step: first,
-                                    second_step: ev.step,
-                                    label: ts.label(ev.step),
-                                });
-                            }
-                            _ => {
-                                edge.insert(tag, (bytes, ev.step));
-                            }
+                    // A group's chunks are posted once, at its first
+                    // wait; later waits reference the same posts.
+                    if !std::mem::replace(&mut posted[group], true) {
+                        for &(tag, bytes) in &tr.groups[group].chunks {
+                            post(&mut recvs, (peer, rank, tag), bytes);
                         }
                     }
                 }
             }
         }
     }
-    for (&(src, dst), tags) in &sends {
-        for (&tag, &(bytes, step)) in tags {
-            match recvs.get(&(src, dst)).and_then(|m| m.get(&tag)) {
-                None => {
-                    return Err(VerifyError::UnmatchedSend {
-                        src,
-                        dst,
-                        tag,
-                        bytes,
-                        step,
-                        label: ts.label(step),
-                    })
-                }
-                Some(&(expected, rstep)) if expected != bytes => {
+    // Unique sort keys, so equal edge tags stay in posting order without
+    // a stable sort's scratch buffer.
+    sends.sort_unstable_by_key(|p| (p.key, p.seq));
+    recvs.sort_unstable_by_key(|p| (p.key, p.seq));
+    // Sends are posted by `src`, receives by `dst`.
+    let event = |p: &Post, sent: bool| &ts.ranks[if sent { p.key.0 } else { p.key.1 }].events[p.at];
+
+    let collision = [(&sends, true), (&recvs, false)]
+        .into_iter()
+        .flat_map(|(posts, sent)| {
+            let dups = posts.windows(2).filter(|w| w[0].key == w[1].key);
+            dups.map(move |w| (w, sent))
+        })
+        .min_by_key(|(w, _)| w[1].seq);
+    if let Some(([first, second], sent)) = collision {
+        let (src, dst, tag) = second.key;
+        let (first_step, second_step) = (event(first, sent).step, event(second, sent).step);
+        let label = label(second_step);
+        return Err(VerifyError::TagCollision { src, dst, tag, first_step, second_step, label });
+    }
+
+    let mut waits: Vec<Vec<usize>> = ts.ranks.iter().map(|tr| vec![0; tr.events.len()]).collect();
+    let mut group_sends: Vec<Vec<Vec<usize>>> =
+        ts.ranks.iter().map(|tr| vec![Vec::new(); tr.groups.len()]).collect();
+    // Send-side violations are reported before receive-side ones.
+    let mut unmatched_recv = None;
+    let (mut si, mut ri) = (0, 0);
+    while si < sends.len() || ri < recvs.len() {
+        match (sends.get(si), recvs.get(ri)) {
+            (Some(s), Some(r)) if s.key == r.key => {
+                let ((src, dst, tag), recv) = (s.key, event(r, false));
+                if s.bytes != r.bytes {
                     return Err(VerifyError::SizeMismatch {
                         src,
                         dst,
                         tag,
-                        sent: bytes,
-                        expected,
-                        step: rstep,
-                        label: ts.label(step),
-                    })
+                        sent: s.bytes,
+                        expected: r.bytes,
+                        step: recv.step,
+                        label: label(event(s, true).step),
+                    });
                 }
-                Some(_) => {}
+                match recv.op {
+                    TraceOp::RecvAny { group, .. } => group_sends[dst][group].push(s.at),
+                    _ => waits[dst][r.at] = s.at,
+                }
+                (si, ri) = (si + 1, ri + 1);
+            }
+            (Some(s), r) if r.is_none_or(|r| s.key < r.key) => {
+                let ((src, dst, tag), bytes, step) = (s.key, s.bytes, event(s, true).step);
+                let label = label(step);
+                return Err(VerifyError::UnmatchedSend { src, dst, tag, bytes, step, label });
+            }
+            (_, r) => {
+                unmatched_recv = unmatched_recv.or(r.copied());
+                ri += 1;
             }
         }
     }
-    for (&(src, dst), tags) in &recvs {
-        for (&tag, &(bytes, step)) in tags {
-            if sends.get(&(src, dst)).and_then(|m| m.get(&tag)).is_none() {
-                return Err(VerifyError::UnmatchedRecv {
-                    dst,
-                    src,
-                    tag,
-                    bytes,
-                    step,
-                    label: ts.label(step),
-                });
+    if let Some(r) = unmatched_recv {
+        let ((src, dst, tag), bytes, step) = (r.key, r.bytes, event(&r, false).step);
+        let label = label(step);
+        return Err(VerifyError::UnmatchedRecv { dst, src, tag, bytes, step, label });
+    }
+    // The peer sends a group's chunks in trace order, so the group's k-th
+    // wait completes once the k-th of them has left (never, past the last).
+    for ((tr, waits), groups) in ts.ranks.iter().zip(&mut waits).zip(&mut group_sends) {
+        groups.iter_mut().for_each(|g| g.sort_unstable());
+        let mut next = vec![0; groups.len()];
+        for (wait, ev) in waits.iter_mut().zip(&tr.events) {
+            if let TraceOp::RecvAny { group, .. } = ev.op {
+                *wait = groups[group].get(next[group]).copied().unwrap_or(usize::MAX);
+                next[group] += 1;
             }
         }
     }
-    Ok(())
+    Ok(waits)
 }
 
 // ---------------------------------------------------------------------
 // Property 2: deadlock freedom (scheduler simulation).
 // ---------------------------------------------------------------------
 
-fn check_deadlock_freedom(ts: &TraceSet) -> Result<(), VerifyError> {
-    // In-flight buffered messages per directed edge: tag → count (tags
-    // are unique after check_protocol, but stay robust for fabricated
-    // traces that collide).
-    let mut inflight: HashMap<(usize, usize), HashMap<u64, usize>> = HashMap::new();
+/// Runs every rank as far as it can, round after round, over a trace set
+/// that passed [`check_protocol`]: sends buffer and never block; a
+/// receive completes once the peer has executed the send it `waits` for.
+fn check_deadlock_freedom(
+    ts: &TraceSet,
+    waits: &[Vec<usize>],
+    label: &dyn Fn(usize) -> String,
+) -> Result<(), VerifyError> {
     let mut pc = vec![0usize; ts.ranks.len()];
-    // Per (rank, group): set of chunk tags not yet consumed.
-    let mut group_left: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
-    for (r, tr) in ts.ranks.iter().enumerate() {
-        for (gi, g) in tr.groups.iter().enumerate() {
-            group_left.insert((r, gi), g.chunks.iter().map(|&(t, _)| t).collect());
-        }
-    }
     loop {
         let mut progressed = false;
         for r in 0..ts.ranks.len() {
             let events = &ts.ranks[r].events;
-            while pc[r] < events.len() {
-                match events[pc[r]].op {
-                    TraceOp::Send { peer, tag, .. } => {
-                        // Buffered transport: sends never block.
-                        *inflight.entry((r, peer)).or_default().entry(tag).or_insert(0) += 1;
-                    }
-                    TraceOp::Recv { peer, tag, .. } => {
-                        let Some(count) =
-                            inflight.get_mut(&(peer, r)).and_then(|m| m.get_mut(&tag))
-                        else {
-                            break;
-                        };
-                        if *count == 0 {
+            while let Some(ev) = events.get(pc[r]) {
+                match ev.op {
+                    TraceOp::Send { .. } => {}
+                    TraceOp::Recv { peer, .. } | TraceOp::RecvAny { peer, .. } => {
+                        if pc[peer] <= waits[r][pc[r]] {
                             break;
                         }
-                        *count -= 1;
-                    }
-                    TraceOp::RecvAny { peer, group } => {
-                        let left = group_left.get_mut(&(r, group)).expect("group exists");
-                        let Some(pos) = left.iter().position(|t| {
-                            inflight
-                                .get(&(peer, r))
-                                .and_then(|m| m.get(t))
-                                .is_some_and(|&c| c > 0)
-                        }) else {
-                            break;
-                        };
-                        let tag = left.swap_remove(pos);
-                        *inflight
-                            .get_mut(&(peer, r))
-                            .and_then(|m| m.get_mut(&tag))
-                            .expect("matched above") -= 1;
                     }
                 }
                 pc[r] += 1;
@@ -952,7 +937,7 @@ fn check_deadlock_freedom(ts: &TraceSet) -> Result<(), VerifyError> {
                     BlockedRank {
                         rank: r,
                         step: ev.step,
-                        label: ts.label(ev.step),
+                        label: label(ev.step),
                         waiting_on,
                     }
                 })
@@ -966,7 +951,7 @@ fn check_deadlock_freedom(ts: &TraceSet) -> Result<(), VerifyError> {
 // Property 3: buffer bounds (streamed ring windows).
 // ---------------------------------------------------------------------
 
-fn check_buffer_bounds(ts: &TraceSet) -> Result<(), VerifyError> {
+fn check_buffer_bounds(ts: &TraceSet, label: &dyn Fn(usize) -> String) -> Result<(), VerifyError> {
     for w in &ts.windows {
         let budget = w.ring_depth * w.cap_bytes;
         // The receive ring cycles `ring_depth` slots round-robin, so the
@@ -980,7 +965,7 @@ fn check_buffer_bounds(ts: &TraceSet) -> Result<(), VerifyError> {
                 step: w.step,
                 peak_bytes: peak.max(*w.chunk_bytes.iter().max().unwrap_or(&0)),
                 budget_bytes: budget,
-                label: ts.label(w.step),
+                label: label(w.step),
             });
         }
     }
@@ -988,11 +973,24 @@ fn check_buffer_bounds(ts: &TraceSet) -> Result<(), VerifyError> {
 }
 
 /// Checks properties 1–3 over an already-derived (or fabricated) trace
-/// set: protocol matching, deadlock freedom, buffer bounds.
+/// set: protocol matching, deadlock freedom, buffer bounds. Diagnoses
+/// take their labels from [`TraceSet::step_labels`].
 pub fn check_traces(ts: &TraceSet) -> Result<(), VerifyError> {
-    check_protocol(ts)?;
-    check_deadlock_freedom(ts)?;
-    check_buffer_bounds(ts)
+    check_traces_labelled(ts, &|step| match ts.step_labels.get(step) {
+        Some(label) => label.clone(),
+        None => format!("step {step}"),
+    })
+}
+
+/// [`check_traces`], labelling a diagnosis's step with `label` — called
+/// only once a check has failed.
+fn check_traces_labelled(
+    ts: &TraceSet,
+    label: &dyn Fn(usize) -> String,
+) -> Result<(), VerifyError> {
+    let waits = check_protocol(ts, label)?;
+    check_deadlock_freedom(ts, &waits, label)?;
+    check_buffer_bounds(ts, label)
 }
 
 // ---------------------------------------------------------------------
@@ -1104,7 +1102,7 @@ pub fn verify_plan(
 ) -> Result<VerifyReport, VerifyError> {
     verify_layout(plan, original)?;
     let ts = derive_traces(plan, n_ranks, opts)?;
-    check_traces(&ts)?;
+    check_traces_labelled(&ts, &|step| step_label(plan, step))?;
     let mut events = 0usize;
     let mut bytes_on_wire = 0u64;
     for tr in &ts.ranks {
@@ -1369,8 +1367,8 @@ mod tests {
 
     #[test]
     fn permutation_block_model_matches_exhaustive_check() {
-        // Any valid permutation must pass the exhaustive write-once
-        // check (exercised because local_amps is tiny here).
+        // Any valid permutation must pass the write-once proof (the
+        // enumeration oracle below covers small slices exhaustively).
         let mut c = Circuit::new(6);
         c.h(0);
         let mut plan = Plan::from_circuit(&c, Permutation::identity(6));
@@ -1507,6 +1505,189 @@ mod tests {
         match verify_plan(&plan, Some(&c), 4, &VerifyOptions::default()).unwrap_err() {
             VerifyError::GateMismatch { .. } | VerifyError::LayoutDrift { .. } => {}
             other => panic!("expected GateMismatch, got {other}"),
+        }
+    }
+
+    /// Where `images` sends amplitude index `x`: bit `q` to bit
+    /// `images[q]` — `Permutation::permute_index` over a raw image list.
+    fn permute_bits(images: &[u32], x: u64) -> u64 {
+        (0u32..)
+            .zip(images)
+            .fold(0, |d, (q, &image)| d | ((x >> q) & 1) << image)
+    }
+
+    /// The write-once proof `check_write_once` replaced, kept as its
+    /// oracle: every rank enumerates all 2ⁿ source indices and marks the
+    /// slots of its own slice they land on — O(R · 2ⁿ). `Err(Some((rank,
+    /// slot)))` names the first slot written twice, lowest rank first;
+    /// `Err(None)` a slice left partly unwritten.
+    fn write_once_by_enumeration(images: &[u32], ranks: u64) -> Result<(), Option<(usize, u64)>> {
+        let n = images.len() as u32;
+        let l = n - ranks.trailing_zeros();
+        let mask = (1u64 << l) - 1;
+        let mut seen = vec![false; 1 << n];
+        for me in 0..ranks {
+            for x in 0..1u64 << n {
+                let d = permute_bits(images, x);
+                if d >> l == me {
+                    if seen[d as usize] {
+                        return Err(Some((me as usize, d & mask)));
+                    }
+                    seen[d as usize] = true;
+                }
+            }
+        }
+        if seen.contains(&false) {
+            return Err(None);
+        }
+        Ok(())
+    }
+
+    /// Runs the O(n) proof and the oracle on one image list at `ranks`
+    /// ranks: same verdict, and for a map with exactly one colliding pair
+    /// of bits, the same rank and slice slot.
+    fn assert_proof_matches_oracle(images: &[u32], ranks: u64) {
+        let n = images.len() as u32;
+        let l = n - ranks.trailing_zeros();
+        let fast = check_write_once(images, l, 3, || "plan step 3".into());
+        let slow = write_once_by_enumeration(images, ranks);
+        assert_eq!(
+            fast.is_ok(),
+            slow.is_ok(),
+            "{images:?} at R={ranks}: {fast:?} vs {slow:?}"
+        );
+        let mut sorted = images.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let one_collision = sorted.len() + 1 == images.len() && images.iter().all(|&i| i < n);
+        if let (true, Err(Some((rank, slot)))) = (one_collision, slow) {
+            match fast {
+                Err(VerifyError::ScratchAlias {
+                    rank: r,
+                    step: 3,
+                    detail,
+                    label,
+                }) => {
+                    assert_eq!(r, rank, "{images:?} at R={ranks}");
+                    assert!(
+                        detail.ends_with(&format!("slice slot {slot} written twice")),
+                        "{detail}"
+                    );
+                    assert_eq!(label, "plan step 3");
+                }
+                other => panic!("{images:?} at R={ranks}: expected ScratchAlias, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn write_once_proof_matches_enumeration_on_every_small_map() {
+        // Every image list over 0..=n for n ≤ 4: bijections, collisions,
+        // and images outside the register (value n), at every rank count.
+        for n in 1..=4u32 {
+            let lists = (n + 1).pow(n);
+            for code in 0..lists {
+                let images: Vec<u32> = (0..n).map(|q| code / (n + 1).pow(q) % (n + 1)).collect();
+                for r in 0..=n {
+                    assert_proof_matches_oracle(&images, 1 << r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn write_once_proof_matches_enumeration_on_random_maps() {
+        use qse_util::rng::{Rng, Xoshiro256StarStar};
+        let mut rng = Xoshiro256StarStar::seed_from_u64(32);
+        for n in 1..=12u32 {
+            for ranks in [1u64, 2, 4, 8].into_iter().filter(|&r| r <= 1 << n) {
+                for _ in 0..3 {
+                    let mut images: Vec<u32> = (0..n).collect();
+                    for i in (1..images.len()).rev() {
+                        images.swap(i, rng.random_range(0..=i));
+                    }
+                    let perm = Permutation::from_map(images.clone());
+                    for _ in 0..8 {
+                        let x = rng.random_range(0..1u64 << n);
+                        assert_eq!(permute_bits(&images, x), perm.permute_index(x));
+                    }
+                    assert_proof_matches_oracle(&images, ranks);
+                    if n >= 2 {
+                        let a = rng.random_range(0..n) as usize;
+                        let b = (a + rng.random_range(1..n) as usize) % n as usize;
+                        let mut collided = images.clone();
+                        collided[a] = images[b];
+                        assert_proof_matches_oracle(&collided, ranks);
+                    }
+                    let mut outside = images.clone();
+                    outside[rng.random_range(0..n) as usize] = n;
+                    assert_proof_matches_oracle(&outside, ranks);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_permute_is_proved_write_once() {
+        // n = 20 at R = 2: a 2^19-amplitude slice, past the size the
+        // enumeration could afford. The wire permute is proved anyway.
+        let mut c = Circuit::new(20);
+        c.h(0);
+        let mut plan = Plan::from_circuit(&c, Permutation::identity(20));
+        plan.steps.push(PlanStep::Permute(Permutation::reversal(20)));
+        plan.steps.push(PlanStep::Permute(Permutation::reversal(20)));
+        let report = verify_plan(&plan, None, 2, &VerifyOptions::default()).unwrap();
+        assert_eq!(report.wire_permutes, 2);
+        // A non-injective map at that width (one `Permutation::from_map`
+        // refuses to build): bits 0 and 19 both land on bit 0.
+        let mut images: Vec<u32> = (0..20).rev().collect();
+        images[0] = 0;
+        match check_write_once(&images, 19, 1, || step_label(&plan, 1)) {
+            Err(VerifyError::ScratchAlias {
+                rank: 0,
+                step: 1,
+                detail,
+                label,
+            }) => {
+                assert_eq!(detail, "bits 0 and 19 both map to bit 0: slice slot 1 written twice");
+                assert!(label.starts_with("plan step 1: permute [(0, 19)"), "{label}");
+            }
+            other => panic!("expected ScratchAlias, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lazy_step_labels_match_the_eager_format() {
+        let m = qse_math::Matrix4::swap();
+        let mut c = Circuit::new(6);
+        c.h(5).push(Gate::Unitary2 { a: 4, b: 5, matrix: m });
+        let mut plan = Plan::from_circuit(&c, Permutation::identity(6));
+        plan.steps.push(PlanStep::Permute(Permutation::reversal(6)));
+        plan.steps.push(PlanStep::Permute(Permutation::reversal(6)));
+        // The format `derive_traces` used to build for every step.
+        for (i, s) in plan.steps.iter().enumerate() {
+            let eager = match s {
+                PlanStep::Gate(g) => format!("plan step {i}: gate {g:?}"),
+                PlanStep::Permute(p) => {
+                    format!("plan step {i}: permute {:?}", p.as_transpositions())
+                }
+            };
+            assert_eq!(step_label(&plan, i), eager);
+        }
+        // A diagnosis of a derived trace takes its label from the plan.
+        let mut ts = derive_traces(&plan, 2, &VerifyOptions::default()).unwrap();
+        assert!(ts.step_labels.is_empty());
+        let pos = ts.ranks[1]
+            .events
+            .iter()
+            .position(|e| matches!(e.op, TraceOp::Recv { .. }))
+            .unwrap();
+        ts.ranks[1].events.remove(pos);
+        match check_traces_labelled(&ts, &|step| step_label(&plan, step)).unwrap_err() {
+            VerifyError::UnmatchedSend { step: 0, label, .. } => {
+                assert_eq!(label, "plan step 0: gate H(5)")
+            }
+            other => panic!("expected UnmatchedSend at step 0, got {other}"),
         }
     }
 }

@@ -77,22 +77,16 @@ impl ThreadClusterExecutor {
         basis: u64,
         gather: bool,
     ) -> Result<ClusterRun, CommError> {
-        let plan = comm_avoid_plan(circuit, config);
-
-        // Debug-mode pre-flight gate: prove the plan's exchange schedule
-        // safe (protocol matching, deadlock freedom, buffer bounds,
-        // layout soundness) before any rank posts a byte. Release builds
-        // skip the pass; the plan corpus and property suites carry the
-        // proof there.
-        #[cfg(debug_assertions)]
-        Self::verify_plan_pre_flight(circuit, config, plan.as_ref())?;
-
+        // Pre-flight gate, in every build profile: prove the plan's
+        // exchange schedule safe (protocol matching, deadlock freedom,
+        // buffer bounds, layout soundness) before any rank posts a byte.
+        let plan = Self::prepare(circuit, config)?;
         Self::execute(circuit, config, basis, gather, plan.as_ref())
     }
 
     /// Builds and statically verifies the execution plan for `circuit`
-    /// under `config`, in release builds too — the "verify once, at
-    /// insert time" entry point for the serve plan cache. Returns the
+    /// under `config` — [`Self::try_run`]'s pre-flight, and the "verify
+    /// once, at insert time" entry point for the serve plan cache. Returns the
     /// plan to pass to [`Self::try_run_prepared`] (`None` when
     /// transpilation is off — the raw circuit is still verified).
     pub fn prepare(circuit: &Circuit, config: &SimConfig) -> Result<Option<Plan>, CommError> {
@@ -103,7 +97,7 @@ impl ThreadClusterExecutor {
 
     /// Runs a plan previously built (and proved safe) by
     /// [`Self::prepare`], skipping classification, transpilation and the
-    /// debug pre-flight gate entirely — the cache-hit hot path. The
+    /// pre-flight gate entirely — the cache-hit hot path. The
     /// caller owns the proof obligation: `plan` must have come from
     /// `prepare` with an identical `(circuit, config)` pair.
     pub fn try_run_prepared(
@@ -195,22 +189,10 @@ impl ThreadClusterExecutor {
         })
     }
 
-    /// Debug-build pre-flight: statically verify the exchange schedule the
-    /// run would execute (transpiled plan when one exists, otherwise the
-    /// raw circuit) and reject unverifiable plans with a typed error
-    /// carrying the verifier's per-rank diagnosis.
-    #[cfg(debug_assertions)]
-    fn verify_plan_pre_flight(
-        circuit: &Circuit,
-        config: &SimConfig,
-        plan: Option<&Plan>,
-    ) -> Result<(), CommError> {
-        Self::verify_plan_checked(circuit, config, plan)
-    }
-
-    /// Statically verifies the exchange schedule in any build profile —
-    /// the insert-time proof behind [`Self::prepare`]. Rejection surfaces
-    /// as [`CommError::PlanRejected`] with the verifier's diagnosis.
+    /// Statically verifies the exchange schedule the run would execute
+    /// (transpiled plan when one exists, otherwise the raw circuit) — the
+    /// proof behind [`Self::prepare`]. Rejection surfaces as
+    /// [`CommError::PlanRejected`] with the verifier's per-rank diagnosis.
     pub fn verify_plan_checked(
         circuit: &Circuit,
         config: &SimConfig,
@@ -580,23 +562,25 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)] // the pre-flight gate exists in debug builds only
     fn pre_flight_rejects_a_broken_plan() {
-        // A plan whose final permute is never undone must be refused by
-        // the debug-mode gate before any rank posts a byte.
-        let mut c = Circuit::new(4);
-        c.h(0).cnot(0, 3);
-        let plan = qse_check::verify::broken_fixture_unrestored_layout();
-        let err = ThreadClusterExecutor::verify_plan_pre_flight(
-            &c,
-            &SimConfig::default_for(4),
-            Some(&plan),
-        )
-        .expect_err("broken plan must be rejected");
+        // Every qubit global (two qubits on four ranks): a two-qubit
+        // unitary on both has no local qubit to swap through. `try_run`
+        // must refuse the plan with the verifier's diagnosis before any
+        // rank posts a byte, in every build profile.
+        let mut c = Circuit::new(2);
+        c.push(qse_circuit::Gate::Unitary2 {
+            a: 0,
+            b: 1,
+            matrix: qse_math::Matrix4::swap(),
+        });
+        let err = ThreadClusterExecutor::try_run(&c, &SimConfig::default_for(4), 0, false)
+            .err()
+            .expect("broken plan must be rejected");
         match &err {
-            CommError::PlanRejected { detail } => {
-                assert!(detail.contains("layout"), "diagnosis was: {detail}")
-            }
+            CommError::PlanRejected { detail } => assert!(
+                detail.contains("needs at least one local qubit"),
+                "diagnosis was: {detail}"
+            ),
             other => panic!("expected PlanRejected, got {other:?}"),
         }
     }

@@ -4,7 +4,7 @@
 //! An entry is the *post-verification* artifact: the canonical circuit
 //! plus its (optionally transpiled) plan, proved safe once by
 //! `ThreadClusterExecutor::prepare` at insert time. A hit therefore
-//! skips classify → transpile → verify entirely; the executor's debug
+//! skips classify → transpile → verify entirely; the executor's
 //! pre-flight gate is bypassed via `try_run_prepared`.
 
 use qse_circuit::transpile::{Plan, PlanStep};
