@@ -23,12 +23,214 @@ use crate::schedule::{LocalOp, LocalRun};
 use qse_math::bits;
 use qse_math::{Complex64, Matrix2};
 use qse_util::parallel::{parallel_for_each_affine, parallel_map_sum};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::ptr::NonNull;
 
 /// Separate `re[]` / `im[]` amplitude arrays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaStorage {
-    re: Vec<f64>,
-    im: Vec<f64>,
+    re: Plane,
+    im: Plane,
+}
+
+/// Component arrays of at least this many doubles (8 MiB) get an
+/// anonymous mapping of their own instead of a heap block.
+///
+/// glibc's malloc serves a block under its mmap threshold — which rises,
+/// up to 32 MiB, to the largest block freed so far — from a per-thread
+/// arena, and an arena keeps up to twice that threshold of freed memory
+/// resident. Rank threads are spawned per run and inherit whichever
+/// arena the previous run's threads released first, so with heap arrays
+/// a run's resident peak moved by whole arrays from one run to the next
+/// (73–151 MiB over ten 22-qubit, two-rank runs on a two-core VM). A
+/// mapping of its own is faulted in on first touch and unmapped on drop,
+/// the same on every run; it asks for transparent huge pages, so that
+/// first touch costs a fault per 2 MiB rather than per 4 KiB. Below the
+/// cutoff a warm arena block is worth more than a fresh mapping's
+/// faults: fixing glibc's mmap threshold at 4 MiB for the whole process
+/// slowed a 20-qubit, two-rank QFT by a third on the same VM.
+const MAPPED_MIN_LEN: usize = 1 << 20;
+
+/// One component array (`re` or `im`) of a [`SoaStorage`]: a heap
+/// vector, or from [`MAPPED_MIN_LEN`] doubles up a [`Mapping`].
+enum Plane {
+    Heap(Vec<f64>),
+    Mapped(Mapping),
+}
+
+impl Plane {
+    fn zeros(len: usize) -> Plane {
+        if len >= MAPPED_MIN_LEN {
+            if let Some(m) = Mapping::zeroed(len) {
+                return Plane::Mapped(m);
+            }
+        }
+        Plane::Heap(vec![0.0; len])
+    }
+}
+
+impl Deref for Plane {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        match self {
+            Plane::Heap(v) => v,
+            Plane::Mapped(m) => m.as_slice(),
+        }
+    }
+}
+
+impl DerefMut for Plane {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        match self {
+            Plane::Heap(v) => v,
+            Plane::Mapped(m) => m.as_mut_slice(),
+        }
+    }
+}
+
+impl Clone for Plane {
+    fn clone(&self) -> Plane {
+        let mut copy = Plane::zeros(self.len());
+        copy.copy_from_slice(self);
+        copy
+    }
+}
+
+impl PartialEq for Plane {
+    fn eq(&self, other: &Plane) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Plane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// `len` doubles in a private anonymous mapping, zero-filled by the
+/// kernel and unmapped on drop. Huge pages leave first-touch placement
+/// ([`SoaStorage::zeros`]) intact at 2 MiB granularity: each worker's
+/// affine share of a mapped array is megabytes long.
+struct Mapping {
+    ptr: NonNull<f64>,
+    len: usize,
+}
+
+// SAFETY: a `Mapping` owns its pages exclusively, as a `Vec<f64>` owns
+// its buffer; shared access only ever reads through `&self`.
+unsafe impl Send for Mapping {}
+// SAFETY: as for `Send` — `&Mapping` hands out `&[f64]` only.
+unsafe impl Sync for Mapping {}
+
+impl Mapping {
+    /// A fresh mapping of `len` zeros, or `None` where the platform has
+    /// none or the kernel refuses it.
+    fn zeroed(len: usize) -> Option<Mapping> {
+        let bytes = len.checked_mul(std::mem::size_of::<f64>())?;
+        let ptr = os::map(bytes)?.cast::<f64>();
+        Some(Mapping { ptr, len })
+    }
+
+    fn as_slice(&self) -> &[f64] {
+        // SAFETY: `ptr` heads `len` doubles, page-aligned, initialised
+        // (zero-filled) and owned by `self` for the borrow's lifetime.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f64] {
+        // SAFETY: as in `as_slice`; `&mut self` makes the borrow unique.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for Mapping {
+    fn drop(&mut self) {
+        // SAFETY: the pages were mapped by `os::map` with exactly this
+        // size and no slice of them outlives `self`.
+        unsafe { os::unmap(self.ptr.cast(), self.len * std::mem::size_of::<f64>()) }
+    }
+}
+
+/// `mmap`/`munmap` on the 64-bit Linux targets whose flag values are
+/// written here.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod os {
+    use std::ffi::{c_int, c_long, c_void};
+    use std::ptr::NonNull;
+
+    const PROT_READ: c_int = 0x1;
+    const PROT_WRITE: c_int = 0x2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MADV_HUGEPAGE: c_int = 14;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+
+    pub fn map(bytes: usize) -> Option<NonNull<u8>> {
+        // SAFETY: a private anonymous mapping at an address of the
+        // kernel's choosing aliases no memory of this process.
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                bytes,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        // `MAP_FAILED` is the all-ones address.
+        if p.addr() == usize::MAX {
+            return None;
+        }
+        // SAFETY: advice on a range this call just mapped; it changes
+        // page size only, never contents. Refused advice (THP off) is
+        // harmless, so its result is not read.
+        unsafe { madvise(p, bytes, MADV_HUGEPAGE) };
+        NonNull::new(p.cast::<u8>())
+    }
+
+    /// SAFETY: `ptr` and `bytes` must be a live mapping returned by
+    /// [`map`], with no reference into it left.
+    pub unsafe fn unmap(ptr: NonNull<u8>, bytes: usize) {
+        // SAFETY: the caller's contract. `munmap` fails only on an
+        // invalid range, which that contract rules out.
+        unsafe { munmap(ptr.as_ptr().cast(), bytes) };
+    }
+}
+
+/// Elsewhere every array stays on the heap.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod os {
+    use std::ptr::NonNull;
+
+    pub fn map(_bytes: usize) -> Option<NonNull<u8>> {
+        None
+    }
+
+    /// SAFETY: never called — [`map`] never returns a mapping.
+    pub unsafe fn unmap(_ptr: NonNull<u8>, _bytes: usize) {
+        unreachable!("no mapping exists to unmap")
+    }
 }
 
 /// Innermost pair loop: updates `(lo[k], hi[k])` for every `k`. All four
@@ -378,8 +580,8 @@ impl SoaStorage {
     pub fn zeros(len: usize) -> Self {
         assert!(bits::is_pow2(len as u64), "length must be a power of two");
         let mut s = SoaStorage {
-            re: vec![0.0; len],
-            im: vec![0.0; len],
+            re: Plane::zeros(len),
+            im: Plane::zeros(len),
         };
         // First-touch: fault every page in on the worker slot that the
         // affine partition will route back to it on every later sweep.
@@ -802,14 +1004,18 @@ impl SoaStorage {
     /// definition [`Self::pack_range`] is tested against, not a step of
     /// any exchange.
     pub fn to_f64_vec(&self) -> Vec<f64> {
-        self.re.iter().zip(&self.im).flat_map(|(&r, &i)| [r, i]).collect()
+        self.re
+            .iter()
+            .zip(self.im.iter())
+            .flat_map(|(&r, &i)| [r, i])
+            .collect()
     }
 
     /// Materialises the local slice as complex values (tests/gather).
     pub fn to_complex_vec(&self) -> Vec<Complex64> {
         self.re
             .iter()
-            .zip(&self.im)
+            .zip(self.im.iter())
             .map(|(&r, &i)| Complex64::new(r, i))
             .collect()
     }
@@ -843,6 +1049,35 @@ mod tests {
             assert_eq!(len >> bits, 2);
             local_run_matches_gate_at_a_time(len, bits, SoaStorage::apply_local_run);
         }
+    }
+
+    #[test]
+    fn mapped_arrays_read_write_clone_and_compare_as_heap_arrays() {
+        let last = MAPPED_MIN_LEN - 1;
+        let mut s = SoaStorage::zeros(MAPPED_MIN_LEN);
+        #[cfg(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ))]
+        assert!(matches!(
+            (&s.re, &s.im),
+            (Plane::Mapped(_), Plane::Mapped(_))
+        ));
+        assert!(s.re.iter().chain(s.im.iter()).all(|&x| x == 0.0));
+        s.set(0, Complex64::ONE);
+        s.set(last, Complex64::new(0.5, -0.25));
+        let copy = s.clone();
+        assert_eq!(copy, s);
+        assert_eq!(copy.get(last), Complex64::new(0.5, -0.25));
+        s.set(last, Complex64::ZERO);
+        assert_ne!(copy, s);
+        assert_eq!(copy.get(0), Complex64::ONE);
+        // One step below the cutoff the arrays stay on the heap.
+        let small = SoaStorage::zeros(MAPPED_MIN_LEN / 2);
+        assert!(matches!(
+            (&small.re, &small.im),
+            (Plane::Heap(_), Plane::Heap(_))
+        ));
     }
 
     #[test]
