@@ -9,11 +9,12 @@
 //! [`PlanStep`] permutations, and all three [`ExchangeMode`]s — and
 //! symbolically deriving every rank's communication trace (ordered
 //! sends / receives with peer, tag, and byte size) for a given rank
-//! count, **without executing anything**. The abstraction mirrors
-//! `statevec::dist` operation for operation: same tag sequence (one
-//! [`next_tag`](TraceDeriver::next_tag) per distributed gate on every
-//! rank, spectators included), same chunk boundaries, same eager-send
-//! permutation lowering.
+//! count, **without executing anything**. It consumes the engine's own
+//! lowering ([`qse_circuit::lower`]): each distributed gate's per-rank
+//! exchange list and each `Permute` step's block map, under the shared
+//! [`TagSeq`] (every rank takes each step's tags, spectators included).
+//! What it adds is the chunk expansion of every exchange under the
+//! configured mode, mirroring `comm::chunking::drive`'s three orderings.
 //!
 //! Four properties are proved over the derived traces:
 //!
@@ -38,10 +39,11 @@
 //! must equal the runtime [`qse_comm::TrafficStats::bytes_exchanged`]
 //! bit-for-bit, and the statevector property suites pin that equality.
 
-use qse_circuit::classify::{classify, GateClass, Layout, BYTES_PER_AMP};
+use qse_circuit::classify::{GateClass, Layout, BYTES_PER_AMP};
+use qse_circuit::lower::{lower_gate, BlockMap};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, DEFAULT_RING_DEPTH, TAG_MOD};
+use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, TagSeq, DEFAULT_RING_DEPTH};
 use std::fmt;
 
 /// Exchange options the abstraction must honour — the statically
@@ -347,10 +349,20 @@ struct RankDeriver<'a> {
     layout: Layout,
     plan: &'a Plan,
     opts: &'a VerifyOptions,
-    seq: u64,
+    tags: TagSeq,
     step: usize,
     trace: RankTrace,
     windows: Vec<StreamedWindow>,
+    /// Distributed gates and wire `Permute` steps met so far — the same
+    /// on every rank, since every rank lowers every step.
+    counts: StepCounts,
+}
+
+/// How many steps of a plan communicate.
+#[derive(Debug, Clone, Copy, Default)]
+struct StepCounts {
+    distributed_gates: usize,
+    wire_permutes: usize,
 }
 
 impl<'a> RankDeriver<'a> {
@@ -360,22 +372,12 @@ impl<'a> RankDeriver<'a> {
             layout,
             plan,
             opts,
-            seq: 0,
+            tags: TagSeq::default(),
             step: 0,
             trace: RankTrace::default(),
             windows: Vec::new(),
+            counts: StepCounts::default(),
         }
-    }
-
-    /// Mirrors `DistributedState::next_tag`: advanced once per
-    /// distributed gate on every rank, spectators included.
-    fn next_tag(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq % TAG_MOD
-    }
-
-    fn rank_bit_value(&self, q: u32) -> u64 {
-        (self.rank >> self.layout.rank_bit(q)) & 1
     }
 
     fn push(&mut self, op: TraceOp) {
@@ -428,7 +430,7 @@ impl<'a> RankDeriver<'a> {
                 // orbits, posts every irecv, primes `ring_depth` sends;
                 // each round sends one more chunk then waits for *any*
                 // outstanding receive.
-                let policy = self.opts.chunk_policy.aligned(align_amps * 16);
+                let policy = self.opts.chunk_policy.aligned(align_amps * BYTES_PER_AMP as usize);
                 let chunks: Vec<(u64, usize)> = policy
                     .ranges(bytes)
                     .enumerate()
@@ -462,106 +464,26 @@ impl<'a> RankDeriver<'a> {
         self.trace.predicted_exchanged += bytes as u64;
     }
 
+    /// Turns the engine's lowering of `g` on this rank into trace events.
     fn gate(&mut self, g: &Gate) -> Result<(), VerifyError> {
-        if g.max_qubit() >= self.layout.n_qubits() {
-            return Err(VerifyError::Unsupported {
+        let lowered = lower_gate(g, &self.layout, self.rank, self.opts.half_exchange_swaps)
+            .map_err(|e| VerifyError::Unsupported {
                 step: self.step,
-                detail: format!(
-                    "gate operand {} out of range for {} qubits",
-                    g.max_qubit(),
-                    self.layout.n_qubits()
-                ),
-            });
-        }
-        match classify(g, &self.layout) {
-            GateClass::FullyLocal | GateClass::LocalMemory => Ok(()),
-            GateClass::Distributed => {
-                let tag = self.next_tag();
-                match *g {
-                    Gate::Swap(a, b) => self.dist_swap(a, b, tag),
-                    Gate::Unitary2 { a, b, .. } => self.dist_unitary2(a, b, tag),
-                    ref g1 => {
-                        self.dist_1q(g1.target(), g1.control(), tag);
-                        Ok(())
-                    }
-                }
-            }
-        }
-    }
-
-    fn dist_1q(&mut self, target: u32, control: Option<u32>, tag: u64) {
-        if let Some(c) = control {
-            // Global control with the bit clear: spectator rank (the pair
-            // shares the control bit, so neither side exchanges).
-            if !self.layout.is_local(c) && self.rank_bit_value(c) == 0 {
-                return;
-            }
-        }
-        let pair = self.layout.pair_rank(self.rank, target) as usize;
-        let bytes = (self.layout.local_amps() * BYTES_PER_AMP) as usize;
-        self.pair_exchange(pair, tag, bytes, 1);
-    }
-
-    fn dist_unitary2(&mut self, a: u32, b: u32, tag: u64) -> Result<(), VerifyError> {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        if self.layout.is_local(lo) {
-            let pair = self.layout.pair_rank(self.rank, hi) as usize;
-            let bytes = (self.layout.local_amps() * BYTES_PER_AMP) as usize;
-            // Streamed chunks must cover whole |hi lo⟩ orbits.
-            self.pair_exchange(pair, tag, bytes, 1usize << (lo + 1));
-            Ok(())
-        } else {
-            // Both global: SWAP `lo` against local qubit 0, apply the
-            // one-global form, SWAP back — three exchanges, three tags,
-            // identical sequencing on every rank.
-            if self.layout.local_qubits() == 0 {
-                return Err(VerifyError::Unsupported {
-                    step: self.step,
-                    detail: "both-global Unitary2 needs at least one local qubit".into(),
-                });
-            }
-            let temp = 0u32;
-            self.dist_swap(temp, lo, tag)?;
-            let tag2 = self.next_tag();
-            self.dist_unitary2(temp, hi, tag2)?;
-            let tag3 = self.next_tag();
-            self.dist_swap(temp, lo, tag3)
-        }
-    }
-
-    fn dist_swap(&mut self, a: u32, b: u32, tag: u64) -> Result<(), VerifyError> {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let local_amps = self.layout.local_amps();
-        if self.layout.is_local(lo) {
-            let pair = self.layout.pair_rank(self.rank, hi) as usize;
-            if self.opts.half_exchange_swaps {
-                // Each side ships only the half the peer needs.
-                let bytes = (local_amps * BYTES_PER_AMP / 2) as usize;
-                self.pair_exchange(pair, tag, bytes, 1);
-            } else {
-                let bytes = (local_amps * BYTES_PER_AMP) as usize;
-                self.pair_exchange(pair, tag, bytes, 1);
-            }
-        } else {
-            // Both global: equal-address-bit ranks are spectators.
-            let x = self.rank_bit_value(lo);
-            let y = self.rank_bit_value(hi);
-            if x == y {
-                return Ok(());
-            }
-            let mask =
-                (1u64 << self.layout.rank_bit(lo)) | (1u64 << self.layout.rank_bit(hi));
-            let pair = (self.rank ^ mask) as usize;
-            let bytes = (local_amps * BYTES_PER_AMP) as usize;
-            self.pair_exchange(pair, tag, bytes, 1);
+                detail: e.to_string(),
+            })?;
+        self.counts.distributed_gates += usize::from(lowered.class == GateClass::Distributed);
+        let tag = self.tags.take(lowered.tags);
+        for ex in lowered.exchanges() {
+            let bytes = (ex.amps * BYTES_PER_AMP) as usize;
+            self.pair_exchange(ex.peer as usize, tag(ex.tag), bytes, ex.unit as usize);
         }
         Ok(())
     }
 
-    /// Mirrors `apply_global_permutation`: identity and purely-local
-    /// permutations never touch the wire (and consume no tag); anything
-    /// else packs per-destination blocks, eagerly sends them ascending
-    /// (chunked), then receives each source block ascending.
+    /// Turns the engine's block map of `perm` into trace events: eager
+    /// sends of every peer block, chunked, then the receives — each half
+    /// under the blocking ordering with one side empty, as the engine
+    /// drives it. A step that moves no rank bit consumes no tag.
     fn permute(&mut self, perm: &Permutation) -> Result<(), VerifyError> {
         if perm.len() != self.layout.n_qubits() {
             return Err(VerifyError::Unsupported {
@@ -574,89 +496,32 @@ impl<'a> RankDeriver<'a> {
             });
         }
         let l = self.layout.local_qubits();
-        let n = self.layout.n_qubits();
         if self.rank == 0 {
             // Rank-independent, so proved once per step.
-            let images: Vec<u32> = (0..n).map(|q| perm.apply(q)).collect();
+            let images: Vec<u32> = (0..perm.len()).map(|q| perm.apply(q)).collect();
             check_write_once(&images, l, self.step, || step_label(self.plan, self.step))?;
         }
-        if perm.is_identity() {
+        let blocks = BlockMap::new(perm, l);
+        if blocks.tags() == 0 {
             return Ok(());
         }
-        if (l..n).all(|p| perm.apply(p) == p) {
-            return Ok(()); // purely local reorder, zero wire bytes
-        }
-        let tag = self.next_tag();
-        let ranks = self.layout.n_ranks();
-        let local_amps = self.layout.local_amps();
-        let me = self.rank;
-
-        // Closed-form block sizes (same derivation as
-        // `permutation_traffic`): destination rank bit `p` is sourced
-        // from bit `perm⁻¹(L+p)` of the current index — local source
-        // bits are free (each of the 2^m combinations gets an equal
-        // share), global source bits pin a (dest, src) constraint.
-        let inv = perm.inverse();
-        let mut m = 0u32;
-        let mut constraints: Vec<(u32, u32)> = Vec::new();
-        for p in l..n {
-            let src = inv.apply(p);
-            if src < l {
-                m += 1;
-            } else {
-                constraints.push((p - l, src - l));
-            }
-        }
-        let block_amps = |u: u64, v: u64| -> u64 {
-            if constraints
-                .iter()
-                .all(|&(d, s)| (v >> d) & 1 == (u >> s) & 1)
-            {
-                local_amps >> m
-            } else {
-                0
-            }
-        };
-
-        // Eager ascending sends (skip self and empty blocks) …
-        let mut sent_bytes = 0u64;
-        for v in 0..ranks {
-            if v == me {
-                continue;
-            }
-            let bytes = (block_amps(me, v) * BYTES_PER_AMP) as usize;
-            if bytes == 0 {
-                continue;
-            }
-            sent_bytes += bytes as u64;
+        self.counts.wire_permutes += 1;
+        let tag = self.tags.take(blocks.tags())(0);
+        let bytes = (blocks.block_amps() * BYTES_PER_AMP) as usize;
+        let (me, ranks) = (self.rank, self.layout.n_ranks());
+        for (v, _) in blocks.sends(me, ranks) {
             for (idx, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                self.push(TraceOp::Send {
-                    peer: v as usize,
-                    tag: chunk_tag(tag, idx),
-                    bytes: range.len(),
-                });
+                let (peer, tag) = (v as usize, chunk_tag(tag, idx));
+                self.push(TraceOp::Send { peer, tag, bytes: range.len() });
             }
+            self.trace.predicted_exchanged += bytes as u64;
         }
-        self.trace.predicted_exchanged += sent_bytes;
-
-        // … then ascending receives of every non-empty source block.
-        for w in 0..ranks {
-            if w == me {
-                continue;
-            }
-            let bytes = (block_amps(w, me) * BYTES_PER_AMP) as usize;
-            if bytes == 0 {
-                continue;
-            }
+        for (w, _) in blocks.receives(me, ranks) {
             for (idx, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                self.push(TraceOp::Recv {
-                    peer: w as usize,
-                    tag: chunk_tag(tag, idx),
-                    bytes: range.len(),
-                });
+                let (peer, tag) = (w as usize, chunk_tag(tag, idx));
+                self.push(TraceOp::Recv { peer, tag, bytes: range.len() });
             }
         }
-
         Ok(())
     }
 }
@@ -719,6 +584,15 @@ pub fn derive_traces(
     n_ranks: u64,
     opts: &VerifyOptions,
 ) -> Result<TraceSet, VerifyError> {
+    derive(plan, n_ranks, opts).map(|(ts, _)| ts)
+}
+
+/// [`derive_traces`], counting the plan's communicating steps on the way.
+fn derive(
+    plan: &Plan,
+    n_ranks: u64,
+    opts: &VerifyOptions,
+) -> Result<(TraceSet, StepCounts), VerifyError> {
     if n_ranks == 0 || !n_ranks.is_power_of_two() || n_ranks > (1u64 << plan.n_qubits()) {
         return Err(VerifyError::Unsupported {
             step: 0,
@@ -735,6 +609,7 @@ pub fn derive_traces(
         ranks: Vec::with_capacity(n_ranks as usize),
         windows: Vec::new(),
     };
+    let mut counts = StepCounts::default();
     for rank in 0..n_ranks {
         let mut d = RankDeriver::new(rank, layout, plan, opts);
         // Step by step, as `run_plan` executes the plan: a run of local
@@ -749,8 +624,9 @@ pub fn derive_traces(
         }
         ts.windows.extend(d.windows);
         ts.ranks.push(d.trace);
+        counts = d.counts;
     }
-    Ok(ts)
+    Ok((ts, counts))
 }
 
 // ---------------------------------------------------------------------
@@ -1101,7 +977,7 @@ pub fn verify_plan(
     opts: &VerifyOptions,
 ) -> Result<VerifyReport, VerifyError> {
     verify_layout(plan, original)?;
-    let ts = derive_traces(plan, n_ranks, opts)?;
+    let (ts, counts) = derive(plan, n_ranks, opts)?;
     check_traces_labelled(&ts, &|step| step_label(plan, step))?;
     let mut events = 0usize;
     let mut bytes_on_wire = 0u64;
@@ -1113,32 +989,11 @@ pub fn verify_plan(
             }
         }
     }
-    // Distributed-gate / permute counts are identical across ranks by
-    // construction; re-derive rank 0 cheaply for the report.
-    let layout = Layout::new(plan.n_qubits(), n_ranks);
-    let mut distributed = 0usize;
-    let mut permutes = 0usize;
-    for step in &plan.steps {
-        match step {
-            PlanStep::Gate(g) => {
-                if classify(g, &layout) == GateClass::Distributed {
-                    distributed += 1;
-                }
-            }
-            PlanStep::Permute(p) => {
-                let l = layout.local_qubits();
-                let n = layout.n_qubits();
-                if !p.is_identity() && !(l..n).all(|q| p.apply(q) == q) {
-                    permutes += 1;
-                }
-            }
-        }
-    }
     Ok(VerifyReport {
         n_ranks: n_ranks as usize,
         events,
-        distributed_gates: distributed,
-        wire_permutes: permutes,
+        distributed_gates: counts.distributed_gates,
+        wire_permutes: counts.wire_permutes,
         bytes_on_wire,
         predicted_exchanged: ts.ranks.iter().map(|r| r.predicted_exchanged).collect(),
     })
@@ -1248,6 +1103,7 @@ pub fn broken_fixture_unrestored_layout() -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qse_circuit::hash::Fnv1a;
     use qse_circuit::qft::qft;
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_circuit::transpile::{comm_avoid, ByteOracle, Strategy};
@@ -1655,6 +1511,60 @@ mod tests {
             other => panic!("expected ScratchAlias, got {other:?}"),
         }
     }
+
+    /// Folds every field a derivation fills in: events, receive groups,
+    /// byte predictions and streamed windows.
+    fn fold_traces(h: &mut Fnv1a, ts: &TraceSet) {
+        fn word(h: &mut Fnv1a, x: usize) {
+            h.update(&(x as u64).to_le_bytes());
+        }
+        word(h, ts.n_ranks);
+        for tr in &ts.ranks {
+            word(h, tr.events.len());
+            for ev in &tr.events {
+                word(h, ev.step);
+                let (kind, peer, tag, bytes) = match ev.op {
+                    TraceOp::Send { peer, tag, bytes } => (0, peer, tag as usize, bytes),
+                    TraceOp::Recv { peer, tag, bytes } => (1, peer, tag as usize, bytes),
+                    TraceOp::RecvAny { peer, group } => (2, peer, group, 0),
+                };
+                [kind, peer, tag, bytes].into_iter().for_each(|x| word(h, x));
+            }
+            word(h, tr.groups.len());
+            for g in &tr.groups {
+                word(h, g.peer);
+                word(h, g.chunks.len());
+                for &(tag, bytes) in &g.chunks {
+                    word(h, tag as usize);
+                    word(h, bytes);
+                }
+            }
+            word(h, tr.predicted_exchanged as usize);
+        }
+        word(h, ts.windows.len());
+        for w in &ts.windows {
+            [w.rank, w.step, w.ring_depth, w.cap_bytes, w.chunk_bytes.len()]
+                .into_iter()
+                .chain(w.chunk_bytes.iter().copied())
+                .for_each(|x| word(h, x));
+        }
+    }
+
+    #[test]
+    fn corpus_traces_are_pinned() {
+        let mut h = Fnv1a::new();
+        for case in crate::corpus::standard_corpus() {
+            let ts = derive_traces(&case.plan, case.n_ranks, &case.opts)
+                .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+            fold_traces(&mut h, &ts);
+        }
+        assert_eq!(h.digest(), CORPUS_TRACE_DIGEST, "{:#018x}", h.digest());
+    }
+
+    /// FNV-1a of [`fold_traces`] over `derive_traces` of every
+    /// `standard_corpus()` plan, recorded from the derivation that
+    /// re-stated the engine's decisions before both shared one lowering.
+    const CORPUS_TRACE_DIGEST: u64 = 0x269f_2dca_66bf_dee1;
 
     #[test]
     fn lazy_step_labels_match_the_eager_format() {

@@ -31,6 +31,7 @@ pub mod circuit;
 pub mod classify;
 pub mod gate;
 pub mod hash;
+pub mod lower;
 pub mod permutation;
 pub mod qft;
 pub mod random;

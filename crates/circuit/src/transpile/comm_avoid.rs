@@ -36,6 +36,7 @@
 use crate::circuit::Circuit;
 use crate::classify::{Layout, BYTES_PER_AMP};
 use crate::gate::Gate;
+use crate::lower::BlockMap;
 use crate::permutation::Permutation;
 
 /// Modeled cost of one (or several, accumulated) communication steps.
@@ -110,45 +111,21 @@ impl ExchangeOracle for ByteOracle {
 }
 
 /// Exact traffic of applying index-bit permutation `perm` (over the full
-/// register) as one batched exchange under `layout`.
-///
-/// Rank-address bit `p` of an amplitude's destination is sourced from bit
-/// `perm⁻¹(L+p)` of its current index. A *local* source bit varies over
-/// the local slice — each rank keeps only the `2^-m` fraction whose m
-/// such bits match its own address — while a *global* source bit pins a
-/// constraint on the rank address: ranks violating any constraint keep
-/// nothing. Amplitudes that stay are never serialised, so a permutation
-/// touching no rank bit costs zero network traffic.
+/// register) as one batched exchange under `layout`: each rank's sent
+/// bytes folded over the engine's [`BlockMap`]. A rank sends every block
+/// of its slice but the one it keeps, so a permutation touching no rank
+/// bit costs zero network traffic.
 pub fn permutation_traffic(perm: &Permutation, layout: &Layout) -> PermTraffic {
     assert_eq!(perm.len(), layout.n_qubits(), "permutation/layout width");
-    let l = layout.local_qubits();
-    let local_amps = layout.local_amps();
-    let inv = perm.inverse();
-    let mut m = 0u32;
-    let mut constraints: Vec<(u32, u32)> = Vec::new(); // (dest rank bit, src rank bit)
-    for p in l..layout.n_qubits() {
-        let src = inv.apply(p);
-        if src < l {
-            m += 1;
-        } else if src != p {
-            constraints.push((p - l, src - l));
+    let blocks = BlockMap::new(perm, layout.local_qubits());
+    let block_bytes = blocks.block_amps() * BYTES_PER_AMP;
+    (0..layout.n_ranks()).fold(PermTraffic::default(), |t, u| {
+        let sent = blocks.blocks_sent(u) * block_bytes;
+        PermTraffic {
+            total_bytes: t.total_bytes + sent,
+            max_rank_bytes: t.max_rank_bytes.max(sent),
         }
-    }
-    let mut total_bytes = 0u64;
-    let mut max_rank_bytes = 0u64;
-    for u in 0..layout.n_ranks() {
-        let stays = constraints
-            .iter()
-            .all(|&(d, s)| (u >> d) & 1 == (u >> s) & 1);
-        let stay_amps = if stays { local_amps >> m } else { 0 };
-        let sent = (local_amps - stay_amps) * BYTES_PER_AMP;
-        total_bytes += sent;
-        max_rank_bytes = max_rank_bytes.max(sent);
-    }
-    PermTraffic {
-        total_bytes,
-        max_rank_bytes,
-    }
+    })
 }
 
 /// One step of a comm-avoiding schedule.
@@ -726,6 +703,92 @@ mod tests {
                 brute_traffic(&p, &layout),
                 "mismatch for {p:?} at R={ranks}"
             );
+        }
+    }
+
+    /// The closed form `permutation_traffic` had before it folded the
+    /// block map, kept as its oracle: rank-address bit `p` of an
+    /// amplitude's destination is sourced from bit `perm⁻¹(L+p)` of its
+    /// current index. A *local* source bit varies over the slice — each
+    /// rank keeps only the `2^-m` fraction whose m such bits match its
+    /// own address — while a *global* source bit pins a constraint on the
+    /// rank address: ranks violating any constraint keep nothing.
+    fn closed_form_traffic(perm: &Permutation, layout: &Layout) -> PermTraffic {
+        let l = layout.local_qubits();
+        let local_amps = layout.local_amps();
+        let inv = perm.inverse();
+        let mut m = 0u32;
+        let mut constraints: Vec<(u32, u32)> = Vec::new(); // (dest rank bit, src rank bit)
+        for p in l..layout.n_qubits() {
+            let src = inv.apply(p);
+            if src < l {
+                m += 1;
+            } else if src != p {
+                constraints.push((p - l, src - l));
+            }
+        }
+        let mut total_bytes = 0u64;
+        let mut max_rank_bytes = 0u64;
+        for u in 0..layout.n_ranks() {
+            let stays = constraints
+                .iter()
+                .all(|&(d, s)| (u >> d) & 1 == (u >> s) & 1);
+            let stay_amps = if stays { local_amps >> m } else { 0 };
+            let sent = (local_amps - stay_amps) * BYTES_PER_AMP;
+            total_bytes += sent;
+            max_rank_bytes = max_rank_bytes.max(sent);
+        }
+        PermTraffic {
+            total_bytes,
+            max_rank_bytes,
+        }
+    }
+
+    /// Every permutation of `0..n`, by Heap's algorithm.
+    fn all_permutations(n: u32) -> Vec<Permutation> {
+        fn heap(k: usize, map: &mut Vec<u32>, out: &mut Vec<Permutation>) {
+            if k <= 1 {
+                out.push(Permutation::from_map(map.clone()));
+                return;
+            }
+            for i in 0..k {
+                heap(k - 1, map, out);
+                map.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+            }
+        }
+        let mut out = Vec::new();
+        heap(n as usize, &mut (0..n).collect(), &mut out);
+        out
+    }
+
+    #[test]
+    fn block_map_fold_matches_the_closed_form() {
+        for n in 1..=5u32 {
+            let perms = all_permutations(n);
+            assert_eq!(perms.len(), (1..=n as usize).product::<usize>());
+            for ranks in [1u64, 2, 4, 8].into_iter().filter(|&r| r <= 1 << n) {
+                let layout = geometry(n, ranks);
+                for p in &perms {
+                    let want = closed_form_traffic(p, &layout);
+                    assert_eq!(permutation_traffic(p, &layout), want, "{p:?} at R={ranks}");
+                }
+            }
+        }
+        use qse_util::rng::{Rng, Xoshiro256StarStar};
+        let mut rng = Xoshiro256StarStar::seed_from_u64(33);
+        for n in 6..=12u32 {
+            for ranks in [1u64, 2, 4, 8, 64] {
+                let layout = geometry(n, ranks);
+                for _ in 0..20 {
+                    let mut map: Vec<u32> = (0..n).collect();
+                    for i in (1..map.len()).rev() {
+                        map.swap(i, rng.random_range(0..=i));
+                    }
+                    let p = Permutation::from_map(map);
+                    let want = closed_form_traffic(&p, &layout);
+                    assert_eq!(permutation_traffic(&p, &layout), want, "{p:?} at R={ranks}");
+                }
+            }
         }
     }
 

@@ -103,13 +103,31 @@ const CHUNK_TAG_SHIFT: u64 = 32;
 /// Exclusive bound on a base tag [`chunk_tag`] accepts.
 const BASE_TAG_BOUND: u64 = 1 << 31;
 
-/// Modulus of the per-gate exchange tag sequence. The statevector engine
-/// reduces its sequence by it, and the static verifier reduces its model
-/// of that sequence by the same constant, so it reproduces the engine's
-/// tag stream exactly. Every reduced tag is a valid [`chunk_tag`] base.
-pub const TAG_MOD: u64 = 1 << 30;
+/// Modulus of the exchange tag sequence ([`TagSeq`]): every reduced tag is
+/// a valid [`chunk_tag`] base.
+const TAG_MOD: u64 = 1 << 30;
 
 const _: () = assert!(TAG_MOD <= BASE_TAG_BOUND, "reduced tags must be valid base tags");
+
+/// The exchange tag sequence a rank walks step by step. Every rank takes
+/// each communicating step's tags — spectators included — so partners
+/// agree on wire tags whatever their participation history. The
+/// statevector engine and the static verifier both walk it, so the
+/// verifier's tags are the engine's.
+#[derive(Debug, Default)]
+pub struct TagSeq {
+    taken: u64,
+}
+
+impl TagSeq {
+    /// Takes the next `n` tags for one step; the returned map gives the
+    /// step's tag `k < n`, a valid [`chunk_tag`] base.
+    pub fn take(&mut self, n: u32) -> impl Fn(u32) -> u64 {
+        let first = self.taken + 1;
+        self.taken += u64::from(n);
+        move |k| (first + u64::from(k)) % TAG_MOD
+    }
+}
 
 /// Builds the wire tag for chunk `idx` of an exchange tagged `base`.
 ///
@@ -485,6 +503,21 @@ mod tests {
         assert_eq!(p.num_chunks(95), 10);
         let ranges: Vec<_> = p.ranges(25).collect();
         assert_eq!(ranges, vec![0..10, 10..20, 20..25]);
+    }
+
+    #[test]
+    fn tag_sequence_numbers_steps_from_one_and_wraps() {
+        let mut seq = TagSeq::default();
+        assert_eq!(seq.take(1)(0), 1);
+        // A step that takes no tag leaves the sequence where it was.
+        let _ = seq.take(0);
+        let three = seq.take(3);
+        assert_eq!([three(0), three(1), three(2)], [2, 3, 4]);
+        assert_eq!(seq.take(1)(0), 5);
+        let mut seq = TagSeq { taken: TAG_MOD - 2 };
+        let wrap = seq.take(3);
+        assert_eq!([wrap(0), wrap(1), wrap(2)], [TAG_MOD - 1, 0, 1]);
+        chunk_tag(wrap(0), 0);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 use crate::node::NodeSpec;
 use qse_math::bits;
 
-/// Bytes per complex amplitude (two f64).
-pub const BYTES_PER_AMP: u64 = 16;
+/// Bytes per complex amplitude (two f64) — the one definition, in
+/// `qse-circuit`.
+pub use qse_circuit::classify::BYTES_PER_AMP;
 
 /// The exchange-buffer sizing regimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -25,6 +25,7 @@
 
 use crate::error::ServeError;
 use qse_circuit::algorithms::{bernstein_vazirani, ghz, grover, grover_optimal_iterations};
+use qse_circuit::classify::BYTES_PER_AMP;
 use qse_circuit::gate::Gate;
 use qse_circuit::hash::Fnv1a;
 use qse_circuit::qft::qft;
@@ -441,15 +442,14 @@ pub fn state_fingerprint(amps: &[Complex64]) -> u64 {
 /// Equal to `state_fingerprint(&s.to_vec())` by construction, at every
 /// width the sparse engine takes.
 pub fn sparse_state_fingerprint(s: &SparseState) -> u64 {
-    const AMP_BYTES: u64 = 16;
     let mut h = Fnv1a::new();
     let mut next = 0u64;
     for k in s.sorted_keys() {
-        h.update_zeros((k - next) * AMP_BYTES);
+        h.update_zeros((k - next) * BYTES_PER_AMP);
         fold_amplitude(&mut h, &s.amplitude(k));
         next = k + 1;
     }
-    h.update_zeros(((1u64 << s.n_qubits()) - next) * AMP_BYTES);
+    h.update_zeros(((1u64 << s.n_qubits()) - next) * BYTES_PER_AMP);
     h.digest()
 }
 

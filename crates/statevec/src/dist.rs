@@ -20,10 +20,11 @@ use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{Schedule, Step};
 use crate::storage::kernel::wire_amp;
 use crate::storage::{SoaStorage, AMP_BYTES};
-use qse_circuit::classify::{classify, GateClass, Layout};
+use qse_circuit::classify::{GateClass, Layout};
+use qse_circuit::lower::{lower_gate, BlockMap, Exchange, Kernel, PermuteLowering};
 use qse_circuit::transpile::Plan;
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{drive, ChunkPolicy, ChunkedExchange, ExchangeMode, PackOrder, TAG_MOD};
+use qse_comm::chunking::{drive, ChunkPolicy, ChunkedExchange, ExchangeMode, PackOrder, TagSeq};
 use qse_comm::collective;
 use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
@@ -74,7 +75,7 @@ pub struct DistributedState<'c> {
     // chunk straight from `amps` and runs its kernel straight on the
     // peer's payload (§2.1's "entire local statevector" is gigabytes per
     // process at scale, so every staged copy of it is real money).
-    exchange_seq: u64,
+    tags: TagSeq,
 }
 
 impl<'c> DistributedState<'c> {
@@ -98,7 +99,7 @@ impl<'c> DistributedState<'c> {
             layout,
             amps,
             config,
-            exchange_seq: 0,
+            tags: TagSeq::default(),
         }
     }
 
@@ -132,59 +133,47 @@ impl<'c> DistributedState<'c> {
         self.comm.barrier();
     }
 
-    /// Advances the per-gate tag sequence. Called exactly once per
-    /// *distributed gate* on **every** rank — including spectator ranks
-    /// that skip the exchange — so that partners always agree on wire
-    /// tags regardless of participation history.
-    fn next_tag(&mut self) -> u64 {
-        self.exchange_seq += 1;
-        self.exchange_seq % TAG_MOD
-    }
-
-    /// One symmetric pairwise exchange with `peer` — "the entire local
-    /// statevector needs to be exchanged – 64 GB per process on ARCHER2"
-    /// (§2.1) — `n_amps` payload amplitudes each way, through the chunk
-    /// driver under the configured mode. `pack(amps, start, n, out)`
-    /// serialises payload amplitudes `[start, start + n)` straight from
-    /// storage into the outgoing chunk; `apply(amps, start, payload)` runs
-    /// the gate's range kernel straight on the peer's bytes from payload
-    /// amplitude `start`: one write and one read per exchanged byte.
+    /// One lowered pairwise exchange `ex` under wire tag `tag` — "the
+    /// entire local statevector needs to be exchanged – 64 GB per process
+    /// on ARCHER2" (§2.1) — through the chunk driver under the configured
+    /// mode. `pack(amps, start, n, out)` serialises payload amplitudes
+    /// `[start, start + n)` straight from storage into the outgoing chunk;
+    /// `apply(amps, start, payload)` runs the gate's range kernel straight
+    /// on the peer's bytes from payload amplitude `start`: one write and
+    /// one read per exchanged byte.
     ///
     /// Chunk boundaries stay exactly `ChunkPolicy`'s: the streamed mode,
-    /// whose chunks complete out of order, aligns its cap to the kernel
-    /// `unit` (in amplitudes); the in-order modes cut wherever the cap
-    /// falls — mid-amplitude when it is not a multiple of 16 — and an
-    /// [`AmpCursor`] carries the cut amplitude over, so `apply` gets whole
-    /// amplitudes as views of the chunks they arrived in. `order` is
-    /// `Lazy` when `apply` over payload amplitudes `[a, b)` writes only
-    /// storage that payload amplitudes below `b` are packed from
-    /// ([`PackOrder`]).
-    #[allow(clippy::too_many_arguments)]
+    /// whose chunks complete out of order, aligns its cap to the kernel's
+    /// unit; the in-order modes cut wherever the cap falls — mid-amplitude
+    /// when it is not a multiple of 16 — and an [`AmpCursor`] carries the
+    /// cut amplitude over, so `apply` gets whole amplitudes as views of
+    /// the chunks they arrived in. `order` is `Lazy` when `apply` over
+    /// payload amplitudes `[a, b)` writes only storage that payload
+    /// amplitudes below `b` are packed from ([`PackOrder`]).
     fn pair_exchange(
         &mut self,
-        peer: usize,
+        ex: &Exchange,
         tag: u64,
-        n_amps: usize,
-        unit: usize,
         order: PackOrder,
         pack: impl Fn(&SoaStorage, usize, usize, &mut Vec<u8>),
         mut apply: impl FnMut(&mut SoaStorage, usize, Bytes),
     ) -> CommResult<()> {
-        let mode = self.config.exchange_mode;
+        let (mode, policy) = (self.config.exchange_mode, self.config.chunk_policy);
         let policy = match mode {
-            ExchangeMode::Streamed => self.config.chunk_policy.aligned(unit * AMP_BYTES),
-            _ => self.config.chunk_policy,
+            ExchangeMode::Streamed => policy.aligned(crate::ix(ex.unit) * AMP_BYTES),
+            _ => policy,
         };
+        let bytes = crate::ix(ex.amps) * AMP_BYTES;
         let mut cursor = AmpCursor::default();
         drive(
             self.comm,
             mode,
             ChunkedExchange {
-                peer,
+                peer: crate::ix(ex.peer),
                 base_tag: tag,
                 policy,
-                send_total: n_amps * AMP_BYTES,
-                recv_total: n_amps * AMP_BYTES,
+                send_total: bytes,
+                recv_total: bytes,
             },
             order,
             &mut self.amps,
@@ -196,20 +185,20 @@ impl<'c> DistributedState<'c> {
     }
 
     /// Applies one gate, communicating as its locality class requires.
-    /// Fails only when the underlying exchange fails (peer disconnected,
-    /// deadlock diagnosed) — pure-local gates always succeed.
+    /// Fails when the underlying exchange fails (peer disconnected,
+    /// deadlock diagnosed), or with [`CommError::PlanRejected`] on every
+    /// rank when the layout cannot lower the gate — pure-local gates
+    /// always succeed.
     pub fn apply(&mut self, gate: &Gate) -> CommResult<()> {
         self.apply_classified(gate).map(|_| ())
     }
 
     /// [`Self::apply`], reporting the locality class it dispatched on.
     fn apply_classified(&mut self, gate: &Gate) -> CommResult<GateClass> {
-        assert!(
-            gate.max_qubit() < self.layout.n_qubits(),
-            "gate out of range"
-        );
-        let class = classify(gate, &self.layout);
-        match class {
+        let rank = self.rank() as u64;
+        let lowered = lower_gate(gate, &self.layout, rank, self.config.half_exchange_swaps)
+            .map_err(|e| CommError::PlanRejected { detail: e.to_string() })?;
+        match lowered.class {
             GateClass::FullyLocal => {
                 let offset = self.rank_offset();
                 self.amps
@@ -237,22 +226,13 @@ impl<'c> DistributedState<'c> {
                 }
             }
             GateClass::Distributed => {
-                let tag = self.next_tag();
-                match *gate {
-                    Gate::Swap(a, b) => self.distributed_swap(a, b, tag)?,
-                    Gate::Unitary2 { a, b, ref matrix } => {
-                        self.distributed_unitary2(a, b, matrix, tag)?
-                    }
-                    ref g => {
-                        let Some(m) = g.matrix1() else {
-                            unreachable!("classify only routes single-target gates here")
-                        };
-                        self.distributed_1q(&m, g.target(), g.control(), tag)?
-                    }
+                let tag = self.tags.take(lowered.tags);
+                for ex in lowered.exchanges() {
+                    self.run_exchange(gate, ex, tag(ex.tag))?;
                 }
             }
         }
-        Ok(class)
+        Ok(lowered.class)
     }
 
     /// The value of this rank's address bit for global qubit `q`.
@@ -260,168 +240,67 @@ impl<'c> DistributedState<'c> {
         (self.rank() as u64 >> self.layout.rank_bit(q)) & 1
     }
 
-    /// Distributed single-target gate: exchange with the pair rank, then
-    /// combine rows — `new = M[b][b]·mine + M[b][1−b]·theirs` where `b` is
-    /// this rank's bit of the target qubit.
-    fn distributed_1q(
-        &mut self,
-        m: &qse_math::Matrix2,
-        target: u32,
-        control: Option<u32>,
-        tag: u64,
-    ) -> CommResult<()> {
-        // A *global* control gates participation: ranks with the bit clear
-        // are spectators (their pair rank shares the same control bit, so
-        // neither side exchanges anything).
-        let control_local = match control {
-            Some(c) if !self.layout.is_local(c) => {
-                if self.rank_bit_value(c) == 0 {
-                    return Ok(());
-                }
-                None
+    /// Runs one lowered exchange of `gate` under wire tag `tag`: its
+    /// kernel names the pack, the pack order and the range kernel.
+    fn run_exchange(&mut self, gate: &Gate, ex: &Exchange, tag: u64) -> CommResult<()> {
+        let pack_all = SoaStorage::pack_range;
+        match ex.kernel {
+            Kernel::Row { bit, control } => {
+                let Some(m) = gate.matrix1() else {
+                    unreachable!("row combines lower from single-target gates")
+                };
+                let b = crate::ix(bit);
+                let (c_mine, c_theirs) = (m.at(b, b), m.at(b, 1 - b));
+                // The combine of amplitude i reads and writes amplitude i only.
+                self.pair_exchange(ex, tag, PackOrder::Lazy, pack_all, |amps, start, payload| {
+                    amps.apply_distributed_1q_range(c_mine, c_theirs, &payload, start, control)
+                })
             }
-            other => other,
-        };
-        let pair = crate::ix(self.layout.pair_rank(self.rank() as u64, target));
-        let b = crate::ix(self.rank_bit_value(target));
-        let (c_mine, c_theirs) = (m.at(b, b), m.at(b, 1 - b));
-        // The combine of amplitude i reads and writes amplitude i only.
-        self.pair_exchange(
-            pair,
-            tag,
-            self.amps.len(),
-            1,
-            PackOrder::Lazy,
-            SoaStorage::pack_range,
-            |amps, start, payload| {
-                amps.apply_distributed_1q_range(c_mine, c_theirs, &payload, start, control_local)
-            },
-        )
-    }
-
-    /// Distributed general two-qubit unitary.
-    ///
-    /// One-global case: exchange with the pair rank of the global qubit
-    /// and run the 4×4 combine over local pairs. Both-global case: QuEST-
-    /// style decomposition — SWAP the lower global qubit with a free
-    /// local qubit, apply the one-global form, SWAP back (three
-    /// exchanges; the transpiler exists precisely to avoid paying this).
-    fn distributed_unitary2(
-        &mut self,
-        a: u32,
-        b: u32,
-        m: &qse_math::Matrix4,
-        tag: u64,
-    ) -> CommResult<()> {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        if self.layout.is_local(lo) {
-            // `lo` local, `hi` global: orbit basis must be |hi lo⟩; if the
-            // caller's (a, b) order disagrees, conjugate by SWAP to
-            // reorder the matrix instead of the amplitudes.
-            let m_ord = if a == lo {
-                *m
-            } else {
+            Kernel::Orbit { lo, bit, swapped } => {
+                let Gate::Unitary2 { ref matrix, .. } = *gate else {
+                    unreachable!("orbit combines lower from Unitary2")
+                };
+                // The orbit basis is |hi lo⟩: a gate naming its qubits the
+                // other way round is conjugated by SWAP, which reorders the
+                // matrix instead of the amplitudes.
                 let s = qse_math::Matrix4::swap();
-                s.matmul(&m.matmul(&s))
-            };
-            let g = self.rank_bit_value(hi);
-            let pair = crate::ix(self.layout.pair_rank(self.rank() as u64, hi));
-            // The 4×4 combine works on whole |hi lo⟩ orbits of 2^{lo+1}
-            // amplitudes and writes only the orbits it is handed.
-            let mut pairs = OrbitPairs::new(lo);
-            self.pair_exchange(
-                pair,
-                tag,
-                self.amps.len(),
-                1usize << (lo + 1),
-                PackOrder::Lazy,
-                SoaStorage::pack_range,
-                |amps, start, payload| {
+                let m = if swapped { s.matmul(&matrix.matmul(&s)) } else { *matrix };
+                // The 4×4 combine works on whole |hi lo⟩ orbits of 2^{lo+1}
+                // amplitudes and writes only the orbits it is handed.
+                let mut pairs = OrbitPairs::new(lo);
+                self.pair_exchange(ex, tag, PackOrder::Lazy, pack_all, |amps, start, payload| {
                     pairs.feed(start, payload, |at, t_lo, t_hi| {
-                        amps.apply_distributed_2q_range(lo, g, &m_ord, t_lo, t_hi, at)
+                        amps.apply_distributed_2q_range(lo, bit, &m, t_lo, t_hi, at)
                     })
-                },
-            )?;
-        } else {
-            // Both global: bring `lo` into the local window via a free
-            // local qubit (qubit 0 is never one of a/b here), using the
-            // same wire tag sequencing on every rank.
-            let temp = 0u32;
-            self.distributed_swap(temp, lo, tag)?;
-            let m_ord = if a == lo {
-                *m
-            } else {
-                let s = qse_math::Matrix4::swap();
-                s.matmul(&m.matmul(&s))
-            };
-            let tag2 = self.next_tag();
-            self.distributed_unitary2(temp, hi, &m_ord, tag2)?;
-            let tag3 = self.next_tag();
-            self.distributed_swap(temp, lo, tag3)?;
-        }
-        Ok(())
-    }
-
-    /// Distributed SWAP. One-global case supports the half exchange;
-    /// both-global is a pure block permutation between rank pairs.
-    fn distributed_swap(&mut self, a: u32, b: u32, tag: u64) -> CommResult<()> {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        if self.layout.is_local(lo) {
-            // One local qubit `lo`, one global qubit `hi`.
-            let g = self.rank_bit_value(hi);
-            let pair = crate::ix(self.layout.pair_rank(self.rank() as u64, hi));
-            if self.config.half_exchange_swaps {
-                // Send the half the peer needs (bit_lo == 1−g), receive the
-                // half we need (bit_lo == g on their side) into the very
-                // slots just sent: the payload numbers those slots, so
-                // payload amplitude k lands where payload amplitude k left.
-                self.pair_exchange(
-                    pair,
-                    tag,
-                    self.amps.len() / 2,
-                    1,
-                    PackOrder::Lazy,
-                    |amps, start, n, out| amps.pack_half_bit_range(lo, 1 - g, start, n, out),
-                    |amps, start, payload| amps.write_half_bit_range(lo, 1 - g, &payload, start),
-                )?;
-            } else {
-                // QuEST-style: exchange everything, use half of it. The
-                // scatter writes peer amplitude i to i ^ 2^lo — a slot a
-                // *later* outgoing chunk still has to carry (the peer needs
-                // exactly the slots this rank overwrites) — so everything
-                // is packed before anything lands.
-                self.pair_exchange(
-                    pair,
-                    tag,
-                    self.amps.len(),
-                    1,
-                    PackOrder::Eager,
-                    SoaStorage::pack_range,
-                    |amps, start, payload| amps.apply_distributed_swap_range(lo, g, &payload, start),
-                )?;
+                })
             }
-        } else {
-            // Both qubits global: ranks whose two address bits differ
-            // trade entire local vectors; equal-bit ranks are untouched.
-            let x = self.rank_bit_value(lo);
-            let y = self.rank_bit_value(hi);
-            if x == y {
-                return Ok(());
-            }
-            let mask =
-                (1u64 << self.layout.rank_bit(lo)) | (1u64 << self.layout.rank_bit(hi));
-            let pair = crate::ix(self.rank() as u64 ^ mask);
-            self.pair_exchange(
-                pair,
+            // Send the half the peer needs (bit_lo == 1 − bit), receive the
+            // half we need (bit_lo == bit on their side) into the very slots just
+            // sent: the payload numbers those slots, so payload amplitude k
+            // lands where payload amplitude k left.
+            Kernel::HalfSwap { lo, bit } => self.pair_exchange(
+                ex,
                 tag,
-                self.amps.len(),
-                1,
                 PackOrder::Lazy,
-                SoaStorage::pack_range,
-                |amps, start, payload| amps.copy_from_f64_range(&payload, start),
-            )?;
+                |amps, start, n, out| amps.pack_half_bit_range(lo, 1 - bit, start, n, out),
+                |amps, start, payload| amps.write_half_bit_range(lo, 1 - bit, &payload, start),
+            ),
+            // QuEST-style: exchange everything, use half of it. The scatter
+            // writes peer amplitude i to i ^ 2^lo — a slot a *later*
+            // outgoing chunk still has to carry (the peer needs exactly the
+            // slots this rank overwrites) — so everything is packed before
+            // anything lands.
+            Kernel::Swap { lo, bit } => {
+                self.pair_exchange(ex, tag, PackOrder::Eager, pack_all, |amps, start, payload| {
+                    amps.apply_distributed_swap_range(lo, bit, &payload, start)
+                })
+            }
+            Kernel::Replace => {
+                self.pair_exchange(ex, tag, PackOrder::Lazy, pack_all, |amps, start, payload| {
+                    amps.copy_from_f64_range(&payload, start)
+                })
+            }
         }
-        Ok(())
     }
 
     /// Runs a circuit: each run of local gates in one blocked pass.
@@ -477,30 +356,16 @@ impl<'c> DistributedState<'c> {
     /// `Permute` steps. Where the gate engine realises a k-transposition
     /// layout change as k pairwise exchanges (each shipping the full
     /// local slice), this routine moves every amplitude across the wire
-    /// at most once. It runs the factoring `P = L2 ∘ G ∘ L1`
-    /// ([`PermuteLowering`]), `m` being the number of local bits P sends
-    /// to rank positions:
-    ///
-    /// * L1 — at most `m` [`SoaStorage::swap_local`] sweeps — gathers
-    ///   those bits into the top `m` local positions;
-    /// * G trades the top `m` local bits for rank bits (renumbering ranks
-    ///   where P also moves rank bits among themselves). Every block
-    ///   `u → v` is then one contiguous run of `2^(l−m)` amplitudes on
-    ///   both sides: each rank packs its peer blocks straight from
-    ///   storage and eagerly sends them all (ascending, chunked under the
-    ///   message-size cap), then receives each source block in place into
-    ///   a slot whose contents have already left. The stay-put block does
-    ///   not move. A rank's payload is `(1 − 2⁻ᵐ)` of its slice — batching
-    ///   k swap-ins costs `1 − 2⁻ᵏ` of the slice instead of k full-slice
-    ///   exchanges;
-    /// * L2, the purely local permutation that remains, runs as swap
-    ///   sweeps.
-    ///
-    /// A permutation fixing every rank position is the case where G is
-    /// the identity: sweeps only, zero bytes on the wire, no tag. Both
-    /// sides derive the payload order (ascending within the block) from
-    /// the permutation alone, so no index metadata travels. Eager sends
-    /// keep the all-to-all deadlock-free.
+    /// at most once: it runs the factoring `P = L2 ∘ G ∘ L1`
+    /// ([`PermuteLowering`]) as L1's [`SoaStorage::swap_local`] sweeps,
+    /// G's in-place block exchange ([`Self::exchange_blocks`]) and L2's
+    /// sweeps. A rank's payload is `(1 − 2⁻ᵐ)` of its slice, `m` being
+    /// the number of local bits P sends to rank positions — batching k
+    /// swap-ins costs `1 − 2⁻ᵏ` of the slice instead of k full-slice
+    /// exchanges. A permutation fixing every rank position is sweeps
+    /// only: zero bytes on the wire, no tag. Both sides derive the payload
+    /// order (ascending within the block) from the permutation alone, so
+    /// no index metadata travels.
     pub fn apply_global_permutation(&mut self, perm: &Permutation) -> CommResult<()> {
         assert_eq!(
             perm.len(),
@@ -511,8 +376,8 @@ impl<'c> DistributedState<'c> {
         for &(a, b) in &lowering.l1 {
             self.amps.swap_local(a, b);
         }
-        if lowering.moves_rank_bits() {
-            self.exchange_blocks(&lowering)?;
+        if lowering.blocks.tags() > 0 {
+            self.exchange_blocks(&lowering.blocks)?;
         }
         // `as_transpositions` factors L2 = T1∘…∘Tk with the state map of
         // "apply Tk first, T1 last" equal to Π(L2).
@@ -522,13 +387,14 @@ impl<'c> DistributedState<'c> {
         Ok(())
     }
 
-    /// G of [`Self::apply_global_permutation`]: block `t` of this slice
-    /// goes to rank `g.dest(me, t)`, and the block from rank `w` lands in
-    /// block `g.source_block(w, me)`.
-    fn exchange_blocks(&mut self, g: &PermuteLowering) -> CommResult<()> {
-        let tag = self.next_tag();
-        let me = self.rank() as u64;
-        let block = crate::ix(self.layout.local_amps() >> g.m);
+    /// G of [`Self::apply_global_permutation`]: each block `u → v` is one
+    /// contiguous run of amplitudes on both sides, packed straight from
+    /// storage and received in place, in the order [`BlockMap::sends`]
+    /// and [`BlockMap::receives`] give them.
+    fn exchange_blocks(&mut self, g: &BlockMap) -> CommResult<()> {
+        let tag = self.tags.take(g.tags())(0);
+        let (me, ranks) = (self.rank() as u64, self.layout.n_ranks());
+        let block = crate::ix(g.block_amps());
         // Both halves run the driver's lockstep ordering with one side
         // empty, whatever the configured mode: eager sends to every peer
         // first (ascending, chunked) — the mailbox transport buffers them,
@@ -541,13 +407,8 @@ impl<'c> DistributedState<'c> {
             send_total: send_amps * AMP_BYTES,
             recv_total: recv_amps * AMP_BYTES,
         };
-        let mut sends: Vec<(u64, usize)> = (0..1usize << g.m)
-            .map(|t| (g.dest(me, t as u64), t))
-            .filter(|&(v, _)| v != me)
-            .collect();
-        sends.sort_unstable();
-        for (v, t) in sends {
-            let start = t * block;
+        for (v, t) in g.sends(me, ranks) {
+            let start = crate::ix(t) * block;
             drive(
                 self.comm,
                 ExchangeMode::Blocking,
@@ -561,11 +422,8 @@ impl<'c> DistributedState<'c> {
             )?;
         }
         // Every peer block has left, so each incoming one may land where
-        // it belongs; the stay-put block's slot is nobody else's.
-        for w in (0..self.layout.n_ranks()).filter(|&w| w != me) {
-            let Some(t) = g.source_block(w, me) else {
-                continue;
-            };
+        // it belongs.
+        for (w, t) in g.receives(me, ranks) {
             let start = crate::ix(t) * block;
             let mut cursor = AmpCursor::default();
             drive(
@@ -740,121 +598,6 @@ impl<'c> DistributedState<'c> {
             full.extend(part.chunks_exact(AMP_BYTES).map(wire_amp));
         }
         Ok(Some(full))
-    }
-}
-
-/// The factoring `P = L2 ∘ G ∘ L1` of an index-bit permutation over `l`
-/// local and `n − l` rank bits (state maps: L1 first). Of the `m` local
-/// bits P sends to rank positions:
-///
-/// * L1 swaps each one below the top `m` local positions with a top
-///   position P keeps local — disjoint transpositions, at most `m`;
-/// * G sends top local bit `l − m + j` to a rank bit, brings a rank bit
-///   down to it (`trades`), and moves the rank bits that stay rank bits
-///   as P does (`stay`). The low `l − m` bits do not move, so a block of
-///   `2^(l−m)` amplitudes stays contiguous and in order;
-/// * L2 is what is left, a permutation of the local bits.
-///
-/// Which rank bit comes down to slot `j` is what keeps G in place: it is
-/// the end of the chain `P(s), P(P(s)), …` through staying rank bits from
-/// the bit `s` that went up from slot `j`. A rank that keeps a block has
-/// equal bits along every such chain, so its stay-put block's slot is the
-/// one it came from.
-struct PermuteLowering {
-    l1: Vec<(u32, u32)>,
-    /// Per top local bit `l − m + j`: (`j`, the rank bit it goes to, the
-    /// rank bit that comes down to it), rank bits by index.
-    trades: Vec<(u32, u32, u32)>,
-    /// Rank bits that stay rank bits: (from, to).
-    stay: Vec<(u32, u32)>,
-    /// Number of local bits G trades for rank bits.
-    m: u32,
-    l2: Permutation,
-}
-
-impl PermuteLowering {
-    fn new(perm: &Permutation, l: u32) -> Self {
-        let n = perm.len();
-        let goes_up = |q: u32| q < l && perm.apply(q) >= l;
-        let m: u32 = (0..l).map(|q| u32::from(goes_up(q))).sum();
-        let window = l - m;
-        let mut free = (window..l).filter(|&w| !goes_up(w));
-        let l1: Vec<(u32, u32)> = (0..window)
-            .filter(|&q| goes_up(q))
-            .map(|s| {
-                let Some(w) = free.next() else {
-                    unreachable!("the window has a free slot per bit below it")
-                };
-                (s, w)
-            })
-            .collect();
-        let after_l1 = |q: u32| {
-            let swapped = |&(s, w): &(u32, u32)| (q == s).then_some(w).or((q == w).then_some(s));
-            l1.iter().find_map(swapped).unwrap_or(q)
-        };
-        let chain_end = |mut p: u32| {
-            while perm.apply(p) >= l {
-                p = perm.apply(p);
-            }
-            p
-        };
-        let trades: Vec<(u32, u32, u32)> = (0..l)
-            .filter(|&q| goes_up(q))
-            .map(|s| {
-                let to = perm.apply(s);
-                (after_l1(s) - window, to - l, chain_end(to) - l)
-            })
-            .collect();
-        let stay: Vec<(u32, u32)> = (l..n)
-            .filter(|&g| perm.apply(g) >= l)
-            .map(|g| (g - l, perm.apply(g) - l))
-            .collect();
-        // G as a bit map, then L2 = P ∘ (G ∘ L1)⁻¹.
-        let g = |p: u32| {
-            let traded = trades.iter().find(|&&(j, _, from)| {
-                if p < l {
-                    p == window + j
-                } else {
-                    p - l == from
-                }
-            });
-            match traded {
-                Some(&(_, to, _)) if p < l => l + to,
-                Some(&(j, _, _)) => window + j,
-                None if p >= l => perm.apply(p),
-                None => p,
-            }
-        };
-        let g_l1 = Permutation::from_map((0..n).map(|q| g(after_l1(q))).collect());
-        let l2 = perm.compose(&g_l1.inverse());
-        debug_assert!((l..n).all(|p| l2.apply(p) == p), "L2 must be local");
-        PermuteLowering {
-            l1,
-            trades,
-            stay,
-            m,
-            l2,
-        }
-    }
-
-    /// Whether G moves anything between ranks.
-    fn moves_rank_bits(&self) -> bool {
-        self.m > 0 || self.stay.iter().any(|&(from, to)| from != to)
-    }
-
-    /// The rank that block `t` of rank `u`'s slice goes to under G.
-    fn dest(&self, u: u64, t: u64) -> u64 {
-        let v = self.trades.iter().fold(0, |v, &(j, to, _)| v | ((t >> j) & 1) << to);
-        self.stay.iter().fold(v, |v, &(from, to)| v | ((u >> from) & 1) << to)
-    }
-
-    /// The block of rank `v`'s slice that rank `w`'s block lands in, or
-    /// `None` when `w` sends `v` nothing.
-    fn source_block(&self, w: u64, v: u64) -> Option<u64> {
-        if self.stay.iter().any(|&(from, to)| (w >> from) & 1 != (v >> to) & 1) {
-            return None;
-        }
-        Some(self.trades.iter().fold(0, |t, &(j, _, from)| t | ((w >> from) & 1) << j))
     }
 }
 
@@ -1296,6 +1039,28 @@ mod tests {
         });
         for e in errs {
             assert_eq!(e, CommError::ImpossibleOutcome { qubit: 3, bit: 1 });
+        }
+    }
+
+    #[test]
+    fn unlowerable_gate_is_rejected_on_every_rank() {
+        // Two qubits on four ranks: both are global and no local qubit is
+        // left to swap one through, so every rank refuses the gate with
+        // the lowering's diagnosis instead of recursing.
+        let gate = Gate::Unitary2 {
+            a: 0,
+            b: 1,
+            matrix: qse_math::Matrix4::swap(),
+        };
+        let errs = Universe::new(4).run(|comm| {
+            let mut st = DistributedState::zero_state(comm, 2, DistConfig::default());
+            let err = st.apply(&gate).unwrap_err();
+            (err, st.stats().messages_sent)
+        });
+        for (err, sent) in errs {
+            let detail = "both-global Unitary2 needs at least one local qubit".to_string();
+            assert_eq!(err, CommError::PlanRejected { detail });
+            assert_eq!(sent, 0);
         }
     }
 

@@ -33,8 +33,9 @@ pub const PAR_THRESHOLD: usize = 1 << 15;
 /// after chunk. Only a chunk of several MiB is worth that.
 pub const RANGE_PAR_THRESHOLD: usize = 1 << 18;
 
-/// Bytes per amplitude on the wire: little-endian `re`, then `im`.
-pub const AMP_BYTES: usize = 16;
+/// Bytes per amplitude on the wire: little-endian `re`, then `im`
+/// ([`BYTES_PER_AMP`](qse_circuit::classify::BYTES_PER_AMP)).
+pub const AMP_BYTES: usize = qse_circuit::classify::BYTES_PER_AMP as usize; // qse-lint: allow — 16 fits every usize
 
 /// Number of whole amplitudes in a wire payload.
 ///

@@ -2,10 +2,13 @@
 //! against the running engine: the symbolic trace's per-rank byte totals
 //! must equal the measured `TrafficStats.bytes_exchanged` **bit-for-bit**
 //! on every run — across rank counts, exchange modes,
-//! half-exchange SWAPs and transpile strategies — and every plan the
-//! equivalence suites execute must verify statically before it runs.
+//! half-exchange SWAPs and transpile strategies — as must its per-rank
+//! send count and send bytes the measured `messages_sent` and
+//! `bytes_sent`, which holds the verifier's chunk expansion to the chunk
+//! driver's; and every plan the equivalence suites execute must verify
+//! statically before it runs.
 
-use qse_check::verify::{derive_traces, verify_plan, VerifyOptions};
+use qse_check::verify::{derive_traces, verify_plan, TraceOp, VerifyOptions};
 use qse_circuit::classify::Layout;
 use qse_circuit::qft::qft;
 use qse_circuit::random::{random_circuit, GatePool};
@@ -39,13 +42,14 @@ fn verify_opts(config: DistConfig) -> VerifyOptions {
 }
 
 /// Runs `plan` on `ranks` ranks and returns each rank's measured
-/// `bytes_exchanged`, in rank order.
-fn measured_exchanged(plan: &Plan, ranks: usize, config: DistConfig) -> Vec<u64> {
+/// `(bytes_exchanged, messages_sent, bytes_sent)`, in rank order.
+fn measured_traffic(plan: &Plan, ranks: usize, config: DistConfig) -> Vec<(u64, u64, u64)> {
     Universe::new(ranks).run(|comm| {
         let mut st = DistributedState::basis_state(comm, plan.n_qubits(), 1, config);
         st.run_plan(plan).unwrap();
         st.barrier();
-        st.stats().bytes_exchanged
+        let stats = st.stats();
+        (stats.bytes_exchanged, stats.messages_sent, stats.bytes_sent)
     })
 }
 
@@ -60,7 +64,8 @@ fn plan_for(circuit: &Circuit, ranks: u64, strategy: Option<Strategy>) -> Plan {
 }
 
 /// The property: symbolic per-rank byte totals equal the runtime's
-/// measured `bytes_exchanged` exactly.
+/// measured `bytes_exchanged` exactly, and the trace's `Send` events are
+/// the messages the runtime sent — as many, and as many bytes.
 fn check_bytes_match(
     circuit: &Circuit,
     ranks: u64,
@@ -73,12 +78,25 @@ fn check_bytes_match(
     verify_plan(&plan, Some(circuit), ranks, &opts)
         .unwrap_or_else(|e| panic!("{what}: plan failed static verification: {e}"));
     let ts = derive_traces(&plan, ranks, &opts).unwrap();
+    let measured = measured_traffic(&plan, ranks as usize, config);
     let predicted: Vec<u64> = ts.ranks.iter().map(|r| r.predicted_exchanged).collect();
-    let measured = measured_exchanged(&plan, ranks as usize, config);
+    let exchanged: Vec<u64> = measured.iter().map(|m| m.0).collect();
     assert_eq!(
-        predicted, measured,
+        predicted, exchanged,
         "{what}: symbolic trace bytes diverge from measured TrafficStats"
     );
+    for (rank, (tr, &(_, messages, bytes))) in ts.ranks.iter().zip(&measured).enumerate() {
+        let sends = tr.events.iter().filter_map(|e| match e.op {
+            TraceOp::Send { bytes, .. } => Some(bytes as u64),
+            _ => None,
+        });
+        let (count, sum) = sends.fold((0, 0), |(c, s), b| (c + 1, s + b));
+        assert_eq!(
+            (count, sum),
+            (messages, bytes),
+            "{what}: rank {rank}'s trace sends (messages, bytes) differ from measured"
+        );
+    }
 }
 
 #[test]
