@@ -11,6 +11,7 @@ use qse_machine::perf::RunEstimate;
 use qse_machine::{archer2, ModelOracle};
 use qse_math::Complex64;
 use qse_statevec::{DistributedState, Schedule, SingleState, SparseState};
+use qse_util::cdf::Cdf;
 use qse_util::rng::Rng;
 use std::time::Instant;
 
@@ -301,23 +302,28 @@ pub struct EngineRun {
 }
 
 impl EngineRun {
-    /// Draws a fixed-seed measurement histogram from the run's final
-    /// state, whatever engine produced it. All three engines follow the
-    /// same inclusive-prefix-sum CDF contract, so on their overlapping
-    /// domains the histograms agree for a given RNG stream.
+    /// The prepared sampler over the run's final state, whatever engine
+    /// produced it: built from the gathered amplitudes (dense), the
+    /// sorted nonzeros (sparse) or the tableau's support, enumerated
+    /// once. All three follow the same inclusive-prefix-sum CDF
+    /// contract, so on their overlapping domains the histograms agree
+    /// for a given RNG stream.
+    pub fn sampler(&self) -> Result<Cdf, EngineError> {
+        match &self.state {
+            EngineState::Dense(None) => Err(EngineError::StateNotGathered),
+            EngineState::Dense(Some(amps)) => Ok(qse_statevec::measure::amps_sampler(amps)?),
+            EngineState::Sparse(s) => Ok(s.sampler()?),
+            EngineState::Tableau(t) => Ok(t.sampler()?),
+        }
+    }
+
+    /// Draws a fixed-seed measurement histogram from [`Self::sampler`].
     pub fn sample_counts<R: Rng>(
         &self,
         rng: &mut R,
         shots: usize,
     ) -> Result<std::collections::BTreeMap<u64, usize>, EngineError> {
-        match &self.state {
-            EngineState::Dense(None) => Err(EngineError::StateNotGathered),
-            EngineState::Dense(Some(amps)) => {
-                Ok(qse_statevec::measure::sample_counts_amps(amps, rng, shots)?)
-            }
-            EngineState::Sparse(s) => Ok(s.sample_counts(rng, shots)?),
-            EngineState::Tableau(t) => Ok(t.sample_counts(rng, shots)?),
-        }
+        Ok(self.sampler()?.sample_counts(rng, shots))
     }
 }
 
@@ -341,10 +347,30 @@ impl EngineExecutor {
         basis: u64,
         gather: bool,
     ) -> Result<EngineRun, EngineError> {
+        let plan = match config.engine.resolve(circuit) {
+            EngineChoice::Dense => ThreadClusterExecutor::prepare(circuit, config)?,
+            EngineChoice::Sparse | EngineChoice::Stabilizer => None,
+        };
+        Self::run_prepared(circuit, config, basis, gather, plan.as_ref())
+    }
+
+    /// [`Self::run`] with the dense plan already built and proved by
+    /// [`ThreadClusterExecutor::prepare`] — the serve cache-hit path,
+    /// under the same proof obligation as
+    /// [`ThreadClusterExecutor::try_run_prepared`]. Sparse and tableau
+    /// runs have no plan: `plan` must be `None` for them.
+    pub fn run_prepared(
+        circuit: &Circuit,
+        config: &SimConfig,
+        basis: u64,
+        gather: bool,
+        plan: Option<&Plan>,
+    ) -> Result<EngineRun, EngineError> {
         let engine = config.engine.resolve(circuit);
         match engine {
             EngineChoice::Dense => {
-                let run = ThreadClusterExecutor::try_run(circuit, config, basis, gather)?;
+                let run =
+                    ThreadClusterExecutor::try_run_prepared(circuit, config, basis, gather, plan)?;
                 Ok(EngineRun {
                     engine,
                     profiled: run.profiled,

@@ -4,11 +4,14 @@
 //! amplitude footprint against the memory budget, and enqueues it (or
 //! rejects it typed). A worker pops the oldest job and *drains every
 //! queued job with the same batch key* — same canonical plan, basis and
-//! fault spec — into one batch that pays a single execution. The plan
-//! comes from the LRU cache (hit: skip classify → transpile → verify;
-//! miss: compile + verify once, insert). After the one gathered
-//! execution, each job in the batch draws its own shots from its own
-//! seed, bit-for-bit identical to what a solo run would have drawn.
+//! fault spec — into one batch that pays a single execution. One batch
+//! path serves every engine. The plan comes from the LRU cache (hit:
+//! skip classify → transpile → verify; dense miss: compile + verify
+//! once, insert; sparse and tableau misses insert `plan: None`). The
+//! batch then runs once, fingerprints the final state once and, if any
+//! job asks for shots, builds one prepared sampler; each job only draws
+//! its own shots from its own seed, bit-for-bit identical to what a
+//! solo run would have drawn.
 
 use crate::cache::{plan_cost_bytes, CacheStats, CachedPlan, PlanCache};
 use crate::error::ServeError;
@@ -17,11 +20,14 @@ use qse_circuit::classify::EngineChoice;
 use qse_circuit::hash::{canonical_hash, canonicalize};
 use qse_comm::FaultConfig;
 use qse_core::config::{SimConfig, TranspileMode};
-use qse_core::executor::{EngineExecutor, EngineState, ThreadClusterExecutor};
-use qse_statevec::measure::sample_counts_amps;
+use qse_core::executor::{
+    EngineError, EngineExecutor, EngineRun, EngineState, ThreadClusterExecutor,
+};
+use qse_util::cdf::Cdf;
 use qse_util::json::Json;
 use qse_util::mailbox::{unbounded, Receiver};
 use qse_util::rng::StdRng;
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -406,97 +412,79 @@ fn sim_config(spec: &JobSpec) -> SimConfig {
     cfg
 }
 
+/// Runs one batch: one cache lookup, one execution, one fingerprint and
+/// — if any job asks for shots — one prepared sampler; each job then
+/// only draws its own shots from its own seed.
 fn execute_batch(inner: &Inner, batch: Vec<Job>) {
     let rep = &batch[0];
     let cfg = sim_config(&rep.spec);
-    if rep.spec.engine.resolve(&rep.spec.circuit) != EngineChoice::Dense {
-        return execute_batch_engine(inner, batch, &cfg);
-    }
 
     // Plan lookup / compile. The cache lock is held across a miss's
     // compile + verify on purpose: a key is compiled at most once, and
     // hit/miss counters are exact. Cold compiles serialise against each
-    // other; the warm path only pays a map lookup.
+    // other; the warm path only pays a map lookup. Sparse and tableau
+    // runs have no exchange plan, but still key the canonical circuit
+    // (`plan: None`) so hit/miss provenance is the same for every engine.
     let (entry, cache_hit) = {
         let mut cache = inner.cache.lock().expect("cache lock");
         match cache.get(rep.key) {
             Some(entry) => (Ok(entry), true),
             None => {
-                match ThreadClusterExecutor::prepare(&rep.spec.circuit, &cfg) {
-                    Ok(plan) => {
-                        let circuit = rep.spec.circuit.clone();
-                        let bytes = plan_cost_bytes(&circuit, plan.as_ref());
-                        let entry = cache.insert(
-                            rep.key,
-                            CachedPlan {
-                                circuit,
-                                plan,
-                                bytes,
-                            },
-                        );
-                        (Ok(entry), false)
-                    }
-                    Err(e) => (Err(e), false),
-                }
+                let plan = match rep.spec.engine.resolve(&rep.spec.circuit) {
+                    EngineChoice::Dense => ThreadClusterExecutor::prepare(&rep.spec.circuit, &cfg),
+                    EngineChoice::Sparse | EngineChoice::Stabilizer => Ok(None),
+                };
+                let entry = plan.map(|plan| {
+                    let circuit = rep.spec.circuit.clone();
+                    let bytes = plan_cost_bytes(&circuit, plan.as_ref());
+                    cache.insert(
+                        rep.key,
+                        CachedPlan {
+                            circuit,
+                            plan,
+                            bytes,
+                        },
+                    )
+                });
+                (entry, false)
             }
         }
     };
 
-    let outcome = entry.and_then(|entry| {
-        ThreadClusterExecutor::try_run_prepared(
+    let batch_len = batch.len();
+    let execution = entry.map_err(EngineError::from).and_then(|entry| {
+        let run = EngineExecutor::run_prepared(
             &entry.circuit,
             &cfg,
             rep.spec.basis,
             true,
             entry.plan.as_ref(),
-        )
+        )?;
+        Ok(Execution {
+            state_fnv: state_fnv(&run.state)?,
+            run,
+            cache_hit,
+            batched: batch_len,
+            sampler: OnceCell::new(),
+        })
     });
 
-    let batch_len = batch.len();
     let mut completed = 0u64;
     let mut failed = 0u64;
     let mut released = 0u64;
     let mut deliveries: Vec<(Reply, JobResponse)> = Vec::with_capacity(batch_len);
     for job in batch {
         released += job.footprint;
-        let exec_err = |e: &dyn std::fmt::Display| {
-            Err(JobError {
+        let response = execution
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|exec| exec.result(&job))
+            .map_err(|e| JobError {
                 id: job.spec.id.clone(),
                 error: ServeError::Exec {
                     detail: e.to_string(),
                 },
-            })
-        };
-        let response = match &outcome {
-            Err(e) => exec_err(e),
-            Ok(run) => {
-                let amps = run.state.as_deref().expect("gather=true yields a state");
-                // Per-job measurement draws from the shared execution —
-                // the job's own seed, exactly as a solo run would draw.
-                let counts = if job.spec.shots > 0 {
-                    let mut rng = StdRng::seed_from_u64(job.spec.seed);
-                    match sample_counts_amps(amps, &mut rng, job.spec.shots) {
-                        Ok(c) => Some(c),
-                        Err(e) => {
-                            failed += 1;
-                            deliveries.push((job.reply, exec_err(&e)));
-                            continue;
-                        }
-                    }
-                } else {
-                    None
-                };
-                Ok(JobResult {
-                    id: job.spec.id.clone(),
-                    cache_hit,
-                    batched: batch_len,
-                    latency_us: job.submitted.elapsed().as_micros() as u64,
-                    state_fnv: state_fingerprint(amps),
-                    engine: "dense",
-                    counts,
-                })
-            }
-        };
+            });
         match &response {
             Ok(_) => completed += 1,
             Err(_) => failed += 1,
@@ -526,112 +514,114 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
     }
 }
 
-/// [`execute_batch`] for jobs whose engine resolved to sparse or
-/// stabilizer: a single-address-space [`EngineExecutor`] run, no
-/// compiled exchange plan. The cache still keys the canonical circuit
-/// (entry with `plan: None`) so hit/miss provenance behaves exactly as
-/// on the dense path, and per-job sampling draws from the shared
-/// execution with each job's own seed.
-fn execute_batch_engine(inner: &Inner, batch: Vec<Job>, cfg: &SimConfig) {
-    let rep = &batch[0];
-    let cache_hit = {
-        let mut cache = inner.cache.lock().expect("cache lock");
-        match cache.get(rep.key) {
-            Some(_) => true,
-            None => {
-                let circuit = rep.spec.circuit.clone();
-                let bytes = plan_cost_bytes(&circuit, None);
-                cache.insert(
-                    rep.key,
-                    CachedPlan {
-                        circuit,
-                        plan: None,
-                        bytes,
-                    },
-                );
-                false
-            }
-        }
-    };
+/// What one execution hands every job of its batch, each part built once.
+struct Execution {
+    run: EngineRun,
+    cache_hit: bool,
+    batched: usize,
+    state_fnv: u64,
+    /// Built by the first job that draws shots, then shared by the rest;
+    /// a batch that draws none builds none.
+    sampler: OnceCell<Result<Cdf, EngineError>>,
+}
 
-    let outcome = EngineExecutor::run(&rep.spec.circuit, cfg, rep.spec.basis, true);
-    // Fingerprint once for the whole batch: amplitudes where the engine
-    // has them, the tableau representation otherwise.
-    let state_fnv = outcome.as_ref().ok().map(|run| match &run.state {
-        EngineState::Dense(Some(amps)) => state_fingerprint(amps),
-        EngineState::Dense(None) => 0,
-        EngineState::Sparse(s) => sparse_state_fingerprint(s),
-        EngineState::Tableau(t) => t.fingerprint(),
-    });
-
-    let batch_len = batch.len();
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut released = 0u64;
-    let mut deliveries: Vec<(Reply, JobResponse)> = Vec::with_capacity(batch_len);
-    for job in batch {
-        released += job.footprint;
-        let exec_err = |e: &dyn std::fmt::Display| {
-            Err(JobError {
-                id: job.spec.id.clone(),
-                error: ServeError::Exec {
-                    detail: e.to_string(),
-                },
-            })
+impl Execution {
+    /// `job`'s result: the shared fingerprint, and the shots drawn from
+    /// the job's own seed — exactly what a solo run would draw.
+    fn result(&self, job: &Job) -> Result<JobResult, EngineError> {
+        let counts = if job.spec.shots > 0 {
+            let sampler = self.sampler.get_or_init(|| self.run.sampler());
+            let mut rng = StdRng::seed_from_u64(job.spec.seed);
+            let sampler = sampler.as_ref().map_err(Clone::clone)?;
+            Some(sampler.sample_counts(&mut rng, job.spec.shots))
+        } else {
+            None
         };
-        let response = match &outcome {
-            Err(e) => exec_err(e),
-            Ok(run) => {
-                let counts = if job.spec.shots > 0 {
-                    let mut rng = StdRng::seed_from_u64(job.spec.seed);
-                    match run.sample_counts(&mut rng, job.spec.shots) {
-                        Ok(c) => Some(c),
-                        Err(e) => {
-                            failed += 1;
-                            deliveries.push((job.reply, exec_err(&e)));
-                            continue;
-                        }
-                    }
-                } else {
-                    None
-                };
-                Ok(JobResult {
-                    id: job.spec.id.clone(),
-                    cache_hit,
-                    batched: batch_len,
-                    latency_us: job.submitted.elapsed().as_micros() as u64,
-                    state_fnv: state_fnv.unwrap_or(0),
-                    engine: run.profiled.engine,
-                    counts,
-                })
-            }
-        };
-        match &response {
-            Ok(_) => completed += 1,
-            Err(_) => failed += 1,
-        }
-        deliveries.push((job.reply, response));
+        Ok(JobResult {
+            id: job.spec.id.clone(),
+            cache_hit: self.cache_hit,
+            batched: self.batched,
+            latency_us: job.submitted.elapsed().as_micros() as u64,
+            state_fnv: self.state_fnv,
+            engine: self.run.profiled.engine,
+            counts,
+        })
     }
+}
 
-    {
-        let mut st = inner.state.lock().expect("state lock");
-        st.reserved_bytes -= released;
-    }
-    {
-        let mut counters = inner.counters.lock().expect("counters");
-        counters.completed += completed;
-        counters.failed += failed;
-        counters.executions += 1;
-        if batch_len > 1 {
-            counters.batched_jobs += batch_len as u64;
-        }
-        counters.max_batch = counters.max_batch.max(batch_len as u64);
-    }
-    for (reply, response) in deliveries {
-        reply(response);
+/// The reply fingerprint of a final state: amplitudes where the engine
+/// has them (the sparse form folds its runs of zeros without
+/// materialising them), the tableau representation otherwise.
+fn state_fnv(state: &EngineState) -> Result<u64, EngineError> {
+    match state {
+        EngineState::Dense(None) => Err(EngineError::StateNotGathered),
+        EngineState::Dense(Some(amps)) => Ok(state_fingerprint(amps)),
+        EngineState::Sparse(s) => Ok(sparse_state_fingerprint(s)),
+        EngineState::Tableau(t) => Ok(t.fingerprint()),
     }
 }
 
 /// Convenience: a [`FaultConfig`] equality check exists so batch keys
 /// can compare fault plans; re-export the type for front ends.
 pub type Faults = Option<FaultConfig>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qse_circuit::algorithms::ghz;
+    use qse_core::config::EngineMode;
+
+    fn job(shots: usize, seed: u64) -> Job {
+        Job {
+            spec: JobSpec {
+                id: format!("job-{seed}"),
+                circuit: ghz(6),
+                ranks: 2,
+                transpile: TranspileMode::Off,
+                shots,
+                seed,
+                basis: 0,
+                faults: None,
+                engine: EngineMode::Dense,
+            },
+            key: 0,
+            footprint: 0,
+            submitted: Instant::now(),
+            reply: Box::new(|_| {}),
+        }
+    }
+
+    fn execution(rep: &Job, batched: usize) -> Execution {
+        let run = EngineExecutor::run(&rep.spec.circuit, &sim_config(&rep.spec), 0, true)
+            .expect("dense run");
+        Execution {
+            state_fnv: state_fnv(&run.state).expect("gathered"),
+            run,
+            cache_hit: false,
+            batched,
+            sampler: OnceCell::new(),
+        }
+    }
+
+    #[test]
+    fn a_batch_without_shots_builds_no_sampler() {
+        let jobs = [job(0, 1), job(0, 2), job(0, 3)];
+        let exec = execution(&jobs[0], jobs.len());
+        for j in &jobs {
+            let r = exec.result(j).expect("result");
+            assert_eq!((r.counts, r.state_fnv), (None, exec.state_fnv));
+        }
+        assert!(exec.sampler.get().is_none(), "no job drew shots");
+        let r = exec.result(&job(50, 4)).expect("result");
+        assert_eq!(r.counts.map(|c| c.values().sum::<usize>()), Some(50));
+        assert!(exec.sampler.get().is_some(), "the first draw builds it");
+    }
+
+    #[test]
+    fn an_ungathered_dense_state_is_a_typed_error() {
+        assert_eq!(
+            state_fnv(&EngineState::Dense(None)),
+            Err(EngineError::StateNotGathered)
+        );
+    }
+}

@@ -7,7 +7,8 @@
 //!   random circuits and every transpile strategy).
 //! - **Batch transparency**: jobs coalesced into one execution return
 //!   exactly what each would have returned run alone, given the same
-//!   per-job seeds.
+//!   per-job seeds — on every engine, and with jobs that draw no shots
+//!   in the batch.
 //! - **Canonical keys**: `-0.0` angles and reordered disjoint gates land
 //!   on the same cache entry with identical fingerprints.
 //! - **Admission**: over-budget and over-capacity submissions are
@@ -125,75 +126,145 @@ fn cache_hit_execution_is_bit_identical_to_cold_path() {
 // Batch transparency
 // ---------------------------------------------------------------------
 
+/// Submits the plug job, then `jobs` back to back, so the single
+/// worker finds them all queued together; returns their results in
+/// submission order.
+fn submit_batch(server: &Server, jobs: Vec<JobSpec>) -> Vec<JobResult> {
+    let plug_rx = server.submit(spec("plug", plug(), 1, 0, 0)).expect("plug");
+    let rxs: Vec<_> = jobs
+        .into_iter()
+        .map(|job| server.submit(job).expect("admitted"))
+        .collect();
+    wait_ok(&plug_rx);
+    rxs.iter().map(wait_ok).collect()
+}
+
+/// A GHZ state with a CPhase ladder on top: two nonzero amplitudes, but
+/// not Clifford, so `auto` resolves it to the sparse engine.
+fn ghz_cphase_ladder(n: u32) -> Circuit {
+    let mut c = ghz(n);
+    for q in 1..n {
+        c.cphase(q - 1, q, 0.3 * f64::from(q));
+    }
+    c
+}
+
 /// Concurrent submissions of the same circuit coalesce into one
-/// execution, and each job's counts are bit-for-bit what a solo run
-/// with the same seed returns. The plug job keeps the single worker
-/// busy so the whole batch is queued together, making the coalesce
-/// deterministic.
+/// execution on every engine, and each job's fingerprint and counts are
+/// bit-for-bit what a solo run with the same seed returns. The plug job
+/// keeps the single worker busy so the whole batch is queued together,
+/// making the coalesce deterministic.
 #[test]
 fn batched_jobs_match_individually_executed_jobs_bit_for_bit() {
     const BATCH: usize = 4;
+    let cases = [
+        (
+            "dense",
+            random_circuit(9, 30, GatePool::Full, 42),
+            EngineMode::Dense,
+        ),
+        ("sparse", ghz_cphase_ladder(12), EngineMode::Auto),
+        ("stabilizer", ghz(10), EngineMode::Stabilizer),
+    ];
+    for (engine, circuit, mode) in cases {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let job = |id: String, i: usize| JobSpec {
+            engine: mode,
+            ..spec(&id, circuit.clone(), 2, 500, 1000 + i as u64)
+        };
+        let batched = submit_batch(
+            &server,
+            (0..BATCH).map(|i| job(format!("batch-{i}"), i)).collect(),
+        );
+        for r in &batched {
+            assert_eq!(
+                r.batched, BATCH,
+                "{engine}: all {BATCH} jobs must share one execution, {} reports batch {}",
+                r.id, r.batched
+            );
+            assert_eq!(r.engine, engine, "{}: ran on the wrong engine", r.id);
+        }
+
+        // The solo baselines: same specs, submitted one at a time so each
+        // runs alone, as a cache hit (already proven identical to cold
+        // above).
+        for (i, from_batch) in batched.iter().enumerate() {
+            let solo = wait_ok(
+                &server
+                    .submit(job(format!("solo-{i}"), i))
+                    .expect("admitted"),
+            );
+            assert_eq!(solo.batched, 1, "{engine}: baseline must run alone");
+            assert_eq!(
+                from_batch.state_fnv, solo.state_fnv,
+                "{engine}: batched job {i} saw a different state than its solo run"
+            );
+            assert_eq!(
+                from_batch.counts, solo.counts,
+                "{engine}: batched job {i} drew different shots than its solo run"
+            );
+        }
+
+        let stats = server.stats();
+        assert_eq!(stats.batched_jobs, BATCH as u64, "{engine}");
+        assert_eq!(stats.max_batch, BATCH as u64, "{engine}");
+        // plug + one batch + BATCH solos.
+        assert_eq!(stats.executions, 2 + BATCH as u64, "{engine}");
+        server.shutdown();
+    }
+}
+
+/// A `shots: 0` job batched with jobs that draw shots gets no counts but
+/// the shared fingerprint, and the jobs that draw still match their
+/// solo runs; a batch in which no job draws returns no counts at all.
+/// (That such a batch builds no sampler is the server's unit test
+/// `a_batch_without_shots_builds_no_sampler`.)
+#[test]
+fn mixed_shot_batches_draw_only_for_jobs_that_ask() {
     let server = Server::start(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
     });
-    let circuit = random_circuit(9, 30, GatePool::Full, 42);
-
-    let plug_rx = server.submit(spec("plug", plug(), 1, 0, 0)).expect("plug");
-    let batch_rx: Vec<_> = (0..BATCH)
-        .map(|i| {
-            server
-                .submit(spec(
-                    &format!("batch-{i}"),
-                    circuit.clone(),
-                    2,
-                    500,
-                    1000 + i as u64,
-                ))
-                .expect("admitted")
-        })
-        .collect();
-    wait_ok(&plug_rx);
-    let batched: Vec<JobResult> = batch_rx.iter().map(wait_ok).collect();
-    for r in &batched {
-        assert_eq!(
-            r.batched, BATCH,
-            "all {BATCH} jobs must share one execution, {} reports batch {}",
-            r.id, r.batched
-        );
+    let circuit = random_circuit(8, 24, GatePool::Full, 7);
+    let shots = [300, 0, 500, 0];
+    let job = |id: String, shots: usize, seed: u64| spec(&id, circuit.clone(), 2, shots, seed);
+    let batched = submit_batch(
+        &server,
+        shots
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| job(format!("mixed-{i}"), n, 50 + i as u64))
+            .collect(),
+    );
+    for (r, &n) in batched.iter().zip(&shots) {
+        assert_eq!(r.batched, shots.len(), "{} must share the execution", r.id);
+        assert_eq!(r.state_fnv, batched[0].state_fnv, "{}: one state", r.id);
+        assert_eq!(r.counts.is_some(), n > 0, "{}: counts iff shots", r.id);
+    }
+    for (i, (r, &n)) in batched.iter().zip(&shots).enumerate() {
+        if n > 0 {
+            let solo = wait_ok(
+                &server
+                    .submit(job(format!("solo-{i}"), n, 50 + i as u64))
+                    .expect("admitted"),
+            );
+            assert_eq!(solo.batched, 1, "baseline must run alone");
+            assert_eq!(r.counts, solo.counts, "job {i} drew different shots solo");
+        }
     }
 
-    // The solo baselines: same specs, submitted one at a time so each
-    // runs alone (and, past the first, as cache hits — already proven
-    // identical to cold above).
-    for (i, from_batch) in batched.iter().enumerate() {
-        let solo = wait_ok(
-            &server
-                .submit(spec(
-                    &format!("solo-{i}"),
-                    circuit.clone(),
-                    2,
-                    500,
-                    1000 + i as u64,
-                ))
-                .expect("admitted"),
-        );
-        assert_eq!(solo.batched, 1, "baseline must run alone");
-        assert_eq!(
-            from_batch.state_fnv, solo.state_fnv,
-            "batched job {i} saw a different state than its solo run"
-        );
-        assert_eq!(
-            from_batch.counts, solo.counts,
-            "batched job {i} drew different shots than its solo run"
-        );
+    let silent = submit_batch(
+        &server,
+        (0..3).map(|i| job(format!("silent-{i}"), 0, i)).collect(),
+    );
+    for r in &silent {
+        assert_eq!(r.batched, 3, "{} must share the execution", r.id);
+        assert_eq!(r.counts, None, "{}: no shots, no counts", r.id);
+        assert_eq!(r.state_fnv, batched[0].state_fnv, "{}: same state", r.id);
     }
-
-    let stats = server.stats();
-    assert_eq!(stats.batched_jobs, BATCH as u64);
-    assert_eq!(stats.max_batch, BATCH as u64);
-    // plug + one batch + BATCH solos.
-    assert_eq!(stats.executions, 2 + BATCH as u64);
     server.shutdown();
 }
 

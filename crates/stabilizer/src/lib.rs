@@ -16,9 +16,9 @@
 //! [`Tableau::run`] turns a whole circuit into a final tableau.
 //! Sampling reproduces the dense engine's fixed-seed histograms: the
 //! support of a stabilizer state is an affine subspace of basis states
-//! with exactly equal probabilities, which [`Tableau::sample_counts`]
-//! enumerates and feeds through the same inclusive-prefix-sum CDF walk
-//! as `qse_statevec::sample_counts_amps`.
+//! with exactly equal probabilities, which [`Tableau::sampler`]
+//! enumerates once into the same prepared `qse_util::cdf::Cdf` that
+//! `qse_statevec::sample_counts_amps` draws from.
 //!
 //! Everything returns typed [`StabError`]s — this crate is on the
 //! qse-lint no-panic list alongside comm and statevec.

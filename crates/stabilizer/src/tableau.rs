@@ -12,6 +12,7 @@
 use crate::ix;
 use qse_circuit::classify::{clifford_ops, CliffordOp};
 use qse_circuit::Circuit;
+use qse_util::cdf::Cdf;
 use qse_util::rng::Rng;
 use std::collections::BTreeMap;
 
@@ -565,42 +566,25 @@ impl Tableau {
         Ok(Support { indices, log2_size })
     }
 
-    /// Draws `shots` samples and returns a histogram over basis
-    /// indices, reproducing `qse_statevec::sample_counts_amps`
-    /// draw-for-draw: an inclusive-prefix-sum CDF over ascending
-    /// indices, one `random_range(0.0..total)` per shot, and
-    /// `partition_point` selection. All support probabilities are
-    /// exactly `2^−k`, so every prefix sum — including the total,
-    /// exactly `1.0` — is exact in `f64`.
+    /// The prepared sampler over the support, enumerated once,
+    /// reproducing `qse_statevec::measure::amps_sampler` draw for draw:
+    /// an inclusive-prefix-sum CDF over ascending indices. All support
+    /// probabilities are exactly `2^−k`, so every prefix sum — including
+    /// the total, exactly `1.0` — is exact in `f64`.
+    pub fn sampler(&self) -> Result<Cdf, StabError> {
+        let sup = self.support()?;
+        let p = 0.5f64.powi(i32::try_from(sup.log2_size).map_err(|_| StabError::Inconsistent)?);
+        Cdf::sparse(sup.indices.into_iter().map(|i| (i, p))).map_err(|_| StabError::Inconsistent)
+    }
+
+    /// Draws `shots` samples from [`Self::sampler`] and returns a
+    /// histogram over basis indices.
     pub fn sample_counts<R: Rng>(
         &self,
         rng: &mut R,
         shots: usize,
     ) -> Result<BTreeMap<u64, usize>, StabError> {
-        let sup = self.support()?;
-        let p = 0.5f64.powi(
-            i32::try_from(sup.log2_size).map_err(|_| StabError::Inconsistent)?,
-        );
-        let len = sup.indices.len();
-        let mut cdf = Vec::with_capacity(len);
-        let mut acc = 0.0f64;
-        for _ in 0..len {
-            acc += p;
-            cdf.push(acc);
-        }
-        let total = acc;
-        let mut counts = BTreeMap::new();
-        for _ in 0..shots {
-            let u: f64 = rng.random_range(0.0..total);
-            let pos = cdf.partition_point(|&c| c <= u);
-            let drawn = if pos == len {
-                sup.indices[len - 1]
-            } else {
-                sup.indices[pos]
-            };
-            *counts.entry(drawn).or_insert(0) += 1;
-        }
-        Ok(counts)
+        Ok(self.sampler()?.sample_counts(rng, shots))
     }
 }
 

@@ -14,6 +14,7 @@
 
 use crate::single::SingleState;
 use qse_math::Complex64;
+use qse_util::cdf::Cdf;
 use qse_util::rng::Rng;
 
 /// Probability floor below which an outcome is treated as impossible.
@@ -98,81 +99,38 @@ pub fn sample_counts<R: Rng>(
 ) -> Result<std::collections::BTreeMap<u64, usize>, MeasureError> {
     // The same total as `sample_index` (the chunk-reduced norm), so both
     // paths feed `random_range` identically for a given RNG stream.
-    let total = state.norm_sqr();
-    if total <= 0.0 {
-        return Err(MeasureError::ZeroNorm);
-    }
-    let len = state.storage().len();
-    let mut cdf = Vec::with_capacity(len);
-    let mut acc = 0.0f64;
-    let mut last_nonzero = 0u64;
-    for i in 0..len as u64 {
-        let p = state.amplitude(i).norm_sqr();
-        if p > 0.0 {
-            last_nonzero = i;
-        }
-        acc += p;
-        cdf.push(acc);
-    }
-    let mut counts = std::collections::BTreeMap::new();
-    for _ in 0..shots {
-        let u: f64 = rng.random_range(0.0..total);
-        let idx = cdf.partition_point(|&c| c <= u);
-        let drawn = if idx == len {
-            last_nonzero
-        } else {
-            idx as u64
-        };
-        *counts.entry(drawn).or_insert(0) += 1;
-    }
-    Ok(counts)
+    let len = state.storage().len() as u64;
+    let cdf = Cdf::dense((0..len).map(|i| state.amplitude(i).norm_sqr()))
+        .and_then(|cdf| cdf.with_total(state.norm_sqr()))
+        .map_err(|_| MeasureError::ZeroNorm)?;
+    Ok(cdf.sample_counts(rng, shots))
+}
+
+/// The prepared sampler over a raw amplitude slice: outcome `i`
+/// weighted by `|amps[i]|²`, its total the linear prefix sum (so it
+/// equals the CDF's final entry exactly). Build it once to draw many
+/// seeds' histograms from one state.
+pub fn amps_sampler(amps: &[Complex64]) -> Result<Cdf, MeasureError> {
+    Cdf::dense(amps.iter().map(|a| a.norm_sqr())).map_err(|_| MeasureError::ZeroNorm)
 }
 
 /// [`sample_counts`] over a raw amplitude slice — the entry point for
 /// sampling a statevector gathered from a distributed run (or any
-/// amplitudes not wrapped in a [`SingleState`]).
+/// amplitudes not wrapped in a [`SingleState`]): [`amps_sampler`], then
+/// its draws.
 ///
-/// Fully deterministic for a given RNG stream: the norm is the linear
-/// prefix sum over the slice (so it equals the CDF's final entry
-/// exactly), each draw selects the smallest index whose inclusive
-/// prefix sum exceeds the uniform draw, and any rounding residual is
-/// assigned to the last nonzero amplitude. `qse serve` relies on this
-/// determinism for its bit-for-bit batching contract: jobs that share
-/// one gathered execution draw their own shots from their own seeds,
-/// identically to a solo execution over the same amplitudes.
+/// Fully deterministic for a given RNG stream: each draw selects the
+/// smallest index whose inclusive prefix sum exceeds the uniform draw.
+/// `qse serve` relies on this determinism for its bit-for-bit batching
+/// contract: jobs that share one gathered execution draw their own
+/// shots from their own seeds out of one prepared sampler, identically
+/// to a solo execution over the same amplitudes.
 pub fn sample_counts_amps<R: Rng>(
     amps: &[Complex64],
     rng: &mut R,
     shots: usize,
 ) -> Result<std::collections::BTreeMap<u64, usize>, MeasureError> {
-    let len = amps.len();
-    let mut cdf = Vec::with_capacity(len);
-    let mut acc = 0.0f64;
-    let mut last_nonzero = 0u64;
-    for (i, a) in amps.iter().enumerate() {
-        let p = a.norm_sqr();
-        if p > 0.0 {
-            last_nonzero = i as u64;
-        }
-        acc += p;
-        cdf.push(acc);
-    }
-    let total = acc;
-    if total <= 0.0 {
-        return Err(MeasureError::ZeroNorm);
-    }
-    let mut counts = std::collections::BTreeMap::new();
-    for _ in 0..shots {
-        let u: f64 = rng.random_range(0.0..total);
-        let idx = cdf.partition_point(|&c| c <= u);
-        let drawn = if idx == len {
-            last_nonzero
-        } else {
-            idx as u64
-        };
-        *counts.entry(drawn).or_insert(0) += 1;
-    }
-    Ok(counts)
+    Ok(amps_sampler(amps)?.sample_counts(rng, shots))
 }
 
 /// The outcome of a projective single-qubit measurement.
@@ -288,6 +246,24 @@ mod tests {
             sample_counts_amps(&zeros, &mut StdRng::seed_from_u64(0), 5),
             Err(MeasureError::ZeroNorm)
         );
+    }
+
+    #[test]
+    fn one_prepared_sampler_draws_what_fresh_calls_draw() {
+        let mut c = Circuit::new(10);
+        for q in 0..10 {
+            c.h(q);
+        }
+        c.phase(2, 0.4).cnot(2, 7).t(7).h(7).cnot(7, 9);
+        let amps = SingleState::simulate(&c).to_vec();
+        let sampler = amps_sampler(&amps).unwrap();
+        for seed in 1..=8u64 {
+            assert_eq!(
+                sampler.sample_counts(&mut StdRng::seed_from_u64(seed), 700),
+                sample_counts_amps(&amps, &mut StdRng::seed_from_u64(seed), 700).unwrap(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

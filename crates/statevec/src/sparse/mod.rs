@@ -28,14 +28,15 @@
 //!
 //! The measurement API returns the same typed
 //! [`MeasureError`](crate::measure::MeasureError)s as the dense path,
-//! and `sample_counts` follows the identical inclusive-prefix-sum CDF
-//! contract, so callers switch engines without changing error handling
-//! or reseeding.
+//! and `sample_counts` draws through the same prepared
+//! [`Cdf`](qse_util::cdf::Cdf), so callers switch engines without
+//! changing error handling or reseeding.
 
 use crate::diagonal::diagonal_phase;
 use crate::measure::{MeasureError, MeasureOutcome, MIN_OUTCOME_PROB};
 use qse_circuit::{Circuit, Gate};
 use qse_math::{Complex64, Matrix2};
+use qse_util::cdf::Cdf;
 use qse_util::rng::Rng;
 use std::collections::{BTreeMap, HashMap};
 
@@ -270,35 +271,24 @@ impl SparseState {
         self.amps = next;
     }
 
-    /// Draws `shots` samples — same CDF contract as the dense
-    /// `sample_counts_amps`: inclusive prefix sums in ascending index
-    /// order, one `random_range(0.0..total)` per shot,
-    /// `partition_point` selection, residual to the last index.
+    /// The prepared sampler — same CDF contract as the dense
+    /// `amps_sampler`: inclusive prefix sums in ascending index order,
+    /// the stored amplitudes' indices as its outcomes.
+    pub fn sampler(&self) -> Result<Cdf, MeasureError> {
+        let weights = self
+            .sorted_keys()
+            .into_iter()
+            .map(|k| (k, self.amps[&k].norm_sqr()));
+        Cdf::sparse(weights).map_err(|_| MeasureError::ZeroNorm)
+    }
+
+    /// Draws `shots` samples from [`Self::sampler`].
     pub fn sample_counts<R: Rng>(
         &self,
         rng: &mut R,
         shots: usize,
     ) -> Result<BTreeMap<u64, usize>, MeasureError> {
-        let keys = self.sorted_keys();
-        let mut cdf = Vec::with_capacity(keys.len());
-        let mut acc = 0.0f64;
-        for k in &keys {
-            acc += self.amps[k].norm_sqr();
-            cdf.push(acc);
-        }
-        let total = acc;
-        if total <= 0.0 {
-            return Err(MeasureError::ZeroNorm);
-        }
-        let len = keys.len();
-        let mut counts = BTreeMap::new();
-        for _ in 0..shots {
-            let u: f64 = rng.random_range(0.0..total);
-            let pos = cdf.partition_point(|&c| c <= u);
-            let drawn = if pos == len { keys[len - 1] } else { keys[pos] };
-            *counts.entry(drawn).or_insert(0) += 1;
-        }
-        Ok(counts)
+        Ok(self.sampler()?.sample_counts(rng, shots))
     }
 
     /// Measures `qubit`, drawing the uniform from `rng` — dense-engine

@@ -6,6 +6,8 @@
 //!
 //! * [`rng`] — `SplitMix64` / `Xoshiro256**` PRNGs behind a small
 //!   [`rng::Rng`] trait (replaces `rand`);
+//! * [`cdf`] — the prepared inverse-CDF sampler every engine draws
+//!   measurement histograms from;
 //! * [`json`] — a JSON value type and serializer (replaces
 //!   `serde`/`serde_json` for experiment output);
 //! * [`parallel`] — scoped-thread data parallelism for the statevector
@@ -24,6 +26,7 @@
 
 pub mod bench;
 pub mod bytes;
+pub mod cdf;
 pub mod check;
 pub mod json;
 pub mod mailbox;
