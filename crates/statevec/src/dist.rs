@@ -19,7 +19,7 @@
 use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{Schedule, Step};
 use crate::storage::kernel::wire_amp;
-use crate::storage::{SoaStorage, AMP_BYTES};
+use crate::storage::{SoaStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD};
 use qse_circuit::classify::{GateClass, Layout};
 use qse_circuit::lower::{lower_gate, BlockMap, Exchange, Kernel, PermuteLowering};
 use qse_circuit::transpile::Plan;
@@ -29,6 +29,7 @@ use qse_comm::collective;
 use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
 use qse_math::Complex64;
+use qse_util::parallel::parallel_extend;
 use qse_util::Bytes;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -76,6 +77,10 @@ pub struct DistributedState<'c> {
     // peer's payload (§2.1's "entire local statevector" is gigabytes per
     // process at scale, so every staged copy of it is real money).
     tags: TagSeq,
+    /// Packs every full-exchange SWAP eagerly, as the engine once always
+    /// did: the oracle the lazy order is tested against.
+    #[cfg(test)]
+    eager_swaps: bool,
 }
 
 impl<'c> DistributedState<'c> {
@@ -92,14 +97,16 @@ impl<'c> DistributedState<'c> {
         config: DistConfig,
     ) -> Self {
         let layout = Layout::new(n_qubits, comm.size() as u64);
-        let mut amps = SoaStorage::zeros(crate::ix(layout.local_amps()));
-        amps.init_basis(comm.rank() as u64 * layout.local_amps(), index);
+        let offset = comm.rank() as u64 * layout.local_amps();
+        let amps = SoaStorage::basis(crate::ix(layout.local_amps()), offset, index);
         DistributedState {
             comm,
             layout,
             amps,
             config,
             tags: TagSeq::default(),
+            #[cfg(test)]
+            eager_swaps: false,
         }
     }
 
@@ -158,20 +165,15 @@ impl<'c> DistributedState<'c> {
         pack: impl Fn(&SoaStorage, usize, usize, &mut Vec<u8>),
         mut apply: impl FnMut(&mut SoaStorage, usize, Bytes),
     ) -> CommResult<()> {
-        let (mode, policy) = (self.config.exchange_mode, self.config.chunk_policy);
-        let policy = match mode {
-            ExchangeMode::Streamed => policy.aligned(crate::ix(ex.unit) * AMP_BYTES),
-            _ => policy,
-        };
         let bytes = crate::ix(ex.amps) * AMP_BYTES;
         let mut cursor = AmpCursor::default();
         drive(
             self.comm,
-            mode,
+            self.config.exchange_mode,
             ChunkedExchange {
                 peer: crate::ix(ex.peer),
                 base_tag: tag,
-                policy,
+                policy: self.exchange_policy(ex),
                 send_total: bytes,
                 recv_total: bytes,
             },
@@ -182,6 +184,40 @@ impl<'c> DistributedState<'c> {
                 cursor.feed(range.start, payload, |start, piece| apply(amps, start, piece))
             },
         )
+    }
+
+    /// The chunk cap of exchange `ex`: the configured one, except that
+    /// the streamed mode, whose chunks complete out of order, aligns it
+    /// to the kernel's unit.
+    fn exchange_policy(&self, ex: &Exchange) -> ChunkPolicy {
+        let policy = self.config.chunk_policy;
+        match self.config.exchange_mode {
+            ExchangeMode::Streamed => policy.aligned(crate::ix(ex.unit) * AMP_BYTES),
+            _ => policy,
+        }
+    }
+
+    /// The pack order of a full-exchange SWAP of local qubit `lo` with a
+    /// global qubit whose bit on this rank is `bit`. Its scatter writes
+    /// peer amplitude `i` to `i ^ 2^lo`, a slot the peer needs from this
+    /// rank. Where `bit` is 1 that slot lies below `i`, in a chunk
+    /// already sent; where it is 0 it lies above, in the same
+    /// `2^(lo+1)`-amplitude group, so it went out with the chunk that
+    /// brought `i` when every chunk boundary falls between two groups.
+    /// Otherwise — a group cut by the cap — a later outgoing chunk still
+    /// carries it, and everything is packed before anything lands.
+    fn swap_pack_order(&self, ex: &Exchange, lo: u32, bit: u64) -> PackOrder {
+        #[cfg(test)]
+        if self.eager_swaps {
+            return PackOrder::Eager;
+        }
+        let cap = self.exchange_policy(ex).max_message_bytes;
+        let group = AMP_BYTES << lo << 1;
+        if bit == 1 || cap.is_multiple_of(group) {
+            PackOrder::Lazy
+        } else {
+            PackOrder::Eager
+        }
     }
 
     /// Applies one gate, communicating as its locality class requires.
@@ -285,13 +321,12 @@ impl<'c> DistributedState<'c> {
                 |amps, start, n, out| amps.pack_half_bit_range(lo, 1 - bit, start, n, out),
                 |amps, start, payload| amps.write_half_bit_range(lo, 1 - bit, &payload, start),
             ),
-            // QuEST-style: exchange everything, use half of it. The scatter
-            // writes peer amplitude i to i ^ 2^lo — a slot a *later*
-            // outgoing chunk still has to carry (the peer needs exactly the
-            // slots this rank overwrites) — so everything is packed before
-            // anything lands.
+            // QuEST-style: exchange everything, use half of it. The
+            // scatter writes a slot other than the one it reads, so the
+            // pack order depends on where ([`Self::swap_pack_order`]).
             Kernel::Swap { lo, bit } => {
-                self.pair_exchange(ex, tag, PackOrder::Eager, pack_all, |amps, start, payload| {
+                let order = self.swap_pack_order(ex, lo, bit);
+                self.pair_exchange(ex, tag, order, pack_all, |amps, start, payload| {
                     amps.apply_distributed_swap_range(lo, bit, &payload, start)
                 })
             }
@@ -567,25 +602,33 @@ impl<'c> DistributedState<'c> {
         Ok(bit)
     }
 
-    /// Gathers the full statevector on rank 0 (`None` elsewhere).
-    /// Test-scale only: allocates the entire `2^n` vector. Every other
-    /// rank packs its slice straight into the one payload it sends; rank
-    /// 0 builds the result straight from its own storage and from the
-    /// payloads.
+    /// Gathers the full statevector on rank 0 (`None` elsewhere): the
+    /// result a dense run hands to `qse run`, to serve and to sampling,
+    /// all `2^n` amplitudes in one vector. Every other rank packs its
+    /// slice straight into the one payload it sends. Rank 0 converts its
+    /// own slice while they pack, then decodes each payload into its
+    /// place in the result; both go over the worker pool from
+    /// [`PAR_THRESHOLD`] amplitudes up, and each result amplitude is
+    /// written once.
     pub fn gather(&mut self) -> CommResult<Option<Vec<Complex64>>> {
         let local = self.amps.len();
-        let mine = if self.rank() == 0 {
-            Bytes::new()
-        } else {
+        if self.rank() != 0 {
             let mut payload = Vec::with_capacity(local * AMP_BYTES);
             self.amps.pack_range(0, local, &mut payload);
-            Bytes::from(payload)
-        };
-        let Some(parts) = collective::gather(self.comm, 0, mine)? else {
+            collective::gather(self.comm, 0, Bytes::from(payload))?;
             return Ok(None);
+        }
+        let chunk = if local >= PAR_THRESHOLD {
+            HALF_CHUNK
+        } else {
+            local
         };
-        let mut full = Vec::with_capacity(local * parts.len());
-        full.extend((0..local).map(|i| self.amps.get(i)));
+        let mut full = Vec::with_capacity(local * self.comm.size());
+        let amps = &self.amps;
+        parallel_extend(&mut full, local, chunk, |r| amps.amplitudes(r));
+        let Some(parts) = collective::gather(self.comm, 0, Bytes::new())? else {
+            unreachable!("rank 0 is the gather's root")
+        };
         for (src, part) in parts.iter().enumerate().skip(1) {
             if part.len() != local * AMP_BYTES {
                 return Err(CommError::ChunkLength {
@@ -595,7 +638,13 @@ impl<'c> DistributedState<'c> {
                     got: part.len(),
                 });
             }
-            full.extend(part.chunks_exact(AMP_BYTES).map(wire_amp));
+        }
+        for part in &parts[1..] {
+            parallel_extend(&mut full, local, chunk, |r| {
+                part[r.start * AMP_BYTES..r.end * AMP_BYTES]
+                    .chunks_exact(AMP_BYTES)
+                    .map(wire_amp)
+            });
         }
         Ok(Some(full))
     }
@@ -1096,6 +1145,171 @@ mod tests {
         zoo
     }
 
+    /// Amplitude `i` of a state in which every amplitude is distinct and
+    /// both signs of zero are stored, so a misplaced one cannot hide.
+    fn distinct_amp(i: u64) -> Complex64 {
+        match i {
+            0 => Complex64::new(0.0, -0.0),
+            1 => Complex64::new(-0.0, 0.0),
+            _ => Complex64::new(i as f64, -0.5 * i as f64),
+        }
+    }
+
+    /// Sets every local amplitude of `st` to [`distinct_amp`] of its
+    /// global index.
+    fn fill_distinct(st: &mut DistributedState) {
+        let offset = st.rank_offset();
+        for i in 0..st.amps.len() {
+            st.amps.set(i, distinct_amp(offset + i as u64));
+        }
+    }
+
+    fn assert_amps_bits_equal(want: &[Complex64], got: &[Complex64], ctx: &str) {
+        assert_eq!(want.len(), got.len(), "{ctx}: length");
+        for (i, (w, g)) in want.iter().zip(got).enumerate() {
+            assert_eq!(w.re.to_bits(), g.re.to_bits(), "{ctx}: re at {i}");
+            assert_eq!(w.im.to_bits(), g.im.to_bits(), "{ctx}: im at {i}");
+        }
+    }
+
+    /// A full-exchange `Swap(lo, g)` for every local `lo` and every
+    /// global `g` — every pair holds both values of the rank bit — at
+    /// caps of 40 B, 48 B, 64 B, a `2^(lo+1)`-amplitude group ± one
+    /// amplitude and 1 MiB, in every exchange mode, at R ∈ {2, 4, 8} and
+    /// n ∈ {9, 12}: whichever order [`DistributedState::swap_pack_order`]
+    /// picks, the state is bit for bit the one of packing everything
+    /// first, as the engine once always did, with the same bytes,
+    /// messages and tags on every rank.
+    #[test]
+    fn swap_pack_order_conformance() {
+        let modes = [
+            ExchangeMode::Blocking,
+            ExchangeMode::NonBlocking,
+            ExchangeMode::Streamed,
+        ];
+        for n in [9u32, 12] {
+            for ranks in [2usize, 4, 8] {
+                let l = Layout::new(n, ranks as u64).local_qubits();
+                for (lo, g) in (0..l).flat_map(|lo| (l..n).map(move |g| (lo, g))) {
+                    let group = AMP_BYTES << lo << 1;
+                    for cap in [40, 48, 64, group - 16, group + 16, 1 << 20] {
+                        for mode in modes {
+                            let config = DistConfig {
+                                exchange_mode: mode,
+                                chunk_policy: ChunkPolicy::new(cap).unwrap(),
+                                half_exchange_swaps: false,
+                            };
+                            let run = |eager_swaps: bool| {
+                                Universe::new(ranks).run(|comm| {
+                                    let mut st = DistributedState::zero_state(comm, n, config);
+                                    st.eager_swaps = eager_swaps;
+                                    fill_distinct(&mut st);
+                                    st.apply(&Gate::Swap(lo, g)).unwrap();
+                                    st.barrier();
+                                    let s = st.stats();
+                                    let wire = (
+                                        s.bytes_exchanged,
+                                        s.messages_sent,
+                                        format!("{:?}", st.tags),
+                                    );
+                                    (wire, st.gather().unwrap())
+                                })
+                            };
+                            let (lazy, eager) = (run(false), run(true));
+                            let ctx = format!("n={n} R={ranks} Swap({lo}, {g}) cap={cap} {mode:?}");
+                            for (rank, (l, e)) in lazy.iter().zip(&eager).enumerate() {
+                                assert_eq!(l.0, e.0, "{ctx} rank {rank}: bytes, messages, tags");
+                            }
+                            let want = eager
+                                .into_iter()
+                                .find_map(|o| o.1)
+                                .expect("rank 0 gathered");
+                            let got = lazy.into_iter().find_map(|o| o.1).expect("rank 0 gathered");
+                            assert_amps_bits_equal(&want, &got, &ctx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The gather before rank 0 overlapped its own conversion with the
+    /// peers' packing and decoded over the pool: the oracle of
+    /// [`gather_matches_the_sequential_gather`].
+    fn old_gather(st: &mut DistributedState) -> CommResult<Option<Vec<Complex64>>> {
+        let local = st.amps.len();
+        let mine = if st.rank() == 0 {
+            Bytes::new()
+        } else {
+            let mut payload = Vec::with_capacity(local * AMP_BYTES);
+            st.amps.pack_range(0, local, &mut payload);
+            Bytes::from(payload)
+        };
+        let Some(parts) = collective::gather(st.comm, 0, mine)? else {
+            return Ok(None);
+        };
+        let mut full = Vec::with_capacity(local * parts.len());
+        full.extend((0..local).map(|i| st.amps.get(i)));
+        for (src, part) in parts.iter().enumerate().skip(1) {
+            if part.len() != local * AMP_BYTES {
+                return Err(CommError::ChunkLength {
+                    src,
+                    tag: collective::TAG_GATHER,
+                    expected: local * AMP_BYTES,
+                    got: part.len(),
+                });
+            }
+            full.extend(part.chunks_exact(AMP_BYTES).map(wire_amp));
+        }
+        Ok(Some(full))
+    }
+
+    /// The gather, bit for bit the sequential one at R ∈ {1, 2, 4, 8} on
+    /// slices straddling [`PAR_THRESHOLD`]; a peer's payload of the wrong
+    /// length is still refused with `ChunkLength`.
+    #[test]
+    fn gather_matches_the_sequential_gather() {
+        for ranks in [1usize, 2, 4, 8] {
+            for local in [64, PAR_THRESHOLD / 2, PAR_THRESHOLD, 2 * PAR_THRESHOLD] {
+                let n = (local * ranks).trailing_zeros();
+                let out = Universe::new(ranks).run(|comm| {
+                    let mut st = DistributedState::zero_state(comm, n, DistConfig::default());
+                    fill_distinct(&mut st);
+                    let new = st.gather().unwrap();
+                    (new, old_gather(&mut st).unwrap())
+                });
+                let ctx = format!("R={ranks} local={local}");
+                let (new, old) = out.into_iter().next().expect("rank 0");
+                let (new, old) = (new.expect("rank 0 gathered"), old.expect("rank 0 gathered"));
+                assert_eq!(new.len(), local * ranks, "{ctx}");
+                assert_eq!(new.capacity(), new.len(), "{ctx}: capacity");
+                assert_amps_bits_equal(&old, &new, &ctx);
+            }
+        }
+        // Rank 2 sends one amplitude too few; the others their slices.
+        let local = PAR_THRESHOLD;
+        let errs = Universe::new(4).run(|comm| {
+            if comm.rank() == 2 {
+                let short = Bytes::from(vec![0u8; (local - 1) * AMP_BYTES]);
+                return collective::gather(comm, 0, short).map(|_| ());
+            }
+            let n = (4 * local).trailing_zeros();
+            DistributedState::zero_state(comm, n, DistConfig::default())
+                .gather()
+                .map(|_| ())
+        });
+        assert_eq!(
+            errs[0],
+            Err(CommError::ChunkLength {
+                src: 2,
+                tag: collective::TAG_GATHER,
+                expected: local * AMP_BYTES,
+                got: (local - 1) * AMP_BYTES,
+            })
+        );
+        assert!(errs[1..].iter().all(Result::is_ok));
+    }
+
     /// Π(p) on the distributed state, for every permutation of the zoo
     /// at n ∈ {6, 9, 12}, R ∈ {1, 2, 4, 8} and caps {40 B, 64 B, 1 MiB}:
     /// the gathered state holds amplitude `i` at `p.permute_index(i)` bit
@@ -1106,11 +1320,6 @@ mod tests {
     #[test]
     fn global_permutation_conformance() {
         use qse_circuit::transpile::permutation_traffic;
-        let amp = |i: u64| match i {
-            0 => Complex64::new(0.0, -0.0),
-            1 => Complex64::new(-0.0, 0.0),
-            _ => Complex64::new(i as f64, -0.5 * i as f64),
-        };
         for n in [6u32, 9, 12] {
             for (shape, perm) in permutation_zoo(n) {
                 for ranks in [1usize, 2, 4, 8] {
@@ -1134,10 +1343,7 @@ mod tests {
                         let out = Universe::new(ranks).run(|comm| {
                             let mut st =
                                 DistributedState::zero_state(comm, n, config);
-                            let offset = st.rank_offset();
-                            for i in 0..st.amps.len() {
-                                st.amps.set(i, amp(offset + i as u64));
-                            }
+                            fill_distinct(&mut st);
                             st.apply_global_permutation(&perm).unwrap();
                             st.barrier();
                             let sent = st.stats().bytes_exchanged;
@@ -1148,7 +1354,8 @@ mod tests {
                         }
                         let after = out.into_iter().find_map(|o| o.1).expect("rank 0 gathered");
                         for i in 0..1u64 << n {
-                            let (want, got) = (amp(i), after[crate::ix(perm.permute_index(i))]);
+                            let (want, got) =
+                                (distinct_amp(i), after[crate::ix(perm.permute_index(i))]);
                             assert_eq!(want.re.to_bits(), got.re.to_bits(), "{ctx} index {i}");
                             assert_eq!(want.im.to_bits(), got.im.to_bits(), "{ctx} index {i}");
                         }

@@ -99,8 +99,8 @@ pub fn sample_counts<R: Rng>(
 ) -> Result<std::collections::BTreeMap<u64, usize>, MeasureError> {
     // The same total as `sample_index` (the chunk-reduced norm), so both
     // paths feed `random_range` identically for a given RNG stream.
-    let len = state.storage().len() as u64;
-    let cdf = Cdf::dense((0..len).map(|i| state.amplitude(i).norm_sqr()))
+    let amps = state.storage();
+    let cdf = Cdf::dense(amps.len(), |r| amps.amplitudes(r).map(|a| a.norm_sqr()))
         .and_then(|cdf| cdf.with_total(state.norm_sqr()))
         .map_err(|_| MeasureError::ZeroNorm)?;
     Ok(cdf.sample_counts(rng, shots))
@@ -111,7 +111,8 @@ pub fn sample_counts<R: Rng>(
 /// equals the CDF's final entry exactly). Build it once to draw many
 /// seeds' histograms from one state.
 pub fn amps_sampler(amps: &[Complex64]) -> Result<Cdf, MeasureError> {
-    Cdf::dense(amps.iter().map(|a| a.norm_sqr())).map_err(|_| MeasureError::ZeroNorm)
+    Cdf::dense(amps.len(), |r| amps[r].iter().map(|a| a.norm_sqr()))
+        .map_err(|_| MeasureError::ZeroNorm)
 }
 
 /// [`sample_counts`] over a raw amplitude slice — the entry point for

@@ -28,8 +28,7 @@ impl SingleState {
             n_qubits <= 30,
             "single-process register capped at 30 qubits (16 GiB)"
         );
-        let mut amps = SoaStorage::zeros(1usize << n_qubits);
-        amps.init_basis(0, index);
+        let amps = SoaStorage::basis(1usize << n_qubits, 0, index);
         SingleState { n_qubits, amps }
     }
 

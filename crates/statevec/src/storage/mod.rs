@@ -112,11 +112,12 @@ pub(crate) mod conformance {
         combine_is_linear();
         pack_copy_roundtrip();
         half_bit_pack_write();
-        init_basis_places_one();
+        basis_places_one();
         large_parallel_sweep_matches_small();
         controlled_pairs_multi_chunk();
         large_swap_matches_permutation();
         payload_kernels_chunked_match_whole();
+        swap_scatter_matches_its_definition();
         pack_chunked_matches_to_f64_vec();
     }
 
@@ -312,6 +313,29 @@ pub(crate) mod conformance {
             assert_chunked_matches_whole(len, &theirs, 1, "block copy", |s, start, p| {
                 s.copy_from_f64_range(&p, start)
             });
+        }
+    }
+
+    /// The SWAP scatter on any sub-range, short runs (`lo < 3`) and long
+    /// ones alike, against its definition amplitude by amplitude: peer
+    /// amplitude `i` with bit `lo` equal to `g` lands at `i ^ 2^lo`, and
+    /// every other slot keeps its value.
+    fn swap_scatter_matches_its_definition() {
+        let len = 64usize;
+        let payload = peer_payload(len);
+        for lo in 0..len.trailing_zeros() {
+            for g in [0u64, 1] {
+                for (start, n) in [(0usize, len), (0, 1), (3, 9), (5, 30), (17, 47), (63, 1)] {
+                    let mut s = ramp(len);
+                    let bytes = &payload[start * AMP_BYTES..(start + n) * AMP_BYTES];
+                    s.apply_distributed_swap_range(lo, g, bytes, start);
+                    let mut want = ramp(len);
+                    for i in (start..start + n).filter(|i| ((i >> lo) & 1) as u64 == g) {
+                        want.set(i ^ (1 << lo), kernel::wire_amp(&payload[i * AMP_BYTES..]));
+                    }
+                    assert_bits_equal(&want, &s, &format!("lo {lo} g {g} range {start}+{n}"));
+                }
+            }
         }
     }
 
@@ -813,13 +837,13 @@ pub(crate) mod conformance {
         }
     }
 
-    fn init_basis_places_one() {
-        let mut s = SoaStorage::zeros(8);
-        s.init_basis(8, 11); // local index 3
+    fn basis_places_one() {
+        let s = SoaStorage::basis(8, 8, 11); // local index 3
         assert_complex_close(s.get(3), Complex64::ONE, 1e-15);
         assert_close(s.norm_sqr_sum(), 1.0, 1e-15);
-        s.init_basis(8, 3); // outside this slice
-        assert_close(s.norm_sqr_sum(), 0.0, 1e-15);
+        for outside in [3, 16, u64::MAX] {
+            assert_close(SoaStorage::basis(8, 8, outside).norm_sqr_sum(), 0.0, 1e-15);
+        }
     }
 
     fn large_parallel_sweep_matches_small() {

@@ -24,7 +24,7 @@ use qse_math::bits;
 use qse_math::{Complex64, Matrix2};
 use qse_util::parallel::{parallel_for_each_affine, parallel_map_sum};
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Deref, DerefMut, Range};
 use std::ptr::NonNull;
 
 /// Separate `re[]` / `im[]` amplitude arrays.
@@ -631,15 +631,16 @@ impl SoaStorage {
         }
     }
 
-    /// Zero-state initialiser for the slice whose first amplitude has
-    /// global index `offset`: amplitude `basis` = 1 if it falls in
-    /// `[offset, offset + len)`, everything else 0.
-    pub fn init_basis(&mut self, offset: u64, basis: u64) {
-        self.fill_zero();
-        let len = self.len() as u64;
-        if basis >= offset && basis < offset + len {
-            self.set(crate::ix(basis - offset), Complex64::ONE);
+    /// The slice of `len` amplitudes whose first one has global index
+    /// `offset`, of the basis state |basis⟩: amplitude `basis` is 1 if it
+    /// falls in `[offset, offset + len)`, everything else 0 — written
+    /// once, by [`Self::zeros`]'s first-touch pass.
+    pub fn basis(len: usize, offset: u64, basis: u64) -> Self {
+        let mut s = Self::zeros(len);
+        if let Some(i) = basis.checked_sub(offset).filter(|&i| i < len as u64) {
+            s.set(crate::ix(i), Complex64::ONE);
         }
+        s
     }
 
     /// Σ|amp|² over the local slice.
@@ -968,9 +969,28 @@ impl SoaStorage {
     /// peer amplitude `payload[i - start]` lands at `i ^ (1<<lo)` —
     /// *outside* the range when it is narrower than `2^(lo+1)`. Pure
     /// copies with disjoint destinations, so range order never matters.
+    /// Runs of under eight amplitudes (`lo < 3`) are copied lane by lane
+    /// in one pass over the range, not as one range copy each.
     pub fn apply_distributed_swap_range(&mut self, lo: u32, g: u64, payload: &[u8], start: usize) {
         let n = wire_amps(payload);
         assert!(start + n <= self.len(), "payload beyond local slice");
+        if lo < 3 {
+            let run = 1usize << lo;
+            // Destinations are `i ^ run` for `i` in the range: the range
+            // widened to whole `2·run` groups bounds them.
+            let from = start & !(2 * run - 1);
+            let to = (start + n).next_multiple_of(2 * run).min(self.len());
+            let (re, im) = (&mut self.re[from..to], &mut self.im[from..to]);
+            for (k, amp) in payload.chunks_exact(AMP_BYTES).enumerate() {
+                let i = start + k;
+                if ((i >> lo) & 1) as u64 == g {
+                    let a = kernel::wire_amp(amp);
+                    re[(i ^ run) - from] = a.re;
+                    im[(i ^ run) - from] = a.im;
+                }
+            }
+            return;
+        }
         kernel::for_each_bit_run(start, n, 1 << lo, g, |a, b| {
             let bytes = &payload[(a - start) * AMP_BYTES..(b - start) * AMP_BYTES];
             self.copy_from_f64_range(bytes, a ^ (1usize << lo));
@@ -1011,13 +1031,15 @@ impl SoaStorage {
             .collect()
     }
 
-    /// Materialises the local slice as complex values (tests/gather).
+    /// Materialises the local slice as complex values.
     pub fn to_complex_vec(&self) -> Vec<Complex64> {
-        self.re
-            .iter()
-            .zip(self.im.iter())
-            .map(|(&r, &i)| Complex64::new(r, i))
-            .collect()
+        self.amplitudes(0..self.len()).collect()
+    }
+
+    /// Amplitudes `range`, in order.
+    pub fn amplitudes(&self, range: Range<usize>) -> impl Iterator<Item = Complex64> + '_ {
+        let (re, im) = (&self.re[range.clone()], &self.im[range]);
+        re.iter().zip(im).map(|(&r, &i)| Complex64::new(r, i))
     }
 }
 

@@ -5,11 +5,15 @@
 //! H, the bytes allocated per gate per rank (the first chunk's buffer;
 //! a buffer per chunk would be a slice's worth, a staged copy two) and
 //! the peak of live exchange memory (the chunks in flight, not a
-//! slice-sized scratch); and a one-slice bound for a two-qubit unitary
-//! whose orbit is the whole slice, where every chunk is a fraction of an
-//! orbit and the consumer keeps views of the payloads it has to pair; and
-//! for a `Permute` step, the bytes it sends plus two chunks (no permuted
-//! slice beside the old one, no index lists).
+//! slice-sized scratch); the same for a full-exchange SWAP whose
+//! scatter stays inside the chunk it came in (packed lazily), and a
+//! one-slice bound for one whose `2^(lo+1)`-amplitude group the cap cuts
+//! (its bit-0 rank packs every chunk first); a one-slice bound for a
+//! two-qubit unitary whose orbit is the whole slice, where every chunk
+//! is a fraction of an orbit and the consumer keeps views of the
+//! payloads it has to pair; and for a `Permute` step, the bytes it sends
+//! plus two chunks (no permuted slice beside the old one, no index
+//! lists).
 //!
 //! One test only: the allocator counts the whole process, and a second
 //! test running beside this one would be counted too.
@@ -118,6 +122,32 @@ fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
     assert!(
         peak <= 4 * CHUNK,
         "peak live exchange memory {peak} B exceeds 4 chunks of {CHUNK} B"
+    );
+
+    // A full-exchange SWAP whose 2^(lo+1)-amplitude groups every chunk
+    // boundary respects packs lazily on both ranks, so it allocates and
+    // holds what the H does.
+    let swap = Gate::Swap(0, N - 1);
+    let (allocated, peak, _) = measure(ExchangeMode::Blocking, |st| st.apply(&swap).unwrap());
+    let per_gate_per_rank = allocated / (GATES * RANKS);
+    assert!(
+        (CHUNK..=2 * CHUNK).contains(&per_gate_per_rank),
+        "aligned SWAP: {per_gate_per_rank} B allocated per gate per rank, not the first \
+         {CHUNK} B chunk: the SWAP packs every chunk first ({SLICE_BYTES} B the slice)"
+    );
+    assert!(
+        peak <= 4 * CHUNK,
+        "aligned SWAP: peak live exchange memory {peak} B exceeds 4 chunks of {CHUNK} B"
+    );
+    // Groups wider than a chunk: the rank whose bit is 0 scatters into
+    // chunks it has not sent yet, so it packs its whole slice first.
+    let top_local = Gate::Swap(N - 2, N - 1);
+    let (allocated, _, _) = measure(ExchangeMode::Blocking, |st| st.apply(&top_local).unwrap());
+    let per_gate_per_rank = allocated / (GATES * RANKS);
+    assert!(
+        per_gate_per_rank <= SLICE_BYTES,
+        "cut-group SWAP: {per_gate_per_rank} B allocated per gate per rank exceeds the \
+         {SLICE_BYTES} B slice"
     );
 
     // A 2q unitary on the top local qubit: its orbit is the whole slice,

@@ -9,8 +9,17 @@
 //! state serves any number of seeds (a batch of jobs sharing one
 //! execution) for the price of one table.
 
+use crate::parallel::parallel_extend;
 use crate::rng::Rng;
 use std::collections::BTreeMap;
+use std::ops::Range;
+
+/// Outcomes from which [`Cdf::dense`] computes its weights over the
+/// worker pool; below it the fork-join costs more than the weights.
+const DENSE_PAR_THRESHOLD: usize = 1 << 15;
+
+/// Weights per pool work item of [`Cdf::dense`].
+const DENSE_PAR_ITEM: usize = 1 << 13;
 
 /// The weights sum to zero (or are not a number): there is no
 /// distribution to draw from. Each engine maps this to its own error.
@@ -41,38 +50,52 @@ pub struct Cdf {
 }
 
 impl Cdf {
-    /// Outcomes `0..len`, outcome `i` weighted by the `i`-th weight.
-    pub fn dense(weights: impl IntoIterator<Item = f64>) -> Result<Cdf, ZeroTotal> {
-        let pairs = weights.into_iter().enumerate().map(|(i, w)| (i as u64, w));
-        Self::build(pairs, None)
+    /// Outcomes `0..len`, outcome `i` weighted by the `i`-th weight,
+    /// which `weights(a..b)` yields for the outcomes in `a..b`. From
+    /// 2¹⁵ outcomes up the weights are computed over the worker pool,
+    /// straight into the buffer that becomes the prefix table; the sum
+    /// is one sequential pass in outcome order either way, so the table
+    /// and every draw are the same at any thread count.
+    ///
+    /// # Panics
+    /// Panics when `weights(a..b)` yields other than `b − a` weights.
+    pub fn dense<I: IntoIterator<Item = f64>>(
+        len: usize,
+        weights: impl Fn(Range<usize>) -> I + Sync,
+    ) -> Result<Cdf, ZeroTotal> {
+        let chunk = if len >= DENSE_PAR_THRESHOLD {
+            DENSE_PAR_ITEM
+        } else {
+            len.max(1)
+        };
+        let mut prefix = Vec::new();
+        parallel_extend(&mut prefix, len, chunk, weights);
+        Self::summed(prefix, None)
     }
 
     /// `(outcome, weight)` pairs in ascending outcome order.
     pub fn sparse(pairs: impl IntoIterator<Item = (u64, f64)>) -> Result<Cdf, ZeroTotal> {
-        Self::build(pairs.into_iter(), Some(Vec::new()))
+        let (keys, weights) = pairs.into_iter().unzip();
+        Self::summed(weights, Some(keys))
     }
 
-    fn build(
-        pairs: impl Iterator<Item = (u64, f64)>,
-        mut keys: Option<Vec<u64>>,
-    ) -> Result<Cdf, ZeroTotal> {
-        let len = pairs.size_hint().0;
-        let mut prefix = Vec::with_capacity(len);
-        if let Some(keys) = &mut keys {
-            keys.reserve_exact(len);
-        }
+    /// Turns the weights in `prefix` into their inclusive prefix sums in
+    /// place, in one pass in outcome order.
+    fn summed(mut prefix: Vec<f64>, keys: Option<Vec<u64>>) -> Result<Cdf, ZeroTotal> {
         let mut acc = 0.0f64;
-        let mut last_positive = 0u64;
-        for (k, w) in pairs {
-            if w > 0.0 {
-                last_positive = k;
+        let mut last_positive = None;
+        for (i, p) in prefix.iter_mut().enumerate() {
+            if *p > 0.0 {
+                last_positive = Some(i);
             }
-            acc += w;
-            prefix.push(acc);
-            if let Some(keys) = &mut keys {
-                keys.push(k);
-            }
+            acc += *p;
+            *p = acc;
         }
+        let last_positive = match (last_positive, &keys) {
+            (Some(i), Some(keys)) => keys[i],
+            (Some(i), None) => i as u64,
+            (None, _) => 0,
+        };
         Cdf {
             prefix,
             keys,
@@ -125,14 +148,10 @@ mod tests {
     // over a `SingleState`), `SparseState::sample_counts` and
     // `Tableau::sample_counts`, each over the weights its state yields.
 
-    fn old_dense(
-        weights: &[f64],
-        total: Option<f64>,
-        rng: &mut StdRng,
-        shots: usize,
-    ) -> Result<BTreeMap<u64, usize>, ZeroTotal> {
-        let len = weights.len();
-        let mut cdf = Vec::with_capacity(len);
+    /// The old dense table: prefix sums pushed one by one, the last
+    /// positive outcome, and the final sum.
+    fn old_dense_table(weights: &[f64]) -> (Vec<f64>, u64, f64) {
+        let mut cdf = Vec::with_capacity(weights.len());
         let mut acc = 0.0f64;
         let mut last_nonzero = 0u64;
         for (i, &p) in weights.iter().enumerate() {
@@ -142,6 +161,17 @@ mod tests {
             acc += p;
             cdf.push(acc);
         }
+        (cdf, last_nonzero, acc)
+    }
+
+    fn old_dense(
+        weights: &[f64],
+        total: Option<f64>,
+        rng: &mut StdRng,
+        shots: usize,
+    ) -> Result<BTreeMap<u64, usize>, ZeroTotal> {
+        let len = weights.len();
+        let (cdf, last_nonzero, acc) = old_dense_table(weights);
         let total = total.unwrap_or(acc);
         if total <= 0.0 {
             return Err(ZeroTotal);
@@ -239,6 +269,10 @@ mod tests {
         w
     }
 
+    fn dense_of(weights: &[f64]) -> Result<Cdf, ZeroTotal> {
+        Cdf::dense(weights.len(), |r| weights[r].iter().copied())
+    }
+
     fn draws(cdf: &Cdf, seed: u64, shots: usize) -> BTreeMap<u64, usize> {
         cdf.sample_counts(&mut StdRng::seed_from_u64(seed), shots)
     }
@@ -252,14 +286,14 @@ mod tests {
 
             // Dense: outcomes are indices.
             let old = old_dense(&w, None, &mut StdRng::seed_from_u64(seed), shots);
-            let new = Cdf::dense(w.iter().copied()).map(|c| draws(&c, seed, shots));
+            let new = dense_of(&w).map(|c| draws(&c, seed, shots));
             assert_eq!(new, old, "dense weights {w:?}");
 
             // Dense under a wider draw range: a share of the draws
             // overflow onto the last positive outcome.
             let total: f64 = w.iter().sum::<f64>() * 1.5;
             let old = old_dense(&w, Some(total), &mut StdRng::seed_from_u64(seed), shots);
-            let new = Cdf::dense(w.iter().copied())
+            let new = dense_of(&w)
                 .and_then(|c| c.with_total(total))
                 .map(|c| draws(&c, seed, shots));
             assert_eq!(new, old, "dense weights {w:?}, total {total}");
@@ -288,6 +322,72 @@ mod tests {
         });
     }
 
+    /// The pool-built table against the old sequential build, on sizes
+    /// straddling the pool threshold: random weights, a zero tail,
+    /// weights too small to move the running sum once it is large, a
+    /// single positive outcome — and all-zero or NaN weights, which have
+    /// no distribution.
+    #[test]
+    fn pool_built_dense_table_matches_the_old_build() {
+        let t = DENSE_PAR_THRESHOLD;
+        let sizes = [
+            1usize,
+            5,
+            t / 2,
+            t - 1,
+            t,
+            t + 1,
+            t + DENSE_PAR_ITEM / 2,
+            4 * t + 3,
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        for len in sizes {
+            let random: Vec<f64> = (0..len).map(|_| rng.random_f64()).collect();
+            let mut zero_tail = random.clone();
+            zero_tail[len / 2 + 1..].iter_mut().for_each(|w| *w = 0.0);
+            let absorbed: Vec<f64> = (0..len)
+                .map(|i| if i < len / 3 { 1.0 } else { 1e-20 })
+                .collect();
+            let mut single = vec![0.0; len];
+            single[len * 2 / 3] = 0.25;
+            for (shape, w) in [
+                ("random", random),
+                ("zero tail", zero_tail),
+                ("absorbed", absorbed),
+                ("single", single),
+            ] {
+                let what = format!("{shape} len {len}");
+                let new = dense_of(&w).expect(&what);
+                let (prefix, last_positive, total) = old_dense_table(&w);
+                assert!(
+                    new.prefix
+                        .iter()
+                        .map(|p| p.to_bits())
+                        .eq(prefix.iter().map(|p| p.to_bits())),
+                    "{what}"
+                );
+                assert_eq!(new.last_positive, last_positive, "{what}");
+                assert_eq!(new.total.to_bits(), total.to_bits(), "{what}");
+                assert!(new.keys.is_none(), "{what}");
+                let seed = rng.next_u64();
+                let old = old_dense(&w, None, &mut StdRng::seed_from_u64(seed), 500);
+                assert_eq!(Ok(draws(&new, seed, 500)), old, "{what}");
+            }
+            let zeros = vec![0.0; len];
+            assert_eq!(
+                dense_of(&zeros),
+                Err(ZeroTotal)
+            );
+            let mut nan = vec![0.5; len];
+            nan[len - 1] = f64::NAN;
+            assert_eq!(
+                dense_of(&nan),
+                Err(ZeroTotal)
+            );
+        }
+        assert_eq!(dense_of(&[]), Err(ZeroTotal));
+    }
+
     /// Always the same 64 bits: pins every draw to one end of the range.
     struct Fixed(u64);
 
@@ -299,7 +399,7 @@ mod tests {
 
     #[test]
     fn draws_at_either_end_of_the_range_skip_zero_weights() {
-        let dense = Cdf::dense([0.0, 0.0, 0.5, 0.0, 0.5, 0.0]).unwrap();
+        let dense = dense_of(&[0.0, 0.0, 0.5, 0.0, 0.5, 0.0]).unwrap();
         assert_eq!(dense.draw(&mut Fixed(0)), 2);
         assert_eq!(dense.draw(&mut Fixed(u64::MAX)), 4);
         let sparse = Cdf::sparse([(3, 0.0), (7, 1.0), (9, 0.0)]).unwrap();
@@ -309,11 +409,11 @@ mod tests {
 
     #[test]
     fn zero_total_is_a_typed_error() {
-        assert_eq!(Cdf::dense([0.0; 8]), Err(ZeroTotal));
-        assert_eq!(Cdf::dense([]), Err(ZeroTotal));
+        assert_eq!(dense_of(&[0.0; 8]), Err(ZeroTotal));
+        assert_eq!(dense_of(&[]), Err(ZeroTotal));
         assert_eq!(Cdf::sparse([(3, 0.0), (9, 0.0)]), Err(ZeroTotal));
-        assert_eq!(Cdf::dense([f64::NAN]), Err(ZeroTotal));
-        let cdf = Cdf::dense([0.25, 0.75]).unwrap();
+        assert_eq!(dense_of(&[f64::NAN]), Err(ZeroTotal));
+        let cdf = dense_of(&[0.25, 0.75]).unwrap();
         assert_eq!(cdf.clone().with_total(0.0), Err(ZeroTotal));
         assert_eq!(cdf.with_total(f64::NAN), Err(ZeroTotal));
         assert!(ZeroTotal.to_string().contains("zero"));

@@ -345,6 +345,53 @@ pub fn parallel_map_sum<T: Send>(items: Vec<T>, f: impl Fn(T) -> f64 + Sync) -> 
         .sum()
 }
 
+/// Appends `n` elements to `out`, computed over the pool in work items
+/// of `chunk` elements (the last one shorter): the item covering
+/// elements `[a, b)` of the `n` writes the elements of `f(a..b)` straight
+/// into `out`'s spare capacity, so the new elements are written once —
+/// no fill pass before them, no copy after. One item runs sequentially
+/// on the caller, as in [`parallel_for_each`].
+///
+/// # Panics
+/// Panics when `chunk` is zero, or when `f(a..b)` yields other than
+/// `b − a` elements; `out` then keeps its length and the elements
+/// written so far are leaked, never read.
+pub fn parallel_extend<T, I>(
+    out: &mut Vec<T>,
+    n: usize,
+    chunk: usize,
+    f: impl Fn(std::ops::Range<usize>) -> I + Sync,
+) where
+    T: Send,
+    I: IntoIterator<Item = T>,
+{
+    assert!(chunk > 0, "work items must hold at least one element");
+    out.reserve(n);
+    let len = out.len();
+    let items: Vec<(usize, &mut [std::mem::MaybeUninit<T>])> = out.spare_capacity_mut()[..n]
+        .chunks_mut(chunk)
+        .enumerate()
+        .map(|(i, slots)| (i * chunk, slots))
+        .collect();
+    parallel_for_each(items, |(at, slots)| {
+        let (mut filled, want) = (0, slots.len());
+        let mut values = f(at..at + want).into_iter();
+        for (slot, value) in slots.iter_mut().zip(&mut values) {
+            slot.write(value);
+            filled += 1;
+        }
+        assert!(
+            filled == want && values.next().is_none(),
+            "the item yielded other than its {want} elements"
+        );
+    });
+    // SAFETY: `parallel_for_each` returned, so every item ran to the end
+    // without panicking (a panic resumes on this thread before this
+    // line): each wrote all of its slots, and the items tile
+    // `len..len + n` of the capacity reserved above.
+    unsafe { out.set_len(len + n) };
+}
+
 /// Picks a work-item length for splitting `len` elements: roughly four
 /// items per worker thread for load balancing, but never below
 /// `min_chunk` (kernels choose `min_chunk` so per-item overhead stays
@@ -404,6 +451,44 @@ mod tests {
         });
         assert_eq!(hit.load(Ordering::SeqCst), 1);
         assert_eq!(parallel_map_sum(Vec::<f64>::new(), |x| x), 0.0);
+    }
+
+    #[test]
+    fn extend_appends_every_element_in_order() {
+        let cases = [
+            (0usize, 4usize),
+            (1, 4),
+            (7, 3),
+            (4096, 64),
+            (1000, 1000),
+            (5, 100),
+        ];
+        for (n, chunk) in cases {
+            let mut out = vec![u64::MAX; 3];
+            parallel_extend(&mut out, n, chunk, |r| r.map(|i| i as u64));
+            assert_eq!(out.len(), 3 + n);
+            assert!(out[..3].iter().all(|&v| v == u64::MAX));
+            let appended = out[3..].iter().enumerate().all(|(i, &v)| v == i as u64);
+            assert!(appended, "n {n} chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn extend_with_a_miscounted_item_panics_and_appends_nothing() {
+        let mut out = vec![1u32];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_extend(&mut out, 64, 8, |r| {
+                let short = usize::from(r.start == 32);
+                r.skip(short).map(|i| i as u32)
+            });
+        }));
+        assert!(caught.is_err());
+        assert_eq!(out, [1]);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_extend(&mut out, 64, 8, |r| (r.start..r.end + 1).map(|i| i as u32));
+        }));
+        assert!(caught.is_err());
+        assert_eq!(out, [1]);
     }
 
     #[test]
