@@ -19,7 +19,7 @@
 use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{Schedule, Step};
 use crate::storage::kernel::wire_amp;
-use crate::storage::{SoaStorage, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD};
+use crate::storage::{extend_over_pool, SoaStorage, AMP_BYTES};
 use qse_circuit::classify::{GateClass, Layout};
 use qse_circuit::lower::{lower_gate, BlockMap, Exchange, Kernel, PermuteLowering};
 use qse_circuit::transpile::Plan;
@@ -29,7 +29,6 @@ use qse_comm::collective;
 use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
 use qse_math::Complex64;
-use qse_util::parallel::parallel_extend;
 use qse_util::Bytes;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -607,9 +606,8 @@ impl<'c> DistributedState<'c> {
     /// all `2^n` amplitudes in one vector. Every other rank packs its
     /// slice straight into the one payload it sends. Rank 0 converts its
     /// own slice while they pack, then decodes each payload into its
-    /// place in the result; both go over the worker pool from
-    /// [`PAR_THRESHOLD`] amplitudes up, and each result amplitude is
-    /// written once.
+    /// place in the result; both go over the worker pool
+    /// ([`extend_over_pool`]), and each result amplitude is written once.
     pub fn gather(&mut self) -> CommResult<Option<Vec<Complex64>>> {
         let local = self.amps.len();
         if self.rank() != 0 {
@@ -618,14 +616,9 @@ impl<'c> DistributedState<'c> {
             collective::gather(self.comm, 0, Bytes::from(payload))?;
             return Ok(None);
         }
-        let chunk = if local >= PAR_THRESHOLD {
-            HALF_CHUNK
-        } else {
-            local
-        };
         let mut full = Vec::with_capacity(local * self.comm.size());
         let amps = &self.amps;
-        parallel_extend(&mut full, local, chunk, |r| amps.amplitudes(r));
+        extend_over_pool(&mut full, local, |r| amps.amplitudes(r));
         let Some(parts) = collective::gather(self.comm, 0, Bytes::new())? else {
             unreachable!("rank 0 is the gather's root")
         };
@@ -640,7 +633,7 @@ impl<'c> DistributedState<'c> {
             }
         }
         for part in &parts[1..] {
-            parallel_extend(&mut full, local, chunk, |r| {
+            extend_over_pool(&mut full, local, |r| {
                 part[r.start * AMP_BYTES..r.end * AMP_BYTES]
                     .chunks_exact(AMP_BYTES)
                     .map(wire_amp)
@@ -775,6 +768,7 @@ pub(crate) fn pack_wire_bytes(
 mod tests {
     use super::*;
     use crate::reference::ReferenceState;
+    use crate::storage::PAR_THRESHOLD;
     use qse_circuit::qft::{cache_blocked_qft, qft};
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_circuit::transpile::cache_blocking::cache_block;

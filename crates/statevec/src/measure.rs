@@ -13,6 +13,7 @@
 //! binaries (CLI, examples) convert these into panics.
 
 use crate::single::SingleState;
+use crate::storage::extend_over_pool;
 use qse_math::Complex64;
 use qse_util::cdf::Cdf;
 use qse_util::rng::Rng;
@@ -100,7 +101,11 @@ pub fn sample_counts<R: Rng>(
     // The same total as `sample_index` (the chunk-reduced norm), so both
     // paths feed `random_range` identically for a given RNG stream.
     let amps = state.storage();
-    let cdf = Cdf::dense(amps.len(), |r| amps.amplitudes(r).map(|a| a.norm_sqr()))
+    let mut weights = Vec::new();
+    extend_over_pool(&mut weights, amps.len(), |r| {
+        amps.amplitudes(r).map(|a| a.norm_sqr())
+    });
+    let cdf = Cdf::dense(weights)
         .and_then(|cdf| cdf.with_total(state.norm_sqr()))
         .map_err(|_| MeasureError::ZeroNorm)?;
     Ok(cdf.sample_counts(rng, shots))
@@ -111,8 +116,11 @@ pub fn sample_counts<R: Rng>(
 /// equals the CDF's final entry exactly). Build it once to draw many
 /// seeds' histograms from one state.
 pub fn amps_sampler(amps: &[Complex64]) -> Result<Cdf, MeasureError> {
-    Cdf::dense(amps.len(), |r| amps[r].iter().map(|a| a.norm_sqr()))
-        .map_err(|_| MeasureError::ZeroNorm)
+    let mut weights = Vec::new();
+    extend_over_pool(&mut weights, amps.len(), |r| {
+        amps[r].iter().map(|a| a.norm_sqr())
+    });
+    Cdf::dense(weights).map_err(|_| MeasureError::ZeroNorm)
 }
 
 /// [`sample_counts`] over a raw amplitude slice — the entry point for
@@ -264,6 +272,62 @@ mod tests {
                 sample_counts_amps(&amps, &mut StdRng::seed_from_u64(seed), 700).unwrap(),
                 "seed {seed}"
             );
+        }
+    }
+
+    /// The weights computed over the pool give the sampler of the old
+    /// sequential build, `Cdf::dense` over the weights in outcome order
+    /// (whose table the in-place sum keeps bit for bit, see `qse_util`'s
+    /// cdf tests), on sizes straddling the pool threshold: equal tables
+    /// and seeded histograms, for raw amplitudes and for a `SingleState`
+    /// — and all-zero or NaN amplitudes have no distribution.
+    #[test]
+    fn pool_built_dense_sampler_matches_the_sequential_build() {
+        use crate::storage::PAR_THRESHOLD;
+        let t = PAR_THRESHOLD;
+        let mut rng = StdRng::seed_from_u64(11);
+        for len in [1usize, 5, t / 2, t - 1, t, t + 1, t + 4096 + 7, 4 * t] {
+            let random: Vec<Complex64> = (0..len)
+                .map(|_| Complex64::new(rng.random_f64() - 0.5, rng.random_f64() - 0.5))
+                .collect();
+            let mut zero_tail = random.clone();
+            zero_tail[len / 2 + 1..].fill(Complex64::ZERO);
+            let absorbed: Vec<Complex64> = (0..len)
+                .map(|i| Complex64::new(if i < len / 3 { 1.0 } else { 1e-10 }, 0.0))
+                .collect();
+            let mut single = vec![Complex64::ZERO; len];
+            single[len * 2 / 3] = Complex64::new(0.0, -0.5);
+            for (shape, amps) in [
+                ("random", random),
+                ("zero tail", zero_tail),
+                ("absorbed", absorbed),
+                ("single", single),
+            ] {
+                let what = format!("{shape} len {len}");
+                let sequential = Cdf::dense(amps.iter().map(|a| a.norm_sqr()).collect());
+                let sampler = amps_sampler(&amps).expect(&what);
+                assert_eq!(Ok(&sampler), sequential.as_ref(), "{what}");
+                let seed = rng.next_u64();
+                let draws = |cdf: &Cdf| cdf.sample_counts(&mut StdRng::seed_from_u64(seed), 300);
+                assert_eq!(draws(&sampler), draws(&sequential.unwrap()), "{what}");
+
+                if len.is_power_of_two() {
+                    let mut state = SingleState::basis_state(len.trailing_zeros(), 0);
+                    for (i, &a) in amps.iter().enumerate() {
+                        state.set_amplitude(i as u64, a);
+                    }
+                    let want = Cdf::dense(amps.iter().map(|a| a.norm_sqr()).collect())
+                        .and_then(|c| c.with_total(state.norm_sqr()))
+                        .expect(&what);
+                    let got = sample_counts(&state, &mut StdRng::seed_from_u64(seed), 300);
+                    assert_eq!(got, Ok(draws(&want)), "{what}: SingleState");
+                }
+            }
+            let zeros = vec![Complex64::ZERO; len];
+            assert_eq!(amps_sampler(&zeros), Err(MeasureError::ZeroNorm));
+            let mut nan = vec![Complex64::new(0.5, 0.0); len];
+            nan[len - 1] = Complex64::new(f64::NAN, 0.0);
+            assert_eq!(amps_sampler(&nan), Err(MeasureError::ZeroNorm));
         }
     }
 

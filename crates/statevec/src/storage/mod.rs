@@ -75,6 +75,23 @@ pub fn local_block_bits(slice_bits: u32) -> u32 {
     }
 }
 
+/// Appends `n` values to `out`, `f(a..b)` yielding those of positions
+/// `a..b` in order: over the worker pool in [`HALF_CHUNK`] work items
+/// from [`PAR_THRESHOLD`] values up, as one item on the caller below.
+/// Each value is written once, straight into `out`'s spare capacity.
+pub(crate) fn extend_over_pool<T: Send, I: IntoIterator<Item = T>>(
+    out: &mut Vec<T>,
+    n: usize,
+    f: impl Fn(std::ops::Range<usize>) -> I + Sync,
+) {
+    let item = if n >= PAR_THRESHOLD {
+        HALF_CHUNK
+    } else {
+        n.max(1)
+    };
+    qse_util::parallel::parallel_extend(out, n, item, f);
+}
+
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // index arithmetic is the subject under test
 pub(crate) mod conformance {
@@ -316,10 +333,10 @@ pub(crate) mod conformance {
         }
     }
 
-    /// The SWAP scatter on any sub-range, short runs (`lo < 3`) and long
-    /// ones alike, against its definition amplitude by amplitude: peer
-    /// amplitude `i` with bit `lo` equal to `g` lands at `i ^ 2^lo`, and
-    /// every other slot keeps its value.
+    /// The SWAP scatter on any sub-range, for every `lo`, against its
+    /// definition amplitude by amplitude: peer amplitude `i` with bit
+    /// `lo` equal to `g` lands at `i ^ 2^lo`, and every other slot keeps
+    /// its value.
     fn swap_scatter_matches_its_definition() {
         let len = 64usize;
         let payload = peer_payload(len);

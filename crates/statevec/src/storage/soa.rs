@@ -969,32 +969,24 @@ impl SoaStorage {
     /// peer amplitude `payload[i - start]` lands at `i ^ (1<<lo)` —
     /// *outside* the range when it is narrower than `2^(lo+1)`. Pure
     /// copies with disjoint destinations, so range order never matters.
-    /// Runs of under eight amplitudes (`lo < 3`) are copied lane by lane
-    /// in one pass over the range, not as one range copy each.
+    /// One pass over the range, lane by lane.
     pub fn apply_distributed_swap_range(&mut self, lo: u32, g: u64, payload: &[u8], start: usize) {
         let n = wire_amps(payload);
         assert!(start + n <= self.len(), "payload beyond local slice");
-        if lo < 3 {
-            let run = 1usize << lo;
-            // Destinations are `i ^ run` for `i` in the range: the range
-            // widened to whole `2·run` groups bounds them.
-            let from = start & !(2 * run - 1);
-            let to = (start + n).next_multiple_of(2 * run).min(self.len());
-            let (re, im) = (&mut self.re[from..to], &mut self.im[from..to]);
-            for (k, amp) in payload.chunks_exact(AMP_BYTES).enumerate() {
-                let i = start + k;
-                if ((i >> lo) & 1) as u64 == g {
-                    let a = kernel::wire_amp(amp);
-                    re[(i ^ run) - from] = a.re;
-                    im[(i ^ run) - from] = a.im;
-                }
+        let run = 1usize << lo;
+        // Destinations are `i ^ run` for `i` in the range: the range
+        // widened to whole `2·run` groups bounds them.
+        let from = start & !(2 * run - 1);
+        let to = (start + n).next_multiple_of(2 * run).min(self.len());
+        let (re, im) = (&mut self.re[from..to], &mut self.im[from..to]);
+        for (k, amp) in payload.chunks_exact(AMP_BYTES).enumerate() {
+            let i = start + k;
+            if ((i >> lo) & 1) as u64 == g {
+                let a = kernel::wire_amp(amp);
+                re[(i ^ run) - from] = a.re;
+                im[(i ^ run) - from] = a.im;
             }
-            return;
         }
-        kernel::for_each_bit_run(start, n, 1 << lo, g, |a, b| {
-            let bytes = &payload[(a - start) * AMP_BYTES..(b - start) * AMP_BYTES];
-            self.copy_from_f64_range(bytes, a ^ (1usize << lo));
-        });
     }
 
     /// Appends the half-exchange SWAP payload (§4): of the amplitudes

@@ -9,17 +9,8 @@
 //! state serves any number of seeds (a batch of jobs sharing one
 //! execution) for the price of one table.
 
-use crate::parallel::parallel_extend;
 use crate::rng::Rng;
 use std::collections::BTreeMap;
-use std::ops::Range;
-
-/// Outcomes from which [`Cdf::dense`] computes its weights over the
-/// worker pool; below it the fork-join costs more than the weights.
-const DENSE_PAR_THRESHOLD: usize = 1 << 15;
-
-/// Weights per pool work item of [`Cdf::dense`].
-const DENSE_PAR_ITEM: usize = 1 << 13;
 
 /// The weights sum to zero (or are not a number): there is no
 /// distribution to draw from. Each engine maps this to its own error.
@@ -50,27 +41,12 @@ pub struct Cdf {
 }
 
 impl Cdf {
-    /// Outcomes `0..len`, outcome `i` weighted by the `i`-th weight,
-    /// which `weights(a..b)` yields for the outcomes in `a..b`. From
-    /// 2¹⁵ outcomes up the weights are computed over the worker pool,
-    /// straight into the buffer that becomes the prefix table; the sum
-    /// is one sequential pass in outcome order either way, so the table
-    /// and every draw are the same at any thread count.
-    ///
-    /// # Panics
-    /// Panics when `weights(a..b)` yields other than `b − a` weights.
-    pub fn dense<I: IntoIterator<Item = f64>>(
-        len: usize,
-        weights: impl Fn(Range<usize>) -> I + Sync,
-    ) -> Result<Cdf, ZeroTotal> {
-        let chunk = if len >= DENSE_PAR_THRESHOLD {
-            DENSE_PAR_ITEM
-        } else {
-            len.max(1)
-        };
-        let mut prefix = Vec::new();
-        parallel_extend(&mut prefix, len, chunk, weights);
-        Self::summed(prefix, None)
+    /// Outcomes `0..weights.len()`, outcome `i` weighted by `weights[i]`.
+    /// The buffer becomes the prefix table, summed in place in one pass
+    /// in outcome order, so a caller may fill it in any order (over a
+    /// worker pool, say) and get the same table and draws.
+    pub fn dense(weights: Vec<f64>) -> Result<Cdf, ZeroTotal> {
+        Self::summed(weights, None)
     }
 
     /// `(outcome, weight)` pairs in ascending outcome order.
@@ -270,7 +246,7 @@ mod tests {
     }
 
     fn dense_of(weights: &[f64]) -> Result<Cdf, ZeroTotal> {
-        Cdf::dense(weights.len(), |r| weights[r].iter().copied())
+        Cdf::dense(weights.to_vec())
     }
 
     fn draws(cdf: &Cdf, seed: u64, shots: usize) -> BTreeMap<u64, usize> {
@@ -322,24 +298,13 @@ mod tests {
         });
     }
 
-    /// The pool-built table against the old sequential build, on sizes
-    /// straddling the pool threshold: random weights, a zero tail,
-    /// weights too small to move the running sum once it is large, a
-    /// single positive outcome — and all-zero or NaN weights, which have
-    /// no distribution.
+    /// The in-place table against the old push-by-push build: random
+    /// weights, a zero tail, weights too small to move the running sum
+    /// once it is large, a single positive outcome — and all-zero or NaN
+    /// weights, which have no distribution.
     #[test]
-    fn pool_built_dense_table_matches_the_old_build() {
-        let t = DENSE_PAR_THRESHOLD;
-        let sizes = [
-            1usize,
-            5,
-            t / 2,
-            t - 1,
-            t,
-            t + 1,
-            t + DENSE_PAR_ITEM / 2,
-            4 * t + 3,
-        ];
+    fn in_place_dense_table_matches_the_old_build() {
+        let sizes = [1usize, 2, 5, 64, 1000, 4099];
         let mut rng = StdRng::seed_from_u64(11);
         for len in sizes {
             let random: Vec<f64> = (0..len).map(|_| rng.random_f64()).collect();
@@ -374,16 +339,10 @@ mod tests {
                 assert_eq!(Ok(draws(&new, seed, 500)), old, "{what}");
             }
             let zeros = vec![0.0; len];
-            assert_eq!(
-                dense_of(&zeros),
-                Err(ZeroTotal)
-            );
+            assert_eq!(dense_of(&zeros), Err(ZeroTotal));
             let mut nan = vec![0.5; len];
             nan[len - 1] = f64::NAN;
-            assert_eq!(
-                dense_of(&nan),
-                Err(ZeroTotal)
-            );
+            assert_eq!(dense_of(&nan), Err(ZeroTotal));
         }
         assert_eq!(dense_of(&[]), Err(ZeroTotal));
     }
