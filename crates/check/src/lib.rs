@@ -8,9 +8,6 @@
 //!   worker pool of `qse-util`) through a controlled scheduler. Small
 //!   fixtures are explored exhaustively; larger ones with seeded random
 //!   schedules, and any failing schedule replays from its printed seed.
-//! * runtime deadlock detection — lives in [`qse_comm::deadlock`]; the
-//!   integration tests in this crate drive intentionally deadlocking
-//!   rank programs and assert the per-rank diagnostics.
 //! * [`lint`] — a source scanner enforcing the repo's error-handling
 //!   and determinism conventions (no `unwrap`/`expect`/`panic!` in
 //!   library code of the communication and kernel crates, no wall-clock

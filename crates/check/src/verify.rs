@@ -1,10 +1,11 @@
 //! Static plan & protocol verifier: prove exchange schedules safe
 //! *before* they run.
 //!
-//! The runtime deadlock detector ([`qse_comm::deadlock`]) only sees
-//! schedules that actually executed; a mismatched tag or an over-budget
-//! streamed ring still costs a timeout on the machine that hits it. This
-//! module closes that gap by abstractly interpreting a compiled execution
+//! At run time the universe is only fail-stop ([`qse_comm::failstop`]): a
+//! mismatched tag or an over-budget streamed ring would still cost a
+//! receive timeout on the machine that hits it, and nothing at run time
+//! names which ranks are stuck on what. This module proves such schedules
+//! absent before they run by abstractly interpreting a compiled execution
 //! plan — circuits, transpiled [`Plan`] /
 //! [`PlanStep`] permutations, and all three [`ExchangeMode`]s — and
 //! symbolically deriving every rank's communication trace (ordered
@@ -1310,36 +1311,120 @@ mod tests {
     }
 
     #[test]
-    fn crossed_blocking_recvs_deadlock_statically() {
-        // Two ranks that each recv before sending: a textbook deadlock
-        // the scheduler simulation must catch (protocol matching alone
-        // cannot — every send has a matching recv).
-        let mk = |peer: usize| RankTrace {
-            events: vec![
-                TraceEvent {
-                    step: 0,
-                    op: TraceOp::Recv { peer, tag: 1, bytes: 64 },
-                },
-                TraceEvent {
-                    step: 0,
-                    op: TraceOp::Send { peer, tag: 1, bytes: 64 },
-                },
-            ],
-            groups: Vec::new(),
-            predicted_exchanged: 64,
+    fn stuck_rank_shapes_are_rejected_statically() {
+        // Rank programs that can never complete, as fabricated traces
+        // (one step, 4-byte messages). Each must be rejected before it
+        // runs, naming the stuck ranks and the (peer, tag) they await —
+        // or, where protocol matching catches it first, the orphaned
+        // message. The crossed and buffered shapes match every send, so
+        // only the scheduler simulation can catch them.
+        use TraceOp::{Recv, RecvAny, Send};
+        let recv = |peer, tag| Recv { peer, tag, bytes: 4 };
+        let send = |peer, tag| Send { peer, tag, bytes: 4 };
+        let rank = |ops: Vec<TraceOp>, groups: Vec<RecvGroup>| RankTrace {
+            events: ops.into_iter().map(|op| TraceEvent { step: 0, op }).collect(),
+            groups,
+            predicted_exchanged: 0,
         };
-        let ts = TraceSet {
-            n_ranks: 2,
-            step_labels: vec!["plan step 0: crossed recv".into()],
-            ranks: vec![mk(1), mk(0)],
-            windows: Vec::new(),
+        let set = |ranks: Vec<RankTrace>| TraceSet {
+            n_ranks: ranks.len(),
+            ranks,
+            ..TraceSet::default()
         };
-        match check_traces(&ts).unwrap_err() {
-            VerifyError::Deadlock { blocked } => {
-                assert_eq!(blocked.len(), 2);
-                assert!(blocked[0].waiting_on.starts_with("recv("));
+        let blocked = |stuck: &[(usize, usize, u64)]| VerifyError::Deadlock {
+            blocked: stuck
+                .iter()
+                .map(|&(rank, peer, tag)| BlockedRank {
+                    rank,
+                    step: 0,
+                    label: "step 0".into(),
+                    waiting_on: format!("recv(peer={peer}, tag={tag})"),
+                })
+                .collect(),
+        };
+        let label = String::from("step 0");
+        let shapes: [(&str, TraceSet, VerifyError, &[usize]); 6] = [
+            (
+                "crossed blocking receives",
+                set(vec![
+                    rank(vec![recv(1, 1), send(1, 1)], vec![]),
+                    rank(vec![recv(0, 1), send(0, 1)], vec![]),
+                ]),
+                blocked(&[(0, 1, 1), (1, 0, 1)]),
+                &[0, 1],
+            ),
+            (
+                "mismatched tags",
+                set(vec![
+                    rank(vec![send(1, 10), recv(1, 99)], vec![]),
+                    rank(vec![send(0, 20), recv(0, 88)], vec![]),
+                    rank(vec![], vec![]),
+                    rank(vec![], vec![]),
+                ]),
+                VerifyError::UnmatchedSend {
+                    src: 0,
+                    dst: 1,
+                    tag: 10,
+                    bytes: 4,
+                    step: 0,
+                    label: label.clone(),
+                },
+                &[0, 1],
+            ),
+            (
+                "one-sided receive",
+                set(vec![rank(vec![], vec![]), rank(vec![recv(0, 7)], vec![])]),
+                VerifyError::UnmatchedRecv {
+                    dst: 1,
+                    src: 0,
+                    tag: 7,
+                    bytes: 4,
+                    step: 0,
+                    label: label.clone(),
+                },
+                &[1],
+            ),
+            (
+                "3-rank cycle",
+                set((0..3)
+                    .map(|r| rank(vec![recv((r + 1) % 3, 5), send((r + 2) % 3, 5)], vec![]))
+                    .collect()),
+                blocked(&[(0, 1, 5), (1, 2, 5), (2, 0, 5)]),
+                &[0, 1, 2],
+            ),
+            (
+                "buffered but unmatched",
+                // The noise each rank sends first is buffered at its
+                // peer but matches no receive until after the stuck one.
+                set((0..2).map(|r| {
+                    let peer = 1 - r;
+                    let noise = 40 + r as u64;
+                    let late = recv(peer, 41 - r as u64);
+                    rank(vec![send(peer, noise), recv(peer, 1234), late, send(peer, 1234)], vec![])
+                }).collect()),
+                blocked(&[(0, 1, 1234), (1, 0, 1234)]),
+                &[0, 1],
+            ),
+            (
+                "streamed group never sent",
+                set(vec![
+                    rank(
+                        vec![RecvAny { peer: 1, group: 0 }, RecvAny { peer: 1, group: 0 }],
+                        vec![RecvGroup { peer: 1, chunks: vec![(5, 4), (6, 4)] }],
+                    ),
+                    rank(vec![], vec![]),
+                ]),
+                VerifyError::UnmatchedRecv { dst: 0, src: 1, tag: 5, bytes: 4, step: 0, label },
+                &[0],
+            ),
+        ];
+        for (name, ts, want, stuck) in shapes {
+            let err = check_traces(&ts).expect_err(name);
+            assert_eq!(err, want, "{name}");
+            let text = err.to_string();
+            for r in stuck {
+                assert!(text.contains(&format!("rank {r}")), "{name}: {text}");
             }
-            other => panic!("expected Deadlock, got {other}"),
         }
     }
 

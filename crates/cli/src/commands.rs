@@ -77,7 +77,7 @@ pub fn help_text() -> String {
        transpile --qubits N --ranks R [--circuit ...]\n\
                                     cache-block a circuit, show communication\n\
        check [--root PATH] [--seed N] [--plans]\n\
-                                    self-check: source lint, deadlock detector,\n\
+                                    self-check: source lint, fail-stop abort,\n\
                                     schedule explorer (all must pass);\n\
                                     --plans instead statically verifies the\n\
                                     standard plan corpus (protocol matching,\n\
@@ -507,9 +507,62 @@ fn racy_counter_fixture(ctl: &Ctl) {
     assert_eq!(counter.load(Ordering::SeqCst), 2, "lost update");
 }
 
-fn check(args: &Args) -> Result<String, ArgError> {
+/// `qse check` step 2: rank 0 panics once rank 1 is about to block in
+/// `recv` and rank 2 at the barrier; both must come back `Aborted` by
+/// rank 0, and the panic must reach the caller.
+fn fail_stop_smoke() -> Result<String, ArgError> {
     use qse_comm::{CommError, Universe};
+    use std::sync::{mpsc, Mutex};
     use std::time::{Duration, Instant};
+    let (parking, parked) = mpsc::channel::<()>();
+    let parked = Mutex::new(parked);
+    let seen: Mutex<Vec<(usize, Result<(), CommError>)>> = Mutex::new(Vec::new());
+    let t0 = Instant::now();
+    let quiet = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Universe::with_timeout(3, Duration::from_secs(300)).run(|c| {
+            let result = match c.rank() {
+                0 => {
+                    let parked = parked.lock().unwrap_or_else(|e| e.into_inner());
+                    for _ in 0..2 {
+                        let _ = parked.recv();
+                    }
+                    panic!("rank 0 panics on purpose");
+                }
+                1 => {
+                    let _ = parking.send(());
+                    c.recv(0, 9).map(|_| ())
+                }
+                _ => {
+                    let _ = parking.send(());
+                    c.barrier();
+                    c.send(0, 9, &[])
+                }
+            };
+            seen.lock().unwrap_or_else(|e| e.into_inner()).push((c.rank(), result));
+        })
+    }));
+    std::panic::set_hook(quiet);
+    let elapsed = t0.elapsed();
+    if run.is_ok() {
+        return Err(ArgError("fail-stop: rank 0's panic never reached the caller".into()));
+    }
+    let mut seen = seen.into_inner().unwrap_or_else(|e| e.into_inner());
+    seen.sort_by_key(|(rank, _)| *rank);
+    let aborted = Err(CommError::Aborted { by: 0, cause: None });
+    if seen != [(1, aborted.clone()), (2, aborted)] {
+        return Err(ArgError(format!(
+            "fail-stop: the peers of a panicking rank did not both abort: {seen:?}"
+        )));
+    }
+    Ok(format!(
+        "fail-stop: rank 0 panicked; rank 1 (in recv) and rank 2 (at barrier) \
+         returned Aborted{{by: 0}} in {elapsed:?}\n"
+    ))
+}
+
+fn check(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&["root", "seed", "plans"])?;
     if args.switch("plans") {
         return check_plans();
@@ -539,26 +592,11 @@ fn check(args: &Args) -> Result<String, ArgError> {
     }
     out += &format!("lint: clean ({})\n", root.display());
 
-    // 2. Deadlock detector smoke: a one-sided receive must be diagnosed
-    // by the wait-for graph, fast, naming the stuck rank.
-    let t0 = Instant::now();
-    let ranks = Universe::with_timeout(2, Duration::from_secs(300)).run(|c| {
-        if c.rank() == 0 {
-            c.recv(1, 9).map(|_| ())
-        } else {
-            Ok(())
-        }
-    });
-    match &ranks[0] {
-        Err(CommError::Deadlock { stuck, .. }) if stuck == &vec![0] => {
-            out += &format!("deadlock: detector fired in {:?} naming rank 0\n", t0.elapsed());
-        }
-        other => {
-            return Err(ArgError(format!(
-                "deadlock: detector failed to diagnose a one-sided receive: {other:?}"
-            )))
-        }
-    }
+    // 2. Fail-stop smoke: a rank that panics must release one peer
+    // parked in a receive and one parked at the barrier, both told who
+    // aborted the universe. The deadline is far off, so only the abort
+    // can end their waits.
+    out += &fail_stop_smoke()?;
 
     // 3. Schedule explorer smoke: the seeded lost update must be found.
     match Explorer::exhaustive().explore(racy_counter_fixture) {
@@ -1049,7 +1087,8 @@ mod tests {
     fn check_runs_all_engines() {
         let out = run_cli(&["check", "--seed", "7"]).unwrap();
         assert!(out.contains("lint: clean"), "{out}");
-        assert!(out.contains("deadlock: detector fired"), "{out}");
+        assert!(out.contains("fail-stop: rank 0 panicked"), "{out}");
+        assert!(out.contains("returned Aborted{by: 0}"), "{out}");
         assert!(out.contains("schedule: lost update found"), "{out}");
         assert!(out.contains("seed 7"), "{out}");
         assert!(out.contains("all engines passed"), "{out}");

@@ -210,7 +210,8 @@ pub enum PackOrder {
 /// a symmetric exchange have a chunk in hand neither allocates again —
 /// an exchange costs the same whatever state the allocator is in.
 /// A chunk whose length differs from what `policy` assigns it is refused
-/// with [`CommError::ChunkLength`] before `consume` sees it.
+/// with [`CommError::ChunkLength`] before `consume` sees it, and aborts
+/// the universe like any transport error.
 ///
 /// In every ordering outgoing chunk `i` is sent before incoming chunk
 /// `i` is consumed. The streamed ordering cannot deadlock against a
@@ -391,12 +392,12 @@ where
             .chunk_range(idx, self.ex.recv_total)
             .unwrap_or(0..0); // unreachable: idx < n_recv
         if payload.len() != range.len() {
-            return Err(CommError::ChunkLength {
+            return Err(self.comm.fail(CommError::ChunkLength {
                 src: self.ex.peer,
                 tag: chunk_tag(self.ex.base_tag, idx),
                 expected: range.len(),
                 got: payload.len(),
-            });
+            }));
         }
         self.gauge(payload.len(), true);
         while self.next_send < usize::min(idx + 1, self.n_send) {

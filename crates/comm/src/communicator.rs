@@ -1,7 +1,7 @@
 //! The per-rank communication endpoint.
 
-use crate::deadlock::{WaitKind, WaitRegistry};
 use crate::error::{CommError, FaultOp};
+use crate::failstop::FailStop;
 use crate::faults::{self, FaultLane};
 use crate::message::{checksum64, Envelope};
 use crate::nonblocking::Request;
@@ -10,13 +10,14 @@ use crate::Result;
 use qse_util::Bytes;
 use qse_util::mailbox::{deadline_after, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Poll slice for blocked receives: each expiry re-runs the wait-for-graph
-/// deadlock detector, so a protocol bug is diagnosed within a few slices
-/// instead of after the full receive deadline.
-const DEADLOCK_POLL: Duration = Duration::from_millis(25);
+/// One tick of the fault lane's modelled clock: under an injected fault
+/// plan a blocked receive waits in slices of this length, and delays and
+/// the receive deadline are counted in them. The fault-free path never
+/// slices its wait.
+const FAULT_SLICE: Duration = Duration::from_millis(25);
 
 /// One rank's endpoint into the universe.
 ///
@@ -25,17 +26,21 @@ const DEADLOCK_POLL: Duration = Duration::from_millis(25);
 /// implementation's eager protocol for buffered messages). Receives match on
 /// `(source, tag)` and buffer out-of-order arrivals, like MPI's unexpected-
 /// message queue.
+///
+/// The universe is fail-stop (see [`crate::failstop`]): a transport error
+/// leaving any of this endpoint's calls, or a panic unwinding through the
+/// thread that owns it, aborts the universe, and from then on every
+/// rank's communication calls return [`CommError::Aborted`].
 pub struct Communicator {
     rank: usize,
     size: usize,
     senders: Arc<Vec<Sender<Envelope>>>,
     rx: Receiver<Envelope>,
     pending: VecDeque<Envelope>,
-    barrier: Arc<Barrier>,
+    fail_stop: Arc<FailStop>,
     counters: SharedCounters,
     all_counters: Arc<Vec<SharedCounters>>,
     recv_timeout: Duration,
-    registry: Arc<WaitRegistry>,
     /// Deterministic fault stream for this rank, if the universe was
     /// constructed with a [`crate::faults::FaultPlan`]. `None` is the
     /// zero-overhead path: no checksums, no delays, no extra branches
@@ -50,11 +55,10 @@ impl Communicator {
         size: usize,
         senders: Arc<Vec<Sender<Envelope>>>,
         rx: Receiver<Envelope>,
-        barrier: Arc<Barrier>,
+        fail_stop: Arc<FailStop>,
         counters: SharedCounters,
         all_counters: Arc<Vec<SharedCounters>>,
         recv_timeout: Duration,
-        registry: Arc<WaitRegistry>,
         lane: Option<FaultLane>,
     ) -> Self {
         Communicator {
@@ -63,11 +67,10 @@ impl Communicator {
             senders,
             rx,
             pending: VecDeque::new(),
-            barrier,
+            fail_stop,
             counters,
             all_counters,
             recv_timeout,
-            registry,
             lane,
         }
     }
@@ -89,7 +92,10 @@ impl Communicator {
         self.size
     }
 
-    /// Deadline applied to blocking receives before reporting a deadlock.
+    /// Deadline of a blocking receive: past it the receive returns
+    /// [`CommError::RecvTimeout`] (and aborts the universe). Wall-clock on
+    /// the fault-free path; counted in 25 ms slices of the modelled clock
+    /// under a fault plan.
     pub fn recv_timeout(&self) -> Duration {
         self.recv_timeout
     }
@@ -102,6 +108,37 @@ impl Communicator {
             })
         } else {
             Ok(())
+        }
+    }
+
+    /// `Err(Aborted)` once the universe has aborted: the entry check of
+    /// every communication call.
+    fn live(&self) -> Result<()> {
+        self.fail_stop.aborted().map_or(Ok(()), Err)
+    }
+
+    /// The fail-stop exit of a transport error: aborts the universe with
+    /// `err` (unless it already has) and hands `err` back to the caller.
+    pub(crate) fn fail(&self, err: CommError) -> CommError {
+        if !matches!(err, CommError::Aborted { .. }) {
+            self.abort(Some(err.clone()));
+        }
+        err
+    }
+
+    /// Writes the abort cell (`cause: None` for a panicking rank) and, if
+    /// this call wrote it, pushes one wake envelope into every other
+    /// rank's mailbox so a blocked receive returns at once. Wake
+    /// envelopes are never matched or counted: a receiver checks the
+    /// cell before it looks at anything it dequeues.
+    fn abort(&self, cause: Option<CommError>) {
+        if self.fail_stop.abort(self.rank, cause) {
+            for (dst, mailbox) in self.senders.iter().enumerate() {
+                if dst != self.rank {
+                    // A peer that already dropped its mailbox needs no wake.
+                    let _ = mailbox.send(Envelope::from_bytes(self.rank, 0, Bytes::new()));
+                }
+            }
         }
     }
 
@@ -120,22 +157,23 @@ impl Communicator {
     /// validation will discard.
     pub fn send_bytes(&mut self, dst: usize, tag: u64, payload: Bytes) -> Result<()> {
         self.check_rank(dst)?;
-        if self.lane.is_some() {
-            return self.send_bytes_faulty(dst, tag, payload);
-        }
-        self.enqueue(dst, Envelope::from_bytes(self.rank, tag, payload))
+        self.live()?;
+        let sent = if self.lane.is_some() {
+            self.send_bytes_faulty(dst, tag, payload)
+        } else {
+            self.enqueue(dst, Envelope::from_bytes(self.rank, tag, payload))
+        };
+        sent.map_err(|e| self.fail(e))
     }
 
-    /// Counts the message in flight, pushes it into `dst`'s mailbox, and
-    /// records the traffic. The in-flight count precedes the enqueue: the
-    /// deadlock detector must never observe a queued message with a zero
-    /// counter.
+    /// Pushes the message into `dst`'s mailbox and records the traffic.
+    /// A mailbox is only gone once its rank has returned; if that rank
+    /// failed, the send reports the abort, not the disconnection.
     fn enqueue(&self, dst: usize, env: Envelope) -> Result<()> {
         let len = env.len();
-        self.registry.msg_sent(dst);
         if self.senders[dst].send(env).is_err() {
-            self.registry.msg_unsent(dst);
-            return Err(CommError::Disconnected { peer: dst });
+            let gone = CommError::Disconnected { peer: dst };
+            return Err(self.fail_stop.aborted().unwrap_or(gone));
         }
         self.counters.record_send(len);
         Ok(())
@@ -191,29 +229,28 @@ impl Communicator {
     /// Blocking receive matching `(src, tag)` exactly.
     ///
     /// Out-of-order arrivals for other `(src, tag)` pairs are buffered and
-    /// delivered to their own matching `recv` calls later. While blocked,
-    /// the rank is registered in the universe's wait-for graph and wakes
-    /// every [`DEADLOCK_POLL`] to run the deadlock detector: a protocol
-    /// bug (mismatched tags, one-sided exchange, wait cycle) returns
-    /// [`CommError::Deadlock`] with a per-rank diagnostic in well under a
-    /// second instead of burning the whole receive deadline.
+    /// delivered to their own matching `recv` calls later. The call ends
+    /// with the message, with [`CommError::RecvTimeout`] at the deadline,
+    /// or with [`CommError::Aborted`] as soon as another rank fails.
     pub fn recv(&mut self, src: usize, tag: u64) -> Result<Bytes> {
         self.check_rank(src)?;
+        self.live()?;
+        self.recv_matching(src, tag).map_err(|e| self.fail(e))
+    }
+
+    fn recv_matching(&mut self, src: usize, tag: u64) -> Result<Bytes> {
         // Fault decisions are drawn before any arrival-dependent branch
         // so the per-rank stream stays in program order.
         self.fault_recv_entry(src)?;
         // First consult the unexpected-message queue.
-        if let Some(env) = self.take_pending(src, tag) {
+        let pos = self.pending.iter().position(|e| e.src == src && e.tag == tag);
+        if let Some(env) = pos.and_then(|pos| self.pending.remove(pos)) {
             self.counters.record_recv(env.len());
             return Ok(env.payload);
         }
-        self.registry
-            .begin_wait(self.rank, WaitKind::Recv { src, tag }, self.pending.len());
-        let result = self.blocking_wait(src, tag, |env| {
-            (env.src == src && env.tag == tag).then_some(0)
-        });
-        self.registry.end_wait(self.rank);
-        result.map(|(_, payload)| payload)
+        let matcher = |env: &Envelope| (env.src == src && env.tag == tag).then_some(0);
+        let (_, payload) = self.blocking_wait(src, tag, matcher)?;
+        Ok(payload)
     }
 
     /// Applies this receive entry's injected transient failures: retried
@@ -244,36 +281,30 @@ impl Communicator {
         Ok(())
     }
 
-    /// Removes and returns the first buffered envelope matching
-    /// `(src, tag)`, keeping the registry's queue-depth diagnostic fresh.
-    fn take_pending(&mut self, src: usize, tag: u64) -> Option<Envelope> {
-        let pos = self
-            .pending
-            .iter()
-            .position(|e| e.src == src && e.tag == tag)?;
-        let env = self.pending.remove(pos)?;
-        self.registry.set_pending_depth(self.rank, self.pending.len());
-        Some(env)
-    }
-
-    /// The shared blocked phase of [`Self::recv`] and [`Self::wait_any`]:
-    /// poll-sliced mailbox waits with deadlock detection at each slice
-    /// expiry. `matcher` returns the completed request index for an
-    /// envelope this wait can consume; non-matching arrivals are buffered.
+    /// The shared blocked phase of [`Self::recv`] and [`Self::wait_any`].
+    /// `matcher` returns the completed request index for an envelope this
+    /// wait can consume; non-matching arrivals are buffered. The cell is
+    /// checked before anything dequeued is looked at, so another rank's
+    /// abort (and its wake envelope) ends the wait with
+    /// [`CommError::Aborted`].
     ///
-    /// Without a fault lane the deadline is wall-clock, exactly as before.
-    /// With one, the deadline is *modelled*: it counts empty poll slices,
-    /// so an injected delivery delay of D slices meets a timeout of T
-    /// slices deterministically — due releases are processed before the
+    /// Without a fault lane the wait is one mailbox wait up to the
+    /// wall-clock deadline. With one, the deadline is *modelled*: the
+    /// wait runs in [`FAULT_SLICE`]s and counts the empty ones, so an
+    /// injected delivery delay of D slices meets a timeout of T slices
+    /// deterministically — due releases are processed before the
     /// deadline check, so a message arriving at the boundary is delivered
     /// (`D <= T`) and only `D > T` times out — instead of racing the
-    /// host's scheduler. Held (delayed) envelopes stay counted as
-    /// in-flight until released, which keeps the deadlock detector sound:
-    /// a rank whose wake-up message is merely delayed is never reported.
-    fn blocking_wait<M>(&mut self, err_src: usize, err_tag: u64, matcher: M) -> Result<(usize, Bytes)>
+    /// host's scheduler.
+    fn blocking_wait<M>(&mut self, src: usize, tag: u64, matcher: M) -> Result<(usize, Bytes)>
     where
         M: Fn(&Envelope) -> Option<usize>,
     {
+        let timed_out = CommError::RecvTimeout {
+            src,
+            tag,
+            waited: self.recv_timeout,
+        };
         let deadline = deadline_after(Instant::now(), self.recv_timeout);
         let slice_budget = self
             .lane
@@ -285,70 +316,44 @@ impl Communicator {
                 return Ok(out);
             }
             let wait = match slice_budget {
-                Some(budget) => {
-                    if slices_used >= budget {
-                        return Err(CommError::RecvTimeout {
-                            src: err_src,
-                            tag: err_tag,
-                            waited: self.recv_timeout,
-                        });
-                    }
-                    DEADLOCK_POLL
-                }
-                None => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(CommError::RecvTimeout {
-                            src: err_src,
-                            tag: err_tag,
-                            waited: self.recv_timeout,
-                        });
-                    }
-                    remaining.min(DEADLOCK_POLL)
-                }
+                Some(budget) if slices_used >= budget => return Err(timed_out),
+                Some(_) => FAULT_SLICE,
+                None => deadline.saturating_duration_since(Instant::now()),
             };
             match self.rx.recv_timeout(wait) {
                 Ok(env) => {
+                    self.live()?;
                     if let Some(lane) = &mut self.lane {
-                        // Every poll event advances the modelled clock, so
+                        // Every dequeue advances the modelled clock, so
                         // held releases keep pace even under arrival storms.
                         lane.tick(1);
                         if env.delay_slices > 0 {
-                            // Held without msg_delivered: the in-flight
-                            // count keeps suppressing deadlock detection.
                             lane.hold(env);
                             continue;
                         }
                     }
-                    self.registry.msg_delivered(self.rank);
                     if let Some(out) = self.admit(env, &matcher)? {
                         return Ok(out);
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(lane) = &mut self.lane {
+                Err(RecvTimeoutError::Timeout) => match &mut self.lane {
+                    Some(lane) => {
                         lane.tick(1);
+                        slices_used += 1;
                     }
-                    slices_used += 1;
-                    if let Some(report) = self.registry.detect(self.rank) {
-                        return Err(CommError::Deadlock {
-                            rank: self.rank,
-                            stuck: report.stuck.clone(),
-                            detail: report.render(),
-                        });
-                    }
-                }
+                    None => return Err(timed_out),
+                },
                 Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected { peer: err_src })
+                    return Err(CommError::Disconnected { peer: src })
                 }
             }
         }
     }
 
-    /// Number of deadlock-poll slices the receive deadline spans, for the
+    /// Number of [`FAULT_SLICE`]s the receive deadline spans, for the
     /// modelled timeout used when a fault lane is active.
     fn timeout_slices(timeout: Duration) -> u64 {
-        let slice_ms = DEADLOCK_POLL.as_millis().max(1) as u64;
+        let slice_ms = FAULT_SLICE.as_millis().max(1) as u64;
         (timeout.as_millis() as u64).div_ceil(slice_ms).max(1)
     }
 
@@ -362,8 +367,6 @@ impl Communicator {
             let Some(env) = self.lane.as_mut().and_then(|lane| lane.pop_due()) else {
                 return Ok(None);
             };
-            // Only now does the delayed message count as delivered.
-            self.registry.msg_delivered(self.rank);
             if let Some(out) = self.admit(env, matcher)? {
                 return Ok(Some(out));
             }
@@ -403,7 +406,6 @@ impl Communicator {
             return Ok(Some((idx, env.payload)));
         }
         self.pending.push_back(env);
-        self.registry.set_pending_depth(self.rank, self.pending.len());
         Ok(None)
     }
 
@@ -461,10 +463,9 @@ impl Communicator {
     /// Send requests are already complete on an eager transport and are
     /// returned immediately (with an empty payload). Among receives, a
     /// buffered out-of-order arrival wins in its arrival order; otherwise
-    /// the call blocks like [`Self::recv`], registered in the wait-for
-    /// graph as a `wait_any` over the set so the deadlock detector can
-    /// diagnose a stuck streamed exchange in ~50 ms. Non-matching
-    /// arrivals are buffered for later receives exactly as in `recv`.
+    /// the call blocks like [`Self::recv`] (and ends like it: timeout,
+    /// abort, or a completion). Non-matching arrivals are buffered for
+    /// later receives exactly as in `recv`.
     ///
     /// Returns `CommError::InvalidConfig` for an empty request set.
     pub fn wait_any(&mut self, requests: &[Request]) -> Result<(usize, Bytes)> {
@@ -474,14 +475,20 @@ impl Communicator {
         if let Some(i) = requests.iter().position(|r| r.is_send()) {
             return Ok((i, Bytes::new()));
         }
+        self.live()?;
+        self.wait_any_recv(requests).map_err(|e| self.fail(e))
+    }
+
+    /// [`Self::wait_any`] over a set of receives only.
+    fn wait_any_recv(&mut self, requests: &[Request]) -> Result<(usize, Bytes)> {
+        let (src, tag) = match requests[0] {
+            Request::Recv { src, tag } => (src, tag),
+            Request::SendDone => (self.rank, 0), // unreachable: sends returned above
+        };
         // Drawn before the arrival-dependent pending scan so the fault
         // stream stays in program order (the request set is deterministic;
         // what has already arrived is not).
-        let entry_peer = match requests[0] {
-            Request::Recv { src, .. } => src,
-            Request::SendDone => self.rank,
-        };
-        self.fault_recv_entry(entry_peer)?;
+        self.fault_recv_entry(src)?;
         // Oldest buffered arrival matching any request wins, mirroring
         // completion order on a real network.
         if let Some((pos, idx)) = self.pending.iter().enumerate().find_map(|(pos, env)| {
@@ -490,37 +497,10 @@ impl Communicator {
             let env = self.pending.remove(pos).ok_or(CommError::InvalidConfig(
                 "pending queue changed underfoot", // unreachable: single-threaded access
             ))?;
-            self.registry.set_pending_depth(self.rank, self.pending.len());
             self.counters.record_recv(env.len());
             return Ok((idx, env.payload));
         }
-        let (src0, multi_source) = match requests[0] {
-            Request::Recv { src, .. } => (
-                src,
-                requests
-                    .iter()
-                    .any(|r| !matches!(r, Request::Recv { src: s, .. } if *s == src)),
-            ),
-            Request::SendDone => (0, false), // unreachable: sends returned above
-        };
-        self.registry.begin_wait(
-            self.rank,
-            WaitKind::RecvAny {
-                src: src0,
-                outstanding: requests.len(),
-                multi_source,
-            },
-            self.pending.len(),
-        );
-        let (err_src, err_tag) = match requests[0] {
-            Request::Recv { src, tag } => (src, tag),
-            Request::SendDone => (self.rank, 0),
-        };
-        let result = self.blocking_wait(err_src, err_tag, |env| {
-            Self::match_request(requests, env)
-        });
-        self.registry.end_wait(self.rank);
-        result
+        self.blocking_wait(src, tag, |env| Self::match_request(requests, env))
     }
 
     /// Index of the first request in `requests` matching `env`, if any.
@@ -530,14 +510,11 @@ impl Communicator {
             .position(|r| matches!(r, Request::Recv { src, tag } if *src == env.src && *tag == env.tag))
     }
 
-    /// Synchronises all ranks. The wait is registered in the wait-for
-    /// graph so other ranks' deadlock diagnostics can name barrier-blocked
-    /// peers, but a barrier itself cannot be interrupted.
+    /// Synchronises all ranks: returns once every rank has arrived, or as
+    /// soon as the universe aborts — then without synchronising, and the
+    /// rank's next communication call returns [`CommError::Aborted`].
     pub fn barrier(&self) {
-        self.registry
-            .begin_wait(self.rank, WaitKind::Barrier, self.pending.len());
-        self.barrier.wait();
-        self.registry.end_wait(self.rank);
+        self.fail_stop.barrier();
     }
 
     /// Records `chunks` completed chunks of one streamed exchange in this
@@ -585,10 +562,11 @@ impl Communicator {
 
 impl Drop for Communicator {
     fn drop(&mut self) {
-        // A dropped rank can never send again; recording that lets the
-        // global-starvation rule diagnose one-sided exchanges where the
-        // peer has already returned.
-        self.registry.mark_done(self.rank);
+        // A rank unwinding from a panic aborts the universe before its
+        // mailbox goes, so no peer waits on it or sees `Disconnected`.
+        if std::thread::panicking() {
+            self.abort(None);
+        }
     }
 }
 
@@ -656,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_reports_deadlock() {
+    fn recv_timeout_names_the_awaited_pair() {
         let out = Universe::with_timeout(2, std::time::Duration::from_millis(120)).run(|c| {
             if c.rank() == 0 {
                 // Nobody ever sends tag 99.
@@ -665,14 +643,9 @@ mod tests {
                 CommError::InvalidConfig("placeholder")
             }
         });
-        // Once rank 1 returns, the wait-for graph proves nobody can send
-        // tag 99 and the receive fails with a diagnosis; if the detector's
-        // poll loses the race with the deadline, a plain timeout is also
-        // acceptable.
         match &out[0] {
-            CommError::Deadlock { rank: 0, stuck, .. } => assert_eq!(stuck, &vec![0]),
             CommError::RecvTimeout { src: 1, tag: 99, .. } => {}
-            other => panic!("expected deadlock diagnosis, got {other:?}"),
+            other => panic!("expected a timeout naming (1, 99), got {other:?}"),
         }
     }
 
@@ -800,7 +773,7 @@ mod fault_tests {
     use std::time::Duration;
 
     /// Plenty of head-room for the modelled waits in these tests; wall
-    /// time stays tiny because delays are counted in 25 ms poll slices.
+    /// time stays tiny because delays are counted in 25 ms slices.
     const ROOMY: Duration = Duration::from_secs(20);
 
     #[test]
@@ -900,6 +873,21 @@ mod fault_tests {
         }
     }
 
+    /// Fail-stop outcome of a run in which every rank fails with an error
+    /// `own` accepts: each rank reports its own such error, or `Aborted`
+    /// by a rank that did, carrying that rank's error as the cause.
+    pub(crate) fn assert_fail_stop(errs: &[CommError], own: impl Fn(usize, &CommError) -> bool) {
+        for (rank, err) in errs.iter().enumerate() {
+            match err {
+                CommError::Aborted { by, cause: Some(cause) } => {
+                    assert_eq!(&errs[*by], &**cause, "rank {rank}: cause is rank {by}'s error");
+                    assert!(own(*by, cause), "rank {by}: unexpected error {cause:?}");
+                }
+                other => assert!(own(rank, other), "rank {rank}: unexpected error {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn permanent_corruption_surfaces_a_typed_error() {
         let errs = Universe::with_timeout_and_faults(2, ROOMY, FaultConfig::permanent_corruption(3))
@@ -908,15 +896,11 @@ mod fault_tests {
                 let peer = 1 - c.rank();
                 c.sendrecv(peer, 9, &[1u8; 128], peer, 9).unwrap_err()
             });
-        for (rank, err) in errs.iter().enumerate() {
-            match err {
-                CommError::Corrupt { src, tag: 9, discarded } => {
-                    assert_eq!(*src, 1 - rank);
-                    assert!(*discarded > 2, "gave up only past the retry budget");
-                }
-                other => panic!("rank {rank}: expected Corrupt, got {other:?}"),
-            }
-        }
+        // Past the retry budget, from the peer, on the exchanged tag.
+        assert_fail_stop(&errs, |rank, err| {
+            matches!(err, CommError::Corrupt { src, tag: 9, discarded }
+                if *src == 1 - rank && *discarded > 2)
+        });
     }
 
     #[test]
@@ -927,16 +911,9 @@ mod fault_tests {
                 let peer = 1 - c.rank();
                 c.send(peer, 0, &[0u8; 16]).unwrap_err()
             });
-        for err in errs {
-            match err {
-                CommError::Transient {
-                    op: FaultOp::Send,
-                    attempts,
-                    ..
-                } => assert!(attempts > 2),
-                other => panic!("expected Transient send failure, got {other:?}"),
-            }
-        }
+        assert_fail_stop(&errs, |_, err| {
+            matches!(err, CommError::Transient { op: FaultOp::Send, attempts, .. } if *attempts > 2)
+        });
     }
 
     #[test]
@@ -975,11 +952,10 @@ mod fault_tests {
     }
 
     #[test]
-    fn detector_stays_silent_while_every_message_is_delayed() {
+    fn ring_completes_while_every_message_is_delayed() {
         // Every message delayed by 3 slices: ranks sit recv-blocked with
-        // their wake-up held back. Held messages stay counted in flight,
-        // so the deadlock detector must not fire, and the ring must
-        // complete with correct data.
+        // their wake-up held back. Nothing may end the wait early, and
+        // the ring must complete with correct data.
         let mut cfg = FaultConfig::disabled(8);
         cfg.p_delay = 1.0;
         cfg.max_delay_slices = 3;
@@ -1021,5 +997,343 @@ mod fault_tests {
             });
         assert!(stats[0].faults_injected >= 4, "rank 0's sends all stalled");
         assert_eq!(stats[1].faults_injected, 0, "rank 1 is unaffected");
+    }
+
+    #[test]
+    fn retrying_and_delayed_ranks_complete() {
+        // Every message is delayed (held invisible at the receiver) and
+        // most sends need backoff retries, so both ranks spend most of
+        // their time waiting on traffic that exists but is not yet
+        // visible. Every round must deliver the exact payload.
+        let mut plan = FaultConfig::recoverable(21);
+        plan.p_delay = 1.0;
+        plan.max_delay_slices = 2;
+        plan.p_send_fail = 0.8;
+        let out = Universe::with_timeout_and_faults(2, ROOMY, plan)
+            .unwrap()
+            .run(|c| {
+                let peer = 1 - c.rank();
+                for round in 0..6u64 {
+                    let sent = [c.rank() as u8, round as u8];
+                    let got = c.sendrecv(peer, round, &sent, peer, round)?;
+                    assert_eq!(&got[..], &[peer as u8, round as u8]);
+                }
+                Ok::<_, CommError>(())
+            });
+        for (rank, r) in out.into_iter().enumerate() {
+            r.unwrap_or_else(|e| panic!("rank {rank} falsely failed: {e}"));
+        }
+    }
+
+    #[test]
+    fn a_receive_outwaits_a_late_sender() {
+        // The receiver blocks long before the sender sends; nothing but
+        // the message may end the wait.
+        let (ready, go) = std::sync::mpsc::channel();
+        let go = std::sync::Mutex::new(go);
+        let out = Universe::with_timeout(2, ROOMY).run(|c| {
+            if c.rank() == 0 {
+                ready.send(()).unwrap();
+                c.recv(1, 3).map(|b| b.len())
+            } else {
+                go.lock().unwrap().recv().unwrap();
+                std::thread::sleep(Duration::from_millis(120));
+                c.send(0, 3, &[1, 2, 3]).map(|_| 0)
+            }
+        });
+        assert_eq!(out, vec![Ok(3), Ok(0)]);
+    }
+}
+
+#[cfg(test)]
+mod failstop_tests {
+    use super::Communicator;
+    use crate::faults::FaultConfig;
+    use crate::universe::Universe;
+    use crate::{CommError, Result};
+    use qse_util::sync::{self, ScheduleHook, SyncOp};
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{mpsc, Arc, Condvar, Mutex};
+    use std::time::{Duration, Instant};
+
+    /// Wall-clock bound on every run below.
+    const BOUND: Duration = Duration::from_secs(2);
+
+    /// A receive deadline past [`BOUND`]: a run that ends within the bound
+    /// was ended by the abort, and a broken abort fails here rather than
+    /// hangs.
+    const LONG: Duration = Duration::from_secs(5);
+
+    fn is_corrupt_from_1(err: &CommError) -> bool {
+        matches!(err, CommError::Corrupt { src: 1, tag: 9, .. })
+    }
+
+    #[test]
+    fn a_panic_releases_a_peer_parked_at_the_barrier() {
+        let t0 = Instant::now();
+        let (done, finished) = mpsc::channel();
+        // Off the test thread, so a barrier that never releases fails the
+        // test at the bound instead of hanging it.
+        std::thread::spawn(move || {
+            let seen = Mutex::new(None);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                Universe::with_timeout(2, LONG).run(|c| {
+                    if c.rank() == 0 {
+                        while c.fail_stop.parked() == 0 {
+                            std::thread::yield_now();
+                        }
+                        panic!("rank 0 gave up");
+                    }
+                    c.barrier();
+                    // Released without synchronising: the next call says why.
+                    *seen.lock().unwrap() = Some(c.send(0, 1, &[]));
+                })
+            }));
+            let _ = done.send((caught.err(), seen.into_inner().unwrap()));
+        });
+        let (payload, seen) = finished.recv_timeout(BOUND).expect("the barrier never released");
+        let payload = payload.expect("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 0 gave up"));
+        assert_eq!(seen, Some(Err(CommError::Aborted { by: 0, cause: None })));
+        assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
+    }
+
+    /// A schedule hook with one participant, the thread that enrolls: it
+    /// reports that thread's first mailbox wait — past every entry check,
+    /// about to park — and otherwise waits and wakes like the condvar it
+    /// stands in for, in 25 ms slices like the fault lane's.
+    struct ParkHook {
+        participant: Mutex<Option<std::thread::ThreadId>>,
+        parking: Mutex<Option<mpsc::Sender<()>>>,
+        /// Channels notified since their waiter last looked.
+        notified: Mutex<HashSet<u64>>,
+        wake: Condvar,
+    }
+
+    impl ParkHook {
+        fn enroll(&self) {
+            *self.participant.lock().unwrap() = Some(std::thread::current().id());
+        }
+    }
+
+    impl ScheduleHook for ParkHook {
+        fn is_participant(&self) -> bool {
+            *self.participant.lock().unwrap() == Some(std::thread::current().id())
+        }
+
+        fn sync_point(&self, op: SyncOp) {
+            if let SyncOp::MailboxRecv { .. } = op {
+                if let Some(parking) = self.parking.lock().unwrap().take() {
+                    parking.send(()).unwrap();
+                }
+            }
+        }
+
+        fn wait_channel(&self, chan: u64) -> bool {
+            let notified = self.notified.lock().unwrap();
+            let slice = Duration::from_millis(25);
+            let (mut notified, _) =
+                self.wake.wait_timeout_while(notified, slice, |n| !n.contains(&chan)).unwrap();
+            notified.remove(&chan)
+        }
+
+        fn notify_channel(&self, chan: u64, _all: bool) {
+            self.notified.lock().unwrap().insert(chan);
+            self.wake.notify_all();
+        }
+    }
+
+    /// Rank 0 fails with `Corrupt` (every copy rank 1 sends is corrupted)
+    /// once rank 1 has entered its mailbox wait in `park`, waiting on a
+    /// message rank 0 never sends.
+    fn corrupt_while_peer_parks(park: fn(&mut Communicator) -> Result<()>) -> Vec<Result<()>> {
+        // The hook is process-wide: one such run at a time.
+        static HOOKED: Mutex<()> = Mutex::new(());
+        let _one = HOOKED.lock().unwrap_or_else(|e| e.into_inner());
+        // Rank 1's hook tells rank 0 it has parked: the failure is
+        // ordered after the park, not by sleeping.
+        let (parking, parked) = mpsc::channel();
+        let parked = Mutex::new(parked);
+        let hook = Arc::new(ParkHook {
+            participant: Mutex::new(None),
+            parking: Mutex::new(Some(parking)),
+            notified: Mutex::new(HashSet::new()),
+            wake: Condvar::new(),
+        });
+        sync::install(hook.clone());
+        let t0 = Instant::now();
+        let universe =
+            Universe::with_timeout_and_faults(2, LONG, FaultConfig::permanent_corruption(3));
+        let out = universe.unwrap().run(|c| {
+            if c.rank() == 0 {
+                parked.lock().unwrap().recv().unwrap();
+                return c.recv(1, 9).map(|_| ());
+            }
+            hook.enroll();
+            c.send(0, 9, &[1u8; 64])?;
+            park(c)
+        });
+        sync::uninstall();
+        assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
+        match &out[0] {
+            Err(err) if is_corrupt_from_1(err) => {}
+            other => panic!("rank 0: expected Corrupt, got {other:?}"),
+        }
+        out
+    }
+
+    fn assert_aborted_by_corrupt(out: &Result<()>) {
+        match out {
+            Err(CommError::Aborted { by: 0, cause: Some(cause) }) if is_corrupt_from_1(cause) => {}
+            other => panic!("rank 1: expected Aborted by 0 with Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failed_rank_aborts_a_peer_parked_in_recv() {
+        let out = corrupt_while_peer_parks(|c| c.recv(0, 10).map(|_| ()));
+        assert_aborted_by_corrupt(&out[1]);
+    }
+
+    #[test]
+    fn a_failed_rank_aborts_a_peer_parked_in_wait_any() {
+        let out = corrupt_while_peer_parks(|c| {
+            let reqs = [c.irecv(0, 10)?, c.irecv(0, 11)?];
+            c.wait_any(&reqs).map(|_| ())
+        });
+        assert_aborted_by_corrupt(&out[1]);
+    }
+
+    #[test]
+    fn a_send_to_a_failed_peer_is_aborted_not_disconnected() {
+        // Rank 1 times out and returns; its mailbox is gone.
+        let mut comms = Universe::with_timeout(2, Duration::from_millis(10)).into_communicators();
+        let mut failed = comms.pop().unwrap();
+        let cause = failed.recv(0, 5).unwrap_err();
+        assert!(matches!(cause, CommError::RecvTimeout { src: 0, tag: 5, .. }));
+        drop(failed);
+        let aborted = CommError::Aborted { by: 1, cause: Some(Box::new(cause)) };
+        assert_eq!(comms[0].send(1, 5, b"late"), Err(aborted));
+
+        // Rank 1 panics; its communicator drops while it unwinds.
+        let mut comms = Universe::new(2).into_communicators();
+        let failed = comms.pop().unwrap();
+        let caught = catch_unwind(AssertUnwindSafe(move || {
+            let _held = failed;
+            panic!("rank 1 died");
+        }));
+        assert!(caught.is_err());
+        let aborted = CommError::Aborted { by: 1, cause: None };
+        assert_eq!(comms[0].send(1, 5, b"late"), Err(aborted));
+
+        // A peer that returned normally is a protocol bug, not a failure.
+        let mut comms = Universe::new(2).into_communicators();
+        drop(comms.pop());
+        assert_eq!(comms[0].send(1, 5, b"late"), Err(CommError::Disconnected { peer: 1 }));
+    }
+
+    /// A rank program and, for each rank it leaves stuck, the `(peer,
+    /// tag)` that rank awaits for ever.
+    struct Stuck {
+        name: &'static str,
+        ranks: usize,
+        faults: bool,
+        program: fn(&mut Communicator) -> Result<()>,
+        awaits: &'static [(usize, (usize, u64))],
+    }
+
+    /// The runtime side of the shapes `qse-check`'s static verifier
+    /// rejects: under a 200 ms deadline every stuck rank ends typed —
+    /// with its own timeout, or aborted by a rank that timed out — well
+    /// within [`BOUND`], and every other rank completes.
+    #[test]
+    fn stuck_shapes_end_typed_on_every_rank() {
+        let shapes = [
+            Stuck {
+                name: "mismatched tags",
+                ranks: 4,
+                faults: false,
+                program: |c| match c.rank() {
+                    0 => c.sendrecv(1, 10, b"ping", 1, 99).map(|_| ()),
+                    1 => c.sendrecv(0, 20, b"pong", 0, 88).map(|_| ()),
+                    _ => Ok(()),
+                },
+                awaits: &[(0, (1, 99)), (1, (0, 88))],
+            },
+            Stuck {
+                name: "one-sided receive",
+                ranks: 2,
+                faults: false,
+                program: |c| if c.rank() == 1 { c.recv(0, 7).map(|_| ()) } else { Ok(()) },
+                awaits: &[(1, (0, 7))],
+            },
+            Stuck {
+                name: "one-sided receive under a fault lane",
+                ranks: 2,
+                faults: true,
+                program: |c| if c.rank() == 1 { c.recv(0, 7).map(|_| ()) } else { Ok(()) },
+                awaits: &[(1, (0, 7))],
+            },
+            Stuck {
+                name: "3-rank cycle",
+                ranks: 3,
+                faults: false,
+                program: |c| c.recv((c.rank() + 1) % 3, 5).map(|_| ()),
+                awaits: &[(0, (1, 5)), (1, (2, 5)), (2, (0, 5))],
+            },
+            Stuck {
+                name: "buffered but unmatched",
+                ranks: 2,
+                faults: false,
+                program: |c| {
+                    let peer = 1 - c.rank();
+                    c.send(peer, 40 + c.rank() as u64, b"noise")?;
+                    c.recv(peer, 1234).map(|_| ())
+                },
+                awaits: &[(0, (1, 1234)), (1, (0, 1234))],
+            },
+            Stuck {
+                name: "streamed group never sent",
+                ranks: 2,
+                faults: false,
+                program: |c| {
+                    if c.rank() == 1 {
+                        return Ok(());
+                    }
+                    let reqs = [c.irecv(1, 5)?, c.irecv(1, 6)?];
+                    c.wait_any(&reqs).map(|_| ())
+                },
+                awaits: &[(0, (1, 5))],
+            },
+        ];
+        let deadline = Duration::from_millis(200);
+        for shape in &shapes {
+            let t0 = Instant::now();
+            let universe = if shape.faults {
+                Universe::with_timeout_and_faults(shape.ranks, deadline, FaultConfig::recoverable(4))
+                    .unwrap()
+            } else {
+                Universe::with_timeout(shape.ranks, deadline)
+            };
+            let out = universe.run(shape.program);
+            assert!(t0.elapsed() < BOUND, "{}: took {:?}", shape.name, t0.elapsed());
+            let awaited = |rank: usize| shape.awaits.iter().find(|(r, _)| *r == rank).map(|a| a.1);
+            let timed_out = |rank: usize, err: &CommError| {
+                matches!((err, awaited(rank)), (CommError::RecvTimeout { src, tag, .. }, Some(a))
+                    if (*src, *tag) == a)
+            };
+            for (rank, res) in out.iter().enumerate() {
+                let ok = match (res, awaited(rank)) {
+                    (Ok(()), None) => true,
+                    (Err(CommError::Aborted { by, cause: Some(cause) }), Some(_)) => {
+                        timed_out(*by, cause) && out[*by].as_ref().err() == Some(&**cause)
+                    }
+                    (Err(err), Some(_)) => timed_out(rank, err),
+                    _ => false,
+                };
+                assert!(ok, "{}: rank {rank} ended {res:?}", shape.name);
+            }
+        }
     }
 }

@@ -23,11 +23,18 @@ impl fmt::Display for FaultOp {
 
 /// Errors surfaced by the message-passing layer.
 ///
-/// In a healthy run none of these occur; they exist so that tests fail with
-/// a diagnosis instead of deadlocking, and so that misuse (bad rank, zero
-/// chunk size) is rejected eagerly. The `Transient` and `Corrupt` variants
-/// only arise under an injected [`crate::faults::FaultPlan`] whose fault
-/// bursts exceed the retry budget — a recoverable plan never surfaces them.
+/// In a healthy run none of these occur; they exist so that a failure
+/// ends the run with a diagnosis instead of a hang, and so that misuse
+/// (bad rank, zero chunk size) is rejected eagerly. The `Transient` and
+/// `Corrupt` variants only arise under an injected
+/// [`crate::faults::FaultPlan`] whose fault bursts exceed the retry
+/// budget — a recoverable plan never surfaces them.
+///
+/// The universe is fail-stop: a transport error that leaves a rank's
+/// communicator (every variant but `InvalidRank` and `InvalidConfig`,
+/// which reject arguments before anything moves), or a rank that
+/// panics, aborts the universe, and every other rank's blocked or later
+/// call returns [`CommError::Aborted`] carrying the cause.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// A peer rank id is outside `0..size`.
@@ -37,9 +44,11 @@ pub enum CommError {
         /// Number of ranks in the universe.
         size: usize,
     },
-    /// A receive did not complete within the deadline — almost always a
-    /// deadlock in the calling protocol (e.g. two ranks both blocking-send
-    /// with a rendezvous transport, or mismatched tags).
+    /// A receive did not complete within the deadline. Plans are proved
+    /// deadlock-free before they run, so in the product this means a
+    /// peer is slower than the deadline allows (or, under a fault plan,
+    /// a delay longer than it); in hand-written rank code it is usually
+    /// a protocol bug such as mismatched tags or a one-sided receive.
     RecvTimeout {
         /// Rank we were receiving from.
         src: usize,
@@ -48,25 +57,24 @@ pub enum CommError {
         /// How long we waited.
         waited: Duration,
     },
-    /// The peer's mailbox has been dropped; the universe is shutting down
-    /// or the peer thread panicked.
+    /// The peer's mailbox has been dropped while the universe is intact:
+    /// the peer returned without receiving a message sent to it. Only a
+    /// protocol bug causes this — a failed or panicking peer aborts the
+    /// universe first, which surfaces as [`CommError::Aborted`].
     Disconnected {
         /// The peer rank.
         peer: usize,
     },
     /// A configuration value was invalid (e.g. zero maximum message size).
     InvalidConfig(&'static str),
-    /// The wait-for-graph detector proved no rank can make progress: every
-    /// stuck rank waits on a peer that will never send. Carries the full
-    /// per-rank diagnostic so the failure names the protocol bug directly.
-    Deadlock {
-        /// Rank that raised the diagnosis.
-        rank: usize,
-        /// Ranks that can never be satisfied.
-        stuck: Vec<usize>,
-        /// Rendered per-rank wait-for table (rank → waiting-on peer/tag →
-        /// queue depths).
-        detail: String,
+    /// Another rank failed and aborted the universe (fail-stop): this
+    /// rank's blocked receive, barrier-released call or send ended
+    /// because of it. Carries the failing rank and its error.
+    Aborted {
+        /// Rank that aborted the universe.
+        by: usize,
+        /// The error that rank returned; `None` when it panicked.
+        cause: Option<Box<CommError>>,
     },
     /// An injected transient fault persisted past the bounded retry
     /// budget. Retryable in principle — a longer budget would have
@@ -96,8 +104,8 @@ pub enum CommError {
     /// execution plan before a byte moved: its symbolic trace violates
     /// protocol matching, deadlock freedom, buffer bounds, or layout
     /// soundness. Carries the verifier's rendered diagnosis (per-rank,
-    /// naming the offending plan step) so the pre-flight rejection is as
-    /// actionable as a runtime deadlock report.
+    /// naming the offending plan step) so the pre-flight rejection names
+    /// the stuck ranks and what they await without running anything.
     PlanRejected {
         /// Rendered verification failure.
         detail: String,
@@ -140,17 +148,15 @@ impl fmt::Display for CommError {
                 "receive from rank {src} with tag {tag} timed out after {waited:?} (protocol deadlock?)"
             ),
             CommError::Disconnected { peer } => {
-                write!(f, "rank {peer} disconnected (thread exited or panicked)")
+                write!(f, "rank {peer} disconnected (returned without receiving)")
             }
             CommError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            CommError::Deadlock {
-                rank,
-                stuck,
-                detail,
-            } => write!(
-                f,
-                "deadlock detected at rank {rank}: ranks {stuck:?} can never be satisfied; {detail}"
-            ),
+            CommError::Aborted { by, cause: Some(cause) } => {
+                write!(f, "universe aborted by rank {by}: {cause}")
+            }
+            CommError::Aborted { by, cause: None } => {
+                write!(f, "universe aborted: rank {by} panicked")
+            }
             CommError::Transient { op, peer, attempts } => write!(
                 f,
                 "transient {op} fault towards rank {peer} persisted for {attempts} attempts (retry budget exhausted)"
@@ -200,15 +206,15 @@ mod tests {
         assert!(e.to_string().contains("rank 2"));
         let e = CommError::InvalidConfig("zero chunk");
         assert!(e.to_string().contains("zero chunk"));
-        let e = CommError::Deadlock {
-            rank: 0,
-            stuck: vec![0, 1],
-            detail: "rank 0 -> waiting on recv(src=1, tag=7)".into(),
+        let e = CommError::Aborted {
+            by: 3,
+            cause: Some(Box::new(CommError::Corrupt { src: 2, tag: 7, discarded: 4 })),
         };
         let text = e.to_string();
-        assert!(text.contains("deadlock"));
-        assert!(text.contains("[0, 1]"));
-        assert!(text.contains("tag=7"));
+        assert!(text.contains("aborted by rank 3"));
+        assert!(text.contains("corruption from rank 2 tag 7"));
+        let e = CommError::Aborted { by: 1, cause: None };
+        assert!(e.to_string().contains("rank 1 panicked"));
         let e = CommError::Transient {
             op: FaultOp::Send,
             peer: 3,

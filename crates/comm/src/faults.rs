@@ -6,8 +6,8 @@
 //! [`FaultPlan`] that perturbs every communicator deterministically:
 //!
 //! * **delivery delay jitter** — messages are stamped with a delay in
-//!   deadlock-poll slices; the receiver holds them back for that many
-//!   poll events before they become visible to matching;
+//!   slices of the modelled clock; the receiver holds them back for that
+//!   many ticks before they become visible to matching;
 //! * **transient send/recv failures** — an operation fails a bounded
 //!   number of times and is retried with deterministic backoff; a burst
 //!   longer than the retry budget surfaces as
@@ -32,10 +32,11 @@
 //! senders is scheduler-dependent.
 //!
 //! Delays and timeouts are *modelled*, not wall-clock: a held message is
-//! released after N poll events, and when a fault lane is active the
-//! receive deadline counts empty poll slices instead of elapsed time, so
+//! released after N ticks — a blocked receive ticks once per dequeue and
+//! once per empty 25 ms slice — and when a fault lane is active the
+//! receive deadline counts empty slices instead of elapsed time, so
 //! delay-versus-timeout boundary outcomes are exact (see
-//! `delay_at_timeout_boundary_*` tests).
+//! `delay_*_the_timeout_boundary_*` tests).
 
 use crate::error::CommError;
 use crate::message::Envelope;
@@ -53,7 +54,7 @@ pub struct FaultConfig {
     /// delays every message by exactly `max_delay_slices` (the
     /// deterministic mode the timeout boundary tests rely on).
     pub p_delay: f64,
-    /// Maximum injected delay, in deadlock-poll slices.
+    /// Maximum injected delay, in slices of the modelled clock.
     pub max_delay_slices: u32,
     /// Probability that a send delivers corrupted copies first. `>= 1.0`
     /// corrupts with a burst of exactly `max_corrupt_burst`.
@@ -125,7 +126,8 @@ impl FaultConfig {
 
     /// A plan whose every send delivers only corrupted copies — more of
     /// them than the retry budget tolerates and never a pristine one.
-    /// Every exchanging rank must surface [`CommError::Corrupt`].
+    /// Every exchanging rank must surface [`CommError::Corrupt`], or
+    /// [`CommError::Aborted`] carrying it when a peer gave up first.
     pub fn permanent_corruption(seed: u64) -> Self {
         let budget = 2;
         FaultConfig {
@@ -138,7 +140,8 @@ impl FaultConfig {
 
     /// A plan whose every send fails more times than the retry budget
     /// tolerates. The very first send on each rank must surface
-    /// [`CommError::Transient`].
+    /// [`CommError::Transient`], or [`CommError::Aborted`] carrying it
+    /// when a peer gave up first.
     pub fn exhausted_retries(seed: u64) -> Self {
         let budget = 2;
         FaultConfig {
@@ -283,7 +286,7 @@ pub struct SendFaults {
     /// True when the corruption burst exceeds the retry budget: no
     /// pristine copy is sent at all (permanent corruption).
     pub drop_pristine: bool,
-    /// Delivery delay stamped on every copy, in poll slices.
+    /// Delivery delay stamped on every copy, in modelled-clock slices.
     pub delay_slices: u32,
     /// How many distinct fault events this plan injected (for stats).
     pub injected_events: u32,
@@ -305,7 +308,7 @@ pub struct FaultLane {
     rank: usize,
     rng: StdRng,
     send_ops: u64,
-    /// Modelled clock: advances once per receive poll event.
+    /// Modelled clock: advances once per receive wait event.
     now: u64,
     held: Vec<HeldEnvelope>,
     /// Consecutive checksum failures per `(src, tag)`, cleared by a
@@ -406,7 +409,7 @@ impl FaultLane {
         Bytes::from(copy)
     }
 
-    /// Advances the modelled clock by `events` poll events.
+    /// Advances the modelled clock by `events` wait events.
     pub fn tick(&mut self, events: u64) {
         self.now += events;
     }

@@ -24,7 +24,11 @@
 //!   to the transport without copying it;
 //! * collectives: barrier, broadcast, all-reduce, gather ([`collective`]);
 //! * traffic accounting: every communicator records bytes and message
-//!   counts ([`stats`]), which the performance model and tests consume.
+//!   counts ([`stats`]), which the performance model and tests consume;
+//! * fail-stop error handling, as under MPI's default error handler: a
+//!   rank that fails or panics aborts the universe, and every other rank
+//!   returns [`CommError::Aborted`] naming it and its cause
+//!   ([`failstop`]).
 //!
 //! # Example
 //!
@@ -44,8 +48,8 @@
 pub mod chunking;
 pub mod collective;
 pub mod communicator;
-pub mod deadlock;
 pub mod error;
+pub mod failstop;
 pub mod faults;
 pub mod message;
 pub mod nonblocking;

@@ -23,8 +23,8 @@ pub struct Envelope {
     /// discards it and waits for the retransmission. `None` on the
     /// zero-overhead fault-free path — no checksum is ever computed.
     pub checksum: Option<u64>,
-    /// Injected delivery delay, in deadlock-poll slices. The receiver
-    /// holds the envelope back for this many poll events before it
+    /// Injected delivery delay, in modelled-clock slices. The receiver
+    /// holds the envelope back for this many wait events before it
     /// becomes visible to matching. Always `0` without a fault plan.
     pub delay_slices: u32,
 }

@@ -1,23 +1,24 @@
 //! Universe construction: spins up the ranks and hands out communicators.
 
 use crate::communicator::Communicator;
-use crate::deadlock::WaitRegistry;
+use crate::failstop::FailStop;
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::message::Envelope;
 use crate::stats::{SharedCounters, TrafficCounters};
 use crate::Result;
 use qse_util::mailbox::{unbounded, Receiver, Sender};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Default receive deadline; generous enough for debug-build statevector
-/// exchanges, short enough that a deadlocked test fails rather than hangs.
+/// exchanges, short enough that a protocol bug in hand-written rank code
+/// (a one-sided receive) fails rather than hangs.
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Receive deadline used by [`Universe::new`]: `QSE_RECV_TIMEOUT_SECS`
 /// from the environment if set to a positive integer, else
-/// [`DEFAULT_RECV_TIMEOUT`]. Read once per process, so CI can run
-/// intentional-deadlock suites with a ~2 s ceiling instead of 60 s.
+/// [`DEFAULT_RECV_TIMEOUT`]. Read once per process, so CI can lower the
+/// ceiling every timed-out receive pays.
 pub fn default_recv_timeout() -> Duration {
     static T: OnceLock<Duration> = OnceLock::new();
     *T.get_or_init(|| recv_timeout_from_env(std::env::var("QSE_RECV_TIMEOUT_SECS").ok().as_deref()))
@@ -36,17 +37,17 @@ pub fn recv_timeout_from_env(value: Option<&str>) -> Duration {
 /// A fixed-size set of ranks with fully connected mailboxes.
 ///
 /// The universe is the analogue of `MPI_COMM_WORLD` after `MPI_Init`: it
-/// owns one mailbox per rank and a shared barrier. Consume it either with
+/// owns one mailbox per rank and the shared fail-stop state (abort cell
+/// and barrier, see [`crate::failstop`]). Consume it either with
 /// [`Universe::run`] (spawn one thread per rank, run a closure, collect
 /// results in rank order) or [`Universe::into_communicators`] for manual
 /// thread management.
 pub struct Universe {
     senders: Arc<Vec<Sender<Envelope>>>,
     receivers: Vec<Receiver<Envelope>>,
-    barrier: Arc<Barrier>,
+    fail_stop: Arc<FailStop>,
     counters: Arc<Vec<SharedCounters>>,
     recv_timeout: Duration,
-    registry: Arc<WaitRegistry>,
     faults: Option<FaultPlan>,
 }
 
@@ -79,7 +80,7 @@ impl Universe {
     }
 
     /// Creates a universe with a custom receive deadline (mainly for tests
-    /// that intentionally deadlock).
+    /// that time a receive out on purpose).
     pub fn with_timeout(size: usize, recv_timeout: Duration) -> Self {
         assert!(size >= 1, "universe needs at least one rank");
         let mut senders = Vec::with_capacity(size);
@@ -95,10 +96,9 @@ impl Universe {
         Universe {
             senders: Arc::new(senders),
             receivers,
-            barrier: Arc::new(Barrier::new(size)),
+            fail_stop: Arc::new(FailStop::new(size)),
             counters: Arc::new(counters),
             recv_timeout,
-            registry: Arc::new(WaitRegistry::new(size)),
             faults: None,
         }
     }
@@ -121,11 +121,10 @@ impl Universe {
                     size,
                     Arc::clone(&self.senders),
                     rx,
-                    Arc::clone(&self.barrier),
+                    Arc::clone(&self.fail_stop),
                     Arc::clone(&self.counters[rank]),
                     Arc::clone(&self.counters),
                     self.recv_timeout,
-                    Arc::clone(&self.registry),
                     self.faults.as_ref().map(|plan| plan.lane(rank)),
                 )
             })
@@ -133,29 +132,33 @@ impl Universe {
     }
 
     /// Runs `f` on every rank in its own thread and returns the results in
-    /// rank order. A panic in any rank is re-raised on the caller with its
-    /// original payload, so a failed assertion inside a rank fails the
-    /// enclosing test with its own message.
+    /// rank order. A panicking rank aborts the universe, so its peers stop
+    /// waiting on it; the panic is then re-raised on the caller with its
+    /// original payload — the aborting rank's, when it panicked, even if
+    /// peers panicked on the abort after it — so a failed assertion
+    /// inside a rank fails the enclosing test with its own message.
     pub fn run<R, F>(self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut Communicator) -> R + Sync,
     {
+        let fail_stop = Arc::clone(&self.fail_stop);
         let comms = self.into_communicators();
         let f = &f;
-        std::thread::scope(|scope| {
+        let mut joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = comms
                 .into_iter()
                 .map(|mut comm| scope.spawn(move || f(&mut comm)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let origin = fail_stop.origin().filter(|&r| joined[r].is_err());
+        if let Some(rank) = origin.or_else(|| joined.iter().position(|r| r.is_err())) {
+            if let Err(payload) = joined.swap_remove(rank) {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        joined.into_iter().flatten().collect()
     }
 }
 
@@ -223,11 +226,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn rank_panic_fails_run() {
-        // The original payload must survive the join (resume_unwind).
+        // The original payload must survive the join (resume_unwind),
+        // even though rank 0 — joined first — panics too, on the abort.
         Universe::new(2).run(|c| {
             if c.rank() == 1 {
                 panic!("boom");
             }
+            c.recv(1, 0).unwrap();
         });
     }
 

@@ -70,8 +70,11 @@ impl ThreadClusterExecutor {
     /// [`Self::run`], but every rank's communication errors propagate as a
     /// typed [`CommError`] instead of panicking — the entry point for runs
     /// under a [`SimConfig::faults`] plan, where an unrecoverable plan
-    /// must surface an error rather than hang or crash. When several
-    /// ranks fail, the lowest rank's error is returned.
+    /// must surface an error rather than hang or crash. The universe is
+    /// fail-stop, so one rank's failure ends every rank, most of them
+    /// with [`CommError::Aborted`]; the error returned is the one that
+    /// started it — the first that is not `Aborted`, else the cause an
+    /// `Aborted` carries.
     pub fn try_run(
         circuit: &Circuit,
         config: &SimConfig,
@@ -146,10 +149,10 @@ impl ThreadClusterExecutor {
             let state = if gather { st.gather()? } else { None };
             Ok((wall, profile, stats, state))
         });
-        let mut results = Vec::with_capacity(per_rank.len());
-        for r in per_rank {
-            results.push(r?);
+        if let Some(err) = originating_error(&per_rank) {
+            return Err(err);
         }
+        let mut results: Vec<_> = per_rank.into_iter().flatten().collect();
 
         let total_bytes: u64 = results.iter().map(|(_, _, s, _)| s.bytes_sent).sum();
         let total_exchanged: u64 = results.iter().map(|(_, _, s, _)| s.bytes_exchanged).sum();
@@ -215,6 +218,19 @@ impl ThreadClusterExecutor {
             detail: e.to_string(),
         })
     }
+}
+
+/// The error a failed run reports: the first one that is not
+/// [`CommError::Aborted`], else the cause the first `Aborted` carries (the
+/// `Aborted` itself when its rank panicked). `None` when no rank failed.
+fn originating_error<T>(per_rank: &[Result<T, CommError>]) -> Option<CommError> {
+    let mut errors = per_rank.iter().filter_map(|r| r.as_ref().err());
+    let origin = errors.clone().find(|e| !matches!(e, CommError::Aborted { .. }));
+    let first = origin.or_else(|| errors.next())?;
+    Some(match first {
+        CommError::Aborted { cause: Some(cause), .. } => (**cause).clone(),
+        other => other.clone(),
+    })
 }
 
 /// Errors from the multi-engine entry point.
@@ -519,6 +535,27 @@ mod tests {
             &clean.state.unwrap(),
         );
         assert!(faulted.profiled.faults_injected > 0, "plan never fired");
+    }
+
+    #[test]
+    fn the_originating_error_is_reported_whatever_rank_raised_it() {
+        let corrupt = CommError::Corrupt { src: 1, tag: 9, discarded: 3 };
+        let aborted = |cause: Option<&CommError>| CommError::Aborted {
+            by: 2,
+            cause: cause.map(|c| Box::new(c.clone())),
+        };
+        let runs = [
+            (vec![Ok(()), Ok(())], None),
+            (
+                vec![Err(aborted(Some(&corrupt))), Ok(()), Err(corrupt.clone())],
+                Some(corrupt.clone()),
+            ),
+            (vec![Ok(()), Err(aborted(Some(&corrupt)))], Some(corrupt.clone())),
+            (vec![Err(aborted(None))], Some(aborted(None))),
+        ];
+        for (per_rank, want) in runs {
+            assert_eq!(originating_error(&per_rank), want, "{per_rank:?}");
+        }
     }
 
     #[test]

@@ -29,13 +29,13 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`math`] | `qse-math` | complex numbers, bit-index algebra |
-//! | [`comm`] | `qse-comm` | thread-rank message passing ("virtual MPI") |
+//! | [`comm`] | `qse-comm` | thread-rank message passing ("virtual MPI"), fail-stop on any rank's error |
 //! | [`circuit`] | `qse-circuit` | IR, QFT builders, locality classes, transpiler |
 //! | [`statevec`] | `qse-statevec` | local + distributed statevector engine |
 //! | [`machine`] | `qse-machine` | calibrated ARCHER2 time/energy model |
 //! | [`core`] | `qse-core` | executors, profiling, experiment harness |
 //! | [`util`] | `qse-util` | std-only PRNG, JSON, thread pool, channels |
-//! | [`check`] | `qse-check` | schedule explorer, deadlock tests, source lint |
+//! | [`check`] | `qse-check` | schedule explorer, static plan verifier, source lint |
 //!
 //! The workspace is hermetic: every dependency is an in-tree path crate,
 //! so a cold-cache `cargo build --offline` succeeds with no registry
