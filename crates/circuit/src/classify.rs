@@ -139,52 +139,8 @@ pub fn classify(gate: &Gate, layout: &Layout) -> GateClass {
     }
 }
 
-/// Communication summary of a circuit under a layout — what the paper's
-/// optimisations change. Byte counts are *per participating rank*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CommSummary {
-    /// Gates in the fully-local (diagonal) class.
-    pub fully_local: usize,
-    /// Gates in the local-memory class.
-    pub local_memory: usize,
-    /// Gates requiring exchange.
-    pub distributed: usize,
-    /// Of the distributed gates, how many are SWAPs (half-exchangeable).
-    pub distributed_swaps: usize,
-    /// Bytes exchanged per rank with full exchanges everywhere.
-    pub bytes_full_exchange: u64,
-    /// Bytes exchanged per rank when SWAPs use the half exchange (the
-    /// paper's future-work optimisation, §4).
-    pub bytes_half_exchange_swaps: u64,
-}
-
 /// Bytes per amplitude: two `f64`s.
 pub const BYTES_PER_AMP: u64 = 16;
-
-/// Summarises a circuit's communication behaviour under `layout`.
-pub fn comm_summary(circuit: &Circuit, layout: &Layout) -> CommSummary {
-    let mut s = CommSummary::default();
-    let full = layout.local_amps() * BYTES_PER_AMP;
-    for g in circuit.gates() {
-        match classify(g, layout) {
-            GateClass::FullyLocal => s.fully_local += 1,
-            GateClass::LocalMemory => s.local_memory += 1,
-            GateClass::Distributed => {
-                s.distributed += 1;
-                s.bytes_full_exchange += full;
-                if matches!(g, Gate::Swap(..)) {
-                    s.distributed_swaps += 1;
-                    // Only amplitudes whose two swap bits differ move:
-                    // half the local vector.
-                    s.bytes_half_exchange_swaps += full / 2;
-                } else {
-                    s.bytes_half_exchange_swaps += full;
-                }
-            }
-        }
-    }
-    s
-}
 
 // ---------------------------------------------------------------------------
 // Engine choice — which simulation backend fits a circuit's structure.
@@ -383,7 +339,7 @@ pub fn choose_engine(circuit: &Circuit) -> EngineChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qft::{cache_blocked_qft, qft};
+    use crate::qft::qft;
 
     #[test]
     fn layout_arithmetic() {
@@ -495,36 +451,6 @@ mod tests {
         assert_eq!(classify(&Gate::Swap(0, 3), &l), GateClass::LocalMemory);
         assert_eq!(classify(&Gate::Swap(0, 4), &l), GateClass::Distributed);
         assert_eq!(classify(&Gate::Swap(5, 7), &l), GateClass::Distributed);
-    }
-
-    #[test]
-    fn qft_summary_paper_scale() {
-        // 38 qubits, 64 ranks: 6 global qubits.
-        let l = Layout::new(38, 64);
-        let s = comm_summary(&qft(38), &l);
-        assert_eq!(s.distributed, 12); // 6 H + 6 SWAP
-        assert_eq!(s.distributed_swaps, 6);
-        // CPhases are all fully local.
-        assert_eq!(s.fully_local, (38 * 37 / 2) as usize);
-        let cb = comm_summary(&cache_blocked_qft(38, 30), &l);
-        assert_eq!(cb.distributed, 6); // SWAPs only
-        assert_eq!(cb.distributed_swaps, 6);
-        // Cache blocking halves exchanged bytes...
-        assert_eq!(cb.bytes_full_exchange * 2, s.bytes_full_exchange);
-        // ...and half-exchange SWAPs halve them again (paper §4).
-        assert_eq!(
-            cb.bytes_half_exchange_swaps * 2,
-            cb.bytes_full_exchange
-        );
-    }
-
-    #[test]
-    fn exchange_bytes_match_local_share() {
-        let l = Layout::new(10, 4); // 8 local qubits, 256 amps → 4096 B
-        let mut c = Circuit::new(10);
-        c.h(9); // one distributed gate
-        let s = comm_summary(&c, &l);
-        assert_eq!(s.bytes_full_exchange, 256 * 16);
     }
 
     // --- engine choice ---

@@ -8,8 +8,9 @@
 //! step, which contiguous blocks travel between which ranks. Two
 //! consumers read the same answer: the statevector engine executes it,
 //! and the static verifier (`qse-check`) turns it into symbolic traces
-//! and proves them safe. The transpiler's traffic model folds the same
-//! block map.
+//! and proves them safe. The machine model prices a gate from its
+//! lowering on every rank ([`gate_traffic`]), and the transpiler's
+//! traffic model folds the same block map.
 //!
 //! Tags are counted per step on *every* rank: a spectator rank (a
 //! globally controlled gate whose control bit it lacks, a both-global
@@ -17,7 +18,8 @@
 //! and exchanges nothing, so partners agree on wire tags whatever their
 //! participation history.
 
-use crate::classify::{classify, GateClass, Layout};
+use crate::circuit::Circuit;
+use crate::classify::{classify, GateClass, Layout, BYTES_PER_AMP};
 use crate::gate::Gate;
 use crate::permutation::Permutation;
 use std::fmt;
@@ -153,6 +155,66 @@ pub fn lower_gate(
         }
     }
     Ok(out)
+}
+
+/// One gate lowered on every rank: what it moves, summed over the ranks
+/// that take part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GateTraffic {
+    /// A participating rank's lowering (rank 0's when none exchanges).
+    /// Every participating rank runs the same kernels on the same amounts.
+    pub lowering: GateLowering,
+    /// Ranks that run at least one exchange.
+    pub participants: u64,
+    /// Amplitudes sent, summed over every rank's exchanges.
+    pub amps_sent: u64,
+}
+
+impl GateTraffic {
+    /// Bytes one participating rank sends.
+    pub fn rank_bytes(&self) -> u64 {
+        self.lowering.exchanges().map(|e| e.amps).sum::<u64>() * BYTES_PER_AMP
+    }
+
+    /// Bytes all ranks send together.
+    pub fn bytes_sent(&self) -> u64 {
+        self.amps_sent * BYTES_PER_AMP
+    }
+}
+
+/// Lowers `gate` on every rank of `layout` — the engine's own decision,
+/// folded over ranks for the models and reports that price or count it.
+pub fn gate_traffic(
+    gate: &Gate,
+    layout: &Layout,
+    half_exchange_swaps: bool,
+) -> Result<GateTraffic, LowerError> {
+    let lowering = lower_gate(gate, layout, 0, half_exchange_swaps)?;
+    let mut t = GateTraffic { lowering, participants: 0, amps_sent: 0 };
+    if lowering.class != GateClass::Distributed {
+        return Ok(t);
+    }
+    for rank in 0..layout.n_ranks() {
+        let on_rank = lower_gate(gate, layout, rank, half_exchange_swaps)?;
+        let amps: u64 = on_rank.exchanges().map(|e| e.amps).sum();
+        if amps > 0 {
+            if t.participants == 0 {
+                t.lowering = on_rank;
+            }
+            t.participants += 1;
+            t.amps_sent += amps;
+        }
+    }
+    Ok(t)
+}
+
+/// [`gate_traffic`] of every gate of `circuit`, in order.
+pub fn circuit_traffic(
+    circuit: &Circuit,
+    layout: &Layout,
+    half_exchange_swaps: bool,
+) -> Result<Vec<GateTraffic>, LowerError> {
+    circuit.gates().iter().map(|g| gate_traffic(g, layout, half_exchange_swaps)).collect()
 }
 
 /// One rank's view of a layout, for [`lower_gate`].
@@ -504,9 +566,58 @@ mod tests {
         let gate = Gate::Unitary2 { a: 0, b: 1, matrix: Matrix4::swap() };
         let err = lower_gate(&gate, &layout, 0, false).unwrap_err();
         assert_eq!(err, LowerError::NoLocalQubit);
+        assert_eq!(gate_traffic(&gate, &layout, false), Err(err.clone()));
         assert_eq!(err.to_string(), "both-global Unitary2 needs at least one local qubit");
         let err = lower_gate(&Gate::H(6), &Layout::new(6, 2), 0, false).unwrap_err();
         assert_eq!(err.to_string(), "gate operand 6 out of range for 6 qubits");
+    }
+
+    #[test]
+    fn traffic_folds_the_lowering_over_ranks() {
+        // Ten qubits over eight ranks: qubits 7..9 are rank bits and a
+        // slice is 128 amplitudes, 2 048 B.
+        let layout = Layout::new(10, 8);
+        let u2 = Gate::Unitary2 { a: 8, b: 9, matrix: Matrix4::swap() };
+        let cnot = Gate::CNot { control: 8, target: 9 };
+        // (gate, half swaps, participants, exchanges each, bytes over all ranks)
+        let table = [
+            (u2.clone(), false, 8, 3, 49_152),
+            (u2, true, 8, 3, 32_768),
+            (cnot, false, 4, 1, 8_192),
+            (Gate::Swap(8, 9), false, 4, 1, 8_192),
+            (Gate::Swap(8, 9), true, 4, 1, 8_192),
+            (Gate::Swap(0, 9), true, 8, 1, 8_192),
+            (Gate::H(9), false, 8, 1, 16_384),
+            (Gate::H(0), false, 0, 0, 0),
+        ];
+        for (gate, half, participants, exchanges, bytes) in table {
+            let t = gate_traffic(&gate, &layout, half).unwrap();
+            let got = (t.participants, t.lowering.exchanges().count(), t.bytes_sent());
+            assert_eq!(got, (participants, exchanges, bytes), "{gate} half={half}");
+            assert_eq!(t.rank_bytes() * t.participants, t.bytes_sent(), "{gate} half={half}");
+        }
+    }
+
+    #[test]
+    fn qft_traffic_at_paper_scale() {
+        use crate::qft::{cache_blocked_qft, qft};
+        // 38 qubits over 64 ranks: six rank qubits.
+        let layout = Layout::new(38, 64);
+        let slices = |k: u64| k * 64 * layout.local_amps() * BYTES_PER_AMP;
+        let count = |c: &Circuit, half| {
+            let t = circuit_traffic(c, &layout, half).unwrap();
+            let of = |class| t.iter().filter(|t| t.lowering.class == class).count();
+            let bytes = t.iter().map(GateTraffic::bytes_sent).sum::<u64>();
+            (of(GateClass::FullyLocal), of(GateClass::Distributed), bytes)
+        };
+        // Six H and six SWAPs exchange; every controlled phase is local.
+        assert_eq!(count(&qft(38), false), (38 * 37 / 2, 12, slices(12)));
+        // Cache blocking leaves the six SWAPs, and half-exchange SWAPs
+        // halve their bytes again (§4).
+        let blocked = cache_blocked_qft(38, 30);
+        let (_, distributed, bytes) = count(&blocked, false);
+        assert_eq!((distributed, bytes), (6, slices(6)));
+        assert_eq!(count(&blocked, true).2, slices(3));
     }
 
     /// The rank and slot that global index `i` occupies after `perm`.

@@ -174,7 +174,8 @@ pub fn cache_block_for(circuit: &Circuit, layout: &Layout) -> Transpiled {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{classify, comm_summary, GateClass, Layout};
+    use crate::classify::{classify, GateClass, Layout};
+    use crate::lower::{circuit_traffic, Kernel};
     use crate::qft::qft;
     use crate::random::{random_circuit, GatePool};
 
@@ -244,12 +245,15 @@ mod tests {
         let n = 12;
         let layout = Layout::new(n, 8); // 9 local, 3 global
         let t = cache_block_for(&qft(n), &layout);
-        let s = comm_summary(&t.circuit, &layout);
-        assert_eq!(s.distributed, 3);
-        assert_eq!(s.distributed_swaps, 3);
+        let kernels = |c: &Circuit| -> Vec<Kernel> {
+            let traffic = circuit_traffic(c, &layout, false).unwrap();
+            traffic.iter().flat_map(|t| t.lowering.exchanges().map(|e| e.kernel)).collect()
+        };
+        let after = kernels(&t.circuit);
+        assert_eq!(after.len(), 3);
+        assert!(after.iter().all(|k| matches!(k, Kernel::Swap { .. })), "{after:?}");
         // Far fewer than the untranspiled circuit.
-        let orig = comm_summary(&qft(n), &layout);
-        assert_eq!(orig.distributed, 6); // 3 H + 3 swaps
+        assert_eq!(kernels(&qft(n)).len(), 6); // 3 H + 3 swaps
     }
 
     #[test]

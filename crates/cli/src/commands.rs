@@ -3,7 +3,8 @@
 use crate::args::{ArgError, Args};
 use qse_check::{Ctl, Explorer};
 use qse_circuit::algorithms::{bernstein_vazirani, ghz, grover, grover_optimal_iterations};
-use qse_circuit::classify::{comm_summary, Layout};
+use qse_circuit::classify::{GateClass, Layout};
+use qse_circuit::lower::{circuit_traffic, GateTraffic};
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft, valid_split_range};
 use qse_circuit::transpile::cache_blocking::cache_block;
 use qse_circuit::Circuit;
@@ -398,14 +399,10 @@ fn model(args: &Args) -> Result<String, ArgError> {
     // Modeled exchange payload, with a measured thread-cluster comparison
     // whenever the same configuration fits in one process — the honesty
     // check that the model's traffic inputs are exact.
-    let layout = Layout::new(n, nodes);
-    let summary = comm_summary(&circuit, &layout);
-    let per_rank = if cfg.half_exchange_swaps {
-        summary.bytes_half_exchange_swaps
-    } else {
-        summary.bytes_full_exchange
-    };
-    out += &format!("exchange payload (modeled): {} bytes", per_rank * nodes);
+    let traffic = circuit_traffic(&circuit, &Layout::new(n, nodes), cfg.half_exchange_swaps)
+        .map_err(|e| ArgError(e.to_string()))?;
+    let modeled: u64 = traffic.iter().map(GateTraffic::bytes_sent).sum();
+    out += &format!("exchange payload (modeled): {modeled} bytes");
     if n <= 20 && nodes <= 8 {
         let run = ThreadClusterExecutor::try_run(&circuit, &cfg, 0, false)
             .map_err(|e| ArgError(format!("measurement run failed: {e}")))?;
@@ -460,9 +457,15 @@ fn transpile(args: &Args) -> Result<String, ArgError> {
     let ranks: u64 = args.required("ranks")?;
     let layout = Layout::new(n, ranks);
     let circuit = build_circuit(&args.string("circuit", "qft"), n)?;
-    let before = comm_summary(&circuit, &layout);
+    // Distributed gates and bytes one participating rank sends.
+    let summary = |c: &Circuit| -> Result<(usize, u64), ArgError> {
+        let traffic = circuit_traffic(c, &layout, false).map_err(|e| ArgError(e.to_string()))?;
+        let distributed = traffic.iter().filter(|t| t.lowering.class == GateClass::Distributed);
+        Ok((distributed.count(), traffic.iter().map(GateTraffic::rank_bytes).sum()))
+    };
+    let before = summary(&circuit)?;
     let t = cache_block(&circuit, layout.local_qubits());
-    let after = comm_summary(&t.circuit, &layout);
+    let after = summary(&t.circuit)?;
     Ok(format!(
         "{} gates on {} qubits over {} ranks ({} local qubits)\n\
          before: {} distributed gates, {} bytes/rank exchanged\n\
@@ -472,11 +475,11 @@ fn transpile(args: &Args) -> Result<String, ArgError> {
         n,
         ranks,
         layout.local_qubits(),
-        before.distributed,
-        before.bytes_full_exchange,
-        after.distributed,
-        after.bytes_full_exchange,
-        before.bytes_full_exchange as f64 / after.bytes_full_exchange.max(1) as f64,
+        before.0,
+        before.1,
+        after.0,
+        after.1,
+        before.1 as f64 / after.1.max(1) as f64,
         if t.layout.is_identity() { "the " } else { "NOT " },
     ))
 }

@@ -8,28 +8,60 @@
 //! stay robust on noisy CI machines.
 
 use qse_circuit::benchmarks::hadamard_benchmark;
-use qse_circuit::classify::{comm_summary, Layout};
+use qse_circuit::classify::Layout;
+use qse_circuit::lower::{circuit_traffic, GateTraffic};
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
+use qse_circuit::random::{random_circuit, GatePool};
+use qse_circuit::Circuit;
 use qse_core::{ModelExecutor, SimConfig, ThreadClusterExecutor};
 use qse_machine::archer2;
+use qse_machine::archer2::Machine;
+use qse_util::check::check;
+use qse_util::rng::Rng;
 
-/// The model predicts cache blocking halves QFT traffic; the engine's
-/// counters must measure exactly the same bytes the model charges.
+/// The bytes the engine measures, against the lowering folded over ranks
+/// and against the model's per-gate bytes × participating ranks.
+fn assert_traffic_exact(machine: &Machine, circuit: &Circuit, ranks: u64, half: bool) {
+    let mut cfg = SimConfig::default_for(ranks);
+    cfg.half_exchange_swaps = half;
+    let measured = ThreadClusterExecutor::run(circuit, &cfg, 0, false).profiled.bytes_sent;
+    let at = format!("n={} R={ranks} half={half}", circuit.n_qubits());
+    let layout = Layout::new(circuit.n_qubits(), ranks);
+    let traffic = circuit_traffic(circuit, &layout, half).unwrap();
+    let folded: u64 = traffic.iter().map(GateTraffic::bytes_sent).sum();
+    assert_eq!(folded, measured, "fold, {at}");
+    let est = ModelExecutor::new(machine).run(circuit, &cfg);
+    let modeled: u64 = est
+        .gates
+        .iter()
+        .map(|g| g.cost.comm_bytes * (g.cost.participation * ranks as f64) as u64)
+        .sum();
+    assert_eq!(modeled, measured, "model, {at}");
+}
+
+/// The model's traffic is exact: over random circuits of every gate kind
+/// (global controls, both-global SWAPs and `Unitary2`s included), every
+/// rank count and both SWAP exchanges, and over the QFT and its
+/// cache-blocked form, which the model says halves the traffic.
 #[test]
 fn model_traffic_equals_measured_traffic() {
-    let n = 10u32;
-    let ranks = 8u64;
     let machine = archer2();
-    let layout = Layout::new(n, ranks);
-    for circuit in [qft(n), cache_blocked_qft(n, default_split(n, layout.local_qubits()))] {
-        let est = ModelExecutor::new(&machine).run(&circuit, &SimConfig::default_for(ranks));
-        let run = ThreadClusterExecutor::run(&circuit, &SimConfig::default_for(ranks), 0, false);
-        // The model accumulates bytes per rank; the engine counts all
-        // ranks. Distributed gates involve every rank here.
-        assert_eq!(est.breakdown.comm_bytes * ranks, run.profiled.bytes_sent);
-        // And both agree with the static classifier.
-        let summary = comm_summary(&circuit, &layout);
-        assert_eq!(est.breakdown.comm_bytes, summary.bytes_full_exchange);
+    check(32, |rng| {
+        let n = rng.random_range(6u32..=10);
+        let circuit = random_circuit(n, 30, GatePool::Full, rng.random_range(0u64..1 << 32));
+        for ranks in [1u64, 2, 4, 8] {
+            for half in [false, true] {
+                assert_traffic_exact(&machine, &circuit, ranks, half);
+            }
+        }
+    });
+    for n in [9u32, 10] {
+        let blocked = cache_blocked_qft(n, default_split(n, n - 3));
+        for circuit in [qft(n), blocked] {
+            for half in [false, true] {
+                assert_traffic_exact(&machine, &circuit, 8, half);
+            }
+        }
     }
 }
 

@@ -3,9 +3,9 @@
 //!
 //! This is the substitute for running on 64–4,096 real nodes. Gate counts,
 //! locality classes and exchanged bytes are *exact* (they come from the
-//! same classifier the executable engine uses); only the time and energy
-//! per unit of work is modelled, with constants calibrated in
-//! [`crate::archer2`].
+//! same lowering the executable engine runs, folded over ranks by
+//! [`gate_traffic`]); only the time and energy per unit of work is
+//! modelled, with constants calibrated in [`crate::archer2`].
 
 use crate::cost::{CommMode, GateCost, ModelConfig};
 use crate::cu::cu_cost;
@@ -14,6 +14,7 @@ use crate::archer2::Machine;
 use crate::memory::BYTES_PER_AMP;
 use crate::power::Phase;
 use qse_circuit::classify::{classify, GateClass, Layout};
+use qse_circuit::lower::{gate_traffic, Kernel};
 use qse_circuit::transpile::fusion::{fused_schedule, ScheduleStep};
 use qse_circuit::{Circuit, Gate};
 
@@ -149,79 +150,47 @@ impl Ctx<'_> {
         (pipelined - overlap_s).max(0.0)
     }
 
+    /// A local sweep of `bytes` at `penalty`: memory and compute only.
+    fn sweep_cost(&self, bytes: f64, penalty: f64) -> GateCost {
+        let (mem, comp) = self.local_cost(bytes, penalty);
+        GateCost {
+            compute_s: comp,
+            memory_s: mem,
+            comm_s: 0.0,
+            comm_bytes: 0,
+            participation: 1.0,
+        }
+    }
+
     fn step_cost(&self, gates: &[Gate], fused: bool) -> (GateCost, GateClass) {
         let la = self.local_amps as f64;
         if fused {
             // One full sweep applies the whole run of diagonal gates.
-            let (mem, comp) = self.local_cost(32.0 * la, 1.0);
-            return (
-                GateCost {
-                    compute_s: comp,
-                    memory_s: mem,
-                    comm_s: 0.0,
-                    comm_bytes: 0,
-                    participation: 1.0,
-                },
-                GateClass::FullyLocal,
-            );
+            return (self.sweep_cost(32.0 * la, 1.0), GateClass::FullyLocal);
         }
         let gate = &gates[0];
         let class = classify(gate, &self.layout);
         let cost = match class {
             GateClass::FullyLocal => {
                 let frac = 0.5f64.powi(diagonal_condition_bits(gate) as i32);
-                let (mem, comp) = self.local_cost(32.0 * la * frac, 1.0);
-                GateCost {
-                    compute_s: comp,
-                    memory_s: mem,
-                    comm_s: 0.0,
-                    comm_bytes: 0,
-                    participation: 1.0,
-                }
+                self.sweep_cost(32.0 * la * frac, 1.0)
             }
-            GateClass::LocalMemory => match *gate {
-                Gate::Swap(a, b) => {
-                    let pen = self
-                        .pair_penalty(a)
-                        .max(self.pair_penalty(b));
+            GateClass::LocalMemory => {
+                let pen = |a, b| self.pair_penalty(a).max(self.pair_penalty(b));
+                match *gate {
                     // Only the differing-bit half of the amplitudes move.
-                    let (mem, comp) = self.local_cost(32.0 * la * 0.5, pen);
-                    GateCost {
-                        compute_s: comp,
-                        memory_s: mem,
-                        comm_s: 0.0,
-                        comm_bytes: 0,
-                        participation: 1.0,
-                    }
-                }
-                Gate::Unitary2 { a, b, .. } => {
+                    Gate::Swap(a, b) => self.sweep_cost(32.0 * la * 0.5, pen(a, b)),
                     // Four-amplitude orbits touch the whole slice once.
-                    let pen = self.pair_penalty(a).max(self.pair_penalty(b));
-                    let (mem, comp) = self.local_cost(32.0 * la, pen);
-                    GateCost {
-                        compute_s: comp,
-                        memory_s: mem,
-                        comm_s: 0.0,
-                        comm_bytes: 0,
-                        participation: 1.0,
-                    }
-                }
-                ref g => {
+                    Gate::Unitary2 { a, b, .. } => self.sweep_cost(32.0 * la, pen(a, b)),
                     // A local control halves the touched amplitudes
                     // (QuEST skips the control-0 half).
-                    let frac = if g.control().is_some() { 0.5 } else { 1.0 };
-                    let pen = self.pair_penalty(g.target());
-                    let (mem, comp) = self.local_cost(32.0 * la * frac, pen);
-                    GateCost {
-                        compute_s: comp,
-                        memory_s: mem,
-                        comm_s: 0.0,
-                        comm_bytes: 0,
-                        participation: 1.0,
+                    ref g => {
+                        let frac = if g.control().is_some() { 0.5 } else { 1.0 };
+                        self.sweep_cost(32.0 * la * frac, self.pair_penalty(g.target()))
                     }
                 }
-            },
-            GateClass::Distributed => self.distributed_cost(gate),
+            }
+            GateClass::Distributed => self.exchange_cost(gate),
         };
         (cost, class)
     }
@@ -236,90 +205,43 @@ impl Ctx<'_> {
         )
     }
 
-    fn distributed_cost(&self, gate: &Gate) -> GateCost {
+    /// A distributed gate priced from its lowering: a participating
+    /// rank's exchanges in order, each moving its payload and sweeping
+    /// the slice with its kernel, which a streamed exchange overlaps.
+    fn exchange_cost(&self, gate: &Gate) -> GateCost {
+        let half = self.cfg.half_exchange_swaps;
+        // qse-lint: allow — the documented panic of `estimate`; the engine refuses the gate too
+        let traffic = gate_traffic(gate, &self.layout, half).unwrap_or_else(|e| panic!("{gate}: {e}"));
         let la = self.local_amps as f64;
-        let full_bytes = self.local_amps * BYTES_PER_AMP;
-        match *gate {
-            Gate::Swap(a, b) => {
-                let (lo, _hi) = if a < b { (a, b) } else { (b, a) };
-                if self.layout.is_local(lo) {
-                    // One-global SWAP: half-exchangeable.
-                    let bytes = if self.cfg.half_exchange_swaps {
-                        full_bytes / 2
-                    } else {
-                        full_bytes
-                    };
-                    // Scatter the received half: 16 B read + 16 B write
-                    // per moved amplitude, half the slice moves.
-                    let (mem, comp) = self.local_cost(16.0 * la, 1.0);
-                    let comm = self.exchange_comm_cost(bytes, mem + comp);
-                    GateCost {
-                        compute_s: comp,
-                        memory_s: mem,
-                        comm_s: comm,
-                        comm_bytes: bytes,
-                        participation: 1.0,
-                    }
-                } else {
-                    // Both-global SWAP: half the ranks trade whole slices.
-                    let (mem, comp) = self.local_cost(32.0 * la, 1.0);
-                    let comm = self.exchange_comm_cost(full_bytes, mem + comp);
-                    GateCost {
-                        compute_s: comp,
-                        memory_s: mem,
-                        comm_s: comm,
-                        comm_bytes: full_bytes,
-                        participation: 0.5,
-                    }
-                }
-            }
-            Gate::Unitary2 { a, b, .. } => {
-                let (lo, _hi) = if a < b { (a, b) } else { (b, a) };
-                if self.layout.is_local(lo) {
-                    // One-global 2q unitary: exchange + 4×4 combine (read
-                    // mine + theirs + write = 48 B per amplitude).
-                    let (mem, comp) = self.local_cost(48.0 * la, 1.0);
-                    let comm = self.exchange_comm_cost(full_bytes, mem + comp);
-                    GateCost {
-                        compute_s: comp,
-                        memory_s: mem,
-                        comm_s: comm,
-                        comm_bytes: full_bytes,
-                        participation: 1.0,
-                    }
-                } else {
-                    // Both global: the engine decomposes into SWAP-in,
-                    // one-global apply, SWAP-out — three exchanges, each
-                    // overlapping a third of the sweep work.
-                    let (mem, comp) = self.local_cost((16.0 + 48.0 + 16.0) * la, 1.0);
-                    let comm = 3.0 * self.exchange_comm_cost(full_bytes, (mem + comp) / 3.0);
-                    GateCost {
-                        compute_s: comp,
-                        memory_s: mem,
-                        comm_s: comm,
-                        comm_bytes: 3 * full_bytes,
-                        participation: 1.0,
-                    }
-                }
-            }
-            ref g => {
-                // Distributed single-target gate: full exchange + combine
-                // (read mine + read theirs + write = 48 B per amplitude).
-                let participation = match g.control() {
-                    Some(c) if !self.layout.is_local(c) => 0.5,
-                    _ => 1.0,
-                };
-                let (mem, comp) = self.local_cost(48.0 * la, 1.0);
-                let comm = self.exchange_comm_cost(full_bytes, mem + comp);
-                GateCost {
-                    compute_s: comp,
-                    memory_s: mem,
-                    comm_s: comm,
-                    comm_bytes: full_bytes,
-                    participation,
-                }
-            }
+        let exchanges = || traffic.lowering.exchanges();
+        // One sweep for the gate: a both-global `Unitary2`'s three
+        // exchanges price as a single 16 + 48 + 16 B per-amplitude pass.
+        let sweep: f64 = exchanges().map(|e| sweep_bytes(e.kernel)).sum();
+        let comm_s = exchanges()
+            .map(|e| {
+                let (mem, comp) = self.local_cost(sweep_bytes(e.kernel) * la, 1.0);
+                self.exchange_comm_cost(e.amps * BYTES_PER_AMP, mem + comp)
+            })
+            .sum();
+        GateCost {
+            comm_s,
+            comm_bytes: traffic.rank_bytes(),
+            participation: traffic.participants as f64 / self.layout.n_ranks() as f64,
+            ..self.sweep_cost(sweep * la, 1.0)
         }
+    }
+}
+
+/// Sweep bytes per local amplitude of an exchange's combine.
+fn sweep_bytes(kernel: Kernel) -> f64 {
+    match kernel {
+        // Read mine + read theirs + write.
+        Kernel::Row { .. } | Kernel::Orbit { .. } => 48.0,
+        // Scatter the received half: 16 B read + 16 B write per moved
+        // amplitude, half the slice moves.
+        Kernel::Swap { .. } | Kernel::HalfSwap { .. } => 16.0,
+        // Copy the peer's whole slice in.
+        Kernel::Replace => 32.0,
     }
 }
 
@@ -327,7 +249,9 @@ impl Ctx<'_> {
 ///
 /// # Panics
 /// Panics when `cfg.n_nodes` is not a power of two or exceeds the
-/// register (QuEST's own constraint).
+/// register (QuEST's own constraint), and on a gate the engine cannot
+/// lower: a both-global `Unitary2` with no local qubit to swap through
+/// (`n_nodes = 2ⁿ`), which the engine rejects as `PlanRejected`.
 pub fn estimate(circuit: &Circuit, machine: &Machine, cfg: &ModelConfig) -> RunEstimate {
     let layout = Layout::new(circuit.n_qubits(), cfg.n_nodes);
     let node = machine.node(cfg.node_kind);
@@ -597,6 +521,14 @@ mod tests {
         );
         let sum = est.breakdown.compute_s + est.breakdown.memory_s + est.breakdown.comm_s;
         assert_close(est.runtime_s, sum, 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "both-global Unitary2 needs at least one local qubit")]
+    fn gates_the_engine_cannot_lower_are_not_priced() {
+        let mut c = Circuit::new(2);
+        c.push(Gate::Unitary2 { a: 0, b: 1, matrix: qse_math::Matrix4::swap() });
+        estimate(&c, &archer2(), &ModelConfig::default_for(4));
     }
 
     #[test]

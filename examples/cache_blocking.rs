@@ -26,16 +26,14 @@ fn main() {
     let built_in = qft(n);
     let split = default_split(n, layout.local_qubits());
     let blocked = cache_blocked_qft(n, split);
-    let s1 = comm_summary(&built_in, &layout);
-    let s2 = comm_summary(&blocked, &layout);
-    println!("built-in QFT:      {} distributed gates ({} swaps)", s1.distributed, s1.distributed_swaps);
-    println!("cache-blocked QFT: {} distributed gates ({} swaps), split after H #{split}", s2.distributed, s2.distributed_swaps);
+    let (d1, b1) = summary(&built_in, &layout, false);
+    let (d2, b2) = summary(&blocked, &layout, false);
+    println!("built-in QFT:      {d1} distributed gates");
+    println!("cache-blocked QFT: {d2} distributed gates, split after H #{split}");
     println!(
-        "exchange volume per rank: {} -> {} bytes ({}x), half-exchange swaps -> {} bytes\n",
-        s1.bytes_full_exchange,
-        s2.bytes_full_exchange,
-        s1.bytes_full_exchange / s2.bytes_full_exchange.max(1),
-        s2.bytes_half_exchange_swaps,
+        "exchange volume per rank: {b1} -> {b2} bytes ({}x), half-exchange swaps -> {} bytes\n",
+        b1 / b2.max(1),
+        summary(&blocked, &layout, true).1,
     );
 
     // (b) The general pass on an arbitrary circuit: 30 Hadamards on a
@@ -45,13 +43,11 @@ fn main() {
         hot_global.h(n - 1);
     }
     let transpiled = cache_block(&hot_global, layout.local_qubits());
-    let before = comm_summary(&hot_global, &layout);
-    let after = comm_summary(&transpiled.circuit, &layout);
     println!(
         "general pass on 30x H(q{}): {} -> {} distributed gates (final layout {:?})\n",
         n - 1,
-        before.distributed,
-        after.distributed,
+        summary(&hot_global, &layout, false).0,
+        summary(&transpiled.circuit, &layout, false).0,
         (0..n).map(|q| transpiled.layout.apply(q)).collect::<Vec<_>>()
     );
 
@@ -69,4 +65,12 @@ fn main() {
         "measured wall-clock: {:.3} s vs {:.3} s",
         run_a.profiled.wall_s, run_b.profiled.wall_s
     );
+}
+
+/// Distributed gates of `circuit`, and the bytes one participating rank
+/// sends running them, from the engine's own lowering.
+fn summary(circuit: &Circuit, layout: &Layout, half_exchange_swaps: bool) -> (usize, u64) {
+    let traffic = circuit_traffic(circuit, layout, half_exchange_swaps).expect("lowerable");
+    let distributed = traffic.iter().filter(|t| t.lowering.class == GateClass::Distributed);
+    (distributed.count(), traffic.iter().map(GateTraffic::rank_bytes).sum())
 }

@@ -54,7 +54,8 @@ pub use qse_util as util;
 pub mod prelude {
     pub use qse_circuit::algorithms::{bernstein_vazirani, ghz, grover, qpe};
     pub use qse_circuit::benchmarks::{hadamard_benchmark, swap_benchmark};
-    pub use qse_circuit::classify::{classify, comm_summary, GateClass, Layout};
+    pub use qse_circuit::classify::{classify, GateClass, Layout};
+    pub use qse_circuit::lower::{circuit_traffic, GateTraffic};
     pub use qse_circuit::qft::{cache_blocked_qft, default_split, inverse_qft, qft};
     pub use qse_circuit::transpile::cache_blocking::cache_block;
     pub use qse_circuit::{Circuit, Gate};

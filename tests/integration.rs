@@ -103,32 +103,6 @@ fn comm_avoiding_transpile_preserves_state_and_cuts_traffic() {
     }
 }
 
-/// Measured traffic equals the classifier's static prediction, for both
-/// exchange regimes — the model's inputs are exact, not estimated.
-#[test]
-fn measured_traffic_matches_static_analysis() {
-    let n = 9u32;
-    let ranks = 8u64;
-    let layout = Layout::new(n, ranks);
-    let circuit = qft(n);
-    let summary = comm_summary(&circuit, &layout);
-
-    let run = ThreadClusterExecutor::run(&circuit, &SimConfig::default_for(ranks), 0, false);
-    // Every distributed gate sends `bytes_full_exchange` per rank.
-    assert_eq!(
-        run.profiled.bytes_sent,
-        summary.bytes_full_exchange * ranks
-    );
-
-    let mut cfg = SimConfig::default_for(ranks);
-    cfg.half_exchange_swaps = true;
-    let run_half = ThreadClusterExecutor::run(&circuit, &cfg, 0, false);
-    assert_eq!(
-        run_half.profiled.bytes_sent,
-        summary.bytes_half_exchange_swaps * ranks
-    );
-}
-
 /// QFT → inverse QFT is the identity on the distributed engine.
 #[test]
 fn distributed_qft_inverse_identity() {
