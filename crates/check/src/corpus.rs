@@ -88,7 +88,6 @@ pub fn standard_corpus() -> Vec<CorpusCase> {
                             }
                         },
                         half_exchange_swaps: idx % 3 == 0,
-                        ..VerifyOptions::default()
                     };
                     cases.push(CorpusCase {
                         name: format!(

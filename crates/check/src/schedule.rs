@@ -434,22 +434,6 @@ impl Explorer {
         }
     }
 
-    /// Picks the mode the way the checker recommends: exhaustive up to
-    /// three participant threads, seeded random above.
-    pub fn for_threads(threads: usize, seed: u64) -> Self {
-        if threads <= 3 {
-            Explorer::exhaustive()
-        } else {
-            Explorer::random(seed, 500)
-        }
-    }
-
-    /// Overrides the involuntary-context-switch bound (default 2).
-    pub fn with_preemption_bound(mut self, bound: usize) -> Self {
-        self.max_preemptions = bound;
-        self
-    }
-
     /// Runs `f` under every explored schedule. Returns the number of
     /// schedules explored, or the first failing schedule.
     ///

@@ -13,9 +13,11 @@
 //! count, **without executing anything**. It consumes the engine's own
 //! lowering ([`qse_circuit::lower`]): each distributed gate's per-rank
 //! exchange list and each `Permute` step's block map, under the shared
-//! [`TagSeq`] (every rank takes each step's tags, spectators included).
-//! What it adds is the chunk expansion of every exchange under the
-//! configured mode, mirroring `comm::chunking::drive`'s three orderings.
+//! [`TagSeq`] (every rank takes each step's tags, spectators included),
+//! and the chunk driver's own statement of each exchange
+//! ([`ChunkedExchange::ops`]): it builds the `ChunkedExchange` the engine
+//! drives and turns that list into trace events, so it has no ordering
+//! of its own.
 //!
 //! Four properties are proved over the derived traces:
 //!
@@ -44,11 +46,13 @@ use qse_circuit::classify::{GateClass, Layout, BYTES_PER_AMP};
 use qse_circuit::lower::{lower_gate, BlockMap};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{chunk_tag, ChunkPolicy, ExchangeMode, TagSeq, DEFAULT_RING_DEPTH};
+use qse_comm::chunking::{
+    chunk_tag, ChunkOp, ChunkPolicy, ChunkedExchange, ExchangeMode, TagSeq, ONE_SIDED_MODE,
+};
 use std::fmt;
 
-/// Exchange options the abstraction must honour — the statically
-/// relevant subset of `statevec::dist::DistConfig`.
+/// Exchange options the abstraction must honour — the fields of
+/// `statevec::dist::DistConfig`, field for field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// Pairwise exchange lowering to derive traces for.
@@ -57,20 +61,16 @@ pub struct VerifyOptions {
     pub chunk_policy: ChunkPolicy,
     /// Model the half exchange for one-global distributed SWAPs.
     pub half_exchange_swaps: bool,
-    /// Streamed receive-ring depth (the engine uses
-    /// [`DEFAULT_RING_DEPTH`]).
-    pub ring_depth: usize,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
-            exchange_mode: ExchangeMode::Blocking,
+            exchange_mode: ExchangeMode::default(),
             chunk_policy: ChunkPolicy {
                 max_message_bytes: 1 << 20,
             },
             half_exchange_swaps: false,
-            ring_depth: DEFAULT_RING_DEPTH,
         }
     }
 }
@@ -388,81 +388,46 @@ impl<'a> RankDeriver<'a> {
         });
     }
 
-    /// Lowers one symmetric pairwise exchange (both sides send and
-    /// expect `bytes`) under the configured exchange mode, mirroring
-    /// the three orderings of `comm::chunking::drive` chunk for chunk.
-    fn pair_exchange(&mut self, peer: usize, tag: u64, bytes: usize, align_amps: usize) {
-        match self.opts.exchange_mode {
-            ExchangeMode::Blocking => {
-                // Lockstep: send chunk i, then receive chunk i.
-                for (i, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                    self.push(TraceOp::Send {
-                        peer,
-                        tag: chunk_tag(tag, i),
-                        bytes: range.len(),
-                    });
-                    self.push(TraceOp::Recv {
-                        peer,
-                        tag: chunk_tag(tag, i),
-                        bytes: range.len(),
-                    });
+    /// Traces this rank's side `ex` of one chunked exchange under `mode`:
+    /// the driver's own list ([`ChunkedExchange::ops`]), one event per
+    /// send and blocking receive. A posted receive does not block; the
+    /// receives a mode with a ring posts become the exchange's
+    /// [`RecvGroup`], which its `RecvAny`s wait on, and its
+    /// [`StreamedWindow`].
+    fn exchange(&mut self, mode: ExchangeMode, ex: ChunkedExchange) {
+        let peer = ex.peer;
+        // `(wire tag, bytes)` of chunk `i` of a `total`-byte direction.
+        let chunk = |i, total| {
+            let bytes = ex.policy.chunk_range(i, total).map_or(0, |r| r.len());
+            (chunk_tag(ex.base_tag, i), bytes)
+        };
+        let group = self.trace.groups.len();
+        let mut posted = Vec::new();
+        for op in ex.ops(mode) {
+            match op {
+                ChunkOp::Post(i) => posted.push(chunk(i, ex.recv_total)),
+                ChunkOp::Send(i) => {
+                    let (tag, bytes) = chunk(i, ex.send_total);
+                    self.push(TraceOp::Send { peer, tag, bytes });
                 }
-            }
-            ExchangeMode::NonBlocking => {
-                // All isends fly first (irecv posting never blocks), then
-                // the rank awaits its receives in posted order.
-                for (i, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                    self.push(TraceOp::Send {
-                        peer,
-                        tag: chunk_tag(tag, i),
-                        bytes: range.len(),
-                    });
+                ChunkOp::Recv(i) => {
+                    let (tag, bytes) = chunk(i, ex.recv_total);
+                    self.push(TraceOp::Recv { peer, tag, bytes });
                 }
-                for (i, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                    self.push(TraceOp::Recv {
-                        peer,
-                        tag: chunk_tag(tag, i),
-                        bytes: range.len(),
-                    });
-                }
-            }
-            ExchangeMode::Streamed => {
-                // The streamed ordering aligns chunks to whole kernel
-                // orbits, posts every irecv, primes `ring_depth` sends;
-                // each round sends one more chunk then waits for *any*
-                // outstanding receive.
-                let policy = self.opts.chunk_policy.aligned(align_amps * BYTES_PER_AMP as usize);
-                let chunks: Vec<(u64, usize)> = policy
-                    .ranges(bytes)
-                    .enumerate()
-                    .map(|(i, r)| (chunk_tag(tag, i), r.len()))
-                    .collect();
-                let n = chunks.len();
-                let group = self.trace.groups.len();
-                self.trace.groups.push(RecvGroup {
-                    peer,
-                    chunks: chunks.clone(),
-                });
-                self.windows.push(StreamedWindow {
-                    rank: self.rank as usize,
-                    step: self.step,
-                    ring_depth: self.opts.ring_depth,
-                    cap_bytes: policy.max_message_bytes,
-                    chunk_bytes: chunks.iter().map(|&(_, b)| b).collect(),
-                });
-                let primed = self.opts.ring_depth.min(n);
-                for &(t, b) in &chunks[..primed] {
-                    self.push(TraceOp::Send { peer, tag: t, bytes: b });
-                }
-                for k in 0..n {
-                    if let Some(&(t, b)) = chunks.get(primed + k) {
-                        self.push(TraceOp::Send { peer, tag: t, bytes: b });
-                    }
-                    self.push(TraceOp::RecvAny { peer, group });
-                }
+                ChunkOp::RecvAny => self.push(TraceOp::RecvAny { peer, group }),
             }
         }
-        self.trace.predicted_exchanged += bytes as u64;
+        if let Some(ring_depth) = mode.ring_depth() {
+            self.windows.push(StreamedWindow {
+                rank: self.rank as usize,
+                step: self.step,
+                ring_depth,
+                cap_bytes: ex.policy.max_message_bytes,
+                chunk_bytes: posted.iter().map(|&(_, b)| b).collect(),
+            });
+            self.trace.groups.push(RecvGroup { peer, chunks: posted });
+        }
+        self.trace.predicted_exchanged += ex.send_total as u64;
     }
 
     /// Turns the engine's lowering of `g` on this rank into trace events.
@@ -474,17 +439,26 @@ impl<'a> RankDeriver<'a> {
             })?;
         self.counts.distributed_gates += usize::from(lowered.class == GateClass::Distributed);
         let tag = self.tags.take(lowered.tags);
+        let (mode, policy) = (self.opts.exchange_mode, self.opts.chunk_policy);
         for ex in lowered.exchanges() {
             let bytes = (ex.amps * BYTES_PER_AMP) as usize;
-            self.pair_exchange(ex.peer as usize, tag(ex.tag), bytes, ex.unit as usize);
+            let unit_bytes = (ex.unit * BYTES_PER_AMP) as usize;
+            let ex = ChunkedExchange {
+                peer: ex.peer as usize,
+                base_tag: tag(ex.tag),
+                policy: mode.policy(policy, unit_bytes),
+                send_total: bytes,
+                recv_total: bytes,
+            };
+            self.exchange(mode, ex);
         }
         Ok(())
     }
 
     /// Turns the engine's block map of `perm` into trace events: eager
     /// sends of every peer block, chunked, then the receives — each half
-    /// under the blocking ordering with one side empty, as the engine
-    /// drives it. A step that moves no rank bit consumes no tag.
+    /// under [`ONE_SIDED_MODE`] with one side empty, as the engine drives
+    /// it. A step that moves no rank bit consumes no tag.
     fn permute(&mut self, perm: &Permutation) -> Result<(), VerifyError> {
         if perm.len() != self.layout.n_qubits() {
             return Err(VerifyError::Unsupported {
@@ -509,19 +483,19 @@ impl<'a> RankDeriver<'a> {
         self.counts.wire_permutes += 1;
         let tag = self.tags.take(blocks.tags())(0);
         let bytes = (blocks.block_amps() * BYTES_PER_AMP) as usize;
+        let half = |peer: u64, send_total, recv_total| ChunkedExchange {
+            peer: peer as usize,
+            base_tag: tag,
+            policy: self.opts.chunk_policy,
+            send_total,
+            recv_total,
+        };
         let (me, ranks) = (self.rank, self.layout.n_ranks());
         for (v, _) in blocks.sends(me, ranks) {
-            for (idx, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                let (peer, tag) = (v as usize, chunk_tag(tag, idx));
-                self.push(TraceOp::Send { peer, tag, bytes: range.len() });
-            }
-            self.trace.predicted_exchanged += bytes as u64;
+            self.exchange(ONE_SIDED_MODE, half(v, bytes, 0));
         }
         for (w, _) in blocks.receives(me, ranks) {
-            for (idx, range) in self.opts.chunk_policy.ranges(bytes).enumerate() {
-                let (peer, tag) = (w as usize, chunk_tag(tag, idx));
-                self.push(TraceOp::Recv { peer, tag, bytes: range.len() });
-            }
+            self.exchange(ONE_SIDED_MODE, half(w, 0, bytes));
         }
         Ok(())
     }

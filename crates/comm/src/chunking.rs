@@ -17,14 +17,15 @@
 //!   [`crate::Communicator::wait_any`] while later chunks are still in
 //!   flight.
 //!
-//! All three are orderings of one chunk driver, [`drive`]: the sender
-//! packs each chunk straight from its state into an owned buffer that
-//! becomes the message, and the receiver consumes each payload where it
-//! arrived — one write and one read per exchanged byte, nothing staged
-//! but the chunks in flight. All strategies deliver identical bytes; the
-//! thread-cluster benchmarks measure the wall-clock difference, and the
-//! analytic model assigns them different effective bandwidths calibrated
-//! from the paper's Table 1.
+//! All three are orderings of one chunk driver, [`drive`], stated once by
+//! [`ChunkedExchange::ops`]: the driver runs that list and the static
+//! verifier traces it. The sender packs each chunk straight from its
+//! state into an owned buffer that becomes the message, and the receiver
+//! consumes each payload where it arrived — one write and one read per
+//! exchanged byte, nothing staged but the chunks in flight. All strategies
+//! deliver identical bytes; the thread-cluster benchmarks measure the
+//! wall-clock difference, and the analytic model assigns them different
+//! effective bandwidths calibrated from the paper's Table 1.
 
 use crate::error::CommError;
 use crate::nonblocking::Request;
@@ -59,11 +60,6 @@ impl ChunkPolicy {
     /// Number of messages needed for `total` bytes (0 bytes → 0 messages).
     pub fn num_chunks(&self, total: usize) -> usize {
         total.div_ceil(self.max_message_bytes)
-    }
-
-    /// Byte ranges of each chunk, in order.
-    pub fn ranges(&self, total: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-        (0..self.num_chunks(total)).filter_map(move |i| self.chunk_range(i, total))
     }
 
     /// Byte range of chunk `i` out of `total` bytes, or `None` past the end.
@@ -142,7 +138,7 @@ pub fn chunk_tag(base: u64, idx: usize) -> u64 {
 }
 
 /// Strategy selector shared by the statevector engine and benchmarks:
-/// three orderings of the same `pack → send` and `recv → consume` steps.
+/// three orderings ([`ChunkedExchange::ops`]) of the same steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExchangeMode {
     /// QuEST's original blocking `MPI_Sendrecv` sequence: send chunk
@@ -157,9 +153,47 @@ pub enum ExchangeMode {
     Streamed,
 }
 
+impl ExchangeMode {
+    /// The cap of an exchange whose consumer works on whole `unit_bytes`
+    /// units: `policy`, aligned to the unit ([`ChunkPolicy::aligned`]) in
+    /// the streamed mode, whose chunks complete out of order.
+    pub fn policy(self, policy: ChunkPolicy, unit_bytes: usize) -> ChunkPolicy {
+        match self {
+            ExchangeMode::Streamed => policy.aligned(unit_bytes),
+            ExchangeMode::Blocking | ExchangeMode::NonBlocking => policy,
+        }
+    }
+
+    /// Sends kept ahead of the receives by the mode that completes them
+    /// in arrival order ([`DEFAULT_RING_DEPTH`]); `None` for the others.
+    pub fn ring_depth(self) -> Option<usize> {
+        (self == ExchangeMode::Streamed).then_some(DEFAULT_RING_DEPTH)
+    }
+}
+
 /// Sends the streamed mode keeps ahead of its receives: one chunk in
 /// flight while the previous one is being consumed.
 pub const DEFAULT_RING_DEPTH: usize = 2;
+
+/// The ordering of a one-sided exchange (a `Permute` step's block sends,
+/// then its block receives) whatever the configured mode: lockstep with
+/// one side empty — eager sends, then receives in ascending order.
+pub const ONE_SIDED_MODE: ExchangeMode = ExchangeMode::Blocking;
+
+/// One step of a rank's side of a chunked exchange ([`ChunkedExchange::ops`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkOp {
+    /// Post the receive of incoming chunk `i` (`irecv`); never blocks.
+    Post(usize),
+    /// Send outgoing chunk `i`.
+    Send(usize),
+    /// Wait for incoming chunk `i` — its posted receive after a `Post(i)`,
+    /// a blocking `recv` otherwise — and consume it.
+    Recv(usize),
+    /// Wait for *any* posted receive not yet completed (`wait_any`), and
+    /// consume it.
+    RecvAny,
+}
 
 /// One rank's side of a chunked pairwise exchange: `send_total` bytes go
 /// to `peer` and `recv_total` come back, each cut by `policy` into
@@ -179,6 +213,55 @@ pub struct ChunkedExchange {
     pub recv_total: usize,
 }
 
+impl ChunkedExchange {
+    /// This rank's side of the exchange under `mode`: the one statement
+    /// of the three orderings, which [`drive`] runs and the static
+    /// verifier traces. Blocking is lockstep (`Send(i)`, `Recv(i)`);
+    /// non-blocking posts every receive, sends every chunk, then waits in
+    /// posted order; streamed posts every receive, primes
+    /// [`DEFAULT_RING_DEPTH`] sends, then per receive sends one more and
+    /// waits for any, then flushes. Each direction is chunked on its own,
+    /// so asymmetric and one-sided totals need no case of their own.
+    ///
+    /// The list orders the *blocking points*: `drive` may send a chunk
+    /// earlier than it says (outgoing chunk `i` leaves before incoming
+    /// chunk `i` is consumed, which a streamed receive can reach first),
+    /// never later. The streamed ordering cannot deadlock against a
+    /// symmetric peer: once both partners have completed `k` receives
+    /// each has sent at least `min(ring + k, n)` chunks, ahead of what the
+    /// peer waits on; the flush lets a partner that expects more than it
+    /// sends complete.
+    pub fn ops(&self, mode: ExchangeMode) -> Vec<ChunkOp> {
+        let n_send = self.policy.num_chunks(self.send_total);
+        let n_recv = self.policy.num_chunks(self.recv_total);
+        let mut ops = Vec::with_capacity(2 * n_recv + n_send);
+        match mode {
+            ExchangeMode::Blocking => {
+                for i in 0..usize::max(n_send, n_recv) {
+                    ops.extend((i < n_send).then_some(ChunkOp::Send(i)));
+                    ops.extend((i < n_recv).then_some(ChunkOp::Recv(i)));
+                }
+            }
+            ExchangeMode::NonBlocking => {
+                ops.extend((0..n_recv).map(ChunkOp::Post));
+                ops.extend((0..n_send).map(ChunkOp::Send));
+                ops.extend((0..n_recv).map(ChunkOp::Recv));
+            }
+            ExchangeMode::Streamed => {
+                ops.extend((0..n_recv).map(ChunkOp::Post));
+                let primed = DEFAULT_RING_DEPTH.min(n_send);
+                ops.extend((0..primed).map(ChunkOp::Send));
+                for k in 0..n_recv {
+                    ops.extend((primed + k < n_send).then_some(ChunkOp::Send(primed + k)));
+                    ops.push(ChunkOp::RecvAny);
+                }
+                ops.extend((primed + n_recv..n_send).map(ChunkOp::Send));
+            }
+        }
+        ops
+    }
+}
+
 /// When outgoing chunks leave the state relative to incoming chunks
 /// landing on it — the *pack-before-overwrite* rule. Consuming may
 /// overwrite the very bytes a later outgoing chunk is packed from.
@@ -196,7 +279,8 @@ pub enum PackOrder {
 }
 
 /// The chunk driver — the one implementation behind every
-/// [`ExchangeMode`] and every distributed gate.
+/// [`ExchangeMode`] and every distributed gate. It runs
+/// [`ChunkedExchange::ops`]`(mode)`, which decides the ordering.
 ///
 /// `pack(state, range, out)` appends bytes `range` of the outgoing
 /// payload to the empty `out`, which then *is* the message
@@ -212,15 +296,6 @@ pub enum PackOrder {
 /// A chunk whose length differs from what `policy` assigns it is refused
 /// with [`CommError::ChunkLength`] before `consume` sees it, and aborts
 /// the universe like any transport error.
-///
-/// In every ordering outgoing chunk `i` is sent before incoming chunk
-/// `i` is consumed. The streamed ordering cannot deadlock against a
-/// symmetric peer: [`DEFAULT_RING_DEPTH`] sends are primed before any
-/// blocking wait and at least one more goes out before each wait, so
-/// once both partners have completed `k` receives each has sent
-/// `min(ring + k, n)` chunks or more — ahead of what the peer waits on.
-/// Remaining sends are flushed when the receives run out, so a partner
-/// expecting more than it sends completes.
 ///
 /// In streamed mode the in-flight gauge
 /// ([`crate::TrafficStats::peak_inflight_bytes`]) counts what the driver
@@ -238,7 +313,7 @@ pub fn drive<T: ?Sized>(
     consume: impl FnMut(&mut T, Range<usize>, &Bytes),
 ) -> Result<()> {
     let n_send = ex.policy.num_chunks(ex.send_total);
-    let n_recv = ex.policy.num_chunks(ex.recv_total);
+    let streamed = mode == ExchangeMode::Streamed;
     let mut d = Driver {
         comm,
         ex,
@@ -250,54 +325,47 @@ pub fn drive<T: ?Sized>(
         next_pack: 0,
         next_send: 0,
         n_send,
-        gauged: mode == ExchangeMode::Streamed,
+        gauged: streamed,
     };
     if order == PackOrder::Eager {
         d.pack_through(n_send);
     }
-    match mode {
-        ExchangeMode::Blocking => {
-            for i in 0..usize::max(n_send, n_recv) {
-                d.send_next()?;
-                if i < n_recv {
-                    let payload = d.comm.recv(ex.peer, chunk_tag(ex.base_tag, i))?;
-                    d.consume(i, payload)?;
+    // Posted receives not yet completed, and the chunk each one brings.
+    let (mut reqs, mut req_chunks): (Vec<Request>, Vec<usize>) = (Vec::new(), Vec::new());
+    for op in ex.ops(mode) {
+        match op {
+            ChunkOp::Post(i) => {
+                reqs.push(d.comm.irecv(ex.peer, chunk_tag(ex.base_tag, i))?);
+                req_chunks.push(i);
+            }
+            ChunkOp::Send(i) => {
+                while d.next_send <= i {
+                    d.send_next()?;
                 }
             }
-        }
-        ExchangeMode::NonBlocking => {
-            // Post all receives first (mirrors MPI best practice), then
-            // all sends; completion order is posting order.
-            let reqs = d.post_receives(n_recv)?;
-            while d.next_send < n_send {
-                d.send_next()?;
-            }
-            for (i, req) in reqs.into_iter().enumerate() {
-                let payload = d.comm.wait(req)?;
+            ChunkOp::Recv(i) => {
+                let payload = match req_chunks.iter().position(|&c| c == i) {
+                    Some(k) => {
+                        req_chunks.remove(k);
+                        d.comm.wait(reqs.remove(k))?
+                    }
+                    None => d.comm.recv(ex.peer, chunk_tag(ex.base_tag, i))?,
+                };
                 d.consume(i, payload)?;
             }
+            ChunkOp::RecvAny => {
+                let (k, payload) = d.comm.wait_any(&reqs)?;
+                reqs.swap_remove(k);
+                d.consume(req_chunks.swap_remove(k), payload)?;
+            }
         }
-        ExchangeMode::Streamed => {
-            let mut reqs = d.post_receives(n_recv)?;
-            let mut chunk_idx: Vec<usize> = (0..n_recv).collect();
-            for _ in 0..DEFAULT_RING_DEPTH {
-                d.send_next()?;
-            }
-            while !reqs.is_empty() {
-                d.send_next()?;
-                let (i, payload) = d.comm.wait_any(&reqs)?;
-                reqs.swap_remove(i);
-                d.consume(chunk_idx.swap_remove(i), payload)?;
-            }
-            while d.next_send < n_send {
-                d.send_next()?;
-            }
-            // The larger direction, so a half-exchange still reports
-            // its full pipeline depth.
-            let chunks = usize::max(n_send, n_recv) as u64;
-            if chunks > 0 {
-                d.comm.record_exchange_chunks(chunks);
-            }
+    }
+    if streamed {
+        // The larger direction, so a half-exchange still reports its full
+        // pipeline depth.
+        let chunks = usize::max(n_send, ex.policy.num_chunks(ex.recv_total)) as u64;
+        if chunks > 0 {
+            d.comm.record_exchange_chunks(chunks);
         }
     }
     if ex.send_total > 0 {
@@ -374,12 +442,6 @@ where
         let tag = chunk_tag(self.ex.base_tag, self.next_send);
         self.next_send += 1;
         self.comm.send_bytes(self.ex.peer, tag, Bytes::from(buf))
-    }
-
-    fn post_receives(&mut self, n_recv: usize) -> Result<Vec<Request>> {
-        (0..n_recv)
-            .map(|i| self.comm.irecv(self.ex.peer, chunk_tag(self.ex.base_tag, i)))
-            .collect()
     }
 
     /// Hands incoming chunk `idx` to the consumer — after checking its
@@ -495,6 +557,11 @@ mod tests {
         assert!(ChunkPolicy::new(1).is_ok());
     }
 
+    /// Byte ranges of every chunk of `total` bytes, in order.
+    fn ranges(p: ChunkPolicy, total: usize) -> Vec<Range<usize>> {
+        (0..p.num_chunks(total)).map(|i| p.chunk_range(i, total).unwrap()).collect()
+    }
+
     #[test]
     fn chunk_counts_and_ranges() {
         let p = ChunkPolicy::new(10).unwrap();
@@ -502,8 +569,9 @@ mod tests {
         assert_eq!(p.num_chunks(10), 1);
         assert_eq!(p.num_chunks(11), 2);
         assert_eq!(p.num_chunks(95), 10);
-        let ranges: Vec<_> = p.ranges(25).collect();
-        assert_eq!(ranges, vec![0..10, 10..20, 20..25]);
+        assert_eq!(ranges(p, 25), vec![0..10, 10..20, 20..25]);
+        assert_eq!(p.chunk_range(3, 25), None);
+        assert_eq!(p.chunk_range(0, 0), None);
     }
 
     #[test]
@@ -519,16 +587,6 @@ mod tests {
         let wrap = seq.take(3);
         assert_eq!([wrap(0), wrap(1), wrap(2)], [TAG_MOD - 1, 0, 1]);
         chunk_tag(wrap(0), 0);
-    }
-
-    #[test]
-    fn chunk_range_matches_ranges_iterator() {
-        let p = ChunkPolicy::new(10).unwrap();
-        let from_iter: Vec<_> = p.ranges(25).collect();
-        let from_index: Vec<_> = (0..3).map(|i| p.chunk_range(i, 25).unwrap()).collect();
-        assert_eq!(from_iter, from_index);
-        assert_eq!(p.chunk_range(3, 25), None);
-        assert_eq!(p.chunk_range(0, 0), None);
     }
 
     #[test]
@@ -548,16 +606,13 @@ mod tests {
         let p = ChunkPolicy::new(cap).unwrap();
         // total = 0: no chunks, no ranges.
         assert_eq!(p.num_chunks(0), 0);
-        assert_eq!(p.ranges(0).count(), 0);
+        assert_eq!(ranges(p, 0), vec![]);
         // total = cap: exactly one full chunk.
         assert_eq!(p.num_chunks(cap), 1);
-        assert_eq!(p.ranges(cap).collect::<Vec<_>>(), vec![0..cap]);
+        assert_eq!(ranges(p, cap), vec![0..cap]);
         // total = cap + 1: a full chunk plus a one-byte tail.
         assert_eq!(p.num_chunks(cap + 1), 2);
-        assert_eq!(
-            p.ranges(cap + 1).collect::<Vec<_>>(),
-            vec![0..cap, cap..cap + 1]
-        );
+        assert_eq!(ranges(p, cap + 1), vec![0..cap, cap..cap + 1]);
     }
 
     #[test]
@@ -569,8 +624,7 @@ mod tests {
         let total = usize::MAX;
         let p = ChunkPolicy::new(cap).unwrap();
         assert_eq!(p.num_chunks(total), 2);
-        let ranges: Vec<_> = p.ranges(total).collect();
-        assert_eq!(ranges, vec![0..cap, cap..total]);
+        assert_eq!(ranges(p, total), vec![0..cap, cap..total]);
     }
 
     #[test]
@@ -624,17 +678,132 @@ mod tests {
         chunk_tag(0, 1usize << 32);
     }
 
+    const MODES: [ExchangeMode; 3] = [
+        ExchangeMode::Blocking,
+        ExchangeMode::NonBlocking,
+        ExchangeMode::Streamed,
+    ];
+
+    /// Cap of the op-list tests.
+    const CAP: usize = 16;
+
+    /// Bytes of an `n`-chunk direction under [`CAP`], the last chunk short.
+    fn total(n: usize) -> usize {
+        (n * CAP).saturating_sub(CAP / 2)
+    }
+
+    /// An op list rendered `P`ost, `S`end, `R`ecv and `A`(ny).
+    fn render(ops: &[ChunkOp]) -> String {
+        let op = |op: &ChunkOp| match *op {
+            ChunkOp::Post(i) => format!("P{i}"),
+            ChunkOp::Send(i) => format!("S{i}"),
+            ChunkOp::Recv(i) => format!("R{i}"),
+            ChunkOp::RecvAny => "A".to_string(),
+        };
+        ops.iter().map(op).collect::<Vec<_>>().join(" ")
+    }
+
+    #[test]
+    fn ops_pin_each_ordering_for_each_shape() {
+        // (outgoing, incoming chunks) → blocking, non-blocking, streamed.
+        let table = [
+            (
+                (3, 3),
+                ["S0 R0 S1 R1 S2 R2", "P0 P1 P2 S0 S1 S2 R0 R1 R2", "P0 P1 P2 S0 S1 S2 A A A"],
+            ),
+            // One chunk, fewer than the ring depth.
+            ((1, 1), ["S0 R0", "P0 S0 R0", "P0 S0 A"]),
+            ((3, 0), ["S0 S1 S2", "S0 S1 S2", "S0 S1 S2"]),
+            ((0, 3), ["R0 R1 R2", "P0 P1 P2 R0 R1 R2", "P0 P1 P2 A A A"]),
+            // Asymmetric: the side that sends more, then its partner.
+            (
+                (7, 4),
+                [
+                    "S0 R0 S1 R1 S2 R2 S3 R3 S4 S5 S6",
+                    "P0 P1 P2 P3 S0 S1 S2 S3 S4 S5 S6 R0 R1 R2 R3",
+                    "P0 P1 P2 P3 S0 S1 S2 A S3 A S4 A S5 A S6",
+                ],
+            ),
+            (
+                (4, 7),
+                [
+                    "S0 R0 S1 R1 S2 R2 S3 R3 R4 R5 R6",
+                    "P0 P1 P2 P3 P4 P5 P6 S0 S1 S2 S3 R0 R1 R2 R3 R4 R5 R6",
+                    "P0 P1 P2 P3 P4 P5 P6 S0 S1 S2 A S3 A A A A A A",
+                ],
+            ),
+            ((0, 0), ["", "", ""]),
+        ];
+        for ((sends, recvs), want) in table {
+            let ex = ChunkedExchange {
+                peer: 1,
+                base_tag: 0,
+                policy: ChunkPolicy::new(CAP).unwrap(),
+                send_total: total(sends),
+                recv_total: total(recvs),
+            };
+            for (mode, want) in MODES.into_iter().zip(want) {
+                assert_eq!(render(&ex.ops(mode)), want, "{mode:?} {sends}/{recvs}");
+            }
+        }
+    }
+
+    #[test]
+    fn drive_packs_and_consumes_in_the_order_of_its_op_list() {
+        // Under lazy packing a chunk is packed as it is sent, so on a
+        // fault-free universe (no chunk overtakes another, no catch-up
+        // send) the callbacks replay the list: `Send(i)` as pack `i`,
+        // `Recv(i)` as consume `i`. A streamed receive is `RecvAny`.
+        let policy = ChunkPolicy::new(CAP).unwrap();
+        for (sends, recvs) in [(3, 3), (1, 1), (3, 0), (7, 4), (0, 0)] {
+            for mode in MODES {
+                Universe::new(2).run(|c| {
+                    let (mine, theirs) =
+                        if c.rank() == 0 { (sends, recvs) } else { (recvs, sends) };
+                    let ex = ChunkedExchange {
+                        peer: 1 - c.rank(),
+                        base_tag: 6,
+                        policy,
+                        send_total: total(mine),
+                        recv_total: total(theirs),
+                    };
+                    let seen = std::cell::RefCell::new(Vec::new());
+                    let chunk = |range: Range<usize>| range.start / CAP;
+                    drive(
+                        c,
+                        mode,
+                        ex,
+                        PackOrder::Lazy,
+                        &mut (),
+                        |_, range, out| {
+                            out.resize(range.len(), 0);
+                            seen.borrow_mut().push(ChunkOp::Send(chunk(range)));
+                        },
+                        |_, range, _| {
+                            let op = match mode {
+                                ExchangeMode::Streamed => ChunkOp::RecvAny,
+                                _ => ChunkOp::Recv(chunk(range)),
+                            };
+                            seen.borrow_mut().push(op);
+                        },
+                    )
+                    .unwrap();
+                    let mut want = ex.ops(mode);
+                    want.retain(|op| !matches!(op, ChunkOp::Post(_)));
+                    let seen = render(&seen.into_inner());
+                    assert_eq!(seen, render(&want), "{mode:?} {mine}/{theirs}");
+                });
+            }
+        }
+    }
+
     #[test]
     fn every_mode_roundtrips_every_payload_shape() {
         // Many chunks, exactly one chunk, one byte of spillover, a payload
         // far below the cap, and the empty exchange (legal).
         for (len, cap) in [(1000usize, 64usize), (64, 64), (65, 64), (1, 1024), (0, 16)] {
             let policy = ChunkPolicy::new(cap).unwrap();
-            for mode in [
-                ExchangeMode::Blocking,
-                ExchangeMode::NonBlocking,
-                ExchangeMode::Streamed,
-            ] {
+            for mode in MODES {
                 Universe::new(2).run(|c| {
                     let peer = 1 - c.rank();
                     let send: Vec<u8> = (0..len).map(|i| (i + c.rank() * 7) as u8).collect();
@@ -684,11 +853,7 @@ mod tests {
     #[test]
     fn every_mode_and_pack_order_yields_every_chunk_exactly_once() {
         let policy = ChunkPolicy::new(32).unwrap();
-        for mode in [
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ] {
+        for mode in MODES {
             for order in [PackOrder::Lazy, PackOrder::Eager] {
                 Universe::new(2).run(|c| {
                     let peer = 1 - c.rank();
@@ -747,11 +912,7 @@ mod tests {
     fn a_short_chunk_is_a_typed_error_before_the_consumer_runs() {
         // Rank 1 cuts its payload under a different cap, so rank 0's
         // second chunk arrives 8 bytes long where 16 are expected.
-        for mode in [
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ] {
+        for mode in MODES {
             let out = Universe::new(2).run(|c| {
                 if c.rank() == 1 {
                     c.send(0, chunk_tag(5, 0), &[1u8; 16]).unwrap();
@@ -797,11 +958,7 @@ mod tests {
     fn asymmetric_exchange_sizes() {
         // One side sends 100 bytes, the other 50 (half-exchange pattern):
         // no mode may deadlock once the shorter direction runs out.
-        for mode in [
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ] {
+        for mode in MODES {
             Universe::new(2).run(|c| {
                 let peer = 1 - c.rank();
                 let my_len = if c.rank() == 0 { 100 } else { 50 };
@@ -817,11 +974,7 @@ mod tests {
 
     #[test]
     fn exchange_counters_match_policy_in_every_mode() {
-        for mode in [
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ] {
+        for mode in MODES {
             let stats = Universe::new(2).run(|c| {
                 let peer = 1 - c.rank();
                 let send = vec![0u8; 256];
@@ -883,11 +1036,7 @@ mod tests {
         // Full fault cocktail (delay + corruption + transient failures),
         // recoverable by construction: each strategy must deliver exactly
         // the fault-free bytes.
-        for &mode in &[
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ] {
+        for mode in MODES {
             for seed in [5u64, 9, 31] {
                 let universe =
                     Universe::with_faults(2, crate::FaultConfig::recoverable(seed)).unwrap();

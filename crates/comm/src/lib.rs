@@ -12,7 +12,7 @@
 //!   are "a sequence of blocking `MPI_Sendrecv`", §2.1);
 //! * non-blocking point-to-point: [`Communicator::isend`] /
 //!   [`Communicator::irecv`] returning [`nonblocking::Request`]s, with
-//!   [`nonblocking::wait_all`] — the paper's modification that "allows
+//!   [`Communicator::wait_all`] — the paper's modification that "allows
 //!   multiple messages to be sent and received in parallel" (§3.2) — and
 //!   [`Communicator::wait_any`], completing requests in arrival order so
 //!   [`chunking::ExchangeMode::Streamed`] can overlap per-chunk

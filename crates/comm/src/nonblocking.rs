@@ -10,10 +10,6 @@
 //! to match, and completion happens inside [`crate::Communicator::wait`] so
 //! the borrow of the endpoint stays explicit.
 
-use qse_util::Bytes;
-use crate::Communicator;
-use crate::Result;
-
 /// A pending non-blocking operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -35,20 +31,6 @@ impl Request {
     }
 }
 
-/// Completes all requests, discarding send acknowledgements and returning
-/// only received payloads, in the order their requests appear.
-pub fn wait_all_recv(comm: &mut Communicator, requests: Vec<Request>) -> Result<Vec<Bytes>> {
-    let mut out = Vec::with_capacity(requests.len());
-    for req in requests {
-        let is_send = req.is_send();
-        let payload = comm.wait(req)?;
-        if !is_send {
-            out.push(payload);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,23 +40,6 @@ mod tests {
     fn request_kinds() {
         assert!(Request::SendDone.is_send());
         assert!(!Request::Recv { src: 0, tag: 1 }.is_send());
-    }
-
-    #[test]
-    fn wait_all_recv_filters_sends() {
-        Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            let mut reqs = Vec::new();
-            for chunk in 0..4u64 {
-                reqs.push(c.isend(peer, chunk, &[chunk as u8]).unwrap());
-                reqs.push(c.irecv(peer, chunk).unwrap());
-            }
-            let payloads = wait_all_recv(c, reqs).unwrap();
-            assert_eq!(payloads.len(), 4);
-            for (i, p) in payloads.iter().enumerate() {
-                assert_eq!(p[0] as usize, i);
-            }
-        });
     }
 
     #[test]

@@ -207,7 +207,6 @@ impl ThreadClusterExecutor {
             exchange_mode: dc.exchange_mode,
             chunk_policy: dc.chunk_policy,
             half_exchange_swaps: dc.half_exchange_swaps,
-            ..qse_check::verify::VerifyOptions::default()
         };
         match plan {
             Some(p) => qse_check::verify::verify_plan(p, Some(circuit), config.n_ranks, &opts),

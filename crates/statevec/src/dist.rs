@@ -24,7 +24,9 @@ use qse_circuit::classify::{GateClass, Layout};
 use qse_circuit::lower::{lower_gate, BlockMap, Exchange, Kernel, PermuteLowering};
 use qse_circuit::transpile::Plan;
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{drive, ChunkPolicy, ChunkedExchange, ExchangeMode, PackOrder, TagSeq};
+use qse_comm::chunking::{
+    drive, ChunkPolicy, ChunkedExchange, ExchangeMode, PackOrder, TagSeq, ONE_SIDED_MODE,
+};
 use qse_comm::collective;
 use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
@@ -185,15 +187,11 @@ impl<'c> DistributedState<'c> {
         )
     }
 
-    /// The chunk cap of exchange `ex`: the configured one, except that
-    /// the streamed mode, whose chunks complete out of order, aligns it
-    /// to the kernel's unit.
+    /// The chunk cap of exchange `ex` under the configured mode, whose
+    /// consumer works on whole kernel units ([`ExchangeMode::policy`]).
     fn exchange_policy(&self, ex: &Exchange) -> ChunkPolicy {
-        let policy = self.config.chunk_policy;
-        match self.config.exchange_mode {
-            ExchangeMode::Streamed => policy.aligned(crate::ix(ex.unit) * AMP_BYTES),
-            _ => policy,
-        }
+        let unit_bytes = crate::ix(ex.unit) * AMP_BYTES;
+        self.config.exchange_mode.policy(self.config.chunk_policy, unit_bytes)
     }
 
     /// The pack order of a full-exchange SWAP of local qubit `lo` with a
@@ -429,10 +427,10 @@ impl<'c> DistributedState<'c> {
         let tag = self.tags.take(g.tags())(0);
         let (me, ranks) = (self.rank() as u64, self.layout.n_ranks());
         let block = crate::ix(g.block_amps());
-        // Both halves run the driver's lockstep ordering with one side
-        // empty, whatever the configured mode: eager sends to every peer
-        // first (ascending, chunked) — the mailbox transport buffers them,
-        // so no receive can deadlock — then ascending receives.
+        // Both halves run under `ONE_SIDED_MODE` with one side empty,
+        // whatever the configured mode: eager sends to every peer first
+        // (ascending, chunked) — the mailbox transport buffers them, so no
+        // receive can deadlock — then ascending receives.
         let policy = self.config.chunk_policy;
         let half = |peer: u64, send_amps: usize, recv_amps: usize| ChunkedExchange {
             peer: crate::ix(peer),
@@ -445,7 +443,7 @@ impl<'c> DistributedState<'c> {
             let start = crate::ix(t) * block;
             drive(
                 self.comm,
-                ExchangeMode::Blocking,
+                ONE_SIDED_MODE,
                 half(v, block, 0),
                 PackOrder::Lazy,
                 &mut self.amps,
@@ -462,7 +460,7 @@ impl<'c> DistributedState<'c> {
             let mut cursor = AmpCursor::default();
             drive(
                 self.comm,
-                ExchangeMode::Blocking,
+                ONE_SIDED_MODE,
                 half(w, 0, block),
                 PackOrder::Lazy,
                 &mut self.amps,

@@ -32,13 +32,6 @@ impl ReferenceState {
         ReferenceState { n_qubits, amps }
     }
 
-    /// Builds from explicit amplitudes (normalisation is the caller's
-    /// responsibility; tests use unnormalised ramps too).
-    pub fn from_amplitudes(n_qubits: u32, amps: Vec<Complex64>) -> Self {
-        assert_eq!(amps.len(), 1usize << n_qubits);
-        ReferenceState { n_qubits, amps }
-    }
-
     /// Register width.
     pub fn n_qubits(&self) -> u32 {
         self.n_qubits

@@ -37,7 +37,6 @@ fn verify_opts(config: DistConfig) -> VerifyOptions {
         exchange_mode: config.exchange_mode,
         chunk_policy: config.chunk_policy,
         half_exchange_swaps: config.half_exchange_swaps,
-        ..VerifyOptions::default()
     }
 }
 
