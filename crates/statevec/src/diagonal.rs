@@ -215,7 +215,9 @@ pub const TILE: usize = 1024;
 /// Amplitudes per lane group. Selections on qubits 0–2 repeat with a
 /// period of at most eight amplitudes — shorter than or equal to a
 /// vector — so they are applied as a fixed per-lane pattern over whole
-/// groups instead of as runs.
+/// groups instead of as runs. A block shorter than a group takes the
+/// scalar form and a longer one is aligned to its power-of-two length,
+/// so no group straddles two blocks (two work items).
 const LANES: usize = 8;
 
 /// A run of diagonal gates precompiled for single-sweep execution, and
@@ -324,7 +326,7 @@ impl CompiledDiagonal {
             unsafe { block_avx2(&self.ops, re, im, base) };
             return;
         }
-        block_body(&self.ops, re, im, base)
+        block_body::<false>(&self.ops, re, im, base)
     }
 }
 
@@ -337,20 +339,22 @@ impl CompiledDiagonal {
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn block_avx2(ops: &[PhaseOp], re: &mut [f64], im: &mut [f64], base: u64) {
-    block_body(ops, re, im, base)
+    block_body::<true>(ops, re, im, base)
 }
 
+/// The block kernel; `AVX2` only picks the flavour of the lane-pattern
+/// calls, and is true only inside [`block_avx2`].
 #[inline(always)]
-fn block_body(ops: &[PhaseOp], re: &mut [f64], im: &mut [f64], base: u64) {
+fn block_body<const AVX2: bool>(ops: &[PhaseOp], re: &mut [f64], im: &mut [f64], base: u64) {
     for (ti, (rt, it)) in re.chunks_mut(TILE).zip(im.chunks_mut(TILE)).enumerate() {
-        tile_body(ops, rt, it, base | (ti * TILE) as u64);
+        tile_body::<AVX2>(ops, rt, it, base | (ti * TILE) as u64);
     }
 }
 
 /// Every op, in order, over one tile (a power-of-two slice of at least
 /// [`LANES`] amplitudes, aligned at `base`).
 #[inline(always)]
-fn tile_body(ops: &[PhaseOp], re: &mut [f64], im: &mut [f64], base: u64) {
+fn tile_body<const AVX2: bool>(ops: &[PhaseOp], re: &mut [f64], im: &mut [f64], base: u64) {
     let len = re.len();
     let im = &mut im[..len];
     let inside = len as u64 - 1;
@@ -362,34 +366,58 @@ fn tile_body(ops: &[PhaseOp], re: &mut [f64], im: &mut [f64], base: u64) {
         let want = crate::ix(op.want & inside);
         let lane_mask = mask & (LANES - 1);
         if lane_mask == 0 {
-            for_each_selected_run(len, mask, want, |a, b| {
-                mul_run(&mut re[a..b], &mut im[a..b], op.p);
-            });
+            for r in SelectedRuns::new(len, mask, want) {
+                mul_run(&mut re[r.clone()], &mut im[r], op.p);
+            }
         } else {
-            let select = lane_pattern(lane_mask, want & (LANES - 1));
-            for_each_selected_run(len, mask & !(LANES - 1), want & !(LANES - 1), |a, b| {
-                mul_lanes(&mut re[a..b], &mut im[a..b], op.p, &select);
-            });
+            let runs = SelectedRuns::new(len, mask & !(LANES - 1), want & !(LANES - 1));
+            lanes::<AVX2>(lane_mask, want & (LANES - 1), re, im, runs, op.p);
         }
     }
 }
 
-/// Calls `f(lo, hi)` for every maximal run of indices in `[0, len)` with
-/// `index & mask == want`, ascending. Runs have length `2^tz(mask)` (the
-/// whole range for an empty mask); stepping sets every fixed bit before
-/// the increment so the carry skips over them.
-#[inline(always)]
-fn for_each_selected_run(len: usize, mask: usize, want: usize, mut f: impl FnMut(usize, usize)) {
-    debug_assert!(mask < len && want & !mask == 0);
-    if mask == 0 {
-        return f(0, len);
+/// Every maximal run of indices in `[0, len)` with `index & mask ==
+/// want`, ascending. Runs have length `2^tz(mask)` (the whole range for
+/// an empty mask); stepping sets every fixed bit before the increment so
+/// the carry skips over them. An iterator rather than a callback: a
+/// closure body may be compiled out of line, at baseline features even
+/// inside [`block_avx2`].
+struct SelectedRuns {
+    lo: usize,
+    len: usize,
+    run: usize,
+    fixed: usize,
+    mask: usize,
+    want: usize,
+}
+
+impl SelectedRuns {
+    #[inline(always)]
+    fn new(len: usize, mask: usize, want: usize) -> Self {
+        debug_assert!(len.is_power_of_two() && mask < len && want & !mask == 0);
+        let run = 1 << (mask | len).trailing_zeros();
+        SelectedRuns {
+            lo: want,
+            len,
+            run,
+            fixed: mask | (run - 1),
+            mask,
+            want,
+        }
     }
-    let run = 1usize << mask.trailing_zeros();
-    let fixed = mask | (run - 1);
-    let mut lo = want;
-    while lo < len {
-        f(lo, lo + run);
-        lo = (((lo | fixed) + 1) & !mask) | want;
+}
+
+impl Iterator for SelectedRuns {
+    type Item = std::ops::Range<usize>;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        let lo = self.lo;
+        if lo >= self.len {
+            return None;
+        }
+        self.lo = (((lo | self.fixed) + 1) & !self.mask) | self.want;
+        Some(lo..lo + self.run)
     }
 }
 
@@ -406,26 +434,91 @@ fn mul_run(re: &mut [f64], im: &mut [f64], p: Complex64) {
     }
 }
 
-/// Which lanes of a group satisfy `lane & mask == want`.
-fn lane_pattern(mask: usize, want: usize) -> [bool; LANES] {
-    std::array::from_fn(|lane| lane & mask == want)
+/// [`mul_lane_pattern`] in the flavour of the caller, kept out of the
+/// tile loop: inlined there, the 26 bodies crowd its registers and cost
+/// the run path's short runs 5–10 %. The AVX2 body stays out of line
+/// because this plain function cannot inline [`lanes_avx2`]; rustc does
+/// not honour `#[inline(never)]` on a `#[target_feature]` function.
+#[inline(never)]
+fn lanes<const AVX2: bool>(
+    mask: usize,
+    want: usize,
+    re: &mut [f64],
+    im: &mut [f64],
+    runs: SelectedRuns,
+    p: Complex64,
+) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if AVX2 {
+        // SAFETY: `AVX2` is true only under `block_avx2`, whose callers
+        // verified avx2+fma support.
+        return unsafe { lanes_avx2(mask, want, re, im, runs, p) };
+    }
+    mul_lane_pattern(mask, want, re, im, runs, p)
 }
 
-/// [`mul_run`] on the lanes `select` marks, over whole lane groups. The
-/// product is computed for every lane of a group in one straight loop
-/// and stored only to the selected ones, so the arithmetic vectorizes
-/// and an unselected lane is never written.
+/// [`mul_lane_pattern`] compiled with AVX2 codegen.
+///
+/// SAFETY: callers must have verified `avx2` and `fma` CPU support.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn lanes_avx2(
+    mask: usize,
+    want: usize,
+    re: &mut [f64],
+    im: &mut [f64],
+    runs: SelectedRuns,
+    p: Complex64,
+) {
+    mul_lane_pattern(mask, want, re, im, runs, p)
+}
+
+/// [`mul_lanes`] over `runs` for the lanes with `lane & mask == want`:
+/// a `match` onto the body monomorphised for each of the 26 selections
+/// with a nonzero mask on bits 0–2, so that every body sees its
+/// selection as a constant.
 #[inline(always)]
-fn mul_lanes(re: &mut [f64], im: &mut [f64], p: Complex64, select: &[bool; LANES]) {
+fn mul_lane_pattern(
+    mask: usize,
+    want: usize,
+    re: &mut [f64],
+    im: &mut [f64],
+    runs: SelectedRuns,
+    p: Complex64,
+) {
+    macro_rules! selections {
+        ($(($m:literal, $w:literal))*) => {
+            match (mask, want) {
+                $(($m, $w) => {
+                    for r in runs {
+                        mul_lanes::<$m, $w>(&mut re[r.clone()], &mut im[r], p);
+                    }
+                })*
+                _ => unreachable!("lane selection {mask:#b} → {want:#b}"),
+            }
+        };
+    }
+    selections! {
+        (1, 0) (1, 1) (2, 0) (2, 2) (4, 0) (4, 4)
+        (3, 0) (3, 1) (3, 2) (3, 3) (5, 0) (5, 1) (5, 4) (5, 5) (6, 0) (6, 2) (6, 4) (6, 6)
+        (7, 0) (7, 1) (7, 2) (7, 3) (7, 4) (7, 5) (7, 6) (7, 7)
+    }
+}
+
+/// [`mul_run`] on the lanes with `lane & MASK == WANT`, over whole lane
+/// groups. The selection is a compile-time constant: once the compiler
+/// unrolls a group the test folds away, and the body is straight-line
+/// code that loads, multiplies and stores the selected lanes and never
+/// writes the others: whole vectors where the selection covers one,
+/// single lanes where it does not, and no branch or mask register.
+#[inline(always)]
+fn mul_lanes<const MASK: usize, const WANT: usize>(re: &mut [f64], im: &mut [f64], p: Complex64) {
     for (rg, ig) in re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES)) {
-        let (mut nr, mut ni) = ([0.0f64; LANES], [0.0f64; LANES]);
         for k in 0..LANES {
-            nr[k] = rg[k] * p.re - ig[k] * p.im;
-            ni[k] = rg[k] * p.im + ig[k] * p.re;
-        }
-        for k in 0..LANES {
-            if select[k] {
-                (rg[k], ig[k]) = (nr[k], ni[k]);
+            if k & MASK == WANT {
+                let (r, i) = (rg[k], ig[k]);
+                rg[k] = r * p.re - i * p.im;
+                ig[k] = r * p.im + i * p.re;
             }
         }
     }
@@ -640,11 +733,11 @@ mod tests {
                 loop {
                     let mut got = Vec::new();
                     let mut last = 0;
-                    for_each_selected_run(len, mask, want, |a, b| {
-                        assert!(a >= last, "runs ascend");
-                        last = b;
-                        got.extend(a..b);
-                    });
+                    for r in SelectedRuns::new(len, mask, want) {
+                        assert!(r.start >= last, "runs ascend");
+                        last = r.end;
+                        got.extend(r);
+                    }
                     let expect: Vec<usize> = (0..len).filter(|i| i & mask == want).collect();
                     assert_eq!(got, expect, "len {len} mask {mask:#x} want {want:#x}");
                     if want == 0 {
@@ -689,6 +782,79 @@ mod tests {
         for i in 0..len {
             let want = oracle_apply(&gates, offset | i as u64, amp(i));
             assert_same_bits(Complex64::new(re[i], im[i]), want, &format!("index {i}"));
+        }
+    }
+
+    #[test]
+    fn every_lane_selection_matches_the_oracle_in_both_flavours() {
+        // All 27 (mask, want) pairs on bits 0–2 — mask 0 is the run path,
+        // the other 26 are the lane patterns — alone and joined by a bit
+        // above the lanes that must be set or clear: inside the tile,
+        // above the tile and in the rank offset (set, and clear so
+        // nothing is selected). No gate lowers to seven of the pairs
+        // (mask 0b111 with a zero in `want`), so the expected value is
+        // the selection's definition: the `Complex64` product, or the
+        // amplitude untouched. Zeros of both signs sit in selected and
+        // unselected lanes alike.
+        let lane_pairs =
+            (0..LANES).flat_map(|m| (0..LANES).filter(move |w| w & !m == 0).map(move |w| (m, w)));
+        assert_eq!(lane_pairs.clone().count(), 27);
+        let p = Complex64::cis(0.37);
+        let amp = |i: usize| match i % 5 {
+            0 => Complex64::new(-0.0, 0.0),
+            1 => Complex64::new(0.0, -0.0),
+            2 => Complex64::new(-0.0, -0.0),
+            _ => Complex64::new((i % 17) as f64 * 0.25 - 2.0, -((i % 7) as f64) - 0.5),
+        };
+        type Block = fn(&[PhaseOp], &mut [f64], &mut [f64], u64);
+        let mut flavours: Vec<(&str, Block)> = vec![("plain", block_body::<false>)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if kernel::use_fma() {
+            // SAFETY: `use_fma` verified avx2+fma support on this CPU.
+            flavours.push(("avx2", |ops, re, im, base| unsafe {
+                block_avx2(ops, re, im, base)
+            }));
+        }
+        for len in [LANES, 4 * TILE] {
+            let top = len.trailing_zeros();
+            let offset = 1u64 << (top + 1);
+            // A one-group block has no bit inside or above its tile.
+            let mut extra_bits: Vec<u64> = [5, top - 1, top + 1, top + 2]
+                .map(|b| 1u64 << b)
+                .into_iter()
+                .filter(|&x| x >= LANES as u64)
+                .collect();
+            extra_bits.sort_unstable();
+            extra_bits.dedup();
+            for (m, w) in lane_pairs.clone() {
+                let (m, w) = (m as u64, w as u64);
+                let joined = extra_bits
+                    .iter()
+                    .flat_map(|&x| [(m | x, w | x), (m | x, w)]);
+                for (mask, want) in std::iter::once((m, w)).chain(joined) {
+                    let ops = [PhaseOp { mask, want, p }];
+                    for (name, block) in &flavours {
+                        let (mut re, mut im): (Vec<f64>, Vec<f64>) =
+                            (0..len).map(|i| (amp(i).re, amp(i).im)).unzip();
+                        block(&ops, &mut re, &mut im, offset);
+                        for i in 0..len {
+                            let index = offset | i as u64;
+                            let want_amp = if index & mask == want {
+                                amp(i) * p
+                            } else {
+                                amp(i)
+                            };
+                            assert_same_bits(
+                                Complex64::new(re[i], im[i]),
+                                want_amp,
+                                &format!(
+                                    "{name} len {len} mask {mask:#x} want {want:#x} index {i}"
+                                ),
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

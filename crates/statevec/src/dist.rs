@@ -218,10 +218,14 @@ impl<'c> DistributedState<'c> {
     }
 
     /// Applies one gate, communicating as its locality class requires.
-    /// Fails when the underlying exchange fails (peer disconnected,
-    /// deadlock diagnosed), or with [`CommError::PlanRejected`] on every
-    /// rank when the layout cannot lower the gate — pure-local gates
-    /// always succeed.
+    /// Fails when the underlying exchange fails: with
+    /// [`CommError::Aborted`] `{ by, cause }` when another rank failed and
+    /// aborted the universe, [`CommError::RecvTimeout`] when a chunk did
+    /// not arrive by the deadline, or the transport error this rank hit
+    /// itself (`Disconnected`, `ChunkLength`, and under a fault plan
+    /// `Transient` or `Corrupt`). Fails with [`CommError::PlanRejected`]
+    /// on every rank when the layout cannot lower the gate — pure-local
+    /// gates always succeed.
     pub fn apply(&mut self, gate: &Gate) -> CommResult<()> {
         self.apply_classified(gate).map(|_| ())
     }
