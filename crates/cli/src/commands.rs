@@ -8,6 +8,7 @@ use qse_circuit::lower::{circuit_traffic, GateTraffic};
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft, valid_split_range};
 use qse_circuit::transpile::cache_blocking::cache_block;
 use qse_circuit::Circuit;
+use qse_comm::chunking::ExchangeMode;
 use qse_core::experiment::{fmt_seconds, TextTable};
 use qse_core::scaling::nodes_for;
 use qse_core::{
@@ -148,6 +149,16 @@ fn parse_freq(s: &str) -> Result<CpuFrequency, ArgError> {
     })
 }
 
+/// The exchange two switches select: `streamed` wins over `non_blocking`
+/// (`--non-blocking` on `run`, `--fast` on `model`) when both are given.
+fn exchange_mode(non_blocking: bool, streamed: bool) -> ExchangeMode {
+    match (non_blocking, streamed) {
+        (_, true) => ExchangeMode::Streamed,
+        (true, false) => ExchangeMode::NonBlocking,
+        (false, false) => ExchangeMode::Blocking,
+    }
+}
+
 fn parse_transpile(s: &str) -> Result<TranspileMode, ArgError> {
     Ok(match s {
         "off" => TranspileMode::Off,
@@ -245,8 +256,7 @@ fn run(args: &Args) -> Result<String, ArgError> {
     let basis: u64 = args.value("basis", 0)?;
     let circuit = build_circuit(&args.string("circuit", "qft"), n)?;
     let mut cfg = SimConfig::default_for(ranks);
-    cfg.non_blocking = args.switch("non-blocking");
-    cfg.streamed = args.switch("streamed");
+    cfg.exchange = exchange_mode(args.switch("non-blocking"), args.switch("streamed"));
     cfg.half_exchange_swaps = args.switch("half-swaps");
     cfg.transpile = parse_transpile(&args.string("transpile", "off"))?;
     cfg.engine = engine_mode;
@@ -377,8 +387,7 @@ fn model(args: &Args) -> Result<String, ArgError> {
     let mut cfg = SimConfig::default_for(nodes);
     cfg.node_kind = kind;
     cfg.frequency = parse_freq(&args.string("freq", "medium"))?;
-    cfg.non_blocking = args.switch("fast");
-    cfg.streamed = args.switch("streamed");
+    cfg.exchange = exchange_mode(args.switch("fast"), args.switch("streamed"));
     cfg.half_exchange_swaps = args.switch("half-swaps");
     cfg.fuse_diagonals = args.optional::<usize>("fuse")?;
     let est = ModelExecutor::new(&machine).run(&circuit, &cfg);
@@ -876,6 +885,32 @@ mod tests {
         let out = run_cli(&["run", "--qubits", "8", "--ranks", "4", "--streamed"]).unwrap();
         assert!(out.contains("exchange:"), "{out}");
         assert!(out.contains("peak scratch"), "{out}");
+    }
+
+    #[test]
+    fn streamed_takes_precedence_over_non_blocking() {
+        let exchange_line = |flags: &[&str]| {
+            let mut tokens = vec!["run", "--qubits", "8", "--ranks", "4"];
+            tokens.extend_from_slice(flags);
+            let out = run_cli(&tokens).unwrap();
+            out.lines()
+                .find(|l| l.starts_with("exchange:"))
+                .map(str::to_string)
+                .expect("exchange line present")
+        };
+        // Only the streamed exchange counts chunks.
+        assert!(exchange_line(&["--non-blocking"]).starts_with("exchange: 0 chunks"));
+        let both = exchange_line(&["--non-blocking", "--streamed"]);
+        assert!(!both.starts_with("exchange: 0 chunks"), "{both}");
+        assert_eq!(both, exchange_line(&["--streamed"]));
+
+        let model = |flags: &[&str]| {
+            let mut tokens = vec!["model", "--qubits", "38"];
+            tokens.extend_from_slice(flags);
+            run_cli(&tokens).unwrap()
+        };
+        assert_ne!(model(&["--fast", "--streamed"]), model(&["--fast"]));
+        assert_eq!(exchange_mode(true, true), ExchangeMode::Streamed);
     }
 
     #[test]

@@ -102,12 +102,9 @@ impl EngineMode {
 pub struct SimConfig {
     /// Ranks (threads) or nodes — always a power of two.
     pub n_ranks: u64,
-    /// Blocking (QuEST default) or non-blocking exchange (§3.2).
-    pub non_blocking: bool,
-    /// Streamed chunk-pipelined exchange: overlap each chunk's combine
-    /// with the remaining communication. Takes precedence over
-    /// `non_blocking`.
-    pub streamed: bool,
+    /// Blocking (QuEST default), non-blocking (§3.2) or streamed
+    /// chunk-pipelined exchange.
+    pub exchange: ExchangeMode,
     /// Half-exchange distributed SWAPs (§4 future work).
     pub half_exchange_swaps: bool,
     /// The analytic model's diagonal fusion: price maximal runs of at
@@ -137,8 +134,7 @@ impl SimConfig {
     pub fn default_for(n_ranks: u64) -> Self {
         SimConfig {
             n_ranks,
-            non_blocking: false,
-            streamed: false,
+            exchange: ExchangeMode::Blocking,
             half_exchange_swaps: false,
             fuse_diagonals: None,
             max_message_bytes: 1 << 20,
@@ -154,7 +150,7 @@ impl SimConfig {
     /// with a cache-blocked circuit.
     pub fn fast_for(n_ranks: u64) -> Self {
         SimConfig {
-            non_blocking: true,
+            exchange: ExchangeMode::NonBlocking,
             ..Self::default_for(n_ranks)
         }
     }
@@ -162,13 +158,7 @@ impl SimConfig {
     /// View as the executable engine's options.
     pub fn to_dist_config(&self) -> DistConfig {
         DistConfig {
-            exchange_mode: if self.streamed {
-                ExchangeMode::Streamed
-            } else if self.non_blocking {
-                ExchangeMode::NonBlocking
-            } else {
-                ExchangeMode::Blocking
-            },
+            exchange_mode: self.exchange,
             chunk_policy: ChunkPolicy::new(self.max_message_bytes)
                 .expect("max_message_bytes must be positive"),
             half_exchange_swaps: self.half_exchange_swaps,
@@ -180,12 +170,10 @@ impl SimConfig {
         ModelConfig {
             node_kind: self.node_kind,
             frequency: self.frequency,
-            comm_mode: if self.streamed {
-                CommMode::Streamed
-            } else if self.non_blocking {
-                CommMode::NonBlocking
-            } else {
-                CommMode::Blocking
+            comm_mode: match self.exchange {
+                ExchangeMode::Blocking => CommMode::Blocking,
+                ExchangeMode::NonBlocking => CommMode::NonBlocking,
+                ExchangeMode::Streamed => CommMode::Streamed,
             },
             half_exchange_swaps: self.half_exchange_swaps,
             fuse_diagonals: self.fuse_diagonals,
@@ -215,22 +203,14 @@ mod tests {
     }
 
     #[test]
-    fn streamed_maps_and_takes_precedence() {
-        let mut c = SimConfig::default_for(8);
-        c.streamed = true;
-        assert_eq!(c.to_dist_config().exchange_mode, ExchangeMode::Streamed);
-        assert_eq!(c.to_model_config().comm_mode, CommMode::Streamed);
-        c.non_blocking = true; // streamed wins when both are set
-        assert_eq!(c.to_dist_config().exchange_mode, ExchangeMode::Streamed);
-        assert_eq!(c.to_model_config().comm_mode, CommMode::Streamed);
-    }
-
-    #[test]
     fn options_thread_through() {
         let mut c = SimConfig::default_for(4);
+        c.exchange = ExchangeMode::Streamed;
         c.half_exchange_swaps = true;
         c.fuse_diagonals = Some(3);
         c.max_message_bytes = 256;
+        assert_eq!(c.to_dist_config().exchange_mode, ExchangeMode::Streamed);
+        assert_eq!(c.to_model_config().comm_mode, CommMode::Streamed);
         assert!(c.to_dist_config().half_exchange_swaps);
         assert!(c.to_model_config().half_exchange_swaps);
         assert_eq!(c.to_model_config().fuse_diagonals, Some(3));

@@ -1,6 +1,6 @@
 //! Experiment output: publication-shaped text tables and JSON records.
 //!
-//! Every figure/table binary in `qse-bench` renders its rows through this
+//! Every figure/table binary in `qse-repro` renders its rows through this
 //! module, so the console output lines up with the paper's tables and a
 //! machine-readable JSON twin lands next to it for EXPERIMENTS.md.
 

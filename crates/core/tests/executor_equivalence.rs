@@ -11,6 +11,7 @@ use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::transpile::PlanStep;
 use qse_circuit::Circuit;
+use qse_comm::chunking::ExchangeMode;
 use qse_comm::Universe;
 use qse_core::config::TranspileMode;
 use qse_core::executor::comm_avoid_plan;
@@ -25,6 +26,11 @@ const TRANSPILE: [TranspileMode; 3] = [
     TranspileMode::Off,
     TranspileMode::Greedy,
     TranspileMode::Beam,
+];
+const EXCHANGES: [ExchangeMode; 3] = [
+    ExchangeMode::Blocking,
+    ExchangeMode::NonBlocking,
+    ExchangeMode::Streamed,
 ];
 
 fn circuits() -> [(&'static str, Circuit); 3] {
@@ -97,14 +103,11 @@ fn executor_matches_gate_at_a_time_loop_bit_for_bit() {
     for (name, circuit) in circuits() {
         for ranks in RANKS {
             for transpile in TRANSPILE {
-                for (non_blocking, streamed) in [(false, false), (true, false), (false, true)] {
+                for exchange in EXCHANGES {
                     let mut cfg = SimConfig::default_for(ranks);
                     cfg.transpile = transpile;
-                    cfg.non_blocking = non_blocking;
-                    cfg.streamed = streamed;
-                    let ctx = format!(
-                        "{name} R={ranks} {transpile:?} nb={non_blocking} streamed={streamed}"
-                    );
+                    cfg.exchange = exchange;
+                    let ctx = format!("{name} R={ranks} {transpile:?} {exchange:?}");
                     assert_executor_matches_loop(&circuit, &cfg, &ctx);
                 }
             }

@@ -2,7 +2,7 @@
 //! Hadamard butterfly (target 10, n = 20, one thread) over split `re` /
 //! `im` arrays — QuEST's layout and the engine's — and over interleaved
 //! complex values. Independent of the engine; the engine-level record of
-//! both layouts is `results/bench_kernels.json`.
+//! both layouts is committed at `aeee400` (EXPERIMENTS.md).
 
 use qse_math::Complex64;
 use qse_util::bench::BenchGroup;

@@ -3,7 +3,7 @@
 //! available on ARCHER2 (1.5 GHz) was not of benefit in either case due
 //! to a large increase in runtime", §3.1).
 
-use qse_bench::{model_point, save_points, ModelPoint};
+use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::qft;
 use qse_core::experiment::{fmt_delta, TextTable};
 use qse_core::scaling::nodes_for;

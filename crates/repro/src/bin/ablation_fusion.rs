@@ -8,7 +8,7 @@
 //! n−1 gates to 1 across the circuit, so the fusion threshold matters:
 //! this ablation sweeps it.
 
-use qse_bench::{model_point, save_points, ModelPoint};
+use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::qft;
 use qse_core::experiment::TextTable;
 use qse_core::SimConfig;

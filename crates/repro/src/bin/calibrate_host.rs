@@ -10,6 +10,7 @@
 
 use qse_circuit::benchmarks::{hadamard_benchmark, swap_benchmark};
 use qse_circuit::Gate;
+use qse_comm::chunking::ExchangeMode;
 use qse_core::experiment::TextTable;
 use qse_core::{SimConfig, ThreadClusterExecutor};
 use qse_statevec::SingleState;
@@ -59,10 +60,13 @@ fn main() {
     let ranks = 4u64;
     let gates = 6usize;
     let mut table = TextTable::new(vec!["Mode", "Wall s", "GB/s per rank"]);
-    for (label, nb) in [("blocking", false), ("non-blocking", true)] {
+    for (label, exchange) in [
+        ("blocking", ExchangeMode::Blocking),
+        ("non-blocking", ExchangeMode::NonBlocking),
+    ] {
         let circuit = hadamard_benchmark(n, n - 1, gates);
         let mut cfg = SimConfig::default_for(ranks);
-        cfg.non_blocking = nb;
+        cfg.exchange = exchange;
         cfg.max_message_bytes = 1 << 16;
         // warm-up then measure
         ThreadClusterExecutor::run(&circuit, &cfg, 0, false);

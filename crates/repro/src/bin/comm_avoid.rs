@@ -6,15 +6,14 @@
 //! (`TrafficStats.bytes_exchanged` summed over ranks) and the
 //! end-to-end wall-clock. The pass must never increase traffic, and on
 //! QFT at n = 20 / R = 4 it must cut it by at least 25 % — the run
-//! aborts loudly if either invariant fails, so a stale
-//! `results/bench_comm_avoid.json` can't hide a regression.
+//! aborts loudly if either invariant fails. The timings land in
+//! `results/bench_comm_avoid.json`, which is not committed.
 
 use qse_circuit::qft::qft;
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::Circuit;
 use qse_core::{SimConfig, ThreadClusterExecutor, TranspileMode};
 use qse_util::bench::BenchGroup;
-use qse_util::json::{Json, ToJson};
 use std::hint::black_box;
 
 const RANKS: [u64; 2] = [4, 8];
@@ -48,11 +47,6 @@ fn main() {
 
     let mut group = BenchGroup::new("comm_avoid");
     group.sample_size(5);
-
-    // (circuit, ranks, mode, bytes_exchanged, drop %, gate count) per
-    // bench call, in call order — zipped with the measurements after
-    // `finish()`.
-    let mut meta: Vec<(String, u64, &str, u64, f64, u64)> = Vec::new();
     for (name, circuit) in circuits(n) {
         for ranks in RANKS {
             let mut baseline = None;
@@ -61,8 +55,9 @@ fn main() {
                 group.bench(format!("{name}_r{ranks}_{mode_name}"), || {
                     black_box(ThreadClusterExecutor::run(&circuit, &cfg, 0, false));
                 });
-                let profiled = ThreadClusterExecutor::run(&circuit, &cfg, 0, false).profiled;
-                let bytes = profiled.bytes_exchanged;
+                let bytes = ThreadClusterExecutor::run(&circuit, &cfg, 0, false)
+                    .profiled
+                    .bytes_exchanged;
                 let off_bytes = *baseline.get_or_insert(bytes);
                 assert!(
                     bytes <= off_bytes,
@@ -80,49 +75,12 @@ fn main() {
                         "{mode_name} dropped only {drop_pct:.1} % on qft20 r4"
                     );
                 }
-                meta.push((
-                    name.clone(),
-                    ranks,
-                    mode_name,
-                    bytes,
-                    drop_pct,
-                    profiled.gate_count as u64,
-                ));
+                println!(
+                    "{name} r{ranks} {mode_name}: {bytes} exchanged bytes \
+                     ({drop_pct:.1} % below off)"
+                );
             }
         }
     }
-
-    let results = group.finish();
-    let mut rows: Vec<Json> = Vec::new();
-    for ((name, ranks, mode_name, bytes, drop_pct, gates), m) in meta.into_iter().zip(&results) {
-        println!(
-            "{name} r{ranks} {mode_name}: {bytes} exchanged bytes \
-             ({drop_pct:.1} % below off), {:.1} ms best of {}",
-            m.min_s * 1e3,
-            m.samples,
-        );
-        rows.push(Json::object([
-            ("circuit", name.to_json()),
-            ("n_qubits", (n as u64).to_json()),
-            ("ranks", ranks.to_json()),
-            ("transpile", mode_name.to_json()),
-            ("bytes_exchanged", bytes.to_json()),
-            ("drop_vs_off_pct", drop_pct.to_json()),
-            ("min_s", m.min_s.to_json()),
-            ("gate_count", gates.to_json()),
-        ]));
-    }
-
-    let dir = std::env::var_os("QSE_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| "results".into());
-    let doc = Json::object([
-        ("group", "comm_avoid".to_json()),
-        ("results", results.to_json()),
-        ("traffic", Json::Arr(rows)),
-    ]);
-    let path = dir.join("bench_comm_avoid.json");
-    if std::fs::create_dir_all(&dir).is_ok() && std::fs::write(&path, doc.pretty()).is_ok() {
-        println!("[saved {}]", path.display());
-    }
+    group.finish();
 }

@@ -10,7 +10,7 @@
 //! (2) the capacity win — 45 qubits fitting on 4,096 standard nodes once
 //! the exchange buffer shrinks to half the local slice.
 
-use qse_bench::{save_points, ModelPoint};
+use qse_repro::{save_points, ModelPoint};
 use qse_circuit::qft::{cache_blocked_qft, default_split};
 use qse_core::experiment::TextTable;
 use qse_core::scaling::{nodes_for, nodes_for_half_buffers};

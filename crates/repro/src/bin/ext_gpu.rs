@@ -7,7 +7,7 @@
 //! same switch fabric; this binary compares the 34–38-qubit QFT across
 //! CPU and GPU machines, with and without cache blocking.
 
-use qse_bench::{model_point, save_points, ModelPoint};
+use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_core::experiment::TextTable;
 use qse_core::SimConfig;

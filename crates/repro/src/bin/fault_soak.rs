@@ -17,23 +17,22 @@
 //! seeds from 1000).
 
 use qse_circuit::qft::qft;
+use qse_comm::chunking::ExchangeMode;
 use qse_core::{SimConfig, ThreadClusterExecutor};
 use qse_math::Complex64;
 
 const QUBITS: u32 = 16;
 const RANKS: u64 = 4;
 
-const MODES: [(&str, bool, bool); 3] = [
-    ("blocking", false, false),
-    ("non-blocking", true, false),
-    ("streamed", false, true),
+const MODES: [(&str, ExchangeMode); 3] = [
+    ("blocking", ExchangeMode::Blocking),
+    ("non-blocking", ExchangeMode::NonBlocking),
+    ("streamed", ExchangeMode::Streamed),
 ];
 
 fn config(mode: usize) -> SimConfig {
-    let (_, non_blocking, streamed) = MODES[mode];
     let mut cfg = SimConfig::default_for(RANKS);
-    cfg.non_blocking = non_blocking;
-    cfg.streamed = streamed;
+    cfg.exchange = MODES[mode].1;
     cfg
 }
 

@@ -8,7 +8,7 @@
 //! gates rise quadratically); high-memory nodes are slower but less than
 //! twice as slow; high frequency is 5–10 % faster.
 
-use qse_bench::{model_point, save_points, ModelPoint};
+use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::qft;
 use qse_core::experiment::{fmt_seconds, TextTable};
 use qse_core::scaling::nodes_for;

@@ -5,7 +5,7 @@
 //! ≈ 25 % more energy; high-memory setups drastically increase runtime;
 //! high frequency on high-memory needs 20–40 % more energy.
 
-use qse_bench::{model_point, save_points, ModelPoint};
+use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::qft;
 use qse_core::experiment::{fmt_delta, TextTable};
 use qse_core::scaling::nodes_for;

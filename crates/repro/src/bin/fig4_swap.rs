@@ -6,7 +6,7 @@
 //! 9.0–9.75 s and 180–195 kJ blocking; 8.25–9.0 s and 160–180 kJ
 //! non-blocking.
 
-use qse_bench::{model_point, save_points, ModelPoint};
+use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::benchmarks::{paper_swap_targets, swap_benchmark, swap_benchmark_grid};
 use qse_core::experiment::TextTable;
 use qse_core::SimConfig;

@@ -11,7 +11,7 @@
 //! cross-check, a *measured* profile from the thread-cluster engine at
 //! laptop scale (distributed-gate share of wall-clock).
 
-use qse_bench::{model_point, save_points, ModelPoint};
+use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::benchmarks::hadamard_benchmark;
 use qse_circuit::qft::{cache_blocked_qft, qft};
 use qse_core::experiment::TextTable;

@@ -7,7 +7,7 @@
 //! to 9.63 s / 191 kJ (blocking) and 8.82 s / 179 kJ (non-blocking) at
 //! qubit 32 — the first global qubit.
 
-use qse_bench::{model_point, save_points, ModelPoint};
+use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::benchmarks::hadamard_benchmark;
 use qse_core::experiment::TextTable;
 use qse_core::SimConfig;

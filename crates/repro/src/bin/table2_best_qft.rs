@@ -6,7 +6,7 @@
 //! 285 s / 431 MJ — "35 % and 40 % improvements in runtime, along with
 //! 30 % and 35 % reductions in energy" (§3.3).
 
-use qse_bench::{model_point, save_points, ModelPoint};
+use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_core::experiment::TextTable;
 use qse_core::scaling::nodes_for;

@@ -4,11 +4,13 @@
 //!
 //! - **Cache transparency**: a cache-hit execution is bit-for-bit
 //!   identical to the cold path for the same seed (property-tested over
-//!   random circuits and every transpile strategy).
+//!   random circuits and every transpile strategy), and Zipf-skewed
+//!   repeat traffic stays ≥ 90 % warm.
 //! - **Batch transparency**: jobs coalesced into one execution return
 //!   exactly what each would have returned run alone, given the same
 //!   per-job seeds — on every engine, and with jobs that draw no shots
-//!   in the batch.
+//!   in the batch. A batch compiles once; a cold burst (no cache,
+//!   distinct bases) never hits and never batches.
 //! - **Canonical keys**: `-0.0` angles and reordered disjoint gates land
 //!   on the same cache entry with identical fingerprints.
 //! - **Admission**: over-budget and over-capacity submissions are
@@ -26,7 +28,7 @@ use qse_core::config::{EngineMode, TranspileMode};
 use qse_serve::{JobResponse, JobResult, JobSpec, ServeConfig, Server, ServeError};
 use qse_util::check::check;
 use qse_util::mailbox::Receiver;
-use qse_util::rng::Rng;
+use qse_util::rng::{Rng, StdRng};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -119,6 +121,36 @@ fn cache_hit_execution_is_bit_identical_to_cold_path() {
     let stats = server.stats();
     assert_eq!(stats.cache.misses, case.get(), "one miss per case");
     assert_eq!(stats.cache.hits, stats.cache.misses, "one hit per case");
+    server.shutdown();
+
+    // Repeat traffic: a closed-loop tenant drawing from a four-circuit
+    // pool with popularity 1/(r+1)² compiles each circuit once, so at
+    // least 90 % of its 80 lookups hit.
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let pool: Vec<Circuit> = (0..4u64)
+        .map(|i| match i {
+            0 => qft(12),
+            _ => random_circuit(12, 60, GatePool::Full, 0xC0FFEE + i),
+        })
+        .collect();
+    // Cumulative shares of the popularity weights 1/(r+1)².
+    let cumulative = [0.702, 0.878, 0.956];
+    let mut rng = StdRng::seed_from_u64(7);
+    for j in 0..80u64 {
+        let draw = rng.random_range(0.0..1.0);
+        let r = cumulative.iter().filter(|&&c| draw >= c).count();
+        let job = JobSpec {
+            transpile: TranspileMode::Beam,
+            ..spec(&format!("zipf-{j}"), pool[r].clone(), 4, 100, j)
+        };
+        wait_ok(&server.submit(job).expect("admitted"));
+    }
+    let cache = server.stats().cache;
+    let hit_rate = cache.hits as f64 / (cache.hits + cache.misses) as f64;
+    assert!(hit_rate >= 0.90, "zipf traffic must stay ≥ 90 % warm: {cache:?}");
     server.shutdown();
 }
 
@@ -213,6 +245,9 @@ fn batched_jobs_match_individually_executed_jobs_bit_for_bit() {
         assert_eq!(stats.max_batch, BATCH as u64, "{engine}");
         // plug + one batch + BATCH solos.
         assert_eq!(stats.executions, 2 + BATCH as u64, "{engine}");
+        // Only the plug and the batch compile; every warm solo hits.
+        assert_eq!(stats.cache.misses, 2, "{engine}");
+        assert_eq!(stats.cache.hits, BATCH as u64, "{engine}");
         server.shutdown();
     }
 }
@@ -308,6 +343,28 @@ fn different_basis_or_faults_never_batch_together() {
         "recoverable faults must not change the state"
     );
     server.shutdown();
+
+    // A cold burst: no plan cache and a distinct basis per job, so every
+    // job compiles and executes alone.
+    let cold = Server::start(ServeConfig {
+        workers: 1,
+        cache_cap_bytes: 0,
+        ..ServeConfig::default()
+    });
+    let burst = submit_batch(
+        &cold,
+        (0..4)
+            .map(|i| JobSpec {
+                basis: i,
+                ..spec(&format!("cold-{i}"), circuit.clone(), 2, 50, i)
+            })
+            .collect(),
+    );
+    assert!(burst.iter().all(|r| r.batched == 1 && !r.cache_hit));
+    let stats = cold.stats();
+    assert_eq!(stats.cache.hits, 0, "a cold burst must never hit");
+    assert_eq!(stats.batched_jobs, 0, "a cold burst must never batch");
+    cold.shutdown();
 }
 
 // ---------------------------------------------------------------------

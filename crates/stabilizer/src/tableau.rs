@@ -839,8 +839,8 @@ mod tests {
     #[test]
     fn thousand_qubit_clifford_circuit_with_measurement() {
         // The acceptance-criteria workload: 1000 qubits, 5000 Clifford
-        // gates, then measure every qubit. Release-build timing is
-        // recorded by `bench_engines` (< 1 s); here we only bound the
+        // gates, then measure every qubit. Release-build timing is the
+        // ledger's `stabilizer.run_s` row; here we only bound the
         // debug build loosely and check the collapsed state is
         // self-consistent.
         use qse_circuit::random::{random_circuit, GatePool};

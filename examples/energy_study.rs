@@ -28,18 +28,18 @@ fn main() {
         };
         let local = n - nodes.trailing_zeros();
         for freq in CpuFrequency::all() {
-            for (variant, circuit, non_blocking) in [
-                ("built-in", qft(n), false),
+            for (variant, circuit, exchange) in [
+                ("built-in", qft(n), ExchangeMode::Blocking),
                 (
                     "fast",
                     cache_blocked_qft(n, default_split(n, local)),
-                    true,
+                    ExchangeMode::NonBlocking,
                 ),
             ] {
                 let mut cfg = SimConfig::default_for(nodes);
                 cfg.node_kind = kind;
                 cfg.frequency = freq;
-                cfg.non_blocking = non_blocking;
+                cfg.exchange = exchange;
                 let est = ModelExecutor::new(&machine).run(&circuit, &cfg);
                 let label = format!("{}-{:?}-{variant}", kind.label(), freq);
                 table.row(vec![

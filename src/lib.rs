@@ -59,6 +59,7 @@ pub mod prelude {
     pub use qse_circuit::qft::{cache_blocked_qft, default_split, inverse_qft, qft};
     pub use qse_circuit::transpile::cache_blocking::cache_block;
     pub use qse_circuit::{Circuit, Gate};
+    pub use qse_comm::chunking::ExchangeMode;
     pub use qse_comm::Universe;
     pub use qse_core::{
         LocalExecutor, ModelExecutor, SimConfig, ThreadClusterExecutor, TranspileMode,

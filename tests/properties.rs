@@ -67,7 +67,9 @@ fn distribution_is_transparent() {
     check_with_size(48, 25, |rng, size| {
         let c = draw_circuit(rng, 6, size);
         let mut cfg = SimConfig::default_for(4);
-        cfg.non_blocking = rng.random_bool(0.5);
+        if rng.random_bool(0.5) {
+            cfg.exchange = ExchangeMode::NonBlocking;
+        }
         cfg.half_exchange_swaps = rng.random_bool(0.5);
         cfg.max_message_bytes = [64usize, 1024, 1 << 20][rng.random_range(0..3usize)];
         let run = ThreadClusterExecutor::run(&c, &cfg, 0, true);
