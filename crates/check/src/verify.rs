@@ -984,25 +984,6 @@ pub fn verify_circuit(
     verify_plan(&plan, Some(circuit), n_ranks, opts)
 }
 
-/// Verifies `plan` at every power-of-two rank count `1, 2, 4, …` up to
-/// `min(2^n_qubits, max_ranks)` — the "for all R" form of the protocol
-/// proof. Returns the report of the largest R.
-pub fn verify_plan_all_ranks(
-    plan: &Plan,
-    original: Option<&Circuit>,
-    max_ranks: u64,
-    opts: &VerifyOptions,
-) -> Result<VerifyReport, VerifyError> {
-    let cap = max_ranks.min(1u64 << plan.n_qubits().min(63));
-    let mut r = 1u64;
-    let mut last = verify_plan(plan, original, r, opts)?;
-    while r * 2 <= cap {
-        r *= 2;
-        last = verify_plan(plan, original, r, opts)?;
-    }
-    Ok(last)
-}
-
 // ---------------------------------------------------------------------
 // Deliberately broken fixtures: the verifier must bite on these.
 // ---------------------------------------------------------------------
@@ -1111,13 +1092,10 @@ mod tests {
     fn random_circuits_verify_across_ranks() {
         for seed in 0..4 {
             let c = random_circuit(7, 50, GatePool::Full, seed);
-            verify_plan_all_ranks(
-                &Plan::from_circuit(&c, Permutation::identity(7)),
-                Some(&c),
-                8,
-                &VerifyOptions::default(),
-            )
-            .unwrap();
+            let plan = Plan::from_circuit(&c, Permutation::identity(7));
+            for ranks in [1u64, 2, 4, 8] {
+                verify_plan(&plan, Some(&c), ranks, &VerifyOptions::default()).unwrap();
+            }
         }
     }
 

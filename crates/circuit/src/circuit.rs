@@ -209,12 +209,6 @@ impl Circuit {
         }
         counts
     }
-
-    /// Number of Hadamard gates (used to locate the paper's "after the
-    /// k-th Hadamard" SWAP insertion point).
-    pub fn hadamard_count(&self) -> usize {
-        self.gates.iter().filter(|g| matches!(g, Gate::H(_))).count()
-    }
 }
 
 impl fmt::Display for Circuit {
@@ -318,7 +312,6 @@ mod tests {
         assert_eq!(counts["H"], 2);
         assert_eq!(counts["CPhase"], 1);
         assert_eq!(counts["Swap"], 1);
-        assert_eq!(c.hadamard_count(), 2);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod lower;
 pub mod permutation;
 pub mod qft;
 pub mod random;
-pub mod stats;
 pub mod transpile;
 
 pub use circuit::{Circuit, MAX_QUBITS};

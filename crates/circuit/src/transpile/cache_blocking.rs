@@ -17,7 +17,6 @@
 //! tests in the statevector crate verify this amplitude-for-amplitude.
 
 use crate::circuit::Circuit;
-use crate::classify::Layout;
 use crate::gate::Gate;
 use crate::permutation::Permutation;
 use crate::transpile::comm_avoid::Plan;
@@ -166,11 +165,6 @@ pub fn cache_block_with(
     }
 }
 
-/// Convenience: runs the pass for an explicit rank [`Layout`].
-pub fn cache_block_for(circuit: &Circuit, layout: &Layout) -> Transpiled {
-    cache_block(circuit, layout.local_qubits())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +238,7 @@ mod tests {
         // leaves exactly the rank-qubit count of distributed SWAPs.
         let n = 12;
         let layout = Layout::new(n, 8); // 9 local, 3 global
-        let t = cache_block_for(&qft(n), &layout);
+        let t = cache_block(&qft(n), layout.local_qubits());
         let kernels = |c: &Circuit| -> Vec<Kernel> {
             let traffic = circuit_traffic(c, &layout, false).unwrap();
             traffic.iter().flat_map(|t| t.lowering.exchanges().map(|e| e.kernel)).collect()

@@ -39,7 +39,6 @@ pub struct Communicator {
     pending: VecDeque<Envelope>,
     fail_stop: Arc<FailStop>,
     counters: SharedCounters,
-    all_counters: Arc<Vec<SharedCounters>>,
     recv_timeout: Duration,
     /// Deterministic fault stream for this rank, if the universe was
     /// constructed with a [`crate::faults::FaultPlan`]. `None` is the
@@ -57,8 +56,7 @@ impl Communicator {
         rx: Receiver<Envelope>,
         fail_stop: Arc<FailStop>,
         counters: SharedCounters,
-        all_counters: Arc<Vec<SharedCounters>>,
-        recv_timeout: Duration,
+            recv_timeout: Duration,
         lane: Option<FaultLane>,
     ) -> Self {
         Communicator {
@@ -69,15 +67,9 @@ impl Communicator {
             pending: VecDeque::new(),
             fail_stop,
             counters,
-            all_counters,
-            recv_timeout,
+                recv_timeout,
             lane,
         }
-    }
-
-    /// True when this rank runs under an injected fault plan.
-    pub fn faults_active(&self) -> bool {
-        self.lane.is_some()
     }
 
     /// This rank's id in `0..size`.
@@ -548,16 +540,6 @@ impl Communicator {
     pub fn stats(&self) -> TrafficStats {
         self.counters.snapshot()
     }
-
-    /// Snapshot of every rank's counters (for aggregate reporting).
-    pub fn all_stats(&self) -> Vec<TrafficStats> {
-        self.all_counters.iter().map(|c| c.snapshot()).collect()
-    }
-
-    /// Resets this rank's counters (e.g. between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.counters.reset();
-    }
 }
 
 impl Drop for Communicator {
@@ -742,27 +724,6 @@ mod tests {
             assert_eq!(s.bytes_received, 100);
         }
     }
-
-    #[test]
-    fn reset_stats_clears_counts() {
-        Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            c.sendrecv(peer, 0, &[0u8; 8], peer, 0).unwrap();
-            c.reset_stats();
-            assert_eq!(c.stats().messages_sent, 0);
-        });
-    }
-
-    #[test]
-    fn all_stats_sees_every_rank() {
-        let out = Universe::new(2).run(|c| {
-            let peer = 1 - c.rank();
-            c.sendrecv(peer, 0, &[0u8; 8], peer, 0).unwrap();
-            c.barrier();
-            c.all_stats().len()
-        });
-        assert_eq!(out, vec![2, 2]);
-    }
 }
 
 #[cfg(test)]
@@ -813,7 +774,6 @@ mod fault_tests {
             for round in 0..8u64 {
                 c.sendrecv(peer, round, &[7u8; 64], peer, round).unwrap();
             }
-            assert!(!c.faults_active());
             c.stats()
         });
         for s in stats {

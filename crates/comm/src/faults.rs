@@ -431,11 +431,6 @@ impl FaultLane {
         Some(self.held.swap_remove(i).env)
     }
 
-    /// Number of envelopes currently held back by injected delays.
-    pub fn held_count(&self) -> usize {
-        self.held.len()
-    }
-
     /// Records one checksum failure for `(src, tag)`, returning the
     /// consecutive-failure count. Past the retry budget the caller gives
     /// up with [`CommError::Corrupt`].
@@ -532,7 +527,6 @@ mod tests {
         let mut env = Envelope::new(1, 9, b"x");
         env.delay_slices = 3;
         lane.hold(env);
-        assert_eq!(lane.held_count(), 1);
         assert!(lane.pop_due().is_none(), "not due yet");
         lane.tick(2);
         assert!(lane.pop_due().is_none(), "still one slice early");
@@ -540,7 +534,7 @@ mod tests {
         let released = lane.pop_due().expect("due now");
         assert_eq!(released.tag, 9);
         assert_eq!(released.delay_slices, 0, "delay cleared on hold");
-        assert_eq!(lane.held_count(), 0);
+        assert!(lane.pop_due().is_none(), "nothing else held");
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod faults;
 pub mod message;
 pub mod nonblocking;
 pub mod stats;
-pub mod topology;
 pub mod universe;
 
 pub use communicator::Communicator;

@@ -106,21 +106,6 @@ impl TrafficCounters {
             corruptions_detected: self.corruptions_detected.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets all counters to zero (between experiment phases).
-    pub fn reset(&self) {
-        self.messages_sent.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.messages_received.store(0, Ordering::Relaxed);
-        self.bytes_received.store(0, Ordering::Relaxed);
-        self.exchange_chunks.store(0, Ordering::Relaxed);
-        self.bytes_exchanged.store(0, Ordering::Relaxed);
-        self.inflight_bytes.store(0, Ordering::Relaxed);
-        self.peak_inflight_bytes.store(0, Ordering::Relaxed);
-        self.faults_injected.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.corruptions_detected.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time snapshot of one rank's traffic counters.
@@ -198,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let c = TrafficCounters::default();
-        c.record_send(10);
-        c.record_recv(10);
-        c.reset();
-        assert_eq!(c.snapshot(), TrafficStats::default());
-    }
-
-    #[test]
     fn merge_and_total() {
         let a = TrafficStats {
             messages_sent: 1,
@@ -246,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_counters_accumulate_and_reset() {
+    fn fault_counters_accumulate() {
         let c = TrafficCounters::default();
         c.record_fault_injected();
         c.record_fault_injected();
@@ -256,8 +232,6 @@ mod tests {
         assert_eq!(s.faults_injected, 2);
         assert_eq!(s.retries, 3);
         assert_eq!(s.corruptions_detected, 1);
-        c.reset();
-        assert_eq!(c.snapshot(), TrafficStats::default());
     }
 
     #[test]
@@ -274,8 +248,6 @@ mod tests {
         c.record_exchange_bytes(512);
         c.record_exchange_bytes(256);
         assert_eq!(c.snapshot().bytes_exchanged, 768);
-        c.reset();
-        assert_eq!(c.snapshot(), TrafficStats::default());
     }
 
     #[test]

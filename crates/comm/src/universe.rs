@@ -7,32 +7,13 @@ use crate::message::Envelope;
 use crate::stats::{SharedCounters, TrafficCounters};
 use crate::Result;
 use qse_util::mailbox::{unbounded, Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default receive deadline; generous enough for debug-build statevector
 /// exchanges, short enough that a protocol bug in hand-written rank code
 /// (a one-sided receive) fails rather than hangs.
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Receive deadline used by [`Universe::new`]: `QSE_RECV_TIMEOUT_SECS`
-/// from the environment if set to a positive integer, else
-/// [`DEFAULT_RECV_TIMEOUT`]. Read once per process, so CI can lower the
-/// ceiling every timed-out receive pays.
-pub fn default_recv_timeout() -> Duration {
-    static T: OnceLock<Duration> = OnceLock::new();
-    *T.get_or_init(|| recv_timeout_from_env(std::env::var("QSE_RECV_TIMEOUT_SECS").ok().as_deref()))
-}
-
-/// Pure parsing half of [`default_recv_timeout`], split out for tests
-/// (the env var itself is latched once per process).
-pub fn recv_timeout_from_env(value: Option<&str>) -> Duration {
-    value
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&secs| secs >= 1)
-        .map(Duration::from_secs)
-        .unwrap_or(DEFAULT_RECV_TIMEOUT)
-}
 
 /// A fixed-size set of ranks with fully connected mailboxes.
 ///
@@ -46,16 +27,16 @@ pub struct Universe {
     senders: Arc<Vec<Sender<Envelope>>>,
     receivers: Vec<Receiver<Envelope>>,
     fail_stop: Arc<FailStop>,
-    counters: Arc<Vec<SharedCounters>>,
+    counters: Vec<SharedCounters>,
     recv_timeout: Duration,
     faults: Option<FaultPlan>,
 }
 
 impl Universe {
     /// Creates a universe of `size` ranks (size ≥ 1) with the
-    /// [`default_recv_timeout`] receive deadline.
+    /// [`DEFAULT_RECV_TIMEOUT`] receive deadline.
     pub fn new(size: usize) -> Self {
-        Self::with_timeout(size, default_recv_timeout())
+        Self::with_timeout(size, DEFAULT_RECV_TIMEOUT)
     }
 
     /// Creates a universe whose communicators run under the seeded,
@@ -63,7 +44,7 @@ impl Universe {
     /// fault stream replays exactly for a fixed seed. Fails on an
     /// invalid configuration (probability outside `[0, 1]`).
     pub fn with_faults(size: usize, config: FaultConfig) -> Result<Self> {
-        Self::with_timeout_and_faults(size, default_recv_timeout(), config)
+        Self::with_timeout_and_faults(size, DEFAULT_RECV_TIMEOUT, config)
     }
 
     /// [`Universe::with_faults`] with a custom receive deadline, for
@@ -97,7 +78,7 @@ impl Universe {
             senders: Arc::new(senders),
             receivers,
             fail_stop: Arc::new(FailStop::new(size)),
-            counters: Arc::new(counters),
+            counters,
             recv_timeout,
             faults: None,
         }
@@ -123,7 +104,6 @@ impl Universe {
                     rx,
                     Arc::clone(&self.fail_stop),
                     Arc::clone(&self.counters[rank]),
-                    Arc::clone(&self.counters),
                     self.recv_timeout,
                     self.faults.as_ref().map(|plan| plan.lane(rank)),
                 )
@@ -234,15 +214,5 @@ mod tests {
             }
             c.recv(1, 0).unwrap();
         });
-    }
-
-    #[test]
-    fn recv_timeout_env_parsing() {
-        assert_eq!(recv_timeout_from_env(None), DEFAULT_RECV_TIMEOUT);
-        assert_eq!(recv_timeout_from_env(Some("2")), Duration::from_secs(2));
-        assert_eq!(recv_timeout_from_env(Some(" 5 ")), Duration::from_secs(5));
-        assert_eq!(recv_timeout_from_env(Some("0")), DEFAULT_RECV_TIMEOUT);
-        assert_eq!(recv_timeout_from_env(Some("junk")), DEFAULT_RECV_TIMEOUT);
-        assert!(default_recv_timeout() >= Duration::from_secs(1));
     }
 }

@@ -71,8 +71,8 @@ fn repeated_collective_rounds() {
     let ranks = 8usize;
     Universe::new(ranks).run(|comm| {
         for round in 0..20u64 {
-            let sum = collective::allreduce_sum_u64(comm, comm.rank() as u64).unwrap();
-            assert_eq!(sum, (0..ranks as u64).sum::<u64>(), "round {round}");
+            let sum = collective::allreduce_sum_f64(comm, &[comm.rank() as f64]).unwrap();
+            assert_eq!(sum, vec![(0..ranks).sum::<usize>() as f64], "round {round}");
             let next = (comm.rank() + 1) % ranks;
             let prev = (comm.rank() + ranks - 1) % ranks;
             comm.send(next, 1000 + round, &[round as u8]).unwrap();

@@ -20,7 +20,6 @@ pub mod executor;
 pub mod experiment;
 pub mod profile;
 pub mod scaling;
-pub mod sweep;
 
 pub use config::{EngineMode, SimConfig, TranspileMode};
 pub use executor::{

@@ -21,18 +21,6 @@ pub fn nodes_for_half_buffers(
     min_nodes(n_qubits, machine.node(kind), BufferRegime::Half)
 }
 
-/// The register range a node kind can host at all (smallest meaningful
-/// paper size to the largest that fits).
-pub fn feasible_range(machine: &Machine, kind: NodeKind, from: u32) -> Vec<(u32, u64)> {
-    let mut out = Vec::new();
-    let mut n = from;
-    while let Some(nodes) = nodes_for(machine, kind, n) {
-        out.push((n, nodes));
-        n += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,32 +30,34 @@ mod tests {
     fn fig2_node_counts_standard() {
         // The x-axis of fig 2: 33 q → 1 node … 44 q → 4,096 nodes.
         let m = archer2();
-        let range = feasible_range(&m, NodeKind::Standard, 33);
-        let expected: Vec<(u32, u64)> = vec![
-            (33, 1),
-            (34, 4),
-            (35, 8),
-            (36, 16),
-            (37, 32),
-            (38, 64),
-            (39, 128),
-            (40, 256),
-            (41, 512),
-            (42, 1024),
-            (43, 2048),
-            (44, 4096),
+        let nodes: Vec<Option<u64>> = (33..=45)
+            .map(|n| nodes_for(&m, NodeKind::Standard, n))
+            .collect();
+        let expected: Vec<Option<u64>> = vec![
+            Some(1),
+            Some(4),
+            Some(8),
+            Some(16),
+            Some(32),
+            Some(64),
+            Some(128),
+            Some(256),
+            Some(512),
+            Some(1024),
+            Some(2048),
+            Some(4096),
+            None,
         ];
-        assert_eq!(range, expected);
+        assert_eq!(nodes, expected);
     }
 
     #[test]
     fn fig2_node_counts_highmem() {
         // High-memory: 34 q on one node up to 41 q on 256 (§3.1).
         let m = archer2();
-        let range = feasible_range(&m, NodeKind::HighMem, 34);
-        assert_eq!(range.first(), Some(&(34, 1)));
-        assert_eq!(range.last(), Some(&(41, 256)));
-        assert_eq!(range.len(), 8);
+        assert_eq!(nodes_for(&m, NodeKind::HighMem, 34), Some(1));
+        assert_eq!(nodes_for(&m, NodeKind::HighMem, 41), Some(256));
+        assert_eq!(nodes_for(&m, NodeKind::HighMem, 42), None);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!   feasible with the half-exchange buffer (§4).
 
 use crate::node::NodeSpec;
-use qse_math::bits;
 
 /// Bytes per complex amplitude (two f64) — the one definition, in
 /// `qse-circuit`.
@@ -72,16 +71,6 @@ pub fn min_nodes(n_qubits: u32, node: &NodeSpec, regime: BufferRegime) -> Option
     }
 }
 
-/// The largest register that fits on exactly `nodes` nodes of this kind.
-pub fn max_qubits(nodes: u64, node: &NodeSpec, regime: BufferRegime) -> u32 {
-    assert!(bits::is_pow2(nodes), "node count must be a power of two");
-    let mut n = 1u32;
-    while per_node_bytes(n + 1, nodes, regime) <= node.usable_bytes() as f64 {
-        n += 1;
-    }
-    n
-}
-
 fn largest_pow2_at_most(x: u64) -> u64 {
     assert!(x >= 1);
     1u64 << (63 - x.leading_zeros())
@@ -127,7 +116,6 @@ mod tests {
         // nodes" — and 42 exceeds the partition.
         assert_eq!(min_nodes(41, hm, BufferRegime::Full), Some(256));
         assert_eq!(min_nodes(42, hm, BufferRegime::Full), None);
-        assert_eq!(max_qubits(256, hm, BufferRegime::Full), 41);
     }
 
     #[test]
@@ -141,18 +129,6 @@ mod tests {
         // jump straight to four nodes.
         assert!(per_node_bytes(34, 1, BufferRegime::Full) > std.usable_bytes() as f64);
         assert!(per_node_bytes(34, 2, BufferRegime::Full) > std.usable_bytes() as f64);
-    }
-
-    #[test]
-    fn max_qubits_inverts_min_nodes() {
-        let m = archer2();
-        let std = m.node(NodeKind::Standard);
-        for nodes in [64u64, 2048, 4096] {
-            let n = max_qubits(nodes, std, BufferRegime::Full);
-            assert_eq!(min_nodes(n, std, BufferRegime::Full).unwrap(), nodes);
-        }
-        assert_eq!(max_qubits(4096, std, BufferRegime::Full), 44);
-        assert_eq!(max_qubits(4096, std, BufferRegime::Half), 45);
     }
 
     #[test]

@@ -25,24 +25,6 @@ pub const fn bit(index: u64, q: u32) -> u64 {
     (index >> q) & 1
 }
 
-/// Sets bit `q` of `index` to 1.
-#[inline(always)]
-pub const fn set_bit(index: u64, q: u32) -> u64 {
-    index | (1 << q)
-}
-
-/// Clears bit `q` of `index`.
-#[inline(always)]
-pub const fn clear_bit(index: u64, q: u32) -> u64 {
-    index & !(1 << q)
-}
-
-/// Flips bit `q` of `index`.
-#[inline(always)]
-pub const fn flip_bit(index: u64, q: u32) -> u64 {
-    index ^ (1 << q)
-}
-
 /// Swaps bits `a` and `b` of `index`.
 #[inline(always)]
 pub const fn swap_bits(index: u64, a: u32, b: u32) -> u64 {
@@ -91,13 +73,6 @@ pub fn log2_exact(n: u64) -> u32 {
     n.trailing_zeros()
 }
 
-/// Smallest power of two `>= n` (n must be ≥ 1).
-#[inline]
-pub fn next_pow2(n: u64) -> u64 {
-    assert!(n >= 1);
-    n.next_power_of_two()
-}
-
 /// Reverses the lowest `n_bits` bits of `index` (used by QFT output
 /// ordering: the transform produces results in bit-reversed order before
 /// its final SWAP network).
@@ -110,19 +85,6 @@ pub fn reverse_bits(index: u64, n_bits: u32) -> u64 {
         i += 1;
     }
     out
-}
-
-/// Splits an amplitude's global index into `(rank, local_index)` given
-/// `local_qubits` low bits per rank.
-#[inline(always)]
-pub const fn split_index(global: u64, local_qubits: u32) -> (u64, u64) {
-    (global >> local_qubits, global & ((1 << local_qubits) - 1))
-}
-
-/// Recombines `(rank, local_index)` into a global amplitude index.
-#[inline(always)]
-pub const fn join_index(rank: u64, local: u64, local_qubits: u32) -> u64 {
-    (rank << local_qubits) | local
 }
 
 #[cfg(test)]
@@ -141,10 +103,8 @@ mod tests {
         let x = 0b1010u64;
         assert_eq!(bit(x, 0), 0);
         assert_eq!(bit(x, 1), 1);
-        assert_eq!(set_bit(x, 0), 0b1011);
-        assert_eq!(clear_bit(x, 1), 0b1000);
-        assert_eq!(flip_bit(x, 3), 0b0010);
-        assert_eq!(flip_bit(x, 0), 0b1011);
+        assert_eq!(bit(x, 3), 1);
+        assert_eq!(bit(x, 63), 0);
     }
 
     #[test]
@@ -207,10 +167,6 @@ mod tests {
         assert!(!is_pow2(12));
         assert_eq!(log2_exact(1), 0);
         assert_eq!(log2_exact(4096), 12);
-        assert_eq!(next_pow2(1), 1);
-        assert_eq!(next_pow2(3), 4);
-        assert_eq!(next_pow2(4), 4);
-        assert_eq!(next_pow2(4097), 8192);
     }
 
     #[test]
@@ -228,16 +184,5 @@ mod tests {
         for x in 0..32u64 {
             assert_eq!(reverse_bits(reverse_bits(x, 5), 5), x);
         }
-    }
-
-    #[test]
-    fn split_join_roundtrip() {
-        let local_qubits = 5;
-        for global in [0u64, 1, 31, 32, 33, 1023] {
-            let (r, l) = split_index(global, local_qubits);
-            assert_eq!(join_index(r, l, local_qubits), global);
-            assert!(l < 32);
-        }
-        assert_eq!(split_index(0b10_00011, 5), (0b10, 0b00011));
     }
 }

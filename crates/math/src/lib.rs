@@ -6,7 +6,7 @@
 //! * [`Complex64`] — a from-scratch double-precision complex number. QuEST
 //!   stores amplitudes as *separate* real and imaginary arrays; the paper's
 //!   future-work section proposes switching to an interleaved complex type
-//!   (the `layout` bench measures both over this one scalar).
+//!   (measured slower on this engine's kernels; see `qse_statevec::storage`).
 //! * [`Matrix2`] / [`Matrix4`] — dense complex matrices for one- and
 //!   two-qubit gates, with unitarity checks used by tests and the circuit IR.
 //! * [`bits`] — bit-index utilities: the entire distributed-simulation

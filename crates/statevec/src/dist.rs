@@ -511,42 +511,6 @@ impl<'c> DistributedState<'c> {
         Ok(collective::allreduce_sum_f64(self.comm, &[local])?[0])
     }
 
-    /// Expectation value ⟨ψ|P|ψ⟩ of a Pauli string on the distributed
-    /// state — collective: applies the Paulis (communicating for global
-    /// X/Y), all-reduces `⟨ψ, Pψ⟩`, and restores the original amplitudes.
-    pub fn pauli_expectation(
-        &mut self,
-        string: &[(u32, crate::expectation::Pauli)],
-    ) -> CommResult<f64> {
-        use crate::expectation::Pauli;
-        {
-            let mut seen = std::collections::HashSet::new();
-            for (q, _) in string {
-                assert!(*q < self.layout.n_qubits(), "qubit {q} out of range");
-                assert!(seen.insert(*q), "duplicate qubit {q} in Pauli string");
-            }
-        }
-        let saved = self.amps.clone();
-        for &(q, p) in string {
-            let gate = match p {
-                Pauli::X => Gate::X(q),
-                Pauli::Y => Gate::Y(q),
-                Pauli::Z => Gate::Z(q),
-            };
-            self.apply(&gate)?;
-        }
-        let mut local = [0.0f64; 2];
-        for i in 0..saved.len() {
-            let v = saved.get(i).conj() * self.amps.get(i);
-            local[0] += v.re;
-            local[1] += v.im;
-        }
-        let total = collective::allreduce_sum_f64(self.comm, &local)?;
-        self.amps = saved;
-        debug_assert!(total[1].abs() < 1e-9, "non-real expectation");
-        Ok(total[0])
-    }
-
     /// Projects `qubit` onto `bit` and renormalises — the distributed
     /// collapse. Every rank must call this collectively (it all-reduces
     /// the outcome probability).
@@ -973,39 +937,6 @@ mod tests {
         for ranks in [4usize, 8] {
             let got = simulate_dist(&c, ranks, DistConfig::default(), 7);
             assert_slices_close(&got, &reference(&c, 7), 1e-9);
-        }
-    }
-
-    #[test]
-    fn distributed_pauli_expectation_matches_single_process() {
-        use crate::expectation::{pauli_expectation, Pauli};
-        use crate::single::SingleState;
-        let c = random_circuit(6, 50, GatePool::Full, 71);
-        let mut single: SingleState = SingleState::zero_state(6);
-        single.run(&c);
-        let strings: Vec<Vec<(u32, Pauli)>> = vec![
-            vec![(0, Pauli::Z)],
-            vec![(5, Pauli::X)], // global qubit: communicates
-            vec![(2, Pauli::Y), (5, Pauli::Z)],
-            vec![(0, Pauli::X), (3, Pauli::Y), (5, Pauli::X)],
-        ];
-        let got = Universe::new(4).run(|comm| {
-            let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
-            st.run(&c).unwrap();
-            let values: Vec<f64> = strings
-                .iter()
-                .map(|s| st.pauli_expectation(s).unwrap())
-                .collect();
-            // The state is restored afterwards: norm still 1 and a
-            // second evaluation agrees.
-            assert_close(st.norm_sqr().unwrap(), 1.0, 1e-9);
-            assert_close(st.pauli_expectation(&strings[0]).unwrap(), values[0], 1e-12);
-            values
-        });
-        for rank_values in got {
-            for (value, string) in rank_values.iter().zip(&strings) {
-                assert_close(*value, pauli_expectation(&single, string), 1e-9);
-            }
         }
     }
 

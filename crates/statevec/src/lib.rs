@@ -15,8 +15,8 @@
 //! Amplitudes are stored as QuEST stores them ([`storage`]): separate
 //! real and imaginary arrays (structure-of-arrays). The paper's future
 //! work proposes an interleaved complex type for better locality (§4);
-//! measured against these kernels it was slower, so it survives only as
-//! the kernel-level `layout` bench.
+//! measured against these kernels it was slower on most of them, so the
+//! engine keeps the SoA layout alone (DESIGN.md §11).
 //!
 //! The communication layer supports the paper's three exchange regimes:
 //! blocking chunked sendrecv (QuEST's default), the non-blocking rewrite
@@ -41,10 +41,8 @@ pub(crate) fn ix(i: u64) -> usize {
     i as usize // qse-lint: allow — bounded by an existing allocation; debug-checked above
 }
 
-pub mod checkpoint;
 pub mod diagonal;
 pub mod dist;
-pub mod expectation;
 pub mod measure;
 pub mod reference;
 pub mod schedule;

@@ -8,7 +8,7 @@
 //! type rather than separate real and imaginary arrays, in order to
 //! improve data locality". Measured on this engine's kernels the
 //! interleaved layout was slower on 10 of 14 (the kernel record committed
-//! at `aeee400`), so it is kept only as the kernel-level `layout` bench row.
+//! at `aeee400`), so the engine keeps the SoA layout alone.
 //!
 //! All kernels treat the storage as the *local* slice of a (possibly
 //! distributed) register: indices are local amplitude indices, and the

@@ -18,13 +18,10 @@
 //!   cluster (replaces `crossbeam::channel`);
 //! * [`check`] — seeded property loops with deterministic shrink-by-
 //!   halving (replaces `proptest`);
-//! * [`bench`] — a warmup + median-of-N timing harness with JSON output
-//!   (replaces `criterion`);
 //! * [`sync`] — the pluggable `sync_point()` scheduling hook that lets
 //!   `qse-check`'s interleaving explorer drive the mailbox and pool
 //!   (no-op unless a checker installs a hook).
 
-pub mod bench;
 pub mod bytes;
 pub mod cdf;
 pub mod check;

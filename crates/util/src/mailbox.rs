@@ -179,20 +179,6 @@ impl<T> Receiver<T> {
             }
         }
     }
-
-    /// Dequeues without waiting; `None` when the queue is empty (even if
-    /// senders remain).
-    pub fn try_recv(&self) -> Option<T> {
-        sync::sync_point(SyncOp::MailboxTryRecv {
-            chan: self.shared.chan,
-        });
-        self.shared
-            .inner
-            .lock()
-            .expect("mailbox poisoned")
-            .queue
-            .pop_front()
-    }
 }
 
 impl<T> Drop for Receiver<T> {
@@ -288,14 +274,6 @@ mod tests {
             tx.send(77u32).unwrap();
         });
         assert_eq!(rx.recv_timeout(Duration::MAX), Ok(77));
-    }
-
-    #[test]
-    fn try_recv_never_blocks() {
-        let (tx, rx) = unbounded();
-        assert_eq!(rx.try_recv(), None);
-        tx.send(5u8).unwrap();
-        assert_eq!(rx.try_recv(), Some(5));
     }
 
     #[test]

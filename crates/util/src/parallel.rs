@@ -392,15 +392,6 @@ pub fn parallel_extend<T, I>(
     unsafe { out.set_len(len + n) };
 }
 
-/// Picks a work-item length for splitting `len` elements: roughly four
-/// items per worker thread for load balancing, but never below
-/// `min_chunk` (kernels choose `min_chunk` so per-item overhead stays
-/// negligible).
-pub fn chunk_len(len: usize, min_chunk: usize) -> usize {
-    let target = len.div_ceil(num_threads() * 4);
-    target.max(min_chunk).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,13 +574,6 @@ mod tests {
                 panic!("affine panic {}", 7);
             }
         });
-    }
-
-    #[test]
-    fn chunk_len_respects_minimum() {
-        assert!(chunk_len(1 << 20, 4096) >= 4096);
-        assert!(chunk_len(10, 4096) >= 4096);
-        assert!(chunk_len(0, 1) >= 1);
     }
 
     #[test]

@@ -44,11 +44,6 @@ pub enum SyncOp {
         /// Channel id from [`new_channel_id`].
         chan: u64,
     },
-    /// About to dequeue (non-blocking) from mailbox channel `chan`.
-    MailboxTryRecv {
-        /// Channel id from [`new_channel_id`].
-        chan: u64,
-    },
     /// About to submit a job to the worker pool.
     PoolSubmit,
     /// About to execute one work item drained from a pool job.
