@@ -64,9 +64,7 @@ pub fn standard_corpus() -> Vec<CorpusCase> {
         for &ranks in &[1u64, 2, 4, 8] {
             for &strategy in &strategies {
                 let plan = match strategy {
-                    None => {
-                        Plan::from_circuit(circuit, Permutation::identity(circuit.n_qubits()))
-                    }
+                    None => Plan::from_circuit(circuit, Permutation::identity(circuit.n_qubits())),
                     Some(s) => {
                         let layout = Layout::new(circuit.n_qubits(), ranks);
                         comm_avoid(circuit, &layout, s, &ByteOracle).with_layout_restored()

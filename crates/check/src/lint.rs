@@ -761,8 +761,16 @@ mod tests {
         let src = "fn f(i: u64) -> u32 { i as u32 }\n";
         assert_eq!(lint_file("crates/comm/src/fake.rs", src).len(), 1);
         // Widening casts and other crates stay untouched.
-        assert!(lint_file("crates/comm/src/fake.rs", "fn f(i: u32) -> u64 { i as u64 }\n").is_empty());
-        assert!(lint_file("crates/machine/src/fake.rs", "fn f(i: u64) -> usize { i as usize }\n").is_empty());
+        assert!(lint_file(
+            "crates/comm/src/fake.rs",
+            "fn f(i: u32) -> u64 { i as u64 }\n"
+        )
+        .is_empty());
+        assert!(lint_file(
+            "crates/machine/src/fake.rs",
+            "fn f(i: u64) -> usize { i as usize }\n"
+        )
+        .is_empty());
     }
 
     #[test]
@@ -800,7 +808,8 @@ mod tests {
 
     #[test]
     fn unbounded_net_reads_exempt_in_tests_and_with_allow_marker() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t(r: &mut impl BufRead) {\n        \
+        let src =
+            "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t(r: &mut impl BufRead) {\n        \
                    let mut s = String::new();\n        r.read_line(&mut s);\n    }\n}\n";
         assert!(lint_file("crates/serve/src/fake.rs", src).is_empty());
         let src = "fn f(r: &mut impl BufRead) {\n    \

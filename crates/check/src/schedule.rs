@@ -379,11 +379,7 @@ pub struct ScheduleFailure {
 
 impl std::fmt::Display for ScheduleFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "schedule {} failed: {}",
-            self.schedules, self.message
-        )?;
+        write!(f, "schedule {} failed: {}", self.schedules, self.message)?;
         match self.seed {
             Some(seed) => write!(f, "; replay with seed {seed}"),
             None => write!(f, "; replay with script {:?}", self.script),

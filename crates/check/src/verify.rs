@@ -213,10 +213,7 @@ pub enum VerifyError {
         label: String,
     },
     /// The permutations in the plan do not compose to `Plan::layout`.
-    LayoutDrift {
-        expected: Vec<u32>,
-        found: Vec<u32>,
-    },
+    LayoutDrift { expected: Vec<u32>, found: Vec<u32> },
     /// Lockstep replay of the original circuit disagrees with a plan
     /// gate step (or gates were dropped / invented).
     GateMismatch { step: usize, detail: String },
@@ -425,7 +422,10 @@ impl<'a> RankDeriver<'a> {
                 cap_bytes: ex.policy.max_message_bytes,
                 chunk_bytes: posted.iter().map(|&(_, b)| b).collect(),
             });
-            self.trace.groups.push(RecvGroup { peer, chunks: posted });
+            self.trace.groups.push(RecvGroup {
+                peer,
+                chunks: posted,
+            });
         }
         self.trace.predicted_exchanged += ex.send_total as u64;
     }
@@ -521,18 +521,29 @@ fn check_write_once(
     let mut occupied = 0u64;
     for (q, &image) in (0u32..).zip(images) {
         let (bit, detail) = if image >= n {
-            (q, format!("bit {q} maps to bit {image}, outside the {n}-qubit register"))
+            (
+                q,
+                format!("bit {q} maps to bit {image}, outside the {n}-qubit register"),
+            )
         } else if (occupied >> image) & 1 == 1 {
             let first = images.iter().position(|&i| i == image).unwrap_or(0);
             let slot = (1u64 << image) & ((1u64 << local_qubits) - 1);
             let twice = format!("slice slot {slot} written twice");
-            (image, format!("bits {first} and {q} both map to bit {image}: {twice}"))
+            (
+                image,
+                format!("bits {first} and {q} both map to bit {image}: {twice}"),
+            )
         } else {
             occupied |= 1 << image;
             continue;
         };
         let rank = ((1u64 << bit) >> local_qubits) as usize;
-        return Err(VerifyError::ScratchAlias { rank, step, detail, label: label() });
+        return Err(VerifyError::ScratchAlias {
+            rank,
+            step,
+            detail,
+            label: label(),
+        });
     }
     Ok(())
 }
@@ -637,7 +648,12 @@ fn check_protocol(
         let mut posted = vec![false; tr.groups.len()];
         for (at, ev) in tr.events.iter().enumerate() {
             let mut post = |list: &mut Vec<Post>, key, bytes| {
-                list.push(Post { key, bytes, seq, at });
+                list.push(Post {
+                    key,
+                    bytes,
+                    seq,
+                    at,
+                });
                 seq += 1;
             };
             match ev.op {
@@ -673,12 +689,22 @@ fn check_protocol(
         let (src, dst, tag) = second.key;
         let (first_step, second_step) = (event(first, sent).step, event(second, sent).step);
         let label = label(second_step);
-        return Err(VerifyError::TagCollision { src, dst, tag, first_step, second_step, label });
+        return Err(VerifyError::TagCollision {
+            src,
+            dst,
+            tag,
+            first_step,
+            second_step,
+            label,
+        });
     }
 
     let mut waits: Vec<Vec<usize>> = ts.ranks.iter().map(|tr| vec![0; tr.events.len()]).collect();
-    let mut group_sends: Vec<Vec<Vec<usize>>> =
-        ts.ranks.iter().map(|tr| vec![Vec::new(); tr.groups.len()]).collect();
+    let mut group_sends: Vec<Vec<Vec<usize>>> = ts
+        .ranks
+        .iter()
+        .map(|tr| vec![Vec::new(); tr.groups.len()])
+        .collect();
     // Send-side violations are reported before receive-side ones.
     let mut unmatched_recv = None;
     let (mut si, mut ri) = (0, 0);
@@ -706,7 +732,14 @@ fn check_protocol(
             (Some(s), r) if r.is_none_or(|r| s.key < r.key) => {
                 let ((src, dst, tag), bytes, step) = (s.key, s.bytes, event(s, true).step);
                 let label = label(step);
-                return Err(VerifyError::UnmatchedSend { src, dst, tag, bytes, step, label });
+                return Err(VerifyError::UnmatchedSend {
+                    src,
+                    dst,
+                    tag,
+                    bytes,
+                    step,
+                    label,
+                });
             }
             (_, r) => {
                 unmatched_recv = unmatched_recv.or(r.copied());
@@ -717,7 +750,14 @@ fn check_protocol(
     if let Some(r) = unmatched_recv {
         let ((src, dst, tag), bytes, step) = (r.key, r.bytes, event(&r, false).step);
         let label = label(step);
-        return Err(VerifyError::UnmatchedRecv { dst, src, tag, bytes, step, label });
+        return Err(VerifyError::UnmatchedRecv {
+            dst,
+            src,
+            tag,
+            bytes,
+            step,
+            label,
+        });
     }
     // The peer sends a group's chunks in trace order, so the group's k-th
     // wait completes once the k-th of them has left (never, past the last).
@@ -726,7 +766,10 @@ fn check_protocol(
         let mut next = vec![0; groups.len()];
         for (wait, ev) in waits.iter_mut().zip(&tr.events) {
             if let TraceOp::RecvAny { group, .. } = ev.op {
-                *wait = groups[group].get(next[group]).copied().unwrap_or(usize::MAX);
+                *wait = groups[group]
+                    .get(next[group])
+                    .copied()
+                    .unwrap_or(usize::MAX);
                 next[group] += 1;
             }
         }
@@ -764,7 +807,11 @@ fn check_deadlock_freedom(
                 progressed = true;
             }
         }
-        if pc.iter().enumerate().all(|(r, &p)| p == ts.ranks[r].events.len()) {
+        if pc
+            .iter()
+            .enumerate()
+            .all(|(r, &p)| p == ts.ranks[r].events.len())
+        {
             return Ok(());
         }
         if !progressed {
@@ -875,10 +922,7 @@ pub fn verify_layout(plan: &Plan, original: Option<&Circuit>) -> Result<(), Veri
             if c.n_qubits() != n {
                 return Err(VerifyError::GateMismatch {
                     step: 0,
-                    detail: format!(
-                        "original circuit has {} qubits, plan has {n}",
-                        c.n_qubits()
-                    ),
+                    detail: format!("original circuit has {} qubits, plan has {n}", c.n_qubits()),
                 });
             }
             let gates = c.gates();
@@ -1003,11 +1047,19 @@ pub fn broken_fixture_tag_collision() -> TraceSet {
                 events: vec![
                     TraceEvent {
                         step: 0,
-                        op: TraceOp::Send { peer: 1, tag, bytes: 128 },
+                        op: TraceOp::Send {
+                            peer: 1,
+                            tag,
+                            bytes: 128,
+                        },
                     },
                     TraceEvent {
                         step: 1,
-                        op: TraceOp::Send { peer: 1, tag, bytes: 128 },
+                        op: TraceOp::Send {
+                            peer: 1,
+                            tag,
+                            bytes: 128,
+                        },
                     },
                 ],
                 groups: Vec::new(),
@@ -1016,7 +1068,11 @@ pub fn broken_fixture_tag_collision() -> TraceSet {
             RankTrace {
                 events: vec![TraceEvent {
                     step: 0,
-                    op: TraceOp::Recv { peer: 0, tag, bytes: 128 },
+                    op: TraceOp::Recv {
+                        peer: 0,
+                        tag,
+                        bytes: 128,
+                    },
                 }],
                 groups: Vec::new(),
                 predicted_exchanged: 0,
@@ -1131,7 +1187,11 @@ mod tests {
     fn both_global_unitary2_decomposes_into_three_exchanges() {
         let m = qse_math::Matrix4::swap();
         let mut c = Circuit::new(6);
-        c.push(Gate::Unitary2 { a: 4, b: 5, matrix: m });
+        c.push(Gate::Unitary2 {
+            a: 4,
+            b: 5,
+            matrix: m,
+        });
         let report = verify_circuit(&c, 4, &VerifyOptions::default()).unwrap();
         // Three pairwise exchanges per rank (swap, unitary, swap).
         assert_eq!(report.distributed_gates, 1);
@@ -1153,7 +1213,11 @@ mod tests {
             },
         )
         .unwrap();
-        for (f, h) in full.predicted_exchanged.iter().zip(&half.predicted_exchanged) {
+        for (f, h) in full
+            .predicted_exchanged
+            .iter()
+            .zip(&half.predicted_exchanged)
+        {
             assert_eq!(*f, 2 * h);
         }
     }
@@ -1182,8 +1246,7 @@ mod tests {
         c.h(0);
         let mut plan = Plan::from_circuit(&c, Permutation::identity(6));
         plan.steps.push(PlanStep::Permute(Permutation::reversal(6)));
-        plan.steps
-            .push(PlanStep::Permute(Permutation::reversal(6)));
+        plan.steps.push(PlanStep::Permute(Permutation::reversal(6)));
         // The two reversals cancel: layout stays identity, so the plan
         // is still sound — and each permute must tile staging exactly.
         verify_plan(&plan, None, 8, &VerifyOptions::default()).unwrap();
@@ -1197,12 +1260,8 @@ mod tests {
             chunk_policy: ChunkPolicy::new(128).unwrap(),
             ..VerifyOptions::default()
         };
-        let ts = derive_traces(
-            &Plan::from_circuit(&c, Permutation::identity(7)),
-            4,
-            &opts,
-        )
-        .unwrap();
+        let ts =
+            derive_traces(&Plan::from_circuit(&c, Permutation::identity(7)), 4, &opts).unwrap();
         assert!(!ts.windows.is_empty(), "streamed exchanges create windows");
         check_traces(&ts).unwrap();
     }
@@ -1221,7 +1280,11 @@ mod tests {
     fn broken_ring_overrun_is_rejected() {
         let err = check_traces(&broken_fixture_ring_overrun()).unwrap_err();
         match err {
-            VerifyError::RingOverrun { rank: 1, budget_bytes, .. } => {
+            VerifyError::RingOverrun {
+                rank: 1,
+                budget_bytes,
+                ..
+            } => {
                 assert_eq!(budget_bytes, 2048);
             }
             other => panic!("expected RingOverrun, got {other}"),
@@ -1271,10 +1334,21 @@ mod tests {
         // message. The crossed and buffered shapes match every send, so
         // only the scheduler simulation can catch them.
         use TraceOp::{Recv, RecvAny, Send};
-        let recv = |peer, tag| Recv { peer, tag, bytes: 4 };
-        let send = |peer, tag| Send { peer, tag, bytes: 4 };
+        let recv = |peer, tag| Recv {
+            peer,
+            tag,
+            bytes: 4,
+        };
+        let send = |peer, tag| Send {
+            peer,
+            tag,
+            bytes: 4,
+        };
         let rank = |ops: Vec<TraceOp>, groups: Vec<RecvGroup>| RankTrace {
-            events: ops.into_iter().map(|op| TraceEvent { step: 0, op }).collect(),
+            events: ops
+                .into_iter()
+                .map(|op| TraceEvent { step: 0, op })
+                .collect(),
             groups,
             predicted_exchanged: 0,
         };
@@ -1348,12 +1422,17 @@ mod tests {
                 "buffered but unmatched",
                 // The noise each rank sends first is buffered at its
                 // peer but matches no receive until after the stuck one.
-                set((0..2).map(|r| {
-                    let peer = 1 - r;
-                    let noise = 40 + r as u64;
-                    let late = recv(peer, 41 - r as u64);
-                    rank(vec![send(peer, noise), recv(peer, 1234), late, send(peer, 1234)], vec![])
-                }).collect()),
+                set((0..2)
+                    .map(|r| {
+                        let peer = 1 - r;
+                        let noise = 40 + r as u64;
+                        let late = recv(peer, 41 - r as u64);
+                        rank(
+                            vec![send(peer, noise), recv(peer, 1234), late, send(peer, 1234)],
+                            vec![],
+                        )
+                    })
+                    .collect()),
                 blocked(&[(0, 1, 1234), (1, 0, 1234)]),
                 &[0, 1],
             ),
@@ -1362,11 +1441,21 @@ mod tests {
                 set(vec![
                     rank(
                         vec![RecvAny { peer: 1, group: 0 }, RecvAny { peer: 1, group: 0 }],
-                        vec![RecvGroup { peer: 1, chunks: vec![(5, 4), (6, 4)] }],
+                        vec![RecvGroup {
+                            peer: 1,
+                            chunks: vec![(5, 4), (6, 4)],
+                        }],
                     ),
                     rank(vec![], vec![]),
                 ]),
-                VerifyError::UnmatchedRecv { dst: 0, src: 1, tag: 5, bytes: 4, step: 0, label },
+                VerifyError::UnmatchedRecv {
+                    dst: 0,
+                    src: 1,
+                    tag: 5,
+                    bytes: 4,
+                    step: 0,
+                    label,
+                },
                 &[0],
             ),
         ];
@@ -1384,8 +1473,8 @@ mod tests {
     fn tampered_plan_gate_is_a_gate_mismatch() {
         let c = qft(6);
         let layout = Layout::new(6, 4);
-        let mut plan = comm_avoid(&c, &layout, Strategy::Greedy, &ByteOracle)
-            .with_layout_restored();
+        let mut plan =
+            comm_avoid(&c, &layout, Strategy::Greedy, &ByteOracle).with_layout_restored();
         // Flip one emitted gate's target.
         let idx = plan
             .steps
@@ -1527,8 +1616,10 @@ mod tests {
         let mut c = Circuit::new(20);
         c.h(0);
         let mut plan = Plan::from_circuit(&c, Permutation::identity(20));
-        plan.steps.push(PlanStep::Permute(Permutation::reversal(20)));
-        plan.steps.push(PlanStep::Permute(Permutation::reversal(20)));
+        plan.steps
+            .push(PlanStep::Permute(Permutation::reversal(20)));
+        plan.steps
+            .push(PlanStep::Permute(Permutation::reversal(20)));
         let report = verify_plan(&plan, None, 2, &VerifyOptions::default()).unwrap();
         assert_eq!(report.wire_permutes, 2);
         // A non-injective map at that width (one `Permutation::from_map`
@@ -1542,8 +1633,14 @@ mod tests {
                 detail,
                 label,
             }) => {
-                assert_eq!(detail, "bits 0 and 19 both map to bit 0: slice slot 1 written twice");
-                assert!(label.starts_with("plan step 1: permute [(0, 19)"), "{label}");
+                assert_eq!(
+                    detail,
+                    "bits 0 and 19 both map to bit 0: slice slot 1 written twice"
+                );
+                assert!(
+                    label.starts_with("plan step 1: permute [(0, 19)"),
+                    "{label}"
+                );
             }
             other => panic!("expected ScratchAlias, got {other:?}"),
         }
@@ -1565,7 +1662,9 @@ mod tests {
                     TraceOp::Recv { peer, tag, bytes } => (1, peer, tag as usize, bytes),
                     TraceOp::RecvAny { peer, group } => (2, peer, group, 0),
                 };
-                [kind, peer, tag, bytes].into_iter().for_each(|x| word(h, x));
+                [kind, peer, tag, bytes]
+                    .into_iter()
+                    .for_each(|x| word(h, x));
             }
             word(h, tr.groups.len());
             for g in &tr.groups {
@@ -1580,10 +1679,16 @@ mod tests {
         }
         word(h, ts.windows.len());
         for w in &ts.windows {
-            [w.rank, w.step, w.ring_depth, w.cap_bytes, w.chunk_bytes.len()]
-                .into_iter()
-                .chain(w.chunk_bytes.iter().copied())
-                .for_each(|x| word(h, x));
+            [
+                w.rank,
+                w.step,
+                w.ring_depth,
+                w.cap_bytes,
+                w.chunk_bytes.len(),
+            ]
+            .into_iter()
+            .chain(w.chunk_bytes.iter().copied())
+            .for_each(|x| word(h, x));
         }
     }
 
@@ -1607,7 +1712,11 @@ mod tests {
     fn lazy_step_labels_match_the_eager_format() {
         let m = qse_math::Matrix4::swap();
         let mut c = Circuit::new(6);
-        c.h(5).push(Gate::Unitary2 { a: 4, b: 5, matrix: m });
+        c.h(5).push(Gate::Unitary2 {
+            a: 4,
+            b: 5,
+            matrix: m,
+        });
         let mut plan = Plan::from_circuit(&c, Permutation::identity(6));
         plan.steps.push(PlanStep::Permute(Permutation::reversal(6)));
         plan.steps.push(PlanStep::Permute(Permutation::reversal(6)));

@@ -129,7 +129,10 @@ fn the_linter_bites_on_seeded_slice_staging() {
     );
     let v = qse_check::lint_file(rel, &seeded);
     assert_eq!(v.len(), 2, "{v:?}");
-    assert!(v.iter().all(|x| x.rule == qse_check::Rule::SliceStaging), "{v:?}");
+    assert!(
+        v.iter().all(|x| x.rule == qse_check::Rule::SliceStaging),
+        "{v:?}"
+    );
 }
 
 #[test]

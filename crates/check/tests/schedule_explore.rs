@@ -28,7 +28,8 @@ fn lost_update_fixture(ctl: &Ctl) {
     }
     drop(tx);
     for _ in 0..2 {
-        rx.recv_timeout(Duration::from_secs(5)).expect("worker done");
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("worker done");
     }
     assert_eq!(
         counter.load(Ordering::SeqCst),
@@ -53,7 +54,8 @@ fn atomic_update_fixture(ctl: &Ctl) {
     }
     drop(tx);
     for _ in 0..2 {
-        rx.recv_timeout(Duration::from_secs(5)).expect("worker done");
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("worker done");
     }
     assert_eq!(counter.load(Ordering::SeqCst), 2);
 }
@@ -132,7 +134,9 @@ fn random_exploration_finds_the_wakeup_order_bug_and_replays_from_seed() {
         .expect_err("some schedule wakes consumer 2 first");
     assert!(err.message.contains("wakeup order"), "{}", err.message);
     let seed = err.seed.expect("random mode reports the failing seed");
-    assert!(err.to_string().contains(&format!("replay with seed {seed}")));
+    assert!(err
+        .to_string()
+        .contains(&format!("replay with seed {seed}")));
 
     // The printed seed alone re-finds the bug on its first schedule.
     let again = Explorer::random(seed, 1)

@@ -213,7 +213,7 @@ mod tests {
         let c = grover(4, 0b1010, 2);
         let counts = c.gate_counts();
         assert_eq!(counts["MCPhase"], 4); // 2 per iteration
-        // initial H layer + 2 × diffusion double-layer
+                                          // initial H layer + 2 × diffusion double-layer
         assert_eq!(counts["H"], 4 + 2 * 8);
         // oracle X-conjugation (2 zero bits × 2 sides × 2 iters)
         // + diffusion X layers (4 × 2 sides × 2 iters)

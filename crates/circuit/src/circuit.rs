@@ -87,7 +87,11 @@ impl Circuit {
             let mut sorted = qubits.clone();
             sorted.sort_unstable();
             sorted.dedup();
-            assert_eq!(sorted.len(), qubits.len(), "MCPhase qubits must be distinct");
+            assert_eq!(
+                sorted.len(),
+                qubits.len(),
+                "MCPhase qubits must be distinct"
+            );
         }
         if let Gate::CUnitary {
             control,
@@ -213,7 +217,12 @@ impl Circuit {
 
 impl fmt::Display for Circuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "circuit on {} qubits, {} gates:", self.n_qubits, self.len())?;
+        writeln!(
+            f,
+            "circuit on {} qubits, {} gates:",
+            self.n_qubits,
+            self.len()
+        )?;
         for (i, g) in self.gates.iter().enumerate() {
             writeln!(f, "  {i:4}: {g}")?;
         }
@@ -263,7 +272,13 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).s(1).cnot(0, 1);
         let inv = c.inverse();
-        assert_eq!(inv.gates()[0], Gate::CNot { control: 0, target: 1 });
+        assert_eq!(
+            inv.gates()[0],
+            Gate::CNot {
+                control: 0,
+                target: 1
+            }
+        );
         assert_eq!(inv.gates()[1], Gate::Sdg(1));
         assert_eq!(inv.gates()[2], Gate::H(0));
     }

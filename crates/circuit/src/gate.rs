@@ -145,7 +145,10 @@ impl Gate {
 
     /// Highest qubit index used (for validation).
     pub fn max_qubit(&self) -> u32 {
-        self.qubits().into_iter().max().expect("gates touch ≥1 qubit")
+        self.qubits()
+            .into_iter()
+            .max()
+            .expect("gates touch ≥1 qubit")
     }
 
     /// True when the gate's matrix is diagonal in the computational basis —
@@ -188,9 +191,7 @@ impl Gate {
                 Complex64::I,
                 Complex64::ZERO,
             ),
-            Gate::Z(_) | Gate::CZ(..) => {
-                Matrix2::diagonal(Complex64::ONE, Complex64::real(-1.0))
-            }
+            Gate::Z(_) | Gate::CZ(..) => Matrix2::diagonal(Complex64::ONE, Complex64::real(-1.0)),
             Gate::S(_) => Matrix2::diagonal(Complex64::ONE, Complex64::I),
             Gate::Sdg(_) => Matrix2::diagonal(Complex64::ONE, -Complex64::I),
             Gate::T(_) => Matrix2::diagonal(Complex64::ONE, Complex64::cis(FRAC_PI_4)),
@@ -198,10 +199,9 @@ impl Gate {
             Gate::Phase { theta, .. } | Gate::CPhase { theta, .. } => {
                 Matrix2::diagonal(Complex64::ONE, Complex64::cis(theta))
             }
-            Gate::Rz { theta, .. } => Matrix2::diagonal(
-                Complex64::cis(-theta / 2.0),
-                Complex64::cis(theta / 2.0),
-            ),
+            Gate::Rz { theta, .. } => {
+                Matrix2::diagonal(Complex64::cis(-theta / 2.0), Complex64::cis(theta / 2.0))
+            }
             Gate::Rx { theta, .. } => {
                 let c = Complex64::real((theta / 2.0).cos());
                 let s = Complex64::new(0.0, -(theta / 2.0).sin());
@@ -213,9 +213,7 @@ impl Gate {
                 Matrix2::new(c, Complex64::real(-s), Complex64::real(s), c)
             }
             Gate::Unitary1 { matrix, .. } | Gate::CUnitary { matrix, .. } => matrix,
-            Gate::MCPhase { theta, .. } => {
-                Matrix2::diagonal(Complex64::ONE, Complex64::cis(theta))
-            }
+            Gate::MCPhase { theta, .. } => Matrix2::diagonal(Complex64::ONE, Complex64::cis(theta)),
             Gate::Swap(..) | Gate::Unitary2 { .. } => return None,
         })
     }
@@ -285,7 +283,11 @@ impl Gate {
                 target,
                 theta: -theta,
             },
-            Gate::CPhase { a, b, theta } => Gate::CPhase { a, b, theta: -theta },
+            Gate::CPhase { a, b, theta } => Gate::CPhase {
+                a,
+                b,
+                theta: -theta,
+            },
             Gate::Unitary1 { target, matrix } => Gate::Unitary1 {
                 target,
                 matrix: matrix.adjoint(),

@@ -412,15 +412,21 @@ mod tests {
     #[test]
     fn symmetric_gate_operand_order_is_canonical() {
         let mut a = Circuit::new(4);
-        a.cphase(0, 3, 0.5).swap(1, 2).push(Gate::CZ(3, 1)).push(Gate::MCPhase {
-            qubits: vec![2, 0, 3],
-            theta: 0.25,
-        });
+        a.cphase(0, 3, 0.5)
+            .swap(1, 2)
+            .push(Gate::CZ(3, 1))
+            .push(Gate::MCPhase {
+                qubits: vec![2, 0, 3],
+                theta: 0.25,
+            });
         let mut b = Circuit::new(4);
-        b.cphase(3, 0, 0.5).swap(2, 1).push(Gate::CZ(1, 3)).push(Gate::MCPhase {
-            qubits: vec![0, 3, 2],
-            theta: 0.25,
-        });
+        b.cphase(3, 0, 0.5)
+            .swap(2, 1)
+            .push(Gate::CZ(1, 3))
+            .push(Gate::MCPhase {
+                qubits: vec![0, 3, 2],
+                theta: 0.25,
+            });
         assert_eq!(hash(&a), hash(&b));
         // CNot is NOT symmetric: flipping control/target must split.
         let mut x = Circuit::new(2);
@@ -518,8 +524,7 @@ mod tests {
                 for i in 0..amps.len() as u64 {
                     if i & ma == 0 && i & mb == 0 {
                         let idx = [i, i | ma, i | mb, i | ma | mb];
-                        let v: Vec<Complex64> =
-                            idx.iter().map(|&k| amps[k as usize]).collect();
+                        let v: Vec<Complex64> = idx.iter().map(|&k| amps[k as usize]).collect();
                         for (r, &k) in idx.iter().enumerate() {
                             let mut acc = Complex64::ZERO;
                             for (cidx, vv) in v.iter().enumerate() {
@@ -534,9 +539,7 @@ mod tests {
                 let m = g.matrix1().expect("1q matrix");
                 let t = 1u64 << g.target();
                 let control_mask = match g {
-                    Gate::CNot { control, .. } | Gate::CUnitary { control, .. } => {
-                        1u64 << control
-                    }
+                    Gate::CNot { control, .. } | Gate::CUnitary { control, .. } => 1u64 << control,
                     Gate::CZ(a, _) => 1u64 << a,
                     Gate::CPhase { a, .. } => 1u64 << a,
                     _ => 0,

@@ -92,7 +92,10 @@ impl fmt::Display for LowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LowerError::OperandOutOfRange { operand, n_qubits } => {
-                write!(f, "gate operand {operand} out of range for {n_qubits} qubits")
+                write!(
+                    f,
+                    "gate operand {operand} out of range for {n_qubits} qubits"
+                )
             }
             LowerError::NoLocalQubit => {
                 write!(f, "both-global Unitary2 needs at least one local qubit")
@@ -120,11 +123,19 @@ pub fn lower_gate(
         });
     }
     let class = classify(gate, layout);
-    let mut out = GateLowering { class, tags: 0, exchanges: [None; 3] };
+    let mut out = GateLowering {
+        class,
+        tags: 0,
+        exchanges: [None; 3],
+    };
     if class != GateClass::Distributed {
         return Ok(out);
     }
-    let on = OnRank { layout, rank, half_exchange_swaps };
+    let on = OnRank {
+        layout,
+        rank,
+        half_exchange_swaps,
+    };
     out.tags = 1;
     match *gate {
         Gate::Swap(a, b) => out.exchanges[0] = on.swap(a, b, 0),
@@ -149,7 +160,10 @@ pub fn lower_gate(
                 control => (true, control),
             };
             if joins {
-                let kernel = Kernel::Row { bit: on.bit(g.target()), control };
+                let kernel = Kernel::Row {
+                    bit: on.bit(g.target()),
+                    control,
+                };
                 out.exchanges[0] = Some(on.pair(g.target(), kernel, 0));
             }
         }
@@ -190,7 +204,11 @@ pub fn gate_traffic(
     half_exchange_swaps: bool,
 ) -> Result<GateTraffic, LowerError> {
     let lowering = lower_gate(gate, layout, 0, half_exchange_swaps)?;
-    let mut t = GateTraffic { lowering, participants: 0, amps_sent: 0 };
+    let mut t = GateTraffic {
+        lowering,
+        participants: 0,
+        amps_sent: 0,
+    };
     if lowering.class != GateClass::Distributed {
         return Ok(t);
     }
@@ -214,7 +232,11 @@ pub fn circuit_traffic(
     layout: &Layout,
     half_exchange_swaps: bool,
 ) -> Result<Vec<GateTraffic>, LowerError> {
-    circuit.gates().iter().map(|g| gate_traffic(g, layout, half_exchange_swaps)).collect()
+    circuit
+        .gates()
+        .iter()
+        .map(|g| gate_traffic(g, layout, half_exchange_swaps))
+        .collect()
 }
 
 /// One rank's view of a layout, for [`lower_gate`].
@@ -243,8 +265,15 @@ impl OnRank<'_> {
 
     /// The one-global combine of local `lo` and global `hi`.
     fn orbit(&self, lo: u32, hi: u32, swapped: bool, tag: u32) -> Exchange {
-        let kernel = Kernel::Orbit { lo, bit: self.bit(hi), swapped };
-        Exchange { unit: 1 << (lo + 1), ..self.pair(hi, kernel, tag) }
+        let kernel = Kernel::Orbit {
+            lo,
+            bit: self.bit(hi),
+            swapped,
+        };
+        Exchange {
+            unit: 1 << (lo + 1),
+            ..self.pair(hi, kernel, tag)
+        }
     }
 
     /// A distributed SWAP; `None` on a rank the swap leaves alone.
@@ -254,7 +283,10 @@ impl OnRank<'_> {
         if self.layout.is_local(lo) {
             return Some(if self.half_exchange_swaps {
                 let half = self.pair(hi, Kernel::HalfSwap { lo, bit }, tag);
-                Exchange { amps: half.amps / 2, ..half }
+                Exchange {
+                    amps: half.amps / 2,
+                    ..half
+                }
             } else {
                 self.pair(hi, Kernel::Swap { lo, bit }, tag)
             });
@@ -264,8 +296,13 @@ impl OnRank<'_> {
         if self.bit(lo) == bit {
             return None;
         }
-        let peer = self.layout.pair_rank(self.layout.pair_rank(self.rank, lo), hi);
-        Some(Exchange { peer, ..self.pair(hi, Kernel::Replace, tag) })
+        let peer = self
+            .layout
+            .pair_rank(self.layout.pair_rank(self.rank, lo), hi);
+        Some(Exchange {
+            peer,
+            ..self.pair(hi, Kernel::Replace, tag)
+        })
     }
 }
 
@@ -330,7 +367,13 @@ impl BlockMap {
         let rank_bits = perm.len() - l;
         assert!(rank_bits as usize <= RANK_BITS, "{rank_bits} rank bits");
         let (from, down) = ([0; RANK_BITS], [0; RANK_BITS]);
-        let mut g = BlockMap { from, down, rank_bits, m: l - window, window };
+        let mut g = BlockMap {
+            from,
+            down,
+            rank_bits,
+            m: l - window,
+            window,
+        };
         for q in l..perm.len() {
             if perm.apply(q) >= l {
                 g.from[(perm.apply(q) - l) as usize] = (q - l) as u8;
@@ -368,7 +411,8 @@ impl BlockMap {
     /// Whether rank `u` sends rank `v` a block: the rank bits that stay
     /// must carry `u`'s values to `v`.
     fn feeds(&self, u: u64, v: u64) -> bool {
-        self.sources().all(|(p, f)| f >= TRADED || (u >> f) & 1 == (v >> p) & 1)
+        self.sources()
+            .all(|(p, f)| f >= TRADED || (u >> f) & 1 == (v >> p) & 1)
     }
 
     /// The block of rank `u`'s slice that goes to rank `v`, or `None`
@@ -383,7 +427,9 @@ impl BlockMap {
     /// `None` when `w` sends `v` nothing.
     fn source_block(&self, w: u64, v: u64) -> Option<u64> {
         let down = self.down[..self.m as usize].iter();
-        let t = down.enumerate().fold(0, |t, (j, &d)| t | ((w >> d) & 1) << j);
+        let t = down
+            .enumerate()
+            .fold(0, |t, (j, &d)| t | ((w >> d) & 1) << j);
         self.feeds(w, v).then_some(t)
     }
 
@@ -439,7 +485,9 @@ impl PermuteLowering {
         // free slot L1 swapped it with drops to its place, the rank bit
         // that comes down to slot `j` lands there, and every other bit
         // stays local or moves as P moves it. Then L2 = P ∘ (G ∘ L1)⁻¹.
-        let mut g_l1: Vec<u32> = (0..n).map(|q| if q < l { q } else { perm.apply(q) }).collect();
+        let mut g_l1: Vec<u32> = (0..n)
+            .map(|q| if q < l { q } else { perm.apply(q) })
+            .collect();
         let mut l1 = Vec::new();
         for (s, j) in slots {
             let w = window + j;
@@ -469,7 +517,10 @@ mod tests {
     #[test]
     fn local_gates_take_no_tag() {
         let layout = Layout::new(6, 4);
-        let cnot = Gate::CNot { control: 5, target: 0 };
+        let cnot = Gate::CNot {
+            control: 5,
+            target: 0,
+        };
         for gate in [Gate::H(3), Gate::Z(5), Gate::Swap(0, 3), cnot] {
             for rank in 0..4 {
                 let g = lower_gate(&gate, &layout, rank, false).unwrap();
@@ -483,15 +534,30 @@ mod tests {
     fn spectators_consume_tags_but_exchange_nothing() {
         // Qubits 4 and 5 are rank bits 0 and 1 of four ranks.
         let layout = Layout::new(6, 4);
-        let cnot = Gate::CNot { control: 4, target: 5 };
+        let cnot = Gate::CNot {
+            control: 4,
+            target: 5,
+        };
         for rank in 0..4 {
             let (tags, ex) = lowered(cnot.clone(), &layout, rank, false);
             assert_eq!(tags, 1);
             if rank & 1 == 0 {
                 assert!(ex.is_empty(), "rank {rank} has the control bit clear");
             } else {
-                let kernel = Kernel::Row { bit: rank >> 1, control: None };
-                assert_eq!(ex, [Exchange { tag: 0, peer: rank ^ 2, amps: 16, unit: 1, kernel }]);
+                let kernel = Kernel::Row {
+                    bit: rank >> 1,
+                    control: None,
+                };
+                assert_eq!(
+                    ex,
+                    [Exchange {
+                        tag: 0,
+                        peer: rank ^ 2,
+                        amps: 16,
+                        unit: 1,
+                        kernel
+                    }]
+                );
             }
         }
         // Both-global SWAP: equal address bits sit it out.
@@ -502,7 +568,16 @@ mod tests {
             assert_eq!(ex.len(), usize::from(differ), "rank {rank}");
             if differ {
                 let kernel = Kernel::Replace;
-                assert_eq!(ex, [Exchange { tag: 0, peer: rank ^ 3, amps: 16, unit: 1, kernel }]);
+                assert_eq!(
+                    ex,
+                    [Exchange {
+                        tag: 0,
+                        peer: rank ^ 3,
+                        amps: 16,
+                        unit: 1,
+                        kernel
+                    }]
+                );
             }
         }
     }
@@ -510,7 +585,11 @@ mod tests {
     #[test]
     fn both_global_unitary2_is_swap_combine_swap() {
         let layout = Layout::new(6, 4);
-        let gate = Gate::Unitary2 { a: 5, b: 4, matrix: Matrix4::swap() };
+        let gate = Gate::Unitary2 {
+            a: 5,
+            b: 4,
+            matrix: Matrix4::swap(),
+        };
         for half in [false, true] {
             for rank in 0..4u64 {
                 let (tags, ex) = lowered(gate.clone(), &layout, rank, half);
@@ -521,15 +600,29 @@ mod tests {
                 } else {
                     (16, Kernel::Swap { lo: 0, bit: lo_bit })
                 };
-                let swap_at = |tag| Exchange { tag, peer: rank ^ 1, amps, unit: 1, kernel: swap };
+                let swap_at = |tag| Exchange {
+                    tag,
+                    peer: rank ^ 1,
+                    amps,
+                    unit: 1,
+                    kernel: swap,
+                };
                 let combine = Exchange {
                     tag: 1,
                     peer: rank ^ 2,
                     amps: 16,
                     unit: 2,
-                    kernel: Kernel::Orbit { lo: 0, bit: rank >> 1, swapped: true },
+                    kernel: Kernel::Orbit {
+                        lo: 0,
+                        bit: rank >> 1,
+                        swapped: true,
+                    },
                 };
-                assert_eq!(ex, [swap_at(0), combine, swap_at(2)], "rank {rank} half={half}");
+                assert_eq!(
+                    ex,
+                    [swap_at(0), combine, swap_at(2)],
+                    "rank {rank} half={half}"
+                );
             }
         }
     }
@@ -542,7 +635,13 @@ mod tests {
             let (_, half) = lowered(Gate::Swap(1, 5), &layout, rank, true);
             assert_eq!(full[0].amps, layout.local_amps());
             assert_eq!(half[0].amps, layout.local_amps() / 2);
-            assert_eq!(half[0].kernel, Kernel::HalfSwap { lo: 1, bit: rank >> 1 });
+            assert_eq!(
+                half[0].kernel,
+                Kernel::HalfSwap {
+                    lo: 1,
+                    bit: rank >> 1
+                }
+            );
             assert_eq!((half[0].peer, half[0].unit), (full[0].peer, 1));
         }
     }
@@ -551,11 +650,28 @@ mod tests {
     fn one_global_unitary2_combines_orbits_of_its_local_qubit() {
         let layout = Layout::new(6, 4);
         for (a, b, swapped) in [(2, 5, false), (5, 2, true)] {
-            let gate = Gate::Unitary2 { a, b, matrix: Matrix4::swap() };
+            let gate = Gate::Unitary2 {
+                a,
+                b,
+                matrix: Matrix4::swap(),
+            };
             let (tags, ex) = lowered(gate, &layout, 3, false);
             assert_eq!(tags, 1);
-            let kernel = Kernel::Orbit { lo: 2, bit: 1, swapped };
-            assert_eq!(ex, [Exchange { tag: 0, peer: 1, amps: 16, unit: 8, kernel }]);
+            let kernel = Kernel::Orbit {
+                lo: 2,
+                bit: 1,
+                swapped,
+            };
+            assert_eq!(
+                ex,
+                [Exchange {
+                    tag: 0,
+                    peer: 1,
+                    amps: 16,
+                    unit: 8,
+                    kernel
+                }]
+            );
         }
     }
 
@@ -563,11 +679,18 @@ mod tests {
     fn unlowerable_gates_are_typed_errors() {
         // Two qubits on four ranks: no local qubit to swap through.
         let layout = Layout::new(2, 4);
-        let gate = Gate::Unitary2 { a: 0, b: 1, matrix: Matrix4::swap() };
+        let gate = Gate::Unitary2 {
+            a: 0,
+            b: 1,
+            matrix: Matrix4::swap(),
+        };
         let err = lower_gate(&gate, &layout, 0, false).unwrap_err();
         assert_eq!(err, LowerError::NoLocalQubit);
         assert_eq!(gate_traffic(&gate, &layout, false), Err(err.clone()));
-        assert_eq!(err.to_string(), "both-global Unitary2 needs at least one local qubit");
+        assert_eq!(
+            err.to_string(),
+            "both-global Unitary2 needs at least one local qubit"
+        );
         let err = lower_gate(&Gate::H(6), &Layout::new(6, 2), 0, false).unwrap_err();
         assert_eq!(err.to_string(), "gate operand 6 out of range for 6 qubits");
     }
@@ -577,8 +700,15 @@ mod tests {
         // Ten qubits over eight ranks: qubits 7..9 are rank bits and a
         // slice is 128 amplitudes, 2 048 B.
         let layout = Layout::new(10, 8);
-        let u2 = Gate::Unitary2 { a: 8, b: 9, matrix: Matrix4::swap() };
-        let cnot = Gate::CNot { control: 8, target: 9 };
+        let u2 = Gate::Unitary2 {
+            a: 8,
+            b: 9,
+            matrix: Matrix4::swap(),
+        };
+        let cnot = Gate::CNot {
+            control: 8,
+            target: 9,
+        };
         // (gate, half swaps, participants, exchanges each, bytes over all ranks)
         let table = [
             (u2.clone(), false, 8, 3, 49_152),
@@ -592,9 +722,17 @@ mod tests {
         ];
         for (gate, half, participants, exchanges, bytes) in table {
             let t = gate_traffic(&gate, &layout, half).unwrap();
-            let got = (t.participants, t.lowering.exchanges().count(), t.bytes_sent());
+            let got = (
+                t.participants,
+                t.lowering.exchanges().count(),
+                t.bytes_sent(),
+            );
             assert_eq!(got, (participants, exchanges, bytes), "{gate} half={half}");
-            assert_eq!(t.rank_bytes() * t.participants, t.bytes_sent(), "{gate} half={half}");
+            assert_eq!(
+                t.rank_bytes() * t.participants,
+                t.bytes_sent(),
+                "{gate} half={half}"
+            );
         }
     }
 
@@ -652,7 +790,9 @@ mod tests {
                 for u in 0..ranks {
                     let mut sent = 0;
                     for v in 0..ranks {
-                        let Some(t) = g.sent_block(u, v) else { continue };
+                        let Some(t) = g.sent_block(u, v) else {
+                            continue;
+                        };
                         sent += u64::from(u != v);
                         assert!(g.source_block(u, v).is_some());
                         // Every amplitude of that block belongs on rank v.

@@ -81,7 +81,9 @@ impl Permutation {
     pub fn compose(&self, other: &Permutation) -> Permutation {
         assert_eq!(self.len(), other.len());
         Permutation {
-            map: (0..self.len()).map(|q| self.apply(other.apply(q))).collect(),
+            map: (0..self.len())
+                .map(|q| self.apply(other.apply(q)))
+                .collect(),
         }
     }
 

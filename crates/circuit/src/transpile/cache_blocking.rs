@@ -69,11 +69,7 @@ pub fn cache_block(circuit: &Circuit, local_qubits: u32) -> Transpiled {
 /// that exchanges the target with a victim local position chosen by
 /// `policy` (excluding positions the gate itself touches). Diagonal
 /// gates never trigger SWAPs — they are "fully local" at any position.
-pub fn cache_block_with(
-    circuit: &Circuit,
-    local_qubits: u32,
-    policy: VictimPolicy,
-) -> Transpiled {
+pub fn cache_block_with(circuit: &Circuit, local_qubits: u32, policy: VictimPolicy) -> Transpiled {
     let n = circuit.n_qubits();
     assert!(
         local_qubits >= 1 && local_qubits <= n,
@@ -128,8 +124,7 @@ pub fn cache_block_with(
                     Gate::Unitary2 { a, b, .. } => vec![a, b],
                     ref g => vec![g.target()],
                 };
-                let Some(&offender) = needs_local.iter().find(|&&p| p >= local_qubits)
-                else {
+                let Some(&offender) = needs_local.iter().find(|&&p| p >= local_qubits) else {
                     break;
                 };
                 // Choose the victim local slot (not touched by this gate).
@@ -241,11 +236,17 @@ mod tests {
         let t = cache_block(&qft(n), layout.local_qubits());
         let kernels = |c: &Circuit| -> Vec<Kernel> {
             let traffic = circuit_traffic(c, &layout, false).unwrap();
-            traffic.iter().flat_map(|t| t.lowering.exchanges().map(|e| e.kernel)).collect()
+            traffic
+                .iter()
+                .flat_map(|t| t.lowering.exchanges().map(|e| e.kernel))
+                .collect()
         };
         let after = kernels(&t.circuit);
         assert_eq!(after.len(), 3);
-        assert!(after.iter().all(|k| matches!(k, Kernel::Swap { .. })), "{after:?}");
+        assert!(
+            after.iter().all(|k| matches!(k, Kernel::Swap { .. })),
+            "{after:?}"
+        );
         // Far fewer than the untranspiled circuit.
         assert_eq!(kernels(&qft(n)).len(), 6); // 3 H + 3 swaps
     }

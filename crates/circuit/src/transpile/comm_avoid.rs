@@ -155,7 +155,12 @@ impl Plan {
         assert_eq!(circuit.n_qubits(), layout.len(), "circuit/layout width");
         Plan {
             n_qubits: circuit.n_qubits(),
-            steps: circuit.gates().iter().cloned().map(PlanStep::Gate).collect(),
+            steps: circuit
+                .gates()
+                .iter()
+                .cloned()
+                .map(PlanStep::Gate)
+                .collect(),
             layout,
         }
     }
@@ -267,8 +272,8 @@ fn push_permute(steps: &mut Vec<PlanStep>, perm: Permutation) {
 /// Layout bookkeeping shared by the pass and its rollout simulations.
 #[derive(Debug, Clone)]
 struct Tracker {
-    phys_of: Vec<u32>, // logical -> physical
-    log_of: Vec<u32>,  // physical -> logical
+    phys_of: Vec<u32>,  // logical -> physical
+    log_of: Vec<u32>,   // physical -> logical
     last_use: Vec<u64>, // by physical slot
 }
 
@@ -294,10 +299,7 @@ impl Tracker {
     /// transpositions to the layout.
     fn apply_batch(&mut self, batch: &[(u32, u32)], clock: u64) {
         for &(victim, offender) in batch {
-            let (la, lb) = (
-                self.log_of[victim as usize],
-                self.log_of[offender as usize],
-            );
+            let (la, lb) = (self.log_of[victim as usize], self.log_of[offender as usize]);
             self.phys_of.swap(la as usize, lb as usize);
             self.log_of.swap(victim as usize, offender as usize);
             self.last_use[victim as usize] = clock;
@@ -371,7 +373,11 @@ pub fn comm_avoid(
     oracle: &dyn ExchangeOracle,
 ) -> Plan {
     let n = circuit.n_qubits();
-    assert_eq!(layout.n_qubits(), n, "layout geometry must match the circuit");
+    assert_eq!(
+        layout.n_qubits(),
+        n,
+        "layout geometry must match the circuit"
+    );
     let local = layout.local_qubits();
     assert!(local >= 1, "at least one local qubit is required");
 
@@ -622,9 +628,10 @@ fn score_batch(
     lookahead: usize,
 ) -> StepCost {
     let n = ctx.layout.n_qubits();
-    let mut cost = ctx
-        .oracle
-        .exchange(permutation_traffic(&batch_permutation(n, batch), ctx.layout));
+    let mut cost = ctx.oracle.exchange(permutation_traffic(
+        &batch_permutation(n, batch),
+        ctx.layout,
+    ));
     let mut t = tr.clone();
     t.apply_batch(batch, i as u64 + 1);
     let end = usize::min(ctx.gates.len(), i + usize::max(lookahead, 1));
@@ -687,13 +694,13 @@ mod tests {
     #[test]
     fn traffic_matches_brute_force() {
         let cases: Vec<(u32, u64, Vec<u32>)> = vec![
-            (4, 4, vec![0, 1, 2, 3]),        // identity
-            (4, 4, vec![3, 1, 2, 0]),        // local<->global transposition
-            (4, 4, vec![2, 3, 0, 1]),        // both globals swapped in
-            (4, 4, vec![0, 1, 3, 2]),        // global<->global
-            (5, 8, vec![4, 3, 2, 1, 0]),     // full reversal
-            (5, 8, vec![1, 0, 2, 3, 4]),     // purely local: zero traffic
-            (6, 4, vec![5, 1, 2, 3, 0, 4]),  // 3-cycle through the globals
+            (4, 4, vec![0, 1, 2, 3]),       // identity
+            (4, 4, vec![3, 1, 2, 0]),       // local<->global transposition
+            (4, 4, vec![2, 3, 0, 1]),       // both globals swapped in
+            (4, 4, vec![0, 1, 3, 2]),       // global<->global
+            (5, 8, vec![4, 3, 2, 1, 0]),    // full reversal
+            (5, 8, vec![1, 0, 2, 3, 4]),    // purely local: zero traffic
+            (6, 4, vec![5, 1, 2, 3, 0, 4]), // 3-cycle through the globals
         ];
         for (n, ranks, map) in cases {
             let layout = geometry(n, ranks);
@@ -833,10 +840,22 @@ mod tests {
 
     #[test]
     fn step_cost_orders_bytes_first() {
-        let a = StepCost { bytes: 10, seconds: 9.0, joules: 9.0 };
-        let b = StepCost { bytes: 11, seconds: 0.0, joules: 0.0 };
+        let a = StepCost {
+            bytes: 10,
+            seconds: 9.0,
+            joules: 9.0,
+        };
+        let b = StepCost {
+            bytes: 11,
+            seconds: 0.0,
+            joules: 0.0,
+        };
         assert!(a.better_than(&b));
-        let c = StepCost { bytes: 10, seconds: 1.0, joules: 0.0 };
+        let c = StepCost {
+            bytes: 10,
+            seconds: 1.0,
+            joules: 0.0,
+        };
         assert!(c.better_than(&a));
     }
 
@@ -903,7 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn emitted_gates_are_local(){
+    fn emitted_gates_are_local() {
         let c = random_circuit(9, 150, GatePool::Full, 7);
         let layout = geometry(9, 16);
         for strategy in [
@@ -963,10 +982,8 @@ mod tests {
         for seed in 0..10u64 {
             let c = random_circuit(9, 60, GatePool::Full, seed + 1000);
             let layout = geometry(9, 8);
-            let g = comm_avoid(&c, &layout, Strategy::Greedy, &ByteOracle)
-                .with_layout_restored();
-            let b = comm_avoid(&c, &layout, Strategy::beam(), &ByteOracle)
-                .with_layout_restored();
+            let g = comm_avoid(&c, &layout, Strategy::Greedy, &ByteOracle).with_layout_restored();
+            let b = comm_avoid(&c, &layout, Strategy::beam(), &ByteOracle).with_layout_restored();
             let gb = g.price(&layout, &ByteOracle).bytes;
             let bb = b.price(&layout, &ByteOracle).bytes;
             assert!(bb <= gb, "seed {seed}: beam {bb} > greedy {gb}");
@@ -1002,8 +1019,7 @@ mod tests {
         assert!(restored.layout.is_identity());
         assert_eq!(restored.permute_count(), plan.permute_count() + 1);
         // The appended step is the inverse of the unrestored layout.
-        let PlanStep::Permute(ref last) = restored.steps[restored.steps.len() - 1]
-        else {
+        let PlanStep::Permute(ref last) = restored.steps[restored.steps.len() - 1] else {
             panic!("restore must end in a permute step");
         };
         assert_eq!(last.compose(&plan.layout), Permutation::identity(6));

@@ -25,8 +25,8 @@ pub mod scheduling;
 
 pub use cache_blocking::{cache_block, Transpiled};
 pub use comm_avoid::{
-    comm_avoid, permutation_traffic, ByteOracle, ExchangeOracle, PermTraffic, Plan,
-    PlanStep, StepCost, Strategy,
+    comm_avoid, permutation_traffic, ByteOracle, ExchangeOracle, PermTraffic, Plan, PlanStep,
+    StepCost, Strategy,
 };
 pub use fusion::{diagonal_runs, DiagonalRun};
 pub use scheduling::sink_diagonals;

@@ -117,10 +117,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.z(0).h(1).t(0);
         let scheduled = sink_diagonals(&c);
-        assert_eq!(
-            scheduled.gates(),
-            &[Gate::Z(0), Gate::T(0), Gate::H(1)]
-        );
+        assert_eq!(scheduled.gates(), &[Gate::Z(0), Gate::T(0), Gate::H(1)]);
         assert!(fusable_gate_count(&scheduled, 2) > fusable_gate_count(&c, 2));
     }
 

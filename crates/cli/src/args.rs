@@ -41,7 +41,9 @@ impl Args {
         let mut flags = BTreeMap::new();
         while let Some(token) = iter.next() {
             let Some(name) = token.strip_prefix("--") else {
-                return Err(ArgError(format!("unexpected positional argument `{token}`")));
+                return Err(ArgError(format!(
+                    "unexpected positional argument `{token}`"
+                )));
             };
             if name.is_empty() {
                 return Err(ArgError("empty flag `--`".into()));

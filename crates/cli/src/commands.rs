@@ -366,8 +366,16 @@ fn run_alternate_engine(
 
 fn model(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&[
-        "qubits", "nodes", "node-kind", "freq", "circuit", "fast", "streamed", "gpu",
-        "half-swaps", "fuse",
+        "qubits",
+        "nodes",
+        "node-kind",
+        "freq",
+        "circuit",
+        "fast",
+        "streamed",
+        "gpu",
+        "half-swaps",
+        "fuse",
     ])?;
     let n: u32 = args.required("qubits")?;
     let machine = pick_machine(args);
@@ -375,7 +383,10 @@ fn model(args: &Args) -> Result<String, ArgError> {
     let nodes = match args.optional::<u64>("nodes")? {
         Some(nodes) => nodes,
         None => nodes_for(&machine, kind, n).ok_or_else(|| {
-            ArgError(format!("{n} qubits do not fit any {} allocation", kind.label()))
+            ArgError(format!(
+                "{n} qubits do not fit any {} allocation",
+                kind.label()
+            ))
         })?,
     };
     let circuit = if args.switch("fast") {
@@ -415,10 +426,7 @@ fn model(args: &Args) -> Result<String, ArgError> {
     if n <= 20 && nodes <= 8 {
         let run = ThreadClusterExecutor::try_run(&circuit, &cfg, 0, false)
             .map_err(|e| ArgError(format!("measurement run failed: {e}")))?;
-        out += &format!(
-            " | measured: {} bytes",
-            run.profiled.bytes_exchanged
-        );
+        out += &format!(" | measured: {} bytes", run.profiled.bytes_exchanged);
     }
     out += "\n";
     Ok(out)
@@ -435,7 +443,13 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
     let mut table = TextTable::new(vec!["Qubits", "Nodes", "Runtime", "Energy", "CU"]);
     for n in from..=to {
         let Some(nodes) = nodes_for(&machine, NodeKind::Standard, n) else {
-            table.row(vec![n.to_string(), "-".into(), "-".into(), "-".into(), "-".into()]);
+            table.row(vec![
+                n.to_string(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+            ]);
             continue;
         };
         let (circuit, mut cfg) = if args.switch("fast") {
@@ -469,8 +483,13 @@ fn transpile(args: &Args) -> Result<String, ArgError> {
     // Distributed gates and bytes one participating rank sends.
     let summary = |c: &Circuit| -> Result<(usize, u64), ArgError> {
         let traffic = circuit_traffic(c, &layout, false).map_err(|e| ArgError(e.to_string()))?;
-        let distributed = traffic.iter().filter(|t| t.lowering.class == GateClass::Distributed);
-        Ok((distributed.count(), traffic.iter().map(GateTraffic::rank_bytes).sum()))
+        let distributed = traffic
+            .iter()
+            .filter(|t| t.lowering.class == GateClass::Distributed);
+        Ok((
+            distributed.count(),
+            traffic.iter().map(GateTraffic::rank_bytes).sum(),
+        ))
     };
     let before = summary(&circuit)?;
     let t = cache_block(&circuit, layout.local_qubits());
@@ -489,7 +508,11 @@ fn transpile(args: &Args) -> Result<String, ArgError> {
         after.0,
         after.1,
         before.1 as f64 / after.1.max(1) as f64,
-        if t.layout.is_identity() { "the " } else { "NOT " },
+        if t.layout.is_identity() {
+            "the "
+        } else {
+            "NOT "
+        },
     ))
 }
 
@@ -552,13 +575,17 @@ fn fail_stop_smoke() -> Result<String, ArgError> {
                     c.send(0, 9, &[])
                 }
             };
-            seen.lock().unwrap_or_else(|e| e.into_inner()).push((c.rank(), result));
+            seen.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push((c.rank(), result));
         })
     }));
     std::panic::set_hook(quiet);
     let elapsed = t0.elapsed();
     if run.is_ok() {
-        return Err(ArgError("fail-stop: rank 0's panic never reached the caller".into()));
+        return Err(ArgError(
+            "fail-stop: rank 0's panic never reached the caller".into(),
+        ));
     }
     let mut seen = seen.into_inner().unwrap_or_else(|e| e.into_inner());
     seen.sort_by_key(|(rank, _)| *rank);
@@ -585,22 +612,25 @@ fn check(args: &Args) -> Result<String, ArgError> {
     let root = match args.optional::<std::path::PathBuf>("root")? {
         Some(p) => p,
         None => {
-            let cwd = std::env::current_dir()
-                .map_err(|e| ArgError(format!("cannot read cwd: {e}")))?;
+            let cwd =
+                std::env::current_dir().map_err(|e| ArgError(format!("cannot read cwd: {e}")))?;
             qse_check::lint::find_workspace_root(&cwd).ok_or_else(|| {
                 ArgError("no workspace root above the cwd; pass --root PATH".into())
             })?
         }
     };
-    let violations = qse_check::lint_tree(&root)
-        .map_err(|e| ArgError(format!("lint walk failed: {e}")))?;
+    let violations =
+        qse_check::lint_tree(&root).map_err(|e| ArgError(format!("lint walk failed: {e}")))?;
     if !violations.is_empty() {
         let list = violations
             .iter()
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join("\n  ");
-        return Err(ArgError(format!("lint: {} violation(s)\n  {list}", violations.len())));
+        return Err(ArgError(format!(
+            "lint: {} violation(s)\n  {list}",
+            violations.len()
+        )));
     }
     out += &format!("lint: clean ({})\n", root.display());
 
@@ -665,7 +695,10 @@ fn check_plans() -> Result<String, ArgError> {
     // Seeded-broken fixtures: each must be rejected, and the diagnosis
     // must carry enough detail to act on.
     let fixtures: [(&str, Result<(), qse_check::verify::VerifyError>); 3] = [
-        ("tag collision", check_traces(&broken_fixture_tag_collision())),
+        (
+            "tag collision",
+            check_traces(&broken_fixture_tag_collision()),
+        ),
         ("ring overrun", check_traces(&broken_fixture_ring_overrun())),
         (
             "unrestored layout",
@@ -716,9 +749,7 @@ fn serve(args: &Args) -> Result<String, ArgError> {
         (Some(port), false) => {
             let listener = std::net::TcpListener::bind(("127.0.0.1", port))
                 .map_err(|e| ArgError(format!("cannot bind 127.0.0.1:{port}: {e}")))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| ArgError(e.to_string()))?;
+            let addr = listener.local_addr().map_err(|e| ArgError(e.to_string()))?;
             eprintln!("qse serve: listening on {addr}");
             let net = qse_serve::net::NetConfig {
                 max_line,
@@ -736,7 +767,10 @@ fn serve(args: &Args) -> Result<String, ArgError> {
             let stats = server.stats();
             eprintln!(
                 "qse serve: {} submitted, {} completed, {} failed; cache {} hit / {} miss",
-                stats.submitted, stats.completed, stats.failed, stats.cache.hits,
+                stats.submitted,
+                stats.completed,
+                stats.failed,
+                stats.cache.hits,
                 stats.cache.misses
             );
             Ok(String::new())
@@ -747,8 +781,17 @@ fn serve(args: &Args) -> Result<String, ArgError> {
 
 fn submit(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&[
-        "port", "circuit", "qubits", "shots", "seed", "ranks", "transpile", "engine",
-        "basis", "repeat", "stdin",
+        "port",
+        "circuit",
+        "qubits",
+        "shots",
+        "seed",
+        "ranks",
+        "transpile",
+        "engine",
+        "basis",
+        "repeat",
+        "stdin",
     ])?;
     let port: u16 = args.required("port")?;
     let stream = std::net::TcpStream::connect(("127.0.0.1", port))
@@ -756,15 +799,15 @@ fn submit(args: &Args) -> Result<String, ArgError> {
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(600)))
         .map_err(|e| ArgError(e.to_string()))?;
-    let mut write_half = stream
-        .try_clone()
-        .map_err(|e| ArgError(e.to_string()))?;
+    let mut write_half = stream.try_clone().map_err(|e| ArgError(e.to_string()))?;
     use std::io::Write;
     let mut sent = 0usize;
     if args.switch("stdin") {
         // Forward raw request lines from stdin.
-        let mut reader =
-            qse_serve::BoundedLineReader::new(std::io::stdin(), qse_serve::protocol::DEFAULT_MAX_LINE);
+        let mut reader = qse_serve::BoundedLineReader::new(
+            std::io::stdin(),
+            qse_serve::protocol::DEFAULT_MAX_LINE,
+        );
         while let Ok(Some(line)) = reader.next_line() {
             if line.trim().is_empty() {
                 continue;
@@ -805,9 +848,7 @@ fn submit(args: &Args) -> Result<String, ArgError> {
             sent += 1;
         }
     }
-    write_half
-        .flush()
-        .map_err(|e| ArgError(e.to_string()))?;
+    write_half.flush().map_err(|e| ArgError(e.to_string()))?;
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut reader =
         qse_serve::BoundedLineReader::new(stream, qse_serve::protocol::DEFAULT_MAX_LINE);
@@ -915,7 +956,9 @@ mod tests {
 
     #[test]
     fn run_faults_flag_reports_recovery_and_replays_by_seed() {
-        let args = &["run", "--qubits", "7", "--ranks", "4", "--faults", "seed=42"];
+        let args = &[
+            "run", "--qubits", "7", "--ranks", "4", "--faults", "seed=42",
+        ];
         let first = run_cli(args).unwrap();
         assert!(first.contains("faults: seed 42"), "{first}");
         assert!(first.contains("(recovered)"), "{first}");
@@ -927,14 +970,23 @@ mod tests {
         };
         // Same seed → identical injected/retry/corruption counters.
         let second = run_cli(args).unwrap();
-        assert_eq!(fault_line(&first), fault_line(&second), "seed replay drifted");
+        assert_eq!(
+            fault_line(&first),
+            fault_line(&second),
+            "seed replay drifted"
+        );
     }
 
     #[test]
     fn run_unrecoverable_faults_surface_a_typed_error() {
         let err = run_cli(&[
-            "run", "--qubits", "6", "--ranks", "2",
-            "--faults", "seed=1,fail=1,fail_burst=9,budget=2,delay=0,corrupt=0",
+            "run",
+            "--qubits",
+            "6",
+            "--ranks",
+            "2",
+            "--faults",
+            "seed=1,fail=1,fail_burst=9,budget=2,delay=0,corrupt=0",
         ])
         .unwrap_err();
         assert!(err.0.contains("transient"), "{}", err.0);
@@ -951,19 +1003,14 @@ mod tests {
     #[test]
     fn run_transpile_flag_reports_measured_vs_modeled() {
         for mode in ["greedy", "beam"] {
-            let out = run_cli(&[
-                "run", "--qubits", "10", "--ranks", "4", "--transpile", mode,
-            ])
-            .unwrap();
+            let out =
+                run_cli(&["run", "--qubits", "10", "--ranks", "4", "--transpile", mode]).unwrap();
             assert!(out.contains("transpile:"), "{out}");
             assert!(out.contains("measured vs"), "{out}");
             // All communication in a transpiled plan flows through batched
             // permutations, which the oracle prices exactly — measured and
             // modeled payloads must agree to the byte.
-            let tail = out
-                .lines()
-                .find(|l| l.starts_with("transpile:"))
-                .unwrap();
+            let tail = out.lines().find(|l| l.starts_with("transpile:")).unwrap();
             let nums: Vec<u64> = tail
                 .split_whitespace()
                 .filter_map(|w| w.parse().ok())
@@ -989,8 +1036,16 @@ mod tests {
                 .expect("payload figure present")
         };
         let off = run_cli(&["run", "--qubits", "12", "--ranks", "4"]).unwrap();
-        let beam =
-            run_cli(&["run", "--qubits", "12", "--ranks", "4", "--transpile", "beam"]).unwrap();
+        let beam = run_cli(&[
+            "run",
+            "--qubits",
+            "12",
+            "--ranks",
+            "4",
+            "--transpile",
+            "beam",
+        ])
+        .unwrap();
         assert!(
             payload(&beam) < payload(&off),
             "beam {} !< off {}",
@@ -1003,21 +1058,39 @@ mod tests {
     fn run_engine_flag_selects_backends() {
         // GHZ is Clifford → auto routes to the stabilizer tableau.
         let auto = run_cli(&[
-            "run", "--qubits", "8", "--circuit", "ghz", "--engine", "auto",
+            "run",
+            "--qubits",
+            "8",
+            "--circuit",
+            "ghz",
+            "--engine",
+            "auto",
         ])
         .unwrap();
         assert!(auto.contains("stabilizer engine"), "{auto}");
         assert!(auto.contains("(auto-selected stabilizer)"), "{auto}");
         // Forced stabilizer at a width no dense engine could touch.
         let big = run_cli(&[
-            "run", "--qubits", "200", "--circuit", "ghz", "--engine", "stabilizer",
+            "run",
+            "--qubits",
+            "200",
+            "--circuit",
+            "ghz",
+            "--engine",
+            "stabilizer",
         ])
         .unwrap();
         assert!(big.contains("200 qubits"), "{big}");
         assert!(big.contains("400 generator rows"), "{big}");
         // Sparse reports its map occupancy: GHZ keeps two amplitudes.
         let sparse = run_cli(&[
-            "run", "--qubits", "30", "--circuit", "ghz", "--engine", "sparse",
+            "run",
+            "--qubits",
+            "30",
+            "--circuit",
+            "ghz",
+            "--engine",
+            "sparse",
         ])
         .unwrap();
         assert!(sparse.contains("sparse engine"), "{sparse}");
@@ -1034,21 +1107,34 @@ mod tests {
         // Per-engine caps bite before any allocation.
         let err = run_cli(&["run", "--qubits", "30", "--engine", "dense"]).unwrap_err();
         assert!(err.0.contains("dense engine (max 24)"), "{}", err.0);
-        let err =
-            run_cli(&["run", "--qubits", "50", "--circuit", "ghz", "--engine", "sparse"])
-                .unwrap_err();
+        let err = run_cli(&[
+            "run",
+            "--qubits",
+            "50",
+            "--circuit",
+            "ghz",
+            "--engine",
+            "sparse",
+        ])
+        .unwrap_err();
         assert!(err.0.contains("sparse engine (max 40)"), "{}", err.0);
         // Auto on a non-Clifford wide circuit resolves dense → typed error.
         let err = run_cli(&["run", "--qubits", "30", "--engine", "auto"]).unwrap_err();
         assert!(err.0.contains("resolved to the dense engine"), "{}", err.0);
         // T gates are not Clifford: the tableau refuses with the gate index.
-        let err =
-            run_cli(&["run", "--qubits", "8", "--engine", "stabilizer"]).unwrap_err();
+        let err = run_cli(&["run", "--qubits", "8", "--engine", "stabilizer"]).unwrap_err();
         assert!(err.0.contains("run failed"), "{}", err.0);
         // Fault injection and transpilation are dense-path concepts.
         let err = run_cli(&[
-            "run", "--qubits", "8", "--circuit", "ghz", "--engine", "stabilizer",
-            "--faults", "seed=1",
+            "run",
+            "--qubits",
+            "8",
+            "--circuit",
+            "ghz",
+            "--engine",
+            "stabilizer",
+            "--faults",
+            "seed=1",
         ])
         .unwrap_err();
         assert!(err.0.contains("do not apply"), "{}", err.0);
@@ -1136,9 +1222,18 @@ mod tests {
     fn check_plans_proves_the_corpus_and_bites_on_fixtures() {
         let out = run_cli(&["check", "--plans"]).unwrap();
         assert!(out.contains("verified 216/216 corpus plans clean"), "{out}");
-        assert!(out.contains("broken fixture (tag collision) rejected"), "{out}");
-        assert!(out.contains("broken fixture (ring overrun) rejected"), "{out}");
-        assert!(out.contains("broken fixture (unrestored layout) rejected"), "{out}");
+        assert!(
+            out.contains("broken fixture (tag collision) rejected"),
+            "{out}"
+        );
+        assert!(
+            out.contains("broken fixture (ring overrun) rejected"),
+            "{out}"
+        );
+        assert!(
+            out.contains("broken fixture (unrestored layout) rejected"),
+            "{out}"
+        );
         assert!(out.contains("all broken fixtures rejected"), "{out}");
     }
 

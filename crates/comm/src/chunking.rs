@@ -103,7 +103,10 @@ const BASE_TAG_BOUND: u64 = 1 << 31;
 /// a valid [`chunk_tag`] base.
 const TAG_MOD: u64 = 1 << 30;
 
-const _: () = assert!(TAG_MOD <= BASE_TAG_BOUND, "reduced tags must be valid base tags");
+const _: () = assert!(
+    TAG_MOD <= BASE_TAG_BOUND,
+    "reduced tags must be valid base tags"
+);
 
 /// The exchange tag sequence a rank walks step by step. Every rank takes
 /// each communicating step's tags — spectators included — so partners
@@ -519,7 +522,16 @@ pub fn exchange_blocking(
     policy: ChunkPolicy,
 ) -> Result<()> {
     let mode = ExchangeMode::Blocking;
-    exchange(mode, comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
+    exchange(
+        mode,
+        comm,
+        peer,
+        base_tag,
+        send_buf,
+        recv_buf,
+        expected_recv,
+        policy,
+    )
 }
 
 /// [`exchange`] in [`ExchangeMode::NonBlocking`]: all sends and receives
@@ -534,7 +546,16 @@ pub fn exchange_nonblocking(
     policy: ChunkPolicy,
 ) -> Result<()> {
     let mode = ExchangeMode::NonBlocking;
-    exchange(mode, comm, peer, base_tag, send_buf, recv_buf, expected_recv, policy)
+    exchange(
+        mode,
+        comm,
+        peer,
+        base_tag,
+        send_buf,
+        recv_buf,
+        expected_recv,
+        policy,
+    )
 }
 
 #[cfg(test)]
@@ -559,7 +580,9 @@ mod tests {
 
     /// Byte ranges of every chunk of `total` bytes, in order.
     fn ranges(p: ChunkPolicy, total: usize) -> Vec<Range<usize>> {
-        (0..p.num_chunks(total)).map(|i| p.chunk_range(i, total).unwrap()).collect()
+        (0..p.num_chunks(total))
+            .map(|i| p.chunk_range(i, total).unwrap())
+            .collect()
     }
 
     #[test]
@@ -597,7 +620,10 @@ mod tests {
         // A cap smaller than the alignment is rounded *up* to one orbit.
         assert_eq!(p.aligned(128).max_message_bytes, 128);
         // Already aligned caps are untouched.
-        assert_eq!(ChunkPolicy::new(256).unwrap().aligned(64).max_message_bytes, 256);
+        assert_eq!(
+            ChunkPolicy::new(256).unwrap().aligned(64).max_message_bytes,
+            256
+        );
     }
 
     #[test]
@@ -653,7 +679,10 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for &base in &bases {
             for &idx in &idxs {
-                assert!(seen.insert(chunk_tag(base, idx)), "collision at ({base}, {idx})");
+                assert!(
+                    seen.insert(chunk_tag(base, idx)),
+                    "collision at ({base}, {idx})"
+                );
             }
         }
         assert_eq!(seen.len(), bases.len() * idxs.len());
@@ -709,7 +738,11 @@ mod tests {
         let table = [
             (
                 (3, 3),
-                ["S0 R0 S1 R1 S2 R2", "P0 P1 P2 S0 S1 S2 R0 R1 R2", "P0 P1 P2 S0 S1 S2 A A A"],
+                [
+                    "S0 R0 S1 R1 S2 R2",
+                    "P0 P1 P2 S0 S1 S2 R0 R1 R2",
+                    "P0 P1 P2 S0 S1 S2 A A A",
+                ],
             ),
             // One chunk, fewer than the ring depth.
             ((1, 1), ["S0 R0", "P0 S0 R0", "P0 S0 A"]),
@@ -758,8 +791,11 @@ mod tests {
         for (sends, recvs) in [(3, 3), (1, 1), (3, 0), (7, 4), (0, 0)] {
             for mode in MODES {
                 Universe::new(2).run(|c| {
-                    let (mine, theirs) =
-                        if c.rank() == 0 { (sends, recvs) } else { (recvs, sends) };
+                    let (mine, theirs) = if c.rank() == 0 {
+                        (sends, recvs)
+                    } else {
+                        (recvs, sends)
+                    };
                     let ex = ChunkedExchange {
                         peer: 1 - c.rank(),
                         base_tag: 6,
@@ -950,7 +986,10 @@ mod tests {
                 },
                 "{mode:?}"
             );
-            assert!(!consumed.contains(&(16..32)), "{mode:?}: short chunk consumed");
+            assert!(
+                !consumed.contains(&(16..32)),
+                "{mode:?}: short chunk consumed"
+            );
         }
     }
 
@@ -1010,12 +1049,10 @@ mod tests {
             let universe = Universe::with_faults(2, delay_jitter(seed)).unwrap();
             let orders = universe.run(|c| {
                 let peer = 1 - c.rank();
-                let send: Vec<u8> =
-                    (0..total).map(|i| (i * 3 + c.rank() * 17) as u8).collect();
+                let send: Vec<u8> = (0..total).map(|i| (i * 3 + c.rank() * 17) as u8).collect();
                 let (order, assembled) =
                     drive_recording(c, ExchangeMode::Streamed, PackOrder::Lazy, &send, policy);
-                let expected: Vec<u8> =
-                    (0..total).map(|i| (i * 3 + peer * 17) as u8).collect();
+                let expected: Vec<u8> = (0..total).map(|i| (i * 3 + peer * 17) as u8).collect();
                 assert_eq!(assembled, expected, "seed {seed} reassembly broke");
                 order
             });
@@ -1028,7 +1065,10 @@ mod tests {
                 }
             }
         }
-        assert!(saw_reorder, "delay jitter never reordered a chunk on any seed");
+        assert!(
+            saw_reorder,
+            "delay jitter never reordered a chunk on any seed"
+        );
     }
 
     #[test]
@@ -1042,8 +1082,7 @@ mod tests {
                     Universe::with_faults(2, crate::FaultConfig::recoverable(seed)).unwrap();
                 let out = universe.run(|c| {
                     let peer = 1 - c.rank();
-                    let send: Vec<u8> =
-                        (0..500).map(|i| (i * 7 + c.rank()) as u8).collect();
+                    let send: Vec<u8> = (0..500).map(|i| (i * 7 + c.rank()) as u8).collect();
                     let mut recv = Vec::new();
                     let policy = ChunkPolicy::new(64).unwrap();
                     exchange(mode, c, peer, 2, &send, &mut recv, 500, policy).unwrap();
@@ -1053,8 +1092,7 @@ mod tests {
                 let mut injected_total = 0;
                 for (rank, (recv, injected)) in out.into_iter().enumerate() {
                     let peer = 1 - rank;
-                    let expected: Vec<u8> =
-                        (0..500).map(|i| (i * 7 + peer) as u8).collect();
+                    let expected: Vec<u8> = (0..500).map(|i| (i * 7 + peer) as u8).collect();
                     assert_eq!(recv, expected, "mode {mode:?} seed {seed} rank {rank}");
                     injected_total += injected;
                 }

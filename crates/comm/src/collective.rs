@@ -85,7 +85,11 @@ mod tests {
     #[test]
     fn broadcast_reaches_all_ranks() {
         let out = Universe::new(4).run(|c| {
-            let payload = if c.rank() == 2 { b"hello".to_vec() } else { vec![] };
+            let payload = if c.rank() == 2 {
+                b"hello".to_vec()
+            } else {
+                vec![]
+            };
             broadcast(c, 2, &payload).unwrap().to_vec()
         });
         for p in out {
@@ -122,11 +126,14 @@ mod tests {
         // layer; under a recoverable plan every rank must still see the
         // exact fault-free reduction results.
         for seed in [3u64, 14, 159] {
-            let universe =
-                Universe::with_faults(4, crate::FaultConfig::recoverable(seed)).unwrap();
+            let universe = Universe::with_faults(4, crate::FaultConfig::recoverable(seed)).unwrap();
             let out = universe.run(|c| {
                 let sums = allreduce_sum_f64(c, &[c.rank() as f64, 1.0]).unwrap();
-                let payload = if c.rank() == 1 { b"cfg".to_vec() } else { vec![] };
+                let payload = if c.rank() == 1 {
+                    b"cfg".to_vec()
+                } else {
+                    vec![]
+                };
                 let config = broadcast(c, 1, &payload).unwrap().to_vec();
                 let parts = gather(c, 0, Bytes::from(vec![c.rank() as u8 * 5])).unwrap();
                 let parts = parts.map(|p| p.iter().map(|b| b.to_vec()).collect::<Vec<_>>());

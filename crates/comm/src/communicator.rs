@@ -7,8 +7,8 @@ use crate::message::{checksum64, Envelope};
 use crate::nonblocking::Request;
 use crate::stats::{SharedCounters, TrafficStats};
 use crate::Result;
-use qse_util::Bytes;
 use qse_util::mailbox::{deadline_after, Receiver, RecvTimeoutError, Sender};
+use qse_util::Bytes;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,7 +56,7 @@ impl Communicator {
         rx: Receiver<Envelope>,
         fail_stop: Arc<FailStop>,
         counters: SharedCounters,
-            recv_timeout: Duration,
+        recv_timeout: Duration,
         lane: Option<FaultLane>,
     ) -> Self {
         Communicator {
@@ -67,7 +67,7 @@ impl Communicator {
             pending: VecDeque::new(),
             fail_stop,
             counters,
-                recv_timeout,
+            recv_timeout,
             lane,
         }
     }
@@ -235,7 +235,10 @@ impl Communicator {
         // so the per-rank stream stays in program order.
         self.fault_recv_entry(src)?;
         // First consult the unexpected-message queue.
-        let pos = self.pending.iter().position(|e| e.src == src && e.tag == tag);
+        let pos = self
+            .pending
+            .iter()
+            .position(|e| e.src == src && e.tag == tag);
         if let Some(env) = pos.and_then(|pos| self.pending.remove(pos)) {
             self.counters.record_recv(env.len());
             return Ok(env.payload);
@@ -462,7 +465,9 @@ impl Communicator {
     /// Returns `CommError::InvalidConfig` for an empty request set.
     pub fn wait_any(&mut self, requests: &[Request]) -> Result<(usize, Bytes)> {
         if requests.is_empty() {
-            return Err(CommError::InvalidConfig("wait_any needs at least one request"));
+            return Err(CommError::InvalidConfig(
+                "wait_any needs at least one request",
+            ));
         }
         if let Some(i) = requests.iter().position(|r| r.is_send()) {
             return Ok((i, Bytes::new()));
@@ -483,9 +488,12 @@ impl Communicator {
         self.fault_recv_entry(src)?;
         // Oldest buffered arrival matching any request wins, mirroring
         // completion order on a real network.
-        if let Some((pos, idx)) = self.pending.iter().enumerate().find_map(|(pos, env)| {
-            Self::match_request(requests, env).map(|idx| (pos, idx))
-        }) {
+        if let Some((pos, idx)) = self
+            .pending
+            .iter()
+            .enumerate()
+            .find_map(|(pos, env)| Self::match_request(requests, env).map(|idx| (pos, idx)))
+        {
             let env = self.pending.remove(pos).ok_or(CommError::InvalidConfig(
                 "pending queue changed underfoot", // unreachable: single-threaded access
             ))?;
@@ -497,9 +505,9 @@ impl Communicator {
 
     /// Index of the first request in `requests` matching `env`, if any.
     fn match_request(requests: &[Request], env: &Envelope) -> Option<usize> {
-        requests
-            .iter()
-            .position(|r| matches!(r, Request::Recv { src, tag } if *src == env.src && *tag == env.tag))
+        requests.iter().position(
+            |r| matches!(r, Request::Recv { src, tag } if *src == env.src && *tag == env.tag),
+        )
     }
 
     /// Synchronises all ranks: returns once every rank has arrived, or as
@@ -626,7 +634,9 @@ mod tests {
             }
         });
         match &out[0] {
-            CommError::RecvTimeout { src: 1, tag: 99, .. } => {}
+            CommError::RecvTimeout {
+                src: 1, tag: 99, ..
+            } => {}
             other => panic!("expected a timeout naming (1, 99), got {other:?}"),
         }
     }
@@ -655,8 +665,7 @@ mod tests {
                     c.send(1, tag, &[tag as u8]).unwrap();
                 }
             } else {
-                let mut reqs: Vec<_> =
-                    (0..3u64).map(|t| c.irecv(0, t).unwrap()).collect();
+                let mut reqs: Vec<_> = (0..3u64).map(|t| c.irecv(0, t).unwrap()).collect();
                 let mut tags_seen = Vec::new();
                 while !reqs.is_empty() {
                     let (i, payload) = c.wait_any(&reqs).unwrap();
@@ -675,10 +684,7 @@ mod tests {
             let err = c.wait_any(&[]).unwrap_err();
             assert!(matches!(err, CommError::InvalidConfig(_)));
             let peer = 1 - c.rank();
-            let reqs = vec![
-                c.irecv(peer, 7).unwrap(),
-                c.isend(peer, 7, &[9]).unwrap(),
-            ];
+            let reqs = vec![c.irecv(peer, 7).unwrap(), c.isend(peer, 7, &[9]).unwrap()];
             // The eager send is already complete: index 1, empty payload.
             let (i, payload) = c.wait_any(&reqs).unwrap();
             assert_eq!(i, 1);
@@ -839,8 +845,14 @@ mod fault_tests {
     pub(crate) fn assert_fail_stop(errs: &[CommError], own: impl Fn(usize, &CommError) -> bool) {
         for (rank, err) in errs.iter().enumerate() {
             match err {
-                CommError::Aborted { by, cause: Some(cause) } => {
-                    assert_eq!(&errs[*by], &**cause, "rank {rank}: cause is rank {by}'s error");
+                CommError::Aborted {
+                    by,
+                    cause: Some(cause),
+                } => {
+                    assert_eq!(
+                        &errs[*by], &**cause,
+                        "rank {rank}: cause is rank {by}'s error"
+                    );
                     assert!(own(*by, cause), "rank {by}: unexpected error {cause:?}");
                 }
                 other => assert!(own(rank, other), "rank {rank}: unexpected error {other:?}"),
@@ -850,12 +862,13 @@ mod fault_tests {
 
     #[test]
     fn permanent_corruption_surfaces_a_typed_error() {
-        let errs = Universe::with_timeout_and_faults(2, ROOMY, FaultConfig::permanent_corruption(3))
-            .unwrap()
-            .run(|c| {
-                let peer = 1 - c.rank();
-                c.sendrecv(peer, 9, &[1u8; 128], peer, 9).unwrap_err()
-            });
+        let errs =
+            Universe::with_timeout_and_faults(2, ROOMY, FaultConfig::permanent_corruption(3))
+                .unwrap()
+                .run(|c| {
+                    let peer = 1 - c.rank();
+                    c.sendrecv(peer, 9, &[1u8; 128], peer, 9).unwrap_err()
+                });
         // Past the retry budget, from the peer, on the exchanged tag.
         assert_fail_stop(&errs, |rank, err| {
             matches!(err, CommError::Corrupt { src, tag: 9, discarded }
@@ -871,9 +884,10 @@ mod fault_tests {
                 let peer = 1 - c.rank();
                 c.send(peer, 0, &[0u8; 16]).unwrap_err()
             });
-        assert_fail_stop(&errs, |_, err| {
-            matches!(err, CommError::Transient { op: FaultOp::Send, attempts, .. } if *attempts > 2)
-        });
+        assert_fail_stop(
+            &errs,
+            |_, err| matches!(err, CommError::Transient { op: FaultOp::Send, attempts, .. } if *attempts > 2),
+        );
     }
 
     #[test]
@@ -949,7 +963,9 @@ mod fault_tests {
             .run(|c| {
                 let peer = 1 - c.rank();
                 for round in 0..4u64 {
-                    let got = c.sendrecv(peer, round, &[round as u8], peer, round).unwrap();
+                    let got = c
+                        .sendrecv(peer, round, &[round as u8], peer, round)
+                        .unwrap();
                     assert_eq!(got[0], round as u8);
                 }
                 c.barrier();
@@ -1052,7 +1068,9 @@ mod failstop_tests {
             }));
             let _ = done.send((caught.err(), seen.into_inner().unwrap()));
         });
-        let (payload, seen) = finished.recv_timeout(BOUND).expect("the barrier never released");
+        let (payload, seen) = finished
+            .recv_timeout(BOUND)
+            .expect("the barrier never released");
         let payload = payload.expect("the panic must reach the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 0 gave up"));
         assert_eq!(seen, Some(Err(CommError::Aborted { by: 0, cause: None })));
@@ -1093,8 +1111,10 @@ mod failstop_tests {
         fn wait_channel(&self, chan: u64) -> bool {
             let notified = self.notified.lock().unwrap();
             let slice = Duration::from_millis(25);
-            let (mut notified, _) =
-                self.wake.wait_timeout_while(notified, slice, |n| !n.contains(&chan)).unwrap();
+            let (mut notified, _) = self
+                .wake
+                .wait_timeout_while(notified, slice, |n| !n.contains(&chan))
+                .unwrap();
             notified.remove(&chan)
         }
 
@@ -1145,7 +1165,10 @@ mod failstop_tests {
 
     fn assert_aborted_by_corrupt(out: &Result<()>) {
         match out {
-            Err(CommError::Aborted { by: 0, cause: Some(cause) }) if is_corrupt_from_1(cause) => {}
+            Err(CommError::Aborted {
+                by: 0,
+                cause: Some(cause),
+            }) if is_corrupt_from_1(cause) => {}
             other => panic!("rank 1: expected Aborted by 0 with Corrupt, got {other:?}"),
         }
     }
@@ -1171,9 +1194,15 @@ mod failstop_tests {
         let mut comms = Universe::with_timeout(2, Duration::from_millis(10)).into_communicators();
         let mut failed = comms.pop().unwrap();
         let cause = failed.recv(0, 5).unwrap_err();
-        assert!(matches!(cause, CommError::RecvTimeout { src: 0, tag: 5, .. }));
+        assert!(matches!(
+            cause,
+            CommError::RecvTimeout { src: 0, tag: 5, .. }
+        ));
         drop(failed);
-        let aborted = CommError::Aborted { by: 1, cause: Some(Box::new(cause)) };
+        let aborted = CommError::Aborted {
+            by: 1,
+            cause: Some(Box::new(cause)),
+        };
         assert_eq!(comms[0].send(1, 5, b"late"), Err(aborted));
 
         // Rank 1 panics; its communicator drops while it unwinds.
@@ -1190,7 +1219,10 @@ mod failstop_tests {
         // A peer that returned normally is a protocol bug, not a failure.
         let mut comms = Universe::new(2).into_communicators();
         drop(comms.pop());
-        assert_eq!(comms[0].send(1, 5, b"late"), Err(CommError::Disconnected { peer: 1 }));
+        assert_eq!(
+            comms[0].send(1, 5, b"late"),
+            Err(CommError::Disconnected { peer: 1 })
+        );
     }
 
     /// A rank program and, for each rank it leaves stuck, the `(peer,
@@ -1225,14 +1257,26 @@ mod failstop_tests {
                 name: "one-sided receive",
                 ranks: 2,
                 faults: false,
-                program: |c| if c.rank() == 1 { c.recv(0, 7).map(|_| ()) } else { Ok(()) },
+                program: |c| {
+                    if c.rank() == 1 {
+                        c.recv(0, 7).map(|_| ())
+                    } else {
+                        Ok(())
+                    }
+                },
                 awaits: &[(1, (0, 7))],
             },
             Stuck {
                 name: "one-sided receive under a fault lane",
                 ranks: 2,
                 faults: true,
-                program: |c| if c.rank() == 1 { c.recv(0, 7).map(|_| ()) } else { Ok(()) },
+                program: |c| {
+                    if c.rank() == 1 {
+                        c.recv(0, 7).map(|_| ())
+                    } else {
+                        Ok(())
+                    }
+                },
                 awaits: &[(1, (0, 7))],
             },
             Stuck {
@@ -1271,13 +1315,22 @@ mod failstop_tests {
         for shape in &shapes {
             let t0 = Instant::now();
             let universe = if shape.faults {
-                Universe::with_timeout_and_faults(shape.ranks, deadline, FaultConfig::recoverable(4))
-                    .unwrap()
+                Universe::with_timeout_and_faults(
+                    shape.ranks,
+                    deadline,
+                    FaultConfig::recoverable(4),
+                )
+                .unwrap()
             } else {
                 Universe::with_timeout(shape.ranks, deadline)
             };
             let out = universe.run(shape.program);
-            assert!(t0.elapsed() < BOUND, "{}: took {:?}", shape.name, t0.elapsed());
+            assert!(
+                t0.elapsed() < BOUND,
+                "{}: took {:?}",
+                shape.name,
+                t0.elapsed()
+            );
             let awaited = |rank: usize| shape.awaits.iter().find(|(r, _)| *r == rank).map(|a| a.1);
             let timed_out = |rank: usize, err: &CommError| {
                 matches!((err, awaited(rank)), (CommError::RecvTimeout { src, tag, .. }, Some(a))
@@ -1286,9 +1339,13 @@ mod failstop_tests {
             for (rank, res) in out.iter().enumerate() {
                 let ok = match (res, awaited(rank)) {
                     (Ok(()), None) => true,
-                    (Err(CommError::Aborted { by, cause: Some(cause) }), Some(_)) => {
-                        timed_out(*by, cause) && out[*by].as_ref().err() == Some(&**cause)
-                    }
+                    (
+                        Err(CommError::Aborted {
+                            by,
+                            cause: Some(cause),
+                        }),
+                        Some(_),
+                    ) => timed_out(*by, cause) && out[*by].as_ref().err() == Some(&**cause),
                     (Err(err), Some(_)) => timed_out(rank, err),
                     _ => false,
                 };

@@ -208,7 +208,11 @@ mod tests {
         assert!(e.to_string().contains("zero chunk"));
         let e = CommError::Aborted {
             by: 3,
-            cause: Some(Box::new(CommError::Corrupt { src: 2, tag: 7, discarded: 4 })),
+            cause: Some(Box::new(CommError::Corrupt {
+                src: 2,
+                tag: 7,
+                discarded: 4,
+            })),
         };
         let text = e.to_string();
         assert!(text.contains("aborted by rank 3"));

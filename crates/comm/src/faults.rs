@@ -160,7 +160,12 @@ impl FaultConfig {
 
     /// Checks the probabilities are sane; used by [`FaultPlan::new`].
     pub fn validate(&self) -> Result<()> {
-        for p in [self.p_delay, self.p_corrupt, self.p_send_fail, self.p_recv_fail] {
+        for p in [
+            self.p_delay,
+            self.p_corrupt,
+            self.p_send_fail,
+            self.p_recv_fail,
+        ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(CommError::InvalidConfig(
                     "fault probabilities must lie in [0, 1]",
@@ -362,7 +367,8 @@ impl FaultLane {
         let op = self.send_ops;
         self.send_ops += 1;
         let mut injected = 0;
-        let transient_attempts = self.draw_burst(self.config.p_send_fail, self.config.max_fail_burst);
+        let transient_attempts =
+            self.draw_burst(self.config.p_send_fail, self.config.max_fail_burst);
         if transient_attempts > 0 {
             injected += 1;
         }
@@ -424,10 +430,7 @@ impl FaultLane {
 
     /// Releases the first held envelope whose delay has elapsed, if any.
     pub fn pop_due(&mut self) -> Option<Envelope> {
-        let i = self
-            .held
-            .iter()
-            .position(|h| h.release_tick <= self.now)?;
+        let i = self.held.iter().position(|h| h.release_tick <= self.now)?;
         Some(self.held.swap_remove(i).env)
     }
 
@@ -556,7 +559,11 @@ mod tests {
         let mut lane = FaultPlan::new(FaultConfig::recoverable(5)).unwrap().lane(0);
         assert_eq!(lane.note_corrupt_discard(1, 7), 1);
         assert_eq!(lane.note_corrupt_discard(1, 7), 2);
-        assert_eq!(lane.note_corrupt_discard(2, 7), 1, "different src is separate");
+        assert_eq!(
+            lane.note_corrupt_discard(2, 7),
+            1,
+            "different src is separate"
+        );
         lane.note_valid_delivery(1, 7);
         assert_eq!(lane.note_corrupt_discard(1, 7), 1, "valid delivery resets");
     }
@@ -579,17 +586,17 @@ mod tests {
     fn parse_spec_roundtrips_and_rejects_junk() {
         let cfg = FaultConfig::parse_spec("seed=17").unwrap();
         assert_eq!(cfg, FaultConfig::recoverable(17));
-        let cfg =
-            FaultConfig::parse_spec("seed=3, delay=0.5, corrupt=0.0, budget=5, fail_burst=4")
-                .unwrap();
+        let cfg = FaultConfig::parse_spec("seed=3, delay=0.5, corrupt=0.0, budget=5, fail_burst=4")
+            .unwrap();
         assert_eq!(cfg.seed, 3);
         assert_eq!(cfg.p_delay, 0.5);
         assert_eq!(cfg.p_corrupt, 0.0);
         assert_eq!(cfg.retry_budget, 5);
         assert_eq!(cfg.max_fail_burst, 4);
         assert!(cfg.is_recoverable());
-        let cfg = FaultConfig::parse_spec("seed=1,stall_rank=2,stall_from=4,stall_len=8,stall_slices=3")
-            .unwrap();
+        let cfg =
+            FaultConfig::parse_spec("seed=1,stall_rank=2,stall_from=4,stall_len=8,stall_slices=3")
+                .unwrap();
         assert_eq!(cfg.stall_rank, Some(2));
         assert_eq!(cfg.stall_window, (4, 12));
         assert_eq!(cfg.stall_extra_slices, 3);
@@ -597,7 +604,10 @@ mod tests {
         let cfg = FaultConfig::parse_spec("seed=1,stall_rank=0").unwrap();
         assert_eq!(cfg.stall_window, (0, u64::MAX));
         assert!(cfg.stall_extra_slices >= 1);
-        assert!(FaultConfig::parse_spec("delay=0.5").is_err(), "seed required");
+        assert!(
+            FaultConfig::parse_spec("delay=0.5").is_err(),
+            "seed required"
+        );
         assert!(FaultConfig::parse_spec("seed=x").is_err());
         assert!(FaultConfig::parse_spec("seed=1,bogus=2").is_err());
         assert!(FaultConfig::parse_spec("seed=1,delay=7").is_err(), "p > 1");

@@ -158,7 +158,9 @@ impl TrafficStats {
 
     /// Aggregates a collection of per-rank snapshots.
     pub fn total(stats: &[TrafficStats]) -> TrafficStats {
-        stats.iter().fold(TrafficStats::default(), |a, &b| a.merge(b))
+        stats
+            .iter()
+            .fold(TrafficStats::default(), |a, &b| a.merge(b))
     }
 }
 

@@ -224,10 +224,14 @@ impl ThreadClusterExecutor {
 /// `Aborted` itself when its rank panicked). `None` when no rank failed.
 fn originating_error<T>(per_rank: &[Result<T, CommError>]) -> Option<CommError> {
     let mut errors = per_rank.iter().filter_map(|r| r.as_ref().err());
-    let origin = errors.clone().find(|e| !matches!(e, CommError::Aborted { .. }));
+    let origin = errors
+        .clone()
+        .find(|e| !matches!(e, CommError::Aborted { .. }));
     let first = origin.or_else(|| errors.next())?;
     Some(match first {
-        CommError::Aborted { cause: Some(cause), .. } => (**cause).clone(),
+        CommError::Aborted {
+            cause: Some(cause), ..
+        } => (**cause).clone(),
         other => other.clone(),
     })
 }
@@ -529,16 +533,17 @@ mod tests {
         let mut cfg = SimConfig::default_for(4);
         cfg.faults = Some(qse_comm::FaultConfig::recoverable(99));
         let faulted = ThreadClusterExecutor::try_run(&c, &cfg, 3, true).unwrap();
-        assert_bits_equal(
-            &faulted.state.unwrap(),
-            &clean.state.unwrap(),
-        );
+        assert_bits_equal(&faulted.state.unwrap(), &clean.state.unwrap());
         assert!(faulted.profiled.faults_injected > 0, "plan never fired");
     }
 
     #[test]
     fn the_originating_error_is_reported_whatever_rank_raised_it() {
-        let corrupt = CommError::Corrupt { src: 1, tag: 9, discarded: 3 };
+        let corrupt = CommError::Corrupt {
+            src: 1,
+            tag: 9,
+            discarded: 3,
+        };
         let aborted = |cause: Option<&CommError>| CommError::Aborted {
             by: 2,
             cause: cause.map(|c| Box::new(c.clone())),
@@ -549,7 +554,10 @@ mod tests {
                 vec![Err(aborted(Some(&corrupt))), Ok(()), Err(corrupt.clone())],
                 Some(corrupt.clone()),
             ),
-            (vec![Ok(()), Err(aborted(Some(&corrupt)))], Some(corrupt.clone())),
+            (
+                vec![Ok(()), Err(aborted(Some(&corrupt)))],
+                Some(corrupt.clone()),
+            ),
             (vec![Err(aborted(None))], Some(aborted(None))),
         ];
         for (per_rank, want) in runs {
@@ -594,7 +602,10 @@ mod tests {
         let c = qft(8);
         let mut want = ReferenceState::basis_state(8, 5);
         want.run(&c);
-        for mode in [crate::config::TranspileMode::Greedy, crate::config::TranspileMode::Beam] {
+        for mode in [
+            crate::config::TranspileMode::Greedy,
+            crate::config::TranspileMode::Beam,
+        ] {
             let mut cfg = SimConfig::default_for(4);
             cfg.transpile = mode;
             let run = ThreadClusterExecutor::run(&c, &cfg, 5, true);
@@ -610,7 +621,10 @@ mod tests {
         let c = qft(12);
         let off = ThreadClusterExecutor::run(&c, &SimConfig::default_for(4), 0, false);
         assert!(off.profiled.bytes_exchanged > 0);
-        for mode in [crate::config::TranspileMode::Greedy, crate::config::TranspileMode::Beam] {
+        for mode in [
+            crate::config::TranspileMode::Greedy,
+            crate::config::TranspileMode::Beam,
+        ] {
             let mut cfg = SimConfig::default_for(4);
             cfg.transpile = mode;
             let on = ThreadClusterExecutor::run(&c, &cfg, 0, false);
@@ -661,11 +675,13 @@ mod tests {
             let mut cfg = SimConfig::default_for(4);
             cfg.transpile = mode;
             let plan = ThreadClusterExecutor::prepare(&c, &cfg).expect("prepare");
-            assert_eq!(plan.is_some(), !matches!(mode, crate::config::TranspileMode::Off));
+            assert_eq!(
+                plan.is_some(),
+                !matches!(mode, crate::config::TranspileMode::Off)
+            );
             let cold = ThreadClusterExecutor::try_run(&c, &cfg, 9, true).unwrap();
             let warm =
-                ThreadClusterExecutor::try_run_prepared(&c, &cfg, 9, true, plan.as_ref())
-                    .unwrap();
+                ThreadClusterExecutor::try_run_prepared(&c, &cfg, 9, true, plan.as_ref()).unwrap();
             assert_bits_equal(&warm.state.unwrap(), &cold.state.unwrap());
             assert_eq!(warm.profiled.gate_count, cold.profiled.gate_count);
         }
@@ -676,12 +692,9 @@ mod tests {
         let mut c = Circuit::new(4);
         c.h(0).cnot(0, 3);
         let plan = qse_check::verify::broken_fixture_unrestored_layout();
-        let err = ThreadClusterExecutor::verify_plan_checked(
-            &c,
-            &SimConfig::default_for(4),
-            Some(&plan),
-        )
-        .expect_err("broken plan must be rejected");
+        let err =
+            ThreadClusterExecutor::verify_plan_checked(&c, &SimConfig::default_for(4), Some(&plan))
+                .expect_err("broken plan must be rejected");
         assert!(matches!(err, CommError::PlanRejected { .. }));
     }
 
@@ -709,21 +722,23 @@ mod tests {
         assert_eq!(auto.engine, qse_circuit::classify::EngineChoice::Stabilizer);
         assert_eq!(auto.profiled.engine, "stabilizer");
         assert!(matches!(auto.state, EngineState::Tableau(_)));
-        let dense =
-            EngineExecutor::run(&c, &engine_cfg(crate::config::EngineMode::Dense), 0, true)
-                .expect("dense run");
+        let dense = EngineExecutor::run(&c, &engine_cfg(crate::config::EngineMode::Dense), 0, true)
+            .expect("dense run");
         assert_eq!(dense.profiled.engine, "dense");
-        let h_auto = auto.sample_counts(&mut StdRng::seed_from_u64(7), 4000).unwrap();
-        let h_dense = dense.sample_counts(&mut StdRng::seed_from_u64(7), 4000).unwrap();
+        let h_auto = auto
+            .sample_counts(&mut StdRng::seed_from_u64(7), 4000)
+            .unwrap();
+        let h_dense = dense
+            .sample_counts(&mut StdRng::seed_from_u64(7), 4000)
+            .unwrap();
         assert_eq!(h_auto, h_dense);
     }
 
     #[test]
     fn forced_sparse_matches_dense_on_a_generic_circuit() {
         let c = random_circuit(6, 60, GatePool::Full, 21);
-        let dense =
-            EngineExecutor::run(&c, &engine_cfg(crate::config::EngineMode::Dense), 3, true)
-                .expect("dense run");
+        let dense = EngineExecutor::run(&c, &engine_cfg(crate::config::EngineMode::Dense), 3, true)
+            .expect("dense run");
         let sparse =
             EngineExecutor::run(&c, &engine_cfg(crate::config::EngineMode::Sparse), 3, true)
                 .expect("sparse run");
@@ -749,11 +764,19 @@ mod tests {
             true,
         )
         .expect("stabilizer run");
-        let dense =
-            EngineExecutor::run(&c, &engine_cfg(crate::config::EngineMode::Dense), basis, true)
-                .expect("dense run");
-        let h_stab = stab.sample_counts(&mut StdRng::seed_from_u64(3), 4000).unwrap();
-        let h_dense = dense.sample_counts(&mut StdRng::seed_from_u64(3), 4000).unwrap();
+        let dense = EngineExecutor::run(
+            &c,
+            &engine_cfg(crate::config::EngineMode::Dense),
+            basis,
+            true,
+        )
+        .expect("dense run");
+        let h_stab = stab
+            .sample_counts(&mut StdRng::seed_from_u64(3), 4000)
+            .unwrap();
+        let h_dense = dense
+            .sample_counts(&mut StdRng::seed_from_u64(3), 4000)
+            .unwrap();
         assert_eq!(h_stab, h_dense);
     }
 

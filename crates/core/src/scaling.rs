@@ -13,11 +13,7 @@ pub fn nodes_for(machine: &Machine, kind: NodeKind, n_qubits: u32) -> Option<u64
 
 /// Same, under the half-exchange buffer regime (§4: the route to 45
 /// qubits on ARCHER2).
-pub fn nodes_for_half_buffers(
-    machine: &Machine,
-    kind: NodeKind,
-    n_qubits: u32,
-) -> Option<u64> {
+pub fn nodes_for_half_buffers(machine: &Machine, kind: NodeKind, n_qubits: u32) -> Option<u64> {
     min_nodes(n_qubits, machine.node(kind), BufferRegime::Half)
 }
 
@@ -64,6 +60,9 @@ mod tests {
     fn half_buffers_unlock_45_qubits() {
         let m = archer2();
         assert_eq!(nodes_for(&m, NodeKind::Standard, 45), None);
-        assert_eq!(nodes_for_half_buffers(&m, NodeKind::Standard, 45), Some(4096));
+        assert_eq!(
+            nodes_for_half_buffers(&m, NodeKind::Standard, 45),
+            Some(4096)
+        );
     }
 }

@@ -24,7 +24,9 @@ use qse_util::rng::Rng;
 fn assert_traffic_exact(machine: &Machine, circuit: &Circuit, ranks: u64, half: bool) {
     let mut cfg = SimConfig::default_for(ranks);
     cfg.half_exchange_swaps = half;
-    let measured = ThreadClusterExecutor::run(circuit, &cfg, 0, false).profiled.bytes_sent;
+    let measured = ThreadClusterExecutor::run(circuit, &cfg, 0, false)
+        .profiled
+        .bytes_sent;
     let at = format!("n={} R={ranks} half={half}", circuit.n_qubits());
     let layout = Layout::new(circuit.n_qubits(), ranks);
     let traffic = circuit_traffic(circuit, &layout, half).unwrap();
@@ -84,8 +86,10 @@ fn model_and_measurement_agree_on_locality_ordering() {
     // Measure with a couple of retries to ride out scheduler noise.
     let mut agreed = false;
     for _ in 0..3 {
-        let run_local = ThreadClusterExecutor::run(&local_c, &SimConfig::default_for(ranks), 0, false);
-        let run_dist = ThreadClusterExecutor::run(&dist_c, &SimConfig::default_for(ranks), 0, false);
+        let run_local =
+            ThreadClusterExecutor::run(&local_c, &SimConfig::default_for(ranks), 0, false);
+        let run_dist =
+            ThreadClusterExecutor::run(&dist_c, &SimConfig::default_for(ranks), 0, false);
         if run_dist.profiled.wall_s > run_local.profiled.wall_s {
             agreed = true;
             break;

@@ -67,8 +67,14 @@ fn clifford_histograms_are_bitwise_identical_across_engines() {
                 .sample_counts(&mut rng, SHOTS)
                 .expect("stabilizer sampling");
 
-            assert_eq!(dense, sparse, "n={n} seed={seed}: sparse histogram diverged");
-            assert_eq!(dense, stab, "n={n} seed={seed}: stabilizer histogram diverged");
+            assert_eq!(
+                dense, sparse,
+                "n={n} seed={seed}: sparse histogram diverged"
+            );
+            assert_eq!(
+                dense, stab,
+                "n={n} seed={seed}: stabilizer histogram diverged"
+            );
             assert_eq!(dense.values().sum::<usize>(), SHOTS);
         }
     }
@@ -92,14 +98,9 @@ fn sparse_matches_dense_across_rank_counts() {
         assert_slices_close(&sparse, &single, 1e-9);
 
         for ranks in [1u64, 2, 4] {
-            let run =
-                ThreadClusterExecutor::try_run(&c, &SimConfig::default_for(ranks), 0, true)
-                    .expect("cluster run");
-            assert_slices_close(
-                &sparse,
-                &run.state.expect("gathered"),
-                1e-9,
-            );
+            let run = ThreadClusterExecutor::try_run(&c, &SimConfig::default_for(ranks), 0, true)
+                .expect("cluster run");
+            assert_slices_close(&sparse, &run.state.expect("gathered"), 1e-9);
         }
     }
 }
@@ -111,11 +112,9 @@ fn sparse_matches_dense_across_rank_counts() {
 /// One auto-vs-dense comparison: both runs must produce the identical
 /// fixed-seed histogram, and auto must have resolved to `expect`.
 fn assert_auto_invariant(c: &Circuit, expect: EngineChoice, shot_seed: u64) {
-    let auto = EngineExecutor::run(c, &engine_cfg(EngineMode::Auto), 0, true)
-        .expect("auto run");
+    let auto = EngineExecutor::run(c, &engine_cfg(EngineMode::Auto), 0, true).expect("auto run");
     assert_eq!(auto.engine, expect, "auto resolved unexpectedly");
-    let dense = EngineExecutor::run(c, &engine_cfg(EngineMode::Dense), 0, true)
-        .expect("dense run");
+    let dense = EngineExecutor::run(c, &engine_cfg(EngineMode::Dense), 0, true).expect("dense run");
     let mut rng = StdRng::seed_from_u64(shot_seed);
     let h_auto = auto.sample_counts(&mut rng, 2000).expect("auto sampling");
     let mut rng = StdRng::seed_from_u64(shot_seed);

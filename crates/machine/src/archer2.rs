@@ -133,6 +133,9 @@ mod tests {
         let blocking = bytes / m.network.exchange_bw_blocking + 0.75;
         let nonblocking = bytes / m.network.exchange_bw_nonblocking + 0.75;
         assert!((blocking - 9.63).abs() < 0.3, "blocking {blocking}");
-        assert!((nonblocking - 8.82).abs() < 0.3, "nonblocking {nonblocking}");
+        assert!(
+            (nonblocking - 8.82).abs() < 0.3,
+            "nonblocking {nonblocking}"
+        );
     }
 }

@@ -131,11 +131,11 @@ impl ExchangeOracle for ModelOracle<'_> {
             .machine
             .network
             .exchange_time_s(traffic.max_rank_bytes, self.config.comm_mode);
-        let node_j = self.machine.power.node_energy_j(
-            Phase::Comm,
-            self.config.frequency,
-            seconds,
-        ) * self.config.n_nodes as f64;
+        let node_j = self
+            .machine
+            .power
+            .node_energy_j(Phase::Comm, self.config.frequency, seconds)
+            * self.config.n_nodes as f64;
         let switch_j = self
             .machine
             .network
@@ -218,11 +218,12 @@ mod tests {
             total_bytes: 1 << 28,
             max_rank_bytes: 1 << 26,
         };
-        let blocking =
-            ModelOracle::new(&machine, ModelConfig::default_for(4)).exchange(traffic);
-        let fast =
-            ModelOracle::new(&machine, ModelConfig::fast_for(4)).exchange(traffic);
-        assert!(fast.seconds < blocking.seconds, "calibrated bandwidths differ");
+        let blocking = ModelOracle::new(&machine, ModelConfig::default_for(4)).exchange(traffic);
+        let fast = ModelOracle::new(&machine, ModelConfig::fast_for(4)).exchange(traffic);
+        assert!(
+            fast.seconds < blocking.seconds,
+            "calibrated bandwidths differ"
+        );
         assert_eq!(fast.bytes, blocking.bytes, "bytes are mode-independent");
     }
 }

@@ -31,7 +31,11 @@ mod tests {
 
     #[test]
     fn scales_with_nodes_and_time() {
-        assert_close(cu_cost(4096, 476.0, NodeKind::Standard), 4096.0 * 476.0 / 3600.0, 1e-9);
+        assert_close(
+            cu_cost(4096, 476.0, NodeKind::Standard),
+            4096.0 * 476.0 / 3600.0,
+            1e-9,
+        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Job-level energy accounting — the model's stand-in for SLURM's
 //! per-node power counters plus the paper's switch estimate (§2.4).
 
-
 /// Energy totals for one modelled job.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {

@@ -12,7 +12,6 @@
 //!   which yields the paper's "+25 % energy for 5–10 % speed" at high
 //!   frequency and "equal energy, much slower" at low frequency.
 
-
 /// The SLURM-selectable CPU frequency levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CpuFrequency {

@@ -1,6 +1,5 @@
 //! Node specifications.
 
-
 /// The two ARCHER2 node flavours the paper compares (§2.2, optimisation 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {

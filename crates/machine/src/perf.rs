@@ -7,10 +7,10 @@
 //! [`gate_traffic`]); only the time and energy per unit of work is
 //! modelled, with constants calibrated in [`crate::archer2`].
 
+use crate::archer2::Machine;
 use crate::cost::{CommMode, GateCost, ModelConfig};
 use crate::cu::cu_cost;
 use crate::energy::EnergyBreakdown;
-use crate::archer2::Machine;
 use crate::memory::BYTES_PER_AMP;
 use crate::power::Phase;
 use qse_circuit::classify::{classify, GateClass, Layout};
@@ -73,7 +73,13 @@ impl RunEstimate {
 }
 
 /// NUMA sweep penalty for a pair sweep targeting local qubit `q`.
-fn numa_penalty(machine: &Machine, layout: &Layout, local_bytes: u64, node_numa: u64, q: u32) -> f64 {
+fn numa_penalty(
+    machine: &Machine,
+    layout: &Layout,
+    local_bytes: u64,
+    node_numa: u64,
+    q: u32,
+) -> f64 {
     // Penalties only arise when the local slice actually spans regions.
     if local_bytes <= node_numa {
         return 1.0;
@@ -124,7 +130,9 @@ impl Ctx<'_> {
 
     /// Cost of one exchange of `bytes` per rank.
     fn comm_cost(&self, bytes: u64) -> f64 {
-        self.machine.network.exchange_time_s(bytes, self.cfg.comm_mode)
+        self.machine
+            .network
+            .exchange_time_s(bytes, self.cfg.comm_mode)
             * self.cfg.frequency.comm_time_scale()
     }
 
@@ -210,8 +218,9 @@ impl Ctx<'_> {
     /// the slice with its kernel, which a streamed exchange overlaps.
     fn exchange_cost(&self, gate: &Gate) -> GateCost {
         let half = self.cfg.half_exchange_swaps;
-        // qse-lint: allow — the documented panic of `estimate`; the engine refuses the gate too
-        let traffic = gate_traffic(gate, &self.layout, half).unwrap_or_else(|e| panic!("{gate}: {e}"));
+        let traffic =
+            // qse-lint: allow — the documented panic of `estimate`; the engine refuses the gate too
+            gate_traffic(gate, &self.layout, half).unwrap_or_else(|e| panic!("{gate}: {e}"));
         let la = self.local_amps as f64;
         let exchanges = || traffic.lowering.exchanges();
         // One sweep for the gate: a both-global `Unitary2`'s three
@@ -270,9 +279,7 @@ pub fn estimate(circuit: &Circuit, machine: &Machine, cfg: &ModelConfig) -> RunE
             .into_iter()
             .map(|s| match s {
                 ScheduleStep::Single(i) => (i, vec![circuit.gates()[i].clone()], false),
-                ScheduleStep::Fused(r) => {
-                    (r.start, circuit.gates()[r.start..r.end].to_vec(), true)
-                }
+                ScheduleStep::Fused(r) => (r.start, circuit.gates()[r.start..r.end].to_vec(), true),
             })
             .collect(),
         None => circuit
@@ -436,7 +443,10 @@ mod tests {
         let speedup = med.runtime_s / high.runtime_s;
         let energy_ratio = high.total_energy_j() / med.total_energy_j();
         assert!((1.02..1.12).contains(&speedup), "speedup {speedup}");
-        assert!((1.10..1.35).contains(&energy_ratio), "energy {energy_ratio}");
+        assert!(
+            (1.10..1.35).contains(&energy_ratio),
+            "energy {energy_ratio}"
+        );
     }
 
     #[test]
@@ -453,7 +463,10 @@ mod tests {
         );
         assert!(low.runtime_s > med.runtime_s * 1.05);
         let energy_ratio = low.total_energy_j() / med.total_energy_j();
-        assert!((0.85..1.10).contains(&energy_ratio), "energy {energy_ratio}");
+        assert!(
+            (0.85..1.10).contains(&energy_ratio),
+            "energy {energy_ratio}"
+        );
     }
 
     #[test]
@@ -527,7 +540,11 @@ mod tests {
     #[should_panic(expected = "both-global Unitary2 needs at least one local qubit")]
     fn gates_the_engine_cannot_lower_are_not_priced() {
         let mut c = Circuit::new(2);
-        c.push(Gate::Unitary2 { a: 0, b: 1, matrix: qse_math::Matrix4::swap() });
+        c.push(Gate::Unitary2 {
+            a: 0,
+            b: 1,
+            matrix: qse_math::Matrix4::swap(),
+        });
         estimate(&c, &archer2(), &ModelConfig::default_for(4));
     }
 

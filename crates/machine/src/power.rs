@@ -67,9 +67,21 @@ mod tests {
     fn calibrated_medium_powers() {
         let p = archer2().power;
         // Table 1 anchors at the default frequency.
-        assert_close(p.node_power_w(Phase::Memory, CpuFrequency::Medium), 440.0, 15.0);
-        assert_close(p.node_power_w(Phase::Comm, CpuFrequency::Medium), 285.0, 15.0);
-        assert_close(p.node_power_w(Phase::Compute, CpuFrequency::Medium), 500.0, 20.0);
+        assert_close(
+            p.node_power_w(Phase::Memory, CpuFrequency::Medium),
+            440.0,
+            15.0,
+        );
+        assert_close(
+            p.node_power_w(Phase::Comm, CpuFrequency::Medium),
+            285.0,
+            15.0,
+        );
+        assert_close(
+            p.node_power_w(Phase::Compute, CpuFrequency::Medium),
+            500.0,
+            20.0,
+        );
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! schedule step) and an `sacct`-shaped report. The timeline is also what
 //! a fig-5-style stacked profile is drawn from.
 
+use crate::archer2::Machine;
 use crate::cost::ModelConfig;
 use crate::energy::format_energy;
 use crate::perf::RunEstimate;
 use crate::power::Phase;
-use crate::archer2::Machine;
 
 /// One piecewise-constant segment of the job's aggregate power draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,8 +49,7 @@ pub fn power_timeline(
             if dur <= 0.0 {
                 continue;
             }
-            let node_power = participating
-                * machine.power.node_power_w(phase, cfg.frequency)
+            let node_power = participating * machine.power.node_power_w(phase, cfg.frequency)
                 + idle * machine.power.node_power_w(Phase::Idle, cfg.frequency);
             out.push(PowerSegment {
                 start_s: t,

@@ -106,11 +106,7 @@ mod tests {
         let gpu = gpu_machine();
         let n = 34;
         let built_in = estimate(&qft(n), &gpu, &ModelConfig::default_for(4));
-        let blocked = estimate(
-            &cache_blocked_qft(n, 30),
-            &gpu,
-            &ModelConfig::fast_for(4),
-        );
+        let blocked = estimate(&cache_blocked_qft(n, 30), &gpu, &ModelConfig::fast_for(4));
         let gpu_gain = 1.0 - blocked.runtime_s / built_in.runtime_s;
         // CPU gain at comparable scale for reference.
         let cpu = archer2();

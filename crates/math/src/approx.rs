@@ -27,7 +27,7 @@ pub fn slices_close(a: &[Complex64], b: &[Complex64], tol: f64) -> bool {
 ///
 /// Returns `f64::INFINITY` when the slices differ in length, so a truncated
 /// comparison can never silently pass.
-pub fn max_deviation(a: &[Complex64], b: &[Complex64], ) -> f64 {
+pub fn max_deviation(a: &[Complex64], b: &[Complex64]) -> f64 {
     if a.len() != b.len() {
         return f64::INFINITY;
     }

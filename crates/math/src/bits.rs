@@ -141,10 +141,7 @@ mod tests {
     #[test]
     fn insert_two_zero_bits_order_independent() {
         for k in 0..16u64 {
-            assert_eq!(
-                insert_two_zero_bits(k, 1, 3),
-                insert_two_zero_bits(k, 3, 1)
-            );
+            assert_eq!(insert_two_zero_bits(k, 1, 3), insert_two_zero_bits(k, 3, 1));
         }
         // q1=0,q2=1: k -> 4k
         assert_eq!(insert_two_zero_bits(3, 0, 1), 12);

@@ -3,18 +3,16 @@
 //! available on ARCHER2 (1.5 GHz) was not of benefit in either case due
 //! to a large increase in runtime", §3.1).
 
-use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::qft;
 use qse_core::experiment::{fmt_delta, TextTable};
 use qse_core::scaling::nodes_for;
 use qse_core::SimConfig;
 use qse_machine::{archer2, CpuFrequency, NodeKind};
+use qse_repro::{model_point, save_points, ModelPoint};
 
 fn main() {
     let machine = archer2();
-    let mut table = TextTable::new(vec![
-        "Qubits", "Freq", "Runtime Δ", "Energy Δ",
-    ]);
+    let mut table = TextTable::new(vec!["Qubits", "Freq", "Runtime Δ", "Energy Δ"]);
     let mut points: Vec<ModelPoint> = Vec::new();
 
     for n in [36u32, 38, 40, 42, 44] {

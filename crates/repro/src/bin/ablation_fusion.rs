@@ -8,12 +8,12 @@
 //! n−1 gates to 1 across the circuit, so the fusion threshold matters:
 //! this ablation sweeps it.
 
-use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::qft;
 use qse_core::experiment::TextTable;
 use qse_core::SimConfig;
 use qse_machine::archer2;
 use qse_machine::energy::format_energy;
+use qse_repro::{model_point, save_points, ModelPoint};
 
 fn main() {
     let machine = archer2();
@@ -35,12 +35,7 @@ fn main() {
 
     for threshold in [2usize, 4, 8, 16, 32] {
         cfg.fuse_diagonals = Some(threshold);
-        let p = model_point(
-            &machine,
-            format!("fuse>={threshold}"),
-            &circuit,
-            &cfg,
-        );
+        let p = model_point(&machine, format!("fuse>={threshold}"), &circuit, &cfg);
         table.row(vec![
             format!(">= {threshold} gates"),
             format!("{:.0} s", p.runtime_s),

@@ -10,7 +10,6 @@
 //! (2) the capacity win — 45 qubits fitting on 4,096 standard nodes once
 //! the exchange buffer shrinks to half the local slice.
 
-use qse_repro::{save_points, ModelPoint};
 use qse_circuit::qft::{cache_blocked_qft, default_split};
 use qse_core::experiment::TextTable;
 use qse_core::scaling::{nodes_for, nodes_for_half_buffers};
@@ -18,11 +17,17 @@ use qse_core::SimConfig;
 use qse_machine::archer2;
 use qse_machine::energy::format_energy;
 use qse_machine::NodeKind;
+use qse_repro::{save_points, ModelPoint};
 
 fn main() {
     let machine = archer2();
     let mut table = TextTable::new(vec![
-        "Qubits", "Nodes", "Variant", "Runtime", "Energy", "Comm bytes/rank",
+        "Qubits",
+        "Nodes",
+        "Variant",
+        "Runtime",
+        "Energy",
+        "Comm bytes/rank",
     ]);
     let mut points: Vec<ModelPoint> = Vec::new();
 
@@ -31,7 +36,10 @@ fn main() {
     let nodes = nodes_for(&machine, NodeKind::Standard, n).expect("44 fits");
     let local = n - nodes.trailing_zeros();
     let circuit = cache_blocked_qft(n, default_split(n, local));
-    for (variant, half) in [("fast (full exchange)", false), ("fast + half exchange", true)] {
+    for (variant, half) in [
+        ("fast (full exchange)", false),
+        ("fast + half exchange", true),
+    ] {
         let mut cfg = SimConfig::fast_for(nodes);
         cfg.half_exchange_swaps = half;
         let est = qse_core::ModelExecutor::new(&machine).run(&circuit, &cfg);

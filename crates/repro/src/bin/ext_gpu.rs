@@ -7,7 +7,6 @@
 //! same switch fabric; this binary compares the 34–38-qubit QFT across
 //! CPU and GPU machines, with and without cache blocking.
 
-use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_core::experiment::TextTable;
 use qse_core::SimConfig;
@@ -16,6 +15,7 @@ use qse_machine::energy::format_energy;
 use qse_machine::memory::{min_nodes, BufferRegime};
 use qse_machine::variants::gpu_machine;
 use qse_machine::NodeKind;
+use qse_repro::{model_point, save_points, ModelPoint};
 
 fn main() {
     let cpu = archer2();

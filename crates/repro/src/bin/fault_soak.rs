@@ -41,9 +41,9 @@ fn first_bit_mismatch(a: &[Complex64], b: &[Complex64]) -> Option<usize> {
     if a.len() != b.len() {
         return Some(usize::MAX);
     }
-    a.iter().zip(b).position(|(x, y)| {
-        x.re.to_bits() != y.re.to_bits() || x.im.to_bits() != y.im.to_bits()
-    })
+    a.iter()
+        .zip(b)
+        .position(|(x, y)| x.re.to_bits() != y.re.to_bits() || x.im.to_bits() != y.im.to_bits())
 }
 
 fn main() {
@@ -90,7 +90,11 @@ fn main() {
         println!(
             "plan seed={seed} mode={} {} ...",
             MODES[mode].0,
-            if recoverable { "recoverable" } else { "unrecoverable" },
+            if recoverable {
+                "recoverable"
+            } else {
+                "unrecoverable"
+            },
         );
         let mut cfg = config(mode);
         cfg.faults = Some(plan);

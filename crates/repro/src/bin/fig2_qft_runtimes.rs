@@ -8,12 +8,12 @@
 //! gates rise quadratically); high-memory nodes are slower but less than
 //! twice as slow; high frequency is 5–10 % faster.
 
-use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::qft;
 use qse_core::experiment::{fmt_seconds, TextTable};
 use qse_core::scaling::nodes_for;
 use qse_core::SimConfig;
 use qse_machine::{archer2, CpuFrequency, NodeKind};
+use qse_repro::{model_point, save_points, ModelPoint};
 
 fn main() {
     let machine = archer2();
@@ -25,7 +25,13 @@ fn main() {
     ];
 
     let mut table = TextTable::new(vec![
-        "Qubits", "Nodes(std)", "std-med", "std-high", "Nodes(hm)", "hm-med", "hm-high",
+        "Qubits",
+        "Nodes(std)",
+        "std-med",
+        "std-high",
+        "Nodes(hm)",
+        "hm-med",
+        "hm-high",
     ]);
     let mut points: Vec<ModelPoint> = Vec::new();
 

@@ -5,21 +5,17 @@
 //! ≈ 25 % more energy; high-memory setups drastically increase runtime;
 //! high frequency on high-memory needs 20–40 % more energy.
 
-use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::qft;
 use qse_core::experiment::{fmt_delta, TextTable};
 use qse_core::scaling::nodes_for;
 use qse_core::SimConfig;
 use qse_machine::{archer2, CpuFrequency, NodeKind};
+use qse_repro::{model_point, save_points, ModelPoint};
 
 fn main() {
     let machine = archer2();
-    let mut runtime_table = TextTable::new(vec![
-        "Qubits", "std-high", "hm-med", "hm-high",
-    ]);
-    let mut energy_table = TextTable::new(vec![
-        "Qubits", "std-high", "hm-med", "hm-high",
-    ]);
+    let mut runtime_table = TextTable::new(vec!["Qubits", "std-high", "hm-med", "hm-high"]);
+    let mut energy_table = TextTable::new(vec!["Qubits", "std-high", "hm-med", "hm-high"]);
     let mut points: Vec<ModelPoint> = Vec::new();
 
     for n in 33..=44u32 {

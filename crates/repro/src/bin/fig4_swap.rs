@@ -6,12 +6,12 @@
 //! 9.0–9.75 s and 180–195 kJ blocking; 8.25–9.0 s and 160–180 kJ
 //! non-blocking.
 
-use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::benchmarks::{paper_swap_targets, swap_benchmark, swap_benchmark_grid};
 use qse_core::experiment::TextTable;
 use qse_core::SimConfig;
 use qse_machine::archer2;
 use qse_machine::energy::format_energy;
+use qse_repro::{model_point, save_points, ModelPoint};
 
 const N_QUBITS: u32 = 38;
 const N_NODES: u64 = 64;
@@ -21,7 +21,11 @@ fn main() {
     let machine = archer2();
     let (locals, globals) = paper_swap_targets();
     let mut table = TextTable::new(vec![
-        "Targets", "Blk time", "Blk energy", "NB time", "NB energy",
+        "Targets",
+        "Blk time",
+        "Blk energy",
+        "NB time",
+        "NB energy",
     ]);
     let mut points: Vec<ModelPoint> = Vec::new();
 

@@ -11,12 +11,12 @@
 //! cross-check, a *measured* profile from the thread-cluster engine at
 //! laptop scale (distributed-gate share of wall-clock).
 
-use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::benchmarks::hadamard_benchmark;
 use qse_circuit::qft::{cache_blocked_qft, qft};
 use qse_core::experiment::TextTable;
 use qse_core::{SimConfig, ThreadClusterExecutor};
 use qse_machine::archer2;
+use qse_repro::{model_point, save_points, ModelPoint};
 
 const N_QUBITS: u32 = 38;
 const N_NODES: u64 = 64;
@@ -24,7 +24,10 @@ const N_NODES: u64 = 64;
 fn main() {
     let machine = archer2();
     let runs = [
-        ("hadamard-worst", hadamard_benchmark(N_QUBITS, N_QUBITS - 1, 50)),
+        (
+            "hadamard-worst",
+            hadamard_benchmark(N_QUBITS, N_QUBITS - 1, 50),
+        ),
         ("qft-built-in", qft(N_QUBITS)),
         ("qft-cache-blocked", cache_blocked_qft(N_QUBITS, 30)),
     ];
@@ -64,7 +67,10 @@ fn main() {
         let run = ThreadClusterExecutor::run(&builder, &SimConfig::default_for(8), 0, false);
         measured.row(vec![
             label.to_string(),
-            format!("{:.0} %", run.profiled.profile.distributed_fraction() * 100.0),
+            format!(
+                "{:.0} %",
+                run.profiled.profile.distributed_fraction() * 100.0
+            ),
             format!("{:.3} s", run.profiled.wall_s),
         ]);
     }

@@ -7,12 +7,12 @@
 //! to 9.63 s / 191 kJ (blocking) and 8.82 s / 179 kJ (non-blocking) at
 //! qubit 32 — the first global qubit.
 
-use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::benchmarks::hadamard_benchmark;
 use qse_core::experiment::TextTable;
 use qse_core::SimConfig;
 use qse_machine::archer2;
 use qse_machine::energy::format_energy;
+use qse_repro::{model_point, save_points, ModelPoint};
 
 const N_QUBITS: u32 = 38;
 const N_NODES: u64 = 64;
@@ -21,7 +21,11 @@ const GATES: usize = 50;
 fn main() {
     let machine = archer2();
     let mut table = TextTable::new(vec![
-        "Qubit", "Blk time", "Blk energy", "NB time", "NB energy",
+        "Qubit",
+        "Blk time",
+        "Blk energy",
+        "NB time",
+        "NB energy",
     ]);
     let mut points: Vec<ModelPoint> = Vec::new();
 

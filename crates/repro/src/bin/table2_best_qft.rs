@@ -6,7 +6,6 @@
 //! 285 s / 431 MJ — "35 % and 40 % improvements in runtime, along with
 //! 30 % and 35 % reductions in energy" (§3.3).
 
-use qse_repro::{model_point, save_points, ModelPoint};
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_core::experiment::TextTable;
 use qse_core::scaling::nodes_for;
@@ -14,6 +13,7 @@ use qse_core::SimConfig;
 use qse_machine::archer2;
 use qse_machine::energy::{format_energy, joules_to_kwh};
 use qse_machine::NodeKind;
+use qse_repro::{model_point, save_points, ModelPoint};
 
 fn main() {
     let machine = archer2();

@@ -92,17 +92,11 @@ mod tests {
         assert!(msg.contains("64") && msg.contains("32") && msg.contains("16"));
         assert_eq!(ServeError::QueueFull { capacity: 4 }.code(), "queue_full");
         assert_eq!(
-            ServeError::BadRequest {
-                detail: "x".into()
-            }
-            .code(),
+            ServeError::BadRequest { detail: "x".into() }.code(),
             "bad_request"
         );
         assert_eq!(
-            ServeError::Exec {
-                detail: "x".into()
-            }
-            .code(),
+            ServeError::Exec { detail: "x".into() }.code(),
             "exec_failed"
         );
         assert_eq!(ServeError::Shutdown.code(), "shutdown");

@@ -62,8 +62,7 @@ fn handle_conn(server: &Arc<Server>, stream: TcpStream, net: NetConfig) {
             loop {
                 match rx.recv_timeout(Duration::from_secs(3600)) {
                     Ok(line) => {
-                        if out.write_all(line.as_bytes()).is_err()
-                            || out.write_all(b"\n").is_err()
+                        if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err()
                         {
                             return;
                         }
@@ -85,12 +84,7 @@ fn handle_conn(server: &Arc<Server>, stream: TcpStream, net: NetConfig) {
 /// and queues every response line on `out`. Returns at EOF or on a
 /// transport error (timeout, overlong line) after queueing a rendered
 /// error line.
-fn read_requests<R: Read>(
-    server: &Arc<Server>,
-    input: R,
-    max_line: usize,
-    out: &Sender<String>,
-) {
+fn read_requests<R: Read>(server: &Arc<Server>, input: R, max_line: usize, out: &Sender<String>) {
     let mut reader = BoundedLineReader::new(input, max_line);
     loop {
         match reader.next_line() {
@@ -190,7 +184,8 @@ mod tests {
         }
 
         let mut conn = TcpStream::connect(addr).expect("connect");
-        conn.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
         conn.write_all(
             b"{\"op\":\"submit\",\"id\":\"t1\",\"shots\":10,\"seed\":3,\
               \"circuit\":{\"name\":\"ghz\",\"qubits\":4}}\n",
@@ -199,10 +194,19 @@ mod tests {
         let mut reader = BoundedLineReader::new(conn.try_clone().unwrap(), 1 << 16);
         let line = reader.next_line().unwrap().expect("a response line");
         let json = qse_util::json::Json::parse(&line).unwrap();
-        assert_eq!(json.get("id").and_then(qse_util::json::Json::as_str), Some("t1"));
-        assert_eq!(json.get("ok").and_then(qse_util::json::Json::as_bool), Some(true));
+        assert_eq!(
+            json.get("id").and_then(qse_util::json::Json::as_str),
+            Some("t1")
+        );
+        assert_eq!(
+            json.get("ok").and_then(qse_util::json::Json::as_bool),
+            Some(true)
+        );
         // GHZ: only all-zeros and all-ones outcomes.
-        let counts = json.get("counts").and_then(qse_util::json::Json::as_obj).unwrap();
+        let counts = json
+            .get("counts")
+            .and_then(qse_util::json::Json::as_obj)
+            .unwrap();
         for (k, _) in counts {
             assert!(k == "0" || k == "15", "unexpected outcome {k}");
         }

@@ -89,8 +89,7 @@ fn bad(detail: impl Into<String>) -> ServeError {
 
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, ServeError> {
-    let json = Json::parse(line)
-        .map_err(|e: JsonError| bad(format!("invalid JSON: {e}")))?;
+    let json = Json::parse(line).map_err(|e: JsonError| bad(format!("invalid JSON: {e}")))?;
     let op = json
         .get("op")
         .and_then(Json::as_str)
@@ -117,7 +116,9 @@ fn parse_submit(json: &Json) -> Result<JobSpec, ServeError> {
     )?;
     let ranks = match json.get("ranks") {
         None => 1,
-        Some(v) => v.as_u64().ok_or_else(|| bad("\"ranks\" must be an integer"))?,
+        Some(v) => v
+            .as_u64()
+            .ok_or_else(|| bad("\"ranks\" must be an integer"))?,
     };
     if ranks == 0 || !ranks.is_power_of_two() || ranks > MAX_RANKS {
         return Err(bad(format!(
@@ -172,10 +173,7 @@ fn parse_submit(json: &Json) -> Result<JobSpec, ServeError> {
             let spec = v
                 .as_str()
                 .ok_or_else(|| bad("\"faults\" must be a spec string"))?;
-            Some(
-                FaultConfig::parse_spec(spec)
-                    .map_err(|e| bad(format!("bad fault spec: {e}")))?,
-            )
+            Some(FaultConfig::parse_spec(spec).map_err(|e| bad(format!("bad fault spec: {e}")))?)
         }
     };
     Ok(JobSpec {
@@ -235,9 +233,7 @@ fn parse_circuit(json: &Json) -> Result<Circuit, ServeError> {
 /// distinctness so [`Circuit::push`]'s assertions can never fire on
 /// client input.
 fn parse_gate(json: &Json, n: u32) -> Result<Gate, ServeError> {
-    let arr = json
-        .as_arr()
-        .ok_or_else(|| bad("gate must be an array"))?;
+    let arr = json.as_arr().ok_or_else(|| bad("gate must be an array"))?;
     let name = arr
         .first()
         .and_then(Json::as_str)
@@ -601,10 +597,8 @@ mod tests {
 
     #[test]
     fn parses_a_named_submit_with_defaults() {
-        let req = parse_request(
-            r#"{"op":"submit","id":"j1","circuit":{"name":"qft","qubits":5}}"#,
-        )
-        .unwrap();
+        let req = parse_request(r#"{"op":"submit","id":"j1","circuit":{"name":"qft","qubits":5}}"#)
+            .unwrap();
         let Request::Submit(spec) = req else {
             panic!("expected submit")
         };
@@ -711,14 +705,13 @@ mod tests {
             Some("deadbeefcafef00d")
         );
         assert_eq!(
-            json.get("counts").and_then(|c| c.get("3")).and_then(Json::as_u64),
+            json.get("counts")
+                .and_then(|c| c.get("3"))
+                .and_then(Json::as_u64),
             Some(40)
         );
 
-        let line = render_error(
-            Some("job-9"),
-            &ServeError::QueueFull { capacity: 8 },
-        );
+        let line = render_error(Some("job-9"), &ServeError::QueueFull { capacity: 8 });
         let json = Json::parse(&line).unwrap();
         assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(json.get("code").and_then(Json::as_str), Some("queue_full"));
@@ -777,10 +770,17 @@ mod tests {
                     pos_zero |= a.re.to_bits() == 0;
                     neg_zero |= a.re.to_bits() == (-0.0f64).to_bits();
                 }
-                assert_eq!(sparse_state_fingerprint(&s), state_fingerprint(&s.to_vec()), "n={n}");
+                assert_eq!(
+                    sparse_state_fingerprint(&s),
+                    state_fingerprint(&s.to_vec()),
+                    "n={n}"
+                );
             }
         }
-        assert!(first && last && pos_zero && neg_zero, "the fixtures miss a case");
+        assert!(
+            first && last && pos_zero && neg_zero,
+            "the fixtures miss a case"
+        );
     }
 
     #[test]

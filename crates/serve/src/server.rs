@@ -195,7 +195,10 @@ impl StatsSnapshot {
             ("cache_hits".into(), Json::UInt(self.cache.hits)),
             ("cache_misses".into(), Json::UInt(self.cache.misses)),
             ("cache_evictions".into(), Json::UInt(self.cache.evictions)),
-            ("cache_entries".into(), Json::UInt(self.cache.entries as u64)),
+            (
+                "cache_entries".into(),
+                Json::UInt(self.cache.entries as u64),
+            ),
             ("cache_bytes".into(), Json::UInt(self.cache.bytes as u64)),
         ])
         .to_string()
@@ -284,13 +287,21 @@ impl Server {
                 return Err(ServeError::Shutdown);
             }
             if st.queue.len() >= self.inner.cfg.queue_cap {
-                self.inner.counters.lock().expect("counters").rejected_queue_full += 1;
+                self.inner
+                    .counters
+                    .lock()
+                    .expect("counters")
+                    .rejected_queue_full += 1;
                 return Err(ServeError::QueueFull {
                     capacity: self.inner.cfg.queue_cap,
                 });
             }
             if st.reserved_bytes + footprint > self.inner.cfg.mem_budget_bytes {
-                self.inner.counters.lock().expect("counters").rejected_over_budget += 1;
+                self.inner
+                    .counters
+                    .lock()
+                    .expect("counters")
+                    .rejected_over_budget += 1;
                 return Err(ServeError::OverBudget {
                     required_bytes: footprint,
                     budget_bytes: self.inner.cfg.mem_budget_bytes,

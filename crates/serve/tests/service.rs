@@ -25,7 +25,7 @@ use qse_circuit::qft::qft;
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::Circuit;
 use qse_core::config::{EngineMode, TranspileMode};
-use qse_serve::{JobResponse, JobResult, JobSpec, ServeConfig, Server, ServeError};
+use qse_serve::{JobResponse, JobResult, JobSpec, ServeConfig, ServeError, Server};
 use qse_util::check::check;
 use qse_util::mailbox::Receiver;
 use qse_util::rng::{Rng, StdRng};
@@ -88,8 +88,11 @@ fn cache_hit_execution_is_bit_identical_to_cold_path() {
         let circuit_seed = rng.random_range(0u64..1 << 32);
         let shot_seed = rng.random_range(0u64..1 << 32);
         let circuit = random_circuit(n, gates, GatePool::Full, circuit_seed);
-        let mode = [TranspileMode::Off, TranspileMode::Greedy, TranspileMode::Beam]
-            [rng.random_range(0usize..3)];
+        let mode = [
+            TranspileMode::Off,
+            TranspileMode::Greedy,
+            TranspileMode::Beam,
+        ][rng.random_range(0usize..3)];
         let ranks = 1u64 << rng.random_range(0u32..3);
 
         let submit = |tag: &str| {
@@ -150,7 +153,10 @@ fn cache_hit_execution_is_bit_identical_to_cold_path() {
     }
     let cache = server.stats().cache;
     let hit_rate = cache.hits as f64 / (cache.hits + cache.misses) as f64;
-    assert!(hit_rate >= 0.90, "zipf traffic must stay ≥ 90 % warm: {cache:?}");
+    assert!(
+        hit_rate >= 0.90,
+        "zipf traffic must stay ≥ 90 % warm: {cache:?}"
+    );
     server.shutdown();
 }
 
@@ -581,7 +587,9 @@ fn over_budget_submissions_are_rejected_while_in_flight_jobs_complete() {
         mem_budget_bytes: footprint,
         ..ServeConfig::default()
     });
-    let admitted = server.submit(spec("fits", qft(16), 2, 10, 1)).expect("fits");
+    let admitted = server
+        .submit(spec("fits", qft(16), 2, 10, 1))
+        .expect("fits");
     let Err(err) = server.submit(spec("too-much", qft(16), 2, 10, 2)) else {
         panic!("budget is fully reserved; the submission must bounce")
     };
@@ -636,7 +644,9 @@ fn queue_backpressure_rejects_with_queue_full() {
         assert!(std::time::Instant::now() < deadline, "worker never popped");
         std::thread::yield_now();
     }
-    let queued = server.submit(spec("queued", qft(8), 1, 10, 1)).expect("fits");
+    let queued = server
+        .submit(spec("queued", qft(8), 1, 10, 1))
+        .expect("fits");
     let Err(err) = server.submit(spec("bounced", qft(9), 1, 10, 1)) else {
         panic!("queue is at capacity; the submission must bounce")
     };
@@ -664,7 +674,9 @@ fn shutdown_fails_queued_jobs_typed_and_finishes_in_flight_work() {
         assert!(std::time::Instant::now() < deadline, "worker never popped");
         std::thread::yield_now();
     }
-    let queued_rx = server.submit(spec("queued", qft(8), 1, 10, 1)).expect("fits");
+    let queued_rx = server
+        .submit(spec("queued", qft(8), 1, 10, 1))
+        .expect("fits");
     server.shutdown();
     // The in-flight plug ran to completion…
     assert_eq!(wait_ok(&plug_rx).id, "plug");
@@ -717,7 +729,10 @@ fn twenty_mixed_jobs_over_tcp_all_complete_with_cache_hits() {
     .expect("write");
     let line = reader.next_line().expect("read").expect("warmup answered");
     assert_eq!(
-        Json::parse(&line).expect("json").get("ok").and_then(Json::as_bool),
+        Json::parse(&line)
+            .expect("json")
+            .get("ok")
+            .and_then(Json::as_bool),
         Some(true)
     );
 
@@ -764,7 +779,12 @@ fn twenty_mixed_jobs_over_tcp_all_complete_with_cache_hits() {
             Some(true),
             "job failed: {line}"
         );
-        answered.push(json.get("id").and_then(Json::as_str).expect("id").to_string());
+        answered.push(
+            json.get("id")
+                .and_then(Json::as_str)
+                .expect("id")
+                .to_string(),
+        );
     }
     answered.sort();
     expected.sort();
@@ -775,7 +795,10 @@ fn twenty_mixed_jobs_over_tcp_all_complete_with_cache_hits() {
     let stats = Json::parse(&line).expect("stats JSON");
     assert_eq!(stats.get("completed").and_then(Json::as_u64), Some(21));
     assert_eq!(stats.get("failed").and_then(Json::as_u64), Some(0));
-    let hits = stats.get("cache_hits").and_then(Json::as_u64).expect("hits");
+    let hits = stats
+        .get("cache_hits")
+        .and_then(Json::as_u64)
+        .expect("hits");
     assert!(hits > 0, "warm QFT repeats must hit the cache: {line}");
     drop(conn);
     server.shutdown();

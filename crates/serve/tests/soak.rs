@@ -11,7 +11,7 @@
 use qse_circuit::qft::qft;
 use qse_comm::FaultConfig;
 use qse_core::config::TranspileMode;
-use qse_serve::{JobResponse, JobResult, JobSpec, ServeConfig, Server, ServeError};
+use qse_serve::{JobResponse, JobResult, JobSpec, ServeConfig, ServeError, Server};
 use qse_util::mailbox::Receiver;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -53,10 +53,8 @@ fn recoverable(seed: u64) -> FaultConfig {
 /// A fault plan no retry budget survives: every send delivers only
 /// corrupted copies, nine deep against a budget of one.
 fn unrecoverable(seed: u64) -> FaultConfig {
-    let cfg = FaultConfig::parse_spec(&format!(
-        "seed={seed},corrupt=1.0,corrupt_burst=9,budget=1"
-    ))
-    .expect("valid spec");
+    let cfg = FaultConfig::parse_spec(&format!("seed={seed},corrupt=1.0,corrupt_burst=9,budget=1"))
+        .expect("valid spec");
     assert!(!cfg.is_recoverable());
     cfg
 }
@@ -147,13 +145,19 @@ fn unrecoverable_faults_surface_typed_errors_without_cross_job_corruption() {
             good.push((
                 id.clone(),
                 seed,
-                server.submit(soak_spec(&id, seed, faults)).expect("admitted"),
+                server
+                    .submit(soak_spec(&id, seed, faults))
+                    .expect("admitted"),
             ));
             let id = format!("bad-{round}-{seed}");
             bad.push((
                 id.clone(),
                 server
-                    .submit(soak_spec(&id, seed, Some(unrecoverable(round * 100 + seed))))
+                    .submit(soak_spec(
+                        &id,
+                        seed,
+                        Some(unrecoverable(round * 100 + seed)),
+                    ))
                     .expect("admitted"),
             ));
         }

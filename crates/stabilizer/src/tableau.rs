@@ -78,7 +78,10 @@ impl std::fmt::Display for StabError {
                 )
             }
             StabError::Inconsistent => {
-                write!(f, "stabilizer constraints are unsatisfiable (corrupt tableau)")
+                write!(
+                    f,
+                    "stabilizer constraints are unsatisfiable (corrupt tableau)"
+                )
             }
         }
     }
@@ -206,7 +209,10 @@ impl Tableau {
                 self.check(c)?;
                 self.check(t)?;
                 if c == t {
-                    return Err(StabError::QubitOutOfRange { qubit: t, n: self.n });
+                    return Err(StabError::QubitOutOfRange {
+                        qubit: t,
+                        n: self.n,
+                    });
                 }
                 self.cnot(c, t);
                 Ok(())
@@ -215,7 +221,10 @@ impl Tableau {
                 self.check(a)?;
                 self.check(b)?;
                 if a == b {
-                    return Err(StabError::QubitOutOfRange { qubit: b, n: self.n });
+                    return Err(StabError::QubitOutOfRange {
+                        qubit: b,
+                        n: self.n,
+                    });
                 }
                 // CZ = (I⊗H) · CNOT · (I⊗H).
                 self.h(b);
@@ -358,8 +367,8 @@ impl Tableau {
     fn rowsum(&mut self, h: usize, i: usize) {
         let ho = h * self.words;
         let io = i * self.words;
-        let mut phase = 2u32
-            .wrapping_mul(u32::from(self.signs[h]).wrapping_add(u32::from(self.signs[i])));
+        let mut phase =
+            2u32.wrapping_mul(u32::from(self.signs[h]).wrapping_add(u32::from(self.signs[i])));
         for w in 0..self.words {
             let x1 = self.xs[io + w];
             let z1 = self.zs[io + w];
@@ -482,10 +491,7 @@ impl Tableau {
     /// indices, each with probability `2^−k`.
     pub fn support(&self) -> Result<Support, StabError> {
         if self.n > 64 {
-            return Err(StabError::RegisterTooWide {
-                n: self.n,
-                max: 64,
-            });
+            return Err(StabError::RegisterTooWide { n: self.n, max: 64 });
         }
         let n = ix(u64::from(self.n));
         // n ≤ 64 → one word per row.
@@ -798,7 +804,10 @@ mod tests {
     fn non_clifford_gate_is_a_typed_error() {
         let mut c = Circuit::new(2);
         c.h(0).t(1);
-        assert_eq!(Tableau::run(&c).unwrap_err(), StabError::NonClifford { index: 1 });
+        assert_eq!(
+            Tableau::run(&c).unwrap_err(),
+            StabError::NonClifford { index: 1 }
+        );
         assert!(StabError::NonClifford { index: 1 }
             .to_string()
             .contains("gate 1"));

@@ -615,7 +615,10 @@ mod tests {
     #[test]
     fn diagonal_unitary1_uses_matrix_entries() {
         let m = qse_math::Matrix2::diagonal(Complex64::cis(0.1), Complex64::cis(0.2));
-        let g = Gate::Unitary1 { target: 1, matrix: m };
+        let g = Gate::Unitary1 {
+            target: 1,
+            matrix: m,
+        };
         assert_complex_close(diagonal_phase(&g, 0b00), Complex64::cis(0.1), 1e-12);
         assert_complex_close(diagonal_phase(&g, 0b10), Complex64::cis(0.2), 1e-12);
     }

@@ -180,9 +180,13 @@ impl<'c> DistributedState<'c> {
             },
             order,
             &mut self.amps,
-            |amps, range, out| pack_wire_bytes(range, out, |start, n, out| pack(amps, start, n, out)),
+            |amps, range, out| {
+                pack_wire_bytes(range, out, |start, n, out| pack(amps, start, n, out))
+            },
             |amps, range, payload| {
-                cursor.feed(range.start, payload, |start, piece| apply(amps, start, piece))
+                cursor.feed(range.start, payload, |start, piece| {
+                    apply(amps, start, piece)
+                })
             },
         )
     }
@@ -191,7 +195,9 @@ impl<'c> DistributedState<'c> {
     /// consumer works on whole kernel units ([`ExchangeMode::policy`]).
     fn exchange_policy(&self, ex: &Exchange) -> ChunkPolicy {
         let unit_bytes = crate::ix(ex.unit) * AMP_BYTES;
-        self.config.exchange_mode.policy(self.config.chunk_policy, unit_bytes)
+        self.config
+            .exchange_mode
+            .policy(self.config.chunk_policy, unit_bytes)
     }
 
     /// The pack order of a full-exchange SWAP of local qubit `lo` with a
@@ -234,7 +240,9 @@ impl<'c> DistributedState<'c> {
     fn apply_classified(&mut self, gate: &Gate) -> CommResult<GateClass> {
         let rank = self.rank() as u64;
         let lowered = lower_gate(gate, &self.layout, rank, self.config.half_exchange_swaps)
-            .map_err(|e| CommError::PlanRejected { detail: e.to_string() })?;
+            .map_err(|e| CommError::PlanRejected {
+                detail: e.to_string(),
+            })?;
         match lowered.class {
             GateClass::FullyLocal => {
                 let offset = self.rank_offset();
@@ -289,9 +297,15 @@ impl<'c> DistributedState<'c> {
                 let b = crate::ix(bit);
                 let (c_mine, c_theirs) = (m.at(b, b), m.at(b, 1 - b));
                 // The combine of amplitude i reads and writes amplitude i only.
-                self.pair_exchange(ex, tag, PackOrder::Lazy, pack_all, |amps, start, payload| {
-                    amps.apply_distributed_1q_range(c_mine, c_theirs, &payload, start, control)
-                })
+                self.pair_exchange(
+                    ex,
+                    tag,
+                    PackOrder::Lazy,
+                    pack_all,
+                    |amps, start, payload| {
+                        amps.apply_distributed_1q_range(c_mine, c_theirs, &payload, start, control)
+                    },
+                )
             }
             Kernel::Orbit { lo, bit, swapped } => {
                 let Gate::Unitary2 { ref matrix, .. } = *gate else {
@@ -301,15 +315,25 @@ impl<'c> DistributedState<'c> {
                 // other way round is conjugated by SWAP, which reorders the
                 // matrix instead of the amplitudes.
                 let s = qse_math::Matrix4::swap();
-                let m = if swapped { s.matmul(&matrix.matmul(&s)) } else { *matrix };
+                let m = if swapped {
+                    s.matmul(&matrix.matmul(&s))
+                } else {
+                    *matrix
+                };
                 // The 4×4 combine works on whole |hi lo⟩ orbits of 2^{lo+1}
                 // amplitudes and writes only the orbits it is handed.
                 let mut pairs = OrbitPairs::new(lo);
-                self.pair_exchange(ex, tag, PackOrder::Lazy, pack_all, |amps, start, payload| {
-                    pairs.feed(start, payload, |at, t_lo, t_hi| {
-                        amps.apply_distributed_2q_range(lo, bit, &m, t_lo, t_hi, at)
-                    })
-                })
+                self.pair_exchange(
+                    ex,
+                    tag,
+                    PackOrder::Lazy,
+                    pack_all,
+                    |amps, start, payload| {
+                        pairs.feed(start, payload, |at, t_lo, t_hi| {
+                            amps.apply_distributed_2q_range(lo, bit, &m, t_lo, t_hi, at)
+                        })
+                    },
+                )
             }
             // Send the half the peer needs (bit_lo == 1 − bit), receive the
             // half we need (bit_lo == bit on their side) into the very slots just
@@ -331,11 +355,13 @@ impl<'c> DistributedState<'c> {
                     amps.apply_distributed_swap_range(lo, bit, &payload, start)
                 })
             }
-            Kernel::Replace => {
-                self.pair_exchange(ex, tag, PackOrder::Lazy, pack_all, |amps, start, payload| {
-                    amps.copy_from_f64_range(&payload, start)
-                })
-            }
+            Kernel::Replace => self.pair_exchange(
+                ex,
+                tag,
+                PackOrder::Lazy,
+                pack_all,
+                |amps, start, payload| amps.copy_from_f64_range(&payload, start),
+            ),
         }
     }
 
@@ -631,12 +657,19 @@ impl AmpCursor {
             if self.carry.len() < AMP_BYTES {
                 return;
             }
-            f(at / AMP_BYTES - 1, Bytes::from(std::mem::take(&mut self.carry)));
+            f(
+                at / AMP_BYTES - 1,
+                Bytes::from(std::mem::take(&mut self.carry)),
+            );
         }
         // Holds because chunks that cut an amplitude arrive in order
         // (blocking, non-blocking) and chunks that may not (streamed) are
         // unit-aligned.
-        assert_eq!(at % AMP_BYTES, 0, "a chunk cutting an amplitude arrived out of order");
+        assert_eq!(
+            at % AMP_BYTES,
+            0,
+            "a chunk cutting an amplitude arrived out of order"
+        );
         let whole = from + (chunk.len() - from) / AMP_BYTES * AMP_BYTES;
         if whole > from {
             f(at / AMP_BYTES, chunk.slice(from..whole));
@@ -668,13 +701,22 @@ impl OrbitPairs {
     /// Takes the peer's amplitudes from `at` on and calls
     /// `f(start, lo, hi)` with equally long views of its amplitudes from
     /// `start` (a low half) and from `start + half`.
-    pub(crate) fn feed(&mut self, mut at: usize, mut piece: Bytes, mut f: impl FnMut(usize, &[u8], &[u8])) {
+    pub(crate) fn feed(
+        &mut self,
+        mut at: usize,
+        mut piece: Bytes,
+        mut f: impl FnMut(usize, &[u8], &[u8]),
+    ) {
         let (h, orbit) = (self.half, 2 * self.half);
         while !piece.is_empty() {
             let n = piece.len() / AMP_BYTES;
             let take = if self.lows.is_empty() && at.is_multiple_of(orbit) && n >= orbit {
                 let whole = n / orbit * orbit;
-                f(at, &piece[..(whole - h) * AMP_BYTES], &piece[h * AMP_BYTES..whole * AMP_BYTES]);
+                f(
+                    at,
+                    &piece[..(whole - h) * AMP_BYTES],
+                    &piece[h * AMP_BYTES..whole * AMP_BYTES],
+                );
                 whole
             } else {
                 // Up to the next half-orbit boundary.
@@ -690,7 +732,8 @@ impl OrbitPairs {
                         let m = lo.len().min(hi.len());
                         f(lo_at, &lo[..m], &hi[..m]);
                         if m < lo.len() {
-                            self.lows.push_front((lo_at + m / AMP_BYTES, lo.slice(m..lo.len())));
+                            self.lows
+                                .push_front((lo_at + m / AMP_BYTES, lo.slice(m..lo.len())));
                         }
                         hi = hi.slice(m..hi.len());
                     }
@@ -1059,7 +1102,10 @@ mod tests {
             ("double swap-in", swapped(&[(n / 2, n - 1), (0, n - 2)])),
             ("global<->global", swapped(&[(n - 2, n - 1)])),
             ("purely local", swapped(&[(0, 2), (1, 2)])),
-            ("full-register cycle", Permutation::from_map((0..n).map(|q| (q + 1) % n).collect())),
+            (
+                "full-register cycle",
+                Permutation::from_map((0..n).map(|q| (q + 1) % n).collect()),
+            ),
         ];
         let mut rng = StdRng::seed_from_u64(u64::from(n));
         for _ in 0..3 {
@@ -1259,7 +1305,11 @@ mod tests {
                         })
                         .collect();
                     let model = permutation_traffic(&perm, &layout);
-                    assert_eq!(moved.iter().sum::<u64>(), model.total_bytes, "{shape} {perm:?}");
+                    assert_eq!(
+                        moved.iter().sum::<u64>(),
+                        model.total_bytes,
+                        "{shape} {perm:?}"
+                    );
                     assert_eq!(moved.iter().max().copied(), Some(model.max_rank_bytes));
                     for cap in [40usize, 64, 1 << 20] {
                         let ctx = format!("{shape} {perm:?} R={ranks} cap={cap}");
@@ -1268,8 +1318,7 @@ mod tests {
                             ..DistConfig::default()
                         };
                         let out = Universe::new(ranks).run(|comm| {
-                            let mut st =
-                                DistributedState::zero_state(comm, n, config);
+                            let mut st = DistributedState::zero_state(comm, n, config);
                             fill_distinct(&mut st);
                             st.apply_global_permutation(&perm).unwrap();
                             st.barrier();
@@ -1302,8 +1351,8 @@ mod tests {
                 let c = random_circuit(n, 60, GatePool::Full, seed + 200);
                 let want = reference(&c, 1);
                 for strategy in [Strategy::Greedy, Strategy::beam()] {
-                    let plan = comm_avoid(&c, &layout, strategy, &ByteOracle)
-                        .with_layout_restored();
+                    let plan =
+                        comm_avoid(&c, &layout, strategy, &ByteOracle).with_layout_restored();
                     let out = Universe::new(ranks).run(|comm| {
                         let mut st =
                             DistributedState::basis_state(comm, n, 1, DistConfig::default());

@@ -180,11 +180,7 @@ mod tests {
                 control: 0,
                 target: 1,
             });
-            assert_complex_close(
-                s.amplitudes()[expect as usize],
-                Complex64::ONE,
-                1e-15,
-            );
+            assert_complex_close(s.amplitudes()[expect as usize], Complex64::ONE, 1e-15);
         }
     }
 
@@ -212,9 +208,11 @@ mod tests {
             s.run(&qft(n));
             let scale = 1.0 / (dim as f64).sqrt();
             for k in 0..dim {
-                let phase =
-                    2.0 * PI * (bits::reverse_bits(x, n) as f64) * (bits::reverse_bits(k, n) as f64)
-                        / dim as f64;
+                let phase = 2.0
+                    * PI
+                    * (bits::reverse_bits(x, n) as f64)
+                    * (bits::reverse_bits(k, n) as f64)
+                    / dim as f64;
                 let expect = Complex64::cis(phase).scale(scale);
                 assert_complex_close(s.amplitudes()[k as usize], expect, 1e-9);
             }

@@ -174,7 +174,11 @@ mod tests {
         // bit-for-bit equality with gate-at-a-time execution, not mere
         // closeness.
         for seed in 0..8 {
-            let pool = if seed % 2 == 0 { GatePool::QftLike } else { GatePool::Full };
+            let pool = if seed % 2 == 0 {
+                GatePool::QftLike
+            } else {
+                GatePool::Full
+            };
             let c = random_circuit(7, 200, pool, seed + 300);
             let mut fused: SingleState = SingleState::basis_state(7, 45);
             fused.run(&c);

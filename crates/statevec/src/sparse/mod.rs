@@ -191,11 +191,7 @@ impl SparseState {
         let mut next = HashMap::with_capacity(self.amps.len());
         for (&k, &v) in self.amps.iter() {
             let (ba, bb) = (k & ma != 0, k & mb != 0);
-            let nk = if ba == bb {
-                k
-            } else {
-                k ^ ma ^ mb
-            };
+            let nk = if ba == bb { k } else { k ^ ma ^ mb };
             next.insert(nk, v);
         }
         self.amps = next;
@@ -232,16 +228,8 @@ impl SparseState {
                 continue;
             }
             // `k` is the orbit's representative: combine both members.
-            let a0 = if k == base {
-                v
-            } else {
-                self.amplitude(base)
-            };
-            let a1 = if k == high {
-                v
-            } else {
-                self.amplitude(high)
-            };
+            let a0 = if k == base { v } else { self.amplitude(base) };
+            let a1 = if k == high { v } else { self.amplitude(high) };
             // Identical arithmetic to the dense kernel's pair combine.
             let (n0, n1) = m.apply(a0, a1);
             Self::store(&mut next, eps_sqr, base, n0);

@@ -61,7 +61,9 @@ fn fully_dense_state_keeps_every_amplitude() {
             for q in 0..6u32 {
                 c.push(qse_circuit::Gate::Ry {
                     target: q,
-                    theta: 0.3 + 0.1 * f64::from(q) + 0.7 * layer as f64
+                    theta: 0.3
+                        + 0.1 * f64::from(q)
+                        + 0.7 * layer as f64
                         + rng.random_range(0.0..0.05),
                 });
             }
@@ -98,7 +100,8 @@ fn epsilon_boundary_keeps_exact_epsilon_amplitudes() {
     s.apply(&qse_circuit::Gate::H(0));
     assert_eq!(s.n_nonzero(), 0, "below-ε amplitudes must be dropped");
     assert_eq!(
-        s.sample_counts(&mut StdRng::seed_from_u64(0), 5).unwrap_err(),
+        s.sample_counts(&mut StdRng::seed_from_u64(0), 5)
+            .unwrap_err(),
         MeasureError::ZeroNorm
     );
 }
@@ -169,7 +172,11 @@ fn measurement_errors_are_typed_and_nonmutating() {
     let err = s.collapse(0, 1).unwrap_err();
     assert!(matches!(
         err,
-        MeasureError::ImpossibleOutcome { qubit: 0, bit: 1, .. }
+        MeasureError::ImpossibleOutcome {
+            qubit: 0,
+            bit: 1,
+            ..
+        }
     ));
     assert_eq!(s.n_nonzero(), 1, "failed collapse must leave state intact");
     assert_eq!(s.amplitude(0), Complex64::ONE);

@@ -88,11 +88,23 @@ pub fn combine_term<const FMA: bool>(
     if FMA {
         Complex64::new(
             mac4(
-                c_mine.re, mine.re, -c_mine.im, mine.im, c_theirs.re, other.re, -c_theirs.im,
+                c_mine.re,
+                mine.re,
+                -c_mine.im,
+                mine.im,
+                c_theirs.re,
+                other.re,
+                -c_theirs.im,
                 other.im,
             ),
             mac4(
-                c_mine.re, mine.im, c_mine.im, mine.re, c_theirs.re, other.im, c_theirs.im,
+                c_mine.re,
+                mine.im,
+                c_mine.im,
+                mine.re,
+                c_theirs.re,
+                other.im,
+                c_theirs.im,
                 other.re,
             ),
         )
@@ -143,7 +155,13 @@ pub fn for_each_ctrl_run(start: usize, n: usize, run: usize, f: impl FnMut(usize
 /// subranges of `[start, start + n)` whose indices have bit
 /// `log2(run)` equal to `v`.
 #[inline(always)]
-pub fn for_each_bit_run(start: usize, n: usize, run: usize, v: u64, mut f: impl FnMut(usize, usize)) {
+pub fn for_each_bit_run(
+    start: usize,
+    n: usize,
+    run: usize,
+    v: u64,
+    mut f: impl FnMut(usize, usize),
+) {
     debug_assert!(run.is_power_of_two());
     let period = run << 1;
     let end = start + n;
@@ -243,7 +261,12 @@ mod tests {
                         got.extend((0..len).map(|j| (k + j, i + j)));
                     });
                     let want: Vec<(usize, usize)> = (start..start + n)
-                        .map(|k| (k, (qse_math::bits::insert_zero_bit(k as u64, q) | (v << q)) as usize))
+                        .map(|k| {
+                            (
+                                k,
+                                (qse_math::bits::insert_zero_bit(k as u64, q) | (v << q)) as usize,
+                            )
+                        })
                         .collect();
                     assert_eq!(got, want, "q={q} v={v} start={start} n={n}");
                 }

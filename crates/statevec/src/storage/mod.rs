@@ -43,7 +43,11 @@ pub const AMP_BYTES: usize = qse_circuit::classify::BYTES_PER_AMP as usize; // q
 /// Panics on a payload that cuts an amplitude: the exchange layer hands
 /// the kernels whole amplitudes only.
 fn wire_amps(payload: &[u8]) -> usize {
-    assert_eq!(payload.len() % AMP_BYTES, 0, "payload must hold whole amplitudes");
+    assert_eq!(
+        payload.len() % AMP_BYTES,
+        0,
+        "payload must hold whole amplitudes"
+    );
     payload.len() / AMP_BYTES
 }
 
@@ -99,8 +103,8 @@ pub(crate) mod conformance {
 
     use super::*;
     use crate::schedule::LocalRun;
-    use qse_math::{Complex64, Matrix2};
     use qse_math::approx::{assert_close, assert_complex_close};
+    use qse_math::{Complex64, Matrix2};
     use qse_util::Bytes;
     use std::f64::consts::FRAC_1_SQRT_2;
 
@@ -205,12 +209,12 @@ pub(crate) mod conformance {
         for len in [PAR_THRESHOLD / 2, PAR_THRESHOLD, PAR_THRESHOLD * 2] {
             let top = len.trailing_zeros() - 1;
             for &(q, c) in &[
-                (0u32, 5u32),         // control above a bottom target
-                (5, 2),               // control below target, both mid
-                (top - 1, top),       // blocked path at max stride, control above
-                (top, 3),             // single-block path, control far below
-                (top, top - 1),       // single-block path, control just below
-                (2, top),             // top control selects half the blocks
+                (0u32, 5u32),   // control above a bottom target
+                (5, 2),         // control below target, both mid
+                (top - 1, top), // blocked path at max stride, control above
+                (top, 3),       // single-block path, control far below
+                (top, top - 1), // single-block path, control just below
+                (2, top),       // top control selects half the blocks
             ] {
                 let mut got: SoaStorage = ramp(len);
                 got.apply_pairs(q, &m, Some(c));
@@ -265,7 +269,9 @@ pub(crate) mod conformance {
             let mut chunked: SoaStorage = ramp(len);
             let mut cursor = crate::dist::AmpCursor::default();
             for r in ranges {
-                cursor.feed(r.start, &payload.slice(r), |start, amps| kernel(&mut chunked, start, amps));
+                cursor.feed(r.start, &payload.slice(r), |start, amps| {
+                    kernel(&mut chunked, start, amps)
+                });
             }
             assert_bits_equal(&whole, &chunked, &format!("{what}, len {len}, cap {cap}"));
         }
@@ -280,7 +286,12 @@ pub(crate) mod conformance {
         let c_theirs = Complex64::new(0.1, 0.8);
         // Slices straddling RANGE_PAR_THRESHOLD: the one-piece cap takes
         // the pool path there, every smaller cap the sequential one.
-        for len in [64, RANGE_PAR_THRESHOLD / 2, RANGE_PAR_THRESHOLD, RANGE_PAR_THRESHOLD * 2] {
+        for len in [
+            64,
+            RANGE_PAR_THRESHOLD / 2,
+            RANGE_PAR_THRESHOLD,
+            RANGE_PAR_THRESHOLD * 2,
+        ] {
             let top = len.trailing_zeros() - 1;
             let theirs = Bytes::from(peer_payload(len));
             for control in [None, Some(2u32), Some(top)] {
@@ -289,7 +300,9 @@ pub(crate) mod conformance {
                     &theirs,
                     1,
                     &format!("1q combine, control {control:?}"),
-                    |s, start, p| s.apply_distributed_1q_range(c_mine, c_theirs, &p, start, control),
+                    |s, start, p| {
+                        s.apply_distributed_1q_range(c_mine, c_theirs, &p, start, control)
+                    },
                 );
             }
         }
@@ -360,13 +373,19 @@ pub(crate) mod conformance {
         use crate::dist::pack_wire_bytes;
         for len in [64, PAR_THRESHOLD / 2, PAR_THRESHOLD * 2] {
             let s: SoaStorage = ramp(len);
-            let want: Vec<u8> = s.to_f64_vec().iter().flat_map(|v| v.to_le_bytes()).collect();
+            let want: Vec<u8> = s
+                .to_f64_vec()
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
             assert_eq!(want.len(), len * AMP_BYTES);
             for cap in caps(want.len()) {
                 let mut got = Vec::new();
                 for r in cut(want.len(), cap) {
                     let before = got.len();
-                    pack_wire_bytes(r.clone(), &mut got, |start, n, out| s.pack_range(start, n, out));
+                    pack_wire_bytes(r.clone(), &mut got, |start, n, out| {
+                        s.pack_range(start, n, out)
+                    });
                     assert_eq!(got.len() - before, r.len(), "chunk length at cap {cap}");
                 }
                 assert_eq!(got, want, "pack, len {len}, cap {cap}");
@@ -649,7 +668,19 @@ pub(crate) mod conformance {
         let tile_top = crate::diagonal::TILE.trailing_zeros();
         let chunk_top = HALF_CHUNK.trailing_zeros();
         assert!(tile_top < chunk_top && chunk_top < w - 1);
-        let singles = [0, 1, 2, 5, tile_top - 1, tile_top, chunk_top - 1, chunk_top, w - 1, w, w + 1];
+        let singles = [
+            0,
+            1,
+            2,
+            5,
+            tile_top - 1,
+            tile_top,
+            chunk_top - 1,
+            chunk_top,
+            w - 1,
+            w,
+            w + 1,
+        ];
         let pairs = [
             (0, 1),
             (2, 0),
@@ -827,7 +858,11 @@ pub(crate) mod conformance {
         let mut t = SoaStorage::zeros(16);
         t.copy_from_f64_range(&wire[3..], 4);
         for i in 0..16 {
-            let want = if (4..12).contains(&i) { s.get(i) } else { Complex64::ZERO };
+            let want = if (4..12).contains(&i) {
+                s.get(i)
+            } else {
+                Complex64::ZERO
+            };
             assert_eq!(t.get(i), want, "amplitude {i}");
         }
     }
@@ -847,7 +882,11 @@ pub(crate) mod conformance {
                 let mut z = SoaStorage::zeros(16);
                 z.write_half_bit_range(q, v, &half, 0);
                 for i in 0..16usize {
-                    let want = if ((i >> q) & 1) as u64 == v { s.get(i) } else { Complex64::ZERO };
+                    let want = if ((i >> q) & 1) as u64 == v {
+                        s.get(i)
+                    } else {
+                        Complex64::ZERO
+                    };
                     assert_eq!(z.get(i), want, "q {q} v {v} amplitude {i}");
                 }
             }

@@ -347,7 +347,14 @@ unsafe fn region_fma(
 
 /// Runtime-dispatched region sweep: one flavour check per work item,
 /// amortized over thousands of amplitudes.
-fn sweep_region(rc: &mut [f64], ic: &mut [f64], stride: usize, base: usize, m: &Matrix2, ctrl: Ctrl) {
+fn sweep_region(
+    rc: &mut [f64],
+    ic: &mut [f64],
+    stride: usize,
+    base: usize,
+    m: &Matrix2,
+    ctrl: Ctrl,
+) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if kernel::use_fma() {
         // SAFETY: `use_fma` verified avx2+fma support on this CPU.
@@ -698,14 +705,17 @@ impl SoaStorage {
             let run_ctrl = control.map(|c| 1usize << c);
             let (rlo, rhi) = self.re.split_at_mut(stride);
             let (ilo, ihi) = self.im.split_at_mut(stride);
-            type HalfItem<'a> = (usize, &'a mut [f64], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
+            type HalfItem<'a> = (
+                usize,
+                &'a mut [f64],
+                &'a mut [f64],
+                &'a mut [f64],
+                &'a mut [f64],
+            );
             let chunks: Vec<HalfItem<'_>> = rlo
                 .chunks_mut(HALF_CHUNK)
                 .zip(rhi.chunks_mut(HALF_CHUNK))
-                .zip(
-                    ilo.chunks_mut(HALF_CHUNK)
-                        .zip(ihi.chunks_mut(HALF_CHUNK)),
-                )
+                .zip(ilo.chunks_mut(HALF_CHUNK).zip(ihi.chunks_mut(HALF_CHUNK)))
                 .enumerate()
                 .map(|(ci, ((rl, rh), (il, ih)))| (ci, rl, il, rh, ih))
                 .collect();
@@ -912,7 +922,15 @@ impl SoaStorage {
                 .map(|(ci, ((rc, ic), tc))| (ci, rc, ic, tc))
                 .collect();
             parallel_for_each_affine(chunks, |(ci, rc, ic, tc)| {
-                sweep_combine(rc, ic, tc, start + ci * HALF_CHUNK, c_mine, c_theirs, ctrl_run);
+                sweep_combine(
+                    rc,
+                    ic,
+                    tc,
+                    start + ci * HALF_CHUNK,
+                    c_mine,
+                    c_theirs,
+                    ctrl_run,
+                );
             });
         } else {
             sweep_combine(rs, is, payload, start, c_mine, c_theirs, ctrl_run);
@@ -945,7 +963,10 @@ impl SoaStorage {
     ) {
         let n = wire_amps(lo);
         assert_eq!(lo.len(), hi.len(), "the two half-orbit views must match");
-        assert!(start + n + (1 << a) <= self.len(), "payload beyond local slice");
+        assert!(
+            start + n + (1 << a) <= self.len(),
+            "payload beyond local slice"
+        );
         kernel::for_each_bit_run(start, n, 1 << a, 0, |from, to| {
             for i0 in from..to {
                 let i1 = i0 | (1usize << a);
@@ -992,7 +1013,14 @@ impl SoaStorage {
     /// Appends the half-exchange SWAP payload (§4): of the amplitudes
     /// whose local-index bit `q` equals `v`, taken in ascending index
     /// order, those numbered `[start_pair, start_pair + n)`.
-    pub fn pack_half_bit_range(&self, q: u32, v: u64, start_pair: usize, n: usize, out: &mut Vec<u8>) {
+    pub fn pack_half_bit_range(
+        &self,
+        q: u32,
+        v: u64,
+        start_pair: usize,
+        n: usize,
+        out: &mut Vec<u8>,
+    ) {
         assert!(start_pair + n <= self.len() / 2, "range beyond half slice");
         kernel::for_each_half_bit_run(q, v, start_pair, n, |_, i, len| {
             self.pack_range(i, len, out);
@@ -1005,7 +1033,10 @@ impl SoaStorage {
     /// so range order never matters.
     pub fn write_half_bit_range(&mut self, q: u32, v: u64, payload: &[u8], start_pair: usize) {
         let n = wire_amps(payload);
-        assert!(start_pair + n <= self.len() / 2, "payload beyond half slice");
+        assert!(
+            start_pair + n <= self.len() / 2,
+            "payload beyond half slice"
+        );
         kernel::for_each_half_bit_run(q, v, start_pair, n, |k, i, len| {
             let at = (k - start_pair) * AMP_BYTES;
             self.copy_from_f64_range(&payload[at..at + len * AMP_BYTES], i);

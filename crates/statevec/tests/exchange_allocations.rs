@@ -154,7 +154,11 @@ fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
     // so each chunk is an eighth of one. The halves of a cut orbit are
     // paired up as views of the payloads, never copied into a carry.
     let matrix = random_unitary2(&mut StdRng::seed_from_u64(3));
-    let u2 = Gate::Unitary2 { a: N - 2, b: N - 1, matrix };
+    let u2 = Gate::Unitary2 {
+        a: N - 2,
+        b: N - 1,
+        matrix,
+    };
     let (allocated, _, _) = measure(ExchangeMode::Blocking, |st| st.apply(&u2).unwrap());
     let per_gate_per_rank = allocated / (GATES * RANKS);
     assert!(

@@ -47,7 +47,10 @@ fn workloads() -> Vec<(&'static str, Work)> {
     let full = random_circuit(N, 60, GatePool::Full, 77);
     vec![
         ("qft", Work::Circuit(qft(N))),
-        ("qftlike", Work::Circuit(random_circuit(N, 60, GatePool::QftLike, 31))),
+        (
+            "qftlike",
+            Work::Circuit(random_circuit(N, 60, GatePool::QftLike, 31)),
+        ),
         ("full", Work::Circuit(full.clone())),
         ("qft-greedy", Work::Planned(qft(N), Strategy::Greedy)),
         ("full-beam", Work::Planned(full, Strategy::beam())),
@@ -211,7 +214,9 @@ fn pinned(workload: &str, ranks: usize, half: bool, cap: usize) -> [u64; 4] {
     PINNED
         .iter()
         .find(|p| (p.0, p.1, p.2, p.3) == (workload, ranks, half, cap))
-        .unwrap_or_else(|| panic!("no pinned traffic for {workload} R={ranks} half={half} cap={cap}"))
+        .unwrap_or_else(|| {
+            panic!("no pinned traffic for {workload} R={ranks} half={half} cap={cap}")
+        })
         .4
 }
 
@@ -243,9 +248,17 @@ fn every_configuration_yields_the_same_bits_and_the_pinned_traffic() {
                         };
                         let what = format!("{name} R={ranks} half={half} cap={cap} {mode:?}");
                         let (state, traffic) = run(circuit, plan.as_ref(), ranks, config);
-                        let messages = if mode == ExchangeMode::Streamed { want[3] } else { want[2] };
+                        let messages = if mode == ExchangeMode::Streamed {
+                            want[3]
+                        } else {
+                            want[2]
+                        };
                         assert_eq!(
-                            [traffic.bytes_sent, traffic.bytes_exchanged, traffic.messages_sent],
+                            [
+                                traffic.bytes_sent,
+                                traffic.bytes_exchanged,
+                                traffic.messages_sent
+                            ],
                             [want[0], want[1], messages],
                             "{what}: [bytes_sent, bytes_exchanged, messages_sent]"
                         );

@@ -94,7 +94,9 @@ fn run_collect_errors(
 /// peer's such error left on this rank.
 fn is_or_caused_by(err: &CommError, want: impl Fn(&CommError) -> bool) -> bool {
     match err {
-        CommError::Aborted { cause: Some(cause), .. } => want(cause),
+        CommError::Aborted {
+            cause: Some(cause), ..
+        } => want(cause),
         other => want(other),
     }
 }
@@ -132,9 +134,15 @@ fn check_seed(seed: u64, circuit: &Circuit, ranks: usize, what: &str) {
         simulate(circuit, ranks, dist_config(ExchangeMode::Blocking), None)
             .unwrap_or_else(|e| panic!("seed {seed} {what}: fault-free run failed: {e}"));
     for (rank, s) in base_stats.iter().enumerate() {
-        assert_eq!(s.faults_injected, 0, "seed {seed} rank {rank}: clean run injected");
+        assert_eq!(
+            s.faults_injected, 0,
+            "seed {seed} rank {rank}: clean run injected"
+        );
         assert_eq!(s.retries, 0, "seed {seed} rank {rank}: clean run retried");
-        assert_eq!(s.corruptions_detected, 0, "seed {seed} rank {rank}: clean run corrupted");
+        assert_eq!(
+            s.corruptions_detected, 0,
+            "seed {seed} rank {rank}: clean run corrupted"
+        );
     }
     let mut injected_total = 0u64;
     for mode in [
@@ -146,10 +154,17 @@ fn check_seed(seed: u64, circuit: &Circuit, ranks: usize, what: &str) {
             .unwrap_or_else(|e| {
                 panic!("seed {seed} {what} mode {mode:?}: recoverable plan errored: {e}")
             });
-        assert_bits_equal(&state, &baseline, &format!("seed {seed} {what} mode {mode:?}"));
+        assert_bits_equal(
+            &state,
+            &baseline,
+            &format!("seed {seed} {what} mode {mode:?}"),
+        );
         injected_total += stats.iter().map(|s| s.faults_injected).sum::<u64>();
     }
-    assert!(injected_total > 0, "seed {seed} {what}: plan never injected a fault");
+    assert!(
+        injected_total > 0,
+        "seed {seed} {what}: plan never injected a fault"
+    );
 }
 
 /// Runs one bucket of the 50-seed campaign. Seeds rotate rank count and
@@ -205,9 +220,8 @@ fn streamed_chunks_reordered_by_jitter_compose_bitwise() {
     plan.p_delay = 0.7;
     plan.max_delay_slices = 2;
     for ranks in [2usize, 4] {
-        let (baseline, _) =
-            simulate(&circuit, ranks, dist_config(ExchangeMode::Blocking), None)
-                .expect("clean run");
+        let (baseline, _) = simulate(&circuit, ranks, dist_config(ExchangeMode::Blocking), None)
+            .expect("clean run");
         let (jittered, stats) = simulate(
             &circuit,
             ranks,
@@ -215,7 +229,11 @@ fn streamed_chunks_reordered_by_jitter_compose_bitwise() {
             Some(plan),
         )
         .expect("delay-only plan is recoverable");
-        assert_bits_equal(&jittered, &baseline, &format!("jittered streamed R={ranks}"));
+        assert_bits_equal(
+            &jittered,
+            &baseline,
+            &format!("jittered streamed R={ranks}"),
+        );
         assert!(stats.iter().map(|s| s.faults_injected).sum::<u64>() > 0);
     }
 }
@@ -233,8 +251,7 @@ fn heavy_retries_recover_bit_for_bit() {
     plan.retry_budget = 3;
     assert!(plan.is_recoverable());
     let (baseline, _) =
-        simulate(&circuit, 4, dist_config(ExchangeMode::NonBlocking), None)
-            .expect("clean run");
+        simulate(&circuit, 4, dist_config(ExchangeMode::NonBlocking), None).expect("clean run");
     let (state, stats) = simulate(
         &circuit,
         4,
@@ -243,7 +260,10 @@ fn heavy_retries_recover_bit_for_bit() {
     )
     .unwrap_or_else(|e| panic!("recoverable retry storm errored (seed 13): {e}"));
     assert_bits_equal(&state, &baseline, "retry storm");
-    assert!(stats.iter().map(|s| s.retries).sum::<u64>() > 0, "no retry ever ran");
+    assert!(
+        stats.iter().map(|s| s.retries).sum::<u64>() > 0,
+        "no retry ever ran"
+    );
 }
 
 #[test]
@@ -258,7 +278,8 @@ fn unrecoverable_corruption_errors_on_every_rank() {
         );
         assert_eq!(out.len(), 4);
         for (rank, r) in out.into_iter().enumerate() {
-            let err = r.err()
+            let err = r
+                .err()
                 .unwrap_or_else(|| panic!("rank {rank} mode {mode:?} should have failed"));
             assert!(
                 is_or_caused_by(&err, |e| matches!(e, CommError::Corrupt { .. })),
@@ -279,7 +300,9 @@ fn exhausted_retries_error_on_every_rank() {
     );
     assert_eq!(out.len(), 4);
     for (rank, r) in out.into_iter().enumerate() {
-        let err = r.err().unwrap_or_else(|| panic!("rank {rank} should have failed"));
+        let err = r
+            .err()
+            .unwrap_or_else(|| panic!("rank {rank} should have failed"));
         assert!(
             is_or_caused_by(&err, |e| matches!(e, CommError::Transient { .. })),
             "rank {rank}: unexpected error {err:?}"
@@ -323,8 +346,7 @@ fn fault_free_runs_take_the_zero_overhead_path() {
         ExchangeMode::NonBlocking,
         ExchangeMode::Streamed,
     ] {
-        let (_, stats) =
-            simulate(&circuit, 4, dist_config(mode), None).expect("clean run");
+        let (_, stats) = simulate(&circuit, 4, dist_config(mode), None).expect("clean run");
         for (rank, s) in stats.iter().enumerate() {
             assert_eq!(s.faults_injected, 0, "rank {rank} mode {mode:?}");
             assert_eq!(s.retries, 0, "rank {rank} mode {mode:?}");

@@ -64,7 +64,11 @@ fn check_all_modes_agree(circuit: &Circuit, ranks: usize, what: &str) {
     let (blocking, _) = simulate(circuit, ranks, config(ExchangeMode::Blocking, false));
     let (nonblocking, _) = simulate(circuit, ranks, config(ExchangeMode::NonBlocking, false));
     let (streamed, _) = simulate(circuit, ranks, config(ExchangeMode::Streamed, false));
-    assert_bits_equal(&streamed, &blocking, &format!("{what}: streamed vs blocking"));
+    assert_bits_equal(
+        &streamed,
+        &blocking,
+        &format!("{what}: streamed vs blocking"),
+    );
     assert_bits_equal(
         &streamed,
         &nonblocking,
@@ -93,7 +97,14 @@ fn random_circuits_streamed_bitwise_equal() {
 fn streamed_half_exchange_swaps_bitwise_equal() {
     // SWAP-heavy circuit exercising one-global and both-global paths.
     let mut c = Circuit::new(8);
-    c.h(0).swap(0, 7).h(1).swap(6, 7).swap(2, 6).h(7).swap(1, 5).swap(5, 6);
+    c.h(0)
+        .swap(0, 7)
+        .h(1)
+        .swap(6, 7)
+        .swap(2, 6)
+        .h(7)
+        .swap(1, 5)
+        .swap(5, 6);
     for ranks in [4usize, 8] {
         let (plain, _) = simulate(&c, ranks, config(ExchangeMode::Blocking, false));
         let (streamed_half, _) = simulate(&c, ranks, config(ExchangeMode::Streamed, true));

@@ -141,7 +141,12 @@ fn qft_like_random_circuits_transpiled_bitwise_equal() {
     for ranks in [4usize, 8] {
         for seed in 10..12 {
             let c = random_circuit(8, 60, GatePool::QftLike, seed);
-            check_equivalence(&c, ranks, Bar::Bitwise, &format!("qftlike {seed} R={ranks}"));
+            check_equivalence(
+                &c,
+                ranks,
+                Bar::Bitwise,
+                &format!("qftlike {seed} R={ranks}"),
+            );
         }
     }
 }

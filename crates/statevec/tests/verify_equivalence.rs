@@ -180,9 +180,8 @@ fn every_equivalence_suite_plan_verifies_statically() {
                 let plan = plan_for(c, ranks, strategy);
                 for mode in MODES {
                     let opts = verify_opts(dist_config(mode, 1 << 20, false));
-                    verify_plan(&plan, Some(c), ranks, &opts).unwrap_or_else(|e| {
-                        panic!("{name} R={ranks} {mode:?} {strategy:?}: {e}")
-                    });
+                    verify_plan(&plan, Some(c), ranks, &opts)
+                        .unwrap_or_else(|e| panic!("{name} R={ranks} {mode:?} {strategy:?}: {e}"));
                     verified += 1;
                 }
             }

@@ -172,7 +172,10 @@ mod tests {
         let b = Bytes::from(v);
         assert_eq!(b.len(), 16);
         assert!(b.iter().all(|&x| x == 5));
-        assert!(std::ptr::eq(b.as_ptr(), allocation), "payload was reallocated");
+        assert!(
+            std::ptr::eq(b.as_ptr(), allocation),
+            "payload was reallocated"
+        );
     }
 
     #[test]

@@ -137,10 +137,7 @@ mod tests {
             check_with_size(50, 64, |_, size| assert!(size < 8, "size {size} >= 8"));
         });
         let msg = result.unwrap_err();
-        let msg = msg
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = msg.downcast_ref::<String>().cloned().unwrap_or_default();
         // The shrunk size is the smallest power-of-two fraction that
         // still fails — between 8 and 15 by construction.
         let size: usize = msg

@@ -108,9 +108,7 @@ impl Json {
         match *self {
             Json::Int(i) => u64::try_from(i).ok(),
             Json::UInt(u) => Some(u),
-            Json::Num(n) if n >= 0.0 && n <= u64::MAX as f64 && n.fract() == 0.0 => {
-                Some(n as u64)
-            }
+            Json::Num(n) if n >= 0.0 && n <= u64::MAX as f64 && n.fract() == 0.0 => Some(n as u64),
             _ => None,
         }
     }
@@ -344,8 +342,7 @@ impl<'a> Parser<'a> {
                                     if !(0xDC00..0xE000).contains(&lo) {
                                         return Err(self.error("invalid low surrogate"));
                                     }
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(combined)
                                 } else {
                                     None
@@ -359,9 +356,7 @@ impl<'a> Parser<'a> {
                             }
                         }
                         other => {
-                            return Err(
-                                self.error(format!("unknown escape `\\{}`", other as char))
-                            )
+                            return Err(self.error(format!("unknown escape `\\{}`", other as char)))
                         }
                     }
                 }
@@ -374,7 +369,10 @@ impl<'a> Parser<'a> {
                     let start = self.pos - 1;
                     let s = std::str::from_utf8(&self.bytes[start..])
                         .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.error("invalid UTF-8"))?;
+                    let c = s
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.error("invalid UTF-8"))?;
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -646,8 +644,10 @@ mod tests {
 
     #[test]
     fn parse_structures_and_accessors() {
-        let j = Json::parse(r#"{"op":"submit","n":16,"gates":[["h",0],["cphase",0,1,0.5]],"deep":{"x":null}}"#)
-            .unwrap();
+        let j = Json::parse(
+            r#"{"op":"submit","n":16,"gates":[["h",0],["cphase",0,1,0.5]],"deep":{"x":null}}"#,
+        )
+        .unwrap();
         assert_eq!(j.get("op").and_then(Json::as_str), Some("submit"));
         assert_eq!(j.get("n").and_then(Json::as_u64), Some(16));
         let gates = j.get("gates").and_then(Json::as_arr).unwrap();
@@ -660,7 +660,10 @@ mod tests {
         assert_eq!(Json::Num(4.5).as_u64(), None);
         assert_eq!(Json::Int(-1).as_u64(), None);
         assert_eq!(Json::Bool(true).as_bool(), Some(true));
-        assert_eq!(j.get("deep").and_then(Json::as_obj).map(<[_]>::len), Some(1));
+        assert_eq!(
+            j.get("deep").and_then(Json::as_obj).map(<[_]>::len),
+            Some(1)
+        );
     }
 
     #[test]
@@ -694,9 +697,21 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_input() {
         for bad in [
-            "", "{", "[1,", "nul", "{\"a\"}", "{\"a\":}", "\"unterminated",
-            "1 2", "{\"a\":1,}", "[1 2]", "\"\\q\"", "\"\\ud83d\"", "--1",
-            "1e", "{1:2}",
+            "",
+            "{",
+            "[1,",
+            "nul",
+            "{\"a\"}",
+            "{\"a\":}",
+            "\"unterminated",
+            "1 2",
+            "{\"a\":1,}",
+            "[1 2]",
+            "\"\\q\"",
+            "\"\\ud83d\"",
+            "--1",
+            "1e",
+            "{1:2}",
         ] {
             let err = Json::parse(bad).expect_err(bad);
             assert!(!err.to_string().is_empty());

@@ -183,7 +183,11 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared.inner.lock().expect("mailbox poisoned").receiver_gone = true;
+        self.shared
+            .inner
+            .lock()
+            .expect("mailbox poisoned")
+            .receiver_gone = true;
     }
 }
 

@@ -413,8 +413,7 @@ mod tests {
     #[test]
     fn mutates_disjoint_chunks() {
         let mut data = vec![0u64; 4096];
-        let chunks: Vec<(usize, &mut [u64])> =
-            data.chunks_mut(64).enumerate().collect();
+        let chunks: Vec<(usize, &mut [u64])> = data.chunks_mut(64).enumerate().collect();
         parallel_for_each(chunks, |(ci, chunk)| {
             for (k, v) in chunk.iter_mut().enumerate() {
                 *v = (ci * 64 + k) as u64;
@@ -501,8 +500,9 @@ mod tests {
                     "len={len} slots={slots}"
                 );
                 // Balanced: sizes differ by at most one.
-                let sizes: Vec<usize> =
-                    (0..slots).map(|s| affine_range(len, s, slots).len()).collect();
+                let sizes: Vec<usize> = (0..slots)
+                    .map(|s| affine_range(len, s, slots).len())
+                    .collect();
                 let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
                 assert!(hi - lo <= 1, "len={len} slots={slots} sizes={sizes:?}");
             }

@@ -48,7 +48,9 @@ fn main() {
         n - 1,
         summary(&hot_global, &layout, false).0,
         summary(&transpiled.circuit, &layout, false).0,
-        (0..n).map(|q| transpiled.layout.apply(q)).collect::<Vec<_>>()
+        (0..n)
+            .map(|q| transpiled.layout.apply(q))
+            .collect::<Vec<_>>()
     );
 
     // (c) Measure it for real on the thread cluster.
@@ -71,6 +73,11 @@ fn main() {
 /// sends running them, from the engine's own lowering.
 fn summary(circuit: &Circuit, layout: &Layout, half_exchange_swaps: bool) -> (usize, u64) {
     let traffic = circuit_traffic(circuit, layout, half_exchange_swaps).expect("lowerable");
-    let distributed = traffic.iter().filter(|t| t.lowering.class == GateClass::Distributed);
-    (distributed.count(), traffic.iter().map(GateTraffic::rank_bytes).sum())
+    let distributed = traffic
+        .iter()
+        .filter(|t| t.lowering.class == GateClass::Distributed);
+    (
+        distributed.count(),
+        traffic.iter().map(GateTraffic::rank_bytes).sum(),
+    )
 }

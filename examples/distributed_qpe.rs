@@ -10,9 +10,9 @@
 //! cargo run --release --example distributed_qpe
 //! ```
 
-use qse::prelude::*;
 use qse::circuit::qft::inverse_qft;
 use qse::math::bits;
+use qse::prelude::*;
 
 /// Builds QPE for the single-qubit phase oracle `diag(1, e^{2πiφ})` with
 /// `t` counting qubits; the eigenstate |1⟩ lives on qubit `t`.
@@ -70,9 +70,7 @@ fn main() {
         .expect("nonempty state");
     let counting = (best_index as u64) & ((1 << t) - 1);
     let estimate = bits::reverse_bits(counting, t) as f64 / (1u64 << t) as f64;
-    println!(
-        "most likely outcome: index {best_index} (p = {best_p:.3}) -> φ ≈ {estimate}"
-    );
+    println!("most likely outcome: index {best_index} (p = {best_p:.3}) -> φ ≈ {estimate}");
     assert!((estimate - phi).abs() < 1.0 / (1 << t) as f64);
     println!("estimate within 2^-{t} of the true phase — QPE works on the distributed engine.");
 }

@@ -11,15 +11,13 @@
 
 use qse::core::experiment::TextTable;
 use qse::core::scaling::nodes_for;
-use qse::prelude::*;
 use qse::machine::energy::{format_energy, joules_to_kwh};
+use qse::prelude::*;
 
 fn main() {
     let n = 40u32;
     let machine = archer2();
-    let mut table = TextTable::new(vec![
-        "Setup", "Nodes", "Runtime", "Energy", "kWh", "CU",
-    ]);
+    let mut table = TextTable::new(vec!["Setup", "Nodes", "Runtime", "Energy", "kWh", "CU"]);
 
     let mut best: Option<(String, f64)> = None;
     for kind in [NodeKind::Standard, NodeKind::HighMem] {

@@ -1,9 +1,7 @@
 //! End-to-end algorithm tests: each builder from `qse::circuit::algorithms`
 //! run through the engines and checked against its textbook behaviour.
 
-use qse::circuit::algorithms::{
-    bernstein_vazirani, ghz, layered_ansatz, qpe, read_phase_estimate,
-};
+use qse::circuit::algorithms::{bernstein_vazirani, ghz, layered_ansatz, qpe, read_phase_estimate};
 use qse::math::approx::assert_close;
 use qse::prelude::*;
 

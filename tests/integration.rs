@@ -20,21 +20,13 @@ fn end_to_end_qft_pipeline() {
         want.run(&built_in);
 
         for circuit in [&built_in, &blocked] {
-            for cfg in [
-                SimConfig::default_for(ranks),
-                SimConfig::fast_for(ranks),
-                {
-                    let mut c = SimConfig::fast_for(ranks);
-                    c.half_exchange_swaps = true;
-                    c
-                },
-            ] {
+            for cfg in [SimConfig::default_for(ranks), SimConfig::fast_for(ranks), {
+                let mut c = SimConfig::fast_for(ranks);
+                c.half_exchange_swaps = true;
+                c
+            }] {
                 let run = ThreadClusterExecutor::run(circuit, &cfg, basis, true);
-                assert_slices_close(
-                    &run.state.expect("gathered"),
-                    want.amplitudes(),
-                    1e-9,
-                );
+                assert_slices_close(&run.state.expect("gathered"), want.amplitudes(), 1e-9);
             }
         }
     }
@@ -66,11 +58,7 @@ fn transpiler_layout_restoration_round_trip() {
             st.run_plan(&plan).expect("plan run");
             st.gather().expect("gather")
         });
-        let state = gathered
-            .into_iter()
-            .flatten()
-            .next()
-            .expect("rank 0 state");
+        let state = gathered.into_iter().flatten().next().expect("rank 0 state");
         assert_slices_close(&state, want.amplitudes(), 1e-9);
     }
 }

@@ -76,7 +76,10 @@ fn fig3_standard_high_band() {
         let extra_energy = high.total_energy_j() / base.total_energy_j() - 1.0;
         // Paper: "consistently 5 % to 10 % faster … around 25 % more energy".
         assert!((0.02..0.12).contains(&speedup), "{n}: speedup {speedup}");
-        assert!((0.10..0.35).contains(&extra_energy), "{n}: energy {extra_energy}");
+        assert!(
+            (0.10..0.35).contains(&extra_energy),
+            "{n}: energy {extra_energy}"
+        );
     }
 }
 
@@ -168,7 +171,8 @@ fn qft_semantics_exact() {
         let mut s = ReferenceState::basis_state(n, x);
         s.run(&qft(n));
         for k in 0..dim {
-            let phase = 2.0 * std::f64::consts::PI
+            let phase = 2.0
+                * std::f64::consts::PI
                 * (qse::math::bits::reverse_bits(x, n) as f64)
                 * (qse::math::bits::reverse_bits(k, n) as f64)
                 / dim as f64;
