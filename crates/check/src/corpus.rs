@@ -1,15 +1,14 @@
 //! The standard plan corpus swept by `qse check --plans` and CI: QFT,
 //! cache-blocked QFT, and random circuits × rank counts × exchange
-//! modes × transpile strategies, each paired with the [`VerifyOptions`]
+//! modes × transpile strategies, each paired with the [`DistConfig`]
 //! the runtime would use, ready for [`crate::verify::verify_plan`].
 
-use crate::verify::VerifyOptions;
 use qse_circuit::classify::Layout;
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::transpile::{comm_avoid, ByteOracle, Plan, Strategy};
 use qse_circuit::{Circuit, Permutation};
-use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
+use qse_comm::chunking::{ChunkPolicy, DistConfig, ExchangeMode};
 
 /// One corpus entry: a compiled plan, the circuit it was compiled from,
 /// and the execution configuration to verify it under.
@@ -20,7 +19,7 @@ pub struct CorpusCase {
     pub plan: Plan,
     pub original: Circuit,
     pub n_ranks: u64,
-    pub opts: VerifyOptions,
+    pub opts: DistConfig,
 }
 
 fn strategy_name(s: Option<Strategy>) -> &'static str {
@@ -28,7 +27,6 @@ fn strategy_name(s: Option<Strategy>) -> &'static str {
         None => "off",
         Some(Strategy::Greedy) => "greedy",
         Some(Strategy::Beam { .. }) => "beam",
-        Some(Strategy::Exhaustive { .. }) => "exhaustive",
     }
 }
 
@@ -72,7 +70,7 @@ pub fn standard_corpus() -> Vec<CorpusCase> {
                 };
                 for &mode in &modes {
                     let idx = cases.len();
-                    let opts = VerifyOptions {
+                    let opts = DistConfig {
                         exchange_mode: mode,
                         // Alternate a small cap to force multi-chunk
                         // lowering on half the corpus.

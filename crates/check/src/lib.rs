@@ -31,6 +31,4 @@ pub mod verify;
 pub use corpus::{standard_corpus, CorpusCase};
 pub use lint::{lint_file, lint_tree, Rule, Violation};
 pub use schedule::{Ctl, Explorer, ScheduleFailure};
-pub use verify::{
-    derive_traces, verify_circuit, verify_plan, TraceSet, VerifyError, VerifyOptions, VerifyReport,
-};
+pub use verify::{derive_traces, verify_circuit, verify_plan, TraceSet, VerifyError, VerifyReport};

@@ -1,7 +1,8 @@
 //! A source lint pass for the repo's own conventions.
 //!
 //! A deliberately small line/token scanner — no parser dependency —
-//! enforcing eight rules that the type system cannot:
+//! enforcing eight rules that the type system cannot, plus a ninth that
+//! keeps their escape hatch honest:
 //!
 //! * **R1 `PanicInLib`** — no `.unwrap()`, `.expect(`, or `panic!` in
 //!   non-test library code of `qse-comm`, `qse-statevec`, and
@@ -48,10 +49,16 @@
 //!   arrived, so an exchanged byte is copied once. Either call stages
 //!   the slice through a second buffer — the copies DESIGN §9 counts
 //!   and the benchmark's `hadamard22_global` pays for.
+//! * **R9 `StaleAllow`** — a `// qse-lint: allow` marker must excuse a
+//!   finding on its own line or the next. A marker that excuses nothing
+//!   (reformatting moved it off its line, or the code it excused is
+//!   gone) would otherwise sit waiting to excuse whatever lands beside
+//!   it next.
 //!
 //! The scanner strips `//` comments, `/* */` blocks, and string/char
 //! literals before matching, and skips `#[cfg(test)]` regions by brace
-//! counting. A trailing `// qse-lint: allow` escape-hatches one line.
+//! counting. A `// qse-lint: allow` marker escape-hatches its own line
+//! or, when its own line has no finding, the next one.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -76,6 +83,8 @@ pub enum Rule {
     UnboundedNetRead,
     /// Whole-slice serialisation on the distributed exchange path.
     SliceStaging,
+    /// A `qse-lint: allow` marker that excuses no finding.
+    StaleAllow,
 }
 
 impl Rule {
@@ -90,6 +99,7 @@ impl Rule {
             Rule::TruncatingCast => "truncating-cast",
             Rule::UnboundedNetRead => "unbounded-net-read",
             Rule::SliceStaging => "slice-staging",
+            Rule::StaleAllow => "stale-allow",
         }
     }
 }
@@ -201,10 +211,9 @@ fn strip_line(line: &str, in_block_comment: &mut bool) -> String {
     out
 }
 
-fn is_allowed(raw_line: &str, prev_raw: Option<&str>) -> bool {
-    let marker = "qse-lint: allow";
-    raw_line.contains(marker) || prev_raw.is_some_and(|p| p.contains(marker))
-}
+/// The escape-hatch marker: excuses the findings on its own line or,
+/// when its own line has none, on the next line.
+const ALLOW_MARKER: &str = "qse-lint: allow";
 
 /// Does the stripped line declare a documentable public function?
 /// (`pub(crate)` and narrower are internal — not covered by R3.)
@@ -317,7 +326,17 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
     // R5 state: a `SAFETY:` comment in the contiguous comment/attribute
     // block directly above.
     let mut safety_pending = false;
-    let mut prev_raw: Option<&str> = None;
+    // R9 state: the previous line's marker, if it had one (line number,
+    // whether it has excused a finding yet).
+    let mut prev_marker: Option<(usize, bool)> = None;
+    let stale = |line: usize| Violation {
+        file: relpath.to_string(),
+        line,
+        rule: Rule::StaleAllow,
+        message: "`qse-lint: allow` excuses no finding on this line or the next; \
+                  remove it, or move it back beside the line it justifies"
+            .to_string(),
+    };
 
     for (idx, raw) in content.lines().enumerate() {
         let line_no = idx + 1;
@@ -345,9 +364,9 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
         }
 
         let in_test_region = test_region_floor.is_some();
-        let allowed = is_allowed(raw, prev_raw);
+        let mut findings: Vec<Violation> = Vec::new();
 
-        if !in_test_region && !was_in_block && !allowed {
+        if !in_test_region && !was_in_block {
             if check_panics {
                 for (needle, what) in [
                     (".unwrap()", "`.unwrap()`"),
@@ -355,7 +374,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                     ("panic!", "`panic!`"),
                 ] {
                     if stripped.contains(needle) {
-                        violations.push(Violation {
+                        findings.push(Violation {
                             file: relpath.to_string(),
                             line: line_no,
                             rule: Rule::PanicInLib,
@@ -368,7 +387,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                 }
             }
             if check_instant && stripped.contains("Instant::now()") {
-                violations.push(Violation {
+                findings.push(Violation {
                     file: relpath.to_string(),
                     line: line_no,
                     rule: Rule::InstantInMachine,
@@ -378,7 +397,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                 });
             }
             if check_measure_asserts && invokes_hard_assert(&stripped) {
-                violations.push(Violation {
+                findings.push(Violation {
                     file: relpath.to_string(),
                     line: line_no,
                     rule: Rule::AssertInMeasure,
@@ -393,7 +412,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                 && !safety_pending
                 && !raw.contains("SAFETY:")
             {
-                violations.push(Violation {
+                findings.push(Violation {
                     file: relpath.to_string(),
                     line: line_no,
                     rule: Rule::UnsafeWithoutSafety,
@@ -405,7 +424,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
             if check_casts {
                 for needle in ["as usize", "as u32"] {
                     if contains_token(&stripped, needle) {
-                        violations.push(Violation {
+                        findings.push(Violation {
                             file: relpath.to_string(),
                             line: line_no,
                             rule: Rule::TruncatingCast,
@@ -421,7 +440,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
             if check_net_reads {
                 for needle in [".read_to_end(", ".read_to_string(", ".read_line("] {
                     if stripped.contains(needle) {
-                        violations.push(Violation {
+                        findings.push(Violation {
                             file: relpath.to_string(),
                             line: line_no,
                             rule: Rule::UnboundedNetRead,
@@ -437,7 +456,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
             if check_staging {
                 for needle in [".to_f64_vec()", "f64s_to_bytes("] {
                     if stripped.contains(needle) {
-                        violations.push(Violation {
+                        findings.push(Violation {
                             file: relpath.to_string(),
                             line: line_no,
                             rule: Rule::SliceStaging,
@@ -451,7 +470,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                 }
             }
             if check_docs && declares_pub_fn(&stripped) && !doc_pending {
-                violations.push(Violation {
+                findings.push(Violation {
                     file: relpath.to_string(),
                     line: line_no,
                     rule: Rule::UndocumentedPub,
@@ -459,6 +478,25 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                 });
             }
         }
+
+        // A finding is excused by this line's marker, else by an unspent
+        // marker on the line above; a marker gone one line without
+        // excusing anything is stale.
+        let here_marker = raw.contains(ALLOW_MARKER).then_some(line_no);
+        let excused_by = if findings.is_empty() {
+            None
+        } else {
+            here_marker.or(prev_marker.and_then(|(line, used)| (!used).then_some(line)))
+        };
+        if let Some((line, used)) = prev_marker {
+            if !used && excused_by != Some(line) {
+                violations.push(stale(line));
+            }
+        }
+        if excused_by.is_none() {
+            violations.append(&mut findings);
+        }
+        prev_marker = here_marker.map(|line| (line, excused_by == Some(line)));
 
         // Clear doc/safety adjacency on any substantive non-attribute line.
         if !trimmed_raw.starts_with("///")
@@ -499,8 +537,9 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                 _ => {}
             }
         }
-
-        prev_raw = Some(raw);
+    }
+    if let Some((line, false)) = prev_marker {
+        violations.push(stale(line));
     }
     violations
 }
@@ -616,6 +655,37 @@ mod tests {
         assert!(lint_file("crates/comm/src/fake.rs", src).is_empty());
         let src = "fn f() {\n    // qse-lint: allow — lock poisoning is fatal\n    x.unwrap()\n}\n";
         assert!(lint_file("crates/comm/src/fake.rs", src).is_empty());
+    }
+
+    #[test]
+    fn detached_allow_marker_is_itself_a_violation() {
+        // Reformatting pushed the `panic!` two lines below its marker:
+        // the marker excuses nothing and the panic is reported too.
+        let src = "fn f() -> u64 {\n    traffic(g) // qse-lint: allow — invariant\n        \
+                   .map(|t| t.bytes)\n        .unwrap_or_else(|e| panic!(\"{e}\"))\n}\n";
+        let v = lint_file("crates/machine/src/fake.rs", src);
+        let found: Vec<(usize, Rule)> = v.iter().map(|v| (v.line, v.rule)).collect();
+        assert_eq!(
+            found,
+            [(2, Rule::StaleAllow), (4, Rule::PanicInLib)],
+            "{v:?}"
+        );
+        // A marker with nothing flagged beside it, also at end of file.
+        let src = "fn f() {\n    let x = 1; // qse-lint: allow\n}\n// qse-lint: allow";
+        let lines: Vec<usize> = lint_file("crates/comm/src/fake.rs", src)
+            .iter()
+            .map(|v| {
+                assert_eq!(v.rule, Rule::StaleAllow);
+                v.line
+            })
+            .collect();
+        assert_eq!(lines, [2, 4]);
+        // A marker that excuses its own line is not also spent on the
+        // next: the unmarked unwrap below it is still reported.
+        let src = "fn f() {\n    x.unwrap(); // qse-lint: allow\n    y.unwrap();\n}\n";
+        let v = lint_file("crates/comm/src/fake.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].line, v[0].rule), (3, Rule::PanicInLib));
     }
 
     #[test]

@@ -47,33 +47,9 @@ use qse_circuit::lower::{lower_gate, BlockMap};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
 use qse_comm::chunking::{
-    chunk_tag, ChunkOp, ChunkPolicy, ChunkedExchange, ExchangeMode, TagSeq, ONE_SIDED_MODE,
+    chunk_tag, ChunkOp, ChunkedExchange, DistConfig, ExchangeMode, TagSeq, ONE_SIDED_MODE,
 };
 use std::fmt;
-
-/// Exchange options the abstraction must honour — the fields of
-/// `statevec::dist::DistConfig`, field for field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VerifyOptions {
-    /// Pairwise exchange lowering to derive traces for.
-    pub exchange_mode: ExchangeMode,
-    /// Message-size cap; identical chunk boundaries to the runtime.
-    pub chunk_policy: ChunkPolicy,
-    /// Model the half exchange for one-global distributed SWAPs.
-    pub half_exchange_swaps: bool,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            exchange_mode: ExchangeMode::default(),
-            chunk_policy: ChunkPolicy {
-                max_message_bytes: 1 << 20,
-            },
-            half_exchange_swaps: false,
-        }
-    }
-}
 
 /// One symbolic communication operation in a rank's trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -346,7 +322,7 @@ struct RankDeriver<'a> {
     rank: u64,
     layout: Layout,
     plan: &'a Plan,
-    opts: &'a VerifyOptions,
+    opts: &'a DistConfig,
     tags: TagSeq,
     step: usize,
     trace: RankTrace,
@@ -364,7 +340,7 @@ struct StepCounts {
 }
 
 impl<'a> RankDeriver<'a> {
-    fn new(rank: u64, layout: Layout, plan: &'a Plan, opts: &'a VerifyOptions) -> Self {
+    fn new(rank: u64, layout: Layout, plan: &'a Plan, opts: &'a DistConfig) -> Self {
         RankDeriver {
             rank,
             layout,
@@ -568,7 +544,7 @@ fn step_label(plan: &Plan, step: usize) -> String {
 pub fn derive_traces(
     plan: &Plan,
     n_ranks: u64,
-    opts: &VerifyOptions,
+    opts: &DistConfig,
 ) -> Result<TraceSet, VerifyError> {
     derive(plan, n_ranks, opts).map(|(ts, _)| ts)
 }
@@ -577,7 +553,7 @@ pub fn derive_traces(
 fn derive(
     plan: &Plan,
     n_ranks: u64,
-    opts: &VerifyOptions,
+    opts: &DistConfig,
 ) -> Result<(TraceSet, StepCounts), VerifyError> {
     if n_ranks == 0 || !n_ranks.is_power_of_two() || n_ranks > (1u64 << plan.n_qubits()) {
         return Err(VerifyError::Unsupported {
@@ -993,7 +969,7 @@ pub fn verify_plan(
     plan: &Plan,
     original: Option<&Circuit>,
     n_ranks: u64,
-    opts: &VerifyOptions,
+    opts: &DistConfig,
 ) -> Result<VerifyReport, VerifyError> {
     verify_layout(plan, original)?;
     let (ts, counts) = derive(plan, n_ranks, opts)?;
@@ -1022,7 +998,7 @@ pub fn verify_plan(
 pub fn verify_circuit(
     circuit: &Circuit,
     n_ranks: u64,
-    opts: &VerifyOptions,
+    opts: &DistConfig,
 ) -> Result<VerifyReport, VerifyError> {
     let plan = Plan::from_circuit(circuit, Permutation::identity(circuit.n_qubits()));
     verify_plan(&plan, Some(circuit), n_ranks, opts)
@@ -1119,11 +1095,12 @@ mod tests {
     use qse_circuit::qft::qft;
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_circuit::transpile::{comm_avoid, ByteOracle, Strategy};
+    use qse_comm::chunking::ChunkPolicy;
 
-    fn opts_for(mode: ExchangeMode) -> VerifyOptions {
-        VerifyOptions {
+    fn opts_for(mode: ExchangeMode) -> DistConfig {
+        DistConfig {
             exchange_mode: mode,
-            ..VerifyOptions::default()
+            ..DistConfig::default()
         }
     }
 
@@ -1150,7 +1127,7 @@ mod tests {
             let c = random_circuit(7, 50, GatePool::Full, seed);
             let plan = Plan::from_circuit(&c, Permutation::identity(7));
             for ranks in [1u64, 2, 4, 8] {
-                verify_plan(&plan, Some(&c), ranks, &VerifyOptions::default()).unwrap();
+                verify_plan(&plan, Some(&c), ranks, &DistConfig::default()).unwrap();
             }
         }
     }
@@ -1166,7 +1143,7 @@ mod tests {
         let ts = derive_traces(
             &Plan::from_circuit(&c, Permutation::identity(5)),
             4,
-            &VerifyOptions::default(),
+            &DistConfig::default(),
         )
         .unwrap();
         // Ranks 0 and 2 (control bit clear) spectate the CNot; ranks 1
@@ -1192,7 +1169,7 @@ mod tests {
             b: 5,
             matrix: m,
         });
-        let report = verify_circuit(&c, 4, &VerifyOptions::default()).unwrap();
+        let report = verify_circuit(&c, 4, &DistConfig::default()).unwrap();
         // Three pairwise exchanges per rank (swap, unitary, swap).
         assert_eq!(report.distributed_gates, 1);
         let full = 16u64 * (1 << 4); // local_amps × BYTES_PER_AMP
@@ -1203,13 +1180,13 @@ mod tests {
     fn half_exchange_swaps_halve_predicted_traffic() {
         let mut c = Circuit::new(6);
         c.swap(0, 5);
-        let full = verify_circuit(&c, 4, &VerifyOptions::default()).unwrap();
+        let full = verify_circuit(&c, 4, &DistConfig::default()).unwrap();
         let half = verify_circuit(
             &c,
             4,
-            &VerifyOptions {
+            &DistConfig {
                 half_exchange_swaps: true,
-                ..VerifyOptions::default()
+                ..DistConfig::default()
             },
         )
         .unwrap();
@@ -1249,16 +1226,16 @@ mod tests {
         plan.steps.push(PlanStep::Permute(Permutation::reversal(6)));
         // The two reversals cancel: layout stays identity, so the plan
         // is still sound — and each permute must tile staging exactly.
-        verify_plan(&plan, None, 8, &VerifyOptions::default()).unwrap();
+        verify_plan(&plan, None, 8, &DistConfig::default()).unwrap();
     }
 
     #[test]
     fn streamed_small_chunks_stay_within_ring_budget() {
         let c = qft(7);
-        let opts = VerifyOptions {
+        let opts = DistConfig {
             exchange_mode: ExchangeMode::Streamed,
             chunk_policy: ChunkPolicy::new(128).unwrap(),
-            ..VerifyOptions::default()
+            ..DistConfig::default()
         };
         let ts =
             derive_traces(&Plan::from_circuit(&c, Permutation::identity(7)), 4, &opts).unwrap();
@@ -1294,7 +1271,7 @@ mod tests {
     #[test]
     fn broken_layout_is_rejected() {
         let plan = broken_fixture_unrestored_layout();
-        let err = verify_plan(&plan, None, 4, &VerifyOptions::default()).unwrap_err();
+        let err = verify_plan(&plan, None, 4, &DistConfig::default()).unwrap_err();
         match err {
             VerifyError::LayoutDrift { .. } => {}
             other => panic!("expected LayoutDrift, got {other}"),
@@ -1310,7 +1287,7 @@ mod tests {
         let mut ts = derive_traces(
             &Plan::from_circuit(&c, Permutation::identity(5)),
             2,
-            &VerifyOptions::default(),
+            &DistConfig::default(),
         )
         .unwrap();
         let pos = ts.ranks[1]
@@ -1484,7 +1461,7 @@ mod tests {
         if let PlanStep::Gate(Gate::H(q)) = &mut plan.steps[idx] {
             *q = (*q + 1) % 6;
         }
-        match verify_plan(&plan, Some(&c), 4, &VerifyOptions::default()).unwrap_err() {
+        match verify_plan(&plan, Some(&c), 4, &DistConfig::default()).unwrap_err() {
             VerifyError::GateMismatch { .. } | VerifyError::LayoutDrift { .. } => {}
             other => panic!("expected GateMismatch, got {other}"),
         }
@@ -1620,7 +1597,7 @@ mod tests {
             .push(PlanStep::Permute(Permutation::reversal(20)));
         plan.steps
             .push(PlanStep::Permute(Permutation::reversal(20)));
-        let report = verify_plan(&plan, None, 2, &VerifyOptions::default()).unwrap();
+        let report = verify_plan(&plan, None, 2, &DistConfig::default()).unwrap();
         assert_eq!(report.wire_permutes, 2);
         // A non-injective map at that width (one `Permutation::from_map`
         // refuses to build): bits 0 and 19 both land on bit 0.
@@ -1731,7 +1708,7 @@ mod tests {
             assert_eq!(step_label(&plan, i), eager);
         }
         // A diagnosis of a derived trace takes its label from the plan.
-        let mut ts = derive_traces(&plan, 2, &VerifyOptions::default()).unwrap();
+        let mut ts = derive_traces(&plan, 2, &DistConfig::default()).unwrap();
         assert!(ts.step_labels.is_empty());
         let pos = ts.ranks[1]
             .events

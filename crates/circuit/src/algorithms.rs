@@ -136,30 +136,6 @@ pub fn grover_optimal_iterations(n: u32) -> u32 {
     (std::f64::consts::FRAC_PI_4 / theta - 0.5).round().max(1.0) as u32
 }
 
-/// A layered hardware-efficient-style circuit: per layer, one rotation on
-/// every qubit followed by a CNOT ladder. Used as a "deep generic
-/// workload" in benchmarks (`depth` layers).
-pub fn layered_ansatz(n: u32, depth: u32, seed: u64) -> Circuit {
-    let mut c = Circuit::new(n);
-    let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
-    let mut next = || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545F4914F6CDD1D)
-    };
-    for _ in 0..depth {
-        for q in 0..n {
-            let theta = (next() % 10_000) as f64 / 10_000.0 * std::f64::consts::TAU;
-            c.push(crate::gate::Gate::Ry { target: q, theta });
-        }
-        for q in 0..n.saturating_sub(1) {
-            c.cnot(q, q + 1);
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,15 +209,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn grover_rejects_wide_marked_state() {
         grover(3, 8, 1);
-    }
-
-    #[test]
-    fn layered_ansatz_is_deterministic_and_sized() {
-        let a = layered_ansatz(5, 3, 7);
-        let b = layered_ansatz(5, 3, 7);
-        assert_eq!(a, b);
-        assert_ne!(a, layered_ansatz(5, 3, 8));
-        // per layer: n rotations + (n-1) CNOTs
-        assert_eq!(a.len(), 3 * (5 + 4));
     }
 }

@@ -17,9 +17,8 @@
 //! tests in the statevector crate verify this amplitude-for-amplitude.
 
 use crate::circuit::Circuit;
-use crate::gate::Gate;
 use crate::permutation::Permutation;
-use crate::transpile::comm_avoid::Plan;
+use crate::transpile::comm_avoid::{Plan, Tracker};
 
 /// Result of the cache-blocking pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,120 +42,40 @@ impl Transpiled {
     }
 }
 
-/// Which local slot to evict when a global target must be swapped in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VictimPolicy {
-    /// Evict the least-recently-used slot — cheap, online, the classic
-    /// heuristic.
-    #[default]
-    Lru,
-    /// Evict the slot whose occupant is next used furthest in the future
-    /// (Bélády's optimal replacement) — possible here because the whole
-    /// circuit is known ahead of time, unlike a hardware cache.
-    FurthestUse,
-}
-
-/// Runs the cache-blocking pass with the default (LRU) victim policy.
-pub fn cache_block(circuit: &Circuit, local_qubits: u32) -> Transpiled {
-    cache_block_with(circuit, local_qubits, VictimPolicy::Lru)
-}
-
 /// Runs the cache-blocking pass for a rank layout with `local_qubits`
 /// local positions.
 ///
 /// Gates whose physical target already sits in the local window pass
 /// through; a gate with a global physical target gets a SWAP inserted
-/// that exchanges the target with a victim local position chosen by
-/// `policy` (excluding positions the gate itself touches). Diagonal
-/// gates never trigger SWAPs — they are "fully local" at any position.
-pub fn cache_block_with(circuit: &Circuit, local_qubits: u32, policy: VictimPolicy) -> Transpiled {
+/// that exchanges the target with the least-recently-used local position
+/// the gate does not touch. Diagonal gates never trigger SWAPs — they
+/// are "fully local" at any position. The placement is
+/// [`Strategy::Greedy`]'s, gate for gate: only the lowering of each
+/// swap-in differs (a SWAP gate here, a `Permute` step there).
+///
+/// [`Strategy::Greedy`]: crate::transpile::Strategy::Greedy
+pub fn cache_block(circuit: &Circuit, local_qubits: u32) -> Transpiled {
     let n = circuit.n_qubits();
     assert!(
         local_qubits >= 1 && local_qubits <= n,
         "local window must be within the register"
     );
-    // At least 2 local positions are needed when the gate being localised
-    // also uses a local control; 1 works for plain single-qubit gates.
-    let mut phys_of: Vec<u32> = (0..n).collect(); // logical -> physical
-    let mut log_of: Vec<u32> = (0..n).collect(); // physical -> logical
-    let mut last_use: Vec<u64> = vec![0; n as usize]; // by physical slot
-    let mut clock: u64 = 0;
-
-    // For Bélády: every input-gate index at which each logical qubit is
-    // used, ascending; next use is found by binary search past `clock`.
-    let uses: Vec<Vec<u64>> = {
-        let mut uses = vec![Vec::new(); n as usize];
-        for (i, g) in circuit.gates().iter().enumerate() {
-            for q in g.qubits() {
-                uses[q as usize].push(i as u64 + 1); // clock is 1-based
-            }
-        }
-        uses
-    };
-    let next_use = |logical: u32, now: u64| -> u64 {
-        let u = &uses[logical as usize];
-        match u.partition_point(|&t| t <= now) {
-            i if i < u.len() => u[i],
-            _ => u64::MAX, // never used again: the perfect victim
-        }
-    };
-
+    let mut tr = Tracker::new(n);
     let mut out = Circuit::new(n);
-    for gate in circuit.gates() {
-        clock += 1;
-        // Virtual swap: pure layout bookkeeping, no emitted gate.
-        if let Gate::Swap(a, b) = *gate {
-            let (pa, pb) = (phys_of[a as usize], phys_of[b as usize]);
-            phys_of.swap(a as usize, b as usize);
-            log_of.swap(pa as usize, pb as usize);
-            last_use[pa as usize] = clock;
-            last_use[pb as usize] = clock;
-            continue;
+    for (i, gate) in circuit.gates().iter().enumerate() {
+        let placed = tr.place(gate, i as u64 + 1, local_qubits, |tr, physical, offs| {
+            let swap_in = tr.lru_swap_in(physical, offs, local_qubits);
+            let [(victim, offender)] = swap_in;
+            out.swap(victim, offender);
+            swap_in
+        });
+        if let Some(physical) = placed {
+            out.push(physical);
         }
-
-        let mut physical = gate.remap(&|q: u32| phys_of[q as usize]);
-        if !physical.is_diagonal() {
-            // The positions this gate needs inside the local window: the
-            // target for single-target gates, *both* qubits for a general
-            // two-qubit unitary (its orbits pair on both).
-            loop {
-                let needs_local = match physical {
-                    Gate::Unitary2 { a, b, .. } => vec![a, b],
-                    ref g => vec![g.target()],
-                };
-                let Some(&offender) = needs_local.iter().find(|&&p| p >= local_qubits) else {
-                    break;
-                };
-                // Choose the victim local slot (not touched by this gate).
-                let in_gate = physical.qubits();
-                let victim = match policy {
-                    VictimPolicy::Lru => (0..local_qubits)
-                        .filter(|p| !in_gate.contains(p))
-                        .min_by_key(|&p| last_use[p as usize]),
-                    VictimPolicy::FurthestUse => (0..local_qubits)
-                        .filter(|p| !in_gate.contains(p))
-                        .max_by_key(|&p| next_use(log_of[p as usize], clock)),
-                }
-                .expect("local window big enough for a victim slot");
-                out.swap(victim, offender);
-                // The logical occupants of `victim` and `offender`
-                // exchange physical positions.
-                let (la, lb) = (log_of[victim as usize], log_of[offender as usize]);
-                phys_of.swap(la as usize, lb as usize);
-                log_of.swap(victim as usize, offender as usize);
-                last_use[victim as usize] = clock;
-                physical = gate.remap(&|q: u32| phys_of[q as usize]);
-            }
-        }
-        for p in physical.qubits() {
-            last_use[p as usize] = clock;
-        }
-        out.push(physical);
     }
-
     Transpiled {
         circuit: out,
-        layout: Permutation::from_map(phys_of),
+        layout: tr.into_layout(),
     }
 }
 
@@ -164,6 +83,7 @@ pub fn cache_block_with(circuit: &Circuit, local_qubits: u32, policy: VictimPoli
 mod tests {
     use super::*;
     use crate::classify::{classify, GateClass, Layout};
+    use crate::gate::Gate;
     use crate::lower::{circuit_traffic, Kernel};
     use crate::qft::qft;
     use crate::random::{random_circuit, GatePool};
@@ -309,73 +229,5 @@ mod tests {
     #[should_panic(expected = "local window")]
     fn zero_window_rejected() {
         cache_block(&Circuit::new(3), 0);
-    }
-
-    #[test]
-    fn furthest_use_keeps_hot_qubits_resident() {
-        // Alternating H's on two global qubits with a cold local window:
-        // LRU evicts the slot that is about to be needed, Bélády keeps
-        // both hot qubits resident after the initial two swaps.
-        let n = 4u32;
-        let mut c = Circuit::new(n);
-        for _ in 0..6 {
-            c.h(2).h(3);
-        }
-        let swaps = |policy: VictimPolicy| {
-            cache_block_with(&c, 2, policy)
-                .circuit
-                .gate_counts()
-                .get("Swap")
-                .copied()
-                .unwrap_or(0)
-        };
-        let belady = swaps(VictimPolicy::FurthestUse);
-        assert_eq!(belady, 2, "two swap-ins, then everything stays local");
-        assert!(swaps(VictimPolicy::Lru) >= belady);
-    }
-
-    #[test]
-    fn furthest_use_never_needs_more_swaps_in_aggregate() {
-        let mut lru_total = 0usize;
-        let mut belady_total = 0usize;
-        for seed in 0..20 {
-            let c = random_circuit(9, 80, GatePool::Full, seed + 500);
-            let count = |policy: VictimPolicy| {
-                cache_block_with(&c, 5, policy)
-                    .circuit
-                    .gate_counts()
-                    .get("Swap")
-                    .copied()
-                    .unwrap_or(0)
-            };
-            lru_total += count(VictimPolicy::Lru);
-            belady_total += count(VictimPolicy::FurthestUse);
-        }
-        assert!(
-            belady_total <= lru_total,
-            "Bélády {belady_total} vs LRU {lru_total}"
-        );
-    }
-
-    #[test]
-    fn furthest_use_satisfies_the_same_contract() {
-        // Semantics contract holds for the optimal policy too.
-        let c = random_circuit(7, 60, GatePool::Full, 321);
-        let t = cache_block_with(&c, 4, VictimPolicy::FurthestUse);
-        for g in t.circuit.gates() {
-            if matches!(g, Gate::Swap(..)) || g.is_diagonal() {
-                continue;
-            }
-            if let Gate::Unitary2 { a, b, .. } = *g {
-                assert!(a < 4 && b < 4, "2q unitary not localised: {g}");
-            } else {
-                assert!(g.target() < 4, "target not localised: {g}");
-            }
-        }
-        let mut before = c.gate_counts();
-        let mut after = t.circuit.gate_counts();
-        before.remove("Swap");
-        after.remove("Swap");
-        assert_eq!(before, after);
     }
 }

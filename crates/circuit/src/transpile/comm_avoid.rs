@@ -3,16 +3,18 @@
 //!
 //! The cache-blocking pass ([`super::cache_blocking`]) evicts greedily,
 //! one offender at a time, and lowers every layout change to a pairwise
-//! SWAP — k layout changes cost k full exchanges. mpiQulacs showed that
+//! SWAP — k layout changes cost k full exchanges. Both passes, and the
+//! beam's rollout, place gates through one step (`Tracker::place`) and
+//! one LRU victim rule; they differ only in how a batch is chosen
+//! and what is done with it. mpiQulacs showed that
 //! rank-local relabeling plus *batched* global swaps collapses many
 //! distributed exchanges into a few large ones. This pass closes that gap
 //! in two ways:
 //!
 //! 1. **Search.** Instead of committing to the first legal eviction, the
 //!    pass looks ahead over the gate stream, enumerates candidate batched
-//!    placements (greedy-LRU baseline, lookahead-window beam search, an
-//!    exhaustive victim enumeration for small windows) and scores each
-//!    candidate with a pluggable [`ExchangeOracle`] — the machine crate's
+//!    placements (greedy-LRU baseline, lookahead-window beam search) and
+//!    scores each candidate with a pluggable [`ExchangeOracle`] — the machine crate's
 //!    calibrated time/energy model implements the trait, making it a
 //!    compile-time oracle rather than a reporting tool. Schedules are
 //!    ordered by modeled exchange bytes first ([`StepCost::better_than`]),
@@ -214,7 +216,7 @@ impl Plan {
 /// Placement-search strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// The cache-blocking baseline: one offender at a time, LRU victim.
+    /// The cache-blocking rule: one offender at a time, LRU victim.
     /// Batching happens only through adjacency coalescing (e.g. a
     /// both-global two-qubit unitary still becomes one permutation).
     Greedy,
@@ -225,13 +227,6 @@ pub enum Strategy {
     Beam {
         /// Victim-set variants considered per batch size.
         width: usize,
-        /// Gates of lookahead for offender collection and rollout.
-        lookahead: usize,
-    },
-    /// Beam search with *every* victim combination enumerated (capped at
-    /// [`EXHAUSTIVE_CAP`] sets, past which it degrades to beam variants).
-    /// Intended for small windows and tests.
-    Exhaustive {
         /// Gates of lookahead for offender collection and rollout.
         lookahead: usize,
     },
@@ -246,9 +241,6 @@ impl Strategy {
         }
     }
 }
-
-/// Upper bound on victim sets enumerated by [`Strategy::Exhaustive`].
-pub const EXHAUSTIVE_CAP: usize = 512;
 
 /// Coalesces a layout change into the step list: composes with a
 /// trailing `Permute`, drops identities (including a pair that cancels).
@@ -269,21 +261,28 @@ fn push_permute(steps: &mut Vec<PlanStep>, perm: Permutation) {
     steps.push(PlanStep::Permute(perm));
 }
 
-/// Layout bookkeeping shared by the pass and its rollout simulations.
+/// The layout and its placement rule, shared by both passes and the
+/// beam rollout: [`Tracker::place`] is the one placement step,
+/// [`Tracker::lru_swap_in`] the one greedy (LRU) victim choice.
 #[derive(Debug, Clone)]
-struct Tracker {
+pub(crate) struct Tracker {
     phys_of: Vec<u32>,  // logical -> physical
     log_of: Vec<u32>,   // physical -> logical
     last_use: Vec<u64>, // by physical slot
 }
 
 impl Tracker {
-    fn new(n: u32) -> Tracker {
+    pub(crate) fn new(n: u32) -> Tracker {
         Tracker {
             phys_of: (0..n).collect(),
             log_of: (0..n).collect(),
             last_use: vec![0; n as usize],
         }
+    }
+
+    /// Final layout: logical qubit `q` sits at physical `apply(q)`.
+    pub(crate) fn into_layout(self) -> Permutation {
+        Permutation::from_map(self.phys_of)
     }
 
     /// Absorbs an input SWAP into the layout (no emitted step).
@@ -309,11 +308,56 @@ impl Tracker {
     fn remap(&self, gate: &Gate) -> Gate {
         gate.remap(&|q: u32| self.phys_of[q as usize])
     }
+
+    /// One placement step for input gate `gate` at `clock` (1-based gate
+    /// index). An input SWAP is absorbed into the layout and `None`
+    /// returned. Otherwise, while the physical gate has non-diagonal
+    /// operands outside the `local` window, `batch_for` is handed the
+    /// layout, the physical gate and its offenders (in operand order)
+    /// and returns the (victim, offender) batch to apply — the caller
+    /// emits or prices it there. Returns the localised physical gate.
+    pub(crate) fn place<B: AsRef<[(u32, u32)]>>(
+        &mut self,
+        gate: &Gate,
+        clock: u64,
+        local: u32,
+        mut batch_for: impl FnMut(&Tracker, &Gate, &[u32]) -> B,
+    ) -> Option<Gate> {
+        if let Gate::Swap(a, b) = *gate {
+            self.virtual_swap(a, b, clock);
+            return None;
+        }
+        let mut physical = self.remap(gate);
+        loop {
+            let offs = offenders(&physical, local);
+            if offs.is_empty() {
+                break;
+            }
+            let batch = batch_for(self, &physical, &offs);
+            self.apply_batch(batch.as_ref(), clock);
+            physical = self.remap(gate);
+        }
+        for p in physical.qubits() {
+            self.last_use[p as usize] = clock;
+        }
+        Some(physical)
+    }
+
+    /// The greedy batch: the first offender swaps with the
+    /// least-recently-used local slot the gate does not touch.
+    pub(crate) fn lru_swap_in(&self, physical: &Gate, offs: &[u32], local: u32) -> [(u32, u32); 1] {
+        let in_gate = physical.qubits();
+        let victim = (0..local)
+            .filter(|p| !in_gate.contains(p))
+            .min_by_key(|&p| self.last_use[p as usize])
+            .expect("local window big enough for a victim slot");
+        [(victim, offs[0])]
+    }
 }
 
 /// Physical positions a gate needs inside the local window: both qubits
-/// for a general two-qubit unitary, the target otherwise, nothing for
-/// diagonals (mirrors the cache-blocking rule).
+/// for a general two-qubit unitary (its orbits pair on both), the target
+/// otherwise, nothing for diagonals (fully local at any position).
 fn needs_local(physical: &Gate) -> Vec<u32> {
     if physical.is_diagonal() {
         return Vec::new();
@@ -359,6 +403,13 @@ impl Ctx<'_> {
             _ => u64::MAX,
         }
     }
+
+    /// Modeled cost of one batch lowered to a single batched exchange.
+    fn price(&self, batch: &[(u32, u32)]) -> StepCost {
+        let perm = batch_permutation(self.layout.n_qubits(), batch);
+        self.oracle
+            .exchange(permutation_traffic(&perm, self.layout))
+    }
 }
 
 /// Runs the comm-avoiding pass.
@@ -401,68 +452,25 @@ pub fn comm_avoid(
     let mut tr = Tracker::new(n);
     let mut steps: Vec<PlanStep> = Vec::new();
     for (i, gate) in ctx.gates.iter().enumerate() {
-        let clock = i as u64 + 1;
-        if let Gate::Swap(a, b) = *gate {
-            tr.virtual_swap(a, b, clock);
-            continue;
-        }
-        let mut physical = tr.remap(gate);
-        loop {
-            let offs = offenders(&physical, local);
-            if offs.is_empty() {
-                break;
-            }
-            let batch = choose_batch(&ctx, &tr, i, &offs, &physical, strategy);
+        let placed = tr.place(gate, i as u64 + 1, local, |tr, physical, offs| {
+            let batch = match strategy {
+                Strategy::Greedy => tr.lru_swap_in(physical, offs, local).to_vec(),
+                Strategy::Beam { width, lookahead } => {
+                    search_batch(&ctx, tr, i, offs, physical, width.max(1), lookahead)
+                }
+            };
             push_permute(&mut steps, batch_permutation(n, &batch));
-            tr.apply_batch(&batch, clock);
-            physical = tr.remap(gate);
+            batch
+        });
+        if let Some(physical) = placed {
+            steps.push(PlanStep::Gate(physical));
         }
-        for p in physical.qubits() {
-            tr.last_use[p as usize] = clock;
-        }
-        steps.push(PlanStep::Gate(physical));
     }
 
     Plan {
         n_qubits: n,
         steps,
-        layout: Permutation::from_map(tr.phys_of),
-    }
-}
-
-/// Picks the batch of (victim, offender) transpositions resolving the
-/// current gate's offenders, possibly pre-fetching upcoming ones.
-fn choose_batch(
-    ctx: &Ctx<'_>,
-    tr: &Tracker,
-    i: usize,
-    offs: &[u32],
-    physical: &Gate,
-    strategy: Strategy,
-) -> Vec<(u32, u32)> {
-    let in_gate = physical.qubits();
-    let eligible: Vec<u32> = (0..ctx.local).filter(|p| !in_gate.contains(p)).collect();
-    assert!(
-        eligible.len() >= offs.len(),
-        "local window big enough for a victim slot"
-    );
-    match strategy {
-        Strategy::Greedy => {
-            // One offender, least-recently-used victim — the
-            // cache-blocking baseline, lowered through Permute steps.
-            let victim = eligible
-                .iter()
-                .copied()
-                .min_by_key(|&p| tr.last_use[p as usize])
-                .expect("eligible is non-empty");
-            vec![(victim, offs[0])]
-        }
-        Strategy::Beam { width, lookahead } => {
-            search_batch(ctx, tr, i, offs, &eligible, width.max(1), lookahead, false)
-        }
-        Strategy::Exhaustive { lookahead } => {
-            search_batch(ctx, tr, i, offs, &eligible, 2, lookahead, true)
-        }
+        layout: tr.into_layout(),
     }
 }
 
@@ -488,21 +496,25 @@ fn upcoming_offenders(ctx: &Ctx<'_>, tr: &Tracker, i: usize, window: usize) -> V
     out
 }
 
-/// Beam / exhaustive candidate search: enumerate batch sizes covering the
-/// current offenders plus 0.. upcoming ones, pair each size with victim
-/// sets, score every candidate (immediate exchange + greedy rollout over
-/// the window) and keep the best by [`StepCost::better_than`].
-#[allow(clippy::too_many_arguments)]
+/// Beam candidate search: enumerate batch sizes covering the current
+/// offenders plus 0.. upcoming ones, pair each size with victim sets,
+/// score every candidate (immediate exchange + greedy rollout over the
+/// window) and keep the best by [`StepCost::better_than`].
 fn search_batch(
     ctx: &Ctx<'_>,
     tr: &Tracker,
     i: usize,
     offs: &[u32],
-    eligible: &[u32],
+    physical: &Gate,
     width: usize,
     lookahead: usize,
-    exhaustive: bool,
 ) -> Vec<(u32, u32)> {
+    let in_gate = physical.qubits();
+    let eligible: Vec<u32> = (0..ctx.local).filter(|p| !in_gate.contains(p)).collect();
+    assert!(
+        eligible.len() >= offs.len(),
+        "local window big enough for a victim slot"
+    );
     let clock = i as u64 + 1;
     let upcoming = upcoming_offenders(ctx, tr, i, lookahead);
     debug_assert!(upcoming.starts_with(offs), "current offenders lead");
@@ -510,7 +522,7 @@ fn search_batch(
 
     // Victims ranked best-first: furthest next use of the occupant
     // (Bélády), least-recently-used slot breaking ties.
-    let mut ranked: Vec<u32> = eligible.to_vec();
+    let mut ranked: Vec<u32> = eligible.clone();
     ranked.sort_by_key(|&p| {
         (
             std::cmp::Reverse(ctx.next_use(tr.log_of[p as usize], clock)),
@@ -518,13 +530,13 @@ fn search_batch(
             p,
         )
     });
-    let mut lru: Vec<u32> = eligible.to_vec();
+    let mut lru: Vec<u32> = eligible;
     lru.sort_by_key(|&p| (tr.last_use[p as usize], p));
 
     let mut best: Option<(StepCost, Vec<(u32, u32)>)> = None;
     for k in usize::max(offs.len(), 1)..=max_batch {
         let batch_offs = &upcoming[..k];
-        for victims in victim_sets(&ranked, &lru, k, width, exhaustive) {
+        for victims in victim_sets(&ranked, &lru, k, width) {
             let batch: Vec<(u32, u32)> = victims
                 .iter()
                 .copied()
@@ -544,22 +556,9 @@ fn search_batch(
 }
 
 /// Victim-set candidates of size `k`: the Bélády-ranked prefix, the LRU
-/// prefix, tail perturbations of the ranked prefix up to `width` sets —
-/// or every combination when `exhaustive` (capped at [`EXHAUSTIVE_CAP`]).
-fn victim_sets(
-    ranked: &[u32],
-    lru: &[u32],
-    k: usize,
-    width: usize,
-    exhaustive: bool,
-) -> Vec<Vec<u32>> {
-    if exhaustive {
-        let all = combinations(ranked, k, EXHAUSTIVE_CAP);
-        if all.len() < EXHAUSTIVE_CAP {
-            return all;
-        }
-        // Too many combinations for the cap: degrade to beam variants.
-    }
+/// prefix, then tail perturbations of the ranked prefix, up to `width`
+/// sets.
+fn victim_sets(ranked: &[u32], lru: &[u32], k: usize, width: usize) -> Vec<Vec<u32>> {
     let mut sets: Vec<Vec<u32>> = Vec::new();
     let push = |s: Vec<u32>, sets: &mut Vec<Vec<u32>>| {
         let mut key = s.clone();
@@ -586,40 +585,9 @@ fn victim_sets(
     sets
 }
 
-/// All k-subsets of `items` in lexicographic order, stopping at `cap`.
-fn combinations(items: &[u32], k: usize, cap: usize) -> Vec<Vec<u32>> {
-    let n = items.len();
-    let mut out = Vec::new();
-    if k == 0 || k > n {
-        return out;
-    }
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(idx.iter().map(|&j| items[j]).collect());
-        if out.len() >= cap {
-            return out;
-        }
-        // Advance the rightmost index that can still move.
-        let mut pos = k;
-        while pos > 0 {
-            pos -= 1;
-            if idx[pos] != pos + n - k {
-                idx[pos] += 1;
-                for j in pos + 1..k {
-                    idx[j] = idx[j - 1] + 1;
-                }
-                break;
-            }
-            if pos == 0 {
-                return out;
-            }
-        }
-    }
-}
-
-/// Scores a candidate batch: its own exchange cost plus a greedy-LRU
-/// rollout over the lookahead window (each rollout swap-in priced as its
-/// own single-transposition permutation).
+/// Scores a candidate batch: its own exchange cost plus a greedy
+/// rollout over the lookahead window, each rollout swap-in priced as its
+/// own single-transposition permutation.
 fn score_batch(
     ctx: &Ctx<'_>,
     tr: &Tracker,
@@ -627,39 +595,16 @@ fn score_batch(
     batch: &[(u32, u32)],
     lookahead: usize,
 ) -> StepCost {
-    let n = ctx.layout.n_qubits();
-    let mut cost = ctx.oracle.exchange(permutation_traffic(
-        &batch_permutation(n, batch),
-        ctx.layout,
-    ));
+    let mut cost = ctx.price(batch);
     let mut t = tr.clone();
     t.apply_batch(batch, i as u64 + 1);
     let end = usize::min(ctx.gates.len(), i + usize::max(lookahead, 1));
     for (j, g) in ctx.gates.iter().enumerate().take(end).skip(i) {
-        let clock = j as u64 + 1;
-        if let Gate::Swap(a, b) = *g {
-            t.virtual_swap(a, b, clock);
-            continue;
-        }
-        let mut physical = t.remap(g);
-        loop {
-            let offs = offenders(&physical, ctx.local);
-            let Some(&off) = offs.first() else { break };
-            let in_gate = physical.qubits();
-            let victim = (0..ctx.local)
-                .filter(|p| !in_gate.contains(p))
-                .min_by_key(|&p| t.last_use[p as usize])
-                .expect("local window big enough for a victim slot");
-            cost.accumulate(ctx.oracle.exchange(permutation_traffic(
-                &batch_permutation(n, &[(victim, off)]),
-                ctx.layout,
-            )));
-            t.apply_batch(&[(victim, off)], clock);
-            physical = t.remap(g);
-        }
-        for p in physical.qubits() {
-            t.last_use[p as usize] = clock;
-        }
+        t.place(g, j as u64 + 1, ctx.local, |t, physical, offs| {
+            let swap_in = t.lru_swap_in(physical, offs, ctx.local);
+            cost.accumulate(ctx.price(&swap_in));
+            swap_in
+        });
     }
     cost
 }
@@ -925,11 +870,7 @@ mod tests {
     fn emitted_gates_are_local() {
         let c = random_circuit(9, 150, GatePool::Full, 7);
         let layout = geometry(9, 16);
-        for strategy in [
-            Strategy::Greedy,
-            Strategy::beam(),
-            Strategy::Exhaustive { lookahead: 12 },
-        ] {
+        for strategy in [Strategy::Greedy, Strategy::beam()] {
             let plan = comm_avoid(&c, &layout, strategy, &ByteOracle);
             for step in &plan.steps {
                 if let PlanStep::Gate(g) = step {
@@ -991,24 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_never_models_more_bytes_than_beam() {
-        for seed in 0..6u64 {
-            let c = random_circuit(8, 40, GatePool::Full, seed + 77);
-            let layout = geometry(8, 4);
-            let b = comm_avoid(&c, &layout, Strategy::beam(), &ByteOracle);
-            let e = comm_avoid(
-                &c,
-                &layout,
-                Strategy::Exhaustive { lookahead: 48 },
-                &ByteOracle,
-            );
-            let bb = b.price(&layout, &ByteOracle).bytes;
-            let eb = e.price(&layout, &ByteOracle).bytes;
-            assert!(eb <= bb, "seed {seed}: exhaustive {eb} > beam {bb}");
-        }
-    }
-
-    #[test]
     fn restore_appends_one_permute_step() {
         let mut c = Circuit::new(6);
         c.swap(0, 5).h(5); // virtual swap leaves a non-identity layout
@@ -1023,17 +946,5 @@ mod tests {
             panic!("restore must end in a permute step");
         };
         assert_eq!(last.compose(&plan.layout), Permutation::identity(6));
-    }
-
-    #[test]
-    fn combinations_enumerate_and_cap() {
-        let items = [1u32, 2, 3, 4];
-        let all = combinations(&items, 2, 100);
-        assert_eq!(all.len(), 6);
-        assert_eq!(all[0], vec![1, 2]);
-        assert_eq!(all[5], vec![3, 4]);
-        assert_eq!(combinations(&items, 2, 3).len(), 3);
-        assert!(combinations(&items, 5, 10).is_empty());
-        assert_eq!(combinations(&items, 4, 10).len(), 1);
     }
 }

@@ -14,14 +14,16 @@
 //! diagonal gates can be applied in a single sweep over the statevector.
 //!
 //! [`comm_avoid`] is the cost-model-driven evolution of cache-blocking:
-//! it *searches* placements (greedy baseline, lookahead beam, exhaustive)
-//! against a pluggable exchange-cost oracle and emits batched
-//! [`crate::Permutation`] steps instead of pairwise SWAPs.
+//! it *searches* placements (greedy baseline, lookahead beam) against a
+//! pluggable exchange-cost oracle and emits batched
+//! [`crate::Permutation`] steps instead of pairwise SWAPs. Both passes
+//! share one placement step and one LRU victim rule: cache-blocking
+//! emits each swap-in as a SWAP gate, the greedy strategy as a `Permute`
+//! step, and the beam prices its rollouts with the same rule.
 
 pub mod cache_blocking;
 pub mod comm_avoid;
 pub mod fusion;
-pub mod scheduling;
 
 pub use cache_blocking::{cache_block, Transpiled};
 pub use comm_avoid::{
@@ -29,4 +31,3 @@ pub use comm_avoid::{
     StepCost, Strategy,
 };
 pub use fusion::{diagonal_runs, DiagonalRun};
-pub use scheduling::sink_diagonals;

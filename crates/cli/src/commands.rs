@@ -12,8 +12,8 @@ use qse_comm::chunking::ExchangeMode;
 use qse_core::experiment::{fmt_seconds, TextTable};
 use qse_core::scaling::nodes_for;
 use qse_core::{
-    comm_avoid_plan, EngineExecutor, EngineMode, EngineState, ModelExecutor, SimConfig,
-    ThreadClusterExecutor, TranspileMode,
+    comm_avoid_plan, EngineError, EngineExecutor, EngineMode, EngineState, ModelExecutor,
+    SimConfig, ThreadClusterExecutor, TranspileMode,
 };
 use qse_machine::energy::{format_energy, joules_to_kwh};
 use qse_machine::trace::SacctRecord;
@@ -264,43 +264,71 @@ fn run(args: &Args) -> Result<String, ArgError> {
         cfg.faults = Some(qse_comm::FaultConfig::parse_spec(&spec).map_err(ArgError)?);
     }
     let resolved = engine_mode.resolve(&circuit);
-    if resolved != qse_circuit::classify::EngineChoice::Dense {
-        if cfg.faults.is_some() || cfg.transpile != TranspileMode::Off {
-            return Err(ArgError(format!(
-                "--faults/--transpile shape the distributed dense path; \
-                 they do not apply to the {} engine",
-                resolved.label()
-            )));
-        }
-        return run_alternate_engine(&circuit, &cfg, basis, engine_mode, resolved);
+    let dense = resolved == qse_circuit::classify::EngineChoice::Dense;
+    if !dense && (cfg.faults.is_some() || cfg.transpile != TranspileMode::Off) {
+        return Err(ArgError(format!(
+            "--faults/--transpile shape the distributed dense path; \
+             they do not apply to the {} engine",
+            resolved.label()
+        )));
     }
-    if n > 24 {
+    if dense && n > 24 {
         return Err(ArgError(format!(
             "--engine {} resolved to the dense engine for this circuit, \
              and --qubits {n} is too large for an in-process dense run (max 24)",
             engine_mode.label()
         )));
     }
-    let run = ThreadClusterExecutor::try_run(&circuit, &cfg, basis, false)
-        .map_err(|e| ArgError(format!("run failed: {e}")))?;
+    let run = EngineExecutor::run(&circuit, &cfg, basis, false).map_err(|e| match e {
+        // The dense path's typed error reads without the engine prefix.
+        EngineError::Comm(e) => ArgError(format!("run failed: {e}")),
+        e => ArgError(format!("run failed: {e}")),
+    })?;
     let p = &run.profiled;
-    let mut out = format!(
-        "ran {} gates on {} qubits over {} ranks in {:.3} s\n\
-         distributed-gate share: {:.0} % of wall-clock\n\
-         traffic: {} bytes in {} messages ({} bytes/rank)\n\
-         exchange: {} chunks, peak scratch {} bytes, {} payload bytes\n",
-        p.gate_count,
-        p.n_qubits,
-        p.n_ranks,
-        p.wall_s,
-        p.profile.distributed_fraction() * 100.0,
-        p.bytes_sent,
-        p.messages_sent,
-        p.bytes_per_rank(),
-        p.exchange_chunks,
-        p.peak_inflight_bytes,
-        p.bytes_exchanged,
-    );
+    // One address space has no rank traffic to report: the sparse and
+    // tableau engines print their own size story (map occupancy, tableau
+    // rows) instead.
+    let one_space_header = || {
+        let auto = match engine_mode {
+            EngineMode::Auto => format!(" (auto-selected {})", resolved.label()),
+            _ => String::new(),
+        };
+        format!(
+            "ran {} gates on {} qubits with the {} engine in {:.3} s{auto}\n",
+            p.gate_count, p.n_qubits, p.engine, p.wall_s,
+        )
+    };
+    let mut out = match &run.state {
+        EngineState::Dense(_) => format!(
+            "ran {} gates on {} qubits over {} ranks in {:.3} s\n\
+             distributed-gate share: {:.0} % of wall-clock\n\
+             traffic: {} bytes in {} messages ({} bytes/rank)\n\
+             exchange: {} chunks, peak scratch {} bytes, {} payload bytes\n",
+            p.gate_count,
+            p.n_qubits,
+            p.n_ranks,
+            p.wall_s,
+            p.profile.distributed_fraction() * 100.0,
+            p.bytes_sent,
+            p.messages_sent,
+            p.bytes_per_rank(),
+            p.exchange_chunks,
+            p.peak_inflight_bytes,
+            p.bytes_exchanged,
+        ),
+        EngineState::Sparse(s) => format!(
+            "{}sparse map: {} nonzero amplitude(s) of 2^{} basis states\n",
+            one_space_header(),
+            s.n_nonzero(),
+            p.n_qubits,
+        ),
+        EngineState::Tableau(t) => format!(
+            "{}stabilizer tableau: {} generator rows over {} qubits\n",
+            one_space_header(),
+            2 * t.n_qubits(),
+            t.n_qubits(),
+        ),
+    };
     if let Some(plan) = comm_avoid_plan(&circuit, &cfg) {
         let machine = archer2();
         let oracle = qse_machine::ModelOracle::new(&machine, cfg.to_model_config());
@@ -319,47 +347,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
             "faults: seed {} — {} injected, {} retries, {} corruptions detected (recovered)\n",
             fc.seed, p.faults_injected, p.retries, p.corruptions_detected,
         );
-    }
-    Ok(out)
-}
-
-/// `qse run` on the sparse or stabilizer backend: one address space, no
-/// rank traffic to report — instead surface the engine's own size story
-/// (map occupancy, tableau rows).
-fn run_alternate_engine(
-    circuit: &Circuit,
-    cfg: &SimConfig,
-    basis: u64,
-    requested: EngineMode,
-    resolved: qse_circuit::classify::EngineChoice,
-) -> Result<String, ArgError> {
-    let run = EngineExecutor::run(circuit, cfg, basis, false)
-        .map_err(|e| ArgError(format!("run failed: {e}")))?;
-    let p = &run.profiled;
-    let mut out = format!(
-        "ran {} gates on {} qubits with the {} engine in {:.3} s",
-        p.gate_count, p.n_qubits, p.engine, p.wall_s,
-    );
-    if requested == EngineMode::Auto {
-        out += &format!(" (auto-selected {})", resolved.label());
-    }
-    out += "\n";
-    match &run.state {
-        EngineState::Sparse(s) => {
-            out += &format!(
-                "sparse map: {} nonzero amplitude(s) of 2^{} basis states\n",
-                s.n_nonzero(),
-                p.n_qubits,
-            );
-        }
-        EngineState::Tableau(t) => {
-            out += &format!(
-                "stabilizer tableau: {} generator rows over {} qubits\n",
-                2 * t.n_qubits(),
-                t.n_qubits(),
-            );
-        }
-        EngineState::Dense(_) => {}
     }
     Ok(out)
 }
@@ -673,7 +660,7 @@ fn check(args: &Args) -> Result<String, ArgError> {
 fn check_plans() -> Result<String, ArgError> {
     use qse_check::verify::{
         broken_fixture_ring_overrun, broken_fixture_tag_collision,
-        broken_fixture_unrestored_layout, check_traces, verify_plan, VerifyOptions,
+        broken_fixture_unrestored_layout, check_traces, verify_plan,
     };
     let mut out = String::new();
 
@@ -706,7 +693,7 @@ fn check_plans() -> Result<String, ArgError> {
                 &broken_fixture_unrestored_layout(),
                 None,
                 4,
-                &VerifyOptions::default(),
+                &qse_comm::chunking::DistConfig::default(),
             )
             .map(|_| ()),
         ),
@@ -779,6 +766,39 @@ fn serve(args: &Args) -> Result<String, ArgError> {
     }
 }
 
+/// The request lines `qse submit` generates from its flags (`--repeat`
+/// copies, consecutive seeds). Every value spliced into the JSON is a
+/// number or a name checked against its closed set first, so no flag can
+/// inject a field.
+fn submit_lines(args: &Args) -> Result<Vec<String>, ArgError> {
+    let name = args.string("circuit", "qft");
+    let n: u32 = args.required("qubits")?;
+    build_circuit(&name, n)?;
+    let shots: u64 = args.value("shots", 0u64)?;
+    let seed: u64 = args.value("seed", 0u64)?;
+    let ranks: u64 = args.value("ranks", 1u64)?;
+    let basis: u64 = args.value("basis", 0u64)?;
+    let transpile = args.string("transpile", "off");
+    parse_transpile(&transpile)?;
+    let engine = args.string("engine", "dense");
+    if EngineMode::parse(&engine).is_none() {
+        return Err(ArgError(format!(
+            "unknown engine `{engine}` (auto, dense, sparse, stabilizer)"
+        )));
+    }
+    let repeat: usize = args.value("repeat", 1usize)?.max(1);
+    Ok((0..repeat)
+        .map(|i| {
+            format!(
+                "{{\"op\":\"submit\",\"id\":\"job-{i}\",\"circuit\":{{\"name\":\"{name}\",\"qubits\":{n}}},\
+                 \"shots\":{shots},\"seed\":{},\"ranks\":{ranks},\"transpile\":\"{transpile}\",\
+                 \"engine\":\"{engine}\",\"basis\":{basis}}}",
+                seed + i as u64
+            )
+        })
+        .collect())
+}
+
 fn submit(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&[
         "port",
@@ -794,6 +814,13 @@ fn submit(args: &Args) -> Result<String, ArgError> {
         "stdin",
     ])?;
     let port: u16 = args.required("port")?;
+    // Generated jobs are built, and every flag spliced into them
+    // validated, before anything is sent.
+    let jobs = if args.switch("stdin") {
+        None
+    } else {
+        Some(submit_lines(args)?)
+    };
     let stream = std::net::TcpStream::connect(("127.0.0.1", port))
         .map_err(|e| ArgError(format!("cannot connect to 127.0.0.1:{port}: {e}")))?;
     stream
@@ -801,51 +828,33 @@ fn submit(args: &Args) -> Result<String, ArgError> {
         .map_err(|e| ArgError(e.to_string()))?;
     let mut write_half = stream.try_clone().map_err(|e| ArgError(e.to_string()))?;
     use std::io::Write;
+    let mut send = |line: &str| {
+        write_half
+            .write_all(line.as_bytes())
+            .and_then(|()| write_half.write_all(b"\n"))
+            .map_err(|e| ArgError(format!("send failed: {e}")))
+    };
     let mut sent = 0usize;
-    if args.switch("stdin") {
-        // Forward raw request lines from stdin.
-        let mut reader = qse_serve::BoundedLineReader::new(
-            std::io::stdin(),
-            qse_serve::protocol::DEFAULT_MAX_LINE,
-        );
-        while let Ok(Some(line)) = reader.next_line() {
-            if line.trim().is_empty() {
-                continue;
+    match jobs {
+        Some(lines) => {
+            for line in &lines {
+                send(line)?;
+                sent += 1;
             }
-            write_half
-                .write_all(line.as_bytes())
-                .and_then(|()| write_half.write_all(b"\n"))
-                .map_err(|e| ArgError(format!("send failed: {e}")))?;
-            sent += 1;
         }
-    } else {
-        let name = args.string("circuit", "qft");
-        let n: u32 = args.required("qubits")?;
-        build_circuit(&name, n)?; // validate the name/size before sending
-        let shots: u64 = args.value("shots", 0u64)?;
-        let seed: u64 = args.value("seed", 0u64)?;
-        let ranks: u64 = args.value("ranks", 1u64)?;
-        let basis: u64 = args.value("basis", 0u64)?;
-        let transpile = args.string("transpile", "off");
-        let engine = args.string("engine", "dense");
-        if EngineMode::parse(&engine).is_none() {
-            return Err(ArgError(format!(
-                "unknown engine `{engine}` (auto, dense, sparse, stabilizer)"
-            )));
-        }
-        let repeat: usize = args.value("repeat", 1usize)?.max(1);
-        for i in 0..repeat {
-            let line = format!(
-                "{{\"op\":\"submit\",\"id\":\"job-{i}\",\"circuit\":{{\"name\":\"{name}\",\"qubits\":{n}}},\
-                 \"shots\":{shots},\"seed\":{},\"ranks\":{ranks},\"transpile\":\"{transpile}\",\
-                 \"engine\":\"{engine}\",\"basis\":{basis}}}",
-                seed + i as u64
+        None => {
+            // Forward raw request lines from stdin.
+            let mut reader = qse_serve::BoundedLineReader::new(
+                std::io::stdin(),
+                qse_serve::protocol::DEFAULT_MAX_LINE,
             );
-            write_half
-                .write_all(line.as_bytes())
-                .and_then(|()| write_half.write_all(b"\n"))
-                .map_err(|e| ArgError(format!("send failed: {e}")))?;
-            sent += 1;
+            while let Ok(Some(line)) = reader.next_line() {
+                if line.trim().is_empty() {
+                    continue;
+                }
+                send(&line)?;
+                sent += 1;
+            }
         }
     }
     write_half.flush().map_err(|e| ArgError(e.to_string()))?;
@@ -1241,6 +1250,40 @@ mod tests {
     fn check_rejects_a_missing_root() {
         let err = run_cli(&["check", "--root", "/nonexistent/nowhere"]).unwrap_err();
         assert!(err.0.contains("lint walk failed"), "{}", err.0);
+    }
+
+    #[test]
+    fn submit_rejects_a_transpile_value_that_would_inject_fields() {
+        // Spliced raw, this value would close the string and add fields.
+        let injected = "beam\",\"shots\":999999,\"x\":\"";
+        let err = run_cli(&[
+            "submit",
+            "--port",
+            "1",
+            "--qubits",
+            "4",
+            "--transpile",
+            injected,
+        ])
+        .unwrap_err();
+        assert!(err.0.contains("unknown transpile mode"), "{}", err.0);
+        // A valid value reaches the request as exactly that field.
+        let tokens = [
+            "submit",
+            "--qubits",
+            "4",
+            "--transpile",
+            "beam",
+            "--repeat",
+            "2",
+        ];
+        let args = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        let lines = submit_lines(&args).unwrap();
+        assert_eq!(lines.len(), 2);
+        for line in &lines {
+            let req = qse_util::json::Json::parse(line).unwrap();
+            assert_eq!(req.get("transpile").and_then(|t| t.as_str()), Some("beam"));
+        }
     }
 
     #[test]

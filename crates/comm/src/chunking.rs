@@ -35,6 +35,35 @@ use qse_util::Bytes;
 use std::collections::VecDeque;
 use std::ops::Range;
 
+/// Exchange options for a distributed run: the engine executes them and
+/// the static verifier traces them, so both read this one struct.
+/// Nothing here shapes local work — the engine applies each run of local
+/// gates in one blocked pass whatever the exchange options.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DistConfig {
+    /// Blocking sendrecv (QuEST default), the paper's non-blocking
+    /// rewrite, or the streamed chunk-pipelined exchange that overlaps
+    /// each chunk's combine with the remaining communication.
+    pub exchange_mode: ExchangeMode,
+    /// Per-message size cap; ARCHER2's is 2 GiB, tests use small values
+    /// to force multi-chunk exchanges.
+    pub chunk_policy: ChunkPolicy,
+    /// Use the half exchange for distributed SWAPs (§4 future work).
+    pub half_exchange_swaps: bool,
+}
+
+impl Default for DistConfig {
+    fn default() -> Self {
+        DistConfig {
+            exchange_mode: ExchangeMode::Blocking,
+            chunk_policy: ChunkPolicy {
+                max_message_bytes: 1 << 20,
+            },
+            half_exchange_swaps: false,
+        }
+    }
+}
+
 /// Message-size policy for chunked transfers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkPolicy {

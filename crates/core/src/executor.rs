@@ -202,12 +202,7 @@ impl ThreadClusterExecutor {
         config: &SimConfig,
         plan: Option<&Plan>,
     ) -> Result<(), CommError> {
-        let dc = config.to_dist_config();
-        let opts = qse_check::verify::VerifyOptions {
-            exchange_mode: dc.exchange_mode,
-            chunk_policy: dc.chunk_policy,
-            half_exchange_swaps: dc.half_exchange_swaps,
-        };
+        let opts = config.to_dist_config();
         match plan {
             Some(p) => qse_check::verify::verify_plan(p, Some(circuit), config.n_ranks, &opts),
             None => qse_check::verify::verify_circuit(circuit, config.n_ranks, &opts),

@@ -24,9 +24,8 @@ use qse_circuit::classify::{GateClass, Layout};
 use qse_circuit::lower::{lower_gate, BlockMap, Exchange, Kernel, PermuteLowering};
 use qse_circuit::transpile::Plan;
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_comm::chunking::{
-    drive, ChunkPolicy, ChunkedExchange, ExchangeMode, PackOrder, TagSeq, ONE_SIDED_MODE,
-};
+pub use qse_comm::chunking::DistConfig;
+use qse_comm::chunking::{drive, ChunkPolicy, ChunkedExchange, PackOrder, TagSeq, ONE_SIDED_MODE};
 use qse_comm::collective;
 use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
@@ -35,36 +34,6 @@ use qse_util::Bytes;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
-
-/// Exchange options for a distributed run. Nothing here shapes local
-/// work: [`DistributedState::run`], [`DistributedState::run_plan`] and
-/// the executor always apply each run of local gates in one blocked pass
-/// ([`Schedule`]), which is bit-for-bit identical to
-/// [`DistributedState::apply`] gate at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DistConfig {
-    /// Blocking sendrecv (QuEST default), the paper's non-blocking
-    /// rewrite, or the streamed chunk-pipelined exchange that overlaps
-    /// each chunk's combine with the remaining communication.
-    pub exchange_mode: ExchangeMode,
-    /// Per-message size cap; ARCHER2's is 2 GiB, tests use small values
-    /// to force multi-chunk exchanges.
-    pub chunk_policy: ChunkPolicy,
-    /// Use the half exchange for distributed SWAPs (§4 future work).
-    pub half_exchange_swaps: bool,
-}
-
-impl Default for DistConfig {
-    fn default() -> Self {
-        DistConfig {
-            exchange_mode: ExchangeMode::Blocking,
-            chunk_policy: ChunkPolicy {
-                max_message_bytes: 1 << 20,
-            },
-            half_exchange_swaps: false,
-        }
-    }
-}
 
 /// Per-rank view of a distributed statevector. Lives inside one rank's
 /// thread and borrows that rank's [`Communicator`].
@@ -192,7 +161,8 @@ impl<'c> DistributedState<'c> {
     }
 
     /// The chunk cap of exchange `ex` under the configured mode, whose
-    /// consumer works on whole kernel units ([`ExchangeMode::policy`]).
+    /// consumer works on whole kernel units
+    /// ([`ExchangeMode::policy`](qse_comm::chunking::ExchangeMode::policy)).
     fn exchange_policy(&self, ex: &Exchange) -> ChunkPolicy {
         let unit_bytes = crate::ix(ex.unit) * AMP_BYTES;
         self.config
@@ -782,6 +752,7 @@ mod tests {
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_circuit::transpile::cache_blocking::cache_block;
     use qse_circuit::Permutation;
+    use qse_comm::chunking::ExchangeMode;
     use qse_comm::Universe;
     use qse_math::approx::{assert_close, assert_slices_close};
 

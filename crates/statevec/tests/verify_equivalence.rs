@@ -8,7 +8,7 @@
 //! driver's; and every plan the equivalence suites execute must verify
 //! statically before it runs.
 
-use qse_check::verify::{derive_traces, verify_plan, TraceOp, VerifyOptions};
+use qse_check::verify::{derive_traces, verify_plan, TraceOp};
 use qse_circuit::classify::Layout;
 use qse_circuit::qft::qft;
 use qse_circuit::random::{random_circuit, GatePool};
@@ -29,14 +29,6 @@ fn dist_config(mode: ExchangeMode, chunk: usize, half: bool) -> DistConfig {
         exchange_mode: mode,
         chunk_policy: ChunkPolicy::new(chunk).unwrap(),
         half_exchange_swaps: half,
-    }
-}
-
-fn verify_opts(config: DistConfig) -> VerifyOptions {
-    VerifyOptions {
-        exchange_mode: config.exchange_mode,
-        chunk_policy: config.chunk_policy,
-        half_exchange_swaps: config.half_exchange_swaps,
     }
 }
 
@@ -73,10 +65,9 @@ fn check_bytes_match(
     what: &str,
 ) {
     let plan = plan_for(circuit, ranks, strategy);
-    let opts = verify_opts(config);
-    verify_plan(&plan, Some(circuit), ranks, &opts)
+    verify_plan(&plan, Some(circuit), ranks, &config)
         .unwrap_or_else(|e| panic!("{what}: plan failed static verification: {e}"));
-    let ts = derive_traces(&plan, ranks, &opts).unwrap();
+    let ts = derive_traces(&plan, ranks, &config).unwrap();
     let measured = measured_traffic(&plan, ranks as usize, config);
     let predicted: Vec<u64> = ts.ranks.iter().map(|r| r.predicted_exchanged).collect();
     let exchanged: Vec<u64> = measured.iter().map(|m| m.0).collect();
@@ -179,8 +170,8 @@ fn every_equivalence_suite_plan_verifies_statically() {
             for strategy in [None, Some(Strategy::Greedy), Some(Strategy::beam())] {
                 let plan = plan_for(c, ranks, strategy);
                 for mode in MODES {
-                    let opts = verify_opts(dist_config(mode, 1 << 20, false));
-                    verify_plan(&plan, Some(c), ranks, &opts)
+                    let config = dist_config(mode, 1 << 20, false);
+                    verify_plan(&plan, Some(c), ranks, &config)
                         .unwrap_or_else(|e| panic!("{name} R={ranks} {mode:?} {strategy:?}: {e}"));
                     verified += 1;
                 }

@@ -1,7 +1,7 @@
 //! End-to-end algorithm tests: each builder from `qse::circuit::algorithms`
 //! run through the engines and checked against its textbook behaviour.
 
-use qse::circuit::algorithms::{bernstein_vazirani, ghz, layered_ansatz, qpe, read_phase_estimate};
+use qse::circuit::algorithms::{bernstein_vazirani, ghz, qpe, read_phase_estimate};
 use qse::math::approx::assert_close;
 use qse::prelude::*;
 
@@ -71,12 +71,4 @@ fn ghz_distributed_correlations() {
     assert_close(state[all_ones as usize].norm_sqr(), 0.5, 1e-9);
     let populated = state.iter().filter(|a| a.norm_sqr() > 1e-12).count();
     assert_eq!(populated, 2);
-}
-
-/// The ansatz preserves the norm.
-#[test]
-fn layered_ansatz_observables() {
-    let c = layered_ansatz(6, 4, 11);
-    let state = LocalExecutor::run(&c);
-    assert_close(state.norm_sqr(), 1.0, 1e-9);
 }

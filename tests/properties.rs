@@ -78,21 +78,6 @@ fn distribution_is_transparent() {
     });
 }
 
-/// Diagonal sinking preserves semantics and never shrinks the fusable
-/// gate count.
-#[test]
-fn sinking_is_safe() {
-    use qse::circuit::transpile::scheduling::{fusable_gate_count, sink_diagonals};
-    check_with_size(48, 40, |rng, size| {
-        let c = draw_circuit(rng, 6, size);
-        let s = sink_diagonals(&c);
-        let want = ReferenceState::simulate(&c);
-        let got = ReferenceState::simulate(&s);
-        assert!(slices_close(got.amplitudes(), want.amplitudes(), 1e-9));
-        assert!(fusable_gate_count(&s, 2) >= fusable_gate_count(&c, 2));
-    });
-}
-
 /// Running local gates as one blocked pass per run never changes a bit:
 /// the executor's lowering against gate-at-a-time application.
 #[test]
