@@ -3,10 +3,7 @@
 //!
 //! The cache-blocking pass ([`super::cache_blocking`]) evicts greedily,
 //! one offender at a time, and lowers every layout change to a pairwise
-//! SWAP — k layout changes cost k full exchanges. Both passes, and the
-//! beam's rollout, place gates through one step (`Tracker::place`) and
-//! one LRU victim rule; they differ only in how a batch is chosen
-//! and what is done with it. mpiQulacs showed that
+//! SWAP — k layout changes cost k full exchanges. mpiQulacs showed that
 //! rank-local relabeling plus *batched* global swaps collapses many
 //! distributed exchanges into a few large ones. This pass closes that gap
 //! in two ways:
@@ -14,11 +11,12 @@
 //! 1. **Search.** Instead of committing to the first legal eviction, the
 //!    pass looks ahead over the gate stream, enumerates candidate batched
 //!    placements (greedy-LRU baseline, lookahead-window beam search) and
-//!    scores each candidate with a pluggable [`ExchangeOracle`] — the machine crate's
-//!    calibrated time/energy model implements the trait, making it a
-//!    compile-time oracle rather than a reporting tool. Schedules are
-//!    ordered by modeled exchange bytes first ([`StepCost::better_than`]),
-//!    modeled seconds and joules as tie-breaks.
+//!    scores each candidate with a pluggable [`ExchangeOracle`] — the
+//!    machine crate's calibrated time/energy model implements the trait,
+//!    making it a compile-time oracle rather than a reporting tool.
+//!    Schedules are ordered by modeled exchange bytes first
+//!    ([`StepCost::better_than`]), modeled seconds and joules as
+//!    tie-breaks.
 //! 2. **Batching.** Layout changes are emitted as [`PlanStep::Permute`]
 //!    steps — whole index-bit permutations, adjacent changes coalesced by
 //!    composition — which the statevector engine lowers to *one* global
@@ -26,6 +24,10 @@
 //!    permutation mixing k rank bits moves `1 − 2^-k` of each slice, so
 //!    even a single swap-in costs half of what the engine's full pairwise
 //!    exchange moves.
+//!
+//! Both passes, and the beam's rollout, place gates through one step
+//! (`Tracker::place`) and one LRU victim rule; they differ only in how a
+//! batch is chosen and what is done with it.
 //!
 //! ## Contract
 //!
