@@ -555,16 +555,14 @@ fn derive(
     n_ranks: u64,
     opts: &DistConfig,
 ) -> Result<(TraceSet, StepCounts), VerifyError> {
-    if n_ranks == 0 || !n_ranks.is_power_of_two() || n_ranks > (1u64 << plan.n_qubits()) {
-        return Err(VerifyError::Unsupported {
+    let layout =
+        Layout::try_new(plan.n_qubits(), n_ranks).map_err(|_| VerifyError::Unsupported {
             step: 0,
             detail: format!(
                 "{n_ranks} ranks is not a power of two within 2^{}",
                 plan.n_qubits()
             ),
-        });
-    }
-    let layout = Layout::new(plan.n_qubits(), n_ranks);
+        })?;
     let mut ts = TraceSet {
         n_ranks: n_ranks as usize,
         step_labels: Vec::new(),

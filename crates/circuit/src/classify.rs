@@ -15,7 +15,6 @@
 use crate::circuit::Circuit;
 use crate::gate::Gate;
 use crate::hash::canonical_gate;
-use qse_math::bits;
 use std::f64::consts::{FRAC_PI_2, PI};
 
 /// How the register is split across ranks.
@@ -25,19 +24,63 @@ pub struct Layout {
     rank_qubits: u32,
 }
 
+/// A rank count no register can be split over ([`Layout::try_new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LayoutError {
+    /// QuEST splits a register over `2^r` ranks only.
+    NotPowerOfTwo {
+        /// The rank count asked for.
+        n_ranks: u64,
+    },
+    /// More ranks than amplitudes: each rank needs at least one.
+    TooManyRanks {
+        /// The rank count asked for.
+        n_ranks: u64,
+        /// The register width.
+        n_qubits: u32,
+    },
+}
+
+impl std::fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            LayoutError::NotPowerOfTwo { n_ranks } => {
+                write!(f, "{n_ranks} is not a power of two")
+            }
+            LayoutError::TooManyRanks { n_ranks, n_qubits } => write!(
+                f,
+                "{n_ranks} ranks need at least {} qubits, have {n_qubits}",
+                n_ranks.trailing_zeros()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LayoutError {}
+
 impl Layout {
-    /// Builds a layout for `n_qubits` over `n_ranks` ranks (a power of
-    /// two, as QuEST requires; at most `2^n_qubits`).
-    pub fn new(n_qubits: u32, n_ranks: u64) -> Self {
-        let rank_qubits = bits::log2_exact(n_ranks);
-        assert!(
-            rank_qubits <= n_qubits,
-            "{n_ranks} ranks need at least {rank_qubits} qubits, have {n_qubits}"
-        );
-        Layout {
+    /// Builds a layout for `n_qubits` over `n_ranks` ranks: a power of
+    /// two, as QuEST requires, and at most `2^n_qubits`.
+    pub fn try_new(n_qubits: u32, n_ranks: u64) -> Result<Self, LayoutError> {
+        if !n_ranks.is_power_of_two() {
+            return Err(LayoutError::NotPowerOfTwo { n_ranks });
+        }
+        let rank_qubits = n_ranks.trailing_zeros();
+        if rank_qubits > n_qubits {
+            return Err(LayoutError::TooManyRanks { n_ranks, n_qubits });
+        }
+        Ok(Layout {
             n_qubits,
             rank_qubits,
-        }
+        })
+    }
+
+    /// [`Self::try_new`] for a rank count known to be valid.
+    ///
+    /// # Panics
+    /// Panics with the [`LayoutError`] when it is not.
+    pub fn new(n_qubits: u32, n_ranks: u64) -> Self {
+        Self::try_new(n_qubits, n_ranks).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Register width.
@@ -371,6 +414,28 @@ mod tests {
     #[should_panic(expected = "not a power of two")]
     fn non_pow2_ranks_rejected() {
         Layout::new(10, 6);
+    }
+
+    #[test]
+    fn try_new_types_every_invalid_rank_count() {
+        for n_ranks in [0, 3, 6, u64::MAX] {
+            assert_eq!(
+                Layout::try_new(10, n_ranks),
+                Err(LayoutError::NotPowerOfTwo { n_ranks })
+            );
+        }
+        assert_eq!(
+            Layout::try_new(4, 64),
+            Err(LayoutError::TooManyRanks {
+                n_ranks: 64,
+                n_qubits: 4
+            })
+        );
+        assert_eq!(Layout::try_new(6, 64).map(|l| l.local_qubits()), Ok(0));
+        assert_eq!(
+            Layout::try_new(200, 1 << 63).map(|l| l.rank_qubits()),
+            Ok(63)
+        );
     }
 
     #[test]

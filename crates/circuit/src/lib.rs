@@ -10,7 +10,7 @@
 //!   (diagonal matrices), *local memory* (block-diagonal within a rank) and
 //!   *distributed* (requires pairwise exchange);
 //! * [`transpile::cache_blocking`] — a general cache-blocking pass in the
-//!   style of Doi & Horii (the paper's reference [3]) plus the
+//!   style of Doi & Horii (the paper's reference \[3\]) plus the
 //!   QFT-specific SWAP-shifting construction the paper uses;
 //! * [`transpile::fusion`] — diagonal-gate fusion, modelling QuEST's
 //!   "controlled phase gates applied more efficiently" (§3.2).

@@ -13,7 +13,7 @@
 //! more efficient application of controlled phase gates (§3.2): a run of
 //! diagonal gates can be applied in a single sweep over the statevector.
 //!
-//! [`comm_avoid`] is the cost-model-driven evolution of cache-blocking:
+//! [`comm_avoid`](fn@comm_avoid) is the cost-model-driven evolution of cache-blocking:
 //! it *searches* placements (greedy baseline, lookahead beam) against a
 //! pluggable exchange-cost oracle and emits batched
 //! [`crate::Permutation`] steps instead of pairwise SWAPs. Both passes

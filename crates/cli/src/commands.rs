@@ -7,15 +7,16 @@ use qse_circuit::classify::{GateClass, Layout};
 use qse_circuit::lower::{circuit_traffic, GateTraffic};
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft, valid_split_range};
 use qse_circuit::transpile::cache_blocking::cache_block;
-use qse_circuit::Circuit;
+use qse_circuit::{Circuit, MAX_QUBITS};
 use qse_comm::chunking::ExchangeMode;
 use qse_core::experiment::{fmt_seconds, TextTable};
 use qse_core::scaling::nodes_for;
 use qse_core::{
-    comm_avoid_plan, EngineError, EngineExecutor, EngineMode, EngineState, ModelExecutor,
-    SimConfig, ThreadClusterExecutor, TranspileMode,
+    EngineError, EngineExecutor, EngineMode, EngineState, ModelExecutor, SimConfig,
+    ThreadClusterExecutor, TranspileMode,
 };
 use qse_machine::energy::{format_energy, joules_to_kwh};
+use qse_machine::memory::statevector_bytes;
 use qse_machine::trace::SacctRecord;
 use qse_machine::variants::gpu_machine;
 use qse_machine::{archer2, CpuFrequency, NodeKind};
@@ -102,6 +103,17 @@ pub fn help_text() -> String {
                                     and print response lines; --stdin forwards\n\
                                     raw request lines instead of generating\n"
         .to_string()
+}
+
+/// `--qubits`, within the widths the circuit IR accepts.
+fn register_width(args: &Args) -> Result<u32, ArgError> {
+    let n: u32 = args.required("qubits")?;
+    if !(1..=MAX_QUBITS).contains(&n) {
+        return Err(ArgError(format!(
+            "--qubits {n} is outside 1..={MAX_QUBITS}"
+        )));
+    }
+    Ok(n)
 }
 
 fn build_circuit(name: &str, n: u32) -> Result<Circuit, ArgError> {
@@ -227,7 +239,7 @@ fn run(args: &Args) -> Result<String, ArgError> {
         "faults",
         "transpile",
     ])?;
-    let n: u32 = args.required("qubits")?;
+    let n = register_width(args)?;
     let engine_mode = {
         let s = args.string("engine", "dense");
         EngineMode::parse(&s).ok_or_else(|| {
@@ -243,7 +255,7 @@ fn run(args: &Args) -> Result<String, ArgError> {
     let cap = match engine_mode {
         EngineMode::Dense => 24,
         EngineMode::Sparse => qse_statevec::MAX_SPARSE_QUBITS,
-        EngineMode::Auto | EngineMode::Stabilizer => qse_circuit::MAX_QUBITS,
+        EngineMode::Auto | EngineMode::Stabilizer => MAX_QUBITS,
     };
     if n > cap {
         return Err(ArgError(format!(
@@ -254,6 +266,12 @@ fn run(args: &Args) -> Result<String, ArgError> {
     }
     let ranks: u64 = args.value("ranks", 4)?;
     let basis: u64 = args.value("basis", 0)?;
+    if n < 64 && basis >> n != 0 {
+        return Err(ArgError(format!(
+            "--basis {basis} is not a basis state of {n} qubits (max {})",
+            (1u64 << n) - 1
+        )));
+    }
     let circuit = build_circuit(&args.string("circuit", "qft"), n)?;
     let mut cfg = SimConfig::default_for(ranks);
     cfg.exchange = exchange_mode(args.switch("non-blocking"), args.switch("streamed"));
@@ -279,11 +297,14 @@ fn run(args: &Args) -> Result<String, ArgError> {
             engine_mode.label()
         )));
     }
-    let run = EngineExecutor::run(&circuit, &cfg, basis, false).map_err(|e| match e {
+    let failed = |e| match e {
         // The dense path's typed error reads without the engine prefix.
         EngineError::Comm(e) => ArgError(format!("run failed: {e}")),
         e => ArgError(format!("run failed: {e}")),
-    })?;
+    };
+    let plan = EngineExecutor::prepare(&circuit, &cfg).map_err(failed)?;
+    let run = EngineExecutor::run_prepared(&circuit, &cfg, basis, false, plan.as_ref())
+        .map_err(failed)?;
     let p = &run.profiled;
     // One address space has no rank traffic to report: the sparse and
     // tableau engines print their own size story (map occupancy, tableau
@@ -329,7 +350,7 @@ fn run(args: &Args) -> Result<String, ArgError> {
             t.n_qubits(),
         ),
     };
-    if let Some(plan) = comm_avoid_plan(&circuit, &cfg) {
+    if let Some(plan) = &plan {
         let machine = archer2();
         let oracle = qse_machine::ModelOracle::new(&machine, cfg.to_model_config());
         let modeled = plan.price(&Layout::new(n, ranks), &oracle);
@@ -364,7 +385,7 @@ fn model(args: &Args) -> Result<String, ArgError> {
         "half-swaps",
         "fuse",
     ])?;
-    let n: u32 = args.required("qubits")?;
+    let n = register_width(args)?;
     let machine = pick_machine(args);
     let kind = parse_kind(&args.string("node-kind", "standard"))?;
     let nodes = match args.optional::<u64>("nodes")? {
@@ -376,9 +397,17 @@ fn model(args: &Args) -> Result<String, ArgError> {
             ))
         })?,
     };
+    let layout =
+        Layout::try_new(n, nodes).map_err(|e| ArgError(format!("--nodes {nodes}: {e}")))?;
+    if statevector_bytes(layout.local_qubits()).is_none() {
+        return Err(ArgError(format!(
+            "--nodes {nodes}: each node's slice of {n} qubits (2^{} amplitudes) \
+             overflows a 64-bit byte count",
+            layout.local_qubits()
+        )));
+    }
     let circuit = if args.switch("fast") {
-        let local = n - nodes.trailing_zeros();
-        cache_blocked_qft(n, default_split(n, local))
+        cache_blocked_qft(n, default_split(n, layout.local_qubits()))
     } else {
         build_circuit(&args.string("circuit", "qft"), n)?
     };
@@ -406,7 +435,7 @@ fn model(args: &Args) -> Result<String, ArgError> {
     // Modeled exchange payload, with a measured thread-cluster comparison
     // whenever the same configuration fits in one process — the honesty
     // check that the model's traffic inputs are exact.
-    let traffic = circuit_traffic(&circuit, &Layout::new(n, nodes), cfg.half_exchange_swaps)
+    let traffic = circuit_traffic(&circuit, &layout, cfg.half_exchange_swaps)
         .map_err(|e| ArgError(e.to_string()))?;
     let modeled: u64 = traffic.iter().map(GateTraffic::bytes_sent).sum();
     out += &format!("exchange payload (modeled): {modeled} bytes");
@@ -463,9 +492,10 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
 
 fn transpile(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&["qubits", "ranks", "circuit"])?;
-    let n: u32 = args.required("qubits")?;
+    let n = register_width(args)?;
     let ranks: u64 = args.required("ranks")?;
-    let layout = Layout::new(n, ranks);
+    let layout =
+        Layout::try_new(n, ranks).map_err(|e| ArgError(format!("--ranks {ranks}: {e}")))?;
     let circuit = build_circuit(&args.string("circuit", "qft"), n)?;
     // Distributed gates and bytes one participating rank sends.
     let summary = |c: &Circuit| -> Result<(usize, u64), ArgError> {
@@ -1198,6 +1228,82 @@ mod tests {
         assert!(err.0.contains("do not fit"));
         let err = run_cli(&["model", "--qubits", "42", "--node-kind", "highmem"]).unwrap_err();
         assert!(err.0.contains("do not fit"));
+    }
+
+    /// Runs `tokens`, expecting a typed error (not a panic) whose text
+    /// contains `needle`.
+    fn assert_typed_error(tokens: &[&str], needle: &str) {
+        let err = run_cli(tokens).expect_err(&tokens.join(" "));
+        assert!(err.0.contains(needle), "{}: {}", tokens.join(" "), err.0);
+    }
+
+    #[test]
+    fn model_rejects_non_power_of_two_nodes() {
+        assert_typed_error(
+            &["model", "--qubits", "10", "--nodes", "3"],
+            "3 is not a power of two",
+        );
+    }
+
+    #[test]
+    fn transpile_rejects_non_power_of_two_ranks() {
+        assert_typed_error(
+            &["transpile", "--qubits", "8", "--ranks", "3"],
+            "3 is not a power of two",
+        );
+    }
+
+    #[test]
+    fn transpile_rejects_more_ranks_than_amplitudes() {
+        assert_typed_error(
+            &["transpile", "--qubits", "4", "--ranks", "64"],
+            "64 ranks need at least 6 qubits",
+        );
+    }
+
+    #[test]
+    fn run_rejects_zero_qubits() {
+        assert_typed_error(&["run", "--qubits", "0"], "--qubits 0");
+    }
+
+    #[test]
+    fn model_rejects_zero_qubits() {
+        assert_typed_error(&["model", "--qubits", "0"], "--qubits 0");
+    }
+
+    #[test]
+    fn transpile_rejects_zero_qubits() {
+        assert_typed_error(
+            &["transpile", "--qubits", "0", "--ranks", "1"],
+            "--qubits 0",
+        );
+    }
+
+    #[test]
+    fn run_rejects_a_basis_outside_the_register() {
+        for engine in ["dense", "sparse", "stabilizer"] {
+            assert_typed_error(
+                &[
+                    "run", "--qubits", "8", "--ranks", "2", "--basis", "999", "--engine", engine,
+                ],
+                "--basis 999",
+            );
+        }
+        assert!(run_cli(&["run", "--qubits", "8", "--ranks", "2", "--basis", "255"]).is_ok());
+    }
+
+    #[test]
+    fn model_reports_registers_past_u64_bytes_as_not_fitting() {
+        for n in ["60", "64", "70"] {
+            assert_typed_error(&["model", "--qubits", n], "do not fit");
+        }
+    }
+
+    #[test]
+    fn model_rejects_explicit_nodes_whose_slice_overflows() {
+        for nodes in ["1", "1024"] {
+            assert_typed_error(&["model", "--qubits", "70", "--nodes", nodes], "overflows");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`ExchangeMode::Blocking`] — QuEST's original scheme: one blocking
 //!   `sendrecv` per chunk, strictly serialised;
 //! * [`ExchangeMode::NonBlocking`] — the paper's improvement: post every
-//!   `isend`/`irecv` up front, then complete them all, letting chunks fly
-//!   concurrently;
+//!   receive up front, send every chunk, then complete the receives in
+//!   order, letting chunks fly concurrently;
 //! * [`ExchangeMode::Streamed`] — one step further than the paper: chunks
 //!   are *consumed in completion order* via
 //!   [`crate::Communicator::wait_any`] while later chunks are still in

@@ -404,63 +404,26 @@ impl Communicator {
         Ok(None)
     }
 
-    /// Combined send + receive, the workhorse of QuEST's distributed gates
-    /// (`MPI_Sendrecv`). The send is eager so this cannot deadlock even when
-    /// both partners call it simultaneously.
-    pub fn sendrecv(
-        &mut self,
-        dst: usize,
-        send_tag: u64,
-        payload: &[u8],
-        src: usize,
-        recv_tag: u64,
-    ) -> Result<Bytes> {
-        self.send(dst, send_tag, payload)?;
-        self.recv(src, recv_tag)
-    }
-
-    /// Non-blocking send. With an eager transport the operation completes
-    /// immediately; the returned request exists so call sites read like
-    /// their MPI counterparts and can be passed to [`Self::wait_all`].
-    pub fn isend(&mut self, dst: usize, tag: u64, payload: &[u8]) -> Result<Request> {
-        self.send(dst, tag, payload)?;
-        Ok(Request::SendDone)
-    }
-
     /// Non-blocking receive: registers interest in `(src, tag)` and returns
-    /// a request to be completed by [`Self::wait`] / [`Self::wait_all`].
+    /// a request to be completed by [`Self::wait`] or [`Self::wait_any`].
     pub fn irecv(&self, src: usize, tag: u64) -> Result<Request> {
         self.check_rank(src)?;
-        Ok(Request::Recv { src, tag })
+        Ok(Request { src, tag })
     }
 
-    /// Completes one request, returning its payload (empty for sends).
+    /// Completes one posted receive, returning its payload.
     pub fn wait(&mut self, request: Request) -> Result<Bytes> {
-        match request {
-            Request::SendDone => Ok(Bytes::new()),
-            Request::Recv { src, tag } => self.recv(src, tag),
-        }
-    }
-
-    /// Completes a batch of requests in order, returning their payloads.
-    ///
-    /// Because arrivals are buffered by `(src, tag)`, completion order does
-    /// not depend on network arrival order — exactly the property the
-    /// paper's non-blocking rewrite of QuEST exploits.
-    pub fn wait_all(&mut self, requests: Vec<Request>) -> Result<Vec<Bytes>> {
-        requests.into_iter().map(|r| self.wait(r)).collect()
+        self.recv(request.src, request.tag)
     }
 
     /// Completes *whichever* request in `requests` finishes first,
     /// returning its index and payload — the `MPI_Waitany` analogue that
     /// lets a streamed exchange process chunks in completion order.
     ///
-    /// Send requests are already complete on an eager transport and are
-    /// returned immediately (with an empty payload). Among receives, a
-    /// buffered out-of-order arrival wins in its arrival order; otherwise
-    /// the call blocks like [`Self::recv`] (and ends like it: timeout,
-    /// abort, or a completion). Non-matching arrivals are buffered for
-    /// later receives exactly as in `recv`.
+    /// A buffered out-of-order arrival wins in its arrival order;
+    /// otherwise the call blocks like [`Self::recv`] (and ends like it:
+    /// timeout, abort, or a completion). Non-matching arrivals are
+    /// buffered for later receives exactly as in `recv`.
     ///
     /// Returns `CommError::InvalidConfig` for an empty request set.
     pub fn wait_any(&mut self, requests: &[Request]) -> Result<(usize, Bytes)> {
@@ -469,19 +432,13 @@ impl Communicator {
                 "wait_any needs at least one request",
             ));
         }
-        if let Some(i) = requests.iter().position(|r| r.is_send()) {
-            return Ok((i, Bytes::new()));
-        }
         self.live()?;
         self.wait_any_recv(requests).map_err(|e| self.fail(e))
     }
 
-    /// [`Self::wait_any`] over a set of receives only.
+    /// [`Self::wait_any`] over a non-empty request set.
     fn wait_any_recv(&mut self, requests: &[Request]) -> Result<(usize, Bytes)> {
-        let (src, tag) = match requests[0] {
-            Request::Recv { src, tag } => (src, tag),
-            Request::SendDone => (self.rank, 0), // unreachable: sends returned above
-        };
+        let Request { src, tag } = requests[0];
         // Drawn before the arrival-dependent pending scan so the fault
         // stream stays in program order (the request set is deterministic;
         // what has already arrived is not).
@@ -505,9 +462,9 @@ impl Communicator {
 
     /// Index of the first request in `requests` matching `env`, if any.
     fn match_request(requests: &[Request], env: &Envelope) -> Option<usize> {
-        requests.iter().position(
-            |r| matches!(r, Request::Recv { src, tag } if *src == env.src && *tag == env.tag),
-        )
+        requests
+            .iter()
+            .position(|r| r.src == env.src && r.tag == env.tag)
     }
 
     /// Synchronises all ranks: returns once every rank has arrived, or as
@@ -564,6 +521,20 @@ impl Drop for Communicator {
 mod tests {
     use crate::universe::Universe;
     use crate::CommError;
+    use crate::Communicator;
+    use qse_util::Bytes;
+
+    /// An eager send to `peer`, then the matching receive from it: the
+    /// `MPI_Sendrecv` shape most of these tests drive traffic with.
+    pub(super) fn sendrecv(
+        c: &mut Communicator,
+        peer: usize,
+        tag: u64,
+        payload: &[u8],
+    ) -> crate::Result<Bytes> {
+        c.send(peer, tag, payload)?;
+        c.recv(peer, tag)
+    }
 
     #[test]
     fn rank_and_size_are_exposed() {
@@ -617,7 +588,7 @@ mod tests {
         let out = Universe::new(2).run(|c| {
             let peer = 1 - c.rank();
             let payload = vec![c.rank() as u8; 1024];
-            let got = c.sendrecv(peer, 3, &payload, peer, 3).unwrap();
+            let got = sendrecv(c, peer, 3, &payload).unwrap();
             got[0]
         });
         assert_eq!(out, vec![1, 0]);
@@ -645,13 +616,10 @@ mod tests {
     fn nonblocking_roundtrip() {
         Universe::new(2).run(|c| {
             let peer = 1 - c.rank();
-            let reqs = vec![
-                c.irecv(peer, 1).unwrap(),
-                c.isend(peer, 1, &[c.rank() as u8]).unwrap(),
-            ];
-            let payloads = c.wait_all(reqs).unwrap();
-            assert_eq!(payloads[0][0] as usize, peer);
-            assert!(payloads[1].is_empty());
+            let req = c.irecv(peer, 1).unwrap();
+            c.send(peer, 1, &[c.rank() as u8]).unwrap();
+            let payload = c.wait(req).unwrap();
+            assert_eq!(payload[0] as usize, peer);
         });
     }
 
@@ -679,18 +647,15 @@ mod tests {
     }
 
     #[test]
-    fn wait_any_prefers_completed_sends_and_rejects_empty_sets() {
+    fn wait_any_rejects_empty_request_sets() {
         Universe::new(2).run(|c| {
             let err = c.wait_any(&[]).unwrap_err();
             assert!(matches!(err, CommError::InvalidConfig(_)));
+            // The rejection leaves the endpoint usable.
             let peer = 1 - c.rank();
-            let reqs = vec![c.irecv(peer, 7).unwrap(), c.isend(peer, 7, &[9]).unwrap()];
-            // The eager send is already complete: index 1, empty payload.
+            let reqs = [c.irecv(peer, 7).unwrap()];
+            c.send(peer, 7, &[9]).unwrap();
             let (i, payload) = c.wait_any(&reqs).unwrap();
-            assert_eq!(i, 1);
-            assert!(payload.is_empty());
-            // The receive then completes normally.
-            let (i, payload) = c.wait_any(&reqs[..1]).unwrap();
             assert_eq!(i, 0);
             assert_eq!(&payload[..], &[9]);
         });
@@ -719,7 +684,7 @@ mod tests {
     fn stats_count_messages_and_bytes() {
         let stats = Universe::new(2).run(|c| {
             let peer = 1 - c.rank();
-            c.sendrecv(peer, 0, &[0u8; 100], peer, 0).unwrap();
+            sendrecv(c, peer, 0, &[0u8; 100]).unwrap();
             c.barrier();
             c.stats()
         });
@@ -734,6 +699,7 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::sendrecv;
     use crate::faults::FaultConfig;
     use crate::universe::Universe;
     use crate::{CommError, FaultOp, TrafficStats};
@@ -757,7 +723,7 @@ mod fault_tests {
                     let peer = 1 - c.rank();
                     for round in 0..20u64 {
                         let payload = vec![(round as u8) ^ (c.rank() as u8); 96];
-                        let got = c.sendrecv(peer, round, &payload, peer, round).unwrap();
+                        let got = sendrecv(c, peer, round, &payload).unwrap();
                         let want = vec![(round as u8) ^ (peer as u8); 96];
                         assert_eq!(&got[..], &want[..], "seed {seed} round {round}");
                     }
@@ -778,7 +744,7 @@ mod fault_tests {
         let stats = Universe::new(2).run(|c| {
             let peer = 1 - c.rank();
             for round in 0..8u64 {
-                c.sendrecv(peer, round, &[7u8; 64], peer, round).unwrap();
+                sendrecv(c, peer, round, &[7u8; 64]).unwrap();
             }
             c.stats()
         });
@@ -867,7 +833,7 @@ mod fault_tests {
                 .unwrap()
                 .run(|c| {
                     let peer = 1 - c.rank();
-                    c.sendrecv(peer, 9, &[1u8; 128], peer, 9).unwrap_err()
+                    sendrecv(c, peer, 9, &[1u8; 128]).unwrap_err()
                 });
         // Past the retry budget, from the peer, on the exchanged tag.
         assert_fail_stop(&errs, |rank, err| {
@@ -917,7 +883,7 @@ mod fault_tests {
             .unwrap()
             .run(|c| {
                 let peer = 1 - c.rank();
-                let got = c.sendrecv(peer, 1, &[c.rank() as u8], peer, 1).unwrap();
+                let got = sendrecv(c, peer, 1, &[c.rank() as u8]).unwrap();
                 assert_eq!(got[0] as usize, peer);
                 c.barrier();
                 c.stats()
@@ -963,9 +929,7 @@ mod fault_tests {
             .run(|c| {
                 let peer = 1 - c.rank();
                 for round in 0..4u64 {
-                    let got = c
-                        .sendrecv(peer, round, &[round as u8], peer, round)
-                        .unwrap();
+                    let got = sendrecv(c, peer, round, &[round as u8]).unwrap();
                     assert_eq!(got[0], round as u8);
                 }
                 c.barrier();
@@ -991,7 +955,7 @@ mod fault_tests {
                 let peer = 1 - c.rank();
                 for round in 0..6u64 {
                     let sent = [c.rank() as u8, round as u8];
-                    let got = c.sendrecv(peer, round, &sent, peer, round)?;
+                    let got = sendrecv(c, peer, round, &sent)?;
                     assert_eq!(&got[..], &[peer as u8, round as u8]);
                 }
                 Ok::<_, CommError>(())
@@ -1247,8 +1211,12 @@ mod failstop_tests {
                 ranks: 4,
                 faults: false,
                 program: |c| match c.rank() {
-                    0 => c.sendrecv(1, 10, b"ping", 1, 99).map(|_| ()),
-                    1 => c.sendrecv(0, 20, b"pong", 0, 88).map(|_| ()),
+                    0 => c
+                        .send(1, 10, b"ping")
+                        .and_then(|()| c.recv(1, 99).map(|_| ())),
+                    1 => c
+                        .send(0, 20, b"pong")
+                        .and_then(|()| c.recv(0, 88).map(|_| ())),
                     _ => Ok(()),
                 },
                 awaits: &[(0, (1, 99)), (1, (0, 88))],

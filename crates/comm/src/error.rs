@@ -87,19 +87,6 @@ pub enum CommError {
         /// Attempts made before giving up (first try + retries).
         attempts: u32,
     },
-    /// A collective collapse targeted a measurement outcome whose
-    /// all-reduced probability is (numerically) zero. Raised by the
-    /// distributed measurement path instead of asserting, so a caller
-    /// bug surfaces as a diagnosable error on every rank rather than a
-    /// poisoned universe. (The probability itself is not carried: it is
-    /// below the 1e-15 floor by definition, and keeping the variant
-    /// field-comparable preserves `Eq` for the whole error type.)
-    ImpossibleOutcome {
-        /// The measured qubit.
-        qubit: u32,
-        /// The requested classical outcome.
-        bit: u8,
-    },
     /// The static plan verifier (`qse-check::verify`) refused an
     /// execution plan before a byte moved: its symbolic trace violates
     /// protocol matching, deadlock freedom, buffer bounds, or layout
@@ -160,10 +147,6 @@ impl fmt::Display for CommError {
             CommError::Transient { op, peer, attempts } => write!(
                 f,
                 "transient {op} fault towards rank {peer} persisted for {attempts} attempts (retry budget exhausted)"
-            ),
-            CommError::ImpossibleOutcome { qubit, bit } => write!(
-                f,
-                "cannot collapse qubit {qubit} onto bit {bit}: outcome probability is numerically zero"
             ),
             CommError::PlanRejected { detail } => write!(
                 f,
@@ -228,10 +211,6 @@ mod tests {
         assert!(text.contains("transient send fault"));
         assert!(text.contains("rank 3"));
         assert!(text.contains("5 attempts"));
-        let e = CommError::ImpossibleOutcome { qubit: 6, bit: 1 };
-        let text = e.to_string();
-        assert!(text.contains("qubit 6"));
-        assert!(text.contains("bit 1"));
         let e = CommError::PlanRejected {
             detail: "tag collision on edge 0→1 at plan step 3".into(),
         };

@@ -7,22 +7,25 @@
 //!
 //! The API mirrors the slice of MPI that QuEST actually uses:
 //!
-//! * blocking point-to-point: [`Communicator::send`], [`Communicator::recv`],
-//!   and the combined [`Communicator::sendrecv`] (QuEST's distributed gates
-//!   are "a sequence of blocking `MPI_Sendrecv`", §2.1);
-//! * non-blocking point-to-point: [`Communicator::isend`] /
-//!   [`Communicator::irecv`] returning [`nonblocking::Request`]s, with
-//!   [`Communicator::wait_all`] — the paper's modification that "allows
-//!   multiple messages to be sent and received in parallel" (§3.2) — and
-//!   [`Communicator::wait_any`], completing requests in arrival order so
-//!   [`chunking::ExchangeMode::Streamed`] can overlap per-chunk
-//!   computation with the remaining communication;
+//! * blocking point-to-point: [`Communicator::send`] and
+//!   [`Communicator::recv`]. Sends are eager, so a QuEST-style
+//!   `MPI_Sendrecv` is a send followed by a receive and cannot deadlock
+//!   (QuEST's distributed gates are "a sequence of blocking
+//!   `MPI_Sendrecv`", §2.1);
+//! * posted receives: [`Communicator::irecv`] returns a
+//!   [`nonblocking::Request`], completed by [`Communicator::wait`] or, in
+//!   arrival order, by [`Communicator::wait_any`] — the paper's
+//!   modification that "allows multiple messages to be sent and received
+//!   in parallel" (§3.2), and the completion order that lets
+//!   [`chunking::ExchangeMode::Streamed`] overlap per-chunk computation
+//!   with the remaining communication;
 //! * message chunking: MPI implementations cap individual messages (2 GB in
 //!   the paper, hence 32 messages per 64 GB exchange); [`chunking`]
 //!   reproduces the cap and runs every exchange strategy over it through
 //!   one chunk driver ([`chunking::drive`]) that hands each packed chunk
 //!   to the transport without copying it;
-//! * collectives: barrier, broadcast, all-reduce, gather ([`collective`]);
+//! * collectives: a barrier ([`Communicator::barrier`]) and a gather to
+//!   one root ([`collective::gather`]);
 //! * traffic accounting: every communicator records bytes and message
 //!   counts ([`stats`]), which the performance model and tests consume;
 //! * fail-stop error handling, as under MPI's default error handler: a
@@ -38,8 +41,8 @@
 //! // Two ranks exchange their rank ids.
 //! let results = Universe::new(2).run(|comm| {
 //!     let peer = 1 - comm.rank();
-//!     let payload = [comm.rank() as u8];
-//!     let got = comm.sendrecv(peer, 7, &payload, peer, 7).unwrap();
+//!     comm.send(peer, 7, &[comm.rank() as u8]).unwrap();
+//!     let got = comm.recv(peer, 7).unwrap();
 //!     got[0] as usize
 //! });
 //! assert_eq!(results, vec![1, 0]);

@@ -1,4 +1,4 @@
-//! Message envelope and payload conversion helpers.
+//! The message envelope and its payload checksum.
 
 use qse_util::Bytes;
 
@@ -81,41 +81,6 @@ pub fn checksum64(payload: &[u8]) -> u64 {
     h
 }
 
-/// Reinterprets a slice of `f64` as bytes (little-endian native layout).
-///
-/// The statevector engine ships amplitude data as `f64` arrays exactly as
-/// QuEST ships `qreal` buffers through MPI.
-pub fn f64s_to_bytes(values: &[f64]) -> Bytes {
-    let mut buf = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    Bytes::from(buf)
-}
-
-/// Decodes one little-endian `f64` from an 8-byte chunk handed out by
-/// `chunks_exact(8)`, whose contract guarantees the length.
-#[inline]
-fn f64_le(chunk: &[u8]) -> f64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(chunk);
-    f64::from_le_bytes(b)
-}
-
-/// Decodes a byte payload produced by [`f64s_to_bytes`].
-///
-/// # Panics
-/// Panics if the payload length is not a multiple of 8 — that would mean a
-/// framing bug, which must never be silently tolerated.
-pub fn bytes_to_f64s(payload: &[u8]) -> Vec<f64> {
-    assert!(
-        payload.len().is_multiple_of(8),
-        "payload length {} is not a multiple of 8",
-        payload.len()
-    );
-    payload.chunks_exact(8).map(f64_le).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,19 +131,5 @@ mod tests {
         assert_eq!(checksum64(b"abc"), checksum64(b"abc"));
         assert_ne!(checksum64(b"abc"), checksum64(b"abd"));
         assert_ne!(checksum64(&[0]), checksum64(&[0, 0]));
-    }
-
-    #[test]
-    fn f64_roundtrip() {
-        let values = vec![0.0, -1.5, std::f64::consts::PI, f64::MAX, f64::MIN_POSITIVE];
-        let bytes = f64s_to_bytes(&values);
-        assert_eq!(bytes.len(), values.len() * 8);
-        assert_eq!(bytes_to_f64s(&bytes), values);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple of 8")]
-    fn misframed_payload_panics() {
-        bytes_to_f64s(&[1, 2, 3]);
     }
 }

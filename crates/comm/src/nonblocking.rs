@@ -1,46 +1,31 @@
-//! Non-blocking request handles.
+//! Posted receives.
 //!
 //! The paper rewrites QuEST's distributed exchange from a sequence of
 //! blocking `MPI_Sendrecv` calls into posted `MPI_Isend`/`MPI_Irecv` pairs
-//! completed by `MPI_Waitall` (§3.2), "which allows multiple messages to be
-//! sent and received in parallel when using an interconnect with high
-//! bandwidth". This module gives that rewrite a shape in our substrate.
+//! (§3.2), "which allows multiple messages to be sent and received in
+//! parallel when using an interconnect with high bandwidth". Sends here are
+//! eager — [`crate::Communicator::send`] completes at once — so only the
+//! receive side needs a handle: the chunk driver
+//! ([`crate::chunking::drive`]) posts one [`Request`] per incoming chunk
+//! and completes it with [`crate::Communicator::wait`] or, in completion
+//! order, [`crate::Communicator::wait_any`].
 //!
-//! Requests are deliberately plain data: a `Recv` request only records what
-//! to match, and completion happens inside [`crate::Communicator::wait`] so
-//! the borrow of the endpoint stays explicit.
+//! A request is deliberately plain data: it only records what to match,
+//! and completion happens inside the communicator so the borrow of the
+//! endpoint stays explicit.
 
-/// A pending non-blocking operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// An eager send that already completed at post time.
-    SendDone,
-    /// A receive to be matched against `(src, tag)` at wait time.
-    Recv {
-        /// Source rank to match.
-        src: usize,
-        /// Tag to match.
-        tag: u64,
-    },
-}
-
-impl Request {
-    /// True for send requests, which carry no payload at completion.
-    pub fn is_send(&self) -> bool {
-        matches!(self, Request::SendDone)
-    }
+/// A posted receive, matched against `(src, tag)` at wait time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Request {
+    /// Source rank to match.
+    pub src: usize,
+    /// Tag to match.
+    pub tag: u64,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Universe;
-
-    #[test]
-    fn request_kinds() {
-        assert!(Request::SendDone.is_send());
-        assert!(!Request::Recv { src: 0, tag: 1 }.is_send());
-    }
 
     #[test]
     fn interleaved_posts_complete_in_request_order() {
@@ -49,11 +34,10 @@ mod tests {
             // Post receives before sends; arrival order is irrelevant.
             let r1 = c.irecv(peer, 100).unwrap();
             let r2 = c.irecv(peer, 200).unwrap();
-            c.isend(peer, 200, b"late-tag").unwrap();
-            c.isend(peer, 100, b"early-tag").unwrap();
-            let got = c.wait_all(vec![r1, r2]).unwrap();
-            assert_eq!(&got[0][..], b"early-tag");
-            assert_eq!(&got[1][..], b"late-tag");
+            c.send(peer, 200, b"late-tag").unwrap();
+            c.send(peer, 100, b"early-tag").unwrap();
+            assert_eq!(&c.wait(r1).unwrap()[..], b"early-tag");
+            assert_eq!(&c.wait(r2).unwrap()[..], b"late-tag");
         });
     }
 }

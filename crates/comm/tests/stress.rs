@@ -6,6 +6,7 @@
 use qse_comm::chunking::{exchange, ChunkPolicy, ExchangeMode};
 use qse_comm::collective;
 use qse_comm::Universe;
+use qse_util::Bytes;
 
 /// Full pairwise exchange across every rank-bit, 32 ranks — the exact
 /// communication pattern of a distributed gate sweep over every global
@@ -71,8 +72,18 @@ fn repeated_collective_rounds() {
     let ranks = 8usize;
     Universe::new(ranks).run(|comm| {
         for round in 0..20u64 {
-            let sum = collective::allreduce_sum_f64(comm, &[comm.rank() as f64]).unwrap();
-            assert_eq!(sum, vec![(0..ranks).sum::<usize>() as f64], "round {round}");
+            // A different root each round, so every rank both gathers
+            // and contributes.
+            let root = round as usize % ranks;
+            let mine = Bytes::from(vec![comm.rank() as u8, round as u8]);
+            let parts = collective::gather(comm, root, mine).unwrap();
+            if comm.rank() == root {
+                let want: Vec<Vec<u8>> = (0..ranks).map(|r| vec![r as u8, round as u8]).collect();
+                let got: Vec<Vec<u8>> = parts.unwrap().iter().map(|p| p.to_vec()).collect();
+                assert_eq!(got, want, "round {round}");
+            } else {
+                assert!(parts.is_none(), "round {round}");
+            }
             let next = (comm.rank() + 1) % ranks;
             let prev = (comm.rank() + ranks - 1) % ranks;
             comm.send(next, 1000 + round, &[round as u8]).unwrap();

@@ -361,18 +361,26 @@ impl EngineExecutor {
         basis: u64,
         gather: bool,
     ) -> Result<EngineRun, EngineError> {
-        let plan = match config.engine.resolve(circuit) {
-            EngineChoice::Dense => ThreadClusterExecutor::prepare(circuit, config)?,
-            EngineChoice::Sparse | EngineChoice::Stabilizer => None,
-        };
+        let plan = Self::prepare(circuit, config)?;
         Self::run_prepared(circuit, config, basis, gather, plan.as_ref())
     }
 
-    /// [`Self::run`] with the dense plan already built and proved by
-    /// [`ThreadClusterExecutor::prepare`] — the serve cache-hit path,
-    /// under the same proof obligation as
-    /// [`ThreadClusterExecutor::try_run_prepared`]. Sparse and tableau
-    /// runs have no plan: `plan` must be `None` for them.
+    /// Resolves `config.engine` for `circuit` and, when it lands dense,
+    /// builds and statically verifies the plan
+    /// ([`ThreadClusterExecutor::prepare`]). Sparse and tableau runs have
+    /// no exchange plan: `Ok(None)`. Every consumer prepares here — the
+    /// CLI's `run`, which prices the plan it ran, and the serve cache on
+    /// a miss.
+    pub fn prepare(circuit: &Circuit, config: &SimConfig) -> Result<Option<Plan>, EngineError> {
+        Ok(match config.engine.resolve(circuit) {
+            EngineChoice::Dense => ThreadClusterExecutor::prepare(circuit, config)?,
+            EngineChoice::Sparse | EngineChoice::Stabilizer => None,
+        })
+    }
+
+    /// [`Self::run`] with the plan already built by [`Self::prepare`] —
+    /// the serve cache-hit path, under the same proof obligation as
+    /// [`ThreadClusterExecutor::try_run_prepared`].
     pub fn run_prepared(
         circuit: &Circuit,
         config: &SimConfig,

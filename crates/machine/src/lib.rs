@@ -8,7 +8,7 @@
 //! into per-gate time and energy at full 33–44-qubit scale, which is how
 //! every figure and table of the paper is regenerated (see DESIGN.md §1).
 //!
-//! Calibration anchors (all from the paper, encoded in [`archer2`]):
+//! Calibration anchors (all from the paper, encoded in [`archer2`](mod@archer2)):
 //!
 //! * local Hadamard on 64 nodes / 38 qubits: ≈ 0.5 s and ≈ 15 kJ per gate
 //!   (Table 1, qubits ≤ 29);

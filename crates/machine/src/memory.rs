@@ -38,15 +38,18 @@ impl BufferRegime {
     }
 }
 
-/// Total statevector bytes for `n` qubits.
-pub fn statevector_bytes(n_qubits: u32) -> u64 {
-    BYTES_PER_AMP << n_qubits
+/// Total statevector bytes for `n` qubits, or `None` when they overflow
+/// `u64` (from 60 qubits on).
+pub fn statevector_bytes(n_qubits: u32) -> Option<u64> {
+    1u64.checked_shl(n_qubits)?.checked_mul(BYTES_PER_AMP)
 }
 
 /// Per-node bytes for `n` qubits over `nodes` ranks under a buffer regime.
-/// A single node runs without MPI buffers.
+/// A single node runs without MPI buffers. A register whose total
+/// overflows `u64` needs infinitely many bytes per node: it fits nowhere.
 pub fn per_node_bytes(n_qubits: u32, nodes: u64, regime: BufferRegime) -> f64 {
-    let slice = statevector_bytes(n_qubits) as f64 / nodes as f64;
+    let total = statevector_bytes(n_qubits).map_or(f64::INFINITY, |b| b as f64);
+    let slice = total / nodes as f64;
     if nodes == 1 {
         slice
     } else {
@@ -84,8 +87,12 @@ mod tests {
 
     #[test]
     fn statevector_sizes() {
-        assert_eq!(statevector_bytes(33), 128 * (1 << 30) as u64);
-        assert_eq!(statevector_bytes(44), 256 * (1u64 << 40));
+        assert_eq!(statevector_bytes(33), Some(128 * (1 << 30) as u64));
+        assert_eq!(statevector_bytes(44), Some(256 * (1u64 << 40)));
+        assert_eq!(statevector_bytes(59), Some(1u64 << 63));
+        for n in [60, 63, 64, 70] {
+            assert_eq!(statevector_bytes(n), None, "{n} qubits");
+        }
     }
 
     #[test]
@@ -129,6 +136,19 @@ mod tests {
         // jump straight to four nodes.
         assert!(per_node_bytes(34, 1, BufferRegime::Full) > std.usable_bytes() as f64);
         assert!(per_node_bytes(34, 2, BufferRegime::Full) > std.usable_bytes() as f64);
+    }
+
+    #[test]
+    fn registers_past_u64_bytes_fit_nowhere() {
+        // 16·2^n overflows u64 from n = 60 on; no allocation holds that.
+        let m = archer2();
+        for kind in [NodeKind::Standard, NodeKind::HighMem] {
+            for regime in [BufferRegime::Full, BufferRegime::Half] {
+                for n in [59, 60, 63, 64, 70, 4096] {
+                    assert_eq!(min_nodes(n, m.node(kind), regime), None, "{n} qubits");
+                }
+            }
+        }
     }
 
     #[test]

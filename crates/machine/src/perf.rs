@@ -5,7 +5,7 @@
 //! locality classes and exchanged bytes are *exact* (they come from the
 //! same lowering the executable engine runs, folded over ranks by
 //! [`gate_traffic`]); only the time and energy per unit of work is
-//! modelled, with constants calibrated in [`crate::archer2`].
+//! modelled, with constants calibrated in [`crate::archer2`](mod@crate::archer2).
 
 use crate::archer2::Machine;
 use crate::cost::{CommMode, GateCost, ModelConfig};

@@ -1,8 +1,8 @@
 //! Alternative machine presets — what-if studies beyond ARCHER2.
 //!
-//! The paper's final future-work item is "explor[ing] the impact on
+//! The paper's final future-work item is "explor\[ing\] the impact on
 //! performance and energy usage of porting QuEST to multiple GPUs" (§4),
-//! citing Faj et al.'s GPU study (ref [4]). No GPU exists in this
+//! citing Faj et al.'s GPU study (ref \[4\]). No GPU exists in this
 //! environment, so the question is answered the same way the CPU machine
 //! is modelled: a calibrated node description. The GPU preset models an
 //! A100-class accelerator node — ~20× the sweep bandwidth, ~3× the

@@ -3,9 +3,9 @@
 //!
 //! An entry is the *post-verification* artifact: the canonical circuit
 //! plus its (optionally transpiled) plan, proved safe once by
-//! `ThreadClusterExecutor::prepare` at insert time. A hit therefore
-//! skips classify → transpile → verify entirely; the executor's
-//! pre-flight gate is bypassed via `try_run_prepared`.
+//! `EngineExecutor::prepare` at insert time. A hit therefore skips
+//! classify → transpile → verify entirely; the executor's pre-flight
+//! gate is bypassed via `run_prepared`.
 
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::Circuit;

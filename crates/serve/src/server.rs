@@ -20,9 +20,7 @@ use qse_circuit::classify::EngineChoice;
 use qse_circuit::hash::{canonical_hash, canonicalize};
 use qse_comm::FaultConfig;
 use qse_core::config::{SimConfig, TranspileMode};
-use qse_core::executor::{
-    EngineError, EngineExecutor, EngineRun, EngineState, ThreadClusterExecutor,
-};
+use qse_core::executor::{EngineError, EngineExecutor, EngineRun, EngineState};
 use qse_util::cdf::Cdf;
 use qse_util::json::Json;
 use qse_util::mailbox::{unbounded, Receiver};
@@ -441,10 +439,7 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
         match cache.get(rep.key) {
             Some(entry) => (Ok(entry), true),
             None => {
-                let plan = match rep.spec.engine.resolve(&rep.spec.circuit) {
-                    EngineChoice::Dense => ThreadClusterExecutor::prepare(&rep.spec.circuit, &cfg),
-                    EngineChoice::Sparse | EngineChoice::Stabilizer => Ok(None),
-                };
+                let plan = EngineExecutor::prepare(&rep.spec.circuit, &cfg);
                 let entry = plan.map(|plan| {
                     let circuit = rep.spec.circuit.clone();
                     let bytes = plan_cost_bytes(&circuit, plan.as_ref());
@@ -463,7 +458,7 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
     };
 
     let batch_len = batch.len();
-    let execution = entry.map_err(EngineError::from).and_then(|entry| {
+    let execution = entry.and_then(|entry| {
         let run = EngineExecutor::run_prepared(
             &entry.circuit,
             &cfg,

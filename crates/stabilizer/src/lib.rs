@@ -12,8 +12,9 @@
 //!
 //! The engine plugs in behind the same instruction set the rest of the
 //! system uses: [`qse_circuit::classify::clifford_ops`] lowers IR gates
-//! to [`CliffordOp`]s (rejecting non-Clifford gates with `None`), and
-//! [`Tableau::run`] turns a whole circuit into a final tableau.
+//! to [`CliffordOp`](qse_circuit::classify::CliffordOp)s (rejecting
+//! non-Clifford gates with `None`), and [`Tableau::run`] turns a whole
+//! circuit into a final tableau.
 //! Sampling reproduces the dense engine's fixed-seed histograms: the
 //! support of a stabilizer state is an affine subspace of basis states
 //! with exactly equal probabilities, which [`Tableau::sampler`]

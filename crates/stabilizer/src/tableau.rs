@@ -411,6 +411,13 @@ impl Tableau {
     /// `measure_qubit_with`: for a random outcome the observed bit is
     /// `u8::from(u < p1)` with `p1 = 0.5`, so the two engines given the
     /// same draw observe the same bit.
+    ///
+    /// No product path calls this today: every run is sampled from
+    /// [`Self::sampler`], which enumerates [`Self::support`] and measures
+    /// nothing. It stays as the tableau-measured reference sample that a
+    /// sampler for Clifford registers wider than 64 qubits (beyond what
+    /// `support` can index) is to be checked against; `dense_agreement`
+    /// holds it to the dense engine's measurement.
     pub fn measure_qubit_with(&mut self, qubit: u32, u: f64) -> Result<Outcome, StabError> {
         self.check(qubit)?;
         let n = ix(u64::from(self.n));
@@ -459,16 +466,10 @@ impl Tableau {
         }
     }
 
-    /// Measures `qubit`, drawing the uniform from `rng` exactly like
-    /// the dense engine's `measure_qubit`.
-    pub fn measure_qubit<R: Rng>(&mut self, qubit: u32, rng: &mut R) -> Result<Outcome, StabError> {
-        let u = rng.random_range(0.0..1.0);
-        self.measure_qubit_with(qubit, u)
-    }
-
     /// The probability of observing `1` on `qubit`: exactly `0.5` when
     /// some stabilizer anticommutes with `Z_qubit`, else `0.0`/`1.0`
-    /// per the deterministic outcome. Non-destructive.
+    /// per the deterministic outcome. Non-destructive. Kept with
+    /// [`Self::measure_qubit_with`], for the same reason.
     pub fn prob_one(&self, qubit: u32) -> Result<f64, StabError> {
         self.check(qubit)?;
         let n = ix(u64::from(self.n));
@@ -858,7 +859,10 @@ mod tests {
         let mut t = Tableau::run(&c).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let bits: Vec<u8> = (0..1000)
-            .map(|q| t.measure_qubit(q, &mut rng).unwrap().bit)
+            .map(|q| {
+                let u = rng.random_range(0.0..1.0);
+                t.measure_qubit_with(q, u).unwrap().bit
+            })
             .collect();
         assert!(
             start.elapsed() < std::time::Duration::from_secs(20),

@@ -390,7 +390,7 @@ impl<'c> DistributedState<'c> {
     /// local slice), this routine moves every amplitude across the wire
     /// at most once: it runs the factoring `P = L2 ∘ G ∘ L1`
     /// ([`PermuteLowering`]) as L1's [`SoaStorage::swap_local`] sweeps,
-    /// G's in-place block exchange ([`Self::exchange_blocks`]) and L2's
+    /// G's in-place block exchange (`Self::exchange_blocks`) and L2's
     /// sweeps. A rank's payload is `(1 − 2⁻ᵐ)` of its slice, `m` being
     /// the number of local bits P sends to rank positions — batching k
     /// swap-ins costs `1 − 2⁻ᵏ` of the slice instead of k full-slice
@@ -482,94 +482,13 @@ impl<'c> DistributedState<'c> {
         self.run_schedule(&Schedule::for_plan(plan, self.layout.n_ranks()), |_, _| {})
     }
 
-    /// Global Σ|amp|² via all-reduce.
-    pub fn norm_sqr(&mut self) -> CommResult<f64> {
-        let local = self.amps.norm_sqr_sum();
-        Ok(collective::allreduce_sum_f64(self.comm, &[local])?[0])
-    }
-
-    /// Global probability that measuring `qubit` yields 1.
-    pub fn prob_one(&mut self, qubit: u32) -> CommResult<f64> {
-        let local = if self.layout.is_local(qubit) {
-            let mask = 1u64 << qubit;
-            let mut p = 0.0;
-            for i in 0..self.amps.len() as u64 {
-                if i & mask != 0 {
-                    p += self.amps.get(crate::ix(i)).norm_sqr();
-                }
-            }
-            p
-        } else if self.rank_bit_value(qubit) == 1 {
-            self.amps.norm_sqr_sum()
-        } else {
-            0.0
-        };
-        Ok(collective::allreduce_sum_f64(self.comm, &[local])?[0])
-    }
-
-    /// Projects `qubit` onto `bit` and renormalises — the distributed
-    /// collapse. Every rank must call this collectively (it all-reduces
-    /// the outcome probability).
-    ///
-    /// Returns [`CommError::ImpossibleOutcome`] on every rank when the
-    /// requested outcome has (numerically) zero probability; the state
-    /// is untouched. The all-reduce guarantees every rank computes the
-    /// same `p`, so all ranks agree on the error and the collective
-    /// stays in lockstep.
-    pub fn collapse(&mut self, qubit: u32, bit: u8) -> CommResult<()> {
-        let p1 = self.prob_one(qubit)?;
-        let p = if bit == 1 { p1 } else { 1.0 - p1 };
-        if p <= 1e-15 {
-            return Err(CommError::ImpossibleOutcome { qubit, bit });
-        }
-        let scale = 1.0 / p.sqrt();
-        if self.layout.is_local(qubit) {
-            let mask = 1u64 << qubit;
-            for i in 0..self.amps.len() as u64 {
-                let v = if u8::from(i & mask != 0) == bit {
-                    self.amps.get(crate::ix(i)).scale(scale)
-                } else {
-                    Complex64::ZERO
-                };
-                self.amps.set(crate::ix(i), v);
-            }
-        } else if self.rank_bit_value(qubit) as u8 == bit {
-            // Whole local slice survives, rescaled.
-            for i in 0..self.amps.len() {
-                let v = self.amps.get(i).scale(scale);
-                self.amps.set(i, v);
-            }
-        } else {
-            self.amps.fill_zero();
-        }
-        Ok(())
-    }
-
-    /// Measures `qubit` collectively: rank 0 draws the outcome from the
-    /// global distribution (using the uniform sample `u ∈ [0,1)` it
-    /// broadcasts), all ranks collapse identically, and the observed bit
-    /// is returned on every rank.
-    pub fn measure_qubit(&mut self, qubit: u32, u: f64) -> CommResult<u8> {
-        // Broadcast rank 0's u so all ranks agree even if callers passed
-        // rank-local randomness.
-        let u_bytes = u.to_le_bytes();
-        let agreed = collective::broadcast(self.comm, 0, &u_bytes)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&agreed[..8]);
-        let u = f64::from_le_bytes(b);
-        let p1 = self.prob_one(qubit)?;
-        let bit = u8::from(u < p1);
-        self.collapse(qubit, bit)?;
-        Ok(bit)
-    }
-
     /// Gathers the full statevector on rank 0 (`None` elsewhere): the
     /// result a dense run hands to `qse run`, to serve and to sampling,
     /// all `2^n` amplitudes in one vector. Every other rank packs its
     /// slice straight into the one payload it sends. Rank 0 converts its
     /// own slice while they pack, then decodes each payload into its
     /// place in the result; both go over the worker pool
-    /// ([`extend_over_pool`]), and each result amplitude is written once.
+    /// (`extend_over_pool`), and each result amplitude is written once.
     pub fn gather(&mut self) -> CommResult<Option<Vec<Complex64>>> {
         let local = self.amps.len();
         if self.rank() != 0 {
@@ -754,7 +673,7 @@ mod tests {
     use qse_circuit::Permutation;
     use qse_comm::chunking::ExchangeMode;
     use qse_comm::Universe;
-    use qse_math::approx::{assert_close, assert_slices_close};
+    use qse_math::approx::assert_slices_close;
 
     /// Runs `circuit` distributed over `ranks` ranks and returns the full
     /// state gathered on rank 0.
@@ -877,19 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn norm_and_prob_are_global() {
-        Universe::new(4).run(|comm| {
-            let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
-            st.apply(&Gate::H(5)).unwrap(); // distributed H on the top qubit
-            assert_close(st.norm_sqr().unwrap(), 1.0, 1e-12);
-            assert_close(st.prob_one(5).unwrap(), 0.5, 1e-12);
-            assert_close(st.prob_one(0).unwrap(), 0.0, 1e-12);
-            st.apply(&Gate::H(2)).unwrap(); // local H
-            assert_close(st.prob_one(2).unwrap(), 0.5, 1e-12);
-        });
-    }
-
-    #[test]
     fn distributed_gate_moves_expected_bytes() {
         // One distributed H on 4 ranks of a 6-qubit register: each rank
         // exchanges its full 16-amplitude slice (256 bytes) once.
@@ -951,84 +857,6 @@ mod tests {
         for ranks in [4usize, 8] {
             let got = simulate_dist(&c, ranks, DistConfig::default(), 7);
             assert_slices_close(&got, &reference(&c, 7), 1e-9);
-        }
-    }
-
-    #[test]
-    fn distributed_collapse_matches_single_process() {
-        // Build a GHZ-like state, measure the top (global) qubit as 1,
-        // compare against the single-process collapse.
-        let mut c = Circuit::new(6);
-        c.h(0);
-        for q in 1..6 {
-            c.cnot(0, q);
-        }
-        let collapsed = Universe::new(4).run(|comm| {
-            let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
-            st.run(&c).unwrap();
-            st.collapse(5, 1).unwrap(); // global qubit
-            assert_close(st.norm_sqr().unwrap(), 1.0, 1e-12);
-            st.collapse(0, 1).unwrap(); // local qubit: already determined, p = 1
-            st.gather().unwrap()
-        });
-        let got = collapsed.into_iter().flatten().next().unwrap();
-        // GHZ collapsed onto |111111⟩.
-        assert_close(got[0b111111].abs(), 1.0, 1e-9);
-    }
-
-    #[test]
-    fn distributed_measure_agrees_across_ranks() {
-        let mut c = Circuit::new(6);
-        c.h(5);
-        for u in [0.1f64, 0.9] {
-            let bits = Universe::new(4).run(|comm| {
-                let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
-                st.run(&c).unwrap();
-                let bit = st.measure_qubit(5, u).unwrap();
-                assert_close(st.norm_sqr().unwrap(), 1.0, 1e-12);
-                assert_close(st.prob_one(5).unwrap(), bit as f64, 1e-12);
-                bit
-            });
-            // every rank observed the same bit, decided by u vs 0.5
-            assert!(bits.windows(2).all(|w| w[0] == w[1]));
-            assert_eq!(bits[0], u8::from(u < 0.5));
-        }
-    }
-
-    #[test]
-    fn measure_matches_single_process_on_same_draw() {
-        // Same circuit, same uniform draw: the distributed measurement
-        // must observe the same bit and leave the same post-measurement
-        // state as the single-address-space `measure_qubit_with`.
-        use crate::measure::measure_qubit_with;
-        use crate::single::SingleState;
-        let c = random_circuit(6, 40, GatePool::Full, 21);
-        for u in [0.05f64, 0.35, 0.65, 0.95] {
-            let mut single: SingleState = SingleState::zero_state(6);
-            single.run(&c);
-            let out = measure_qubit_with(&mut single, 3, u).unwrap();
-            let gathered = Universe::new(4).run(|comm| {
-                let mut st = DistributedState::zero_state(comm, 6, DistConfig::default());
-                st.run(&c).unwrap();
-                let bit = st.measure_qubit(3, u).unwrap();
-                assert_eq!(bit, out.bit, "bit mismatch at u = {u}");
-                st.gather().unwrap()
-            });
-            let got = gathered.into_iter().flatten().next().unwrap();
-            assert_slices_close(&got, &single.to_vec(), 1e-9);
-        }
-    }
-
-    #[test]
-    fn impossible_distributed_collapse_is_a_typed_error() {
-        // |0000⟩ has zero probability of observing bit 1; every rank
-        // must agree on the error instead of asserting.
-        let errs = Universe::new(2).run(|comm| {
-            let mut st = DistributedState::zero_state(comm, 4, DistConfig::default());
-            st.collapse(3, 1).unwrap_err()
-        });
-        for e in errs {
-            assert_eq!(e, CommError::ImpossibleOutcome { qubit: 3, bit: 1 });
         }
     }
 

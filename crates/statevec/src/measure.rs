@@ -1,11 +1,14 @@
-//! Measurement: probabilities, sampling and collapse.
+//! Measurement: sampling, and the dense oracle for projective collapse.
 //!
 //! The paper's §1 motivation for statevector simulation: "once a circuit
 //! is simulated, all amplitudes are available, which enables any required
 //! measurements to be made without the need to rerun the simulation".
-//! This module provides those measurements for the single-address-space
-//! engine; the distributed engine exposes its own reduced probabilities
-//! (`DistributedState::prob_one`).
+//! Every product path measures that way, once, after the last gate: it
+//! gathers the final amplitudes and draws its shots from one prepared
+//! sampler ([`amps_sampler`]). The projective single-qubit measurement
+//! ([`measure_qubit_with`], [`collapse`]) has no product caller; it is
+//! kept as the dense oracle that the stabilizer engine's own measurement
+//! is checked against (`qse-stabilizer`'s `dense_agreement` suite).
 //!
 //! Everything here returns `Result` with a typed [`MeasureError`] —
 //! a zero-norm register or an impossible collapse is a caller bug or a
@@ -18,10 +21,9 @@ use qse_math::Complex64;
 use qse_util::cdf::Cdf;
 use qse_util::rng::Rng;
 
-/// Probability floor below which an outcome is treated as impossible.
-/// Shared with the sparse engine so both paths reject the same
-/// collapses.
-pub const MIN_OUTCOME_PROB: f64 = 1e-15;
+/// Probability floor below which [`collapse`] treats an outcome as
+/// impossible.
+const MIN_OUTCOME_PROB: f64 = 1e-15;
 
 /// Errors from the measurement path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,22 +153,13 @@ pub struct MeasureOutcome {
     pub probability: f64,
 }
 
-/// Measures `qubit`, collapses the state, renormalises, and returns the
-/// observed bit with its probability.
-pub fn measure_qubit<R: Rng>(
-    state: &mut SingleState,
-    qubit: u32,
-    rng: &mut R,
-) -> Result<MeasureOutcome, MeasureError> {
-    measure_qubit_with(state, qubit, rng.random_range(0.0..1.0))
-}
-
-/// Deterministic entry point: measures `qubit` using the caller-supplied
-/// uniform draw `u` in `[0, 1)`.
+/// Measures `qubit` with the caller-supplied uniform draw `u` in
+/// `[0, 1)`, collapses the state, renormalises, and returns the observed
+/// bit (`u8::from(u < p1)`) with its probability.
 ///
-/// This is the same contract as `DistributedState::measure_qubit(qubit, u)`,
-/// so single-process and distributed runs given the same draw observe the
-/// same bit — the cross-validation tests rely on this.
+/// `Tableau::measure_qubit_with` follows the same contract, so the two
+/// engines given the same draw observe the same bit — the dense-oracle
+/// check in `qse-stabilizer`'s `dense_agreement` suite relies on this.
 pub fn measure_qubit_with(
     state: &mut SingleState,
     qubit: u32,
@@ -181,7 +174,8 @@ pub fn measure_qubit_with(
     })
 }
 
-/// Projects `qubit` onto `bit` and renormalises.
+/// Projects `qubit` onto `bit` and renormalises — the collapse step of
+/// [`measure_qubit_with`].
 ///
 /// Returns [`MeasureError::ImpossibleOutcome`] when the requested
 /// outcome has (numerically) zero probability; the state is untouched.
@@ -390,7 +384,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10 {
             let mut s = bell();
-            let out = measure_qubit(&mut s, 0, &mut rng).unwrap();
+            let out = measure_qubit_with(&mut s, 0, rng.random_range(0.0..1.0)).unwrap();
             assert_close(out.probability, 0.5, 1e-12);
             // After measuring qubit 0, qubit 1 is perfectly correlated.
             assert_close(s.prob_one(1), out.bit as f64, 1e-12);

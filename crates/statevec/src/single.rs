@@ -107,7 +107,9 @@ impl SingleState {
         }
     }
 
-    /// Probability that measuring `qubit` yields 1.
+    /// Probability that measuring `qubit` yields 1: the branch weight of
+    /// [`crate::measure::measure_qubit_with`], the dense oracle the
+    /// tableau's measurement is checked against.
     pub fn prob_one(&self, qubit: u32) -> f64 {
         assert!(qubit < self.n_qubits);
         let mut p = 0.0;

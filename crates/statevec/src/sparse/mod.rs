@@ -10,9 +10,8 @@
 //!
 //! **Determinism.** `std::collections::HashMap` iterates in a
 //! per-process random order, which must never leak into results. Every
-//! numerically sensitive reduction — [`SparseState::norm_sqr`],
-//! [`SparseState::prob_one`], the sampling CDF, [`SparseState::to_vec`]
-//! — iterates keys in sorted order ([`SparseState::sorted_keys`]), and
+//! numerically sensitive reduction — [`SparseState::norm_sqr`], the
+//! sampling CDF, [`SparseState::to_vec`] — iterates keys in sorted order ([`SparseState::sorted_keys`]), and
 //! gate application computes each new amplitude from a fixed per-orbit
 //! formula, so map order never affects a single output bit.
 //!
@@ -26,14 +25,14 @@
 //! `≤ 1e-9`-accurate result can depend on and far above unitary
 //! round-off residue.
 //!
-//! The measurement API returns the same typed
-//! [`MeasureError`](crate::measure::MeasureError)s as the dense path,
+//! Sampling returns the same typed
+//! [`MeasureError`]s as the dense path,
 //! and `sample_counts` draws through the same prepared
-//! [`Cdf`](qse_util::cdf::Cdf), so callers switch engines without
+//! [`Cdf`], so callers switch engines without
 //! changing error handling or reseeding.
 
 use crate::diagonal::diagonal_phase;
-use crate::measure::{MeasureError, MeasureOutcome, MIN_OUTCOME_PROB};
+use crate::measure::MeasureError;
 use qse_circuit::{Circuit, Gate};
 use qse_math::{Complex64, Matrix2};
 use qse_util::cdf::Cdf;
@@ -125,16 +124,6 @@ impl SparseState {
     pub fn norm_sqr(&self) -> f64 {
         self.sorted_keys()
             .iter()
-            .map(|k| self.amps[k].norm_sqr())
-            .sum()
-    }
-
-    /// P(qubit = 1), accumulated in ascending key order.
-    pub fn prob_one(&self, qubit: u32) -> f64 {
-        let mask = 1u64 << qubit;
-        self.sorted_keys()
-            .iter()
-            .filter(|&&k| k & mask != 0)
             .map(|k| self.amps[k].norm_sqr())
             .sum()
     }
@@ -277,56 +266,6 @@ impl SparseState {
         shots: usize,
     ) -> Result<BTreeMap<u64, usize>, MeasureError> {
         Ok(self.sampler()?.sample_counts(rng, shots))
-    }
-
-    /// Measures `qubit`, drawing the uniform from `rng` — dense-engine
-    /// contract.
-    pub fn measure_qubit<R: Rng>(
-        &mut self,
-        qubit: u32,
-        rng: &mut R,
-    ) -> Result<MeasureOutcome, MeasureError> {
-        let u = rng.random_range(0.0..1.0);
-        self.measure_qubit_with(qubit, u)
-    }
-
-    /// Deterministic measurement with a caller-supplied `u ∈ [0, 1)`:
-    /// the observed bit is `u8::from(u < p1)`, exactly like the dense
-    /// `measure_qubit_with`.
-    pub fn measure_qubit_with(
-        &mut self,
-        qubit: u32,
-        u: f64,
-    ) -> Result<MeasureOutcome, MeasureError> {
-        let p1 = self.prob_one(qubit);
-        let bit = u8::from(u < p1);
-        self.collapse(qubit, bit)?;
-        Ok(MeasureOutcome {
-            bit,
-            probability: if bit == 1 { p1 } else { 1.0 - p1 },
-        })
-    }
-
-    /// Projects `qubit` onto `bit` and renormalises; same typed
-    /// [`MeasureError::ImpossibleOutcome`] contract as the dense path
-    /// (the state is untouched on error).
-    pub fn collapse(&mut self, qubit: u32, bit: u8) -> Result<(), MeasureError> {
-        let p1 = self.prob_one(qubit);
-        let p = if bit == 1 { p1 } else { 1.0 - p1 };
-        if p <= MIN_OUTCOME_PROB {
-            return Err(MeasureError::ImpossibleOutcome {
-                qubit,
-                bit,
-                probability: p,
-            });
-        }
-        let scale = 1.0 / p.sqrt();
-        let mask = 1u64 << qubit;
-        self.amps.retain(|&k, _| u8::from(k & mask != 0) == bit);
-        for a in self.amps.values_mut() {
-            *a = a.scale(scale);
-        }
-        Ok(())
     }
 }
 

@@ -153,36 +153,6 @@ fn sample_counts_matches_dense_contract() {
 }
 
 #[test]
-fn measurement_collapses_and_renormalises() {
-    for u in [0.1, 0.9] {
-        let mut s = SparseState::simulate(&ghz(6));
-        let out = s.measure_qubit_with(0, u).unwrap();
-        assert_close(out.probability, 0.5, 1e-12);
-        assert_eq!(s.n_nonzero(), 1);
-        assert_close(s.norm_sqr(), 1.0, 1e-12);
-        for q in 1..6 {
-            assert_close(s.prob_one(q), f64::from(out.bit), 1e-12);
-        }
-    }
-}
-
-#[test]
-fn measurement_errors_are_typed_and_nonmutating() {
-    let mut s = SparseState::basis_state(2, 0);
-    let err = s.collapse(0, 1).unwrap_err();
-    assert!(matches!(
-        err,
-        MeasureError::ImpossibleOutcome {
-            qubit: 0,
-            bit: 1,
-            ..
-        }
-    ));
-    assert_eq!(s.n_nonzero(), 1, "failed collapse must leave state intact");
-    assert_eq!(s.amplitude(0), Complex64::ONE);
-}
-
-#[test]
 fn controlled_gates_respect_the_control() {
     // CNOT with control clear is the identity on stored keys.
     let mut s = SparseState::basis_state(2, 0);

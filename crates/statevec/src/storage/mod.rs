@@ -4,7 +4,7 @@
 //! QuEST stores the statevector as two separate `qreal` arrays (real and
 //! imaginary parts) — the structure-of-arrays layout, [`SoaStorage`], and
 //! the only one here. The paper's future work (§4) proposes
-//! "reimplement[ing] QuEST's core data-structures using a complex data
+//! "reimplement\[ing\] QuEST's core data-structures using a complex data
 //! type rather than separate real and imaginary arrays, in order to
 //! improve data locality". Measured on this engine's kernels the
 //! interleaved layout was slower on 10 of 14 (the kernel record committed
