@@ -53,21 +53,6 @@ impl Fnv1a {
         }
     }
 
-    /// Folds `count` zero bytes — what `update` does with them, in
-    /// O(log count): xor with a zero byte is a no-op, so each is one
-    /// multiply by the prime and `count` of them one multiply by
-    /// `PRIME^count` (square-and-multiply).
-    pub fn update_zeros(&mut self, mut count: u64) {
-        let mut power = FNV_PRIME;
-        while count > 0 {
-            if count & 1 == 1 {
-                self.0 = self.0.wrapping_mul(power);
-            }
-            power = power.wrapping_mul(power);
-            count >>= 1;
-        }
-    }
-
     /// The current 64-bit digest.
     pub fn digest(&self) -> u64 {
         self.0
@@ -368,18 +353,6 @@ mod tests {
 
     fn hash(c: &Circuit) -> u64 {
         canonical_hash(c, 4, 1)
-    }
-
-    #[test]
-    fn zero_runs_fold_like_zero_bytes() {
-        for count in [0u64, 1, 2, 3, 15, 16, 17, 255, 4096, 100_003] {
-            let mut bytes = Fnv1a::new();
-            bytes.update(b"head");
-            let mut folded = bytes.clone();
-            bytes.update(&vec![0u8; count as usize]);
-            folded.update_zeros(count);
-            assert_eq!(bytes.digest(), folded.digest(), "{count} zero bytes");
-        }
     }
 
     #[test]

@@ -283,6 +283,11 @@ fn run(args: &Args) -> Result<String, ArgError> {
     }
     let resolved = engine_mode.resolve(&circuit);
     let dense = resolved == qse_circuit::classify::EngineChoice::Dense;
+    // Other engines ignore `--ranks`, but a given value must still be
+    // one the dense layout takes.
+    if dense || args.optional::<u64>("ranks")?.is_some() {
+        Layout::try_new(n, ranks).map_err(|e| ArgError(format!("--ranks {ranks}: {e}")))?;
+    }
     if !dense && (cfg.faults.is_some() || cfg.transpile != TranspileMode::Off) {
         return Err(ArgError(format!(
             "--faults/--transpile shape the distributed dense path; \
@@ -1259,6 +1264,31 @@ mod tests {
             &["transpile", "--qubits", "4", "--ranks", "64"],
             "64 ranks need at least 6 qubits",
         );
+    }
+
+    #[test]
+    fn run_rejects_ranks_that_do_not_lay_out_on_every_engine() {
+        for engine in ["dense", "sparse"] {
+            assert_typed_error(
+                &["run", "--qubits", "8", "--ranks", "3", "--engine", engine],
+                "--ranks 3: 3 is not a power of two",
+            );
+            assert_typed_error(
+                &["run", "--qubits", "4", "--ranks", "64", "--engine", engine],
+                "64 ranks need at least 6 qubits",
+            );
+        }
+        // Without `--ranks`, a non-dense engine has no layout to check.
+        assert!(run_cli(&[
+            "run",
+            "--qubits",
+            "1",
+            "--circuit",
+            "ghz",
+            "--engine",
+            "sparse"
+        ])
+        .is_ok());
     }
 
     #[test]

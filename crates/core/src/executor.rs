@@ -252,6 +252,13 @@ pub enum EngineError {
     /// Sampling was requested but the dense run did not gather its
     /// statevector.
     StateNotGathered,
+    /// The initial basis index does not name a state of the register.
+    BasisOutOfRange {
+        /// The requested basis index.
+        basis: u64,
+        /// Register width.
+        n: u32,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -267,6 +274,9 @@ impl std::fmt::Display for EngineError {
             ),
             EngineError::StateNotGathered => {
                 write!(f, "sampling needs gather=true on the dense path")
+            }
+            EngineError::BasisOutOfRange { basis, n } => {
+                write!(f, "basis {basis} is not a basis state of {n} qubits")
             }
         }
     }
@@ -388,6 +398,10 @@ impl EngineExecutor {
         gather: bool,
         plan: Option<&Plan>,
     ) -> Result<EngineRun, EngineError> {
+        let n = circuit.n_qubits();
+        if basis.checked_shr(n).unwrap_or(0) != 0 {
+            return Err(EngineError::BasisOutOfRange { basis, n });
+        }
         let engine = config.engine.resolve(circuit);
         match engine {
             EngineChoice::Dense => {
@@ -400,7 +414,6 @@ impl EngineExecutor {
                 })
             }
             EngineChoice::Sparse => {
-                let n = circuit.n_qubits();
                 if n > qse_statevec::MAX_SPARSE_QUBITS {
                     return Err(EngineError::TooWide {
                         n,
@@ -419,7 +432,7 @@ impl EngineExecutor {
             }
             EngineChoice::Stabilizer => {
                 let start = Instant::now();
-                let mut t = qse_stabilizer::Tableau::new(circuit.n_qubits());
+                let mut t = qse_stabilizer::Tableau::new(n);
                 // The tableau starts from |0…0⟩; X prefixes express any
                 // other basis state (X is Clifford).
                 for q in 0..64 {
@@ -822,5 +835,41 @@ mod tests {
             .sample_counts(&mut StdRng::seed_from_u64(1), 10)
             .expect_err("no state to sample");
         assert_eq!(err, EngineError::StateNotGathered);
+    }
+
+    /// Runs `ghz(8)` on `mode` from basis 256, one past the register.
+    fn basis_past_the_register(mode: crate::config::EngineMode) -> EngineError {
+        EngineExecutor::run(&ghz(8), &engine_cfg(mode), 256, true)
+            .expect_err("basis 256 is not a state of 8 qubits")
+    }
+
+    #[test]
+    fn dense_runs_reject_a_basis_past_the_register() {
+        assert_eq!(
+            basis_past_the_register(crate::config::EngineMode::Dense),
+            EngineError::BasisOutOfRange { basis: 256, n: 8 }
+        );
+    }
+
+    #[test]
+    fn sparse_runs_reject_a_basis_past_the_register() {
+        assert_eq!(
+            basis_past_the_register(crate::config::EngineMode::Sparse),
+            EngineError::BasisOutOfRange { basis: 256, n: 8 }
+        );
+    }
+
+    #[test]
+    fn stabilizer_runs_reject_a_basis_past_the_register() {
+        assert_eq!(
+            basis_past_the_register(crate::config::EngineMode::Stabilizer),
+            EngineError::BasisOutOfRange { basis: 256, n: 8 }
+        );
+        // The last basis state still runs, and a register of 64 or more
+        // qubits takes any u64 basis.
+        let c = ghz(8);
+        let cfg = engine_cfg(crate::config::EngineMode::Stabilizer);
+        assert!(EngineExecutor::run(&c, &cfg, 255, true).is_ok());
+        assert!(EngineExecutor::run(&ghz(70), &cfg, u64::MAX, true).is_ok());
     }
 }

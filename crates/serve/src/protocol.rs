@@ -20,20 +20,16 @@
 //! ```
 //!
 //! Responses echo the job `id` and carry either a result (`"ok":true`,
-//! cache/batch provenance, counts, a 64-bit FNV fingerprint of the final
-//! statevector) or a typed error (`"ok":false`, `"code"`, `"error"`).
+//! cache/batch provenance, counts, a 64-bit tree digest of the final
+//! state) or a typed error (`"ok":false`, `"code"`, `"error"`).
 
 use crate::error::ServeError;
 use qse_circuit::algorithms::{bernstein_vazirani, ghz, grover, grover_optimal_iterations};
-use qse_circuit::classify::BYTES_PER_AMP;
 use qse_circuit::gate::Gate;
-use qse_circuit::hash::Fnv1a;
 use qse_circuit::qft::qft;
 use qse_circuit::Circuit;
 use qse_comm::FaultConfig;
 use qse_core::config::{EngineMode, TranspileMode};
-use qse_math::Complex64;
-use qse_statevec::SparseState;
 use qse_util::json::{Json, JsonError};
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -409,9 +405,10 @@ pub struct JobResult {
     pub batched: usize,
     /// Submit → response latency, microseconds.
     pub latency_us: u64,
-    /// FNV-1a fingerprint of the final state's bit patterns — the dense
-    /// and sparse engines fingerprint amplitudes, the stabilizer engine
-    /// its tableau. Bit-for-bit comparisons without shipping the state.
+    /// Fingerprint of the final state's bit patterns, for bit-for-bit
+    /// comparisons without shipping the state: the tree digest of the
+    /// amplitudes ([`qse_statevec::digest`]; it replaced an FNV-1a, which
+    /// changed dense and sparse values once) or an FNV-1a of the tableau.
     pub state_fnv: u64,
     /// The engine that executed the job ("dense", "sparse",
     /// "stabilizer") — auto submissions see what auto resolved to.
@@ -420,39 +417,9 @@ pub struct JobResult {
     pub counts: Option<BTreeMap<u64, usize>>,
 }
 
-/// Fingerprints a statevector: FNV-1a over each amplitude's `(re, im)`
-/// IEEE-754 bit patterns in order. Equal fingerprints ⇒ bit-for-bit
-/// equal states (up to hash collision); the serve test suites compare
-/// these across cache-hit/cold and batched/solo executions.
-pub fn state_fingerprint(amps: &[Complex64]) -> u64 {
-    let mut h = Fnv1a::new();
-    for a in amps {
-        fold_amplitude(&mut h, a);
-    }
-    h.digest()
-}
-
-/// [`state_fingerprint`] of a sparse state's `2ⁿ` amplitudes without
-/// materialising them: the stored amplitudes in index order, each run of
-/// unstored (zero) ones between them folded as one run of zero bytes.
-/// Equal to `state_fingerprint(&s.to_vec())` by construction, at every
-/// width the sparse engine takes.
-pub fn sparse_state_fingerprint(s: &SparseState) -> u64 {
-    let mut h = Fnv1a::new();
-    let mut next = 0u64;
-    for k in s.sorted_keys() {
-        h.update_zeros((k - next) * BYTES_PER_AMP);
-        fold_amplitude(&mut h, &s.amplitude(k));
-        next = k + 1;
-    }
-    h.update_zeros(((1u64 << s.n_qubits()) - next) * BYTES_PER_AMP);
-    h.digest()
-}
-
-fn fold_amplitude(h: &mut Fnv1a, a: &Complex64) {
-    h.update(&a.re.to_bits().to_le_bytes());
-    h.update(&a.im.to_bits().to_le_bytes());
-}
+/// The reply fingerprints: the tree digest ([`qse_statevec::digest`]) of
+/// dense amplitudes and of a sparse state's stored ones.
+pub use qse_statevec::digest::{dense as state_fingerprint, sparse as sparse_state_fingerprint};
 
 /// Renders a success response line (no trailing newline).
 pub fn render_result(r: &JobResult) -> String {
@@ -729,83 +696,5 @@ mod tests {
         let long = vec![b'x'; 100];
         let mut r = BoundedLineReader::new(&long[..], 16);
         assert_eq!(r.next_line(), Err(LineError::TooLong { limit: 16 }));
-    }
-
-    #[test]
-    fn state_fingerprint_separates_bitwise_differences() {
-        let a = [Complex64::new(0.5, 0.0), Complex64::new(0.5, 0.0)];
-        let b = [Complex64::new(0.5, 0.0), Complex64::new(0.5, -0.0)];
-        assert_eq!(state_fingerprint(&a), state_fingerprint(&a));
-        assert_ne!(state_fingerprint(&a), state_fingerprint(&b));
-    }
-
-    /// Sparse states of width `n` whose stored amplitudes include index
-    /// 0, the last index, `+0.0` and `−0.0` (the pruning epsilon is 0, so
-    /// an exact cancellation stays stored).
-    fn sparse_fixtures(n: u32) -> Vec<SparseState> {
-        let run = |basis: u64, c: &Circuit| {
-            let mut s = SparseState::basis_state_with_epsilon(n, basis, 0.0);
-            s.run(c);
-            s
-        };
-        let last = (1u64 << n) - 1;
-        // H·H on |…1⟩ cancels its |…0⟩ partner to a stored +0.0; X then Z
-        // carry that zero to |…1⟩ and flip its sign.
-        let mut cancel = Circuit::new(n);
-        cancel.h(0).h(0);
-        let mut negate = cancel.clone();
-        negate.x(0).z(0);
-        vec![run(last, &cancel), run(last, &negate), run(0, &ghz(n))]
-    }
-
-    #[test]
-    fn sparse_fingerprint_equals_the_dense_one() {
-        let (mut first, mut last, mut pos_zero, mut neg_zero) = (false, false, false, false);
-        for n in [1u32, 5, 12, 20] {
-            for s in sparse_fixtures(n) {
-                for k in s.sorted_keys() {
-                    let a = s.amplitude(k);
-                    first |= k == 0;
-                    last |= k == (1u64 << n) - 1;
-                    pos_zero |= a.re.to_bits() == 0;
-                    neg_zero |= a.re.to_bits() == (-0.0f64).to_bits();
-                }
-                assert_eq!(
-                    sparse_state_fingerprint(&s),
-                    state_fingerprint(&s.to_vec()),
-                    "n={n}"
-                );
-            }
-        }
-        assert!(
-            first && last && pos_zero && neg_zero,
-            "the fixtures miss a case"
-        );
-    }
-
-    #[test]
-    fn sparse_fingerprint_needs_no_dense_vector() {
-        // 2^35 amplitudes are 512 GiB dense (`to_vec` refuses n > 30); the
-        // fingerprint of a 35-qubit GHZ state is its two stored
-        // amplitudes around one run of zeros.
-        let n = 35;
-        let mut c = Circuit::new(n);
-        c.h(0);
-        for q in 1..n {
-            c.cnot(0, q);
-        }
-        let s = SparseState::simulate(&c);
-        assert_eq!(s.n_nonzero(), 2);
-        let mut want = Fnv1a::new();
-        fold_amplitude(&mut want, &s.amplitude(0));
-        want.update_zeros(((1u64 << n) - 2) * 16);
-        fold_amplitude(&mut want, &s.amplitude((1u64 << n) - 1));
-        assert_eq!(sparse_state_fingerprint(&s), want.digest());
-        let mut flipped = c.clone();
-        flipped.z(0);
-        assert_ne!(
-            sparse_state_fingerprint(&SparseState::simulate(&flipped)),
-            want.digest()
-        );
     }
 }

@@ -555,9 +555,10 @@ impl Execution {
     }
 }
 
-/// The reply fingerprint of a final state: amplitudes where the engine
-/// has them (the sparse form folds its runs of zeros without
-/// materialising them), the tableau representation otherwise.
+/// The reply fingerprint of a final state: the tree digest of the
+/// amplitudes where the engine has them (the sparse form digests only
+/// the leaves holding a stored amplitude), the tableau representation
+/// otherwise.
 fn state_fnv(state: &EngineState) -> Result<u64, EngineError> {
     match state {
         EngineState::Dense(None) => Err(EngineError::StateNotGathered),

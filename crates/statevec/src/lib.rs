@@ -42,6 +42,7 @@ pub(crate) fn ix(i: u64) -> usize {
 }
 
 pub mod diagonal;
+pub mod digest;
 pub mod dist;
 pub mod measure;
 pub mod reference;

@@ -141,11 +141,17 @@ impl Rng for SplitMix64 {
     #[inline]
     fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        avalanche(self.state)
     }
+}
+
+/// SplitMix64's output mix, a bijection on `u64` in which each input bit
+/// flips each output bit with probability close to ½.
+#[inline]
+pub const fn avalanche(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
 }
 
 /// Blackman/Vigna xoshiro256**: 256 bits of state, period 2^256 − 1.
