@@ -31,10 +31,11 @@ impl fmt::Display for FaultOp {
 /// budget — a recoverable plan never surfaces them.
 ///
 /// The universe is fail-stop: a transport error that leaves a rank's
-/// communicator (every variant but `InvalidRank` and `InvalidConfig`,
-/// which reject arguments before anything moves), or a rank that
-/// panics, aborts the universe, and every other rank's blocked or later
-/// call returns [`CommError::Aborted`] carrying the cause.
+/// communicator (every variant but `InvalidRank`, `InvalidConfig` and
+/// `BasisOutOfRange`, which reject arguments before anything moves), or
+/// a rank that panics, aborts the universe, and every other rank's
+/// blocked or later call returns [`CommError::Aborted`] carrying the
+/// cause.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// A peer rank id is outside `0..size`.
@@ -67,6 +68,14 @@ pub enum CommError {
     },
     /// A configuration value was invalid (e.g. zero maximum message size).
     InvalidConfig(&'static str),
+    /// A run was asked to start from a basis index that names no state
+    /// of its register (`basis ≥ 2ⁿ`); refused before any rank starts.
+    BasisOutOfRange {
+        /// The requested basis index.
+        basis: u64,
+        /// Register width.
+        n: u32,
+    },
     /// Another rank failed and aborted the universe (fail-stop): this
     /// rank's blocked receive, barrier-released call or send ended
     /// because of it. Carries the failing rank and its error.
@@ -138,6 +147,9 @@ impl fmt::Display for CommError {
                 write!(f, "rank {peer} disconnected (returned without receiving)")
             }
             CommError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            CommError::BasisOutOfRange { basis, n } => {
+                write!(f, "basis {basis} is not a basis state of {n} qubits")
+            }
             CommError::Aborted { by, cause: Some(cause) } => {
                 write!(f, "universe aborted by rank {by}: {cause}")
             }

@@ -116,6 +116,8 @@ impl ThreadClusterExecutor {
 
     /// The shared execution core: runs `circuit` (or its transpiled
     /// `plan`) over thread ranks without building or verifying anything.
+    /// Fails with [`CommError::BasisOutOfRange`], before any rank starts,
+    /// when `basis` names no state of the register.
     fn execute(
         circuit: &Circuit,
         config: &SimConfig,
@@ -123,6 +125,10 @@ impl ThreadClusterExecutor {
         gather: bool,
         plan: Option<&Plan>,
     ) -> Result<ClusterRun, CommError> {
+        let n = circuit.n_qubits();
+        if basis.checked_shr(n).unwrap_or(0) != 0 {
+            return Err(CommError::BasisOutOfRange { basis, n });
+        }
         let n_ranks = config.n_ranks as usize;
         let dist_config = config.to_dist_config();
         // Lowered once, shared by every rank.
@@ -841,6 +847,29 @@ mod tests {
     fn basis_past_the_register(mode: crate::config::EngineMode) -> EngineError {
         EngineExecutor::run(&ghz(8), &engine_cfg(mode), 256, true)
             .expect_err("basis 256 is not a state of 8 qubits")
+    }
+
+    #[test]
+    fn cluster_runs_reject_a_basis_past_the_register() {
+        let c = qft(8);
+        let cfg = SimConfig::default_for(2);
+        assert_eq!(
+            ThreadClusterExecutor::try_run(&c, &cfg, 999, true).err(),
+            Some(CommError::BasisOutOfRange { basis: 999, n: 8 })
+        );
+        let plan = ThreadClusterExecutor::prepare(&c, &cfg).expect("plan");
+        assert_eq!(
+            ThreadClusterExecutor::try_run_prepared(&c, &cfg, 256, true, plan.as_ref()).err(),
+            Some(CommError::BasisOutOfRange { basis: 256, n: 8 })
+        );
+        let run = ThreadClusterExecutor::try_run(&c, &cfg, 255, true).expect("last basis state");
+        let norm: f64 = run
+            .state
+            .expect("gathered")
+            .iter()
+            .map(|a| a.norm_sqr())
+            .sum();
+        assert!((norm - 1.0).abs() < 1e-9, "norm {norm}");
     }
 
     #[test]

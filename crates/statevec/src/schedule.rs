@@ -19,14 +19,14 @@ use crate::storage::local_block_bits;
 use qse_circuit::classify::{GateClass, Layout};
 use qse_circuit::transpile::{Plan, PlanStep};
 use qse_circuit::{Circuit, Gate, Permutation};
-use qse_math::Matrix2;
+use qse_math::{Matrix2, Matrix4};
 
 /// One step of a [`Schedule`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step<'a> {
     /// One gate on its own, dispatched on its locality class: a
-    /// distributed gate, a non-diagonal `Unitary2`, or a local gate that
-    /// reaches at or above the block bit.
+    /// distributed gate, or a local gate that moves amplitudes across a
+    /// qubit at or above the block bit.
     Gate(&'a Gate),
     /// A maximal run of consecutive local gates, applied one cache block
     /// at a time.
@@ -53,6 +53,16 @@ pub enum LocalOp {
     },
     /// A SWAP of two local qubits.
     Swap(u32, u32),
+    /// A non-diagonal two-qubit gate: `matrix` on every four-amplitude
+    /// orbit of local qubits `a` and `b`, basis order `|b a⟩`.
+    Orbit4 {
+        /// First qubit (the low bit of the matrix index).
+        a: u32,
+        /// Second qubit (the high bit of the matrix index).
+        b: u32,
+        /// The 4×4 matrix applied to each orbit.
+        matrix: Matrix4,
+    },
 }
 
 impl LocalOp {
@@ -86,24 +96,22 @@ pub struct LocalRun {
 impl LocalRun {
     /// Whether `gate` may join a local run whose blocks are
     /// `2^block_bits` amplitudes of a slice at least that large: a
-    /// diagonal gate on any qubits, a SWAP of two qubits below the block
-    /// bit, or a single-target gate whose target is below it (controls
-    /// anywhere).
+    /// diagonal gate on any qubits, a SWAP or a non-diagonal `Unitary2`
+    /// whose two qubits are both below the block bit, or a single-target
+    /// gate whose target is below it (controls anywhere).
     pub fn admits(gate: &Gate, block_bits: u32) -> bool {
         if gate.is_diagonal() {
             return true;
         }
         match *gate {
-            Gate::Swap(a, b) => a < block_bits && b < block_bits,
-            Gate::Unitary2 { .. } => false,
+            Gate::Swap(a, b) | Gate::Unitary2 { a, b, .. } => a < block_bits && b < block_bits,
             ref g => g.target() < block_bits,
         }
     }
 
-    /// Appends `gate` to the end of the run.
-    ///
-    /// # Panics
-    /// Panics on a non-diagonal `Unitary2`, which no run admits.
+    /// Appends `gate` to the end of the run. The run's span grows to one
+    /// above the highest qubit the gate moves amplitudes across: its
+    /// target, or the higher of a SWAP's or a `Unitary2`'s two qubits.
     pub fn push(&mut self, gate: &Gate) {
         if gate.is_diagonal() {
             if let Some(LocalOp::Diagonal(d)) = self.ops.last_mut() {
@@ -116,9 +124,10 @@ impl LocalRun {
         }
         let (op, reach) = match *gate {
             Gate::Swap(a, b) => (LocalOp::Swap(a, b), a.max(b)),
+            Gate::Unitary2 { a, b, matrix } => (LocalOp::Orbit4 { a, b, matrix }, a.max(b)),
             ref g => {
                 let Some(matrix) = g.matrix1() else {
-                    unreachable!("{g}: no run admits a non-diagonal Unitary2")
+                    unreachable!("{g}: every remaining gate kind is single-target")
                 };
                 let op = LocalOp::Pairs {
                     target: g.target(),
@@ -153,7 +162,7 @@ impl LocalRun {
         self.ops.is_empty()
     }
 
-    /// One more than the highest qubit a pair or SWAP op moves
+    /// One more than the highest qubit a pair, SWAP or orbit op moves
     /// amplitudes across (0 for a diagonal-only run): the smallest block
     /// that holds every amplitude a run op reads with the one it writes.
     pub fn span_bits(&self) -> u32 {
@@ -338,15 +347,43 @@ mod tests {
     }
 
     #[test]
-    fn unitary2_is_a_step_of_its_own() {
+    fn unitary2_below_the_block_bit_joins_a_run() {
+        // At one rank every gate of a random circuit is local, Unitary2
+        // included: one run.
         let c = random_circuit(6, 120, GatePool::Full, 4);
+        assert!(c
+            .gates()
+            .iter()
+            .any(|g| matches!(g, Gate::Unitary2 { .. }) && !g.is_diagonal()));
         let s = Schedule::for_circuit(&c, 1);
-        for step in s.steps() {
-            if let Step::Gate(g) = step {
-                assert!(matches!(g, Gate::Unitary2 { .. }), "{g}");
-            }
-        }
-        assert_eq!(step_gates(&s).iter().sum::<usize>(), c.len());
+        assert_eq!(step_gates(&s), vec![c.len()]);
+        // 18 local qubits, block bit 16: a Unitary2 spans to its higher
+        // qubit in either order, and one reaching the block bit is a
+        // step of its own.
+        let block_bits = crate::storage::LOCAL_BLOCK.trailing_zeros();
+        let u2 = |a, b| Gate::Unitary2 {
+            a,
+            b,
+            matrix: Matrix4::swap(),
+        };
+        let mut c = Circuit::new(block_bits + 3);
+        c.h(0)
+            .push(u2(block_bits - 1, 2))
+            .push(u2(1, 3))
+            .push(u2(0, block_bits))
+            .push(u2(block_bits + 1, 1))
+            .x(2);
+        let s = Schedule::for_circuit(&c, 2);
+        assert_eq!(step_gates(&s), vec![3, 1, 1, 1]);
+        let Step::Local(run) = &s.steps()[0] else {
+            panic!("expected a local run");
+        };
+        assert_eq!(run.span_bits(), block_bits);
+        assert!(matches!(
+            run.ops()[1],
+            LocalOp::Orbit4 { a, b: 2, .. } if a == block_bits - 1
+        ));
+        assert_eq!(run.class(), GateClass::LocalMemory);
     }
 
     #[test]

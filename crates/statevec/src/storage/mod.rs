@@ -465,7 +465,7 @@ pub(crate) mod conformance {
         assert_complex_close(s.get(6), before[7], 1e-12);
     }
 
-    /// Diagonal fixture: zeros of both signs, exact and inexact values.
+    /// Kernel fixture: zeros of both signs, exact and inexact values.
     fn diagonal_fixture(len: usize) -> SoaStorage {
         let mut s = SoaStorage::zeros(len);
         for i in 0..len {
@@ -474,7 +474,12 @@ pub(crate) mod conformance {
             } else {
                 ((i * 7) % 23) as f64 * 0.125 - 1.0
             };
-            s.set(i, Complex64::new(re, 0.3 - (i % 5) as f64));
+            let im = match i % 13 {
+                4 => 0.0,
+                9 => -0.0,
+                _ => 0.3 - (i % 5) as f64,
+            };
+            s.set(i, Complex64::new(re, im));
         }
         s
     }
@@ -509,8 +514,10 @@ pub(crate) mod conformance {
         if gate.is_diagonal() {
             return s.apply_fused_diagonal(offset, &CompiledDiagonal::compile([gate]));
         }
-        if let Gate::Swap(a, b) = *gate {
-            return s.swap_local(a, b);
+        match *gate {
+            Gate::Swap(a, b) => return s.swap_local(a, b),
+            Gate::Unitary2 { a, b, ref matrix } => return s.apply_orbit4(a, b, matrix),
+            _ => {}
         }
         let m = gate.matrix1().expect("single-target gate");
         match gate.control() {
@@ -526,11 +533,21 @@ pub(crate) mod conformance {
     /// A local run for a slice of `2^w` amplitudes in blocks of
     /// `2^bits`: every op kind, with pair controls below the target,
     /// between the target and the block bit, above the block bit, and on
-    /// rank bits `w` and `w + 1`.
+    /// rank bits `w` and `w + 1`; and non-diagonal `Unitary2` gates in
+    /// both qubit orders with both qubits in one lane group (0, 1), in a
+    /// tile (2 to 5, or as high as the block allows), and at the block
+    /// bit with a low qubit in a lane or not.
     fn local_run_zoo(w: u32, bits: u32) -> Vec<qse_circuit::Gate> {
         use qse_circuit::Gate;
         assert!(3 <= bits && bits < w);
         let top = bits - 1;
+        let (tile_lo, tile_hi) = (2.min(bits - 2), 5.min(top));
+        let mut rng = qse_util::rng::StdRng::seed_from_u64(u64::from(w * 64 + bits));
+        let mut u2 = |a, b| Gate::Unitary2 {
+            a,
+            b,
+            matrix: qse_circuit::random::random_unitary2(&mut rng),
+        };
         let m = Matrix2::new(
             Complex64::new(0.6, 0.1),
             Complex64::new(-0.3, 0.8),
@@ -545,6 +562,7 @@ pub(crate) mod conformance {
             Gate::H(0),
             Gate::T(top),
             Gate::H(top),
+            u2(top, 3.min(top - 1)),
             Gate::CPhase {
                 a: 0,
                 b: w,
@@ -558,11 +576,13 @@ pub(crate) mod conformance {
                 control: 0,
                 target: top,
             },
+            u2(0, 1),
             Gate::CUnitary {
                 control: top,
                 target: 0,
                 matrix: m,
             },
+            u2(tile_hi, tile_lo),
             Gate::CNot {
                 control: bits,
                 target: 1,
@@ -573,11 +593,13 @@ pub(crate) mod conformance {
                 matrix: m,
             },
             Gate::Swap(0, top),
+            u2(top, 0),
             Gate::CUnitary {
                 control: w,
                 target: 2,
                 matrix: m,
             },
+            u2(top - 1, top),
             Gate::CNot {
                 control: w + 1,
                 target: 0,
@@ -587,6 +609,7 @@ pub(crate) mod conformance {
                 theta: -1.1,
             },
             Gate::Swap(top, 1),
+            u2(1, 0),
             Gate::Y(2),
             Gate::MCPhase {
                 qubits: vec![1, bits, w + 1],
@@ -603,7 +626,9 @@ pub(crate) mod conformance {
                 matrix: m4,
             },
             Gate::Sdg(0),
+            u2(tile_lo, tile_hi),
             Gate::H(1),
+            u2(2.min(top - 1), top),
         ]
     }
 
@@ -899,6 +924,59 @@ pub(crate) mod conformance {
         assert_close(s.norm_sqr_sum(), 1.0, 1e-15);
         for outside in [3, 16, u64::MAX] {
             assert_close(SoaStorage::basis(8, 8, outside).norm_sqr_sum(), 0.0, 1e-15);
+        }
+    }
+
+    /// The scalar orbit loop the vectorized kernel replaced, kept as its
+    /// oracle: per orbit, a `get` and a `set` per amplitude through
+    /// `insert_two_zero_bits`, and [`Matrix4::apply`].
+    fn orbit4_oracle(s: &mut SoaStorage, a: u32, b: u32, m: &Matrix4) {
+        for k in 0..s.len() as u64 / 4 {
+            let base = qse_math::bits::insert_two_zero_bits(k, a, b);
+            let idx = |bb: u64, aa: u64| crate::ix(base | (aa << a) | (bb << b));
+            let orbit = [idx(0, 0), idx(0, 1), idx(1, 0), idx(1, 1)];
+            let out = m.apply(orbit.map(|i| s.get(i)));
+            for (i, v) in orbit.into_iter().zip(out) {
+                s.set(i, v);
+            }
+        }
+    }
+
+    /// [`SoaStorage::apply_orbit4`] against [`orbit4_oracle`], bit for
+    /// bit, for every ordered placement `(a, b)` on slices of 2², 2³ and
+    /// 2⁵ amplitudes and on slices just below, at and above
+    /// [`PAR_THRESHOLD`] (the sequential, the pooled and the top-qubit
+    /// halves paths). The fixture holds `+0.0` and `−0.0` parts, and the
+    /// second matrix has zero entries, whose products are signed zeros
+    /// that the rows' `0.0` start must absorb as `Matrix4::apply` does.
+    pub fn orbit4_matches_the_scalar_loop() {
+        let dense = Matrix4::new(std::array::from_fn(|k| {
+            Complex64::new(0.1 * k as f64 - 0.4, 0.05 * (k * k % 7) as f64 - 0.15)
+        }));
+        let mut sparse = Matrix4::swap();
+        sparse.m[0] = Complex64::new(0.0, -0.5);
+        sparse.m[15] = Complex64::new(-0.75, 0.0);
+        for len in [
+            4usize,
+            8,
+            32,
+            PAR_THRESHOLD / 2,
+            PAR_THRESHOLD,
+            PAR_THRESHOLD * 2,
+        ] {
+            let w = len.trailing_zeros();
+            let before = diagonal_fixture(len);
+            for a in 0..w {
+                for b in (0..w).filter(|&b| b != a) {
+                    for m in [&dense, &sparse] {
+                        let mut got = before.clone();
+                        got.apply_orbit4(a, b, m);
+                        let mut want = before.clone();
+                        orbit4_oracle(&mut want, a, b, m);
+                        assert_bits_equal(&got, &want, &format!("len {len}, a {a}, b {b}"));
+                    }
+                }
+            }
         }
     }
 

@@ -546,6 +546,266 @@ fn swap_groups(rc: &mut [f64], ic: &mut [f64], a: u32, b: u32) {
     }
 }
 
+/// The two qubits of a four-amplitude orbit, ordered: `lo < hi`, and
+/// `swap` when `a` is the high one, so that matrix order `|b a⟩` lists
+/// the `(bit_hi, bit_lo)` values 00, 10, 01, 11 instead of 00, 01, 10, 11.
+#[derive(Debug, Clone, Copy)]
+struct OrbitQubits {
+    lo: u32,
+    hi: u32,
+    swap: bool,
+}
+
+impl OrbitQubits {
+    fn new(a: u32, b: u32) -> Self {
+        OrbitQubits {
+            lo: a.min(b),
+            hi: a.max(b),
+            swap: a > b,
+        }
+    }
+}
+
+/// Orbits per vector: the orbit kernels compute this many orbits at
+/// once, one per lane, column by column.
+const OV: usize = 4;
+
+/// `OV` orbits through `m` in [`Matrix4::apply`]'s arithmetic: `vr[c][k]`
+/// / `vi[c][k]` is amplitude `c` (matrix order) of orbit `k`, and the
+/// result's `[r][k]` is row `r` of it. Each row is summed from `0.0`
+/// over columns 0→3, each
+/// product spelled `re·re − im·im` / `re·im + im·re`. Separate
+/// multiplies and adds, which rustc never contracts, so both codegen
+/// flavours give `Matrix4::apply`'s bits, signs of zero included.
+#[inline(always)]
+fn orbit_block(
+    m: &Matrix4,
+    vr: &[[f64; OV]; 4],
+    vi: &[[f64; OV]; 4],
+) -> ([[f64; OV]; 4], [[f64; OV]; 4]) {
+    let (mut or, mut oi) = ([[0.0; OV]; 4], [[0.0; OV]; 4]);
+    for r in 0..4 {
+        for c in 0..4 {
+            let e = m.m[4 * r + c];
+            for k in 0..OV {
+                or[r][k] += e.re * vr[c][k] - e.im * vi[c][k];
+                oi[r][k] += e.re * vi[c][k] + e.im * vr[c][k];
+            }
+        }
+    }
+    (or, oi)
+}
+
+/// Orbits over four equally long runs in matrix order, a multiple of
+/// [`OV`] long: element `k` of the four runs is one orbit.
+#[inline(always)]
+fn orbit_runs(re: [&mut [f64]; 4], im: [&mut [f64]; 4], m: &Matrix4) {
+    let re = re.map(|s| s.as_chunks_mut::<OV>().0);
+    let im = im.map(|s| s.as_chunks_mut::<OV>().0);
+    for k in 0..re[0].len() {
+        let vr = std::array::from_fn(|c| re[c][k]);
+        let vi = std::array::from_fn(|c| im[c][k]);
+        let (or, oi) = orbit_block(m, &vr, &vi);
+        for c in 0..4 {
+            re[c][k] = or[c];
+            im[c][k] = oi[c];
+        }
+    }
+}
+
+/// Amplitudes per lane block: the [`OV`] orbits of a block.
+const ORBIT_LANES: usize = 4 * OV;
+
+/// The orbits of one lane block whose qubits sit at lane bits `LO` and
+/// `HI` (`HI` = 8 when the block is eight amplitudes of each half of a
+/// wider group). Orbit `k` is the `k`-th lane with both bits clear,
+/// joined by its three partners; the shuffles into and out of
+/// [`orbit_block`]'s column order are compile-time constants, so the
+/// block is straight-line code with no branch and no mask, a lane
+/// pattern like `diagonal.rs`'s.
+#[inline(always)]
+fn orbit_lane_block<const LO: usize, const HI: usize, const SWAP: bool>(
+    xr: &mut [f64; ORBIT_LANES],
+    xi: &mut [f64; ORBIT_LANES],
+    m: &Matrix4,
+) {
+    let lane = |c: usize, k: usize| {
+        let k = ((k & !(LO - 1)) << 1) | (k & (LO - 1));
+        let k = ((k & !(HI - 1)) << 1) | (k & (HI - 1));
+        // Column `c` is `|b a⟩`; `a` is the low qubit unless SWAP.
+        let (bit_b, bit_a) = (c >> 1, c & 1);
+        let (h, l) = if SWAP { (bit_a, bit_b) } else { (bit_b, bit_a) };
+        k | (l * LO) | (h * HI)
+    };
+    let vr = std::array::from_fn(|c| std::array::from_fn(|k| xr[lane(c, k)]));
+    let vi = std::array::from_fn(|c| std::array::from_fn(|k| xi[lane(c, k)]));
+    let (or, oi) = orbit_block(m, &vr, &vi);
+    for c in 0..4 {
+        for k in 0..OV {
+            xr[lane(c, k)] = or[c][k];
+            xi[lane(c, k)] = oi[c][k];
+        }
+    }
+}
+
+/// Orbits of a region of whole `2·HI` groups whose two qubits both sit
+/// in a group of eight lanes (`HI = 2^hi ≤ 4`), a lane block at a time.
+/// A region shorter than a block (slices of 4 or 8 amplitudes) goes
+/// through one zero-padded block.
+#[inline(always)]
+fn orbit_in_lanes<const LO: usize, const HI: usize, const SWAP: bool>(
+    rc: &mut [f64],
+    ic: &mut [f64],
+    m: &Matrix4,
+) {
+    if rc.len() < ORBIT_LANES {
+        let n = rc.len();
+        let (mut xr, mut xi) = ([0.0; ORBIT_LANES], [0.0; ORBIT_LANES]);
+        xr[..n].copy_from_slice(rc);
+        xi[..n].copy_from_slice(ic);
+        orbit_lane_block::<LO, HI, SWAP>(&mut xr, &mut xi, m);
+        rc.copy_from_slice(&xr[..n]);
+        ic.copy_from_slice(&xi[..n]);
+        return;
+    }
+    let (rb, ib) = (rc.as_chunks_mut().0, ic.as_chunks_mut().0);
+    for (xr, xi) in rb.iter_mut().zip(ib) {
+        orbit_lane_block::<LO, HI, SWAP>(xr, xi, m);
+    }
+}
+
+/// Matching pieces of the bit-`hi` = 0 half (`r0`, `i0`) and bit-`hi` = 1
+/// half (`r1`, `i1`) of a `2^(hi+1)` group, each of whole `2^(lo+1)`
+/// blocks and of whole groups of eight: position `k` of the two halves
+/// is one orbit's `hi` pair.
+struct Halves<'s> {
+    r0: &'s mut [f64],
+    i0: &'s mut [f64],
+    r1: &'s mut [f64],
+    i1: &'s mut [f64],
+}
+
+/// Orbits of matching half pieces when the low qubit's run `LO = 2^lo`
+/// is shorter than a vector: each lane block is eight amplitudes of each
+/// half, so the high qubit is lane bit 8.
+#[inline(always)]
+fn orbit_halves_in_lanes<const LO: usize, const SWAP: bool>(h: Halves<'_>, m: &Matrix4) {
+    const G: usize = ORBIT_LANES / 2;
+    for (((r0, i0), r1), i1) in
+        h.r0.chunks_exact_mut(G)
+            .zip(h.i0.chunks_exact_mut(G))
+            .zip(h.r1.chunks_exact_mut(G))
+            .zip(h.i1.chunks_exact_mut(G))
+    {
+        let (mut xr, mut xi) = ([0.0; ORBIT_LANES], [0.0; ORBIT_LANES]);
+        xr[..G].copy_from_slice(r0);
+        xr[G..].copy_from_slice(r1);
+        xi[..G].copy_from_slice(i0);
+        xi[G..].copy_from_slice(i1);
+        orbit_lane_block::<LO, G, SWAP>(&mut xr, &mut xi, m);
+        r0.copy_from_slice(&xr[..G]);
+        r1.copy_from_slice(&xr[G..]);
+        i0.copy_from_slice(&xi[..G]);
+        i1.copy_from_slice(&xi[G..]);
+    }
+}
+
+/// Orbits of matching half pieces: lane blocks for a low qubit below 2,
+/// whole-vector runs of `2^lo` in each of the four sub-slices from 2 up.
+#[inline(always)]
+fn orbit_halves_body(h: Halves<'_>, q: OrbitQubits, m: &Matrix4) {
+    match (q.lo, q.swap) {
+        (0, false) => return orbit_halves_in_lanes::<1, false>(h, m),
+        (0, true) => return orbit_halves_in_lanes::<1, true>(h, m),
+        (1, false) => return orbit_halves_in_lanes::<2, false>(h, m),
+        (1, true) => return orbit_halves_in_lanes::<2, true>(h, m),
+        _ => {}
+    }
+    let run = 1usize << q.lo;
+    for (((r0, i0), r1), i1) in
+        h.r0.chunks_exact_mut(2 * run)
+            .zip(h.i0.chunks_exact_mut(2 * run))
+            .zip(h.r1.chunks_exact_mut(2 * run))
+            .zip(h.i1.chunks_exact_mut(2 * run))
+    {
+        // Sub-slices named by (bit_hi, bit_lo).
+        let (r00, r01) = r0.split_at_mut(run);
+        let (i00, i01) = i0.split_at_mut(run);
+        let (r10, r11) = r1.split_at_mut(run);
+        let (i10, i11) = i1.split_at_mut(run);
+        if q.swap {
+            orbit_runs([r00, r10, r01, r11], [i00, i10, i01, i11], m);
+        } else {
+            orbit_runs([r00, r01, r10, r11], [i00, i01, i10, i11], m);
+        }
+    }
+}
+
+/// Orbits of a region of whole `2^(hi+1)` groups.
+#[inline(always)]
+fn orbit_region_body(rc: &mut [f64], ic: &mut [f64], q: OrbitQubits, m: &Matrix4) {
+    match (q.lo, q.hi, q.swap) {
+        (0, 1, false) => return orbit_in_lanes::<1, 2, false>(rc, ic, m),
+        (0, 1, true) => return orbit_in_lanes::<1, 2, true>(rc, ic, m),
+        (0, 2, false) => return orbit_in_lanes::<1, 4, false>(rc, ic, m),
+        (0, 2, true) => return orbit_in_lanes::<1, 4, true>(rc, ic, m),
+        (1, 2, false) => return orbit_in_lanes::<2, 4, false>(rc, ic, m),
+        (1, 2, true) => return orbit_in_lanes::<2, 4, true>(rc, ic, m),
+        _ => {}
+    }
+    let half = 1usize << q.hi;
+    for (rg, ig) in rc
+        .chunks_exact_mut(2 * half)
+        .zip(ic.chunks_exact_mut(2 * half))
+    {
+        let (r0, r1) = rg.split_at_mut(half);
+        let (i0, i1) = ig.split_at_mut(half);
+        orbit_halves_body(Halves { r0, i0, r1, i1 }, q, m);
+    }
+}
+
+/// [`orbit_region_body`] compiled with AVX2 codegen. FMA is left off:
+/// the orbit arithmetic is separate multiplies and adds in both
+/// flavours.
+///
+/// SAFETY: callers must have verified `avx2` CPU support.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn orbit_region_avx2(rc: &mut [f64], ic: &mut [f64], q: OrbitQubits, m: &Matrix4) {
+    orbit_region_body(rc, ic, q, m)
+}
+
+/// Runtime-dispatched orbit sweep of a region of whole groups.
+fn sweep_orbit_region(rc: &mut [f64], ic: &mut [f64], q: OrbitQubits, m: &Matrix4) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if kernel::use_fma() {
+        // SAFETY: `use_fma` verified avx2 (and fma) support on this CPU.
+        unsafe { orbit_region_avx2(rc, ic, q, m) };
+        return;
+    }
+    orbit_region_body(rc, ic, q, m)
+}
+
+/// [`orbit_halves_body`] compiled with AVX2 codegen.
+///
+/// SAFETY: callers must have verified `avx2` CPU support.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn orbit_halves_avx2(h: Halves<'_>, q: OrbitQubits, m: &Matrix4) {
+    orbit_halves_body(h, q, m)
+}
+
+/// Runtime-dispatched orbit sweep of matching half pieces.
+fn sweep_orbit_halves(h: Halves<'_>, q: OrbitQubits, m: &Matrix4) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if kernel::use_fma() {
+        // SAFETY: `use_fma` verified avx2 (and fma) support on this CPU.
+        unsafe { orbit_halves_avx2(h, q, m) };
+        return;
+    }
+    orbit_halves_body(h, q, m)
+}
+
 /// Takes one block of a local run through every op, in program order.
 /// `base` is the block's first local index, `offset` the slice's first
 /// global index, `slice_bits` the slice width.
@@ -571,6 +831,9 @@ fn local_block(
                 }
             }
             &LocalOp::Swap(a, b) => swap_groups(rc, ic, a.min(b), a.max(b)),
+            LocalOp::Orbit4 { a, b, matrix } => {
+                sweep_orbit_region(rc, ic, OrbitQubits::new(*a, *b), matrix)
+            }
         }
     }
 }
@@ -838,25 +1101,37 @@ impl SoaStorage {
     }
 
     /// Applies a 4×4 matrix to every four-amplitude orbit of local
-    /// qubits `(a, b)` — basis order `|b a⟩`.
+    /// qubits `(a, b)` — basis order `|b a⟩` — bit for bit as
+    /// [`Matrix4::apply`] would, orbit by orbit.
     pub fn apply_orbit4(&mut self, a: u32, b: u32, m: &Matrix4) {
         assert_ne!(a, b, "orbit qubits must differ");
-        let len = self.len() as u64;
-        assert!((1u64 << a) < len && (1u64 << b) < len, "qubit out of range");
-        for k in 0..len / 4 {
-            let base = bits::insert_two_zero_bits(k, a, b);
-            let idx = |bb: u64, aa: u64| crate::ix(base | (aa << a) | (bb << b));
-            let orbit = [
-                self.get(idx(0, 0)),
-                self.get(idx(0, 1)),
-                self.get(idx(1, 0)),
-                self.get(idx(1, 1)),
-            ];
-            let out = m.apply(orbit);
-            self.set(idx(0, 0), out[0]);
-            self.set(idx(0, 1), out[1]);
-            self.set(idx(1, 0), out[2]);
-            self.set(idx(1, 1), out[3]);
+        let len = self.len();
+        let q = OrbitQubits::new(a, b);
+        assert!(q.hi < len.trailing_zeros(), "qubit out of range");
+        let group = 2usize << q.hi;
+        if len >= PAR_THRESHOLD && group < len {
+            let task = group * (HALF_CHUNK / group).max(1);
+            let chunks: Vec<(&mut [f64], &mut [f64])> = self
+                .re
+                .chunks_mut(task)
+                .zip(self.im.chunks_mut(task))
+                .collect();
+            parallel_for_each_affine(chunks, |(rc, ic)| sweep_orbit_region(rc, ic, q, m));
+        } else if len >= PAR_THRESHOLD {
+            // `hi` is the top local qubit: zip-chunk the halves, keeping
+            // chunks aligned to whole bit-`lo` blocks.
+            let chunk = HALF_CHUNK.max(2 << q.lo);
+            let (rl, rh) = self.re.split_at_mut(group / 2);
+            let (il, ih) = self.im.split_at_mut(group / 2);
+            let items: Vec<Halves<'_>> = rl
+                .chunks_mut(chunk)
+                .zip(il.chunks_mut(chunk))
+                .zip(rh.chunks_mut(chunk).zip(ih.chunks_mut(chunk)))
+                .map(|((r0, i0), (r1, i1))| Halves { r0, i0, r1, i1 })
+                .collect();
+            parallel_for_each_affine(items, |h| sweep_orbit_halves(h, q, m));
+        } else {
+            sweep_orbit_region(&mut self.re, &mut self.im, q, m);
         }
     }
 
@@ -1073,6 +1348,11 @@ mod tests {
     #[test]
     fn conformance_suite() {
         crate::storage::conformance::run_all();
+    }
+
+    #[test]
+    fn orbit4_kernel_matches_the_scalar_loop() {
+        crate::storage::conformance::orbit4_matches_the_scalar_loop();
     }
 
     #[test]
