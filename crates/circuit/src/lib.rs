@@ -32,6 +32,7 @@ pub mod classify;
 pub mod gate;
 pub mod hash;
 pub mod lower;
+pub mod named;
 pub mod permutation;
 pub mod qft;
 pub mod random;

@@ -2,18 +2,17 @@
 
 use crate::args::{ArgError, Args};
 use qse_check::{Ctl, Explorer};
-use qse_circuit::algorithms::{bernstein_vazirani, ghz, grover, grover_optimal_iterations};
-use qse_circuit::classify::{GateClass, Layout};
+use qse_circuit::classify::{EngineChoice, GateClass, Layout};
 use qse_circuit::lower::{circuit_traffic, GateTraffic};
-use qse_circuit::qft::{cache_blocked_qft, default_split, qft, valid_split_range};
+use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
 use qse_circuit::transpile::cache_blocking::cache_block;
-use qse_circuit::{Circuit, MAX_QUBITS};
+use qse_circuit::{named, Circuit, MAX_QUBITS};
 use qse_comm::chunking::ExchangeMode;
 use qse_core::experiment::{fmt_seconds, TextTable};
 use qse_core::scaling::nodes_for;
 use qse_core::{
-    EngineError, EngineExecutor, EngineMode, EngineState, ModelExecutor, SimConfig,
-    ThreadClusterExecutor, TranspileMode,
+    check_ranks, check_width, EngineError, EngineExecutor, EngineMode, EngineState, ModelExecutor,
+    SimConfig, ThreadClusterExecutor, TranspileMode, PASS_LOCAL_QUBITS,
 };
 use qse_machine::energy::{format_energy, joules_to_kwh};
 use qse_machine::memory::statevector_bytes;
@@ -48,7 +47,7 @@ pub fn help_text() -> String {
      COMMANDS\n\
        help                         this screen\n\
        info  [--gpu]                machine description\n\
-       run   --qubits N [--ranks R] [--circuit qft|ghz|grover|bv]\n\
+       run   --qubits N [--ranks R] [--circuit qft|qft-blocked|ghz|grover|bv]\n\
              [--engine auto|dense|sparse|stabilizer]\n\
              [--non-blocking] [--streamed] [--half-swaps] [--basis B]\n\
              [--transpile off|greedy|beam]\n\
@@ -59,6 +58,9 @@ pub fn help_text() -> String {
                                     stabilizer ≤ 4096 Clifford-only; auto\n\
                                     chooses from the gate stream — results\n\
                                     never depend on the choice);\n\
+                                    --ranks: a power of two ≤ 16 leaving\n\
+                                    one local qubit, two under --transpile\n\
+                                    (default 4 dense, 1 otherwise);\n\
                                     --transpile runs the comm-avoiding pass\n\
                                     first (batched global swaps, cost-model\n\
                                     scored) and reports measured vs modeled\n\
@@ -79,6 +81,7 @@ pub fn help_text() -> String {
                                     fig-2-style QFT sweep at minimum node counts\n\
        transpile --qubits N --ranks R [--circuit ...]\n\
                                     cache-block a circuit, show communication\n\
+                                    (R leaves at least two local qubits)\n\
        check [--root PATH] [--seed N] [--plans]\n\
                                     self-check: source lint, fail-stop abort,\n\
                                     schedule explorer (all must pass);\n\
@@ -95,7 +98,7 @@ pub fn help_text() -> String {
                                     stdin/stdout (--stdin, exits at EOF), with\n\
                                     a verified compiled-plan cache, shot\n\
                                     batching, and memory-budget admission\n\
-       submit --port P [--circuit qft|ghz|grover|bv --qubits N]\n\
+       submit --port P [--circuit qft|qft-blocked|ghz|grover|bv --qubits N]\n\
              [--shots K] [--seed S] [--ranks R] [--transpile off|greedy|beam]\n\
              [--engine auto|dense|sparse|stabilizer]\n\
              [--basis B] [--repeat K] [--stdin]\n\
@@ -116,40 +119,24 @@ fn register_width(args: &Args) -> Result<u32, ArgError> {
     Ok(n)
 }
 
-fn build_circuit(name: &str, n: u32) -> Result<Circuit, ArgError> {
-    Ok(match name {
-        "qft" => qft(n),
-        "qft-blocked" => {
-            // A sensible default split for display purposes: half-window.
-            let split = valid_split_range(n, n.div_ceil(2).max(1))
-                .map(|(lo, hi)| (lo + hi) / 2)
-                .unwrap_or(n);
-            cache_blocked_qft(n, split)
-        }
-        "ghz" => ghz(n),
-        "grover" => {
-            if n >= 64 {
-                return Err(ArgError(format!(
-                    "grover needs a basis-indexable register (max 63 qubits, got {n})"
-                )));
-            }
-            let marked = (1u64 << n) - 1;
-            grover(n, marked, grover_optimal_iterations(n))
-        }
-        "bv" => {
-            if n >= 64 {
-                return Err(ArgError(format!(
-                    "bv needs a basis-indexable register (max 63 qubits, got {n})"
-                )));
-            }
-            bernstein_vazirani(n, (1u64 << n) / 3)
-        }
-        other => {
-            return Err(ArgError(format!(
-                "unknown circuit `{other}` (qft, qft-blocked, ghz, grover, bv)"
-            )))
-        }
+/// The `--circuit` named circuit (default `qft`) at `n` qubits.
+fn named_circuit(args: &Args, n: u32) -> Result<Circuit, ArgError> {
+    named::build(&args.string("circuit", "qft"), n).map_err(|e| ArgError(e.to_string()))
+}
+
+fn engine_mode(args: &Args) -> Result<EngineMode, ArgError> {
+    let s = args.string("engine", "dense");
+    EngineMode::parse(&s).ok_or_else(|| {
+        ArgError(format!(
+            "unknown engine `{s}` (auto, dense, sparse, stabilizer)"
+        ))
     })
+}
+
+fn transpile_mode(args: &Args) -> Result<TranspileMode, ArgError> {
+    let s = args.string("transpile", "off");
+    TranspileMode::parse(&s)
+        .ok_or_else(|| ArgError(format!("unknown transpile mode `{s}` (off, greedy, beam)")))
 }
 
 fn parse_freq(s: &str) -> Result<CpuFrequency, ArgError> {
@@ -169,19 +156,6 @@ fn exchange_mode(non_blocking: bool, streamed: bool) -> ExchangeMode {
         (true, false) => ExchangeMode::NonBlocking,
         (false, false) => ExchangeMode::Blocking,
     }
-}
-
-fn parse_transpile(s: &str) -> Result<TranspileMode, ArgError> {
-    Ok(match s {
-        "off" => TranspileMode::Off,
-        "greedy" => TranspileMode::Greedy,
-        "beam" => TranspileMode::Beam,
-        other => {
-            return Err(ArgError(format!(
-                "unknown transpile mode `{other}` (off, greedy, beam)"
-            )))
-        }
-    })
 }
 
 fn parse_kind(s: &str) -> Result<NodeKind, ArgError> {
@@ -240,82 +214,34 @@ fn run(args: &Args) -> Result<String, ArgError> {
         "transpile",
     ])?;
     let n = register_width(args)?;
-    let engine_mode = {
-        let s = args.string("engine", "dense");
-        EngineMode::parse(&s).ok_or_else(|| {
-            ArgError(format!(
-                "unknown engine `{s}` (auto, dense, sparse, stabilizer)"
-            ))
-        })?
-    };
-    // Per-engine width caps: the dense path materialises 2^n amplitudes,
-    // the sparse path only needs basis indices to fit a u64 map, and the
-    // tableau is O(n^2) bits. `auto` gets the loosest cap; the resolved
-    // engine still surfaces a typed error if the circuit lands dense.
-    let cap = match engine_mode {
-        EngineMode::Dense => 24,
-        EngineMode::Sparse => qse_statevec::MAX_SPARSE_QUBITS,
-        EngineMode::Auto | EngineMode::Stabilizer => MAX_QUBITS,
-    };
-    if n > cap {
-        return Err(ArgError(format!(
-            "--qubits {n} is too large for the {} engine (max {cap}); \
-             try another --engine or `qse model`",
-            engine_mode.label()
-        )));
-    }
-    let ranks: u64 = args.value("ranks", 4)?;
-    let basis: u64 = args.value("basis", 0)?;
-    if n < 64 && basis >> n != 0 {
-        return Err(ArgError(format!(
-            "--basis {basis} is not a basis state of {n} qubits (max {})",
-            (1u64 << n) - 1
-        )));
-    }
-    let circuit = build_circuit(&args.string("circuit", "qft"), n)?;
-    let mut cfg = SimConfig::default_for(ranks);
+    let mut cfg = SimConfig::default_for(1);
+    cfg.engine = engine_mode(args)?;
     cfg.exchange = exchange_mode(args.switch("non-blocking"), args.switch("streamed"));
     cfg.half_exchange_swaps = args.switch("half-swaps");
-    cfg.transpile = parse_transpile(&args.string("transpile", "off"))?;
-    cfg.engine = engine_mode;
+    cfg.transpile = transpile_mode(args)?;
     if let Some(spec) = args.optional::<String>("faults")? {
         cfg.faults = Some(qse_comm::FaultConfig::parse_spec(&spec).map_err(ArgError)?);
     }
-    let resolved = engine_mode.resolve(&circuit);
-    let dense = resolved == qse_circuit::classify::EngineChoice::Dense;
-    // Other engines ignore `--ranks`, but a given value must still be
-    // one the dense layout takes.
-    if dense || args.optional::<u64>("ranks")?.is_some() {
-        Layout::try_new(n, ranks).map_err(|e| ArgError(format!("--ranks {ranks}: {e}")))?;
+    let basis: u64 = args.value("basis", 0)?;
+    // A fixed engine's width cap bites before the circuit is built.
+    if let Some(engine) = cfg.engine.fixed() {
+        check_width(n, engine).map_err(|e| run_error(e, &cfg))?;
     }
-    if !dense && (cfg.faults.is_some() || cfg.transpile != TranspileMode::Off) {
-        return Err(ArgError(format!(
-            "--faults/--transpile shape the distributed dense path; \
-             they do not apply to the {} engine",
-            resolved.label()
-        )));
-    }
-    if dense && n > 24 {
-        return Err(ArgError(format!(
-            "--engine {} resolved to the dense engine for this circuit, \
-             and --qubits {n} is too large for an in-process dense run (max 24)",
-            engine_mode.label()
-        )));
-    }
-    let failed = |e| match e {
-        // The dense path's typed error reads without the engine prefix.
-        EngineError::Comm(e) => ArgError(format!("run failed: {e}")),
-        e => ArgError(format!("run failed: {e}")),
-    };
-    let plan = EngineExecutor::prepare(&circuit, &cfg).map_err(failed)?;
-    let run = EngineExecutor::run_prepared(&circuit, &cfg, basis, false, plan.as_ref())
-        .map_err(failed)?;
+    let circuit = named_circuit(args, n)?;
+    // Only the dense engine distributes: the others default to one rank.
+    let dense = cfg.engine.resolve(&circuit) == EngineChoice::Dense;
+    cfg.n_ranks = args.value("ranks", if dense { 4 } else { 1 })?;
+    let fail = |e| run_error(e, &cfg);
+    let resolved = cfg.admit(&circuit, basis).map_err(fail)?;
+    let plan = EngineExecutor::prepare(&circuit, &cfg).map_err(fail)?;
+    let run =
+        EngineExecutor::run_prepared(&circuit, &cfg, basis, false, plan.as_ref()).map_err(fail)?;
     let p = &run.profiled;
     // One address space has no rank traffic to report: the sparse and
     // tableau engines print their own size story (map occupancy, tableau
     // rows) instead.
     let one_space_header = || {
-        let auto = match engine_mode {
+        let auto = match cfg.engine {
             EngineMode::Auto => format!(" (auto-selected {})", resolved.label()),
             _ => String::new(),
         };
@@ -358,7 +284,7 @@ fn run(args: &Args) -> Result<String, ArgError> {
     if let Some(plan) = &plan {
         let machine = archer2();
         let oracle = qse_machine::ModelOracle::new(&machine, cfg.to_model_config());
-        let modeled = plan.price(&Layout::new(n, ranks), &oracle);
+        let modeled = plan.price(&Layout::new(n, cfg.n_ranks), &oracle);
         out += &format!(
             "transpile: {} plan steps, {} batched exchange(s); \
              exchange payload {} bytes measured vs {} modeled\n",
@@ -375,6 +301,26 @@ fn run(args: &Args) -> Result<String, ArgError> {
         );
     }
     Ok(out)
+}
+
+/// What `qse run` prints for `e`: an admission refusal names the flag
+/// it is about; anything else failed the run itself.
+fn run_error(e: EngineError, cfg: &SimConfig) -> ArgError {
+    ArgError(match e {
+        EngineError::TooWide { engine, .. } if cfg.engine == EngineMode::Auto => {
+            format!(
+                "--engine auto resolved to the {} engine: {e}",
+                engine.label()
+            )
+        }
+        EngineError::TooWide { .. } => format!("{e}; try another --engine or `qse model`"),
+        EngineError::Ranks(why) => format!("--ranks {}: {why}", cfg.n_ranks),
+        EngineError::BasisOutOfRange { basis, n } => {
+            format!("--basis {basis} is not a basis state of {n} qubits")
+        }
+        EngineError::DenseOnly { .. } => e.to_string(),
+        e => format!("run failed: {e}"),
+    })
 }
 
 fn model(args: &Args) -> Result<String, ArgError> {
@@ -414,7 +360,7 @@ fn model(args: &Args) -> Result<String, ArgError> {
     let circuit = if args.switch("fast") {
         cache_blocked_qft(n, default_split(n, layout.local_qubits()))
     } else {
-        build_circuit(&args.string("circuit", "qft"), n)?
+        named_circuit(args, n)?
     };
     let mut cfg = SimConfig::default_for(nodes);
     cfg.node_kind = kind;
@@ -473,7 +419,7 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
             ]);
             continue;
         };
-        let (circuit, mut cfg) = if args.switch("fast") {
+        let (circuit, cfg) = if args.switch("fast") {
             let local = n - nodes.trailing_zeros();
             (
                 cache_blocked_qft(n, default_split(n, local)),
@@ -482,7 +428,6 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
         } else {
             (qft(n), SimConfig::default_for(nodes))
         };
-        cfg.n_ranks = nodes;
         let est = ModelExecutor::new(&machine).run(&circuit, &cfg);
         table.row(vec![
             n.to_string(),
@@ -499,9 +444,11 @@ fn transpile(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&["qubits", "ranks", "circuit"])?;
     let n = register_width(args)?;
     let ranks: u64 = args.required("ranks")?;
-    let layout =
-        Layout::try_new(n, ranks).map_err(|e| ArgError(format!("--ranks {ranks}: {e}")))?;
-    let circuit = build_circuit(&args.string("circuit", "qft"), n)?;
+    // The run rule's rank clause without its thread cap: nothing here
+    // starts a rank.
+    let layout = check_ranks(n, ranks, u64::MAX, PASS_LOCAL_QUBITS)
+        .map_err(|e| ArgError(format!("--ranks {ranks}: {e}")))?;
+    let circuit = named_circuit(args, n)?;
     // Distributed gates and bytes one participating rank sends.
     let summary = |c: &Circuit| -> Result<(usize, u64), ArgError> {
         let traffic = circuit_traffic(c, &layout, false).map_err(|e| ArgError(e.to_string()))?;
@@ -808,19 +755,13 @@ fn serve(args: &Args) -> Result<String, ArgError> {
 fn submit_lines(args: &Args) -> Result<Vec<String>, ArgError> {
     let name = args.string("circuit", "qft");
     let n: u32 = args.required("qubits")?;
-    build_circuit(&name, n)?;
+    named::check(&name, n).map_err(|e| ArgError(e.to_string()))?;
     let shots: u64 = args.value("shots", 0u64)?;
     let seed: u64 = args.value("seed", 0u64)?;
     let ranks: u64 = args.value("ranks", 1u64)?;
     let basis: u64 = args.value("basis", 0u64)?;
-    let transpile = args.string("transpile", "off");
-    parse_transpile(&transpile)?;
-    let engine = args.string("engine", "dense");
-    if EngineMode::parse(&engine).is_none() {
-        return Err(ArgError(format!(
-            "unknown engine `{engine}` (auto, dense, sparse, stabilizer)"
-        )));
-    }
+    let transpile = transpile_mode(args)?.label();
+    let engine = engine_mode(args)?.label();
     let repeat: usize = args.value("repeat", 1usize)?.max(1);
     Ok((0..repeat)
         .map(|i| {
@@ -863,18 +804,18 @@ fn submit(args: &Args) -> Result<String, ArgError> {
         .map_err(|e| ArgError(e.to_string()))?;
     let mut write_half = stream.try_clone().map_err(|e| ArgError(e.to_string()))?;
     use std::io::Write;
+    let mut sent = 0usize;
     let mut send = |line: &str| {
+        sent += 1;
         write_half
             .write_all(line.as_bytes())
             .and_then(|()| write_half.write_all(b"\n"))
             .map_err(|e| ArgError(format!("send failed: {e}")))
     };
-    let mut sent = 0usize;
     match jobs {
         Some(lines) => {
             for line in &lines {
                 send(line)?;
-                sent += 1;
             }
         }
         None => {
@@ -888,7 +829,6 @@ fn submit(args: &Args) -> Result<String, ArgError> {
                     continue;
                 }
                 send(&line)?;
-                sent += 1;
             }
         }
     }
@@ -1299,6 +1239,148 @@ mod tests {
     #[test]
     fn model_rejects_zero_qubits() {
         assert_typed_error(&["model", "--qubits", "0"], "--qubits 0");
+    }
+
+    #[test]
+    fn submit_refuses_a_bad_width_typed() {
+        for n in ["0", "5000"] {
+            assert_typed_error(
+                &["submit", "--port", "1", "--qubits", n],
+                &format!("circuit `qft` takes 1..=4096 qubits, got {n}"),
+            );
+        }
+        assert_typed_error(
+            &["submit", "--port", "1", "--qubits", "64", "--circuit", "bv"],
+            "takes 1..=63 qubits",
+        );
+        // The server builds `qft-blocked` from the same table.
+        let tokens = ["submit", "--qubits", "6", "--circuit", "qft-blocked"];
+        let args = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        assert_eq!(submit_lines(&args).map(|l| l.len()), Ok(1));
+    }
+
+    #[test]
+    fn run_and_transpile_refuse_ranks_that_leave_no_local_qubit() {
+        for mode in ["greedy", "beam"] {
+            assert_typed_error(
+                &["run", "--qubits", "3", "--ranks", "8", "--transpile", mode],
+                "--ranks 8: 0 local qubits, needs 2",
+            );
+        }
+        assert_typed_error(
+            &["transpile", "--qubits", "3", "--ranks", "8"],
+            "--ranks 8: 0 local qubits, needs 2",
+        );
+        // `transpile` starts no rank, so no thread cap applies.
+        assert!(run_cli(&["transpile", "--qubits", "38", "--ranks", "64"]).is_ok());
+    }
+
+    #[test]
+    fn run_refuses_more_ranks_than_the_thread_cap() {
+        assert_typed_error(
+            &["run", "--qubits", "10", "--ranks", "32"],
+            "--ranks 32: at most 16 ranks run, one thread each",
+        );
+        assert!(run_cli(&["run", "--qubits", "10", "--ranks", "16"]).is_ok());
+    }
+
+    /// `qse run` and `Server::submit` accept or refuse exactly when
+    /// `SimConfig::admit` does, and refuse with its error, on every case
+    /// of `qse-core`'s admission table with at most 24 qubits and 32 ranks.
+    /// The server has no memory budget, so a job the rule admits stops at
+    /// `OverBudget` and never runs.
+    #[test]
+    fn run_and_serve_admit_exactly_what_the_rule_admits() {
+        use qse_serve::{JobSpec, ServeConfig, ServeError, Server};
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            mem_budget_bytes: 0,
+            ..ServeConfig::default()
+        });
+        let fault_spec = "seed=1";
+        for n in [1u32, 2, 3, 4, 24] {
+            let ranks = [1u64, 2, 3, 16, 32, 1 << (n - 1), 1 << n];
+            let bases = [0, (1u64 << n) - 1, 1 << n];
+            for name in ["qft", "ghz"] {
+                let circuit = named::build(name, n).unwrap();
+                for mode in ["auto", "dense", "sparse", "stabilizer"] {
+                    for (r, b) in ranks
+                        .iter()
+                        .filter(|&&r| r <= 32)
+                        .flat_map(|&r| bases.map(|b| (r, b)))
+                    {
+                        for (faults, t) in [
+                            (false, "off"),
+                            (false, "beam"),
+                            (true, "off"),
+                            (true, "beam"),
+                        ] {
+                            let mut cfg = SimConfig::default_for(r);
+                            cfg.engine = EngineMode::parse(mode).unwrap();
+                            cfg.transpile = TranspileMode::parse(t).unwrap();
+                            cfg.faults = faults
+                                .then(|| qse_comm::FaultConfig::parse_spec(fault_spec).unwrap());
+                            let rule = cfg.admit(&circuit, b);
+                            let case = format!("{name}({n}) --engine {mode} --ranks {r} --basis {b} --transpile {t} faults={faults}");
+                            let served = server.submit(JobSpec {
+                                id: "case".into(),
+                                circuit: circuit.clone(),
+                                ranks: r,
+                                transpile: cfg.transpile,
+                                shots: 0,
+                                seed: 0,
+                                basis: b,
+                                faults: cfg.faults,
+                                engine: cfg.engine,
+                            });
+                            match (&rule, served.err()) {
+                                (Ok(_), Some(ServeError::OverBudget { .. })) => {}
+                                (Err(e), Some(ServeError::BadRequest { detail })) => {
+                                    assert_eq!(detail, e.to_string(), "{case}")
+                                }
+                                (rule, served) => panic!("{case}: rule {rule:?}, serve {served:?}"),
+                            }
+                            // An admitted run executes: at 24 qubits only GHZ
+                            // off the dense engine is cheap (a dense run or a
+                            // sparse QFT holds 2^24 amplitudes).
+                            let cheap =
+                                n < 24 || (name == "ghz" && rule != Ok(EngineChoice::Dense));
+                            if rule.is_ok() && !cheap {
+                                continue;
+                            }
+                            let (n, r, b) = (n.to_string(), r.to_string(), b.to_string());
+                            let mut tokens = vec![
+                                "run",
+                                "--qubits",
+                                &n,
+                                "--ranks",
+                                &r,
+                                "--basis",
+                                &b,
+                                "--circuit",
+                                name,
+                                "--engine",
+                                mode,
+                                "--transpile",
+                                t,
+                            ];
+                            if faults {
+                                tokens.extend(["--faults", fault_spec]);
+                            }
+                            let ran = run_cli(&tokens);
+                            match rule {
+                                Ok(_) => assert!(
+                                    ran.as_ref()
+                                        .map_or_else(|e| e.0.starts_with("run failed"), |_| true),
+                                    "{case}: {ran:?}"
+                                ),
+                                Err(e) => assert_eq!(ran, Err(run_error(e, &cfg)), "{case}"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The three execution backends behind one call shape.
 
-use crate::config::SimConfig;
+use crate::config::{basis_fits, RankError, SimConfig};
 use crate::profile::{ClassProfile, ProfiledRun};
 use qse_circuit::classify::{EngineChoice, Layout};
 use qse_circuit::transpile::{comm_avoid, Plan};
 use qse_circuit::Circuit;
-use qse_comm::{CommError, Universe};
+use qse_comm::{CommError, TrafficStats, Universe};
 use qse_machine::archer2::Machine;
 use qse_machine::perf::RunEstimate;
 use qse_machine::{archer2, ModelOracle};
@@ -126,7 +126,7 @@ impl ThreadClusterExecutor {
         plan: Option<&Plan>,
     ) -> Result<ClusterRun, CommError> {
         let n = circuit.n_qubits();
-        if basis.checked_shr(n).unwrap_or(0) != 0 {
+        if !basis_fits(basis, n) {
             return Err(CommError::BasisOutOfRange { basis, n });
         }
         let n_ranks = config.n_ranks as usize;
@@ -160,21 +160,9 @@ impl ThreadClusterExecutor {
         }
         let mut results: Vec<_> = per_rank.into_iter().flatten().collect();
 
-        let total_bytes: u64 = results.iter().map(|(_, _, s, _)| s.bytes_sent).sum();
-        let total_exchanged: u64 = results.iter().map(|(_, _, s, _)| s.bytes_exchanged).sum();
-        let total_msgs: u64 = results.iter().map(|(_, _, s, _)| s.messages_sent).sum();
-        let total_chunks: u64 = results.iter().map(|(_, _, s, _)| s.exchange_chunks).sum();
-        let peak_inflight: u64 = results
+        let total = results
             .iter()
-            .map(|(_, _, s, _)| s.peak_inflight_bytes)
-            .max()
-            .unwrap_or(0);
-        let faults_injected: u64 = results.iter().map(|(_, _, s, _)| s.faults_injected).sum();
-        let retries: u64 = results.iter().map(|(_, _, s, _)| s.retries).sum();
-        let corruptions: u64 = results
-            .iter()
-            .map(|(_, _, s, _)| s.corruptions_detected)
-            .sum();
+            .fold(TrafficStats::default(), |acc, (_, _, s, _)| acc.merge(*s));
         // Moved out, not cloned: the gathered state is all 2ⁿ amplitudes.
         let state = results.iter_mut().find_map(|(_, _, _, st)| st.take());
         let (wall, profile, _, _) = &results[0];
@@ -184,15 +172,15 @@ impl ThreadClusterExecutor {
                 n_ranks: config.n_ranks,
                 wall_s: *wall,
                 profile: *profile,
-                bytes_sent: total_bytes,
-                bytes_exchanged: total_exchanged,
-                messages_sent: total_msgs,
-                exchange_chunks: total_chunks,
-                peak_inflight_bytes: peak_inflight,
+                bytes_sent: total.bytes_sent,
+                bytes_exchanged: total.bytes_exchanged,
+                messages_sent: total.messages_sent,
+                exchange_chunks: total.exchange_chunks,
+                peak_inflight_bytes: total.peak_inflight_bytes,
                 gate_count: step_count,
-                faults_injected,
-                retries,
-                corruptions_detected: corruptions,
+                faults_injected: total.faults_injected,
+                retries: total.retries,
+                corruptions_detected: total.corruptions_detected,
                 engine: "dense",
             },
             state,
@@ -265,6 +253,14 @@ pub enum EngineError {
         /// Register width.
         n: u32,
     },
+    /// The rank count cannot run the register.
+    Ranks(RankError),
+    /// Faults or transpilation were asked of an engine other than the
+    /// dense one, which alone runs the distributed path they shape.
+    DenseOnly {
+        /// The engine that would run the circuit.
+        engine: EngineChoice,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -275,7 +271,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Measure(e) => write!(f, "measurement: {e}"),
             EngineError::TooWide { n, max, engine } => write!(
                 f,
-                "{} engine caps at {max} qubits, circuit has {n}",
+                "{n} qubits are too many for the {} engine (max {max})",
                 engine.label()
             ),
             EngineError::StateNotGathered => {
@@ -284,6 +280,13 @@ impl std::fmt::Display for EngineError {
             EngineError::BasisOutOfRange { basis, n } => {
                 write!(f, "basis {basis} is not a basis state of {n} qubits")
             }
+            EngineError::Ranks(e) => write!(f, "bad rank count: {e}"),
+            EngineError::DenseOnly { engine } => write!(
+                f,
+                "faults and transpilation shape the distributed dense path; \
+                 they do not apply to the {} engine",
+                engine.label()
+            ),
         }
     }
 }
@@ -381,14 +384,15 @@ impl EngineExecutor {
         Self::run_prepared(circuit, config, basis, gather, plan.as_ref())
     }
 
-    /// Resolves `config.engine` for `circuit` and, when it lands dense,
-    /// builds and statically verifies the plan
-    /// ([`ThreadClusterExecutor::prepare`]). Sparse and tableau runs have
-    /// no exchange plan: `Ok(None)`. Every consumer prepares here — the
-    /// CLI's `run`, which prices the plan it ran, and the serve cache on
-    /// a miss.
+    /// Admits `circuit` under `config` ([`SimConfig::admit`], without
+    /// its basis clause) and, when it lands dense, builds and statically
+    /// verifies the plan ([`ThreadClusterExecutor::prepare`]). Sparse and
+    /// tableau runs have no exchange plan: `Ok(None)`. Every consumer
+    /// prepares here — the CLI's `run`, which prices the plan it ran, and
+    /// the serve cache on a miss.
     pub fn prepare(circuit: &Circuit, config: &SimConfig) -> Result<Option<Plan>, EngineError> {
-        Ok(match config.engine.resolve(circuit) {
+        // Basis 0 names a state of every register.
+        Ok(match config.admit(circuit, 0)? {
             EngineChoice::Dense => ThreadClusterExecutor::prepare(circuit, config)?,
             EngineChoice::Sparse | EngineChoice::Stabilizer => None,
         })
@@ -396,7 +400,8 @@ impl EngineExecutor {
 
     /// [`Self::run`] with the plan already built by [`Self::prepare`] —
     /// the serve cache-hit path, under the same proof obligation as
-    /// [`ThreadClusterExecutor::try_run_prepared`].
+    /// [`ThreadClusterExecutor::try_run_prepared`]. Admits the run
+    /// ([`SimConfig::admit`]) before anything starts.
     pub fn run_prepared(
         circuit: &Circuit,
         config: &SimConfig,
@@ -405,10 +410,7 @@ impl EngineExecutor {
         plan: Option<&Plan>,
     ) -> Result<EngineRun, EngineError> {
         let n = circuit.n_qubits();
-        if basis.checked_shr(n).unwrap_or(0) != 0 {
-            return Err(EngineError::BasisOutOfRange { basis, n });
-        }
-        let engine = config.engine.resolve(circuit);
+        let engine = config.admit(circuit, basis)?;
         match engine {
             EngineChoice::Dense => {
                 let run =
@@ -420,13 +422,6 @@ impl EngineExecutor {
                 })
             }
             EngineChoice::Sparse => {
-                if n > qse_statevec::MAX_SPARSE_QUBITS {
-                    return Err(EngineError::TooWide {
-                        n,
-                        max: qse_statevec::MAX_SPARSE_QUBITS,
-                        engine,
-                    });
-                }
                 let start = Instant::now();
                 let mut s = SparseState::basis_state(n, basis);
                 s.run(circuit);
@@ -841,6 +836,20 @@ mod tests {
             .sample_counts(&mut StdRng::seed_from_u64(1), 10)
             .expect_err("no state to sample");
         assert_eq!(err, EngineError::StateNotGathered);
+    }
+
+    #[test]
+    fn prepare_refuses_a_pass_without_a_spare_local_qubit() {
+        // One local qubit: the CNOTs of GHZ leave a placement pass no
+        // victim slot, so admission refuses before the pass runs.
+        let mut cfg = SimConfig::default_for(4);
+        cfg.transpile = crate::config::TranspileMode::Beam;
+        assert_eq!(
+            EngineExecutor::prepare(&ghz(3), &cfg).err(),
+            Some(EngineError::Ranks(RankError::TooFewLocal(1, 2)))
+        );
+        cfg.n_ranks = 2;
+        assert!(EngineExecutor::prepare(&ghz(3), &cfg).is_ok());
     }
 
     /// Runs `ghz(8)` on `mode` from basis 256, one past the register.

@@ -21,7 +21,10 @@ pub mod experiment;
 pub mod profile;
 pub mod scaling;
 
-pub use config::{EngineMode, SimConfig, TranspileMode};
+pub use config::{
+    basis_fits, check_ranks, check_width, EngineMode, RankError, SimConfig, TranspileMode,
+    MAX_DENSE_QUBITS, MAX_RANKS, PASS_LOCAL_QUBITS,
+};
 pub use executor::{
     comm_avoid_plan, EngineError, EngineExecutor, EngineRun, EngineState, LocalExecutor,
     ModelExecutor, ThreadClusterExecutor,

@@ -230,4 +230,43 @@ mod tests {
         drop(conn);
         server.shutdown();
     }
+
+    /// Lines that parse but that the admission rule refuses: the refusal
+    /// comes from `Server::submit` as a `BadRequest`, and a front end
+    /// answers it with the job's id.
+    #[test]
+    fn admission_refusals_come_from_submit_with_the_job_id() {
+        let server = Arc::new(Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        }));
+        let (tx, rx) = qse_util::mailbox::unbounded();
+        for line in [
+            r#"{"op":"submit","id":"x","ranks":3,"circuit":{"name":"qft","qubits":5}}"#,
+            r#"{"op":"submit","id":"x","basis":64,"circuit":{"qubits":2,"gates":[]}}"#,
+        ] {
+            let Ok(Request::Submit(spec)) = parse_request(line) else {
+                panic!("{line} parses")
+            };
+            let err = server.submit(spec).err();
+            assert!(
+                matches!(err, Some(ServeError::BadRequest { .. })),
+                "{line} → {err:?}"
+            );
+            handle_line(&server, line, &tx);
+            let reply = rx.recv_timeout(Duration::from_secs(60)).expect("a reply");
+            let json = qse_util::json::Json::parse(&reply).unwrap();
+            assert_eq!(
+                json.get("id").and_then(|v| v.as_str()),
+                Some("x"),
+                "{reply}"
+            );
+            assert_eq!(
+                json.get("code").and_then(|v| v.as_str()),
+                Some("bad_request"),
+                "{reply}"
+            );
+        }
+        server.shutdown();
+    }
 }

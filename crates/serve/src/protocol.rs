@@ -10,7 +10,7 @@
 //!              "transpile"?: "off"|"greedy"|"beam",
 //!              "engine"?: "auto"|"dense"|"sparse"|"stabilizer",
 //!              "basis"?: int, "faults"?: str}
-//! circuit  := {"name": "qft"|"ghz"|"grover"|"bv", "qubits": int}
+//! circuit  := {"name": "qft"|"qft-blocked"|"ghz"|"grover"|"bv", "qubits": int}
 //!           | {"qubits": int, "gates": [gate…]}
 //! gate     := ["h"|"x"|"y"|"z"|"s"|"sdg"|"t"|"tdg", q]
 //!           | ["phase"|"rz"|"rx"|"ry", q, theta]
@@ -19,26 +19,24 @@
 //! stats    := {"op":"stats"}
 //! ```
 //!
+//! Parsing checks the wire: types, the `id` length, the shot and gate
+//! caps, `qubits ≤ MAX_DENSE_QUBITS` and the fault-spec grammar. Whether
+//! the job may run — engine width, ranks, basis, dense-only options — is
+//! `SimConfig::admit`'s call, made at `Server::submit_with`.
+//!
 //! Responses echo the job `id` and carry either a result (`"ok":true`,
 //! cache/batch provenance, counts, a 64-bit tree digest of the final
 //! state) or a typed error (`"ok":false`, `"code"`, `"error"`).
 
 use crate::error::ServeError;
-use qse_circuit::algorithms::{bernstein_vazirani, ghz, grover, grover_optimal_iterations};
 use qse_circuit::gate::Gate;
-use qse_circuit::qft::qft;
 use qse_circuit::Circuit;
 use qse_comm::FaultConfig;
-use qse_core::config::{EngineMode, TranspileMode};
+use qse_core::config::{EngineMode, TranspileMode, MAX_DENSE_QUBITS};
 use qse_util::json::{Json, JsonError};
 use std::collections::BTreeMap;
 use std::io::Read;
 
-/// Largest register the service admits — matches the CLI `run` cap; the
-/// memory budget usually bites first.
-pub const MAX_QUBITS: u32 = 24;
-/// Largest rank count a job may request (thread ranks are real threads).
-pub const MAX_RANKS: u64 = 16;
 /// Default cap on one request line, in bytes.
 pub const DEFAULT_MAX_LINE: usize = 1 << 20;
 
@@ -110,31 +108,12 @@ fn parse_submit(json: &Json) -> Result<JobSpec, ServeError> {
         json.get("circuit")
             .ok_or_else(|| bad("submit needs a \"circuit\""))?,
     )?;
-    let ranks = match json.get("ranks") {
-        None => 1,
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| bad("\"ranks\" must be an integer"))?,
-    };
-    if ranks == 0 || !ranks.is_power_of_two() || ranks > MAX_RANKS {
-        return Err(bad(format!(
-            "\"ranks\" must be a power of two in 1..={MAX_RANKS}, got {ranks}"
-        )));
-    }
-    if (1u64 << circuit.n_qubits()) < 2 * ranks {
-        return Err(bad(format!(
-            "{} qubits cannot be split over {ranks} ranks",
-            circuit.n_qubits()
-        )));
-    }
     let transpile = match json.get("transpile") {
         None => TranspileMode::Off,
-        Some(v) => match v.as_str() {
-            Some("off") => TranspileMode::Off,
-            Some("greedy") => TranspileMode::Greedy,
-            Some("beam") => TranspileMode::Beam,
-            _ => return Err(bad("\"transpile\" must be off|greedy|beam")),
-        },
+        Some(v) => v
+            .as_str()
+            .and_then(TranspileMode::parse)
+            .ok_or_else(|| bad("\"transpile\" must be off|greedy|beam"))?,
     };
     let uint_field = |key: &str, default: u64| -> Result<u64, ServeError> {
         match json.get(key) {
@@ -144,18 +123,13 @@ fn parse_submit(json: &Json) -> Result<JobSpec, ServeError> {
                 .ok_or_else(|| bad(format!("\"{key}\" must be a non-negative integer"))),
         }
     };
+    let ranks = uint_field("ranks", 1)?;
     let shots = uint_field("shots", 0)? as usize;
     if shots > 1_000_000 {
         return Err(bad("\"shots\" capped at 1000000"));
     }
     let seed = uint_field("seed", 0)?;
     let basis = uint_field("basis", 0)?;
-    if basis >> circuit.n_qubits() != 0 {
-        return Err(bad(format!(
-            "\"basis\" {basis} out of range for {} qubits",
-            circuit.n_qubits()
-        )));
-    }
     let engine = match json.get("engine") {
         None => EngineMode::Dense,
         Some(v) => v
@@ -190,22 +164,12 @@ fn parse_circuit(json: &Json) -> Result<Circuit, ServeError> {
         .get("qubits")
         .and_then(Json::as_u64)
         .ok_or_else(|| bad("circuit needs integer \"qubits\""))?;
-    if n == 0 || n > u64::from(MAX_QUBITS) {
-        return Err(bad(format!("\"qubits\" must be in 1..={MAX_QUBITS}")));
+    if n == 0 || n > u64::from(MAX_DENSE_QUBITS) {
+        return Err(bad(format!("\"qubits\" must be in 1..={MAX_DENSE_QUBITS}")));
     }
     let n = n as u32;
     if let Some(name) = json.get("name").and_then(Json::as_str) {
-        return Ok(match name {
-            "qft" => qft(n),
-            "ghz" => ghz(n),
-            "grover" => grover(n, (1u64 << n) - 1, grover_optimal_iterations(n)),
-            "bv" => bernstein_vazirani(n, (1u64 << n) / 3),
-            other => {
-                return Err(bad(format!(
-                    "unknown circuit `{other}` (qft, ghz, grover, bv)"
-                )))
-            }
-        });
+        return qse_circuit::named::build(name, n).map_err(|e| bad(e.to_string()));
     }
     let gates = json
         .get("gates")
@@ -234,15 +198,15 @@ fn parse_gate(json: &Json, n: u32) -> Result<Gate, ServeError> {
         .first()
         .and_then(Json::as_str)
         .ok_or_else(|| bad("gate needs a name string first"))?;
-    let qubit = |idx: usize| -> Result<u32, ServeError> {
-        let q = arr
-            .get(idx)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(format!("`{name}` needs a qubit at position {idx}")))?;
+    let in_range = |q: u64| -> Result<u32, ServeError> {
         if q >= u64::from(n) {
             return Err(bad(format!("qubit {q} out of range for {n} qubits")));
         }
         Ok(q as u32)
+    };
+    let qubit = |idx: usize| {
+        let q = arr.get(idx).and_then(Json::as_u64);
+        in_range(q.ok_or_else(|| bad(format!("`{name}` needs a qubit at position {idx}")))?)
     };
     let angle = |idx: usize| -> Result<f64, ServeError> {
         let theta = arr
@@ -271,92 +235,38 @@ fn parse_gate(json: &Json, n: u32) -> Result<Gate, ServeError> {
             Ok(())
         }
     };
+    let one = |gate: fn(u32) -> Gate| -> Result<Gate, ServeError> {
+        arity(1)?;
+        Ok(gate(qubit(1)?))
+    };
+    let rotation = |gate: fn(u32, f64) -> Gate| -> Result<Gate, ServeError> {
+        arity(2)?;
+        Ok(gate(qubit(1)?, angle(2)?))
+    };
+    let pair = |want: usize| -> Result<(u32, u32), ServeError> {
+        arity(want)?;
+        let (a, b) = (qubit(1)?, qubit(2)?);
+        distinct(a, b)?;
+        Ok((a, b))
+    };
     Ok(match name {
-        "h" => {
-            arity(1)?;
-            Gate::H(qubit(1)?)
-        }
-        "x" => {
-            arity(1)?;
-            Gate::X(qubit(1)?)
-        }
-        "y" => {
-            arity(1)?;
-            Gate::Y(qubit(1)?)
-        }
-        "z" => {
-            arity(1)?;
-            Gate::Z(qubit(1)?)
-        }
-        "s" => {
-            arity(1)?;
-            Gate::S(qubit(1)?)
-        }
-        "sdg" => {
-            arity(1)?;
-            Gate::Sdg(qubit(1)?)
-        }
-        "t" => {
-            arity(1)?;
-            Gate::T(qubit(1)?)
-        }
-        "tdg" => {
-            arity(1)?;
-            Gate::Tdg(qubit(1)?)
-        }
-        "phase" => {
-            arity(2)?;
-            Gate::Phase {
-                target: qubit(1)?,
-                theta: angle(2)?,
-            }
-        }
-        "rz" => {
-            arity(2)?;
-            Gate::Rz {
-                target: qubit(1)?,
-                theta: angle(2)?,
-            }
-        }
-        "rx" => {
-            arity(2)?;
-            Gate::Rx {
-                target: qubit(1)?,
-                theta: angle(2)?,
-            }
-        }
-        "ry" => {
-            arity(2)?;
-            Gate::Ry {
-                target: qubit(1)?,
-                theta: angle(2)?,
-            }
-        }
-        "cnot" => {
-            arity(2)?;
-            let (c, t) = (qubit(1)?, qubit(2)?);
-            distinct(c, t)?;
-            Gate::CNot {
-                control: c,
-                target: t,
-            }
-        }
-        "cz" => {
-            arity(2)?;
-            let (a, b) = (qubit(1)?, qubit(2)?);
-            distinct(a, b)?;
-            Gate::CZ(a, b)
-        }
-        "swap" => {
-            arity(2)?;
-            let (a, b) = (qubit(1)?, qubit(2)?);
-            distinct(a, b)?;
-            Gate::Swap(a, b)
-        }
+        "h" => one(Gate::H)?,
+        "x" => one(Gate::X)?,
+        "y" => one(Gate::Y)?,
+        "z" => one(Gate::Z)?,
+        "s" => one(Gate::S)?,
+        "sdg" => one(Gate::Sdg)?,
+        "t" => one(Gate::T)?,
+        "tdg" => one(Gate::Tdg)?,
+        "phase" => rotation(|target, theta| Gate::Phase { target, theta })?,
+        "rz" => rotation(|target, theta| Gate::Rz { target, theta })?,
+        "rx" => rotation(|target, theta| Gate::Rx { target, theta })?,
+        "ry" => rotation(|target, theta| Gate::Ry { target, theta })?,
+        "cnot" => pair(2).map(|(control, target)| Gate::CNot { control, target })?,
+        "cz" => pair(2).map(|(a, b)| Gate::CZ(a, b))?,
+        "swap" => pair(2).map(|(a, b)| Gate::Swap(a, b))?,
         "cphase" => {
-            arity(3)?;
-            let (a, b) = (qubit(1)?, qubit(2)?);
-            distinct(a, b)?;
+            let (a, b) = pair(3)?;
             Gate::CPhase {
                 a,
                 b,
@@ -374,15 +284,10 @@ fn parse_gate(json: &Json, n: u32) -> Result<Gate, ServeError> {
                 let q = q
                     .as_u64()
                     .ok_or_else(|| bad("`mcphase` qubits must be integers"))?;
-                if q >= u64::from(n) {
-                    return Err(bad(format!("qubit {q} out of range for {n} qubits")));
-                }
-                qubits.push(q as u32);
+                qubits.push(in_range(q)?);
             }
-            let mut sorted = qubits.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.is_empty() || sorted.len() != qubits.len() {
+            let unique: std::collections::BTreeSet<_> = qubits.iter().collect();
+            if qubits.is_empty() || unique.len() != qubits.len() {
                 return Err(bad("`mcphase` needs ≥1 distinct qubits"));
             }
             Gate::MCPhase {
@@ -423,33 +328,23 @@ pub use qse_statevec::digest::{dense as state_fingerprint, sparse as sparse_stat
 
 /// Renders a success response line (no trailing newline).
 pub fn render_result(r: &JobResult) -> String {
+    let cache = if r.cache_hit { "hit" } else { "miss" };
     let mut fields = vec![
-        ("id".to_string(), Json::Str(r.id.clone())),
-        ("ok".to_string(), Json::Bool(true)),
-        (
-            "cache".to_string(),
-            Json::Str(if r.cache_hit { "hit" } else { "miss" }.to_string()),
-        ),
-        ("batched".to_string(), Json::UInt(r.batched as u64)),
-        ("latency_us".to_string(), Json::UInt(r.latency_us)),
-        (
-            "state_fnv".to_string(),
-            Json::Str(format!("{:016x}", r.state_fnv)),
-        ),
-        ("engine".to_string(), Json::Str(r.engine.to_string())),
+        ("id", Json::Str(r.id.clone())),
+        ("ok", Json::Bool(true)),
+        ("cache", Json::Str(cache.to_string())),
+        ("batched", Json::UInt(r.batched as u64)),
+        ("latency_us", Json::UInt(r.latency_us)),
+        ("state_fnv", Json::Str(format!("{:016x}", r.state_fnv))),
+        ("engine", Json::Str(r.engine.to_string())),
     ];
     if let Some(counts) = &r.counts {
-        fields.push((
-            "counts".to_string(),
-            Json::Obj(
-                counts
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), Json::UInt(*v as u64)))
-                    .collect(),
-            ),
-        ));
+        let counts = counts
+            .iter()
+            .map(|(k, v)| (k.to_string(), Json::UInt(*v as u64)));
+        fields.push(("counts", Json::object(counts)));
     }
-    Json::Obj(fields).to_string()
+    Json::object(fields).to_string()
 }
 
 /// Renders an error response line (no trailing newline). `id` is absent
@@ -457,12 +352,12 @@ pub fn render_result(r: &JobResult) -> String {
 pub fn render_error(id: Option<&str>, err: &ServeError) -> String {
     let mut fields = Vec::with_capacity(4);
     if let Some(id) = id {
-        fields.push(("id".to_string(), Json::Str(id.to_string())));
+        fields.push(("id", Json::Str(id.to_string())));
     }
-    fields.push(("ok".to_string(), Json::Bool(false)));
-    fields.push(("code".to_string(), Json::Str(err.code().to_string())));
-    fields.push(("error".to_string(), Json::Str(err.to_string())));
-    Json::Obj(fields).to_string()
+    fields.push(("ok", Json::Bool(false)));
+    fields.push(("code", Json::Str(err.code().to_string())));
+    fields.push(("error", Json::Str(err.to_string())));
+    Json::object(fields).to_string()
 }
 
 /// Why [`BoundedLineReader`] stopped producing lines.
@@ -570,7 +465,7 @@ mod tests {
             panic!("expected submit")
         };
         assert_eq!(spec.id, "j1");
-        assert_eq!(spec.circuit, qft(5));
+        assert_eq!(spec.circuit, qse_circuit::qft::qft(5));
         assert_eq!(spec.ranks, 1);
         assert_eq!(spec.shots, 0);
         assert_eq!(spec.transpile, TranspileMode::Off);
@@ -634,8 +529,6 @@ mod tests {
             r#"{"op":"submit","id":"x","circuit":{"qubits":2,"gates":[["cnot",1,1]]}}"#,
             r#"{"op":"submit","id":"x","circuit":{"qubits":2,"gates":[["mcphase",[0,0],1.0]]}}"#,
             r#"{"op":"submit","id":"x","circuit":{"qubits":99,"gates":[]}}"#,
-            r#"{"op":"submit","id":"x","ranks":3,"circuit":{"name":"qft","qubits":5}}"#,
-            r#"{"op":"submit","id":"x","basis":64,"circuit":{"qubits":2,"gates":[]}}"#,
             r#"{"op":"submit","id":"x","faults":"bogus","circuit":{"name":"qft","qubits":5}}"#,
         ] {
             let err = parse_request(line).expect_err(line);
@@ -645,6 +538,18 @@ mod tests {
             );
         }
         assert_eq!(parse_request(r#"{"op":"stats"}"#).unwrap(), Request::Stats);
+    }
+
+    #[test]
+    fn named_circuits_come_from_the_shared_table() {
+        let req = r#"{"op":"submit","id":"j","circuit":{"name":"qft-blocked","qubits":6}}"#;
+        let Request::Submit(spec) = parse_request(req).unwrap() else {
+            panic!("expected submit")
+        };
+        assert_eq!(
+            Ok(spec.circuit),
+            qse_circuit::named::build("qft-blocked", 6)
+        );
     }
 
     #[test]

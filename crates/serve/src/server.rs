@@ -1,8 +1,9 @@
 //! The job queue, admission control, worker pool and shot batching.
 //!
-//! Life of a job: `submit` canonicalises the circuit, prices its
-//! amplitude footprint against the memory budget, and enqueues it (or
-//! rejects it typed). A worker pops the oldest job and *drains every
+//! Life of a job: `submit` canonicalises the circuit, admits it
+//! (`SimConfig::admit`: engine width, ranks, basis, dense-only options),
+//! prices its amplitude footprint against the memory budget, and
+//! enqueues it (or rejects it typed). A worker pops the oldest job and *drains every
 //! queued job with the same batch key* — same canonical plan, basis and
 //! fault spec — into one batch that pays a single execution. One batch
 //! path serves every engine. The plan comes from the LRU cache (hit:
@@ -16,10 +17,8 @@
 use crate::cache::{plan_cost_bytes, CacheStats, CachedPlan, PlanCache};
 use crate::error::ServeError;
 use crate::protocol::{sparse_state_fingerprint, state_fingerprint, JobResult, JobSpec};
-use qse_circuit::classify::EngineChoice;
 use qse_circuit::hash::{canonical_hash, canonicalize};
-use qse_comm::FaultConfig;
-use qse_core::config::{SimConfig, TranspileMode};
+use qse_core::config::SimConfig;
 use qse_core::executor::{EngineError, EngineExecutor, EngineRun, EngineState};
 use qse_util::cdf::Cdf;
 use qse_util::json::Json;
@@ -84,22 +83,12 @@ pub fn job_footprint_bytes(n_qubits: u32) -> u64 {
     2 * 16 * (1u64 << n_qubits)
 }
 
-/// One byte per strategy folded into the cache key: a plan compiled
-/// under `beam` must never be served to a `greedy` submission.
-fn strategy_tag(mode: TranspileMode) -> u8 {
-    match mode {
-        TranspileMode::Off => 0,
-        TranspileMode::Greedy => 1,
-        TranspileMode::Beam => 2,
-    }
-}
-
 /// The strategy tag with the *requested* engine mode folded into the
 /// upper bits: an `auto` submission and an explicit `dense` one key
 /// separate cache entries even when auto resolves to the dense engine,
 /// so re-requesting either mode is a hit on its own entry.
 fn cache_tag(spec: &JobSpec) -> u8 {
-    strategy_tag(spec.transpile) | (spec.engine.tag() << 2)
+    spec.transpile.tag() | (spec.engine.tag() << 2)
 }
 
 struct Job {
@@ -172,32 +161,26 @@ pub struct StatsSnapshot {
 impl StatsSnapshot {
     /// Renders the `{"op":"stats"}` response line (no newline).
     pub fn render(&self) -> String {
-        Json::Obj(vec![
-            ("ok".into(), Json::Bool(true)),
-            ("submitted".into(), Json::UInt(self.submitted)),
-            ("completed".into(), Json::UInt(self.completed)),
-            ("failed".into(), Json::UInt(self.failed)),
+        Json::object([
+            ("ok", Json::Bool(true)),
+            ("submitted", Json::UInt(self.submitted)),
+            ("completed", Json::UInt(self.completed)),
+            ("failed", Json::UInt(self.failed)),
             (
-                "rejected_over_budget".into(),
+                "rejected_over_budget",
                 Json::UInt(self.rejected_over_budget),
             ),
-            (
-                "rejected_queue_full".into(),
-                Json::UInt(self.rejected_queue_full),
-            ),
-            ("executions".into(), Json::UInt(self.executions)),
-            ("batched_jobs".into(), Json::UInt(self.batched_jobs)),
-            ("max_batch".into(), Json::UInt(self.max_batch)),
-            ("queue_depth".into(), Json::UInt(self.queue_depth as u64)),
-            ("reserved_bytes".into(), Json::UInt(self.reserved_bytes)),
-            ("cache_hits".into(), Json::UInt(self.cache.hits)),
-            ("cache_misses".into(), Json::UInt(self.cache.misses)),
-            ("cache_evictions".into(), Json::UInt(self.cache.evictions)),
-            (
-                "cache_entries".into(),
-                Json::UInt(self.cache.entries as u64),
-            ),
-            ("cache_bytes".into(), Json::UInt(self.cache.bytes as u64)),
+            ("rejected_queue_full", Json::UInt(self.rejected_queue_full)),
+            ("executions", Json::UInt(self.executions)),
+            ("batched_jobs", Json::UInt(self.batched_jobs)),
+            ("max_batch", Json::UInt(self.max_batch)),
+            ("queue_depth", Json::UInt(self.queue_depth as u64)),
+            ("reserved_bytes", Json::UInt(self.reserved_bytes)),
+            ("cache_hits", Json::UInt(self.cache.hits)),
+            ("cache_misses", Json::UInt(self.cache.misses)),
+            ("cache_evictions", Json::UInt(self.cache.evictions)),
+            ("cache_entries", Json::UInt(self.cache.entries as u64)),
+            ("cache_bytes", Json::UInt(self.cache.bytes as u64)),
         ])
         .to_string()
     }
@@ -244,29 +227,21 @@ impl Server {
     }
 
     /// Admits `spec`, delivering the eventual response through `reply`.
-    /// Typed rejection (budget, backpressure, shutdown) is synchronous
-    /// and means `reply` will never be called.
+    /// Typed rejection (the admission rule, budget, backpressure,
+    /// shutdown) is synchronous and means `reply` will never be called.
+    /// Every front end — TCP, stdin, [`Self::submit`] — comes through here.
     pub fn submit_with(&self, spec: JobSpec, reply: Reply) -> Result<(), ServeError> {
         // Canonicalise once at admission: the canonical circuit is both
         // the cache key's preimage and the circuit every execution of
         // this equivalence class actually runs (bit-for-bit consistency
         // across hits, misses and batches).
         let canon = canonicalize(&spec.circuit);
+        sim_config(&spec)
+            .admit(&canon, spec.basis)
+            .map_err(|e| ServeError::BadRequest {
+                detail: e.to_string(),
+            })?;
         let key = canonical_hash(&canon, spec.ranks, cache_tag(&spec));
-        // Fault injection and comm-avoiding transpilation shape the
-        // distributed dense path only; reject rather than silently
-        // ignore them on an engine that cannot honour them.
-        if spec.engine.resolve(&canon) != EngineChoice::Dense
-            && (spec.faults.is_some() || spec.transpile != TranspileMode::Off)
-        {
-            return Err(ServeError::BadRequest {
-                detail: format!(
-                    "\"faults\"/\"transpile\" only apply to the dense engine, \
-                     not `{}`",
-                    spec.engine.label()
-                ),
-            });
-        }
         let spec = JobSpec {
             circuit: canon,
             ..spec
@@ -568,15 +543,11 @@ fn state_fnv(state: &EngineState) -> Result<u64, EngineError> {
     }
 }
 
-/// Convenience: a [`FaultConfig`] equality check exists so batch keys
-/// can compare fault plans; re-export the type for front ends.
-pub type Faults = Option<FaultConfig>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qse_circuit::algorithms::ghz;
-    use qse_core::config::EngineMode;
+    use qse_core::config::{EngineMode, TranspileMode};
 
     fn job(shots: usize, seed: u64) -> Job {
         Job {
