@@ -1,11 +1,15 @@
 //! Collective operations over the whole universe.
 //!
-//! The one collective a product path calls is [`gather`]: a dense run
-//! hands its statevector to rank 0 through it. (Barriers are the
-//! universe's own, [`crate::Communicator::barrier`].) It is a linear
-//! algorithm over the point-to-point layer — rank counts here are small
-//! (≤ 64 threads), so a tree would be complexity without measurable
-//! benefit.
+//! A dense run reads its final state out where it lives through three
+//! of them: [`chain`] carries a running prefix sum down the ranks,
+//! [`broadcast`] hands its end (the total) back to every rank, and
+//! [`gather`] brings each rank's digest and counts to rank 0. `gather`
+//! also hands a whole statevector to rank 0 for callers that want the
+//! amplitudes (`DistributedState::gather`). (Barriers are the universe's
+//! own, [`crate::Communicator::barrier`].) All are linear algorithms over
+//! the point-to-point layer — rank counts here are small (≤ 64 threads),
+//! so a tree would be complexity without measurable benefit, and the
+//! chain is sequential by what it carries.
 
 use crate::Communicator;
 use crate::Result;
@@ -17,6 +21,44 @@ use qse_util::Bytes;
 const COLLECTIVE_BASE: u64 = 1 << 62;
 /// The tag [`gather`] payloads travel under (for error reports).
 pub const TAG_GATHER: u64 = COLLECTIVE_BASE + 1;
+/// The tag [`chain`] values travel under.
+pub const TAG_CHAIN: u64 = COLLECTIVE_BASE + 2;
+/// The tag [`broadcast`] payloads travel under.
+pub const TAG_BROADCAST: u64 = COLLECTIVE_BASE + 3;
+
+/// Sends `payload` from `root` to every other rank; every rank returns
+/// it (the root its own, unsent). Non-root ranks pass an empty payload.
+pub fn broadcast(comm: &mut Communicator, root: usize, payload: Bytes) -> Result<Bytes> {
+    if comm.rank() != root {
+        return comm.recv(root, TAG_BROADCAST);
+    }
+    for dst in (0..comm.size()).filter(|&dst| dst != root) {
+        comm.send_bytes(dst, TAG_BROADCAST, payload.clone())?;
+    }
+    Ok(payload)
+}
+
+/// Passes a value down the ranks in rank order: rank r receives rank
+/// r − 1's value (`None` on rank 0), makes its own from it with `step`
+/// and forwards that to rank r + 1. Returns this rank's value; the last
+/// rank's ends the chain. Each step waits for the one before it — the
+/// order a running sum continued bit for bit needs. A step's error ends
+/// this rank's part, unsent.
+pub fn chain(
+    comm: &mut Communicator,
+    step: impl FnOnce(Option<Bytes>) -> Result<Bytes>,
+) -> Result<Bytes> {
+    let rank = comm.rank();
+    let carry_in = match rank {
+        0 => None,
+        _ => Some(comm.recv(rank - 1, TAG_CHAIN)?),
+    };
+    let out = step(carry_in)?;
+    if rank + 1 < comm.size() {
+        comm.send_bytes(rank + 1, TAG_CHAIN, out.clone())?;
+    }
+    Ok(out)
+}
 
 /// Gathers every rank's payload at `root`, in rank order. Non-root ranks
 /// receive `None`. The payload is owned, so no part is copied: senders
@@ -55,18 +97,53 @@ mod tests {
         assert!(out[1].is_none());
     }
 
+    /// A running sum down the chain (1 on rank 0, then +10 a rank), its
+    /// end broadcast from the last rank: what each rank received, made
+    /// and was handed back.
+    fn chain_then_broadcast(c: &mut Communicator) -> (Option<u8>, u8, u8) {
+        let mut seen = None;
+        let mine = chain(c, |prev| {
+            seen = prev.map(|p| p[0]);
+            Ok(Bytes::from(vec![seen.map_or(1, |s| s + 10)]))
+        })
+        .unwrap();
+        let last = c.size() - 1;
+        let payload = if c.rank() == last {
+            mine.clone()
+        } else {
+            Bytes::new()
+        };
+        let total = broadcast(c, last, payload).unwrap();
+        (seen, mine[0], total[0])
+    }
+
+    #[test]
+    fn chain_runs_in_rank_order_and_broadcast_reaches_every_rank() {
+        for ranks in [1usize, 2, 4, 8] {
+            let out = Universe::new(ranks).run(chain_then_broadcast);
+            let end = 1 + 10 * (ranks as u8 - 1);
+            for (rank, (seen, mine, total)) in out.into_iter().enumerate() {
+                let rank = rank as u8;
+                assert_eq!(seen, rank.checked_sub(1).map(|r| 1 + 10 * r), "R={ranks}");
+                assert_eq!(mine, 1 + 10 * rank, "R={ranks}");
+                assert_eq!(total, end, "R={ranks}");
+            }
+        }
+    }
+
     #[test]
     fn collectives_recover_under_seeded_faults() {
-        // The linear gather leans entirely on the point-to-point recovery
-        // layer; under a recoverable plan the root must still see the
-        // exact fault-free parts.
+        // The linear collectives lean entirely on the point-to-point
+        // recovery layer; under a recoverable plan every rank must still
+        // see the exact fault-free values.
         for seed in [3u64, 14, 159] {
             let universe = Universe::with_faults(4, crate::FaultConfig::recoverable(seed)).unwrap();
             let out = universe.run(|c| {
                 let parts = gather(c, 0, Bytes::from(vec![c.rank() as u8 * 5])).unwrap();
-                parts.map(|p| p.iter().map(|b| b.to_vec()).collect::<Vec<_>>())
+                let parts = parts.map(|p| p.iter().map(|b| b.to_vec()).collect::<Vec<_>>());
+                (parts, chain_then_broadcast(c))
             });
-            for (rank, parts) in out.into_iter().enumerate() {
+            for (rank, (parts, chained)) in out.into_iter().enumerate() {
                 if rank == 0 {
                     assert_eq!(
                         parts,
@@ -76,6 +153,9 @@ mod tests {
                 } else {
                     assert_eq!(parts, None, "seed {seed}");
                 }
+                let r = rank as u8;
+                let want = (r.checked_sub(1).map(|p| 1 + 10 * p), 1 + 10 * r, 31);
+                assert_eq!(chained, want, "seed {seed}");
             }
         }
     }

@@ -253,8 +253,7 @@ impl SimConfig {
         let n = circuit.n_qubits();
         let engine = self.engine.resolve(circuit);
         check_width(n, engine)?;
-        let min_local = self.transpile.strategy().map_or(1, |_| PASS_LOCAL_QUBITS);
-        check_ranks(n, self.n_ranks, MAX_RANKS, min_local).map_err(EngineError::Ranks)?;
+        check_ranks(n, self.n_ranks, MAX_RANKS, self.min_local()).map_err(EngineError::Ranks)?;
         if !basis_fits(basis, n) {
             return Err(EngineError::BasisOutOfRange { basis, n });
         }
@@ -264,6 +263,12 @@ impl SimConfig {
             return Err(EngineError::DenseOnly { engine });
         }
         Ok(engine)
+    }
+
+    /// The local qubits a run under this configuration needs:
+    /// [`PASS_LOCAL_QUBITS`] under a placement pass, else one.
+    pub(crate) fn min_local(&self) -> u32 {
+        self.transpile.strategy().map_or(1, |_| PASS_LOCAL_QUBITS)
     }
 
     /// View as the executable engine's options.

@@ -1,6 +1,6 @@
 //! The three execution backends behind one call shape.
 
-use crate::config::{basis_fits, RankError, SimConfig};
+use crate::config::{basis_fits, check_ranks, RankError, SimConfig, MAX_RANKS};
 use crate::profile::{ClassProfile, ProfiledRun};
 use qse_circuit::classify::{EngineChoice, Layout};
 use qse_circuit::transpile::{comm_avoid, Plan};
@@ -10,9 +10,9 @@ use qse_machine::archer2::Machine;
 use qse_machine::perf::RunEstimate;
 use qse_machine::{archer2, ModelOracle};
 use qse_math::Complex64;
+use qse_statevec::measure::MeasureError;
 use qse_statevec::{DistributedState, Schedule, SingleState, SparseState};
-use qse_util::cdf::Cdf;
-use qse_util::rng::Rng;
+use qse_util::cdf::{Cdf, Counts, Shots};
 use std::time::Instant;
 
 /// Builds the comm-avoiding execution plan `config.transpile` selects for
@@ -85,7 +85,7 @@ impl ThreadClusterExecutor {
         // exchange schedule safe (protocol matching, deadlock freedom,
         // buffer bounds, layout soundness) before any rank posts a byte.
         let plan = Self::prepare(circuit, config)?;
-        Self::execute(circuit, config, basis, gather, plan.as_ref())
+        Self::try_run_prepared(circuit, config, basis, gather, plan.as_ref())
     }
 
     /// Builds and statically verifies the execution plan for `circuit`
@@ -93,9 +93,29 @@ impl ThreadClusterExecutor {
     /// once, at insert time" entry point for the serve plan cache. Returns the
     /// plan to pass to [`Self::try_run_prepared`] (`None` when
     /// transpilation is off — the raw circuit is still verified).
+    ///
+    /// The rank clause of [`SimConfig::admit`] ([`check_ranks`], with the
+    /// local qubits a placement pass needs when one runs) refuses a
+    /// layout as [`CommError::PlanRejected`]: before a placement pass,
+    /// which cannot run without its spare local qubits, and otherwise
+    /// after the verifier, whose diagnosis names the gate that fails.
     pub fn prepare(circuit: &Circuit, config: &SimConfig) -> Result<Option<Plan>, CommError> {
+        let ranks = check_ranks(
+            circuit.n_qubits(),
+            config.n_ranks,
+            MAX_RANKS,
+            config.min_local(),
+        )
+        .map(|_| ())
+        .map_err(|e| CommError::PlanRejected {
+            detail: e.to_string(),
+        });
+        if config.transpile.strategy().is_some() {
+            ranks.clone()?;
+        }
         let plan = comm_avoid_plan(circuit, config);
         Self::verify_plan_checked(circuit, config, plan.as_ref())?;
+        ranks?;
         Ok(plan)
     }
 
@@ -111,20 +131,29 @@ impl ThreadClusterExecutor {
         gather: bool,
         plan: Option<&Plan>,
     ) -> Result<ClusterRun, CommError> {
-        Self::execute(circuit, config, basis, gather, plan)
+        let (profiled, state) = Self::execute(circuit, config, basis, plan, |mut st| {
+            if gather {
+                st.gather()
+            } else {
+                Ok(None)
+            }
+        })?;
+        Ok(ClusterRun { profiled, state })
     }
 
     /// The shared execution core: runs `circuit` (or its transpiled
-    /// `plan`) over thread ranks without building or verifying anything.
+    /// `plan`) over thread ranks without building or verifying anything,
+    /// then hands each rank's final state to `finish`, whose rank-0 result
+    /// comes back. Traffic and wall-clock are read before `finish` runs.
     /// Fails with [`CommError::BasisOutOfRange`], before any rank starts,
     /// when `basis` names no state of the register.
-    fn execute(
+    fn execute<T: Send>(
         circuit: &Circuit,
         config: &SimConfig,
         basis: u64,
-        gather: bool,
         plan: Option<&Plan>,
-    ) -> Result<ClusterRun, CommError> {
+        finish: impl Fn(DistributedState<'_>) -> Result<Option<T>, CommError> + Sync,
+    ) -> Result<(ProfiledRun, Option<T>), CommError> {
         let n = circuit.n_qubits();
         if !basis_fits(basis, n) {
             return Err(CommError::BasisOutOfRange { basis, n });
@@ -152,8 +181,7 @@ impl ThreadClusterExecutor {
             st.barrier();
             let wall = t0.elapsed().as_secs_f64();
             let stats = st.stats();
-            let state = if gather { st.gather()? } else { None };
-            Ok((wall, profile, stats, state))
+            Ok((wall, profile, stats, finish(st)?))
         });
         if let Some(err) = originating_error(&per_rank) {
             return Err(err);
@@ -163,28 +191,26 @@ impl ThreadClusterExecutor {
         let total = results
             .iter()
             .fold(TrafficStats::default(), |acc, (_, _, s, _)| acc.merge(*s));
-        // Moved out, not cloned: the gathered state is all 2ⁿ amplitudes.
-        let state = results.iter_mut().find_map(|(_, _, _, st)| st.take());
+        // Moved out, not cloned: a gathered state is all 2ⁿ amplitudes.
+        let out = results.iter_mut().find_map(|(_, _, _, out)| out.take());
         let (wall, profile, _, _) = &results[0];
-        Ok(ClusterRun {
-            profiled: ProfiledRun {
-                n_qubits: circuit.n_qubits(),
-                n_ranks: config.n_ranks,
-                wall_s: *wall,
-                profile: *profile,
-                bytes_sent: total.bytes_sent,
-                bytes_exchanged: total.bytes_exchanged,
-                messages_sent: total.messages_sent,
-                exchange_chunks: total.exchange_chunks,
-                peak_inflight_bytes: total.peak_inflight_bytes,
-                gate_count: step_count,
-                faults_injected: total.faults_injected,
-                retries: total.retries,
-                corruptions_detected: total.corruptions_detected,
-                engine: "dense",
-            },
-            state,
-        })
+        let profiled = ProfiledRun {
+            n_qubits: circuit.n_qubits(),
+            n_ranks: config.n_ranks,
+            wall_s: *wall,
+            profile: *profile,
+            bytes_sent: total.bytes_sent,
+            bytes_exchanged: total.bytes_exchanged,
+            messages_sent: total.messages_sent,
+            exchange_chunks: total.exchange_chunks,
+            peak_inflight_bytes: total.peak_inflight_bytes,
+            gate_count: step_count,
+            faults_injected: total.faults_injected,
+            retries: total.retries,
+            corruptions_detected: total.corruptions_detected,
+            engine: "dense",
+        };
+        Ok((profiled, out))
     }
 
     /// Statically verifies the exchange schedule the run would execute
@@ -243,9 +269,6 @@ pub enum EngineError {
         /// The engine that was selected.
         engine: EngineChoice,
     },
-    /// Sampling was requested but the dense run did not gather its
-    /// statevector.
-    StateNotGathered,
     /// The initial basis index does not name a state of the register.
     BasisOutOfRange {
         /// The requested basis index.
@@ -274,9 +297,6 @@ impl std::fmt::Display for EngineError {
                 "{n} qubits are too many for the {} engine (max {max})",
                 engine.label()
             ),
-            EngineError::StateNotGathered => {
-                write!(f, "sampling needs gather=true on the dense path")
-            }
             EngineError::BasisOutOfRange { basis, n } => {
                 write!(f, "basis {basis} is not a basis state of {n} qubits")
             }
@@ -305,8 +325,8 @@ impl From<qse_stabilizer::StabError> for EngineError {
     }
 }
 
-impl From<qse_statevec::measure::MeasureError> for EngineError {
-    fn from(e: qse_statevec::measure::MeasureError) -> Self {
+impl From<MeasureError> for EngineError {
+    fn from(e: MeasureError) -> Self {
         EngineError::Measure(e)
     }
 }
@@ -334,30 +354,25 @@ pub struct EngineRun {
     pub state: EngineState,
 }
 
-impl EngineRun {
-    /// The prepared sampler over the run's final state, whatever engine
-    /// produced it: built from the gathered amplitudes (dense), the
-    /// sorted nonzeros (sparse) or the tableau's support, enumerated
-    /// once. All three follow the same inclusive-prefix-sum CDF
-    /// contract, so on their overlapping domains the histograms agree
-    /// for a given RNG stream.
-    pub fn sampler(&self) -> Result<Cdf, EngineError> {
-        match &self.state {
-            EngineState::Dense(None) => Err(EngineError::StateNotGathered),
-            EngineState::Dense(Some(amps)) => Ok(qse_statevec::measure::amps_sampler(amps)?),
-            EngineState::Sparse(s) => Ok(s.sampler()?),
-            EngineState::Tableau(t) => Ok(t.sampler()?),
-        }
-    }
-
-    /// Draws a fixed-seed measurement histogram from [`Self::sampler`].
-    pub fn sample_counts<R: Rng>(
-        &self,
-        rng: &mut R,
-        shots: usize,
-    ) -> Result<std::collections::BTreeMap<u64, usize>, EngineError> {
-        Ok(self.sampler()?.sample_counts(rng, shots))
-    }
+/// What [`EngineExecutor::run_sampled`] returns: the run read out, its
+/// final state not kept.
+#[derive(Debug, Clone)]
+pub struct SampledRun {
+    /// The engine that actually executed (auto mode resolved).
+    pub engine: EngineChoice,
+    /// Timings and traffic, as [`EngineRun::profiled`].
+    pub profiled: ProfiledRun,
+    /// The final state's fingerprint: the tree digest of its amplitudes
+    /// (`qse_statevec::digest`; dense and sparse agree on equal states),
+    /// or the tableau's own fingerprint.
+    pub digest: u64,
+    /// Each request's histogram, in request order (empty for zero
+    /// shots). All three engines follow one inclusive-prefix-sum CDF
+    /// contract (`qse_util::cdf`), so on their overlapping domains the
+    /// histograms agree for a given seed. An error when a request draws
+    /// shots and the state has no distribution; a run that draws none
+    /// builds no sampler.
+    pub counts: Result<Vec<Counts>, EngineError>,
 }
 
 /// The multi-engine front door: resolves `config.engine` against the
@@ -409,46 +424,97 @@ impl EngineExecutor {
         gather: bool,
         plan: Option<&Plan>,
     ) -> Result<EngineRun, EngineError> {
-        let n = circuit.n_qubits();
         let engine = config.admit(circuit, basis)?;
-        match engine {
+        let (profiled, state) = match engine {
             EngineChoice::Dense => {
                 let run =
                     ThreadClusterExecutor::try_run_prepared(circuit, config, basis, gather, plan)?;
-                Ok(EngineRun {
-                    engine,
-                    profiled: run.profiled,
-                    state: EngineState::Dense(run.state),
-                })
+                (run.profiled, EngineState::Dense(run.state))
             }
             EngineChoice::Sparse => {
-                let start = Instant::now();
-                let mut s = SparseState::basis_state(n, basis);
-                s.run(circuit);
-                Ok(EngineRun {
-                    engine,
-                    profiled: Self::engine_profile(circuit, start, "sparse"),
-                    state: EngineState::Sparse(s),
-                })
+                let (profiled, s) = Self::run_sparse(circuit, basis);
+                (profiled, EngineState::Sparse(s))
             }
             EngineChoice::Stabilizer => {
-                let start = Instant::now();
-                let mut t = qse_stabilizer::Tableau::new(n);
-                // The tableau starts from |0…0⟩; X prefixes express any
-                // other basis state (X is Clifford).
-                for q in 0..64 {
-                    if basis >> q & 1 == 1 {
-                        t.apply(qse_circuit::classify::CliffordOp::X(q))?;
-                    }
-                }
-                t.run_circuit(circuit)?;
-                Ok(EngineRun {
-                    engine,
-                    profiled: Self::engine_profile(circuit, start, "stabilizer"),
-                    state: EngineState::Tableau(t),
-                })
+                let (profiled, t) = Self::run_tableau(circuit, basis)?;
+                (profiled, EngineState::Tableau(t))
+            }
+        };
+        Ok(EngineRun {
+            engine,
+            profiled,
+            state,
+        })
+    }
+
+    /// Runs an admitted circuit on the sparse engine.
+    fn run_sparse(circuit: &Circuit, basis: u64) -> (ProfiledRun, SparseState) {
+        let start = Instant::now();
+        let mut s = SparseState::basis_state(circuit.n_qubits(), basis);
+        s.run(circuit);
+        (Self::engine_profile(circuit, start, "sparse"), s)
+    }
+
+    /// Runs an admitted circuit on the stabilizer tableau.
+    fn run_tableau(
+        circuit: &Circuit,
+        basis: u64,
+    ) -> Result<(ProfiledRun, qse_stabilizer::Tableau), EngineError> {
+        let start = Instant::now();
+        let mut t = qse_stabilizer::Tableau::new(circuit.n_qubits());
+        // The tableau starts from |0…0⟩; X prefixes express any other
+        // basis state (X is Clifford).
+        for q in 0..64 {
+            if basis >> q & 1 == 1 {
+                t.apply(qse_circuit::classify::CliffordOp::X(q))?;
             }
         }
+        t.run_circuit(circuit)?;
+        Ok((Self::engine_profile(circuit, start, "stabilizer"), t))
+    }
+
+    /// [`Self::run_prepared`], read out: the final state's digest and
+    /// each request's shots drawn from its own seed — what `qse serve`
+    /// replies. The dense engine reads the state out where it lives
+    /// ([`DistributedState::read_out`]), gathering no amplitudes; the
+    /// sparse and tableau engines draw from their prepared `Cdf`.
+    pub fn run_sampled(
+        circuit: &Circuit,
+        config: &SimConfig,
+        basis: u64,
+        plan: Option<&Plan>,
+        shots: &[Shots],
+    ) -> Result<SampledRun, EngineError> {
+        let engine = config.admit(circuit, basis)?;
+        let (profiled, digest, counts) = match engine {
+            EngineChoice::Dense => {
+                let (profiled, read) =
+                    ThreadClusterExecutor::execute(circuit, config, basis, plan, |st| {
+                        st.read_out(shots)
+                    })?;
+                let Some(read) = read else {
+                    unreachable!("rank 0 reads the state out")
+                };
+                let counts = read.counts.map_err(|_| MeasureError::ZeroNorm.into());
+                (profiled, read.digest, counts)
+            }
+            EngineChoice::Sparse => {
+                let (profiled, s) = Self::run_sparse(circuit, basis);
+                let counts = sample_batch(shots, || Ok(s.sampler()?));
+                (profiled, qse_statevec::digest::sparse(&s), counts)
+            }
+            EngineChoice::Stabilizer => {
+                let (profiled, t) = Self::run_tableau(circuit, basis)?;
+                let counts = sample_batch(shots, || Ok(t.sampler()?));
+                (profiled, t.fingerprint(), counts)
+            }
+        };
+        Ok(SampledRun {
+            engine,
+            profiled,
+            digest,
+            counts,
+        })
     }
 
     /// A [`ProfiledRun`] for single-address-space engine runs: real
@@ -471,6 +537,18 @@ impl EngineExecutor {
             engine,
         }
     }
+}
+
+/// Each request's histogram from the sampler `cdf` builds, in request
+/// order; a batch that draws no shots builds none.
+fn sample_batch(
+    shots: &[Shots],
+    cdf: impl FnOnce() -> Result<Cdf, EngineError>,
+) -> Result<Vec<Counts>, EngineError> {
+    if shots.iter().all(|s| s.count == 0) {
+        return Ok(vec![Counts::new(); shots.len()]);
+    }
+    Ok(cdf()?.sample_batch(shots))
 }
 
 /// Runs circuits through the calibrated ARCHER2 model at full scale.
@@ -730,25 +808,70 @@ mod tests {
         cfg
     }
 
+    /// `c` prepared and run under `cfg` from `basis`, read out with
+    /// `shots`.
+    fn sampled(c: &Circuit, cfg: &SimConfig, basis: u64, shots: &[Shots]) -> SampledRun {
+        let plan = EngineExecutor::prepare(c, cfg).expect("admitted");
+        EngineExecutor::run_sampled(c, cfg, basis, plan.as_ref(), shots).expect("run")
+    }
+
+    const SEVEN: [Shots; 1] = [Shots {
+        seed: 7,
+        count: 4000,
+    }];
+
     #[test]
     fn auto_routes_ghz_to_the_tableau_and_matches_dense_histograms() {
-        use qse_util::rng::StdRng;
         let c = ghz(6);
-        let auto = EngineExecutor::run(&c, &engine_cfg(crate::config::EngineMode::Auto), 0, true)
-            .expect("auto run");
+        let auto = sampled(&c, &engine_cfg(crate::config::EngineMode::Auto), 0, &SEVEN);
         assert_eq!(auto.engine, qse_circuit::classify::EngineChoice::Stabilizer);
         assert_eq!(auto.profiled.engine, "stabilizer");
-        assert!(matches!(auto.state, EngineState::Tableau(_)));
-        let dense = EngineExecutor::run(&c, &engine_cfg(crate::config::EngineMode::Dense), 0, true)
-            .expect("dense run");
+        let dense = sampled(&c, &engine_cfg(crate::config::EngineMode::Dense), 0, &SEVEN);
         assert_eq!(dense.profiled.engine, "dense");
-        let h_auto = auto
-            .sample_counts(&mut StdRng::seed_from_u64(7), 4000)
-            .unwrap();
-        let h_dense = dense
-            .sample_counts(&mut StdRng::seed_from_u64(7), 4000)
-            .unwrap();
-        assert_eq!(h_auto, h_dense);
+        assert_eq!(auto.counts.unwrap(), dense.counts.unwrap());
+    }
+
+    /// The dense read-out is the gathered state's: its digest and its
+    /// seeded `amps_sampler` histograms, at R ∈ {1, 2, 4}, under a
+    /// placement pass, and under a recoverable fault plan — with the
+    /// traffic and wall-clock of the run read before the read-out.
+    #[test]
+    fn dense_read_out_equals_the_gathered_state_and_its_sampler() {
+        let c = random_circuit(9, 80, GatePool::Full, 4);
+        let shots = [
+            SEVEN[0],
+            Shots { seed: 8, count: 0 },
+            Shots {
+                seed: 9,
+                count: 333,
+            },
+        ];
+        for ranks in [1u64, 2, 4] {
+            for faults in [None, Some(qse_comm::FaultConfig::recoverable(5))] {
+                let mut cfg = SimConfig::default_for(ranks);
+                cfg.transpile = crate::config::TranspileMode::Beam;
+                cfg.faults = faults;
+                let gathered = ThreadClusterExecutor::try_run(&c, &cfg, 3, true).unwrap();
+                let amps = gathered.state.expect("gathered");
+                let read = sampled(&c, &cfg, 3, &shots);
+                let what = format!("R={ranks} faults={faults:?}");
+                assert_eq!(read.digest, qse_statevec::digest::dense(&amps), "{what}");
+                let want = qse_statevec::measure::amps_sampler(&amps)
+                    .unwrap()
+                    .sample_batch(&shots);
+                assert_eq!(read.counts, Ok(want), "{what}");
+                assert_eq!(read.profiled.bytes_sent, gathered.profiled.bytes_sent);
+                assert_eq!(read.profiled.messages_sent, gathered.profiled.messages_sent);
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_that_draws_no_shots_builds_no_sampler() {
+        let none = [Shots { seed: 1, count: 0 }; 2];
+        let built = || -> Result<Cdf, EngineError> { panic!("no sampler is built") };
+        assert_eq!(sample_batch(&none, built), Ok(vec![Counts::new(); 2]));
+        assert_eq!(sample_batch(&[], built), Ok(Vec::new()));
     }
 
     #[test]
@@ -771,35 +894,29 @@ mod tests {
 
     #[test]
     fn stabilizer_honours_a_nonzero_basis_prefix() {
-        use qse_util::rng::StdRng;
         let c = ghz(4);
         let basis = 0b0101;
-        let stab = EngineExecutor::run(
+        let shots = [Shots {
+            seed: 3,
+            count: 4000,
+        }];
+        let stab = sampled(
             &c,
             &engine_cfg(crate::config::EngineMode::Stabilizer),
             basis,
-            true,
-        )
-        .expect("stabilizer run");
-        let dense = EngineExecutor::run(
+            &shots,
+        );
+        let dense = sampled(
             &c,
             &engine_cfg(crate::config::EngineMode::Dense),
             basis,
-            true,
-        )
-        .expect("dense run");
-        let h_stab = stab
-            .sample_counts(&mut StdRng::seed_from_u64(3), 4000)
-            .unwrap();
-        let h_dense = dense
-            .sample_counts(&mut StdRng::seed_from_u64(3), 4000)
-            .unwrap();
-        assert_eq!(h_stab, h_dense);
+            &shots,
+        );
+        assert_eq!(stab.counts.unwrap(), dense.counts.unwrap());
     }
 
     #[test]
     fn engine_errors_are_typed() {
-        use qse_util::rng::StdRng;
         // Non-Clifford circuit forced onto the tableau.
         let mut c = Circuit::new(3);
         c.h(0).t(1);
@@ -824,18 +941,6 @@ mod tests {
         )
         .expect_err("too wide for sparse");
         assert!(matches!(err, EngineError::TooWide { .. }));
-        // Sampling without a gathered dense state.
-        let run = EngineExecutor::run(
-            &ghz(4),
-            &engine_cfg(crate::config::EngineMode::Dense),
-            0,
-            false,
-        )
-        .expect("ungathered dense run");
-        let err = run
-            .sample_counts(&mut StdRng::seed_from_u64(1), 10)
-            .expect_err("no state to sample");
-        assert_eq!(err, EngineError::StateNotGathered);
     }
 
     #[test]
@@ -850,6 +955,24 @@ mod tests {
         );
         cfg.n_ranks = 2;
         assert!(EngineExecutor::prepare(&ghz(3), &cfg).is_ok());
+    }
+
+    #[test]
+    fn cluster_runs_refuse_a_pass_without_a_spare_local_qubit() {
+        // The same rule on the thread-cluster entry points, which do not
+        // go through `admit`: refused typed before the pass runs.
+        let mut cfg = SimConfig::default_for(4);
+        cfg.transpile = crate::config::TranspileMode::Beam;
+        let refused = Some(CommError::PlanRejected {
+            detail: RankError::TooFewLocal(1, 2).to_string(),
+        });
+        assert_eq!(ThreadClusterExecutor::prepare(&ghz(3), &cfg).err(), refused);
+        assert_eq!(
+            ThreadClusterExecutor::try_run(&ghz(3), &cfg, 0, false).err(),
+            refused
+        );
+        cfg.n_ranks = 2;
+        assert!(ThreadClusterExecutor::try_run(&ghz(3), &cfg, 0, false).is_ok());
     }
 
     /// Runs `ghz(8)` on `mode` from basis 256, one past the register.

@@ -27,6 +27,6 @@ pub use config::{
 };
 pub use executor::{
     comm_avoid_plan, EngineError, EngineExecutor, EngineRun, EngineState, LocalExecutor,
-    ModelExecutor, ThreadClusterExecutor,
+    ModelExecutor, SampledRun, ThreadClusterExecutor,
 };
 pub use profile::{ClassProfile, ProfiledRun};

@@ -14,15 +14,17 @@
 //!    {1, 2, 4}) to ≤ 1e-9 on generic random circuits.
 //! 3. **Auto-invariance** — a property loop over circuits that auto
 //!    routes to each of the three engines, proving `--engine auto`
-//!    returns exactly what `--engine dense` returns.
+//!    returns exactly what `--engine dense` returns, read out through
+//!    `EngineExecutor::run_sampled`, the serve path.
 
 use qse_circuit::classify::EngineChoice;
 use qse_circuit::random::{random_circuit, GatePool};
 use qse_circuit::Circuit;
-use qse_core::{EngineExecutor, EngineMode, SimConfig, ThreadClusterExecutor};
+use qse_core::{EngineExecutor, EngineMode, SampledRun, SimConfig, ThreadClusterExecutor};
 use qse_math::approx::assert_slices_close;
 use qse_statevec::measure::sample_counts_amps;
 use qse_statevec::{SingleState, SparseState};
+use qse_util::cdf::Shots;
 use qse_util::rng::{Rng, StdRng};
 use std::collections::BTreeMap;
 
@@ -109,17 +111,38 @@ fn sparse_matches_dense_across_rank_counts() {
 // 3. Auto-selection never changes results
 // ---------------------------------------------------------------------
 
+/// `c` prepared and run under `mode`, read out with 2000 shots from
+/// `shot_seed` (and a request of none).
+fn sampled(c: &Circuit, mode: EngineMode, shot_seed: u64) -> SampledRun {
+    let cfg = engine_cfg(mode);
+    let plan = EngineExecutor::prepare(c, &cfg).expect("admitted");
+    let shots = [
+        Shots {
+            seed: shot_seed,
+            count: 2000,
+        },
+        Shots {
+            seed: shot_seed,
+            count: 0,
+        },
+    ];
+    EngineExecutor::run_sampled(c, &cfg, 0, plan.as_ref(), &shots).expect("run")
+}
+
 /// One auto-vs-dense comparison: both runs must produce the identical
 /// fixed-seed histogram, and auto must have resolved to `expect`.
 fn assert_auto_invariant(c: &Circuit, expect: EngineChoice, shot_seed: u64) {
-    let auto = EngineExecutor::run(c, &engine_cfg(EngineMode::Auto), 0, true).expect("auto run");
+    let auto = sampled(c, EngineMode::Auto, shot_seed);
     assert_eq!(auto.engine, expect, "auto resolved unexpectedly");
-    let dense = EngineExecutor::run(c, &engine_cfg(EngineMode::Dense), 0, true).expect("dense run");
-    let mut rng = StdRng::seed_from_u64(shot_seed);
-    let h_auto = auto.sample_counts(&mut rng, 2000).expect("auto sampling");
-    let mut rng = StdRng::seed_from_u64(shot_seed);
-    let h_dense = dense.sample_counts(&mut rng, 2000).expect("dense sampling");
-    assert_eq!(h_auto, h_dense, "auto changed the measured distribution");
+    let dense = sampled(c, EngineMode::Dense, shot_seed);
+    let counts = auto.counts.expect("auto sampling");
+    assert_eq!(counts[0].values().sum::<usize>(), 2000);
+    assert!(counts[1].is_empty(), "a request of no shots draws none");
+    assert_eq!(
+        Ok(counts),
+        dense.counts,
+        "auto changed the measured distribution"
+    );
 }
 
 /// `--engine auto` is result-invariant: 24 seeded circuits spanning all

@@ -322,9 +322,10 @@ pub struct JobResult {
     pub counts: Option<BTreeMap<u64, usize>>,
 }
 
-/// The reply fingerprints: the tree digest ([`qse_statevec::digest`]) of
-/// dense amplitudes and of a sparse state's stored ones.
-pub use qse_statevec::digest::{dense as state_fingerprint, sparse as sparse_state_fingerprint};
+/// The reply fingerprint of dense amplitudes held in one place: the tree
+/// digest ([`qse_statevec::digest`]) that a served reply's `state_fnv`
+/// carries for every dense and sparse state.
+pub use qse_statevec::digest::dense as state_fingerprint;
 
 /// Renders a success response line (no trailing newline).
 pub fn render_result(r: &JobResult) -> String {

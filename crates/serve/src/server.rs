@@ -9,24 +9,28 @@
 //! path serves every engine. The plan comes from the LRU cache (hit:
 //! skip classify → transpile → verify; dense miss: compile + verify
 //! once, insert; sparse and tableau misses insert `plan: None`). The
-//! batch then runs once, fingerprints the final state once and, if any
-//! job asks for shots, builds one prepared sampler; each job only draws
-//! its own shots from its own seed, bit-for-bit identical to what a
-//! solo run would have drawn.
+//! batch then runs once through [`EngineExecutor::run_sampled`], which
+//! fingerprints the final state once and draws each job's shots from its
+//! own seed, bit-for-bit identical to what a solo run would have drawn.
+//! A dense run is read out where its amplitudes live — each rank digests
+//! and samples its own slice — so no execution gathers the state.
+//!
+//! Every lock is taken through `recover`: a thread that panics while it
+//! holds one leaves data that is consistent between statements (counters
+//! add, the queue moves whole jobs, the cache inserts whole entries), so
+//! the service carries on rather than failing every later call.
 
 use crate::cache::{plan_cost_bytes, CacheStats, CachedPlan, PlanCache};
 use crate::error::ServeError;
-use crate::protocol::{sparse_state_fingerprint, state_fingerprint, JobResult, JobSpec};
+use crate::protocol::{JobResult, JobSpec};
 use qse_circuit::hash::{canonical_hash, canonicalize};
 use qse_core::config::SimConfig;
-use qse_core::executor::{EngineError, EngineExecutor, EngineRun, EngineState};
-use qse_util::cdf::Cdf;
+use qse_core::executor::{EngineError, EngineExecutor, SampledRun};
+use qse_util::cdf::Shots;
 use qse_util::json::Json;
 use qse_util::mailbox::{unbounded, Receiver};
-use qse_util::rng::StdRng;
-use std::cell::OnceCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -72,13 +76,14 @@ pub type JobResponse = Result<JobResult, JobError>;
 /// writer queue.
 pub type Reply = Box<dyn FnOnce(JobResponse) + Send + 'static>;
 
-/// The amplitude bytes one job pins while queued or executing: the
-/// distributed statevector (2ⁿ × 16 B across ranks) plus the gathered
-/// copy sampling reads — which is what a run now holds, the exchange
-/// path staging nothing slice-sized (a few wire chunks per rank in
-/// flight; the gather's per-rank payloads are transient). Batched jobs
-/// share one execution but are charged individually — admission is a
-/// worst-case bound, not a best-case one.
+/// The amplitude bytes one job is charged while queued or executing:
+/// twice the distributed statevector's 2ⁿ × 16 B. A run holds the
+/// statevector alone — the exchange path stages nothing slice-sized (a
+/// few wire chunks per rank in flight), and the read-out gathers no copy
+/// and keeps its prefix sums in the slice's own real plane — so the
+/// charge over-counts by the gathered copy runs no longer make, until
+/// admission charges the slice a run holds. Batched jobs share one execution but are charged
+/// individually — admission is a worst-case bound, not a best-case one.
 pub fn job_footprint_bytes(n_qubits: u32) -> u64 {
     2 * 16 * (1u64 << n_qubits)
 }
@@ -104,11 +109,19 @@ impl Job {
     /// Jobs batch iff they would run the *identical* execution: same
     /// verified plan (cache key covers circuit, n, ranks, strategy) and
     /// the same initial basis and fault plan. Seeds and shot counts
-    /// stay per-job — they only affect post-gather sampling.
+    /// stay per-job — they only pick which draws the read-out makes.
     fn batchable_with(&self, other: &Job) -> bool {
         self.key == other.key
             && self.spec.basis == other.spec.basis
             && self.spec.faults == other.spec.faults
+    }
+
+    /// The draws this job asks of its batch's run.
+    fn shots(&self) -> Shots {
+        Shots {
+            seed: self.spec.seed,
+            count: self.spec.shots,
+        }
     }
 }
 
@@ -255,26 +268,18 @@ impl Server {
             reply,
         };
         {
-            let mut st = self.inner.state.lock().expect("state lock");
+            let mut st = recover(self.inner.state.lock());
             if st.shutdown {
                 return Err(ServeError::Shutdown);
             }
             if st.queue.len() >= self.inner.cfg.queue_cap {
-                self.inner
-                    .counters
-                    .lock()
-                    .expect("counters")
-                    .rejected_queue_full += 1;
+                recover(self.inner.counters.lock()).rejected_queue_full += 1;
                 return Err(ServeError::QueueFull {
                     capacity: self.inner.cfg.queue_cap,
                 });
             }
             if st.reserved_bytes + footprint > self.inner.cfg.mem_budget_bytes {
-                self.inner
-                    .counters
-                    .lock()
-                    .expect("counters")
-                    .rejected_over_budget += 1;
+                recover(self.inner.counters.lock()).rejected_over_budget += 1;
                 return Err(ServeError::OverBudget {
                     required_bytes: footprint,
                     budget_bytes: self.inner.cfg.mem_budget_bytes,
@@ -284,7 +289,7 @@ impl Server {
             st.reserved_bytes += footprint;
             st.queue.push_back(job);
         }
-        self.inner.counters.lock().expect("counters").submitted += 1;
+        recover(self.inner.counters.lock()).submitted += 1;
         self.inner.work_ready.notify_one();
         Ok(())
     }
@@ -304,9 +309,9 @@ impl Server {
 
     /// Snapshot of every counter.
     pub fn stats(&self) -> StatsSnapshot {
-        let counters = *self.inner.counters.lock().expect("counters");
+        let counters = *recover(self.inner.counters.lock());
         let (queue_depth, reserved_bytes) = {
-            let st = self.inner.state.lock().expect("state lock");
+            let st = recover(self.inner.state.lock());
             (st.queue.len(), st.reserved_bytes)
         };
         StatsSnapshot {
@@ -320,7 +325,7 @@ impl Server {
             max_batch: counters.max_batch,
             queue_depth,
             reserved_bytes,
-            cache: self.inner.cache.lock().expect("cache lock").stats(),
+            cache: recover(self.inner.cache.lock()).stats(),
         }
     }
 
@@ -329,7 +334,7 @@ impl Server {
     /// joins the workers. Idempotent.
     pub fn shutdown(&self) {
         let drained: Vec<Job> = {
-            let mut st = self.inner.state.lock().expect("state lock");
+            let mut st = recover(self.inner.state.lock());
             st.shutdown = true;
             let drained: Vec<Job> = st.queue.drain(..).collect();
             for job in &drained {
@@ -344,7 +349,7 @@ impl Server {
                 error: ServeError::Shutdown,
             }));
         }
-        let workers: Vec<_> = self.workers.lock().expect("workers").drain(..).collect();
+        let workers: Vec<_> = recover(self.workers.lock()).drain(..).collect();
         for w in workers {
             let _ = w.join();
         }
@@ -360,7 +365,7 @@ impl Drop for Server {
 fn worker_loop(inner: &Inner) {
     loop {
         let batch = {
-            let mut st = inner.state.lock().expect("state lock");
+            let mut st = recover(inner.state.lock());
             loop {
                 if let Some(job) = st.queue.pop_front() {
                     // Coalesce: every queued job that would run the
@@ -380,11 +385,17 @@ fn worker_loop(inner: &Inner) {
                 if st.shutdown {
                     return;
                 }
-                st = inner.work_ready.wait(st).expect("state lock");
+                st = recover(inner.work_ready.wait(st));
             }
         };
         execute_batch(inner, batch);
     }
+}
+
+/// The guard of a lock or a condition-variable wait, also when a thread
+/// panicked while holding the lock (see the module doc).
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Builds the execution config one batch runs under.
@@ -396,9 +407,9 @@ fn sim_config(spec: &JobSpec) -> SimConfig {
     cfg
 }
 
-/// Runs one batch: one cache lookup, one execution, one fingerprint and
-/// — if any job asks for shots — one prepared sampler; each job then
-/// only draws its own shots from its own seed.
+/// Runs one batch: one cache lookup and one read-out execution, which
+/// fingerprints the state once and draws each job's shots from its own
+/// seed.
 fn execute_batch(inner: &Inner, batch: Vec<Job>) {
     let rep = &batch[0];
     let cfg = sim_config(&rep.spec);
@@ -410,7 +421,7 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
     // runs have no exchange plan, but still key the canonical circuit
     // (`plan: None`) so hit/miss provenance is the same for every engine.
     let (entry, cache_hit) = {
-        let mut cache = inner.cache.lock().expect("cache lock");
+        let mut cache = recover(inner.cache.lock());
         match cache.get(rep.key) {
             Some(entry) => (Ok(entry), true),
             None => {
@@ -433,33 +444,27 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
     };
 
     let batch_len = batch.len();
-    let execution = entry.and_then(|entry| {
-        let run = EngineExecutor::run_prepared(
+    let shots: Vec<Shots> = batch.iter().map(Job::shots).collect();
+    let mut execution = entry.and_then(|entry| {
+        EngineExecutor::run_sampled(
             &entry.circuit,
             &cfg,
             rep.spec.basis,
-            true,
             entry.plan.as_ref(),
-        )?;
-        Ok(Execution {
-            state_fnv: state_fnv(&run.state)?,
-            run,
-            cache_hit,
-            batched: batch_len,
-            sampler: OnceCell::new(),
-        })
+            &shots,
+        )
     });
 
     let mut completed = 0u64;
     let mut failed = 0u64;
     let mut released = 0u64;
     let mut deliveries: Vec<(Reply, JobResponse)> = Vec::with_capacity(batch_len);
-    for job in batch {
+    for (i, job) in batch.into_iter().enumerate() {
         released += job.footprint;
         let response = execution
-            .as_ref()
-            .map_err(Clone::clone)
-            .and_then(|exec| exec.result(&job))
+            .as_mut()
+            .map_err(|e| e.clone())
+            .and_then(|run| job_result(&job, i, run, cache_hit, batch_len))
             .map_err(|e| JobError {
                 id: job.spec.id.clone(),
                 error: ServeError::Exec {
@@ -477,11 +482,11 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
     // its response in hand must be able to resubmit against a released
     // reservation and read stats that already include its job.
     {
-        let mut st = inner.state.lock().expect("state lock");
+        let mut st = recover(inner.state.lock());
         st.reserved_bytes -= released;
     }
     {
-        let mut counters = inner.counters.lock().expect("counters");
+        let mut counters = recover(inner.counters.lock());
         counters.completed += completed;
         counters.failed += failed;
         counters.executions += 1;
@@ -495,52 +500,30 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
     }
 }
 
-/// What one execution hands every job of its batch, each part built once.
-struct Execution {
-    run: EngineRun,
+/// The reply of the batch's `i`-th job from the batch's one run: the
+/// shared fingerprint, and the histogram of the job's own shots — exactly
+/// what a solo run would draw. Each histogram is moved out once.
+fn job_result(
+    job: &Job,
+    i: usize,
+    run: &mut SampledRun,
     cache_hit: bool,
     batched: usize,
-    state_fnv: u64,
-    /// Built by the first job that draws shots, then shared by the rest;
-    /// a batch that draws none builds none.
-    sampler: OnceCell<Result<Cdf, EngineError>>,
-}
-
-impl Execution {
-    /// `job`'s result: the shared fingerprint, and the shots drawn from
-    /// the job's own seed — exactly what a solo run would draw.
-    fn result(&self, job: &Job) -> Result<JobResult, EngineError> {
-        let counts = if job.spec.shots > 0 {
-            let sampler = self.sampler.get_or_init(|| self.run.sampler());
-            let mut rng = StdRng::seed_from_u64(job.spec.seed);
-            let sampler = sampler.as_ref().map_err(Clone::clone)?;
-            Some(sampler.sample_counts(&mut rng, job.spec.shots))
-        } else {
-            None
-        };
-        Ok(JobResult {
-            id: job.spec.id.clone(),
-            cache_hit: self.cache_hit,
-            batched: self.batched,
-            latency_us: job.submitted.elapsed().as_micros() as u64,
-            state_fnv: self.state_fnv,
-            engine: self.run.profiled.engine,
-            counts,
-        })
-    }
-}
-
-/// The reply fingerprint of a final state: the tree digest of the
-/// amplitudes where the engine has them (the sparse form digests only
-/// the leaves holding a stored amplitude), the tableau representation
-/// otherwise.
-fn state_fnv(state: &EngineState) -> Result<u64, EngineError> {
-    match state {
-        EngineState::Dense(None) => Err(EngineError::StateNotGathered),
-        EngineState::Dense(Some(amps)) => Ok(state_fingerprint(amps)),
-        EngineState::Sparse(s) => Ok(sparse_state_fingerprint(s)),
-        EngineState::Tableau(t) => Ok(t.fingerprint()),
-    }
+) -> Result<JobResult, EngineError> {
+    let counts = match (&mut run.counts, job.spec.shots) {
+        (_, 0) => None,
+        (Ok(counts), _) => Some(std::mem::take(&mut counts[i])),
+        (Err(e), _) => return Err(e.clone()),
+    };
+    Ok(JobResult {
+        id: job.spec.id.clone(),
+        cache_hit,
+        batched,
+        latency_us: job.submitted.elapsed().as_micros() as u64,
+        state_fnv: run.digest,
+        engine: run.profiled.engine,
+        counts,
+    })
 }
 
 #[cfg(test)]
@@ -569,37 +552,39 @@ mod tests {
         }
     }
 
-    fn execution(rep: &Job, batched: usize) -> Execution {
-        let run = EngineExecutor::run(&rep.spec.circuit, &sim_config(&rep.spec), 0, true)
+    #[test]
+    fn jobs_without_shots_get_no_counts() {
+        let jobs = [job(0, 1), job(0, 2), job(50, 3), job(0, 4)];
+        let shots: Vec<Shots> = jobs.iter().map(Job::shots).collect();
+        let cfg = sim_config(&jobs[0].spec);
+        let mut run = EngineExecutor::run_sampled(&jobs[0].spec.circuit, &cfg, 0, None, &shots)
             .expect("dense run");
-        Execution {
-            state_fnv: state_fnv(&run.state).expect("gathered"),
-            run,
-            cache_hit: false,
-            batched,
-            sampler: OnceCell::new(),
+        let digest = run.digest;
+        for (i, j) in jobs.iter().enumerate() {
+            let r = job_result(j, i, &mut run, false, jobs.len()).expect("result");
+            assert_eq!(r.state_fnv, digest);
+            let drawn = r.counts.map(|c| c.values().sum::<usize>());
+            assert_eq!(drawn, (j.spec.shots > 0).then_some(50), "job {i}");
         }
     }
 
     #[test]
-    fn a_batch_without_shots_builds_no_sampler() {
-        let jobs = [job(0, 1), job(0, 2), job(0, 3)];
-        let exec = execution(&jobs[0], jobs.len());
-        for j in &jobs {
-            let r = exec.result(j).expect("result");
-            assert_eq!((r.counts, r.state_fnv), (None, exec.state_fnv));
-        }
-        assert!(exec.sampler.get().is_none(), "no job drew shots");
-        let r = exec.result(&job(50, 4)).expect("result");
-        assert_eq!(r.counts.map(|c| c.values().sum::<usize>()), Some(50));
-        assert!(exec.sampler.get().is_some(), "the first draw builds it");
-    }
-
-    #[test]
-    fn an_ungathered_dense_state_is_a_typed_error() {
-        assert_eq!(
-            state_fnv(&EngineState::Dense(None)),
-            Err(EngineError::StateNotGathered)
-        );
+    fn a_panic_under_the_cache_lock_does_not_stop_the_service() {
+        let server = Server::start(ServeConfig::default());
+        let inner = Arc::clone(&server.inner);
+        let poisoner = thread::spawn(move || {
+            let _cache = inner.cache.lock();
+            panic!("a panic while the cache is locked");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.inner.cache.is_poisoned());
+        let rx = server.submit(job(20, 9).spec).expect("admitted");
+        let reply = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a reply");
+        let counts = reply.expect("the job runs").counts.expect("shots drawn");
+        assert_eq!(counts.values().sum::<usize>(), 20);
+        assert_eq!(server.stats().completed, 1);
+        server.shutdown();
     }
 }

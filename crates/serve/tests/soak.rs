@@ -8,11 +8,16 @@
 //! outcome leaks into a neighbouring job — concurrent traffic with
 //! mixed fault plans shows no cross-job corruption.
 
+use qse_circuit::hash::canonicalize;
 use qse_circuit::qft::qft;
 use qse_comm::FaultConfig;
 use qse_core::config::TranspileMode;
+use qse_core::{SimConfig, ThreadClusterExecutor};
+use qse_serve::protocol::state_fingerprint;
 use qse_serve::{JobResponse, JobResult, JobSpec, ServeConfig, ServeError, Server};
+use qse_statevec::measure::sample_counts_amps;
 use qse_util::mailbox::Receiver;
+use qse_util::rng::StdRng;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -105,6 +110,32 @@ fn recoverable_fault_jobs_complete_bit_for_bit_under_the_server() {
     // faulted job reuses the clean job's compiled plan.
     assert_eq!(stats.cache.misses, 1);
     assert!(stats.cache.hits >= 1);
+    server.shutdown();
+}
+
+/// A dense reply is read out where the amplitudes live, and it is still
+/// the gathered state's: clean and under recoverable fault plans — which
+/// also hit the read-out's own carries, broadcast and merge — the
+/// fingerprint and the seeded histogram equal a solo run's gathered to
+/// rank 0 and sampled there.
+#[test]
+fn faulted_and_clean_replies_equal_the_gathered_solo_run() {
+    let circuit = canonicalize(&qft(SOAK_QUBITS));
+    let solo =
+        ThreadClusterExecutor::try_run(&circuit, &SimConfig::default_for(SOAK_RANKS), 0, true)
+            .expect("solo run");
+    let amps = solo.state.expect("gathered");
+    let counts = sample_counts_amps(&amps, &mut StdRng::seed_from_u64(11), 200).expect("sampled");
+    let server = Server::start(ServeConfig::default());
+    for faults in [None, Some(recoverable(21)), Some(recoverable(22))] {
+        let r = wait_ok(
+            &server
+                .submit(soak_spec("read-out", 11, faults))
+                .expect("admitted"),
+        );
+        assert_eq!(r.state_fnv, state_fingerprint(&amps), "{faults:?}");
+        assert_eq!(r.counts.as_ref(), Some(&counts), "{faults:?}");
+    }
     server.shutdown();
 }
 

@@ -8,7 +8,8 @@
 //!   length fold into one word, finished by SplitMix64's [`avalanche`].
 //! * **Nodes** mix `(left, right, level)`; the root of `2ⁿ` amplitudes
 //!   sits at level `n − 6`, and an aligned slice of whole leaves (a
-//!   rank's share) is a subtree.
+//!   rank's share) is a subtree: each rank digests its own slice from
+//!   its split planes (`planes`) and `join` combines the roots.
 //! * **`Z[l]`** digests an all-zero subtree of height `l`: [`sparse`]
 //!   folds only the leaves holding a stored amplitude and takes `Z[l]`
 //!   for the rest, equal to [`dense`] by construction in `O(nnz · n)`.
@@ -19,6 +20,7 @@
 use crate::SparseState;
 use qse_math::Complex64;
 use qse_util::rng::avalanche;
+use std::ops::Range;
 
 /// log₂ of the amplitudes in one leaf.
 pub const LEAF_LOG2: u32 = 6;
@@ -57,8 +59,41 @@ fn leaf(amps: &[Complex64]) -> u64 {
     finish([h0, h1, h2, h3], amps.len())
 }
 
+/// [`leaf`] of the amplitudes whose parts are `re` and `im`: the same
+/// words dealt to the same lanes, read from the split planes.
+fn leaf_planes(re: &[f64], im: &[f64]) -> u64 {
+    let [mut h0, mut h1, mut h2, mut h3] = LANE_SEEDS;
+    let (mut re_pairs, mut im_pairs) = (re.chunks_exact(2), im.chunks_exact(2));
+    for (r, i) in (&mut re_pairs).zip(&mut im_pairs) {
+        h0 = fold(h0, r[0].to_bits());
+        h1 = fold(h1, i[0].to_bits());
+        h2 = fold(h2, r[1].to_bits());
+        h3 = fold(h3, i[1].to_bits());
+    }
+    if let ([r], [i]) = (re_pairs.remainder(), im_pairs.remainder()) {
+        h0 = fold(h0, r.to_bits());
+        h1 = fold(h1, i.to_bits());
+    }
+    finish([h0, h1, h2, h3], re.len())
+}
+
 fn node(left: u64, right: u64, level: u32) -> u64 {
     avalanche(fold(fold(u64::from(level), left), right))
+}
+
+/// The digest of the `len` amplitudes from `start`, a power of two, whose
+/// leaves `leaf_at` digests: halves joined recursively.
+fn tree(start: usize, len: usize, leaf_at: &impl Fn(Range<usize>) -> u64) -> u64 {
+    if len <= LEAF_AMPS {
+        return leaf_at(start..start + len);
+    }
+    let half = len / 2;
+    let level = len.trailing_zeros() - LEAF_LOG2;
+    node(
+        tree(start, half, leaf_at),
+        tree(start + half, half, leaf_at),
+        level,
+    )
 }
 
 /// The digest of a dense statevector of `2ⁿ` amplitudes: one pass in
@@ -71,12 +106,46 @@ pub fn dense(amps: &[Complex64]) -> u64 {
         amps.len().is_power_of_two(),
         "a digest needs 2^n amplitudes"
     );
-    if amps.len() <= LEAF_AMPS {
-        return leaf(amps);
+    tree(0, amps.len(), &|r| leaf(&amps[r]))
+}
+
+/// [`dense`] of the amplitudes whose real parts are `re` and imaginary
+/// parts `im` — a split-plane slice digested where it lives.
+///
+/// # Panics
+/// Panics when the planes differ in length or it is not a power of two.
+pub(crate) fn planes(re: &[f64], im: &[f64]) -> u64 {
+    assert!(
+        re.len() == im.len() && re.len().is_power_of_two(),
+        "a digest needs 2^n amplitudes"
+    );
+    tree(0, re.len(), &|r| leaf_planes(&re[r.clone()], &im[r]))
+}
+
+/// The digest of a statevector cut into `roots.len()` equal aligned
+/// slices of `slice_len` amplitudes each, from the slices' own digests in
+/// index order: [`dense`] of the whole, when every slice holds at least
+/// one leaf ([`LEAF_AMPS`]).
+///
+/// # Panics
+/// Panics when `roots.len()` is not a power of two or a slice is smaller
+/// than a leaf while there is more than one.
+pub(crate) fn join(roots: &[u64], slice_len: usize) -> u64 {
+    assert!(roots.len().is_power_of_two(), "2^k slices");
+    assert!(
+        roots.len() == 1 || slice_len >= LEAF_AMPS,
+        "a slice below a leaf is no subtree"
+    );
+    let mut level = slice_len.trailing_zeros().saturating_sub(LEAF_LOG2);
+    let mut roots = roots.to_vec();
+    while roots.len() > 1 {
+        level += 1;
+        roots = roots
+            .chunks_exact(2)
+            .map(|p| node(p[0], p[1], level))
+            .collect();
     }
-    let (left, right) = amps.split_at(amps.len() / 2);
-    let level = amps.len().trailing_zeros() - LEAF_LOG2;
-    node(dense(left), dense(right), level)
+    roots[0]
 }
 
 /// `Z[l]` for `l ∈ 0..=levels`.
@@ -171,6 +240,33 @@ mod tests {
         for n in 0..=20 {
             let amps = random_state(n, u64::from(n));
             assert_eq!(dense(&amps), oracle(&amps), "n={n}");
+        }
+    }
+
+    /// The split-plane digest equals the interleaved one, and the roots of
+    /// R ∈ {1, 2, 4, 8} aligned slices of at least a leaf join to it, at
+    /// n ∈ {0…20}.
+    #[test]
+    fn slice_roots_join_to_the_dense_digest() {
+        for n in 0..=20 {
+            let amps = random_state(n, u64::from(n) + 100);
+            let re: Vec<f64> = amps.iter().map(|a| a.re).collect();
+            let im: Vec<f64> = amps.iter().map(|a| a.im).collect();
+            let want = oracle(&amps);
+            assert_eq!(planes(&re, &im), want, "n={n}");
+            for ranks in [1usize, 2, 4, 8] {
+                let local = amps.len() / ranks;
+                if local == 0 || (ranks > 1 && local < LEAF_AMPS) {
+                    continue;
+                }
+                let roots: Vec<u64> = (0..ranks)
+                    .map(|r| {
+                        let s = r * local..(r + 1) * local;
+                        planes(&re[s.clone()], &im[s])
+                    })
+                    .collect();
+                assert_eq!(join(&roots, local), want, "n={n} R={ranks}");
+            }
         }
     }
 

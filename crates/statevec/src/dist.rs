@@ -35,6 +35,10 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
+mod readout;
+
+pub use readout::ReadOut;
+
 /// Per-rank view of a distributed statevector. Lives inside one rank's
 /// thread and borrows that rank's [`Communicator`].
 pub struct DistributedState<'c> {

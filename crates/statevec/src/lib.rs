@@ -51,7 +51,7 @@ pub mod single;
 pub mod sparse;
 pub mod storage;
 
-pub use dist::{DistConfig, DistributedState};
+pub use dist::{DistConfig, DistributedState, ReadOut};
 pub use schedule::{LocalOp, LocalRun, Schedule, Step};
 pub use single::SingleState;
 pub use sparse::{SparseState, DEFAULT_PRUNE_EPSILON, MAX_SPARSE_QUBITS};

@@ -3,9 +3,12 @@
 //! The paper's §1 motivation for statevector simulation: "once a circuit
 //! is simulated, all amplitudes are available, which enables any required
 //! measurements to be made without the need to rerun the simulation".
-//! Every product path measures that way, once, after the last gate: it
-//! gathers the final amplitudes and draws its shots from one prepared
-//! sampler ([`amps_sampler`]). The projective single-qubit measurement
+//! Every product path measures that way, once, after the last gate. A
+//! served dense run is read out where its amplitudes live
+//! ([`crate::DistributedState::read_out`]), drawing bit for bit what one
+//! prepared sampler over the gathered amplitudes ([`amps_sampler`]) draws;
+//! callers that hold the amplitudes in one place use that sampler
+//! directly. The projective single-qubit measurement
 //! ([`measure_qubit_with`], [`collapse`]) has no product caller; it is
 //! kept as the dense oracle that the stabilizer engine's own measurement
 //! is checked against (`qse-stabilizer`'s `dense_agreement` suite).
@@ -131,11 +134,9 @@ pub fn amps_sampler(amps: &[Complex64]) -> Result<Cdf, MeasureError> {
 /// its draws.
 ///
 /// Fully deterministic for a given RNG stream: each draw selects the
-/// smallest index whose inclusive prefix sum exceeds the uniform draw.
-/// `qse serve` relies on this determinism for its bit-for-bit batching
-/// contract: jobs that share one gathered execution draw their own
-/// shots from their own seeds out of one prepared sampler, identically
-/// to a solo execution over the same amplitudes.
+/// smallest index whose inclusive prefix sum exceeds the uniform draw —
+/// the contract the distributed read-out keeps, so a served reply's
+/// counts are what this function draws over the gathered state.
 pub fn sample_counts_amps<R: Rng>(
     amps: &[Complex64],
     rng: &mut R,

@@ -913,6 +913,17 @@ impl SoaStorage {
         s
     }
 
+    /// The real and the imaginary plane, amplitude `i` at index `i` of
+    /// each.
+    pub(crate) fn planes(&self) -> (&[f64], &[f64]) {
+        (&self.re, &self.im)
+    }
+
+    /// [`Self::planes`], the real one writable.
+    pub(crate) fn planes_mut(&mut self) -> (&mut [f64], &[f64]) {
+        (&mut self.re, &self.im)
+    }
+
     /// Σ|amp|² over the local slice.
     pub fn norm_sqr_sum(&self) -> f64 {
         if self.len() >= PAR_THRESHOLD {

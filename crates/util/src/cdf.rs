@@ -4,13 +4,80 @@
 //! inclusive prefix sums of the outcome weights in ascending outcome
 //! order, one `random_range(0.0..total)` per shot, and `partition_point`
 //! selection of the smallest outcome whose prefix sum exceeds the draw.
-//! [`Cdf`] is that contract built once: the prefix sums are summed when
-//! it is built and every draw after that is a binary search, so one
-//! state serves any number of seeds (a batch of jobs sharing one
-//! execution) for the price of one table.
+//! [`Cdf`] is that contract built once over a whole table — the sparse
+//! and tableau engines' outcomes, or amplitudes held in one place: the
+//! prefix sums are summed when it is built and every draw after that is
+//! a binary search, so one state serves any number of seeds (a batch of
+//! jobs sharing one execution, [`Cdf::sample_batch`]) for the price of
+//! one table.
+//!
+//! A dense table cut across ranks keeps the same contract without being
+//! put back together: each rank sums its share in place with
+//! [`prefix_sums`], continuing from the previous rank's end carry (the
+//! same `+` sequence as one pass over the whole table), and a
+//! [`Segment`] over that share selects exactly the draws whose whole-table
+//! selection lands in it. Every rank draws every uniform of a batch
+//! ([`Shots`]), so the segments' histograms add up to the whole table's.
 
-use crate::rng::Rng;
+use crate::rng::{Rng, StdRng};
 use std::collections::BTreeMap;
+
+/// A measurement histogram: outcome → times drawn.
+pub type Counts = BTreeMap<u64, usize>;
+
+/// One job's draws: `count` uniforms from a generator seeded with `seed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shots {
+    /// Seed of the job's own generator.
+    pub seed: u64,
+    /// Shots to draw.
+    pub count: usize,
+}
+
+impl Shots {
+    /// The `count` uniforms over `0.0..total`, in draw order.
+    fn uniforms(self, total: f64) -> impl Iterator<Item = f64> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        (0..self.count).map(move |_| rng.random_range(0.0..total))
+    }
+}
+
+/// Writes inclusive prefix sums in one pass in order, starting from
+/// `carry` (`0.0` for a whole table): each `(slot, weight)` pair gets the
+/// running sum through its weight. A table summed in place pairs each
+/// entry with its own value; weights may also be computed from other
+/// data as the pass goes. Returns the end carry — the last prefix sum,
+/// `carry` for no pairs — and the index of the last positive weight.
+pub fn prefix_sums<'a>(
+    pairs: impl IntoIterator<Item = (&'a mut f64, f64)>,
+    carry: f64,
+) -> (f64, Option<usize>) {
+    let mut acc = carry;
+    let mut last_positive = None;
+    for (i, (slot, w)) in pairs.into_iter().enumerate() {
+        if w > 0.0 {
+            last_positive = Some(i);
+        }
+        acc += w;
+        *slot = acc;
+    }
+    (acc, last_positive)
+}
+
+/// `table`'s entries paired with their own values, for [`prefix_sums`]
+/// in place.
+fn in_place(table: &mut [f64]) -> impl Iterator<Item = (&mut f64, f64)> {
+    table.iter_mut().map(|p| {
+        let w = *p;
+        (p, w)
+    })
+}
+
+/// The draw's position: the smallest index whose prefix sum exceeds `u`,
+/// `prefix.len()` when none does.
+fn select(prefix: &[f64], u: f64) -> usize {
+    prefix.partition_point(|&c| c <= u)
+}
 
 /// The weights sum to zero (or are not a number): there is no
 /// distribution to draw from. Each engine maps this to its own error.
@@ -58,15 +125,7 @@ impl Cdf {
     /// Turns the weights in `prefix` into their inclusive prefix sums in
     /// place, in one pass in outcome order.
     fn summed(mut prefix: Vec<f64>, keys: Option<Vec<u64>>) -> Result<Cdf, ZeroTotal> {
-        let mut acc = 0.0f64;
-        let mut last_positive = None;
-        for (i, p) in prefix.iter_mut().enumerate() {
-            if *p > 0.0 {
-                last_positive = Some(i);
-            }
-            acc += *p;
-            *p = acc;
-        }
+        let (acc, last_positive) = prefix_sums(in_place(&mut prefix), 0.0);
         let last_positive = match (last_positive, &keys) {
             (Some(i), Some(keys)) => keys[i],
             (Some(i), None) => i as u64,
@@ -94,8 +153,12 @@ impl Cdf {
 
     /// Draws one outcome.
     fn draw<R: Rng>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.random_range(0.0..self.total);
-        let pos = self.prefix.partition_point(|&c| c <= u);
+        self.outcome(rng.random_range(0.0..self.total))
+    }
+
+    /// The outcome of the uniform draw `u`.
+    fn outcome(&self, u: f64) -> u64 {
+        let pos = select(&self.prefix, u);
         if pos == self.prefix.len() {
             self.last_positive
         } else {
@@ -104,12 +167,88 @@ impl Cdf {
     }
 
     /// Draws `shots` outcomes and returns their histogram.
-    pub fn sample_counts<R: Rng>(&self, rng: &mut R, shots: usize) -> BTreeMap<u64, usize> {
+    pub fn sample_counts<R: Rng>(&self, rng: &mut R, shots: usize) -> Counts {
         let mut counts = BTreeMap::new();
         for _ in 0..shots {
             *counts.entry(self.draw(rng)).or_insert(0) += 1;
         }
         counts
+    }
+
+    /// Each job's histogram, in order: its shots drawn from its own seed.
+    pub fn sample_batch(&self, shots: &[Shots]) -> Vec<Counts> {
+        shots
+            .iter()
+            .map(|s| self.sample_counts(&mut StdRng::seed_from_u64(s.seed), s.count))
+            .collect()
+    }
+}
+
+/// One rank's share of a dense table cut into contiguous segments:
+/// outcomes `offset..offset + prefix.len()`, whose prefix sums continue
+/// from the end carry of the segment before. [`Self::sample_batch`]
+/// keeps exactly the draws whose whole-table selection lands here, so
+/// the histograms of all segments add up to [`Cdf::sample_batch`] over
+/// the whole table, and the segments never need to be put together.
+#[derive(Debug, Clone, Copy)]
+pub struct Segment<'a> {
+    /// This segment's inclusive prefix sums ([`prefix_sums`]).
+    pub prefix: &'a [f64],
+    /// The outcome of `prefix[0]`.
+    pub offset: u64,
+    /// The last prefix sum of the segment before; `None` for the first.
+    pub carry_in: Option<f64>,
+    /// The whole table's last prefix sum: draws are uniform over
+    /// `0.0..total`.
+    pub total: f64,
+    /// The whole table's last outcome with a positive weight (`0` when
+    /// there is none), where a draw at or past `total` lands.
+    pub last_positive: u64,
+}
+
+impl Segment<'_> {
+    /// The outcome of the uniform draw `u` when the whole table's
+    /// selection lands in this segment. The prefix sums never decrease,
+    /// so the smallest one exceeding `u` is here iff the carry in does
+    /// not exceed `u` and some prefix sum here does; a draw no prefix sum
+    /// exceeds belongs to the segment holding `last_positive`.
+    pub fn outcome(&self, u: f64) -> Option<u64> {
+        // The negation of the selection's own `c <= u`, so that a NaN
+        // draw lands where `partition_point` puts it: on the first outcome.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let earlier = self.carry_in.is_some_and(|c| !(c <= u));
+        if earlier {
+            return None;
+        }
+        let pos = select(self.prefix, u);
+        let end = self.offset + self.prefix.len() as u64;
+        if pos < self.prefix.len() {
+            Some(self.offset + pos as u64)
+        } else if self.total <= u && (self.offset..end).contains(&self.last_positive) {
+            Some(self.last_positive)
+        } else {
+            None
+        }
+    }
+
+    /// Each job's histogram over this segment's outcomes, in order: every
+    /// one of its shots drawn from its own seed, the ones landing here
+    /// counted. Refuses a total that is zero or not a number, as
+    /// [`Cdf::with_total`] does.
+    pub fn sample_batch(&self, shots: &[Shots]) -> Result<Vec<Counts>, ZeroTotal> {
+        if self.total.is_nan() || self.total <= 0.0 {
+            return Err(ZeroTotal);
+        }
+        Ok(shots
+            .iter()
+            .map(|s| {
+                let mut counts = BTreeMap::new();
+                for outcome in s.uniforms(self.total).filter_map(|u| self.outcome(u)) {
+                    *counts.entry(outcome).or_insert(0) += 1;
+                }
+                counts
+            })
+            .collect())
     }
 }
 
@@ -345,6 +484,94 @@ mod tests {
             assert_eq!(dense_of(&nan), Err(ZeroTotal));
         }
         assert_eq!(dense_of(&[]), Err(ZeroTotal));
+    }
+
+    /// `w` cut at `cuts` into segments chained by [`prefix_sums`]: the
+    /// prefix sums, each segment's carry in, the total and the last
+    /// positive outcome.
+    fn chained(w: &[f64], cuts: &[usize]) -> (Vec<f64>, Vec<Option<f64>>, f64, u64) {
+        let mut prefix = w.to_vec();
+        let (mut carry, mut last_positive) = (None, 0);
+        let mut carries = Vec::new();
+        for (&start, &end) in cuts.iter().zip(&cuts[1..]) {
+            let (out, last) = prefix_sums(in_place(&mut prefix[start..end]), carry.unwrap_or(0.0));
+            carries.push(carry);
+            last_positive = last.map_or(last_positive, |i| (start + i) as u64);
+            carry = Some(out);
+        }
+        (prefix, carries, carry.expect("one segment"), last_positive)
+    }
+
+    /// A table cut into one to eight segments and chained by their carries
+    /// is the whole table bit for bit, and each draw lands in exactly one
+    /// segment, on the whole table's outcome — also a draw at or past the
+    /// total, which the segment holding the last positive weight takes,
+    /// and a NaN draw. The segments' seeded histograms add up to the
+    /// whole table's, and a zero or NaN total is refused.
+    #[test]
+    fn chained_segments_draw_what_the_whole_table_draws() {
+        check(256, |rng| {
+            let w = weights(rng);
+            let Ok(whole) = dense_of(&w) else {
+                return;
+            };
+            let mut cuts: Vec<usize> = (0..rng.random_range(0usize..8))
+                .map(|_| rng.random_range(1..=w.len()))
+                .chain([0, w.len()])
+                .collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            let (prefix, carries, total, last_positive) = chained(&w, &cuts);
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&prefix), bits(&whole.prefix), "weights {w:?}");
+            assert_eq!(total.to_bits(), whole.total.to_bits());
+            assert_eq!(last_positive, whole.last_positive);
+            let segments: Vec<Segment> = cuts
+                .windows(2)
+                .zip(carries)
+                .map(|(cut, carry_in)| Segment {
+                    prefix: &prefix[cut[0]..cut[1]],
+                    offset: cut[0] as u64,
+                    carry_in,
+                    total,
+                    last_positive,
+                })
+                .collect();
+            let mut draws: Vec<f64> = (0..64).map(|_| rng.random_range(0.0..total)).collect();
+            draws.extend(segments.iter().filter_map(|s| s.carry_in));
+            draws.extend([0.0, total, total * 1.5, f64::NAN]);
+            for u in draws {
+                let got: Vec<u64> = segments.iter().filter_map(|s| s.outcome(u)).collect();
+                assert_eq!(
+                    got,
+                    [whole.outcome(u)],
+                    "u {u}, weights {w:?}, cuts {cuts:?}"
+                );
+            }
+            let shots: Vec<Shots> = (0..3)
+                .map(|_| Shots {
+                    seed: rng.next_u64(),
+                    count: rng.random_range(0usize..200),
+                })
+                .collect();
+            let mut merged = vec![Counts::new(); shots.len()];
+            for s in &segments {
+                for (all, mine) in merged.iter_mut().zip(s.sample_batch(&shots).unwrap()) {
+                    all.extend(mine);
+                }
+            }
+            assert_eq!(merged, whole.sample_batch(&shots), "weights {w:?}");
+        });
+        for total in [0.0, f64::NAN] {
+            let segment = Segment {
+                prefix: &[0.0],
+                offset: 0,
+                carry_in: None,
+                total,
+                last_positive: 0,
+            };
+            assert_eq!(segment.sample_batch(&[]), Err(ZeroTotal));
+        }
     }
 
     /// Always the same 64 bits: pins every draw to one end of the range.
