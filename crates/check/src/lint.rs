@@ -5,9 +5,11 @@
 //! keeps their escape hatch honest:
 //!
 //! * **R1 `PanicInLib`** — no `.unwrap()`, `.expect(`, or `panic!` in
-//!   non-test library code of `qse-comm`, `qse-statevec`, and
-//!   `qse-machine`: the crates whose errors must surface as typed
-//!   [`qse_comm::CommError`] values rather than rank-thread panics.
+//!   non-test library code of `qse-comm`, `qse-statevec`,
+//!   `qse-machine`, `qse-stabilizer` and `qse-serve`: the crates whose
+//!   errors must surface as typed values ([`qse_comm::CommError`], a
+//!   served job's typed reply) rather than as panics on a rank or a
+//!   serve worker.
 //!   (`assert!`, `debug_assert!`, and `unreachable!` remain allowed —
 //!   invariant violations *should* panic.)
 //! * **R2 `InstantInMachine`** — no `Instant::now()` in `qse-machine`:
@@ -24,8 +26,9 @@
 //!   error handling in disguise. (`debug_assert!` remains allowed:
 //!   true internal invariants may still self-check in debug builds.)
 //! * **R5 `UnsafeWithoutSafety`** — every `unsafe` keyword in the SIMD
-//!   storage kernels (`qse-statevec/src/storage/soa.rs`) and the
-//!   thread-pool (`qse-util/src/parallel.rs`) must be justified by a
+//!   storage kernels (`qse-statevec/src/storage/soa.rs`), the
+//!   thread-pool (`qse-util/src/parallel.rs`) and the resident rank
+//!   threads (`qse-comm/src/universe.rs`) must be justified by a
 //!   `SAFETY:` comment on the same line or in the contiguous
 //!   comment/attribute block directly above it. These are the only
 //!   files in the tree allowed to contain `unsafe` at all; each use
@@ -132,7 +135,7 @@ impl fmt::Display for Violation {
 
 /// The crates R1 applies to: their `src/` trees must not panic on
 /// recoverable errors.
-const NO_PANIC_CRATES: [&str; 4] = ["comm", "statevec", "machine", "stabilizer"];
+const NO_PANIC_CRATES: [&str; 5] = ["comm", "statevec", "machine", "stabilizer", "serve"];
 
 fn crate_of(relpath: &str) -> Option<&str> {
     let rest = relpath.strip_prefix("crates/")?;
@@ -146,27 +149,69 @@ fn crate_of(relpath: &str) -> Option<&str> {
     tail.starts_with("src/").then_some(name)
 }
 
+/// A comment or literal that one line leaves open for the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Open {
+    /// Nothing: the next line starts in code.
+    Code,
+    /// A `/* */` comment.
+    BlockComment,
+    /// A raw string closed by `"` and this many `#`s.
+    RawString(usize),
+}
+
+/// The guard count of a raw string with `#` guards (`r#"…"#`,
+/// `r##"…"##`, …) opening at `bytes[i]`, if one opens there.
+fn raw_string_guards(bytes: &[u8], i: usize) -> Option<usize> {
+    let ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    if bytes[i] != b'r' || (i > 0 && ident(bytes[i - 1])) {
+        return None;
+    }
+    let hashes = bytes[i + 1..].iter().take_while(|&&b| b == b'#').count();
+    (hashes > 0 && bytes.get(i + 1 + hashes) == Some(&b'"')).then_some(hashes)
+}
+
 /// Strips comments and string/char literals from one line, carrying
-/// block-comment state across lines. Raw strings are handled only to
-/// the depth the tree actually uses (no `#` guards).
-fn strip_line(line: &str, in_block_comment: &mut bool) -> String {
+/// block comments and raw strings with `#` guards across lines in
+/// `open`. Unguarded raw strings read as plain strings.
+fn strip_line(line: &str, open: &mut Open) -> String {
     let mut out = String::with_capacity(line.len());
     let bytes = line.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
-        if *in_block_comment {
-            if bytes[i] == b'*' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
-                *in_block_comment = false;
-                i += 2;
-            } else {
-                i += 1;
+        match *open {
+            Open::Code => {}
+            Open::BlockComment => {
+                if bytes[i] == b'*' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
+                    *open = Open::Code;
+                    i += 2;
+                } else {
+                    i += 1;
+                }
+                continue;
             }
+            Open::RawString(hashes) => {
+                let closes = bytes[i] == b'"'
+                    && bytes[i + 1..].iter().take_while(|&&b| b == b'#').count() >= hashes;
+                if closes {
+                    *open = Open::Code;
+                    i += 1 + hashes;
+                } else {
+                    i += 1;
+                }
+                continue;
+            }
+        }
+        if let Some(hashes) = raw_string_guards(bytes, i) {
+            *open = Open::RawString(hashes);
+            out.push_str("\"\"");
+            i += 2 + hashes;
             continue;
         }
         match bytes[i] {
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => break,
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
-                *in_block_comment = true;
+                *open = Open::BlockComment;
                 i += 2;
             }
             b'"' => {
@@ -266,9 +311,10 @@ fn invokes_hard_assert(stripped: &str) -> bool {
 
 /// The only files in the tree permitted to contain `unsafe` at all;
 /// R5 requires every use in them to carry a `SAFETY:` justification.
-const UNSAFE_FILES: [&str; 2] = [
+const UNSAFE_FILES: [&str; 3] = [
     "crates/statevec/src/storage/soa.rs",
     "crates/util/src/parallel.rs",
+    "crates/comm/src/universe.rs",
 ];
 
 /// Does the stripped line contain `needle` not embedded in a longer
@@ -315,7 +361,7 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
     }
 
     let mut violations = Vec::new();
-    let mut in_block_comment = false;
+    let mut open = Open::Code;
     // Depth tracking for `#[cfg(test)]` regions: once the attribute is
     // seen, the next block `{ … }` (usually `mod tests`) is test code.
     let mut brace_depth: i64 = 0;
@@ -340,8 +386,8 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
 
     for (idx, raw) in content.lines().enumerate() {
         let line_no = idx + 1;
-        let was_in_block = in_block_comment;
-        let stripped = strip_line(raw, &mut in_block_comment);
+        let was_in_block = open == Open::BlockComment;
+        let stripped = strip_line(raw, &mut open);
         let trimmed_raw = raw.trim_start();
 
         // Doc-comment adjacency for R3 (raw text: `///` lines are
@@ -745,6 +791,36 @@ mod tests {
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|x| x.rule == Rule::PanicInLib), "{v:?}");
         assert!(v.iter().any(|x| x.rule == Rule::TruncatingCast), "{v:?}");
+    }
+
+    #[test]
+    fn guarded_raw_strings_are_stripped() {
+        let mut open = Open::Code;
+        let line = r####"let x = (r#"{"a":"}"}"#, r###"x"#y"###).unwrap(); r#"{"####;
+        assert_eq!(
+            strip_line(line, &mut open),
+            r#"let x = ("", "").unwrap(); """#
+        );
+        // The last literal runs on into the next line and closes there.
+        assert_eq!(open, Open::RawString(1));
+        assert_eq!(
+            strip_line(r##"  ]}}"#, x.unwrap()"##, &mut open),
+            ", x.unwrap()"
+        );
+        assert_eq!(open, Open::Code);
+        // An identifier ending in `r` before a `#` is no literal.
+        assert_eq!(strip_line("for#", &mut open), "for#");
+    }
+
+    #[test]
+    fn serve_crate_is_held_to_the_no_panic_rule() {
+        let src = "fn f(q: &mut VecDeque<Job>) {\n    q.remove(0).expect(\"job\");\n}\n";
+        let v = lint_file("crates/serve/src/fake.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (Rule::PanicInLib, 2));
+        // Its test modules may still unwrap.
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() {\n        x.unwrap();\n    }\n}\n";
+        assert!(lint_file("crates/serve/src/fake.rs", src).is_empty());
     }
 
     #[test]

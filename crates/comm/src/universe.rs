@@ -1,4 +1,5 @@
-//! Universe construction: spins up the ranks and hands out communicators.
+//! Universe construction: hands out communicators and runs the ranks —
+//! rank 0 on the caller, the rest on resident helper threads.
 
 use crate::communicator::Communicator;
 use crate::failstop::FailStop;
@@ -7,7 +8,9 @@ use crate::message::Envelope;
 use crate::stats::{SharedCounters, TrafficCounters};
 use crate::Result;
 use qse_util::mailbox::{unbounded, Receiver, Sender};
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread;
 use std::time::Duration;
 
 /// Default receive deadline; generous enough for debug-build statevector
@@ -20,9 +23,11 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(60);
 /// The universe is the analogue of `MPI_COMM_WORLD` after `MPI_Init`: it
 /// owns one mailbox per rank and the shared fail-stop state (abort cell
 /// and barrier, see [`crate::failstop`]). Consume it either with
-/// [`Universe::run`] (spawn one thread per rank, run a closure, collect
-/// results in rank order) or [`Universe::into_communicators`] for manual
-/// thread management.
+/// [`Universe::run`] (run a closure on every rank — rank 0 on the
+/// calling thread, the others on resident helper threads — and collect
+/// the results in rank order) or [`Universe::into_communicators`] for
+/// manual thread management. Mailboxes, counters and the abort cell
+/// belong to one universe; only the helper threads outlive it.
 pub struct Universe {
     senders: Arc<Vec<Sender<Envelope>>>,
     receivers: Vec<Receiver<Envelope>>,
@@ -111,34 +116,203 @@ impl Universe {
             .collect()
     }
 
-    /// Runs `f` on every rank in its own thread and returns the results in
-    /// rank order. A panicking rank aborts the universe, so its peers stop
-    /// waiting on it; the panic is then re-raised on the caller with its
-    /// original payload — the aborting rank's, when it panicked, even if
-    /// peers panicked on the abort after it — so a failed assertion
-    /// inside a rank fails the enclosing test with its own message.
+    /// Runs `f` on every rank and returns the results in rank order.
+    ///
+    /// Rank 0 runs on the calling thread, as MPI's launching process is
+    /// rank 0; ranks 1..R−1 run on resident helper threads, which park
+    /// on a process-wide idle stack between runs. The stack is taken
+    /// last in, first out, so a caller that runs universe after universe
+    /// gets the same helpers back — and with them their warm malloc
+    /// arenas — every time.
+    ///
+    /// A panicking rank aborts the universe, so its peers stop waiting
+    /// on it; once every rank has returned, the panic is re-raised on
+    /// the caller with its original payload — the aborting rank's, when
+    /// it panicked, even if peers panicked on the abort after it — so a
+    /// failed assertion inside a rank fails the enclosing test with its
+    /// own message. The helper itself survives and goes back on the
+    /// stack.
     pub fn run<R, F>(self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut Communicator) -> R + Sync,
     {
         let fail_stop = Arc::clone(&self.fail_stop);
-        let comms = self.into_communicators();
+        let mut comms = self.into_communicators();
+        let rest = comms.split_off(1);
+        // Every helper is in hand before any rank starts: past this
+        // point nothing unwinds until each helper has reported back.
+        let helpers = helpers::take(rest.len());
+        let results: Vec<Mutex<Option<thread::Result<R>>>> =
+            (0..=rest.len()).map(|_| Mutex::new(None)).collect();
         let f = &f;
-        let mut joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|mut comm| scope.spawn(move || f(&mut comm)))
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
+        let rank_body = |comm: Communicator| {
+            let rank = comm.rank();
+            // The communicator moves into the unwinding closure, so a
+            // panic drops it mid-unwind and so aborts the universe.
+            let out = panic::catch_unwind(AssertUnwindSafe(move || {
+                let mut comm = comm;
+                f(&mut comm)
+            }));
+            *helpers::lock(&results[rank]) = Some(out);
+        };
+        let body: *const (dyn Fn(Communicator) + Sync + '_) = &rank_body;
+        // SAFETY: only the pointer's lifetime is erased. `rank_body`
+        // lives on this frame until the end of the function, and every
+        // helper handed the pointer has finished with it once `finish`
+        // returns below; nothing between `start` and `finish` unwinds,
+        // since the body catches its rank's panic.
+        let body = helpers::RankBody(unsafe {
+            std::mem::transmute::<
+                *const (dyn Fn(Communicator) + Sync + '_),
+                *const (dyn Fn(Communicator) + Sync + 'static),
+            >(body)
         });
+        for (helper, comm) in helpers.iter().zip(rest) {
+            helper.start(body, comm);
+        }
+        for comm in comms {
+            rank_body(comm);
+        }
+        for helper in &helpers {
+            helper.finish();
+        }
+        helpers::park(helpers);
+
+        let mut joined: Vec<thread::Result<R>> = results
+            .into_iter()
+            .map(
+                |cell| match cell.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                    Some(out) => out,
+                    None => unreachable!("every rank stores its result before it reports back"),
+                },
+            )
+            .collect();
         let origin = fail_stop.origin().filter(|&r| joined[r].is_err());
         if let Some(rank) = origin.or_else(|| joined.iter().position(|r| r.is_err())) {
             if let Err(payload) = joined.swap_remove(rank) {
-                std::panic::resume_unwind(payload);
+                panic::resume_unwind(payload);
             }
         }
         joined.into_iter().flatten().collect()
+    }
+}
+
+/// The resident helper threads that run ranks 1..R−1 of every universe.
+mod helpers {
+    use crate::communicator::Communicator;
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+
+    /// The guard of `mutex`, also after a panic under it: no code that
+    /// can panic runs under these locks, and what they guard is whole
+    /// between statements.
+    pub(super) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+        mutex.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Type-erased pointer to a run's rank body on the caller's stack.
+    ///
+    /// SAFETY: [`super::Universe::run`] does not return, nor unwind,
+    /// until every helper handed the pointer has reported its turn done,
+    /// after its last call through it, so the pointee outlives every
+    /// call despite the erased lifetime.
+    #[derive(Clone, Copy)]
+    pub(super) struct RankBody(pub(super) *const (dyn Fn(Communicator) + Sync));
+    // SAFETY: the pointee is `Sync` and is only called, never moved.
+    unsafe impl Send for RankBody {}
+
+    /// Where a helper is in its cycle: parked (or running a rank it has
+    /// taken), handed one rank of a run, or done and waiting for its
+    /// caller to collect it. One cell lives per helper and is never
+    /// copied, so the communicator is held inline, not boxed per run.
+    #[allow(clippy::large_enum_variant)]
+    enum Turn {
+        Parked,
+        Start(RankBody, Communicator),
+        Done,
+    }
+
+    /// One resident rank thread: its turn cell, and the condition
+    /// variable its caller and it signal each other through.
+    pub(super) struct Helper {
+        turn: Mutex<Turn>,
+        changed: Condvar,
+    }
+
+    impl Helper {
+        /// Hands the helper one rank of a run.
+        pub(super) fn start(&self, body: RankBody, comm: Communicator) {
+            *lock(&self.turn) = Turn::Start(body, comm);
+            self.changed.notify_all();
+        }
+
+        /// Waits until the helper has run its rank and let go of the
+        /// body, and parks it.
+        pub(super) fn finish(&self) {
+            let mut turn = self
+                .changed
+                .wait_while(lock(&self.turn), |t| !matches!(t, Turn::Done))
+                .unwrap_or_else(PoisonError::into_inner);
+            *turn = Turn::Parked;
+        }
+
+        /// The helper thread's loop: wait for a rank, run it, report.
+        fn serve(&self) {
+            let mut turn = lock(&self.turn);
+            loop {
+                turn = self
+                    .changed
+                    .wait_while(turn, |t| !matches!(t, Turn::Start(..)))
+                    .unwrap_or_else(PoisonError::into_inner);
+                let Turn::Start(body, comm) = std::mem::replace(&mut *turn, Turn::Parked) else {
+                    continue;
+                };
+                drop(turn);
+                // SAFETY: the caller that started this turn blocks in
+                // `finish` until the `Done` below, so the body is alive.
+                unsafe { (*body.0)(comm) };
+                turn = lock(&self.turn);
+                *turn = Turn::Done;
+                self.changed.notify_all();
+            }
+        }
+    }
+
+    /// The process-wide idle stack; its top is the last helper parked.
+    static IDLE: Mutex<Vec<Arc<Helper>>> = Mutex::new(Vec::new());
+
+    /// `count` helpers: the top of the idle stack first, then new ones.
+    pub(super) fn take(count: usize) -> Vec<Arc<Helper>> {
+        let mut helpers: Vec<Arc<Helper>> = {
+            let mut idle = lock(&IDLE);
+            let from = idle.len().saturating_sub(count);
+            idle.drain(from..).rev().collect()
+        };
+        while helpers.len() < count {
+            let helper = Arc::new(Helper {
+                turn: Mutex::new(Turn::Parked),
+                changed: Condvar::new(),
+            });
+            let resident = Arc::clone(&helper);
+            let spawned = std::thread::Builder::new()
+                .name("qse-rank".into())
+                .spawn(move || resident.serve());
+            if let Err(e) = spawned {
+                park(helpers);
+                // `run` has no error path, and a universe short of a
+                // rank cannot run: a failed spawn panics, as
+                // `std::thread::spawn` does.
+                panic!("cannot start a rank thread: {e}"); // qse-lint: allow
+            }
+            helpers.push(helper);
+        }
+        helpers
+    }
+
+    /// Puts `helpers` back in the order `take` handed them out, so the
+    /// next `take` of the same count returns them rank for rank.
+    pub(super) fn park(helpers: Vec<Arc<Helper>>) {
+        lock(&IDLE).extend(helpers.into_iter().rev());
     }
 }
 

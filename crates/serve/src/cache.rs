@@ -127,9 +127,10 @@ impl PlanCache {
                 .entries
                 .iter()
                 .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(&k, _)| k)
-                .expect("bytes > 0 implies an entry exists");
-            let (gone, _) = self.entries.remove(&victim).expect("victim present");
+                .map(|(&k, _)| k);
+            let Some((gone, _)) = victim.and_then(|k| self.entries.remove(&k)) else {
+                break;
+            };
             self.bytes -= gone.bytes;
             self.evictions += 1;
         }

@@ -29,7 +29,9 @@ use qse_core::executor::{EngineError, EngineExecutor, SampledRun};
 use qse_util::cdf::Shots;
 use qse_util::json::Json;
 use qse_util::mailbox::{unbounded, Receiver};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread;
 use std::time::Instant;
@@ -230,7 +232,9 @@ impl Server {
                 thread::Builder::new()
                     .name(format!("qse-serve-worker-{i}"))
                     .spawn(move || worker_loop(&inner))
-                    .expect("spawn worker")
+                    // `start` has no error path, and a service short of
+                    // a worker it was configured with fails at startup.
+                    .expect("spawn worker") // qse-lint: allow
             })
             .collect();
         Server {
@@ -372,10 +376,9 @@ fn worker_loop(inner: &Inner) {
                     // identical execution rides along.
                     let mut batch = vec![job];
                     let mut i = 0;
-                    while i < st.queue.len() {
-                        if batch[0].batchable_with(&st.queue[i]) {
-                            let peer = st.queue.remove(i).expect("index checked");
-                            batch.push(peer);
+                    while let Some(peer) = st.queue.get(i) {
+                        if batch[0].batchable_with(peer) {
+                            batch.extend(st.queue.remove(i));
                         } else {
                             i += 1;
                         }
@@ -445,15 +448,30 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
 
     let batch_len = batch.len();
     let shots: Vec<Shots> = batch.iter().map(Job::shots).collect();
-    let mut execution = entry.and_then(|entry| {
-        EngineExecutor::run_sampled(
-            &entry.circuit,
-            &cfg,
-            rep.spec.basis,
-            entry.plan.as_ref(),
-            &shots,
-        )
-    });
+    // Rank 0 of a dense run executes on this worker thread, so a rank's
+    // panic unwinds to here; contained, it fails this batch's jobs typed
+    // and the worker lives on to serve the next batch.
+    let contained = panic::catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        {
+            tests::panic_on_trigger(&rep.spec);
+        }
+        entry.and_then(|entry| {
+            EngineExecutor::run_sampled(
+                &entry.circuit,
+                &cfg,
+                rep.spec.basis,
+                entry.plan.as_ref(),
+                &shots,
+            )
+        })
+    }));
+    let mut execution = match contained {
+        Ok(run) => run.map_err(exec_error),
+        Err(payload) => Err(ServeError::Exec {
+            detail: format!("execution panicked: {}", panic_message(&*payload)),
+        }),
+    };
 
     let mut completed = 0u64;
     let mut failed = 0u64;
@@ -464,12 +482,10 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
         let response = execution
             .as_mut()
             .map_err(|e| e.clone())
-            .and_then(|run| job_result(&job, i, run, cache_hit, batch_len))
-            .map_err(|e| JobError {
+            .and_then(|run| job_result(&job, i, run, cache_hit, batch_len).map_err(exec_error))
+            .map_err(|error| JobError {
                 id: job.spec.id.clone(),
-                error: ServeError::Exec {
-                    detail: e.to_string(),
-                },
+                error,
             });
         match &response {
             Ok(_) => completed += 1,
@@ -498,6 +514,22 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
     for (reply, response) in deliveries {
         reply(response);
     }
+}
+
+/// An execution's typed failure, as its jobs are told it.
+fn exec_error(e: EngineError) -> ServeError {
+    ServeError::Exec {
+        detail: e.to_string(),
+    }
+}
+
+/// The message a panic was raised with, when it was raised with one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string panic payload")
 }
 
 /// The reply of the batch's `i`-th job from the batch's one run: the
@@ -566,6 +598,71 @@ mod tests {
             let drawn = r.counts.map(|c| c.values().sum::<usize>());
             assert_eq!(drawn, (j.spec.shots > 0).then_some(50), "job {i}");
         }
+    }
+
+    /// Jobs whose id starts so panic their batch's execution, as a rank that
+    /// panicked would: on a helper rank of a two-rank universe, re-raised
+    /// on the worker that runs rank 0.
+    const PANIC_ID: &str = "panic-trigger";
+
+    pub(super) fn panic_on_trigger(spec: &JobSpec) {
+        if spec.id.starts_with(PANIC_ID) {
+            qse_comm::Universe::new(2).run(|c| {
+                if c.rank() == 1 {
+                    panic!("an injected rank panic");
+                }
+                c.recv(1, 0).map(|_| ())
+            });
+        }
+    }
+
+    #[test]
+    fn a_panicking_execution_fails_its_batch_and_the_worker_serves_on() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let panicking = |seed| JobSpec {
+            id: format!("{PANIC_ID}-{seed}"),
+            ..job(10, seed).spec
+        };
+        // The one worker blocks on the cache with a first job (another
+        // basis, so it batches alone) while the three panicking jobs
+        // queue behind it, so they share one batch.
+        let cache = server.inner.cache.lock().unwrap();
+        let first = JobSpec {
+            basis: 1,
+            ..job(10, 1).spec
+        };
+        let first = server.submit(first).expect("admitted");
+        let doomed: Vec<_> = (2..5)
+            .map(|seed| server.submit(panicking(seed)).expect("admitted"))
+            .collect();
+        drop(cache);
+        let wait = std::time::Duration::from_secs(60);
+        assert!(first.recv_timeout(wait).expect("a reply").is_ok());
+        for rx in &doomed {
+            let reply = rx.recv_timeout(wait).expect("a reply");
+            match reply {
+                Err(JobError {
+                    error: ServeError::Exec { detail },
+                    ..
+                }) => assert!(detail.contains("an injected rank panic"), "{detail}"),
+                other => panic!("expected a typed execution failure, got {other:?}"),
+            }
+            let again = rx.recv_timeout(std::time::Duration::from_millis(10));
+            assert!(again.is_err(), "one reply per job");
+        }
+        let stats = server.stats();
+        assert_eq!((stats.failed, stats.max_batch), (3, 3));
+        assert_eq!(stats.reserved_bytes, 0);
+
+        // The same worker runs the next submission.
+        let next = server.submit(job(10, 5).spec).expect("admitted");
+        let counts = next.recv_timeout(wait).expect("a reply").expect("runs");
+        assert_eq!(counts.counts.expect("shots").values().sum::<usize>(), 10);
+        assert_eq!(server.stats().completed, 2);
+        server.shutdown();
     }
 
     #[test]

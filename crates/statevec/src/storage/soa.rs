@@ -37,19 +37,20 @@ pub struct SoaStorage {
 /// Component arrays of at least this many doubles (8 MiB) get an
 /// anonymous mapping of their own instead of a heap block.
 ///
-/// glibc's malloc serves a block under its mmap threshold — which rises,
-/// up to 32 MiB, to the largest block freed so far — from a per-thread
-/// arena, and an arena keeps up to twice that threshold of freed memory
-/// resident. Rank threads are spawned per run and inherit whichever
-/// arena the previous run's threads released first, so with heap arrays
-/// a run's resident peak moved by whole arrays from one run to the next
-/// (73–151 MiB over ten 22-qubit, two-rank runs on a two-core VM). A
-/// mapping of its own is faulted in on first touch and unmapped on drop,
-/// the same on every run; it asks for transparent huge pages, so that
-/// first touch costs a fault per 2 MiB rather than per 4 KiB. Below the
-/// cutoff a warm arena block is worth more than a fresh mapping's
-/// faults: fixing glibc's mmap threshold at 4 MiB for the whole process
-/// slowed a 20-qubit, two-rank QFT by a third on the same VM.
+/// A mapping of its own is faulted in on first touch and unmapped on
+/// drop, the same on every run, and it asks for transparent huge pages:
+/// first touch costs a fault per 2 MiB rather than per 4 KiB, and the
+/// sweeps and exchanges walk 2 MiB pages. With heap arrays instead,
+/// glibc's malloc serves the block from the rank thread's arena, in
+/// 4 KiB pages. Measured with resident rank threads (whose arenas no
+/// longer change from run to run) over ten alternating 15 s rounds of
+/// the 22-qubit, two-rank global-H benchmark on a two-core VM, heap
+/// arrays made the median operation 6 % slower (0.291 → 0.308 s, 0 of
+/// 10 rounds faster) and the resident peak no lower (85.6 → 86.0 MiB,
+/// quartiles 1.0 MiB apart against 0.1). Below the cutoff a warm arena
+/// block is worth more than a fresh mapping's faults: fixing glibc's
+/// mmap threshold at 4 MiB for the whole process slowed a 20-qubit,
+/// two-rank QFT by a third on the same VM.
 const MAPPED_MIN_LEN: usize = 1 << 20;
 
 /// One component array (`re` or `im`) of a [`SoaStorage`]: a heap
