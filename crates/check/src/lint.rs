@@ -135,7 +135,15 @@ impl fmt::Display for Violation {
 
 /// The crates R1 applies to: their `src/` trees must not panic on
 /// recoverable errors.
-const NO_PANIC_CRATES: [&str; 5] = ["comm", "statevec", "machine", "stabilizer", "serve"];
+const NO_PANIC_CRATES: [&str; 7] = [
+    "comm",
+    "statevec",
+    "machine",
+    "stabilizer",
+    "serve",
+    "core",
+    "circuit",
+];
 
 fn crate_of(relpath: &str) -> Option<&str> {
     let rest = relpath.strip_prefix("crates/")?;
@@ -767,7 +775,7 @@ mod tests {
     #[test]
     fn unlinted_crates_and_paths_ignored() {
         let src = "pub fn f() { x.unwrap(); panic!(); }\n";
-        assert!(lint_file("crates/core/src/fake.rs", src).is_empty());
+        assert!(lint_file("crates/cli/src/fake.rs", src).is_empty());
         assert!(lint_file("crates/comm/tests/fake.rs", src).is_empty());
         assert!(lint_file("src/lib.rs", src).is_empty());
     }
@@ -821,6 +829,28 @@ mod tests {
         // Its test modules may still unwrap.
         let src = "#[cfg(test)]\nmod tests {\n    fn t() {\n        x.unwrap();\n    }\n}\n";
         assert!(lint_file("crates/serve/src/fake.rs", src).is_empty());
+    }
+
+    #[test]
+    fn core_crate_is_held_to_the_no_panic_rule() {
+        let src = "pub fn run() -> Run {\n    try_run().expect(\"run\")\n}\n";
+        let v = lint_file("crates/core/src/fake.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (Rule::PanicInLib, 2));
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() {\n        x.unwrap();\n    }\n}\n";
+        assert!(lint_file("crates/core/src/fake.rs", src).is_empty());
+    }
+
+    #[test]
+    fn circuit_crate_is_held_to_the_no_panic_rule() {
+        let src = "fn max(q: &[u32]) -> u32 {\n    *q.iter().max().unwrap()\n}\n";
+        let v = lint_file("crates/circuit/src/transpile/fake.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (Rule::PanicInLib, 2));
+        // A justified marker excuses the line below it.
+        let src = "fn max(q: &[u32]) -> u32 {\n    // qse-lint: allow — q is never empty\n    \
+                   *q.iter().max().unwrap()\n}\n";
+        assert!(lint_file("crates/circuit/src/fake.rs", src).is_empty());
     }
 
     #[test]

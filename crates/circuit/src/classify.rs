@@ -80,6 +80,7 @@ impl Layout {
     /// # Panics
     /// Panics with the [`LayoutError`] when it is not.
     pub fn new(n_qubits: u32, n_ranks: u64) -> Self {
+        // qse-lint: allow — the documented panic of `new`; input-facing callers use `try_new`
         Self::try_new(n_qubits, n_ranks).unwrap_or_else(|e| panic!("{e}"))
     }
 

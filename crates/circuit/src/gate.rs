@@ -143,12 +143,10 @@ impl Gate {
         }
     }
 
-    /// Highest qubit index used (for validation).
+    /// Highest qubit index used (for validation); 0 for an `MCPhase`
+    /// over no qubits, which [`crate::Circuit::push`] refuses.
     pub fn max_qubit(&self) -> u32 {
-        self.qubits()
-            .into_iter()
-            .max()
-            .expect("gates touch ≥1 qubit")
+        self.qubits().into_iter().max().unwrap_or(0)
     }
 
     /// True when the gate's matrix is diagonal in the computational basis —
@@ -254,8 +252,8 @@ impl Gate {
             Gate::CPhase { b, .. } => b,
             Gate::Swap(_, b) => b,
             // Diagonal — the notion of a target never matters for it,
-            // but return a stable choice.
-            Gate::MCPhase { ref qubits, .. } => *qubits.last().expect("≥1 qubit"),
+            // but return a stable choice (0 over no qubits, as `max_qubit`).
+            Gate::MCPhase { ref qubits, .. } => qubits.last().copied().unwrap_or(0),
             Gate::Unitary2 { b, .. } => b,
         }
     }
@@ -492,6 +490,13 @@ mod tests {
             vec![2, 7]
         );
         assert_eq!(Gate::Swap(3, 1).max_qubit(), 3);
+        // An `MCPhase` over no qubits (which `Circuit::push` refuses)
+        // reads qubit 0 instead of panicking.
+        let empty = Gate::MCPhase {
+            qubits: vec![],
+            theta: 0.5,
+        };
+        assert_eq!((empty.max_qubit(), empty.target()), (0, 0));
     }
 
     #[test]

@@ -104,15 +104,18 @@ impl Permutation {
     /// SWAP gates.
     pub fn as_transpositions(&self) -> Vec<(u32, u32)> {
         let mut current = Permutation::identity(self.len());
+        // `source[v]`: the label whose current image is `v`.
+        let mut source = current.map.clone();
         let mut swaps = Vec::new();
         // Greedy cycle decomposition: put each label into its place.
         for q in 0..self.len() {
-            if current.apply(q) != self.apply(q) {
-                // find label r (> q) whose current image equals target
-                let target = self.apply(q);
-                let r = (q + 1..self.len())
-                    .find(|&r| current.apply(r) == target)
-                    .expect("bijection guarantees a source");
+            let target = self.apply(q);
+            // Labels below `q` already hold their own images, so the one
+            // holding `target` is `q` itself or lies above it.
+            let r = source[target as usize];
+            if r != q {
+                source[current.apply(q) as usize] = r;
+                source[target as usize] = q;
                 current.swap(q, r);
                 swaps.push((q, r));
             }
@@ -206,6 +209,43 @@ mod tests {
                 rebuilt.swap(a, b);
             }
             assert_eq!(rebuilt, p);
+        }
+    }
+
+    /// Every permutation of up to six labels decomposes into the swaps
+    /// of the search the source table replaced: for each `q`, the first
+    /// label above it whose current image is `q`'s target.
+    #[test]
+    fn transpositions_match_the_forward_search() {
+        fn search(p: &Permutation) -> Vec<(u32, u32)> {
+            let mut current = Permutation::identity(p.len());
+            let mut swaps = Vec::new();
+            for q in 0..p.len() {
+                if current.apply(q) != p.apply(q) {
+                    let r = (q + 1..p.len())
+                        .find(|&r| current.apply(r) == p.apply(q))
+                        .unwrap();
+                    current.swap(q, r);
+                    swaps.push((q, r));
+                }
+            }
+            swaps
+        }
+        fn each(map: &mut Vec<u32>, k: usize, f: &mut dyn FnMut(&[u32])) {
+            if k == map.len() {
+                return f(map);
+            }
+            for j in k..map.len() {
+                map.swap(k, j);
+                each(map, k + 1, f);
+                map.swap(k, j);
+            }
+        }
+        for n in 0..=6u32 {
+            each(&mut (0..n).collect(), 0, &mut |map| {
+                let p = Permutation::from_map(map.to_vec());
+                assert_eq!(p.as_transpositions(), search(&p), "{map:?}");
+            });
         }
     }
 

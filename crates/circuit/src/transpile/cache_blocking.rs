@@ -53,6 +53,12 @@ impl Transpiled {
 /// [`Strategy::Greedy`]'s, gate for gate: only the lowering of each
 /// swap-in differs (a SWAP gate here, a `Permute` step there).
 ///
+/// # Panics
+/// Panics on a window outside `1..=n`, and on a window of one local
+/// qubit when a two-qubit gate must bring a global target in beside a
+/// local operand: no slot is left to evict. Admission refuses such runs
+/// first (`PASS_LOCAL_QUBITS` in `qse-core`).
+///
 /// [`Strategy::Greedy`]: crate::transpile::Strategy::Greedy
 pub fn cache_block(circuit: &Circuit, local_qubits: u32) -> Transpiled {
     let n = circuit.n_qubits();

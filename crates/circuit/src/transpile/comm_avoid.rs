@@ -352,6 +352,7 @@ impl Tracker {
         let victim = (0..local)
             .filter(|p| !in_gate.contains(p))
             .min_by_key(|&p| self.last_use[p as usize])
+            // qse-lint: allow — a gate with an offender holds at most one of two local slots; one slot is the documented panic of both passes
             .expect("local window big enough for a victim slot");
         [(victim, offs[0])]
     }
@@ -419,6 +420,11 @@ impl Ctx<'_> {
 /// `layout` fixes the rank geometry (how many qubits are global) and the
 /// traffic model; `oracle` prices candidate exchanges. The returned plan
 /// satisfies the module-level contract.
+///
+/// # Panics
+/// Panics when `layout` does not match the circuit's width, and, as
+/// [`crate::transpile::cache_block`] does, when one local qubit must
+/// make room for a gate's global operand beside a local one.
 pub fn comm_avoid(
     circuit: &Circuit,
     layout: &Layout,
@@ -554,6 +560,7 @@ fn search_batch(
             }
         }
     }
+    // qse-lint: allow — k = max(offs, 1) ≤ max_batch (asserted above) always yields the ranked prefix
     best.expect("at least one candidate batch exists").1
 }
 

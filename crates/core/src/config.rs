@@ -5,7 +5,7 @@ use qse_circuit::classify::{choose_engine, EngineChoice, Layout, LayoutError};
 use qse_circuit::transpile::Strategy;
 use qse_circuit::{Circuit, MAX_QUBITS};
 use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
-use qse_comm::FaultConfig;
+use qse_comm::{CommError, FaultConfig};
 use qse_machine::{CommMode, CpuFrequency, ModelConfig, NodeKind};
 use qse_statevec::DistConfig;
 
@@ -271,14 +271,23 @@ impl SimConfig {
         self.transpile.strategy().map_or(1, |_| PASS_LOCAL_QUBITS)
     }
 
-    /// View as the executable engine's options.
-    pub fn to_dist_config(&self) -> DistConfig {
-        DistConfig {
+    /// View as the executable engine's options, or
+    /// [`CommError::InvalidConfig`] for a zero `max_message_bytes`.
+    pub fn try_to_dist_config(&self) -> Result<DistConfig, CommError> {
+        Ok(DistConfig {
             exchange_mode: self.exchange,
-            chunk_policy: ChunkPolicy::new(self.max_message_bytes)
-                .expect("max_message_bytes must be positive"),
+            chunk_policy: ChunkPolicy::new(self.max_message_bytes)?,
             half_exchange_swaps: self.half_exchange_swaps,
-        }
+        })
+    }
+
+    /// [`Self::try_to_dist_config`] for a configuration known to be valid.
+    ///
+    /// # Panics
+    /// Panics on a zero `max_message_bytes`.
+    pub fn to_dist_config(&self) -> DistConfig {
+        // qse-lint: allow — the documented panic of `to_dist_config`; runs use `try_to_dist_config`
+        self.try_to_dist_config().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// View as the analytic model's options.

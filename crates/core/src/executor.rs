@@ -64,6 +64,7 @@ impl ThreadClusterExecutor {
     /// Panics on a communication error; use [`Self::try_run`] when running
     /// under a fault plan that may be unrecoverable.
     pub fn run(circuit: &Circuit, config: &SimConfig, basis: u64, gather: bool) -> ClusterRun {
+        // qse-lint: allow — the documented panic of `run`; `try_run` is its typed twin
         Self::try_run(circuit, config, basis, gather).expect("cluster run failed")
     }
 
@@ -159,7 +160,7 @@ impl ThreadClusterExecutor {
             return Err(CommError::BasisOutOfRange { basis, n });
         }
         let n_ranks = config.n_ranks as usize;
-        let dist_config = config.to_dist_config();
+        let dist_config = config.try_to_dist_config()?;
         // Lowered once, shared by every rank.
         let schedule = match plan {
             Some(p) => Schedule::for_plan(p, config.n_ranks),
@@ -222,7 +223,7 @@ impl ThreadClusterExecutor {
         config: &SimConfig,
         plan: Option<&Plan>,
     ) -> Result<(), CommError> {
-        let opts = config.to_dist_config();
+        let opts = config.try_to_dist_config()?;
         match plan {
             Some(p) => qse_check::verify::verify_plan(p, Some(circuit), config.n_ranks, &opts),
             None => qse_check::verify::verify_circuit(circuit, config.n_ranks, &opts),
@@ -973,6 +974,18 @@ mod tests {
         );
         cfg.n_ranks = 2;
         assert!(ThreadClusterExecutor::try_run(&ghz(3), &cfg, 0, false).is_ok());
+    }
+
+    #[test]
+    fn cluster_runs_refuse_a_zero_message_cap() {
+        let mut cfg = SimConfig::default_for(2);
+        cfg.max_message_bytes = 0;
+        let refused = Some(CommError::InvalidConfig("max_message_bytes must be > 0"));
+        assert_eq!(ThreadClusterExecutor::prepare(&ghz(3), &cfg).err(), refused);
+        assert_eq!(
+            ThreadClusterExecutor::try_run(&ghz(3), &cfg, 0, false).err(),
+            refused
+        );
     }
 
     /// Runs `ghz(8)` on `mode` from basis 256, one past the register.

@@ -603,4 +603,84 @@ mod tests {
         let mut r = BoundedLineReader::new(&long[..], 16);
         assert_eq!(r.next_line(), Err(LineError::TooLong { limit: 16 }));
     }
+
+    /// Seeded byte-level fuzz of [`parse_request`]: valid lines mutated by
+    /// bit flips, truncations, splices of two lines, duplicated keys,
+    /// inserted bytes (structural and non-ASCII) and values wrapped in
+    /// arrays nested around [`MAX_PARSE_DEPTH`], read back through
+    /// `from_utf8_lossy`. Every input must come back `Ok` or a typed
+    /// [`ServeError`]; a panic fails with the input that caused it.
+    #[test]
+    fn mutated_lines_parse_or_fail_typed() {
+        use qse_util::json::MAX_PARSE_DEPTH;
+        use qse_util::rng::{Rng, SplitMix64};
+        const SEEDS: [&str; 5] = [
+            r#"{"op":"submit","id":"j1","circuit":{"name":"qft","qubits":5},"shots":100,"seed":7}"#,
+            r#"{"op":"submit","id":"g","ranks":2,"transpile":"beam","engine":"dense","basis":3,"circuit":{"qubits":4,"gates":[["h",0],["cnot",0,3],["cphase",1,2,0.5],["rz",2,-1.25],["swap",0,1],["mcphase",[0,1,3],3.14]]}}"#,
+            r#"{"op":"submit","id":"f","faults":"seed=42,delay=0.2,corrupt=0.1,budget=3","circuit":{"name":"ghz","qubits":6}}"#,
+            r#"{"op":"submit","id":"s","engine":"auto","circuit":{"name":"bv","qubits":7},"shots":5}"#,
+            r#"{"op":"stats"}"#,
+        ];
+        let mut rng = SplitMix64::seed_from_u64(0x5eed_0049);
+        let below = |n: usize, rng: &mut SplitMix64| (rng.next_u64() % n.max(1) as u64) as usize;
+        let (mut ok, mut typed) = (0usize, 0usize);
+        for iter in 0..20_000 {
+            let mut bytes = SEEDS[below(SEEDS.len(), &mut rng)].as_bytes().to_vec();
+            for _ in 0..1 + below(3, &mut rng) {
+                let at = below(bytes.len() + 1, &mut rng);
+                match below(6, &mut rng) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << below(8, &mut rng),
+                    1 => bytes.truncate(at),
+                    2 => {
+                        let other = SEEDS[below(SEEDS.len(), &mut rng)].as_bytes();
+                        let from = below(other.len(), &mut rng);
+                        let to = from + below(other.len() - from + 1, &mut rng);
+                        let end = at + below(bytes.len() - at + 1, &mut rng);
+                        bytes.splice(at..end, other[from..to].iter().copied());
+                    }
+                    3 => {
+                        // Repeat one key of the line right after its opening brace.
+                        let key = [
+                            "\"id\":\"dup\",",
+                            "\"op\":\"stats\",",
+                            "\"qubits\":9,",
+                            "\"shots\":-1,",
+                        ];
+                        let brace = bytes.iter().position(|&b| b == b'{').map_or(0, |p| p + 1);
+                        let k = key[below(key.len(), &mut rng)].as_bytes();
+                        bytes.splice(brace..brace, k.iter().copied());
+                    }
+                    4 => {
+                        const ODD: [u8; 10] =
+                            [b'{', b'}', b'[', b']', b'"', b':', b',', b'\\', 0xc3, 0xff];
+                        bytes.insert(at, ODD[below(ODD.len(), &mut rng)]);
+                    }
+                    _ => {
+                        // Wrap the value at a `:` in arrays nested just below,
+                        // at and past the parser's cap, unclosed now and then.
+                        let depth = MAX_PARSE_DEPTH - 2 + below(6, &mut rng);
+                        if let Some(colon) = bytes[at..].iter().position(|&b| b == b':') {
+                            let open = at + colon + 1;
+                            let close = bytes[open..]
+                                .iter()
+                                .position(|&b| b == b',' || b == b'}')
+                                .map_or(bytes.len(), |p| open + p);
+                            if below(4, &mut rng) > 0 {
+                                bytes.splice(close..close, std::iter::repeat_n(b']', depth));
+                            }
+                            bytes.splice(open..open, std::iter::repeat_n(b'[', depth));
+                        }
+                    }
+                }
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            match std::panic::catch_unwind(|| parse_request(&line)) {
+                Ok(Ok(_)) => ok += 1,
+                Ok(Err(_)) => typed += 1,
+                Err(_) => panic!("iteration {iter}: parse_request panicked on {line:?}"),
+            }
+        }
+        // The mutations must leave some lines valid and break others.
+        assert!(ok > 100 && typed > 1000, "{ok} parsed, {typed} refused");
+    }
 }

@@ -927,6 +927,92 @@ pub(crate) mod conformance {
         }
     }
 
+    /// A fixture of `len` amplitudes whose parts cycle through the bit
+    /// patterns a codec could lose — NaNs with payload bits (quiet,
+    /// signalling, negative), ±0.0, subnormals, ±∞ — between ordinary
+    /// values, with `re` and `im` out of step. `shift` rotates the cycle,
+    /// so two fixtures differ at every index.
+    fn codec_fixture(len: usize, shift: usize) -> SoaStorage {
+        const SPECIAL: [u64; 9] = [
+            0x7ff8_0000_dead_beef,
+            0x7ff0_0000_0000_0001,
+            0xfff8_0000_0000_1234,
+            0x0000_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x800f_ffff_ffff_ffff,
+            0x7ff0_0000_0000_0000,
+            0xfff0_0000_0000_0000,
+        ];
+        let part = |k: usize| match k % 13 {
+            j if j < SPECIAL.len() => f64::from_bits(SPECIAL[j]),
+            j => k as f64 * 0.375 - j as f64,
+        };
+        let mut s = SoaStorage::zeros(len);
+        for i in 0..len {
+            s.set(i, Complex64::new(part(i + shift), part(i + shift + 5)));
+        }
+        s
+    }
+
+    /// Whether amplitudes `range` of two slices hold the same bit patterns.
+    fn same_bits(a: (&[f64], &[f64]), b: (&[f64], &[f64]), range: std::ops::Range<usize>) -> bool {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        bits(&a.0[range.clone()]) == bits(&b.0[range.clone()])
+            && bits(&a.1[range.clone()]) == bits(&b.1[range])
+    }
+
+    /// [`SoaStorage::pack_range`] and [`SoaStorage::copy_from_f64_range`]
+    /// against the portable one-amplitude loops (`soa::pack_portable`,
+    /// `soa::unpack_portable`), bytes and `to_bits` equal: ranges of 0–9
+    /// amplitudes, 2¹⁶ ± 1 and [`RANGE_PAR_THRESHOLD`] + 3 (odd tails
+    /// and pair loops of every length), at starts 0, 1 and 5, appended
+    /// after 0 or 3 bytes already in `out` and unpacked from a payload
+    /// at an odd address, on amplitudes from [`codec_fixture`]; and the
+    /// round trip through both.
+    pub fn wire_codec_matches_the_portable_loops() {
+        let len = (RANGE_PAR_THRESHOLD + 3).next_power_of_two();
+        let s = codec_fixture(len, 0);
+        let base = codec_fixture(len, 7);
+        let lens = (0..=9).chain([
+            (1 << 16) - 1,
+            1 << 16,
+            (1 << 16) + 1,
+            RANGE_PAR_THRESHOLD + 3,
+        ]);
+        for n in lens {
+            for start in [0usize, 1, 5] {
+                let range = start..start + n;
+                for held in [0usize, 3] {
+                    let what = format!("{n} amplitudes from {start} after {held} bytes");
+                    let mut got = vec![0xA5u8; held];
+                    s.pack_range(start, n, &mut got);
+                    let mut want = vec![0xA5u8; held];
+                    let (re, im) = s.planes();
+                    soa::pack_portable(&re[range.clone()], &im[range.clone()], &mut want);
+                    assert!(got == want, "pack: {what}");
+
+                    let payload = &got[held..];
+                    let mut back = base.clone();
+                    back.copy_from_f64_range(payload, start);
+                    // One amplitude either side of the range must keep its bits.
+                    let window = start.saturating_sub(1)..(start + n + 1).min(len);
+                    let (re, im) = base.planes();
+                    let (mut re, mut im) = (re[..window.end].to_vec(), im[..window.end].to_vec());
+                    soa::unpack_portable(payload, &mut re[range.clone()], &mut im[range.clone()]);
+                    assert!(
+                        same_bits(back.planes(), (&re, &im), window),
+                        "unpack: {what}"
+                    );
+                    assert!(
+                        same_bits(back.planes(), s.planes(), range.clone()),
+                        "round trip: {what}"
+                    );
+                }
+            }
+        }
+    }
+
     /// The scalar orbit loop the vectorized kernel replaced, kept as its
     /// oracle: per orbit, a `get` and a `set` per amplitude through
     /// `insert_two_zero_bits`, and [`Matrix4::apply`].

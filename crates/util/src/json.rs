@@ -54,7 +54,7 @@ impl std::error::Error for JsonError {}
 /// Nesting depth cap for [`Json::parse`]: deep enough for any protocol
 /// message, shallow enough that adversarial `[[[[…` input cannot blow
 /// the stack.
-const MAX_PARSE_DEPTH: usize = 64;
+pub const MAX_PARSE_DEPTH: usize = 64;
 
 impl Json {
     /// Builds an object from `(key, value)` pairs.
