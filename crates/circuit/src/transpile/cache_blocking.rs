@@ -48,16 +48,15 @@ impl Transpiled {
 /// Gates whose physical target already sits in the local window pass
 /// through; a gate with a global physical target gets a SWAP inserted
 /// that exchanges the target with the least-recently-used local position
-/// the gate does not touch. Diagonal gates never trigger SWAPs — they
-/// are "fully local" at any position. The placement is
+/// the gate does not touch. When the gate touches every local position
+/// (a two-qubit gate on a one-qubit window) it stays as it is, and the
+/// engine runs it as a distributed gate. Diagonal gates never trigger
+/// SWAPs — they are "fully local" at any position. The placement is
 /// [`Strategy::Greedy`]'s, gate for gate: only the lowering of each
 /// swap-in differs (a SWAP gate here, a `Permute` step there).
 ///
 /// # Panics
-/// Panics on a window outside `1..=n`, and on a window of one local
-/// qubit when a two-qubit gate must bring a global target in beside a
-/// local operand: no slot is left to evict. Admission refuses such runs
-/// first (`PASS_LOCAL_QUBITS` in `qse-core`).
+/// Panics on a window outside `1..=n`.
 ///
 /// [`Strategy::Greedy`]: crate::transpile::Strategy::Greedy
 pub fn cache_block(circuit: &Circuit, local_qubits: u32) -> Transpiled {
@@ -70,10 +69,10 @@ pub fn cache_block(circuit: &Circuit, local_qubits: u32) -> Transpiled {
     let mut out = Circuit::new(n);
     for (i, gate) in circuit.gates().iter().enumerate() {
         let placed = tr.place(gate, i as u64 + 1, local_qubits, |tr, physical, offs| {
-            let swap_in = tr.lru_swap_in(physical, offs, local_qubits);
+            let swap_in = tr.lru_swap_in(physical, offs, local_qubits)?;
             let [(victim, offender)] = swap_in;
             out.swap(victim, offender);
-            swap_in
+            Some(swap_in)
         });
         if let Some(physical) = placed {
             out.push(physical);
@@ -229,6 +228,26 @@ mod tests {
                 assert!(g.target() < local, "global target leaked: {g}");
             }
         }
+    }
+
+    #[test]
+    fn a_gate_holding_the_only_local_slot_stays_distributed() {
+        // The CNOT's control holds the one local slot, so its global
+        // target has nowhere to go; an H after it still swaps in.
+        let mut c = Circuit::new(2);
+        c.cnot(0, 1).h(1);
+        let t = cache_block(&c, 1);
+        assert_eq!(
+            t.circuit.gates(),
+            &[
+                Gate::CNot {
+                    control: 0,
+                    target: 1
+                },
+                Gate::Swap(0, 1),
+                Gate::H(0)
+            ]
+        );
     }
 
     #[test]

@@ -317,13 +317,17 @@ impl Tracker {
     /// operands outside the `local` window, `batch_for` is handed the
     /// layout, the physical gate and its offenders (in operand order)
     /// and returns the (victim, offender) batch to apply — the caller
-    /// emits or prices it there. Returns the localised physical gate.
+    /// emits or prices it there — or `None` when no local slot can be
+    /// freed: every one holds an operand of the gate, as a two-qubit gate
+    /// does on a one-qubit window. The offenders left then stay global
+    /// and the engine runs the gate as a distributed one. Returns the
+    /// placed physical gate.
     pub(crate) fn place<B: AsRef<[(u32, u32)]>>(
         &mut self,
         gate: &Gate,
         clock: u64,
         local: u32,
-        mut batch_for: impl FnMut(&Tracker, &Gate, &[u32]) -> B,
+        mut batch_for: impl FnMut(&Tracker, &Gate, &[u32]) -> Option<B>,
     ) -> Option<Gate> {
         if let Gate::Swap(a, b) = *gate {
             self.virtual_swap(a, b, clock);
@@ -335,7 +339,9 @@ impl Tracker {
             if offs.is_empty() {
                 break;
             }
-            let batch = batch_for(self, &physical, &offs);
+            let Some(batch) = batch_for(self, &physical, &offs) else {
+                break;
+            };
             self.apply_batch(batch.as_ref(), clock);
             physical = self.remap(gate);
         }
@@ -346,15 +352,19 @@ impl Tracker {
     }
 
     /// The greedy batch: the first offender swaps with the
-    /// least-recently-used local slot the gate does not touch.
-    pub(crate) fn lru_swap_in(&self, physical: &Gate, offs: &[u32], local: u32) -> [(u32, u32); 1] {
+    /// least-recently-used local slot the gate does not touch; `None`
+    /// when the gate touches every local slot.
+    pub(crate) fn lru_swap_in(
+        &self,
+        physical: &Gate,
+        offs: &[u32],
+        local: u32,
+    ) -> Option<[(u32, u32); 1]> {
         let in_gate = physical.qubits();
-        let victim = (0..local)
+        (0..local)
             .filter(|p| !in_gate.contains(p))
             .min_by_key(|&p| self.last_use[p as usize])
-            // qse-lint: allow — a gate with an offender holds at most one of two local slots; one slot is the documented panic of both passes
-            .expect("local window big enough for a victim slot");
-        [(victim, offs[0])]
+            .map(|victim| [(victim, offs[0])])
     }
 }
 
@@ -422,9 +432,8 @@ impl Ctx<'_> {
 /// satisfies the module-level contract.
 ///
 /// # Panics
-/// Panics when `layout` does not match the circuit's width, and, as
-/// [`crate::transpile::cache_block`] does, when one local qubit must
-/// make room for a gate's global operand beside a local one.
+/// Panics when `layout` does not match the circuit's width or has no
+/// local qubit.
 pub fn comm_avoid(
     circuit: &Circuit,
     layout: &Layout,
@@ -462,13 +471,13 @@ pub fn comm_avoid(
     for (i, gate) in ctx.gates.iter().enumerate() {
         let placed = tr.place(gate, i as u64 + 1, local, |tr, physical, offs| {
             let batch = match strategy {
-                Strategy::Greedy => tr.lru_swap_in(physical, offs, local).to_vec(),
+                Strategy::Greedy => tr.lru_swap_in(physical, offs, local)?.to_vec(),
                 Strategy::Beam { width, lookahead } => {
-                    search_batch(&ctx, tr, i, offs, physical, width.max(1), lookahead)
+                    search_batch(&ctx, tr, i, offs, physical, width.max(1), lookahead)?
                 }
             };
             push_permute(&mut steps, batch_permutation(n, &batch));
-            batch
+            Some(batch)
         });
         if let Some(physical) = placed {
             steps.push(PlanStep::Gate(physical));
@@ -507,7 +516,9 @@ fn upcoming_offenders(ctx: &Ctx<'_>, tr: &Tracker, i: usize, window: usize) -> V
 /// Beam candidate search: enumerate batch sizes covering the current
 /// offenders plus 0.. upcoming ones, pair each size with victim sets,
 /// score every candidate (immediate exchange + greedy rollout over the
-/// window) and keep the best by [`StepCost::better_than`].
+/// window) and keep the best by [`StepCost::better_than`]. With fewer
+/// free local slots than offenders the batch brings in what fits; with
+/// none it is `None`.
 fn search_batch(
     ctx: &Ctx<'_>,
     tr: &Tracker,
@@ -516,13 +527,9 @@ fn search_batch(
     physical: &Gate,
     width: usize,
     lookahead: usize,
-) -> Vec<(u32, u32)> {
+) -> Option<Vec<(u32, u32)>> {
     let in_gate = physical.qubits();
     let eligible: Vec<u32> = (0..ctx.local).filter(|p| !in_gate.contains(p)).collect();
-    assert!(
-        eligible.len() >= offs.len(),
-        "local window big enough for a victim slot"
-    );
     let clock = i as u64 + 1;
     let upcoming = upcoming_offenders(ctx, tr, i, lookahead);
     debug_assert!(upcoming.starts_with(offs), "current offenders lead");
@@ -542,7 +549,7 @@ fn search_batch(
     lru.sort_by_key(|&p| (tr.last_use[p as usize], p));
 
     let mut best: Option<(StepCost, Vec<(u32, u32)>)> = None;
-    for k in usize::max(offs.len(), 1)..=max_batch {
+    for k in usize::max(offs.len().min(max_batch), 1)..=max_batch {
         let batch_offs = &upcoming[..k];
         for victims in victim_sets(&ranked, &lru, k, width) {
             let batch: Vec<(u32, u32)> = victims
@@ -560,8 +567,7 @@ fn search_batch(
             }
         }
     }
-    // qse-lint: allow — k = max(offs, 1) ≤ max_batch (asserted above) always yields the ranked prefix
-    best.expect("at least one candidate batch exists").1
+    best.map(|(_, batch)| batch)
 }
 
 /// Victim-set candidates of size `k`: the Bélády-ranked prefix, the LRU
@@ -610,9 +616,9 @@ fn score_batch(
     let end = usize::min(ctx.gates.len(), i + usize::max(lookahead, 1));
     for (j, g) in ctx.gates.iter().enumerate().take(end).skip(i) {
         t.place(g, j as u64 + 1, ctx.local, |t, physical, offs| {
-            let swap_in = t.lru_swap_in(physical, offs, ctx.local);
+            let swap_in = t.lru_swap_in(physical, offs, ctx.local)?;
             cost.accumulate(ctx.price(&swap_in));
-            swap_in
+            Some(swap_in)
         });
     }
     cost

@@ -272,8 +272,9 @@ impl SimConfig {
     }
 
     /// View as the executable engine's options, or
-    /// [`CommError::InvalidConfig`] for a zero `max_message_bytes`.
-    pub fn try_to_dist_config(&self) -> Result<DistConfig, CommError> {
+    /// [`CommError::InvalidConfig`] for a zero `max_message_bytes`: the
+    /// form runs take.
+    pub(crate) fn try_to_dist_config(&self) -> Result<DistConfig, CommError> {
         Ok(DistConfig {
             exchange_mode: self.exchange,
             chunk_policy: ChunkPolicy::new(self.max_message_bytes)?,
@@ -281,12 +282,14 @@ impl SimConfig {
         })
     }
 
-    /// [`Self::try_to_dist_config`] for a configuration known to be valid.
+    /// View as the executable engine's options, for a configuration
+    /// known to be valid; runs through [`crate::ThreadClusterExecutor`]
+    /// refuse a zero cap with a typed error instead.
     ///
     /// # Panics
     /// Panics on a zero `max_message_bytes`.
     pub fn to_dist_config(&self) -> DistConfig {
-        // qse-lint: allow — the documented panic of `to_dist_config`; runs use `try_to_dist_config`
+        // qse-lint: allow — the documented panic of `to_dist_config`; the executor's runs use the typed `try_to_dist_config`
         self.try_to_dist_config().unwrap_or_else(|e| panic!("{e}"))
     }
 

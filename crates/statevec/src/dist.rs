@@ -1170,6 +1170,34 @@ mod tests {
     }
 
     #[test]
+    fn one_qubit_window_plans_match_reference() {
+        // Both passes on one local qubit: a two-qubit gate that holds the
+        // slot stays distributed instead of swapping its target in.
+        use qse_circuit::transpile::{comm_avoid, ByteOracle, Strategy};
+        let (n, ranks) = (4u32, 8usize);
+        let layout = Layout::new(n, ranks as u64);
+        assert_eq!(layout.local_qubits(), 1);
+        for seed in 0..3u64 {
+            let c = random_circuit(n, 40, GatePool::Full, seed + 300);
+            let want = reference(&c, 1);
+            let plans = [
+                cache_block(&c, 1).with_layout_restored(),
+                comm_avoid(&c, &layout, Strategy::Greedy, &ByteOracle).with_layout_restored(),
+                comm_avoid(&c, &layout, Strategy::beam(), &ByteOracle).with_layout_restored(),
+            ];
+            for plan in &plans {
+                let out = Universe::new(ranks).run(|comm| {
+                    let mut st = DistributedState::basis_state(comm, n, 1, DistConfig::default());
+                    st.run_plan(plan).unwrap();
+                    st.gather().unwrap()
+                });
+                let got = out.into_iter().flatten().next().unwrap();
+                assert_slices_close(&got, &want, 1e-9);
+            }
+        }
+    }
+
+    #[test]
     fn transpiled_restore_plan_costs_one_exchange() {
         // The with_layout_restored bugfix: restoring a k-transposition
         // layout is one batched exchange, not k pairwise ones.

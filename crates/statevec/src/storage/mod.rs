@@ -962,15 +962,24 @@ pub(crate) mod conformance {
             && bits(&a.1[range.clone()]) == bits(&b.1[range])
     }
 
-    /// [`SoaStorage::pack_range`] and [`SoaStorage::copy_from_f64_range`]
-    /// against the portable one-amplitude loops (`soa::pack_portable`,
-    /// `soa::unpack_portable`), bytes and `to_bits` equal: ranges of 0–9
-    /// amplitudes, 2¹⁶ ± 1 and [`RANGE_PAR_THRESHOLD`] + 3 (odd tails
-    /// and pair loops of every length), at starts 0, 1 and 5, appended
-    /// after 0 or 3 bytes already in `out` and unpacked from a payload
-    /// at an odd address, on amplitudes from [`codec_fixture`]; and the
-    /// round trip through both.
-    pub fn wire_codec_matches_the_portable_loops() {
+    /// The pack loop [`SoaStorage::pack_range`] replaced, kept as its
+    /// oracle: `extend` over one [`kernel::amp_to_wire`] per amplitude.
+    fn pack_oracle(re: &[f64], im: &[f64], out: &mut Vec<u8>) {
+        out.extend(
+            re.iter()
+                .zip(im)
+                .flat_map(|(&r, &i)| kernel::amp_to_wire(Complex64::new(r, i))),
+        );
+    }
+
+    /// [`SoaStorage::pack_range`] against [`pack_oracle`], bytes equal,
+    /// and the round trip through [`SoaStorage::copy_from_f64_range`],
+    /// `to_bits` equal with one amplitude either side of the range
+    /// untouched: ranges of 0–9 amplitudes, 2¹⁶ ± 1 and
+    /// [`RANGE_PAR_THRESHOLD`] + 3, at starts 0, 1 and 5, appended after
+    /// 0 or 3 bytes already in `out` and unpacked from a payload at an
+    /// odd address, on amplitudes from [`codec_fixture`].
+    pub fn wire_codec_matches_the_extend_loop() {
         let len = (RANGE_PAR_THRESHOLD + 3).next_power_of_two();
         let s = codec_fixture(len, 0);
         let base = codec_fixture(len, 7);
@@ -989,25 +998,23 @@ pub(crate) mod conformance {
                     s.pack_range(start, n, &mut got);
                     let mut want = vec![0xA5u8; held];
                     let (re, im) = s.planes();
-                    soa::pack_portable(&re[range.clone()], &im[range.clone()], &mut want);
+                    pack_oracle(&re[range.clone()], &im[range.clone()], &mut want);
                     assert!(got == want, "pack: {what}");
 
-                    let payload = &got[held..];
                     let mut back = base.clone();
-                    back.copy_from_f64_range(payload, start);
-                    // One amplitude either side of the range must keep its bits.
-                    let window = start.saturating_sub(1)..(start + n + 1).min(len);
-                    let (re, im) = base.planes();
-                    let (mut re, mut im) = (re[..window.end].to_vec(), im[..window.end].to_vec());
-                    soa::unpack_portable(payload, &mut re[range.clone()], &mut im[range.clone()]);
-                    assert!(
-                        same_bits(back.planes(), (&re, &im), window),
-                        "unpack: {what}"
-                    );
+                    back.copy_from_f64_range(&got[held..], start);
                     assert!(
                         same_bits(back.planes(), s.planes(), range.clone()),
                         "round trip: {what}"
                     );
+                    let before = start.saturating_sub(1)..start;
+                    let after = start + n..(start + n + 1).min(len);
+                    for outside in [before, after] {
+                        assert!(
+                            same_bits(back.planes(), base.planes(), outside),
+                            "unpack beyond the range: {what}"
+                        );
+                    }
                 }
             }
         }
