@@ -14,7 +14,7 @@ use qse_comm::chunking::{ChunkPolicy, DistConfig, ExchangeMode};
 /// and the execution configuration to verify it under.
 #[derive(Debug, Clone)]
 pub struct CorpusCase {
-    /// Human-readable case name, e.g. `qft8/R4/streamed/beam`.
+    /// Human-readable case name, e.g. `qft8/R4/nonblocking/beam`.
     pub name: String,
     pub plan: Plan,
     pub original: Circuit,
@@ -34,12 +34,11 @@ fn mode_name(m: ExchangeMode) -> &'static str {
     match m {
         ExchangeMode::Blocking => "blocking",
         ExchangeMode::NonBlocking => "nonblocking",
-        ExchangeMode::Streamed => "streamed",
     }
 }
 
 /// Builds the standard corpus: 6 circuits × R ∈ {1, 2, 4, 8} ×
-/// 3 exchange modes × transpile off/greedy/beam = 216 plans. Cases
+/// 2 exchange modes × transpile off/greedy/beam = 144 plans. Cases
 /// alternate half-exchange SWAPs and a small chunk cap so multi-chunk
 /// and half-exchange lowering stay covered.
 pub fn standard_corpus() -> Vec<CorpusCase> {
@@ -52,11 +51,7 @@ pub fn standard_corpus() -> Vec<CorpusCase> {
         ("rand8s3".into(), random_circuit(8, 48, GatePool::Full, 3)),
     ];
     let strategies = [None, Some(Strategy::Greedy), Some(Strategy::beam())];
-    let modes = [
-        ExchangeMode::Blocking,
-        ExchangeMode::NonBlocking,
-        ExchangeMode::Streamed,
-    ];
+    let modes = [ExchangeMode::Blocking, ExchangeMode::NonBlocking];
     let mut cases = Vec::new();
     for (cname, circuit) in &circuits {
         for &ranks in &[1u64, 2, 4, 8] {
@@ -111,7 +106,7 @@ mod tests {
     #[test]
     fn the_standard_corpus_is_large_and_clean() {
         let cases = standard_corpus();
-        assert!(cases.len() >= 200, "corpus has {} plans", cases.len());
+        assert_eq!(cases.len(), 144, "corpus has {} plans", cases.len());
         for case in &cases {
             verify_plan(&case.plan, Some(&case.original), case.n_ranks, &case.opts)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", case.name));

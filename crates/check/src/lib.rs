@@ -17,10 +17,10 @@
 //!   run as a tier-1 test and exposed as the `qse-lint` binary.
 //! * [`verify`] — a static plan & protocol verifier: abstractly
 //!   interprets compiled execution plans (fused schedules, transpiled
-//!   `Permute` steps, all three exchange modes), derives each rank's
-//!   symbolic communication trace without executing anything, and proves
-//!   protocol matching, deadlock freedom, buffer bounds, and layout
-//!   soundness; [`corpus`] generates the standard plan corpus that
+//!   `Permute` steps, both exchange modes), derives each rank's symbolic
+//!   communication trace without executing anything, and proves protocol
+//!   matching, deadlock freedom, write-once permutation staging, and
+//!   layout soundness; [`corpus`] generates the standard plan corpus that
 //!   `qse check --plans` and CI sweep.
 
 pub mod corpus;

@@ -147,49 +147,6 @@ fn random_exploration_finds_the_wakeup_order_bug_and_replays_from_seed() {
     assert_eq!(again.seed, Some(seed));
 }
 
-/// `wait_any` under every wakeup order: a producer sends three chunks
-/// tagged out of order while the consumer drains them with repeated
-/// `wait_any` calls — whatever interleaving the explorer picks, every
-/// chunk must complete exactly once with its own payload. This is the
-/// completion-order contract the streamed exchange pipeline builds on.
-fn wait_any_wakeup_fixture(ctl: &Ctl) {
-    use qse_comm::Universe;
-    let mut comms = Universe::new(2).into_communicators().into_iter();
-    let mut consumer = comms.next().expect("rank 0");
-    let mut producer = comms.next().expect("rank 1");
-    ctl.spawn(move || {
-        for tag in [2u64, 0, 1] {
-            producer.send(0, tag, &[tag as u8]).expect("send chunk");
-        }
-    });
-    let mut reqs: Vec<_> = (0..3u64)
-        .map(|t| consumer.irecv(1, t).expect("post receive"))
-        .collect();
-    let mut tags: Vec<u64> = (0..3).collect();
-    let mut seen = [false; 3];
-    while !reqs.is_empty() {
-        let (i, payload) = consumer.wait_any(&reqs).expect("wait_any");
-        let tag = tags[i] as usize;
-        reqs.swap_remove(i);
-        tags.swap_remove(i);
-        assert_eq!(payload[0] as usize, tag, "payload follows its tag");
-        assert!(!seen[tag], "chunk {tag} completed twice");
-        seen[tag] = true;
-    }
-    assert!(seen.iter().all(|&s| s), "every chunk completed: {seen:?}");
-}
-
-#[test]
-fn wait_any_completes_every_chunk_under_all_schedules() {
-    let schedules = Explorer::exhaustive()
-        .explore(wait_any_wakeup_fixture)
-        .expect("wait_any must drain all chunks under every schedule");
-    assert!(
-        schedules > 1,
-        "expected multiple interleavings, explored only {schedules}"
-    );
-}
-
 #[test]
 fn modelled_timeout_surfaces_never_sent_messages() {
     // A receive nobody will ever satisfy: instead of hanging or waiting

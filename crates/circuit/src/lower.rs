@@ -3,8 +3,7 @@
 //! QuEST pairs each rank with `rank XOR 2^{q−(n−r)}` for a distributed
 //! gate and ships its whole slice (§2.1). This module decides, once, every
 //! fact of that schedule a rank needs — the tags a step consumes, the
-//! peer, the amplitudes each way, the streamed alignment and which
-//! combine runs on the peer's payload — and, for a batched `Permute`
+//! peer, the amplitudes each way and which combine runs on the peer's payload — and, for a batched `Permute`
 //! step, which contiguous blocks travel between which ranks. Two
 //! consumers read the same answer: the statevector engine executes it,
 //! and the static verifier (`qse-check`) turns it into symbolic traces
@@ -55,8 +54,6 @@ pub struct Exchange {
     pub peer: u64,
     /// Payload amplitudes, each way.
     pub amps: u64,
-    /// The kernel's unit in amplitudes: streamed chunks cover whole units.
-    pub unit: u64,
     pub kernel: Kernel,
 }
 
@@ -258,7 +255,6 @@ impl OnRank<'_> {
             tag,
             peer: self.layout.pair_rank(self.rank, q),
             amps: self.layout.local_amps(),
-            unit: 1,
             kernel,
         }
     }
@@ -270,10 +266,7 @@ impl OnRank<'_> {
             bit: self.bit(hi),
             swapped,
         };
-        Exchange {
-            unit: 1 << (lo + 1),
-            ..self.pair(hi, kernel, tag)
-        }
+        self.pair(hi, kernel, tag)
     }
 
     /// A distributed SWAP; `None` on a rank the swap leaves alone.
@@ -554,7 +547,6 @@ mod tests {
                         tag: 0,
                         peer: rank ^ 2,
                         amps: 16,
-                        unit: 1,
                         kernel
                     }]
                 );
@@ -574,7 +566,6 @@ mod tests {
                         tag: 0,
                         peer: rank ^ 3,
                         amps: 16,
-                        unit: 1,
                         kernel
                     }]
                 );
@@ -604,14 +595,12 @@ mod tests {
                     tag,
                     peer: rank ^ 1,
                     amps,
-                    unit: 1,
                     kernel: swap,
                 };
                 let combine = Exchange {
                     tag: 1,
                     peer: rank ^ 2,
                     amps: 16,
-                    unit: 2,
                     kernel: Kernel::Orbit {
                         lo: 0,
                         bit: rank >> 1,
@@ -642,7 +631,7 @@ mod tests {
                     bit: rank >> 1
                 }
             );
-            assert_eq!((half[0].peer, half[0].unit), (full[0].peer, 1));
+            assert_eq!(half[0].peer, full[0].peer);
         }
     }
 
@@ -668,7 +657,6 @@ mod tests {
                     tag: 0,
                     peer: 1,
                     amps: 16,
-                    unit: 8,
                     kernel
                 }]
             );

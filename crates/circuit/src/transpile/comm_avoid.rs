@@ -889,7 +889,7 @@ mod tests {
             let plan = comm_avoid(&c, &layout, strategy, &ByteOracle);
             for step in &plan.steps {
                 if let PlanStep::Gate(g) = step {
-                    for p in offenders(g, layout.local_qubits()) {
+                    if let Some(p) = offenders(g, layout.local_qubits()).first() {
                         panic!("global operand {p} leaked from {g} under {strategy:?}");
                     }
                 }

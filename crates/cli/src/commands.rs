@@ -49,7 +49,7 @@ pub fn help_text() -> String {
        info  [--gpu]                machine description\n\
        run   --qubits N [--ranks R] [--circuit qft|qft-blocked|ghz|grover|bv]\n\
              [--engine auto|dense|sparse|stabilizer]\n\
-             [--non-blocking] [--streamed] [--half-swaps] [--basis B]\n\
+             [--non-blocking] [--half-swaps] [--basis B]\n\
              [--transpile off|greedy|beam]\n\
              [--faults seed=N[,delay=P][,corrupt=P][,fail=P][,budget=K]...]\n\
                                     execute on the thread cluster (measured);\n\
@@ -68,7 +68,7 @@ pub fn help_text() -> String {
                                     deterministic fault plan (replay a soak\n\
                                     failure by seed)\n\
        model --qubits N [--nodes M] [--node-kind standard|highmem]\n\
-             [--freq low|medium|high] [--circuit ...] [--fast] [--streamed] [--gpu]\n\
+             [--freq low|medium|high] [--circuit ...] [--fast] [--gpu]\n\
              [--half-swaps] [--fuse K]\n\
                                     ARCHER2 model estimate (runtime/energy/CU);\n\
                                     --fuse K prices runs of >= K diagonal\n\
@@ -148,13 +148,13 @@ fn parse_freq(s: &str) -> Result<CpuFrequency, ArgError> {
     })
 }
 
-/// The exchange two switches select: `streamed` wins over `non_blocking`
-/// (`--non-blocking` on `run`, `--fast` on `model`) when both are given.
-fn exchange_mode(non_blocking: bool, streamed: bool) -> ExchangeMode {
-    match (non_blocking, streamed) {
-        (_, true) => ExchangeMode::Streamed,
-        (true, false) => ExchangeMode::NonBlocking,
-        (false, false) => ExchangeMode::Blocking,
+/// The exchange a switch selects (`--non-blocking` on `run`, `--fast` on
+/// `model`).
+fn exchange_mode(non_blocking: bool) -> ExchangeMode {
+    if non_blocking {
+        ExchangeMode::NonBlocking
+    } else {
+        ExchangeMode::Blocking
     }
 }
 
@@ -207,7 +207,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
         "circuit",
         "engine",
         "non-blocking",
-        "streamed",
         "half-swaps",
         "basis",
         "faults",
@@ -216,7 +215,7 @@ fn run(args: &Args) -> Result<String, ArgError> {
     let n = register_width(args)?;
     let mut cfg = SimConfig::default_for(1);
     cfg.engine = engine_mode(args)?;
-    cfg.exchange = exchange_mode(args.switch("non-blocking"), args.switch("streamed"));
+    cfg.exchange = exchange_mode(args.switch("non-blocking"));
     cfg.half_exchange_swaps = args.switch("half-swaps");
     cfg.transpile = transpile_mode(args)?;
     if let Some(spec) = args.optional::<String>("faults")? {
@@ -255,7 +254,7 @@ fn run(args: &Args) -> Result<String, ArgError> {
             "ran {} gates on {} qubits over {} ranks in {:.3} s\n\
              distributed-gate share: {:.0} % of wall-clock\n\
              traffic: {} bytes in {} messages ({} bytes/rank)\n\
-             exchange: {} chunks, peak scratch {} bytes, {} payload bytes\n",
+             exchange: {} payload bytes\n",
             p.gate_count,
             p.n_qubits,
             p.n_ranks,
@@ -264,8 +263,6 @@ fn run(args: &Args) -> Result<String, ArgError> {
             p.bytes_sent,
             p.messages_sent,
             p.bytes_per_rank(),
-            p.exchange_chunks,
-            p.peak_inflight_bytes,
             p.bytes_exchanged,
         ),
         EngineState::Sparse(s) => format!(
@@ -331,7 +328,6 @@ fn model(args: &Args) -> Result<String, ArgError> {
         "freq",
         "circuit",
         "fast",
-        "streamed",
         "gpu",
         "half-swaps",
         "fuse",
@@ -365,7 +361,7 @@ fn model(args: &Args) -> Result<String, ArgError> {
     let mut cfg = SimConfig::default_for(nodes);
     cfg.node_kind = kind;
     cfg.frequency = parse_freq(&args.string("freq", "medium"))?;
-    cfg.exchange = exchange_mode(args.switch("fast"), args.switch("streamed"));
+    cfg.exchange = exchange_mode(args.switch("fast"));
     cfg.half_exchange_swaps = args.switch("half-swaps");
     cfg.fuse_diagonals = args.optional::<usize>("fuse")?;
     let est = ModelExecutor::new(&machine).run(&circuit, &cfg);
@@ -636,13 +632,12 @@ fn check(args: &Args) -> Result<String, ArgError> {
 
 /// `qse check --plans`: statically verify the standard plan corpus
 /// (circuits × rank counts × exchange modes × transpile strategies),
-/// then prove the verifier still has teeth by feeding it three
+/// then prove the verifier still has teeth by feeding it two
 /// deliberately broken fixtures that must each be rejected with a
 /// diagnosis naming the offending plan step.
 fn check_plans() -> Result<String, ArgError> {
     use qse_check::verify::{
-        broken_fixture_ring_overrun, broken_fixture_tag_collision,
-        broken_fixture_unrestored_layout, check_traces, verify_plan,
+        broken_fixture_tag_collision, broken_fixture_unrestored_layout, check_traces, verify_plan,
     };
     let mut out = String::new();
 
@@ -663,12 +658,11 @@ fn check_plans() -> Result<String, ArgError> {
 
     // Seeded-broken fixtures: each must be rejected, and the diagnosis
     // must carry enough detail to act on.
-    let fixtures: [(&str, Result<(), qse_check::verify::VerifyError>); 3] = [
+    let fixtures: [(&str, Result<(), qse_check::verify::VerifyError>); 2] = [
         (
             "tag collision",
             check_traces(&broken_fixture_tag_collision()),
         ),
-        ("ring overrun", check_traces(&broken_fixture_ring_overrun())),
         (
             "unrestored layout",
             verify_plan(
@@ -906,14 +900,7 @@ mod tests {
     }
 
     #[test]
-    fn run_streamed_flag_accepted_and_reports_chunks() {
-        let out = run_cli(&["run", "--qubits", "8", "--ranks", "4", "--streamed"]).unwrap();
-        assert!(out.contains("exchange:"), "{out}");
-        assert!(out.contains("peak scratch"), "{out}");
-    }
-
-    #[test]
-    fn streamed_takes_precedence_over_non_blocking() {
+    fn non_blocking_run_exchanges_the_same_payload() {
         let exchange_line = |flags: &[&str]| {
             let mut tokens = vec!["run", "--qubits", "8", "--ranks", "4"];
             tokens.extend_from_slice(flags);
@@ -923,19 +910,11 @@ mod tests {
                 .map(str::to_string)
                 .expect("exchange line present")
         };
-        // Only the streamed exchange counts chunks.
-        assert!(exchange_line(&["--non-blocking"]).starts_with("exchange: 0 chunks"));
-        let both = exchange_line(&["--non-blocking", "--streamed"]);
-        assert!(!both.starts_with("exchange: 0 chunks"), "{both}");
-        assert_eq!(both, exchange_line(&["--streamed"]));
-
-        let model = |flags: &[&str]| {
-            let mut tokens = vec!["model", "--qubits", "38"];
-            tokens.extend_from_slice(flags);
-            run_cli(&tokens).unwrap()
-        };
-        assert_ne!(model(&["--fast", "--streamed"]), model(&["--fast"]));
-        assert_eq!(exchange_mode(true, true), ExchangeMode::Streamed);
+        let blocking = exchange_line(&[]);
+        assert!(blocking.ends_with(" payload bytes"), "{blocking}");
+        assert_eq!(exchange_line(&["--non-blocking"]), blocking);
+        assert_eq!(exchange_mode(true), ExchangeMode::NonBlocking);
+        assert_eq!(exchange_mode(false), ExchangeMode::Blocking);
     }
 
     #[test]
@@ -1143,13 +1122,6 @@ mod tests {
         let big = run_cli(&["model", "--qubits", "38"]).unwrap();
         assert!(big.contains("exchange payload (modeled):"), "{big}");
         assert!(!big.contains("| measured:"), "{big}");
-    }
-
-    #[test]
-    fn model_streamed_flag_changes_result() {
-        let nb = run_cli(&["model", "--qubits", "38", "--fast"]).unwrap();
-        let streamed = run_cli(&["model", "--qubits", "38", "--streamed"]).unwrap();
-        assert_ne!(nb, streamed);
     }
 
     #[test]
@@ -1448,13 +1420,15 @@ mod tests {
     #[test]
     fn check_plans_proves_the_corpus_and_bites_on_fixtures() {
         let out = run_cli(&["check", "--plans"]).unwrap();
-        assert!(out.contains("verified 216/216 corpus plans clean"), "{out}");
         assert!(
-            out.contains("broken fixture (tag collision) rejected"),
+            out.contains(
+                "verified 144/144 corpus plans clean (188 distributed gates, \
+                 941824 bytes on the wire"
+            ),
             "{out}"
         );
         assert!(
-            out.contains("broken fixture (ring overrun) rejected"),
+            out.contains("broken fixture (tag collision) rejected"),
             "{out}"
         );
         assert!(

@@ -11,18 +11,14 @@
 //!   `sendrecv` per chunk, strictly serialised;
 //! * [`ExchangeMode::NonBlocking`] — the paper's improvement: post every
 //!   receive up front, send every chunk, then complete the receives in
-//!   order, letting chunks fly concurrently;
-//! * [`ExchangeMode::Streamed`] — one step further than the paper: chunks
-//!   are *consumed in completion order* via
-//!   [`crate::Communicator::wait_any`] while later chunks are still in
-//!   flight.
+//!   order, letting chunks fly concurrently.
 //!
-//! All three are orderings of one chunk driver, [`drive`], stated once by
+//! Both are orderings of one chunk driver, [`drive`], stated once by
 //! [`ChunkedExchange::ops`]: the driver runs that list and the static
 //! verifier traces it. The sender packs each chunk straight from its
 //! state into an owned buffer that becomes the message, and the receiver
 //! consumes each payload where it arrived — one write and one read per
-//! exchanged byte, nothing staged but the chunks in flight. All strategies
+//! exchanged byte, nothing staged but the chunks in flight. Both strategies
 //! deliver identical bytes; the thread-cluster benchmarks measure the
 //! wall-clock difference, and the analytic model assigns them different
 //! effective bandwidths calibrated from the paper's Table 1.
@@ -41,9 +37,8 @@ use std::ops::Range;
 /// gates in one blocked pass whatever the exchange options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistConfig {
-    /// Blocking sendrecv (QuEST default), the paper's non-blocking
-    /// rewrite, or the streamed chunk-pipelined exchange that overlaps
-    /// each chunk's combine with the remaining communication.
+    /// Blocking sendrecv (QuEST default) or the paper's non-blocking
+    /// rewrite.
     pub exchange_mode: ExchangeMode,
     /// Per-message size cap; ARCHER2's is 2 GiB, tests use small values
     /// to force multi-chunk exchanges.
@@ -105,21 +100,6 @@ impl ChunkPolicy {
         let start = i.saturating_mul(self.max_message_bytes);
         Some(start..usize::min(start.saturating_add(self.max_message_bytes), total))
     }
-
-    /// Derives a policy whose chunk boundaries fall on multiples of
-    /// `align_bytes` (a gate kernel's orbit size), by rounding the cap
-    /// *down* to the nearest multiple — or up to exactly `align_bytes`
-    /// when the cap is smaller. Streamed exchanges need this so every
-    /// chunk, consumed in arrival order, maps to a whole number of kernel
-    /// orbits; both partners derive the same policy from the same config,
-    /// keeping tags and counts matched.
-    pub fn aligned(&self, align_bytes: usize) -> ChunkPolicy {
-        assert!(align_bytes > 0, "alignment must be positive");
-        let cap = (self.max_message_bytes / align_bytes).max(1) * align_bytes;
-        ChunkPolicy {
-            max_message_bytes: cap,
-        }
-    }
 }
 
 /// Base tags must leave the low 32 bits for chunk indices.
@@ -170,7 +150,7 @@ pub fn chunk_tag(base: u64, idx: usize) -> u64 {
 }
 
 /// Strategy selector shared by the statevector engine and benchmarks:
-/// three orderings ([`ChunkedExchange::ops`]) of the same steps.
+/// two orderings ([`ChunkedExchange::ops`]) of the same steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExchangeMode {
     /// QuEST's original blocking `MPI_Sendrecv` sequence: send chunk
@@ -180,32 +160,7 @@ pub enum ExchangeMode {
     /// The paper's non-blocking rewrite (`Isend`/`Irecv` + `Waitall`):
     /// post everything, then complete the receives in posted order.
     NonBlocking,
-    /// Chunk-pipelined streaming: a ring of sends stays ahead of the
-    /// receives, which complete in arrival order (`wait_any`).
-    Streamed,
 }
-
-impl ExchangeMode {
-    /// The cap of an exchange whose consumer works on whole `unit_bytes`
-    /// units: `policy`, aligned to the unit ([`ChunkPolicy::aligned`]) in
-    /// the streamed mode, whose chunks complete out of order.
-    pub fn policy(self, policy: ChunkPolicy, unit_bytes: usize) -> ChunkPolicy {
-        match self {
-            ExchangeMode::Streamed => policy.aligned(unit_bytes),
-            ExchangeMode::Blocking | ExchangeMode::NonBlocking => policy,
-        }
-    }
-
-    /// Sends kept ahead of the receives by the mode that completes them
-    /// in arrival order ([`DEFAULT_RING_DEPTH`]); `None` for the others.
-    pub fn ring_depth(self) -> Option<usize> {
-        (self == ExchangeMode::Streamed).then_some(DEFAULT_RING_DEPTH)
-    }
-}
-
-/// Sends the streamed mode keeps ahead of its receives: one chunk in
-/// flight while the previous one is being consumed.
-pub const DEFAULT_RING_DEPTH: usize = 2;
 
 /// The ordering of a one-sided exchange (a `Permute` step's block sends,
 /// then its block receives) whatever the configured mode: lockstep with
@@ -222,9 +177,6 @@ pub enum ChunkOp {
     /// Wait for incoming chunk `i` — its posted receive after a `Post(i)`,
     /// a blocking `recv` otherwise — and consume it.
     Recv(usize),
-    /// Wait for *any* posted receive not yet completed (`wait_any`), and
-    /// consume it.
-    RecvAny,
 }
 
 /// One rank's side of a chunked pairwise exchange: `send_total` bytes go
@@ -247,22 +199,13 @@ pub struct ChunkedExchange {
 
 impl ChunkedExchange {
     /// This rank's side of the exchange under `mode`: the one statement
-    /// of the three orderings, which [`drive`] runs and the static
-    /// verifier traces. Blocking is lockstep (`Send(i)`, `Recv(i)`);
-    /// non-blocking posts every receive, sends every chunk, then waits in
-    /// posted order; streamed posts every receive, primes
-    /// [`DEFAULT_RING_DEPTH`] sends, then per receive sends one more and
-    /// waits for any, then flushes. Each direction is chunked on its own,
-    /// so asymmetric and one-sided totals need no case of their own.
-    ///
-    /// The list orders the *blocking points*: `drive` may send a chunk
-    /// earlier than it says (outgoing chunk `i` leaves before incoming
-    /// chunk `i` is consumed, which a streamed receive can reach first),
-    /// never later. The streamed ordering cannot deadlock against a
-    /// symmetric peer: once both partners have completed `k` receives
-    /// each has sent at least `min(ring + k, n)` chunks, ahead of what the
-    /// peer waits on; the flush lets a partner that expects more than it
-    /// sends complete.
+    /// of the two orderings, which [`drive`] runs and the static verifier
+    /// traces. Blocking is lockstep (`Send(i)`, `Recv(i)`); non-blocking
+    /// posts every receive, sends every chunk, then waits in posted
+    /// order. Each direction is chunked on its own, so asymmetric and
+    /// one-sided totals need no case of their own. Both send outgoing
+    /// chunk `i` before they consume incoming chunk `i`, which
+    /// [`PackOrder::Lazy`] relies on.
     pub fn ops(&self, mode: ExchangeMode) -> Vec<ChunkOp> {
         let n_send = self.policy.num_chunks(self.send_total);
         let n_recv = self.policy.num_chunks(self.recv_total);
@@ -278,16 +221,6 @@ impl ChunkedExchange {
                 ops.extend((0..n_recv).map(ChunkOp::Post));
                 ops.extend((0..n_send).map(ChunkOp::Send));
                 ops.extend((0..n_recv).map(ChunkOp::Recv));
-            }
-            ExchangeMode::Streamed => {
-                ops.extend((0..n_recv).map(ChunkOp::Post));
-                let primed = DEFAULT_RING_DEPTH.min(n_send);
-                ops.extend((0..primed).map(ChunkOp::Send));
-                for k in 0..n_recv {
-                    ops.extend((primed + k < n_send).then_some(ChunkOp::Send(primed + k)));
-                    ops.push(ChunkOp::RecvAny);
-                }
-                ops.extend((primed + n_recv..n_send).map(ChunkOp::Send));
             }
         }
         ops
@@ -328,13 +261,6 @@ pub enum PackOrder {
 /// A chunk whose length differs from what `policy` assigns it is refused
 /// with [`CommError::ChunkLength`] before `consume` sees it, and aborts
 /// the universe like any transport error.
-///
-/// In streamed mode the in-flight gauge
-/// ([`crate::TrafficStats::peak_inflight_bytes`]) counts what the driver
-/// holds: packed-but-unsent chunks plus the payload being consumed — two
-/// chunks at most under [`PackOrder::Lazy`], the whole outgoing payload
-/// under [`PackOrder::Eager`]. Payloads the peer has sent ahead wait in
-/// the transport's mailbox, which the ring keeps to a few chunks.
 pub fn drive<T: ?Sized>(
     comm: &mut Communicator,
     mode: ExchangeMode,
@@ -345,7 +271,6 @@ pub fn drive<T: ?Sized>(
     consume: impl FnMut(&mut T, Range<usize>, &Bytes),
 ) -> Result<()> {
     let n_send = ex.policy.num_chunks(ex.send_total);
-    let streamed = mode == ExchangeMode::Streamed;
     let mut d = Driver {
         comm,
         ex,
@@ -357,18 +282,16 @@ pub fn drive<T: ?Sized>(
         next_pack: 0,
         next_send: 0,
         n_send,
-        gauged: streamed,
     };
     if order == PackOrder::Eager {
         d.pack_through(n_send);
     }
-    // Posted receives not yet completed, and the chunk each one brings.
-    let (mut reqs, mut req_chunks): (Vec<Request>, Vec<usize>) = (Vec::new(), Vec::new());
+    // Posted receives not yet completed, with the chunk each one brings.
+    let mut posted: Vec<(usize, Request)> = Vec::new();
     for op in ex.ops(mode) {
         match op {
             ChunkOp::Post(i) => {
-                reqs.push(d.comm.irecv(ex.peer, chunk_tag(ex.base_tag, i))?);
-                req_chunks.push(i);
+                posted.push((i, d.comm.irecv(ex.peer, chunk_tag(ex.base_tag, i))?));
             }
             ChunkOp::Send(i) => {
                 while d.next_send <= i {
@@ -376,28 +299,12 @@ pub fn drive<T: ?Sized>(
                 }
             }
             ChunkOp::Recv(i) => {
-                let payload = match req_chunks.iter().position(|&c| c == i) {
-                    Some(k) => {
-                        req_chunks.remove(k);
-                        d.comm.wait(reqs.remove(k))?
-                    }
+                let payload = match posted.iter().position(|&(c, _)| c == i) {
+                    Some(k) => d.comm.wait(posted.remove(k).1)?,
                     None => d.comm.recv(ex.peer, chunk_tag(ex.base_tag, i))?,
                 };
                 d.consume(i, payload)?;
             }
-            ChunkOp::RecvAny => {
-                let (k, payload) = d.comm.wait_any(&reqs)?;
-                reqs.swap_remove(k);
-                d.consume(req_chunks.swap_remove(k), payload)?;
-            }
-        }
-    }
-    if streamed {
-        // The larger direction, so a half-exchange still reports its full
-        // pipeline depth.
-        let chunks = usize::max(n_send, ex.policy.num_chunks(ex.recv_total)) as u64;
-        if chunks > 0 {
-            d.comm.record_exchange_chunks(chunks);
         }
     }
     if ex.send_total > 0 {
@@ -418,14 +325,11 @@ struct Driver<'a, T: ?Sized, P, C> {
     /// on the wire.
     packed: VecDeque<Vec<u8>>,
     /// The buffer of the last consumed payload, when the consumer kept
-    /// no view of it: it carries the next outgoing chunk. Empty capacity,
-    /// not data in flight, so the gauge does not count it.
+    /// no view of it: it carries the next outgoing chunk.
     spare: Option<Vec<u8>>,
     next_pack: usize,
     next_send: usize,
     n_send: usize,
-    /// Whether held chunks count towards the in-flight gauge.
-    gauged: bool,
 }
 
 impl<T, P, C> Driver<'_, T, P, C>
@@ -434,16 +338,6 @@ where
     P: FnMut(&T, Range<usize>, &mut Vec<u8>),
     C: FnMut(&mut T, Range<usize>, &Bytes),
 {
-    /// Moves the in-flight gauge as the driver starts (`held`) or stops
-    /// holding a chunk of `len` bytes.
-    fn gauge(&self, len: usize, held: bool) {
-        if self.gauged && held {
-            self.comm.scratch_acquire(len as u64);
-        } else if self.gauged {
-            self.comm.scratch_release(len as u64);
-        }
-    }
-
     /// Packs outgoing chunks up to (not including) `end`.
     fn pack_through(&mut self, end: usize) {
         while self.next_pack < end.min(self.n_send) {
@@ -457,7 +351,6 @@ where
             buf.reserve_exact(range.len());
             (self.pack)(self.state, range.clone(), &mut buf);
             assert_eq!(buf.len(), range.len(), "packer filled the wrong length");
-            self.gauge(buf.len(), true);
             self.packed.push_back(buf);
             self.next_pack += 1;
         }
@@ -470,15 +363,13 @@ where
         }
         self.pack_through(self.next_send + 1);
         let buf = self.packed.pop_front().unwrap_or_default(); // packed just above
-        self.gauge(buf.len(), false);
         let tag = chunk_tag(self.ex.base_tag, self.next_send);
         self.next_send += 1;
         self.comm.send_bytes(self.ex.peer, tag, Bytes::from(buf))
     }
 
-    /// Hands incoming chunk `idx` to the consumer — after checking its
-    /// length, and after outgoing chunk `idx` has left the state (a
-    /// streamed chunk can complete before this rank sent its own).
+    /// Hands incoming chunk `idx` to the consumer after checking its
+    /// length.
     fn consume(&mut self, idx: usize, payload: Bytes) -> Result<()> {
         let range = self
             .ex
@@ -493,12 +384,7 @@ where
                 got: payload.len(),
             }));
         }
-        self.gauge(payload.len(), true);
-        while self.next_send < usize::min(idx + 1, self.n_send) {
-            self.send_next()?;
-        }
         (self.consume)(self.state, range, &payload);
-        self.gauge(payload.len(), false);
         self.spare = payload.into_unique_vec().or(self.spare.take());
         Ok(())
     }
@@ -642,20 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn aligned_policy_rounds_down_with_floor() {
-        let p = ChunkPolicy::new(100).unwrap();
-        assert_eq!(p.aligned(16).max_message_bytes, 96);
-        assert_eq!(p.aligned(100).max_message_bytes, 100);
-        // A cap smaller than the alignment is rounded *up* to one orbit.
-        assert_eq!(p.aligned(128).max_message_bytes, 128);
-        // Already aligned caps are untouched.
-        assert_eq!(
-            ChunkPolicy::new(256).unwrap().aligned(64).max_message_bytes,
-            256
-        );
-    }
-
-    #[test]
     fn boundary_totals_zero_cap_and_cap_plus_one() {
         let cap = 64;
         let p = ChunkPolicy::new(cap).unwrap();
@@ -736,11 +608,7 @@ mod tests {
         chunk_tag(0, 1usize << 32);
     }
 
-    const MODES: [ExchangeMode; 3] = [
-        ExchangeMode::Blocking,
-        ExchangeMode::NonBlocking,
-        ExchangeMode::Streamed,
-    ];
+    const MODES: [ExchangeMode; 2] = [ExchangeMode::Blocking, ExchangeMode::NonBlocking];
 
     /// Cap of the op-list tests.
     const CAP: usize = 16;
@@ -750,40 +618,30 @@ mod tests {
         (n * CAP).saturating_sub(CAP / 2)
     }
 
-    /// An op list rendered `P`ost, `S`end, `R`ecv and `A`(ny).
+    /// An op list rendered `P`ost, `S`end and `R`ecv.
     fn render(ops: &[ChunkOp]) -> String {
         let op = |op: &ChunkOp| match *op {
             ChunkOp::Post(i) => format!("P{i}"),
             ChunkOp::Send(i) => format!("S{i}"),
             ChunkOp::Recv(i) => format!("R{i}"),
-            ChunkOp::RecvAny => "A".to_string(),
         };
         ops.iter().map(op).collect::<Vec<_>>().join(" ")
     }
 
     #[test]
     fn ops_pin_each_ordering_for_each_shape() {
-        // (outgoing, incoming chunks) → blocking, non-blocking, streamed.
+        // (outgoing, incoming chunks) → blocking, non-blocking.
         let table = [
-            (
-                (3, 3),
-                [
-                    "S0 R0 S1 R1 S2 R2",
-                    "P0 P1 P2 S0 S1 S2 R0 R1 R2",
-                    "P0 P1 P2 S0 S1 S2 A A A",
-                ],
-            ),
-            // One chunk, fewer than the ring depth.
-            ((1, 1), ["S0 R0", "P0 S0 R0", "P0 S0 A"]),
-            ((3, 0), ["S0 S1 S2", "S0 S1 S2", "S0 S1 S2"]),
-            ((0, 3), ["R0 R1 R2", "P0 P1 P2 R0 R1 R2", "P0 P1 P2 A A A"]),
+            ((3, 3), ["S0 R0 S1 R1 S2 R2", "P0 P1 P2 S0 S1 S2 R0 R1 R2"]),
+            ((1, 1), ["S0 R0", "P0 S0 R0"]),
+            ((3, 0), ["S0 S1 S2", "S0 S1 S2"]),
+            ((0, 3), ["R0 R1 R2", "P0 P1 P2 R0 R1 R2"]),
             // Asymmetric: the side that sends more, then its partner.
             (
                 (7, 4),
                 [
                     "S0 R0 S1 R1 S2 R2 S3 R3 S4 S5 S6",
                     "P0 P1 P2 P3 S0 S1 S2 S3 S4 S5 S6 R0 R1 R2 R3",
-                    "P0 P1 P2 P3 S0 S1 S2 A S3 A S4 A S5 A S6",
                 ],
             ),
             (
@@ -791,10 +649,9 @@ mod tests {
                 [
                     "S0 R0 S1 R1 S2 R2 S3 R3 R4 R5 R6",
                     "P0 P1 P2 P3 P4 P5 P6 S0 S1 S2 S3 R0 R1 R2 R3 R4 R5 R6",
-                    "P0 P1 P2 P3 P4 P5 P6 S0 S1 S2 A S3 A A A A A A",
                 ],
             ),
-            ((0, 0), ["", "", ""]),
+            ((0, 0), ["", ""]),
         ];
         for ((sends, recvs), want) in table {
             let ex = ChunkedExchange {
@@ -805,17 +662,25 @@ mod tests {
                 recv_total: total(recvs),
             };
             for (mode, want) in MODES.into_iter().zip(want) {
-                assert_eq!(render(&ex.ops(mode)), want, "{mode:?} {sends}/{recvs}");
+                let ops = ex.ops(mode);
+                assert_eq!(render(&ops), want, "{mode:?} {sends}/{recvs}");
+                // Pack-before-overwrite: outgoing chunk `i` leaves before
+                // incoming chunk `i` is consumed.
+                for (at, op) in ops.iter().enumerate() {
+                    if let ChunkOp::Recv(i) = *op {
+                        let sent = ops[..at].contains(&ChunkOp::Send(i));
+                        assert!(sent || i >= sends, "{mode:?} {sends}/{recvs}: R{i}");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn drive_packs_and_consumes_in_the_order_of_its_op_list() {
-        // Under lazy packing a chunk is packed as it is sent, so on a
-        // fault-free universe (no chunk overtakes another, no catch-up
-        // send) the callbacks replay the list: `Send(i)` as pack `i`,
-        // `Recv(i)` as consume `i`. A streamed receive is `RecvAny`.
+        // Under lazy packing a chunk is packed as it is sent, so the
+        // callbacks replay the list: `Send(i)` as pack `i`, `Recv(i)` as
+        // consume `i`.
         let policy = ChunkPolicy::new(CAP).unwrap();
         for (sends, recvs) in [(3, 3), (1, 1), (3, 0), (7, 4), (0, 0)] {
             for mode in MODES {
@@ -844,13 +709,7 @@ mod tests {
                             out.resize(range.len(), 0);
                             seen.borrow_mut().push(ChunkOp::Send(chunk(range)));
                         },
-                        |_, range, _| {
-                            let op = match mode {
-                                ExchangeMode::Streamed => ChunkOp::RecvAny,
-                                _ => ChunkOp::Recv(chunk(range)),
-                            };
-                            seen.borrow_mut().push(op);
-                        },
+                        |_, range, _| seen.borrow_mut().push(ChunkOp::Recv(chunk(range))),
                     )
                     .unwrap();
                     let mut want = ex.ops(mode);
@@ -936,9 +795,10 @@ mod tests {
     #[test]
     fn lazy_packing_reads_the_state_no_later_than_its_chunk_is_overwritten() {
         // The state is one buffer that is both packed from and consumed
-        // into, chunk for chunk (the shape of a distributed 1q combine).
-        // Under delay jitter the streamed mode completes chunks the rank
-        // has not sent yet; the driver must pack them first.
+        // into, chunk for chunk (the shape of a distributed 1q combine),
+        // on a clean universe and under delay jitter that holds chunks
+        // back: every chunk must be packed before its range is
+        // overwritten.
         let total = 480usize;
         let policy = ChunkPolicy::new(16).unwrap();
         let trade = |c: &mut Communicator, mode: ExchangeMode| {
@@ -964,12 +824,12 @@ mod tests {
             let expected: Vec<u8> = (0..total).map(|i| (i * 3 + peer * 17) as u8).collect();
             assert_eq!(state, expected, "{mode:?} rank {}", c.rank());
         };
-        for mode in [ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
+        for mode in MODES {
             Universe::new(2).run(|c| trade(c, mode));
-        }
-        for seed in [11u64, 23, 47, 101] {
-            let universe = Universe::with_faults(2, delay_jitter(seed)).unwrap();
-            universe.run(|c| trade(c, ExchangeMode::Streamed));
+            for seed in [11u64, 23, 47, 101] {
+                let universe = Universe::with_faults(2, delay_jitter(seed)).unwrap();
+                universe.run(|c| trade(c, mode));
+            }
         }
     }
 
@@ -1057,47 +917,8 @@ mod tests {
                 assert_eq!(s.bytes_sent, 256);
                 assert_eq!(s.bytes_received, 256);
                 assert_eq!(s.bytes_exchanged, 256, "exchange payload tracked");
-                // Only the streamed ordering reports its pipeline.
-                let streamed = mode == ExchangeMode::Streamed;
-                assert_eq!(s.exchange_chunks, if streamed { 4 } else { 0 });
-                assert_eq!(s.peak_inflight_bytes > 0, streamed);
-                assert!(s.peak_inflight_bytes <= 2 * 64, "{mode:?}");
             }
         }
-    }
-
-    #[test]
-    fn streamed_completion_order_shuffles_under_delay_jitter() {
-        // Held-back chunks let later chunks overtake them, so wait_any
-        // hands chunks back out of posting order; the per-chunk byte
-        // ranges must still compose into exactly the peer's buffer.
-        let total = 600usize;
-        let policy = ChunkPolicy::new(16).unwrap();
-        let mut saw_reorder = false;
-        for seed in [11u64, 23, 47, 101] {
-            let universe = Universe::with_faults(2, delay_jitter(seed)).unwrap();
-            let orders = universe.run(|c| {
-                let peer = 1 - c.rank();
-                let send: Vec<u8> = (0..total).map(|i| (i * 3 + c.rank() * 17) as u8).collect();
-                let (order, assembled) =
-                    drive_recording(c, ExchangeMode::Streamed, PackOrder::Lazy, &send, policy);
-                let expected: Vec<u8> = (0..total).map(|i| (i * 3 + peer * 17) as u8).collect();
-                assert_eq!(assembled, expected, "seed {seed} reassembly broke");
-                order
-            });
-            for order in orders {
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, (0..policy.num_chunks(total)).collect::<Vec<_>>());
-                if order.windows(2).any(|w| w[0] > w[1]) {
-                    saw_reorder = true;
-                }
-            }
-        }
-        assert!(
-            saw_reorder,
-            "delay jitter never reordered a chunk on any seed"
-        );
     }
 
     #[test]

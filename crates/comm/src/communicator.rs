@@ -243,9 +243,7 @@ impl Communicator {
             self.counters.record_recv(env.len());
             return Ok(env.payload);
         }
-        let matcher = |env: &Envelope| (env.src == src && env.tag == tag).then_some(0);
-        let (_, payload) = self.blocking_wait(src, tag, matcher)?;
-        Ok(payload)
+        self.blocking_wait(src, tag)
     }
 
     /// Applies this receive entry's injected transient failures: retried
@@ -276,12 +274,10 @@ impl Communicator {
         Ok(())
     }
 
-    /// The shared blocked phase of [`Self::recv`] and [`Self::wait_any`].
-    /// `matcher` returns the completed request index for an envelope this
-    /// wait can consume; non-matching arrivals are buffered. The cell is
-    /// checked before anything dequeued is looked at, so another rank's
-    /// abort (and its wake envelope) ends the wait with
-    /// [`CommError::Aborted`].
+    /// The blocked phase of [`Self::recv`]: waits for the envelope from
+    /// `src` tagged `tag`, buffering other arrivals. The cell is checked
+    /// before anything dequeued is looked at, so another rank's abort (and
+    /// its wake envelope) ends the wait with [`CommError::Aborted`].
     ///
     /// Without a fault lane the wait is one mailbox wait up to the
     /// wall-clock deadline. With one, the deadline is *modelled*: the
@@ -291,10 +287,7 @@ impl Communicator {
     /// deadline check, so a message arriving at the boundary is delivered
     /// (`D <= T`) and only `D > T` times out — instead of racing the
     /// host's scheduler.
-    fn blocking_wait<M>(&mut self, src: usize, tag: u64, matcher: M) -> Result<(usize, Bytes)>
-    where
-        M: Fn(&Envelope) -> Option<usize>,
-    {
+    fn blocking_wait(&mut self, src: usize, tag: u64) -> Result<Bytes> {
         let timed_out = CommError::RecvTimeout {
             src,
             tag,
@@ -307,7 +300,7 @@ impl Communicator {
             .map(|_| Self::timeout_slices(self.recv_timeout));
         let mut slices_used: u64 = 0;
         loop {
-            if let Some(out) = self.process_due_held(&matcher)? {
+            if let Some(out) = self.process_due_held(src, tag)? {
                 return Ok(out);
             }
             let wait = match slice_budget {
@@ -327,7 +320,7 @@ impl Communicator {
                             continue;
                         }
                     }
-                    if let Some(out) = self.admit(env, &matcher)? {
+                    if let Some(out) = self.admit(env, src, tag)? {
                         return Ok(out);
                     }
                 }
@@ -353,16 +346,13 @@ impl Communicator {
     }
 
     /// Releases and processes every due held (delayed) envelope. Returns
-    /// a completion if one of them satisfies the current wait.
-    fn process_due_held<M>(&mut self, matcher: &M) -> Result<Option<(usize, Bytes)>>
-    where
-        M: Fn(&Envelope) -> Option<usize>,
-    {
+    /// the payload if one of them satisfies the current wait.
+    fn process_due_held(&mut self, src: usize, tag: u64) -> Result<Option<Bytes>> {
         loop {
             let Some(env) = self.lane.as_mut().and_then(|lane| lane.pop_due()) else {
                 return Ok(None);
             };
-            if let Some(out) = self.admit(env, matcher)? {
+            if let Some(out) = self.admit(env, src, tag)? {
                 return Ok(Some(out));
             }
         }
@@ -370,13 +360,10 @@ impl Communicator {
 
     /// Validates and routes one dequeued (or released) envelope: corrupt
     /// payloads are discarded — giving up with [`CommError::Corrupt`]
-    /// once a link's consecutive discards exhaust the retry budget —
-    /// matching envelopes complete the wait, and everything else is
-    /// buffered for a later receive.
-    fn admit<M>(&mut self, env: Envelope, matcher: &M) -> Result<Option<(usize, Bytes)>>
-    where
-        M: Fn(&Envelope) -> Option<usize>,
-    {
+    /// once a link's consecutive discards exhaust the retry budget — the
+    /// envelope from `src` tagged `tag` completes the wait, and everything
+    /// else is buffered for a later receive.
+    fn admit(&mut self, env: Envelope, src: usize, tag: u64) -> Result<Option<Bytes>> {
         if !env.checksum_ok() {
             self.counters.record_corruption_detected();
             if let Some(lane) = &mut self.lane {
@@ -396,16 +383,16 @@ impl Communicator {
                 lane.note_valid_delivery(env.src, env.tag);
             }
         }
-        if let Some(idx) = matcher(&env) {
+        if env.src == src && env.tag == tag {
             self.counters.record_recv(env.len());
-            return Ok(Some((idx, env.payload)));
+            return Ok(Some(env.payload));
         }
         self.pending.push_back(env);
         Ok(None)
     }
 
     /// Non-blocking receive: registers interest in `(src, tag)` and returns
-    /// a request to be completed by [`Self::wait`] or [`Self::wait_any`].
+    /// a request to be completed by [`Self::wait`].
     pub fn irecv(&self, src: usize, tag: u64) -> Result<Request> {
         self.check_rank(src)?;
         Ok(Request { src, tag })
@@ -416,68 +403,11 @@ impl Communicator {
         self.recv(request.src, request.tag)
     }
 
-    /// Completes *whichever* request in `requests` finishes first,
-    /// returning its index and payload — the `MPI_Waitany` analogue that
-    /// lets a streamed exchange process chunks in completion order.
-    ///
-    /// A buffered out-of-order arrival wins in its arrival order;
-    /// otherwise the call blocks like [`Self::recv`] (and ends like it:
-    /// timeout, abort, or a completion). Non-matching arrivals are
-    /// buffered for later receives exactly as in `recv`.
-    ///
-    /// Returns `CommError::InvalidConfig` for an empty request set.
-    pub fn wait_any(&mut self, requests: &[Request]) -> Result<(usize, Bytes)> {
-        if requests.is_empty() {
-            return Err(CommError::InvalidConfig(
-                "wait_any needs at least one request",
-            ));
-        }
-        self.live()?;
-        self.wait_any_recv(requests).map_err(|e| self.fail(e))
-    }
-
-    /// [`Self::wait_any`] over a non-empty request set.
-    fn wait_any_recv(&mut self, requests: &[Request]) -> Result<(usize, Bytes)> {
-        let Request { src, tag } = requests[0];
-        // Drawn before the arrival-dependent pending scan so the fault
-        // stream stays in program order (the request set is deterministic;
-        // what has already arrived is not).
-        self.fault_recv_entry(src)?;
-        // Oldest buffered arrival matching any request wins, mirroring
-        // completion order on a real network.
-        if let Some((pos, idx)) = self
-            .pending
-            .iter()
-            .enumerate()
-            .find_map(|(pos, env)| Self::match_request(requests, env).map(|idx| (pos, idx)))
-        {
-            let env = self.pending.remove(pos).ok_or(CommError::InvalidConfig(
-                "pending queue changed underfoot", // unreachable: single-threaded access
-            ))?;
-            self.counters.record_recv(env.len());
-            return Ok((idx, env.payload));
-        }
-        self.blocking_wait(src, tag, |env| Self::match_request(requests, env))
-    }
-
-    /// Index of the first request in `requests` matching `env`, if any.
-    fn match_request(requests: &[Request], env: &Envelope) -> Option<usize> {
-        requests
-            .iter()
-            .position(|r| r.src == env.src && r.tag == env.tag)
-    }
-
     /// Synchronises all ranks: returns once every rank has arrived, or as
     /// soon as the universe aborts — then without synchronising, and the
     /// rank's next communication call returns [`CommError::Aborted`].
     pub fn barrier(&self) {
         self.fail_stop.barrier();
-    }
-
-    /// Records `chunks` completed chunks of one streamed exchange in this
-    /// rank's traffic counters.
-    pub fn record_exchange_chunks(&self, chunks: u64) {
-        self.counters.record_exchange_chunks(chunks);
     }
 
     /// Records `bytes` of amplitude payload this rank sent as part of a
@@ -486,19 +416,6 @@ impl Communicator {
     /// ablations compare.
     pub fn record_exchange_bytes(&self, bytes: u64) {
         self.counters.record_exchange_bytes(bytes);
-    }
-
-    /// Accounts `bytes` of exchange memory held (by the streamed chunk
-    /// driver: a packed-but-unsent chunk, or the payload under its
-    /// kernel), updating the high-water mark.
-    pub fn scratch_acquire(&self, bytes: u64) {
-        self.counters.scratch_acquire(bytes);
-    }
-
-    /// Releases `bytes` of exchange memory previously accounted via
-    /// [`Self::scratch_acquire`].
-    pub fn scratch_release(&self, bytes: u64) {
-        self.counters.scratch_release(bytes);
     }
 
     /// This rank's traffic counters.
@@ -620,63 +537,6 @@ mod tests {
             c.send(peer, 1, &[c.rank() as u8]).unwrap();
             let payload = c.wait(req).unwrap();
             assert_eq!(payload[0] as usize, peer);
-        });
-    }
-
-    #[test]
-    fn wait_any_completes_in_arrival_order() {
-        Universe::new(2).run(|c| {
-            if c.rank() == 0 {
-                // Send tags out of request order so completion order and
-                // posting order differ.
-                for tag in [2u64, 0, 1] {
-                    c.send(1, tag, &[tag as u8]).unwrap();
-                }
-            } else {
-                let mut reqs: Vec<_> = (0..3u64).map(|t| c.irecv(0, t).unwrap()).collect();
-                let mut tags_seen = Vec::new();
-                while !reqs.is_empty() {
-                    let (i, payload) = c.wait_any(&reqs).unwrap();
-                    tags_seen.push(payload[0]);
-                    reqs.swap_remove(i);
-                }
-                tags_seen.sort_unstable();
-                assert_eq!(tags_seen, vec![0, 1, 2]);
-            }
-        });
-    }
-
-    #[test]
-    fn wait_any_rejects_empty_request_sets() {
-        Universe::new(2).run(|c| {
-            let err = c.wait_any(&[]).unwrap_err();
-            assert!(matches!(err, CommError::InvalidConfig(_)));
-            // The rejection leaves the endpoint usable.
-            let peer = 1 - c.rank();
-            let reqs = [c.irecv(peer, 7).unwrap()];
-            c.send(peer, 7, &[9]).unwrap();
-            let (i, payload) = c.wait_any(&reqs).unwrap();
-            assert_eq!(i, 0);
-            assert_eq!(&payload[..], &[9]);
-        });
-    }
-
-    #[test]
-    fn wait_any_buffers_non_matching_arrivals() {
-        Universe::new(2).run(|c| {
-            if c.rank() == 0 {
-                c.send(1, 50, b"other").unwrap();
-                c.send(1, 40, b"match").unwrap();
-            } else {
-                // Only tag 40 is in the set; tag 50 must be buffered and
-                // remain available to a later plain recv.
-                let reqs = vec![c.irecv(0, 40).unwrap()];
-                let (i, payload) = c.wait_any(&reqs).unwrap();
-                assert_eq!(i, 0);
-                assert_eq!(&payload[..], b"match");
-                let other = c.recv(0, 50).unwrap();
-                assert_eq!(&other[..], b"other");
-            }
         });
     }
 
@@ -1144,15 +1004,6 @@ mod failstop_tests {
     }
 
     #[test]
-    fn a_failed_rank_aborts_a_peer_parked_in_wait_any() {
-        let out = corrupt_while_peer_parks(|c| {
-            let reqs = [c.irecv(0, 10)?, c.irecv(0, 11)?];
-            c.wait_any(&reqs).map(|_| ())
-        });
-        assert_aborted_by_corrupt(&out[1]);
-    }
-
-    #[test]
     fn a_send_to_a_failed_peer_is_aborted_not_disconnected() {
         // Rank 1 times out and returns; its mailbox is gone.
         let mut comms = Universe::with_timeout(2, Duration::from_millis(10)).into_communicators();
@@ -1264,19 +1115,6 @@ mod failstop_tests {
                     c.recv(peer, 1234).map(|_| ())
                 },
                 awaits: &[(0, (1, 1234)), (1, (0, 1234))],
-            },
-            Stuck {
-                name: "streamed group never sent",
-                ranks: 2,
-                faults: false,
-                program: |c| {
-                    if c.rank() == 1 {
-                        return Ok(());
-                    }
-                    let reqs = [c.irecv(1, 5)?, c.irecv(1, 6)?];
-                    c.wait_any(&reqs).map(|_| ())
-                },
-                awaits: &[(0, (1, 5))],
             },
         ];
         let deadline = Duration::from_millis(200);

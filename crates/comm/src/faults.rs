@@ -185,7 +185,10 @@ impl FaultConfig {
     /// [`FaultConfig::recoverable`] baseline derived from that seed:
     /// `delay`, `corrupt`, `fail`, `recv_fail` (probabilities),
     /// `delay_slices`, `corrupt_burst`, `fail_burst`, `budget`,
-    /// `stall_rank`, `stall_from`, `stall_len`, `stall_slices`.
+    /// `stall_rank`, `stall_from`, `stall_len`, `stall_slices`. The stall
+    /// window `[stall_from, stall_from + stall_len)` is built once every
+    /// key is read, so key order does not matter, and a window whose end
+    /// overflows `u64` is a spec error.
     pub fn parse_spec(spec: &str) -> std::result::Result<FaultConfig, String> {
         let mut seed = None;
         let mut overrides = Vec::new();
@@ -229,6 +232,7 @@ impl FaultConfig {
             v.parse::<usize>()
                 .map_err(|_| format!("fault {key} '{v}' is not a rank index"))
         };
+        let (mut stall_from, mut stall_len) = (None, None);
         for (key, v) in &overrides {
             match key.as_str() {
                 "delay" => cfg.p_delay = prob(v, key)?,
@@ -240,11 +244,20 @@ impl FaultConfig {
                 "fail_burst" => cfg.max_fail_burst = int32(v, key)?,
                 "budget" => cfg.retry_budget = int32(v, key)?,
                 "stall_rank" => cfg.stall_rank = Some(rank(v, key)?),
-                "stall_from" => cfg.stall_window.0 = int(v, key)?,
-                "stall_len" => cfg.stall_window.1 = cfg.stall_window.0 + int(v, key)?,
+                "stall_from" => stall_from = Some(int(v, key)?),
+                "stall_len" => stall_len = Some(int(v, key)?),
                 "stall_slices" => cfg.stall_extra_slices = int32(v, key)?,
                 other => return Err(format!("unknown fault spec key '{other}'")),
             }
+        }
+        if let Some(from) = stall_from {
+            cfg.stall_window.0 = from;
+        }
+        if let Some(len) = stall_len {
+            let from = cfg.stall_window.0;
+            cfg.stall_window.1 = from
+                .checked_add(len)
+                .ok_or_else(|| format!("fault stall window {from} + {len} overflows u64"))?;
         }
         if cfg.stall_rank.is_some() && cfg.stall_window.1 == 0 {
             cfg.stall_window = (0, u64::MAX);
@@ -600,6 +613,15 @@ mod tests {
         assert_eq!(cfg.stall_rank, Some(2));
         assert_eq!(cfg.stall_window, (4, 12));
         assert_eq!(cfg.stall_extra_slices, 3);
+        // Key order does not move the window.
+        let swapped = FaultConfig::parse_spec("seed=1,stall_len=8,stall_from=4").unwrap();
+        assert_eq!(swapped.stall_window, (4, 12));
+        // A window whose end overflows is refused, not wrapped.
+        let err = FaultConfig::parse_spec(
+            "seed=1,stall_rank=1,stall_from=18446744073709551615,stall_len=1",
+        )
+        .unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
         // A stall rank without a window stalls everywhere.
         let cfg = FaultConfig::parse_spec("seed=1,stall_rank=0").unwrap();
         assert_eq!(cfg.stall_window, (0, u64::MAX));
@@ -612,6 +634,98 @@ mod tests {
         assert!(FaultConfig::parse_spec("seed=1,bogus=2").is_err());
         assert!(FaultConfig::parse_spec("seed=1,delay=7").is_err(), "p > 1");
         assert!(FaultConfig::parse_spec("seed=1,delay").is_err(), "no value");
+    }
+
+    /// Seeded byte-level fuzz of [`FaultConfig::parse_spec`]: valid specs
+    /// mutated by bit flips, truncations, splices of two specs, duplicated
+    /// keys, inserted separators and non-ASCII bytes, and values replaced
+    /// by integers around `u32::MAX` and `u64::MAX`, read back through
+    /// `from_utf8_lossy`. Every input must parse or fail with a message,
+    /// and every parsed spec must become a plan or a typed error; a panic
+    /// fails with the input that caused it.
+    #[test]
+    fn mutated_specs_parse_or_fail_typed() {
+        use qse_util::rng::{Rng, SplitMix64};
+        const SEEDS: [&str; 5] = [
+            "seed=42,delay=0.2,corrupt=0.1,budget=3",
+            "seed=1,stall_rank=1,stall_from=4,stall_len=8,stall_slices=3",
+            "seed=7,fail=0.3,recv_fail=0.1,fail_burst=2,corrupt_burst=1,delay_slices=4",
+            "seed=9, stall_len=16 ,stall_from=2,stall_rank=0",
+            "seed=3",
+        ];
+        const HUGE: [&str; 7] = [
+            "4294967294",
+            "4294967295",
+            "4294967296",
+            "18446744073709551614",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-1",
+        ];
+        const KEYS: [&str; 6] = [
+            "seed=5,",
+            "stall_from=7,",
+            "stall_len=3,",
+            "budget=1,",
+            "delay=1,",
+            "stall_rank=4,",
+        ];
+        let mut rng = SplitMix64::seed_from_u64(0x5eed_0050);
+        let below = |n: usize, rng: &mut SplitMix64| (rng.next_u64() % n.max(1) as u64) as usize;
+        let (mut planned, mut refused) = (0usize, 0usize);
+        for iter in 0..20_000 {
+            let mut bytes = SEEDS[below(SEEDS.len(), &mut rng)].as_bytes().to_vec();
+            for _ in 0..1 + below(3, &mut rng) {
+                let at = below(bytes.len() + 1, &mut rng);
+                match below(6, &mut rng) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << below(8, &mut rng),
+                    1 => bytes.truncate(at),
+                    2 => {
+                        let other = SEEDS[below(SEEDS.len(), &mut rng)].as_bytes();
+                        let from = below(other.len(), &mut rng);
+                        let to = from + below(other.len() - from + 1, &mut rng);
+                        let end = at + below(bytes.len() - at + 1, &mut rng);
+                        bytes.splice(at..end, other[from..to].iter().copied());
+                    }
+                    3 => {
+                        let key = KEYS[below(KEYS.len(), &mut rng)].as_bytes();
+                        bytes.splice(0..0, key.iter().copied());
+                    }
+                    4 => {
+                        const ODD: [u8; 7] = [b',', b'=', b' ', b'.', b'e', 0xc3, 0xff];
+                        bytes.insert(at, ODD[below(ODD.len(), &mut rng)]);
+                    }
+                    _ => {
+                        // Replace the value after an `=` at or past `at`.
+                        if let Some(eq) = bytes[at..].iter().position(|&b| b == b'=') {
+                            let start = at + eq + 1;
+                            let end = bytes[start..]
+                                .iter()
+                                .position(|&b| b == b',')
+                                .map_or(bytes.len(), |p| start + p);
+                            let huge = HUGE[below(HUGE.len(), &mut rng)].as_bytes();
+                            bytes.splice(start..end, huge.iter().copied());
+                        }
+                    }
+                }
+            }
+            let spec = String::from_utf8_lossy(&bytes);
+            let planned_or_refused = std::panic::catch_unwind(|| {
+                FaultConfig::parse_spec(&spec)
+                    .ok()
+                    .map(|cfg| FaultPlan::new(cfg).is_ok())
+            });
+            match planned_or_refused {
+                Ok(Some(true)) => planned += 1,
+                Ok(_) => refused += 1,
+                Err(_) => panic!("iteration {iter}: parse_spec panicked on {spec:?}"),
+            }
+        }
+        // The mutations must leave some specs valid and break others.
+        assert!(
+            planned > 1000 && refused > 1000,
+            "{planned} planned, {refused} refused"
+        );
     }
 
     #[test]

@@ -13,16 +13,14 @@
 //!   (QuEST's distributed gates are "a sequence of blocking
 //!   `MPI_Sendrecv`", §2.1);
 //! * posted receives: [`Communicator::irecv`] returns a
-//!   [`nonblocking::Request`], completed by [`Communicator::wait`] or, in
-//!   arrival order, by [`Communicator::wait_any`] — the paper's
-//!   modification that "allows multiple messages to be sent and received
-//!   in parallel" (§3.2), and the completion order that lets
-//!   [`chunking::ExchangeMode::Streamed`] overlap per-chunk computation
-//!   with the remaining communication;
+//!   [`nonblocking::Request`], completed by [`Communicator::wait`] — the
+//!   paper's modification that "allows multiple messages to be sent and
+//!   received in parallel" (§3.2);
 //! * message chunking: MPI implementations cap individual messages (2 GB in
 //!   the paper, hence 32 messages per 64 GB exchange); [`chunking`]
-//!   reproduces the cap and runs every exchange strategy over it through
-//!   one chunk driver ([`chunking::drive`]) that hands each packed chunk
+//!   reproduces the cap and runs both exchange strategies — QuEST's
+//!   blocking `MPI_Sendrecv` sequence and the paper's non-blocking
+//!   rewrite — over it through one chunk driver ([`chunking::drive`]) that hands each packed chunk
 //!   to the transport without copying it;
 //! * collectives: a barrier ([`Communicator::barrier`]) and a gather to
 //!   one root ([`collective::gather`]);

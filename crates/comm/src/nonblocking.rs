@@ -7,8 +7,7 @@
 //! eager — [`crate::Communicator::send`] completes at once — so only the
 //! receive side needs a handle: the chunk driver
 //! ([`crate::chunking::drive`]) posts one [`Request`] per incoming chunk
-//! and completes it with [`crate::Communicator::wait`] or, in completion
-//! order, [`crate::Communicator::wait_any`].
+//! and completes it with [`crate::Communicator::wait`].
 //!
 //! A request is deliberately plain data: it only records what to match,
 //! and completion happens inside the communicator so the borrow of the

@@ -188,8 +188,7 @@ pub fn basis_fits(basis: u64, n: u32) -> bool {
 pub struct SimConfig {
     /// Ranks (threads) or nodes — always a power of two.
     pub n_ranks: u64,
-    /// Blocking (QuEST default), non-blocking (§3.2) or streamed
-    /// chunk-pipelined exchange.
+    /// Blocking (QuEST default) or non-blocking (§3.2) exchange.
     pub exchange: ExchangeMode,
     /// Half-exchange distributed SWAPs (§4 future work).
     pub half_exchange_swaps: bool,
@@ -301,7 +300,6 @@ impl SimConfig {
             comm_mode: match self.exchange {
                 ExchangeMode::Blocking => CommMode::Blocking,
                 ExchangeMode::NonBlocking => CommMode::NonBlocking,
-                ExchangeMode::Streamed => CommMode::Streamed,
             },
             half_exchange_swaps: self.half_exchange_swaps,
             fuse_diagonals: self.fuse_diagonals,
@@ -333,12 +331,12 @@ mod tests {
     #[test]
     fn options_thread_through() {
         let mut c = SimConfig::default_for(4);
-        c.exchange = ExchangeMode::Streamed;
+        c.exchange = ExchangeMode::NonBlocking;
         c.half_exchange_swaps = true;
         c.fuse_diagonals = Some(3);
         c.max_message_bytes = 256;
-        assert_eq!(c.to_dist_config().exchange_mode, ExchangeMode::Streamed);
-        assert_eq!(c.to_model_config().comm_mode, CommMode::Streamed);
+        assert_eq!(c.to_dist_config().exchange_mode, ExchangeMode::NonBlocking);
+        assert_eq!(c.to_model_config().comm_mode, CommMode::NonBlocking);
         assert!(c.to_dist_config().half_exchange_swaps);
         assert!(c.to_model_config().half_exchange_swaps);
         assert_eq!(c.to_model_config().fuse_diagonals, Some(3));

@@ -203,8 +203,8 @@ impl ThreadClusterExecutor {
             bytes_sent: total.bytes_sent,
             bytes_exchanged: total.bytes_exchanged,
             messages_sent: total.messages_sent,
-            exchange_chunks: total.exchange_chunks,
-            peak_inflight_bytes: total.peak_inflight_bytes,
+            exchange_chunks: 0,
+            peak_inflight_bytes: 0,
             gate_count: step_count,
             faults_injected: total.faults_injected,
             retries: total.retries,

@@ -76,12 +76,11 @@ pub struct ProfiledRun {
     pub bytes_exchanged: u64,
     /// Total messages sent across all ranks.
     pub messages_sent: u64,
-    /// Exchange chunks completed across all ranks (streamed exchanges
-    /// record one per received chunk).
+    /// Always 0: no exchange mode counts its chunks any more. Kept while
+    /// the performance ledger still reads it.
     pub exchange_chunks: u64,
-    /// Most bytes the streamed chunk driver held at once on any rank
-    /// (packed-but-unsent chunks plus the payload being consumed) — at
-    /// most ring-depth × chunk size unless a full SWAP packed eagerly.
+    /// Always 0: no exchange mode gauges the bytes it holds in flight any
+    /// more. Kept while the performance ledger still reads it.
     pub peak_inflight_bytes: u64,
     /// Circuit gate count.
     pub gate_count: usize,

@@ -27,11 +27,7 @@ const TRANSPILE: [TranspileMode; 3] = [
     TranspileMode::Greedy,
     TranspileMode::Beam,
 ];
-const EXCHANGES: [ExchangeMode; 3] = [
-    ExchangeMode::Blocking,
-    ExchangeMode::NonBlocking,
-    ExchangeMode::Streamed,
-];
+const EXCHANGES: [ExchangeMode; 2] = [ExchangeMode::Blocking, ExchangeMode::NonBlocking];
 
 fn circuits() -> [(&'static str, Circuit); 3] {
     [

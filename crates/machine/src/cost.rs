@@ -16,10 +16,6 @@ pub enum CommMode {
     Blocking,
     /// The paper's non-blocking rewrite (§3.2).
     NonBlocking,
-    /// Chunk-pipelined streaming: non-blocking transport plus per-chunk
-    /// overlap of the combine sweep with the remaining communication, so
-    /// only the un-overlapped remainder is billed as comm time.
-    Streamed,
 }
 
 /// A full model-run configuration — one "job submission".

@@ -41,9 +41,7 @@ impl NetworkSpec {
     pub fn exchange_bandwidth(&self, mode: CommMode) -> f64 {
         match mode {
             CommMode::Blocking => self.exchange_bw_blocking,
-            // Streamed rides the same non-blocking transport; its win is
-            // overlap, priced in the performance model, not raw bandwidth.
-            CommMode::NonBlocking | CommMode::Streamed => self.exchange_bw_nonblocking,
+            CommMode::NonBlocking => self.exchange_bw_nonblocking,
         }
     }
 

@@ -8,7 +8,7 @@
 //! modelled, with constants calibrated in [`crate::archer2`](mod@crate::archer2).
 
 use crate::archer2::Machine;
-use crate::cost::{CommMode, GateCost, ModelConfig};
+use crate::cost::{GateCost, ModelConfig};
 use crate::cu::cu_cost;
 use crate::energy::EnergyBreakdown;
 use crate::memory::BYTES_PER_AMP;
@@ -136,28 +136,6 @@ impl Ctx<'_> {
             * self.cfg.frequency.comm_time_scale()
     }
 
-    /// Billable comm time of one exchange when `overlap_s` of local
-    /// sweep work (already billed as memory + compute) can hide behind
-    /// the chunk pipeline.
-    ///
-    /// Blocking and non-blocking serialise transfer and combine, so the
-    /// full exchange time is billed. Streamed interleaves them per chunk:
-    /// with `n` chunks, chunk comm time `t_c` and chunk work `t_k`, the
-    /// pipeline finishes at `t_c + (n−1)·max(t_c, t_k) + t_k` (fill, n−1
-    /// steady-state steps, drain). Since `overlap_s = n·t_k` is already
-    /// on the bill, only the remainder counts as communication — never
-    /// negative, so gate totals stay a sum of components.
-    fn exchange_comm_cost(&self, bytes: u64, overlap_s: f64) -> f64 {
-        if self.cfg.comm_mode != CommMode::Streamed {
-            return self.comm_cost(bytes);
-        }
-        let n = self.machine.network.messages_for(bytes).max(1) as f64;
-        let t_c = self.comm_cost(bytes) / n;
-        let t_k = overlap_s / n;
-        let pipelined = t_c + (n - 1.0) * t_c.max(t_k) + t_k;
-        (pipelined - overlap_s).max(0.0)
-    }
-
     /// A local sweep of `bytes` at `penalty`: memory and compute only.
     fn sweep_cost(&self, bytes: f64, penalty: f64) -> GateCost {
         let (mem, comp) = self.local_cost(bytes, penalty);
@@ -215,7 +193,8 @@ impl Ctx<'_> {
 
     /// A distributed gate priced from its lowering: a participating
     /// rank's exchanges in order, each moving its payload and sweeping
-    /// the slice with its kernel, which a streamed exchange overlaps.
+    /// the slice with its kernel. Transfer and combine are serialised, so
+    /// the full exchange time is billed.
     fn exchange_cost(&self, gate: &Gate) -> GateCost {
         let half = self.cfg.half_exchange_swaps;
         let traffic =
@@ -227,10 +206,7 @@ impl Ctx<'_> {
         // exchanges price as a single 16 + 48 + 16 B per-amplitude pass.
         let sweep: f64 = exchanges().map(|e| sweep_bytes(e.kernel)).sum();
         let comm_s = exchanges()
-            .map(|e| {
-                let (mem, comp) = self.local_cost(sweep_bytes(e.kernel) * la, 1.0);
-                self.exchange_comm_cost(e.amps * BYTES_PER_AMP, mem + comp)
-            })
+            .map(|e| self.comm_cost(e.amps * BYTES_PER_AMP))
             .sum();
         GateCost {
             comm_s,
@@ -504,36 +480,6 @@ mod tests {
         );
         assert_eq!(half.breakdown.comm_bytes * 2, full.breakdown.comm_bytes);
         assert!(half.runtime_s < full.runtime_s);
-    }
-
-    #[test]
-    fn streamed_overlap_beats_nonblocking_per_gate() {
-        // The pipelined exchange hides the combine sweep behind the
-        // in-flight chunks, so per-gate: streamed < non-blocking <
-        // blocking — and never by more than the sweep it can hide.
-        let (tb, eb) = hadamard_per_gate(32, CommMode::Blocking);
-        let (tn, en) = hadamard_per_gate(32, CommMode::NonBlocking);
-        let (ts, es) = hadamard_per_gate(32, CommMode::Streamed);
-        assert!(ts < tn && tn < tb, "{ts} {tn} {tb}");
-        assert!(es < en && en < eb, "{es} {en} {eb}");
-        // The hidden work is the 48 B/amp combine sweep (≈ 0.75 s);
-        // allow drain/fill slack of one chunk.
-        assert!(tn - ts < 0.85, "hid too much: {}", tn - ts);
-    }
-
-    #[test]
-    fn streamed_components_still_sum() {
-        let m = archer2();
-        let est = estimate(
-            &qft(20),
-            &m,
-            &ModelConfig {
-                comm_mode: CommMode::Streamed,
-                ..ModelConfig::default_for(4)
-            },
-        );
-        let sum = est.breakdown.compute_s + est.breakdown.memory_s + est.breakdown.comm_s;
-        assert_close(est.runtime_s, sum, 1e-9);
     }
 
     #[test]

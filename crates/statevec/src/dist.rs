@@ -25,7 +25,7 @@ use qse_circuit::lower::{lower_gate, BlockMap, Exchange, Kernel, PermuteLowering
 use qse_circuit::transpile::Plan;
 use qse_circuit::{Circuit, Gate, Permutation};
 pub use qse_comm::chunking::DistConfig;
-use qse_comm::chunking::{drive, ChunkPolicy, ChunkedExchange, PackOrder, TagSeq, ONE_SIDED_MODE};
+use qse_comm::chunking::{drive, ChunkedExchange, PackOrder, TagSeq, ONE_SIDED_MODE};
 use qse_comm::collective;
 use qse_comm::Result as CommResult;
 use qse_comm::{CommError, Communicator, TrafficStats};
@@ -123,9 +123,8 @@ impl<'c> DistributedState<'c> {
     /// on the peer's bytes from payload amplitude `start`: one write and
     /// one read per exchanged byte.
     ///
-    /// Chunk boundaries stay exactly `ChunkPolicy`'s: the streamed mode,
-    /// whose chunks complete out of order, aligns its cap to the kernel's
-    /// unit; the in-order modes cut wherever the cap falls — mid-amplitude
+    /// Chunk boundaries stay exactly `ChunkPolicy`'s: both modes consume
+    /// chunks in order and cut wherever the cap falls — mid-amplitude
     /// when it is not a multiple of 16 — and an [`AmpCursor`] carries the
     /// cut amplitude over, so `apply` gets whole amplitudes as views of
     /// the chunks they arrived in. `order` is `Lazy` when `apply` over
@@ -147,7 +146,7 @@ impl<'c> DistributedState<'c> {
             ChunkedExchange {
                 peer: crate::ix(ex.peer),
                 base_tag: tag,
-                policy: self.exchange_policy(ex),
+                policy: self.config.chunk_policy,
                 send_total: bytes,
                 recv_total: bytes,
             },
@@ -164,16 +163,6 @@ impl<'c> DistributedState<'c> {
         )
     }
 
-    /// The chunk cap of exchange `ex` under the configured mode, whose
-    /// consumer works on whole kernel units
-    /// ([`ExchangeMode::policy`](qse_comm::chunking::ExchangeMode::policy)).
-    fn exchange_policy(&self, ex: &Exchange) -> ChunkPolicy {
-        let unit_bytes = crate::ix(ex.unit) * AMP_BYTES;
-        self.config
-            .exchange_mode
-            .policy(self.config.chunk_policy, unit_bytes)
-    }
-
     /// The pack order of a full-exchange SWAP of local qubit `lo` with a
     /// global qubit whose bit on this rank is `bit`. Its scatter writes
     /// peer amplitude `i` to `i ^ 2^lo`, a slot the peer needs from this
@@ -183,12 +172,12 @@ impl<'c> DistributedState<'c> {
     /// brought `i` when every chunk boundary falls between two groups.
     /// Otherwise — a group cut by the cap — a later outgoing chunk still
     /// carries it, and everything is packed before anything lands.
-    fn swap_pack_order(&self, ex: &Exchange, lo: u32, bit: u64) -> PackOrder {
+    fn swap_pack_order(&self, lo: u32, bit: u64) -> PackOrder {
         #[cfg(test)]
         if self.eager_swaps {
             return PackOrder::Eager;
         }
-        let cap = self.exchange_policy(ex).max_message_bytes;
+        let cap = self.config.chunk_policy.max_message_bytes;
         let group = AMP_BYTES << lo << 1;
         if bit == 1 || cap.is_multiple_of(group) {
             PackOrder::Lazy
@@ -324,7 +313,7 @@ impl<'c> DistributedState<'c> {
             // scatter writes a slot other than the one it reads, so the
             // pack order depends on where ([`Self::swap_pack_order`]).
             Kernel::Swap { lo, bit } => {
-                let order = self.swap_pack_order(ex, lo, bit);
+                let order = self.swap_pack_order(lo, bit);
                 self.pair_exchange(ex, tag, order, pack_all, |amps, start, payload| {
                     amps.apply_distributed_swap_range(lo, bit, &payload, start)
                 })
@@ -555,9 +544,7 @@ impl AmpCursor {
                 Bytes::from(std::mem::take(&mut self.carry)),
             );
         }
-        // Holds because chunks that cut an amplitude arrive in order
-        // (blocking, non-blocking) and chunks that may not (streamed) are
-        // unit-aligned.
+        // Holds because both exchange modes consume chunks in order.
         assert_eq!(
             at % AMP_BYTES,
             0,
@@ -675,7 +662,7 @@ mod tests {
     use qse_circuit::random::{random_circuit, GatePool};
     use qse_circuit::transpile::cache_blocking::cache_block;
     use qse_circuit::Permutation;
-    use qse_comm::chunking::ExchangeMode;
+    use qse_comm::chunking::{ChunkPolicy, ExchangeMode};
     use qse_comm::Universe;
     use qse_math::approx::assert_slices_close;
 
@@ -958,11 +945,7 @@ mod tests {
     /// messages and tags on every rank.
     #[test]
     fn swap_pack_order_conformance() {
-        let modes = [
-            ExchangeMode::Blocking,
-            ExchangeMode::NonBlocking,
-            ExchangeMode::Streamed,
-        ];
+        let modes = [ExchangeMode::Blocking, ExchangeMode::NonBlocking];
         for n in [9u32, 12] {
             for ranks in [2usize, 4, 8] {
                 let l = Layout::new(n, ranks as u64).local_qubits();

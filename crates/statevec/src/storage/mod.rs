@@ -248,27 +248,20 @@ pub(crate) mod conformance {
     /// Applies `kernel(state, first_amp, amps)` to `payload` once whole
     /// and once chunk by chunk at every cap — through the exchange path's
     /// [`AmpCursor`](crate::dist::AmpCursor), which re-frames cut
-    /// amplitudes — and demands bitwise equal states. Chunks holding
-    /// whole kernel units go in shuffled order (the streamed mode's
-    /// completion order), chunks that cut a unit in order, as the
-    /// in-order modes feed them.
+    /// amplitudes — and demands bitwise equal states. Chunks go in
+    /// order, as both exchange modes feed them.
     fn assert_chunked_matches_whole(
         len: usize,
         payload: &Bytes,
-        unit_amps: usize,
         what: &str,
         mut kernel: impl FnMut(&mut SoaStorage, usize, Bytes),
     ) {
         let mut whole: SoaStorage = ramp(len);
         kernel(&mut whole, 0, payload.clone());
         for cap in caps(payload.len()) {
-            let mut ranges = cut(payload.len(), cap);
-            if cap % (unit_amps * AMP_BYTES) == 0 {
-                ranges.sort_by_key(|r| (r.start / cap).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            }
             let mut chunked: SoaStorage = ramp(len);
             let mut cursor = crate::dist::AmpCursor::default();
-            for r in ranges {
+            for r in cut(payload.len(), cap) {
                 cursor.feed(r.start, &payload.slice(r), |start, amps| {
                     kernel(&mut chunked, start, amps)
                 });
@@ -298,7 +291,6 @@ pub(crate) mod conformance {
                 assert_chunked_matches_whole(
                     len,
                     &theirs,
-                    1,
                     &format!("1q combine, control {control:?}"),
                     |s, start, p| {
                         s.apply_distributed_1q_range(c_mine, c_theirs, &p, start, control)
@@ -316,7 +308,6 @@ pub(crate) mod conformance {
                     assert_chunked_matches_whole(
                         len,
                         &theirs,
-                        1usize << (q + 1),
                         &format!("2q combine, a {q} g {bit}"),
                         |s, start, p| {
                             pairs.feed(start, p, |at, lo, hi| {
@@ -327,20 +318,18 @@ pub(crate) mod conformance {
                     assert_chunked_matches_whole(
                         len,
                         &theirs,
-                        1,
                         &format!("swap scatter, lo {q} g {bit}"),
                         |s, start, p| s.apply_distributed_swap_range(q, bit, &p, start),
                     );
                     assert_chunked_matches_whole(
                         len,
                         &theirs.slice(0..theirs.len() / 2),
-                        1,
                         &format!("half-bit write-back, q {q} v {bit}"),
                         |s, start, p| s.write_half_bit_range(q, bit, &p, start),
                     );
                 }
             }
-            assert_chunked_matches_whole(len, &theirs, 1, "block copy", |s, start, p| {
+            assert_chunked_matches_whole(len, &theirs, "block copy", |s, start, p| {
                 s.copy_from_f64_range(&p, start)
             });
         }

@@ -22,7 +22,7 @@ use qse_circuit::classify::Layout as QubitLayout;
 use qse_circuit::random::random_unitary2;
 use qse_circuit::transpile::permutation_traffic;
 use qse_circuit::{Gate, Permutation};
-use qse_comm::chunking::{ChunkPolicy, ExchangeMode, DEFAULT_RING_DEPTH};
+use qse_comm::chunking::ChunkPolicy;
 use qse_comm::Universe;
 use qse_statevec::{DistConfig, DistributedState};
 use qse_util::rng::StdRng;
@@ -64,13 +64,9 @@ const GATES: usize = 8;
 
 /// Runs `step` `GATES` times on every rank after a warm-up and returns
 /// (bytes allocated, peak live bytes above the starting level) over the
-/// process, plus each rank's streamed in-flight gauge.
-fn measure(
-    mode: ExchangeMode,
-    step: impl Fn(&mut DistributedState) + Sync,
-) -> (usize, usize, Vec<u64>) {
+/// process.
+fn measure(step: impl Fn(&mut DistributedState) + Sync) -> (usize, usize) {
     let config = DistConfig {
-        exchange_mode: mode,
         chunk_policy: ChunkPolicy::new(CHUNK).unwrap(),
         ..DistConfig::default()
     };
@@ -99,16 +95,15 @@ fn measure(
             )
         });
         st.barrier();
-        (measured, st.stats().peak_inflight_bytes)
+        measured
     });
-    let (allocated, peak) = out[0].0.expect("rank 0 measured");
-    (allocated, peak, out.iter().map(|o| o.1).collect())
+    out[0].expect("rank 0 measured")
 }
 
 #[test]
 fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
     let h = Gate::H(N - 1);
-    let (allocated, peak, _) = measure(ExchangeMode::Blocking, |st| st.apply(&h).unwrap());
+    let (allocated, peak) = measure(|st| st.apply(&h).unwrap());
     let per_gate_per_rank = allocated / (GATES * RANKS);
     assert!(
         per_gate_per_rank >= CHUNK,
@@ -128,7 +123,7 @@ fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
     // boundary respects packs lazily on both ranks, so it allocates and
     // holds what the H does.
     let swap = Gate::Swap(0, N - 1);
-    let (allocated, peak, _) = measure(ExchangeMode::Blocking, |st| st.apply(&swap).unwrap());
+    let (allocated, peak) = measure(|st| st.apply(&swap).unwrap());
     let per_gate_per_rank = allocated / (GATES * RANKS);
     assert!(
         (CHUNK..=2 * CHUNK).contains(&per_gate_per_rank),
@@ -142,7 +137,7 @@ fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
     // Groups wider than a chunk: the rank whose bit is 0 scatters into
     // chunks it has not sent yet, so it packs its whole slice first.
     let top_local = Gate::Swap(N - 2, N - 1);
-    let (allocated, _, _) = measure(ExchangeMode::Blocking, |st| st.apply(&top_local).unwrap());
+    let (allocated, _) = measure(|st| st.apply(&top_local).unwrap());
     let per_gate_per_rank = allocated / (GATES * RANKS);
     assert!(
         per_gate_per_rank <= SLICE_BYTES,
@@ -159,24 +154,12 @@ fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
         b: N - 1,
         matrix,
     };
-    let (allocated, _, _) = measure(ExchangeMode::Blocking, |st| st.apply(&u2).unwrap());
+    let (allocated, _) = measure(|st| st.apply(&u2).unwrap());
     let per_gate_per_rank = allocated / (GATES * RANKS);
     assert!(
         per_gate_per_rank * 10 <= SLICE_BYTES * 11,
         "2q: {per_gate_per_rank} B allocated per gate per rank exceeds 1.1 × the {SLICE_BYTES} B slice"
     );
-
-    // Streamed: the in-flight gauge counts what the driver holds — the
-    // payload under its kernel plus the chunk being packed — within the
-    // ring bound the verifier proves.
-    let (_, _, inflight) = measure(ExchangeMode::Streamed, |st| st.apply(&h).unwrap());
-    for (rank, peak) in inflight.into_iter().enumerate() {
-        assert!(peak > 0, "rank {rank}: gauge never rose");
-        assert!(
-            peak <= (DEFAULT_RING_DEPTH * CHUNK) as u64,
-            "rank {rank}: {peak} B in flight exceeds ring depth × chunk"
-        );
-    }
 
     // A `Permute` step — QFT-16's layout restore at R = 2, which trades
     // local bit 0 for the rank bit — runs in place: it allocates the wire
@@ -193,9 +176,7 @@ fn a_distributed_gate_allocates_its_first_chunk_and_holds_a_few() {
     );
     let sent = permutation_traffic(&restore, &QubitLayout::new(N, RANKS as u64)).max_rank_bytes;
     assert_eq!(sent as usize, SLICE_BYTES / 2);
-    let (allocated, _, _) = measure(ExchangeMode::Blocking, |st| {
-        st.apply_global_permutation(&restore).unwrap()
-    });
+    let (allocated, _) = measure(|st| st.apply_global_permutation(&restore).unwrap());
     let per_step_per_rank = allocated / (GATES * RANKS);
     assert!(
         per_step_per_rank <= sent as usize + 2 * CHUNK,

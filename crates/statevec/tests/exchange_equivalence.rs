@@ -30,11 +30,7 @@ const N: u32 = 8;
 const BASIS: u64 = 5;
 const RANKS: [usize; 3] = [2, 4, 8];
 const CAPS: [usize; 3] = [40, 512, 1 << 20];
-const MODES: [ExchangeMode; 3] = [
-    ExchangeMode::Blocking,
-    ExchangeMode::NonBlocking,
-    ExchangeMode::Streamed,
-];
+const MODES: [ExchangeMode; 2] = [ExchangeMode::Blocking, ExchangeMode::NonBlocking];
 
 /// What a workload executes: the circuit gate by gate, or its
 /// comm-avoiding plan for the rank count at hand (so `Permute` steps run).
@@ -105,11 +101,9 @@ fn assert_bits_equal(a: &[Complex64], b: &[Complex64], what: &str) {
 }
 
 /// `(workload, ranks, half_exchange_swaps, cap)` →
-/// `[bytes_sent, bytes_exchanged, messages_sent in the in-order modes,
-/// messages_sent streamed]`, totals over ranks, recorded from the commit
-/// before the exchange path lost its staging buffers. Bytes do not depend
-/// on the mode; message counts differ only where the streamed mode aligns
-/// its cap to the kernel unit (40 → 32 bytes, or up to one 2q orbit).
+/// `[bytes_sent, bytes_exchanged, messages_sent]`, totals over ranks,
+/// recorded from the commit before the exchange path lost its staging
+/// buffers. None of them depends on the mode.
 ///
 /// The rows marked `*` that commit could not run: its permutation path
 /// dropped the amplitude a 40-byte cap cuts in two (debug assertion
@@ -117,100 +111,100 @@ fn assert_bits_equal(a: &[Complex64], b: &[Complex64], what: &str) {
 /// equal the same plan's at the other caps, and a plan's `Permute` blocks
 /// cost `Σ ⌈block / 40⌉` messages in every mode.
 #[rustfmt::skip]
-const PINNED: [(&str, usize, bool, usize, [u64; 4]); 90] = [
-    ("qft", 2, false, 40, [8192, 8192, 208, 256]),
-    ("qft", 2, false, 512, [8192, 8192, 16, 16]),
-    ("qft", 2, false, 1048576, [8192, 8192, 4, 4]),
-    ("qft", 2, true, 40, [6144, 6144, 156, 192]),
-    ("qft", 2, true, 512, [6144, 6144, 12, 12]),
-    ("qft", 2, true, 1048576, [6144, 6144, 4, 4]),
-    ("qft", 4, false, 40, [16384, 16384, 416, 512]),
-    ("qft", 4, false, 512, [16384, 16384, 32, 32]),
-    ("qft", 4, false, 1048576, [16384, 16384, 16, 16]),
-    ("qft", 4, true, 40, [12288, 12288, 312, 384]),
-    ("qft", 4, true, 512, [12288, 12288, 24, 24]),
-    ("qft", 4, true, 1048576, [12288, 12288, 16, 16]),
-    ("qft", 8, false, 40, [24576, 24576, 624, 768]),
-    ("qft", 8, false, 512, [24576, 24576, 48, 48]),
-    ("qft", 8, false, 1048576, [24576, 24576, 48, 48]),
-    ("qft", 8, true, 40, [18432, 18432, 480, 576]),
-    ("qft", 8, true, 512, [18432, 18432, 48, 48]),
-    ("qft", 8, true, 1048576, [18432, 18432, 48, 48]),
-    ("qftlike", 2, false, 40, [24576, 24576, 624, 768]),
-    ("qftlike", 2, false, 512, [24576, 24576, 48, 48]),
-    ("qftlike", 2, false, 1048576, [24576, 24576, 12, 12]),
-    ("qftlike", 2, true, 40, [16384, 16384, 416, 512]),
-    ("qftlike", 2, true, 512, [16384, 16384, 32, 32]),
-    ("qftlike", 2, true, 1048576, [16384, 16384, 12, 12]),
-    ("qftlike", 4, false, 40, [45056, 45056, 1144, 1408]),
-    ("qftlike", 4, false, 512, [45056, 45056, 88, 88]),
-    ("qftlike", 4, false, 1048576, [45056, 45056, 44, 44]),
-    ("qftlike", 4, true, 40, [26624, 26624, 676, 832]),
-    ("qftlike", 4, true, 512, [26624, 26624, 52, 52]),
-    ("qftlike", 4, true, 1048576, [26624, 26624, 44, 44]),
-    ("qftlike", 8, false, 40, [71680, 71680, 1820, 2240]),
-    ("qftlike", 8, false, 512, [71680, 71680, 140, 140]),
-    ("qftlike", 8, false, 1048576, [71680, 71680, 140, 140]),
-    ("qftlike", 8, true, 40, [47104, 47104, 1244, 1472]),
-    ("qftlike", 8, true, 512, [47104, 47104, 140, 140]),
-    ("qftlike", 8, true, 1048576, [47104, 47104, 140, 140]),
-    ("full", 2, false, 40, [45056, 45056, 1144, 1156]),
-    ("full", 2, false, 512, [45056, 45056, 88, 84]),
-    ("full", 2, false, 1048576, [45056, 45056, 22, 22]),
-    ("full", 2, true, 40, [40960, 40960, 1040, 1028]),
-    ("full", 2, true, 512, [40960, 40960, 80, 76]),
-    ("full", 2, true, 1048576, [40960, 40960, 22, 22]),
-    ("full", 4, false, 40, [55296, 55296, 1404, 1476]),
-    ("full", 4, false, 512, [55296, 55296, 108, 104]),
-    ("full", 4, false, 1048576, [55296, 55296, 54, 54]),
-    ("full", 4, true, 40, [51200, 51200, 1300, 1348]),
-    ("full", 4, true, 512, [51200, 51200, 100, 96]),
-    ("full", 4, true, 1048576, [51200, 51200, 54, 54]),
-    ("full", 8, false, 40, [73728, 73728, 1872, 2056]),
-    ("full", 8, false, 512, [73728, 73728, 144, 144]),
-    ("full", 8, false, 1048576, [73728, 73728, 144, 144]),
-    ("full", 8, true, 40, [65536, 65536, 1680, 1800]),
-    ("full", 8, true, 512, [65536, 65536, 144, 144]),
-    ("full", 8, true, 1048576, [65536, 65536, 144, 144]),
-    ("qft-greedy", 2, false, 40, [2048, 2048, 52, 52]), // *
-    ("qft-greedy", 2, false, 512, [2048, 2048, 4, 4]),
-    ("qft-greedy", 2, false, 1048576, [2048, 2048, 2, 2]),
-    ("qft-greedy", 2, true, 40, [2048, 2048, 52, 52]), // *
-    ("qft-greedy", 2, true, 512, [2048, 2048, 4, 4]),
-    ("qft-greedy", 2, true, 1048576, [2048, 2048, 2, 2]),
-    ("qft-greedy", 4, false, 40, [6144, 6144, 156, 156]), // *
-    ("qft-greedy", 4, false, 512, [6144, 6144, 12, 12]),
-    ("qft-greedy", 4, false, 1048576, [6144, 6144, 10, 10]),
-    ("qft-greedy", 4, true, 40, [6144, 6144, 156, 156]), // *
-    ("qft-greedy", 4, true, 512, [6144, 6144, 12, 12]),
-    ("qft-greedy", 4, true, 1048576, [6144, 6144, 10, 10]),
-    ("qft-greedy", 8, false, 40, [8192, 8192, 220, 220]), // *
-    ("qft-greedy", 8, false, 512, [8192, 8192, 28, 28]),
-    ("qft-greedy", 8, false, 1048576, [8192, 8192, 28, 28]),
-    ("qft-greedy", 8, true, 40, [8192, 8192, 220, 220]), // *
-    ("qft-greedy", 8, true, 512, [8192, 8192, 28, 28]),
-    ("qft-greedy", 8, true, 1048576, [8192, 8192, 28, 28]),
-    ("full-beam", 2, false, 40, [10240, 10240, 260, 260]), // *
-    ("full-beam", 2, false, 512, [10240, 10240, 20, 20]),
-    ("full-beam", 2, false, 1048576, [10240, 10240, 10, 10]),
-    ("full-beam", 2, true, 40, [10240, 10240, 260, 260]), // *
-    ("full-beam", 2, true, 512, [10240, 10240, 20, 20]),
-    ("full-beam", 2, true, 1048576, [10240, 10240, 10, 10]),
-    ("full-beam", 4, false, 40, [17408, 17408, 454, 454]), // *
-    ("full-beam", 4, false, 512, [17408, 17408, 46, 46]),
-    ("full-beam", 4, false, 1048576, [17408, 17408, 46, 46]),
-    ("full-beam", 4, true, 40, [17408, 17408, 454, 454]), // *
-    ("full-beam", 4, true, 512, [17408, 17408, 46, 46]),
-    ("full-beam", 4, true, 1048576, [17408, 17408, 46, 46]),
-    ("full-beam", 8, false, 40, [25088, 25088, 776, 776]), // *
-    ("full-beam", 8, false, 512, [25088, 25088, 244, 244]),
-    ("full-beam", 8, false, 1048576, [25088, 25088, 244, 244]),
-    ("full-beam", 8, true, 40, [25088, 25088, 776, 776]), // *
-    ("full-beam", 8, true, 512, [25088, 25088, 244, 244]),
-    ("full-beam", 8, true, 1048576, [25088, 25088, 244, 244]),
+const PINNED: [(&str, usize, bool, usize, [u64; 3]); 90] = [
+    ("qft", 2, false, 40, [8192, 8192, 208]),
+    ("qft", 2, false, 512, [8192, 8192, 16]),
+    ("qft", 2, false, 1048576, [8192, 8192, 4]),
+    ("qft", 2, true, 40, [6144, 6144, 156]),
+    ("qft", 2, true, 512, [6144, 6144, 12]),
+    ("qft", 2, true, 1048576, [6144, 6144, 4]),
+    ("qft", 4, false, 40, [16384, 16384, 416]),
+    ("qft", 4, false, 512, [16384, 16384, 32]),
+    ("qft", 4, false, 1048576, [16384, 16384, 16]),
+    ("qft", 4, true, 40, [12288, 12288, 312]),
+    ("qft", 4, true, 512, [12288, 12288, 24]),
+    ("qft", 4, true, 1048576, [12288, 12288, 16]),
+    ("qft", 8, false, 40, [24576, 24576, 624]),
+    ("qft", 8, false, 512, [24576, 24576, 48]),
+    ("qft", 8, false, 1048576, [24576, 24576, 48]),
+    ("qft", 8, true, 40, [18432, 18432, 480]),
+    ("qft", 8, true, 512, [18432, 18432, 48]),
+    ("qft", 8, true, 1048576, [18432, 18432, 48]),
+    ("qftlike", 2, false, 40, [24576, 24576, 624]),
+    ("qftlike", 2, false, 512, [24576, 24576, 48]),
+    ("qftlike", 2, false, 1048576, [24576, 24576, 12]),
+    ("qftlike", 2, true, 40, [16384, 16384, 416]),
+    ("qftlike", 2, true, 512, [16384, 16384, 32]),
+    ("qftlike", 2, true, 1048576, [16384, 16384, 12]),
+    ("qftlike", 4, false, 40, [45056, 45056, 1144]),
+    ("qftlike", 4, false, 512, [45056, 45056, 88]),
+    ("qftlike", 4, false, 1048576, [45056, 45056, 44]),
+    ("qftlike", 4, true, 40, [26624, 26624, 676]),
+    ("qftlike", 4, true, 512, [26624, 26624, 52]),
+    ("qftlike", 4, true, 1048576, [26624, 26624, 44]),
+    ("qftlike", 8, false, 40, [71680, 71680, 1820]),
+    ("qftlike", 8, false, 512, [71680, 71680, 140]),
+    ("qftlike", 8, false, 1048576, [71680, 71680, 140]),
+    ("qftlike", 8, true, 40, [47104, 47104, 1244]),
+    ("qftlike", 8, true, 512, [47104, 47104, 140]),
+    ("qftlike", 8, true, 1048576, [47104, 47104, 140]),
+    ("full", 2, false, 40, [45056, 45056, 1144]),
+    ("full", 2, false, 512, [45056, 45056, 88]),
+    ("full", 2, false, 1048576, [45056, 45056, 22]),
+    ("full", 2, true, 40, [40960, 40960, 1040]),
+    ("full", 2, true, 512, [40960, 40960, 80]),
+    ("full", 2, true, 1048576, [40960, 40960, 22]),
+    ("full", 4, false, 40, [55296, 55296, 1404]),
+    ("full", 4, false, 512, [55296, 55296, 108]),
+    ("full", 4, false, 1048576, [55296, 55296, 54]),
+    ("full", 4, true, 40, [51200, 51200, 1300]),
+    ("full", 4, true, 512, [51200, 51200, 100]),
+    ("full", 4, true, 1048576, [51200, 51200, 54]),
+    ("full", 8, false, 40, [73728, 73728, 1872]),
+    ("full", 8, false, 512, [73728, 73728, 144]),
+    ("full", 8, false, 1048576, [73728, 73728, 144]),
+    ("full", 8, true, 40, [65536, 65536, 1680]),
+    ("full", 8, true, 512, [65536, 65536, 144]),
+    ("full", 8, true, 1048576, [65536, 65536, 144]),
+    ("qft-greedy", 2, false, 40, [2048, 2048, 52]), // *
+    ("qft-greedy", 2, false, 512, [2048, 2048, 4]),
+    ("qft-greedy", 2, false, 1048576, [2048, 2048, 2]),
+    ("qft-greedy", 2, true, 40, [2048, 2048, 52]), // *
+    ("qft-greedy", 2, true, 512, [2048, 2048, 4]),
+    ("qft-greedy", 2, true, 1048576, [2048, 2048, 2]),
+    ("qft-greedy", 4, false, 40, [6144, 6144, 156]), // *
+    ("qft-greedy", 4, false, 512, [6144, 6144, 12]),
+    ("qft-greedy", 4, false, 1048576, [6144, 6144, 10]),
+    ("qft-greedy", 4, true, 40, [6144, 6144, 156]), // *
+    ("qft-greedy", 4, true, 512, [6144, 6144, 12]),
+    ("qft-greedy", 4, true, 1048576, [6144, 6144, 10]),
+    ("qft-greedy", 8, false, 40, [8192, 8192, 220]), // *
+    ("qft-greedy", 8, false, 512, [8192, 8192, 28]),
+    ("qft-greedy", 8, false, 1048576, [8192, 8192, 28]),
+    ("qft-greedy", 8, true, 40, [8192, 8192, 220]), // *
+    ("qft-greedy", 8, true, 512, [8192, 8192, 28]),
+    ("qft-greedy", 8, true, 1048576, [8192, 8192, 28]),
+    ("full-beam", 2, false, 40, [10240, 10240, 260]), // *
+    ("full-beam", 2, false, 512, [10240, 10240, 20]),
+    ("full-beam", 2, false, 1048576, [10240, 10240, 10]),
+    ("full-beam", 2, true, 40, [10240, 10240, 260]), // *
+    ("full-beam", 2, true, 512, [10240, 10240, 20]),
+    ("full-beam", 2, true, 1048576, [10240, 10240, 10]),
+    ("full-beam", 4, false, 40, [17408, 17408, 454]), // *
+    ("full-beam", 4, false, 512, [17408, 17408, 46]),
+    ("full-beam", 4, false, 1048576, [17408, 17408, 46]),
+    ("full-beam", 4, true, 40, [17408, 17408, 454]), // *
+    ("full-beam", 4, true, 512, [17408, 17408, 46]),
+    ("full-beam", 4, true, 1048576, [17408, 17408, 46]),
+    ("full-beam", 8, false, 40, [25088, 25088, 776]), // *
+    ("full-beam", 8, false, 512, [25088, 25088, 244]),
+    ("full-beam", 8, false, 1048576, [25088, 25088, 244]),
+    ("full-beam", 8, true, 40, [25088, 25088, 776]), // *
+    ("full-beam", 8, true, 512, [25088, 25088, 244]),
+    ("full-beam", 8, true, 1048576, [25088, 25088, 244]),
 ];
 
-fn pinned(workload: &str, ranks: usize, half: bool, cap: usize) -> [u64; 4] {
+fn pinned(workload: &str, ranks: usize, half: bool, cap: usize) -> [u64; 3] {
     PINNED
         .iter()
         .find(|p| (p.0, p.1, p.2, p.3) == (workload, ranks, half, cap))
@@ -248,18 +242,13 @@ fn every_configuration_yields_the_same_bits_and_the_pinned_traffic() {
                         };
                         let what = format!("{name} R={ranks} half={half} cap={cap} {mode:?}");
                         let (state, traffic) = run(circuit, plan.as_ref(), ranks, config);
-                        let messages = if mode == ExchangeMode::Streamed {
-                            want[3]
-                        } else {
-                            want[2]
-                        };
                         assert_eq!(
                             [
                                 traffic.bytes_sent,
                                 traffic.bytes_exchanged,
                                 traffic.messages_sent
                             ],
-                            [want[0], want[1], messages],
+                            want,
                             "{what}: [bytes_sent, bytes_exchanged, messages_sent]"
                         );
                         let baseline = baseline.get_or_insert_with(|| {

@@ -3,12 +3,12 @@
 //!
 //! Under **any recoverable fault plan** (every fault burst fits inside
 //! the retry budget) the simulation must produce a **bit-for-bit**
-//! identical statevector to the fault-free run, in all three exchange
-//! modes, on QFT and random circuits, at R ∈ {2, 4, 8}. Corruption is detected by checksum and healed by the
+//! identical statevector to the fault-free run, in both exchange modes,
+//! on QFT and random circuits, at R ∈ {2, 4, 8}. Corruption is detected by checksum and healed by the
 //! pristine retransmission; transient failures are retried with
-//! deterministic backoff; delay jitter only reorders chunk completions,
-//! which compose over disjoint amplitude ranges. None of it may change a
-//! single ULP.
+//! deterministic backoff; delay jitter only holds chunks back, and the
+//! receiver still consumes them in order. None of it may change a single
+//! ULP.
 //!
 //! Unrecoverable plans must surface a typed [`CommError`] from
 //! `DistributedState::run` on every rank — the rank's own, or the
@@ -126,7 +126,7 @@ fn recoverable_plan(seed: u64) -> FaultConfig {
     cfg
 }
 
-/// One seed's full check: fault-free baseline, then all three exchange
+/// One seed's full check: fault-free baseline, then both exchange
 /// modes under the seeded plan, each bit-for-bit against the baseline.
 fn check_seed(seed: u64, circuit: &Circuit, ranks: usize, what: &str) {
     let plan = recoverable_plan(seed);
@@ -145,11 +145,7 @@ fn check_seed(seed: u64, circuit: &Circuit, ranks: usize, what: &str) {
         );
     }
     let mut injected_total = 0u64;
-    for mode in [
-        ExchangeMode::Blocking,
-        ExchangeMode::NonBlocking,
-        ExchangeMode::Streamed,
-    ] {
+    for mode in [ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
         let (state, stats) = simulate(circuit, ranks, dist_config(mode), Some(plan))
             .unwrap_or_else(|e| {
                 panic!("seed {seed} {what} mode {mode:?}: recoverable plan errored: {e}")
@@ -183,7 +179,7 @@ fn run_seed_bucket(seeds: std::ops::Range<u64>) {
 }
 
 // The 50-seed campaign, split into buckets so the harness runs them in
-// parallel. Together: 50 recoverable plans × 3 modes, each bit-for-bit
+// parallel. Together: 50 recoverable plans × 2 modes, each bit-for-bit
 // against the fault-free baseline.
 #[test]
 fn fault_equivalence_seeds_00_to_09() {
@@ -211,10 +207,11 @@ fn fault_equivalence_seeds_40_to_49() {
 }
 
 #[test]
-fn streamed_chunks_reordered_by_jitter_compose_bitwise() {
-    // Delay-only jitter scrambles wait_any completion order; the
-    // per-chunk range kernels must still compose to the exact clean
-    // state. Heavier jitter than the campaign plans, streamed mode only.
+fn chunks_held_back_by_jitter_compose_bitwise() {
+    // Delay-only jitter holds chunks back past later ones; the posted
+    // receives still consume them in order, and the per-chunk range
+    // kernels must compose to the exact clean state. Heavier jitter than
+    // the campaign plans, non-blocking mode only.
     let circuit = qft(7);
     let mut plan = FaultConfig::disabled(77);
     plan.p_delay = 0.7;
@@ -225,14 +222,14 @@ fn streamed_chunks_reordered_by_jitter_compose_bitwise() {
         let (jittered, stats) = simulate(
             &circuit,
             ranks,
-            dist_config(ExchangeMode::Streamed),
+            dist_config(ExchangeMode::NonBlocking),
             Some(plan),
         )
         .expect("delay-only plan is recoverable");
         assert_bits_equal(
             &jittered,
             &baseline,
-            &format!("jittered streamed R={ranks}"),
+            &format!("jittered non-blocking R={ranks}"),
         );
         assert!(stats.iter().map(|s| s.faults_injected).sum::<u64>() > 0);
     }
@@ -269,7 +266,7 @@ fn heavy_retries_recover_bit_for_bit() {
 #[test]
 fn unrecoverable_corruption_errors_on_every_rank() {
     let circuit = qft(6);
-    for &mode in &[ExchangeMode::Blocking, ExchangeMode::Streamed] {
+    for &mode in &[ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
         let out = run_collect_errors(
             &circuit,
             4,
@@ -320,7 +317,7 @@ fn soak_16_qubit_qft_over_seeded_plans() {
     // Default (1 MiB) chunks: a 16-qubit exchange is one message, which
     // keeps fifty-odd distributed gates affordable under delay jitter.
     let config = DistConfig {
-        exchange_mode: ExchangeMode::Streamed,
+        exchange_mode: ExchangeMode::NonBlocking,
         ..DistConfig::default()
     };
     let (baseline, _) = simulate(&circuit, 4, config, None).expect("clean run");
@@ -339,13 +336,9 @@ fn soak_16_qubit_qft_over_seeded_plans() {
 #[test]
 fn fault_free_runs_take_the_zero_overhead_path() {
     // Acceptance criterion: with faults disabled, no checksums are
-    // stamped and every fault counter stays zero across all modes.
+    // stamped and every fault counter stays zero in both modes.
     let circuit = random_circuit(7, 30, GatePool::Full, 9);
-    for mode in [
-        ExchangeMode::Blocking,
-        ExchangeMode::NonBlocking,
-        ExchangeMode::Streamed,
-    ] {
+    for mode in [ExchangeMode::Blocking, ExchangeMode::NonBlocking] {
         let (_, stats) = simulate(&circuit, 4, dist_config(mode), None).expect("clean run");
         for (rank, s) in stats.iter().enumerate() {
             assert_eq!(s.faults_injected, 0, "rank {rank} mode {mode:?}");

@@ -22,11 +22,7 @@ use qse_comm::Universe;
 use qse_math::Complex64;
 use qse_statevec::{DistConfig, DistributedState};
 
-const MODES: [ExchangeMode; 3] = [
-    ExchangeMode::Blocking,
-    ExchangeMode::NonBlocking,
-    ExchangeMode::Streamed,
-];
+const MODES: [ExchangeMode; 2] = [ExchangeMode::Blocking, ExchangeMode::NonBlocking];
 
 fn config(mode: ExchangeMode) -> DistConfig {
     DistConfig {
