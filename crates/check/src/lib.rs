@@ -1,13 +1,8 @@
-//! In-tree analysis tooling for the simulator's concurrency substrate.
+//! In-tree analysis tooling for the simulator's source and plans.
 //!
-//! Three engines, each aimed at a class of bug the ordinary test suite
+//! Two engines, each aimed at a class of bug the ordinary test suite
 //! can miss:
 //!
-//! * [`schedule`] — a mini-loom: a bounded-preemption interleaving
-//!   explorer that drives instrumented code (the mailbox channels and
-//!   worker pool of `qse-util`) through a controlled scheduler. Small
-//!   fixtures are explored exhaustively; larger ones with seeded random
-//!   schedules, and any failing schedule replays from its printed seed.
 //! * [`lint`] — a source scanner enforcing the repo's error-handling
 //!   and determinism conventions (no `unwrap`/`expect`/`panic!` in
 //!   library code of the communication and kernel crates, no wall-clock
@@ -25,10 +20,8 @@
 
 pub mod corpus;
 pub mod lint;
-pub mod schedule;
 pub mod verify;
 
 pub use corpus::{standard_corpus, CorpusCase};
 pub use lint::{lint_file, lint_tree, Rule, Violation};
-pub use schedule::{Ctl, Explorer, ScheduleFailure};
 pub use verify::{derive_traces, verify_circuit, verify_plan, TraceSet, VerifyError, VerifyReport};

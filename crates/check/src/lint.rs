@@ -5,11 +5,12 @@
 //! keeps their escape hatch honest:
 //!
 //! * **R1 `PanicInLib`** — no `.unwrap()`, `.expect(`, or `panic!` in
-//!   non-test library code of `qse-comm`, `qse-statevec`,
-//!   `qse-machine`, `qse-stabilizer` and `qse-serve`: the crates whose
-//!   errors must surface as typed values ([`qse_comm::CommError`], a
-//!   served job's typed reply) rather than as panics on a rank or a
-//!   serve worker.
+//!   non-test library code of `qse-util`, `qse-math`, `qse-comm`,
+//!   `qse-circuit`, `qse-statevec`, `qse-machine`, `qse-stabilizer`,
+//!   `qse-core` and `qse-serve`: the crates whose errors must surface
+//!   as typed values ([`qse_comm::CommError`], a served job's typed
+//!   reply) rather than as panics on a rank or a serve worker, and the
+//!   pool, transport and math every run goes through.
 //!   (`assert!`, `debug_assert!`, and `unreachable!` remain allowed —
 //!   invariant violations *should* panic.)
 //! * **R2 `InstantInMachine`** — no `Instant::now()` in `qse-machine`:
@@ -135,7 +136,9 @@ impl fmt::Display for Violation {
 
 /// The crates R1 applies to: their `src/` trees must not panic on
 /// recoverable errors.
-const NO_PANIC_CRATES: [&str; 7] = [
+const NO_PANIC_CRATES: [&str; 9] = [
+    "util",
+    "math",
     "comm",
     "statevec",
     "machine",
@@ -581,12 +584,10 @@ pub fn lint_file(relpath: &str, content: &str) -> Vec<Violation> {
                     }
                     brace_depth -= 1;
                 }
-                b';' => {
-                    // `#[cfg(test)] use …;` — attribute consumed by a
-                    // braceless item.
-                    if cfg_test_pending && test_region_floor.is_none() {
-                        cfg_test_pending = false;
-                    }
+                // `#[cfg(test)] use …;` — attribute consumed by a
+                // braceless item.
+                b';' if cfg_test_pending && test_region_floor.is_none() => {
+                    cfg_test_pending = false;
                 }
                 _ => {}
             }
@@ -851,6 +852,16 @@ mod tests {
         let src = "fn max(q: &[u32]) -> u32 {\n    // qse-lint: allow — q is never empty\n    \
                    *q.iter().max().unwrap()\n}\n";
         assert!(lint_file("crates/circuit/src/fake.rs", src).is_empty());
+    }
+
+    #[test]
+    fn util_crate_is_held_to_the_no_panic_rule() {
+        let src = "fn pop(q: &Mutex<Vec<u8>>) -> Option<u8> {\n    q.lock().unwrap().pop()\n}\n";
+        let v = lint_file("crates/util/src/mailbox.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (Rule::PanicInLib, 2));
+        let src = "fn f() -> f64 {\n    x.expect(\"finite\")\n}\n";
+        assert_eq!(lint_file("crates/math/src/fake.rs", src).len(), 1);
     }
 
     #[test]

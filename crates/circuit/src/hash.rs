@@ -488,7 +488,7 @@ mod tests {
                 let ph = Complex64::cis(*theta);
                 for i in 0..amps.len() as u64 {
                     if i & mask == mask {
-                        amps[i as usize] = amps[i as usize] * ph;
+                        amps[i as usize] *= ph;
                     }
                 }
             }
@@ -501,7 +501,7 @@ mod tests {
                         for (r, &k) in idx.iter().enumerate() {
                             let mut acc = Complex64::ZERO;
                             for (cidx, vv) in v.iter().enumerate() {
-                                acc = acc + matrix.m[r * 4 + cidx] * *vv;
+                                acc += matrix.m[r * 4 + cidx] * *vv;
                             }
                             amps[k as usize] = acc;
                         }

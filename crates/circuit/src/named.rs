@@ -51,7 +51,7 @@ impl std::fmt::Display for NamedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NamedError::Unknown(name) => {
-                let names: Vec<_> = TABLE.iter().map(|c| c.0).collect();
+                let names: Vec<_> = names().collect();
                 write!(f, "unknown circuit `{name}` ({})", names.join(", "))
             }
             NamedError::Width { name, n, max } => {
@@ -73,6 +73,11 @@ fn lookup(name: &str, n: u32) -> Result<Build, NamedError> {
         return Err(NamedError::Width { name, n, max });
     }
     Ok(build)
+}
+
+/// Every circuit name, in table order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    TABLE.iter().map(|c| c.0)
 }
 
 /// Checks that `name` has a form at `n` qubits, without building it.

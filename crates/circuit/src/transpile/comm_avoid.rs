@@ -133,6 +133,9 @@ pub fn permutation_traffic(perm: &Permutation, layout: &Layout) -> PermTraffic {
 }
 
 /// One step of a comm-avoiding schedule.
+// `qse-bench` builds steps with `.map(PlanStep::Gate)`, so boxing the
+// large variant would change a shape outside this workspace.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanStep {
     /// A physical gate, all non-diagonal operands inside the local window.

@@ -1,7 +1,6 @@
 //! The CLI subcommands.
 
 use crate::args::{ArgError, Args};
-use qse_check::{Ctl, Explorer};
 use qse_circuit::classify::{EngineChoice, GateClass, Layout};
 use qse_circuit::lower::{circuit_traffic, GateTraffic};
 use qse_circuit::qft::{cache_blocked_qft, default_split, qft};
@@ -82,9 +81,9 @@ pub fn help_text() -> String {
        transpile --qubits N --ranks R [--circuit ...]\n\
                                     cache-block a circuit, show communication\n\
                                     (R leaves at least two local qubits)\n\
-       check [--root PATH] [--seed N] [--plans]\n\
-                                    self-check: source lint, fail-stop abort,\n\
-                                    schedule explorer (all must pass);\n\
+       check [--root PATH] [--plans]\n\
+                                    self-check: source lint and fail-stop\n\
+                                    abort (both must pass);\n\
                                     --plans instead statically verifies the\n\
                                     standard plan corpus (protocol matching,\n\
                                     deadlock freedom, buffer bounds, layout\n\
@@ -481,32 +480,6 @@ fn transpile(args: &Args) -> Result<String, ArgError> {
     ))
 }
 
-/// Instrumented lost-update fixture for the schedule-explorer smoke: two
-/// workers race a read-modify-write, so some interleaving must fail.
-fn racy_counter_fixture(ctl: &Ctl) {
-    use qse_util::sync::{sync_point, SyncOp};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-    let (tx, rx) = qse_util::mailbox::unbounded::<()>();
-    let counter = Arc::new(AtomicUsize::new(0));
-    for _ in 0..2 {
-        let counter = Arc::clone(&counter);
-        let tx = tx.clone();
-        ctl.spawn(move || {
-            let v = counter.load(Ordering::SeqCst);
-            sync_point(SyncOp::User("between load and store"));
-            counter.store(v + 1, Ordering::SeqCst);
-            let _ = tx.send(());
-        });
-    }
-    drop(tx);
-    for _ in 0..2 {
-        rx.recv_timeout(std::time::Duration::from_secs(5))
-            .expect("worker done");
-    }
-    assert_eq!(counter.load(Ordering::SeqCst), 2, "lost update");
-}
-
 /// `qse check` step 2: rank 0 panics once rank 1 is about to block in
 /// `recv` and rank 2 at the barrier; both must come back `Aborted` by
 /// rank 0, and the panic must reach the caller.
@@ -567,7 +540,7 @@ fn fail_stop_smoke() -> Result<String, ArgError> {
 }
 
 fn check(args: &Args) -> Result<String, ArgError> {
-    args.expect_only(&["root", "seed", "plans"])?;
+    args.expect_only(&["root", "plans"])?;
     if args.switch("plans") {
         return check_plans();
     }
@@ -604,28 +577,6 @@ fn check(args: &Args) -> Result<String, ArgError> {
     // aborted the universe. The deadline is far off, so only the abort
     // can end their waits.
     out += &fail_stop_smoke()?;
-
-    // 3. Schedule explorer smoke: the seeded lost update must be found.
-    match Explorer::exhaustive().explore(racy_counter_fixture) {
-        Err(failure) => out += &format!("schedule: lost update found ({failure})\n"),
-        Ok(n) => {
-            return Err(ArgError(format!(
-                "schedule: explorer missed the seeded lost update over {n} schedules"
-            )))
-        }
-    }
-    if let Some(seed) = args.optional::<u64>("seed")? {
-        match Explorer::random(seed, 200).explore(racy_counter_fixture) {
-            Err(failure) => {
-                out += &format!("schedule: random mode (seed {seed}) found it too ({failure})\n")
-            }
-            Ok(n) => {
-                return Err(ArgError(format!(
-                    "schedule: random mode (seed {seed}) missed the bug over {n} schedules"
-                )))
-            }
-        }
-    }
     out += "check: all engines passed\n";
     Ok(out)
 }
@@ -1408,13 +1359,12 @@ mod tests {
 
     #[test]
     fn check_runs_all_engines() {
-        let out = run_cli(&["check", "--seed", "7"]).unwrap();
+        let out = run_cli(&["check"]).unwrap();
         assert!(out.contains("lint: clean"), "{out}");
         assert!(out.contains("fail-stop: rank 0 panicked"), "{out}");
         assert!(out.contains("returned Aborted{by: 0}"), "{out}");
-        assert!(out.contains("schedule: lost update found"), "{out}");
-        assert!(out.contains("seed 7"), "{out}");
         assert!(out.contains("all engines passed"), "{out}");
+        assert!(run_cli(&["check", "--seed", "7"]).is_err());
     }
 
     #[test]
@@ -1475,6 +1425,67 @@ mod tests {
         for line in &lines {
             let req = qse_util::json::Json::parse(line).unwrap();
             assert_eq!(req.get("transpile").and_then(|t| t.as_str()), Some("beam"));
+        }
+    }
+
+    #[test]
+    fn submit_lines_parse_back_to_the_flags() {
+        use qse_serve::protocol::{parse_request, Request};
+        let transpiles = [
+            TranspileMode::Off,
+            TranspileMode::Greedy,
+            TranspileMode::Beam,
+        ];
+        let engines = [
+            EngineMode::Auto,
+            EngineMode::Dense,
+            EngineMode::Sparse,
+            EngineMode::Stabilizer,
+        ];
+        for name in named::names() {
+            let circuit = named::build(name, 6).unwrap();
+            for transpile in transpiles {
+                for engine in engines {
+                    for repeat in [1usize, 3] {
+                        let repeat_flag = repeat.to_string();
+                        let tokens = [
+                            "submit",
+                            "--circuit",
+                            name,
+                            "--qubits",
+                            "6",
+                            "--seed",
+                            "40",
+                            "--ranks",
+                            "2",
+                            "--basis",
+                            "5",
+                            "--shots",
+                            "16",
+                            "--transpile",
+                            transpile.label(),
+                            "--engine",
+                            engine.label(),
+                            "--repeat",
+                            &repeat_flag,
+                        ];
+                        let args = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+                        let lines = submit_lines(&args).unwrap();
+                        assert_eq!(lines.len(), repeat, "{tokens:?}");
+                        for (i, line) in lines.iter().enumerate() {
+                            let Ok(Request::Submit(job)) = parse_request(line) else {
+                                panic!("{line} is not a submit");
+                            };
+                            assert_eq!(job.id, format!("job-{i}"), "{line}");
+                            assert_eq!(job.seed, 40 + i as u64, "{line}");
+                            assert_eq!((job.ranks, job.basis, job.shots), (2, 5, 16), "{line}");
+                            assert_eq!((job.transpile, job.engine), (transpile, engine), "{line}");
+                            assert_eq!(job.circuit, circuit, "{line}");
+                            assert_eq!(job.faults, None, "{line}");
+                        }
+                    }
+                }
+            }
         }
     }
 

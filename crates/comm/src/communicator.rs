@@ -584,7 +584,7 @@ mod fault_tests {
                     for round in 0..20u64 {
                         let payload = vec![(round as u8) ^ (c.rank() as u8); 96];
                         let got = sendrecv(c, peer, round, &payload).unwrap();
-                        let want = vec![(round as u8) ^ (peer as u8); 96];
+                        let want = [(round as u8) ^ (peer as u8); 96];
                         assert_eq!(&got[..], &want[..], "seed {seed} round {round}");
                     }
                     c.barrier();
@@ -851,10 +851,8 @@ mod failstop_tests {
     use crate::faults::FaultConfig;
     use crate::universe::Universe;
     use crate::{CommError, Result};
-    use qse_util::sync::{self, ScheduleHook, SyncOp};
-    use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{mpsc, Arc, Condvar, Mutex};
+    use std::sync::{mpsc, Mutex};
     use std::time::{Duration, Instant};
 
     /// Wall-clock bound on every run below.
@@ -901,71 +899,16 @@ mod failstop_tests {
         assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
     }
 
-    /// A schedule hook with one participant, the thread that enrolls: it
-    /// reports that thread's first mailbox wait — past every entry check,
-    /// about to park — and otherwise waits and wakes like the condvar it
-    /// stands in for, in 25 ms slices like the fault lane's.
-    struct ParkHook {
-        participant: Mutex<Option<std::thread::ThreadId>>,
-        parking: Mutex<Option<mpsc::Sender<()>>>,
-        /// Channels notified since their waiter last looked.
-        notified: Mutex<HashSet<u64>>,
-        wake: Condvar,
-    }
-
-    impl ParkHook {
-        fn enroll(&self) {
-            *self.participant.lock().unwrap() = Some(std::thread::current().id());
-        }
-    }
-
-    impl ScheduleHook for ParkHook {
-        fn is_participant(&self) -> bool {
-            *self.participant.lock().unwrap() == Some(std::thread::current().id())
-        }
-
-        fn sync_point(&self, op: SyncOp) {
-            if let SyncOp::MailboxRecv { .. } = op {
-                if let Some(parking) = self.parking.lock().unwrap().take() {
-                    parking.send(()).unwrap();
-                }
-            }
-        }
-
-        fn wait_channel(&self, chan: u64) -> bool {
-            let notified = self.notified.lock().unwrap();
-            let slice = Duration::from_millis(25);
-            let (mut notified, _) = self
-                .wake
-                .wait_timeout_while(notified, slice, |n| !n.contains(&chan))
-                .unwrap();
-            notified.remove(&chan)
-        }
-
-        fn notify_channel(&self, chan: u64, _all: bool) {
-            self.notified.lock().unwrap().insert(chan);
-            self.wake.notify_all();
-        }
-    }
-
-    /// Rank 0 fails with `Corrupt` (every copy rank 1 sends is corrupted)
-    /// once rank 1 has entered its mailbox wait in `park`, waiting on a
-    /// message rank 0 never sends.
-    fn corrupt_while_peer_parks(park: fn(&mut Communicator) -> Result<()>) -> Vec<Result<()>> {
-        // The hook is process-wide: one such run at a time.
-        static HOOKED: Mutex<()> = Mutex::new(());
-        let _one = HOOKED.lock().unwrap_or_else(|e| e.into_inner());
-        // Rank 1's hook tells rank 0 it has parked: the failure is
-        // ordered after the park, not by sleeping.
+    #[test]
+    fn a_failed_rank_aborts_a_peer_parked_in_recv() {
+        // Rank 1 signals just before it waits in `recv` on a message rank
+        // 0 never sends; rank 0 then fails with `Corrupt` (every copy rank
+        // 1 sends is corrupted). The signal orders the failure after rank
+        // 1 enters `recv`, not after it parks on the mailbox's condvar:
+        // an abort before the park and one after it must both end the
+        // wait with the same typed error.
         let (parking, parked) = mpsc::channel();
         let parked = Mutex::new(parked);
-        let hook = Arc::new(ParkHook {
-            participant: Mutex::new(None),
-            parking: Mutex::new(Some(parking)),
-            notified: Mutex::new(HashSet::new()),
-            wake: Condvar::new(),
-        });
-        sync::install(hook.clone());
         let t0 = Instant::now();
         let universe =
             Universe::with_timeout_and_faults(2, LONG, FaultConfig::permanent_corruption(3));
@@ -974,33 +917,22 @@ mod failstop_tests {
                 parked.lock().unwrap().recv().unwrap();
                 return c.recv(1, 9).map(|_| ());
             }
-            hook.enroll();
             c.send(0, 9, &[1u8; 64])?;
-            park(c)
+            parking.send(()).unwrap();
+            c.recv(0, 10).map(|_| ())
         });
-        sync::uninstall();
         assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
         match &out[0] {
             Err(err) if is_corrupt_from_1(err) => {}
             other => panic!("rank 0: expected Corrupt, got {other:?}"),
         }
-        out
-    }
-
-    fn assert_aborted_by_corrupt(out: &Result<()>) {
-        match out {
+        match &out[1] {
             Err(CommError::Aborted {
                 by: 0,
                 cause: Some(cause),
             }) if is_corrupt_from_1(cause) => {}
             other => panic!("rank 1: expected Aborted by 0 with Corrupt, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn a_failed_rank_aborts_a_peer_parked_in_recv() {
-        let out = corrupt_while_peer_parks(|c| c.recv(0, 10).map(|_| ()));
-        assert_aborted_by_corrupt(&out[1]);
     }
 
     #[test]

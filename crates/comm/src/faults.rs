@@ -187,8 +187,10 @@ impl FaultConfig {
     /// `delay_slices`, `corrupt_burst`, `fail_burst`, `budget`,
     /// `stall_rank`, `stall_from`, `stall_len`, `stall_slices`. The stall
     /// window `[stall_from, stall_from + stall_len)` is built once every
-    /// key is read, so key order does not matter, and a window whose end
-    /// overflows `u64` is a spec error.
+    /// key is read, so key order does not matter. Its two keys come
+    /// together or not at all; a lone one, a zero `stall_len` and a
+    /// window whose end overflows `u64` are spec errors. A `stall_rank`
+    /// without a window stalls on every op.
     pub fn parse_spec(spec: &str) -> std::result::Result<FaultConfig, String> {
         let mut seed = None;
         let mut overrides = Vec::new();
@@ -250,18 +252,22 @@ impl FaultConfig {
                 other => return Err(format!("unknown fault spec key '{other}'")),
             }
         }
-        if let Some(from) = stall_from {
-            cfg.stall_window.0 = from;
-        }
-        if let Some(len) = stall_len {
-            let from = cfg.stall_window.0;
-            cfg.stall_window.1 = from
-                .checked_add(len)
-                .ok_or_else(|| format!("fault stall window {from} + {len} overflows u64"))?;
-        }
-        if cfg.stall_rank.is_some() && cfg.stall_window.1 == 0 {
-            cfg.stall_window = (0, u64::MAX);
-            cfg.stall_extra_slices = cfg.stall_extra_slices.max(1);
+        match (stall_from, stall_len) {
+            (Some(_), Some(0)) => return Err("fault stall_len must be at least 1".into()),
+            (Some(from), Some(len)) => {
+                let end = from
+                    .checked_add(len)
+                    .ok_or_else(|| format!("fault stall window {from} + {len} overflows u64"))?;
+                cfg.stall_window = (from, end);
+            }
+            (Some(_), None) => return Err("fault stall_from needs stall_len".into()),
+            (None, Some(_)) => return Err("fault stall_len needs stall_from".into()),
+            (None, None) => {
+                if cfg.stall_rank.is_some() {
+                    cfg.stall_window = (0, u64::MAX);
+                    cfg.stall_extra_slices = cfg.stall_extra_slices.max(1);
+                }
+            }
         }
         Ok(cfg)
     }
@@ -626,6 +632,21 @@ mod tests {
         let cfg = FaultConfig::parse_spec("seed=1,stall_rank=0").unwrap();
         assert_eq!(cfg.stall_window, (0, u64::MAX));
         assert!(cfg.stall_extra_slices >= 1);
+        // A lone window key names the missing one; an empty window is
+        // refused rather than read as "no window", which stalls everywhere.
+        let quiet = "seed=1,delay=0,corrupt=0,fail=0,recv_fail=0";
+        for (window, missing) in [
+            ("stall_rank=1,stall_from=1000000", "stall_len"),
+            ("stall_from=5", "stall_len"),
+            ("stall_rank=1,stall_len=4", "stall_from"),
+        ] {
+            let spec = format!("{quiet},{window}");
+            let err = FaultConfig::parse_spec(&spec).unwrap_err();
+            assert!(err.contains(&format!("needs {missing}")), "{spec}: {err}");
+        }
+        let err =
+            FaultConfig::parse_spec("seed=1,stall_rank=1,stall_from=0,stall_len=0").unwrap_err();
+        assert!(err.contains("stall_len must be at least 1"), "{err}");
         assert!(
             FaultConfig::parse_spec("delay=0.5").is_err(),
             "seed required"

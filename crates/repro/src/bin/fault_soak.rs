@@ -82,7 +82,7 @@ fn main() {
         let recoverable = i % 4 != 3;
         let plan = if recoverable {
             qse_comm::FaultConfig::recoverable(seed)
-        } else if seed % 2 == 0 {
+        } else if seed.is_multiple_of(2) {
             qse_comm::FaultConfig::permanent_corruption(seed)
         } else {
             qse_comm::FaultConfig::exhausted_retries(seed)

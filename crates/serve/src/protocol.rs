@@ -599,7 +599,7 @@ mod tests {
         assert_eq!(r.next_line().unwrap().as_deref(), Some("gamma"));
         assert_eq!(r.next_line().unwrap(), None);
 
-        let long = vec![b'x'; 100];
+        let long = [b'x'; 100];
         let mut r = BoundedLineReader::new(&long[..], 16);
         assert_eq!(r.next_line(), Err(LineError::TooLong { limit: 16 }));
     }

@@ -130,7 +130,7 @@ impl Tableau {
     /// The tableau of `|0…0⟩`: destabilizer row `i` is `Xᵢ`,
     /// stabilizer row `n + i` is `Zᵢ`, all signs `+1`.
     pub fn new(n: u32) -> Self {
-        let words = ix((u64::from(n) + 63) / 64);
+        let words = ix(u64::from(n).div_ceil(64));
         let rows = 2 * ix(u64::from(n)) + 1;
         let mut t = Tableau {
             n,

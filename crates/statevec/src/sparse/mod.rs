@@ -158,7 +158,7 @@ impl SparseState {
             ref g if g.is_diagonal() => {
                 // Phases preserve magnitude — no new zeros, no prune.
                 for (&k, a) in self.amps.iter_mut() {
-                    *a = *a * diagonal_phase(g, k);
+                    *a *= diagonal_phase(g, k);
                 }
             }
             Gate::Swap(a, b) => self.swap_keys(a, b),

@@ -1212,7 +1212,7 @@ impl SoaStorage {
         let rs = &mut self.re[start..start + n];
         let is = &mut self.im[start..start + n];
         if n >= RANGE_PAR_THRESHOLD {
-            let chunks: Vec<(usize, &mut [f64], &mut [f64], &[u8])> = rs
+            let chunks: Vec<_> = rs
                 .chunks_mut(HALF_CHUNK)
                 .zip(is.chunks_mut(HALF_CHUNK))
                 .zip(payload.chunks(HALF_CHUNK * AMP_BYTES))

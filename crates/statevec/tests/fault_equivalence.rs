@@ -116,7 +116,7 @@ fn assert_bits_equal(a: &[Complex64], b: &[Complex64], what: &str) {
 /// wall-clock cheap.
 fn recoverable_plan(seed: u64) -> FaultConfig {
     let mut cfg = FaultConfig::recoverable(seed);
-    if seed % 5 == 0 {
+    if seed.is_multiple_of(5) {
         cfg.max_delay_slices = 1;
     } else {
         cfg.p_delay = 0.0;

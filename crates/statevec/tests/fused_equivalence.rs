@@ -22,7 +22,7 @@ const N: u32 = 6;
 /// Alternate between the diagonal-heavy pool (long fusable runs) and the
 /// full pool (runs broken up by non-diagonal gates).
 fn pool_for(seed: u64) -> GatePool {
-    if seed % 2 == 0 {
+    if seed.is_multiple_of(2) {
         GatePool::QftLike
     } else {
         GatePool::Full

@@ -75,6 +75,7 @@ where
                     None => break,
                 }
             }
+            // qse-lint: allow — reporting a failed property as a panic is this helper's purpose
             panic!(
                 "property failed at case {case}: seed={seed}, size={best_size} \
                  (first failure at size {size}): {best_msg}"

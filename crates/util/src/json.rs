@@ -139,13 +139,6 @@ impl Json {
         }
     }
 
-    /// Compact one-line rendering.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Pretty rendering with 2-space indentation and a trailing newline
     /// omitted (matching `serde_json::to_string_pretty`).
     pub fn pretty(&self) -> String {
@@ -190,6 +183,15 @@ impl Json {
                 pairs[i].1.write(out, indent, depth + 1)
             }),
         }
+    }
+}
+
+/// Compact one-line rendering; `to_string()` returns it.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        f.write_str(&out)
     }
 }
 

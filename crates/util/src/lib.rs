@@ -17,10 +17,7 @@
 //! * [`mailbox`] — `Mutex`/`Condvar` mailbox channels for the thread
 //!   cluster (replaces `crossbeam::channel`);
 //! * [`check`] — seeded property loops with deterministic shrink-by-
-//!   halving (replaces `proptest`);
-//! * [`sync`] — the pluggable `sync_point()` scheduling hook that lets
-//!   `qse-check`'s interleaving explorer drive the mailbox and pool
-//!   (no-op unless a checker installs a hook).
+//!   halving (replaces `proptest`).
 
 pub mod bytes;
 pub mod cdf;
@@ -29,7 +26,6 @@ pub mod json;
 pub mod mailbox;
 pub mod parallel;
 pub mod rng;
-pub mod sync;
 
 pub use bytes::Bytes;
 pub use json::{Json, ToJson};

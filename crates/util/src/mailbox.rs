@@ -5,12 +5,13 @@
 //! every mailbox. Sends never block (unbounded queue); receives block
 //! with a deadline so a deadlocked exchange fails loudly instead of
 //! hanging the test suite.
+//!
+//! A poisoned lock is recovered, not propagated: no critical section
+//! here runs user code, so the queue is never left half-updated.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use crate::sync::{self, SyncOp};
 
 /// Saturating deadline arithmetic: `now + timeout` would panic inside
 /// `Instant`'s `Add` impl for huge durations (`Duration::MAX` overflows
@@ -27,8 +28,12 @@ pub fn deadline_after(now: Instant, timeout: Duration) -> Instant {
 struct Shared<T> {
     inner: Mutex<Inner<T>>,
     available: Condvar,
-    /// Process-unique id reported to the scheduling hook.
-    chan: u64,
+}
+
+impl<T> Shared<T> {
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 struct Inner<T> {
@@ -71,7 +76,6 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
             receiver_gone: false,
         }),
         available: Condvar::new(),
-        chan: sync::new_channel_id(),
     });
     (
         Sender {
@@ -85,24 +89,20 @@ impl<T> Sender<T> {
     /// Enqueues `value`; never blocks. Fails only when the receiver has
     /// been dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        sync::sync_point(SyncOp::MailboxSend {
-            chan: self.shared.chan,
-        });
-        let mut inner = self.shared.inner.lock().expect("mailbox poisoned");
+        let mut inner = self.shared.lock();
         if inner.receiver_gone {
             return Err(SendError(value));
         }
         inner.queue.push_back(value);
         drop(inner);
         self.shared.available.notify_one();
-        sync::notify_channel(self.shared.chan, false);
         Ok(())
     }
 }
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.shared.inner.lock().expect("mailbox poisoned").senders += 1;
+        self.shared.lock().senders += 1;
         Sender {
             shared: Arc::clone(&self.shared),
         }
@@ -111,32 +111,22 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().expect("mailbox poisoned");
+        let mut inner = self.shared.lock();
         inner.senders -= 1;
         let last = inner.senders == 0;
         drop(inner);
         if last {
             // Wake a blocked receiver so it can observe disconnection.
             self.shared.available.notify_all();
-            sync::notify_channel(self.shared.chan, true);
         }
     }
 }
 
 impl<T> Receiver<T> {
     /// Dequeues the next message, waiting up to `timeout`.
-    ///
-    /// Under an installed [`crate::sync::ScheduleHook`], a participant
-    /// thread waits inside the controlled scheduler instead of the
-    /// condvar; the timeout is then *modelled* — the receive times out
-    /// only when the scheduler proves no runnable thread can ever notify
-    /// this channel, keeping explorations deterministic.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        sync::sync_point(SyncOp::MailboxRecv {
-            chan: self.shared.chan,
-        });
         let deadline = deadline_after(Instant::now(), timeout);
-        let mut inner = self.shared.inner.lock().expect("mailbox poisoned");
+        let mut inner = self.shared.lock();
         loop {
             if let Some(value) = inner.queue.pop_front() {
                 return Ok(value);
@@ -144,38 +134,22 @@ impl<T> Receiver<T> {
             if inner.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            if let Some(hook) = sync::participant_hook() {
-                drop(inner);
-                let notified = hook.wait_channel(self.shared.chan);
-                inner = self.shared.inner.lock().expect("mailbox poisoned");
-                if !notified {
-                    if let Some(value) = inner.queue.pop_front() {
-                        return Ok(value);
-                    }
-                    return Err(if inner.senders == 0 {
-                        RecvTimeoutError::Disconnected
-                    } else {
-                        RecvTimeoutError::Timeout
-                    });
-                }
-            } else {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, wait) = self
-                    .shared
-                    .available
-                    .wait_timeout(inner, remaining)
-                    .expect("mailbox poisoned");
-                inner = guard;
-                if wait.timed_out() && inner.queue.is_empty() {
-                    return Err(if inner.senders == 0 {
-                        RecvTimeoutError::Disconnected
-                    } else {
-                        RecvTimeoutError::Timeout
-                    });
-                }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            let (guard, wait) = self
+                .shared
+                .available
+                .wait_timeout(inner, remaining)
+                .unwrap_or_else(PoisonError::into_inner);
+            inner = guard;
+            if wait.timed_out() && inner.queue.is_empty() {
+                return Err(if inner.senders == 0 {
+                    RecvTimeoutError::Disconnected
+                } else {
+                    RecvTimeoutError::Timeout
+                });
             }
         }
     }
@@ -183,11 +157,7 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared
-            .inner
-            .lock()
-            .expect("mailbox poisoned")
-            .receiver_gone = true;
+        self.shared.lock().receiver_gone = true;
     }
 }
 

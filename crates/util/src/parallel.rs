@@ -26,11 +26,13 @@
 //! * nested `parallel_for_each` calls are safe: a pool worker that
 //!   re-enters runs the nested job inline (sequentially), so workers
 //!   never block on other workers and cannot deadlock.
+//!
+//! A poisoned lock is recovered, not propagated: every critical section
+//! here only moves items, counters and payloads (the work closure runs
+//! outside every lock), so a panic cannot leave one half-updated.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-use crate::sync::{self, SyncOp};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Worker-thread count: `QSE_THREADS` if set (≥ 1), else the machine's
 /// available parallelism. Read once per process.
@@ -113,8 +115,14 @@ pub fn worker_slot() -> usize {
     WORKER_SLOT.with(|s| s.get())
 }
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The process-wide pool, created on first use with `num_threads() − 1`
 /// resident workers (the caller of each job is the final participant).
+/// A worker the OS refuses to spawn is left out: every job's caller
+/// drains it to the end itself, so its items still run exactly once.
 fn pool() -> &'static Pool {
     static POOL: OnceLock<&'static Pool> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -126,13 +134,12 @@ fn pool() -> &'static Pool {
             work: Condvar::new(),
         }));
         for i in 0..num_threads().saturating_sub(1) {
-            std::thread::Builder::new()
+            let _ = std::thread::Builder::new()
                 .name(format!("qse-pool-{i}"))
                 .spawn(move || {
                     WORKER_SLOT.with(|s| s.set(i + 1));
                     worker_loop(pool)
-                })
-                .expect("failed to spawn pool worker");
+                });
         }
         pool
     })
@@ -140,16 +147,16 @@ fn pool() -> &'static Pool {
 
 fn worker_loop(pool: &'static Pool) {
     IN_POOL_WORKER.with(|f| f.set(true));
-    let mut q = pool.queue.lock().expect("pool queue poisoned");
+    let mut q = lock(&pool.queue);
     loop {
         let Some(job) = q.jobs.first().cloned() else {
-            q = pool.work.wait(q).expect("pool queue poisoned");
+            q = pool.work.wait(q).unwrap_or_else(PoisonError::into_inner);
             continue;
         };
         // Join while holding the queue lock: once a job leaves the queue,
         // its `active` count can only decrease, which is what lets the
         // caller's completion wait conclude safely.
-        job.state.lock().expect("job state poisoned").active += 1;
+        lock(&job.state).active += 1;
         drop(q);
 
         // SAFETY: the job was still queued under the lock above, so the
@@ -160,9 +167,9 @@ fn worker_loop(pool: &'static Pool) {
         // The drain returned: its cursor is exhausted (or it panicked and
         // the rest of the items belong to the remaining participants).
         // Retire the job so no new worker joins, then leave it.
-        let mut queue = pool.queue.lock().expect("pool queue poisoned");
+        let mut queue = lock(&pool.queue);
         queue.jobs.retain(|j| j.id != job.id);
-        let mut st = job.state.lock().expect("job state poisoned");
+        let mut st = lock(&job.state);
         if let Err(payload) = result {
             st.panic.get_or_insert(payload);
         }
@@ -180,10 +187,9 @@ fn worker_loop(pool: &'static Pool) {
 /// (or the caller's own) resume on the calling thread with their original
 /// payload.
 fn run_job(drain: &(dyn Fn() + Sync)) {
-    sync::sync_point(SyncOp::PoolSubmit);
     let pool = pool();
     let job = {
-        let mut q = pool.queue.lock().expect("pool queue poisoned");
+        let mut q = lock(&pool.queue);
         q.next_id += 1;
         let raw: *const (dyn Fn() + Sync) = drain;
         let job = Arc::new(Job {
@@ -212,14 +218,10 @@ fn run_job(drain: &(dyn Fn() + Sync)) {
 
     // Retire the job (idempotent — a worker may have done it already),
     // then wait for stragglers still inside the closure.
-    pool.queue
-        .lock()
-        .expect("pool queue poisoned")
-        .jobs
-        .retain(|j| j.id != job.id);
-    let mut st = job.state.lock().expect("job state poisoned");
+    lock(&pool.queue).jobs.retain(|j| j.id != job.id);
+    let mut st = lock(&job.state);
     while st.active > 0 {
-        st = job.done.wait(st).expect("job state poisoned");
+        st = job.done.wait(st).unwrap_or_else(PoisonError::into_inner);
     }
     let worker_panic = st.panic.take();
     drop(st);
@@ -258,12 +260,9 @@ fn for_each_with_threads<T: Send>(n_threads: usize, items: Vec<T>, f: impl Fn(T)
     let queue = Mutex::new(items.into_iter());
     let drain = || loop {
         // Take the lock only to pop; run the item outside it.
-        let item = queue.lock().expect("queue poisoned").next();
+        let item = lock(&queue).next();
         match item {
-            Some(it) => {
-                sync::sync_point(SyncOp::PoolTask);
-                f(it)
-            }
+            Some(it) => f(it),
             None => break,
         }
     };
@@ -316,9 +315,8 @@ pub fn parallel_for_each_affine<T: Send>(items: Vec<T>, f: impl Fn(T) + Sync) {
         // Own range first (index order), then wrap around the rest.
         let order = (start..end).chain((end..len).chain(0..start));
         for idx in order {
-            let taken = cells[idx].lock().expect("affine cell poisoned").take();
+            let taken = lock(&cells[idx]).take();
             if let Some(item) = taken {
-                sync::sync_point(SyncOp::PoolTask);
                 f(item);
             }
         }
@@ -337,11 +335,12 @@ pub fn parallel_map_sum<T: Send>(items: Vec<T>, f: impl Fn(T) -> f64 + Sync) -> 
     let slots_ref = &slots;
     let f = &f;
     parallel_for_each(indexed, move |(i, item)| {
-        *slots_ref[i].lock().expect("slot poisoned") = f(item);
+        let sum = f(item);
+        *lock(&slots_ref[i]) = sum;
     });
     slots
         .into_iter()
-        .map(|m| m.into_inner().expect("slot poisoned"))
+        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
         .sum()
 }
 

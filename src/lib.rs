@@ -35,7 +35,7 @@
 //! | [`machine`] | `qse-machine` | calibrated ARCHER2 time/energy model |
 //! | [`core`] | `qse-core` | executors, profiling, experiment harness |
 //! | [`util`] | `qse-util` | std-only PRNG, JSON, thread pool, channels |
-//! | [`check`] | `qse-check` | schedule explorer, static plan verifier, source lint |
+//! | [`check`] | `qse-check` | static plan verifier, source lint |
 //!
 //! The workspace is hermetic: every dependency is an in-tree path crate,
 //! so a cold-cache `cargo build --offline` succeeds with no registry
