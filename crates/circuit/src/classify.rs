@@ -79,8 +79,11 @@ impl Layout {
     ///
     /// # Panics
     /// Panics with the [`LayoutError`] when it is not.
+    #[expect(
+        clippy::panic,
+        reason = "the documented panic of `new`; input-facing callers use `try_new`"
+    )]
     pub fn new(n_qubits: u32, n_ranks: u64) -> Self {
-        // qse-lint: allow — the documented panic of `new`; input-facing callers use `try_new`
         Self::try_new(n_qubits, n_ranks).unwrap_or_else(|e| panic!("{e}"))
     }
 

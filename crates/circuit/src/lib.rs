@@ -25,6 +25,18 @@
 //! `QFT |x⟩ = N^{-1/2} Σ_k ω^{rev(x)·rev(k)} |k⟩` with bit-reversed indices
 //! (see `qft` module tests for the exact statement).
 
+// Source rules R1, R5 (DESIGN §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        unsafe_code,
+        clippy::undocumented_unsafe_blocks
+    )
+)]
+
 pub mod algorithms;
 pub mod benchmarks;
 pub mod circuit;

@@ -81,9 +81,8 @@ pub fn help_text() -> String {
        transpile --qubits N --ranks R [--circuit ...]\n\
                                     cache-block a circuit, show communication\n\
                                     (R leaves at least two local qubits)\n\
-       check [--root PATH] [--plans]\n\
-                                    self-check: source lint and fail-stop\n\
-                                    abort (both must pass);\n\
+       check [--plans]\n\
+                                    self-check: fail-stop abort;\n\
                                     --plans instead statically verifies the\n\
                                     standard plan corpus (protocol matching,\n\
                                     deadlock freedom, buffer bounds, layout\n\
@@ -540,45 +539,15 @@ fn fail_stop_smoke() -> Result<String, ArgError> {
 }
 
 fn check(args: &Args) -> Result<String, ArgError> {
-    args.expect_only(&["root", "plans"])?;
+    args.expect_only(&["plans"])?;
     if args.switch("plans") {
         return check_plans();
     }
-    let mut out = String::new();
-
-    // 1. Source lint over the workspace tree.
-    let root = match args.optional::<std::path::PathBuf>("root")? {
-        Some(p) => p,
-        None => {
-            let cwd =
-                std::env::current_dir().map_err(|e| ArgError(format!("cannot read cwd: {e}")))?;
-            qse_check::lint::find_workspace_root(&cwd).ok_or_else(|| {
-                ArgError("no workspace root above the cwd; pass --root PATH".into())
-            })?
-        }
-    };
-    let violations =
-        qse_check::lint_tree(&root).map_err(|e| ArgError(format!("lint walk failed: {e}")))?;
-    if !violations.is_empty() {
-        let list = violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n  ");
-        return Err(ArgError(format!(
-            "lint: {} violation(s)\n  {list}",
-            violations.len()
-        )));
-    }
-    out += &format!("lint: clean ({})\n", root.display());
-
-    // 2. Fail-stop smoke: a rank that panics must release one peer
+    // Fail-stop smoke: a rank that panics must release one peer
     // parked in a receive and one parked at the barrier, both told who
     // aborted the universe. The deadline is far off, so only the abort
     // can end their waits.
-    out += &fail_stop_smoke()?;
-    out += "check: all engines passed\n";
-    Ok(out)
+    Ok(fail_stop_smoke()? + "check: all engines passed\n")
 }
 
 /// `qse check --plans`: statically verify the standard plan corpus
@@ -1360,11 +1329,12 @@ mod tests {
     #[test]
     fn check_runs_all_engines() {
         let out = run_cli(&["check"]).unwrap();
-        assert!(out.contains("lint: clean"), "{out}");
         assert!(out.contains("fail-stop: rank 0 panicked"), "{out}");
         assert!(out.contains("returned Aborted{by: 0}"), "{out}");
         assert!(out.contains("all engines passed"), "{out}");
         assert!(run_cli(&["check", "--seed", "7"]).is_err());
+        let err = run_cli(&["check", "--root", "."]).unwrap_err();
+        assert!(err.0.contains("unknown flag `--root`"), "{}", err.0);
     }
 
     #[test]
@@ -1386,12 +1356,6 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("all broken fixtures rejected"), "{out}");
-    }
-
-    #[test]
-    fn check_rejects_a_missing_root() {
-        let err = run_cli(&["check", "--root", "/nonexistent/nowhere"]).unwrap_err();
-        assert!(err.0.contains("lint walk failed"), "{}", err.0);
     }
 
     #[test]

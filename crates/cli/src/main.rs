@@ -8,6 +8,9 @@
 //! qse transpile --qubits 16 --ranks 8
 //! ```
 
+// Source rule R5 (DESIGN §8).
+#![cfg_attr(not(test), deny(unsafe_code, clippy::undocumented_unsafe_blocks))]
+
 mod args;
 mod commands;
 

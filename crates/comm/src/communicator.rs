@@ -341,8 +341,9 @@ impl Communicator {
     /// Number of [`FAULT_SLICE`]s the receive deadline spans, for the
     /// modelled timeout used when a fault lane is active.
     fn timeout_slices(timeout: Duration) -> u64 {
-        let slice_ms = FAULT_SLICE.as_millis().max(1) as u64;
-        (timeout.as_millis() as u64).div_ceil(slice_ms).max(1)
+        // Saturate: a deadline past `u64::MAX` ms is unbounded, not wrapped.
+        let ms = |d: Duration| u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
+        ms(timeout).div_ceil(ms(FAULT_SLICE).max(1)).max(1)
     }
 
     /// Releases and processes every due held (delayed) envelope. Returns
@@ -451,6 +452,16 @@ mod tests {
     ) -> crate::Result<Bytes> {
         c.send(peer, tag, payload)?;
         c.recv(peer, tag)
+    }
+
+    #[test]
+    fn timeout_slices_saturate_instead_of_wrapping() {
+        use std::time::Duration;
+        // 18 446 744 073 709 552 000 ms is past `u64::MAX`; a wrapping
+        // cast read it as 384 ms, a deadline of 16 slices.
+        let far = Duration::from_secs(18_446_744_073_709_552);
+        assert_eq!(Communicator::timeout_slices(far), u64::MAX.div_ceil(25));
+        assert_eq!(Communicator::timeout_slices(Duration::from_millis(25)), 1);
     }
 
     #[test]

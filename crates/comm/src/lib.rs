@@ -46,6 +46,20 @@
 //! assert_eq!(results, vec![1, 0]);
 //! ```
 
+// Source rules R1, R3, R5, R6 (DESIGN §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        missing_docs,
+        unsafe_code,
+        clippy::undocumented_unsafe_blocks,
+        clippy::cast_possible_truncation
+    )
+)]
+
 pub mod chunking;
 pub mod collective;
 pub mod communicator;

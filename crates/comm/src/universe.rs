@@ -1,6 +1,11 @@
 //! Universe construction: hands out communicators and runs the ranks —
 //! rank 0 on the caller, the rest on resident helper threads.
 
+#![expect(
+    unsafe_code,
+    reason = "resident rank threads run borrowed closures; each use carries its `SAFETY:` comment"
+)]
+
 use crate::communicator::Communicator;
 use crate::failstop::FailStop;
 use crate::faults::{FaultConfig, FaultPlan};
@@ -297,12 +302,14 @@ mod helpers {
             let spawned = std::thread::Builder::new()
                 .name("qse-rank".into())
                 .spawn(move || resident.serve());
+            #[expect(
+                clippy::panic,
+                reason = "`run` has no error path, and a universe short of a rank cannot \
+                          run: a failed spawn panics, as `std::thread::spawn` does"
+            )]
             if let Err(e) = spawned {
                 park(helpers);
-                // `run` has no error path, and a universe short of a
-                // rank cannot run: a failed spawn panics, as
-                // `std::thread::spawn` does.
-                panic!("cannot start a rank thread: {e}"); // qse-lint: allow
+                panic!("cannot start a rank thread: {e}");
             }
             helpers.push(helper);
         }

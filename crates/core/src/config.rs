@@ -287,8 +287,12 @@ impl SimConfig {
     ///
     /// # Panics
     /// Panics on a zero `max_message_bytes`.
+    #[expect(
+        clippy::panic,
+        reason = "the documented panic of `to_dist_config`; the executor's runs use the typed \
+                  `try_to_dist_config`"
+    )]
     pub fn to_dist_config(&self) -> DistConfig {
-        // qse-lint: allow — the documented panic of `to_dist_config`; the executor's runs use the typed `try_to_dist_config`
         self.try_to_dist_config().unwrap_or_else(|e| panic!("{e}"))
     }
 

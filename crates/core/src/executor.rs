@@ -63,8 +63,11 @@ impl ThreadClusterExecutor {
     /// # Panics
     /// Panics on a communication error; use [`Self::try_run`] when running
     /// under a fault plan that may be unrecoverable.
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented panic of `run`; `try_run` is its typed twin"
+    )]
     pub fn run(circuit: &Circuit, config: &SimConfig, basis: u64, gather: bool) -> ClusterRun {
-        // qse-lint: allow — the documented panic of `run`; `try_run` is its typed twin
         Self::try_run(circuit, config, basis, gather).expect("cluster run failed")
     }
 

@@ -15,6 +15,18 @@
 //! shape as the publication) and writes machine-readable JSON next to
 //! them, which is what `EXPERIMENTS.md` records.
 
+// Source rules R1, R5 (DESIGN §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        unsafe_code,
+        clippy::undocumented_unsafe_blocks
+    )
+)]
+
 pub mod config;
 pub mod executor;
 pub mod experiment;

@@ -20,6 +20,19 @@
 //! * 2.25 GHz ≈ 5–10 % faster and ≈ 25 % more energy than 2.00 GHz
 //!   (§3.1); 1.50 GHz slower at roughly equal energy.
 
+// Source rules R1, R2, R5 (DESIGN §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_methods,
+        unsafe_code,
+        clippy::undocumented_unsafe_blocks
+    )
+)]
+
 pub mod archer2;
 pub mod cost;
 pub mod cu;

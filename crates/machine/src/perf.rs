@@ -197,8 +197,11 @@ impl Ctx<'_> {
     /// the full exchange time is billed.
     fn exchange_cost(&self, gate: &Gate) -> GateCost {
         let half = self.cfg.half_exchange_swaps;
+        #[expect(
+            clippy::panic,
+            reason = "the documented panic of `estimate`; the engine refuses the gate too"
+        )]
         let traffic =
-            // qse-lint: allow — the documented panic of `estimate`; the engine refuses the gate too
             gate_traffic(gate, &self.layout, half).unwrap_or_else(|e| panic!("{gate}: {e}"));
         let la = self.local_amps as f64;
         let exchanges = || traffic.lowering.exchanges();

@@ -15,6 +15,18 @@
 //! * [`approx`] — tolerant floating-point comparison helpers used across the
 //!   test suites.
 
+// Source rules R1, R5 (DESIGN §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        unsafe_code,
+        clippy::undocumented_unsafe_blocks
+    )
+)]
+
 pub mod approx;
 pub mod bits;
 pub mod complex;

@@ -4,6 +4,9 @@
 //! paper (see DESIGN.md §3 for the index), printing a publication-shaped
 //! text table and writing a JSON twin under `results/`.
 
+// Source rule R5 (DESIGN §8).
+#![cfg_attr(not(test), deny(unsafe_code, clippy::undocumented_unsafe_blocks))]
+
 use qse_circuit::Circuit;
 use qse_core::experiment::{results_dir, write_json};
 use qse_core::{ModelExecutor, SimConfig};

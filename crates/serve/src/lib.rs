@@ -17,6 +17,19 @@
 //! - [`error`] — typed rejections ([`ServeError::OverBudget`],
 //!   [`ServeError::QueueFull`], …) with stable wire codes.
 
+// Source rules R1, R5, R7 (DESIGN §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        unsafe_code,
+        clippy::undocumented_unsafe_blocks,
+        clippy::disallowed_methods
+    )
+)]
+
 pub mod cache;
 pub mod error;
 pub mod net;

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// Transport bounds — the limits qse-lint R7 exists to keep honest.
+/// Transport bounds — the limits source rule R7 exists to keep honest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Per-line byte cap.

@@ -393,9 +393,9 @@ impl std::fmt::Display for LineError {
 /// Every byte a client can send the service passes through this type:
 /// raw `read` calls into a fixed-size chunk, an explicit cap on the
 /// accumulated line, and timeouts surfaced as [`LineError::Timeout`]
-/// (the socket's `set_read_timeout` supplies the deadline). This is
-/// what qse-lint R7 enforces — no unbounded `read_to_end`/`read_line`
-/// on network input.
+/// (the socket's `set_read_timeout` supplies the deadline). Source rule
+/// R7 (`crates/serve/clippy.toml`) keeps it so: the library may not call
+/// the unbounded `read_to_end`/`read_to_string`/`read_line`.
 pub struct BoundedLineReader<R> {
     inner: R,
     buf: Vec<u8>,

@@ -226,15 +226,18 @@ impl Server {
             cache: Mutex::new(PlanCache::new(cfg.cache_cap_bytes)),
             counters: Mutex::new(Counters::default()),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "`start` has no error path, and a service short of a worker it was \
+                      configured with fails at startup"
+        )]
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 thread::Builder::new()
                     .name(format!("qse-serve-worker-{i}"))
                     .spawn(move || worker_loop(&inner))
-                    // `start` has no error path, and a service short of
-                    // a worker it was configured with fails at startup.
-                    .expect("spawn worker") // qse-lint: allow
+                    .expect("spawn worker")
             })
             .collect();
         Server {

@@ -21,8 +21,21 @@
 //! enumerates once into the same prepared `qse_util::cdf::Cdf` that
 //! `qse_statevec::sample_counts_amps` draws from.
 //!
-//! Everything returns typed [`StabError`]s — this crate is on the
-//! qse-lint no-panic list alongside comm and statevec.
+//! Everything returns typed [`StabError`]s — this crate is held to the
+//! no-panic rule (R1) alongside comm and statevec.
+
+// Source rules R1, R5, R6 (DESIGN §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        unsafe_code,
+        clippy::undocumented_unsafe_blocks,
+        clippy::cast_possible_truncation
+    )
+)]
 
 mod tableau;
 
@@ -31,9 +44,13 @@ pub use tableau::{Outcome, StabError, Support, Tableau, MAX_SUPPORT_QUBITS};
 /// `u64 → usize` for indexing, audited once.
 ///
 /// Centralising the conversion keeps raw `as usize` out of the
-/// tableau's index arithmetic (qse-lint R6).
+/// tableau's index arithmetic (source rule R6).
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "bounded by an existing allocation; debug-checked"
+)]
 pub(crate) fn ix(i: u64) -> usize {
     debug_assert!(usize::try_from(i).is_ok(), "index {i} exceeds usize");
-    i as usize // qse-lint: allow — bounded by an existing allocation; debug-checked above
+    i as usize
 }

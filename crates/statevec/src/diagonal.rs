@@ -8,6 +8,15 @@
 //! tile by tile, touching only the amplitudes each gate selects — QuEST's
 //! "more efficient" controlled-phase application (§3.2).
 
+// The kernel's `unsafe` exists only on x86, so the expectation does too.
+#![cfg_attr(
+    any(target_arch = "x86", target_arch = "x86_64"),
+    expect(
+        unsafe_code,
+        reason = "the AVX2 phase kernel; each use carries its `SAFETY:` comment"
+    )
+)]
+
 use crate::storage::kernel;
 use qse_circuit::Gate;
 use qse_math::bits;

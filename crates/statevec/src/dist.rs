@@ -16,6 +16,9 @@
 //! exchange* (§4): only the amplitudes whose swap bits differ move, which
 //! halves both traffic and buffer requirements.
 
+// Source rule R8 (DESIGN §8): no whole-slice staging on the exchange path.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use crate::diagonal::CompiledDiagonal;
 use crate::schedule::{Schedule, Step};
 use crate::storage::kernel::wire_amp;

@@ -27,18 +27,35 @@
 //! out-of-place simulator used as the correctness oracle for everything
 //! else.
 
+// Source rules R1, R5, R6 (DESIGN §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        unsafe_code,
+        clippy::undocumented_unsafe_blocks,
+        clippy::cast_possible_truncation
+    )
+)]
+
 /// Converts a `u64` amplitude/rank index to `usize`.
 ///
 /// Every index routed through here is bounded by an allocation this
 /// process already holds (`local_amps`-sized `Vec`s, rank counts), so
 /// it fits `usize` on any host that can run the simulation at all.
 /// Centralising the conversion keeps raw `as usize` out of index
-/// arithmetic (lint R6) while documenting the invariant once, and the
+/// arithmetic (source rule R6) while documenting the invariant once, and the
 /// debug assertion makes the bound self-checking.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "bounded by an existing allocation; debug-checked"
+)]
 pub(crate) fn ix(i: u64) -> usize {
     debug_assert!(usize::try_from(i).is_ok(), "index {i} exceeds usize");
-    i as usize // qse-lint: allow — bounded by an existing allocation; debug-checked above
+    i as usize
 }
 
 pub mod diagonal;

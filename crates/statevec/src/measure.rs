@@ -18,6 +18,9 @@
 //! numerical boundary, not a reason to abort a library process. Only
 //! binaries (CLI, examples) convert these into panics.
 
+// Source rule R4 (DESIGN §8): no `assert!` as error handling here.
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use crate::single::SingleState;
 use crate::storage::extend_over_pool;
 use qse_math::Complex64;

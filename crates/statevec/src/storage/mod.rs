@@ -35,7 +35,8 @@ pub const RANGE_PAR_THRESHOLD: usize = 1 << 18;
 
 /// Bytes per amplitude on the wire: little-endian `re`, then `im`
 /// ([`BYTES_PER_AMP`](qse_circuit::classify::BYTES_PER_AMP)).
-pub const AMP_BYTES: usize = qse_circuit::classify::BYTES_PER_AMP as usize; // qse-lint: allow — 16 fits every usize
+#[expect(clippy::cast_possible_truncation, reason = "16 fits every usize")]
+pub const AMP_BYTES: usize = qse_circuit::classify::BYTES_PER_AMP as usize;
 
 /// Number of whole amplitudes in a wire payload.
 ///

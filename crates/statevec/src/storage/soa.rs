@@ -14,6 +14,11 @@
 //! the same contiguous amplitude range that it first-touched in
 //! [`SoaStorage::zeros`].
 
+#![expect(
+    unsafe_code,
+    reason = "large-array mappings, AVX2+FMA kernels and in-place wire packing; each use carries its `SAFETY:` comment"
+)]
+
 use super::kernel::{self, Ctrl};
 use super::{
     local_block_bits, wire_amps, Matrix4, AMP_BYTES, HALF_CHUNK, PAR_THRESHOLD, RANGE_PAR_THRESHOLD,

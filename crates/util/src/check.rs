@@ -58,6 +58,10 @@ where
     for case in 0..cases {
         let seed = meta.next_u64();
         let size = 1 + (meta.next_u64() as usize) % max_size;
+        #[expect(
+            clippy::panic,
+            reason = "reporting a failed property as a panic is this helper's purpose"
+        )]
         if let Some(first_msg) = case_fails(seed, size, &prop) {
             // Shrink: halve the size while the property keeps failing.
             let (mut best_size, mut best_msg) = (size, first_msg);
@@ -75,7 +79,6 @@ where
                     None => break,
                 }
             }
-            // qse-lint: allow — reporting a failed property as a panic is this helper's purpose
             panic!(
                 "property failed at case {case}: seed={seed}, size={best_size} \
                  (first failure at size {size}): {best_msg}"

@@ -19,6 +19,18 @@
 //! * [`check`] — seeded property loops with deterministic shrink-by-
 //!   halving (replaces `proptest`).
 
+// Source rules R1, R5 (DESIGN §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        unsafe_code,
+        clippy::undocumented_unsafe_blocks
+    )
+)]
+
 pub mod bytes;
 pub mod cdf;
 pub mod check;

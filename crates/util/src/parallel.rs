@@ -31,6 +31,11 @@
 //! here only moves items, counters and payloads (the work closure runs
 //! outside every lock), so a panic cannot leave one half-updated.
 
+#![expect(
+    unsafe_code,
+    reason = "the pool hands borrowed jobs to resident workers; each use carries its `SAFETY:` comment"
+)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 

@@ -35,11 +35,14 @@
 //! | [`machine`] | `qse-machine` | calibrated ARCHER2 time/energy model |
 //! | [`core`] | `qse-core` | executors, profiling, experiment harness |
 //! | [`util`] | `qse-util` | std-only PRNG, JSON, thread pool, channels |
-//! | [`check`] | `qse-check` | static plan verifier, source lint |
+//! | [`check`] | `qse-check` | static plan verifier |
 //!
 //! The workspace is hermetic: every dependency is an in-tree path crate,
 //! so a cold-cache `cargo build --offline` succeeds with no registry
 //! access.
+
+// Source rule R5 (DESIGN §8).
+#![cfg_attr(not(test), deny(unsafe_code, clippy::undocumented_unsafe_blocks))]
 
 pub use qse_check as check;
 pub use qse_circuit as circuit;
